@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: test coverage bench lint
+.PHONY: test coverage bench e2e-smoke lint
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -22,6 +22,11 @@ coverage:
 
 bench:
 	PYTHONPATH=src $(PY) -m pytest benchmarks -q
+
+# The serving benchmark (BENCHMARK.json) at smoke scale, untraced and
+# traced: fails when a rename breaks a name benchmarks/e2e pins.
+e2e-smoke:
+	timeout 300 env PYTHONPATH=src $(PY) -m pytest benchmarks/e2e -q
 
 lint:
 	ruff check src tests benchmarks

@@ -2,41 +2,31 @@
 
 The serving story of the snapshot front is that readers answer from a
 pinned epoch's frozen arrays -- no counter charges, no lazy-conversion
-work, no per-request kernel re-entry -- so a batch of range queries can
-be fanned across threads and still return bit-identical answers.  This
-benchmark loads weather4 into a dense kernel, then serves the same
-query batch four ways:
+work, no per-request kernel re-entry -- with the same stacked batch
+evaluator the live kernel runs.  This benchmark loads weather4 into a
+dense kernel, then serves the same query batch three ways:
 
 * ``baseline``  -- the pre-existing serving loop: one metered
   ``cube.query`` call per request (what a caller had before this
   subsystem existed);
 * ``snapshot``  -- one pinned view, per-request ``view.query``;
-* ``batch``     -- one pinned view, a single serial ``query_many``;
-* ``threads-N`` -- :class:`~repro.concurrent.ParallelExecutor` at
-  1/2/4/8 threads.
+* ``batch``     -- one pinned view, a single ``query_many``.
 
-Every mode must agree bit-for-bit, and single-thread batch serving (the
-executor's default) must beat the metered baseline by >= 2.5x aggregate
-throughput.  The thread sweep records the multi-thread floor for the
-active kernel backend (each row carries ``kernels``): on the pure-NumPy
-fallback it documents the GIL ceiling -- thread counts past 1 buy
-nothing for this CPU-bound work, which is why the executor defaults to
-one thread and process scaling lives in ``repro.sharding`` (see
-``BENCH_shard.json``) -- while the compiled nogil kernels let the same
-sweep show genuine thread parallelism.  Rows accumulate in
-``BENCH_concurrent.json``.
+Every mode must agree bit-for-bit, and batch serving must beat the
+metered baseline by >= 2.5x aggregate throughput.  Process scaling
+lives in ``repro.sharding`` (see ``BENCH_shard.json``).  Rows accumulate
+in ``BENCH_concurrent.json``.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-import warnings
 
 import numpy as np
 
 from _record import BENCH_CONCURRENT_FILE, record
-from repro.concurrent import ParallelExecutor, SnapshotCube
+from repro.concurrent import SnapshotCube
 from repro.ecube import compiled
 from repro.ecube.ecube import EvolvingDataCube
 from repro.metrics import CostCounter
@@ -44,7 +34,6 @@ from repro.workloads.queries import uni_queries
 
 NUM_QUERIES = 300
 REPS = 5
-THREAD_COUNTS = (1, 2, 4, 8)
 REQUIRED_SPEEDUP = 2.5
 
 
@@ -110,15 +99,6 @@ def test_concurrent_serving_throughput(bench_weather4):
     assert answers == expected
     rows["batch"] = wall
 
-    for threads in THREAD_COUNTS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            executor = ParallelExecutor(snap, threads=threads)
-        with executor:
-            answers, wall = _timed(lambda: executor.query_many(boxes))
-        assert answers == expected
-        rows[f"threads-{threads}"] = wall
-
     for mode, wall in rows.items():
         record(
             "weather4_concurrent_serving", mode, wall, 0,
@@ -129,8 +109,8 @@ def test_concurrent_serving_throughput(bench_weather4):
             kernels=compiled.backend_name(),
         )
 
-    speedup = rows["baseline"] / max(rows["threads-1"], 1e-9)
+    speedup = rows["baseline"] / max(rows["batch"], 1e-9)
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"single-thread snapshot serving is only {speedup:.2f}x the metered "
+        f"batch snapshot serving is only {speedup:.2f}x the metered "
         f"baseline (need >= {REQUIRED_SPEEDUP}x): {rows}"
     )

@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.concurrent import (
     ExtentSnapshotView,
-    ParallelExecutor,
     SnapshotCube,
     SnapshotExtentCube,
     SnapshotView,
@@ -76,7 +75,6 @@ from repro.preagg import (
     LocalPrefixSumTechnique,
     PreAggregatedArray,
     PrefixSumTechnique,
-    QueryRouter,
     RelativePrefixSumTechnique,
     recommend_techniques,
 )
@@ -129,7 +127,6 @@ __all__ = [
     "Operator",
     "OperatorError",
     "OutOfOrderBuffer",
-    "ParallelExecutor",
     "PersistentAggregateTree",
     "PreAggregatedArray",
     "PrefixSumTechnique",
@@ -143,7 +140,6 @@ __all__ = [
     "SnapshotView",
     "SparseEvolvingDataCube",
     "Estimate",
-    "QueryRouter",
     "TieredCube",
     "TierPolicy",
     "TierSpec",

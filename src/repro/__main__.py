@@ -178,15 +178,13 @@ def _sweep_leaked_shm() -> list[str]:
 
     A SIGKILLed server never drops its epoch refcounts, so its segments
     survive in ``/dev/shm`` and would eventually exhaust it across
-    restarts.  Nothing else can legitimately own our prefix when a new
-    server starts, so startup sweeps the whole prefix.
+    restarts.  Every block carries its owner's pid in its name; startup
+    sweeps the blocks whose owner is dead and spares those of a live
+    one (another server on the host, an in-process ``ShardedCube``).
     """
-    from repro.sharding.shm import SHM_PREFIX, leaked_segments, unlink_by_prefix
+    from repro.sharding.shm import unlink_orphaned
 
-    leaked = leaked_segments(SHM_PREFIX)
-    if leaked:
-        unlink_by_prefix(SHM_PREFIX)
-    return leaked
+    return unlink_orphaned()
 
 
 def _cmd_serve_sharded(args) -> int:

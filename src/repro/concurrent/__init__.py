@@ -7,26 +7,22 @@ directory, ``G_d`` columns).  See :mod:`repro.concurrent.snapshot` for
 the design notes.
 """
 
-from repro.concurrent.executor import ParallelExecutor
 from repro.concurrent.extent import ExtentSnapshotView, SnapshotExtentCube
-from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView
-from repro.concurrent.stress import StressResult, run_stress
-from repro.concurrent.vectorized import (
-    PreparedEpoch,
-    epoch_query_many,
+from repro.concurrent.snapshot import (
+    Epoch,
+    SnapshotCube,
+    SnapshotView,
     prepare_epoch,
 )
+from repro.concurrent.stress import StressResult, run_stress
 
 __all__ = [
     "Epoch",
     "ExtentSnapshotView",
-    "ParallelExecutor",
     "SnapshotExtentCube",
-    "PreparedEpoch",
     "SnapshotCube",
     "SnapshotView",
     "StressResult",
-    "epoch_query_many",
     "prepare_epoch",
     "run_stress",
 ]

@@ -44,15 +44,18 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.errors import AgedOutError, DomainError
+from repro.core.errors import DomainError
+from repro.core.out_of_order import columnar_range_sums
 from repro.core.types import Box
-from repro.ecube.fastpath import FastSliceEngine
+from repro.ecube.fastpath import (
+    DDC,
+    MIXED,
+    PS,
+    FastSliceEngine,
+    stacked_query_many,
+)
 from repro.ecube.kernel import CubeKernel
 from repro.ecube.slices import ECubeSliceEngine
-
-#: Element budget for the chunked G_d mask-and-dot (mirrors
-#: :mod:`repro.core.out_of_order`).
-_GD_ELEMENT_BUDGET = 4_000_000
 
 #: Seqlock spins between cooperative yields while a slice mutates.
 _SPINS_PER_YIELD = 64
@@ -109,9 +112,11 @@ class Epoch:
         self.slice_shape = slice_shape
         self.cache_values = cache_values
         self.cache_stamps = cache_stamps
-        #: slice index -> frozen (values, ps_flags); shared cache of
-        #: slice freezes, filled lazily by readers and eagerly by
-        #: :meth:`SnapshotCube.preserve_epochs`
+        #: slice index -> frozen ``(values, ps_flags)``, or ``(ps_row,
+        #: None)`` once a reader normalized the slice to prefix sums (the
+        #: epoch-latest index memoizes the converted cache the same way);
+        #: shared by the epoch family, filled lazily by readers and
+        #: eagerly by :meth:`SnapshotCube.preserve_epochs`
         self.overlays = overlays
         self.gd_points = gd_points
         self.gd_deltas = gd_deltas
@@ -126,33 +131,6 @@ class Epoch:
             f"pins={self.pins}, detached={self.detached})"
         )
 
-    def to_shared_memory(self, exporter) -> dict:
-        """Publish this epoch through a sharding ``EpochExporter``.
-
-        Only the exporter's current epoch can be exported (the exporter
-        reuses slice freezes across epochs and must see them in
-        publication order); a picklable descriptor is returned.
-        """
-        from repro.core.errors import DomainError
-
-        if exporter.snap._current is not self:
-            raise DomainError(
-                "only the snapshot front's current epoch can be exported"
-            )
-        return exporter.export()
-
-    @classmethod
-    def from_shared_memory(cls, descriptor: dict, cache) -> "Epoch":
-        """Attach a detached epoch from an exported descriptor.
-
-        ``cache`` is a :class:`repro.sharding.shm.BlockCache`; the
-        resulting epoch's arrays are read-only zero-copy views into the
-        shared blocks.
-        """
-        from repro.sharding.shm import epoch_from_shared_memory
-
-        return epoch_from_shared_memory(descriptor, cache)
-
 
 class SnapshotView:
     """A reader's handle on one pinned epoch.
@@ -161,22 +139,25 @@ class SnapshotView:
     equal to what the underlying cube would have returned at the moment
     the epoch was published, regardless of concurrent writer progress.
     Use as a context manager or call :meth:`release` when done.
+
+    The view is the batch evaluator's slice source over frozen state
+    (:class:`~repro.ecube.fastpath.SliceSource`): historic slices come
+    from the seqlock freeze or the epoch's overlays, the latest instance
+    and the read-through routing from the epoch's frozen cache columns.
+    A frozen reader cannot persist a conversion, so each normalized
+    slice is memoized in the overlays instead.
     """
 
     def __init__(
-        self,
-        cube: "SnapshotCube",
-        epoch: Epoch,
-        fast: FastSliceEngine | None = None,
-        metered: ECubeSliceEngine | None = None,
-        owns_pin: bool = True,
+        self, cube: "SnapshotCube | None", epoch: Epoch, owns_pin: bool = True
     ) -> None:
         self._cube = cube
         self.epoch = epoch
-        self._fast = fast
-        self._metered = metered
         self._owns_pin = owns_pin
         self._released = False
+        # only the unrecoverable-mixed-slice fallback needs engines
+        self._fast: FastSliceEngine | None = None
+        self._metered: ECubeSliceEngine | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -209,20 +190,6 @@ class SnapshotView:
     def ndim(self) -> int:
         return 1 + len(self.epoch.slice_shape)
 
-    # -- engines (lazily built, shareable per reader thread) -----------------
-
-    @property
-    def fast(self) -> FastSliceEngine:
-        if self._fast is None:
-            self._fast = FastSliceEngine(self.epoch.slice_shape)
-        return self._fast
-
-    @property
-    def metered(self) -> ECubeSliceEngine:
-        if self._metered is None:
-            self._metered = ECubeSliceEngine(self.epoch.slice_shape)
-        return self._metered
-
     # -- queries -------------------------------------------------------------
 
     def query(self, box: Box) -> int:
@@ -232,48 +199,23 @@ class SnapshotView:
     def query_many(self, boxes: Sequence[Box]) -> list[int]:
         """A batch of range aggregates against the pinned epoch.
 
-        Mirrors the kernel's vectorized batch plan (directory lookups in
-        one search, per-slice grouping) against the frozen state; results
-        are bit-identical to ``query_many`` on a quiesced cube.
+        The kernel's stacked batch read against the frozen state plus the
+        frozen ``G_d`` contribution; results are bit-identical to
+        ``query_many`` on a quiesced cube.
         """
         if self._released:
             raise DomainError("view was released")
         boxes = list(boxes)
-        epoch = self.epoch
-        ndim = 1 + len(epoch.slice_shape)
-        for box in boxes:
-            if box.ndim != ndim:
-                raise DomainError(f"box arity {box.ndim} != cube arity {ndim}")
-        if not boxes:
-            return []
-        results = [0] * len(boxes)
-        if epoch.num_slices:
-            slice_boxes = [
-                box.drop_first().clip_to(epoch.slice_shape) for box in boxes
-            ]
-            upper_bounds = np.asarray([box.time_range[1] for box in boxes])
-            lower_bounds = np.asarray([box.time_range[0] - 1 for box in boxes])
-            upper_idx = np.searchsorted(epoch.times, upper_bounds, side="right") - 1
-            lower_idx = np.searchsorted(epoch.times, lower_bounds, side="right") - 1
-            per_slice: dict[int, list[tuple[int, int]]] = {}
-            for i in range(len(boxes)):
-                for slice_index, sign in (
-                    (int(upper_idx[i]), 1),
-                    (int(lower_idx[i]), -1),
-                ):
-                    if slice_index >= 0:
-                        per_slice.setdefault(slice_index, []).append((i, sign))
-            for slice_index in sorted(per_slice):
-                jobs = per_slice[slice_index]
-                values = self._slice_batch(
-                    slice_index, [slice_boxes[i] for i, _ in jobs]
-                )
-                for (i, sign), value in zip(jobs, values):
-                    results[i] += sign * value
-        if epoch.gd_points is not None and epoch.gd_points.shape[0]:
-            for i, value in enumerate(self._gd_many(boxes)):
-                results[i] += value
-        return results
+        results = stacked_query_many(boxes, self)
+        points = self.epoch.gd_points
+        if boxes and points is not None and points.shape[0]:
+            results += columnar_range_sums(
+                points,
+                self.epoch.gd_deltas,
+                np.asarray([box.lower for box in boxes], dtype=np.int64),
+                np.asarray([box.upper for box in boxes], dtype=np.int64),
+            )
+        return [int(v) for v in results]
 
     def total(self) -> int:
         """Sum of every update visible in this epoch."""
@@ -291,83 +233,82 @@ class SnapshotView:
         )
         return self.query(box)
 
-    # -- per-slice evaluation against frozen state ---------------------------
+    # -- the evaluator's slice source over frozen state ------------------------
 
-    def _slice_batch(self, slice_index: int, slice_boxes: list[Box]) -> list[int]:
+    @property
+    def slice_shape(self) -> tuple[int, ...]:
+        return self.epoch.slice_shape
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.epoch.times
+
+    @property
+    def retired_below(self) -> int:
+        return self.epoch.retired_below
+
+    @property
+    def fast(self) -> FastSliceEngine:
+        if self._fast is None:
+            self._fast = FastSliceEngine(self.epoch.slice_shape)
+        return self._fast
+
+    def cache_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.epoch.cache_values, self.epoch.cache_stamps
+
+    def fetch(self, index: int):
         epoch = self.epoch
-        if slice_index < epoch.retired_below:
-            time = int(epoch.times[slice_index])
-            raise AgedOutError(
-                f"the instance at time {time} was retired by data aging; "
-                "only queries at or after the retirement boundary (or open "
-                "prefixes from the beginning of time) remain answerable"
-            )
-        fast = self.fast
-        if slice_index >= epoch.num_slices - 1:
+        if index >= epoch.num_slices - 1:
             # the epoch-latest instance reads wholly from the frozen cache
-            return [
-                fast.latest_range(epoch.cache_values, box)[0]
-                for box in slice_boxes
-            ]
-        values, flags = self._slice_arrays(slice_index)
+            memo = epoch.overlays.get(index)
+            if memo is not None:
+                return PS, memo[0], None
+            return DDC, epoch.cache_values, None
+        values, flags = self._slice_arrays(index)
+        if flags is None:
+            return PS, values, None
         if bool(flags.all()):
-            return [fast.ps_range(values, box)[0] for box in slice_boxes]
-        stamps = epoch.cache_stamps
-        cache_values = epoch.cache_values
-        if len(slice_boxes) > 1:
-            effective = fast.effective_ddc(
-                values, flags, stamps, cache_values, slice_index
-            )
-            if effective is not None:
-                return [
-                    fast.ddc_range(effective, box)[0] for box in slice_boxes
-                ]
-        out: list[int] = []
-        for box in slice_boxes:
-            result = fast.mixed_range(
-                box, values, flags, stamps, cache_values, slice_index
-            )
-            if result is None:
-                out.append(
-                    self._pure_slice_query(
-                        slice_index, box, values, flags, stamps, cache_values
-                    )
-                )
-            else:
-                out.append(result[0])
-        return out
+            epoch.overlays[index] = (values, None)
+            return PS, values, None
+        return MIXED, values, flags
 
-    def _pure_slice_query(
-        self,
-        slice_index: int,
-        slice_box: Box,
-        values: np.ndarray,
-        flags: np.ndarray,
-        stamps: np.ndarray,
-        cache_values: np.ndarray,
+    def normalised(self, index: int, ps_row: np.ndarray) -> None:
+        # one atomic dict store: racing readers of the epoch family see
+        # either representation of the same instance, never a torn pair
+        self.epoch.overlays[index] = (ps_row.copy(), None)
+
+    def walk(
+        self, index: int, box: Box, values: np.ndarray, flags: np.ndarray
     ) -> int:
         """Per-cell fallback mirroring the kernel's metered routing, but
         side-effect free: no counting, no conversion marking."""
+        stamps = self.epoch.cache_stamps
+        cache_values = self.epoch.cache_values
 
         def read(cell: tuple[int, ...]) -> tuple[int, bool]:
             if flags[cell]:
                 return int(values[cell]), True
-            if stamps[cell] > slice_index:
+            if stamps[cell] > index:
                 return int(values[cell]), False
             return int(cache_values[cell]), False
 
-        return self.metered.range_query(slice_box, read, None)
+        if self._metered is None:
+            self._metered = ECubeSliceEngine(self.epoch.slice_shape)
+        return self._metered.range_query(box, read, None)
 
-    def _slice_arrays(self, slice_index: int) -> tuple[np.ndarray, np.ndarray]:
+    def _slice_arrays(
+        self, slice_index: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Frozen (values, ps_flags) for one historic slice.
 
-        Preserved epochs hit their overlay directly.  Otherwise the live
-        payload is frozen under its seqlock: read the mutation counter,
-        retry while odd (a transform is mid-flight) or if it changed
-        across the copy.  The overlay dict doubles as a shared memo so
-        each slice is frozen at most once per epoch family; the final
-        overlay re-check closes the window where the writer preserves
-        *and then mutates* between our version reads.
+        ``ps_flags`` is ``None`` once the slice is known to hold prefix
+        sums throughout.  Preserved epochs hit their overlay directly.
+        Otherwise the live payload is frozen under its seqlock: read the
+        mutation counter, retry while odd (a transform is mid-flight) or
+        if it changed across the copy.  The overlay dict doubles as a
+        shared memo so each slice is frozen at most once per epoch
+        family; the final overlay re-check closes the window where the
+        writer preserves *and then mutates* between our version reads.
         """
         epoch = self.epoch
         arrays = epoch.overlays.get(slice_index)
@@ -403,25 +344,17 @@ class SnapshotView:
             else:
                 _time.sleep(0)
 
-    # -- the frozen G_d contribution ----------------------------------------
 
-    def _gd_many(self, boxes: list[Box]) -> list[int]:
-        epoch = self.epoch
-        points = epoch.gd_points
-        deltas = epoch.gd_deltas
-        lowers = np.asarray([box.lower for box in boxes], dtype=np.int64)
-        uppers = np.asarray([box.upper for box in boxes], dtype=np.int64)
-        out = np.empty(len(boxes), dtype=np.int64)
-        ndim = points.shape[1]
-        chunk = max(1, _GD_ELEMENT_BUDGET // max(1, points.shape[0] * ndim))
-        for start in range(0, len(boxes), chunk):
-            low = lowers[start : start + chunk, None, :]
-            up = uppers[start : start + chunk, None, :]
-            inside = (
-                (points[None, :, :] >= low) & (points[None, :, :] <= up)
-            ).all(axis=2)
-            out[start : start + inside.shape[0]] = inside @ deltas
-        return [int(v) for v in out]
+def prepare_epoch(epoch: Epoch, cube: "SnapshotCube | None" = None) -> SnapshotView:
+    """Bind ``epoch`` to the batch evaluator; O(1), no per-slice work.
+
+    ``cube`` (the owning :class:`SnapshotCube`) is only needed when the
+    epoch is not detached: live slices are then frozen through the
+    ordinary seqlock path.  Detached epochs -- in particular epochs
+    attached from shared memory -- are read without touching any kernel.
+    The view holds no pin; the caller keeps the epoch alive.
+    """
+    return SnapshotView(cube, epoch, owns_pin=False)
 
 
 def _resolve_target(target):
@@ -586,11 +519,7 @@ class SnapshotCube:
 
     # -- pinning -------------------------------------------------------------
 
-    def pin(
-        self,
-        fast: FastSliceEngine | None = None,
-        metered: ECubeSliceEngine | None = None,
-    ) -> SnapshotView:
+    def pin(self) -> SnapshotView:
         """Pin the current epoch and return a read view on it."""
         with self._lock:
             epoch = self._current
@@ -598,7 +527,7 @@ class SnapshotCube:
                 raise DomainError("no epoch published yet")
             epoch.pins += 1
             self._pinned.add(epoch)
-        return SnapshotView(self, epoch, fast, metered)
+        return SnapshotView(self, epoch)
 
     def snapshot(self) -> SnapshotView:
         """Alias for :meth:`pin` (reads naturally as a context manager)."""

@@ -41,8 +41,31 @@ from repro.core.types import Box
 from repro.trees.rtree import RTree
 
 #: Upper bound on the (boxes x points) containment matrix evaluated per
-#: chunk by :meth:`OutOfOrderBuffer.range_sum_many` (element count).
+#: chunk by :func:`columnar_range_sums` (element count).
 _BATCH_ELEMENT_BUDGET = 4_000_000
+
+
+def columnar_range_sums(
+    points: np.ndarray, deltas: np.ndarray, lowers: np.ndarray, uppers: np.ndarray
+) -> np.ndarray:
+    """Per-box sums of ``deltas`` over the ``points`` each box contains.
+
+    ``points`` is ``(m, d)``, ``lowers``/``uppers`` the ``(n, d)``
+    inclusive box corners.  The containment of every point in every box
+    is one broadcast comparison; the per-box sums are the boolean matrix
+    contracted against the delta vector (mask-and-dot).  Large batches
+    are chunked to bound the intermediate matrix.
+    """
+    out = np.empty(lowers.shape[0], dtype=np.int64)
+    chunk = max(1, _BATCH_ELEMENT_BUDGET // max(1, points.size))
+    for start in range(0, lowers.shape[0], chunk):
+        low = lowers[start : start + chunk, None, :]
+        up = uppers[start : start + chunk, None, :]
+        inside = ((points[None, :, :] >= low) & (points[None, :, :] <= up)).all(
+            axis=2
+        )
+        out[start : start + inside.shape[0]] = inside @ deltas
+    return out
 
 
 class OutOfOrderBuffer:
@@ -137,13 +160,8 @@ class OutOfOrderBuffer:
         return self.range_sum_many([box])[0]
 
     def range_sum_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
-        """Buffered contributions for a whole query batch in one pass.
-
-        The containment of every point in every box is one broadcast
-        comparison; the per-box sums are the boolean matrix contracted
-        against the delta vector.  Large batches are chunked to bound the
-        intermediate matrix.
-        """
+        """Buffered contributions for a whole query batch in one pass
+        over the columnar store (:func:`columnar_range_sums`)."""
         boxes = list(boxes)
         for box in boxes:
             if box.ndim != self.ndim:
@@ -154,19 +172,12 @@ class OutOfOrderBuffer:
             raise DomainError(f"unknown execution mode {mode!r}")
         if not boxes or self._size == 0:
             return [0] * len(boxes)
-        points = self._points[: self._size]
-        deltas = self._deltas[: self._size]
-        lowers = np.asarray([box.lower for box in boxes], dtype=np.int64)
-        uppers = np.asarray([box.upper for box in boxes], dtype=np.int64)
-        out = np.empty(len(boxes), dtype=np.int64)
-        chunk = max(1, _BATCH_ELEMENT_BUDGET // max(1, self._size * self.ndim))
-        for start in range(0, len(boxes), chunk):
-            low = lowers[start : start + chunk, None, :]
-            up = uppers[start : start + chunk, None, :]
-            inside = ((points[None, :, :] >= low) & (points[None, :, :] <= up)).all(
-                axis=2
-            )
-            out[start : start + inside.shape[0]] = inside @ deltas
+        out = columnar_range_sums(
+            self._points[: self._size],
+            self._deltas[: self._size],
+            np.asarray([box.lower for box in boxes], dtype=np.int64),
+            np.asarray([box.upper for box in boxes], dtype=np.int64),
+        )
         return [int(v) for v in out]
 
     def snapshot_columns(self) -> tuple[np.ndarray, np.ndarray]:

@@ -26,11 +26,16 @@ non-final segment is real corruption and raises
 committed records.
 
 Fsync policy (``"always" | "batch" | "off"``): ``always`` fsyncs after
-every appended record, ``batch`` fsyncs once per :meth:`commit` (the
-durable front-end commits once per public operation, so one fsync
-covers a whole ``update_many`` batch), ``off`` never fsyncs (the OS
-flushes when it pleases; crash loses the unflushed suffix, which
-recovery handles like any other missing tail).
+every appended record.  ``batch`` is a group commit: the log fsyncs by
+itself once ``group_commit`` records have accumulated since the last
+sync, and on every :meth:`commit`, segment roll and :meth:`close`.  The
+durable front-ends do *not* commit per public operation -- they call
+:meth:`commit` only around a checkpoint and from their ``flush()`` --
+so a crash can lose up to ``group_commit - 1`` trailing acknowledged
+records (a whole ``update_many`` batch is one record), never corrupt
+one.  ``off`` never fsyncs (the OS flushes when it pleases).  Either
+way a crash loses only an unflushed suffix, which recovery handles
+like any other missing tail.
 """
 
 from __future__ import annotations

@@ -1,16 +1,13 @@
 """Compiled inner loops of the fast execution engine.
 
-The fast path spends its time in four tight loops: the PS
-inclusion-exclusion corner gather that answers batched range queries,
-the scatter-add that lands batched DDC updates in the cache, the
-stale-cell selection of the lazy-copy sweeps, and the per-cell
-reconstruction of a mixed slice's effective DDC array.  This module
-provides each of them twice:
+The fast path spends its time in three tight loops: the scatter-add
+that lands batched DDC updates in the cache, the stale-cell selection of
+the lazy-copy sweeps, and the per-cell reconstruction of a mixed slice's
+effective DDC array.  This module provides each of them twice:
 
 * **numba** -- ``@njit(nogil=True, cache=True)`` kernels.  ``nogil``
-  matters as much as the speed: with the GIL released during
-  evaluation, :class:`~repro.concurrent.ParallelExecutor` threads can
-  overlap again instead of serializing on the interpreter.  ``cache``
+  releases the GIL during evaluation, so snapshot reader threads of one
+  process overlap instead of serializing on the interpreter.  ``cache``
   persists the compiled machine code next to this file so worker
   processes (``repro.sharding``) don't pay the JIT on every spawn.
 * **pure NumPy** -- a bit-identical fallback (all arithmetic is exact
@@ -25,7 +22,10 @@ every differential/golden-cost test passes on either one.
 The log-step Fenwick-to-prefix-sum conversion
 (:func:`fenwick_to_ps_inplace`) is shared by both backends: it already
 runs as ``O(log n)`` whole-array NumPy operations per axis, which is
-memory-bound either way.
+memory-bound either way.  So is the batch read's corner gather
+(:func:`repro.ecube.fastpath.stacked_query_many`): it reads each touched
+slice where it lives with one fancy-index gather, and a kernel called
+once per slice would cost more in dispatch than the few cells it reads.
 """
 
 from __future__ import annotations
@@ -45,42 +45,6 @@ def _fallback_forced() -> bool:
 # translations.  Keeping the reference in plain NumPy (not vectorized
 # cleverness that could drift) is what lets the differential tests pin
 # both backends to the same integers.
-
-
-def _ps_corner_gather_numpy(
-    ps_flat: np.ndarray,
-    strides: np.ndarray,
-    base: np.ndarray,
-    lowers: np.ndarray,
-    uppers: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Batch PS inclusion-exclusion over ``2^ndim`` corners.
-
-    ``ps_flat`` is one (or a stack of) row-major prefix-sum arrays;
-    ``base[i]`` is the flat offset of box ``i``'s array, ``strides`` the
-    element strides of one array.  ``out`` must be zero-initialized;
-    boxes are already clipped (``0 <= lowers <= uppers < shape``).
-    """
-    n = lowers.shape[0]
-    ndim = strides.shape[0]
-    for corner in range(1 << ndim):
-        flat = base.copy()
-        ok = np.ones(n, dtype=bool)
-        sign = 1
-        for axis in range(ndim):
-            if corner >> axis & 1:
-                low = lowers[:, axis] - 1
-                ok &= low >= 0
-                flat += np.maximum(low, 0) * strides[axis]
-                sign = -sign
-            else:
-                flat += uppers[:, axis] * strides[axis]
-        values = ps_flat[flat]
-        if sign < 0:
-            np.subtract(out, values, out=out, where=ok)
-        else:
-            np.add(out, values, out=out, where=ok)
 
 
 def _scatter_add_numpy(
@@ -136,64 +100,17 @@ def _effective_ddc_batch_numpy(
     return bad
 
 
-def _effective_ddc_numpy(
-    values_flat: np.ndarray,
-    flags_flat: np.ndarray,
-    stamps_flat: np.ndarray,
-    cache_flat: np.ndarray,
-    slice_index: int,
-    out: np.ndarray,
-) -> bool:
-    """Reconstruct a mixed slice's effective DDC array into ``out``.
-
-    Returns ``False`` (leaving ``out`` unspecified) when any flagged
-    cell's stamp moved past the slice -- its DDC value is unrecoverable
-    and the caller must fall back to the per-box / metered paths.
-    """
-    newer = stamps_flat > slice_index
-    if bool(np.any(flags_flat & newer)):
-        return False
-    np.copyto(out, np.where(~flags_flat & newer, values_flat, cache_flat))
-    return True
-
-
 # -- backend selection ---------------------------------------------------------
 
 NUMBA_ACTIVE = False
-ps_corner_gather = _ps_corner_gather_numpy
 scatter_add = _scatter_add_numpy
 select_writable = _select_writable_numpy
-effective_ddc = _effective_ddc_numpy
 effective_ddc_batch = _effective_ddc_batch_numpy
 
 
 def _build_numba_kernels():
     """Compile the numba kernels; any failure selects the NumPy fallback."""
     from numba import njit
-
-    @njit(nogil=True, cache=True)
-    def ps_corner_gather_nb(ps_flat, strides, base, lowers, uppers, out):
-        n = lowers.shape[0]
-        ndim = strides.shape[0]
-        for i in range(n):
-            acc = np.int64(0)
-            for corner in range(1 << ndim):
-                flat = base[i]
-                sign = np.int64(1)
-                ok = True
-                for axis in range(ndim):
-                    if corner >> axis & 1:
-                        coord = lowers[i, axis] - 1
-                        if coord < 0:
-                            ok = False
-                            break
-                        sign = -sign
-                    else:
-                        coord = uppers[i, axis]
-                    flat += coord * strides[axis]
-                if ok:
-                    acc += sign * ps_flat[flat]
-            out[i] = acc
 
     @njit(nogil=True, cache=True)
     def scatter_add_nb(values_flat, indices, deltas):
@@ -210,21 +127,6 @@ def _build_numba_kernels():
                 out[m] = t
                 m += 1
         return out[:m]
-
-    @njit(nogil=True, cache=True)
-    def effective_ddc_nb(
-        values_flat, flags_flat, stamps_flat, cache_flat, slice_index, out
-    ):
-        for k in range(values_flat.shape[0]):
-            flagged = flags_flat[k]
-            newer = stamps_flat[k] > slice_index
-            if flagged and newer:
-                return False
-            if not flagged and newer:
-                out[k] = values_flat[k]
-            else:
-                out[k] = cache_flat[k]
-        return True
 
     @njit(nogil=True, cache=True)
     def effective_ddc_batch_nb(
@@ -251,41 +153,29 @@ def _build_numba_kernels():
     # errors here (where we can still fall back cleanly) instead of on
     # the first real query, and populates the on-disk cache
     i64 = lambda *xs: np.array(xs, dtype=np.int64)  # noqa: E731
-    ps = np.arange(4, dtype=np.int64)
-    out1 = np.zeros(1, dtype=np.int64)
-    ps_corner_gather_nb(
-        ps, i64(2, 1), i64(0), i64(0, 0).reshape(1, 2),
-        i64(1, 1).reshape(1, 2), out1,
-    )
     vals = np.zeros(4, dtype=np.int64)
     scatter_add_nb(vals, i64(1, 1, 3), i64(2, 3, 4))
     flags = np.array([True, False, True, False])
     picked = select_writable_nb(i64(0, 1, 3), flags)
-    eff = np.empty(4, dtype=np.int64)
-    okay = effective_ddc_nb(vals, flags, i64(0, 2, 0, 2), ps, 1, eff)
     eff2 = np.empty((2, 4), dtype=np.int64)
     bad = effective_ddc_batch_nb(
         np.vstack((vals, vals)),
         np.vstack((flags, flags)),
         i64(0, 2, 0, 2),
-        ps,
+        i64(0, 1, 2, 3),
         i64(1, 3),
         eff2,
     )
     if (
-        int(out1[0]) != 3
-        or vals.tolist() != [0, 5, 0, 4]
+        vals.tolist() != [0, 5, 0, 4]
         or picked.tolist() != [1, 3]
-        or not okay
-        or eff2[0].tolist() != eff.tolist()
+        or eff2.tolist() != [[0, 5, 2, 4], [0, 1, 2, 3]]
         or bad.tolist() != [False, False]
     ):  # pragma: no cover - would indicate a miscompiled kernel
         raise AssertionError("numba kernel warmup produced wrong results")
     return (
-        ps_corner_gather_nb,
         scatter_add_nb,
         select_writable_nb,
-        effective_ddc_nb,
         effective_ddc_batch_nb,
     )
 
@@ -293,10 +183,8 @@ def _build_numba_kernels():
 if not _fallback_forced():  # pragma: no branch
     try:
         (
-            ps_corner_gather,
             scatter_add,
             select_writable,
-            effective_ddc,
             effective_ddc_batch,
         ) = _build_numba_kernels()
         NUMBA_ACTIVE = True

@@ -33,12 +33,17 @@ import numpy as np
 from repro.core.directory import TimeDirectory
 from repro.core.errors import AgedOutError, AppendOrderError, DomainError
 from repro.core.types import Box
-from repro.ecube import compiled
-from repro.ecube.fastpath import FastSliceEngine
+from repro.ecube.fastpath import (
+    DDC,
+    MIXED,
+    PS,
+    FastSliceEngine,
+    retired_instance_error,
+    stacked_query_many,
+)
 from repro.ecube.slices import ECubeSliceEngine
 from repro.ecube.stores import SliceStore
 from repro.metrics import CostCounter
-from repro.preagg.term_tables import ddc_gather_counts, ps_gather_counts
 
 
 class CubeKernel:
@@ -647,11 +652,7 @@ class CubeKernel:
         _, payload = self.directory.at_index(slice_index)
         if payload.retired:
             time, _ = self.directory.at_index(slice_index)
-            raise AgedOutError(
-                f"the instance at time {time} was retired by data aging; "
-                "only queries at or after the retirement boundary (or open "
-                "prefixes from the beginning of time) remain answerable"
-            )
+            raise retired_instance_error(time)
         store = self.store
         counter = self.counter
 
@@ -695,10 +696,11 @@ class CubeKernel:
         """Answer a batch of d-dimensional range aggregates.
 
         ``mode="metered"`` runs the per-cell counted path per box;
-        ``mode="fast"`` resolves all directory lookups with one vectorized
-        search and groups the per-slice work so each touched slice is set
-        up (and, past the conversion-density threshold, bulk-finalized)
-        once per batch instead of once per query.
+        ``mode="fast"`` is the stacked batch read
+        (:func:`~repro.ecube.fastpath.stacked_query_many`) over the live
+        store: each touched slice is set up (and, past the hit or
+        conversion-density threshold, bulk-finalized) once per batch
+        instead of once per query.
         """
         boxes = list(boxes)
         for box in boxes:
@@ -717,220 +719,8 @@ class CubeKernel:
             if not self.directory:
                 return [0] * len(boxes)
             self.counter.record_fast_op(len(boxes))
-            # clip all slice boxes at once; an empty-after-clipping box is
-            # a domain error, raised through the scalar path so the
-            # message matches the metered engine exactly
-            corner_lo = np.asarray([box.lower for box in boxes], dtype=np.int64)
-            corner_up = np.asarray([box.upper for box in boxes], dtype=np.int64)
-            lowers = np.maximum(corner_lo[:, 1:], 0)
-            uppers = np.minimum(
-                corner_up[:, 1:],
-                np.asarray(self.slice_shape, dtype=np.int64) - 1,
-            )
-            empty = np.nonzero(np.any(lowers > uppers, axis=1))[0]
-            if empty.size:
-                boxes[int(empty[0])].drop_first().clip_to(self.slice_shape)
-            times = np.asarray(self.directory.times(), dtype=np.int64)
-            upper_idx = np.searchsorted(times, corner_up[:, 0], side="right") - 1
-            lower_idx = (
-                np.searchsorted(times, corner_lo[:, 0] - 1, side="right") - 1
-            )
-            # group the (slice, box, sign) jobs by slice index
-            per_slice: dict[int, list[tuple[int, int]]] = {}
-            for i in range(len(boxes)):
-                for slice_index, sign in (
-                    (int(upper_idx[i]), 1),
-                    (int(lower_idx[i]), -1),
-                ):
-                    if slice_index >= 0:
-                        per_slice.setdefault(slice_index, []).append((i, sign))
-            return self._fast_batch(per_slice, lowers, uppers)
-
-    def _fast_batch(
-        self,
-        per_slice: dict[int, list[tuple[int, int]]],
-        lowers: np.ndarray,
-        uppers: np.ndarray,
-    ) -> list[int]:
-        """Evaluate all (slice, box, sign) jobs of one fast batch.
-
-        Every answerable slice is normalized to one prefix-sum row of a
-        single preallocated tensor -- fully-converted slices contribute
-        their PS values as-is; mixed slices are reconstructed by *one*
-        batched effective-DDC kernel over the contiguous middle rows;
-        the epoch-latest cache lands in the last row -- and the DDC tail
-        is converted in one log-step Fenwick sweep before a single
-        compiled ``2^(d-1)``-corner gather answers the whole batch
-        (:mod:`repro.ecube.compiled`).  ``lowers``/``uppers`` are the
-        ``(n, d-1)`` pre-clipped slice-box corners.  Charges are per-box
-        closed-form term counts, identical to the per-box gathers this
-        replaces: PS rows bill ``prod(1 + (lower > 0))``, DDC rows bill
-        the Fenwick term-count product (:func:`ddc_gather_counts`).  A
-        mixed slice whose DDC state is unrecoverable keeps the per-box
-        ``mixed_range`` / metered fallback.
-        """
-        fast = self.fast
-        store = self.store
-        counter = self.counter
-        results = np.zeros(lowers.shape[0], dtype=np.int64)
-        Jobs = list[tuple[int, int]]
-        ps_values: list[np.ndarray] = []
-        ps_jobs: list[Jobs] = []
-        mixed: list[tuple[int, np.ndarray, np.ndarray, Jobs]] = []
-        mixed_converted: list[bool] = []  # any flags set in that slice
-        latest_jobs: Jobs | None = None
-        cache_values = stamps = None
-        for slice_index in sorted(per_slice):
-            jobs = per_slice[slice_index]
-            _, payload = self.directory.at_index(slice_index)
-            if payload.retired:
-                time, _ = self.directory.at_index(slice_index)
-                raise AgedOutError(
-                    f"the instance at time {time} was retired by data aging; "
-                    "only queries at or after the retirement boundary (or open "
-                    "prefixes from the beginning of time) remain answerable"
-                )
-            if slice_index >= store.last_index:
-                # the latest instance always reads through to the cache,
-                # whose content is the instance's DDC array
-                if cache_values is None:
-                    cache_values, stamps = store.cache_views()
-                latest_jobs = jobs
-                continue
-            fully_ps = payload.ps_count >= self._num_slice_cells
-            if not fully_ps:
-                payload.fast_hits += 1
-                density = payload.ps_count / self._num_slice_cells
-                if (
-                    payload.fast_hits >= self.finalize_after
-                    or density >= self.finalize_threshold
-                ):
-                    fully_ps = self.bulk_finalize_slice(slice_index)
-            if fully_ps:
-                values, _ = store.slice_views(payload)
-                ps_values.append(values)
-                ps_jobs.append(jobs)
-            else:
-                values, flags = store.slice_views(payload)
-                if cache_values is None:
-                    cache_values, stamps = store.cache_views()
-                mixed.append((slice_index, values, flags, jobs))
-                mixed_converted.append(payload.ps_count > 0)
-        num_ps = len(ps_values)
-        num_mixed = len(mixed)
-        num_rows = num_ps + num_mixed + (latest_jobs is not None)
-        fallback: list[tuple[int, Jobs, np.ndarray, np.ndarray]] = []
-        if num_rows:
-            stack = np.empty((num_rows,) + self.slice_shape, dtype=np.int64)
-            for j, values in enumerate(ps_values):
-                stack[j] = values
-            bad = None
-            if num_mixed:
-                # the mixed rows form one contiguous (m, cells) block:
-                # copy the slice values in, then reconstruct all
-                # effective DDC arrays in place with one kernel call
-                block2d = stack[num_ps : num_ps + num_mixed].reshape(
-                    num_mixed, self._num_slice_cells
-                )
-                flags2d = np.zeros(
-                    (num_mixed, self._num_slice_cells), dtype=bool
-                )
-                indices = np.empty(num_mixed, dtype=np.int64)
-                for j, (slice_index, values, flags, _) in enumerate(mixed):
-                    block2d[j] = np.asarray(values).reshape(-1)
-                    if mixed_converted[j]:
-                        flags2d[j] = np.asarray(flags).reshape(-1)
-                    indices[j] = slice_index
-                bad = compiled.effective_ddc_batch(
-                    block2d,
-                    flags2d,
-                    np.ascontiguousarray(stamps, dtype=np.int64).reshape(-1),
-                    np.ascontiguousarray(
-                        cache_values, dtype=np.int64
-                    ).reshape(-1),
-                    indices,
-                    block2d,
-                )
-            if latest_jobs is not None:
-                stack[num_rows - 1] = cache_values
-            if num_rows > num_ps:
-                compiled.fenwick_to_ps_inplace(
-                    stack[num_ps:], self.slice_shape, axis_offset=1
-                )
-            job_rows: list[int] = []  # parallel per-job arrays
-            job_boxes: list[int] = []
-            job_signs: list[int] = []
-            job_is_ps: list[bool] = []
-            for j, jobs in enumerate(ps_jobs):
-                for i, sign in jobs:
-                    job_rows.append(j)
-                    job_boxes.append(i)
-                    job_signs.append(sign)
-                    job_is_ps.append(True)
-            for j, (slice_index, values, flags, jobs) in enumerate(mixed):
-                if bad is not None and bad[j]:
-                    # a converted cell's DDC value is unrecoverable
-                    # somewhere in this slice: per-box block gathers
-                    # (and, block-local, the metered walk) below
-                    fallback.append((slice_index, jobs, values, flags))
-                    continue
-                for i, sign in jobs:
-                    job_rows.append(num_ps + j)
-                    job_boxes.append(i)
-                    job_signs.append(sign)
-                    job_is_ps.append(False)
-            if latest_jobs is not None:
-                for i, sign in latest_jobs:
-                    job_rows.append(num_rows - 1)
-                    job_boxes.append(i)
-                    job_signs.append(sign)
-                    job_is_ps.append(False)
-            if job_rows:
-                is_ps_arr = np.asarray(job_is_ps, dtype=bool)
-                rows = np.asarray(job_rows, dtype=np.int64)
-                box_ids = np.asarray(job_boxes, dtype=np.int64)
-                signs = np.asarray(job_signs, dtype=np.int64)
-                values = fast.ps_range_batch_stacked(
-                    stack, rows, lowers[box_ids], uppers[box_ids]
-                )
-                # add.at, not fancy assignment: a box whose two prefixes
-                # land on the same slice contributes twice (with
-                # cancelling signs)
-                np.add.at(results, box_ids, signs * values)
-                # closed-form per-box charges, identical to the per-box
-                # gathered_cell_count tallies of the pre-compiled engine;
-                # the stacked PS tensor is a transient evaluation
-                # artifact, not a cost-model access
-                charged = 0
-                if bool(is_ps_arr.any()):
-                    charged += int(
-                        ps_gather_counts(lowers[box_ids[is_ps_arr]]).sum()
-                    )
-                if not bool(is_ps_arr.all()):
-                    ddc_ids = box_ids[~is_ps_arr]
-                    charged += int(
-                        ddc_gather_counts(
-                            lowers[ddc_ids], uppers[ddc_ids]
-                        ).sum()
-                    )
-                counter.read_cells(charged)
-        for slice_index, jobs, values, flags in fallback:
-            for i, sign in jobs:
-                box = Box(
-                    tuple(int(c) for c in lowers[i]),
-                    tuple(int(c) for c in uppers[i]),
-                )
-                result = fast.mixed_range(
-                    box, values, flags, stamps, cache_values, slice_index
-                )
-                if result is None:
-                    # the metered walk reads the PS value natively
-                    results[i] += sign * self._slice_query(slice_index, box)
-                else:
-                    value, cells = result
-                    counter.read_cells(cells)
-                    results[i] += sign * value
-        return [int(v) for v in results]
+            results = stacked_query_many(boxes, _LiveSlices(self), self.counter)
+            return [int(v) for v in results]
 
     def bulk_finalize_slice(self, slice_index: int) -> bool:
         """Convert one historic slice to PS in a single vectorized sweep.
@@ -1144,3 +934,53 @@ class CubeKernel:
             f"{type(self).__name__}(slice_shape={self.slice_shape}, "
             f"slices={self.num_slices}, updates={self.updates_applied})"
         )
+
+
+class _LiveSlices:
+    """The live store as the batch evaluator's slice source.
+
+    Reuse of a slice's normalization is the kernel's finalize policy: a
+    historic slice that keeps being read (or is already densely
+    converted) is bulk-finalized in storage, charged as one read per
+    cell.  The per-cell fallback is the metered walk, because on the live
+    cube it must charge and mark.
+    """
+
+    def __init__(self, kernel: CubeKernel) -> None:
+        self.kernel = kernel
+        self.slice_shape = kernel.slice_shape
+        self.times = np.asarray(kernel.directory.times(), dtype=np.int64)
+        self.retired_below = kernel.retired_instances
+
+    @property
+    def fast(self) -> FastSliceEngine:
+        return self.kernel.fast
+
+    def cache_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.kernel.store.cache_views()
+
+    def fetch(self, index: int):
+        kernel = self.kernel
+        store = kernel.store
+        if index >= store.last_index:
+            # the latest instance always reads through to the cache,
+            # whose content is the instance's DDC array
+            return DDC, store.cache_views()[0], None
+        _, payload = kernel.directory.at_index(index)
+        fully_ps = payload.ps_count >= kernel._num_slice_cells
+        if not fully_ps:
+            payload.fast_hits += 1
+            density = payload.ps_count / kernel._num_slice_cells
+            if (
+                payload.fast_hits >= kernel.finalize_after
+                or density >= kernel.finalize_threshold
+            ):
+                fully_ps = kernel.bulk_finalize_slice(index)
+        values, flags = store.slice_views(payload)
+        return (PS if fully_ps else MIXED), values, flags
+
+    def normalised(self, index: int, ps_row: np.ndarray) -> None:
+        pass
+
+    def walk(self, index: int, box: Box, values, flags) -> int:
+        return self.kernel._slice_query(index, box)

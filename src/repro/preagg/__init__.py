@@ -11,9 +11,7 @@ coefficients.
 
 from repro.preagg.advisor import (
     DimensionProfile,
-    QueryRouter,
     Recommendation,
-    RouteDecision,
     profile_technique,
     recommend_techniques,
 )
@@ -50,6 +48,4 @@ __all__ = [
     "Recommendation",
     "profile_technique",
     "recommend_techniques",
-    "QueryRouter",
-    "RouteDecision",
 ]

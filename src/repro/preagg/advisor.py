@@ -20,7 +20,6 @@ everywhere, weight 0.0 (update-only) picks the raw array.
 from __future__ import annotations
 
 import itertools
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -127,157 +126,3 @@ def recommend_techniques(
             )
     assert best is not None
     return best
-
-
-# -- exact-versus-approximate routing over a tiered cube ------------------------
-
-
-@dataclass(frozen=True)
-class RouteDecision:
-    """Where one query's answer will come from, and why."""
-
-    path: str  #: ``"exact"`` or ``"approx"``
-    residency: str  #: ``"live"``, ``"rollup"`` or ``"tile"``
-    reason: str
-
-
-class QueryRouter:
-    """Route queries on a :class:`~repro.retention.planner.TieredCube`
-    between the exact path and tier-backed estimation.
-
-    Extends the advisor's measure-don't-assume principle from static
-    technique choice to serving: instead of a hand-tuned cost model, the
-    router classifies each query by *tier residency* (which storage its
-    prefixes actually floor into) and keeps a per-residency exponential
-    moving average of observed exact-path latency.  Queries whose
-    prefixes are live or rollup-resident are always answered exactly --
-    the exact path never touches disk there, and estimation could only
-    lose fidelity for nothing.  Tile-resident queries (the only ones
-    that decompress) switch to :meth:`TieredCube.query_many_approx` once
-    their observed exact latency exceeds ``latency_budget_s``; with no
-    budget the router is a transparent exact passthrough.
-
-    The first tile-resident query always runs exact: the router has no
-    latency observation yet, and guessing would invert the advisor's
-    philosophy.
-    """
-
-    def __init__(
-        self,
-        tiered,
-        latency_budget_s: float | None = None,
-        smoothing: float = 0.25,
-    ) -> None:
-        if not hasattr(tiered, "query_many_approx"):
-            raise DomainError(
-                "QueryRouter needs a tiered front exposing query_many_approx"
-            )
-        if not 0.0 < smoothing <= 1.0:
-            raise DomainError(f"smoothing must be in (0, 1], got {smoothing}")
-        self.tiered = tiered
-        self.latency_budget_s = latency_budget_s
-        self.smoothing = float(smoothing)
-        #: residency -> EMA of observed *exact-path* seconds per query
-        self.latency_ema: dict[str, float] = {}
-        #: per-path counts of routed queries (observability)
-        self.routed: dict[str, int] = {"exact": 0, "approx": 0}
-
-    # -- classification ---------------------------------------------------------
-
-    def residency(self, box) -> str:
-        """The slowest storage any prefix of ``box`` floors into."""
-        kernel = self.tiered.cube
-        retired_below = kernel._retired_below
-        if retired_below == 0 or not kernel.directory:
-            return "live"
-        directory = kernel.directory
-        occurring = directory.times()
-        worst = "live"
-        for prefix in (int(box.upper[0]), int(box.lower[0]) - 1):
-            floor = directory.floor_index(prefix)
-            if floor < 0 or floor >= retired_below:
-                continue
-            floor_time = int(occurring[floor])
-            if any(
-                tier.slice_at(floor_time) is not None
-                for tier in self.tiered.tiers
-            ):
-                worst = "rollup" if worst == "live" else worst
-            else:
-                return "tile"
-        return worst
-
-    def observe(self, residency: str, wall_s: float) -> None:
-        """Feed one observed exact-path latency into the EMA."""
-        current = self.latency_ema.get(residency)
-        self.latency_ema[residency] = (
-            float(wall_s)
-            if current is None
-            else current + self.smoothing * (float(wall_s) - current)
-        )
-
-    def choose(self, box) -> RouteDecision:
-        residency = self.residency(box)
-        if residency != "tile":
-            return RouteDecision("exact", residency, "no tile decode needed")
-        if self.latency_budget_s is None:
-            return RouteDecision("exact", residency, "no latency budget set")
-        seen = self.latency_ema.get("tile")
-        if seen is None:
-            return RouteDecision(
-                "exact", residency, "no latency observed yet; measuring"
-            )
-        if seen <= self.latency_budget_s:
-            return RouteDecision(
-                "exact",
-                residency,
-                f"observed {seen:.6f}s within budget "
-                f"{self.latency_budget_s:.6f}s",
-            )
-        return RouteDecision(
-            "approx",
-            residency,
-            f"observed {seen:.6f}s exceeds budget "
-            f"{self.latency_budget_s:.6f}s",
-        )
-
-    # -- routed execution -------------------------------------------------------
-
-    def query(self, box):
-        """Answer one box on the chosen path.
-
-        Returns the exact ``int``, or an
-        :class:`~repro.retention.estimate.Estimate` when routed to the
-        approximate path.
-        """
-        return self.query_many([box])[0]
-
-    def query_many(self, boxes: Sequence, mode: str = "fast") -> list:
-        """Route each box independently; results keep the input order."""
-        boxes = list(boxes)
-        decisions = [self.choose(box) for box in boxes]
-        results: list = [None] * len(boxes)
-        exact_ids = [
-            i for i, d in enumerate(decisions) if d.path == "exact"
-        ]
-        approx_ids = [
-            i for i, d in enumerate(decisions) if d.path == "approx"
-        ]
-        if exact_ids:
-            start = time.perf_counter()
-            values = self.tiered.query_many(
-                [boxes[i] for i in exact_ids], mode=mode
-            )
-            per_query = (time.perf_counter() - start) / len(exact_ids)
-            for i, value in zip(exact_ids, values):
-                results[i] = value
-                self.observe(decisions[i].residency, per_query)
-            self.routed["exact"] += len(exact_ids)
-        if approx_ids:
-            estimates = self.tiered.query_many_approx(
-                [boxes[i] for i in approx_ids], mode=mode
-            )
-            for i, estimate in zip(approx_ids, estimates):
-                results[i] = estimate
-            self.routed["approx"] += len(approx_ids)
-        return results

@@ -10,8 +10,8 @@ The engine only talks to its front through ``query_many`` (the
 in the repository -- bare kernels on any storage backend, ``G_d``
 buffered fronts, :class:`~repro.retention.planner.TieredCube` and
 sharded cubes -- ranks through the same code path, and the compiled
-``ps_range_batch`` gather underneath materializes exactly the boxes the
-engine asks for.
+corner gather underneath materializes exactly the boxes the engine asks
+for.
 
 Pruning (Fagin-style threshold algorithm, after Jestes et al.,
 arXiv:1208.0222):

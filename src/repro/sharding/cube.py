@@ -38,7 +38,6 @@ from repro.core.types import Box
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.router import (
     InlineHandle,
-    ReaderHandle,
     ShardRouter,
     WorkerHandle,
 )
@@ -141,7 +140,7 @@ class ShardedCube:
             configs.append(config)
         if not self.processes:
             handles = [InlineHandle(c["shard_id"], c) for c in configs]
-            router_readers: list[ReaderHandle] = []
+            router_readers: list[WorkerHandle] = []
             reader_state = ReaderState(partitioner)
         else:
             ctx = _context(start_method)
@@ -149,7 +148,10 @@ class ShardedCube:
             for config in configs:
                 parent, child = ctx.Pipe()
                 process = ctx.Process(
-                    target=worker_main, args=(child, config), daemon=True
+                    target=worker_main,
+                    args=(child, config),
+                    name=f"shard {config['shard_id']} worker",
+                    daemon=True,
                 )
                 process.start()
                 child.close()
@@ -172,11 +174,14 @@ class ShardedCube:
             for index in range(int(readers)):
                 parent, child = ctx.Pipe()
                 process = ctx.Process(
-                    target=reader_main, args=(child, reader_config), daemon=True
+                    target=reader_main,
+                    args=(child, reader_config),
+                    name=f"reader {index}",
+                    daemon=True,
                 )
                 process.start()
                 child.close()
-                reader = ReaderHandle(index, process, parent, timeout=self._timeout)
+                reader = WorkerHandle(index, process, parent, timeout=self._timeout)
                 reader.recv()  # handshake
                 router_readers.append(reader)
             reader_state = ReaderState(partitioner) if not router_readers else None

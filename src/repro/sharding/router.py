@@ -20,7 +20,8 @@ The worker protocol is synchronous and single-outstanding per pipe:
 up.  Every reply to a mutating op carries the shard's freshly published
 epoch descriptor; ``release_below`` piggybacks the garbage-collection
 horizon for older shared-memory epochs on the next request, so the
-steady state holds exactly one live epoch per shard.
+steady state holds exactly one live epoch per shard.  Reader processes
+speak the same frames with both slots ``None``.
 
 A dead worker never hangs the router: requests poll the pipe with the
 process's liveness and a deadline, surfacing
@@ -92,7 +93,7 @@ class InlineHandle:
 
 
 class WorkerHandle:
-    """A shard worker process behind a duplex pipe."""
+    """A shard worker or reader process behind a duplex pipe."""
 
     def __init__(self, shard_id, process, conn, timeout: float = 60.0) -> None:
         self.shard_id = shard_id
@@ -108,9 +109,7 @@ class WorkerHandle:
         return self.process.is_alive()
 
     def _dead(self, why: str) -> ShardUnavailableError:
-        return ShardUnavailableError(
-            f"shard {self.shard_id} worker is unavailable ({why})"
-        )
+        return ShardUnavailableError(f"{self.process.name} is unavailable ({why})")
 
     def send(self, op: str, payload=None) -> None:
         if not self.is_alive():
@@ -160,60 +159,6 @@ class WorkerHandle:
         self.conn.close()
 
 
-class ReaderHandle:
-    """A query-serving reader process behind a duplex pipe."""
-
-    def __init__(self, index, process, conn, timeout: float = 60.0) -> None:
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.timeout = timeout
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
-    def _dead(self, why: str) -> ShardUnavailableError:
-        return ShardUnavailableError(f"reader {self.index} is unavailable ({why})")
-
-    def send(self, op: str, payload=None) -> None:
-        if not self.is_alive():
-            raise self._dead("process died")
-        try:
-            self.conn.send((op, payload))
-        except (BrokenPipeError, OSError) as exc:
-            raise self._dead(f"pipe broken: {exc}") from exc
-
-    def recv(self):
-        import time
-
-        deadline = time.monotonic() + self.timeout
-        while not self.conn.poll(0.05):
-            if not self.is_alive() and not self.conn.poll(0):
-                raise self._dead("process died mid-request")
-            if time.monotonic() > deadline:
-                raise self._dead(f"no reply within {self.timeout}s")
-        try:
-            reply = self.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._dead(f"pipe closed: {exc}") from exc
-        status, result = reply
-        if status == "error":
-            raise result
-        return result
-
-    def close(self, timeout: float = 5.0) -> None:
-        try:
-            if self.is_alive():
-                self.conn.send(("close", None))
-                self.process.join(timeout)
-        except (BrokenPipeError, OSError):
-            pass
-        if self.process.is_alive():  # pragma: no cover - stuck reader
-            self.process.terminate()
-            self.process.join(timeout)
-        self.conn.close()
-
-
 class ShardRouter:
     """Decompose the cube API across shard workers and sum the answers."""
 
@@ -221,7 +166,7 @@ class ShardRouter:
         self,
         partitioner: GridPartitioner,
         handles: Sequence,
-        readers: Sequence[ReaderHandle] = (),
+        readers: Sequence[WorkerHandle] = (),
         reader_state: ReaderState | None = None,
         buffered: bool = True,
     ) -> None:
@@ -554,7 +499,7 @@ class ShardRouter:
         """Batch range aggregates, bit-identical to the unsharded cube.
 
         ``mode`` is accepted for API compatibility; sharded serving
-        runs the vectorized epoch path, except that boxes needing
+        runs the stacked batch read over epochs, except that boxes needing
         demoted prefixes go to the workers (tiles and rollup tiers live
         there, not in the shared-memory epochs).
         """

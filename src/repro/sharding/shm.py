@@ -37,6 +37,7 @@ would otherwise double-unlink (and warn) at interpreter exit.
 from __future__ import annotations
 
 import os
+import re
 import secrets
 from multiprocessing import resource_tracker, shared_memory
 
@@ -49,6 +50,14 @@ from repro.concurrent.snapshot import Epoch
 #: Every block name starts with this; tests sweep ``/dev/shm`` for it.
 SHM_PREFIX = "repro-ecube"
 
+#: The naming rule: ``repro-ecube-<tag>-<owner pid>-<sequence>``, the tag
+#: ending in a field that is not a number.  The owner's pid is what lets
+#: a starting server tell a crashed owner's orphans from the blocks of a
+#: live one; the tag field keeps names of the earlier layout
+#: (``<pid>-<hex>-<sequence>``, the hex possibly all digits) outside the
+#: rule instead of reading their hex as a pid.
+_BLOCK_NAME = re.compile(rf"^{SHM_PREFIX}-(?:.*-)?(?!\d*-)[^-]+-(\d+)-\d+$")
+
 
 def _unregister(shm) -> None:
     """Drop an attached segment from the resource tracker (owner keeps it)."""
@@ -58,29 +67,32 @@ def _unregister(shm) -> None:
         pass
 
 
+def _force_unlink(name: str) -> bool:
+    """Unlink one segment this process does not own; was it removed?"""
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except (FileNotFoundError, OSError):  # pragma: no cover - race
+        return False
+    try:
+        shm.close()
+    except BufferError:  # pragma: no cover - still mapped here
+        pass
+    try:
+        # a successful unlink also drops the attach's tracker entry
+        shm.unlink()
+        return True
+    except FileNotFoundError:  # pragma: no cover - race
+        _unregister(shm)
+        return False
+
+
 def unlink_by_prefix(prefix: str) -> int:
     """Force-unlink every segment whose name starts with ``prefix``.
 
     Cleanup of blocks orphaned by a crashed worker (the owner died
     before its refcounts dropped); returns the number removed.
     """
-    removed = 0
-    for name in leaked_segments(prefix):
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):  # pragma: no cover - race
-            continue
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - still mapped here
-            pass
-        try:
-            # a successful unlink also drops the attach's tracker entry
-            shm.unlink()
-            removed += 1
-        except FileNotFoundError:  # pragma: no cover - race
-            _unregister(shm)
-    return removed
+    return sum(_force_unlink(name) for name in leaked_segments(prefix))
 
 
 def leaked_segments(prefix: str = SHM_PREFIX) -> list[str]:
@@ -90,6 +102,43 @@ def leaked_segments(prefix: str = SHM_PREFIX) -> list[str]:
     except OSError:  # pragma: no cover - non-Linux fallback
         return []
     return sorted(e for e in entries if e.startswith(prefix))
+
+
+def _owner_pid(name: str) -> int | None:
+    """The pid in a block name, or ``None`` for a name outside the rule."""
+    match = _BLOCK_NAME.match(name)
+    return int(match.group(1)) if match else None
+
+
+def _owner_alive(name: str) -> bool:
+    """Is the process that created block ``name`` still running?
+
+    A name outside the naming rule was not created by a
+    :class:`BlockOwner`; nothing proves its owner dead, so it counts as
+    alive.
+    """
+    pid = _owner_pid(name)
+    if pid is None:
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - someone else's process
+        return True
+    return True
+
+
+def unlink_orphaned() -> list[str]:
+    """Unlink every block whose owning process is dead; returns the names.
+
+    Blocks of a live owner -- another server on this host, an
+    in-process :class:`~repro.sharding.ShardedCube` -- are spared.
+    """
+    orphans = [name for name in leaked_segments() if not _owner_alive(name)]
+    for name in orphans:
+        _force_unlink(name)
+    return orphans
 
 
 # -- array packing -------------------------------------------------------------
@@ -124,7 +173,7 @@ class BlockOwner:
     """Creates, reference-counts and unlinks this process's blocks."""
 
     def __init__(self, tag: str = "") -> None:
-        self._tag = tag or f"{os.getpid()}-{secrets.token_hex(3)}"
+        self._tag = tag or "b" + secrets.token_hex(3)
         self._sequence = 0
         self._blocks: dict[str, shared_memory.SharedMemory] = {}
         self._refs: dict[str, int] = {}
@@ -138,7 +187,7 @@ class BlockOwner:
         """
         size, metas = _pack_layout(arrays)
         self._sequence += 1
-        name = f"{SHM_PREFIX}-{self._tag}-{self._sequence}"
+        name = f"{SHM_PREFIX}-{self._tag}-{os.getpid()}-{self._sequence}"
         try:
             shm = shared_memory.SharedMemory(name=name, create=True, size=size)
         except OSError as exc:  # pragma: no cover - exhausted /dev/shm
@@ -197,7 +246,10 @@ class BlockCache:
                     f"shared memory block {name!r} disappeared; its owning "
                     "shard worker likely died"
                 ) from exc
-            _unregister(shm)
+            if _owner_pid(name) != os.getpid():
+                # (an owner in this very process shares our tracker entry
+                # and drops it itself when it unlinks)
+                _unregister(shm)
             self._blocks[name] = shm
         views = _views(shm.buf, metas)
         for view in views.values():

@@ -4,9 +4,10 @@ A *shard worker* owns one shard's cube (any backend, buffered or not,
 optionally durable), ingests the writes routed to it and publishes an
 epoch descriptor after every mutation.  A *reader* attaches every
 shard's shared-memory epochs and answers query batches zero-copy with
-the vectorized evaluator.  Both run a tiny synchronous request loop over
-a duplex pipe; the router keeps the protocol single-outstanding per
-process, so no queueing discipline is needed.
+the stacked batch evaluator.  Both run a tiny synchronous request loop
+over a duplex pipe, speaking the same frames; the router keeps the
+protocol single-outstanding per process, so no queueing discipline is
+needed.
 
 Global versus local append order
 --------------------------------
@@ -27,7 +28,6 @@ locally:
 
 from __future__ import annotations
 
-import os
 import signal
 
 import numpy as np
@@ -36,11 +36,8 @@ from repro.core.errors import DomainError, ReproError
 from repro.durability.recovery import DurableCube, build_front
 from repro.metrics import CostCounter
 
-from repro.concurrent.snapshot import SnapshotCube, SnapshotView
-from repro.concurrent.vectorized import epoch_query_many, prepare_epoch
+from repro.concurrent.snapshot import SnapshotCube, SnapshotView, prepare_epoch
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.fastpath import FastSliceEngine
-from repro.ecube.slices import ECubeSliceEngine
 from repro.sharding.buffered import ShardBufferedCube
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
@@ -109,9 +106,7 @@ class ShardWorkerState:
         self.snap = SnapshotCube(self.front)
         self.exporter = None
         if config.get("use_shm"):
-            self.exporter = EpochExporter(
-                self.snap, tag=f"s{self.shard_id}-{os.getpid()}"
-            )
+            self.exporter = EpochExporter(self.snap, tag=f"s{self.shard_id}")
 
     # -- helpers ---------------------------------------------------------------
 
@@ -326,39 +321,36 @@ class ReaderState:
     def __init__(self, partitioner: GridPartitioner) -> None:
         self.partitioner = partitioner
         self.cache = BlockCache()
-        self._prepared: dict[int, object] = {}
-        #: shard id -> block names cited by the epoch we currently hold
-        self._blocks: dict[int, set[str]] = {}
-        self._engines: dict[tuple[int, ...], tuple] = {}
+        #: shard id -> the evaluator's view of the epoch we currently hold
+        self._views: dict[int, SnapshotView] = {}
+        #: shard id -> the held shared-memory epoch's descriptor
+        self._descriptors: dict[int, dict] = {}
 
-    def _engines_for(self, shape: tuple[int, ...]):
-        engines = self._engines.get(shape)
-        if engines is None:
-            engines = (FastSliceEngine(shape), ECubeSliceEngine(shape))
-            self._engines[shape] = engines
-        return engines
-
-    def _prepare(self, shard_id: int, descriptor):
-        if isinstance(descriptor, tuple) and descriptor[0] == "inline":
+    def _attach(self, shard_id: int, descriptor) -> SnapshotView:
+        """Bind a shard's newly published epoch to the evaluator."""
+        if isinstance(descriptor, tuple):  # ("inline", epoch, snapshot cube)
             _, epoch, snap = descriptor
         else:
-            epoch, snap = None, None
-        current = self._prepared.get(shard_id)
-        sequence = (
-            epoch.sequence if epoch is not None else descriptor["sequence"]
-        )
-        if current is not None and current.sequence == sequence:
-            return current
-        if epoch is None:
-            epoch = epoch_from_shared_memory(descriptor, self.cache)
-            self._blocks[shard_id] = descriptor_blocks(descriptor)
-        fast, metered = self._engines_for(tuple(epoch.slice_shape))
-        prepared = prepare_epoch(epoch, cube=snap, fast=fast, metered=metered)
-        self._prepared[shard_id] = prepared
-        return prepared
+            epoch, snap = epoch_from_shared_memory(descriptor, self.cache), None
+            held = self._views.get(shard_id)
+            if held is not None:
+                # a slice block never changes, so a row normalized under
+                # the epoch we held serves every epoch citing that block
+                rows = {
+                    name: held.epoch.overlays[index]
+                    for index, name, _ in self._descriptors[shard_id]["slices"]
+                }
+                for index, name, _ in descriptor["slices"]:
+                    row = rows.get(name)
+                    if row is not None and row[1] is None:
+                        epoch.overlays[index] = row
+            self._descriptors[shard_id] = descriptor
+        view = self._views[shard_id] = prepare_epoch(epoch, snap)
+        return view
 
     def query_many(self, descriptors: dict[int, object], boxes) -> list[int]:
         results = np.zeros(len(boxes), dtype=np.int64)
+        attached = False
         for shard_id, descriptor in descriptors.items():
             extent = self.partitioner.extents[shard_id]
             ids: list[int] = []
@@ -370,44 +362,54 @@ class ReaderState:
                     local.append(sub)
             if not local:
                 continue
-            prepared = self._prepare(shard_id, descriptor)
-            results[np.asarray(ids)] += epoch_query_many(prepared, local)
-        # mappings for blocks no longer cited by any held epoch can close
-        live = set().union(*self._blocks.values()) if self._blocks else set()
-        self.cache.prune(live)
+            sequence = (
+                descriptor[1].sequence
+                if isinstance(descriptor, tuple)
+                else descriptor["sequence"]
+            )
+            view = self._views.get(shard_id)
+            if view is None or view.sequence != sequence:
+                view = self._attach(shard_id, descriptor)
+                attached = True
+            results[np.asarray(ids)] += view.query_many(local)
+        if attached:
+            # mappings for blocks no longer cited by any held epoch can close
+            self.cache.prune(
+                set().union(*map(descriptor_blocks, self._descriptors.values()))
+            )
         return [int(v) for v in results]
 
     def close(self) -> None:
-        self._prepared.clear()
-        self._blocks.clear()
+        self._views.clear()
+        self._descriptors.clear()
         self.cache.close_all()
 
 
 def reader_main(conn, config: dict) -> None:
-    """Entry point of a reader process."""
+    """Entry point of a reader process (the worker's frames, no epochs)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     state = ReaderState(GridPartitioner.from_config(config["partitioner"]))
     try:
-        conn.send(("ok", None))
+        conn.send(("ok", None, None))
         while True:
             try:
-                op, payload = conn.recv()
+                op, payload, _ = conn.recv()
             except EOFError:
                 break
             if op == "close":
-                conn.send(("ok", None))
+                conn.send(("ok", None, None))
                 break
             try:
                 if op == "query":
                     descriptors, boxes = payload
-                    conn.send(("ok", state.query_many(descriptors, boxes)))
+                    conn.send(("ok", state.query_many(descriptors, boxes), None))
                 elif op == "ping":
-                    conn.send(("ok", None))
+                    conn.send(("ok", None, None))
                 else:
                     raise DomainError(f"unknown reader op {op!r}")
             except ReproError as exc:
-                conn.send(("error", exc))
+                conn.send(("error", exc, None))
     finally:
         state.close()
         conn.close()

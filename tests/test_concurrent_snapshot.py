@@ -8,36 +8,31 @@ pinned views stable while the writer advances.
 
 The deterministic half checks the epoch machinery directly (publication
 watermark, preservation across out-of-order cascades / splices /
-retirement, durable serving) and the :class:`ParallelExecutor`
-differential guarantee: thread counts 1..8 produce bit-identical output
-to a serial ``query_many``, and snapshot serving never perturbs the
-metered golden costs.
+retirement, durable serving).  The batch evaluator behind every read
+is covered by ``test_batch_evaluator.py``.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.concurrent import ParallelExecutor, SnapshotCube, run_stress
+from repro.concurrent import SnapshotCube, run_stress
 from repro.core.errors import AgedOutError, DomainError
-from repro.ecube import compiled
 from repro.core.types import Box
 from repro.durability.recovery import DurableCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
-from repro.metrics import CostCounter
 
 from .conftest import brute_box_sum, random_box
 
 BACKENDS = ("dense", "paged", "sparse")
 
 
-def _filled_cube(rng, shape=(6, 6), num_times=24, updates=120, counter=None):
-    cube = EvolvingDataCube(shape, num_times=num_times, counter=counter)
+def _filled_cube(rng, shape=(6, 6), num_times=24, updates=120):
+    cube = EvolvingDataCube(shape, num_times=num_times)
     times = np.sort(rng.integers(0, num_times, size=updates))
     points = np.column_stack(
         [times] + [rng.integers(0, n, size=updates) for n in shape]
@@ -194,82 +189,6 @@ class TestEpochSemantics:
     def test_unsupported_target_rejected(self):
         with pytest.raises(DomainError, match="cannot serve snapshots"):
             SnapshotCube(object())
-
-
-class TestParallelExecutorDifferential:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
-    def test_bit_identical_to_serial(self, rng, threads):
-        counter = CostCounter()
-        cube, dense = _filled_cube(rng, updates=200, counter=counter)
-        boxes = [random_box(rng, dense.shape) for _ in range(150)]
-        serial = cube.query_many(boxes)
-        assert serial == [brute_box_sum(dense, box) for box in boxes]
-        golden = counter.snapshot()
-        snap = SnapshotCube(cube)
-        with ParallelExecutor(snap, threads=threads) as executor:
-            parallel = executor.query_many(boxes)
-            assert parallel == serial
-            # engine/term-table reuse across batches stays correct
-            assert executor.query_many(boxes[:37]) == serial[:37]
-            assert executor.query(boxes[0]) == serial[0]
-        # snapshot serving is pure: the metered golden costs of the
-        # underlying cube are untouched by any number of reader threads
-        after = counter.snapshot()
-        assert after.cell_accesses == golden.cell_accesses
-        assert after.page_accesses == golden.page_accesses
-        snap.close()
-
-    def test_default_is_single_thread_and_multi_thread_warns(self, rng):
-        cube, dense = _filled_cube(rng, updates=40)
-        snap = SnapshotCube(cube)
-        with ParallelExecutor(snap) as executor:  # no warning expected
-            assert executor.threads == 1
-            boxes = [random_box(rng, dense.shape) for _ in range(20)]
-            assert executor.query_many(boxes) == cube.query_many(boxes)
-        if compiled.NUMBA_ACTIVE:
-            # nogil compiled kernels: multi-thread serving is genuine
-            # parallelism, so asking for threads must NOT warn
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                executor = ParallelExecutor(snap, threads=2)
-        else:
-            with pytest.warns(RuntimeWarning, match="sharding"):
-                executor = ParallelExecutor(snap, threads=2)
-        executor.close()
-        snap.close()
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_concurrent_batches_share_one_executor(self, rng):
-        cube, dense = _filled_cube(rng)
-        snap = SnapshotCube(cube)
-        boxes = [random_box(rng, dense.shape) for _ in range(60)]
-        expected = [brute_box_sum(dense, box) for box in boxes]
-        errors: list[str] = []
-        with ParallelExecutor(snap, threads=4) as executor:
-            barrier = threading.Barrier(3)
-
-            def hammer():
-                barrier.wait()
-                for _ in range(5):
-                    if executor.query_many(boxes) != expected:
-                        errors.append("batch mismatch")
-
-            threads = [threading.Thread(target=hammer) for _ in range(3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert not errors
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_invalid_thread_count_rejected(self, rng):
-        cube, _ = _filled_cube(rng, updates=10)
-        snap = SnapshotCube(cube)
-        with pytest.raises(DomainError):
-            ParallelExecutor(snap, threads=0)
-        with pytest.raises(DomainError):
-            ParallelExecutor(snap, threads=2, chunk_size=0)
 
 
 class TestDurableServing:

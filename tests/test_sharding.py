@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrent import SnapshotCube
+from repro.concurrent import SnapshotCube, prepare_epoch
 from repro.core.errors import AgedOutError, DomainError, ShardUnavailableError
 from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
@@ -28,7 +28,7 @@ from repro.sharding import (
     ShardedCube,
     leaked_segments,
 )
-from repro.sharding.shm import descriptor_blocks
+from repro.sharding.shm import descriptor_blocks, epoch_from_shared_memory
 
 from .conftest import random_box
 
@@ -163,19 +163,11 @@ class TestSharedMemoryEpochs:
             points, deltas = _mixed_stream(rng, shape, updates=80)
             for batch in np.array_split(np.arange(len(points)), 3):
                 snap.update_many(points[batch], deltas[batch])
-                descriptor = snap._current.to_shared_memory(exporter)
-                remote = type(snap._current).from_shared_memory(
-                    descriptor, cache
-                )
+                remote = epoch_from_shared_memory(exporter.export(), cache)
                 boxes = [random_box(rng, shape) for _ in range(30)]
                 with snap.pin() as view:
                     expected = view.query_many(boxes)
-                from repro.concurrent.vectorized import (
-                    epoch_query_many,
-                    prepare_epoch,
-                )
-                answers = epoch_query_many(prepare_epoch(remote), boxes)
-                assert np.array_equal(answers, expected)
+                assert prepare_epoch(remote).query_many(boxes) == expected
         finally:
             # drop the epoch's views before closing the mappings they alias
             del remote
@@ -191,9 +183,11 @@ class TestSharedMemoryEpochs:
             snap.update((0, 1, 1), 3)
             stale = snap._current
             snap.update((1, 2, 2), 4)
-            with pytest.raises(DomainError):
-                stale.to_shared_memory(exporter)
-            descriptor = snap._current.to_shared_memory(exporter)
+            # the exporter has no handle on older epochs: what it
+            # describes is always the snapshot front's current one
+            descriptor = exporter.export()
+            assert descriptor["sequence"] == snap.current_sequence()
+            assert descriptor["sequence"] > stale.sequence
             assert descriptor_blocks(descriptor)
         finally:
             exporter.close()
@@ -276,24 +270,36 @@ class TestProcessMode:
 
 
 class TestServeStartupSweep:
+    @staticmethod
+    def _segment(owner_pid: int):
+        """A block named by the rule, as ``owner_pid`` would have made it."""
+        from multiprocessing import shared_memory
+
+        from repro.sharding.shm import SHM_PREFIX, _unregister
+
+        segment = shared_memory.SharedMemory(
+            create=True, name=f"{SHM_PREFIX}-s0-{owner_pid}-1", size=64
+        )
+        _unregister(segment)  # the tracker must not reap it behind the test
+        segment.close()
+        return segment
+
+    @staticmethod
+    def _dead_pid() -> int:
+        # a pid no process can have (an exited child's could be reused)
+        from pathlib import Path
+
+        return int(Path("/proc/sys/kernel/pid_max").read_text()) + 1
+
     def test_sweeps_segments_leaked_by_a_killed_server(self):
         """``repro serve`` startup unlinks orphaned segments of our prefix.
 
         A SIGKILLed server never drops its epoch refcounts; the next
         startup must reclaim /dev/shm rather than exhaust it.
         """
-        from multiprocessing import shared_memory
-
         from repro.__main__ import _sweep_leaked_shm
-        from repro.sharding.shm import SHM_PREFIX, _unregister
 
-        if not leaked_segments():
-            pass  # a clean slate; other suites assert this too
-        orphan = shared_memory.SharedMemory(
-            create=True, name=f"{SHM_PREFIX}-test-orphan-0", size=64
-        )
-        _unregister(orphan)  # simulate the dead owner: tracker forgot it
-        orphan.close()
+        orphan = self._segment(self._dead_pid())
         try:
             assert orphan.name in leaked_segments()
             swept = _sweep_leaked_shm()
@@ -306,3 +312,41 @@ class TestServeStartupSweep:
                 orphan.unlink()
             except FileNotFoundError:
                 pass
+
+    def test_spares_segments_of_a_live_owner(self):
+        """A second server starting on the host must not unlink the
+        blocks of a live one (or of an in-process ``ShardedCube``)."""
+        import os
+
+        from repro.__main__ import _sweep_leaked_shm
+
+        live = self._segment(os.getpid())
+        orphan = self._segment(self._dead_pid())
+        try:
+            assert _sweep_leaked_shm() == [orphan.name]
+            assert leaked_segments() == [live.name]
+        finally:
+            for segment in (live, orphan):
+                try:
+                    segment.unlink()
+                except FileNotFoundError:
+                    pass
+        assert not leaked_segments()
+
+    def test_every_block_name_carries_its_owner_pid(self):
+        import os
+
+        from repro.sharding.shm import BlockOwner, _owner_pid
+
+        for owner in (BlockOwner(), BlockOwner("s3")):
+            try:
+                # keep no view: the block cannot close while one aliases it
+                name = owner.create({"a": np.zeros(2, dtype=np.int64)})[0]
+                assert name.rsplit("-", 2)[1] == str(os.getpid())
+                assert _owner_pid(name) == os.getpid()
+            finally:
+                owner.close_all()
+        assert not leaked_segments()
+        # the earlier layout had the pid first; its hex is no owner
+        assert _owner_pid("repro-ecube-4242-123456-7") is None
+        assert _owner_pid("repro-ecube-4242-00ab12-7") is None
