@@ -43,7 +43,7 @@ from repro.core.extent import IntervalAggregator
 from repro.core.framework import AppendOnlyAggregator, BatchExecutor
 from repro.core.measures import MeasureCube
 from repro.core.out_of_order import OutOfOrderBuffer
-from repro.durability import DurableCube, DurableExtentCube, WriteAheadLog
+from repro.durability import DurableCube, WriteAheadLog
 from repro.ecube import (
     BufferedEvolvingDataCube,
     DiskEvolvingDataCube,
@@ -112,7 +112,6 @@ __all__ = [
     "DiskEvolvingDataCube",
     "DomainError",
     "DurableCube",
-    "DurableExtentCube",
     "EvolvingDataCube",
     "ExtentCube",
     "FamilyDirectory",

@@ -29,7 +29,6 @@ def _info() -> int:
     print("  repro.IntervalAggregator        objects with extent (2.4)")
     print("  repro.ExtentCube                TT-extent objects on the eCube")
     print("  repro.DurableCube               WAL + checkpoints + recovery")
-    print("  repro.DurableExtentCube         durable TT-extent cube")
     print("  repro.TieredCube / TierPolicy   tiered retention (rollups+tiles)")
     print("  repro.CubeView / Dimension      OLAP roll-up / data cube")
     print()
@@ -75,27 +74,13 @@ def _demo() -> int:
     return 0
 
 
-def _recover_cube(directory):
-    from repro.durability import DurableCube, DurableExtentCube
-    from repro.durability.checkpoint import read_manifest
-
-    manifest = read_manifest(directory)
-    if manifest is not None and manifest.config.get("extent"):
-        return DurableExtentCube.recover(directory)
-    return DurableCube.recover(directory)
-
-
 def _cmd_recover(directory: str) -> int:
-    cube = _recover_cube(directory)
+    from repro.durability import DurableCube
+
+    cube = DurableCube.recover(directory)
     try:
         info = dict(cube.recovery_info or {})
-        if hasattr(cube, "cube"):
-            kernel = cube.cube
-            info["occurring_times"] = kernel.num_slices
-            info["updates_applied"] = kernel.updates_applied
-            info["retired_instances"] = kernel.retired_instances
-            info["total"] = cube.total()
-        else:
+        if cube.extent:
             # TT-extent cube: report the extent layer's bookkeeping
             front = cube.front
             info["extent"] = True
@@ -104,6 +89,12 @@ def _cmd_recover(directory: str) -> int:
             info["pending_ends"] = front.pending_ends
             info["buffered_updates"] = front.buffered_updates
             info["clock"] = front.clock
+        else:
+            kernel = cube.cube
+            info["occurring_times"] = kernel.num_slices
+            info["updates_applied"] = kernel.updates_applied
+            info["retired_instances"] = kernel.retired_instances
+            info["total"] = cube.total()
         print(json.dumps(info, indent=2))
     finally:
         cube.close()
@@ -111,7 +102,9 @@ def _cmd_recover(directory: str) -> int:
 
 
 def _cmd_checkpoint(directory: str) -> int:
-    cube = _recover_cube(directory)
+    from repro.durability import DurableCube
+
+    cube = DurableCube.recover(directory)
     try:
         manifest = cube.checkpoint()
         print(
@@ -189,8 +182,10 @@ def _sweep_leaked_shm() -> list[str]:
 
 def _cmd_serve_sharded(args) -> int:
     import asyncio
+    from pathlib import Path
 
     from repro.sharding import ShardServer, ShardedCube
+    from repro.sharding.cube import MANIFEST_NAME
 
     swept = _sweep_leaked_shm()
     if swept:
@@ -198,35 +193,43 @@ def _cmd_serve_sharded(args) -> int:
             json.dumps({"swept_leaked_shm_segments": swept}),
             flush=True,
         )
-    shape = tuple(int(n) for n in args.shape.split(","))
-    tiers = json.loads(args.tiers) if args.tiers else None
-    cube = ShardedCube(
-        shape,
-        shards=args.shards,
-        processes=not args.inline,
-        readers=args.readers if not args.inline else 0,
-        backend=args.backend,
-        num_times=args.num_times,
-        durable_dir=args.durable_dir,
-        tiers=tiers,
-        tile_root=args.tile_root,
-    )
+    processes = not args.inline
+    readers = args.readers if processes else 0
+    recovered = args.durable_dir is not None and (
+        Path(args.durable_dir) / MANIFEST_NAME
+    ).exists()
+    if recovered:
+        # a restart of the command that created the directory: shape,
+        # shards, backend and tiers come from its manifest
+        cube = ShardedCube.recover(
+            args.durable_dir, processes=processes, readers=readers
+        )
+    else:
+        cube = ShardedCube(
+            tuple(int(n) for n in args.shape.split(",")),
+            shards=args.shards,
+            processes=processes,
+            readers=readers,
+            backend=args.backend,
+            num_times=args.num_times,
+            durable_dir=args.durable_dir,
+            tiers=json.loads(args.tiers) if args.tiers else None,
+            tile_root=args.tile_root,
+        )
     server = ShardServer(cube, host=args.host, port=args.port)
 
     async def run() -> None:
         await server.start()
-        print(
-            json.dumps(
-                {
-                    "listening": f"{server.host}:{server.port}",
-                    "shards": cube.partitioner.num_shards,
-                    "readers": len(cube.router.readers),
-                    "processes": cube.processes,
-                    "slice_shape": list(cube.slice_shape),
-                }
-            ),
-            flush=True,
-        )
+        banner = {
+            "listening": f"{server.host}:{server.port}",
+            "shards": cube.partitioner.num_shards,
+            "readers": len(cube.router.readers),
+            "processes": cube.processes,
+            "slice_shape": list(cube.slice_shape),
+        }
+        if recovered:
+            banner["recovered"] = True
+        print(json.dumps(banner), flush=True)
         await server.serve_forever()
 
     try:
@@ -403,7 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--durable-dir",
         default=None,
-        help="give every shard a WAL + checkpoint directory under this path",
+        help=(
+            "give every shard a WAL + checkpoint directory under this path; "
+            "a directory that already holds a sharded cube is recovered "
+            "(its manifest then decides shape, shards, backend and tiers)"
+        ),
     )
     serve.add_argument(
         "--tiers",

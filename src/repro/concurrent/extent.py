@@ -1,15 +1,16 @@
 """Snapshot-isolated serving of TT-extent objects.
 
 :class:`SnapshotExtentCube` fronts an
-:class:`~repro.ecube.extent.ExtentCube` (or a
-:class:`~repro.durability.extent.DurableExtentCube`) with one
+:class:`~repro.ecube.extent.ExtentCube` (or a durable one,
+``DurableCube(..., extent=True)``) with one
 :class:`~repro.concurrent.snapshot.SnapshotCube` per family: each family
 kernel publishes epochs after every answer-changing operation exactly
 like a point cube, and a *pinned extent view* combines
 
 * a pinned epoch of the ``B`` (ended) family,
 * a pinned epoch of the ``C`` (containing) family,
-* the pending-end and containment columns frozen at pin time.
+* the pending-end and containment columns (and the containment
+  aged-out cutoff) frozen at pin time.
 
 Because the extent cube's queries are pure (the pending correction is
 applied analytically, never by advancing the clock), a view answers
@@ -29,11 +30,22 @@ import numpy as np
 from repro.concurrent.snapshot import SnapshotCube, SnapshotView
 from repro.core.errors import DomainError
 from repro.core.types import Box, TimeInterval
-from repro.ecube.extent import ExtentCube, _as_interval
+from repro.ecube.extent import (
+    ExtentCube,
+    containment_aggregates,
+    intersection_aggregates,
+)
 
 
 class ExtentSnapshotView:
-    """An immutable, releasable view of one published extent state."""
+    """An immutable, releasable view of one published extent state.
+
+    Reads run the cube's own Section 2.4 read path
+    (:func:`~repro.ecube.extent.intersection_aggregates`,
+    :func:`~repro.ecube.extent.containment_aggregates`) over the two
+    pinned epochs and the frozen columns, so a view answers -- and ages
+    out -- exactly as the cube did when it was pinned.
+    """
 
     def __init__(
         self,
@@ -42,6 +54,7 @@ class ExtentSnapshotView:
         pending: tuple[np.ndarray, ...],
         moved: tuple[np.ndarray, ...],
         min_time: int | None,
+        retired_below: int | None,
         slice_shape: tuple[int, ...],
     ) -> None:
         self._ended = ended
@@ -49,6 +62,7 @@ class ExtentSnapshotView:
         self._pending = pending
         self._moved = moved
         self._min_time = min_time
+        self._retired_below = retired_below
         self._slice_shape = slice_shape
         self._released = False
 
@@ -76,18 +90,6 @@ class ExtentSnapshotView:
         if self._released:
             raise DomainError("view was released")
 
-    def _cell_box(self, cell_box: Box | None) -> Box:
-        if cell_box is None:
-            return Box(
-                (0,) * len(self._slice_shape),
-                tuple(n - 1 for n in self._slice_shape),
-            )
-        if cell_box.ndim != len(self._slice_shape):
-            raise DomainError(
-                f"cell box arity {cell_box.ndim} != {len(self._slice_shape)}"
-            )
-        return cell_box
-
     # -- reads (lock-free, any thread) ---------------------------------------
 
     def intersecting(self, query, cell_box: Box | None = None) -> int:
@@ -100,55 +102,15 @@ class ExtentSnapshotView:
     ) -> list[int]:
         """``b(t_up) + c(t_up) - b(t_low)`` plus the frozen pending correction."""
         self._check_released()
-        queries = [_as_interval(q) for q in queries]
-        if cell_boxes is None:
-            cell_boxes = [None] * len(queries)
-        boxes = [self._cell_box(b) for b in cell_boxes]
-        if len(boxes) != len(queries):
-            raise DomainError("need exactly one cell box per query")
-        if not queries:
-            return []
-        results = np.zeros(len(queries), dtype=np.int64)
-        if self._min_time is None:
-            return [0] * len(queries)
-        low = self._min_time
-
-        def prefix_box(time: int, box: Box) -> Box | None:
-            if time < low:
-                return None
-            return Box((low,) + box.lower, (time,) + box.upper)
-
-        b_boxes: list[Box] = []
-        b_slots: list[tuple[int, int]] = []
-        c_boxes: list[Box] = []
-        c_slots: list[int] = []
-        for i, (query, box) in enumerate(zip(queries, boxes)):
-            upper = prefix_box(query.end, box)
-            if upper is not None:
-                b_boxes.append(upper)
-                b_slots.append((i, 1))
-                c_boxes.append(upper)
-                c_slots.append(i)
-            lower = prefix_box(query.start, box)
-            if lower is not None:
-                b_boxes.append(lower)
-                b_slots.append((i, -1))
-        if b_boxes:
-            for (i, sign), value in zip(
-                b_slots, self._ended.query_many(b_boxes)
-            ):
-                results[i] += sign * value
-        if c_boxes:
-            for i, value in zip(c_slots, self._containing.query_many(c_boxes)):
-                results[i] += value
-        p_starts, p_effs, p_cells, p_values = self._pending
-        if p_values.size:
-            for i, (query, box) in enumerate(zip(queries, boxes)):
-                mask = (p_starts <= query.end) & (p_effs <= query.start)
-                if bool(mask.any()):
-                    mask &= ExtentCube._in_box(p_cells, box)
-                    results[i] -= int(p_values[mask].sum())
-        return [int(v) for v in results]
+        return intersection_aggregates(
+            queries,
+            cell_boxes,
+            self._ended.query_many,
+            self._containing.query_many,
+            self._pending,
+            self._min_time,
+            self._slice_shape,
+        )
 
     def alive_at(self, time: int, cell_box: Box | None = None) -> int:
         return self.intersecting(TimeInterval(int(time), int(time)), cell_box)
@@ -162,29 +124,14 @@ class ExtentSnapshotView:
         cell_boxes: Sequence[Box | None] | None = None,
     ) -> list[int]:
         self._check_released()
-        queries = [_as_interval(q) for q in queries]
-        if cell_boxes is None:
-            cell_boxes = [None] * len(queries)
-        boxes = [self._cell_box(b) for b in cell_boxes]
-        if len(boxes) != len(queries):
-            raise DomainError("need exactly one cell box per query")
-        f_starts, f_ends, f_cells, f_values = self._moved
-        p_starts, p_effs, p_cells, p_values = self._pending
-        results = []
-        for query, box in zip(queries, boxes):
-            total = 0
-            if f_values.size:
-                mask = (f_starts >= query.start) & (f_ends <= query.end)
-                if bool(mask.any()):
-                    mask &= ExtentCube._in_box(f_cells, box)
-                    total += int(f_values[mask].sum())
-            if p_values.size:
-                mask = (p_starts >= query.start) & (p_effs <= query.end + 1)
-                if bool(mask.any()):
-                    mask &= ExtentCube._in_box(p_cells, box)
-                    total += int(p_values[mask].sum())
-            results.append(total)
-        return results
+        return containment_aggregates(
+            queries,
+            cell_boxes,
+            self._pending,
+            self._moved,
+            self._retired_below,
+            self._slice_shape,
+        )
 
 
 class SnapshotExtentCube:
@@ -192,9 +139,9 @@ class SnapshotExtentCube:
 
     Route every mutation through this object (one writer thread); pin
     views from any thread for lock-free reads.  Accepts a bare
-    :class:`~repro.ecube.extent.ExtentCube` or a
-    :class:`~repro.durability.extent.DurableExtentCube` (whose mutations
-    stay logged: forwarded writes go through the durable wrapper).
+    :class:`~repro.ecube.extent.ExtentCube` or a durable one
+    (``DurableCube(..., extent=True)``, whose mutations stay logged:
+    forwarded writes go through the durable wrapper).
     """
 
     def __init__(self, target) -> None:
@@ -203,7 +150,7 @@ class SnapshotExtentCube:
         if not isinstance(extent, ExtentCube):
             raise DomainError(
                 f"cannot serve extent snapshots over {type(target).__name__}; "
-                "expected an ExtentCube or a DurableExtentCube"
+                "expected an ExtentCube or a DurableCube(extent=True)"
             )
         self.extent = extent
         self._b = SnapshotCube(extent.ended)
@@ -273,6 +220,7 @@ class SnapshotExtentCube:
                 extent._pending_columns(),
                 extent._cont_columns(),
                 extent._min_time,
+                extent._cont_retired_below,
                 extent.slice_shape,
             )
 

@@ -31,6 +31,8 @@ import numpy as np
 from repro.core.errors import DomainError
 from repro.core.types import Box
 from repro.concurrent.snapshot import SnapshotCube
+from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ecube.factory import build_kernel
 
 
 @dataclass
@@ -55,25 +57,8 @@ class StressResult:
 
 
 def _build_target(backend: str, slice_shape, num_times: int, buffered: bool):
-    if buffered:
-        from repro.ecube.buffered import BufferedEvolvingDataCube
-
-        return BufferedEvolvingDataCube(
-            slice_shape, num_times=num_times, backend=backend
-        )
-    if backend == "dense":
-        from repro.ecube.ecube import EvolvingDataCube
-
-        return EvolvingDataCube(slice_shape, num_times=num_times)
-    if backend in ("paged", "disk"):
-        from repro.ecube.disk import DiskEvolvingDataCube
-
-        return DiskEvolvingDataCube(slice_shape, num_times=num_times)
-    if backend == "sparse":
-        from repro.ecube.sparse import SparseEvolvingDataCube
-
-        return SparseEvolvingDataCube(slice_shape, num_times=num_times)
-    raise DomainError(f"unknown storage backend {backend!r}")
+    build = BufferedEvolvingDataCube if buffered else build_kernel
+    return build(slice_shape, num_times=num_times, backend=backend)
 
 
 def _write_script(rng, slice_shape, num_times: int, writes: int, buffered: bool):

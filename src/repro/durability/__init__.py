@@ -15,13 +15,14 @@ checkpoint:
   the :class:`~repro.ecube.stores.SliceStore` snapshot machinery (all
   three backends), a manifest published by atomic rename, and segment
   compaction once a checkpoint covers them;
-* :mod:`repro.durability.recovery` -- :class:`DurableCube`, the logging
-  front-end that wraps any kernel-backed cube (buffered or not), plus
-  ``DurableCube.recover``: latest checkpoint + tail replay;
-* :mod:`repro.durability.extent` -- :class:`DurableExtentCube`, the same
-  log-before-apply discipline over the multi-family
-  :class:`~repro.ecube.extent.ExtentCube` (interval insert, interval
-  batch and clock-advance records).
+* :mod:`repro.durability.recovery` -- :class:`DurableCube`, the one
+  logging front-end: it wraps any front of the stack (a kernel, buffered
+  or not, tiered or not, or with ``extent=True`` the multi-family
+  :class:`~repro.ecube.extent.ExtentCube` and its interval insert,
+  interval batch and clock-advance records), plus
+  ``DurableCube.recover``: latest checkpoint + tail replay of whichever
+  kind the manifest records, and ``build_front``, which turns a manifest
+  or shard-worker config into that front.
 """
 
 from repro.durability.checkpoint import (
@@ -29,7 +30,6 @@ from repro.durability.checkpoint import (
     read_manifest,
     write_checkpoint,
 )
-from repro.durability.extent import DurableExtentCube
 from repro.durability.recovery import DurableCube
 from repro.durability.wal import (
     AdvanceRecord,
@@ -51,7 +51,6 @@ __all__ = [
     "CheckpointMarkerRecord",
     "DrainRecord",
     "DurableCube",
-    "DurableExtentCube",
     "IntervalBatchRecord",
     "IntervalInsertRecord",
     "OutOfOrderBatchRecord",

@@ -1,18 +1,21 @@
 """``DurableCube``: the logging front-end, and crash recovery.
 
-``DurableCube`` wraps any kernel-backed cube -- dense, paged or sparse,
-with or without the ``G_d`` out-of-order buffer -- and appends one WAL
-record *before* applying each mutation (log-before-apply).  Queries pass
-straight through.  Because the wrapped classes are deterministic,
-replaying the surviving log prefix through the same entry points
-reproduces the pre-crash state exactly: same answers, same directory,
-same lazy-copy progress.
+``DurableCube`` wraps any front of the stack -- a dense, paged or sparse
+kernel, with or without the ``G_d`` out-of-order buffer, with or without
+retention tiers, or the two-family
+:class:`~repro.ecube.extent.ExtentCube` of Section 2.4 -- and appends
+one WAL record *before* applying each mutation (log-before-apply).
+Queries pass straight through.  Because the wrapped classes are
+deterministic (and the extent cube's queries are pure), replaying the
+surviving log prefix through the same entry points reproduces the
+pre-crash state exactly: same answers, same directory, same lazy-copy
+progress.
 
 Recovery = latest checkpoint + tail replay:
 
 1. read the manifest (atomic-rename published, so always consistent);
-2. rebuild the configured front-end and, when a checkpoint archive
-   exists, restore kernel and buffer state from it;
+2. rebuild the configured front-end (:func:`build_front`) and, when a
+   checkpoint archive exists, restore its state from it;
 3. open the log for append, which truncates a torn final record;
 4. replay every record with LSN > the manifest's covered LSN.
 
@@ -22,7 +25,9 @@ data-aging retired region) fails identically during replay and is
 *skipped*, not fatal -- in particular, out-of-order records addressed to
 since-retired times go through
 :meth:`~repro.ecube.kernel.CubeKernel.replay_out_of_order` so they can
-never resurrect retired slices.
+never resurrect retired slices.  A record the directory's front kind
+never logs (an interval insert in a point-object directory, or the
+reverse) is a :class:`~repro.core.errors.RecoveryError`.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ from repro.durability.checkpoint import (
     write_checkpoint,
 )
 from repro.durability.wal import (
+    AdvanceRecord,
     CheckpointMarkerRecord,
     DemoteRecord,
     DrainRecord,
+    IntervalBatchRecord,
+    IntervalInsertRecord,
     OutOfOrderBatchRecord,
     OutOfOrderRecord,
     RetireRecord,
@@ -52,6 +60,8 @@ from repro.durability.wal import (
     WriteAheadLog,
 )
 from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ecube.extent import ExtentCube, _as_interval
+from repro.ecube.factory import build_kernel
 from repro.metrics import CostCounter
 from repro.storage.mmap_npz import open_checkpoint
 
@@ -59,13 +69,28 @@ WAL_SUBDIR = "wal"
 TILES_SUBDIR = "tiles"
 
 
-def _build_front(config: dict, counter: CostCounter | None):
-    """Construct the configured cube front-end (empty)."""
+def build_front(config: dict, counter: CostCounter | None, tile_dir=None):
+    """Construct the (empty) front a manifest or shard-worker config names.
+
+    Kernel first, then what rides on it: the ``G_d`` buffer (the shard
+    variant under ``global_order_buffer``), or the two buffered families
+    of an :class:`~repro.ecube.extent.ExtentCube` under ``extent``; then
+    the retention tiers, whose tiles live in ``tile_dir``.
+    """
     slice_shape = tuple(int(n) for n in config["slice_shape"])
-    backend = config.get("backend", "dense")
-    num_times = config.get("num_times")
-    copy_budget = config.get("copy_budget")
-    if config.get("buffered", True):
+    kernel = {
+        "backend": config.get("backend", "dense"),
+        "num_times": config.get("num_times"),
+        "counter": counter,
+        "copy_budget": config.get("copy_budget"),
+        "page_size": config.get("page_size"),
+        "cell_size": config.get("cell_size"),
+    }
+    if config.get("extent"):
+        front = ExtentCube(
+            slice_shape, drain_threshold=config.get("drain_threshold"), **kernel
+        )
+    elif config.get("buffered", True):
         cube_cls = BufferedEvolvingDataCube
         if config.get("global_order_buffer"):
             # shard workers obey the router's *global* append-order
@@ -73,51 +98,16 @@ def _build_front(config: dict, counter: CostCounter | None):
             from repro.sharding.buffered import ShardBufferedCube
 
             cube_cls = ShardBufferedCube
-        return cube_cls(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            copy_budget=copy_budget,
-            drain_threshold=config.get("drain_threshold"),
-            backend=backend,
-            page_size=config.get("page_size"),
-            cell_size=config.get("cell_size"),
+        front = cube_cls(
+            slice_shape, drain_threshold=config.get("drain_threshold"), **kernel
         )
-    if backend == "dense":
-        from repro.ecube.ecube import EvolvingDataCube
+    else:
+        front = build_kernel(slice_shape, **kernel)
+    if config.get("tiers") is not None:
+        from repro.retention import TieredCube
 
-        return EvolvingDataCube(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            copy_budget=copy_budget,
-        )
-    if backend == "paged":
-        from repro.ecube.disk import DiskEvolvingDataCube
-        from repro.storage.layout import DEFAULT_CELL_SIZE, DEFAULT_PAGE_SIZE
-
-        return DiskEvolvingDataCube(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            page_size=config.get("page_size") or DEFAULT_PAGE_SIZE,
-            cell_size=config.get("cell_size") or DEFAULT_CELL_SIZE,
-        )
-    if backend == "sparse":
-        from repro.ecube.sparse import SparseEvolvingDataCube
-
-        return SparseEvolvingDataCube(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            copy_budget=copy_budget,
-        )
-    raise DomainError(f"unknown storage backend {backend!r}")
-
-
-#: Public alias -- shard workers build non-durable fronts from the same
-#: config dictionaries the durable manifest records.
-build_front = _build_front
+        front = TieredCube(front, config["tiers"], tile_dir)
+    return front
 
 
 def _tiers_config(tiers) -> list[dict] | None:
@@ -129,8 +119,67 @@ def _tiers_config(tiers) -> list[dict] | None:
     return TierPolicy.from_config(tiers).to_config()
 
 
+def _unavailable(op: str, needs: str) -> DomainError:
+    return DomainError(f"{op}() requires {needs} durable cube")
+
+
+def _replay_out_of_order_batch(durable, record) -> None:
+    # mirror apply_out_of_order_many's schedule (newest time first,
+    # stable) *and* its failure behaviour: the original loop stopped at
+    # the first raising correction, leaving the earlier ones applied.
+    # The aged-out case in particular must not resurrect retired detail
+    # during replay.
+    kernel = durable.cube
+    for i in np.argsort(record.points[:, 0], kind="stable")[::-1]:
+        point = tuple(int(c) for c in record.points[i])
+        kernel.apply_out_of_order(point, int(record.deltas[i]))
+
+
+# Replay calls, ``(durable, record) -> result``.  A call that returns
+# ``False`` or raises a :class:`ReproError` skipped its record, as the
+# original call did; a record type missing from the directory's table is
+# one its front kind never logs.
+_REPLAY_EITHER = {
+    RetireRecord: lambda d, r: d.front.retire_before(r.time),
+    DrainRecord: lambda d, r: d.buffered and d.front.drain(r.limit),
+    CheckpointMarkerRecord: lambda d, r: True,
+}
+#: ``DurableCube.extent`` -> record type -> replay call
+_REPLAY = {
+    False: {
+        **_REPLAY_EITHER,
+        UpdateRecord: lambda d, r: d.front.update(r.point, r.delta),
+        UpdateBatchRecord: lambda d, r: d.front.update_many(
+            r.points, r.deltas, mode=r.mode
+        ),
+        OutOfOrderRecord: lambda d, r: d.cube.replay_out_of_order(r.point, r.delta),
+        OutOfOrderBatchRecord: _replay_out_of_order_batch,
+        DemoteRecord: lambda d, r: d.tiered and d.front.demote_before(r.time),
+    },
+    True: {
+        **_REPLAY_EITHER,
+        IntervalInsertRecord: lambda d, r: d.front.insert(
+            (r.start, r.end), r.cell, r.value
+        ),
+        IntervalBatchRecord: lambda d, r: d.front.insert_many(
+            r.intervals, r.cells, r.values, mode=r.mode
+        ),
+        AdvanceRecord: lambda d, r: d.front.advance(r.time),
+    },
+}
+
+
 class DurableCube:
-    """A kernel-backed cube with write-ahead logging and checkpoints.
+    """A cube front with write-ahead logging and checkpoints.
+
+    Every cube takes :meth:`retire_before`; point-object cubes take
+    :meth:`update` / :meth:`update_many`, unbuffered ones also
+    :meth:`apply_out_of_order` / :meth:`apply_out_of_order_many`, buffered
+    ones (extent included) :meth:`drain`, tiered ones
+    :meth:`demote_before`, and extent cubes :meth:`insert` /
+    :meth:`insert_many` / :meth:`advance`.  A mutation the configured
+    front does not have raises :class:`~repro.core.errors.DomainError`
+    before anything is logged.
 
     Parameters
     ----------
@@ -146,8 +195,14 @@ class DurableCube:
         out-of-order updates flow through :meth:`update`/:meth:`update_many`
         and :meth:`drain`; ``False`` exposes the raw append-only cube
         plus :meth:`apply_out_of_order`.
+    extent:
+        ``True`` logs an :class:`~repro.ecube.extent.ExtentCube`
+        (Section 2.4: two buffered families on one time axis) instead of
+        a point-object cube; the manifest records it, so :meth:`recover`
+        needs no hint.  Extent cubes are always buffered and never
+        tiered.
     backend:
-        ``"dense"`` | ``"paged"`` | ``"sparse"`` slice storage.
+        ``"dense"`` | ``"paged"`` (``"disk"``) | ``"sparse"`` slice storage.
     fsync:
         WAL fsync policy: ``"always"`` (fsync per record), ``"batch"``
         (group commit; at most ``group_commit`` trailing operations are
@@ -161,6 +216,7 @@ class DurableCube:
         directory,
         *,
         buffered: bool = True,
+        extent: bool = False,
         backend: str = "dense",
         num_times: int | None = None,
         counter: CostCounter | None = None,
@@ -174,17 +230,15 @@ class DurableCube:
         global_order_buffer: bool = False,
         tiers=None,
     ) -> None:
-        self.directory = Path(directory)
-        if read_manifest(self.directory) is not None:
+        directory = Path(directory)
+        if read_manifest(directory) is not None:
             raise StorageError(
-                f"{self.directory} already holds a durable cube; open it "
+                f"{directory} already holds a durable cube; open it "
                 "with DurableCube.recover"
             )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._config = {
+        config = {
             "slice_shape": [int(n) for n in slice_shape],
             "backend": backend,
-            "buffered": bool(buffered),
             "num_times": num_times,
             "copy_budget": copy_budget,
             "drain_threshold": drain_threshold,
@@ -193,41 +247,65 @@ class DurableCube:
             "fsync": fsync,
             "segment_bytes": int(segment_bytes),
             "group_commit": int(group_commit),
-            "global_order_buffer": bool(global_order_buffer),
-            "tiers": _tiers_config(tiers),
         }
-        self.front = _build_front(self._config, counter)
-        if self._config["tiers"] is not None:
-            from repro.retention import TieredCube
-
-            self.front = TieredCube(
-                self.front,
-                self._config["tiers"],
-                self.directory / TILES_SUBDIR,
-            )
-        self.buffered = bool(buffered)
-        self.wal = WriteAheadLog(
-            self.directory / WAL_SUBDIR,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            group_commit=group_commit,
-        )
+        if extent:
+            if not buffered or global_order_buffer or tiers is not None:
+                raise DomainError(
+                    "an extent cube is always buffered and takes neither "
+                    "a global-order buffer nor retention tiers"
+                )
+            config["extent"] = True
+        else:
+            config["buffered"] = bool(buffered)
+            config["global_order_buffer"] = bool(global_order_buffer)
+            config["tiers"] = _tiers_config(tiers)
+        directory.mkdir(parents=True, exist_ok=True)
+        self._attach(directory, config, counter)
+        self.wal = self._open_wal(fsync)
         self._manifest = CheckpointManifest(
             checkpoint_id=0,
             covered_lsn=0,
             checkpoint_file=None,
             live_segments=self.wal.segments(),
-            config=self._config,
+            config=config,
         )
-        publish_manifest(self.directory, self._manifest)
+        publish_manifest(directory, self._manifest)
         self.recovery_info: dict | None = None
+
+    def _attach(self, directory: Path, config: dict, counter) -> None:
+        """Bind to ``directory`` and build the front ``config`` names."""
+        self.directory = directory
+        self._config = config
+        #: the front holds TT-extent objects (an ``ExtentCube``)
+        self.extent = bool(config.get("extent"))
+        self.buffered = bool(config.get("buffered", True))
+        self.tiered = config.get("tiers") is not None
+        self.front = build_front(config, counter, directory / TILES_SUBDIR)
+
+    def _open_wal(self, fsync: str | None) -> WriteAheadLog:
+        config = self._config
+        return WriteAheadLog(
+            self.directory / WAL_SUBDIR,
+            fsync=fsync if fsync is not None else config.get("fsync", "batch"),
+            segment_bytes=int(config.get("segment_bytes", 4 << 20)),
+            group_commit=int(config.get("group_commit", 256)),
+        )
 
     # -- introspection -----------------------------------------------------------
 
     @property
     def cube(self):
-        """The wrapped kernel (unwraps tiered/``G_d`` fronts if present)."""
+        """The wrapped kernel (unwraps tiered/``G_d`` fronts if present).
+
+        An extent cube has two -- ``front.ended.cube`` and
+        ``front.containing.cube`` -- and this is the extent cube itself.
+        """
         return getattr(self.front, "cube", self.front)
+
+    def _kernels(self) -> tuple:
+        if self.extent:
+            return (self.front.ended.cube, self.front.containing.cube)
+        return (self.cube,)
 
     @property
     def counter(self) -> CostCounter:
@@ -253,6 +331,8 @@ class DurableCube:
 
     def update(self, point: Sequence[int], delta: int) -> None:
         """Log, then apply one update (in-order, or buffered if late)."""
+        if self.extent:
+            raise _unavailable("update", "a point-object")
         point = tuple(int(c) for c in point)
         self.wal.append(UpdateRecord(point, int(delta)))
         self.front.update(point, int(delta))
@@ -264,6 +344,8 @@ class DurableCube:
         mode: str = "fast",
     ) -> None:
         """Log the whole batch as one record, then apply it."""
+        if self.extent:
+            raise _unavailable("update_many", "a point-object")
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
         if points.shape[0] == 0:
@@ -272,12 +354,14 @@ class DurableCube:
         self.front.update_many(points, deltas, mode=mode)
 
     def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
-        """Log, then cascade one historic correction (unbuffered cubes)."""
+        """Log, then cascade one historic correction (unbuffered cubes).
+
+        Buffered cubes take historic updates through :meth:`update` /
+        :meth:`update_many`; this is the unbuffered escape hatch.
+        """
         if self.buffered:
-            raise DomainError(
-                "buffered durable cubes take historic updates through "
-                "update()/update_many(); apply_out_of_order is the "
-                "unbuffered escape hatch"
+            raise _unavailable(
+                "apply_out_of_order", "an unbuffered point-object"
             )
         point = tuple(int(c) for c in point)
         self.wal.append(OutOfOrderRecord(point, int(delta)))
@@ -289,10 +373,8 @@ class DurableCube:
         deltas: Sequence[int] | np.ndarray,
     ) -> int:
         if self.buffered:
-            raise DomainError(
-                "buffered durable cubes take historic updates through "
-                "update()/update_many(); apply_out_of_order_many is the "
-                "unbuffered escape hatch"
+            raise _unavailable(
+                "apply_out_of_order_many", "an unbuffered point-object"
             )
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
@@ -314,20 +396,56 @@ class DurableCube:
         so replaying it after a crash rewrites byte-identical tiles and
         rebuilds the same rollup slices.
         """
-        if self._config.get("tiers") is None:
-            raise DomainError(
-                "demote_before requires a tiered durable cube "
-                "(pass tiers=... when creating it)"
-            )
+        if not self.tiered:
+            raise _unavailable("demote_before", "a tiered (tiers=...)")
         self.wal.append(DemoteRecord(int(time)))
         return self.front.demote_before(int(time))
 
     def drain(self, limit: int | None = None) -> tuple[int, int]:
-        """Log, then drain the ``G_d`` buffer (buffered cubes only)."""
+        """Log, then drain the ``G_d`` buffer (both, on an extent cube)."""
         if not self.buffered:
-            raise DomainError("drain() requires a buffered durable cube")
+            raise _unavailable("drain", "a buffered")
         self.wal.append(DrainRecord(limit))
         return self.front.drain(limit)
+
+    def insert(self, interval, cell: Sequence[int], value: int = 1) -> None:
+        """Log, then insert one interval object (extent cubes)."""
+        if not self.extent:
+            raise _unavailable("insert", "a TT-extent (extent=True)")
+        interval = _as_interval(interval)
+        cell = tuple(int(c) for c in cell)
+        self.wal.append(
+            IntervalInsertRecord(interval.start, interval.end, cell, int(value))
+        )
+        self.front.insert(interval, cell, int(value))
+
+    def insert_many(
+        self,
+        intervals: Sequence[Sequence[int]] | np.ndarray,
+        cells: Sequence[Sequence[int]] | np.ndarray,
+        values: Sequence[int] | np.ndarray | None = None,
+        mode: str = "fast",
+    ) -> None:
+        """Log the whole interval batch as one record, then apply it."""
+        if not self.extent:
+            raise _unavailable("insert_many", "a TT-extent (extent=True)")
+        intervals = np.asarray(intervals, dtype=np.int64)
+        cells = np.asarray(cells, dtype=np.int64)
+        if intervals.shape[0] == 0:
+            return
+        if values is None:
+            values = np.ones(intervals.shape[0], dtype=np.int64)
+        else:
+            values = np.asarray(values, dtype=np.int64)
+        self.wal.append(IntervalBatchRecord(intervals, cells, values, mode))
+        self.front.insert_many(intervals, cells, values, mode=mode)
+
+    def advance(self, time: int) -> int:
+        """Log, then move the logical clock (flushing due interval ends)."""
+        if not self.extent:
+            raise _unavailable("advance", "a TT-extent (extent=True)")
+        self.wal.append(AdvanceRecord(int(time)))
+        return self.front.advance(int(time))
 
     # -- pass-through queries -----------------------------------------------------
 
@@ -340,6 +458,27 @@ class DurableCube:
     def total(self) -> int:
         return self.front.total()
 
+    def intersecting(
+        self, query, cell_box: Box | None = None, mode: str = "fast"
+    ) -> int:
+        return self.front.intersecting(query, cell_box, mode=mode)
+
+    def intersecting_many(
+        self, queries, cell_boxes=None, mode: str = "fast"
+    ) -> list[int]:
+        return self.front.intersecting_many(queries, cell_boxes, mode=mode)
+
+    def alive_at(
+        self, time: int, cell_box: Box | None = None, mode: str = "fast"
+    ) -> int:
+        return self.front.alive_at(time, cell_box, mode=mode)
+
+    def containment(self, query, cell_box: Box | None = None) -> int:
+        return self.front.containment(query, cell_box)
+
+    def containment_many(self, queries, cell_boxes=None) -> list[int]:
+        return self.front.containment_many(queries, cell_boxes)
+
     # -- checkpoints --------------------------------------------------------------
 
     def checkpoint(self) -> CheckpointManifest:
@@ -348,21 +487,24 @@ class DurableCube:
         The checkpoint-marker record pins the log position the snapshot
         corresponds to; the segment is rolled so everything up to the
         marker becomes droppable.  When the cube is being served
-        concurrently (a :class:`~repro.concurrent.snapshot.SnapshotCube`
-        is attached), the current epoch is pinned for the duration of
-        the archive write and its sequence is recorded in the manifest
-        as ``covered_epoch`` -- the archive then persists exactly the
-        state readers of that epoch were answering from, and the pin
-        keeps that epoch's slices from being rewritten underneath the
-        serializer.  Returns the published manifest.
+        concurrently (a snapshot front from :meth:`serve` is attached),
+        the current epoch of every kernel under the front -- one for a
+        point cube, two for an extent cube -- is pinned for the duration
+        of the archive write, which keeps the slices readers of those
+        epochs answer from from being rewritten underneath the
+        serializer.  A point cube records its pinned epoch's sequence in
+        the manifest as ``covered_epoch``.  Returns the published
+        manifest.
         """
         checkpoint_id = self._manifest.checkpoint_id + 1
         covered_lsn = self.wal.append(CheckpointMarkerRecord(checkpoint_id))
         self.wal.commit()
         self.wal.roll_segment()
-        sink = getattr(self.cube, "_epoch_sink", None)
-        pinned = sink.pin() if sink is not None else None
+        pins = []
         try:
+            for kernel in self._kernels():
+                if kernel._epoch_sink is not None:
+                    pins.append(kernel._epoch_sink.pin())
             self._manifest = write_checkpoint(
                 self.directory,
                 self.front,
@@ -370,22 +512,28 @@ class DurableCube:
                 checkpoint_id=checkpoint_id,
                 config=self._config,
                 wal=self.wal,
-                covered_epoch=pinned.sequence if pinned is not None else None,
+                covered_epoch=(
+                    pins[0].sequence if pins and not self.extent else None
+                ),
             )
         finally:
-            if pinned is not None:
+            for pinned in pins:
                 pinned.release()
         return self._manifest
 
     def serve(self):
         """Attach a snapshot-isolation front for concurrent readers.
 
-        Returns a :class:`~repro.concurrent.snapshot.SnapshotCube` over
-        this durable cube: route writes through it (one writer thread,
-        each one logged *then* applied and published as an epoch) and
-        pin epochs for lock-free reads from any thread.  Checkpoints
-        taken while serving record the epoch they cover in the manifest.
+        Returns a :class:`~repro.concurrent.snapshot.SnapshotCube` (a
+        :class:`~repro.concurrent.extent.SnapshotExtentCube` for an
+        extent cube) over this durable cube: route writes through it
+        (one writer thread, each one logged *then* applied and published
+        as an epoch) and pin epochs for lock-free reads from any thread.
         """
+        if self.extent:
+            from repro.concurrent.extent import SnapshotExtentCube
+
+            return SnapshotExtentCube(self)
         from repro.concurrent.snapshot import SnapshotCube
 
         return SnapshotCube(self)
@@ -406,7 +554,7 @@ class DurableCube:
     def __repr__(self) -> str:
         return (
             f"DurableCube({str(self.directory)!r}, "
-            f"backend={self._config['backend']!r}, "
+            f"backend={self._config['backend']!r}, extent={self.extent}, "
             f"buffered={self.buffered}, next_lsn={self.wal.next_lsn})"
         )
 
@@ -421,12 +569,14 @@ class DurableCube:
     ) -> "DurableCube":
         """Rebuild the durable cube living in ``directory``.
 
-        Latest checkpoint plus tail replay; a torn final log record is
-        truncated, records that failed originally are skipped (see
-        module docstring).  ``fsync`` overrides the logged policy for
-        the reopened log (e.g. recover with ``"always"`` a log written
-        with ``"batch"``).  The result continues logging where the
-        survivor left off; :attr:`recovery_info` reports what happened.
+        Opens whichever front the manifest records (point-object or
+        extent).  Latest checkpoint plus tail replay; a torn final log
+        record is truncated, records that failed originally are skipped
+        (see module docstring).  ``fsync`` overrides the logged policy
+        for the reopened log (e.g. recover with ``"always"`` a log
+        written with ``"batch"``).  The result continues logging where
+        the survivor left off; :attr:`recovery_info` reports what
+        happened.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
@@ -434,23 +584,8 @@ class DurableCube:
             raise RecoveryError(
                 f"{directory} holds no durable cube (missing manifest)"
             )
-        config = manifest.config
-        if config.get("extent"):
-            raise RecoveryError(
-                f"{directory} holds a TT-extent durable cube; open it with "
-                "DurableExtentCube.recover"
-            )
         self = cls.__new__(cls)
-        self.directory = directory
-        self._config = config
-        self.buffered = bool(config.get("buffered", True))
-        self.front = _build_front(config, counter)
-        if config.get("tiers") is not None:
-            from repro.retention import TieredCube
-
-            self.front = TieredCube(
-                self.front, config["tiers"], directory / TILES_SUBDIR
-            )
+        self._attach(directory, manifest.config, counter)
         if manifest.checkpoint_file is not None:
             archive_path = directory / manifest.checkpoint_file
             if not archive_path.exists():
@@ -462,20 +597,18 @@ class DurableCube:
             # serves queries straight off the checkpoint file (stores
             # promote a slice to heap copies on first write)
             with open_checkpoint(archive_path) as archive:
-                cube = getattr(self.front, "cube", self.front)
-                cube.copy_budget = int(archive["copy_budget"][0])
-                cube.restore_state(archive)
-                if self.buffered:
-                    self.front.restore_buffer_state(archive)
-                if "ret_meta" in archive:
-                    self.front.restore_retention_state(archive)
+                if self.extent:
+                    self.front.restore_state(archive)
+                else:
+                    cube = self.cube
+                    cube.copy_budget = int(archive["copy_budget"][0])
+                    cube.restore_state(archive)
+                    if self.buffered:
+                        self.front.restore_buffer_state(archive)
+                    if "ret_meta" in archive:
+                        self.front.restore_retention_state(archive)
         # opening for append repairs a torn tail before replay reads it
-        self.wal = WriteAheadLog(
-            directory / WAL_SUBDIR,
-            fsync=fsync if fsync is not None else config.get("fsync", "batch"),
-            segment_bytes=int(config.get("segment_bytes", 4 << 20)),
-            group_commit=int(config.get("group_commit", 256)),
-        )
+        self.wal = self._open_wal(fsync)
         self._manifest = manifest
         replayed = skipped = 0
         last_lsn = manifest.covered_lsn
@@ -495,58 +628,13 @@ class DurableCube:
 
     def _replay_record(self, record) -> bool:
         """Apply one tail record; ``False`` = skipped (failed originally)."""
-        front = self.front
-        kernel = self.cube
-        if isinstance(record, UpdateRecord):
-            try:
-                front.update(record.point, record.delta)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, UpdateBatchRecord):
-            try:
-                front.update_many(record.points, record.deltas, mode=record.mode)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, OutOfOrderRecord):
-            try:
-                return kernel.replay_out_of_order(record.point, record.delta)
-            except ReproError:
-                return False
-        if isinstance(record, OutOfOrderBatchRecord):
-            # mirror apply_out_of_order_many's schedule (newest time
-            # first, stable) *and* its failure behaviour: the original
-            # loop stopped at the first raising correction, leaving the
-            # earlier ones applied.  The aged-out case in particular must
-            # not resurrect retired detail during replay.
-            order = np.argsort(record.points[:, 0], kind="stable")[::-1]
-            for i in order:
-                point = tuple(int(c) for c in record.points[i])
-                try:
-                    kernel.apply_out_of_order(point, int(record.deltas[i]))
-                except ReproError:
-                    return False
-            return True
-        if isinstance(record, RetireRecord):
-            try:
-                front.retire_before(record.time)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, DemoteRecord):
-            if self._config.get("tiers") is None:
-                return False
-            try:
-                front.demote_before(record.time)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, DrainRecord):
-            if not self.buffered:
-                return False
-            front.drain(record.limit)
-            return True
-        if isinstance(record, CheckpointMarkerRecord):
-            return True
-        raise RecoveryError(f"cannot replay {type(record).__name__}")
+        replay = _REPLAY[self.extent].get(type(record))
+        if replay is None:
+            raise RecoveryError(
+                f"cannot replay {type(record).__name__} into "
+                f"{'an extent' if self.extent else 'a point-object'} cube"
+            )
+        try:
+            return replay(self, record) is not False
+        except ReproError:
+            return False

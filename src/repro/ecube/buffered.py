@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.errors import AgedOutError, DomainError
 from repro.core.out_of_order import OutOfOrderBuffer
 from repro.core.types import Box
-from repro.ecube.ecube import EvolvingDataCube
+from repro.ecube.factory import build_kernel
 from repro.metrics import CostCounter
 
 
@@ -58,11 +58,10 @@ class BufferedEvolvingDataCube:
         ``"sparse"`` (dict-of-touched-cells).  The ``G_d`` buffering,
         draining and batch semantics are identical across backends
         because they all run the same :class:`~repro.ecube.kernel.CubeKernel`.
-    cube:
-        An already-constructed kernel-backed cube to wrap instead of
-        building one (the multi-family :class:`~repro.ecube.extent.ExtentCube`
-        injects kernels bound to a shared time axis this way); ``backend``
-        and the construction parameters are ignored when given.
+    directory:
+        A :class:`~repro.ecube.families.FamilyDirectory` for the wrapped
+        kernel, which binds it to a shared time axis (the multi-family
+        :class:`~repro.ecube.extent.ExtentCube`); default: a private one.
     """
 
     def __init__(
@@ -76,43 +75,19 @@ class BufferedEvolvingDataCube:
         backend: str = "dense",
         page_size: int | None = None,
         cell_size: int | None = None,
-        cube=None,
+        directory=None,
     ) -> None:
-        if cube is not None:
-            self.cube = cube
-        elif backend == "dense":
-            self.cube = EvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=counter,
-                copy_budget=copy_budget,
-                min_density=min_density,
-            )
-        elif backend in ("paged", "disk"):
-            from repro.ecube.disk import DiskEvolvingDataCube
-            from repro.storage.layout import (
-                DEFAULT_CELL_SIZE,
-                DEFAULT_PAGE_SIZE,
-            )
-
-            self.cube = DiskEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=counter,
-                page_size=page_size if page_size is not None else DEFAULT_PAGE_SIZE,
-                cell_size=cell_size if cell_size is not None else DEFAULT_CELL_SIZE,
-            )
-        elif backend == "sparse":
-            from repro.ecube.sparse import SparseEvolvingDataCube
-
-            self.cube = SparseEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=counter,
-                copy_budget=copy_budget,
-            )
-        else:
-            raise DomainError(f"unknown storage backend {backend!r}")
+        self.cube = build_kernel(
+            slice_shape,
+            backend,
+            num_times=num_times,
+            counter=counter,
+            copy_budget=copy_budget,
+            min_density=min_density,
+            page_size=page_size,
+            cell_size=cell_size,
+            directory=directory,
+        )
         self.buffer = OutOfOrderBuffer(self.cube.ndim)
         if drain_threshold is not None and not 0 < drain_threshold <= 1:
             raise DomainError(
@@ -151,8 +126,11 @@ class BufferedEvolvingDataCube:
         bypass this wrapper when they retire -- for them, corrections
         below the demotion watermark are live tier-correction state.
         """
-        retired = self.cube.retire_before(time)
-        self.prune_retired()
+        # one logical write: a snapshot reader must never see the detail
+        # retired with the dead corrections still in G_d
+        with self.cube.publish_barrier():
+            retired = self.cube.retire_before(time)
+            self.prune_retired()
         return retired
 
     def prune_retired(self) -> int:
@@ -167,7 +145,10 @@ class BufferedEvolvingDataCube:
         if retired == 0 or not len(self.buffer):
             return 0
         boundary_time = self.cube.occurring_times()[retired]
-        return self.buffer.prune_below(int(boundary_time) + 1)
+        removed = self.buffer.prune_below(int(boundary_time) + 1)
+        if removed:
+            self.cube.note_external_mutation()
+        return removed
 
     def resident_slice_bytes(self) -> int:
         """Resident payload bytes of the wrapped cube's live slices."""
@@ -354,7 +335,7 @@ class BufferedEvolvingDataCube:
             kept: list[tuple[tuple[int, ...], int]] = []
             for point, delta in drained:
                 try:
-                    self.cube.apply_out_of_order(point, delta)
+                    self._apply_drained(point, delta)
                     applied += 1
                 except AgedOutError:
                     kept.append((point, delta))
@@ -365,3 +346,7 @@ class BufferedEvolvingDataCube:
             if drained:
                 self.cube.note_external_mutation()
         return applied, len(kept)
+
+    def _apply_drained(self, point: tuple[int, ...], delta: int) -> None:
+        """Land one drained correction in the cube (the shard front differs)."""
+        self.cube.apply_out_of_order(point, delta)

@@ -52,21 +52,30 @@ fold the pending set in analytically:
 
 Pure queries make the cube's durable state a function of its mutation
 log alone, which is what lets
-:class:`~repro.durability.extent.DurableExtentCube` recover to a
-bit-equivalent cube by replaying only mutation records.
+:class:`~repro.durability.recovery.DurableCube` recover an extent
+directory to a bit-equivalent cube by replaying only mutation records.
+
+One read path
+-------------
+Both aggregates are written once, as :func:`intersection_aggregates` and
+:func:`containment_aggregates`, against *where the state comes from*:
+the callables that answer each family's ``query_many`` and the pending
+and moved-over columns.  :class:`ExtentCube` binds them to its live
+families; a pinned :class:`~repro.concurrent.extent.ExtentSnapshotView`
+binds them to two pinned epochs and the columns frozen with them.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
 from repro.core.errors import AgedOutError, AppendOrderError, DomainError
 from repro.core.types import Box, TimeInterval
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.families import FamilyDirectory, SharedTimeAxis
 from repro.metrics import CostCounter
 
@@ -78,6 +87,139 @@ def _as_interval(value) -> TimeInterval:
         return value
     start, end = value
     return TimeInterval(int(start), int(end))
+
+
+def _in_box(cells: np.ndarray, box: Box) -> np.ndarray:
+    lower = np.asarray(box.lower, dtype=np.int64)
+    upper = np.asarray(box.upper, dtype=np.int64)
+    return np.logical_and(
+        (cells >= lower).all(axis=1), (cells <= upper).all(axis=1)
+    )
+
+
+def _normalized(
+    queries: Sequence,
+    cell_boxes: Sequence[Box | None] | None,
+    slice_shape: tuple[int, ...],
+) -> tuple[list[TimeInterval], list[Box]]:
+    """Intervals plus one cell box each (``None`` = the whole slice)."""
+    queries = [_as_interval(q) for q in queries]
+    if cell_boxes is None:
+        cell_boxes = [None] * len(queries)
+    boxes = []
+    for box in cell_boxes:
+        if box is None:
+            box = Box((0,) * len(slice_shape), tuple(n - 1 for n in slice_shape))
+        elif box.ndim != len(slice_shape):
+            raise DomainError(
+                f"cell box arity {box.ndim} != {len(slice_shape)}"
+            )
+        boxes.append(box)
+    if len(boxes) != len(queries):
+        raise DomainError("need exactly one cell box per query")
+    return queries, boxes
+
+
+def intersection_aggregates(
+    queries: Sequence,
+    cell_boxes: Sequence[Box | None] | None,
+    ended: Callable[[list[Box]], list[int]],
+    containing: Callable[[list[Box]], list[int]],
+    pending: tuple[np.ndarray, ...],
+    min_time: int | None,
+    slice_shape: tuple[int, ...],
+) -> list[int]:
+    """Batch intersection aggregates: ``b(t_up) + c(t_up) - b(t_low)``.
+
+    ``ended`` and ``containing`` answer a batch of point-prefix boxes on
+    family ``B`` and ``C``.  The three sub-queries of every batch entry
+    are gathered into one call per family, then the correction for the
+    ``pending`` ``(starts, effectives, cells, values)`` columns is
+    folded in columnar.
+    """
+    queries, boxes = _normalized(queries, cell_boxes, slice_shape)
+    if min_time is None:
+        return [0] * len(queries)
+    results = np.zeros(len(queries), dtype=np.int64)
+
+    def prefix_box(time: int, box: Box) -> Box | None:
+        if time < min_time:
+            return None
+        return Box((min_time,) + box.lower, (time,) + box.upper)
+
+    b_boxes: list[Box] = []
+    b_slots: list[tuple[int, int]] = []  # (query index, sign)
+    c_boxes: list[Box] = []
+    c_slots: list[int] = []
+    for i, (query, box) in enumerate(zip(queries, boxes)):
+        upper = prefix_box(query.end, box)
+        if upper is not None:
+            b_boxes.append(upper)
+            b_slots.append((i, 1))
+            c_boxes.append(upper)
+            c_slots.append(i)
+        lower = prefix_box(query.start, box)
+        if lower is not None:
+            b_boxes.append(lower)
+            b_slots.append((i, -1))
+    if b_boxes:
+        for (i, sign), value in zip(b_slots, ended(b_boxes)):
+            results[i] += sign * value
+    if c_boxes:
+        for i, value in zip(c_slots, containing(c_boxes)):
+            results[i] += value
+    p_starts, p_effs, p_cells, p_values = pending
+    if p_values.size:
+        for i, (query, box) in enumerate(zip(queries, boxes)):
+            mask = (p_starts <= query.end) & (p_effs <= query.start)
+            if bool(mask.any()):
+                mask &= _in_box(p_cells, box)
+                results[i] -= int(p_values[mask].sum())
+    return [int(v) for v in results]
+
+
+def containment_aggregates(
+    queries: Sequence,
+    cell_boxes: Sequence[Box | None] | None,
+    pending: tuple[np.ndarray, ...],
+    moved: tuple[np.ndarray, ...],
+    retired_below: int | None,
+    slice_shape: tuple[int, ...],
+) -> list[int]:
+    """Batch containment aggregates (dominance over ``(end, start)``).
+
+    Answered entirely from the ``moved`` ``(starts, ends, cells,
+    values)`` index plus the ``pending`` columns -- a pending interval
+    is contained in ``[t_low, t_up]`` iff ``start >= t_low`` and
+    ``effective <= t_up + 1``.  A query starting below ``retired_below``
+    (the cutoff :meth:`ExtentCube.prune_retired` installed) raises
+    :class:`~repro.core.errors.AgedOutError`.
+    """
+    queries, boxes = _normalized(queries, cell_boxes, slice_shape)
+    if retired_below is not None:
+        for query in queries:
+            if query.start < retired_below:
+                raise AgedOutError(
+                    f"containment query starting at {query.start} reaches "
+                    f"into the pruned region below {retired_below}"
+                )
+    f_starts, f_ends, f_cells, f_values = moved
+    p_starts, p_effs, p_cells, p_values = pending
+    results = []
+    for query, box in zip(queries, boxes):
+        total = 0
+        if f_values.size:
+            mask = (f_starts >= query.start) & (f_ends <= query.end)
+            if bool(mask.any()):
+                mask &= _in_box(f_cells, box)
+                total += int(f_values[mask].sum())
+        if p_values.size:
+            mask = (p_starts >= query.start) & (p_effs <= query.end + 1)
+            if bool(mask.any()):
+                mask &= _in_box(p_cells, box)
+                total += int(p_values[mask].sum())
+        results.append(total)
+    return results
 
 
 class ExtentCube:
@@ -109,29 +251,24 @@ class ExtentCube:
         drain_threshold: float | None = None,
         page_size: int | None = None,
         cell_size: int | None = None,
-        finalize_threshold: float = 0.05,
-        finalize_after: int = 3,
     ) -> None:
         self.counter = counter if counter is not None else CostCounter()
         self.axis = SharedTimeAxis()
-        fronts = []
-        for _ in ("ended", "containing"):
-            kernel = self._build_kernel(
+        fronts = [
+            BufferedEvolvingDataCube(
                 slice_shape,
-                num_times,
-                backend,
-                copy_budget,
-                min_density,
-                page_size,
-                cell_size,
-                finalize_threshold,
-                finalize_after,
+                num_times=num_times,
+                counter=self.counter,
+                copy_budget=copy_budget,
+                min_density=min_density,
+                drain_threshold=drain_threshold,
+                backend=backend,
+                page_size=page_size,
+                cell_size=cell_size,
+                directory=FamilyDirectory(self.axis),
             )
-            fronts.append(
-                BufferedEvolvingDataCube(
-                    slice_shape, drain_threshold=drain_threshold, cube=kernel
-                )
-            )
+            for _ in ("ended", "containing")
+        ]
         #: family B -- intervals that ended strictly before the reading time
         self.ended = fronts[0]
         #: family C -- intervals containing the reading time
@@ -154,54 +291,6 @@ class ExtentCube:
         self._cont_retired_below: int | None = None
         self._seq = 0
         self.objects_inserted = 0
-
-    def _build_kernel(
-        self,
-        slice_shape,
-        num_times,
-        backend,
-        copy_budget,
-        min_density,
-        page_size,
-        cell_size,
-        finalize_threshold,
-        finalize_after,
-    ):
-        directory = FamilyDirectory(self.axis)
-        if backend == "dense":
-            return EvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=self.counter,
-                copy_budget=copy_budget,
-                min_density=min_density,
-                finalize_threshold=finalize_threshold,
-                finalize_after=finalize_after,
-                directory=directory,
-            )
-        if backend in ("paged", "disk"):
-            from repro.ecube.disk import DiskEvolvingDataCube
-            from repro.storage.layout import DEFAULT_CELL_SIZE, DEFAULT_PAGE_SIZE
-
-            return DiskEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=self.counter,
-                page_size=page_size if page_size is not None else DEFAULT_PAGE_SIZE,
-                cell_size=cell_size if cell_size is not None else DEFAULT_CELL_SIZE,
-                directory=directory,
-            )
-        if backend == "sparse":
-            from repro.ecube.sparse import SparseEvolvingDataCube
-
-            return SparseEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=self.counter,
-                copy_budget=copy_budget,
-                directory=directory,
-            )
-        raise DomainError(f"unknown storage backend {backend!r}")
 
     # -- introspection ---------------------------------------------------------
 
@@ -499,18 +588,6 @@ class ExtentCube:
 
     # -- queries ---------------------------------------------------------------
 
-    def _cell_box(self, cell_box: Box | None) -> Box:
-        if cell_box is None:
-            return Box(
-                (0,) * len(self.slice_shape),
-                tuple(n - 1 for n in self.slice_shape),
-            )
-        if cell_box.ndim != len(self.slice_shape):
-            raise DomainError(
-                f"cell box arity {cell_box.ndim} != {len(self.slice_shape)}"
-            )
-        return cell_box
-
     def _pending_columns(self) -> tuple[np.ndarray, ...]:
         if self._pending_cache is None:
             pending = self._pending
@@ -537,14 +614,6 @@ class ExtentCube:
             )
         return self._cont_cache
 
-    @staticmethod
-    def _in_box(cells: np.ndarray, box: Box) -> np.ndarray:
-        lower = np.asarray(box.lower, dtype=np.int64)
-        upper = np.asarray(box.upper, dtype=np.int64)
-        return np.logical_and(
-            (cells >= lower).all(axis=1), (cells <= upper).all(axis=1)
-        )
-
     def intersecting(
         self, query, cell_box: Box | None = None, mode: str = "fast"
     ) -> int:
@@ -557,64 +626,21 @@ class ExtentCube:
         cell_boxes: Sequence[Box | None] | None = None,
         mode: str = "fast",
     ) -> list[int]:
-        """Batch intersection aggregates: ``b(t_up) + c(t_up) - b(t_low)``.
+        """Batch intersection aggregates (:func:`intersection_aggregates`).
 
-        The three point-prefix sub-queries of every batch entry are
-        gathered into one ``query_many`` call per family (sharing
-        compiled kernels and term tables across the batch), then the
-        pending-set correction is folded in columnar.
+        One ``query_many`` call per family in the given execution mode,
+        so the batch shares the compiled kernels and ``mode="metered"``
+        charges the per-query counted costs.
         """
-        queries = [_as_interval(q) for q in queries]
-        if cell_boxes is None:
-            cell_boxes = [None] * len(queries)
-        boxes = [self._cell_box(b) for b in cell_boxes]
-        if len(boxes) != len(queries):
-            raise DomainError("need exactly one cell box per query")
-        if not queries:
-            return []
-        results = np.zeros(len(queries), dtype=np.int64)
-        if self._min_time is None:
-            return [0] * len(queries)
-        low = self._min_time
-
-        def prefix_box(time: int, box: Box) -> Box | None:
-            if time < low:
-                return None
-            return Box((low,) + box.lower, (time,) + box.upper)
-
-        b_boxes: list[Box] = []
-        b_slots: list[tuple[int, int]] = []  # (query index, sign)
-        c_boxes: list[Box] = []
-        c_slots: list[int] = []
-        for i, (query, box) in enumerate(zip(queries, boxes)):
-            upper = prefix_box(query.end, box)
-            if upper is not None:
-                b_boxes.append(upper)
-                b_slots.append((i, 1))
-                c_boxes.append(upper)
-                c_slots.append(i)
-            lower = prefix_box(query.start, box)
-            if lower is not None:
-                b_boxes.append(lower)
-                b_slots.append((i, -1))
-        if b_boxes:
-            for (i, sign), value in zip(
-                b_slots, self.ended.query_many(b_boxes, mode=mode)
-            ):
-                results[i] += sign * value
-        if c_boxes:
-            for i, value in zip(
-                c_slots, self.containing.query_many(c_boxes, mode=mode)
-            ):
-                results[i] += value
-        p_starts, p_effs, p_cells, p_values = self._pending_columns()
-        if p_values.size:
-            for i, (query, box) in enumerate(zip(queries, boxes)):
-                mask = (p_starts <= query.end) & (p_effs <= query.start)
-                if bool(mask.any()):
-                    mask &= self._in_box(p_cells, box)
-                    results[i] -= int(p_values[mask].sum())
-        return [int(v) for v in results]
+        return intersection_aggregates(
+            queries,
+            cell_boxes,
+            partial(self.ended.query_many, mode=mode),
+            partial(self.containing.query_many, mode=mode),
+            self._pending_columns(),
+            self._min_time,
+            self.slice_shape,
+        )
 
     def alive_at(
         self, time: int, cell_box: Box | None = None, mode: str = "fast"
@@ -633,44 +659,15 @@ class ExtentCube:
         queries: Sequence,
         cell_boxes: Sequence[Box | None] | None = None,
     ) -> list[int]:
-        """Batch containment aggregates (dominance over ``(end, start)``).
-
-        Answered entirely from the columnar moved-over index plus the
-        pending set -- a pending interval is contained in
-        ``[t_low, t_up]`` iff ``start >= t_low`` and
-        ``effective <= t_up + 1``.
-        """
-        queries = [_as_interval(q) for q in queries]
-        if cell_boxes is None:
-            cell_boxes = [None] * len(queries)
-        boxes = [self._cell_box(b) for b in cell_boxes]
-        if len(boxes) != len(queries):
-            raise DomainError("need exactly one cell box per query")
-        if self._cont_retired_below is not None:
-            for query in queries:
-                if query.start < self._cont_retired_below:
-                    raise AgedOutError(
-                        f"containment query starting at {query.start} reaches "
-                        f"into the pruned region below "
-                        f"{self._cont_retired_below}"
-                    )
-        f_starts, f_ends, f_cells, f_values = self._cont_columns()
-        p_starts, p_effs, p_cells, p_values = self._pending_columns()
-        results = []
-        for query, box in zip(queries, boxes):
-            total = 0
-            if f_values.size:
-                mask = (f_starts >= query.start) & (f_ends <= query.end)
-                if bool(mask.any()):
-                    mask &= self._in_box(f_cells, box)
-                    total += int(f_values[mask].sum())
-            if p_values.size:
-                mask = (p_starts >= query.start) & (p_effs <= query.end + 1)
-                if bool(mask.any()):
-                    mask &= self._in_box(p_cells, box)
-                    total += int(p_values[mask].sum())
-            results.append(total)
-        return results
+        """Batch containment aggregates (:func:`containment_aggregates`)."""
+        return containment_aggregates(
+            queries,
+            cell_boxes,
+            self._pending_columns(),
+            self._cont_columns(),
+            self._cont_retired_below,
+            self.slice_shape,
+        )
 
     # -- durability hooks (checkpoint snapshots and log replay) ----------------
 

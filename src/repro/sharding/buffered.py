@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import AgedOutError, AppendOrderError
+from repro.core.errors import AppendOrderError
 from repro.ecube.buffered import BufferedEvolvingDataCube
 
 
@@ -51,27 +51,11 @@ class ShardBufferedCube(BufferedEvolvingDataCube):
         self.total_updates += int(points.shape[0])
         self._maybe_drain()
 
-    def drain(self, limit: int | None = None) -> tuple[int, int]:
+    def _apply_drained(self, point: tuple[int, ...], delta: int) -> None:
         """Oracle-equivalent drain tolerating locally-future corrections."""
-        with self.cube.publish_barrier():
-            drained = self.buffer.drain(limit)
-            applied = 0
-            kept: list[tuple[tuple[int, ...], int]] = []
-            for point, delta in drained:
-                try:
-                    self.cube.apply_out_of_order(point, delta)
-                    applied += 1
-                except AppendOrderError:
-                    # newer than every local instance: appending is the
-                    # correction for this shard
-                    self.cube.update(point, delta)
-                    applied += 1
-                except AgedOutError:
-                    kept.append((point, delta))
-            if kept:
-                self.buffer.add_many(
-                    [point for point, _ in kept], [delta for _, delta in kept]
-                )
-            if drained:
-                self.cube.note_external_mutation()
-        return applied, len(kept)
+        try:
+            self.cube.apply_out_of_order(point, delta)
+        except AppendOrderError:
+            # newer than every local instance: appending is the
+            # correction for this shard
+            self.cube.update(point, delta)

@@ -38,7 +38,6 @@ from repro.metrics import CostCounter
 
 from repro.concurrent.snapshot import SnapshotCube, SnapshotView, prepare_epoch
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.sharding.buffered import ShardBufferedCube
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
     BlockCache,
@@ -51,13 +50,15 @@ from repro.sharding.shm import (
 def _build_shard_front(config: dict, counter: CostCounter):
     """The shard-local cube front for a worker config."""
     durable_dir = config.get("durable_dir")
+    # a buffered shard obeys the router's global append order
+    buffered = bool(config.get("buffered", False))
     if durable_dir is not None:
         if config.get("recover"):
             return DurableCube.recover(durable_dir, counter=counter)
         return DurableCube(
             config["slice_shape"],
             durable_dir,
-            buffered=config.get("buffered", False),
+            buffered=buffered,
             backend=config.get("backend", "dense"),
             num_times=config.get("num_times"),
             counter=counter,
@@ -65,34 +66,14 @@ def _build_shard_front(config: dict, counter: CostCounter):
             page_size=config.get("page_size"),
             cell_size=config.get("cell_size"),
             fsync=config.get("fsync", "batch"),
-            global_order_buffer=config.get("buffered", False),
+            global_order_buffer=buffered,
             tiers=config.get("tiers"),
         )
-    if config.get("buffered"):
-        front = ShardBufferedCube(
-            config["slice_shape"],
-            num_times=config.get("num_times"),
-            counter=counter,
-            drain_threshold=config.get("drain_threshold"),
-            backend=config.get("backend", "dense"),
-            page_size=config.get("page_size"),
-            cell_size=config.get("cell_size"),
-        )
-    else:
-        front = build_front(
-            {
-                "slice_shape": config["slice_shape"],
-                "backend": config.get("backend", "dense"),
-                "num_times": config.get("num_times"),
-                "buffered": False,
-            },
-            counter,
-        )
-    if config.get("tiers") is not None:
-        from repro.retention import TieredCube
-
-        front = TieredCube(front, config["tiers"], config["tile_dir"])
-    return front
+    return build_front(
+        {**config, "buffered": buffered, "global_order_buffer": buffered},
+        counter,
+        config.get("tile_dir"),
+    )
 
 
 class ShardWorkerState:

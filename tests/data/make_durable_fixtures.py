@@ -1,0 +1,146 @@
+"""Writes the durable-directory fixtures next to this file.
+
+``durable_point/`` is a buffered, tiered point cube and
+``durable_extent/`` a TT-extent cube; each holds one checkpoint and a
+log tail behind it.  The committed copies were written by commit e4e8b7e
+(the last one with a second durable class for extent cubes), so
+``tests/test_durability_checkpoint.py`` proves that directories from
+before the two classes were merged still recover.  The op lists below
+are what the test replays into a live replica.
+
+Regenerate (only when the on-disk format changes on purpose)::
+
+    PYTHONPATH=src python tests/data/make_durable_fixtures.py
+"""
+
+from __future__ import annotations
+
+import inspect
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+from repro.durability import DurableCube
+
+HERE = Path(__file__).resolve().parent
+SHAPE = (4, 4)
+TIERS = [
+    {"name": "hour", "granularity": 4, "horizon": 16},
+    {"name": "day", "granularity": 8, "horizon": None},
+]
+
+
+def _batch(times):
+    times = np.asarray(times, dtype=np.int64)
+    points = np.column_stack((times, times % 4, (times * 3) % 4))
+    return points, (times % 5) + 1
+
+
+#: ("checkpoint",) is applied to the durable cube only
+POINT_OPS = (
+    [("update", (t, t % 4, (t + 1) % 4), t + 1) for t in range(0, 12, 3)]
+    + [
+        ("update_many", *_batch([12, 13, 5, 14, 3, 14]), "fast"),  # two late
+        ("drain", 1),
+        ("demote", 8),
+        ("update_many", *_batch([15, 16, 16]), "metered"),
+        ("checkpoint",),
+        ("update", (18, 1, 2), 7),
+        ("update", (10, 3, 3), -2),  # late, above the demoted region
+        ("update_many", *_batch([19, 4, 20, 22]), "fast"),  # late, below it
+        ("demote", 14),
+        ("drain", None),
+        ("update", (23, 0, 0), 4),
+        ("update", (17, 2, 1), 3),  # stays in G_d
+    ]
+)
+
+EXTENT_OPS = (
+    [
+        ("insert", (t, t + 1 + t % 4), (t % 4, (t * 3) % 4), 1 + t % 3)
+        for t in range(0, 9, 3)
+    ]
+    + [
+        (
+            "insert_many",
+            np.array([[9, 30], [10, 10], [2, 4], [10, 13]], dtype=np.int64),  # one late
+            np.array([[0, 1], [1, 1], [2, 3], [3, 0]], dtype=np.int64),
+            np.array([2, 1, 3, 1], dtype=np.int64),
+            "fast",
+        ),
+        ("advance", 12),
+        ("drain", None),
+        ("retire", 4),
+        ("checkpoint",),
+        ("insert", (13, 14), (1, 2), 5),
+        ("insert", (7, 20), (3, 3), 2),  # late start
+        (
+            "insert_many",
+            np.array([[15, 15], [16, 40]], dtype=np.int64),
+            np.array([[0, 0], [2, 2]], dtype=np.int64),
+            np.array([1, 4], dtype=np.int64),
+            "metered",
+        ),
+        ("advance", 22),
+        ("drain", 1),
+    ]
+)
+
+
+def apply_op(front, op) -> None:
+    kind, *args = op
+    if kind == "update":
+        front.update(*args)
+    elif kind == "update_many":
+        front.update_many(args[0], args[1], mode=args[2])
+    elif kind == "insert":
+        front.insert(*args)
+    elif kind == "insert_many":
+        front.insert_many(args[0], args[1], args[2], mode=args[3])
+    elif kind == "advance":
+        front.advance(*args)
+    elif kind == "drain":
+        front.drain(*args)
+    elif kind == "retire":
+        front.retire_before(*args)
+    elif kind == "demote":
+        front.demote_before(*args)
+    elif kind == "checkpoint":
+        front.checkpoint()
+    else:  # pragma: no cover - typo in an op list
+        raise AssertionError(kind)
+
+
+def _extent_cube(directory):
+    if "extent" in inspect.signature(DurableCube.__init__).parameters:
+        return DurableCube(SHAPE, directory, extent=True, fsync="off")
+    # commit e4e8b7e, which wrote the committed fixtures
+    from repro.durability import extent as legacy
+
+    return getattr(legacy, "Durable" "ExtentCube")(SHAPE, directory, fsync="off")
+
+
+def _point_cube(directory):
+    return DurableCube(SHAPE, directory, tiers=TIERS, fsync="off")
+
+
+FIXTURES = {
+    "durable_point": (_point_cube, POINT_OPS),
+    "durable_extent": (_extent_cube, EXTENT_OPS),
+}
+
+
+def write(name: str, directory) -> None:
+    """Run fixture ``name``'s op list against a new durable ``directory``."""
+    create, ops = FIXTURES[name]
+    cube = create(directory)
+    for op in ops:
+        apply_op(cube, op)
+    cube.close()
+
+
+if __name__ == "__main__":
+    for fixture in FIXTURES:
+        shutil.rmtree(HERE / fixture, ignore_errors=True)
+        write(fixture, HERE / fixture)

@@ -29,6 +29,8 @@ from hypothesis.stateful import (
 
 from repro.core.errors import AgedOutError
 from repro.core.types import Box
+from repro.durability import DurableCube
+from repro.durability.recovery import build_front
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
@@ -228,6 +230,41 @@ class TestAgingOnAllBackends:
                     (cube.occurring_times()[0], 0, 0), 1
                 )
         assert len(set(retired_counts.values())) == 1, retired_counts
+
+
+class TestBackendNamesOnEveryFront:
+    """One backend switch: every front takes the same names and aliases."""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    @pytest.mark.parametrize("front", ["unbuffered", "buffered", "extent"])
+    @pytest.mark.parametrize(
+        "name, kind",
+        [("dense", "dense"), ("paged", "paged"), ("disk", "paged"), ("sparse", "sparse")],
+    )
+    def test_name_selects_the_store(self, tmp_path, name, kind, front, durable):
+        if durable:
+            with DurableCube(
+                (4,),
+                tmp_path,
+                backend=name,
+                buffered=front != "unbuffered",
+                extent=front == "extent",
+            ) as cube:
+                built = cube.front
+        else:
+            config = {
+                "slice_shape": [4],
+                "backend": name,
+                "buffered": front == "buffered",
+                "extent": front == "extent",
+            }
+            built = build_front(config, None)
+        families = (
+            (built.ended, built.containing) if front == "extent" else (built,)
+        )
+        assert [getattr(f, "cube", f).store.kind for f in families] == (
+            [kind] * len(families)
+        )
 
 
 # -- stateful machines: every backend against a dense model --------------------

@@ -136,6 +136,22 @@ class TestEpochSemantics:
             with pytest.raises(AgedOutError):
                 fresh.query(Box((1, 0, 0), (2, 5, 5)))
 
+    def test_buffered_retire_prunes_gd_in_the_epoch_it_publishes(self):
+        front = BufferedEvolvingDataCube((4,))
+        snap = SnapshotCube(front)
+        for t in range(5):
+            snap.update((t, 0), 10)
+        snap.update((1, 1), 7)  # historic -> buffered
+        box = Box((0, 0), (8, 3))
+        assert snap.query_many([box]) == front.query_many([box]) == [57]
+        sequence_before = snap.current_sequence()
+        snap.retire_before(5)
+        # the retire drops the dead correction from G_d: the snapshot
+        # sees that in the same (single) epoch as the live front
+        assert front.buffered_updates == 0
+        assert snap.current_sequence() == sequence_before + 1
+        assert snap.query_many([box]) == front.query_many([box])
+
     def test_buffer_only_publish_reuses_frozen_cache(self, rng):
         front = BufferedEvolvingDataCube((4, 4), num_times=16)
         snap = SnapshotCube(front)

@@ -1,5 +1,10 @@
 """Checkpoints: manifest publication, compaction, multi-backend snapshots.
 
+``TestDirectoriesWrittenByAnOlderCommit`` recovers the fixture
+directories under ``tests/data/`` (see ``make_durable_fixtures.py``
+there), so a format or replay change that strands existing directories
+fails here.
+
 Also covers the serialize-layer companions: ``save_kernel`` /
 ``load_kernel`` round-trip every backend, ``save_cube`` refuses
 non-dense cubes with a clear :class:`StorageError`, and archives written
@@ -9,6 +14,7 @@ by a future format version are refused with an upgrade hint.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -21,7 +27,9 @@ from repro.durability.checkpoint import (
     CheckpointManifest,
     publish_manifest,
     read_manifest,
+    snapshot_arrays,
 )
+from repro.durability.recovery import TILES_SUBDIR, build_front
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.storage.serialize import (
@@ -33,6 +41,7 @@ from repro.storage.serialize import (
 )
 
 from tests.conftest import brute_box_sum, random_box
+from tests.data import make_durable_fixtures as fixtures
 
 BACKENDS = ["dense", "paged", "sparse"]
 SHAPE = (24, 8, 8)
@@ -178,6 +187,90 @@ class TestCheckpointCycle:
         DurableCube((4, 4), tmp_path, fsync="off").close()
         with pytest.raises(StorageError, match="recover"):
             DurableCube((4, 4), tmp_path, fsync="off")
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+class TestDirectoriesWrittenByAnOlderCommit:
+    def test_this_commit_writes_the_same_bytes(self, tmp_path, name):
+        fixtures.write(name, tmp_path / name)
+        theirs, ours = fixtures.HERE / name, tmp_path / name
+        files = sorted(p.relative_to(theirs) for p in theirs.rglob("*") if p.is_file())
+        assert files == sorted(
+            p.relative_to(ours) for p in ours.rglob("*") if p.is_file()
+        )
+        for file in files:
+            if file.suffix == ".json":
+                # same keys, same values (key order is not part of the format)
+                assert json.loads((ours / file).read_text()) == json.loads(
+                    (theirs / file).read_text()
+                )
+            elif file.suffix == ".npz":
+                # same members, same dtypes, same values (the zip framing
+                # around them belongs to numpy)
+                with np.load(ours / file) as mine, np.load(theirs / file) as old:
+                    assert sorted(mine.files) == sorted(old.files)
+                    for key in old.files:
+                        assert mine[key].dtype == old[key].dtype, key
+                        np.testing.assert_array_equal(mine[key], old[key], key)
+            else:  # WAL segments and tiles
+                assert (ours / file).read_bytes() == (theirs / file).read_bytes(), file
+
+    def test_recovers_bit_identical_to_a_replayed_replica(self, tmp_path, name):
+        ops = fixtures.FIXTURES[name][1]
+        directory = tmp_path / name
+        shutil.copytree(fixtures.HERE / name, directory)
+        recovered = DurableCube.recover(directory)
+        tail = len(ops) - 1 - ops.index(("checkpoint",))
+        assert recovered.recovery_info == {
+            "checkpoint_id": 1,
+            "covered_lsn": len(ops) - tail,
+            "replayed_records": tail,
+            "skipped_records": 0,
+            "last_lsn": len(ops),
+        }
+        replica = build_front(recovered._config, None, tmp_path / "tiles")
+        for op in ops:
+            if op != ("checkpoint",):
+                fixtures.apply_op(replica, op)
+        ours = snapshot_arrays(recovered.front)
+        theirs = snapshot_arrays(replica)
+        assert sorted(ours) == sorted(theirs)
+        for key, value in theirs.items():
+            assert ours[key].dtype == value.dtype, key
+            np.testing.assert_array_equal(ours[key], value, err_msg=key)
+        if recovered.extent:
+            queries = [(4, 40), (6, 12), (13, 22), (20, 60), (31, 31)]
+            cells = [None, Box((1, 0), (3, 2)), None, Box((0, 0), (0, 3)), None]
+            for mode in ("fast", "metered"):
+                assert recovered.intersecting_many(
+                    queries, cells, mode=mode
+                ) == replica.intersecting_many(queries, cells, mode=mode)
+            queries.append((0, 100))
+            assert recovered.containment_many(
+                queries
+            ) == replica.containment_many(queries)
+            assert sum(recovered.containment_many(queries)) > 0
+        else:
+            # replaying the logged demote rewrote the tile the older
+            # commit had already written, byte for byte
+            for tile in sorted((fixtures.HERE / name / TILES_SUBDIR).iterdir()):
+                rewritten = directory / TILES_SUBDIR / tile.name
+                assert rewritten.read_bytes() == tile.read_bytes()
+                assert (tmp_path / "tiles" / tile.name).read_bytes() == (
+                    tile.read_bytes()
+                )
+            boxes = [
+                Box((t_low, 0, c_low), (t_up, 3, 3))
+                for t_low in (0, 5, 13, 17)
+                for t_up in (17, 20, 23)
+                for c_low in (0, 2)
+            ]
+            for mode in ("fast", "metered"):
+                assert recovered.query_many(boxes, mode=mode) == (
+                    replica.query_many(boxes, mode=mode)
+                )
+            assert recovered.total() == replica.total() != 0
+        recovered.close()
 
 
 class TestKernelSerialize:

@@ -1,13 +1,17 @@
 """Crash injection: kill the log at arbitrary points and recover.
 
 The harness builds a mixed workload (in-order updates, ``update_many``
-batches, out-of-order corrections, drains, data aging) against a
-:class:`~repro.durability.recovery.DurableCube`, then simulates a crash
-by truncating the WAL at randomized byte offsets.  Recovery must produce
-exactly the state a *live replica* reaches by applying the surviving
-operation prefix through the same front-end: same answers, same
-occurring-time directory, same lazy-copy progress.  Every slice-store
-backend is exercised, buffered and unbuffered.
+batches, out-of-order corrections, drains, data aging -- or, for the
+extent kind, interval inserts, interval batches and clock advances)
+against a :class:`~repro.durability.recovery.DurableCube`, then
+simulates a crash by truncating the WAL at randomized byte offsets.
+Recovery must produce exactly the state a *live replica* reaches by
+applying the surviving operation prefix through the same front-end: same
+answers, same occurring-time directory, same lazy-copy progress (the
+extent kind compares ``state_arrays`` bit for bit).  One crash matrix
+for the one durable class: every slice-store backend, over the kinds
+``"buffered"`` and ``"unbuffered"`` (point objects) and ``"extent"``
+(whose test ids live in ``tests/test_extent_durability.py``).
 
 Also here: the retire-resurrection regression (a replayed correction
 addressed to a since-retired time must be skipped, never resurrect the
@@ -27,16 +31,44 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.core.errors import AgedOutError
-from repro.core.types import Box
+from repro.core.types import Box, TimeInterval
 from repro.durability import DurableCube
-from repro.durability.recovery import WAL_SUBDIR, _build_front
+from repro.durability.recovery import WAL_SUBDIR, build_front
 from repro.durability.wal import _HEADER, inspect_log
 
 SHAPE = (24, 8, 8)
+EXTENT_SHAPE = (4, 4)
 BACKENDS = ["dense", "paged", "sparse"]
 
 
-def _make_ops(rng, buffered, count):
+def _create(kind, directory, backend, **wal_options):
+    if kind == "extent":
+        paged = {"page_size": 4, "cell_size": 3} if backend == "paged" else {}
+        return DurableCube(
+            EXTENT_SHAPE,
+            directory,
+            extent=True,
+            backend=backend,
+            **paged,
+            **wal_options,
+        )
+    return DurableCube(
+        SHAPE[1:],
+        directory,
+        backend=backend,
+        buffered=kind == "buffered",
+        num_times=SHAPE[0],
+        **wal_options,
+    )
+
+
+def _make_ops(rng, kind, count):
+    if kind == "extent":
+        return _make_extent_ops(rng, count)
+    return _make_point_ops(rng, kind == "buffered", count)
+
+
+def _make_point_ops(rng, buffered, count):
     """A mixed workload whose every operation succeeds when applied live.
 
     Invariants maintained so the dense oracle stays exact: unbuffered
@@ -88,6 +120,56 @@ def _make_ops(rng, buffered, count):
     return ops
 
 
+def _make_extent_ops(rng, count):
+    """A mixed extent workload whose every operation succeeds when applied.
+
+    Invariants: ``advance`` never moves backwards, inserts (late ones
+    included) never start before the retirement boundary, and every
+    ``retire`` is preceded by a drain so no buffered start can age out.
+    """
+    ops = []
+    clock = 0
+    boundary = 0
+
+    def _cell():
+        return int(rng.integers(0, 4)), int(rng.integers(0, 4))
+
+    for _ in range(count):
+        roll = float(rng.random())
+        if roll < 0.5:
+            start = int(rng.integers(boundary, clock + 12))
+            ops.append(
+                (
+                    "insert",
+                    (start, start + int(rng.integers(0, 15))),
+                    _cell(),
+                    int(rng.integers(1, 6)),
+                )
+            )
+            clock = max(clock, start)
+        elif roll < 0.7:
+            n = int(rng.integers(1, 6))
+            starts = rng.integers(boundary, clock + 12, size=n)
+            intervals = np.column_stack(
+                (starts, starts + rng.integers(0, 15, size=n))
+            ).astype(np.int64)
+            cells = rng.integers(0, 4, size=(n, 2)).astype(np.int64)
+            values = rng.integers(1, 6, size=n).astype(np.int64)
+            mode = "fast" if rng.random() < 0.7 else "metered"
+            ops.append(("insert_many", intervals, cells, values, mode))
+            clock = max(clock, int(starts.max()))
+        elif roll < 0.8:
+            clock += int(rng.integers(0, 10))
+            ops.append(("advance", clock))
+        elif roll < 0.9:
+            ops.append(("drain", None if rng.random() < 0.5 else int(rng.integers(1, 5))))
+        else:
+            ops.append(("drain", None))
+            boundary = int(rng.integers(boundary, clock + 1))
+            ops.append(("retire", boundary))
+    return ops
+
+
 def _apply_op(front, op):
     kind = op[0]
     if kind == "update":
@@ -96,6 +178,12 @@ def _apply_op(front, op):
         front.update_many(op[1], op[2], mode=op[3])
     elif kind == "oob":
         front.apply_out_of_order(op[1], op[2])
+    elif kind == "insert":
+        front.insert(op[1], op[2], op[3])
+    elif kind == "insert_many":
+        front.insert_many(op[1], op[2], op[3], mode=op[4])
+    elif kind == "advance":
+        front.advance(op[1])
     elif kind == "drain":
         front.drain(op[1])
     elif kind == "retire":
@@ -127,11 +215,7 @@ def _prefix_boxes(rng, boundary=0, count=15):
 
 
 def _retire_boundary(ops):
-    boundary = 0
-    for op in ops:
-        if op[0] == "retire":
-            boundary = op[1]
-    return boundary
+    return max((op[1] for op in ops if op[0] == "retire"), default=0)
 
 
 def _assert_state_parity(recovered, replica, buffered):
@@ -152,23 +236,56 @@ def _assert_state_parity(recovered, replica, buffered):
     assert rec_front.total() == replica.total()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("buffered", [True, False])
-def test_crash_at_random_offsets_recovers_surviving_prefix(
-    tmp_path, backend, buffered
-):
-    rng = np.random.default_rng(100 + 2 * BACKENDS.index(backend) + buffered)
-    ops = _make_ops(rng, buffered, count=45)
-    origin = tmp_path / "origin"
-    cube = DurableCube(
-        SHAPE[1:],
-        origin,
-        backend=backend,
-        buffered=buffered,
-        num_times=SHAPE[0],
-        fsync="off",
-        segment_bytes=2048,
+def _assert_extent_bit_identical(recovered_front, replica, boundary=0):
+    ours = recovered_front.state_arrays()
+    theirs = replica.state_arrays()
+    assert sorted(ours) == sorted(theirs)
+    for key in ours:
+        assert ours[key].tobytes() == theirs[key].tobytes(), key
+    # intersection queries must stay at or after the retirement boundary
+    queries = [
+        TimeInterval(boundary, boundary + 200),
+        TimeInterval(boundary + 5, boundary + 30),
+        TimeInterval(boundary + 40, boundary + 41),
+    ]
+    boxes = [None, Box((1, 0), (3, 3)), None]
+    assert recovered_front.intersecting_many(queries, boxes) == (
+        replica.intersecting_many(queries, boxes)
     )
+    # containment is index-based: exact even below the boundary
+    containment = [TimeInterval(0, 500)] + queries
+    assert recovered_front.containment_many(containment) == (
+        replica.containment_many(containment)
+    )
+
+
+def _assert_parity(kind, recovered, replica, ops, rng):
+    """``recovered`` equals a live ``replica`` that applied ``ops``."""
+    boundary = _retire_boundary(ops)
+    if kind == "extent":
+        _assert_extent_bit_identical(recovered.front, replica, boundary)
+        return
+    _assert_state_parity(recovered, replica, kind == "buffered")
+    dense = np.zeros(SHAPE, dtype=np.int64)
+    for op in ops:
+        _dense_effect(dense, op)
+    for box in _prefix_boxes(rng, boundary):
+        expected = int(
+            dense[: box.upper[0] + 1, : box.upper[1] + 1, : box.upper[2] + 1].sum()
+        )
+        assert recovered.query(box) == expected
+        assert replica.query(box) == expected
+
+
+_SEEDS = {"unbuffered": 100, "buffered": 101, "extent": 31}
+
+
+def check_crash_offsets(tmp_path, kind, backend):
+    step = 1 if kind == "extent" else 2
+    rng = np.random.default_rng(_SEEDS[kind] + step * BACKENDS.index(backend))
+    ops = _make_ops(rng, kind, count=40 if kind == "extent" else 45)
+    origin = tmp_path / "origin"
+    cube = _create(kind, origin, backend, fsync="off", segment_bytes=2048)
     config = dict(cube._config)
     for op in ops:
         _apply_op(cube, op)
@@ -192,50 +309,60 @@ def test_crash_at_random_offsets_recovers_surviving_prefix(
         assert recovered.recovery_info["replayed_records"] == survivors
         assert recovered.recovery_info["skipped_records"] == 0
 
-        replica = _build_front(config, counter=None)
-        dense = np.zeros(SHAPE, dtype=np.int64)
-        for op in ops[:survivors]:
+        replica = build_front(config, counter=None)
+        applied = ops[:survivors]
+        for op in applied:
             _apply_op(replica, op)
-            _dense_effect(dense, op)
-        _assert_state_parity(recovered, replica, buffered)
-        for box in _prefix_boxes(rng, _retire_boundary(ops[:survivors])):
-            expected = int(
-                dense[: box.upper[0] + 1, : box.upper[1] + 1, : box.upper[2] + 1].sum()
-            )
-            assert recovered.query(box) == expected
-            assert replica.query(box) == expected
-        # the survivor keeps logging: one more update, one more recovery
-        t_next = SHAPE[0] - 1
-        recovered.update((t_next, 0, 0), 7)
-        dense[t_next, 0, 0] += 7
+        _assert_parity(kind, recovered, replica, applied, rng)
+        # the survivor keeps logging: one more op, one more recovery
+        applied = applied + [
+            ("insert", (200, 210), (0, 0), 3)
+            if kind == "extent"
+            else ("update", (SHAPE[0] - 1, 0, 0), 7)
+        ]
+        _apply_op(recovered, applied[-1])
+        _apply_op(replica, applied[-1])
         recovered.close()
         reopened = DurableCube.recover(crash_dir)
-        assert reopened.total() == int(dense.sum())
+        _assert_parity(kind, reopened, replica, applied, rng)
         reopened.close()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_crash_after_checkpoint_replays_only_the_tail(tmp_path, backend):
-    rng = np.random.default_rng(77)
-    ops = _make_ops(rng, True, count=30)
-    cube = DurableCube(
-        SHAPE[1:], tmp_path, backend=backend, num_times=SHAPE[0], fsync="off"
-    )
+def check_checkpoint_then_tail(tmp_path, kind, backend):
+    rng = np.random.default_rng(63 if kind == "extent" else 77)
+    ops = _make_ops(rng, kind, count=30)
+    cube = _create(kind, tmp_path, backend, fsync="off")
     for op in ops[:20]:
         _apply_op(cube, op)
-    cube.checkpoint()
+    assert cube.checkpoint().checkpoint_id == 1
     for op in ops[20:]:
         _apply_op(cube, op)
     cube.close()
 
     recovered = DurableCube.recover(tmp_path)
     assert recovered.recovery_info["checkpoint_id"] == 1
+    # only the tail is replayed
     assert recovered.recovery_info["replayed_records"] == len(ops) - 20
-    replica = _build_front(dict(cube._config), counter=None)
+    replica = build_front(dict(cube._config), counter=None)
     for op in ops:
         _apply_op(replica, op)
-    _assert_state_parity(recovered, replica, True)
+    _assert_parity(kind, recovered, replica, ops, rng)
     recovered.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("buffered", [True, False])
+def test_crash_at_random_offsets_recovers_surviving_prefix(
+    tmp_path, backend, buffered
+):
+    check_crash_offsets(
+        tmp_path, "buffered" if buffered else "unbuffered", backend
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_crash_after_checkpoint_replays_only_the_tail(tmp_path, backend):
+    check_checkpoint_then_tail(tmp_path, "buffered", backend)
 
 
 class TestRetireResurrection:

@@ -25,6 +25,7 @@ from repro.durability.wal import (
     SEGMENT_MAGIC,
     AdvanceRecord,
     CheckpointMarkerRecord,
+    DemoteRecord,
     DrainRecord,
     IntervalBatchRecord,
     IntervalInsertRecord,
@@ -127,6 +128,64 @@ class TestCodec:
         frame[position] ^= 0x5A
         length, crc = _FRAME.unpack_from(bytes(frame), 0)
         assert zlib.crc32(bytes(frame[_FRAME.size :])) != crc
+
+    def test_frames_are_byte_identical_to_the_recorded_ones(self):
+        """Bytes on disk, pinned: the hex is what commit e4e8b7e wrote."""
+        points = np.array([[3, 1, 2], [4, 0, 3]], dtype=np.int64)
+        deltas = np.array([5, -2], dtype=np.int64)
+        golden = [
+            (
+                UpdateRecord((3, 1, 2), -7),
+                "2b000000f20978b0012800000000000000030003000000000000000100"
+                "0000000000000200000000000000f9ffffffffffffff",
+            ),
+            (
+                UpdateBatchRecord(points, deltas, "buffer"),
+                "50000000079f8957022900000000000000020200000003000300000000"
+                "0000000100000000000000020000000000000004000000000000000000"
+                "00000000000003000000000000000500000000000000feffffffffffff"
+                "ff",
+            ),
+            (
+                OutOfOrderRecord((1, 0, 3), 9),
+                "2b000000e300932d032a00000000000000030001000000000000000000"
+                "00000000000003000000000000000900000000000000",
+            ),
+            (
+                OutOfOrderBatchRecord(points, deltas),
+                "4f000000a380846b042b00000000000000020000000300030000000000"
+                "0000010000000000000002000000000000000400000000000000000000"
+                "000000000003000000000000000500000000000000feffffffffffffff",
+            ),
+            (RetireRecord(12), "11000000cba0f3da052c000000000000000c00000000000000"),
+            (DrainRecord(None), "11000000e47fc834062d00000000000000ffffffffffffffff"),
+            (
+                CheckpointMarkerRecord(4),
+                "11000000da0e8a5a072e000000000000000400000000000000",
+            ),
+            (
+                IntervalInsertRecord(-3, 9, (2, 0), 6),
+                "33000000ee7fe8d1082f000000000000000200fdffffffffffffff0900"
+                "0000000000000200000000000000000000000000000006000000000000"
+                "00",
+            ),
+            (
+                IntervalBatchRecord(
+                    np.array([[0, 4], [2, 2]], dtype=np.int64),
+                    np.array([[1, 3], [0, 2]], dtype=np.int64),
+                    np.array([5, -1], dtype=np.int64),
+                    "metered",
+                ),
+                "60000000b3786d50093000000000000000010200000002000000000000"
+                "0000000400000000000000020000000000000002000000000000000100"
+                "0000000000000300000000000000000000000000000002000000000000"
+                "000500000000000000ffffffffffffffff",
+            ),
+            (AdvanceRecord(17), "1100000023cba2140a31000000000000001100000000000000"),
+            (DemoteRecord(8), "11000000929e38d90b32000000000000000800000000000000"),
+        ]
+        for offset, (record, frame) in enumerate(golden):
+            assert encode_record(record, 40 + offset).hex() == frame, record
 
     def test_unknown_type_rejected(self):
         payload = struct.pack("<BQ", 200, 1)

@@ -1,138 +1,46 @@
 """Durability of TT-extent objects: WAL records, crashes, checkpoints, CLI.
 
 The extent cube's queries are pure, so its durable state is a function
-of the mutation sequence alone.  These tests truncate the log at
-arbitrary byte offsets and require recovery to reach a state
-*bit-identical* (``state_arrays``) to a live replica that applied the
-surviving operation prefix -- with and without an intervening
-checkpoint -- plus codec coverage for the three interval record types
-and the ``python -m repro`` operational commands on extent directories.
+of the mutation sequence alone.  The crash tests run the one crash
+matrix of ``tests/test_durability_crash.py`` with the ``"extent"`` kind:
+the log is truncated at arbitrary byte offsets and recovery must reach a
+state *bit-identical* (``state_arrays``) to a live replica that applied
+the surviving operation prefix -- with and without an intervening
+checkpoint.  Also here: codec coverage for the three interval record
+types, which ops a durable cube of either kind takes, and the
+``python -m repro`` operational commands on extent directories.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.core.errors import RecoveryError, StorageError
-from repro.core.types import Box, TimeInterval
-from repro.durability import DurableCube, DurableExtentCube
-from repro.durability.extent import build_extent_front
-from repro.durability.recovery import WAL_SUBDIR
+from repro.core.errors import DomainError, RecoveryError, StorageError
+from repro.core.types import TimeInterval
+from repro.durability import DurableCube
 from repro.durability.wal import (
     _FRAME,
-    _HEADER,
     AdvanceRecord,
     IntervalBatchRecord,
     IntervalInsertRecord,
+    UpdateRecord,
     WriteAheadLog,
     decode_payload,
     encode_record,
     inspect_log,
 )
 
-BACKENDS = ["dense", "paged", "sparse"]
+from tests.test_durability_crash import (
+    BACKENDS,
+    check_checkpoint_then_tail,
+    check_crash_offsets,
+)
+
 SHAPE = (4, 4)
-
-
-def _backend_kwargs(backend):
-    return {"page_size": 4, "cell_size": 3} if backend == "paged" else {}
-
-
-def _make_ops(rng, count):
-    """A mixed extent workload whose every operation succeeds when applied.
-
-    Invariants: ``advance`` never moves backwards, inserts (late ones
-    included) never start before the retirement boundary, and every
-    ``retire`` is preceded by a drain so no buffered start can age out.
-    """
-    ops = []
-    clock = 0
-    boundary = 0
-
-    def _cell():
-        return int(rng.integers(0, 4)), int(rng.integers(0, 4))
-
-    for _ in range(count):
-        roll = float(rng.random())
-        if roll < 0.5:
-            start = int(rng.integers(boundary, clock + 12))
-            ops.append(
-                (
-                    "insert",
-                    (start, start + int(rng.integers(0, 15))),
-                    _cell(),
-                    int(rng.integers(1, 6)),
-                )
-            )
-            clock = max(clock, start)
-        elif roll < 0.7:
-            n = int(rng.integers(1, 6))
-            starts = rng.integers(boundary, clock + 12, size=n)
-            intervals = np.column_stack(
-                (starts, starts + rng.integers(0, 15, size=n))
-            ).astype(np.int64)
-            cells = rng.integers(0, 4, size=(n, 2)).astype(np.int64)
-            values = rng.integers(1, 6, size=n).astype(np.int64)
-            mode = "fast" if rng.random() < 0.7 else "metered"
-            ops.append(("insert_many", intervals, cells, values, mode))
-            clock = max(clock, int(starts.max()))
-        elif roll < 0.8:
-            clock += int(rng.integers(0, 10))
-            ops.append(("advance", clock))
-        elif roll < 0.9:
-            ops.append(("drain", None if rng.random() < 0.5 else int(rng.integers(1, 5))))
-        else:
-            ops.append(("drain", None))
-            boundary = int(rng.integers(boundary, clock + 1))
-            ops.append(("retire", boundary))
-    return ops
-
-
-def _apply_op(front, op):
-    kind = op[0]
-    if kind == "insert":
-        front.insert(op[1], op[2], op[3])
-    elif kind == "insert_many":
-        front.insert_many(op[1], op[2], op[3], mode=op[4])
-    elif kind == "advance":
-        front.advance(op[1])
-    elif kind == "drain":
-        front.drain(op[1])
-    else:
-        front.retire_before(op[1])
-    return 1 if kind != "retire" else 1
-
-
-def _retire_boundary(ops):
-    return max((op[1] for op in ops if op[0] == "retire"), default=0)
-
-
-def _assert_bit_identical(recovered_front, replica, boundary=0):
-    ours = recovered_front.state_arrays()
-    theirs = replica.state_arrays()
-    assert sorted(ours) == sorted(theirs)
-    for key in ours:
-        assert ours[key].tobytes() == theirs[key].tobytes(), key
-    # intersection queries must stay at or after the retirement boundary
-    queries = [
-        TimeInterval(boundary, boundary + 200),
-        TimeInterval(boundary + 5, boundary + 30),
-        TimeInterval(boundary + 40, boundary + 41),
-    ]
-    boxes = [None, Box((1, 0), (3, 3)), None]
-    assert recovered_front.intersecting_many(queries, boxes) == (
-        replica.intersecting_many(queries, boxes)
-    )
-    # containment is index-based: exact even below the boundary
-    containment = [TimeInterval(0, 500)] + queries
-    assert recovered_front.containment_many(containment) == (
-        replica.containment_many(containment)
-    )
 
 
 class TestCodec:
@@ -179,104 +87,78 @@ class TestCodec:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_crash_at_random_offsets_recovers_surviving_prefix(tmp_path, backend):
-    rng = np.random.default_rng(31 + BACKENDS.index(backend))
-    ops = _make_ops(rng, count=40)
-    origin = tmp_path / "origin"
-    cube = DurableExtentCube(
-        SHAPE,
-        origin,
-        backend=backend,
-        fsync="off",
-        segment_bytes=2048,
-        **_backend_kwargs(backend),
-    )
-    config = dict(cube._config)
-    for op in ops:
-        _apply_op(cube, op)
-    cube.close()
-
-    wal_dir = origin / WAL_SUBDIR
-    tail = sorted(wal_dir.glob("wal-*.log"))[-1]
-    tail_size = tail.stat().st_size
-    cuts = [tail_size] + [
-        _HEADER.size + int(rng.integers(0, tail_size - _HEADER.size + 1))
-        for _ in range(4)
-    ]
-    for case, cut in enumerate(cuts):
-        crash_dir = tmp_path / f"crash-{case}"
-        shutil.copytree(origin, crash_dir)
-        with open(crash_dir / WAL_SUBDIR / tail.name, "r+b") as handle:
-            handle.truncate(cut)
-        survivors = inspect_log(crash_dir / WAL_SUBDIR)["records"]
-        recovered = DurableExtentCube.recover(crash_dir)
-        assert recovered.recovery_info["replayed_records"] == survivors
-        assert recovered.recovery_info["skipped_records"] == 0
-
-        replica = build_extent_front(config, counter=None)
-        for op in ops[:survivors]:
-            _apply_op(replica, op)
-        boundary = _retire_boundary(ops[:survivors])
-        _assert_bit_identical(recovered.front, replica, boundary)
-
-        # the survivor keeps logging and recovers once more
-        recovered.insert((200, 210), (0, 0), 3)
-        replica.insert((200, 210), (0, 0), 3)
-        recovered.close()
-        reopened = DurableExtentCube.recover(crash_dir)
-        _assert_bit_identical(reopened.front, replica, boundary)
-        reopened.close()
+    check_crash_offsets(tmp_path, "extent", backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_checkpoint_then_tail_replay_is_bit_identical(tmp_path, backend):
-    rng = np.random.default_rng(63)
-    ops = _make_ops(rng, count=32)
-    cube = DurableExtentCube(
-        SHAPE, tmp_path, backend=backend, fsync="off", **_backend_kwargs(backend)
-    )
-    for op in ops[:18]:
-        _apply_op(cube, op)
-    manifest = cube.checkpoint()
-    assert manifest.checkpoint_id == 1
-    for op in ops[18:]:
-        _apply_op(cube, op)
-    cube.close()
-
-    recovered = DurableExtentCube.recover(tmp_path)
-    assert recovered.recovery_info["checkpoint_id"] == 1
-    # only the tail is replayed
-    assert recovered.recovery_info["replayed_records"] < len(ops)
-    replica = build_extent_front(dict(cube._config), counter=None)
-    for op in ops:
-        _apply_op(replica, op)
-    _assert_bit_identical(recovered.front, replica, _retire_boundary(ops))
-    recovered.close()
+    check_checkpoint_then_tail(tmp_path, "extent", backend)
 
 
 class TestDispatch:
-    def test_point_recover_refuses_extent_directory(self, tmp_path):
-        cube = DurableExtentCube(SHAPE, tmp_path, fsync="off")
-        cube.insert((0, 3), (1, 1), 2)
-        cube.close()
-        with pytest.raises(RecoveryError, match="TT-extent"):
-            DurableCube.recover(tmp_path)
-
-    def test_extent_recover_refuses_point_directory(self, tmp_path):
-        cube = DurableCube((4, 4), tmp_path, fsync="off")
-        cube.update((0, 1, 1), 2)
-        cube.close()
-        with pytest.raises(RecoveryError, match="point-object"):
-            DurableExtentCube.recover(tmp_path)
+    def test_recover_opens_both_kinds(self, tmp_path):
+        with DurableCube(SHAPE, tmp_path / "extent", extent=True, fsync="off") as cube:
+            cube.insert((0, 3), (1, 1), 2)
+        with DurableCube(SHAPE, tmp_path / "point", fsync="off") as cube:
+            cube.update((0, 1, 1), 2)
+        with DurableCube.recover(tmp_path / "extent") as recovered:
+            assert recovered.extent
+            assert recovered.intersecting(TimeInterval(0, 9)) == 2
+        with DurableCube.recover(tmp_path / "point") as recovered:
+            assert not recovered.extent
+            assert recovered.total() == 2
 
     def test_reopening_as_new_cube_is_refused(self, tmp_path):
-        DurableExtentCube(SHAPE, tmp_path, fsync="off").close()
-        with pytest.raises(StorageError):
-            DurableExtentCube(SHAPE, tmp_path, fsync="off")
+        DurableCube(SHAPE, tmp_path, extent=True, fsync="off").close()
+        for extent in (True, False):
+            with pytest.raises(StorageError):
+                DurableCube(SHAPE, tmp_path, extent=extent, fsync="off")
+
+    def test_ops_of_the_other_kind_are_refused_before_logging(self, tmp_path):
+        with DurableCube(SHAPE, tmp_path / "extent", extent=True, fsync="off") as cube:
+            for call in (
+                lambda: cube.update((0, 1, 1), 2),
+                lambda: cube.update_many([(0, 1, 1)], [2]),
+                lambda: cube.apply_out_of_order((0, 1, 1), 2),
+                lambda: cube.apply_out_of_order_many([(0, 1, 1)], [2]),
+                lambda: cube.demote_before(4),
+            ):
+                with pytest.raises(DomainError, match="requires"):
+                    call()
+            assert cube.last_lsn == 0
+        with DurableCube(SHAPE, tmp_path / "point", fsync="off") as cube:
+            for call in (
+                lambda: cube.insert((0, 3), (1, 1), 2),
+                lambda: cube.insert_many([(0, 3)], [(1, 1)]),
+                lambda: cube.advance(9),
+            ):
+                with pytest.raises(DomainError, match="requires"):
+                    call()
+            assert cube.last_lsn == 0
+
+    def test_extent_takes_neither_tiers_nor_an_unbuffered_front(self, tmp_path):
+        tiers = [{"name": "hour", "granularity": 4, "horizon": None}]
+        for options in ({"tiers": tiers}, {"buffered": False}):
+            with pytest.raises(DomainError, match="extent cube"):
+                DurableCube(SHAPE, tmp_path, extent=True, **options)
+        assert not (tmp_path / "MANIFEST.json").exists()
+
+    def test_a_record_of_the_other_kind_is_fatal_not_skipped(self, tmp_path):
+        DurableCube(SHAPE, tmp_path / "extent", extent=True, fsync="off").close()
+        DurableCube(SHAPE, tmp_path / "point", fsync="off").close()
+        for name, record in (
+            ("extent", UpdateRecord((0, 1, 1), 2)),
+            ("point", AdvanceRecord(5)),
+        ):
+            with WriteAheadLog(tmp_path / name / "wal", fsync="off") as wal:
+                wal.append(record)
+            with pytest.raises(RecoveryError, match="cannot replay"):
+                DurableCube.recover(tmp_path / name)
 
 
 class TestCli:
     def _populate(self, directory):
-        cube = DurableExtentCube(SHAPE, directory, fsync="off")
+        cube = DurableCube(SHAPE, directory, extent=True, fsync="off")
         cube.insert((0, 9), (1, 1), 2)
         cube.insert_many(
             np.array([[2, 5], [4, 30]], dtype=np.int64),
@@ -311,6 +193,6 @@ class TestCli:
         info = json.loads(capsys.readouterr().out)
         assert info["checkpoint_id"] == 1
         # and the compacted directory still recovers
-        recovered = DurableExtentCube.recover(tmp_path)
+        recovered = DurableCube.recover(tmp_path)
         assert recovered.intersecting(TimeInterval(0, 40)) == 7
         recovered.close()

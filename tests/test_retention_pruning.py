@@ -18,6 +18,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.concurrent import SnapshotExtentCube
 from repro.core.errors import AgedOutError
 from repro.core.out_of_order import OutOfOrderBuffer
 from repro.core.types import Box
@@ -162,6 +163,29 @@ class TestExtentPrune:
             cube.containment((0, 70))
         with pytest.raises(AgedOutError):
             cube.containment((cube._cont_retired_below - 1, 70))
+
+    def test_snapshot_views_age_out_like_the_cube_they_pinned(self):
+        cube = ExtentCube((4,))
+        for i in range(10):
+            cube.insert((i, i), (i % 4,), 1)
+        cube.advance(20)
+        serve = SnapshotExtentCube(cube)
+        cube.retire_before(6)
+        assert cube.containment((0, 5)) == serve.containment((0, 5)) == 6
+        before = serve.pin()
+        assert cube.prune_retired() > 0
+        with pytest.raises(AgedOutError):
+            cube.containment((0, 5))
+        # a view pinned after the prune carries the cutoff with its
+        # (shrunken) columns instead of under-counting from them
+        with pytest.raises(AgedOutError):
+            serve.containment((0, 5))
+        horizon = cube._cont_retired_below
+        assert serve.containment((horizon, 9)) == cube.containment((horizon, 9))
+        # one pinned before it keeps answering from the columns it froze
+        assert before.containment((0, 5)) == 6
+        before.release()
+        serve.close()
 
     def test_containment_above_horizon_unchanged(self):
         pristine = self._aged_extent()

@@ -2,15 +2,21 @@
 
 The server is hosted on a background thread running its own asyncio
 loop; the cube under it is an inline :class:`ShardedCube` (no worker
-processes), so the test exercises exactly the network layer.
+processes), so the test exercises exactly the network layer.  The last
+test instead runs the ``python -m repro serve`` command itself, twice on
+one durable directory.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -126,3 +132,45 @@ def test_shutdown_drains_inflight_requests(cube, rng):
     # after drain the listener is gone
     with pytest.raises(OSError):
         socket.create_connection(("127.0.0.1", server.port), timeout=2)
+
+
+def _serve_cli(durable_dir):
+    """``python -m repro serve`` on ``durable_dir``; returns (process, banner)."""
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--inline",
+            "--shards", "2", "--shape", "6,6", "--durable-dir", str(durable_dir),
+        ],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        text=True,
+    )
+    banner = {}
+    while "listening" not in banner:  # a shm-sweep line may come first
+        line = process.stdout.readline()
+        assert line, "server exited before printing its banner"
+        banner = json.loads(line)
+    return process, banner
+
+
+def test_durable_server_restarts_with_the_command_that_started_it(tmp_path):
+    process, banner = _serve_cli(tmp_path)
+    try:
+        assert "recovered" not in banner
+        port = int(banner["listening"].rsplit(":", 1)[1])
+        with ShardClient("127.0.0.1", port) as client:
+            client.update_many([[0, 1, 1], [1, 5, 0], [2, 3, 4]], [4, 5, 6])
+            assert client.total() == 15
+    finally:
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
+    process, banner = _serve_cli(tmp_path)
+    try:
+        assert banner["recovered"] is True
+        assert banner["shards"] == 2 and banner["slice_shape"] == [6, 6]
+        port = int(banner["listening"].rsplit(":", 1)[1])
+        with ShardClient("127.0.0.1", port) as client:
+            assert client.total() == 15
+    finally:
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
