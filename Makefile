@@ -31,13 +31,15 @@ e2e-smoke:
 lint:
 	ruff check src tests benchmarks
 
-# Code lines (not blank, not a comment-only line) of src/repro, and of the
-# serving path: src/repro minus the paper-reproduction packages.  ROADMAP
-# tracks the second number; nothing enforces a threshold.
+# Code lines (not blank, not a comment-only line) of src/repro, of the
+# serving path (src/repro minus the paper-reproduction packages) and of
+# src/repro/sharding.  ROADMAP tracks the second number; nothing enforces
+# a threshold.
 loc:
 	@count() { xargs grep -vcE '^[[:space:]]*(#|$$)' | awk -F: '{n += $$2} END {print n}'; }; \
 	echo "src/repro code lines: $$(find src/repro -name '*.py' | count)"; \
 	echo "serving-path code lines: $$(find src/repro -name '*.py' \
 		-not -path 'src/repro/trees/*' -not -path 'src/repro/rolap/*' \
 		-not -path 'src/repro/olap/*' -not -path 'src/repro/experiments/*' \
-		-not -path 'src/repro/storage/paged_cube.py' | count)"
+		-not -path 'src/repro/storage/paged_cube.py' | count)"; \
+	echo "src/repro/sharding code lines: $$(find src/repro/sharding -name '*.py' | count)"

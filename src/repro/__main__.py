@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "JSON tier ladder for tiered retention, e.g. "
             '\'[{"name": "hour", "granularity": 4, "horizon": 16}]\'; '
-            "enables the demote and query_approx ops"
+            "enables the demote and query_approx wire ops"
         ),
     )
     serve.add_argument(

@@ -58,6 +58,7 @@ from repro.durability.wal import (
     UpdateBatchRecord,
     UpdateRecord,
     WriteAheadLog,
+    _MODE_CODES,
 )
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.extent import ExtentCube, _as_interval
@@ -121,6 +122,22 @@ def _tiers_config(tiers) -> list[dict] | None:
 
 def _unavailable(op: str, needs: str) -> DomainError:
     return DomainError(f"{op}() requires {needs} durable cube")
+
+
+def _check_mode(mode) -> None:
+    """Refuse a batch mode the log cannot encode, before logging."""
+    if mode not in _MODE_CODES:
+        raise DomainError(f"unknown execution mode {mode!r}")
+
+
+def check_drain_limit(limit) -> None:
+    """``drain(limit)`` takes ``None`` or a non-negative integer."""
+    if limit is not None and not (
+        isinstance(limit, (int, np.integer)) and limit >= 0
+    ):
+        raise DomainError(
+            f"drain limit must be None or a non-negative integer, got {limit!r}"
+        )
 
 
 def _replay_out_of_order_batch(durable, record) -> None:
@@ -346,6 +363,7 @@ class DurableCube:
         """Log the whole batch as one record, then apply it."""
         if self.extent:
             raise _unavailable("update_many", "a point-object")
+        _check_mode(mode)
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
         if points.shape[0] == 0:
@@ -405,6 +423,7 @@ class DurableCube:
         """Log, then drain the ``G_d`` buffer (both, on an extent cube)."""
         if not self.buffered:
             raise _unavailable("drain", "a buffered")
+        check_drain_limit(limit)
         self.wal.append(DrainRecord(limit))
         return self.front.drain(limit)
 
@@ -429,6 +448,7 @@ class DurableCube:
         """Log the whole interval batch as one record, then apply it."""
         if not self.extent:
             raise _unavailable("insert_many", "a TT-extent (extent=True)")
+        _check_mode(mode)
         intervals = np.asarray(intervals, dtype=np.int64)
         cells = np.asarray(cells, dtype=np.int64)
         if intervals.shape[0] == 0:

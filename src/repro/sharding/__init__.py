@@ -12,7 +12,8 @@ cell domain, so per-shard answers sum to the exact unsharded answer
 Public surface: :class:`ShardedCube` (the front),
 :class:`ShardRouter` (decomposition / scatter-gather),
 :class:`GridPartitioner` (the default partitioner) and the
-:class:`ShardServer` TCP front (:mod:`repro.sharding.server`).
+:class:`ShardServer` TCP front (:mod:`repro.sharding.server`); the
+operations they share are the rows of :mod:`repro.sharding.ops`.
 """
 
 from repro.sharding.buffered import ShardBufferedCube

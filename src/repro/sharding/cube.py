@@ -3,9 +3,10 @@
 Partitions the cell domain into rectangles (one shard each), runs one
 worker process per shard and serves queries from reader processes that
 attach the workers' shared-memory epochs zero-copy.  The public surface
-mirrors the single-process fronts -- ``update`` / ``update_many`` /
-``apply_out_of_order`` / ``drain`` / ``retire_before`` / ``query`` /
-``query_many`` / ``total`` -- and answers are bit-identical to an
+is the single-process fronts' -- the methods the rows of
+:data:`repro.sharding.ops.OPS` name (``update_many``, ``drain``,
+``retire_before``, ``query_many``, ``topk_many``, ``total``, ...) --
+and answers are bit-identical to an
 unsharded :class:`~repro.concurrent.snapshot.SnapshotCube` over the same
 stream (see :mod:`repro.sharding.router` for the contracts).
 
@@ -32,9 +33,9 @@ import multiprocessing
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.core.errors import DomainError, StorageError
-from repro.core.types import Box
+from repro.core.errors import DomainError, ShardUnavailableError, StorageError
 
+from repro.sharding.ops import BY_METHOD
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.router import (
     InlineHandle,
@@ -45,6 +46,10 @@ from repro.sharding.shm import SHM_PREFIX, unlink_by_prefix
 from repro.sharding.worker import ReaderState, reader_main, worker_main
 
 MANIFEST_NAME = "sharding.json"
+
+#: what :class:`ShardedCube` hands to its router unchanged: every method
+#: a wire op names, the singular conveniences and the durability calls
+ROUTED = frozenset(BY_METHOD) | {"topk", "query_approx", "checkpoint", "log_info"}
 
 
 def _context(start_method: str | None):
@@ -144,46 +149,33 @@ class ShardedCube:
             reader_state = ReaderState(partitioner)
         else:
             ctx = _context(start_method)
-            handles = []
-            for config in configs:
+
+            def spawn(target, config, ident, name) -> WorkerHandle:
                 parent, child = ctx.Pipe()
                 process = ctx.Process(
-                    target=worker_main,
-                    args=(child, config),
-                    name=f"shard {config['shard_id']} worker",
-                    daemon=True,
+                    target=target, args=(child, config), name=name, daemon=True
                 )
                 process.start()
                 child.close()
-                handle = WorkerHandle(
-                    config["shard_id"], process, parent, timeout=self._timeout
-                )
-                self._sweep_prefixes.append(
-                    f"{SHM_PREFIX}-s{config['shard_id']}-{process.pid}-"
-                )
-                handles.append(handle)
-            for handle in handles:  # handshake carries the initial epoch
-                status, _, descriptor = self._handshake(handle)
-                if status != "ok":  # pragma: no cover - broken bootstrap
-                    raise StorageError(
-                        f"shard {handle.shard_id} failed to start: {descriptor}"
-                    )
-                handle.descriptor = descriptor
-            router_readers = []
+                return WorkerHandle(ident, process, parent, timeout=self._timeout)
+
+            handles = [
+                spawn(worker_main, c, c["shard_id"], f"shard {c['shard_id']} worker")
+                for c in configs
+            ]
+            self._sweep_prefixes = [
+                f"{SHM_PREFIX}-s{h.shard_id}-{h.process.pid}-" for h in handles
+            ]
             reader_config = {"partitioner": partitioner.to_config()}
-            for index in range(int(readers)):
-                parent, child = ctx.Pipe()
-                process = ctx.Process(
-                    target=reader_main,
-                    args=(child, reader_config),
-                    name=f"reader {index}",
-                    daemon=True,
-                )
-                process.start()
-                child.close()
-                reader = WorkerHandle(index, process, parent, timeout=self._timeout)
-                reader.recv()  # handshake
-                router_readers.append(reader)
+            router_readers = [
+                spawn(reader_main, reader_config, index, f"reader {index}")
+                for index in range(int(readers))
+            ]
+            try:
+                for handle in (*handles, *router_readers):
+                    handle.recv()  # handshake; a worker's carries its first epoch
+            except ShardUnavailableError as exc:
+                raise StorageError(f"sharded cube failed to start: {exc}") from exc
             reader_state = ReaderState(partitioner) if not router_readers else None
         self.router = ShardRouter(
             partitioner,
@@ -194,19 +186,6 @@ class ShardedCube:
         )
         if _recover:
             self.router.probe_state()
-
-    def _handshake(self, handle: WorkerHandle):
-        import time
-
-        deadline = time.monotonic() + self._timeout
-        while not handle.conn.poll(0.05):
-            if not handle.is_alive():
-                raise StorageError(
-                    f"shard {handle.shard_id} worker died during startup"
-                )
-            if time.monotonic() > deadline:  # pragma: no cover - stuck start
-                raise StorageError(f"shard {handle.shard_id} startup timed out")
-        return handle.conn.recv()
 
     # -- durability ------------------------------------------------------------
 
@@ -262,26 +241,16 @@ class ShardedCube:
             _recover=True,
         )
 
-    # -- cube API (delegated) --------------------------------------------------
+    # -- cube API: the op table's methods, answered by the router ----------------
 
     @property
     def ndim(self) -> int:
         return 1 + len(self.slice_shape)
 
-    def update(self, point: Sequence[int], delta: int) -> None:
-        self.router.update(point, delta)
-
-    def update_many(self, points, deltas, mode: str = "fast") -> None:
-        self.router.update_many(points, deltas, mode=mode)
-
-    def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
-        self.router.apply_out_of_order(point, delta)
-
-    def drain(self, limit: int | None = None) -> tuple[int, int]:
-        return self.router.drain(limit)
-
-    def retire_before(self, time: int) -> int:
-        return self.router.retire_before(time)
+    def __getattr__(self, name: str):
+        if name in ROUTED:
+            return getattr(self.router, name)
+        raise AttributeError(name)
 
     def demote_before(self, time: int) -> int:
         """Demote history below ``time`` on every (tiered) shard."""
@@ -290,37 +259,6 @@ class ShardedCube:
                 "demote_before requires a tiered sharded cube (tiers=...)"
             )
         return self.router.demote_before(time)
-
-    def query(self, box: Box) -> int:
-        return self.router.query(box)
-
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
-        return self.router.query_many(boxes, mode=mode)
-
-    def topk(self, t1: int, t2: int, k: int, mode: str = "fast",
-             nonnegative: bool = False):
-        return self.router.topk(t1, t2, k, mode=mode, nonnegative=nonnegative)
-
-    def topk_many(self, queries: Sequence, mode: str = "fast",
-                  nonnegative: bool = False):
-        """Global top-k cells over TT intervals (see the router)."""
-        return self.router.topk_many(queries, mode=mode, nonnegative=nonnegative)
-
-    def query_approx(self, box: Box):
-        return self.router.query_approx(box)
-
-    def query_many_approx(self, boxes: Sequence[Box], mode: str = "fast"):
-        """Approximate aggregates with sound bounds (tiered shards)."""
-        return self.router.query_many_approx(boxes, mode=mode)
-
-    def total(self) -> int:
-        return self.router.total()
-
-    def checkpoint(self) -> list:
-        return self.router.checkpoint()
-
-    def log_info(self) -> list[dict]:
-        return self.router.log_info()
 
     # -- lifecycle -------------------------------------------------------------
 

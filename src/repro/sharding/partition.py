@@ -12,8 +12,8 @@ floor-index semantics of the time directory intact per shard.
 :class:`GridPartitioner` is the default, pluggable implementation: an
 axis-aligned grid with near-equal extents per axis.  Anything exposing
 the same small surface (``num_shards``, ``extents``, ``shard_of_cells``,
-``local_box``, ``to_config``/``from_config``) can replace it -- e.g. a
-tenant/key-space partitioner -- without touching the router.
+``local_box``, ``local_boxes``, ``to_config``/``from_config``) can replace
+it -- e.g. a tenant/key-space partitioner -- without touching the router.
 """
 
 from __future__ import annotations
@@ -150,6 +150,20 @@ class GridPartitioner:
             lo[1 + axis] = low
             up[1 + axis] = high
         return Box(tuple(lo), tuple(up))
+
+    def local_boxes(
+        self, boxes: Sequence[Box], extent: ShardExtent
+    ) -> tuple[list[int], list[Box]]:
+        """The boxes that reach ``extent``: their positions in ``boxes``
+        and their :meth:`local_box` clips, in order."""
+        ids: list[int] = []
+        local: list[Box] = []
+        for i, box in enumerate(boxes):
+            sub = self.local_box(box, extent)
+            if sub is not None:
+                ids.append(i)
+                local.append(sub)
+        return ids, local
 
     # -- durability ------------------------------------------------------------
 

@@ -41,9 +41,10 @@ from repro.core.errors import (
     ShardUnavailableError,
 )
 from repro.core.types import Box
+from repro.durability.recovery import check_drain_limit
 
 from repro.sharding.partition import GridPartitioner
-from repro.sharding.worker import MUTATING_OPS, ReaderState, ShardWorkerState
+from repro.sharding.worker import ReaderState, ShardWorkerState, serve
 
 _AGED_OUT_TEMPLATE = (
     "the prefix at time {time} needs detail that was retired by data "
@@ -52,47 +53,47 @@ _AGED_OUT_TEMPLATE = (
 )
 
 
-class InlineHandle:
+class _Handle:
+    """What the router does with any shard: send an op, take the reply."""
+
+    #: the shard's newest published epoch (``None`` on a reader)
+    descriptor = None
+
+    def request(self, op: str, payload=None):
+        self.send(op, payload)
+        return self.recv()
+
+    def _deliver(self, reply):
+        status, result, descriptor = reply
+        if descriptor is not None:
+            self.descriptor = descriptor
+        if status == "error":
+            raise result
+        return result
+
+
+class InlineHandle(_Handle):
     """A shard worker living in this process (no pipe, no shm)."""
 
     def __init__(self, shard_id: int, config: dict) -> None:
         self.shard_id = shard_id
         self.state = ShardWorkerState(config)
         self.descriptor = self.state.publish()
-        self._pending = None
 
     def is_alive(self) -> bool:
         return True
 
     def send(self, op: str, payload=None) -> None:
-        try:
-            result, mutated = self.state.apply(op, payload)
-        except BaseException as exc:
-            if op in MUTATING_OPS:
-                # a failed op may have partially applied (and published)
-                self.descriptor = self.state.publish()
-            self._pending = ("error", exc)
-            return
-        if mutated:
-            self.descriptor = self.state.publish()
-        self._pending = ("ok", result)
+        self._pending = serve(self.state, op, payload)
 
     def recv(self):
-        status, result = self._pending
-        self._pending = None
-        if status == "error":
-            raise result
-        return result
-
-    def request(self, op: str, payload=None):
-        self.send(op, payload)
-        return self.recv()
+        return self._deliver(self._pending)
 
     def close(self) -> None:
         self.state.close()
 
 
-class WorkerHandle:
+class WorkerHandle(_Handle):
     """A shard worker or reader process behind a duplex pipe."""
 
     def __init__(self, shard_id, process, conn, timeout: float = 60.0) -> None:
@@ -100,10 +101,6 @@ class WorkerHandle:
         self.process = process
         self.conn = conn
         self.timeout = timeout
-        self.descriptor = None
-        #: epochs below this sequence are released on the next request
-        self._release: int | None = None
-        self._waiting = False
 
     def is_alive(self) -> bool:
         return self.process.is_alive()
@@ -111,14 +108,18 @@ class WorkerHandle:
     def _dead(self, why: str) -> ShardUnavailableError:
         return ShardUnavailableError(f"{self.process.name} is unavailable ({why})")
 
+    def _frame(self, op: str, payload=None) -> tuple:
+        # epochs older than the one we hold are released on the next request
+        held = self.descriptor
+        return op, payload, None if held is None else held["sequence"]
+
     def send(self, op: str, payload=None) -> None:
         if not self.is_alive():
             raise self._dead("process died")
         try:
-            self.conn.send((op, payload, self._release))
+            self.conn.send(self._frame(op, payload))
         except (BrokenPipeError, OSError) as exc:
             raise self._dead(f"pipe broken: {exc}") from exc
-        self._waiting = True
 
     def recv(self):
         import time
@@ -129,27 +130,16 @@ class WorkerHandle:
                 raise self._dead("process died mid-request")
             if time.monotonic() > deadline:
                 raise self._dead(f"no reply within {self.timeout}s")
-        self._waiting = False
         try:
-            status, result, descriptor = self.conn.recv()
+            reply = self.conn.recv()
         except (EOFError, OSError) as exc:
             raise self._dead(f"pipe closed: {exc}") from exc
-        if descriptor is not None:
-            self.descriptor = descriptor
-            if not (isinstance(descriptor, tuple) and descriptor[0] == "inline"):
-                self._release = descriptor["sequence"]
-        if status == "error":
-            raise result
-        return result
-
-    def request(self, op: str, payload=None):
-        self.send(op, payload)
-        return self.recv()
+        return self._deliver(reply)
 
     def close(self, timeout: float = 5.0) -> None:
         try:
             if self.is_alive():
-                self.conn.send(("close", None, self._release))
+                self.conn.send(self._frame("close"))
                 self.process.join(timeout)
         except (BrokenPipeError, OSError):
             pass
@@ -313,6 +303,8 @@ class ShardRouter:
         )
 
     def update_many(self, points, deltas, mode: str = "fast") -> None:
+        if mode not in ("fast", "metered"):
+            raise DomainError(f"unknown execution mode {mode!r}")
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
         # validate the whole batch before any shard sees a point: a bad
@@ -392,7 +384,10 @@ class ShardRouter:
 
     def drain(self, limit: int | None = None) -> tuple[int, int]:
         """Drain every shard's ``G_d`` buffer (``limit`` applies per shard)."""
+        check_drain_limit(limit)
         applied = kept = 0
+        if not self.buffered:
+            return applied, kept
         for a, k, first, _ in self._scatter_all("drain", limit):
             applied += a
             kept += k
@@ -525,27 +520,24 @@ class ShardRouter:
             return results
         return self._query_epochs(boxes)
 
-    def _query_workers(self, boxes: list[Box], mode: str) -> list[int]:
-        """Answer boxes through the shard workers' tiered fronts (summed)."""
-        results = [0] * len(boxes)
+    def _scatter_boxes(self, op: str, boxes: list[Box], mode: str) -> list:
+        """Send every shard its clip of ``boxes``; ``(positions, reply)``
+        per shard that any box reaches."""
         targets = []
         payloads = []
         slots: list[list[int]] = []
-        for shard_id, handle in enumerate(self.handles):
-            extent = self.partitioner.extents[shard_id]
-            ids: list[int] = []
-            local: list[Box] = []
-            for i, box in enumerate(boxes):
-                sub = self.partitioner.local_box(box, extent)
-                if sub is not None:
-                    ids.append(i)
-                    local.append(sub)
-            if not local:
-                continue
-            targets.append(handle)
-            payloads.append((local, mode))
-            slots.append(ids)
-        for ids, reply in zip(slots, self._scatter(targets, "query", payloads)):
+        for handle, extent in zip(self.handles, self.partitioner.extents):
+            ids, local = self.partitioner.local_boxes(boxes, extent)
+            if local:
+                targets.append(handle)
+                payloads.append((local, mode))
+                slots.append(ids)
+        return list(zip(slots, self._scatter(targets, op, payloads)))
+
+    def _query_workers(self, boxes: list[Box], mode: str) -> list[int]:
+        """Answer boxes through the shard workers' tiered fronts (summed)."""
+        results = [0] * len(boxes)
+        for ids, reply in self._scatter_boxes("query", boxes, mode):
             for i, value in zip(ids, reply):
                 results[i] += int(value)
         return results
@@ -625,24 +617,7 @@ class ShardRouter:
         est = [0.0] * len(boxes)
         lo = [0] * len(boxes)
         hi = [0] * len(boxes)
-        targets = []
-        payloads = []
-        slots: list[list[int]] = []
-        for shard_id, handle in enumerate(self.handles):
-            extent = self.partitioner.extents[shard_id]
-            ids: list[int] = []
-            local: list[Box] = []
-            for i, box in enumerate(boxes):
-                sub = self.partitioner.local_box(box, extent)
-                if sub is not None:
-                    ids.append(i)
-                    local.append(sub)
-            if not local:
-                continue
-            targets.append(handle)
-            payloads.append((local, mode))
-            slots.append(ids)
-        for ids, reply in zip(slots, self._scatter(targets, "approx", payloads)):
+        for ids, reply in self._scatter_boxes("approx", boxes, mode):
             for i, (e, x, y) in zip(ids, reply):
                 est[i] += float(e)
                 lo[i] += int(x)
@@ -680,6 +655,10 @@ class ShardRouter:
 
     def total(self) -> int:
         return sum(self._scatter_all("total", None))
+
+    def ping(self) -> str:
+        """Liveness of the front itself; no shard is asked."""
+        return "pong"
 
     # -- durability ------------------------------------------------------------
 

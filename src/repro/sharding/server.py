@@ -5,13 +5,12 @@ length followed by a UTF-8 JSON document; requests carry ``{"op": ...}``
 plus op-specific fields, responses ``{"ok": true, "result": ...}`` or
 ``{"ok": false, "error": "<ErrorClass>", "message": ...}``.
 
-Ops
----
-
-``ping`` | ``total`` | ``query {box: {lower, upper}}`` |
-``query_many {boxes: [...]}`` | ``update {point, delta}`` |
-``update_many {points, deltas, mode?}`` | ``drain {limit?}`` |
-``retire {time}``
+The ops, their fields and their results are the rows of
+:data:`repro.sharding.ops.OPS` (tabulated in ``docs/API.md``, "Wire
+ops"); this module holds no second list.  A frame no row can read --
+not an object, unknown op, missing or ill-typed field -- is answered
+with a ``ProtocolError`` frame and the connection stays open; an error
+the cube raises crosses as its own class name.
 
 The router is synchronous and single-outstanding, so every request runs
 on a one-thread executor -- the event loop stays responsive (accepting
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import signal
 import socket
@@ -35,7 +35,14 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.errors import ReproError
-from repro.core.types import Box
+
+from repro.sharding.ops import (
+    BY_METHOD,
+    OPS,
+    ProtocolError,
+    decode_request,
+    encode_request,
+)
 
 _HEADER = struct.Struct(">I")
 MAX_FRAME = 64 << 20
@@ -46,11 +53,8 @@ def _encode(message: dict) -> bytes:
     return _HEADER.pack(len(data)) + data
 
 
-def _box_from_wire(spec: dict) -> Box:
-    return Box(
-        tuple(int(c) for c in spec["lower"]),
-        tuple(int(c) for c in spec["upper"]),
-    )
+def _failure(exc: ReproError) -> dict:
+    return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
 
 
 class ShardServer:
@@ -120,26 +124,15 @@ class ShardServer:
                     break
                 (length,) = _HEADER.unpack(header)
                 if length > MAX_FRAME:
-                    writer.write(
-                        _encode(
-                            {
-                                "ok": False,
-                                "error": "ProtocolError",
-                                "message": f"frame of {length} bytes refused",
-                            }
-                        )
-                    )
+                    refusal = ProtocolError(f"frame of {length} bytes refused")
+                    writer.write(_encode(_failure(refusal)))
                     await writer.drain()
                     break
                 payload = await reader.readexactly(length)
                 try:
                     request = json.loads(payload)
                 except ValueError:
-                    response = {
-                        "ok": False,
-                        "error": "ProtocolError",
-                        "message": "request is not valid JSON",
-                    }
+                    response = _failure(ProtocolError("request is not valid JSON"))
                 else:
                     response = await self._dispatch(request)
                 writer.write(_encode(response))
@@ -149,7 +142,7 @@ class ShardServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _dispatch(self, request: dict) -> dict:
+    async def _dispatch(self, request) -> dict:
         loop = asyncio.get_running_loop()
         self._inflight += 1
         self._idle.clear()
@@ -162,91 +155,24 @@ class ShardServer:
             if self._inflight == 0:
                 self._idle.set()
 
-    def _apply(self, request: dict) -> dict:
-        op = request.get("op")
+    def _apply(self, request) -> dict:
+        """Decode with the op's row, call its cube method, encode the result."""
         try:
-            if op == "ping":
-                return {"ok": True, "result": "pong"}
-            if op == "total":
-                return {"ok": True, "result": self.cube.total()}
-            if op == "query":
-                box = _box_from_wire(request["box"])
-                return {"ok": True, "result": self.cube.query(box)}
-            if op == "query_many":
-                boxes = [_box_from_wire(b) for b in request["boxes"]]
-                return {"ok": True, "result": self.cube.query_many(boxes)}
-            if op == "update":
-                self.cube.update(
-                    tuple(int(c) for c in request["point"]),
-                    int(request["delta"]),
-                )
-                return {"ok": True, "result": None}
-            if op == "update_many":
-                self.cube.update_many(
-                    request["points"],
-                    request["deltas"],
-                    mode=request.get("mode", "fast"),
-                )
-                return {"ok": True, "result": None}
-            if op == "topk":
-                queries = [
-                    (int(t1), int(t2), int(k))
-                    for t1, t2, k in request["queries"]
-                ]
-                nonnegative = bool(request.get("nonnegative", False))
-                if hasattr(self.cube, "topk_many"):
-                    ranked = self.cube.topk_many(
-                        queries, nonnegative=nonnegative
-                    )
-                else:
-                    from repro.ranking import TopKEngine
-
-                    engine = TopKEngine(self.cube, nonnegative=nonnegative)
-                    ranked = engine.topk_many(queries)
-                return {
-                    "ok": True,
-                    "result": [
-                        [[list(cell), value] for cell, value in result]
-                        for result in ranked
-                    ],
-                }
-            if op == "query_approx":
-                boxes = [_box_from_wire(b) for b in request["boxes"]]
-                if hasattr(self.cube, "query_many_approx"):
-                    estimates = [
-                        [float(e[0]), int(e[1]), int(e[2])]
-                        for e in self.cube.query_many_approx(boxes)
-                    ]
-                else:
-                    # no tiers anywhere behind this cube: exact answers
-                    estimates = [
-                        [float(v), int(v), int(v)]
-                        for v in self.cube.query_many(boxes)
-                    ]
-                return {"ok": True, "result": estimates}
-            if op == "drain":
-                applied, kept = self.cube.drain(request.get("limit"))
-                return {"ok": True, "result": [applied, kept]}
-            if op == "retire":
-                return {
-                    "ok": True,
-                    "result": self.cube.retire_before(int(request["time"])),
-                }
-            return {
-                "ok": False,
-                "error": "ProtocolError",
-                "message": f"unknown op {op!r}",
-            }
-        except ReproError as exc:
-            return {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
+            row, arguments = decode_request(request)
+            result = getattr(self.cube, row.method)(**arguments)
+            return {"ok": True, "result": row.result.encode(result)}
+        except ReproError as exc:  # ProtocolError included
+            return _failure(exc)
 
 
 class ShardClient:
-    """Tiny synchronous client for :class:`ShardServer` (tests, CLI)."""
+    """Tiny synchronous client for :class:`ShardServer` (tests, CLI).
+
+    Every row of :data:`~repro.sharding.ops.OPS` is a method named after
+    the cube method it calls (``update_many``, ``drain``,
+    ``retire_before``, ``topk_many``, ...), taking that method's wire
+    fields; only the singular conveniences are written out below.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -267,84 +193,28 @@ class ShardClient:
             n -= len(chunk)
         return b"".join(chunks)
 
-    # convenience wrappers -----------------------------------------------------
-
-    def _result(self, message: dict):
-        reply = self.request(message)
+    def call(self, op: str, *args, **kwargs):
+        """Send ``op`` with its row's fields; the decoded result, or raise."""
+        reply = self.request(encode_request(op, *args, **kwargs))
         if not reply.get("ok"):
             raise RuntimeError(f"{reply.get('error')}: {reply.get('message')}")
-        return reply.get("result")
+        return OPS[op].result.decode(reply.get("result"))
 
-    def ping(self) -> bool:
-        return self._result({"op": "ping"}) == "pong"
-
-    def total(self) -> int:
-        return self._result({"op": "total"})
-
-    @staticmethod
-    def _box_payload(box) -> dict:
-        # accept both the library's Box type and a bare (lower, upper) pair
-        lower = getattr(box, "lower", None)
-        if lower is not None:
-            return {"lower": list(lower), "upper": list(box.upper)}
-        lo, up = box
-        return {"lower": list(lo), "upper": list(up)}
+    def __getattr__(self, name: str):
+        row = BY_METHOD.get(name)
+        if row is None:
+            raise AttributeError(name)
+        return functools.partial(self.call, row.name)
 
     def query(self, lower, upper=None) -> int:
-        box = lower if upper is None else (lower, upper)
-        return self._result({"op": "query", "box": self._box_payload(box)})
-
-    def query_many(self, boxes) -> list[int]:
-        return self._result(
-            {
-                "op": "query_many",
-                "boxes": [self._box_payload(box) for box in boxes],
-            }
-        )
-
-    def topk_many(self, queries, nonnegative: bool = False):
-        results = self._result(
-            {
-                "op": "topk",
-                "queries": [[int(t1), int(t2), int(k)] for t1, t2, k in queries],
-                "nonnegative": nonnegative,
-            }
-        )
-        return [
-            [(tuple(cell), value) for cell, value in result]
-            for result in results
-        ]
+        return self.call("query", lower if upper is None else (lower, upper))
 
     def topk(self, t1: int, t2: int, k: int, nonnegative: bool = False):
         return self.topk_many([(t1, t2, k)], nonnegative=nonnegative)[0]
 
-    def query_many_approx(self, boxes) -> list[tuple[float, int, int]]:
-        return [
-            (float(e), int(lo), int(hi))
-            for e, lo, hi in self._result(
-                {
-                    "op": "query_approx",
-                    "boxes": [self._box_payload(box) for box in boxes],
-                }
-            )
-        ]
-
     def query_approx(self, lower, upper=None) -> tuple[float, int, int]:
         box = lower if upper is None else (lower, upper)
         return self.query_many_approx([box])[0]
-
-    def update(self, point, delta: int) -> None:
-        self._result({"op": "update", "point": list(point), "delta": delta})
-
-    def update_many(self, points, deltas, mode: str = "fast") -> None:
-        self._result(
-            {
-                "op": "update_many",
-                "points": [list(p) for p in points],
-                "deltas": list(deltas),
-                "mode": mode,
-            }
-        )
 
     def close(self) -> None:
         self._sock.close()

@@ -122,132 +122,136 @@ class ShardWorkerState:
             return None, None
         return int(times[0]), int(times[-1])
 
-    # -- request dispatch ------------------------------------------------------
+    def _durable(self, op: str) -> DurableCube:
+        if not isinstance(self.front, DurableCube):
+            raise DomainError(f"{op} requires a durable shard")
+        return self.front
 
-    def apply(self, op: str, payload):
-        """Returns ``(result, mutated)``."""
-        if op == "ping":
-            return None, False
-        if op == "ingest":
-            points, deltas, historic, mode = payload
-            if self._buffered_front is not None:
-                # route through self.front so a durable wrapper WAL-logs
-                # the router's global historic/in-order classification
-                in_order = ~historic
-                if mode == "metered":
-                    for point, delta, hist in zip(points, deltas, historic):
-                        if hist:
-                            self.front.update_many(
-                                np.asarray([point]), [delta], mode="buffer"
-                            )
-                        else:
-                            self.front.update(tuple(point), int(delta))
+    # -- the shard ops (payload in, result out) ---------------------------------
+
+    def _ingest(self, payload) -> None:
+        # always through self.front, so that a durable wrapper WAL-logs the
+        # router's global historic/in-order classification
+        points, deltas, historic, mode = payload
+        if self._buffered_front is None:
+            self.front.update_many(points, deltas, mode=mode)
+        elif mode == "metered":
+            for point, delta, hist in zip(points, deltas, historic):
+                if hist:
+                    self.front.update_many(
+                        np.asarray([point]), [delta], mode="buffer"
+                    )
                 else:
-                    if bool(in_order.any()):
-                        self.front.update_many(
-                            points[in_order], deltas[in_order], mode=mode
-                        )
-                    if bool(historic.any()):
-                        self.front.update_many(
-                            points[historic], deltas[historic], mode="buffer"
-                        )
-            else:
-                self.front.update_many(points, deltas, mode=mode)
-            return None, True
-        if op == "update":
-            point, delta = payload
-            self.front.update(point, delta)
-            return None, True
-        if op == "oob":
-            point, delta = payload
-            latest = self.kernel.directory.latest_time if self.kernel.directory else None
-            if latest is None or point[0] >= latest:
-                # globally historic but locally in-order: append
-                self.front.update(point, delta)
-            elif hasattr(self.front, "apply_out_of_order"):
-                self.front.apply_out_of_order(point, delta)
-            else:
-                self.kernel.apply_out_of_order(point, delta)
-            return self._times_stats(), True
-        if op == "drain":
-            if self._buffered_front is None:
-                return (0, 0, *self._times_stats()), False
-            applied, kept = self.front.drain(payload)
-            return (applied, kept, *self._times_stats()), True
-        if op == "retire":
-            retired = self.front.retire_before(payload)
-            return retired, True
-        if op == "demote":
-            if self._tiered_front is None:
-                raise DomainError("demote requires a tiered shard (tiers=...)")
-            demoted = self.front.demote_before(payload)
-            return demoted, True
-        if op == "query":
-            # cross-tier answering happens in the worker (tiles and
-            # rollups live here, not in the shared-memory epochs)
-            boxes, mode = payload
-            return self.front.query_many(boxes, mode=mode), False
-        if op == "topk":
-            # rank the shard's local cell domain; the router globalizes
-            # the cells by the shard extent's origin and merges (the
-            # cell partition is disjoint, so per-shard lists are exact)
-            queries, mode, nonnegative = payload
-            from repro.ranking import TopKEngine
+                    self.front.update(tuple(point), int(delta))
+        else:
+            in_order = ~historic
+            if bool(in_order.any()):
+                self.front.update_many(
+                    points[in_order], deltas[in_order], mode=mode
+                )
+            if bool(historic.any()):
+                self.front.update_many(
+                    points[historic], deltas[historic], mode="buffer"
+                )
 
-            engine = TopKEngine(
-                self.front,
-                slice_shape=self.config["slice_shape"],
-                nonnegative=nonnegative,
-            )
-            results = engine.topk_many(queries, mode=mode)
-            stats = [
-                (s.strategy, s.cells, s.marginal_boxes, s.materialized)
-                for s in engine.last_stats
-            ]
-            return (results, stats), False
-        if op == "approx":
-            boxes, mode = payload
-            tiered = self._tiered_front
-            if tiered is not None:
-                estimates = tiered.query_many_approx(boxes, mode=mode)
-                return [tuple(e) for e in estimates], False
-            # no tiers on this shard: every answer is exact
-            return [
-                (float(v), int(v), int(v))
-                for v in self.front.query_many(boxes, mode=mode)
-            ], False
-        if op == "probe_retire":
-            times = self.kernel.directory.times()
-            below = [t for t in times if t < payload]
-            return (int(below[-1]) if below else None), False
-        if op == "probe_state":
-            first, last = self._times_stats()
-            retired_below = self.kernel.retired_instances
-            boundary = None
-            if retired_below > 0:
-                boundary = int(self.kernel.directory.times()[retired_below])
-            tiered = self._tiered_front
-            return {
-                "min_time": first,
-                "max_time": last,
-                "boundary_time": boundary,
-                "num_slices": self.kernel.num_slices,
-                "demoted_through": (
-                    tiered.demoted_through if tiered is not None else None
-                ),
-            }, False
-        if op == "total":
-            view = SnapshotView(self.snap, self.snap._current, owns_pin=False)
-            return view.total(), False
-        if op == "checkpoint":
-            if not isinstance(self.front, DurableCube):
-                raise DomainError("checkpoint requires a durable shard")
-            return self.front.checkpoint(), False
-        if op == "log_info":
-            if not isinstance(self.front, DurableCube):
-                raise DomainError("log_info requires a durable shard")
-            return self.front.log_info(), False
-        raise DomainError(f"unknown shard op {op!r}")
+    def _out_of_order(self, payload):
+        point, delta = payload
+        latest = self.kernel.directory.latest_time if self.kernel.directory else None
+        if latest is None or point[0] >= latest:
+            # globally historic but locally in-order: append
+            self.front.update(point, delta)
+        elif hasattr(self.front, "apply_out_of_order"):
+            self.front.apply_out_of_order(point, delta)
+        else:
+            self.kernel.apply_out_of_order(point, delta)
+        return self._times_stats()
+
+    def _drain(self, limit):
+        # the router asks buffered fleets only
+        applied, kept = self.front.drain(limit)
+        return (applied, kept, *self._times_stats())
+
+    def _demote(self, time) -> int:
+        if self._tiered_front is None:
+            raise DomainError("demote requires a tiered shard (tiers=...)")
+        return self.front.demote_before(time)
+
+    def _topk(self, payload):
+        # rank the shard's local cell domain; the router globalizes the
+        # cells by the shard extent's origin and merges (the cell
+        # partition is disjoint, so per-shard lists are exact)
+        queries, mode, nonnegative = payload
+        from repro.ranking import TopKEngine
+
+        engine = TopKEngine(
+            self.front,
+            slice_shape=self.config["slice_shape"],
+            nonnegative=nonnegative,
+        )
+        results = engine.topk_many(queries, mode=mode)
+        stats = [
+            (s.strategy, s.cells, s.marginal_boxes, s.materialized)
+            for s in engine.last_stats
+        ]
+        return results, stats
+
+    def _approx(self, payload):
+        boxes, mode = payload
+        tiered = self._tiered_front
+        if tiered is not None:
+            return [tuple(e) for e in tiered.query_many_approx(boxes, mode=mode)]
+        # no tiers on this shard: every answer is exact
+        return [
+            (float(v), int(v), int(v))
+            for v in self.front.query_many(boxes, mode=mode)
+        ]
+
+    def _probe_retire(self, time):
+        below = [t for t in self.kernel.directory.times() if t < time]
+        return int(below[-1]) if below else None
+
+    def _probe_state(self, payload) -> dict:
+        first, last = self._times_stats()
+        retired_below = self.kernel.retired_instances
+        boundary = None
+        if retired_below > 0:
+            boundary = int(self.kernel.directory.times()[retired_below])
+        tiered = self._tiered_front
+        return {
+            "min_time": first,
+            "max_time": last,
+            "boundary_time": boundary,
+            "num_slices": self.kernel.num_slices,
+            "demoted_through": (
+                tiered.demoted_through if tiered is not None else None
+            ),
+        }
+
+    #: shard op -> (handler(state, payload) -> result, does it mutate the shard)
+    ops = {
+        "ping": (lambda state, _: None, False),
+        "ingest": (_ingest, True),
+        "update": (lambda state, payload: state.front.update(*payload), True),
+        "oob": (_out_of_order, True),
+        "drain": (_drain, True),
+        "retire": (lambda state, time: state.front.retire_before(time), True),
+        "demote": (_demote, True),
+        # cross-tier answering happens in the worker (tiles and rollups live
+        # here, not in the shared-memory epochs)
+        "query": (lambda state, p: state.front.query_many(p[0], mode=p[1]), False),
+        "topk": (_topk, False),
+        "approx": (_approx, False),
+        "probe_retire": (_probe_retire, False),
+        "probe_state": (_probe_state, False),
+        "total": (
+            lambda state, _: SnapshotView(
+                state.snap, state.snap._current, owns_pin=False
+            ).total(),
+            False,
+        ),
+        "checkpoint": (lambda state, _: state._durable("checkpoint").checkpoint(), False),
+        "log_info": (lambda state, _: state._durable("log_info").log_info(), False),
+    }
 
     def close(self) -> None:
         if self.exporter is not None:
@@ -257,15 +261,36 @@ class ShardWorkerState:
             self.front.close()
 
 
-MUTATING_OPS = frozenset({"ingest", "update", "oob", "drain", "retire", "demote"})
+MUTATING_OPS = frozenset(
+    op for op, (_, mutates) in ShardWorkerState.ops.items() if mutates
+)
 
 
-def worker_main(conn, config: dict) -> None:
-    """Entry point of a shard worker process."""
+def serve(state, op: str, payload) -> tuple:
+    """Run one op against a shard (or reader) state: the reply frame
+    ``(status, result, descriptor)``.
+
+    A mutating op answers with the shard's freshly published epoch even
+    when it failed: it may have partially applied (the kernel publishes
+    in its ``finally``).  Every exception is carried in the frame; what
+    to do with one that is no :class:`ReproError` is the caller's policy.
+    """
+    if op not in state.ops:
+        return "error", DomainError(f"unknown shard op {op!r}"), None
+    handler, mutates = state.ops[op]
+    try:
+        status, result = "ok", handler(state, payload)
+    except Exception as exc:
+        status, result = "error", exc
+    return status, result, (state.publish() if mutates else None)
+
+
+def _serve_pipe(conn, build_state) -> None:
+    """The request loop of a worker or reader process."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     stop = []
     signal.signal(signal.SIGTERM, lambda *_: stop.append(True))
-    state = ShardWorkerState(config)
+    state = build_state()
     try:
         conn.send(("ok", None, state.publish()))
         while True:
@@ -277,27 +302,32 @@ def worker_main(conn, config: dict) -> None:
                 op, payload, release_below = conn.recv()
             except EOFError:
                 break
-            if release_below is not None and state.exporter is not None:
+            if release_below is not None:
                 state.exporter.release_below(release_below)
             if op == "close":
                 conn.send(("ok", None, None))
                 break
-            try:
-                result, mutated = state.apply(op, payload)
-                descriptor = state.publish() if mutated else None
-                conn.send(("ok", result, descriptor))
-            except ReproError as exc:
-                # a failed op may still have partially applied (the
-                # kernel publishes in its finally); refresh the epoch
-                descriptor = state.publish() if op in MUTATING_OPS else None
-                conn.send(("error", exc, descriptor))
+            reply = serve(state, op, payload)
+            if reply[0] == "error" and not isinstance(reply[1], ReproError):
+                raise reply[1]  # fail stop: the router sees a dead process
+            conn.send(reply)
     finally:
         state.close()
         conn.close()
 
 
+def worker_main(conn, config: dict) -> None:
+    """Entry point of a shard worker process."""
+    _serve_pipe(conn, lambda: ShardWorkerState(config))
+
+
 class ReaderState:
     """Query evaluation over attached shard epochs (zero-copy)."""
+
+    ops = {
+        "query": (lambda self, payload: self.query_many(*payload), False),
+        "ping": (lambda self, payload: None, False),
+    }
 
     def __init__(self, partitioner: GridPartitioner) -> None:
         self.partitioner = partitioner
@@ -306,6 +336,10 @@ class ReaderState:
         self._views: dict[int, SnapshotView] = {}
         #: shard id -> the held shared-memory epoch's descriptor
         self._descriptors: dict[int, dict] = {}
+
+    def publish(self) -> None:
+        """Readers publish no epochs."""
+        return None
 
     def _attach(self, shard_id: int, descriptor) -> SnapshotView:
         """Bind a shard's newly published epoch to the evaluator."""
@@ -333,14 +367,9 @@ class ReaderState:
         results = np.zeros(len(boxes), dtype=np.int64)
         attached = False
         for shard_id, descriptor in descriptors.items():
-            extent = self.partitioner.extents[shard_id]
-            ids: list[int] = []
-            local = []
-            for i, box in enumerate(boxes):
-                sub = self.partitioner.local_box(box, extent)
-                if sub is not None:
-                    ids.append(i)
-                    local.append(sub)
+            ids, local = self.partitioner.local_boxes(
+                boxes, self.partitioner.extents[shard_id]
+            )
             if not local:
                 continue
             sequence = (
@@ -367,30 +396,7 @@ class ReaderState:
 
 
 def reader_main(conn, config: dict) -> None:
-    """Entry point of a reader process (the worker's frames, no epochs)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    state = ReaderState(GridPartitioner.from_config(config["partitioner"]))
-    try:
-        conn.send(("ok", None, None))
-        while True:
-            try:
-                op, payload, _ = conn.recv()
-            except EOFError:
-                break
-            if op == "close":
-                conn.send(("ok", None, None))
-                break
-            try:
-                if op == "query":
-                    descriptors, boxes = payload
-                    conn.send(("ok", state.query_many(descriptors, boxes), None))
-                elif op == "ping":
-                    conn.send(("ok", None, None))
-                else:
-                    raise DomainError(f"unknown reader op {op!r}")
-            except ReproError as exc:
-                conn.send(("error", exc, None))
-    finally:
-        state.close()
-        conn.close()
+    """Entry point of a reader process (the worker's loop, no epochs)."""
+    _serve_pipe(
+        conn, lambda: ReaderState(GridPartitioner.from_config(config["partitioner"]))
+    )
