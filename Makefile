@@ -32,9 +32,9 @@ lint:
 	ruff check src tests benchmarks
 
 # Code lines (not blank, not a comment-only line) of src/repro, of the
-# serving path (src/repro minus the paper-reproduction packages) and of
-# src/repro/sharding.  ROADMAP tracks the second number; nothing enforces
-# a threshold.
+# serving path (src/repro minus the paper-reproduction packages), of
+# src/repro/sharding and of src/repro/durability.  ROADMAP tracks the
+# second number; nothing enforces a threshold.
 loc:
 	@count() { xargs grep -vcE '^[[:space:]]*(#|$$)' | awk -F: '{n += $$2} END {print n}'; }; \
 	echo "src/repro code lines: $$(find src/repro -name '*.py' | count)"; \
@@ -42,4 +42,5 @@ loc:
 		-not -path 'src/repro/trees/*' -not -path 'src/repro/rolap/*' \
 		-not -path 'src/repro/olap/*' -not -path 'src/repro/experiments/*' \
 		-not -path 'src/repro/storage/paged_cube.py' | count)"; \
-	echo "src/repro/sharding code lines: $$(find src/repro/sharding -name '*.py' | count)"
+	echo "src/repro/sharding code lines: $$(find src/repro/sharding -name '*.py' | count)"; \
+	echo "src/repro/durability code lines: $$(find src/repro/durability -name '*.py' | count)"

@@ -259,7 +259,20 @@ def _checkpoint_demoted_through(directory, manifest) -> int | None:
     return None if value == np.iinfo(np.int64).min else value
 
 
-def _cmd_log_info(directory: str) -> int:
+def _shard_directories(directory) -> list | None:
+    """The per-shard durable directories of a directory that
+    ``serve --durable-dir`` wrote; ``None`` for any other directory."""
+    from pathlib import Path
+
+    from repro.sharding.cube import MANIFEST_NAME
+
+    if not (Path(directory) / MANIFEST_NAME).exists():
+        return None
+    return sorted(p for p in Path(directory).glob("shard-*") if p.is_dir())
+
+
+def _log_info(directory) -> dict:
+    """One durable cube's log and manifest, read-only."""
     from pathlib import Path
 
     from repro.durability.checkpoint import read_manifest
@@ -294,6 +307,20 @@ def _cmd_log_info(directory: str) -> int:
             info["demoted_through"] = _checkpoint_demoted_through(
                 Path(directory), manifest
             )
+    return info
+
+
+def _cmd_log_info(directory: str) -> int:
+    shards = _shard_directories(directory)
+    if shards is None:
+        info = _log_info(directory)
+    else:
+        per_shard = {path.name: _log_info(path) for path in shards}
+        info = {
+            "records": sum(shard["records"] for shard in per_shard.values()),
+            "torn_tail": any(shard["torn_tail"] for shard in per_shard.values()),
+            "shards": per_shard,
+        }
     print(json.dumps(info, indent=2))
     return 0
 
@@ -427,6 +454,15 @@ def main(argv: list[str] | None = None) -> int:
         help="tile directory root for tiered non-durable shards",
     )
     args = parser.parse_args(argv)
+    if args.command in ("checkpoint", "recover", "demote") and (
+        _shard_directories(args.directory) is not None
+    ):
+        parser.error(
+            f"{args.directory} holds a sharded cube (sharding.json beside "
+            f"shard-NN/ directories) and `{args.command}` works on one durable "
+            "cube: run it on a shard-NN/ subdirectory, or reopen the whole "
+            "cube with `python -m repro serve --durable-dir`"
+        )
     if args.command == "demo":
         return _demo()
     if args.command == "checkpoint":

@@ -16,8 +16,14 @@ Recovery = latest checkpoint + tail replay:
 1. read the manifest (atomic-rename published, so always consistent);
 2. rebuild the configured front-end (:func:`build_front`) and, when a
    checkpoint archive exists, restore its state from it;
-3. open the log for append, which truncates a torn final record;
+3. open the log for append, which truncates a torn final record (and
+   refuses a committed one this build cannot decode);
 4. replay every record with LSN > the manifest's covered LSN.
+
+Which mutations are logged, what each needs of the front and how each
+is replayed is the record table, :data:`repro.durability.wal.RECORD_TYPES`:
+the logged methods and :meth:`DurableCube._replay_record` are each
+written once and read its rows.
 
 Replay guards: a record whose application failed originally (an
 append-order violation surfaced to the caller, a correction into the
@@ -35,8 +41,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.errors import DomainError, RecoveryError, ReproError, StorageError
 from repro.core.types import Box
 from repro.durability.checkpoint import (
@@ -46,22 +50,14 @@ from repro.durability.checkpoint import (
     write_checkpoint,
 )
 from repro.durability.wal import (
-    AdvanceRecord,
+    BY_CLASS,
+    RECORD_TYPES,
     CheckpointMarkerRecord,
-    DemoteRecord,
-    DrainRecord,
-    IntervalBatchRecord,
-    IntervalInsertRecord,
-    OutOfOrderBatchRecord,
-    OutOfOrderRecord,
-    RetireRecord,
-    UpdateBatchRecord,
-    UpdateRecord,
     WriteAheadLog,
-    _MODE_CODES,
+    log_record,
 )
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.extent import ExtentCube, _as_interval
+from repro.ecube.extent import ExtentCube
 from repro.ecube.factory import build_kernel
 from repro.metrics import CostCounter
 from repro.storage.mmap_npz import open_checkpoint
@@ -120,83 +116,66 @@ def _tiers_config(tiers) -> list[dict] | None:
     return TierPolicy.from_config(tiers).to_config()
 
 
-def _unavailable(op: str, needs: str) -> DomainError:
-    return DomainError(f"{op}() requires {needs} durable cube")
-
-
-def _check_mode(mode) -> None:
-    """Refuse a batch mode the log cannot encode, before logging."""
-    if mode not in _MODE_CODES:
-        raise DomainError(f"unknown execution mode {mode!r}")
-
-
-def check_drain_limit(limit) -> None:
-    """``drain(limit)`` takes ``None`` or a non-negative integer."""
-    if limit is not None and not (
-        isinstance(limit, (int, np.integer)) and limit >= 0
-    ):
-        raise DomainError(
-            f"drain limit must be None or a non-negative integer, got {limit!r}"
-        )
-
-
-def _replay_out_of_order_batch(durable, record) -> None:
-    # mirror apply_out_of_order_many's schedule (newest time first,
-    # stable) *and* its failure behaviour: the original loop stopped at
-    # the first raising correction, leaving the earlier ones applied.
-    # The aged-out case in particular must not resurrect retired detail
-    # during replay.
-    kernel = durable.cube
-    for i in np.argsort(record.points[:, 0], kind="stable")[::-1]:
-        point = tuple(int(c) for c in record.points[i])
-        kernel.apply_out_of_order(point, int(record.deltas[i]))
-
-
-# Replay calls, ``(durable, record) -> result``.  A call that returns
-# ``False`` or raises a :class:`ReproError` skipped its record, as the
-# original call did; a record type missing from the directory's table is
-# one its front kind never logs.
-_REPLAY_EITHER = {
-    RetireRecord: lambda d, r: d.front.retire_before(r.time),
-    DrainRecord: lambda d, r: d.buffered and d.front.drain(r.limit),
-    CheckpointMarkerRecord: lambda d, r: True,
+#: front kind (a record row's ``needs``) -> how a refusal names it, and
+#: the :class:`DurableCube` flags it requires.  A cube that contradicts
+#: the ``extent`` flag holds the other kind of object; any other unmet
+#: flag is a capability its front lacks.
+FRONT_KINDS = {
+    "any": ("", {}),
+    "point": ("a point-object", {"extent": False}),
+    "unbuffered point": (
+        "an unbuffered point-object",
+        {"extent": False, "buffered": False},
+    ),
+    "buffered": ("a buffered", {"buffered": True}),
+    "tiered": ("a tiered (tiers=...)", {"extent": False, "tiered": True}),
+    "extent": ("a TT-extent (extent=True)", {"extent": True}),
 }
-#: ``DurableCube.extent`` -> record type -> replay call
-_REPLAY = {
-    False: {
-        **_REPLAY_EITHER,
-        UpdateRecord: lambda d, r: d.front.update(r.point, r.delta),
-        UpdateBatchRecord: lambda d, r: d.front.update_many(
-            r.points, r.deltas, mode=r.mode
-        ),
-        OutOfOrderRecord: lambda d, r: d.cube.replay_out_of_order(r.point, r.delta),
-        OutOfOrderBatchRecord: _replay_out_of_order_batch,
-        DemoteRecord: lambda d, r: d.tiered and d.front.demote_before(r.time),
-    },
-    True: {
-        **_REPLAY_EITHER,
-        IntervalInsertRecord: lambda d, r: d.front.insert(
-            (r.start, r.end), r.cell, r.value
-        ),
-        IntervalBatchRecord: lambda d, r: d.front.insert_many(
-            r.intervals, r.cells, r.values, mode=r.mode
-        ),
-        AdvanceRecord: lambda d, r: d.front.advance(r.time),
-    },
-}
+
+
+def _unmet(cube, row) -> list[str]:
+    """The flags ``row``'s front kind requires and ``cube`` does not have."""
+    flags = FRONT_KINDS[row.needs][1]
+    return [flag for flag, want in flags.items() if getattr(cube, flag) != want]
+
+
+def _logged(row):
+    """The :class:`DurableCube` method that logs ``row``'s record:
+    gate, normalise, one ``wal.append``, one front call."""
+    phrase = FRONT_KINDS[row.needs][0]
+
+    def method(self, *args, **kwargs):
+        if _unmet(self, row):
+            raise DomainError(f"{row.method}() requires {phrase} durable cube")
+        record = log_record(row, *args, **kwargs)
+        if record is None:  # an empty batch
+            return row.empty
+        self.wal.append(record)
+        return row.apply(self, record)
+
+    method.__name__ = row.method
+    method.__qualname__ = f"DurableCube.{row.method}"
+    method.__doc__ = (
+        f"Log one :class:`~repro.durability.wal.{row.cls.__name__}`, then "
+        "apply it to the front"
+        + (f" (refused unless this is {phrase} durable cube)." if phrase else ".")
+    )
+    return method
 
 
 class DurableCube:
     """A cube front with write-ahead logging and checkpoints.
 
-    Every cube takes :meth:`retire_before`; point-object cubes take
-    :meth:`update` / :meth:`update_many`, unbuffered ones also
-    :meth:`apply_out_of_order` / :meth:`apply_out_of_order_many`, buffered
-    ones (extent included) :meth:`drain`, tiered ones
-    :meth:`demote_before`, and extent cubes :meth:`insert` /
-    :meth:`insert_many` / :meth:`advance`.  A mutation the configured
-    front does not have raises :class:`~repro.core.errors.DomainError`
-    before anything is logged.
+    The logged mutations are the rows of
+    :data:`~repro.durability.wal.RECORD_TYPES`, each installed under its
+    row's method name with the front's own signature: every cube takes
+    ``retire_before``; point-object cubes take ``update`` /
+    ``update_many``, unbuffered ones also ``apply_out_of_order`` /
+    ``apply_out_of_order_many``, buffered ones (extent included)
+    ``drain``, tiered ones ``demote_before``, and extent cubes
+    ``insert`` / ``insert_many`` / ``advance``.  A mutation the
+    configured front does not have raises
+    :class:`~repro.core.errors.DomainError` before anything is logged.
 
     Parameters
     ----------
@@ -343,129 +322,6 @@ class DurableCube:
         info["covered_lsn"] = self._manifest.covered_lsn
         info["checkpoint_file"] = self._manifest.checkpoint_file
         return info
-
-    # -- logged mutations ---------------------------------------------------------
-
-    def update(self, point: Sequence[int], delta: int) -> None:
-        """Log, then apply one update (in-order, or buffered if late)."""
-        if self.extent:
-            raise _unavailable("update", "a point-object")
-        point = tuple(int(c) for c in point)
-        self.wal.append(UpdateRecord(point, int(delta)))
-        self.front.update(point, int(delta))
-
-    def update_many(
-        self,
-        points: Sequence[Sequence[int]] | np.ndarray,
-        deltas: Sequence[int] | np.ndarray,
-        mode: str = "fast",
-    ) -> None:
-        """Log the whole batch as one record, then apply it."""
-        if self.extent:
-            raise _unavailable("update_many", "a point-object")
-        _check_mode(mode)
-        points = np.asarray(points, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
-        if points.shape[0] == 0:
-            return
-        self.wal.append(UpdateBatchRecord(points, deltas, mode))
-        self.front.update_many(points, deltas, mode=mode)
-
-    def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
-        """Log, then cascade one historic correction (unbuffered cubes).
-
-        Buffered cubes take historic updates through :meth:`update` /
-        :meth:`update_many`; this is the unbuffered escape hatch.
-        """
-        if self.buffered:
-            raise _unavailable(
-                "apply_out_of_order", "an unbuffered point-object"
-            )
-        point = tuple(int(c) for c in point)
-        self.wal.append(OutOfOrderRecord(point, int(delta)))
-        self.front.apply_out_of_order(point, int(delta))
-
-    def apply_out_of_order_many(
-        self,
-        points: Sequence[Sequence[int]] | np.ndarray,
-        deltas: Sequence[int] | np.ndarray,
-    ) -> int:
-        if self.buffered:
-            raise _unavailable(
-                "apply_out_of_order_many", "an unbuffered point-object"
-            )
-        points = np.asarray(points, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
-        if points.shape[0] == 0:
-            return 0
-        self.wal.append(OutOfOrderBatchRecord(points, deltas))
-        return self.front.apply_out_of_order_many(points, deltas)
-
-    def retire_before(self, time: int) -> int:
-        """Log, then retire detail slices older than ``time``."""
-        self.wal.append(RetireRecord(int(time)))
-        return self.front.retire_before(int(time))
-
-    def demote_before(self, time: int) -> int:
-        """Log, then demote detail older than ``time`` into the tiers.
-
-        Only one record is logged: demotion is deterministic against the
-        cube state it runs on (the implied pre-demote drain included),
-        so replaying it after a crash rewrites byte-identical tiles and
-        rebuilds the same rollup slices.
-        """
-        if not self.tiered:
-            raise _unavailable("demote_before", "a tiered (tiers=...)")
-        self.wal.append(DemoteRecord(int(time)))
-        return self.front.demote_before(int(time))
-
-    def drain(self, limit: int | None = None) -> tuple[int, int]:
-        """Log, then drain the ``G_d`` buffer (both, on an extent cube)."""
-        if not self.buffered:
-            raise _unavailable("drain", "a buffered")
-        check_drain_limit(limit)
-        self.wal.append(DrainRecord(limit))
-        return self.front.drain(limit)
-
-    def insert(self, interval, cell: Sequence[int], value: int = 1) -> None:
-        """Log, then insert one interval object (extent cubes)."""
-        if not self.extent:
-            raise _unavailable("insert", "a TT-extent (extent=True)")
-        interval = _as_interval(interval)
-        cell = tuple(int(c) for c in cell)
-        self.wal.append(
-            IntervalInsertRecord(interval.start, interval.end, cell, int(value))
-        )
-        self.front.insert(interval, cell, int(value))
-
-    def insert_many(
-        self,
-        intervals: Sequence[Sequence[int]] | np.ndarray,
-        cells: Sequence[Sequence[int]] | np.ndarray,
-        values: Sequence[int] | np.ndarray | None = None,
-        mode: str = "fast",
-    ) -> None:
-        """Log the whole interval batch as one record, then apply it."""
-        if not self.extent:
-            raise _unavailable("insert_many", "a TT-extent (extent=True)")
-        _check_mode(mode)
-        intervals = np.asarray(intervals, dtype=np.int64)
-        cells = np.asarray(cells, dtype=np.int64)
-        if intervals.shape[0] == 0:
-            return
-        if values is None:
-            values = np.ones(intervals.shape[0], dtype=np.int64)
-        else:
-            values = np.asarray(values, dtype=np.int64)
-        self.wal.append(IntervalBatchRecord(intervals, cells, values, mode))
-        self.front.insert_many(intervals, cells, values, mode=mode)
-
-    def advance(self, time: int) -> int:
-        """Log, then move the logical clock (flushing due interval ends)."""
-        if not self.extent:
-            raise _unavailable("advance", "a TT-extent (extent=True)")
-        self.wal.append(AdvanceRecord(int(time)))
-        return self.front.advance(int(time))
 
     # -- pass-through queries -----------------------------------------------------
 
@@ -632,11 +488,15 @@ class DurableCube:
         self._manifest = manifest
         replayed = skipped = 0
         last_lsn = manifest.covered_lsn
-        for lsn, record in self.wal.replay(after_lsn=manifest.covered_lsn):
-            replayed += 1
-            last_lsn = lsn
-            if not self._replay_record(record):
-                skipped += 1
+        try:
+            for lsn, record in self.wal.replay(after_lsn=manifest.covered_lsn):
+                replayed += 1
+                last_lsn = lsn
+                if not self._replay_record(record):
+                    skipped += 1
+        except BaseException:
+            self.wal.close()  # no cube is returned to close it
+            raise
         self.recovery_info = {
             "checkpoint_id": manifest.checkpoint_id,
             "covered_lsn": manifest.covered_lsn,
@@ -647,14 +507,29 @@ class DurableCube:
         return self
 
     def _replay_record(self, record) -> bool:
-        """Apply one tail record; ``False`` = skipped (failed originally)."""
-        replay = _REPLAY[self.extent].get(type(record))
-        if replay is None:
+        """Apply one tail record; ``False`` = skipped.
+
+        Skipped is what the original call did too: it raised (the record
+        was logged first), or -- in a log this class did not write --
+        the front lacks the capability.  A record of the other object
+        kind cannot have been logged here at all.
+        """
+        row = BY_CLASS[type(record)]
+        unmet = _unmet(self, row)
+        if "extent" in unmet:
             raise RecoveryError(
                 f"cannot replay {type(record).__name__} into "
                 f"{'an extent' if self.extent else 'a point-object'} cube"
             )
+        if unmet:
+            return False
         try:
-            return replay(self, record) is not False
+            return row.replay(self, record) is not False
         except ReproError:
             return False
+
+
+# the logged mutations: gate -> normalise -> one append -> one front call
+for _row in RECORD_TYPES:
+    if _row.method is not None:
+        setattr(DurableCube, _row.method, _logged(_row))

@@ -1,11 +1,18 @@
 """The segmented write-ahead log.
 
-Every logical mutation of a durable cube appends exactly one record --
-an in-order update, a whole ``update_many`` batch, an out-of-order
-correction (single or batched), a ``retire_before``, a drain, or a
-checkpoint marker.  Because the TT-dimension is append-only, the log is
-written strictly sequentially and replayed strictly sequentially; there
-is no undo, no page-level logging and no seek.
+Every logical mutation of a durable cube appends exactly one record.
+Because the TT-dimension is append-only, the log is written strictly
+sequentially and replayed strictly sequentially; there is no undo, no
+page-level logging and no seek -- a record is a delta on top of a
+checkpoint, nothing more.
+
+The record types are the rows of :data:`RECORD_TYPES`.  A row is the
+one place a record type is spelled: its tag on disk, the name log-info
+prints, the record class, the body layout, the ``DurableCube`` method
+that logs it, the front kind that method needs and the call that
+replays it.  The codec here, ``inspect_log``, ``DurableCube``'s logged
+methods and its replay all read the rows, so a new logged operation is
+one row plus one golden frame in the tests.
 
 Physical format (all integers little-endian):
 
@@ -15,15 +22,26 @@ Physical format (all integers little-endian):
 * a record is framed as ``u32 payload length | u32 CRC32(payload) |
   payload``; the payload is ``u8 record type | u64 LSN | body``;
 * LSNs are assigned densely (1, 2, 3, ...) across segments; a segment's
-  base LSN is the LSN its first record will carry.
+  base LSN is the LSN its first record will carry;
+* a body has one of three shapes -- a *scalar* (one ``i64``, or ``u64``
+  for the checkpoint id; -1 stands for the drain limit ``None``), a
+  *vector* record ``u16 n | leading i64s | n x i64 | trailing i64s``
+  (``update``, ``out_of_order``, ``interval_insert``), or a *batch*
+  ``[u8 mode] | u32 n | u16 k | int64 columns`` (``update_batch``,
+  ``out_of_order_batch``, ``interval_batch``) -- and is exactly as long
+  as its own header implies.
 
 Torn tails: a crash can leave the final record half-written (short
-frame, short payload, or a CRC mismatch).  Opening the log for append
-*truncates* the partial record instead of failing -- the prefix up to
-the last intact record is the durable history.  The same damage in a
-non-final segment is real corruption and raises
-:class:`~repro.core.errors.StorageError` instead of silently dropping
-committed records.
+frame, short payload, a CRC mismatch, or an LSN out of sequence where
+stale bytes follow).  Opening the log for append *truncates* the
+partial record instead of failing -- the prefix up to the last intact
+record is the durable history.  The same damage in a non-final segment
+is real corruption and raises :class:`~repro.core.errors.StorageError`
+instead of silently dropping committed records.  A frame that checksums
+clean and carries the expected LSN is not torn, wherever it sits: if
+this build cannot decode it (a newer build's record type, a body that
+is not its type's shape) opening and replaying raise ``StorageError``
+and truncate nothing.
 
 Fsync policy (``"always" | "batch" | "off"``): ``always`` fsyncs after
 every appended record.  ``batch`` is a group commit: the log fsyncs by
@@ -41,16 +59,21 @@ like any other missing tail.
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 import struct
 import zlib
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
+from dataclasses import MISSING, dataclass, field, make_dataclass
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.errors import DomainError, StorageError
+from repro.core.types import TimeInterval
 
 #: Magic bytes opening every segment file.
 SEGMENT_MAGIC = b"ECWL"
@@ -67,353 +90,358 @@ _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
 
 FSYNC_POLICIES = ("always", "batch", "off")
 
-# -- record types ---------------------------------------------------------------
-
-TYPE_UPDATE = 1
-TYPE_UPDATE_BATCH = 2
-TYPE_OOB_UPDATE = 3
-TYPE_OOB_BATCH = 4
-TYPE_RETIRE = 5
-TYPE_DRAIN = 6
-TYPE_CHECKPOINT = 7
-TYPE_INTERVAL = 8
-TYPE_INTERVAL_BATCH = 9
-TYPE_ADVANCE = 10
-TYPE_DEMOTE = 11
-
-
-@dataclass(frozen=True)
-class UpdateRecord:
-    """One in-order (append-path) point update."""
-
-    point: tuple[int, ...]
-    delta: int
-
-    type = TYPE_UPDATE
-
-
-@dataclass(frozen=True)
-class UpdateBatchRecord:
-    """One whole ``update_many`` batch, logged as a single record.
-
-    ``mode`` is replayed too: the fast and metered paths reach identical
-    answers but different lazy-copy progress, and recovery reproduces
-    the original progress exactly.
-    """
-
-    points: np.ndarray  # (n, d) int64
-    deltas: np.ndarray  # (n,) int64
-    mode: str = "fast"
-
-    type = TYPE_UPDATE_BATCH
-
-    def __eq__(self, other) -> bool:  # ndarray fields need value equality
-        return (
-            isinstance(other, UpdateBatchRecord)
-            and self.mode == other.mode
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.deltas, other.deltas)
-        )
-
-
-@dataclass(frozen=True)
-class OutOfOrderRecord:
-    """One historic correction applied through ``apply_out_of_order``."""
-
-    point: tuple[int, ...]
-    delta: int
-
-    type = TYPE_OOB_UPDATE
-
-
-@dataclass(frozen=True)
-class OutOfOrderBatchRecord:
-    """One ``apply_out_of_order_many`` batch."""
-
-    points: np.ndarray
-    deltas: np.ndarray
-
-    type = TYPE_OOB_BATCH
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OutOfOrderBatchRecord)
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.deltas, other.deltas)
-        )
-
-
-@dataclass(frozen=True)
-class RetireRecord:
-    """A ``retire_before(time)`` data-aging call."""
-
-    time: int
-
-    type = TYPE_RETIRE
-
-
-@dataclass(frozen=True)
-class DrainRecord:
-    """A ``drain(limit)`` of the out-of-order buffer (-1 = unbounded)."""
-
-    limit: int | None
-
-    type = TYPE_DRAIN
-
-
-@dataclass(frozen=True)
-class CheckpointMarkerRecord:
-    """Marks the log position a checkpoint snapshot corresponds to."""
-
-    checkpoint_id: int
-
-    type = TYPE_CHECKPOINT
-
-
-@dataclass(frozen=True)
-class IntervalInsertRecord:
-    """One TT-extent object insert (Section 2.4): ``[start, end]`` at a cell."""
-
-    start: int
-    end: int
-    cell: tuple[int, ...]
-    value: int
-
-    type = TYPE_INTERVAL
-
-
-@dataclass(frozen=True)
-class IntervalBatchRecord:
-    """One whole ``ExtentCube.insert_many`` batch, logged as a single record."""
-
-    intervals: np.ndarray  # (n, 2) int64 start/end pairs
-    cells: np.ndarray  # (n, d-1) int64
-    values: np.ndarray  # (n,) int64
-    mode: str = "fast"
-
-    type = TYPE_INTERVAL_BATCH
-
-    def __eq__(self, other) -> bool:  # ndarray fields need value equality
-        return (
-            isinstance(other, IntervalBatchRecord)
-            and self.mode == other.mode
-            and np.array_equal(self.intervals, other.intervals)
-            and np.array_equal(self.cells, other.cells)
-            and np.array_equal(self.values, other.values)
-        )
-
-
-@dataclass(frozen=True)
-class AdvanceRecord:
-    """An explicit ``ExtentCube.advance(time)`` clock movement."""
-
-    time: int
-
-    type = TYPE_ADVANCE
-
-
-@dataclass(frozen=True)
-class DemoteRecord:
-    """A ``demote_before(time)`` tiered-retention call.
-
-    Demotion is deterministic given the cube state it runs against
-    (tiles are rewritten byte-identically on replay), so -- exactly like
-    :class:`RetireRecord` -- the horizon is all that needs logging.
-    """
-
-    time: int
-
-    type = TYPE_DEMOTE
-
-
-@dataclass(frozen=True)
-class UnknownRecord:
-    """A CRC-valid frame whose record type this build cannot decode.
-
-    Only produced by tolerant scans (``inspect_log``): diagnostics can
-    still report the frame's type and position instead of collapsing
-    the whole tail into an opaque "torn" verdict.  Replay never builds
-    these -- an unknown type there is a hard error, because skipping a
-    committed mutation would corrupt the recovered state.
-    """
-
-    rtype: int
-
-    @property
-    def type(self) -> int:
-        return self.rtype
-
-
-WalRecord = (
-    UpdateRecord
-    | UpdateBatchRecord
-    | OutOfOrderRecord
-    | OutOfOrderBatchRecord
-    | RetireRecord
-    | DrainRecord
-    | CheckpointMarkerRecord
-    | IntervalInsertRecord
-    | IntervalBatchRecord
-    | AdvanceRecord
-    | DemoteRecord
-)
+# -- body shapes ------------------------------------------------------------------
+#
+# A shape names its record's fields in constructor order, normalises a
+# caller's values into what the record holds (``None``: an empty batch,
+# nothing to log), packs them, and -- for ``_unpack`` -- declares its
+# header, how many bytes must follow a given header, and how to read them.
 
 #: "buffer" is the sharded tier's escape hatch: the router classified
 #: these points as globally historic, so replay must re-buffer them
 #: rather than re-deriving orderedness from the shard-local timeline
 _MODE_CODES = {"fast": 0, "metered": 1, "buffer": 2}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
+_I64 = np.dtype("<i8")
+
+
+def _mode_code(mode) -> int:
+    if mode not in _MODE_CODES:
+        raise DomainError(f"unknown execution mode {mode!r}")
+    return _MODE_CODES[mode]
+
+
+def check_drain_limit(limit) -> None:
+    """``drain(limit)`` takes ``None`` or a non-negative integer."""
+    if limit is not None and not (
+        isinstance(limit, (int, np.integer)) and limit >= 0
+    ):
+        raise DomainError(
+            f"drain limit must be None or a non-negative integer, got {limit!r}"
+        )
+
+
+class _Scalar:
+    """``<q`` (or ``<Q``): one integer.  Given a ``check``, the value may
+    also be ``None`` (stored as -1) and ``check`` vets it before logging."""
+
+    head = struct.Struct("<")  # no header: the size is the format's
+
+    def __init__(self, field: str, fmt: str = "<q", check=None) -> None:
+        self.fields = (field,)
+        self.defaults = {} if check is None else {field: None}
+        self._struct, self._check = struct.Struct(fmt), check
+
+    def normalise(self, value) -> tuple:
+        if self._check is None:
+            return (int(value),)
+        self._check(value)
+        return (value,)
+
+    def pack(self, value) -> bytes:
+        (value,) = self.normalise(value)
+        return self._struct.pack(-1 if value is None else value)
+
+    def extent(self) -> int:
+        return self._struct.size
+
+    def read(self, body: bytes) -> tuple:
+        (value,) = self._struct.unpack(body)
+        return (None if self._check is not None and value < 0 else value,)
+
+
+class _Vector:
+    """``H n | leading q's | n x q | trailing q's``: one coordinate vector
+    between fixed integer fields."""
+
+    head = struct.Struct("<H")
+    defaults = {}
+
+    def __init__(self, vector: str, pre=(), post=()) -> None:
+        self.fields = (*pre, vector, *post)
+        self._pre, self._fixed = len(pre), len(pre) + len(post)
+
+    def normalise(self, *values) -> tuple:
+        pre, vector, post = (
+            values[: self._pre], values[self._pre], values[self._pre + 1 :]
+        )
+        return (*map(int, pre), tuple(int(c) for c in vector), *map(int, post))
+
+    def pack(self, *values) -> bytes:
+        values = self.normalise(*values)
+        vector = values[self._pre]
+        flat = (*values[: self._pre], *vector, *values[self._pre + 1 :])
+        return struct.pack(f"<H{len(flat)}q", len(vector), *flat)
+
+    def extent(self, n: int) -> int:
+        return 8 * (self._fixed + n)
+
+    def read(self, body: bytes, n: int) -> tuple:
+        values = struct.unpack_from(f"<{self._fixed + n}q", body, self.head.size)
+        stop = self._pre + n
+        return (*values[: self._pre], values[self._pre : stop], *values[stop:])
+
+
+class _Batch:
+    """``[B mode] | I n | H k | int64 columns``: a whole batch in one record.
+
+    ``columns`` gives every array field its shape in terms of the
+    header's ``n`` and ``k`` -- ``("n", "k")`` for exactly one of them,
+    ``("n",)`` or ``("n", 2)`` for the others -- and the arrays follow
+    the header in that order, row-major.
+    """
+
+    def __init__(self, mode: bool, **columns) -> None:
+        self.fields = (*columns, *(("mode",) if mode else ()))
+        self.defaults = {"mode": "fast"} if mode else {}
+        self._columns = columns
+        self._keyed = [*columns.values()].index(("n", "k"))
+        self.head = struct.Struct("<BIH" if mode else "<IH")
+
+    def _shapes(self, n: int, k: int) -> list[tuple[int, ...]]:
+        sizes = {"n": n, "k": k}
+        return [
+            tuple(sizes.get(axis, axis) for axis in shape)
+            for shape in self._columns.values()
+        ]
+
+    def normalise(self, *values) -> tuple | None:
+        count = len(self._columns)
+        for mode in values[count:]:
+            _mode_code(mode)
+        arrays = [np.asarray(a, dtype=np.int64) for a in values[:count]]
+        return (*arrays, *values[count:]) if arrays[0].shape[0] else None
+
+    def pack(self, *values) -> bytes:
+        count = len(self._columns)
+        arrays = [np.ascontiguousarray(a, dtype=_I64) for a in values[:count]]
+        n = arrays[0].shape[0] if arrays[0].ndim else -1
+        k = arrays[self._keyed].shape[-1] if arrays[self._keyed].ndim else -1
+        if [a.shape for a in arrays] != self._shapes(n, k):
+            needs = (
+                f"({', '.join(map(str, shape))}) {name}"
+                for name, shape in self._columns.items()
+            )
+            raise DomainError(f"batch record needs {', '.join(needs)}")
+        head = self.head.pack(*map(_mode_code, values[count:]), n, k)
+        return head + b"".join(a.tobytes() for a in arrays)
+
+    def extent(self, *head) -> int:
+        return 8 * sum(math.prod(shape) for shape in self._shapes(*head[-2:]))
+
+    def read(self, body: bytes, *head) -> tuple:
+        *mode, n, k = head
+        if mode and mode[0] not in _MODE_NAMES:
+            raise StorageError(f"unknown batch mode code {mode[0]}")
+        shapes = self._shapes(n, k)
+        stops = list(accumulate(math.prod(shape) for shape in shapes))
+        flat = np.frombuffer(body, dtype=_I64, offset=self.head.size)
+        arrays = (
+            part.reshape(shape).astype(np.int64)
+            for part, shape in zip(np.split(flat, stops[:-1]), shapes)
+        )
+        return (*arrays, *(_MODE_NAMES[code] for code in mode))
+
+
+def _unpack(layout, body: bytes) -> tuple:
+    """A body's field values.  The one length check of the codec: a body
+    is exactly as long as its own header says, or it is not read."""
+    if len(body) >= layout.head.size:
+        head = layout.head.unpack_from(body)
+        if len(body) == layout.head.size + layout.extent(*head):
+            return layout.read(body, *head)
+    raise StorageError(
+        f"a {len(body)}-byte record body is not the size its header implies"
+    )
+
+
+# -- record types: one row each ---------------------------------------------------
+
+
+class WalRecord:
+    """Base of the record classes: frozen dataclasses generated from
+    their row's body shape -- ``UpdateRecord(point, delta)``, positional
+    -- that compare by value, array fields included."""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
+
+
+#: ``tag`` is the u8 record type on disk, ``name`` what log-info prints,
+#: ``cls`` the record class (its fields are ``layout``'s), ``method`` the
+#: ``DurableCube`` method that logs it, ``needs`` the front kind that
+#: method needs (a key of ``recovery.FRONT_KINDS``), ``apply`` and
+#: ``replay`` the calls ``(durable, record) -> result`` behind the live
+#: method and behind recovery, ``bind`` what turns the method's
+#: arguments into a (raw) record and ``empty`` the method's answer to an
+#: empty batch.
+RecordType = namedtuple(
+    "RecordType", "tag name cls layout method needs apply replay bind empty"
+)
+
+
+def _row(
+    tag, name, cls_name, layout, method, needs, doc,
+    apply=None, replay=None, bind=None, empty=None,
+):
+    fields = [
+        (f, object, field(default=layout.defaults.get(f, MISSING)))
+        for f in layout.fields
+    ]
+    cls = make_dataclass(cls_name, fields, bases=(WalRecord,), frozen=True, eq=False)
+    cls.__doc__, cls.__module__ = doc, __name__
+    cls.type, cls.log_name = tag, name
+    if apply is None:  # the front's method of the same name, fields in order
+
+        def apply(durable, record):
+            return getattr(durable.front, method)(*vars(record).values())
+
+    return RecordType(
+        tag, name, cls, layout, method, needs, apply, replay or apply, bind or cls, empty
+    )
+
+
+def _insert_record(interval, cell, value=1):
+    if not isinstance(interval, TimeInterval):
+        # an inverted interval is refused here, before it is logged
+        interval = TimeInterval(*map(int, interval))
+    return IntervalInsertRecord(interval.start, interval.end, cell, value)
+
+
+def _insert_many_record(intervals, cells, values=None, mode="fast"):
+    if values is None:
+        values = np.ones(len(intervals), dtype=np.int64)
+    return IntervalBatchRecord(intervals, cells, values, mode)
+
+
+def _replay_out_of_order_batch(durable, record) -> None:
+    # mirror apply_out_of_order_many's schedule (newest time first,
+    # stable) *and* its failure behaviour: the original loop stopped at
+    # the first raising correction, leaving the earlier ones applied.
+    # The aged-out case in particular must not resurrect retired detail
+    # during replay.
+    kernel = durable.cube
+    for i in np.argsort(record.points[:, 0], kind="stable")[::-1]:
+        point = tuple(int(c) for c in record.points[i])
+        kernel.apply_out_of_order(point, int(record.deltas[i]))
+
+
+_POINT_DELTA = _Vector("point", post=("delta",))
+_POINTS_DELTAS = {"points": ("n", "k"), "deltas": ("n",)}
+_TIME = _Scalar("time")
+
+#: The log's vocabulary.  A new logged operation is one row here plus one
+#: golden frame in ``tests/test_durability_wal.py``.
+#:
+#: A batch record carries its ``mode`` because the fast and metered paths
+#: reach identical answers but different lazy-copy progress, and recovery
+#: reproduces the original progress exactly.  ``retire`` and ``demote``
+#: log nothing but their horizon: both are deterministic given the cube
+#: state they run against (demotion's implied drain included; its tiles
+#: are rewritten byte-identically on replay).  An out-of-order record is
+#: replayed through ``replay_out_of_order``, which refuses -- instead of
+#: resurrecting -- a time that a later ``retire`` aged out.
+RECORD_TYPES = (
+    _row(1, "update", "UpdateRecord", _POINT_DELTA, "update", "point",
+         "One in-order (append-path) point update."),
+    _row(2, "update_batch", "UpdateBatchRecord",
+         _Batch(True, **_POINTS_DELTAS), "update_many", "point",
+         "One whole ``update_many`` batch, logged as a single record."),
+    _row(3, "out_of_order", "OutOfOrderRecord", _POINT_DELTA,
+         "apply_out_of_order", "unbuffered point",
+         "One historic correction applied through ``apply_out_of_order``.",
+         replay=lambda d, r: d.cube.replay_out_of_order(r.point, r.delta)),
+    _row(4, "out_of_order_batch", "OutOfOrderBatchRecord",
+         _Batch(False, **_POINTS_DELTAS),
+         "apply_out_of_order_many", "unbuffered point",
+         "One ``apply_out_of_order_many`` batch.",
+         replay=_replay_out_of_order_batch, empty=0),
+    _row(5, "retire", "RetireRecord", _TIME, "retire_before", "any",
+         "A ``retire_before(time)`` data-aging call."),
+    _row(6, "drain", "DrainRecord", _Scalar("limit", check=check_drain_limit),
+         "drain", "buffered",
+         "A ``drain(limit)`` of the out-of-order buffer (``None`` = unbounded)."),
+    _row(7, "checkpoint_marker", "CheckpointMarkerRecord",
+         _Scalar("checkpoint_id", "<Q"), None, "any",  # checkpoint() logs it
+         "Marks the log position a checkpoint snapshot corresponds to.",
+         apply=lambda d, r: True),
+    _row(8, "interval_insert", "IntervalInsertRecord",
+         _Vector("cell", pre=("start", "end"), post=("value",)), "insert", "extent",
+         "One TT-extent object insert (Section 2.4): ``[start, end]`` at a cell.",
+         apply=lambda d, r: d.front.insert((r.start, r.end), r.cell, r.value),
+         bind=_insert_record),
+    _row(9, "interval_batch", "IntervalBatchRecord",
+         _Batch(True, intervals=("n", 2), cells=("n", "k"), values=("n",)),
+         "insert_many", "extent",
+         "One whole ``ExtentCube.insert_many`` batch, logged as a single record.",
+         bind=_insert_many_record),
+    _row(10, "advance", "AdvanceRecord", _TIME, "advance", "extent",
+         "An explicit ``ExtentCube.advance(time)`` clock movement."),
+    _row(11, "demote", "DemoteRecord", _TIME, "demote_before", "tiered",
+         "A ``demote_before(time)`` tiered-retention call."),
+)
+(
+    UpdateRecord,
+    UpdateBatchRecord,
+    OutOfOrderRecord,
+    OutOfOrderBatchRecord,
+    RetireRecord,
+    DrainRecord,
+    CheckpointMarkerRecord,
+    IntervalInsertRecord,
+    IntervalBatchRecord,
+    AdvanceRecord,
+    DemoteRecord,
+) = (row.cls for row in RECORD_TYPES)
+
+BY_TAG = {row.tag: row for row in RECORD_TYPES}
+BY_CLASS = {row.cls: row for row in RECORD_TYPES}
+
+
+def log_record(row, *args, **kwargs) -> WalRecord | None:
+    """What ``row.method(*args, **kwargs)`` logs: names and defaults
+    bound, values normalised; ``None`` when there is nothing to log."""
+    values = row.layout.normalise(*vars(row.bind(*args, **kwargs)).values())
+    return None if values is None else row.cls(*values)
+
+
+class UnknownRecord(NamedTuple):
+    """A committed frame this build cannot decode, as a tolerant scan
+    (``inspect_log``) reports it.  Replay never builds these: skipping a
+    committed mutation would corrupt the recovered state, so a strict
+    scan raises instead."""
+
+    type: int
+    log_name: str  # unknown_<tag>, or malformed_<name> under a known tag
 
 
 # -- codec ----------------------------------------------------------------------
 
 
-def _encode_points(points: np.ndarray, deltas: np.ndarray) -> bytes:
-    points = np.ascontiguousarray(points, dtype="<i8")
-    deltas = np.ascontiguousarray(deltas, dtype="<i8")
-    if points.ndim != 2 or deltas.shape != (points.shape[0],):
-        raise DomainError("batch record needs (n, d) points and (n,) deltas")
-    head = struct.pack("<IH", points.shape[0], points.shape[1])
-    return head + points.tobytes() + deltas.tobytes()
-
-
-def _decode_points(body: bytes, offset: int) -> tuple[np.ndarray, np.ndarray, int]:
-    n, ndim = struct.unpack_from("<IH", body, offset)
-    offset += 6
-    point_bytes = n * ndim * 8
-    points = np.frombuffer(body, dtype="<i8", count=n * ndim, offset=offset)
-    points = points.reshape(n, ndim).astype(np.int64)
-    offset += point_bytes
-    deltas = np.frombuffer(body, dtype="<i8", count=n, offset=offset).astype(
-        np.int64
-    )
-    offset += n * 8
-    return points, deltas, offset
-
-
 def encode_record(record: WalRecord, lsn: int) -> bytes:
     """Frame one record (length | crc | type | lsn | body) as bytes."""
-    if isinstance(record, (UpdateRecord, OutOfOrderRecord)):
-        point = tuple(int(c) for c in record.point)
-        body = struct.pack(
-            f"<H{len(point)}qq", len(point), *point, int(record.delta)
-        )
-    elif isinstance(record, UpdateBatchRecord):
-        body = struct.pack("<B", _MODE_CODES[record.mode]) + _encode_points(
-            record.points, record.deltas
-        )
-    elif isinstance(record, OutOfOrderBatchRecord):
-        body = _encode_points(record.points, record.deltas)
-    elif isinstance(record, RetireRecord):
-        body = struct.pack("<q", int(record.time))
-    elif isinstance(record, DrainRecord):
-        limit = -1 if record.limit is None else int(record.limit)
-        body = struct.pack("<q", limit)
-    elif isinstance(record, CheckpointMarkerRecord):
-        body = struct.pack("<Q", int(record.checkpoint_id))
-    elif isinstance(record, IntervalInsertRecord):
-        cell = tuple(int(c) for c in record.cell)
-        body = struct.pack(
-            f"<Hqq{len(cell)}qq",
-            len(cell),
-            int(record.start),
-            int(record.end),
-            *cell,
-            int(record.value),
-        )
-    elif isinstance(record, IntervalBatchRecord):
-        intervals = np.ascontiguousarray(record.intervals, dtype="<i8")
-        cells = np.ascontiguousarray(record.cells, dtype="<i8")
-        values = np.ascontiguousarray(record.values, dtype="<i8")
-        if (
-            intervals.ndim != 2
-            or intervals.shape[1] != 2
-            or cells.ndim != 2
-            or cells.shape[0] != intervals.shape[0]
-            or values.shape != (intervals.shape[0],)
-        ):
-            raise DomainError(
-                "interval batch record needs (n, 2) intervals, (n, k) cells "
-                "and (n,) values"
-            )
-        body = (
-            struct.pack("<B", _MODE_CODES[record.mode])
-            + struct.pack("<IH", intervals.shape[0], cells.shape[1])
-            + intervals.tobytes()
-            + cells.tobytes()
-            + values.tobytes()
-        )
-    elif isinstance(record, (AdvanceRecord, DemoteRecord)):
-        body = struct.pack("<q", int(record.time))
-    else:
+    row = BY_CLASS.get(type(record))
+    if row is None:
         raise DomainError(f"cannot encode {type(record).__name__}")
-    payload = _PREFIX.pack(record.type, int(lsn)) + body
+    body = row.layout.pack(*vars(record).values())
+    payload = _PREFIX.pack(row.tag, int(lsn)) + body
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def decode_payload(payload: bytes) -> tuple[int, WalRecord]:
-    """Decode one record payload into ``(lsn, record)``."""
-    rtype, lsn = _PREFIX.unpack_from(payload, 0)
-    body = payload[_PREFIX.size :]
-    if rtype in (TYPE_UPDATE, TYPE_OOB_UPDATE):
-        (ndim,) = struct.unpack_from("<H", body, 0)
-        values = struct.unpack_from(f"<{ndim}qq", body, 2)
-        cls = UpdateRecord if rtype == TYPE_UPDATE else OutOfOrderRecord
-        return lsn, cls(point=tuple(values[:-1]), delta=values[-1])
-    if rtype == TYPE_UPDATE_BATCH:
-        (mode_code,) = struct.unpack_from("<B", body, 0)
-        if mode_code not in _MODE_NAMES:
-            raise StorageError(f"unknown batch mode code {mode_code}")
-        points, deltas, _ = _decode_points(body, 1)
-        return lsn, UpdateBatchRecord(points, deltas, _MODE_NAMES[mode_code])
-    if rtype == TYPE_OOB_BATCH:
-        points, deltas, _ = _decode_points(body, 0)
-        return lsn, OutOfOrderBatchRecord(points, deltas)
-    if rtype == TYPE_RETIRE:
-        (time,) = struct.unpack_from("<q", body, 0)
-        return lsn, RetireRecord(time)
-    if rtype == TYPE_DRAIN:
-        (limit,) = struct.unpack_from("<q", body, 0)
-        return lsn, DrainRecord(None if limit < 0 else limit)
-    if rtype == TYPE_CHECKPOINT:
-        (checkpoint_id,) = struct.unpack_from("<Q", body, 0)
-        return lsn, CheckpointMarkerRecord(checkpoint_id)
-    if rtype == TYPE_INTERVAL:
-        (ndim,) = struct.unpack_from("<H", body, 0)
-        values = struct.unpack_from(f"<qq{ndim}qq", body, 2)
-        return lsn, IntervalInsertRecord(
-            start=values[0],
-            end=values[1],
-            cell=tuple(values[2:-1]),
-            value=values[-1],
-        )
-    if rtype == TYPE_INTERVAL_BATCH:
-        (mode_code,) = struct.unpack_from("<B", body, 0)
-        if mode_code not in _MODE_NAMES:
-            raise StorageError(f"unknown batch mode code {mode_code}")
-        n, ndim = struct.unpack_from("<IH", body, 1)
-        offset = 7
-        intervals = np.frombuffer(
-            body, dtype="<i8", count=n * 2, offset=offset
-        ).reshape(n, 2).astype(np.int64)
-        offset += n * 16
-        cells = np.frombuffer(
-            body, dtype="<i8", count=n * ndim, offset=offset
-        ).reshape(n, ndim).astype(np.int64)
-        offset += n * ndim * 8
-        values = np.frombuffer(
-            body, dtype="<i8", count=n, offset=offset
-        ).astype(np.int64)
-        return lsn, IntervalBatchRecord(
-            intervals, cells, values, _MODE_NAMES[mode_code]
-        )
-    if rtype == TYPE_ADVANCE:
-        (time,) = struct.unpack_from("<q", body, 0)
-        return lsn, AdvanceRecord(time)
-    if rtype == TYPE_DEMOTE:
-        (time,) = struct.unpack_from("<q", body, 0)
-        return lsn, DemoteRecord(time)
-    raise StorageError(f"unknown WAL record type {rtype}")
+    """Decode one record payload into ``(lsn, record)``; anything but a
+    known type over a body of exactly its shape is a
+    :class:`~repro.core.errors.StorageError`."""
+    if len(payload) < _PREFIX.size:
+        raise StorageError("record payload is too short to carry a type and an LSN")
+    rtype, lsn = _PREFIX.unpack_from(payload)
+    row = BY_TAG.get(rtype)
+    if row is None:
+        raise StorageError(f"unknown WAL record type {rtype}")
+    return lsn, row.cls(*_unpack(row.layout, payload[_PREFIX.size :]))
 
 
 # -- segment scanning -----------------------------------------------------------
@@ -427,35 +455,35 @@ class _ScanResult:
     base_lsn: int
 
 
-def _scan_segment(
-    path: Path,
-    decode: bool = True,
-    allow_partial_header: bool = False,
-    unknown_ok: bool = False,
-) -> _ScanResult | None:
-    """Walk a segment, stopping at the first damaged record.
+def _frame_at(data: bytes, offset: int, lsn: int) -> bytes | None:
+    """The payload of the frame at ``offset`` if it is intact and carries
+    ``lsn``; ``None`` where the write did not complete -- cut short, too
+    short to carry an LSN (as a zero-filled tail is), oversize, failing
+    its CRC, or out of sequence (an overwritten or misordered tail is
+    indistinguishable from a torn write)."""
+    start = offset + _FRAME.size
+    if start > len(data):
+        return None
+    length, crc = _FRAME.unpack_from(data, offset)
+    if not _PREFIX.size <= length <= min(MAX_RECORD_BYTES, len(data) - start):
+        return None
+    payload = data[start : start + length]
+    if zlib.crc32(payload) != crc or _PREFIX.unpack_from(payload)[1] != lsn:
+        return None
+    return payload
 
-    ``decode=False`` validates frames and extracts LSNs without building
-    record objects (used for log-info and compaction decisions).
 
-    ``unknown_ok=True`` keeps walking past CRC-valid frames whose record
-    type this build cannot decode, yielding :class:`UnknownRecord`
-    placeholders (diagnostics only -- replay must never skip a committed
-    mutation, so it scans strictly).
+def _scan_segment(path: Path, tolerant: bool = False) -> _ScanResult:
+    """Walk a segment up to its first torn frame.
 
-    ``allow_partial_header=True`` returns ``None`` instead of raising
-    when the file is shorter than a segment header: a crash between
-    :meth:`WriteAheadLog.roll_segment` creating the file and the header
-    write completing leaves exactly this -- a torn tail that holds no
-    durable records.  Only legal for the *final* segment when an intact
-    predecessor proves the file was freshly rolled; a sole short
-    segment is indistinguishable from lost committed history and stays
-    a hard error.
+    An intact frame *was* committed: if this build cannot decode it,
+    dropping it -- and everything after it -- would lose acknowledged
+    mutations, so that is a :class:`~repro.core.errors.StorageError` and
+    nothing is truncated.  ``tolerant=True`` (diagnostics only) walks
+    past such frames, yielding :class:`UnknownRecord` placeholders.
     """
     data = path.read_bytes()
     if len(data) < _HEADER.size:
-        if allow_partial_header:
-            return None
         raise StorageError(f"{path.name}: truncated segment header")
     magic, version, base_lsn = _HEADER.unpack_from(data, 0)
     if magic != SEGMENT_MAGIC:
@@ -468,40 +496,67 @@ def _scan_segment(
         )
     records: list[tuple[int, WalRecord]] = []
     offset = _HEADER.size
-    expected_lsn = base_lsn
-    torn = False
     while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            torn = True
-            break
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        if length > MAX_RECORD_BYTES or start + length > len(data):
-            torn = True
-            break
-        payload = data[start : start + length]
-        if zlib.crc32(payload) != crc:
-            torn = True
+        lsn = base_lsn + len(records)
+        payload = _frame_at(data, offset, lsn)
+        if payload is None:
             break
         try:
-            lsn, record = decode_payload(payload)
-        except (StorageError, struct.error):
-            if not unknown_ok or len(payload) < _PREFIX.size:
-                torn = True
-                break
-            # the frame checksummed clean, so its bytes are exactly what
-            # was written: report the undecodable type instead of torn
-            rtype, lsn = _PREFIX.unpack_from(payload, 0)
-            record = UnknownRecord(rtype)
-        if lsn != expected_lsn:
-            # an overwritten or misordered tail is indistinguishable from
-            # a torn write; the intact prefix is the durable history
-            torn = True
-            break
-        records.append((lsn, record if decode else None))
-        expected_lsn += 1
-        offset = start + length
-    return _ScanResult(records, offset, torn, base_lsn)
+            _, record = decode_payload(payload)
+        except StorageError as exc:
+            if not tolerant:
+                raise StorageError(
+                    f"{path.name}: the record at LSN {lsn} checksums clean "
+                    f"but this build cannot decode it ({exc}); refusing to "
+                    "drop committed history"
+                ) from exc
+            known = BY_TAG.get(payload[0])
+            record = UnknownRecord(
+                payload[0],
+                f"malformed_{known.name}" if known else f"unknown_{payload[0]}",
+            )
+        records.append((lsn, record))
+        offset += _FRAME.size + len(payload)
+    return _ScanResult(records, offset, offset < len(data), base_lsn)
+
+
+def _segments(directory: Path) -> list[Path]:
+    """A directory's segment files in sequence order (which, the sequence
+    number being zero-padded to a fixed width, is name order)."""
+    if not directory.is_dir():
+        return []
+    return sorted(
+        entry for entry in directory.iterdir() if _SEGMENT_RE.match(entry.name)
+    )
+
+
+def _scan_log(directory: Path, tolerant: bool = False):
+    """Scan a log's segments in order, yielding ``(path, scan)``.
+
+    A final file shorter than a segment header comes last with ``None``
+    for a scan: a crash between :meth:`WriteAheadLog.roll_segment`
+    creating the file and the header write completing leaves exactly
+    this -- a torn tail that holds no durable records.  Only legal after
+    an intact predecessor, which proves the file was freshly rolled; a
+    sole short segment is indistinguishable from lost committed history
+    and stays a hard error.  Of the segments before it only the last may
+    end torn -- anywhere else that is lost committed history too, which
+    a strict scan refuses.
+    """
+    paths = _segments(directory)
+    headed = len(paths)
+    while headed > 1 and paths[headed - 1].stat().st_size < _HEADER.size:
+        headed -= 1
+    for position, path in enumerate(paths[:headed]):
+        scan = _scan_segment(path, tolerant=tolerant)
+        if scan.torn and not (position == headed - 1 or tolerant):
+            raise StorageError(
+                f"{path.name}: damaged record in a non-final WAL "
+                "segment; committed history cannot be replayed"
+            )
+        yield path, scan
+    for path in paths[headed:]:
+        yield path, None
 
 
 # -- the log --------------------------------------------------------------------
@@ -542,36 +597,25 @@ class WriteAheadLog:
         self.segment_bytes = int(segment_bytes)
         self.group_commit = max(1, int(group_commit))
         self._handle: io.BufferedWriter | None = None
-        self._dirty = False
         #: records appended since the last sync (commit batching stat)
         self.appends_since_sync = 0
         self._open_tail()
 
     # -- segment discovery ------------------------------------------------------
 
-    def _segment_paths(self) -> list[tuple[int, Path]]:
-        found = []
-        for entry in self.directory.iterdir():
-            match = _SEGMENT_RE.match(entry.name)
-            if match:
-                found.append((int(match.group(1)), entry))
-        return sorted(found)
-
     def _segment_path(self, seq: int) -> Path:
         return self.directory / f"wal-{seq:08d}.log"
 
     def _open_tail(self) -> None:
         """Open the last segment for append, repairing a torn tail."""
-        segments = self._segment_paths()
-        if not segments:
+        # every earlier segment must scan intact; the last one is the tail
+        tail = deque(_scan_log(self.directory), maxlen=1)
+        if not tail:
             self._active_seq = 1
             self.next_lsn = 1
             self._start_segment()
             return
-        seq, tail_path = segments[-1]
-        scan = _scan_segment(
-            tail_path, decode=False, allow_partial_header=len(segments) > 1
-        )
+        tail_path, scan = tail.pop()
         if scan is None:
             # a crash landed between segment creation and header
             # completion (a record arriving exactly on the segment-size
@@ -581,19 +625,11 @@ class WriteAheadLog:
             self._fsync_directory()
             self._open_tail()
             return
-        # non-final segments must be fully intact
-        for _, path in segments[:-1]:
-            prior = _scan_segment(path, decode=False)
-            if prior.torn:
-                raise StorageError(
-                    f"{path.name}: damaged record in a non-final WAL "
-                    "segment; committed history cannot be replayed"
-                )
         if scan.torn:
             with open(tail_path, "r+b") as handle:
                 handle.truncate(scan.valid_bytes)
                 self._fsync_handle(handle)
-        self._active_seq = seq
+        self._active_seq = int(_SEGMENT_RE.match(tail_path.name).group(1))
         self.next_lsn = scan.base_lsn + len(scan.records)
         self._handle = open(tail_path, "ab")
 
@@ -643,8 +679,6 @@ class WriteAheadLog:
             self.fsync == "batch" and self.appends_since_sync >= self.group_commit
         ):
             self.commit()
-        else:
-            self._dirty = True
         return lsn
 
     def commit(self) -> None:
@@ -653,7 +687,6 @@ class WriteAheadLog:
             return
         self._handle.flush()
         self._fsync_handle(self._handle)
-        self._dirty = False
         self.appends_since_sync = 0
 
     def roll_segment(self) -> int:
@@ -684,22 +717,9 @@ class WriteAheadLog:
         Stops cleanly at a torn tail in the final segment; damage
         anywhere else raises :class:`~repro.core.errors.StorageError`.
         """
-        segments = self._segment_paths()
-        if len(segments) > 1:
-            tail = _scan_segment(
-                segments[-1][1], decode=False, allow_partial_header=True
-            )
-            if tail is None:
-                # pre-header tail garbage (crash during roll): no records
-                segments = segments[:-1]
-        for position, (_, path) in enumerate(segments):
-            scan = _scan_segment(path)
-            if scan.torn and position != len(segments) - 1:
-                raise StorageError(
-                    f"{path.name}: damaged record in a non-final WAL "
-                    "segment; committed history cannot be replayed"
-                )
-            for lsn, record in scan.records:
+        for _, scan in _scan_log(self.directory):
+            # (a header-less final segment -- a crash during roll -- has none)
+            for lsn, record in scan.records if scan is not None else ():
                 if lsn > after_lsn:
                     yield lsn, record
 
@@ -713,9 +733,9 @@ class WriteAheadLog:
         live in it); the active segment always stays.  Returns the names
         of the deleted files.
         """
-        segments = self._segment_paths()
+        segments = _segments(self.directory)
         dropped: list[str] = []
-        for (_, path), (_, next_path) in zip(segments, segments[1:]):
+        for path, next_path in zip(segments, segments[1:]):
             next_scan_base = _HEADER.unpack_from(
                 next_path.read_bytes()[: _HEADER.size], 0
             )[2]
@@ -729,7 +749,7 @@ class WriteAheadLog:
         return dropped
 
     def segments(self) -> list[str]:
-        return [path.name for _, path in self._segment_paths()]
+        return [path.name for path in _segments(self.directory)]
 
     def log_info(self) -> dict:
         """Summary of the physical log (for ``python -m repro log-info``)."""
@@ -747,70 +767,26 @@ class WriteAheadLog:
 
 def inspect_log(directory) -> dict:
     """Read-only summary of a WAL directory (no tail repair, no locks)."""
-    directory = Path(directory)
     segments = []
-    total_records = 0
-    torn = False
-    record_counts: dict[int, int] = {}
-    if directory.is_dir():
-        found = sorted(
-            (int(m.group(1)), entry)
-            for entry in directory.iterdir()
-            if (m := _SEGMENT_RE.match(entry.name))
-        )
-    else:
-        found = []
-    for position, (_, path) in enumerate(found):
-        scan = _scan_segment(
-            path,
-            allow_partial_header=position == len(found) - 1 and position > 0,
-            unknown_ok=True,
-        )
-        if scan is None:
-            segments.append(
-                {
-                    "file": path.name,
-                    "base_lsn": None,
-                    "records": 0,
-                    "bytes": path.stat().st_size,
-                    "torn_tail": True,
-                }
-            )
-            torn = True
-            continue
-        for _, record in scan.records:
-            record_counts[record.type] = record_counts.get(record.type, 0) + 1
+    record_counts: Counter = Counter()  # (tag, log-info name) -> frames
+    for path, scan in _scan_log(Path(directory), tolerant=True):
+        records = scan.records if scan is not None else []
+        record_counts.update((record.type, record.log_name) for _, record in records)
         segments.append(
             {
                 "file": path.name,
-                "base_lsn": scan.base_lsn,
-                "records": len(scan.records),
+                "base_lsn": scan.base_lsn if scan is not None else None,
+                "records": len(records),
                 "bytes": path.stat().st_size,
-                "torn_tail": scan.torn,
+                "torn_tail": scan is None or scan.torn,
             }
         )
-        total_records += len(scan.records)
-        torn = torn or scan.torn
-    type_names = {
-        TYPE_UPDATE: "update",
-        TYPE_UPDATE_BATCH: "update_batch",
-        TYPE_OOB_UPDATE: "out_of_order",
-        TYPE_OOB_BATCH: "out_of_order_batch",
-        TYPE_RETIRE: "retire",
-        TYPE_DRAIN: "drain",
-        TYPE_CHECKPOINT: "checkpoint_marker",
-        TYPE_INTERVAL: "interval_insert",
-        TYPE_INTERVAL_BATCH: "interval_batch",
-        TYPE_ADVANCE: "advance",
-        TYPE_DEMOTE: "demote",
-    }
     return {
         "format_version": WAL_FORMAT_VERSION,
-        "records": total_records,
+        "records": sum(segment["records"] for segment in segments),
         "record_counts": {
-            type_names.get(t, f"unknown_{t}"): n
-            for t, n in sorted(record_counts.items())
+            name: count for (_, name), count in sorted(record_counts.items())
         },
         "segments": segments,
-        "torn_tail": torn,
+        "torn_tail": any(segment["torn_tail"] for segment in segments),
     }

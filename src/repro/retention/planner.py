@@ -35,8 +35,9 @@ region being demoted can still cascade while it is live), preserves
 pinned snapshot epochs (the kernel's ``preserve_epochs`` discipline runs
 before the first payload is touched), and is deterministic: replaying
 the same ``demote_before`` against the same kernel state rewrites
-byte-identical tiles, which is what lets the durable layer replay a
-``TYPE_DEMOTE`` WAL record after a crash.
+byte-identical tiles, which is what lets the durable layer log a
+demotion as its horizon alone (the ``demote`` row of
+:data:`repro.durability.wal.RECORD_TYPES`) and replay it after a crash.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from repro.core.errors import (
     ShardUnavailableError,
 )
 from repro.core.types import Box
-from repro.durability.recovery import check_drain_limit
+from repro.durability.wal import check_drain_limit
 
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.worker import ReaderState, ShardWorkerState, serve

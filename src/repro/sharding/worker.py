@@ -37,7 +37,6 @@ from repro.durability.recovery import DurableCube, build_front
 from repro.metrics import CostCounter
 
 from repro.concurrent.snapshot import SnapshotCube, SnapshotView, prepare_epoch
-from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
     BlockCache,
@@ -84,6 +83,14 @@ class ShardWorkerState:
         self.shard_id = int(config["shard_id"])
         self.counter = CostCounter()
         self.front = _build_shard_front(config, self.counter)
+        #: what the front is, as declared -- by the durable cube (whose
+        #: manifest decides on recovery) or by the config -- never probed
+        self.durable = config.get("durable_dir") is not None
+        if self.durable:
+            self.buffered, self.tiered = self.front.buffered, self.front.tiered
+        else:
+            self.buffered = bool(config.get("buffered", False))
+            self.tiered = config.get("tiers") is not None
         self.snap = SnapshotCube(self.front)
         self.exporter = None
         if config.get("use_shm"):
@@ -96,19 +103,11 @@ class ShardWorkerState:
         return self.snap.kernel
 
     @property
-    def _buffered_front(self):
-        front = self.front
-        if isinstance(front, DurableCube):
-            front = front.front
-        front = getattr(front, "front", front)  # unwrap a TieredCube
-        return front if isinstance(front, BufferedEvolvingDataCube) else None
-
-    @property
     def _tiered_front(self):
-        front = self.front
-        if isinstance(front, DurableCube):
-            front = front.front
-        return front if hasattr(front, "demote_before") else None
+        """The ``TieredCube`` under the front, or ``None``."""
+        if not self.tiered:
+            return None
+        return self.front.front if self.durable else self.front
 
     def publish(self):
         """The current epoch, as a picklable shm descriptor or in-process."""
@@ -123,7 +122,7 @@ class ShardWorkerState:
         return int(times[0]), int(times[-1])
 
     def _durable(self, op: str) -> DurableCube:
-        if not isinstance(self.front, DurableCube):
+        if not self.durable:
             raise DomainError(f"{op} requires a durable shard")
         return self.front
 
@@ -133,7 +132,7 @@ class ShardWorkerState:
         # always through self.front, so that a durable wrapper WAL-logs the
         # router's global historic/in-order classification
         points, deltas, historic, mode = payload
-        if self._buffered_front is None:
+        if not self.buffered:
             self.front.update_many(points, deltas, mode=mode)
         elif mode == "metered":
             for point, delta, hist in zip(points, deltas, historic):
@@ -160,7 +159,8 @@ class ShardWorkerState:
         if latest is None or point[0] >= latest:
             # globally historic but locally in-order: append
             self.front.update(point, delta)
-        elif hasattr(self.front, "apply_out_of_order"):
+        elif self.durable or not self.buffered:
+            # a durable front logs it (and refuses it when buffered)
             self.front.apply_out_of_order(point, delta)
         else:
             self.kernel.apply_out_of_order(point, delta)
@@ -172,7 +172,7 @@ class ShardWorkerState:
         return (applied, kept, *self._times_stats())
 
     def _demote(self, time) -> int:
-        if self._tiered_front is None:
+        if not self.tiered:
             raise DomainError("demote requires a tiered shard (tiers=...)")
         return self.front.demote_before(time)
 
@@ -257,7 +257,7 @@ class ShardWorkerState:
         if self.exporter is not None:
             self.exporter.close()
             self.exporter = None
-        if isinstance(self.front, DurableCube):
+        if self.durable:
             self.front.close()
 
 

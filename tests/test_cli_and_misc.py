@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro
@@ -42,6 +44,54 @@ class TestCLI:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             repro_main(["frobnicate"])
+
+    def test_durable_commands_on_a_sharded_directory(self, tmp_path, capsys):
+        """What ``serve --durable-dir`` writes: ``sharding.json`` beside
+        one durable cube per ``shard-NN/``."""
+        from repro.sharding import ShardedCube
+
+        with ShardedCube(
+            (4, 4), shards=2, processes=False, durable_dir=tmp_path, fsync="off"
+        ) as cube:
+            cube.update_many([[0, 0, 0], [1, 3, 3], [2, 3, 0]], [1, 2, 3])
+            cube.retire_before(1)
+        assert repro_main(["log-info", str(tmp_path)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert sorted(info["shards"]) == ["shard-00", "shard-01"]
+        counts = [shard["record_counts"] for shard in info["shards"].values()]
+        assert all(shard["retire"] == 1 for shard in counts)
+        assert sum(shard["update_batch"] for shard in counts) >= 2
+        assert info["records"] == sum(s["records"] for s in info["shards"].values())
+        assert info["records"] >= 4 and info["torn_tail"] is False
+        for command in (["recover"], ["checkpoint"], ["demote", "--before", "1"]):
+            with pytest.raises(SystemExit) as refusal:
+                repro_main([*command, str(tmp_path)])
+            assert refusal.value.code == 2
+            message = capsys.readouterr().err
+            assert "sharded cube" in message and "missing manifest" not in message
+        # one shard of it is an ordinary durable cube
+        assert repro_main(["recover", str(tmp_path / "shard-00")]) == 0
+        assert json.loads(capsys.readouterr().out)["replayed_records"] >= 2
+
+    def test_log_info_reports_a_malformed_record_instead_of_a_traceback(
+        self, tmp_path, capsys
+    ):
+        import struct
+        import zlib
+
+        from repro.durability import DurableCube
+        from repro.durability.recovery import WAL_SUBDIR
+
+        with DurableCube((4, 4), tmp_path, fsync="off") as cube:
+            cube.update((0, 1, 1), 2)
+        # a CRC-valid update_batch whose header promises n=1000, k=3
+        payload = struct.pack("<BQ", 2, 2) + struct.pack("<BIH", 0, 1000, 3)
+        (segment,) = (tmp_path / WAL_SUBDIR).iterdir()
+        with open(segment, "ab") as handle:
+            handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)
+        assert repro_main(["log-info", str(tmp_path)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["record_counts"] == {"update": 1, "malformed_update_batch": 1}
 
 
 class TestErrorHierarchy:

@@ -22,6 +22,8 @@ from repro.core.errors import DomainError, StorageError
 from repro.durability.wal import (
     _FRAME,
     _HEADER,
+    _PREFIX,
+    RECORD_TYPES,
     SEGMENT_MAGIC,
     AdvanceRecord,
     CheckpointMarkerRecord,
@@ -66,8 +68,7 @@ def oob_batch_records(draw):
 
 
 @st.composite
-def point_records(draw):
-    cls = draw(st.sampled_from([UpdateRecord, OutOfOrderRecord]))
+def point_records(draw, cls):
     ndim = draw(st.integers(1, 5))
     point = tuple(draw(COORD) for _ in range(ndim))
     return cls(point, draw(DELTA))
@@ -96,17 +97,80 @@ def interval_batch_records(draw):
     )
 
 
-RECORDS = st.one_of(
-    point_records(),
-    update_batch_records(),
-    oob_batch_records(),
-    interval_records(),
-    interval_batch_records(),
-    st.builds(RetireRecord, time=COORD),
-    st.builds(DrainRecord, limit=st.one_of(st.none(), st.integers(0, 2**32))),
-    st.builds(CheckpointMarkerRecord, checkpoint_id=st.integers(0, 2**62)),
-    st.builds(AdvanceRecord, time=COORD),
-)
+#: log-info name of a row -> arbitrary records of its type
+STRATEGIES = {
+    "update": point_records(UpdateRecord),
+    "update_batch": update_batch_records(),
+    "out_of_order": point_records(OutOfOrderRecord),
+    "out_of_order_batch": oob_batch_records(),
+    "retire": st.builds(RetireRecord, time=COORD),
+    "drain": st.builds(DrainRecord, limit=st.one_of(st.none(), st.integers(0, 2**32))),
+    "checkpoint_marker": st.builds(
+        CheckpointMarkerRecord, checkpoint_id=st.integers(0, 2**62)
+    ),
+    "interval_insert": interval_records(),
+    "interval_batch": interval_batch_records(),
+    "advance": st.builds(AdvanceRecord, time=COORD),
+    "demote": st.builds(DemoteRecord, time=COORD),
+}
+RECORDS = st.one_of(*STRATEGIES.values())
+
+_POINTS = np.array([[3, 1, 2], [4, 0, 3]], dtype=np.int64)
+_DELTAS = np.array([5, -2], dtype=np.int64)
+#: Bytes on disk, pinned: one ``(record, frame hex at LSN 40 + position)``
+#: per row of the record table, as commit e4e8b7e wrote them.  A new row
+#: needs a frame here.
+GOLDEN_FRAMES = [
+    (
+        UpdateRecord((3, 1, 2), -7),
+        "2b000000f20978b0012800000000000000030003000000000000000100"
+        "0000000000000200000000000000f9ffffffffffffff",
+    ),
+    (
+        UpdateBatchRecord(_POINTS, _DELTAS, "buffer"),
+        "50000000079f8957022900000000000000020200000003000300000000"
+        "0000000100000000000000020000000000000004000000000000000000"
+        "00000000000003000000000000000500000000000000feffffffffffff"
+        "ff",
+    ),
+    (
+        OutOfOrderRecord((1, 0, 3), 9),
+        "2b000000e300932d032a00000000000000030001000000000000000000"
+        "00000000000003000000000000000900000000000000",
+    ),
+    (
+        OutOfOrderBatchRecord(_POINTS, _DELTAS),
+        "4f000000a380846b042b00000000000000020000000300030000000000"
+        "0000010000000000000002000000000000000400000000000000000000"
+        "000000000003000000000000000500000000000000feffffffffffffff",
+    ),
+    (RetireRecord(12), "11000000cba0f3da052c000000000000000c00000000000000"),
+    (DrainRecord(None), "11000000e47fc834062d00000000000000ffffffffffffffff"),
+    (
+        CheckpointMarkerRecord(4),
+        "11000000da0e8a5a072e000000000000000400000000000000",
+    ),
+    (
+        IntervalInsertRecord(-3, 9, (2, 0), 6),
+        "33000000ee7fe8d1082f000000000000000200fdffffffffffffff0900"
+        "0000000000000200000000000000000000000000000006000000000000"
+        "00",
+    ),
+    (
+        IntervalBatchRecord(
+            np.array([[0, 4], [2, 2]], dtype=np.int64),
+            np.array([[1, 3], [0, 2]], dtype=np.int64),
+            np.array([5, -1], dtype=np.int64),
+            "metered",
+        ),
+        "60000000b3786d50093000000000000000010200000002000000000000"
+        "0000000400000000000000020000000000000002000000000000000100"
+        "0000000000000300000000000000000000000000000002000000000000"
+        "000500000000000000ffffffffffffffff",
+    ),
+    (AdvanceRecord(17), "1100000023cba2140a31000000000000001100000000000000"),
+    (DemoteRecord(8), "11000000929e38d90b32000000000000000800000000000000"),
+]
 
 
 class TestCodec:
@@ -129,68 +193,56 @@ class TestCodec:
         length, crc = _FRAME.unpack_from(bytes(frame), 0)
         assert zlib.crc32(bytes(frame[_FRAME.size :])) != crc
 
+    def test_every_row_is_drawn_by_the_round_trip(self):
+        assert sorted(STRATEGIES) == sorted(row.name for row in RECORD_TYPES)
+
     def test_frames_are_byte_identical_to_the_recorded_ones(self):
-        """Bytes on disk, pinned: the hex is what commit e4e8b7e wrote."""
-        points = np.array([[3, 1, 2], [4, 0, 3]], dtype=np.int64)
-        deltas = np.array([5, -2], dtype=np.int64)
-        golden = [
-            (
-                UpdateRecord((3, 1, 2), -7),
-                "2b000000f20978b0012800000000000000030003000000000000000100"
-                "0000000000000200000000000000f9ffffffffffffff",
-            ),
-            (
-                UpdateBatchRecord(points, deltas, "buffer"),
-                "50000000079f8957022900000000000000020200000003000300000000"
-                "0000000100000000000000020000000000000004000000000000000000"
-                "00000000000003000000000000000500000000000000feffffffffffff"
-                "ff",
-            ),
-            (
-                OutOfOrderRecord((1, 0, 3), 9),
-                "2b000000e300932d032a00000000000000030001000000000000000000"
-                "00000000000003000000000000000900000000000000",
-            ),
-            (
-                OutOfOrderBatchRecord(points, deltas),
-                "4f000000a380846b042b00000000000000020000000300030000000000"
-                "0000010000000000000002000000000000000400000000000000000000"
-                "000000000003000000000000000500000000000000feffffffffffffff",
-            ),
-            (RetireRecord(12), "11000000cba0f3da052c000000000000000c00000000000000"),
-            (DrainRecord(None), "11000000e47fc834062d00000000000000ffffffffffffffff"),
-            (
-                CheckpointMarkerRecord(4),
-                "11000000da0e8a5a072e000000000000000400000000000000",
-            ),
-            (
-                IntervalInsertRecord(-3, 9, (2, 0), 6),
-                "33000000ee7fe8d1082f000000000000000200fdffffffffffffff0900"
-                "0000000000000200000000000000000000000000000006000000000000"
-                "00",
-            ),
-            (
-                IntervalBatchRecord(
-                    np.array([[0, 4], [2, 2]], dtype=np.int64),
-                    np.array([[1, 3], [0, 2]], dtype=np.int64),
-                    np.array([5, -1], dtype=np.int64),
-                    "metered",
-                ),
-                "60000000b3786d50093000000000000000010200000002000000000000"
-                "0000000400000000000000020000000000000002000000000000000100"
-                "0000000000000300000000000000000000000000000002000000000000"
-                "000500000000000000ffffffffffffffff",
-            ),
-            (AdvanceRecord(17), "1100000023cba2140a31000000000000001100000000000000"),
-            (DemoteRecord(8), "11000000929e38d90b32000000000000000800000000000000"),
-        ]
-        for offset, (record, frame) in enumerate(golden):
+        """Bytes on disk, pinned -- and a row without a frame fails."""
+        assert [type(r) for r, _ in GOLDEN_FRAMES] == [row.cls for row in RECORD_TYPES]
+        for offset, (record, frame) in enumerate(GOLDEN_FRAMES):
             assert encode_record(record, 40 + offset).hex() == frame, record
+            assert decode_payload(bytes.fromhex(frame)[_FRAME.size :]) == (
+                40 + offset,
+                record,
+            )
 
     def test_unknown_type_rejected(self):
         payload = struct.pack("<BQ", 200, 1)
         with pytest.raises(StorageError):
             decode_payload(payload)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # scalar: a retire followed by 8 stray bytes, and one cut short
+            struct.pack("<B", 5) + struct.pack("<qq", 12, 0),
+            struct.pack("<B", 5) + b"\x0c\x00\x00",
+            # vector: an update whose header promises 3 coordinates over 2
+            struct.pack("<B", 1) + struct.pack("<H3q", 3, 1, 2, -7),
+            struct.pack("<B", 1) + b"\x03",
+            # batch: update_batch says n=1000, k=3 over an empty body
+            struct.pack("<B", 2) + struct.pack("<BIH", 0, 1000, 3),
+            struct.pack("<B", 2) + struct.pack("<BIH", 0, 1, 3) + bytes(8 * 5),
+            struct.pack("<B", 4) + struct.pack("<I", 1),
+        ],
+    )
+    def test_a_body_that_is_not_exactly_its_shape_is_a_storage_error(
+        self, tmp_path, body
+    ):
+        """Neither a bare ValueError nor silently ignored trailing bytes."""
+        payload = body[:1] + struct.pack("<Q", 1) + body[1:]
+        with pytest.raises(StorageError):
+            decode_payload(payload)
+        segment = tmp_path / "wal-00000001.log"
+        segment.write_bytes(
+            _HEADER.pack(SEGMENT_MAGIC, 1, 1)
+            + _FRAME.pack(len(payload), zlib.crc32(payload))
+            + payload
+        )
+        name = {row.tag: row.name for row in RECORD_TYPES}[body[0]]
+        assert inspect_log(tmp_path)["record_counts"] == {f"malformed_{name}": 1}
+        with pytest.raises(StorageError, match="cannot decode"):
+            WriteAheadLog(tmp_path, fsync="off")
 
     def test_unknown_batch_mode_rejected(self):
         record = UpdateBatchRecord(
@@ -269,6 +321,51 @@ class TestTornTail:
         with WriteAheadLog(directory, fsync="off") as wal:
             tail = [record for _, record in wal.replay()]
         assert tail == records[:survivors] + [RetireRecord(9999)]
+
+    def test_a_committed_record_this_build_cannot_decode_is_not_a_torn_tail(
+        self, tmp_path
+    ):
+        """``retire@1 | type 99@2 | retire@3``: every frame checksums clean
+        and carries its LSN, so nothing may be truncated away."""
+        from repro.durability import DurableCube
+        from repro.durability.recovery import WAL_SUBDIR
+
+        DurableCube((4, 4), tmp_path, fsync="off").close()
+        foreign = _PREFIX.pack(99, 2) + b"\xab" * 4
+        (segment,) = (tmp_path / WAL_SUBDIR).iterdir()
+        segment.write_bytes(
+            _HEADER.pack(SEGMENT_MAGIC, 1, 1)
+            + encode_record(RetireRecord(1), 1)
+            + _FRAME.pack(len(foreign), zlib.crc32(foreign))
+            + foreign
+            + encode_record(RetireRecord(3), 3)
+        )
+        size = segment.stat().st_size
+        for reopen in (
+            lambda: WriteAheadLog(tmp_path / WAL_SUBDIR, fsync="off"),
+            lambda: DurableCube.recover(tmp_path),
+        ):
+            with pytest.raises(StorageError, match="LSN 2 .* cannot decode"):
+                reopen()
+            assert segment.stat().st_size == size
+        info = inspect_log(tmp_path / WAL_SUBDIR)
+        assert info["records"] == 3 and info["torn_tail"] is False
+        assert info["record_counts"] == {"retire": 2, "unknown_99": 1}
+
+    def test_a_zero_filled_tail_is_torn_not_undecodable(self, tmp_path):
+        """Eight zero bytes are a CRC-valid frame of length 0: it carries
+        no LSN, so it was never a committed record."""
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            wal.append(RetireRecord(1))
+        (segment,) = tmp_path.iterdir()
+        intact = segment.stat().st_size
+        with open(segment, "ab") as handle:
+            handle.write(bytes(64))
+        assert inspect_log(tmp_path)["torn_tail"] is True
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            assert [record for _, record in wal.replay()] == [RetireRecord(1)]
+            assert wal.append(RetireRecord(2)) == 2
+        assert segment.stat().st_size == intact + len(encode_record(RetireRecord(2), 2))
 
     def test_truncated_header_is_an_error(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="off") as wal:

@@ -7,8 +7,9 @@ the log is truncated at arbitrary byte offsets and recovery must reach a
 state *bit-identical* (``state_arrays``) to a live replica that applied
 the surviving operation prefix -- with and without an intervening
 checkpoint.  Also here: codec coverage for the three interval record
-types, which ops a durable cube of either kind takes, and the
-``python -m repro`` operational commands on extent directories.
+types and the ``python -m repro`` operational commands on extent
+directories; which ops a durable cube of either kind takes (and which
+records it replays) is ``tests/test_durability_records.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.core.errors import DomainError, RecoveryError, StorageError
+from repro.core.errors import DomainError, StorageError
 from repro.core.types import TimeInterval
 from repro.durability import DurableCube
 from repro.durability.wal import (
@@ -27,7 +28,6 @@ from repro.durability.wal import (
     AdvanceRecord,
     IntervalBatchRecord,
     IntervalInsertRecord,
-    UpdateRecord,
     WriteAheadLog,
     decode_payload,
     encode_record,
@@ -114,46 +114,12 @@ class TestDispatch:
             with pytest.raises(StorageError):
                 DurableCube(SHAPE, tmp_path, extent=extent, fsync="off")
 
-    def test_ops_of_the_other_kind_are_refused_before_logging(self, tmp_path):
-        with DurableCube(SHAPE, tmp_path / "extent", extent=True, fsync="off") as cube:
-            for call in (
-                lambda: cube.update((0, 1, 1), 2),
-                lambda: cube.update_many([(0, 1, 1)], [2]),
-                lambda: cube.apply_out_of_order((0, 1, 1), 2),
-                lambda: cube.apply_out_of_order_many([(0, 1, 1)], [2]),
-                lambda: cube.demote_before(4),
-            ):
-                with pytest.raises(DomainError, match="requires"):
-                    call()
-            assert cube.last_lsn == 0
-        with DurableCube(SHAPE, tmp_path / "point", fsync="off") as cube:
-            for call in (
-                lambda: cube.insert((0, 3), (1, 1), 2),
-                lambda: cube.insert_many([(0, 3)], [(1, 1)]),
-                lambda: cube.advance(9),
-            ):
-                with pytest.raises(DomainError, match="requires"):
-                    call()
-            assert cube.last_lsn == 0
-
     def test_extent_takes_neither_tiers_nor_an_unbuffered_front(self, tmp_path):
         tiers = [{"name": "hour", "granularity": 4, "horizon": None}]
         for options in ({"tiers": tiers}, {"buffered": False}):
             with pytest.raises(DomainError, match="extent cube"):
                 DurableCube(SHAPE, tmp_path, extent=True, **options)
         assert not (tmp_path / "MANIFEST.json").exists()
-
-    def test_a_record_of_the_other_kind_is_fatal_not_skipped(self, tmp_path):
-        DurableCube(SHAPE, tmp_path / "extent", extent=True, fsync="off").close()
-        DurableCube(SHAPE, tmp_path / "point", fsync="off").close()
-        for name, record in (
-            ("extent", UpdateRecord((0, 1, 1), 2)),
-            ("point", AdvanceRecord(5)),
-        ):
-            with WriteAheadLog(tmp_path / name / "wal", fsync="off") as wal:
-                wal.append(record)
-            with pytest.raises(RecoveryError, match="cannot replay"):
-                DurableCube.recover(tmp_path / name)
 
 
 class TestCli:

@@ -174,6 +174,55 @@ def test_mutating_ops_are_derived_from_the_handler_table():
     assert MUTATING_OPS == {"ingest", "update", "oob", "drain", "retire", "demote"}
 
 
+@pytest.mark.parametrize(
+    "durable, recover", [(False, False), (True, False), (True, True)]
+)
+@pytest.mark.parametrize("tiered", [False, True])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_worker_declares_its_front_and_probing_would_agree(
+    tmp_path, buffered, tiered, durable, recover
+):
+    """``durable`` / ``buffered`` / ``tiered`` come from the config (or the
+    recovered cube's manifest); what the worker used to find by probing
+    the front object is the same on every front it can build."""
+    from repro.ecube.buffered import BufferedEvolvingDataCube
+
+    config = {
+        "shard_id": 0,
+        "slice_shape": (4, 4),
+        "buffered": buffered,
+        "tiers": [{"name": "coarse", "granularity": 4, "horizon": None}]
+        if tiered
+        else None,
+        ("durable_dir" if durable else "tile_dir"): str(tmp_path / "shard"),
+        "fsync": "off",
+    }
+    state = ShardWorkerState(config)
+    if recover:
+        state.close()
+        state.snap.close()
+        # the manifest decides, not the restarted worker's config
+        state = ShardWorkerState({**config, "recover": True, "buffered": not buffered})
+    try:
+        assert (state.durable, state.buffered, state.tiered) == (
+            durable, buffered, tiered,
+        )
+        front = state.front
+        assert isinstance(front, DurableCube) == durable
+        # every front answers the names the record rows log under ...
+        assert hasattr(front, "update_many") and hasattr(front, "retire_before")
+        assert hasattr(front, "apply_out_of_order") == (durable or not buffered)
+        inner = front.front if durable else front
+        assert hasattr(inner, "demote_before") == tiered
+        assert (state._tiered_front is inner) if tiered else (
+            state._tiered_front is None
+        )
+        kernel_front = getattr(inner, "front", inner)  # under a TieredCube
+        assert isinstance(kernel_front, BufferedEvolvingDataCube) == buffered
+    finally:
+        state.close()
+
+
 class _SpyConn:
     """A pipe end that records the frames crossing it."""
 
