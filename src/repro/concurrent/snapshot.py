@@ -116,7 +116,9 @@ class Epoch:
         #: None)`` once a reader normalized the slice to prefix sums (the
         #: epoch-latest index memoizes the converted cache the same way);
         #: shared by the epoch family, filled lazily by readers and
-        #: eagerly by :meth:`SnapshotCube.preserve_epochs`
+        #: eagerly by :meth:`SnapshotCube.preserve_epochs`.  An epoch
+        #: attached from shared memory arrives with every historic row
+        #: already in the second form
         self.overlays = overlays
         self.gd_points = gd_points
         self.gd_deltas = gd_deltas
@@ -399,6 +401,7 @@ class SnapshotCube:
         self._sequence = 0
         self._current: Epoch | None = None
         self._pinned: set[Epoch] = set()
+        self._rewritten_from: int | None = None
         self.kernel._epoch_sink = self
         self.publish()
 
@@ -475,7 +478,7 @@ class SnapshotCube:
                 self._pinned.discard(old)
         return epoch
 
-    def preserve_epochs(self) -> int:
+    def preserve_epochs(self, rewritten_from: int | None = None) -> int:
         """Materialize every live epoch before history is rewritten.
 
         Runs on the writer thread *before* the first answer-changing
@@ -485,7 +488,16 @@ class SnapshotCube:
         overlays, after which its answers no longer depend on live slice
         storage or directory indices.  Returns the number of slices
         copied.
+
+        ``rewritten_from`` is the first instance index whose *content* is
+        about to change (``None`` when the mutation only drops instances);
+        whoever republishes history elsewhere collects the lowest one with
+        :meth:`take_rewritten_from`.
         """
+        if rewritten_from is not None and (
+            self._rewritten_from is None or rewritten_from < self._rewritten_from
+        ):
+            self._rewritten_from = rewritten_from
         with self._lock:
             epochs = list(self._pinned)
             current = self._current
@@ -501,6 +513,12 @@ class SnapshotCube:
             seen.add(id(epoch.overlays))
             copied += self._materialize(epoch)
         return copied
+
+    def take_rewritten_from(self) -> int | None:
+        """The lowest instance index whose content was rewritten since the
+        last call, or ``None``; everything below it is as it was."""
+        index, self._rewritten_from = self._rewritten_from, None
+        return index
 
     def _materialize(self, epoch: Epoch) -> int:
         kernel = self.kernel

@@ -218,17 +218,20 @@ class CubeKernel:
                 if sink is not None:
                     sink.publish()
 
-    def _prepare_historic_mutation(self) -> None:
+    def _prepare_historic_mutation(self, rewritten_from: int | None) -> None:
         """Preserve published epochs before rewriting historic content.
 
         Out-of-order corrections, splices and retirement are the only
         operations that change what already-published instances answer;
         the snapshot front-end materializes every live epoch into
         self-contained overlays *before* the first such rewrite.
+        ``rewritten_from`` is the first instance index whose content is
+        about to change -- corrections and splices reach it and every
+        instance above -- or ``None`` when instances are only dropped.
         """
         sink = self._epoch_sink
         if sink is not None:
-            sink.preserve_epochs()
+            sink.preserve_epochs(rewritten_from)
 
     # -- introspection ---------------------------------------------------------
 
@@ -288,7 +291,7 @@ class CubeKernel:
             return 0
         # aging frees storage that published epochs may still be routing
         # reads through: preserve them before the first payload is freed
-        self._prepare_historic_mutation()
+        self._prepare_historic_mutation(None)
         retired = 0
         for index in range(self._retired_below, boundary):
             _, payload = self.directory.at_index(index)
@@ -426,7 +429,7 @@ class CubeKernel:
         :meth:`_splice_instance`, charged as copying work.
         """
         with self._op():
-            self._prepare_historic_mutation()
+            self._prepare_historic_mutation(index)
             self._note_mutation()
             floor_payload = None
             if index > 0:
@@ -496,16 +499,19 @@ class CubeKernel:
                 f"time {time} is not historic; use update() for appends"
             )
         with self._op():
-            # corrections rewrite already-published instances: preserve
-            # every live epoch before the first slice cell changes
-            self._prepare_historic_mutation()
-            self._note_mutation()
             start_index = self.directory.floor_index(time)
             found_time, _ = (
                 self.directory.at_index(start_index)
                 if start_index >= 0
                 else (None, None)
             )
+            # corrections rewrite already-published instances: preserve
+            # every live epoch before the first slice cell changes (a
+            # never-occurring time is spliced in right above its floor)
+            self._prepare_historic_mutation(
+                start_index if found_time == time else start_index + 1
+            )
+            self._note_mutation()
             if found_time != time:
                 start_index = self._splice_instance(time)
             elif start_index < self._retired_below:

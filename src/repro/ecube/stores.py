@@ -222,9 +222,9 @@ class SliceStore(Protocol):
 
     def restore_cache(self, arrays, num_slices: int) -> None: ...
 
-    def freeze_cache(self, out=None) -> tuple[np.ndarray, np.ndarray] | None: ...
+    def freeze_cache(self) -> tuple[np.ndarray, np.ndarray] | None: ...
 
-    def freeze_slice(self, payload, out=None) -> tuple[np.ndarray, np.ndarray]: ...
+    def freeze_slice(self, payload) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 # -- shared scaffolding --------------------------------------------------------
@@ -341,23 +341,16 @@ class ArrayCacheStore(BaseSliceStore):
         """(cache values, cache stamps) as shaped arrays."""
         return self.cache.values, self.cache.stamps
 
-    def freeze_cache(self, out=None) -> tuple[np.ndarray, np.ndarray] | None:
+    def freeze_cache(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Epoch-publication copies of (cache values, stamps); uncounted.
 
         Runs on the writer thread between operations; the copies become
         the immutable read-through target of a published
-        :class:`~repro.concurrent.snapshot.Epoch`.  ``out`` -- a
-        preallocated ``(values, stamps)`` pair, e.g. views into a
-        shared-memory block -- avoids the intermediate copy when the
-        freeze target is not process-local heap.
+        :class:`~repro.concurrent.snapshot.Epoch`.
         """
         if self.cache is None:
             return None
-        if out is None:
-            return self.cache.freeze()
-        np.copyto(out[0], self.cache.values)
-        np.copyto(out[1], self.cache.stamps)
-        return out
+        return self.cache.freeze()
 
     def is_ps(self, payload, cell) -> bool:
         return bool(payload.ps_flags[cell])
@@ -382,14 +375,8 @@ class ArrayCacheStore(BaseSliceStore):
         kernel = self.kernel
         cache = self.cache
         last_index = cache.last_index
-        flat_sets = [fast.update_flat_indices(cell) for cell in cells]
-        all_flat = np.concatenate(flat_sets)
-        all_deltas = np.concatenate(
-            [
-                np.full(flat.size, delta, dtype=np.int64)
-                for flat, delta in zip(flat_sets, deltas)
-            ]
-        )
+        all_flat, set_sizes = fast.ddc_tables.update_flat_sets(cells)
+        all_deltas = np.repeat(deltas, set_sizes)
         affected = np.unique(all_flat)
         self.counter.read_cells(int(affected.size))  # stamp/value inspection
         stamps_flat = cache.flat_stamps
@@ -398,7 +385,6 @@ class ArrayCacheStore(BaseSliceStore):
         if stale.size:
             # forced lazy copies: each incompletely-copied historic slice
             # receives the pre-update cache values of its stale cells
-            stale = stale.astype(np.int64, copy=False)
             stale_stamps = stamps_flat[stale]
             first = max(int(stale_stamps.min()), kernel._retired_below)
             with self.counter.copying():
@@ -415,9 +401,7 @@ class ArrayCacheStore(BaseSliceStore):
                     if writable.size:
                         self._bulk_copy(payload, writable, cache_flat[writable])
             cache.bulk_restamp(stale, last_index)
-        compiled.scatter_add(
-            cache_flat, all_flat.astype(np.int64, copy=False), all_deltas
-        )
+        compiled.scatter_add(cache_flat, all_flat, all_deltas)
         self.counter.write_cells(int(all_flat.size))
 
     def sync_copies(self) -> int:
@@ -481,18 +465,12 @@ class DenseStore(ArrayCacheStore):
         return int(payload.values[cell])
 
     def copy_write(self, payload, cell, value: int) -> None:
-        # Copy landings are answer-neutral for live epoch readers (their
-        # frozen stamps still route the cell through the cache), but they
-        # do change slice content: the version bump makes cross-process
-        # epoch exporters re-freeze the slice instead of reusing a block
-        # frozen before the landing.
+        # Copy landings need no seqlock bump: every published epoch's
+        # frozen stamps still route the cell through the cache, so no
+        # reader uses the slice cell a landing may tear.
         self.counter.write_cells()
         self._promote(payload)
-        payload.mut_version += 1
-        try:
-            payload.values[cell] = value
-        finally:
-            payload.mut_version += 1
+        payload.values[cell] = value
 
     def mark_ps(self, payload, cell, ps_value: int) -> None:
         # Historic content is final: persist the conversion.  The seqlock
@@ -583,11 +561,7 @@ class DenseStore(ArrayCacheStore):
                     with self.counter.copying():
                         self.counter.write_cells()
                         self._promote(payload)
-                        payload.mut_version += 1
-                        try:
-                            payload.values[cell] = value
-                        finally:
-                            payload.mut_version += 1
+                        payload.values[cell] = value
                     used += 1
                 cache.restamp(cell, stamp + 1)
                 scanned = 0
@@ -606,20 +580,15 @@ class DenseStore(ArrayCacheStore):
     def slice_views(self, payload) -> tuple[np.ndarray, np.ndarray]:
         return payload.data()
 
-    def freeze_slice(self, payload, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def freeze_slice(self, payload) -> tuple[np.ndarray, np.ndarray]:
         """Uncounted (values, flags) copies for lock-free snapshot readers.
 
         Readers bracket this call with :attr:`DenseSlice.mut_version`
         checks (seqlock) so the pair is mutually consistent even while
-        the writer converts or corrects cells.  Writer-thread callers may
-        pass ``out`` (e.g. shared-memory views) to freeze in place.
+        the writer converts or corrects cells.
         """
         values, flags = payload.data()
-        if out is None:
-            return values.copy(), flags.copy()
-        np.copyto(out[0], values)
-        np.copyto(out[1], flags)
-        return out
+        return values.copy(), flags.copy()
 
     def finalize_commit(self, payload, ps: np.ndarray) -> None:
         self._promote(payload)
@@ -634,11 +603,7 @@ class DenseStore(ArrayCacheStore):
 
     def _bulk_copy(self, payload, writable: np.ndarray, values: np.ndarray) -> None:
         self._promote(payload)
-        payload.mut_version += 1
-        try:
-            payload.values.reshape(-1)[writable] = values
-        finally:
-            payload.mut_version += 1
+        payload.values.reshape(-1)[writable] = values
         self.counter.write_cells(int(writable.size))
 
 
@@ -718,11 +683,7 @@ class PagedStore(ArrayCacheStore):
     def copy_write(self, payload, cell, value: int) -> None:
         # page charge only: external-memory copies cost I/O, not cell work
         self._promote(payload)
-        payload.mut_version += 1
-        try:
-            payload.store.write(cell, value, self.tracker)
-        finally:
-            payload.mut_version += 1
+        payload.store.write(cell, value, self.tracker)
 
     def mark_ps(self, payload, cell, ps_value: int) -> None:
         self._promote(payload)
@@ -841,16 +802,12 @@ class PagedStore(ArrayCacheStore):
             with self.counter.copying():
                 if writable.size:
                     self._promote(payload)
-                    payload.mut_version += 1
-                    try:
-                        store.write_page(
-                            page,
-                            writable.tolist(),
-                            flat_values[writable].tolist(),
-                            self.tracker,
-                        )
-                    finally:
-                        payload.mut_version += 1
+                    store.write_page(
+                        page,
+                        writable.tolist(),
+                        flat_values[writable].tolist(),
+                        self.tracker,
+                    )
                     self.counter.write_cells(int(writable.size))
                 else:
                     # every pending cell on the page was already converted
@@ -885,7 +842,7 @@ class PagedStore(ArrayCacheStore):
             tracker.record_read(store.store_id, page)
         return store.cells, payload.ps_flags
 
-    def freeze_slice(self, payload, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def freeze_slice(self, payload) -> tuple[np.ndarray, np.ndarray]:
         """Uncounted (cells, flags) copies for lock-free snapshot readers.
 
         Snapshot reads bypass the page tracker deliberately: they model
@@ -900,11 +857,7 @@ class PagedStore(ArrayCacheStore):
                 "slice detail was retired by data aging; its storage is "
                 "no longer accessible"
             )
-        if out is None:
-            return store.cells.copy(), payload.ps_flags.copy()
-        np.copyto(out[0], store.cells)
-        np.copyto(out[1], payload.ps_flags)
-        return out
+        return store.cells.copy(), payload.ps_flags.copy()
 
     def finalize_commit(self, payload, ps: np.ndarray) -> None:
         self._promote(payload)
@@ -923,11 +876,7 @@ class PagedStore(ArrayCacheStore):
     def _bulk_copy(self, payload, writable: np.ndarray, values: np.ndarray) -> None:
         self._promote(payload)
         store = payload.store
-        payload.mut_version += 1
-        try:
-            store.cells.reshape(-1)[writable] = values
-        finally:
-            payload.mut_version += 1
+        store.cells.reshape(-1)[writable] = values
         for page in np.unique(writable // store.cells_per_page):
             self.tracker.record_write(store.store_id, int(page))
 
@@ -1023,11 +972,7 @@ class SparseStore(BaseSliceStore):
 
     def copy_write(self, payload, cell, value: int) -> None:
         self.counter.write_cells()
-        payload.mut_version += 1
-        try:
-            payload.values[cell] = value
-        finally:
-            payload.mut_version += 1
+        payload.values[cell] = value
 
     def mark_ps(self, payload, cell, ps_value: int) -> None:
         payload.mut_version += 1
@@ -1154,11 +1099,7 @@ class SparseStore(BaseSliceStore):
             if not payload.retired and cell not in payload.ps_cells:
                 with self.counter.copying():
                     self.counter.write_cells()
-                    payload.mut_version += 1
-                    try:
-                        payload.values[cell] = value
-                    finally:
-                        payload.mut_version += 1
+                    payload.values[cell] = value
                 used += 1
             self._cache[cell] = (value, stamp + 1)
         self._touch()
@@ -1211,7 +1152,7 @@ class SparseStore(BaseSliceStore):
             flags[cell] = True
         return values, flags
 
-    def freeze_cache(self, out=None) -> tuple[np.ndarray, np.ndarray] | None:
+    def freeze_cache(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Epoch-publication densified (values, stamps) copies; uncounted.
 
         An untouched cell freezes as value 0 with a *current* stamp, so
@@ -1221,13 +1162,9 @@ class SparseStore(BaseSliceStore):
         if not self.kernel.directory:
             return None
         values, stamps = self.cache_views()
-        if out is None:
-            return values.copy(), stamps.copy()
-        np.copyto(out[0], values)
-        np.copyto(out[1], stamps)
-        return out
+        return values.copy(), stamps.copy()
 
-    def freeze_slice(self, payload, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def freeze_slice(self, payload) -> tuple[np.ndarray, np.ndarray]:
         """Uncounted densified (values, flags) copies for snapshot readers.
 
         Iterating the live dicts can raise ``RuntimeError`` if the writer
@@ -1242,13 +1179,8 @@ class SparseStore(BaseSliceStore):
                 "no longer accessible"
             )
         shape = self.kernel.slice_shape
-        if out is None:
-            values = np.zeros(shape, dtype=np.int64)
-            flags = np.zeros(shape, dtype=bool)
-        else:
-            values, flags = out
-            values[...] = 0
-            flags[...] = False
+        values = np.zeros(shape, dtype=np.int64)
+        flags = np.zeros(shape, dtype=bool)
         for cell, value in payload.values.items():
             values[cell] = value
         for cell in payload.ps_cells:
@@ -1277,14 +1209,8 @@ class SparseStore(BaseSliceStore):
         counter = self.counter
         last_index = self.last_index
         shape = kernel.slice_shape
-        flat_sets = [fast.update_flat_indices(cell) for cell in cells]
-        all_flat = np.concatenate(flat_sets)
-        all_deltas = np.concatenate(
-            [
-                np.full(flat.size, delta, dtype=np.int64)
-                for flat, delta in zip(flat_sets, deltas)
-            ]
-        )
+        all_flat, set_sizes = fast.ddc_tables.update_flat_sets(cells)
+        all_deltas = np.repeat(deltas, set_sizes)
         affected = np.unique(all_flat)
         counter.read_cells(int(affected.size))
         affected_cells = [
@@ -1305,20 +1231,10 @@ class SparseStore(BaseSliceStore):
                     _, payload = kernel.directory.at_index(index)
                     if payload.retired:
                         continue
-                    landed = [
-                        (cell, value)
-                        for cell, value, stamp in stale
-                        if stamp <= index and cell not in payload.ps_cells
-                    ]
-                    if not landed:
-                        continue
-                    payload.mut_version += 1
-                    try:
-                        for cell, value in landed:
+                    for cell, value, stamp in stale:
+                        if stamp <= index and cell not in payload.ps_cells:
                             counter.write_cells()
                             payload.values[cell] = value
-                    finally:
-                        payload.mut_version += 1
             for cell, value, _ in stale:
                 self._cache[cell] = (value, last_index)
         sums = np.zeros(affected.size, dtype=np.int64)

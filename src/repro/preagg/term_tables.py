@@ -227,6 +227,34 @@ class TermTableSet:
             table.update_slice(int(c))[0] for table, c in zip(self.tables, cell)
         ]
 
+    def update_flat_sets(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (raveled) update sets of a batch of raw cells, concatenated.
+
+        Returns ``(flat indices, set size per cell)``.  Cell ``i``'s run is
+        the row-major cross product of its per-dimension update sets --
+        element for element what :meth:`update_arrays` raveled would give
+        -- expanded for the whole ``(n, ndim)`` batch straight from the CSR
+        tables: every output element takes its position inside its cell's
+        run apart into one mixed-radix digit per dimension.
+        """
+        starts = [t._update_offsets[cells[:, a]] for a, t in enumerate(self.tables)]
+        widths = [
+            t._update_offsets[cells[:, a] + 1] - starts[a]
+            for a, t in enumerate(self.tables)
+        ]
+        counts = np.prod(widths, axis=0)
+        owner = np.repeat(np.arange(len(cells)), counts)
+        position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        flat = np.zeros(owner.size, dtype=np.int64)
+        stride = 1
+        for axis in reversed(range(self.ndim)):
+            width = widths[axis][owner]
+            term = starts[axis][owner] + position % width
+            flat += self.tables[axis]._update_indices[term] * stride
+            position //= width
+            stride *= self.shape[axis]
+        return flat, counts
+
     def range_eval(self, values: np.ndarray, lower, upper) -> int:
         indices, coeffs = self.range_arrays(lower, upper)
         return gather_dot(values, indices, coeffs)

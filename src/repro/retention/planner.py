@@ -169,7 +169,8 @@ class TieredCube:
             return 0
         # pinned snapshot epochs still route reads through live payloads;
         # freeze them before finalization rewrites any representation
-        kernel._prepare_historic_mutation()
+        # (finalized slices are dropped below; no surviving content moves)
+        kernel._prepare_historic_mutation(None)
         times: list[int] = []
         slices: list[np.ndarray] = []
         for index in range(kernel._retired_below, boundary):

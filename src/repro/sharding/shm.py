@@ -1,51 +1,67 @@
 """Shared-memory publication of frozen epochs.
 
 A shard worker owns its cube and publishes every :class:`Epoch` into
-``multiprocessing.shared_memory`` blocks; reader processes attach the
-blocks and serve queries zero-copy.  The PR 5 epoch design makes this
-safe without cross-process synchronization: a published epoch's arrays
-are immutable, so the only coordination is the epoch-id handoff that
-rides the control pipe.
+named shared-memory blocks; reader processes attach the blocks and serve
+queries zero-copy.  The PR 5 epoch design makes this safe without
+cross-process synchronization: a published block is immutable, so the
+only coordination is the epoch-id handoff that rides the control pipe.
 
-Block layout
-------------
+What is published
+-----------------
 
-* one *slice block* per historic instance, holding the frozen
-  ``(values, ps_flags)`` pair.  Slice blocks are content-addressed by
-  ``(history generation, payload mutation version)``: they are reused
-  across epochs verbatim while the slice is untouched, re-frozen when an
-  answer-neutral in-place transform landed (lazy copy, conversion --
-  detected through the seqlock counter), and re-frozen wholesale when
-  history was rewritten (out-of-order application, splice, retirement --
-  detected through the ``preserve_epochs`` hook).
+A historic instance's *content* is final the moment a newer time occurs
+(Section 2); lazy copies landing and DDC cells converting to PS only
+move its *representation*.  So the exporter publishes content, once:
+
+* one *row block* per historic instance, holding its complete prefix-sum
+  array.  The row is written when the instance becomes historic (or, for
+  a recovered cube, at the first export): live slice storage is read
+  through the epoch's frozen cache and swept DDC -> PS by
+  :func:`~repro.ecube.fastpath._prefix_sum_rows`, the sweep every reader
+  of that epoch would run, so a reader gathers corners from the row in
+  place and never normalizes history.  A row is re-created only when its
+  content moves: an out-of-order correction or splice reaching instance
+  ``i`` (reported through :meth:`SnapshotCube.preserve_epochs`) replaces
+  the rows at and above ``i``; retirement only drops rows.
 * one *frontier block* per epoch, holding the occurring-time directory,
-  the frozen cache values/stamps and the ``G_d`` columns.
+  the frozen cache values (the latest instance's DDC array) and the
+  ``G_d`` columns.
 
 Unlink discipline
 -----------------
 
-The owning worker reference-counts every block by the epochs that cite
-it (plus one self-reference for the reusable current slice freeze) and
-``unlink``\\ s on the drop to zero; :meth:`EpochExporter.close` unlinks
-everything unconditionally.  Attaching processes *never* unlink -- they
-``close`` their mapping and, crucially, unregister the segment from
-:mod:`multiprocessing.resource_tracker`, which on CPython registers
-shared memory in ``SharedMemory.__init__`` even for pure attachments and
-would otherwise double-unlink (and warn) at interpreter exit.
+Blocks are plain POSIX segments mapped with :mod:`mmap`
+(:class:`_Segment`); no :mod:`multiprocessing.resource_tracker` process
+ever hears of them.  The owning worker reference-counts every block by
+the epochs that cite it (plus one self-reference for a row it still
+publishes), keeps no mapping of a block once it is written, and unlinks
+on the drop to zero; :meth:`EpochExporter.close` unlinks everything
+unconditionally.  Attaching processes never unlink -- they map read-only
+and unmap.  What a killed owner leaves behind is found by name: every
+block carries its owner's pid, :func:`unlink_orphaned` removes the blocks
+of dead owners and :meth:`ShardedCube.close` sweeps its workers' prefixes.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import re
 import secrets
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from repro.concurrent.snapshot import Epoch, prepare_epoch
 from repro.core.errors import StorageError
+from repro.core.types import Box
+from repro.ecube.fastpath import MIXED, PS, _prefix_sum_rows
 
-from repro.concurrent.snapshot import Epoch
+try:
+    import _posixshmem
+except ImportError:  # pragma: no cover - no POSIX shm: the stdlib's named mappings
+    from multiprocessing import shared_memory
+
+    _posixshmem = None
 
 #: Every block name starts with this; tests sweep ``/dev/shm`` for it.
 SHM_PREFIX = "repro-ecube"
@@ -58,41 +74,75 @@ SHM_PREFIX = "repro-ecube"
 #: rule instead of reading their hex as a pid.
 _BLOCK_NAME = re.compile(rf"^{SHM_PREFIX}-(?:.*-)?(?!\d*-)[^-]+-(\d+)-\d+$")
 
+#: Historic instances normalized per sweep when many are exported at once
+#: (a recovered cube's first epoch): bounds the transient stack.
+_ROWS_PER_SWEEP = 64
 
-def _unregister(shm) -> None:
-    """Drop an attached segment from the resource tracker (owner keeps it)."""
+
+class _Segment:
+    """One named shared-memory mapping no resource tracker knows about.
+
+    With a ``size`` the segment is created (exclusively) and mapped
+    writable; without, an existing one is mapped read-only.  Our
+    descriptor is closed as soon as the mapping exists (before Python
+    3.13 ``mmap`` keeps a duplicate of its own while the mapping lives).
+    """
+
+    def __init__(self, name: str, size: int = 0) -> None:
+        self.name = name
+        self._stdlib = None
+        if _posixshmem is None:  # pragma: no cover - see the import
+            self._stdlib = shared_memory.SharedMemory(name, bool(size), size)
+            self.buf = self._stdlib.buf
+            return
+        flags = os.O_CREAT | os.O_EXCL | os.O_RDWR if size else os.O_RDONLY
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+        try:
+            if size:
+                os.ftruncate(fd, size)
+            access = mmap.ACCESS_WRITE if size else mmap.ACCESS_READ
+            self.buf = mmap.mmap(fd, 0, access=access)
+        except OSError:
+            if size:
+                _unlink(name)
+            raise
+        finally:
+            os.close(fd)
+
+    def close(self) -> None:
+        """Unmap; ``BufferError`` while a view still aliases the mapping."""
+        (self._stdlib or self.buf).close()
+
+    def detach(self) -> None:
+        """The creator is done writing: a POSIX segment outlives its
+        mappings (a stdlib one lives only while a handle does)."""
+        if self._stdlib is None:
+            self.buf.close()
+
+    def unlink(self) -> None:
+        if self._stdlib is None:
+            _unlink(self.name)
+        else:  # pragma: no cover - see the import
+            self._stdlib.close()
+            self._stdlib.unlink()
+
+
+def _unlink(name: str) -> bool:
+    """Remove one segment by name; was it there?"""
     try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker may be absent/foreign
-        pass
-
-
-def _force_unlink(name: str) -> bool:
-    """Unlink one segment this process does not own; was it removed?"""
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):  # pragma: no cover - race
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
         return False
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - still mapped here
-        pass
-    try:
-        # a successful unlink also drops the attach's tracker entry
-        shm.unlink()
-        return True
-    except FileNotFoundError:  # pragma: no cover - race
-        _unregister(shm)
-        return False
+    return True
 
 
 def unlink_by_prefix(prefix: str) -> int:
-    """Force-unlink every segment whose name starts with ``prefix``.
+    """Unlink every segment whose name starts with ``prefix``.
 
     Cleanup of blocks orphaned by a crashed worker (the owner died
     before its refcounts dropped); returns the number removed.
     """
-    return sum(_force_unlink(name) for name in leaked_segments(prefix))
+    return sum(_unlink(name) for name in leaked_segments(prefix))
 
 
 def leaked_segments(prefix: str = SHM_PREFIX) -> list[str]:
@@ -137,7 +187,7 @@ def unlink_orphaned() -> list[str]:
     """
     orphans = [name for name in leaked_segments() if not _owner_alive(name)]
     for name in orphans:
-        _force_unlink(name)
+        _unlink(name)
     return orphans
 
 
@@ -175,46 +225,38 @@ class BlockOwner:
     def __init__(self, tag: str = "") -> None:
         self._tag = tag or "b" + secrets.token_hex(3)
         self._sequence = 0
-        self._blocks: dict[str, shared_memory.SharedMemory] = {}
+        self._blocks: dict[str, _Segment] = {}
         self._refs: dict[str, int] = {}
 
-    def create(self, arrays: dict[str, np.ndarray]):
-        """New block holding copies of ``arrays``; returns (name, metas, views).
+    def create(self, arrays: dict[str, np.ndarray]) -> tuple[str, list[tuple]]:
+        """New block holding copies of ``arrays``; returns ``(name, metas)``.
 
-        The returned views alias the block -- callers may also fill them
-        in place (e.g. ``freeze_slice(..., out=...)``) instead of passing
-        populated arrays.  The block starts with one reference.
+        The block starts with one reference and is never written again.
         """
         size, metas = _pack_layout(arrays)
         self._sequence += 1
         name = f"{SHM_PREFIX}-{self._tag}-{os.getpid()}-{self._sequence}"
         try:
-            shm = shared_memory.SharedMemory(name=name, create=True, size=size)
+            segment = _Segment(name, size)
         except OSError as exc:  # pragma: no cover - exhausted /dev/shm
             raise StorageError(f"cannot create shared memory block: {exc}") from exc
-        views = _views(shm.buf, metas)
+        views = _views(segment.buf, metas)
         for key, array in arrays.items():
-            if array.nbytes:
-                np.copyto(views[key], array)
-        self._blocks[name] = shm
+            np.copyto(views[key], array)
+        del views  # nothing may alias the mapping when it closes
+        segment.detach()
+        self._blocks[name] = segment
         self._refs[name] = 1
-        return name, metas, views
+        return name, metas
 
     def incref(self, name: str) -> None:
         self._refs[name] += 1
 
     def decref(self, name: str) -> None:
-        refs = self._refs[name] - 1
-        if refs > 0:
-            self._refs[name] = refs
-            return
-        shm = self._blocks.pop(name)
-        del self._refs[name]
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        self._refs[name] -= 1
+        if not self._refs[name]:
+            del self._refs[name]
+            self._blocks.pop(name).unlink()
 
     def close_all(self) -> None:
         """Unlink every surviving block (shutdown path)."""
@@ -233,45 +275,37 @@ class BlockCache:
     """Per-process memo of attached blocks (readers and the router)."""
 
     def __init__(self) -> None:
-        self._blocks: dict[str, shared_memory.SharedMemory] = {}
-        self._zombies: list[shared_memory.SharedMemory] = []
+        #: name -> (mapping, its read-only array views)
+        self._blocks: dict[str, tuple[_Segment, dict[str, np.ndarray]]] = {}
+        self._zombies: list[_Segment] = []
 
     def arrays(self, name: str, metas) -> dict[str, np.ndarray]:
-        shm = self._blocks.get(name)
-        if shm is None:
+        held = self._blocks.get(name)
+        if held is None:
             try:
-                shm = shared_memory.SharedMemory(name=name)
+                segment = _Segment(name)
             except FileNotFoundError as exc:
                 raise StorageError(
                     f"shared memory block {name!r} disappeared; its owning "
                     "shard worker likely died"
                 ) from exc
-            if _owner_pid(name) != os.getpid():
-                # (an owner in this very process shares our tracker entry
-                # and drops it itself when it unlinks)
-                _unregister(shm)
-            self._blocks[name] = shm
-        views = _views(shm.buf, metas)
-        for view in views.values():
-            view.flags.writeable = False
-        return views
+            held = self._blocks[name] = (segment, _views(segment.buf, metas))
+        return held[1]
 
-    def _try_close(self, shm) -> bool:
+    def _try_close(self, segment: _Segment) -> None:
         try:
-            shm.close()
-            return True
+            segment.close()
         except BufferError:
             # a numpy view still aliases the mapping; retry on next prune
-            self._zombies.append(shm)
-            return False
+            self._zombies.append(segment)
 
     def prune(self, live: set[str]) -> None:
         """Close mappings for blocks no longer referenced by any epoch."""
         zombies, self._zombies = self._zombies, []
-        for shm in zombies:
-            self._try_close(shm)
+        for segment in zombies:
+            self._try_close(segment)
         for name in [n for n in self._blocks if n not in live]:
-            self._try_close(self._blocks.pop(name))
+            self._try_close(self._blocks.pop(name)[0])
 
     def close_all(self) -> None:
         self.prune(set())
@@ -281,39 +315,22 @@ class BlockCache:
 # -- epoch export / import -----------------------------------------------------
 
 
-class _SliceBlock:
-    __slots__ = ("name", "metas", "generation", "mut_version")
-
-    def __init__(self, name, metas, generation, mut_version) -> None:
-        self.name = name
-        self.metas = metas
-        self.generation = generation
-        self.mut_version = mut_version
-
-
 class EpochExporter:
     """Publishes a :class:`SnapshotCube`'s epochs into shared memory.
 
-    Lives on the worker's writer thread.  Hooks the snapshot front's
-    ``preserve_epochs`` (which the kernel calls before every
-    answer-changing historic mutation) to bump the history generation,
-    invalidating all reusable slice freezes at once.
+    Lives on the worker's writer thread and exports between operations.
+    It is also the ``normalised`` sink of the batch evaluator's
+    normalization sweep: a finished prefix-sum row lands in its block.
     """
 
     def __init__(self, snapshot_cube, tag: str = "") -> None:
         self.snap = snapshot_cube
         self.owner = BlockOwner(tag)
-        self.history_generation = 0
-        self._slice_blocks: dict[int, _SliceBlock] = {}
+        #: instance index -> (name, metas) of its published prefix-sum row
+        self._rows: dict[int, tuple[str, list[tuple]]] = {}
         #: epoch id -> names of the blocks that epoch cites
         self._epoch_blocks: dict[int, list[str]] = {}
-        original = snapshot_cube.preserve_epochs
-
-        def hooked_preserve():
-            self.history_generation += 1
-            return original()
-
-        snapshot_cube.preserve_epochs = hooked_preserve
+        self._last: dict | None = None
 
     # -- publication -----------------------------------------------------------
 
@@ -321,59 +338,99 @@ class EpochExporter:
         """Describe the current epoch as shared-memory blocks (picklable)."""
         snap = self.snap
         epoch = snap._current
-        kernel = snap.kernel
-        generation = self.history_generation
-        cited: list[str] = []
-        slices: list[tuple] = []
-        for index in range(epoch.retired_below, max(epoch.num_slices - 1, 0)):
-            block = self._slice_blocks.get(index)
-            _, payload = kernel.directory.at_index(index)
-            if (
-                block is None
-                or block.generation != generation
-                or block.mut_version != payload.mut_version
-            ):
-                name, metas, views = self.owner.create(
-                    {
-                        "values": np.empty(epoch.slice_shape, dtype=np.int64),
-                        "flags": np.empty(epoch.slice_shape, dtype=bool),
-                    }
-                )
-                kernel.store.freeze_slice(
-                    payload, out=(views["values"], views["flags"])
-                )
-                if block is not None:
-                    self.owner.decref(block.name)
-                block = _SliceBlock(name, metas, generation, payload.mut_version)
-                self._slice_blocks[index] = block
-            slices.append((index, block.name, block.metas))
-            self.owner.incref(block.name)
-            cited.append(block.name)
-        # freezes for slices that left the answerable range (retirement)
-        for index in list(self._slice_blocks):
-            if not epoch.retired_below <= index < epoch.num_slices - 1:
-                self.owner.decref(self._slice_blocks.pop(index).name)
+        rewritten = snap.take_rewritten_from()
+        if (
+            rewritten is None
+            and self._last is not None
+            and self._last["sequence"] == epoch.sequence
+        ):
+            return self._last
+        first, stop = epoch.retired_below, max(epoch.num_slices - 1, 0)
+        # rows that left the answerable range, and rows whose content moved
+        keep_below = stop if rewritten is None else rewritten
+        for index in [i for i in self._rows if not first <= i < keep_below]:
+            self.owner.decref(self._rows.pop(index)[0])
+        self._publish_rows([i for i in range(first, stop) if i not in self._rows])
+        slices = [(index, *self._rows[index]) for index in range(first, stop)]
+        cited = [name for _, name, _ in slices]
+        for name in cited:
+            self.owner.incref(name)
         frontier: dict[str, np.ndarray] = {"times": epoch.times}
         if epoch.cache_values is not None:
             frontier["cache_values"] = epoch.cache_values
-            frontier["cache_stamps"] = epoch.cache_stamps
         if epoch.gd_points is not None:
             frontier["gd_points"] = epoch.gd_points
             frontier["gd_deltas"] = epoch.gd_deltas
-        frontier_name, frontier_metas, _ = self.owner.create(frontier)
-        cited.append(frontier_name)
+        frontier_block = self.owner.create(frontier)
+        cited.append(frontier_block[0])
         self._epoch_blocks[epoch.sequence] = cited
-        return {
+        self._last = {
             "sequence": epoch.sequence,
             "kernel_version": epoch.kernel_version,
             "external_version": epoch.external_version,
             "num_slices": epoch.num_slices,
             "retired_below": epoch.retired_below,
             "slice_shape": epoch.slice_shape,
-            "has_buffer": epoch.gd_points is not None,
-            "frontier": (frontier_name, frontier_metas),
+            "frontier": frontier_block,
             "slices": slices,
         }
+        return self._last
+
+    def _publish_rows(self, indices: list[int]) -> None:
+        """Export historic instances as finished prefix-sum rows.
+
+        Between operations on the writer thread, live slice storage read
+        through the current epoch's frozen cache is what any reader of
+        that epoch would resolve, whatever lazy copies or conversions
+        landed since -- so the evaluator's own sweep, run here once,
+        yields the row every later epoch can cite.  Uncounted, like
+        ``freeze_slice``.
+        """
+        kernel = self.snap.kernel
+        for start in range(0, len(indices), _ROWS_PER_SWEEP):
+            chunk = np.asarray(indices[start : start + _ROWS_PER_SWEEP])
+            states = []
+            for index in chunk:
+                _, payload = kernel.directory.at_index(int(index))
+                values, flags = kernel.store.freeze_slice(payload)
+                states.append((PS if flags.all() else MIXED, values, flags))
+            rows = _prefix_sum_rows(self, chunk, states)
+            for index, row, (_, values, flags) in zip(chunk.tolist(), rows, states):
+                if row is None:
+                    row = self._walked_row(index, values, flags)
+                if index not in self._rows:  # stored as PS, or just walked
+                    self.normalised(index, row)
+
+    def _walked_row(self, index: int, values, flags) -> np.ndarray:
+        """One instance's prefix sums, cell by cell.
+
+        The slice holds a converted cell whose DDC value is lost (its
+        lazy-copy stamp advanced past the slice after a metered read
+        converted it), which no array sweep recovers; the per-cell walk
+        reads PS cells natively.  Paid once here instead of per box by
+        every reader.
+        """
+        view = prepare_epoch(self.snap._current, self.snap)
+        origin = (0,) * len(self.slice_shape)
+        row = np.empty(self.slice_shape, dtype=np.int64)
+        for cell in np.ndindex(*self.slice_shape):
+            row[cell] = view.walk(index, Box(origin, cell), values, flags)
+        return row
+
+    # -- the normalization sweep's source of cache arrays, and its sink ----------
+
+    @property
+    def slice_shape(self) -> tuple[int, ...]:
+        return self.snap._current.slice_shape
+
+    def cache_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        epoch = self.snap._current
+        return epoch.cache_values, epoch.cache_stamps
+
+    def normalised(self, index: int, ps_row: np.ndarray) -> None:
+        self._rows[index] = self.owner.create({"ps": ps_row})
+
+    # -- release ---------------------------------------------------------------
 
     def release_below(self, sequence: int) -> None:
         """Drop block references held by epochs older than ``sequence``."""
@@ -384,7 +441,8 @@ class EpochExporter:
     def close(self) -> None:
         """Unlink every block this exporter ever published."""
         self._epoch_blocks.clear()
-        self._slice_blocks.clear()
+        self._rows.clear()
+        self._last = None
         self.owner.close_all()
 
 
@@ -392,18 +450,11 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
     """Rebuild a detached :class:`Epoch` from an exported descriptor.
 
     The arrays are read-only views straight into the shared blocks -- no
-    copies; preparing and querying the epoch never touches a kernel.
+    copies; every historic instance arrives as a finished prefix-sum row,
+    so preparing and querying the epoch never touches a kernel and
+    normalizes nothing but the epoch-latest instance.
     """
-    frontier_name, frontier_metas = descriptor["frontier"]
-    frontier = cache.arrays(frontier_name, frontier_metas)
-    overlays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for index, name, metas in descriptor["slices"]:
-        views = cache.arrays(name, metas)
-        overlays[index] = (views["values"], views["flags"])
-    gd_points = gd_deltas = None
-    if descriptor["has_buffer"]:
-        gd_points = frontier["gd_points"]
-        gd_deltas = frontier["gd_deltas"]
+    frontier = cache.arrays(*descriptor["frontier"])
     epoch = Epoch(
         descriptor["kernel_version"],
         descriptor["external_version"],
@@ -413,10 +464,13 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
         descriptor["retired_below"],
         tuple(descriptor["slice_shape"]),
         frontier.get("cache_values"),
-        frontier.get("cache_stamps"),
-        overlays,
-        gd_points,
-        gd_deltas,
+        None,  # nothing attached reads through the cache by stamp
+        {
+            index: (cache.arrays(name, metas)["ps"], None)
+            for index, name, metas in descriptor["slices"]
+        },
+        frontier.get("gd_points"),
+        frontier.get("gd_deltas"),
     )
     epoch.detached = True
     return epoch

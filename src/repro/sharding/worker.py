@@ -347,18 +347,6 @@ class ReaderState:
             _, epoch, snap = descriptor
         else:
             epoch, snap = epoch_from_shared_memory(descriptor, self.cache), None
-            held = self._views.get(shard_id)
-            if held is not None:
-                # a slice block never changes, so a row normalized under
-                # the epoch we held serves every epoch citing that block
-                rows = {
-                    name: held.epoch.overlays[index]
-                    for index, name, _ in self._descriptors[shard_id]["slices"]
-                }
-                for index, name, _ in descriptor["slices"]:
-                    row = rows.get(name)
-                    if row is not None and row[1] is None:
-                        epoch.overlays[index] = row
             self._descriptors[shard_id] = descriptor
         view = self._views[shard_id] = prepare_epoch(epoch, snap)
         return view

@@ -484,6 +484,21 @@ class TestFastSliceEngine:
             )
             assert sorted(fast.update_flat_indices(cell).tolist()) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batched_update_sets_are_the_concatenated_per_cell_sets(self, data):
+        # size-1 and non-power-of-two axes included
+        shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+        cell = st.tuples(*(st.integers(0, n - 1) for n in shape))
+        cells = np.asarray(
+            data.draw(st.lists(cell, min_size=1, max_size=12)), dtype=np.int64
+        )
+        fast = FastSliceEngine(shape)
+        per_cell = [fast.update_flat_indices(c) for c in cells]
+        flat, sizes = fast.ddc_tables.update_flat_sets(cells)
+        assert sizes.tolist() == [run.size for run in per_cell]
+        assert np.array_equal(flat, np.concatenate(per_cell))  # element-wise
+
     def test_fast_ops_counted(self):
         cube = EvolvingDataCube((4, 4))
         cube.update_many([(0, 1, 1), (1, 2, 2)], [1, 2], mode="fast")

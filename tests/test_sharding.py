@@ -273,14 +273,9 @@ class TestServeStartupSweep:
     @staticmethod
     def _segment(owner_pid: int):
         """A block named by the rule, as ``owner_pid`` would have made it."""
-        from multiprocessing import shared_memory
+        from repro.sharding.shm import SHM_PREFIX, _Segment
 
-        from repro.sharding.shm import SHM_PREFIX, _unregister
-
-        segment = shared_memory.SharedMemory(
-            create=True, name=f"{SHM_PREFIX}-s0-{owner_pid}-1", size=64
-        )
-        _unregister(segment)  # the tracker must not reap it behind the test
+        segment = _Segment(f"{SHM_PREFIX}-s0-{owner_pid}-1", size=64)
         segment.close()
         return segment
 
@@ -308,10 +303,7 @@ class TestServeStartupSweep:
             # idempotent: a clean start sweeps nothing
             assert _sweep_leaked_shm() == []
         finally:
-            try:
-                orphan.unlink()
-            except FileNotFoundError:
-                pass
+            orphan.unlink()
 
     def test_spares_segments_of_a_live_owner(self):
         """A second server starting on the host must not unlink the
@@ -327,10 +319,7 @@ class TestServeStartupSweep:
             assert leaked_segments() == [live.name]
         finally:
             for segment in (live, orphan):
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
+                segment.unlink()
         assert not leaked_segments()
 
     def test_every_block_name_carries_its_owner_pid(self):

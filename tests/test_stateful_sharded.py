@@ -1,0 +1,300 @@
+"""One stateful model of the process-sharded cube against its oracle.
+
+``ShardedCube(processes=True)`` publishes each historic instance into
+shared memory once; every later epoch cites that row.  The invariant
+that buys -- *sharded answers stay bit-identical to an unsharded
+``SnapshotCube`` whatever the writer does to history* -- is checked here
+after every step of appends, late updates, drains, out-of-order
+corrections (with splices), retirement, tiered demotion and
+checkpoint / close / recover, with ``/dev/shm`` empty at teardown.
+
+The op set is not one configuration's: a durable buffered shard refuses
+``apply_out_of_order``, only a tiered one demotes.  Hypothesis draws the
+kind per example (dense); one scripted history per kind runs on the
+paged and sparse backends.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
+
+from repro.concurrent import SnapshotCube
+from repro.core.errors import AgedOutError
+from repro.core.types import Box
+from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.sharding import ShardedCube, leaked_segments
+
+from .conftest import random_box
+
+SHAPE = (6, 4)
+NUM_TIMES = 48
+TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
+#: kind -> (durable, buffered, tiered)
+KINDS = {
+    "tiered": (True, True, True),  # late / drain / demote / reopen
+    "plain": (False, True, False),  # late / drain / out-of-order / retire
+    "logged": (True, False, False),  # out-of-order / retire / reopen
+}
+
+
+class Model:
+    """A process-sharded cube and its unsharded oracle, driven in step."""
+
+    def __init__(self, kind: str, backend: str = "dense") -> None:
+        self.durable, self.buffered, self.tiered = KINDS[kind]
+        self.root = Path(tempfile.mkdtemp(prefix="repro-stateful-sharded-"))
+        front = BufferedEvolvingDataCube(SHAPE, backend=backend)
+        self.oracle = SnapshotCube(front if self.buffered else front.cube)
+        self.cube = ShardedCube(
+            SHAPE,
+            shards=2,
+            processes=True,
+            backend=backend,
+            buffered=self.buffered,
+            durable_dir=self.root / "fleet" if self.durable else None,
+            tiers=TIERS if self.tiered else None,
+            fsync="off",
+            timeout=120.0,
+        )
+        self.latest = 0
+        #: first time whose detail both sides still hold.  It starts at the
+        #: first occurring time: late data from before all history trips two
+        #: tiered-front bugs that are not publication's (ROADMAP, oracle item)
+        self.boundary: int | None = None
+        self.rng = np.random.default_rng(5)
+
+    # -- writes -----------------------------------------------------------------
+
+    def _both(self, method: str, *args):
+        getattr(self.oracle, method)(*args)
+        return getattr(self.cube, method)(*args)
+
+    def append(self, advance: int, cells, deltas) -> None:
+        self.latest = min(NUM_TIMES - 1, self.latest + advance)
+        if self.boundary is None:
+            self.boundary = self.latest
+        points = [(self.latest, *cell) for cell in cells]
+        self._both("update_many", points, list(deltas))
+
+    def late(self, points, deltas) -> None:
+        self._both("update_many", [tuple(p) for p in points], list(deltas))
+
+    def drain(self) -> None:
+        applied = self.oracle.drain()[0]
+        if not self.tiered:  # below a demotion watermark G_d keeps its entries
+            assert self.cube.drain()[0] == applied
+        else:
+            self.cube.drain()
+
+    def out_of_order(self, point, delta: int) -> None:
+        self._both("apply_out_of_order", tuple(point), delta)
+
+    def retire(self, time: int) -> None:
+        if self.buffered:
+            self.drain()
+        self.oracle.retire_before(time)
+        self.cube.retire_before(time)
+        self.boundary = max(self.boundary, time)
+
+    def demote(self, time: int) -> None:
+        self.cube.demote_before(time)  # the oracle keeps everything live
+
+    def reopen(self, checkpoint: bool) -> None:
+        if checkpoint:
+            self.cube.checkpoint()
+        self.cube.close()
+        self.cube = ShardedCube.recover(self.root / "fleet", timeout=120.0)
+
+    # -- the invariant ----------------------------------------------------------
+
+    def check(self) -> None:
+        boxes = [random_box(self.rng, (NUM_TIMES,) + SHAPE) for _ in range(24)]
+        boxes.append(Box((0, 0, 0), (NUM_TIMES,) + tuple(n - 1 for n in SHAPE)))
+        answerable = []
+        for box in boxes:
+            try:
+                self.oracle.query(box)
+            except AgedOutError:
+                with pytest.raises(AgedOutError):
+                    self.cube.query(box)
+            else:
+                answerable.append(box)
+        assert self.cube.query_many(answerable) == self.oracle.query_many(answerable)
+        assert self.cube.total() == self.oracle.total()
+
+    def close(self) -> None:
+        self.cube.close()
+        self.oracle.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+        assert not leaked_segments()
+
+
+_cells = st.lists(
+    st.tuples(*(st.integers(0, n - 1) for n in SHAPE)), min_size=1, max_size=5
+)
+#: one per cell; a rule folds them into whatever range is valid right now
+_numbers = st.lists(st.integers(0, 999), min_size=5, max_size=5)
+
+
+def _kind(*kinds, history=False):
+    """Rules of these kinds only; ``history``: some held time is historic."""
+    return precondition(
+        lambda self: self.kind in kinds
+        and (not history or self.model.latest > self.model.boundary)
+    )
+
+
+class ShardedHistoryMachine(RuleBasedStateMachine):
+    @initialize(kind=st.sampled_from(sorted(KINDS)))
+    def build(self, kind):
+        self.kind = kind
+        self.model = Model(kind)
+        for _ in range(4):  # gaps, so that an odd historic time is a splice
+            self.model.append(2, [(0, 0), (5, 3)], [1, 2])  # a cell per shard
+
+    def _historic(self, number: int) -> int:
+        """A time below the latest whose detail is still held."""
+        model = self.model
+        return model.boundary + number % (model.latest - model.boundary)
+
+    @rule(advance=st.integers(0, 3), cells=_cells, numbers=_numbers)
+    def append(self, advance, cells, numbers):
+        self.model.append(advance, cells, [n % 14 - 4 for n in numbers[: len(cells)]])
+        self.model.check()
+
+    @_kind("tiered", "plain", history=True)
+    @rule(cells=_cells, numbers=_numbers)
+    def late(self, cells, numbers):
+        points = [(self._historic(n), *cell) for n, cell in zip(numbers, cells)]
+        self.model.late(points, [3] * len(points))
+        self.model.check()
+
+    @_kind("tiered", "plain")
+    @rule()
+    def drain(self):
+        self.model.drain()
+        self.model.check()
+
+    @_kind("plain", "logged", history=True)
+    @rule(cells=_cells, numbers=_numbers)
+    def out_of_order(self, cells, numbers):
+        self.model.out_of_order((self._historic(numbers[0]), *cells[0]), numbers[1] - 500)
+        self.model.check()
+
+    @_kind("plain", "logged")
+    @rule(number=st.integers(0, 999))
+    def retire(self, number):
+        self.model.retire(number % self.model.latest)
+        self.model.check()
+
+    @_kind("tiered")
+    @rule(number=st.integers(0, 999))
+    def demote(self, number):
+        self.model.demote(number % (self.model.latest + 1))
+        self.model.check()
+
+    @_kind("tiered", "logged")
+    @rule(checkpoint=st.booleans())
+    def reopen(self, checkpoint):
+        self.model.reopen(checkpoint)
+        self.model.check()
+
+    def teardown(self):
+        if hasattr(self, "model"):
+            self.model.close()
+
+
+TestShardedHistoryMachine = ShardedHistoryMachine.TestCase
+TestShardedHistoryMachine.settings = settings(
+    max_examples=20, stateful_step_count=15, deadline=None
+)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("backend", ["paged", "sparse"])
+def test_a_scripted_history_on_the_other_backends(backend, kind):
+    model = Model(kind, backend)
+    durable, buffered, tiered = KINDS[kind]
+    rng = np.random.default_rng(3)
+
+    def cells(count):
+        return [tuple(int(rng.integers(0, n)) for n in SHAPE) for _ in range(count)]
+
+    try:
+        for step in range(14):
+            model.append(1 + step % 2, cells(4), [1, 2, 3, 4])
+            if buffered and step % 3 == 2:
+                times = rng.integers(model.boundary, model.latest, size=3)
+                model.late([(int(t), *c) for t, c in zip(times, cells(3))], [5, 6, 7])
+                model.check()
+            if not tiered and step % 4 == 3:
+                # an odd time never occurred here half the time: a splice
+                time = int(rng.integers(model.boundary, model.latest))
+                model.out_of_order((time, *cells(1)[0]), 9)
+            if buffered and step % 5 == 4:
+                model.drain()
+            if step == 8:
+                (model.demote if tiered else model.retire)(model.latest // 2)
+            if durable and step in (5, 11):
+                model.reopen(checkpoint=step == 5)
+            model.check()
+    finally:
+        model.close()
+
+
+def test_an_unrecoverable_mixed_instance_bootstraps_into_a_process_shard(tmp_path):
+    """Recovery hands the exporter a slice no array sweep can normalize.
+
+    Metered reads convert cells of a historic instance; later appends
+    advance those cells' lazy-copy stamps past it, so their DDC values
+    are gone from slice and cache alike.  Checkpointed like that and
+    recovered into worker processes, the instance must still reach the
+    router as a finished row: every prefix box over it equals the oracle.
+    """
+    shape = (6, 6)
+    rng = np.random.default_rng(9)
+    dense = np.zeros((8,) + shape, dtype=np.int64)
+    lost = 3
+    with ShardedCube(
+        shape, shards=2, processes=False, durable_dir=tmp_path / "fleet", fsync="off"
+    ) as cube:
+
+        def append(time, count):
+            points = np.column_stack(
+                [np.full(count, time)] + [rng.integers(0, n, size=count) for n in shape]
+            )
+            deltas = rng.integers(1, 9, size=count)
+            cube.update_many(points, deltas)
+            np.add.at(dense, tuple(points.T), deltas)
+
+        for time in range(6):
+            append(time, 14)
+        kernels = [handle.state.kernel for handle in cube.router.handles]
+        for kernel in kernels:
+            kernel.query(Box((0, 0, 0), (lost, *(n - 1 for n in kernel.slice_shape))))
+        append(6, 40)
+        append(7, 40)
+        assert not any(kernel.bulk_finalize_slice(lost) for kernel in kernels)
+        cube.checkpoint()
+    with ShardedCube.recover(tmp_path / "fleet", processes=True, timeout=120.0) as cube:
+        boxes = [Box((0, 0, 0), (lost, x, y)) for x in range(6) for y in range(6)]
+        boxes += [Box((lost, x, 0), (lost, 5, y)) for x in range(6) for y in range(6)]
+        boxes += [random_box(rng, dense.shape) for _ in range(40)]
+        assert cube.query_many(boxes) == [
+            int(dense[tuple(slice(lo, up + 1) for lo, up in zip(b.lower, b.upper))].sum())
+            for b in boxes
+        ]
+    assert not leaked_segments()
