@@ -130,11 +130,11 @@ def _cmd_serve(args) -> int:
     """Serve a sharded cube over TCP, or run the legacy stress driver.
 
     The default mode partitions the cube across ``--shards`` worker
-    processes (plus ``--readers`` reader processes attaching their
-    shared-memory epochs) and answers length-prefixed JSON requests on
-    ``--host``/``--port`` until SIGTERM drains the listener.  With
-    ``--stress`` it instead races snapshot reader *threads* against one
-    scripted writer and validates every answer against an exact oracle.
+    processes, attaches their shared-memory epochs and answers
+    length-prefixed JSON requests on ``--host``/``--port`` until SIGTERM
+    drains the listener.  With ``--stress`` it instead races
+    ``--readers`` snapshot reader *threads* against one scripted writer
+    and validates every answer against an exact oracle.
     """
     if not args.stress:
         return _cmd_serve_sharded(args)
@@ -194,22 +194,18 @@ def _cmd_serve_sharded(args) -> int:
             flush=True,
         )
     processes = not args.inline
-    readers = args.readers if processes else 0
     recovered = args.durable_dir is not None and (
         Path(args.durable_dir) / MANIFEST_NAME
     ).exists()
     if recovered:
         # a restart of the command that created the directory: shape,
         # shards, backend and tiers come from its manifest
-        cube = ShardedCube.recover(
-            args.durable_dir, processes=processes, readers=readers
-        )
+        cube = ShardedCube.recover(args.durable_dir, processes=processes)
     else:
         cube = ShardedCube(
             tuple(int(n) for n in args.shape.split(",")),
             shards=args.shards,
             processes=processes,
-            readers=readers,
             backend=args.backend,
             num_times=args.num_times,
             durable_dir=args.durable_dir,
@@ -223,7 +219,6 @@ def _cmd_serve_sharded(args) -> int:
         banner = {
             "listening": f"{server.host}:{server.port}",
             "shards": cube.partitioner.num_shards,
-            "readers": len(cube.router.readers),
             "processes": cube.processes,
             "slice_shape": list(cube.slice_shape),
         }
@@ -395,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--readers",
         type=int,
-        default=0,
-        help="reader processes (stress mode: reader threads, default 4)",
+        default=None,
+        help="[stress] snapshot reader threads (default: 4)",
     )
     serve.add_argument(
         "--writes",
@@ -462,6 +457,11 @@ def main(argv: list[str] | None = None) -> int:
             f"shard-NN/ directories) and `{args.command}` works on one durable "
             "cube: run it on a shard-NN/ subdirectory, or reopen the whole "
             "cube with `python -m repro serve --durable-dir`"
+        )
+    if args.command == "serve" and args.readers is not None and not args.stress:
+        parser.error(
+            "--readers counts the reader threads of --stress; a served cube "
+            "has one reader, the server itself"
         )
     if args.command == "demo":
         return _demo()

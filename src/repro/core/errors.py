@@ -57,7 +57,7 @@ class AgedOutError(ReproError):
 
 
 class ShardUnavailableError(ReproError):
-    """A shard worker or reader process died or stopped responding.
+    """A shard worker process died or stopped responding.
 
     The router surfaces this instead of hanging on a dead pipe; the
     sharded cube is left usable for the shards that survive, but answers

@@ -87,6 +87,10 @@ class OutOfOrderBuffer:
         """Number of buffered updates (the paper's degradation parameter)."""
         return self._size
 
+    def min_time(self) -> int:
+        """The oldest buffered TT-coordinate (the buffer must not be empty)."""
+        return int(self._points[: self._size, 0].min())
+
     # -- columnar growth -------------------------------------------------------
 
     def _reserve(self, extra: int) -> None:

@@ -253,26 +253,34 @@ class TieredCube:
     def query(self, box: Box) -> int:
         return self.query_many([box], mode="metered")[0]
 
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
-        """Batch range aggregates, bit-identical to an undemoted oracle.
+    def _prefix_terms(self, boxes: list[Box], mode: str, demoted, exact=int):
+        """Yield the signed terms ``(box index, sign, term)`` that sum to
+        each box.
 
-        Boxes both of whose prefixes resolve at or above the demotion
-        watermark pass straight through to the front in one batch;
-        the rest decompose into signed cumulative prefixes answered
-        per-tier as described in the module docstring.
+        The one cross-tier decomposition (module docstring): a box with
+        no demoted floor passes to the front whole; any other splits
+        into its two signed cumulative prefixes, each answered by the
+        tier that holds its floor instance.  ``demoted(floor_time,
+        lower, upper)`` answers a demoted floor's cell box -- that is
+        all :meth:`query_many` and :meth:`query_many_approx` differ in;
+        every other term is an exact integer passed through ``exact``:
+        live prefixes (the front adds their ``G_d`` share itself) and
+        the ``G_d`` share of a prefix the front never sees, which
+        includes one that floors below the first instance -- late data
+        from before all history is in no slice, only in the buffer.
         """
-        boxes = list(boxes)
         kernel = self.cube
-        retired_below = kernel._retired_below
-        if retired_below == 0 or not kernel.directory:
-            return self.front.query_many(boxes, mode=mode)
         directory = kernel.directory
-        occurring = directory.times()
-        low = int(occurring[0])
-        buffer = self.buffer
-        if buffer is not None and len(buffer):
-            low = min(low, int(buffer._points[: buffer._size, 0].min()))
-        results = [0] * len(boxes)
+        retired_below = kernel._retired_below
+        if retired_below == 0 or not directory:
+            for i, value in enumerate(self.front.query_many(boxes, mode=mode)):
+                yield i, 1, exact(value)
+            return
+        low = int(directory.at_index(0)[0])
+        late = self.buffer if self.buffer is not None and len(self.buffer) else None
+        if late is not None:
+            low = min(low, late.min_time())
+        late_mode = "fast" if mode == "fast" else "metered"
         live_boxes: list[Box] = []
         live_slots: list[tuple[int, int]] = []  # (box index, sign)
         for i, box in enumerate(boxes):
@@ -280,34 +288,41 @@ class TieredCube:
             floors = [directory.floor_index(p) for p, _ in prefixes]
             if all(f < 0 or f >= retired_below for f in floors):
                 live_boxes.append(box)
-                live_slots.append((i, 0))  # sign 0: whole-box passthrough
+                live_slots.append((i, 1))
                 continue
+            lower, upper = tuple(box.lower[1:]), tuple(box.upper[1:])
             for (prefix, sign), floor in zip(prefixes, floors):
-                if floor < 0:
-                    continue
-                prefix_box = Box(
-                    (low,) + tuple(box.lower[1:]),
-                    (prefix,) + tuple(box.upper[1:]),
-                )
+                if prefix < low:
+                    continue  # before all history, buffered included
+                prefix_box = Box((low,) + lower, (prefix,) + upper)
                 if floor >= retired_below:
                     live_boxes.append(prefix_box)
                     live_slots.append((i, sign))
                     continue
-                ps = self._demoted_slice(int(occurring[floor]))
-                results[i] += sign * ps_box_sum(
-                    ps, box.lower[1:], box.upper[1:]
-                )
-                if buffer is not None and len(buffer):
-                    results[i] += sign * int(
-                        buffer.range_sum(
-                            prefix_box,
-                            mode="fast" if mode == "fast" else "metered",
-                        )
-                    )
+                if floor >= 0:
+                    floor_time = int(directory.at_index(floor)[0])
+                    yield i, sign, demoted(floor_time, lower, upper)
+                if late is not None:
+                    yield i, sign, exact(late.range_sum(prefix_box, mode=late_mode))
         if live_boxes:
             values = self.front.query_many(live_boxes, mode=mode)
             for (i, sign), value in zip(live_slots, values):
-                results[i] += (sign if sign else 1) * int(value)
+                yield i, sign, exact(value)
+
+    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+        """Batch range aggregates, bit-identical to an undemoted oracle.
+
+        A demoted floor is answered from its cumulative PS slice (rollup
+        tier or tile, :meth:`_demoted_slice`).
+        """
+        boxes = list(boxes)
+        results = [0] * len(boxes)
+
+        def demoted(floor_time: int, lower, upper) -> int:
+            return ps_box_sum(self._demoted_slice(floor_time), lower, upper)
+
+        for i, sign, value in self._prefix_terms(boxes, mode, demoted):
+            results[i] += sign * value
         return results
 
     def query_approx(self, box: Box):
@@ -336,99 +351,32 @@ class TieredCube:
             estimate_prefix,
         )
 
+        def demoted(floor_time: int, lower, upper) -> Estimate:
+            # a floor some tier retains is its own bracket: exact
+            bracket_lo, bracket_hi = bracket_prefix(
+                self.tiers, floor_time, self._last_time, self._last_ps
+            )
+            if bracket_hi is None and (
+                bracket_lo is None or bracket_lo[0] != floor_time
+            ):
+                raise AgedOutError(
+                    f"no retained rollup boundary brackets "
+                    f"t={floor_time}; the prefix cannot be bounded"
+                )
+            return estimate_prefix(bracket_lo, bracket_hi, floor_time, lower, upper)
+
         boxes = list(boxes)
-        kernel = self.cube
-        retired_below = kernel._retired_below
-        if retired_below == 0 or not kernel.directory:
-            return [
-                Estimate.of(v) for v in self.front.query_many(boxes, mode=mode)
-            ]
-        directory = kernel.directory
-        occurring = directory.times()
-        low = int(occurring[0])
-        buffer = self.buffer
-        if buffer is not None and len(buffer):
-            low = min(low, int(buffer._points[: buffer._size, 0].min()))
         est = [0.0] * len(boxes)
         lo = [0] * len(boxes)
         hi = [0] * len(boxes)
-        live_boxes: list[Box] = []
-        live_slots: list[tuple[int, int]] = []
-
-        def _add(i: int, sign: int, term: Estimate) -> None:
+        for i, sign, term in self._prefix_terms(boxes, mode, demoted, Estimate.of):
             est[i] += sign * term.estimate
-            if sign >= 0:
+            if sign > 0:
                 lo[i] += term.lo
                 hi[i] += term.hi
             else:
                 lo[i] -= term.hi
                 hi[i] -= term.lo
-
-        for i, box in enumerate(boxes):
-            prefixes = ((int(box.upper[0]), 1), (int(box.lower[0]) - 1, -1))
-            floors = [directory.floor_index(p) for p, _ in prefixes]
-            if all(f < 0 or f >= retired_below for f in floors):
-                live_boxes.append(box)
-                live_slots.append((i, 0))
-                continue
-            for (prefix, sign), floor in zip(prefixes, floors):
-                if floor < 0:
-                    continue
-                prefix_box = Box(
-                    (low,) + tuple(box.lower[1:]),
-                    (prefix,) + tuple(box.upper[1:]),
-                )
-                if floor >= retired_below:
-                    live_boxes.append(prefix_box)
-                    live_slots.append((i, sign))
-                    continue
-                floor_time = int(occurring[floor])
-                ps = None
-                for tier in self.tiers:
-                    ps = tier.slice_at(floor_time)
-                    if ps is not None:
-                        break
-                if ps is not None:  # tier-resident: exact, no estimation
-                    term = Estimate.of(
-                        ps_box_sum(ps, box.lower[1:], box.upper[1:])
-                    )
-                else:
-                    bracket_lo, bracket_hi = bracket_prefix(
-                        self.tiers, floor_time, self._last_time, self._last_ps
-                    )
-                    exact_floor = (
-                        bracket_lo is not None and bracket_lo[0] == floor_time
-                    )
-                    if bracket_hi is None and not exact_floor:
-                        raise AgedOutError(
-                            f"no retained rollup boundary brackets "
-                            f"t={floor_time}; the prefix cannot be bounded"
-                        )
-                    term = estimate_prefix(
-                        bracket_lo,
-                        bracket_hi,
-                        floor_time,
-                        box.lower[1:],
-                        box.upper[1:],
-                    )
-                _add(i, sign, term)
-                if buffer is not None and len(buffer):
-                    # buffered corrections below the watermark are known
-                    # exactly; they shift the whole interval
-                    _add(
-                        i,
-                        sign,
-                        Estimate.of(
-                            buffer.range_sum(
-                                prefix_box,
-                                mode="fast" if mode == "fast" else "metered",
-                            )
-                        ),
-                    )
-        if live_boxes:
-            values = self.front.query_many(live_boxes, mode=mode)
-            for (i, sign), value in zip(live_slots, values):
-                _add(i, sign if sign else 1, Estimate.of(value))
         return [Estimate(e, x, y) for e, x, y in zip(est, lo, hi)]
 
     def _demoted_slice(self, floor_time: int) -> np.ndarray:

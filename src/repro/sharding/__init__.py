@@ -4,8 +4,8 @@ Breaks the GIL ceiling of the thread-based serving tier: the cube is
 partitioned along its non-TT dimensions (:mod:`repro.sharding.partition`),
 each shard runs in its own worker process, and every published epoch
 lives in named shared-memory blocks (:mod:`repro.sharding.shm`: one
-finished prefix-sum row per historic instance, written once) that reader
-processes attach zero-copy.  The
+finished prefix-sum row per historic instance, written once) that the
+router -- the only reader -- attaches zero-copy.  The
 prefix-difference query is additive over any disjoint partition of the
 cell domain, so per-shard answers sum to the exact unsharded answer
 (:mod:`repro.sharding.router`).

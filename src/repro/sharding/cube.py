@@ -1,8 +1,8 @@
 """The sharded, process-parallel cube front (:class:`ShardedCube`).
 
 Partitions the cell domain into rectangles (one shard each), runs one
-worker process per shard and serves queries from reader processes that
-attach the workers' shared-memory epochs zero-copy.  The public surface
+worker process per shard and answers queries in this process, from the
+workers' shared-memory epochs attached zero-copy.  The public surface
 is the single-process fronts' -- the methods the rows of
 :data:`repro.sharding.ops.OPS` name (``update_many``, ``drain``,
 ``retire_before``, ``query_many``, ``topk_many``, ``total``, ...) --
@@ -10,26 +10,28 @@ and answers are bit-identical to an
 unsharded :class:`~repro.concurrent.snapshot.SnapshotCube` over the same
 stream (see :mod:`repro.sharding.router` for the contracts).
 
-Three execution modes:
+Two execution modes:
 
 * ``processes=False`` -- every shard lives in this process (no pipes,
   no shared memory).  Deterministic and cheap; what the property tests
   use.
-* ``processes=True, readers=0`` -- worker processes publish epochs into
-  shared memory; this process attaches them and evaluates queries.
-* ``processes=True, readers=N`` -- N reader processes each serve a
-  contiguous chunk of every query batch.
+* ``processes=True`` -- worker processes publish epochs into shared
+  memory; this process attaches them and evaluates queries.
 
 Durability: pass ``durable_dir`` to give every shard its own WAL +
 checkpoint directory (``shard-00/``, ``shard-01/``, ...) beside a
 ``sharding.json`` manifest; :meth:`ShardedCube.recover` rebuilds the
-fleet shard by shard and re-derives the global time state by probing.
+fleet shard by shard.  The shards report their time state in the
+handshake; the retirement boundary, which only the router ever knew, is
+a ``boundary_time`` key the manifest gains at the first ``retire_before``
+that moves it, written before any shard retires.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from repro.sharding.router import (
     WorkerHandle,
 )
 from repro.sharding.shm import SHM_PREFIX, unlink_by_prefix
-from repro.sharding.worker import ReaderState, reader_main, worker_main
+from repro.sharding.worker import worker_main
 
 MANIFEST_NAME = "sharding.json"
 
@@ -69,7 +71,6 @@ class ShardedCube:
         shards: int = 2,
         partitioner: GridPartitioner | None = None,
         processes: bool = True,
-        readers: int = 0,
         backend: str = "dense",
         buffered: bool = True,
         num_times: int | None = None,
@@ -97,11 +98,6 @@ class ShardedCube:
         self.buffered = bool(buffered)
         self.backend = backend
         self.durable_dir = Path(durable_dir) if durable_dir is not None else None
-        if readers and not self.processes:
-            raise DomainError(
-                "reader processes require process workers (processes=True)"
-            )
-        self._timeout = float(timeout)
         self._closed = False
         self._sweep_prefixes: list[str] = []
         if tiers is not None:
@@ -117,7 +113,7 @@ class ShardedCube:
                 "tile_root (non-durable shards)"
             )
         if self.durable_dir is not None and not _recover:
-            self._write_manifest(num_times, fsync)
+            self._create_manifest(num_times, fsync)
         configs = []
         for extent in partitioner.extents:
             config = {
@@ -145,69 +141,67 @@ class ShardedCube:
             configs.append(config)
         if not self.processes:
             handles = [InlineHandle(c["shard_id"], c) for c in configs]
-            router_readers: list[WorkerHandle] = []
-            reader_state = ReaderState(partitioner)
         else:
             ctx = _context(start_method)
-
-            def spawn(target, config, ident, name) -> WorkerHandle:
+            handles = []
+            for config in configs:
+                shard_id = config["shard_id"]
                 parent, child = ctx.Pipe()
                 process = ctx.Process(
-                    target=target, args=(child, config), name=name, daemon=True
+                    target=worker_main,
+                    args=(child, config),
+                    name=f"shard {shard_id} worker",
+                    daemon=True,
                 )
                 process.start()
                 child.close()
-                return WorkerHandle(ident, process, parent, timeout=self._timeout)
-
-            handles = [
-                spawn(worker_main, c, c["shard_id"], f"shard {c['shard_id']} worker")
-                for c in configs
-            ]
+                handles.append(WorkerHandle(shard_id, process, parent, float(timeout)))
             self._sweep_prefixes = [
                 f"{SHM_PREFIX}-s{h.shard_id}-{h.process.pid}-" for h in handles
             ]
-            reader_config = {"partitioner": partitioner.to_config()}
-            router_readers = [
-                spawn(reader_main, reader_config, index, f"reader {index}")
-                for index in range(int(readers))
-            ]
             try:
-                for handle in (*handles, *router_readers):
-                    handle.recv()  # handshake; a worker's carries its first epoch
+                for handle in handles:
+                    handle.recv()  # handshake: first epoch and time state
             except ShardUnavailableError as exc:
                 raise StorageError(f"sharded cube failed to start: {exc}") from exc
-            reader_state = ReaderState(partitioner) if not router_readers else None
-        self.router = ShardRouter(
-            partitioner,
-            handles,
-            readers=router_readers,
-            reader_state=reader_state,
-            buffered=self.buffered,
-        )
-        if _recover:
-            self.router.probe_state()
+        self.router = ShardRouter(partitioner, handles, buffered=self.buffered)
+        self.router.num_times = num_times
+        if self.durable_dir is not None:
+            self.router.on_boundary = self._record_boundary
 
     # -- durability ------------------------------------------------------------
 
-    def _write_manifest(self, num_times, fsync) -> None:
-        self.durable_dir.mkdir(parents=True, exist_ok=True)
+    def _write_manifest(self, manifest: dict) -> None:
+        """Replace ``sharding.json`` atomically."""
         path = self.durable_dir / MANIFEST_NAME
-        if path.exists():
+        scratch = path.with_suffix(".tmp")
+        scratch.write_text(json.dumps(manifest, indent=2))
+        os.replace(scratch, path)
+
+    def _create_manifest(self, num_times, fsync) -> None:
+        self.durable_dir.mkdir(parents=True, exist_ok=True)
+        if (self.durable_dir / MANIFEST_NAME).exists():
             raise StorageError(
                 f"{self.durable_dir} already holds a sharded cube; open it "
                 "with ShardedCube.recover"
             )
-        manifest = {
-            "partitioner": self.partitioner.to_config(),
-            "slice_shape": list(self.slice_shape),
-            "shards": self.partitioner.num_shards,
-            "backend": self.backend,
-            "buffered": self.buffered,
-            "num_times": num_times,
-            "fsync": fsync,
-            "tiers": self.tiers,
-        }
-        path.write_text(json.dumps(manifest, indent=2))
+        self._write_manifest(
+            {
+                "partitioner": self.partitioner.to_config(),
+                "slice_shape": list(self.slice_shape),
+                "shards": self.partitioner.num_shards,
+                "backend": self.backend,
+                "buffered": self.buffered,
+                "num_times": num_times,
+                "fsync": fsync,
+                "tiers": self.tiers,
+            }
+        )
+
+    def _record_boundary(self, boundary: int) -> None:
+        """Persist the router's retirement boundary (no shard knows it)."""
+        manifest = json.loads((self.durable_dir / MANIFEST_NAME).read_text())
+        self._write_manifest({**manifest, "boundary_time": boundary})
 
     @classmethod
     def recover(
@@ -215,7 +209,6 @@ class ShardedCube:
         durable_dir,
         *,
         processes: bool = True,
-        readers: int = 0,
         timeout: float = 60.0,
         start_method: str | None = None,
     ) -> "ShardedCube":
@@ -225,11 +218,10 @@ class ShardedCube:
         if not path.exists():
             raise StorageError(f"{durable_dir} holds no sharded cube manifest")
         manifest = json.loads(path.read_text())
-        return cls(
+        cube = cls(
             manifest["slice_shape"],
             partitioner=GridPartitioner.from_config(manifest["partitioner"]),
             processes=processes,
-            readers=readers,
             backend=manifest.get("backend", "dense"),
             buffered=manifest.get("buffered", True),
             num_times=manifest.get("num_times"),
@@ -240,6 +232,9 @@ class ShardedCube:
             start_method=start_method,
             _recover=True,
         )
+        # absent until a retire_before first moved it
+        cube.router.boundary_time = manifest.get("boundary_time")
+        return cube
 
     # -- cube API: the op table's methods, answered by the router ----------------
 
@@ -251,14 +246,6 @@ class ShardedCube:
         if name in ROUTED:
             return getattr(self.router, name)
         raise AttributeError(name)
-
-    def demote_before(self, time: int) -> int:
-        """Demote history below ``time`` on every (tiered) shard."""
-        if self.tiers is None:
-            raise DomainError(
-                "demote_before requires a tiered sharded cube (tiers=...)"
-            )
-        return self.router.demote_before(time)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -283,11 +270,7 @@ class ShardedCube:
         self.close()
 
     def __repr__(self) -> str:
-        mode = (
-            f"processes={self.processes}, readers={len(self.router.readers)}"
-            if not self._closed
-            else "closed"
-        )
+        mode = "closed" if self._closed else f"processes={self.processes}"
         return (
             f"ShardedCube(shape={self.slice_shape}, "
             f"shards={self.partitioner.num_shards}, {mode})"

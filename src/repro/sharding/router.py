@@ -1,7 +1,7 @@
 """Scatter-gather routing across shard workers.
 
-The router owns the *global* view of the update stream that sharding
-would otherwise lose:
+The router answers the questions about the update stream that need the
+*global* view sharding would otherwise lose:
 
 * the transaction-time discipline -- "is this update historic?" -- is
   decided here against the globally newest occurring time, never by a
@@ -15,13 +15,21 @@ would otherwise lose:
   answers **sum**: the prefix-difference aggregate is additive over any
   disjoint partition of the cell domain.
 
+The time axis itself belongs to the shards: every reply to a mutating
+op (and the handshake) carries the shard's time state beside its fresh
+epoch descriptor, and ``latest_time``, ``min_time`` and
+``demote_boundary`` are read-only max / min / max over what the handles
+last heard.  ``boundary_time`` is the one value no shard can report, so
+it is the router's own and a durable cube persists it.  The router is
+also the only reader: it attaches the workers' epochs
+(:class:`~repro.sharding.worker.ReaderState`) and evaluates the batch.
+
 The worker protocol is synchronous and single-outstanding per pipe:
-``(op, payload, release_below)`` down, ``(status, result, descriptor)``
-up.  Every reply to a mutating op carries the shard's freshly published
-epoch descriptor; ``release_below`` piggybacks the garbage-collection
-horizon for older shared-memory epochs on the next request, so the
-steady state holds exactly one live epoch per shard.  Reader processes
-speak the same frames with both slots ``None``.
+``(op, payload, release_below)`` down, ``(status, result, published)``
+up, where ``published`` is ``(descriptor, time state)`` after a mutating
+op and ``None`` otherwise; ``release_below`` piggybacks the
+garbage-collection horizon for older shared-memory epochs on the next
+request, so the steady state holds exactly one live epoch per shard.
 
 A dead worker never hangs the router: requests poll the pipe with the
 process's liveness and a deadline, surfacing
@@ -53,20 +61,28 @@ _AGED_OUT_TEMPLATE = (
 )
 
 
+def _extreme(pick, values) -> int | None:
+    """``pick`` (``min`` / ``max``) over the values that are not ``None``."""
+    return pick((v for v in values if v is not None), default=None)
+
+
 class _Handle:
     """What the router does with any shard: send an op, take the reply."""
 
-    #: the shard's newest published epoch (``None`` on a reader)
+    #: the shard's newest published epoch (``None`` before the handshake)
     descriptor = None
+    #: ``(first time, last time, demoted_through)`` as the shard last
+    #: reported it beside that epoch
+    times = (None, None, None)
 
     def request(self, op: str, payload=None):
         self.send(op, payload)
         return self.recv()
 
     def _deliver(self, reply):
-        status, result, descriptor = reply
-        if descriptor is not None:
-            self.descriptor = descriptor
+        status, result, published = reply
+        if published is not None:
+            self.descriptor, self.times = published
         if status == "error":
             raise result
         return result
@@ -78,7 +94,7 @@ class InlineHandle(_Handle):
     def __init__(self, shard_id: int, config: dict) -> None:
         self.shard_id = shard_id
         self.state = ShardWorkerState(config)
-        self.descriptor = self.state.publish()
+        self.descriptor, self.times = self.state.publish()
 
     def is_alive(self) -> bool:
         return True
@@ -94,7 +110,7 @@ class InlineHandle(_Handle):
 
 
 class WorkerHandle(_Handle):
-    """A shard worker or reader process behind a duplex pipe."""
+    """A shard worker process behind a duplex pipe."""
 
     def __init__(self, shard_id, process, conn, timeout: float = 60.0) -> None:
         self.shard_id = shard_id
@@ -153,49 +169,41 @@ class ShardRouter:
     """Decompose the cube API across shard workers and sum the answers."""
 
     def __init__(
-        self,
-        partitioner: GridPartitioner,
-        handles: Sequence,
-        readers: Sequence[WorkerHandle] = (),
-        reader_state: ReaderState | None = None,
-        buffered: bool = True,
+        self, partitioner: GridPartitioner, handles: Sequence, buffered: bool = True
     ) -> None:
         self.partitioner = partitioner
         self.handles = list(handles)
-        self.readers = list(readers)
-        self.reader_state = reader_state
         self.buffered = buffered
-        #: newest occurring time across all shards (None = empty)
-        self.latest_time: int | None = None
-        #: oldest occurring time across all shards
-        self.min_time: int | None = None
+        #: the one read path over epochs: this process attaches and answers
+        self.reader_state = ReaderState(partitioner)
         #: global data-aging boundary (newest global time < threshold)
         self.boundary_time: int | None = None
-        #: global demotion watermark: prefixes below it are *answerable*
-        #: (from shard-local tiles/rollups), unlike plainly retired ones
-        self.demote_boundary: int | None = None
+        #: called with every new :attr:`boundary_time` before a shard acts
+        #: on it (a durable cube persists it here)
+        self.on_boundary = lambda boundary: None
+        #: TT capacity update times are validated against (``None``:
+        #: unbounded); the cube that knows it sets it
+        self.num_times: int | None = None
         #: per-query accounting of the most recent :meth:`topk_many`
         self.last_topk_stats: list[dict] = []
 
-    # -- state bootstrap (recovery) --------------------------------------------
+    # -- the time axis, as the shards last reported it ---------------------------
 
-    def probe_state(self) -> None:
-        """Rebuild the global time state from the shards (after recovery)."""
-        states = self._scatter_all("probe_state", None)
-        lasts = [s["max_time"] for s in states if s["max_time"] is not None]
-        firsts = [s["min_time"] for s in states if s["min_time"] is not None]
-        bounds = [
-            s["boundary_time"] for s in states if s["boundary_time"] is not None
-        ]
-        self.latest_time = max(lasts) if lasts else None
-        self.min_time = min(firsts) if firsts else None
-        self.boundary_time = max(bounds) if bounds else None
-        demoted = [
-            s.get("demoted_through")
-            for s in states
-            if s.get("demoted_through") is not None
-        ]
-        self.demote_boundary = max(demoted) if demoted else None
+    @property
+    def min_time(self) -> int | None:
+        """Oldest occurring time across all shards (``None`` = empty)."""
+        return _extreme(min, (handle.times[0] for handle in self.handles))
+
+    @property
+    def latest_time(self) -> int | None:
+        """Newest occurring time across all shards."""
+        return _extreme(max, (handle.times[1] for handle in self.handles))
+
+    @property
+    def demote_boundary(self) -> int | None:
+        """Global demotion watermark: prefixes below it are *answerable*
+        (from shard-local tiles/rollups), unlike plainly retired ones."""
+        return _extreme(max, (handle.times[2] for handle in self.handles))
 
     # -- helpers ---------------------------------------------------------------
 
@@ -231,19 +239,20 @@ class ShardRouter:
                 f"points have arity {points.shape[-1]}, cube has {1 + len(shape)}"
             )
         cells = points[:, 1:]
-        if bool((cells < 0).any()) or bool(
-            (cells >= np.asarray(shape, dtype=np.int64)).any()
-        ):
-            bad = int(
-                np.argmax(
-                    ((cells < 0) | (cells >= np.asarray(shape, dtype=np.int64))).any(
-                        axis=1
-                    )
-                )
-            )
+        bounds = np.asarray(shape, dtype=np.int64)
+        outside = ((cells < 0) | (cells >= bounds)).any(axis=1)
+        if bool(outside.any()):
+            bad = int(np.argmax(outside))
             raise DomainError(
                 f"point {tuple(int(c) for c in points[bad])} falls outside "
                 f"the cell domain {tuple(shape)}"
+            )
+        times = points[:, 0]
+        if self.num_times is not None and (
+            int(times.min()) < 0 or int(times.max()) >= self.num_times
+        ):
+            raise DomainError(
+                f"batch contains times outside [0, {self.num_times - 1}]"
             )
 
     def _localize(self, points: np.ndarray, shard_id: int) -> np.ndarray:
@@ -252,54 +261,19 @@ class ShardRouter:
         local[:, 1:] -= np.asarray(origin, dtype=np.int64)
         return local
 
-    def _note_appends(self, times: np.ndarray) -> None:
-        if times.size == 0:
-            return
-        newest = int(times.max())
-        oldest = int(times.min())
-        self.latest_time = (
-            newest if self.latest_time is None else max(self.latest_time, newest)
-        )
-        self.min_time = (
-            oldest if self.min_time is None else min(self.min_time, oldest)
-        )
-
-    def _note_first(self, first: int | None) -> None:
-        if first is None:
-            return
-        self.min_time = (
-            int(first) if self.min_time is None else min(self.min_time, int(first))
-        )
-
     # -- writes ----------------------------------------------------------------
 
     def update(self, point: Sequence[int], delta: int) -> None:
         point = np.asarray([tuple(int(c) for c in point)], dtype=np.int64)
         self._validate_points(point)
-        time = int(point[0, 0])
+        latest = self.latest_time
+        if latest is not None and int(point[0, 0]) < latest:
+            # late: a batch of one (refused unless buffered, then into G_d)
+            return self.update_many(point, [delta], mode="metered")
         shard_id = int(self.partitioner.shard_of_cells(point[:, 1:])[0])
         local = self._localize(point, shard_id)
-        historic = self.latest_time is not None and time < self.latest_time
-        if not historic:
-            self.handles[shard_id].request(
-                "update", (tuple(int(c) for c in local[0]), int(delta))
-            )
-            self._note_appends(point[:, 0])
-            return
-        if not self.buffered:
-            raise AppendOrderError(
-                f"update at time {time} violates the append-only discipline "
-                f"(latest occurring time is {self.latest_time}); use "
-                "apply_out_of_order or a buffered sharded cube"
-            )
         self.handles[shard_id].request(
-            "ingest",
-            (
-                local,
-                np.asarray([int(delta)], dtype=np.int64),
-                np.asarray([True]),
-                "metered",
-            ),
+            "update", (tuple(int(c) for c in local[0]), int(delta))
         )
 
     def update_many(self, points, deltas, mode: str = "fast") -> None:
@@ -318,20 +292,12 @@ class ShardRouter:
         # the oracle classifies each point against the running latest
         # occurring time *at that point in the stream* (buffered points
         # do not advance it); reproduce that with a prefix running max
-        floor = (
-            self.latest_time
-            if self.latest_time is not None
-            else np.iinfo(np.int64).min
+        floor = self.latest_time
+        if floor is None:
+            floor = np.iinfo(np.int64).min
+        running = np.concatenate(
+            ([floor], np.maximum(np.maximum.accumulate(times[:-1]), floor))
         )
-        if times.shape[0] > 1:
-            running = np.concatenate(
-                (
-                    [floor],
-                    np.maximum(np.maximum.accumulate(times[:-1]), floor),
-                )
-            )
-        else:
-            running = np.asarray([floor], dtype=np.int64)
         historic = times < running
         if bool(historic.any()) and not self.buffered:
             bad = int(np.argmax(historic))
@@ -355,20 +321,20 @@ class ShardRouter:
                 )
             )
         self._scatter(targets, "ingest", payloads)
-        self._note_appends(times[~historic])
 
     def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
         point = np.asarray([tuple(int(c) for c in point)], dtype=np.int64)
         self._validate_points(point)
         time = int(point[0, 0])
-        if self.latest_time is None:
+        latest = self.latest_time
+        if latest is None:
             raise AppendOrderError(
                 "cannot apply an out-of-order correction to an empty cube"
             )
-        if time >= self.latest_time:
+        if time >= latest:
             raise AppendOrderError(
                 f"time {time} is not historic (latest occurring time is "
-                f"{self.latest_time}); use update for in-order points"
+                f"{latest}); use update for in-order points"
             )
         if self.boundary_time is not None and time < self.boundary_time:
             raise AgedOutError(
@@ -377,22 +343,20 @@ class ShardRouter:
             )
         shard_id = int(self.partitioner.shard_of_cells(point[:, 1:])[0])
         local = self._localize(point, shard_id)
-        first, _ = self.handles[shard_id].request(
+        self.handles[shard_id].request(
             "oob", (tuple(int(c) for c in local[0]), int(delta))
         )
-        self._note_first(first)
 
     def drain(self, limit: int | None = None) -> tuple[int, int]:
         """Drain every shard's ``G_d`` buffer (``limit`` applies per shard)."""
         check_drain_limit(limit)
-        applied = kept = 0
-        if not self.buffered:
-            return applied, kept
-        for a, k, first, _ in self._scatter_all("drain", limit):
-            applied += a
-            kept += k
-            self._note_first(first)
-        return applied, kept
+        replies = self._scatter_all("drain", limit) if self.buffered else []
+        return sum(a for a, _ in replies), sum(k for _, k in replies)
+
+    def _move_boundary(self, boundary: int) -> None:
+        if boundary != self.boundary_time:
+            self.on_boundary(boundary)
+            self.boundary_time = boundary
 
     def retire_before(self, time: int) -> int:
         """Retire detail below ``time``; boundary is the *global* newest
@@ -403,16 +367,20 @@ class ShardRouter:
         can exceed the unsharded count; answers are unaffected.
         """
         time = int(time)
-        probes = self._scatter_all("probe_retire", time)
-        candidates = [p for p in probes if p is not None]
-        if candidates:
-            boundary = max(candidates)
-            self.boundary_time = (
-                boundary
-                if self.boundary_time is None
-                else max(self.boundary_time, boundary)
+        held, first = self.boundary_time, self.min_time
+        if first is not None and first < time:
+            # no shard retires under a boundary that is not recorded yet:
+            # the exact one is in the replies, so an upper bound on it goes
+            # first -- a crash in between recovers a router that refuses
+            # more than the oracle, never one that answers what it refuses
+            self._move_boundary(
+                _extreme(max, (held, min(time - 1, self.latest_time)))
             )
-        return sum(self._scatter_all("retire", time))
+        replies = self._scatter_all("retire", time)
+        below = _extreme(max, (newest for _, newest in replies))
+        if below is not None:
+            self._move_boundary(_extreme(max, (held, below)))
+        return sum(retired for retired, _ in replies)
 
     def demote_before(self, time: int) -> int:
         """Demote detail below ``time`` on every shard (tiered shards only).
@@ -423,35 +391,20 @@ class ShardRouter:
         than the global one, and its tiles/rollups cover exactly its
         share of the demoted prefix range.  Demoted prefixes stay
         answerable -- :meth:`query_many` reroutes them to the workers --
-        which is why this advances :attr:`demote_boundary`, not the
-        hard aged-out :attr:`boundary_time`.
+        which is why this advances :attr:`demote_boundary` (each reply
+        carries the shard's watermark *after* the demote and its implied
+        drain), not the hard aged-out :attr:`boundary_time`.
         """
-        time = int(time)
-        demoted = sum(self._scatter_all("demote", time))
-        # the watermark must come from the shards *after* the demote: the
-        # implied pre-demote drain can splice late instances below the
-        # horizon, moving the kept boundary past any pre-demote probe
-        # (recovery probes the same post-demote state, so both agree)
-        states = self._scatter_all("probe_state", None)
-        watermarks = [
-            s.get("demoted_through")
-            for s in states
-            if s.get("demoted_through") is not None
-        ]
-        if watermarks:
-            boundary = max(watermarks)
-            self.demote_boundary = (
-                boundary
-                if self.demote_boundary is None
-                else max(self.demote_boundary, boundary)
-            )
-        return demoted
+        return sum(self._scatter_all("demote", int(time)))
 
     # -- reads -----------------------------------------------------------------
 
     def _check_boxes(self, boxes: list[Box]) -> None:
         shape = self.partitioner.slice_shape
         ndim = 1 + len(shape)
+        first, boundary, demoted = (
+            self.min_time, self.boundary_time, self.demote_boundary
+        )
         for box in boxes:
             if box.ndim != ndim:
                 raise DomainError(f"box arity {box.ndim} != cube arity {ndim}")
@@ -460,25 +413,29 @@ class ShardRouter:
                     raise DomainError(
                         f"box {box} is empty after clipping to {tuple(shape)}"
                     )
-            if self.boundary_time is None or self.min_time is None:
+            if boundary is None or first is None:
                 continue
             for prefix in (box.upper[0], box.lower[0] - 1):
-                if self.min_time <= prefix < self.boundary_time and (
-                    self.demote_boundary is None
-                    or prefix >= self.demote_boundary
+                if first <= prefix < boundary and (
+                    demoted is None or prefix >= demoted
                 ):
                     # demoted prefixes stay answerable (worker reroute);
                     # plainly retired ones are genuinely gone
                     raise AgedOutError(_AGED_OUT_TEMPLATE.format(time=prefix))
 
-    def _needs_tiered(self, box: Box) -> bool:
-        """Does a prefix of ``box`` floor into the demoted region?"""
-        if self.demote_boundary is None or self.min_time is None:
-            return False
-        return any(
-            self.min_time <= prefix < self.demote_boundary
-            for prefix in (box.upper[0], box.lower[0] - 1)
-        )
+    def _tiered_ids(self, boxes: list[Box]) -> list[int]:
+        """The boxes a prefix of which floors into the demoted region."""
+        first, demoted = self.min_time, self.demote_boundary
+        if demoted is None or first is None:
+            return []
+        return [
+            i
+            for i, box in enumerate(boxes)
+            if any(
+                first <= prefix < demoted
+                for prefix in (box.upper[0], box.lower[0] - 1)
+            )
+        ]
 
     def _descriptors(self) -> dict[int, object]:
         descriptors: dict[int, object] = {}
@@ -502,23 +459,22 @@ class ShardRouter:
         if not boxes:
             return []
         self._check_boxes(boxes)
-        tiered = [self._needs_tiered(box) for box in boxes]
-        if any(tiered):
-            results = [0] * len(boxes)
-            live_ids = [i for i, t in enumerate(tiered) if not t]
-            if live_ids:
-                for i, value in zip(
-                    live_ids, self._query_epochs([boxes[i] for i in live_ids])
-                ):
-                    results[i] = value
-            tiered_ids = [i for i, t in enumerate(tiered) if t]
+        tiered_ids = self._tiered_ids(boxes)
+        if not tiered_ids:
+            return self._query_epochs(boxes)
+        results = [0] * len(boxes)
+        tiered = set(tiered_ids)
+        live_ids = [i for i in range(len(boxes)) if i not in tiered]
+        if live_ids:
             for i, value in zip(
-                tiered_ids,
-                self._query_workers([boxes[i] for i in tiered_ids], mode),
+                live_ids, self._query_epochs([boxes[i] for i in live_ids])
             ):
                 results[i] = value
-            return results
-        return self._query_epochs(boxes)
+        for i, value in zip(
+            tiered_ids, self._query_workers([boxes[i] for i in tiered_ids], mode)
+        ):
+            results[i] = value
+        return results
 
     def _scatter_boxes(self, op: str, boxes: list[Box], mode: str) -> list:
         """Send every shard its clip of ``boxes``; ``(positions, reply)``
@@ -628,27 +584,7 @@ class ShardRouter:
         return self.query_many_approx([box])[0]
 
     def _query_epochs(self, boxes: list[Box]) -> list[int]:
-        descriptors = self._descriptors()
-        live_readers = [r for r in self.readers if r.is_alive()]
-        if not live_readers:
-            if self.reader_state is None:
-                raise ShardUnavailableError(
-                    "every reader process died; restart the sharded cube"
-                )
-            return self.reader_state.query_many(descriptors, boxes)
-        chunks = np.array_split(np.arange(len(boxes)), len(live_readers))
-        targets = []
-        payloads = []
-        for reader, chunk in zip(live_readers, chunks):
-            if chunk.size == 0:
-                continue
-            targets.append(reader)
-            payloads.append((descriptors, [boxes[i] for i in chunk]))
-        replies = self._scatter(targets, "query", payloads)
-        results: list[int] = []
-        for reply in replies:
-            results.extend(reply)
-        return results
+        return self.reader_state.query_many(self._descriptors(), boxes)
 
     def query(self, box: Box) -> int:
         return self.query_many([box])[0]
@@ -672,9 +608,6 @@ class ShardRouter:
     # -- shutdown --------------------------------------------------------------
 
     def close(self) -> None:
-        for reader in self.readers:
-            reader.close()
         for handle in self.handles:
             handle.close()
-        if self.reader_state is not None:
-            self.reader_state.close()
+        self.reader_state.close()

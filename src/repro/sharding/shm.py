@@ -1,8 +1,8 @@
 """Shared-memory publication of frozen epochs.
 
 A shard worker owns its cube and publishes every :class:`Epoch` into
-named shared-memory blocks; reader processes attach the blocks and serve
-queries zero-copy.  The PR 5 epoch design makes this safe without
+named shared-memory blocks; the router's process attaches the blocks and
+answers queries zero-copy.  The PR 5 epoch design makes this safe without
 cross-process synchronization: a published block is immutable, so the
 only coordination is the epoch-id handoff that rides the control pipe.
 
@@ -272,7 +272,7 @@ class BlockOwner:
 
 
 class BlockCache:
-    """Per-process memo of attached blocks (readers and the router)."""
+    """Per-process memo of attached blocks (the router's read path)."""
 
     def __init__(self) -> None:
         #: name -> (mapping, its read-only array views)

@@ -1,13 +1,16 @@
-"""Shard worker and reader processes.
+"""Shard workers, and the reader state the router answers from.
 
 A *shard worker* owns one shard's cube (any backend, buffered or not,
-optionally durable), ingests the writes routed to it and publishes an
-epoch descriptor after every mutation.  A *reader* attaches every
-shard's shared-memory epochs and answers query batches zero-copy with
-the stacked batch evaluator.  Both run a tiny synchronous request loop
-over a duplex pipe, speaking the same frames; the router keeps the
-protocol single-outstanding per process, so no queueing discipline is
-needed.
+optionally durable), ingests the writes routed to it and, after every
+mutation, publishes an epoch descriptor together with the shard's time
+state (first and last occurring time, demotion watermark).  The shard is
+the only owner of that state; the router derives the global view from
+what the shards last reported.  A worker process runs a tiny synchronous
+request loop over a duplex pipe; the router keeps the protocol
+single-outstanding per process, so no queueing discipline is needed.
+:class:`ReaderState` is the router's side of the read path: it attaches
+every shard's published epoch and answers query batches zero-copy with
+the stacked batch evaluator.
 
 Global versus local append order
 --------------------------------
@@ -109,17 +112,22 @@ class ShardWorkerState:
             return None
         return self.front.front if self.durable else self.front
 
-    def publish(self):
-        """The current epoch, as a picklable shm descriptor or in-process."""
+    def publish(self) -> tuple:
+        """``(descriptor, time state)``: the current epoch (picklable shm
+        names, or the epoch itself in-process) and ``(first time, last
+        time, demotion watermark)``, O(1) from the shard's own directory
+        and tiered front."""
         if self.exporter is not None:
-            return self.exporter.export()
-        return ("inline", self.snap._current, self.snap)
-
-    def _times_stats(self) -> tuple[int | None, int | None]:
-        times = self.kernel.directory.times()
-        if not times:
-            return None, None
-        return int(times[0]), int(times[-1])
+            descriptor = self.exporter.export()
+        else:
+            descriptor = ("inline", self.snap._current, self.snap)
+        directory = self.kernel.directory
+        first = last = None
+        if directory:
+            first, last = int(directory.at_index(0)[0]), int(directory.latest_time)
+        tiered = self._tiered_front
+        watermark = None if tiered is None else tiered.demoted_through
+        return descriptor, (first, last, watermark)
 
     def _durable(self, op: str) -> DurableCube:
         if not self.durable:
@@ -164,12 +172,12 @@ class ShardWorkerState:
             self.front.apply_out_of_order(point, delta)
         else:
             self.kernel.apply_out_of_order(point, delta)
-        return self._times_stats()
 
-    def _drain(self, limit):
-        # the router asks buffered fleets only
-        applied, kept = self.front.drain(limit)
-        return (applied, kept, *self._times_stats())
+    def _retire(self, time):
+        """``(retired, newest local occurring time below ``time``)``."""
+        retired = self.front.retire_before(time)
+        below = self.kernel.directory.strictly_before(time)
+        return retired, None if below is None else int(below[0])
 
     def _demote(self, time) -> int:
         if not self.tiered:
@@ -206,43 +214,21 @@ class ShardWorkerState:
             for v in self.front.query_many(boxes, mode=mode)
         ]
 
-    def _probe_retire(self, time):
-        below = [t for t in self.kernel.directory.times() if t < time]
-        return int(below[-1]) if below else None
-
-    def _probe_state(self, payload) -> dict:
-        first, last = self._times_stats()
-        retired_below = self.kernel.retired_instances
-        boundary = None
-        if retired_below > 0:
-            boundary = int(self.kernel.directory.times()[retired_below])
-        tiered = self._tiered_front
-        return {
-            "min_time": first,
-            "max_time": last,
-            "boundary_time": boundary,
-            "num_slices": self.kernel.num_slices,
-            "demoted_through": (
-                tiered.demoted_through if tiered is not None else None
-            ),
-        }
-
     #: shard op -> (handler(state, payload) -> result, does it mutate the shard)
     ops = {
         "ping": (lambda state, _: None, False),
         "ingest": (_ingest, True),
         "update": (lambda state, payload: state.front.update(*payload), True),
         "oob": (_out_of_order, True),
-        "drain": (_drain, True),
-        "retire": (lambda state, time: state.front.retire_before(time), True),
+        # the router asks buffered fleets only
+        "drain": (lambda state, limit: state.front.drain(limit), True),
+        "retire": (_retire, True),
         "demote": (_demote, True),
         # cross-tier answering happens in the worker (tiles and rollups live
         # here, not in the shared-memory epochs)
         "query": (lambda state, p: state.front.query_many(p[0], mode=p[1]), False),
         "topk": (_topk, False),
         "approx": (_approx, False),
-        "probe_retire": (_probe_retire, False),
-        "probe_state": (_probe_state, False),
         "total": (
             lambda state, _: SnapshotView(
                 state.snap, state.snap._current, owns_pin=False
@@ -266,14 +252,15 @@ MUTATING_OPS = frozenset(
 )
 
 
-def serve(state, op: str, payload) -> tuple:
-    """Run one op against a shard (or reader) state: the reply frame
-    ``(status, result, descriptor)``.
+def serve(state: ShardWorkerState, op: str, payload) -> tuple:
+    """Run one op against a shard: the reply frame ``(status, result,
+    published)``.
 
-    A mutating op answers with the shard's freshly published epoch even
-    when it failed: it may have partially applied (the kernel publishes
-    in its ``finally``).  Every exception is carried in the frame; what
-    to do with one that is no :class:`ReproError` is the caller's policy.
+    A mutating op answers with what the shard now publishes (its fresh
+    epoch and time state) even when it failed: it may have partially
+    applied (the kernel publishes in its ``finally``).  Every exception
+    is carried in the frame; what to do with one that is no
+    :class:`ReproError` is the caller's policy.
     """
     if op not in state.ops:
         return "error", DomainError(f"unknown shard op {op!r}"), None
@@ -285,12 +272,12 @@ def serve(state, op: str, payload) -> tuple:
     return status, result, (state.publish() if mutates else None)
 
 
-def _serve_pipe(conn, build_state) -> None:
-    """The request loop of a worker or reader process."""
+def worker_main(conn, config: dict) -> None:
+    """Entry point of a shard worker process: its request loop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     stop = []
     signal.signal(signal.SIGTERM, lambda *_: stop.append(True))
-    state = build_state()
+    state = ShardWorkerState(config)
     try:
         conn.send(("ok", None, state.publish()))
         while True:
@@ -316,18 +303,8 @@ def _serve_pipe(conn, build_state) -> None:
         conn.close()
 
 
-def worker_main(conn, config: dict) -> None:
-    """Entry point of a shard worker process."""
-    _serve_pipe(conn, lambda: ShardWorkerState(config))
-
-
 class ReaderState:
     """Query evaluation over attached shard epochs (zero-copy)."""
-
-    ops = {
-        "query": (lambda self, payload: self.query_many(*payload), False),
-        "ping": (lambda self, payload: None, False),
-    }
 
     def __init__(self, partitioner: GridPartitioner) -> None:
         self.partitioner = partitioner
@@ -336,10 +313,6 @@ class ReaderState:
         self._views: dict[int, SnapshotView] = {}
         #: shard id -> the held shared-memory epoch's descriptor
         self._descriptors: dict[int, dict] = {}
-
-    def publish(self) -> None:
-        """Readers publish no epochs."""
-        return None
 
     def _attach(self, shard_id: int, descriptor) -> SnapshotView:
         """Bind a shard's newly published epoch to the evaluator."""
@@ -381,10 +354,3 @@ class ReaderState:
         self._views.clear()
         self._descriptors.clear()
         self.cache.close_all()
-
-
-def reader_main(conn, config: dict) -> None:
-    """Entry point of a reader process (the worker's loop, no epochs)."""
-    _serve_pipe(
-        conn, lambda: ReaderState(GridPartitioner.from_config(config["partitioner"]))
-    )

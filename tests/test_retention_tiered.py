@@ -121,6 +121,44 @@ class TestDifferentialOracle:
                 boxes, mode=mode
             )
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_late_data_from_before_all_history_leaves_both_prefixes(
+        self, tmp_path, sharded
+    ):
+        """A prefix that floors below the first instance still has a
+        ``G_d`` share: the late 7 at t=5 is inside the upper prefix of a
+        box starting at 6, so the lower prefix has to take it out again
+        -- in the exact plan and in the approximate one (one plan)."""
+        from repro.sharding import ShardedCube
+
+        oracle = BufferedEvolvingDataCube((4, 4))
+        if sharded:
+            tiered = ShardedCube(
+                (4, 4), shards=2, processes=False, tiers=TIERS, tile_root=tmp_path
+            )
+        else:
+            tiered = TieredCube(BufferedEvolvingDataCube((4, 4)), TIERS, tmp_path)
+        for time in (10, 12, 14, 16):
+            for cube in (oracle, tiered):
+                cube.update_many([(time, 0, 0), (time, 3, 3)], [1, 1])
+        tiered.demote_before(13)
+        for cube in (oracle, tiered):
+            cube.update_many([(5, 0, 0)], [7])
+        boxes = [
+            Box((6, 0, 0), (11, 3, 3)),  # lower prefix: G_d only; upper: demoted
+            Box((6, 0, 0), (16, 3, 3)),  # ... upper: live
+            Box((3, 0, 0), (11, 3, 3)),  # lower prefix before even the late data
+            Box((5, 0, 0), (5, 3, 3)),   # both prefixes below the first instance
+        ]
+        expected = oracle.query_many(boxes)
+        assert expected == [2, 8, 9, 7]
+        for mode in ("fast", "metered"):
+            assert tiered.query_many(boxes, mode=mode) == expected
+            estimates = tiered.query_many_approx(boxes, mode=mode)
+            assert all(e.lo <= exact <= e.hi for e, exact in zip(estimates, expected))
+        if sharded:
+            tiered.close()
+
     def test_demotion_shrinks_resident_footprint(self, tmp_path):
         points, deltas = _stream(5, 400, late=0.0)
         t_max = int(points[:, 0].max())

@@ -122,6 +122,116 @@ class TestInlineDifferential:
         assert cube.query(Box((0, 0, 0), (0, 7, 7))) == 3
         cube.close()
 
+    def test_a_bad_batch_leaves_every_shard_unchanged(self):
+        """Times are checked like cells: before any shard sees a point."""
+        oracle = BufferedEvolvingDataCube((4, 4), num_times=10)
+        with ShardedCube((4, 4), shards=2, processes=False, num_times=10) as cube:
+            for bad in ([(3, 0, 0), (12, 3, 3)], [(-1, 0, 0), (3, 3, 3)]):
+                with pytest.raises(DomainError, match=r"outside \[0, 9\]"):
+                    cube.update_many(bad, [1, 1])
+            with pytest.raises(DomainError, match=r"outside \[0, 9\]"):
+                oracle.update_many([(3, 0, 0), (12, 3, 3)], [1, 1])
+            with pytest.raises(DomainError, match=r"outside \[0, 9\]"):
+                cube.update((10, 0, 0), 1)
+            assert cube.total() == oracle.total() == 0
+            assert cube.router.latest_time is None
+            for handle in cube.router.handles:
+                assert handle.state.kernel.directory.times() == ()
+
+    def test_time_state_is_reported_by_the_shards_not_kept_by_the_router(self):
+        from repro.sharding.worker import ShardWorkerState
+
+        assert len(ShardWorkerState.ops) == 13  # no probe ops
+        with ShardedCube((4, 4), shards=2, processes=False) as cube:
+            router = cube.router
+            assert (router.min_time, router.latest_time) == (None, None)
+            cube.update((4, 0, 0), 1)
+            cube.update_many([(6, 3, 3), (2, 3, 3)], [1, 1])  # the 2 is late
+            assert [handle.times for handle in router.handles] == [
+                (4, 4, None), (6, 6, None),
+            ]
+            assert (router.min_time, router.latest_time) == (4, 6)
+            cube.drain()  # splices the 2 in: the reply says so
+            assert (router.min_time, router.latest_time) == (2, 6)
+            for name in ("min_time", "latest_time", "demote_boundary"):
+                with pytest.raises(AttributeError):
+                    setattr(router, name, 0)
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_the_global_retire_boundary_survives_recover(self, tmp_path, checkpoint):
+        """Shard 1 keeps time 5 as its own boundary instance and shard 0
+        retires down to 3: that the *global* boundary is 5 is something
+        only the router ever knew, so the manifest has to carry it."""
+        import json
+
+        from repro.sharding.cube import MANIFEST_NAME
+
+        manifest = tmp_path / "fleet" / MANIFEST_NAME
+        refused = Box((0, 0, 0), (4, 3, 3))
+        kept = [Box((0, 0, 0), (5, 3, 3)), Box((6, 0, 0), (8, 3, 3))]
+        cube = ShardedCube(
+            (4, 4), shards=2, processes=False, durable_dir=tmp_path / "fleet"
+        )
+        with cube:
+            here, there = (extent.origin for extent in cube.partitioner.extents)
+            for time, origin in [(1, here), (2, here), (3, here), (5, there),
+                                 (7, here), (8, there)]:
+                cube.update((time, *origin), 1)
+            created = manifest.read_bytes()
+            assert cube.retire_before(0) == 0  # nothing below: nothing written
+            assert manifest.read_bytes() == created
+            cube.retire_before(6)
+            assert cube.router.boundary_time == 5
+            assert json.loads(manifest.read_text())["boundary_time"] == 5
+            with pytest.raises(AgedOutError):
+                cube.query(refused)
+            expected = cube.query_many(kept)
+            if checkpoint:
+                cube.checkpoint()
+        with ShardedCube.recover(tmp_path / "fleet", processes=False) as recovered:
+            assert recovered.router.boundary_time == 5
+            with pytest.raises(AgedOutError):
+                recovered.query(refused)
+            with pytest.raises(AgedOutError):
+                recovered.apply_out_of_order((4, 0, 0), 1)
+            assert recovered.query_many(kept) == expected == [4, 2]
+        # a directory from before the key existed opens, and answers
+        stripped = json.loads(manifest.read_text())
+        del stripped["boundary_time"]
+        manifest.write_text(json.dumps(stripped, indent=2))
+        assert manifest.read_bytes() == created
+        with ShardedCube.recover(tmp_path / "fleet", processes=False) as legacy:
+            assert legacy.router.boundary_time is None
+            assert legacy.query_many(kept) == expected
+            with pytest.raises(AgedOutError):  # shard 0 refuses what it retired
+                legacy.query(Box((0, 0, 0), (2, 3, 3)))
+
+    def test_a_crash_before_the_retire_scatter_only_refuses_more(self, tmp_path):
+        """The boundary is on disk before any shard retires."""
+        cube = ShardedCube(
+            (4, 4), shards=2, processes=False, durable_dir=tmp_path / "fleet"
+        )
+        with cube:
+            for time in (1, 2, 3, 7):
+                cube.update_many([(time, 0, 0), (time, 3, 3)], [1, 1])
+            handle = cube.router.handles[1]
+
+            def crash(op, payload=None):
+                raise ShardUnavailableError("killed between the two writes")
+
+            handle.send = crash
+            with pytest.raises(ShardUnavailableError):
+                cube.retire_before(6)
+            del handle.send
+        with ShardedCube.recover(tmp_path / "fleet", processes=False) as recovered:
+            # the exact boundary (3) was in the replies that never came;
+            # what went to disk first bounds it from above
+            assert recovered.router.boundary_time == 5
+            for prefix in (2, 4):
+                with pytest.raises(AgedOutError):
+                    recovered.query(Box((0, 0, 0), (prefix, 3, 3)))
+            assert recovered.query(Box((6, 0, 0), (7, 3, 3))) == 2
+
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_any_grid_gives_identical_answers(self, data):
@@ -197,13 +307,10 @@ class TestSharedMemoryEpochs:
 class TestProcessMode:
     """Worker processes + shared-memory serving; kept intentionally small."""
 
-    @pytest.mark.parametrize("readers", [0, 1])
-    def test_differential_vs_oracle(self, rng, readers):
+    def test_differential_vs_oracle(self, rng):
         shape = (12, 6, 6)
         oracle = SnapshotCube(BufferedEvolvingDataCube(shape[1:]))
-        cube = ShardedCube(
-            shape[1:], shards=2, processes=True, readers=readers, timeout=120.0
-        )
+        cube = ShardedCube(shape[1:], shards=2, processes=True, timeout=120.0)
         try:
             points, deltas = _mixed_stream(rng, shape, updates=120)
             _differential(oracle, cube, rng, shape, points, deltas, batches=3)
@@ -211,6 +318,19 @@ class TestProcessMode:
             cube.close()
             oracle.close()
         assert not leaked_segments()
+
+    def test_the_router_is_the_only_reader(self, capsys):
+        """No reader processes, no option that asks for them."""
+        from repro.__main__ import main
+
+        with pytest.raises(TypeError):
+            ShardedCube((4, 4), shards=2, processes=False, readers=1)
+        with pytest.raises(TypeError):
+            ShardedCube.recover("nowhere", readers=1)
+        with pytest.raises(SystemExit) as stop:
+            main(["serve", "--readers", "2"])
+        assert stop.value.code == 2
+        assert "--stress" in capsys.readouterr().err
 
     def test_crashed_worker_raises_instead_of_hanging(self, rng):
         cube = ShardedCube((6, 6), shards=2, processes=True, timeout=120.0)

@@ -7,6 +7,14 @@ that buys -- *sharded answers stay bit-identical to an unsharded
 after every step of appends, late updates, drains, out-of-order
 corrections (with splices), retirement, tiered demotion and
 checkpoint / close / recover, with ``/dev/shm`` empty at teardown.
+Late data may predate all history, and a retirement may be followed by a
+reopening.
+
+The shards own the time axis and the router derives its view of it from
+what they report: the same machine runs once more with the shards in
+this process, where after every step ``router.latest_time`` /
+``min_time`` / ``demote_boundary`` are held to the max / min / max of
+what the shards' directories and tiered fronts hold.
 
 The op set is not one configuration's: a durable buffered shard refuses
 ``apply_out_of_order``, only a tiered one demotes.  Hypothesis draws the
@@ -53,15 +61,16 @@ KINDS = {
 class Model:
     """A process-sharded cube and its unsharded oracle, driven in step."""
 
-    def __init__(self, kind: str, backend: str = "dense") -> None:
+    def __init__(self, kind: str, backend: str = "dense", processes=True) -> None:
         self.durable, self.buffered, self.tiered = KINDS[kind]
+        self.processes = processes
         self.root = Path(tempfile.mkdtemp(prefix="repro-stateful-sharded-"))
         front = BufferedEvolvingDataCube(SHAPE, backend=backend)
         self.oracle = SnapshotCube(front if self.buffered else front.cube)
         self.cube = ShardedCube(
             SHAPE,
             shards=2,
-            processes=True,
+            processes=processes,
             backend=backend,
             buffered=self.buffered,
             durable_dir=self.root / "fleet" if self.durable else None,
@@ -70,10 +79,8 @@ class Model:
             timeout=120.0,
         )
         self.latest = 0
-        #: first time whose detail both sides still hold.  It starts at the
-        #: first occurring time: late data from before all history trips two
-        #: tiered-front bugs that are not publication's (ROADMAP, oracle item)
-        self.boundary: int | None = None
+        #: first time whose detail both sides still hold
+        self.boundary = 0
         self.rng = np.random.default_rng(5)
 
     # -- writes -----------------------------------------------------------------
@@ -84,8 +91,6 @@ class Model:
 
     def append(self, advance: int, cells, deltas) -> None:
         self.latest = min(NUM_TIMES - 1, self.latest + advance)
-        if self.boundary is None:
-            self.boundary = self.latest
         points = [(self.latest, *cell) for cell in cells]
         self._both("update_many", points, list(deltas))
 
@@ -116,7 +121,9 @@ class Model:
         if checkpoint:
             self.cube.checkpoint()
         self.cube.close()
-        self.cube = ShardedCube.recover(self.root / "fleet", timeout=120.0)
+        self.cube = ShardedCube.recover(
+            self.root / "fleet", processes=self.processes, timeout=120.0
+        )
 
     # -- the invariant ----------------------------------------------------------
 
@@ -134,6 +141,22 @@ class Model:
                 answerable.append(box)
         assert self.cube.query_many(answerable) == self.oracle.query_many(answerable)
         assert self.cube.total() == self.oracle.total()
+        if not self.processes:
+            self.check_time_state()
+
+    def check_time_state(self) -> None:
+        """The router's time state is what the shards hold, no more."""
+        router = self.cube.router
+        shards = [handle.state for handle in router.handles]
+        spans = [s.kernel.directory.times() for s in shards if s.kernel.directory]
+        watermarks = [
+            s._tiered_front.demoted_through
+            for s in shards
+            if s.tiered and s._tiered_front.demoted_through is not None
+        ]
+        assert router.min_time == min((span[0] for span in spans), default=None)
+        assert router.latest_time == max((span[-1] for span in spans), default=None)
+        assert router.demote_boundary == max(watermarks, default=None)
 
     def close(self) -> None:
         self.cube.close()
@@ -158,12 +181,17 @@ def _kind(*kinds, history=False):
 
 
 class ShardedHistoryMachine(RuleBasedStateMachine):
+    processes = True
+
     @initialize(kind=st.sampled_from(sorted(KINDS)))
     def build(self, kind):
         self.kind = kind
-        self.model = Model(kind)
-        for _ in range(4):  # gaps, so that an odd historic time is a splice
-            self.model.append(2, [(0, 0), (5, 3)], [1, 2])  # a cell per shard
+        self.model = Model(kind, processes=self.processes)
+        # gaps, so that an odd historic time is a splice, and room below the
+        # first occurring time for late data from before all history; the two
+        # cells are one per shard
+        for advance in (5, 2, 2, 2):
+            self.model.append(advance, [(0, 0), (5, 3)], [1, 2])
 
     def _historic(self, number: int) -> int:
         """A time below the latest whose detail is still held."""
@@ -223,6 +251,18 @@ TestShardedHistoryMachine.settings = settings(
 )
 
 
+class InlineShardedHistoryMachine(ShardedHistoryMachine):
+    """The same histories with the shards in reach: the derived time state."""
+
+    processes = False
+
+
+TestInlineShardedHistoryMachine = InlineShardedHistoryMachine.TestCase
+TestInlineShardedHistoryMachine.settings = settings(
+    max_examples=60, stateful_step_count=15, deadline=None
+)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("backend", ["paged", "sparse"])
 def test_a_scripted_history_on_the_other_backends(backend, kind):
@@ -237,6 +277,7 @@ def test_a_scripted_history_on_the_other_backends(backend, kind):
         for step in range(14):
             model.append(1 + step % 2, cells(4), [1, 2, 3, 4])
             if buffered and step % 3 == 2:
+                # from step 2 on, some of it from before all history
                 times = rng.integers(model.boundary, model.latest, size=3)
                 model.late([(int(t), *c) for t, c in zip(times, cells(3))], [5, 6, 7])
                 model.check()
@@ -248,7 +289,7 @@ def test_a_scripted_history_on_the_other_backends(backend, kind):
                 model.drain()
             if step == 8:
                 (model.demote if tiered else model.retire)(model.latest // 2)
-            if durable and step in (5, 11):
+            if durable and step in (5, 8, 11):  # 8: straight after the retire
                 model.reopen(checkpoint=step == 5)
             model.check()
     finally:
