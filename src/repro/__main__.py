@@ -1,9 +1,9 @@
 """CLI entry point: ``python -m repro``.
 
 Offers a quick orientation (``info``), a 30-second self-demonstration
-(``demo``), a pointer to the experiment harness, and operational
-commands for durable-cube directories (``checkpoint`` / ``recover`` /
-``log-info``).
+(``demo``), a pointer to the experiment harness, operational commands
+for durable-cube directories (``checkpoint`` / ``recover`` /
+``log-info`` / ``demote``) and the TCP server (``serve``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _cmd_recover(directory: str) -> int:
         info = dict(cube.recovery_info or {})
         if cube.extent:
             # TT-extent cube: report the extent layer's bookkeeping
-            front = cube.front
+            front = cube.stack["extent"]
             info["extent"] = True
             info["occurring_times"] = len(front.axis)
             info["objects_inserted"] = front.objects_inserted
@@ -126,46 +126,6 @@ def _cmd_checkpoint(directory: str) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Serve a sharded cube over TCP, or run the legacy stress driver.
-
-    The default mode partitions the cube across ``--shards`` worker
-    processes, attaches their shared-memory epochs and answers
-    length-prefixed JSON requests on ``--host``/``--port`` until SIGTERM
-    drains the listener.  With ``--stress`` it instead races
-    ``--readers`` snapshot reader *threads* against one scripted writer
-    and validates every answer against an exact oracle.
-    """
-    if not args.stress:
-        return _cmd_serve_sharded(args)
-    from repro.concurrent import run_stress
-
-    result = run_stress(
-        backend=args.backend,
-        buffered=args.buffered,
-        readers=args.readers or 4,
-        writes=args.writes,
-        seed=args.seed,
-    )
-    print(
-        json.dumps(
-            {
-                "backend": result.backend,
-                "buffered": result.buffered,
-                "writes": result.writes,
-                "reads": result.reads,
-                "validated_answers": result.validated_answers,
-                "reads_per_second": round(result.reads_per_second, 1),
-                "elapsed_s": round(result.elapsed_s, 3),
-                "ok": result.ok,
-                "errors": result.errors,
-            },
-            indent=2,
-        )
-    )
-    return 0 if result.ok else 1
-
-
 def _sweep_leaked_shm() -> list[str]:
     """Unlink shared-memory segments orphaned by a crashed server.
 
@@ -180,7 +140,11 @@ def _sweep_leaked_shm() -> list[str]:
     return unlink_orphaned()
 
 
-def _cmd_serve_sharded(args) -> int:
+def _cmd_serve(args) -> int:
+    """Serve a sharded cube over TCP: partition it across ``--shards``
+    worker processes, attach their shared-memory epochs and answer
+    length-prefixed JSON requests on ``--host``/``--port`` until SIGTERM
+    drains the listener."""
     import asyncio
     from pathlib import Path
 
@@ -328,7 +292,7 @@ def _cmd_demote(directory: str, before: int) -> int:
     try:
         demoted = cube.demote_before(before)
         cube.flush()
-        front = cube.front
+        front = cube.stack["tiered"]
         print(
             json.dumps(
                 {
@@ -372,38 +336,12 @@ def main(argv: list[str] | None = None) -> int:
         required=True,
         help="demote detail strictly older than this TT coordinate",
     )
-    serve = sub.add_parser(
-        "serve",
-        help="serve a sharded cube over TCP (or --stress the snapshot tier)",
-    )
+    serve = sub.add_parser("serve", help="serve a sharded cube over TCP")
     serve.add_argument(
         "--backend",
         choices=("dense", "paged", "sparse"),
         default="dense",
         help="slice-storage backend (default: dense)",
-    )
-    serve.add_argument(
-        "--buffered",
-        action="store_true",
-        help="[stress] wrap the kernel in the G_d out-of-order buffer",
-    )
-    serve.add_argument(
-        "--readers",
-        type=int,
-        default=None,
-        help="[stress] snapshot reader threads (default: 4)",
-    )
-    serve.add_argument(
-        "--writes",
-        type=int,
-        default=120,
-        help="[stress] scripted writer operations (default: 120)",
-    )
-    serve.add_argument("--seed", type=int, default=0, help="[stress] script seed")
-    serve.add_argument(
-        "--stress",
-        action="store_true",
-        help="run the legacy snapshot-tier stress driver instead of serving",
     )
     serve.add_argument(
         "--shards", type=int, default=2, help="shard worker processes (default: 2)"
@@ -457,11 +395,6 @@ def main(argv: list[str] | None = None) -> int:
             f"shard-NN/ directories) and `{args.command}` works on one durable "
             "cube: run it on a shard-NN/ subdirectory, or reopen the whole "
             "cube with `python -m repro serve --durable-dir`"
-        )
-    if args.command == "serve" and args.readers is not None and not args.stress:
-        parser.error(
-            "--readers counts the reader threads of --stress; a served cube "
-            "has one reader, the server itself"
         )
     if args.command == "demo":
         return _demo()

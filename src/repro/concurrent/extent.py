@@ -27,14 +27,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.concurrent.snapshot import SnapshotCube, SnapshotView
+from repro.concurrent.snapshot import FORWARDED, SnapshotCube, SnapshotView
 from repro.core.errors import DomainError
+from repro.core.front import forward, layers, require
 from repro.core.types import Box, TimeInterval
-from repro.ecube.extent import (
-    ExtentCube,
-    containment_aggregates,
-    intersection_aggregates,
-)
+from repro.ecube.extent import containment_aggregates, intersection_aggregates
 
 
 class ExtentSnapshotView:
@@ -141,18 +138,20 @@ class SnapshotExtentCube:
     views from any thread for lock-free reads.  Accepts a bare
     :class:`~repro.ecube.extent.ExtentCube` or a durable one
     (``DurableCube(..., extent=True)``, whose mutations stay logged:
-    forwarded writes go through the durable wrapper).
+    the forwarded writes, :data:`~repro.concurrent.snapshot.FORWARDED`,
+    go through the durable wrapper, each under the write lock).
     """
+
+    #: the serving layer of a TT-extent stack (:mod:`repro.core.front`)
+    kind = "snapshot"
+    inner = property(lambda self: self.target)
 
     def __init__(self, target) -> None:
         self.target = target
-        extent = getattr(target, "front", target)
-        if not isinstance(extent, ExtentCube):
-            raise DomainError(
-                f"cannot serve extent snapshots over {type(target).__name__}; "
-                "expected an ExtentCube or a DurableCube(extent=True)"
-            )
-        self.extent = extent
+        #: the layers under this one, as they declare themselves
+        self.stack = layers(target)
+        require(self.stack, "extent", "SnapshotExtentCube", "target")
+        extent = self.extent = self.stack["extent"]
         self._b = SnapshotCube(extent.ended)
         self._c = SnapshotCube(extent.containing)
         self._write_lock = threading.RLock()
@@ -169,33 +168,6 @@ class SnapshotExtentCube:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- forwarded writes (single writer thread) -----------------------------
-
-    def insert(self, interval, cell: Sequence[int], value: int = 1) -> None:
-        with self._write_lock:
-            self.target.insert(interval, cell, value)
-
-    def insert_many(self, intervals, cells, values=None, mode="fast") -> None:
-        with self._write_lock:
-            self.target.insert_many(intervals, cells, values, mode=mode)
-
-    def advance(self, time: int) -> int:
-        with self._write_lock:
-            return self.target.advance(time)
-
-    def drain(self, limit: int | None = None) -> tuple[int, int]:
-        with self._write_lock:
-            return self.target.drain(limit)
-
-    def retire_before(self, time: int) -> int:
-        with self._write_lock:
-            return self.target.retire_before(time)
-
-    def checkpoint(self):
-        """Checkpoint a durable target (both epochs pinned by the wrapper)."""
-        with self._write_lock:
-            return self.target.checkpoint()
 
     # -- pinning -------------------------------------------------------------
 
@@ -261,3 +233,8 @@ class SnapshotExtentCube:
             f"SnapshotExtentCube(sequences={self.current_sequence()}, "
             f"pinned={self.pinned_epochs()})"
         )
+
+
+# the same forwarded writes as the point front's, each under the write
+# lock (a durable wrapper's checkpoint pins both families' epochs)
+forward(SnapshotExtentCube, FORWARDED, "target", lock="_write_lock")

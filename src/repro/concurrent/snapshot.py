@@ -29,7 +29,9 @@ isolation almost free:
   history freely.
 
 Single-writer discipline: all mutating calls must come from one thread
-(the same discipline the WAL already imposes).  Readers are pure -- they
+(the same discipline the WAL already imposes); the front forwards the
+record table's mutations and refuses those its stack lacks
+(:mod:`repro.core.front`).  Readers are pure -- they
 never charge the shared :class:`~repro.metrics.CostCounter`, never
 persist DDC->PS conversions and never touch the directory's metered
 lookup path, so metered golden costs are unchanged by concurrent
@@ -45,8 +47,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.errors import DomainError
+from repro.core.front import forward, layers, require
 from repro.core.out_of_order import columnar_range_sums
 from repro.core.types import Box
+from repro.durability.wal import LOGGED
 from repro.ecube.fastpath import (
     DDC,
     MIXED,
@@ -54,7 +58,6 @@ from repro.ecube.fastpath import (
     FastSliceEngine,
     stacked_query_many,
 )
-from repro.ecube.kernel import CubeKernel
 from repro.ecube.slices import ECubeSliceEngine
 
 #: Seqlock spins between cooperative yields while a slice mutates.
@@ -359,28 +362,6 @@ def prepare_epoch(epoch: Epoch, cube: "SnapshotCube | None" = None) -> SnapshotV
     return SnapshotView(cube, epoch, owns_pin=False)
 
 
-def _resolve_target(target):
-    """(kernel, buffer) behind any supported cube front.
-
-    Accepts a bare :class:`CubeKernel` (dense/paged/sparse variant), a
-    :class:`~repro.ecube.buffered.BufferedEvolvingDataCube`, a
-    :class:`~repro.retention.planner.TieredCube`, or a
-    :class:`~repro.durability.recovery.DurableCube` wrapping any of them.
-    """
-    front = getattr(target, "front", target)
-    # a TieredCube may sit between a DurableCube and the kernel front
-    front = getattr(front, "front", front)
-    buffer = getattr(front, "buffer", None)
-    kernel = front.cube if buffer is not None else front
-    if not isinstance(kernel, CubeKernel):
-        raise DomainError(
-            f"cannot serve snapshots over {type(target).__name__}; "
-            "expected a CubeKernel variant, a BufferedEvolvingDataCube "
-            "or a DurableCube"
-        )
-    return kernel, buffer
-
-
 class SnapshotCube:
     """Single-writer / many-reader front over any cube backend.
 
@@ -390,11 +371,29 @@ class SnapshotCube:
     are forwarded to the wrapped target unchanged (and must stay on one
     thread); reads go through pinned epochs and are safe from any
     thread.
+
+    ``target`` is any point-object stack (:func:`repro.core.front.layers`):
+    a :class:`~repro.ecube.kernel.CubeKernel` on any backend, bare or
+    under a ``G_d`` buffer, retention tiers and a
+    :class:`~repro.durability.recovery.DurableCube`.  The forwarded
+    writes are :data:`FORWARDED`; one the stack lacks (``drain`` over a
+    bare kernel, ``checkpoint`` without a log) is refused with
+    :class:`~repro.core.errors.DomainError`.
     """
+
+    #: the serving layer of a stack (:mod:`repro.core.front`)
+    kind = "snapshot"
+    inner = property(lambda self: self.target)
 
     def __init__(self, target) -> None:
         self.target = target
-        self.kernel, self.buffer = _resolve_target(target)
+        #: the layers under this one, as they declare themselves
+        self.stack = layers(target)
+        require(self.stack, "point", "SnapshotCube", "target")
+        self.kernel = self.stack["kernel"]
+        self.buffer = (
+            self.stack["buffered"].buffer if "buffered" in self.stack else None
+        )
         if self.kernel._epoch_sink is not None:
             raise DomainError("the cube already has a snapshot front attached")
         self._lock = threading.Lock()
@@ -576,37 +575,18 @@ class SnapshotCube:
         with self.pin() as view:
             return view.query(box)
 
-    def query_many(self, boxes: Sequence[Box]) -> list[int]:
+    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+        """``mode`` is accepted for the :class:`~repro.core.framework.
+        BatchExecutor` protocol; every read runs the stacked batch read
+        over the pinned epoch and charges no counter."""
+        if mode not in ("fast", "metered"):
+            raise DomainError(f"unknown execution mode {mode!r}")
         with self.pin() as view:
             return view.query_many(boxes)
 
     def total(self) -> int:
         with self.pin() as view:
             return view.total()
-
-    # -- forwarded writes (single writer thread) -----------------------------
-
-    def update(self, point: Sequence[int], delta: int) -> None:
-        self.target.update(point, delta)
-
-    def update_many(self, points, deltas, mode: str = "fast") -> None:
-        self.target.update_many(points, deltas, mode=mode)
-
-    def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
-        target = self.target
-        if hasattr(target, "apply_out_of_order"):
-            target.apply_out_of_order(point, delta)
-        else:
-            self.kernel.apply_out_of_order(point, delta)
-
-    def retire_before(self, time: int) -> int:
-        return self.target.retire_before(time)
-
-    def drain(self, limit: int | None = None):
-        return self.target.drain(limit)
-
-    def checkpoint(self):
-        return self.target.checkpoint()
 
     def __repr__(self) -> str:
         with self._lock:
@@ -615,3 +595,9 @@ class SnapshotCube:
             f"SnapshotCube(target={type(self.target).__name__}, "
             f"sequence={seq}, pinned={len(self._pinned)})"
         )
+
+
+#: the forwarded writes (single writer thread): every logged mutation of
+#: the record table, and ``checkpoint``
+FORWARDED = {**LOGGED, "checkpoint": "durable"}
+forward(SnapshotCube, FORWARDED, "target")

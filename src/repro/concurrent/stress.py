@@ -16,8 +16,7 @@ Validating post-join (instead of inside the reader loop) avoids any
 reader-side synchronization with the writer's oracle bookkeeping, so the
 harness itself adds no ordering beyond what the snapshot front provides.
 
-Used by the ``repro serve`` CLI stress driver and by
-``tests/test_concurrent_snapshot.py``.
+Used by ``tests/test_concurrent_snapshot.py``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """Checkpoints and the manifest: bounding recovery to a log tail.
 
-A checkpoint is a complete snapshot of the durable cube's state --
-kernel state through the :class:`~repro.ecube.stores.SliceStore`
-snapshot machinery (:func:`repro.storage.serialize.kernel_state_arrays`,
-so all three backends work), plus the ``G_d`` buffer and bookkeeping for
-buffered cubes -- written as one ``.npz`` archive and *published* by
-atomically renaming the manifest over the old one.  The manifest names:
+A checkpoint is a complete snapshot of the durable cube's state: every
+layer of the declared stack (:func:`repro.core.front.layers`)
+contributes its own arrays through one method, ``state_arrays()``,
+bottom-up (:func:`snapshot_arrays`) -- kernel state through the
+:class:`~repro.ecube.stores.SliceStore` snapshot machinery
+(:func:`repro.storage.serialize.kernel_state_arrays`, so all three
+backends work), then the ``G_d`` buffer's, then the retention tiers' --
+written as one ``.npz`` archive and *published* by atomically renaming
+the manifest over the old one; recovery hands the archive back to each
+layer's ``restore_state()`` in the same order.  The manifest names:
 
 * the checkpoint id and archive file,
 * the covered LSN (every log record with LSN <= covered is reflected in
@@ -33,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.errors import RecoveryError
+from repro.core.front import layers
 from repro.storage.serialize import FORMAT_VERSION, kernel_state_arrays
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -118,24 +123,16 @@ def _fsync_directory(directory: Path) -> None:
 
 
 def snapshot_arrays(front) -> dict[str, np.ndarray]:
-    """Complete state of a (possibly buffered) cube as named arrays."""
-    from repro.ecube.extent import ExtentCube
-
-    if isinstance(front, ExtentCube):
-        # the multi-family extent cube snapshots itself: both family
-        # kernels and buffers (namespaced), pending ends, containment
-        # index and clock bookkeeping
-        arrays = front.state_arrays()
-        arrays["format_version"] = np.array([FORMAT_VERSION])
-        return arrays
-    cube = getattr(front, "cube", front)  # unwrap TieredCube/Buffered fronts
-    arrays = kernel_state_arrays(cube)
-    if hasattr(front, "buffer_state_arrays"):
-        arrays.update(front.buffer_state_arrays())
-    if hasattr(front, "retention_state_arrays"):
-        # tiered retention: rollup slices + demotion watermarks (tile
-        # *contents* stay on disk; only their spans are recorded)
-        arrays.update(front.retention_state_arrays())
+    """Complete state of the stack ``front`` tops: each layer its own
+    arrays, bottom-up -- the kernel's (an extent cube's: both families,
+    namespaced, plus its pending ends, containment index and clock),
+    then the ``G_d`` buffer's, then the retention tiers' (rollup slices
+    and watermarks; tile *contents* stay on disk, only their spans are
+    recorded)."""
+    bottom, *upper = reversed(layers(front).values())
+    arrays = kernel_state_arrays(bottom)
+    for layer in upper:
+        arrays.update(layer.state_arrays())
     return arrays
 
 

@@ -5,7 +5,9 @@ kernel, with or without the ``G_d`` out-of-order buffer, with or without
 retention tiers, or the two-family
 :class:`~repro.ecube.extent.ExtentCube` of Section 2.4 -- and appends
 one WAL record *before* applying each mutation (log-before-apply).
-Queries pass straight through.  Because the wrapped classes are
+Reads pass straight through; what the built stack
+(:func:`repro.core.front.layers`) lacks, mutation or read, is refused
+before anything is logged.  Because the wrapped classes are
 deterministic (and the extent cube's queries are pure), replaying the
 surviving log prefix through the same entry points reproduces the
 pre-crash state exactly: same answers, same directory, same lazy-copy
@@ -15,7 +17,8 @@ Recovery = latest checkpoint + tail replay:
 
 1. read the manifest (atomic-rename published, so always consistent);
 2. rebuild the configured front-end (:func:`build_front`) and, when a
-   checkpoint archive exists, restore its state from it;
+   checkpoint archive exists, hand it to each layer's ``restore_state``,
+   bottom-up;
 3. open the log for append, which truncates a torn final record (and
    refuses a committed one this build cannot decode);
 4. replay every record with LSN > the manifest's covered LSN.
@@ -42,7 +45,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.core.errors import DomainError, RecoveryError, ReproError, StorageError
-from repro.core.types import Box
+from repro.core.front import FRONT_KINDS, forward, layers, require, unmet
 from repro.durability.checkpoint import (
     CheckpointManifest,
     publish_manifest,
@@ -116,37 +119,13 @@ def _tiers_config(tiers) -> list[dict] | None:
     return TierPolicy.from_config(tiers).to_config()
 
 
-#: front kind (a record row's ``needs``) -> how a refusal names it, and
-#: the :class:`DurableCube` flags it requires.  A cube that contradicts
-#: the ``extent`` flag holds the other kind of object; any other unmet
-#: flag is a capability its front lacks.
-FRONT_KINDS = {
-    "any": ("", {}),
-    "point": ("a point-object", {"extent": False}),
-    "unbuffered point": (
-        "an unbuffered point-object",
-        {"extent": False, "buffered": False},
-    ),
-    "buffered": ("a buffered", {"buffered": True}),
-    "tiered": ("a tiered (tiers=...)", {"extent": False, "tiered": True}),
-    "extent": ("a TT-extent (extent=True)", {"extent": True}),
-}
-
-
-def _unmet(cube, row) -> list[str]:
-    """The flags ``row``'s front kind requires and ``cube`` does not have."""
-    flags = FRONT_KINDS[row.needs][1]
-    return [flag for flag, want in flags.items() if getattr(cube, flag) != want]
-
-
 def _logged(row):
     """The :class:`DurableCube` method that logs ``row``'s record:
     gate, normalise, one ``wal.append``, one front call."""
     phrase = FRONT_KINDS[row.needs][0]
 
     def method(self, *args, **kwargs):
-        if _unmet(self, row):
-            raise DomainError(f"{row.method}() requires {phrase} durable cube")
+        require(self.stack, row.needs, row.method, "durable cube")
         record = log_record(row, *args, **kwargs)
         if record is None:  # an empty batch
             return row.empty
@@ -205,6 +184,10 @@ class DurableCube:
         lost on a crash, never corrupted), ``"off"`` (leave flushing to
         the OS).
     """
+
+    #: the logging layer of a stack (:mod:`repro.core.front`)
+    kind = "durable"
+    inner = property(lambda self: self.front)
 
     def __init__(
         self,
@@ -272,11 +255,17 @@ class DurableCube:
         """Bind to ``directory`` and build the front ``config`` names."""
         self.directory = directory
         self._config = config
-        #: the front holds TT-extent objects (an ``ExtentCube``)
-        self.extent = bool(config.get("extent"))
-        self.buffered = bool(config.get("buffered", True))
-        self.tiered = config.get("tiers") is not None
         self.front = build_front(config, counter, directory / TILES_SUBDIR)
+        #: the layers under the log, as built (not as the config put it)
+        self.stack = layers(self.front)
+        #: the front holds TT-extent objects (an ``ExtentCube``)
+        self.extent = "extent" in self.stack
+        self.buffered = self.extent or "buffered" in self.stack
+        self.tiered = "tiered" in self.stack
+        #: the wrapped kernel under any tiered / ``G_d`` layers; an
+        #: extent cube has two (``front.ended.cube``,
+        #: ``front.containing.cube``) and this is the extent cube itself
+        self.cube = next(reversed(self.stack.values()))
 
     def _open_wal(self, fsync: str | None) -> WriteAheadLog:
         config = self._config
@@ -290,26 +279,12 @@ class DurableCube:
     # -- introspection -----------------------------------------------------------
 
     @property
-    def cube(self):
-        """The wrapped kernel (unwraps tiered/``G_d`` fronts if present).
-
-        An extent cube has two -- ``front.ended.cube`` and
-        ``front.containing.cube`` -- and this is the extent cube itself.
-        """
-        return getattr(self.front, "cube", self.front)
-
-    def _kernels(self) -> tuple:
-        if self.extent:
-            return (self.front.ended.cube, self.front.containing.cube)
-        return (self.cube,)
-
-    @property
     def counter(self) -> CostCounter:
-        return self.front.counter
+        return self.cube.counter
 
     @property
     def ndim(self) -> int:
-        return self.front.ndim
+        return self.cube.ndim
 
     @property
     def last_lsn(self) -> int:
@@ -322,38 +297,6 @@ class DurableCube:
         info["covered_lsn"] = self._manifest.covered_lsn
         info["checkpoint_file"] = self._manifest.checkpoint_file
         return info
-
-    # -- pass-through queries -----------------------------------------------------
-
-    def query(self, box: Box) -> int:
-        return self.front.query(box)
-
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
-        return self.front.query_many(boxes, mode=mode)
-
-    def total(self) -> int:
-        return self.front.total()
-
-    def intersecting(
-        self, query, cell_box: Box | None = None, mode: str = "fast"
-    ) -> int:
-        return self.front.intersecting(query, cell_box, mode=mode)
-
-    def intersecting_many(
-        self, queries, cell_boxes=None, mode: str = "fast"
-    ) -> list[int]:
-        return self.front.intersecting_many(queries, cell_boxes, mode=mode)
-
-    def alive_at(
-        self, time: int, cell_box: Box | None = None, mode: str = "fast"
-    ) -> int:
-        return self.front.alive_at(time, cell_box, mode=mode)
-
-    def containment(self, query, cell_box: Box | None = None) -> int:
-        return self.front.containment(query, cell_box)
-
-    def containment_many(self, queries, cell_boxes=None) -> list[int]:
-        return self.front.containment_many(queries, cell_boxes)
 
     # -- checkpoints --------------------------------------------------------------
 
@@ -378,7 +321,7 @@ class DurableCube:
         self.wal.roll_segment()
         pins = []
         try:
-            for kernel in self._kernels():
+            for kernel in self.cube.kernels:
                 if kernel._epoch_sink is not None:
                     pins.append(kernel._epoch_sink.pin())
             self._manifest = write_checkpoint(
@@ -473,16 +416,9 @@ class DurableCube:
             # serves queries straight off the checkpoint file (stores
             # promote a slice to heap copies on first write)
             with open_checkpoint(archive_path) as archive:
-                if self.extent:
-                    self.front.restore_state(archive)
-                else:
-                    cube = self.cube
-                    cube.copy_budget = int(archive["copy_budget"][0])
-                    cube.restore_state(archive)
-                    if self.buffered:
-                        self.front.restore_buffer_state(archive)
-                    if "ret_meta" in archive:
-                        self.front.restore_retention_state(archive)
+                # each layer its own arrays, bottom-up
+                for layer in reversed(self.stack.values()):
+                    layer.restore_state(archive)
         # opening for append repairs a torn tail before replay reads it
         self.wal = self._open_wal(fsync)
         self._manifest = manifest
@@ -515,13 +451,13 @@ class DurableCube:
         kind cannot have been logged here at all.
         """
         row = BY_CLASS[type(record)]
-        unmet = _unmet(self, row)
-        if "extent" in unmet:
+        lacking = unmet(self.stack, row.needs)
+        if "extent" in lacking:
             raise RecoveryError(
                 f"cannot replay {type(record).__name__} into "
                 f"{'an extent' if self.extent else 'a point-object'} cube"
             )
-        if unmet:
+        if lacking:
             return False
         try:
             return row.replay(self, record) is not False
@@ -533,3 +469,9 @@ class DurableCube:
 for _row in RECORD_TYPES:
     if _row.method is not None:
         setattr(DurableCube, _row.method, _logged(_row))
+# the reads pass straight through, each to the kind of front that has it
+for _needs, _reads in {
+    "point": "query query_many total",
+    "extent": "intersecting intersecting_many alive_at containment containment_many",
+}.items():
+    forward(DurableCube, dict.fromkeys(_reads.split(), _needs), "front", "durable cube")

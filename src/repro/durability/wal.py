@@ -273,7 +273,7 @@ class WalRecord:
 #: ``tag`` is the u8 record type on disk, ``name`` what log-info prints,
 #: ``cls`` the record class (its fields are ``layout``'s), ``method`` the
 #: ``DurableCube`` method that logs it, ``needs`` the front kind that
-#: method needs (a key of ``recovery.FRONT_KINDS``), ``apply`` and
+#: method needs (a key of ``repro.core.front.FRONT_KINDS``), ``apply`` and
 #: ``replay`` the calls ``(durable, record) -> result`` behind the live
 #: method and behind recovery, ``bind`` what turns the method's
 #: arguments into a (raw) record and ``empty`` the method's answer to an
@@ -399,6 +399,9 @@ RECORD_TYPES = (
 
 BY_TAG = {row.tag: row for row in RECORD_TYPES}
 BY_CLASS = {row.cls: row for row in RECORD_TYPES}
+#: logged method name -> the front kind it needs: what every layer of a
+#: stack forwards, or refuses, a mutation by (:mod:`repro.core.front`)
+LOGGED = {row.method: row.needs for row in RECORD_TYPES if row.method is not None}
 
 
 def log_record(row, *args, **kwargs) -> WalRecord | None:

@@ -64,6 +64,10 @@ class BufferedEvolvingDataCube:
         :class:`~repro.ecube.extent.ExtentCube`); default: a private one.
     """
 
+    #: the ``G_d`` layer of a stack (:mod:`repro.core.front`), over the kernel
+    kind = "buffered"
+    inner = property(lambda self: self.cube)
+
     def __init__(
         self,
         slice_shape: Sequence[int],
@@ -281,12 +285,10 @@ class BufferedEvolvingDataCube:
 
     # -- durable snapshots (checkpoint machinery) -------------------------------
 
-    def buffer_state_arrays(self) -> dict[str, np.ndarray]:
-        """The ``G_d`` buffer and bookkeeping as named arrays.
-
-        Complements :meth:`CubeKernel.state_arrays` (which covers the
-        wrapped cube) so a checkpoint of a buffered cube captures the
-        complete durable state.
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """This layer's durable state -- the ``G_d`` buffer and its
+        bookkeeping -- as named (``gd_``) arrays; the wrapped kernel
+        snapshots its own (:meth:`CubeKernel.state_arrays`).
         """
         entries = self.buffer.entries()
         points = np.asarray(
@@ -301,10 +303,10 @@ class BufferedEvolvingDataCube:
             ),
         }
 
-    def restore_buffer_state(self, arrays) -> None:
-        """Refill ``G_d`` and bookkeeping from :meth:`buffer_state_arrays`."""
+    def restore_state(self, arrays) -> None:
+        """Refill ``G_d`` and bookkeeping from :meth:`state_arrays`."""
         if len(self.buffer):
-            raise DomainError("restore_buffer_state requires an empty buffer")
+            raise DomainError("restore_state requires an empty buffer")
         points = np.asarray(arrays["gd_points"], dtype=np.int64)
         if points.shape[0]:
             self.buffer.add_many(

@@ -240,6 +240,12 @@ class ExtentCube:
         Degradation bound forwarded to both ``G_d`` fronts.
     """
 
+    #: the bottom of a TT-extent stack (:mod:`repro.core.front`): it
+    #: snapshots both families' kernels and buffers itself
+    kind = "extent"
+    inner = None
+    kernels = property(lambda self: (self.ended.cube, self.containing.cube))
+
     def __init__(
         self,
         slice_shape: Sequence[int],
@@ -681,7 +687,7 @@ class ExtentCube:
         arrays: dict[str, np.ndarray] = {}
         for prefix, front in (("bfam_", self.ended), ("cfam_", self.containing)):
             state = dict(front.cube.state_arrays())
-            state.update(front.buffer_state_arrays())
+            state.update(front.state_arrays())
             for key, value in state.items():
                 arrays[prefix + key] = value
         # canonical (effective, seq) order: the internal heap arrangement
@@ -749,10 +755,7 @@ class ExtentCube:
                     if key.startswith(prefix)
                 }
                 front.cube.restore_state(state)
-                front.cube.copy_budget = int(
-                    np.asarray(state["copy_budget"])[0]
-                )
-                front.restore_buffer_state(state)
+                front.restore_state(state)
         self.axis.check_aligned()
         p_starts = np.asarray(arrays["ext_pending_starts"], dtype=np.int64)
         p_effs = np.asarray(arrays["ext_pending_effs"], dtype=np.int64)

@@ -77,6 +77,11 @@ class CubeKernel:
         can reach it.
     """
 
+    #: the bottom of a point-object stack (:mod:`repro.core.front`)
+    kind = "kernel"
+    inner = None
+    kernels = property(lambda self: (self,))
+
     def __init__(
         self,
         slice_shape: Sequence[int],
@@ -896,6 +901,7 @@ class CubeKernel:
         """
         if self.directory:
             raise DomainError("restore_state requires an empty cube")
+        self.copy_budget = int(np.asarray(arrays["copy_budget"])[0])
         times = [int(t) for t in np.asarray(arrays["occurring_times"])]
         for index, time in enumerate(times):
             self.directory.append(time, self.store.restore_slice(index, arrays))

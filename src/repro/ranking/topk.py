@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import DomainError
+from repro.core.front import layers
 from repro.core.types import Box
 
 #: cap on the number of single-cell boxes per batched gather: bounds the
@@ -105,8 +106,10 @@ class TopKEngine:
         Anything with ``query_many(boxes, mode)`` -- the engine issues
         only box aggregates, never touches storage directly.
     slice_shape:
-        The cell-domain shape; defaults to ``front.slice_shape`` (or the
-        wrapped kernel's).
+        The cell-domain shape; defaults to the shape of the kernel at the
+        bottom of the stack ``front`` declares
+        (:func:`repro.core.front.layers`) -- a front that is no such
+        stack (a sharded cube, a test double) passes it.
     nonnegative:
         Declare that every update delta is non-negative (COUNT cubes and
         the paper's SUM workloads).  Only then is marginal pruning sound;
@@ -116,9 +119,7 @@ class TopKEngine:
     def __init__(self, front, slice_shape=None, nonnegative: bool = False) -> None:
         self.front = front
         if slice_shape is None:
-            slice_shape = getattr(front, "slice_shape", None)
-            if slice_shape is None:
-                slice_shape = getattr(front, "cube").slice_shape
+            slice_shape = next(reversed(layers(front).values())).slice_shape
         self.slice_shape = tuple(int(n) for n in slice_shape)
         if not self.slice_shape or any(n <= 0 for n in self.slice_shape):
             raise DomainError(f"invalid slice shape {self.slice_shape}")

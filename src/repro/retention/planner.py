@@ -1,8 +1,10 @@
 """The cross-tier query planner: :class:`TieredCube`.
 
-``TieredCube`` fronts any kernel-backed cube (bare or ``G_d``-buffered)
-and replaces *deleting* aged history (``retire_before``) with *demoting*
-it (:meth:`TieredCube.demote_before`): converged PS slices below the
+``TieredCube`` -- the ``"tiered"`` layer of a declared stack
+(:mod:`repro.core.front`) -- fronts any kernel-backed cube (bare or
+``G_d``-buffered) and replaces *deleting* aged history
+(``retire_before``) with *demoting* it
+(:meth:`TieredCube.demote_before`): converged PS slices below the
 horizon are finalized, written to a full-fidelity compressed tile
 (:mod:`repro.retention.tiles`), folded into the rollup tiers
 (:mod:`repro.retention.tiers`), and only then released from the live
@@ -48,7 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.errors import AgedOutError, DomainError, StorageError
+from repro.core.front import forward, layers, require
 from repro.core.types import Box
+from repro.durability.wal import LOGGED
 from repro.retention.tiers import TierPolicy, RollupTier
 from repro.retention.tiles import TileStore
 
@@ -90,9 +94,11 @@ def ps_box_sum(ps: np.ndarray, lower: Sequence[int], upper: Sequence[int]) -> in
 class TieredCube:
     """Tiered-retention front over a kernel-backed cube.
 
-    Implements the :class:`~repro.core.framework.BatchExecutor` protocol
-    (queries route across tiers; updates and everything else delegate to
-    the wrapped front).
+    Implements the :class:`~repro.core.framework.BatchExecutor` protocol:
+    queries route across tiers; the logged mutations the tiers do not
+    redefine (:data:`FORWARDED`) pass to the wrapped front, each refused
+    with :class:`~repro.core.errors.DomainError` when the stack under
+    the tiers lacks it (``drain`` over a bare kernel).
 
     Parameters
     ----------
@@ -105,8 +111,21 @@ class TieredCube:
         Directory for the immutable historic tiles.
     """
 
+    #: the retention layer of a stack (:mod:`repro.core.front`)
+    kind = "tiered"
+    inner = property(lambda self: self.front)
+
     def __init__(self, front, policy, tile_dir, codec: str = "zlib") -> None:
         self.front = front
+        #: the layers under this one, as they declare themselves
+        self.stack = layers(front)
+        require(self.stack, "point", "TieredCube", "front")
+        #: the wrapped :class:`~repro.ecube.kernel.CubeKernel` cube
+        self.cube = self.stack["kernel"]
+        #: the front's ``G_d`` buffer, or ``None`` for a bare kernel
+        self.buffer = (
+            self.stack["buffered"].buffer if "buffered" in self.stack else None
+        )
         self.policy = TierPolicy.from_config(policy)
         self.tiles = TileStore(tile_dir, codec=codec)
         self.tiers = [RollupTier(spec) for spec in self.policy]
@@ -117,25 +136,6 @@ class TieredCube:
         #: newest demoted instance (carried into the next fold)
         self._last_time: int | None = None
         self._last_ps: np.ndarray | None = None
-
-    # -- delegation -----------------------------------------------------------
-
-    @property
-    def cube(self):
-        """The wrapped :class:`~repro.ecube.kernel.CubeKernel` cube."""
-        return getattr(self.front, "cube", self.front)
-
-    @property
-    def buffer(self):
-        """The front's ``G_d`` buffer, or ``None`` for a bare kernel."""
-        return getattr(self.front, "buffer", None)
-
-    def __getattr__(self, name: str):
-        # everything not retention-aware (updates, drains, snapshots,
-        # durability hooks) behaves exactly as the wrapped front
-        if name == "front":
-            raise AttributeError(name)
-        return getattr(self.front, name)
 
     @property
     def demoted_through(self) -> int | None:
@@ -419,14 +419,13 @@ class TieredCube:
 
     # -- durable snapshots ----------------------------------------------------
 
-    def retention_state_arrays(self) -> dict[str, np.ndarray]:
-        """Tier + demotion bookkeeping as named (``ret_``) arrays.
-
-        Complements the kernel's ``state_arrays`` and the front's
-        ``buffer_state_arrays`` in checkpoint archives.  Tile *contents*
-        are not duplicated -- tiles are immutable files verified by
-        checksum -- but their spans are recorded so recovery can detect
-        a missing tile immediately.
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """This layer's durable state -- tier + demotion bookkeeping --
+        as named (``ret_``) arrays; the layers under it snapshot their
+        own (:func:`repro.durability.checkpoint.snapshot_arrays`).  Tile
+        *contents* are not duplicated -- tiles are immutable files
+        verified by checksum -- but their spans are recorded so recovery
+        can detect a missing tile immediately.
         """
         shape = tuple(self.cube.slice_shape)
         arrays: dict[str, np.ndarray] = {
@@ -453,8 +452,8 @@ class TieredCube:
             arrays[f"ret_tier{i}_meta"] = state["meta"]
         return arrays
 
-    def restore_retention_state(self, arrays) -> None:
-        """Rebuild tier + demotion state from :meth:`retention_state_arrays`."""
+    def restore_state(self, arrays) -> None:
+        """Rebuild tier + demotion state from :meth:`state_arrays`."""
         meta = np.asarray(arrays["ret_meta"], dtype=np.int64)
         if int(meta[3]) != len(self.tiers):
             raise DomainError(
@@ -488,3 +487,11 @@ class TieredCube:
             f"TieredCube(front={self.front!r}, tiers={len(self.tiers)}, "
             f"tiles={len(self.tiles)}, demoted_through={self._demoted_through})"
         )
+
+
+#: what passes through the tiers unchanged: every logged mutation they do
+#: not redefine (``retire_before`` / ``demote_before`` are theirs)
+FORWARDED = {
+    name: needs for name, needs in LOGGED.items() if name not in vars(TieredCube)
+}
+forward(TieredCube, FORWARDED, "front")

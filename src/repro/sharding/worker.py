@@ -86,15 +86,13 @@ class ShardWorkerState:
         self.shard_id = int(config["shard_id"])
         self.counter = CostCounter()
         self.front = _build_shard_front(config, self.counter)
-        #: what the front is, as declared -- by the durable cube (whose
-        #: manifest decides on recovery) or by the config -- never probed
-        self.durable = config.get("durable_dir") is not None
-        if self.durable:
-            self.buffered, self.tiered = self.front.buffered, self.front.tiered
-        else:
-            self.buffered = bool(config.get("buffered", False))
-            self.tiered = config.get("tiers") is not None
         self.snap = SnapshotCube(self.front)
+        #: what the shard's stack is, as built and declared (on recovery
+        #: the manifest decided, not this worker's config)
+        self.layers = self.snap.stack
+        self.durable, self.buffered, self.tiered = (
+            kind in self.layers for kind in ("durable", "buffered", "tiered")
+        )
         self.exporter = None
         if config.get("use_shm"):
             self.exporter = EpochExporter(self.snap, tag=f"s{self.shard_id}")
@@ -104,13 +102,6 @@ class ShardWorkerState:
     @property
     def kernel(self):
         return self.snap.kernel
-
-    @property
-    def _tiered_front(self):
-        """The ``TieredCube`` under the front, or ``None``."""
-        if not self.tiered:
-            return None
-        return self.front.front if self.durable else self.front
 
     def publish(self) -> tuple:
         """``(descriptor, time state)``: the current epoch (picklable shm
@@ -125,7 +116,7 @@ class ShardWorkerState:
         first = last = None
         if directory:
             first, last = int(directory.at_index(0)[0]), int(directory.latest_time)
-        tiered = self._tiered_front
+        tiered = self.layers.get("tiered")
         watermark = None if tiered is None else tiered.demoted_through
         return descriptor, (first, last, watermark)
 
@@ -167,11 +158,11 @@ class ShardWorkerState:
         if latest is None or point[0] >= latest:
             # globally historic but locally in-order: append
             self.front.update(point, delta)
-        elif self.durable or not self.buffered:
-            # a durable front logs it (and refuses it when buffered)
-            self.front.apply_out_of_order(point, delta)
         else:
-            self.kernel.apply_out_of_order(point, delta)
+            # through the log when there is one (which refuses it over a
+            # G_d buffer), else at the kernel, past any buffer
+            target = self.front if self.durable else self.kernel
+            target.apply_out_of_order(point, delta)
 
     def _retire(self, time):
         """``(retired, newest local occurring time below ``time``)``."""
@@ -205,7 +196,7 @@ class ShardWorkerState:
 
     def _approx(self, payload):
         boxes, mode = payload
-        tiered = self._tiered_front
+        tiered = self.layers.get("tiered")
         if tiered is not None:
             return [tuple(e) for e in tiered.query_many_approx(boxes, mode=mode)]
         # no tiers on this shard: every answer is exact

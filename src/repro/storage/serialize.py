@@ -68,11 +68,12 @@ def _archive_backend(archive) -> str:
 # -- backend-agnostic kernel persistence ----------------------------------------
 
 
-def kernel_state_arrays(cube: "CubeKernel") -> dict[str, np.ndarray]:
-    """The complete durable state of a kernel as named arrays."""
+def kernel_state_arrays(cube) -> dict[str, np.ndarray]:
+    """The complete durable state of a stack's bottom layer -- a kernel,
+    or an extent cube (its two) -- as an archive's named arrays."""
     arrays = cube.state_arrays()
     arrays["format_version"] = np.array([FORMAT_VERSION])
-    if cube.store.kind == "paged":
+    if cube.kind == "kernel" and cube.store.kind == "paged":
         arrays["page_size"] = np.array([cube.store.page_size])
         arrays["cell_size"] = np.array([cube.store.cell_size])
     return arrays
@@ -117,7 +118,6 @@ def restore_kernel_from(archive, counter: CostCounter | None = None) -> "CubeKer
         )
     else:
         raise StorageError(f"archive names unknown backend {backend!r}")
-    cube.copy_budget = int(archive["copy_budget"][0])
     cube.restore_state(archive)
     return cube
 

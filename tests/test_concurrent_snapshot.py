@@ -203,7 +203,7 @@ class TestEpochSemantics:
         reattached.close()
 
     def test_unsupported_target_rejected(self):
-        with pytest.raises(DomainError, match="cannot serve snapshots"):
+        with pytest.raises(DomainError, match="declares no layer kind"):
             SnapshotCube(object())
 
 

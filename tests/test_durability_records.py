@@ -50,6 +50,8 @@ ACCEPTS = {
     "buffered": ({"buffered", "tiered", "extent"}, "a buffered"),
     "tiered": ({"tiered", "unbuffered tiered"}, "a tiered (tiers=...)"),
     "extent": ({"extent"}, "a TT-extent (extent=True)"),
+    # no row needs it: what ``checkpoint`` needs of a snapshot front
+    "durable": (set(FRONTS), "a durable"),
 }
 #: method -> arguments valid on a seeded cube of the right kind
 ARGUMENTS = {

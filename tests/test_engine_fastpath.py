@@ -10,7 +10,6 @@ all three front-ends.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -507,29 +506,14 @@ class TestFastSliceEngine:
 
 
 class TestCompiledLayer:
-    """The compiled-kernel layer: backend selection and clean fallback."""
+    """The NumPy kernels are the kernels: one implementation, no switch."""
 
-    def test_backend_name_matches_active_flag(self):
-        name = compiled.backend_name()
-        assert name in ("numba", "numpy")
-        assert (name == "numba") == compiled.NUMBA_ACTIVE
+    def test_backend_name_is_numpy(self):
+        assert compiled.backend_name() == "numpy"
 
-    def test_env_override_forces_numpy_backend(self):
-        code = (
-            "from repro.ecube import compiled\n"
-            "assert compiled.backend_name() == 'numpy', compiled.backend_name()\n"
-            "assert not compiled.NUMBA_ACTIVE\n"
-        )
-        env = dict(os.environ, REPRO_NO_NUMBA="1")
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env,
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_fallback_import_neither_warns_nor_fails(self):
-        # importing and exercising the engine with the compiled layer
-        # unavailable must be silent: -W error turns any warning fatal
+    def test_import_is_silent_under_W_error(self):
+        # importing and exercising the engine must be silent: -W error
+        # turns any warning fatal
         code = (
             "import repro\n"
             "from repro.core.types import Box\n"
@@ -538,10 +522,9 @@ class TestCompiledLayer:
             "cube.update_many([(0, 1, 1), (1, 2, 2)], [1, 2], mode='fast')\n"
             "print(cube.query_many([Box((0, 0, 0), (1, 3, 3))], mode='fast')[0])\n"
         )
-        env = dict(os.environ, REPRO_NO_NUMBA="1")
         result = subprocess.run(
             [sys.executable, "-W", "error", "-c", code],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "3"

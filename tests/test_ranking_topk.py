@@ -206,13 +206,16 @@ class TestEdgeSemantics:
         front = BufferedEvolvingDataCube((2, 2))
         front.update((0, 1, 1), 3)
 
-        class Wrapped:  # exposes the kernel only through .cube
+        class Wrapped:  # a front that declares no stack: query_many only
             def __init__(self, inner):
-                self.cube = inner.cube
                 self.query_many = inner.query_many
 
-        engine = TopKEngine(Wrapped(front), nonnegative=True)
-        assert engine.slice_shape == (2, 2)
+        # a declared stack says its own shape ...
+        assert TopKEngine(front, nonnegative=True).slice_shape == (2, 2)
+        # ... anything else passes it
+        with pytest.raises(DomainError, match="declares no layer kind"):
+            TopKEngine(Wrapped(front), nonnegative=True)
+        engine = TopKEngine(Wrapped(front), slice_shape=(2, 2), nonnegative=True)
         assert engine.topk(0, 0, 1) == [((1, 1), 3)]
         with pytest.raises(DomainError):
             TopKEngine(front, slice_shape=())

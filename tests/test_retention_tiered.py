@@ -224,12 +224,12 @@ class TestDurableRecovery:
         durable.flush()
         state_before = {
             key: np.array(value)
-            for key, value in durable.front.retention_state_arrays().items()
+            for key, value in durable.front.state_arrays().items()
         }
         del durable  # crash: no close, no final checkpoint
         recovered = DurableCube.recover(tmp_path / "cube")
         try:
-            state_after = recovered.front.retention_state_arrays()
+            state_after = recovered.front.state_arrays()
             assert sorted(state_after) == sorted(state_before)
             for key, value in state_before.items():
                 np.testing.assert_array_equal(

@@ -182,10 +182,12 @@ def test_mutating_ops_are_derived_from_the_handler_table():
 def test_a_worker_declares_its_front_and_probing_would_agree(
     tmp_path, buffered, tiered, durable, recover
 ):
-    """``durable`` / ``buffered`` / ``tiered`` come from the config (or the
-    recovered cube's manifest); what the worker used to find by probing
-    the front object is the same on every front it can build."""
+    """``durable`` / ``buffered`` / ``tiered`` are what the built stack
+    declares (on recovery the manifest decided), on every front a worker
+    can build."""
+    from repro.core.front import layers
     from repro.ecube.buffered import BufferedEvolvingDataCube
+    from repro.retention import TieredCube
 
     config = {
         "shard_id": 0,
@@ -211,14 +213,19 @@ def test_a_worker_declares_its_front_and_probing_would_agree(
         assert isinstance(front, DurableCube) == durable
         # every front answers the names the record rows log under ...
         assert hasattr(front, "update_many") and hasattr(front, "retire_before")
-        assert hasattr(front, "apply_out_of_order") == (durable or not buffered)
-        inner = front.front if durable else front
-        assert hasattr(inner, "demote_before") == tiered
-        assert (state._tiered_front is inner) if tiered else (
-            state._tiered_front is None
-        )
-        kernel_front = getattr(inner, "front", inner)  # under a TieredCube
-        assert isinstance(kernel_front, BufferedEvolvingDataCube) == buffered
+        # ... and the stack says what it is made of, outermost first
+        stack = layers(front)
+        assert list(stack) == [
+            kind
+            for kind, present in (
+                ("durable", durable), ("tiered", tiered),
+                ("buffered", buffered), ("kernel", True),
+            )
+            if present
+        ]  # fmt: skip
+        assert state.layers == stack  # the worker reads the same declaration
+        assert isinstance(stack.get("tiered"), TieredCube) == tiered
+        assert isinstance(stack.get("buffered"), BufferedEvolvingDataCube) == buffered
     finally:
         state.close()
 

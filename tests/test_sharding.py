@@ -101,7 +101,10 @@ class TestInlineDifferential:
             oracle.update(point, 2)
             cube.update(point, 2)
         correction = (2, 4, 4)
-        oracle.apply_out_of_order(correction, 5)
+        # an in-memory buffered fleet applies a forced correction at the
+        # kernel, past G_d; a snapshot front over a buffered cube refuses
+        # the call, so the oracle does the same thing by name
+        oracle.kernel.apply_out_of_order(correction, 5)
         cube.apply_out_of_order(correction, 5)
         boxes = [random_box(rng, shape) for _ in range(30)]
         assert cube.query_many(boxes) == oracle.query_many(boxes)
@@ -330,7 +333,7 @@ class TestProcessMode:
         with pytest.raises(SystemExit) as stop:
             main(["serve", "--readers", "2"])
         assert stop.value.code == 2
-        assert "--stress" in capsys.readouterr().err
+        assert "--readers" in capsys.readouterr().err
 
     def test_crashed_worker_raises_instead_of_hanging(self, rng):
         cube = ShardedCube((6, 6), shards=2, processes=True, timeout=120.0)

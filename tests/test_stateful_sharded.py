@@ -105,7 +105,10 @@ class Model:
             self.cube.drain()
 
     def out_of_order(self, point, delta: int) -> None:
-        self._both("apply_out_of_order", tuple(point), delta)
+        # a forced correction lands at the kernel, past any G_d (a
+        # snapshot front over a buffered cube refuses the call by name)
+        self.oracle.kernel.apply_out_of_order(tuple(point), delta)
+        self.cube.apply_out_of_order(tuple(point), delta)
 
     def retire(self, time: int) -> None:
         if self.buffered:
@@ -150,9 +153,9 @@ class Model:
         shards = [handle.state for handle in router.handles]
         spans = [s.kernel.directory.times() for s in shards if s.kernel.directory]
         watermarks = [
-            s._tiered_front.demoted_through
+            s.layers["tiered"].demoted_through
             for s in shards
-            if s.tiered and s._tiered_front.demoted_through is not None
+            if s.tiered and s.layers["tiered"].demoted_through is not None
         ]
         assert router.min_time == min((span[0] for span in spans), default=None)
         assert router.latest_time == max((span[-1] for span in spans), default=None)
