@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: test coverage bench e2e-smoke lint loc probes
+.PHONY: test coverage bench e2e-smoke pss lint loc probes
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -27,6 +27,12 @@ bench:
 # traced: fails when a rename breaks a name benchmarks/e2e pins.
 e2e-smoke:
 	timeout 300 env PYTHONPATH=src $(PY) -m pytest benchmarks/e2e -q
+
+# Where the served cube's memory is: PSS per server process and mapping
+# class, idle and loaded (`SLICES=32 make pss` is what CI runs).  Fails
+# when the shard workers hold their history a second time on the heap.
+pss:
+	PYTHONPATH=src $(PY) benchmarks/pss_breakdown.py --slices $(or $(SLICES),128)
 
 lint:
 	ruff check src tests benchmarks

@@ -243,6 +243,13 @@ class BaseSliceStore:
 
     kind = "abstract"
     wants_dominating_mask = True
+    #: can a published prefix-sum row *be* a historic slice of this store
+    #: (:meth:`DenseStore.adopt_row`)?  Pages and dicts are not flat arrays.
+    adopts_rows = False
+    #: set by whoever publishes the store's history (:class:`~repro.sharding.
+    #: shm.EpochExporter`): ``values -> a writable copy where the next
+    #: publication cites it``; ``None``: a promoted slice goes to the heap
+    successor_row = None
 
     def __init__(self) -> None:
         self.kernel: CubeKernel | None = None
@@ -443,22 +450,54 @@ class DenseStore(ArrayCacheStore):
     """In-memory ndarray slices; every touch is a counted cell access."""
 
     kind = "dense"
+    adopts_rows = True
+
+    def bind(self, kernel: "CubeKernel") -> None:
+        super().bind(kernel)
+        #: the flags of every adopted slice: one read-only all-``True`` array
+        self._all_ps = np.ones(kernel.slice_shape, dtype=bool)
+        self._all_ps.flags.writeable = False
 
     def new_slice(self) -> DenseSlice:
         return DenseSlice(self.kernel.slice_shape)
 
     # -- slice primitives ------------------------------------------------------
 
-    @staticmethod
-    def _promote(payload) -> None:
-        """Heap-copy a checkpoint-mmap'd slice before its first write.
+    def adopt_row(self, payload, row: np.ndarray) -> None:
+        """The published prefix-sum ``row`` becomes the slice, read-only:
+        complete and fully PS from here on -- historic content is final, so
+        no lazy copy or conversion finds a cell to write -- and off the heap."""
+        row.flags.writeable = False
+        payload.mut_version += 1
+        payload.values, payload.ps_flags = row, self._all_ps
+        payload.ps_count = self.kernel._num_slice_cells
+        payload.mut_version += 1
 
-        Restored slices may serve reads directly off read-only mmap
-        views of the checkpoint archive; any mutation first promotes
-        both arrays so the archive file is never written through.
+    def seal(self, payload) -> bool:
+        """Make a promoted slice immutable again if it is still fully PS:
+        its successor row is then what an adopted row is, citable as it is."""
+        if payload.ps_flags is not self._all_ps:
+            return False
+        payload.values.flags.writeable = False
+        return True
+
+    def _promote(self, payload) -> None:
+        """Copy-on-write for a slice held in read-only memory.
+
+        A restored slice reads off mmap views of the checkpoint archive:
+        heap-copied, so the archive is never written through.  An adopted
+        slice is a published row that epochs cite: a correction writes
+        into its *successor* (:attr:`successor_row`), which the next
+        publication seals and cites with no further copy; the flags of a
+        fully PS slice are never written, so they stay the shared array.
         """
-        if payload.values is not None and not payload.values.flags.writeable:
-            payload.values = payload.values.copy()
+        values = payload.values
+        if values is None or values.flags.writeable:
+            return
+        if self.successor_row is not None and payload.ps_flags is self._all_ps:
+            payload.values = self.successor_row(values)
+        else:
+            payload.values = values.copy()
             payload.ps_flags = payload.ps_flags.copy()
 
     def slice_peek(self, payload, cell) -> int:
@@ -581,13 +620,17 @@ class DenseStore(ArrayCacheStore):
         return payload.data()
 
     def freeze_slice(self, payload) -> tuple[np.ndarray, np.ndarray]:
-        """Uncounted (values, flags) copies for lock-free snapshot readers.
+        """Uncounted (values, flags) for lock-free snapshot readers.
 
         Readers bracket this call with :attr:`DenseSlice.mut_version`
         checks (seqlock) so the pair is mutually consistent even while
-        the writer converts or corrects cells.
+        the writer converts or corrects cells.  Writable arrays are
+        copied; a read-only pair (an adopted row, an archive view) is
+        returned as it is: a mutation replaces it (:meth:`_promote`).
         """
         values, flags = payload.data()
+        if not (values.flags.writeable or flags.flags.writeable):
+            return values, flags
         return values.copy(), flags.copy()
 
     def finalize_commit(self, payload, ps: np.ndarray) -> None:

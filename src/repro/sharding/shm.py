@@ -19,10 +19,18 @@ move its *representation*.  So the exporter publishes content, once:
   through the epoch's frozen cache and swept DDC -> PS by
   :func:`~repro.ecube.fastpath._prefix_sum_rows`, the sweep every reader
   of that epoch would run, so a reader gathers corners from the row in
-  place and never normalizes history.  A row is re-created only when its
-  content moves: an out-of-order correction or splice reaching instance
-  ``i`` (reported through :meth:`SnapshotCube.preserve_epochs`) replaces
-  the rows at and above ``i``; retirement only drops rows.
+  place and never normalizes history.  A store of flat-array slices then
+  *adopts* the row (:meth:`~repro.ecube.stores.DenseStore.adopt_row`):
+  the slice becomes a read-only view of the block, its heap arrays go.
+* a row is replaced only when its content moves: an out-of-order
+  correction or splice reaching instance ``i`` (reported through
+  :meth:`SnapshotCube.preserve_epochs`) replaces the rows at and above
+  ``i``; retirement only drops rows.  An adopted row is replaced
+  copy-on-write: the correction promotes the slice into a *successor
+  row*, a fresh block it writes in place, and the next export *seals*
+  it (read-only, cited as it stands: no freeze, sweep or second block)
+  or, its slice gone, unlinks it.  Anything else (a spliced-in clone, an
+  archive view, a paged or sparse slice) is swept into a new row.
 * one *frontier block* per epoch, holding the occurring-time directory,
   the frozen cache values (the latest instance's DDC array) and the
   ``G_d`` columns.
@@ -34,12 +42,18 @@ Blocks are plain POSIX segments mapped with :mod:`mmap`
 (:class:`_Segment`); no :mod:`multiprocessing.resource_tracker` process
 ever hears of them.  The owning worker reference-counts every block by
 the epochs that cite it (plus one self-reference for a row it still
-publishes), keeps no mapping of a block once it is written, and unlinks
-on the drop to zero; :meth:`EpochExporter.close` unlinks everything
-unconditionally.  Attaching processes never unlink -- they map read-only
-and unmap.  What a killed owner leaves behind is found by name: every
-block carries its owner's pid, :func:`unlink_orphaned` removes the blocks
-of dead owners and :meth:`ShardedCube.close` sweeps its workers' prefixes.
+publishes) and unlinks on the drop to zero; :meth:`EpochExporter.close`
+unlinks everything unconditionally.  It keeps a block mapped while it
+owns it or an array aliases it (an adopted slice, a preserved epoch's
+overlay): one mapping -- before Python 3.13 one descriptor -- per
+resident row, as in the attaching process.  It is the writable mapping
+the block was filled through: the owner's rows are immutable by numpy's
+``writeable`` flag, set by the store alone (``adopt_row``, ``seal``),
+not by page protection.  Attaching processes never unlink -- they map
+read-only and unmap.  What a killed owner leaves behind is found by
+name: every block carries its owner's pid, :func:`unlink_orphaned`
+removes the blocks of dead owners and :meth:`ShardedCube.close` sweeps
+its workers' prefixes.
 """
 
 from __future__ import annotations
@@ -113,17 +127,14 @@ class _Segment:
         """Unmap; ``BufferError`` while a view still aliases the mapping."""
         (self._stdlib or self.buf).close()
 
-    def detach(self) -> None:
-        """The creator is done writing: a POSIX segment outlives its
-        mappings (a stdlib one lives only while a handle does)."""
-        if self._stdlib is None:
-            self.buf.close()
-
     def unlink(self) -> None:
         if self._stdlib is None:
             _unlink(self.name)
         else:  # pragma: no cover - see the import
-            self._stdlib.close()
+            try:
+                self._stdlib.close()
+            except BufferError:
+                pass  # an adopted slice or an overlay still aliases the block
             self._stdlib.unlink()
 
 
@@ -228,11 +239,10 @@ class BlockOwner:
         self._blocks: dict[str, _Segment] = {}
         self._refs: dict[str, int] = {}
 
-    def create(self, arrays: dict[str, np.ndarray]) -> tuple[str, list[tuple]]:
-        """New block holding copies of ``arrays``; returns ``(name, metas)``.
-
-        The block starts with one reference and is never written again.
-        """
+    def create(self, arrays: dict[str, np.ndarray]) -> tuple[str, list[tuple], dict]:
+        """New block holding copies of ``arrays``: ``(name, metas, views)``, with
+        one reference.  It stays mapped while it is owned here or an array
+        aliases it; one that cannot be filled is unlinked, not leaked."""
         size, metas = _pack_layout(arrays)
         self._sequence += 1
         name = f"{SHM_PREFIX}-{self._tag}-{os.getpid()}-{self._sequence}"
@@ -240,14 +250,16 @@ class BlockOwner:
             segment = _Segment(name, size)
         except OSError as exc:  # pragma: no cover - exhausted /dev/shm
             raise StorageError(f"cannot create shared memory block: {exc}") from exc
-        views = _views(segment.buf, metas)
-        for key, array in arrays.items():
-            np.copyto(views[key], array)
-        del views  # nothing may alias the mapping when it closes
-        segment.detach()
+        try:
+            views = _views(segment.buf, metas)
+            for key, array in arrays.items():
+                np.copyto(views[key], array)
+        except BaseException:
+            segment.unlink()
+            raise
         self._blocks[name] = segment
         self._refs[name] = 1
-        return name, metas
+        return name, metas, views
 
     def incref(self, name: str) -> None:
         self._refs[name] += 1
@@ -328,6 +340,11 @@ class EpochExporter:
         self.owner = BlockOwner(tag)
         #: instance index -> (name, metas) of its published prefix-sum row
         self._rows: dict[int, tuple[str, list[tuple]]] = {}
+        #: id(row) -> (name, metas, row) of the successor rows promotion
+        #: created since the last export: written in place, cited by nothing
+        self._unsealed: dict[int, tuple[str, list[tuple], np.ndarray]] = {}
+        self._store = snapshot_cube.kernel.store
+        self._store.successor_row = self._successor
         #: epoch id -> names of the blocks that epoch cites
         self._epoch_blocks: dict[int, list[str]] = {}
         self._last: dict | None = None
@@ -350,7 +367,13 @@ class EpochExporter:
         keep_below = stop if rewritten is None else rewritten
         for index in [i for i in self._rows if not first <= i < keep_below]:
             self.owner.decref(self._rows.pop(index)[0])
-        self._publish_rows([i for i in range(first, stop) if i not in self._rows])
+        missing = [i for i in range(first, stop) if i not in self._rows]
+        self._seal_rows(missing)
+        self._publish_rows([i for i in missing if i not in self._rows])
+        if self._store.adopts_rows:
+            # every historic slice is a finished row now: what the cache
+            # still owed them is void (nothing is copied; stamps advance)
+            self._store.sync_copies()
         slices = [(index, *self._rows[index]) for index in range(first, stop)]
         cited = [name for _, name, _ in slices]
         for name in cited:
@@ -361,7 +384,7 @@ class EpochExporter:
         if epoch.gd_points is not None:
             frontier["gd_points"] = epoch.gd_points
             frontier["gd_deltas"] = epoch.gd_deltas
-        frontier_block = self.owner.create(frontier)
+        frontier_block = self.owner.create(frontier)[:2]
         cited.append(frontier_block[0])
         self._epoch_blocks[epoch.sequence] = cited
         self._last = {
@@ -375,6 +398,23 @@ class EpochExporter:
             "slices": slices,
         }
         return self._last
+
+    def _successor(self, values: np.ndarray) -> np.ndarray:
+        """The store's ``successor_row``: a writable copy in a block of its own."""
+        name, metas, views = self.owner.create({"ps": values})
+        self._unsealed[id(views["ps"])] = (name, metas, views["ps"])
+        return views["ps"]
+
+    def _seal_rows(self, indices: list[int]) -> None:
+        """Cite, read-only, each successor row still in place; unlink the rest."""
+        unsealed, self._unsealed = self._unsealed, {}
+        directory = self.snap.kernel.directory
+        for index in indices if unsealed else ():
+            _, payload = directory.at_index(index)
+            if id(payload.values) in unsealed and self._store.seal(payload):
+                self._rows[index] = unsealed.pop(id(payload.values))[:2]
+        for name, _, _ in unsealed.values():
+            self.owner.decref(name)
 
     def _publish_rows(self, indices: list[int]) -> None:
         """Export historic instances as finished prefix-sum rows.
@@ -428,7 +468,11 @@ class EpochExporter:
         return epoch.cache_values, epoch.cache_stamps
 
     def normalised(self, index: int, ps_row: np.ndarray) -> None:
-        self._rows[index] = self.owner.create({"ps": ps_row})
+        name, metas, views = self.owner.create({"ps": ps_row})
+        self._rows[index] = (name, metas)
+        if self._store.adopts_rows:
+            _, payload = self.snap.kernel.directory.at_index(index)
+            self._store.adopt_row(payload, views["ps"])
 
     # -- release ---------------------------------------------------------------
 
@@ -440,8 +484,10 @@ class EpochExporter:
 
     def close(self) -> None:
         """Unlink every block this exporter ever published."""
+        self._store.successor_row = None  # adopted slices stay mapped
         self._epoch_blocks.clear()
         self._rows.clear()
+        self._unsealed.clear()
         self._last = None
         self.owner.close_all()
 

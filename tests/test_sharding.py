@@ -462,3 +462,168 @@ class TestServeStartupSweep:
         # the earlier layout had the pid first; its hex is no owner
         assert _owner_pid("repro-ecube-4242-123456-7") is None
         assert _owner_pid("repro-ecube-4242-00ab12-7") is None
+
+
+TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
+MODES = ("fast", "metered")
+
+
+def _outcome(call):
+    """What a read does: its answer, or the error class it raises."""
+    try:
+        return call()
+    except (AgedOutError, DomainError) as exc:
+        return type(exc)
+
+
+def _shm_mappings(pid: int, owners=None) -> set[str]:
+    """Names of the blocks of ``owners`` (default: its own) that process
+    ``pid`` maps -- a forked worker also inherits whatever this process
+    had mapped."""
+    owners = [pid] if owners is None else owners
+    with open(f"/proc/{pid}/maps") as maps:
+        names = {
+            line.split("/dev/shm/", 1)[1].split()[0]
+            for line in maps
+            if "/dev/shm/repro-ecube" in line
+        }
+    return {name for name in names if int(name.rsplit("-", 2)[1]) in owners}
+
+
+def _fds(pid: int) -> int:
+    import os
+
+    return len(os.listdir(f"/proc/{pid}/fd"))
+
+
+class TestHistoryLivesOnce:
+    """A process shard's historic slices are the rows it published.
+
+    The fleet serves worker-routed reads (tiered, top-k, approximate,
+    metered) from those rows in place, checkpoints them as they stand,
+    re-adopts them after recovery and unmaps the ones retirement drops.
+    """
+
+    @pytest.mark.parametrize("tiered", [False, True])
+    def test_a_process_fleet_answers_like_its_inline_twin(self, rng, tmp_path, tiered):
+        shape = (30, 6, 6)
+        full = tuple(n - 1 for n in shape[1:])
+
+        def build(processes):
+            return ShardedCube(
+                shape[1:], shards=2, processes=processes, timeout=120.0,
+                tiers=TIERS if tiered else None,
+                tile_root=tmp_path / f"tiles-{processes}" if tiered else None,
+            )  # fmt: skip
+
+        fleet, twin = build(True), build(False)
+        boxes = [random_box(rng, shape) for _ in range(40)]
+        boxes += [Box((0, 0, 0), (t, *full)) for t in range(0, shape[0], 3)]
+        tops = [(0, 29, 4), (6, 17, 3), (12, 12, 50)]
+
+        def both(method, *args):
+            results = [getattr(cube, method)(*args) for cube in (fleet, twin)]
+            assert results[0] == results[1]
+
+        def agree():
+            reads = [("query_many", [box], mode) for box in boxes for mode in MODES]
+            reads += [("query_approx", box) for box in boxes]
+            reads += [("topk_many", [top]) for top in tops] + [("total",)]
+            for method, *args in reads:
+                answers = [
+                    _outcome(lambda: getattr(cube, method)(*args))
+                    for cube in (fleet, twin)
+                ]
+                assert answers[0] == answers[1], (method, args)
+
+        def points(times):
+            return np.column_stack(
+                [times] + [rng.integers(0, n, size=len(times)) for n in shape[1:]]
+            ).astype(np.int64)
+
+        try:
+            for start in (0, 8, 16):  # even times: an odd one is a splice
+                batch = points(np.repeat(np.arange(start, start + 8, 2), 6))
+                both("update_many", batch, [1 + i % 5 for i in range(len(batch))])
+                agree()
+            both("update_many", points(np.array([4, 9, 9, 15, 2])), [7, 3, 2, 5, 1])
+            agree()  # late corrections, held in G_d
+            both("apply_out_of_order", (11, 1, 4), 6)  # a splice, past G_d
+            both("apply_out_of_order", (6, 4, 1), -2)
+            agree()
+            both("drain")
+            agree()
+            both("demote_before" if tiered else "retire_before", 10)
+            agree()
+            both("update_many", points(np.array([24, 24, 26, 13, 26])), [1, 2, 3, 4, 5])
+            both("drain")
+            if tiered:
+                both("retire_before", 14)
+            agree()
+        finally:
+            fleet.close()
+            twin.close()
+        assert not leaked_segments()
+
+    def test_a_checkpoint_of_adopted_rows_recovers_and_is_adopted_again(
+        self, rng, tmp_path
+    ):
+        import os
+        import signal
+
+        shape = (12, 6, 6)
+        boxes = [random_box(rng, shape) for _ in range(40)]
+        cube = ShardedCube(
+            shape[1:], shards=2, processes=True, durable_dir=tmp_path / "fleet",
+            fsync="off", timeout=120.0,
+        )  # fmt: skip
+        try:
+            for time in range(shape[0]):  # both shards, every time
+                cube.update_many([(time, 1, time % 6), (time, 4, time % 5)], [2, 3])
+            cube.update_many([(5, 0, 0), (3, 5, 5)], [4, 1])  # late: G_d
+            cube.drain()
+            expected, total = cube.query_many(boxes), cube.total()
+            cube.checkpoint()  # the rows as they stand: finished, fully PS
+            for handle in cube.router.handles:
+                os.kill(handle.process.pid, signal.SIGKILL)
+                handle.process.join(timeout=30)
+        finally:
+            cube.close()
+        assert not leaked_segments()
+        with ShardedCube.recover(
+            tmp_path / "fleet", processes=True, timeout=120.0
+        ) as cube:
+            assert cube.query_many(boxes) == expected and cube.total() == total
+            # the first export adopted every historic row; the latest slice
+            # still reads off the archive until a newer time makes it one
+            cube.update_many([(shape[0], 1, 1), (shape[0], 4, 4)], [1, 1])
+            # a read attaches the new epochs; the request after it carries
+            # the release of the ones they superseded
+            assert cube.query(Box((0, 0, 0), (shape[0], 5, 5))) == cube.total()
+            for handle in cube.router.handles:
+                pid = handle.process.pid
+                with open(f"/proc/{pid}/maps") as maps:  # its archive is unmapped
+                    assert str(tmp_path) not in maps.read()
+                cited = descriptor_blocks(handle.descriptor)
+                assert len(cited) == shape[0] + 1  # every row, one frontier
+                assert _shm_mappings(pid) == cited  # a worker maps what it owns
+
+            # retirement drops rows: nobody maps one, and the descriptors go
+            workers = [handle.process.pid for handle in cube.router.handles]
+            old = [
+                {name for _, name, _ in handle.descriptor["slices"]}
+                for handle in cube.router.handles
+            ]
+            before = [_fds(os.getpid())] + [_fds(pid) for pid in workers]
+            assert cube.retire_before(7) == 2 * 6  # times 0..5 of both shards
+            cube.query_many([Box((0, 0, 0), (11, 5, 5))])  # re-attach
+            cube.total()  # the release rides the next request
+            for pid, names, handle in zip(workers, old, cube.router.handles):
+                kept = {name for _, name, _ in handle.descriptor["slices"]}
+                assert len(names - kept) == 6
+                assert _shm_mappings(pid) == descriptor_blocks(handle.descriptor)
+                assert not (names - kept) & _shm_mappings(os.getpid(), workers)
+                assert not (names - kept) & set(leaked_segments())
+            after = [_fds(os.getpid())] + [_fds(pid) for pid in workers]
+            assert [b - a for b, a in zip(before, after)] == [12, 6, 6]
+        assert not leaked_segments()

@@ -13,16 +13,28 @@ tracker process exists, a killed worker's blocks stay readable until
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
 
 from repro.concurrent import SnapshotCube, prepare_epoch
-from repro.core.errors import ShardUnavailableError, StorageError
+from repro.core.errors import AgedOutError, ShardUnavailableError, StorageError
+from repro.core.front import layers
 from repro.core.types import Box
+from repro.durability.checkpoint import snapshot_arrays
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.retention import TieredCube
 from repro.sharding import (
@@ -36,7 +48,9 @@ from repro.sharding.shm import (
     BlockOwner,
     descriptor_blocks,
     epoch_from_shared_memory,
+    unlink_orphaned,
 )
+from repro.storage.mmap_npz import open_checkpoint
 
 from .conftest import brute_box_sum, random_box
 from .test_shard_server import _serve_cli, _stop_cli
@@ -62,12 +76,15 @@ class CountingOwner(BlockOwner):
 class Rig:
     """A cube, its exporter with a counting owner, and a dense oracle."""
 
-    def __init__(self, tmp_path=None, buffered=True) -> None:
+    def __init__(self, tmp_path=None, buffered=True, restore=None) -> None:
         front = BufferedEvolvingDataCube(SHAPE, num_times=NUM_TIMES)
         self.kernel = front.cube
         front = front if buffered else front.cube
         if tmp_path is not None:
             front = TieredCube(front, TIERS, tmp_path)
+        if restore is not None:  # a checkpoint archive: each layer its own
+            for layer in reversed(layers(front).values()):
+                layer.restore_state(restore)
         self.snap = SnapshotCube(front)
         self.exporter = EpochExporter(self.snap, tag="pub")
         self.owner = self.exporter.owner = CountingOwner("pub")
@@ -90,11 +107,13 @@ class Rig:
         np.add.at(self.dense, tuple(points.T), deltas)
 
     def export(self) -> tuple[dict, list[str]]:
-        """``(descriptor, names created by this export)``; older epochs released."""
-        before = len(self.owner.created)
+        """``(descriptor, names created since the previous export)``; older
+        epochs released.  A successor row is born when a correction
+        promotes its slice, before the export that cites it."""
         descriptor = self.exporter.export()
         self.exporter.release_below(descriptor["sequence"])
-        return descriptor, self.owner.created[before:]
+        created, self.owner.created = self.owner.created, []
+        return descriptor, created
 
     def answers(self, descriptor, boxes, cache=None) -> list[int]:
         epoch = epoch_from_shared_memory(descriptor, cache or self.cache)
@@ -156,15 +175,17 @@ class TestExportCounts:
         for time in range(8):
             rig.write([time] * 6)
         held, _ = rig.export()
-        # a same-time write lands forced lazy copies in historic slices
+        # every historic slice is its finished row: a same-time write finds
+        # no lazy copy to force into one
         copies = rig.kernel.counter.copy_cell_writes
         rig.write([7] * 12)
-        assert rig.kernel.counter.copy_cell_writes > copies
+        assert rig.kernel.counter.copy_cell_writes == copies
         descriptor, created = rig.export()
         assert created == [descriptor["frontier"][0]]
         assert _rows(descriptor) == _rows(held)
         # ... and none of these even publishes an epoch
-        assert rig.kernel.sync_copies() > 0
+        assert rig.kernel.sync_copies() == 0  # nothing owed to adopted slices
+        assert rig.kernel.counter.copy_cell_writes == copies
         assert rig.kernel.bulk_finalize_slice(2)  # fast-path finalize_commit
         rig.kernel.query(Box((0, 1, 1), (4, 4, 3)))  # metered mark_ps
         assert rig.kernel.directory.at_index(4)[1].ps_count > 0
@@ -195,7 +216,10 @@ class TestExportCounts:
         historic = len(times) - 1 + splice
         assert sorted(new) == list(range(historic))
         assert [new[i] for i in range(4)] == [old[i] for i in range(4)]
-        assert created[:-1] == [new[i] for i in range(4, historic)]
+        # successor rows are born in the cascade, a spliced clone's row at
+        # the export: which rows, not in which order
+        assert created[-1] == after["frontier"][0]
+        assert sorted(created[:-1]) == sorted(new[i] for i in range(4, historic))
         assert not set(created) & set(old.values())
         boxes = _boxes(rig)
         assert rig.answers(after, boxes) == rig.expected(boxes)
@@ -214,9 +238,35 @@ class TestExportCounts:
         # 6 occurs (instance 3); 13 and 15 are spliced in above it
         assert len(new) == len(old) + 2
         assert [new[i] for i in range(3)] == [old[i] for i in range(3)]
-        assert created[:-1] == [new[i] for i in range(3, len(new))]
+        # three cascades, newest first: a slice is promoted by the first one
+        # that reaches it and corrected in place by the others
+        assert created[-1] == after["frontier"][0]
+        assert sorted(created[:-1]) == sorted(new[i] for i in range(3, len(new)))
         boxes = _boxes(rig)
         assert rig.answers(after, boxes) == rig.expected(boxes)
+
+    def test_only_a_fully_ps_successor_is_sealed(self, rig_factory):
+        rig = rig_factory(buffered=False)
+        for time in range(6):
+            rig.write([time] * 5)
+        rig.export()
+        rig.write([2], apply=rig.snap.apply_out_of_order)
+        kept, lost = (rig.kernel.directory.at_index(i)[1] for i in (2, 3))
+        successors = {key: held[0] for key, held in rig.exporter._unsealed.items()}
+        assert kept.values.flags.writeable and lost.values.flags.writeable
+        lost.ps_flags = lost.ps_flags.copy()  # flags of its own: no longer "fully PS"
+        assert not rig.kernel.store.seal(lost) and lost.values.flags.writeable
+        kept_row, lost_row = kept.values, lost.values
+        descriptor, _ = rig.export()
+        new = _rows(descriptor)
+        # the sealed successor is cited as it stands; the other is unlinked
+        # and its slice swept into (and adopted as) a row of its own
+        assert kept.values is kept_row and new[2] == successors[id(kept_row)]
+        assert lost.values is not lost_row and new[3] != successors[id(lost_row)]
+        assert successors[id(lost_row)] not in leaked_segments()
+        _assert_history_is_the_published_rows(rig, descriptor)
+        boxes = _boxes(rig)
+        assert rig.answers(descriptor, boxes) == rig.expected(boxes)
 
     @pytest.mark.parametrize("demote", [False, True])
     def test_retirement_creates_nothing_and_unlinks_dropped_rows(
@@ -314,6 +364,261 @@ class TestExportCounts:
         assert walked == [3]  # the row is cited, never rebuilt
         boxes = _boxes(rig)
         assert rig.answers(descriptor, boxes) == rig.expected(boxes)
+
+
+# -- history lives once: the structural invariant, under any history ------------
+
+
+def _assert_history_is_the_published_rows(rig, descriptor) -> None:
+    """Every resident historic slice *is* the row the descriptor cites."""
+    kernel, store = rig.kernel, rig.kernel.store
+    first = kernel.retired_instances
+    cited = _rows(descriptor)
+    assert sorted(cited) == list(range(first, max(kernel.num_slices - 1, first)))
+    for index, name in cited.items():
+        _, payload = kernel.directory.at_index(index)
+        assert not payload.values.flags.writeable
+        assert not payload.ps_flags.flags.writeable and payload.ps_flags.all()
+        assert payload.ps_count == payload.values.size
+        metas = descriptor["slices"][index - first][2]
+        assert np.array_equal(payload.values, rig.cache.arrays(name, metas)["ps"])
+        # freezing an immutable slice takes references, not copies
+        frozen = store.freeze_slice(payload)
+        assert frozen[0] is payload.values and frozen[1] is payload.ps_flags
+    assert not rig.exporter._unsealed  # no successor row outlives an export
+    assert kernel.incomplete_historic_instances() == 0
+
+
+_times = st.integers(0, 999)
+
+
+class PublicationMachine(RuleBasedStateMachine):
+    """Any history through the publication rig (dense), export after every op.
+
+    Held to: attached answers equal the dense oracle, pinned views and a
+    held descriptor keep answering what they answered, every resident
+    historic slice is read-only and bit-equal to its cited row, and
+    ``/dev/shm`` holds exactly the blocks the live descriptors cite.
+    """
+
+    @initialize(buffered=st.booleans(), tiered=st.booleans())
+    def build(self, buffered, tiered):
+        self.buffered, self.tiered = buffered, tiered
+        self.root = tempfile.mkdtemp(prefix="repro-publication-")
+        self.rig = Rig(self.root if tiered else None, buffered)
+        self.rig.kernel.num_times = None
+        self.boundary = 0  # detail below this time may be gone
+        self.pins: list[tuple] = []  # (view, boxes, answers)
+        self.held = None  # (descriptor, boxes, answers) kept from release
+        self.archives = 0
+        self.descriptor, self.unreleased = None, []
+        for time in (3, 5, 7, 9):  # gaps: an even historic time is a splice
+            self.rig.write([time] * 4)
+        self.publish()
+
+    def teardown(self):
+        if hasattr(self, "rig"):
+            for view, _, _ in self.pins:
+                view.release()
+            self.rig.close()
+            shutil.rmtree(self.root, ignore_errors=True)
+            assert not leaked_segments()
+
+    # -- helpers -------------------------------------------------------------------
+
+    @property
+    def latest(self) -> int:
+        return int(self.rig.kernel.latest_time)
+
+    def _historic(self, number: int, occurring: bool) -> int:
+        """A time in ``[boundary, latest)`` that occurs (or never did)."""
+        times = set(self.rig.kernel.occurring_times())
+        pool = [
+            time
+            for time in range(self.boundary, self.latest)
+            if (time in times) == occurring
+        ] or list(range(self.boundary, self.latest))
+        return pool[number % len(pool)]
+
+    def _answerable(self, ask) -> tuple[list[Box], list[int]]:
+        boxes, answers = [], []
+        for box in _boxes(self.rig, count=12):
+            try:
+                ask(box)
+            except AgedOutError:
+                continue
+            boxes.append(box)
+            answers.append(brute_box_sum(self.rig.dense, box))
+        return boxes, answers
+
+    def publish(self) -> None:
+        rig = self.rig
+        descriptor = rig.exporter.export()
+        keep = self.held[0] if self.held else descriptor
+        rig.exporter.release_below(keep["sequence"])
+        # what a release spares: the epochs from the held one on
+        self.unreleased = [
+            d for d in self.unreleased if keep["sequence"] <= d["sequence"]
+        ] + [descriptor] * (descriptor is not self.descriptor)
+        boxes, answers = self._answerable(rig.snap.query)
+        assert rig.answers(descriptor, boxes) == answers
+        _assert_history_is_the_published_rows(rig, descriptor)
+        for view, pinned_boxes, pinned in self.pins:
+            assert view.query_many(pinned_boxes) == pinned
+        if self.held:
+            held, held_boxes, held_answers = self.held
+            assert rig.answers(held, held_boxes) == held_answers
+        # no leak, no early unlink
+        assert set(leaked_segments()) == set().union(
+            *map(descriptor_blocks, self.unreleased)
+        )
+        self.descriptor = descriptor
+
+    has_history = precondition(lambda self: self.latest > self.boundary)
+
+    # -- rules ---------------------------------------------------------------------
+
+    @precondition(lambda self: self.latest < NUM_TIMES - 8)
+    @rule(k=st.integers(1, 3), gap=st.integers(1, 2))
+    def append(self, k, gap):
+        times = self.latest + gap * np.arange(1, k + 1)
+        self.rig.write(np.repeat(times, 3))
+        self.publish()
+
+    @rule(count=st.integers(1, 6))
+    def same_time_write(self, count):
+        self.rig.write([self.latest] * count)
+        self.publish()
+
+    @has_history
+    @precondition(lambda self: self.buffered)
+    @rule(numbers=st.lists(_times, min_size=1, max_size=3), occurring=st.booleans())
+    def late_write(self, numbers, occurring):
+        self.rig.write([self._historic(n, occurring) for n in numbers])
+        self.publish()
+
+    @precondition(lambda self: self.buffered)
+    @rule()
+    def drain(self):
+        self.rig.snap.drain()
+        self.publish()
+
+    @has_history
+    @rule(number=_times, occurring=st.booleans())
+    def out_of_order(self, number, occurring):
+        # at the kernel, past any G_d (the snapshot front of a buffered
+        # cube refuses the call by name)
+        self.rig.write(
+            [self._historic(number, occurring)],
+            apply=self.rig.kernel.apply_out_of_order,
+        )
+        self.publish()
+
+    @rule(number=_times)
+    def retire_or_demote(self, number):
+        rig, time = self.rig, number % (self.latest + 1)
+        if self.tiered:
+            rig.snap.target.demote_before(time)
+        else:
+            if self.buffered:
+                rig.snap.drain()  # a retire prunes what G_d holds below it
+            rig.snap.retire_before(time)
+        self.boundary = max(self.boundary, time)
+        self.publish()
+
+    @precondition(lambda self: len(self.pins) < 2)
+    @rule()
+    def pin(self):
+        view = self.rig.snap.pin()
+        self.pins.append((view, *self._answerable(view.query)))
+
+    @precondition(lambda self: self.pins)
+    @rule()
+    def release(self):
+        self.pins.pop(0)[0].release()
+
+    @rule()
+    def hold_or_let_go(self):
+        """A reader keeps (then drops) the descriptor it attached."""
+        if self.held is None:
+            self.held = (self.descriptor, *self._answerable(self.rig.snap.query))
+        else:
+            self.held = None
+            self.publish()
+
+    @rule()
+    def checkpoint_and_restore(self):
+        """``state_arrays()`` as they stand -> an archive -> a fresh rig."""
+        old = self.rig
+        # a new file every time, like the checkpoint writer: layers above
+        # the kernel may keep serving off the archive they were restored from
+        self.archives += 1
+        archive = os.path.join(self.root, f"checkpoint-{self.archives}.npz")
+        np.savez(archive, **snapshot_arrays(old.snap.target))
+        for view, _, _ in self.pins:
+            view.release()
+        self.pins, self.held, self.unreleased = [], None, []
+        old.close()
+        with open_checkpoint(archive) as arrays:
+            rig = Rig(self.root if self.tiered else None, self.buffered, arrays)
+        rig.kernel.num_times = None
+        rig.dense, rig.rng = old.dense, old.rng
+        self.rig = rig
+        self.publish()
+
+
+TestPublicationMachine = PublicationMachine.TestCase
+TestPublicationMachine.settings = settings(
+    max_examples=30, stateful_step_count=14, deadline=None
+)
+
+
+def test_a_block_that_fails_while_being_filled_does_not_leak():
+    owner = BlockOwner("leak")
+    unfillable = {"fine": np.arange(8), "bad": np.array([{}], dtype=object)}
+    with pytest.raises(ValueError):
+        owner.create(unfillable)
+    assert not leaked_segments() and not len(owner)
+    name = owner.create({"fine": np.arange(8)})[0]
+    assert leaked_segments() == [name]
+    owner.close_all()
+    assert not leaked_segments()
+
+
+_KILLED_AFTER_A_PROMOTION = """
+import os, signal
+import numpy as np
+from repro.concurrent import SnapshotCube
+from repro.ecube import EvolvingDataCube
+from repro.sharding import EpochExporter, leaked_segments
+snap = SnapshotCube(EvolvingDataCube((6, 5)))
+exporter = EpochExporter(snap, tag="doomed")
+for time in range(8):
+    snap.update_many([[time, time % 6, time % 5]], [1])
+    exporter.release_below(exporter.export()["sequence"])
+before = set(leaked_segments())
+snap.apply_out_of_order((3, 2, 2), 5)  # promotes rows 3.. into successors
+assert len(set(leaked_segments()) - before) == 4 and len(exporter._unsealed) == 4
+print(os.getpid(), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_a_kill_between_promotion_and_export_leaves_only_sweepable_blocks():
+    result = subprocess.run(
+        [sys.executable, "-c", _KILLED_AFTER_A_PROMOTION],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert result.returncode == -signal.SIGKILL, result.stderr
+    pid = int(result.stdout)
+    left = leaked_segments()
+    # 7 rows + a frontier, and the 4 successor rows nothing cites yet: every
+    # one carries the dead owner's pid, which is all the sweep needs
+    assert len(left) == 12
+    assert all(name.startswith(f"repro-ecube-doomed-{pid}-") for name in left)
+    assert sorted(unlink_orphaned()) == left
+    assert not leaked_segments()
 
 
 # -- no resource tracker: who cleans up, and what a reader sees -----------------
