@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: test coverage bench e2e-smoke pss lint loc probes
+.PHONY: test coverage bench e2e-smoke pss fence lint loc probes
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
@@ -34,6 +34,13 @@ e2e-smoke:
 pss:
 	PYTHONPATH=src $(PY) benchmarks/pss_breakdown.py --slices $(or $(SLICES),128)
 
+# What every server process pays before it can answer: the repro.*
+# modules `import repro.sharding` loads in a fresh interpreter, its wall
+# time and the PSS it adds.  Fails when one of them is a module of the
+# paper reproduction (the list is tests/test_import_fence.py's).
+fence:
+	PYTHONPATH=src:. $(PY) benchmarks/import_fence.py
+
 lint:
 	ruff check src tests benchmarks
 
@@ -52,7 +59,8 @@ loc:
 	echo "src/repro/durability code lines: $$(find src/repro/durability -name '*.py' | count)"
 
 # A front is a declared stack (repro.core.front): nothing finds a layer
-# by probing, there is one kernel implementation and `serve` serves.
+# by probing, there is one kernel implementation, one tile codec, one shm
+# mapping path, one representation of G_d, and `serve` serves.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -63,4 +71,7 @@ probes:
 	@! grep -n 'stress' src/repro/__main__.py
 	@! grep -n 'isinstance(front, ExtentCube)' src/repro/durability/checkpoint.py
 	@! grep -n '"ret_meta" in archive' src/repro/durability/recovery.py
+	@! grep -rniE 'zstd|zstandard' src/repro
+	@! grep -nE '_stdlib|import shared_memory|SharedMemory' src/repro/sharding/shm.py
+	@! grep -n '^from repro.trees' src/repro/core/out_of_order.py
 	@echo "probes: none"

@@ -9,17 +9,23 @@ the answers are asserted bit-identical before the speedup floor is
 checked.  A second benchmark measures the incremental drain: corrections
 at never-occurring historic times are spliced into the cube and
 ``drain(None)`` must end with an empty buffer, with queries exact
-before, during and after.  Rows land in ``BENCH_oob.json``.
+before, during and after.  A third times what a late point costs a
+buffer that is only ever read in fast mode -- ``G_d`` is the columns,
+so ``add_many`` is one copy and ``drain`` one mask compaction, with no
+reference R-tree to keep in step.  Rows land in ``BENCH_oob.json``.
 """
 
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
-import pytest
+import numpy as np
 
 from _record import BENCH_OOB_FILE, record
+from repro.core.out_of_order import OutOfOrderBuffer
+from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.metrics import CostCounter
 from repro.workloads.queries import uni_queries
@@ -28,6 +34,11 @@ from repro.workloads.streams import interleave_out_of_order
 NUM_QUERIES = 100
 OOB_FRACTION = 0.10
 QUERY_SPEEDUP_FLOOR = 10.0
+#: the serving benchmark's late batch and drain limit, and a G_d ten deep
+WRITE_BATCH = 192
+WRITE_REPEATS = 7
+ADD_MANY_CEILING_S = 1e-3
+DRAIN_CEILING_S = 2e-3
 
 
 def _stream(dataset):
@@ -65,6 +76,9 @@ def test_buffered_batch_query_speedup(bench_weather4):
         fast_cube = _build(bench_weather4, stream)
         assert metered_cube.buffered_updates > 0
         buffered = metered_cube.buffered_updates
+        # a metered read of G_d alone builds its reference R-tree, so the
+        # timed sections compare reads with reads, not one with the build
+        metered_cube.buffer.node_accesses
         gc.collect()
         gc.disable()
         try:
@@ -151,3 +165,44 @@ def test_drain_to_empty_with_never_occurring_times(bench_weather4):
         path=BENCH_OOB_FILE, dataset=dataset.name, spliced=len(injected),
         applied_final=applied,
     )
+
+
+def test_fast_only_buffer_writes_once():
+    rng = np.random.default_rng(81)
+    batches = [
+        (rng.integers(0, 64, size=(WRITE_BATCH, 4)), rng.integers(1, 9, size=WRITE_BATCH))
+        for _ in range(10)
+    ]
+    boxes = [Box((t, 0, 0, 0), (t + 31, 63, 63, 63)) for t in range(0, 32, 4)]
+    add_walls, drain_walls = [], []
+    for _ in range(WRITE_REPEATS):
+        buffer = OutOfOrderBuffer(4)
+        walls = []
+        for points, deltas in batches:
+            start = time.perf_counter()
+            buffer.add_many(points, deltas)
+            walls.append(time.perf_counter() - start)
+        add_walls.append(statistics.median(walls))
+        fast = buffer.range_sum_many(boxes)
+        start = time.perf_counter()
+        drained = buffer.drain(WRITE_BATCH)
+        drain_walls.append(time.perf_counter() - start)
+        assert (len(drained), len(buffer)) == (WRITE_BATCH, 9 * WRITE_BATCH)
+        assert buffer._tree is None  # fast traffic built no reference
+        rest = buffer.range_sum_many(boxes)
+        assert [a - b for a, b in zip(fast, rest)] == [
+            sum(d for p, d in drained if box.contains(p)) for box in boxes
+        ]
+        assert buffer.range_sum_many(boxes, mode="metered") == rest
+    add_wall = statistics.median(add_walls)
+    drain_wall = statistics.median(drain_walls)
+    record(
+        "gd_add_many", "fast", add_wall, 0, path=BENCH_OOB_FILE,
+        points=WRITE_BATCH, depth=10 * WRITE_BATCH, repeats=WRITE_REPEATS,
+    )
+    record(
+        "gd_drain", "fast", drain_wall, 0, path=BENCH_OOB_FILE,
+        limit=WRITE_BATCH, depth=10 * WRITE_BATCH, repeats=WRITE_REPEATS,
+    )
+    assert add_wall <= ADD_MANY_CEILING_S, f"add_many({WRITE_BATCH}): {add_wall:.6f} s"
+    assert drain_wall <= DRAIN_CEILING_S, f"drain({WRITE_BATCH}): {drain_wall:.6f} s"

@@ -12,11 +12,13 @@ Run with:  python examples/technique_tradeoffs.py
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from repro import Box, CostCounter, EvolvingDataCube, PreAggregatedArray
 from repro.preagg import recommend_techniques
-from repro.storage import dumps_cube, loads_cube
+from repro.storage import load_kernel, save_kernel
 from repro.workloads import uni_queries
 
 SHAPE = (64, 64)
@@ -75,8 +77,10 @@ def main() -> None:
     cube = EvolvingDataCube.from_dense(dense)
     probe = Box((3, 2, 2), (20, 13, 13))
     before = cube.query(probe)
-    blob = dumps_cube(cube)
-    restored = loads_cube(blob)
+    archive = io.BytesIO()
+    save_kernel(cube, archive)
+    blob = archive.getvalue()
+    restored = load_kernel(io.BytesIO(blob))
     assert restored.query(probe) == before
     print(
         f"  archive: {len(blob):,} bytes; query answers identical "

@@ -15,144 +15,57 @@ Quickstart
 12
 """
 
-from repro.core import (
-    AVERAGE,
-    AgedOutError,
-    COUNT,
-    SUM,
-    AppendOrderError,
-    Box,
-    DomainError,
-    Operator,
-    OperatorError,
-    RecoveryError,
-    ReproError,
-    StorageError,
-    SumCount,
-    TimeInterval,
-    get_operator,
-)
-from repro.concurrent import (
-    ExtentSnapshotView,
-    SnapshotCube,
-    SnapshotExtentCube,
-    SnapshotView,
-)
-from repro.core.directory import TimeDirectory
-from repro.core.extent import IntervalAggregator
-from repro.core.framework import AppendOnlyAggregator, BatchExecutor
-from repro.core.measures import MeasureCube
-from repro.core.out_of_order import OutOfOrderBuffer
-from repro.durability import DurableCube, WriteAheadLog
-from repro.ecube import (
-    BufferedEvolvingDataCube,
-    DiskEvolvingDataCube,
-    EvolvingDataCube,
-    ExtentCube,
-    FamilyDirectory,
-    SharedTimeAxis,
-    SparseEvolvingDataCube,
-)
-from repro.metrics import CostCounter
-from repro.ranking import TopKEngine, TopKStats, brute_topk
-from repro.retention import (
-    Estimate,
-    TieredCube,
-    TierPolicy,
-    TierSpec,
-    TileStore,
-)
-from repro.olap import (
-    CubeView,
-    Dimension,
-    Hierarchy,
-    MaterializedRollups,
-    uniform_hierarchy,
-)
-from repro.preagg import (
-    DDCTechnique,
-    IdentityTechnique,
-    LocalPrefixSumTechnique,
-    PreAggregatedArray,
-    PrefixSumTechnique,
-    RelativePrefixSumTechnique,
-    recommend_techniques,
-)
-from repro.trees import (
-    BPlusTree,
-    FatNodeArray,
-    MRATree,
-    MultiversionBTree,
-    PersistentAggregateTree,
-    RTree,
-    TemporalAggregateTree,
-    ZOrderSliceStructure,
-)
+from repro._exports import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AVERAGE",
-    "COUNT",
-    "SUM",
-    "AgedOutError",
-    "AppendOnlyAggregator",
-    "AppendOrderError",
-    "BatchExecutor",
-    "BPlusTree",
-    "BufferedEvolvingDataCube",
-    "Box",
-    "CostCounter",
-    "CubeView",
-    "Dimension",
-    "Hierarchy",
-    "MeasureCube",
-    "uniform_hierarchy",
-    "DDCTechnique",
-    "DiskEvolvingDataCube",
-    "DomainError",
-    "DurableCube",
-    "EvolvingDataCube",
-    "ExtentCube",
-    "FamilyDirectory",
-    "SharedTimeAxis",
-    "FatNodeArray",
-    "IdentityTechnique",
-    "LocalPrefixSumTechnique",
-    "IntervalAggregator",
-    "MRATree",
-    "MaterializedRollups",
-    "MultiversionBTree",
-    "Operator",
-    "OperatorError",
-    "OutOfOrderBuffer",
-    "PersistentAggregateTree",
-    "PreAggregatedArray",
-    "PrefixSumTechnique",
-    "RelativePrefixSumTechnique",
-    "recommend_techniques",
-    "RTree",
-    "RecoveryError",
-    "ExtentSnapshotView",
-    "SnapshotCube",
-    "SnapshotExtentCube",
-    "SnapshotView",
-    "SparseEvolvingDataCube",
-    "Estimate",
-    "TieredCube",
-    "TierPolicy",
-    "TierSpec",
-    "TileStore",
-    "TopKEngine",
-    "TopKStats",
-    "brute_topk",
-    "ReproError",
-    "StorageError",
-    "WriteAheadLog",
-    "SumCount",
-    "TemporalAggregateTree",
-    "TimeDirectory",
-    "ZOrderSliceStructure",
-    "TimeInterval",
-    "get_operator",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.concurrent.extent": "ExtentSnapshotView SnapshotExtentCube",
+        "repro.concurrent.snapshot": "SnapshotCube SnapshotView",
+        "repro.core.directory": "TimeDirectory",
+        "repro.core.errors": (
+            "AgedOutError AppendOrderError DomainError OperatorError RecoveryError "
+            "ReproError StorageError"
+        ),
+        "repro.core.extent": "IntervalAggregator",
+        "repro.core.framework": "AppendOnlyAggregator BatchExecutor",
+        "repro.core.measures": "MeasureCube",
+        "repro.core.operators": "AVERAGE COUNT Operator SUM SumCount get_operator",
+        "repro.core.out_of_order": "OutOfOrderBuffer",
+        "repro.core.types": "Box TimeInterval",
+        "repro.durability.recovery": "DurableCube",
+        "repro.durability.wal": "WriteAheadLog",
+        "repro.ecube.buffered": "BufferedEvolvingDataCube",
+        "repro.ecube.disk": "DiskEvolvingDataCube",
+        "repro.ecube.ecube": "EvolvingDataCube",
+        "repro.ecube.extent": "ExtentCube",
+        "repro.ecube.families": "FamilyDirectory SharedTimeAxis",
+        "repro.ecube.sparse": "SparseEvolvingDataCube",
+        "repro.metrics.counters": "CostCounter",
+        "repro.olap.hierarchy": "Dimension Hierarchy uniform_hierarchy",
+        "repro.olap.materialized": "MaterializedRollups",
+        "repro.olap.view": "CubeView",
+        "repro.preagg.advisor": "recommend_techniques",
+        "repro.preagg.cube": "PreAggregatedArray",
+        "repro.preagg.ddc": "DDCTechnique",
+        "repro.preagg.identity": "IdentityTechnique",
+        "repro.preagg.local_prefix": "LocalPrefixSumTechnique",
+        "repro.preagg.prefix_sum": "PrefixSumTechnique",
+        "repro.preagg.relative_prefix": "RelativePrefixSumTechnique",
+        "repro.ranking.topk": "TopKEngine TopKStats brute_topk",
+        "repro.retention.estimate": "Estimate",
+        "repro.retention.planner": "TieredCube",
+        "repro.retention.tiers": "TierPolicy TierSpec",
+        "repro.retention.tiles": "TileStore",
+        "repro.trees.bptree": "BPlusTree",
+        "repro.trees.fat_node": "FatNodeArray",
+        "repro.trees.mratree": "MRATree",
+        "repro.trees.mvbtree": "MultiversionBTree",
+        "repro.trees.persistent": "PersistentAggregateTree",
+        "repro.trees.rtree": "RTree",
+        "repro.trees.sbtree": "TemporalAggregateTree",
+        "repro.trees.zorder": "ZOrderSliceStructure",
+    },
+)

@@ -7,22 +7,13 @@ directory, ``G_d`` columns).  See :mod:`repro.concurrent.snapshot` for
 the design notes.
 """
 
-from repro.concurrent.extent import ExtentSnapshotView, SnapshotExtentCube
-from repro.concurrent.snapshot import (
-    Epoch,
-    SnapshotCube,
-    SnapshotView,
-    prepare_epoch,
-)
-from repro.concurrent.stress import StressResult, run_stress
+from repro._exports import exports
 
-__all__ = [
-    "Epoch",
-    "ExtentSnapshotView",
-    "SnapshotExtentCube",
-    "SnapshotCube",
-    "SnapshotView",
-    "StressResult",
-    "prepare_epoch",
-    "run_stress",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.concurrent.extent": "ExtentSnapshotView SnapshotExtentCube",
+        "repro.concurrent.snapshot": "Epoch SnapshotCube SnapshotView prepare_epoch",
+        "repro.concurrent.stress": "StressResult run_stress",
+    },
+)

@@ -11,57 +11,23 @@ Public surface:
 * :mod:`repro.core.extent` -- interval data via the B/C reduction (2.4).
 """
 
-from repro.core.errors import (
-    AgedOutError,
-    AppendOrderError,
-    DomainError,
-    EmptyStructureError,
-    OperatorError,
-    RecoveryError,
-    ReproError,
-    ShardUnavailableError,
-    StorageError,
-)
-from repro.core.operators import (
-    AVERAGE,
-    COUNT,
-    SUM,
-    Operator,
-    SumCount,
-    get_operator,
-    register_operator,
-)
-from repro.core.framework import (
-    AppendOnlyAggregator,
-    CopySnapshotStructure,
-    MVBTSliceStructure,
-    TreeSliceStructure,
-)
-from repro.core.types import Box, TimeInterval, as_point, full_box
+from repro._exports import exports
 
-__all__ = [
-    "AgedOutError",
-    "AppendOnlyAggregator",
-    "CopySnapshotStructure",
-    "MVBTSliceStructure",
-    "TreeSliceStructure",
-    "AppendOrderError",
-    "DomainError",
-    "EmptyStructureError",
-    "OperatorError",
-    "RecoveryError",
-    "ReproError",
-    "ShardUnavailableError",
-    "StorageError",
-    "AVERAGE",
-    "COUNT",
-    "SUM",
-    "Operator",
-    "SumCount",
-    "get_operator",
-    "register_operator",
-    "Box",
-    "TimeInterval",
-    "as_point",
-    "full_box",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.core.errors": (
+            "AgedOutError AppendOrderError DomainError EmptyStructureError "
+            "OperatorError RecoveryError ReproError ShardUnavailableError "
+            "StorageError"
+        ),
+        "repro.core.framework": (
+            "AppendOnlyAggregator CopySnapshotStructure MVBTSliceStructure "
+            "TreeSliceStructure"
+        ),
+        "repro.core.operators": (
+            "AVERAGE COUNT Operator SUM SumCount get_operator register_operator"
+        ),
+        "repro.core.types": "Box TimeInterval as_point full_box",
+    },
+)

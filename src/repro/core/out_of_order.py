@@ -7,27 +7,32 @@ structure ``G_d``; queries add a ``G_d`` range aggregate to the framework
 result, so cost degrades gracefully with the out-of-order fraction and
 converges to the general (non-append-only) cost.
 
-Dual representation, mirroring the cube's dual-mode execution engine:
+``G_d`` has one representation, a *columnar* store -- one ``(n, d)``
+point matrix plus one ``(n,)`` delta vector, grown geometrically.
+:meth:`OutOfOrderBuffer.range_sum_many` answers a whole query batch from
+it with a single broadcast containment test contracted against the delta
+vector (mask-and-dot): buffered-delta side structures are
+batch-evaluable at scale exactly when the buffer itself is columnar
+(Andreica & Tapus, arXiv:1006.3968; Colley's delta summation,
+arXiv:2211.05896).
 
-* an R-tree (one of the paper's named ``G_d`` examples) remains the
-  *metered* reference path -- :meth:`OutOfOrderBuffer.range_sum` walks it
-  and every node touch is charged against the paper's cost model;
-* a *columnar* store -- one ``(n, d)`` point matrix plus one ``(n,)``
-  delta vector, grown geometrically -- is the fast path:
-  :meth:`range_sum_many` answers a whole query batch with a single
-  broadcast containment test contracted against the delta vector
-  (mask-and-dot).  Buffered-delta side structures are batch-evaluable at
-  scale exactly when the buffer itself is columnar (Andreica & Tapus,
-  arXiv:1006.3968; Colley's delta summation, arXiv:2211.05896).
+The paper's cost model wants an R-tree (one of its named ``G_d``
+examples) whose every node touch is charged.  That *metered reference*
+is built by the first metered read that asks for it
+(``range_sum``, ``range_sum_many(mode="metered")``, ``node_accesses``),
+by inserting the live columns in arrival order -- the tree ``n``
+inserts would have built; while it exists ``add`` / ``add_many`` keep it
+current.  A buffer only ever read in fast mode -- everything a served
+cube does by default -- never builds it and never imports
+:mod:`repro.trees`.
 
 A background drain (:meth:`OutOfOrderBuffer.drain`) hands buffered updates
 back to the owner for re-application into the instances, newest first --
 "beginning with the latest instance to avoid that the process chases newly
-created time slices".  The drain is *incremental*: drained entries are
-spliced out of the R-tree by exact-match deletion (or, when almost
-everything drains, the small remainder is re-bulk-loaded), and the
-accumulated ``node_accesses`` cost is carried across either path so
-cumulative cost reports stay truthful.
+created time slices".  ``drain`` and ``prune_below`` rewrite the columns
+and drop the reference tree; its accumulated ``node_accesses`` are
+carried, so cumulative cost reports stay monotone, and the next metered
+read rebuilds it from what is left.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import numpy as np
 
 from repro.core.errors import DomainError
 from repro.core.types import Box
-from repro.trees.rtree import RTree
 
 #: Upper bound on the (boxes x points) containment matrix evaluated per
 #: chunk by :func:`columnar_range_sums` (element count).
@@ -68,15 +72,21 @@ def columnar_range_sums(
     return out
 
 
+def _pairs(points: np.ndarray, deltas: np.ndarray) -> list[tuple[tuple[int, ...], int]]:
+    """Rows of the columns as ``(point, delta)`` pairs of Python ints."""
+    return list(zip(map(tuple, points.tolist()), deltas.tolist()))
+
+
 class OutOfOrderBuffer:
-    """Columnar + R-tree buffer of (point, delta) out-of-order updates."""
+    """Columnar buffer of (point, delta) out-of-order updates."""
 
     def __init__(self, ndim: int, leaf_capacity: int = 32, fanout: int = 16) -> None:
         self.ndim = ndim
         self._leaf_capacity = leaf_capacity
         self._fanout = fanout
-        self._tree = RTree(ndim, leaf_capacity, fanout)
-        # metered cost accumulated by trees that were since rebuilt
+        # the metered reference R-tree; None until a metered read builds it
+        self._tree = None
+        # metered cost accumulated by reference trees that were since dropped
         self._carried_node_accesses = 0
         # columnar store: point matrix + delta vector, geometric growth
         self._points = np.empty((0, ndim), dtype=np.int64)
@@ -108,29 +118,52 @@ class OutOfOrderBuffer:
         self._points = points
         self._deltas = deltas
 
+    def _keep(self, keep: np.ndarray) -> None:
+        """Rewrite the columns to the rows ``keep`` selects (reallocated,
+        so capacity shrinks) and drop the reference tree, carrying its
+        access count."""
+        self._points = self._points[: self._size][keep]
+        self._deltas = self._deltas[: self._size][keep]
+        self._size = self._deltas.shape[0]
+        if self._tree is not None:
+            self._carried_node_accesses += self._tree.node_accesses
+            self._tree = None
+
+    # -- the metered reference ---------------------------------------------------
+
+    def _reference(self):
+        """The R-tree of the live columns, built in arrival order by the
+        first metered read (imported here: fast-mode traffic never loads
+        :mod:`repro.trees`)."""
+        if self._tree is None:
+            from repro.trees.rtree import RTree
+
+            self._tree = RTree(self.ndim, self._leaf_capacity, self._fanout)
+            for point, delta in self.entries():
+                self._tree.insert(point, delta)
+        return self._tree
+
     # -- updates ---------------------------------------------------------------
 
     def add(self, point: Sequence[int], delta: int) -> None:
         coords = tuple(int(c) for c in point)
         if len(coords) != self.ndim:
             raise DomainError(f"point arity {len(coords)} != {self.ndim}")
-        self._tree.insert(coords, int(delta))
         self._reserve(1)
         self._points[self._size] = coords
         self._deltas[self._size] = int(delta)
         self._size += 1
+        if self._tree is not None:
+            self._tree.insert(coords, int(delta))
 
     def add_many(
         self,
         points: Sequence[Sequence[int]] | np.ndarray,
         deltas: Sequence[int] | np.ndarray,
     ) -> None:
-        """Bulk-append a batch of buffered updates.
-
-        The columnar store takes the whole batch in one copy; the R-tree
-        (metered reference) receives the points one by one -- its cost
-        model has no batched insert.
-        """
+        """Bulk-append a batch of buffered updates in one copy (and, while
+        the metered reference exists, one by one into it -- its cost model
+        has no batched insert)."""
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
         if points.ndim != 2 or points.shape[1] != self.ndim:
@@ -143,22 +176,24 @@ class OutOfOrderBuffer:
         self._points[self._size : self._size + points.shape[0]] = points
         self._deltas[self._size : self._size + points.shape[0]] = deltas
         self._size += points.shape[0]
-        for point, delta in zip(points, deltas):
-            self._tree.insert(tuple(int(c) for c in point), int(delta))
+        if self._tree is not None:
+            for point, delta in _pairs(points, deltas):
+                self._tree.insert(point, delta)
 
     # -- queries ---------------------------------------------------------------
 
     def range_sum(self, box: Box, mode: str = "metered") -> int:
         """The buffered contribution to a range query (post-processing).
 
-        ``mode="metered"`` walks the R-tree and charges every node touch
-        (the paper's cost model); ``mode="fast"`` evaluates the columnar
-        store with one vectorized mask-and-dot.  Results are identical.
+        ``mode="metered"`` walks the reference R-tree and charges every
+        node touch (the paper's cost model); ``mode="fast"`` evaluates
+        the columns with one vectorized mask-and-dot.  Results are
+        identical.
         """
         if self._size == 0:
             return 0
         if mode == "metered":
-            return self._tree.range_sum(box)
+            return self._reference().range_sum(box)
         if mode != "fast":
             raise DomainError(f"unknown execution mode {mode!r}")
         return self.range_sum_many([box])[0]
@@ -170,12 +205,13 @@ class OutOfOrderBuffer:
         for box in boxes:
             if box.ndim != self.ndim:
                 raise DomainError(f"box arity {box.ndim} != buffer arity {self.ndim}")
-        if mode == "metered":
-            return [self._tree.range_sum(box) if self._size else 0 for box in boxes]
-        if mode != "fast":
+        if mode not in ("fast", "metered"):
             raise DomainError(f"unknown execution mode {mode!r}")
         if not boxes or self._size == 0:
             return [0] * len(boxes)
+        if mode == "metered":
+            tree = self._reference()
+            return [tree.range_sum(box) for box in boxes]
         out = columnar_range_sums(
             self._points[: self._size],
             self._deltas[: self._size],
@@ -199,10 +235,7 @@ class OutOfOrderBuffer:
 
     def entries(self) -> list[tuple[tuple[int, ...], int]]:
         """All buffered (point, delta) pairs in arrival order."""
-        return [
-            (tuple(int(c) for c in self._points[i]), int(self._deltas[i]))
-            for i in range(self._size)
-        ]
+        return _pairs(self._points[: self._size], self._deltas[: self._size])
 
     # -- background drain -------------------------------------------------------
 
@@ -210,46 +243,19 @@ class OutOfOrderBuffer:
         """Remove up to ``limit`` buffered updates, newest time first.
 
         The caller (the framework's background process) re-applies the
-        returned updates to the affected instances.  Drained entries are
-        spliced out of the R-tree by exact-match deletion; when the
-        remainder is smaller than the drained set the tree is re-packed
-        from it instead (cheaper), with the accumulated access count
-        carried forward either way.
+        returned updates to the affected instances.
         """
         if self._size == 0:
             return []
-        points = self._points[: self._size]
-        deltas = self._deltas[: self._size]
-        order = np.argsort(points[:, 0], kind="stable")  # ascending time
+        order = np.argsort(self._points[: self._size, 0], kind="stable")
         if limit is None or limit >= self._size:
             drained_idx = order[::-1]
         else:
             drained_idx = order[-limit:][::-1]
-        drained = [
-            (tuple(int(c) for c in points[i]), int(deltas[i])) for i in drained_idx
-        ]
+        drained = _pairs(self._points[drained_idx], self._deltas[drained_idx])
         keep = np.ones(self._size, dtype=bool)
         keep[drained_idx] = False
-        kept_count = int(keep.sum())
-        if kept_count == 0:
-            self._carried_node_accesses += self._tree.node_accesses
-            self._tree = RTree(self.ndim, self._leaf_capacity, self._fanout)
-        elif len(drained) <= kept_count:
-            # incremental: splice each drained entry out of the tree
-            for point, delta in drained:
-                self._tree.delete(point, delta)
-        else:
-            # the remainder is the smaller side: re-pack it instead
-            self._carried_node_accesses += self._tree.node_accesses
-            self._tree = RTree.bulk_load(
-                [tuple(int(c) for c in p) for p in points[keep]],
-                [int(v) for v in deltas[keep]],
-                self._leaf_capacity,
-                self._fanout,
-            )
-        self._points = points[keep]
-        self._deltas = deltas[keep]
-        self._size = kept_count
+        self._keep(keep)
         return drained
 
     def prune_below(self, time: int) -> int:
@@ -259,43 +265,20 @@ class OutOfOrderBuffer:
         ``time``, a buffered correction aimed there can never be observed
         again -- no answerable query box reaches it and a drain would only
         hand it back (:class:`~repro.core.errors.AgedOutError`).  Without
-        pruning those entries pin the columnar store and the R-tree
-        forever.  Removal mirrors :meth:`drain`: exact-match deletion for
-        a small pruned set, re-pack for a small remainder, and the
-        columnar arrays are reallocated so capacity actually shrinks.
-        Returns the number of entries removed.
+        pruning those entries pin the columnar store forever.  Returns
+        the number of entries removed.
         """
-        if self._size == 0:
-            return 0
-        points = self._points[: self._size]
-        deltas = self._deltas[: self._size]
-        keep = points[:, 0] >= int(time)
-        removed_idx = np.nonzero(~keep)[0]
-        if removed_idx.size == 0:
-            return 0
-        kept_count = int(keep.sum())
-        if kept_count == 0:
-            self._carried_node_accesses += self._tree.node_accesses
-            self._tree = RTree(self.ndim, self._leaf_capacity, self._fanout)
-        elif removed_idx.size <= kept_count:
-            for i in removed_idx:
-                self._tree.delete(
-                    tuple(int(c) for c in points[i]), int(deltas[i])
-                )
-        else:
-            self._carried_node_accesses += self._tree.node_accesses
-            self._tree = RTree.bulk_load(
-                [tuple(int(c) for c in p) for p in points[keep]],
-                [int(v) for v in deltas[keep]],
-                self._leaf_capacity,
-                self._fanout,
-            )
-        self._points = points[keep]
-        self._deltas = deltas[keep]
-        self._size = kept_count
-        return int(removed_idx.size)
+        keep = self._points[: self._size, 0] >= int(time)
+        removed = self._size - int(keep.sum())
+        if removed:
+            self._keep(keep)
+        return removed
 
     @property
     def node_accesses(self) -> int:
-        """Cumulative metered cost, surviving drains and tree rebuilds."""
-        return self._carried_node_accesses + self._tree.node_accesses
+        """Cumulative metered cost, surviving drains and tree rebuilds.
+
+        A metered read like the others: it builds the reference, so the
+        inserts that built it are on the bill before the first query.
+        """
+        return self._carried_node_accesses + self._reference().node_accesses

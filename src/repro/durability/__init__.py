@@ -25,40 +25,19 @@ checkpoint:
   or shard-worker config into that front.
 """
 
-from repro.durability.checkpoint import (
-    CheckpointManifest,
-    read_manifest,
-    write_checkpoint,
-)
-from repro.durability.recovery import DurableCube
-from repro.durability.wal import (
-    AdvanceRecord,
-    CheckpointMarkerRecord,
-    DrainRecord,
-    IntervalBatchRecord,
-    IntervalInsertRecord,
-    OutOfOrderBatchRecord,
-    OutOfOrderRecord,
-    RetireRecord,
-    UpdateBatchRecord,
-    UpdateRecord,
-    WriteAheadLog,
-)
+from repro._exports import exports
 
-__all__ = [
-    "AdvanceRecord",
-    "CheckpointManifest",
-    "CheckpointMarkerRecord",
-    "DrainRecord",
-    "DurableCube",
-    "IntervalBatchRecord",
-    "IntervalInsertRecord",
-    "OutOfOrderBatchRecord",
-    "OutOfOrderRecord",
-    "RetireRecord",
-    "UpdateBatchRecord",
-    "UpdateRecord",
-    "WriteAheadLog",
-    "read_manifest",
-    "write_checkpoint",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.durability.checkpoint": (
+            "CheckpointManifest read_manifest write_checkpoint"
+        ),
+        "repro.durability.recovery": "DurableCube",
+        "repro.durability.wal": (
+            "AdvanceRecord CheckpointMarkerRecord DrainRecord IntervalBatchRecord "
+            "IntervalInsertRecord OutOfOrderBatchRecord OutOfOrderRecord "
+            "RetireRecord UpdateBatchRecord UpdateRecord WriteAheadLog"
+        ),
+    },
+)

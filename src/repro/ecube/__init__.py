@@ -24,33 +24,19 @@ The MOLAP instantiation of the append-only framework:
   aggregates.
 """
 
-from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.ecube import EvolvingDataCube
-from repro.ecube.disk import DiskEvolvingDataCube
-from repro.ecube.extent import ExtentCube
-from repro.ecube.families import FamilyDirectory, SharedTimeAxis
-from repro.ecube.kernel import CubeKernel
-from repro.ecube.slices import ECubeSliceEngine
-from repro.ecube.sparse import SparseEvolvingDataCube
-from repro.ecube.stores import (
-    DenseStore,
-    PagedStore,
-    SliceStore,
-    SparseStore,
-)
+from repro._exports import exports
 
-__all__ = [
-    "BufferedEvolvingDataCube",
-    "CubeKernel",
-    "DenseStore",
-    "DiskEvolvingDataCube",
-    "ECubeSliceEngine",
-    "EvolvingDataCube",
-    "ExtentCube",
-    "FamilyDirectory",
-    "PagedStore",
-    "SharedTimeAxis",
-    "SliceStore",
-    "SparseEvolvingDataCube",
-    "SparseStore",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.ecube.buffered": "BufferedEvolvingDataCube",
+        "repro.ecube.disk": "DiskEvolvingDataCube",
+        "repro.ecube.ecube": "EvolvingDataCube",
+        "repro.ecube.extent": "ExtentCube",
+        "repro.ecube.families": "FamilyDirectory SharedTimeAxis",
+        "repro.ecube.kernel": "CubeKernel",
+        "repro.ecube.slices": "ECubeSliceEngine",
+        "repro.ecube.sparse": "SparseEvolvingDataCube",
+        "repro.ecube.stores": "DenseStore PagedStore SliceStore SparseStore",
+    },
+)

@@ -290,11 +290,7 @@ class BufferedEvolvingDataCube:
         bookkeeping -- as named (``gd_``) arrays; the wrapped kernel
         snapshots its own (:meth:`CubeKernel.state_arrays`).
         """
-        entries = self.buffer.entries()
-        points = np.asarray(
-            [point for point, _ in entries], dtype=np.int64
-        ).reshape(len(entries), self.ndim)
-        deltas = np.asarray([delta for _, delta in entries], dtype=np.int64)
+        points, deltas = self.buffer.snapshot_columns()
         return {
             "gd_points": points,
             "gd_deltas": deltas,

@@ -7,30 +7,15 @@ touches through a :class:`CostCounter`, which makes the experiments exact
 re-implementations of the paper's measurements.
 """
 
-from repro.metrics.counters import (
-    CostCounter,
-    CostSnapshot,
-    global_counter,
-    measured,
-)
-from repro.metrics.stats import (
-    Quantiles,
-    RollingAverage,
-    frequency_table,
-    most_frequent,
-    rolling_average,
-    sorted_costs,
-)
+from repro._exports import exports
 
-__all__ = [
-    "CostCounter",
-    "CostSnapshot",
-    "global_counter",
-    "measured",
-    "Quantiles",
-    "RollingAverage",
-    "frequency_table",
-    "most_frequent",
-    "rolling_average",
-    "sorted_costs",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.metrics.counters": "CostCounter CostSnapshot global_counter measured",
+        "repro.metrics.stats": (
+            "Quantiles RollingAverage frequency_table most_frequent rolling_average "
+            "sorted_costs"
+        ),
+    },
+)

@@ -16,15 +16,13 @@ provides that query layer:
   aggregates.
 """
 
-from repro.olap.hierarchy import Dimension, Hierarchy, uniform_hierarchy
-from repro.olap.materialized import MaterializedRollups
-from repro.olap.view import CubeView, GroupByResult
+from repro._exports import exports
 
-__all__ = [
-    "Dimension",
-    "Hierarchy",
-    "uniform_hierarchy",
-    "CubeView",
-    "MaterializedRollups",
-    "GroupByResult",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.olap.hierarchy": "Dimension Hierarchy uniform_hierarchy",
+        "repro.olap.materialized": "MaterializedRollups",
+        "repro.olap.view": "CubeView GroupByResult",
+    },
+)

@@ -9,43 +9,23 @@ answer is the cross product of the per-dimension term sets with multiplied
 coefficients.
 """
 
-from repro.preagg.advisor import (
-    DimensionProfile,
-    Recommendation,
-    profile_technique,
-    recommend_techniques,
-)
-from repro.preagg.base import Technique, Term, technique_by_name
-from repro.preagg.identity import IdentityTechnique
-from repro.preagg.prefix_sum import PrefixSumTechnique
-from repro.preagg.ddc import DDCTechnique, lowbit
-from repro.preagg.local_prefix import LocalPrefixSumTechnique
-from repro.preagg.relative_prefix import RelativePrefixSumTechnique
-from repro.preagg.cube import PreAggregatedArray
-from repro.preagg.term_tables import (
-    TermTable,
-    TermTableSet,
-    gather_dot,
-    gathered_cell_count,
-)
+from repro._exports import exports
 
-__all__ = [
-    "Technique",
-    "Term",
-    "technique_by_name",
-    "IdentityTechnique",
-    "PrefixSumTechnique",
-    "DDCTechnique",
-    "LocalPrefixSumTechnique",
-    "RelativePrefixSumTechnique",
-    "lowbit",
-    "PreAggregatedArray",
-    "TermTable",
-    "TermTableSet",
-    "gather_dot",
-    "gathered_cell_count",
-    "DimensionProfile",
-    "Recommendation",
-    "profile_technique",
-    "recommend_techniques",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.preagg.advisor": (
+            "DimensionProfile Recommendation profile_technique recommend_techniques"
+        ),
+        "repro.preagg.base": "Technique Term technique_by_name",
+        "repro.preagg.cube": "PreAggregatedArray",
+        "repro.preagg.ddc": "DDCTechnique lowbit",
+        "repro.preagg.identity": "IdentityTechnique",
+        "repro.preagg.local_prefix": "LocalPrefixSumTechnique",
+        "repro.preagg.prefix_sum": "PrefixSumTechnique",
+        "repro.preagg.relative_prefix": "RelativePrefixSumTechnique",
+        "repro.preagg.term_tables": (
+            "TermTable TermTableSet gather_dot gathered_cell_count"
+        ),
+    },
+)

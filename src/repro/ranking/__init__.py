@@ -10,6 +10,11 @@ that only candidate cells are ever materialized through the batch
 gather.
 """
 
-from repro.ranking.topk import TopKEngine, TopKStats, brute_topk
+from repro._exports import exports
 
-__all__ = ["TopKEngine", "TopKStats", "brute_topk"]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.ranking.topk": "TopKEngine TopKStats brute_topk",
+    },
+)

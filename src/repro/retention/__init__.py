@@ -7,22 +7,14 @@ ladder) and :class:`~repro.retention.tiles.TileStore` (full-fidelity
 immutable tiles on disk).
 """
 
-from repro.retention.estimate import Estimate, bracket_prefix, estimate_prefix
-from repro.retention.planner import TieredCube, ps_box_sum
-from repro.retention.tiers import RollupTier, TierPolicy, TierSpec
-from repro.retention.tiles import TileStore, decode_tile, encode_tile, tile_name
+from repro._exports import exports
 
-__all__ = [
-    "TieredCube",
-    "TierPolicy",
-    "TierSpec",
-    "RollupTier",
-    "TileStore",
-    "encode_tile",
-    "decode_tile",
-    "tile_name",
-    "ps_box_sum",
-    "Estimate",
-    "bracket_prefix",
-    "estimate_prefix",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.retention.estimate": "Estimate bracket_prefix estimate_prefix",
+        "repro.retention.planner": "TieredCube ps_box_sum",
+        "repro.retention.tiers": "RollupTier TierPolicy TierSpec",
+        "repro.retention.tiles": "TileStore decode_tile encode_tile tile_name",
+    },
+)

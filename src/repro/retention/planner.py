@@ -115,7 +115,7 @@ class TieredCube:
     kind = "tiered"
     inner = property(lambda self: self.front)
 
-    def __init__(self, front, policy, tile_dir, codec: str = "zlib") -> None:
+    def __init__(self, front, policy, tile_dir) -> None:
         self.front = front
         #: the layers under this one, as they declare themselves
         self.stack = layers(front)
@@ -127,7 +127,7 @@ class TieredCube:
             self.stack["buffered"].buffer if "buffered" in self.stack else None
         )
         self.policy = TierPolicy.from_config(policy)
-        self.tiles = TileStore(tile_dir, codec=codec)
+        self.tiles = TileStore(tile_dir)
         self.tiers = [RollupTier(spec) for spec in self.policy]
         #: first occurring time still live (the demotion watermark)
         self._demoted_through: int | None = None

@@ -22,8 +22,8 @@ Encoding pipeline (all vectorized; pure NumPy + :mod:`zlib`):
 4. **compression** -- :func:`zlib.compress` at a *fixed* level, so a
    replayed demotion rewrites byte-identical tiles (determinism is what
    lets crash recovery atomically overwrite a half-applied demote).
-   ``zstandard`` slots in behind codec id 2 when the host has it; the
-   stdlib codec is always available and is the default.
+   zlib is the one codec (header codec id 1); a tile naming any other
+   id is refused before its payload is touched.
 
 Every tile carries two CRC32 checksums (header and payload).  Decoding
 *refuses* rather than guesses: a torn tail, a corrupt checksum, a bad
@@ -33,8 +33,8 @@ magic/version, or trailing garbage all raise
 :class:`TileStore` owns a directory of tiles, writes them atomically
 (tmp + fsync + rename, like the checkpoint archive writer) and serves
 reads off a read-only :mod:`mmap` of the file (like
-:mod:`repro.storage.mmap_npz`), decoding lazily and caching the most
-recently used stacks.
+:mod:`repro.storage.mmap_npz`), decoding lazily and caching the
+:data:`CACHE_TILES` most recently used stacks.
 """
 
 from __future__ import annotations
@@ -51,19 +51,14 @@ import numpy as np
 
 from repro.core.errors import DomainError, StorageError
 
-try:  # optional: the container may not ship zstandard
-    import zstandard as _zstd
-except ImportError:  # pragma: no cover - absent in the reference image
-    _zstd = None
-
 MAGIC = b"RPTL"
 VERSION = 1
 CODEC_ZLIB = 1
-CODEC_ZSTD = 2
 #: fixed compression level: tile bytes must be a pure function of the
 #: demoted slices so WAL replay can atomically overwrite torn tiles
 _ZLIB_LEVEL = 6
-_ZSTD_LEVEL = 3
+#: decoded tile stacks a :class:`TileStore` keeps resident
+CACHE_TILES = 2
 
 #: magic, version, codec, width, ndim, k
 _FIXED = struct.Struct("<4sBBBBI")
@@ -73,38 +68,6 @@ _U64 = struct.Struct("<Q")
 _WIDTH_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 _TILE_NAME = re.compile(r"^tile-(-?\d+)-(-?\d+)\.tile$")
-
-
-def _codec_id(codec: str) -> int:
-    if codec == "zlib":
-        return CODEC_ZLIB
-    if codec == "zstd":
-        if _zstd is None:
-            raise StorageError("zstd codec requested but zstandard is not installed")
-        return CODEC_ZSTD
-    raise DomainError(f"unknown tile codec {codec!r}")
-
-
-def _compress(codec_id: int, raw: bytes) -> bytes:
-    if codec_id == CODEC_ZLIB:
-        return zlib.compress(raw, _ZLIB_LEVEL)
-    if _zstd is None:
-        raise StorageError("tile uses the zstd codec but zstandard is not installed")
-    return _zstd.ZstdCompressor(level=_ZSTD_LEVEL).compress(raw)
-
-
-def _decompress(codec_id: int, payload: bytes, raw_len: int) -> bytes:
-    if codec_id == CODEC_ZLIB:
-        try:
-            return zlib.decompress(payload)
-        except zlib.error as exc:
-            raise StorageError(f"corrupt tile payload: {exc}") from exc
-    if _zstd is None:
-        raise StorageError("tile uses the zstd codec but zstandard is not installed")
-    try:
-        return _zstd.ZstdDecompressor().decompress(payload, max_output_size=raw_len)
-    except _zstd.ZstdError as exc:  # pragma: no cover - needs zstandard
-        raise StorageError(f"corrupt tile payload: {exc}") from exc
 
 
 # -- integer transforms --------------------------------------------------------
@@ -149,9 +112,7 @@ def _unpack_width(width: int, raw: bytes, count: int) -> np.ndarray:
 # -- tile codec ----------------------------------------------------------------
 
 
-def encode_tile(
-    stack: np.ndarray, times: np.ndarray, codec: str = "zlib"
-) -> bytes:
+def encode_tile(stack: np.ndarray, times: np.ndarray) -> bytes:
     """Serialize a ``(k, *shape)`` stack of PS slices and their times.
 
     ``times`` must be strictly increasing (occurring-time order); the
@@ -167,15 +128,14 @@ def encode_tile(
         raise DomainError("refusing to encode an empty tile")
     if times.size > 1 and not bool(np.all(np.diff(times) > 0)):
         raise DomainError("tile times must be strictly increasing")
-    codec_id = _codec_id(codec)
     deltas = np.concatenate(
         (stack[:1], np.diff(stack, axis=0)), axis=0
     ).reshape(-1)
     width, packed = _pack_width(zigzag_encode(deltas))
-    payload = _compress(codec_id, packed)
+    payload = zlib.compress(packed, _ZLIB_LEVEL)
     ndim = stack.ndim - 1
     header = bytearray()
-    header += _FIXED.pack(MAGIC, VERSION, codec_id, width, ndim, stack.shape[0])
+    header += _FIXED.pack(MAGIC, VERSION, CODEC_ZLIB, width, ndim, stack.shape[0])
     for n in stack.shape[1:]:
         header += _U32.pack(int(n))
     header += _U64.pack(len(packed))
@@ -218,6 +178,8 @@ def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
     (header_crc,) = _U32.unpack_from(data, offset)
     if zlib.crc32(data[:offset]) != header_crc:
         raise StorageError("corrupt tile: header checksum mismatch")
+    if codec_id != CODEC_ZLIB:
+        raise StorageError(f"unsupported tile codec id {codec_id}")
     offset += 4
     total = offset + payload_len + 4
     if len(data) < total:
@@ -228,7 +190,10 @@ def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
     (payload_crc,) = _U32.unpack_from(data, offset + payload_len)
     if zlib.crc32(payload) != payload_crc:
         raise StorageError("corrupt tile: payload checksum mismatch")
-    packed = _decompress(codec_id, payload, raw_len)
+    try:
+        packed = zlib.decompress(payload)
+    except zlib.error as exc:
+        raise StorageError(f"corrupt tile payload: {exc}") from exc
     if len(packed) != raw_len:
         raise StorageError(
             f"corrupt tile: decompressed {len(packed)} bytes, expected {raw_len}"
@@ -254,18 +219,13 @@ class TileStore:
     """A directory of immutable tiles, indexed by occurring time.
 
     Tiles never overlap: demotion writes strictly newer runs of slices.
-    Reads map the file read-only and decode lazily; the ``cache_tiles``
-    most recently decoded stacks stay resident.
+    Reads map the file read-only and decode lazily; the
+    :data:`CACHE_TILES` most recently decoded stacks stay resident.
     """
 
-    def __init__(
-        self, directory, codec: str = "zlib", cache_tiles: int = 2
-    ) -> None:
+    def __init__(self, directory) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.codec = codec
-        _codec_id(codec)  # validate early
-        self._cache_tiles = max(1, int(cache_tiles))
         #: (first_time, last_time, name), ascending and disjoint
         self._index: list[tuple[int, int, str]] = []
         self._cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = (
@@ -326,7 +286,7 @@ class TileStore:
         overwritten.
         """
         times = np.asarray(times, dtype=np.int64)
-        data = encode_tile(stack, times, codec=self.codec)
+        data = encode_tile(stack, times)
         name = tile_name(int(times[0]), int(times[-1]))
         target = self.directory / name
         tmp = self.directory / (name + ".tmp")
@@ -369,7 +329,7 @@ class TileStore:
         finally:
             mapped.close()
         self._cache[name] = (stack, times)
-        while len(self._cache) > self._cache_tiles:
+        while len(self._cache) > CACHE_TILES:
             self._cache.popitem(last=False)
         return stack, times
 

@@ -19,7 +19,12 @@ regardless of domain sizes, but queries scan (a portion of) the fact
 table instead of touching a handful of pre-aggregated cells.
 """
 
-from repro.rolap.facttable import FactTable
-from repro.rolap.slices import ROLAPSliceStructure
+from repro._exports import exports
 
-__all__ = ["FactTable", "ROLAPSliceStructure"]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.rolap.facttable": "FactTable",
+        "repro.rolap.slices": "ROLAPSliceStructure",
+    },
+)

@@ -17,28 +17,18 @@ Public surface: :class:`ShardedCube` (the front),
 operations they share are the rows of :mod:`repro.sharding.ops`.
 """
 
-from repro.sharding.buffered import ShardBufferedCube
-from repro.sharding.cube import ShardedCube
-from repro.sharding.partition import GridPartitioner, ShardExtent
-from repro.sharding.router import ShardRouter
-from repro.sharding.server import ShardClient, ShardServer
-from repro.sharding.shm import (
-    BlockCache,
-    EpochExporter,
-    epoch_from_shared_memory,
-    leaked_segments,
-)
+from repro._exports import exports
 
-__all__ = [
-    "BlockCache",
-    "EpochExporter",
-    "GridPartitioner",
-    "ShardBufferedCube",
-    "ShardClient",
-    "ShardExtent",
-    "ShardRouter",
-    "ShardServer",
-    "ShardedCube",
-    "epoch_from_shared_memory",
-    "leaked_segments",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.sharding.buffered": "ShardBufferedCube",
+        "repro.sharding.cube": "ShardedCube",
+        "repro.sharding.partition": "GridPartitioner ShardExtent",
+        "repro.sharding.router": "ShardRouter",
+        "repro.sharding.server": "ShardClient ShardServer",
+        "repro.sharding.shm": (
+            "BlockCache EpochExporter epoch_from_shared_memory leaked_segments"
+        ),
+    },
+)

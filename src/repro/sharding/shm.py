@@ -38,9 +38,11 @@ move its *representation*.  So the exporter publishes content, once:
 Unlink discipline
 -----------------
 
-Blocks are plain POSIX segments mapped with :mod:`mmap`
-(:class:`_Segment`); no :mod:`multiprocessing.resource_tracker` process
-ever hears of them.  The owning worker reference-counts every block by
+Blocks are plain POSIX segments, opened with ``_posixshmem.shm_open``
+and mapped with :mod:`mmap` (:class:`_Segment`, the one mapping path: a
+host without POSIX shared memory cannot import this module); no
+:mod:`multiprocessing.resource_tracker` process ever hears of them.
+The owning worker reference-counts every block by
 the epochs that cite it (plus one self-reference for a row it still
 publishes) and unlinks on the drop to zero; :meth:`EpochExporter.close`
 unlinks everything unconditionally.  It keeps a block mapped while it
@@ -63,19 +65,14 @@ import os
 import re
 import secrets
 
+import _posixshmem
+
 import numpy as np
 
 from repro.concurrent.snapshot import Epoch, prepare_epoch
 from repro.core.errors import StorageError
 from repro.core.types import Box
 from repro.ecube.fastpath import MIXED, PS, _prefix_sum_rows
-
-try:
-    import _posixshmem
-except ImportError:  # pragma: no cover - no POSIX shm: the stdlib's named mappings
-    from multiprocessing import shared_memory
-
-    _posixshmem = None
 
 #: Every block name starts with this; tests sweep ``/dev/shm`` for it.
 SHM_PREFIX = "repro-ecube"
@@ -104,11 +101,6 @@ class _Segment:
 
     def __init__(self, name: str, size: int = 0) -> None:
         self.name = name
-        self._stdlib = None
-        if _posixshmem is None:  # pragma: no cover - see the import
-            self._stdlib = shared_memory.SharedMemory(name, bool(size), size)
-            self.buf = self._stdlib.buf
-            return
         flags = os.O_CREAT | os.O_EXCL | os.O_RDWR if size else os.O_RDONLY
         fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
         try:
@@ -125,17 +117,10 @@ class _Segment:
 
     def close(self) -> None:
         """Unmap; ``BufferError`` while a view still aliases the mapping."""
-        (self._stdlib or self.buf).close()
+        self.buf.close()
 
     def unlink(self) -> None:
-        if self._stdlib is None:
-            _unlink(self.name)
-        else:  # pragma: no cover - see the import
-            try:
-                self._stdlib.close()
-            except BufferError:
-                pass  # an adopted slice or an overlay still aliases the block
-            self._stdlib.unlink()
+        _unlink(self.name)
 
 
 def _unlink(name: str) -> bool:

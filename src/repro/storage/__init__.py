@@ -7,35 +7,15 @@ the page arithmetic and counted page-access tracking those experiments need;
 no real I/O is performed -- the cost model is the page counter.
 """
 
-from repro.storage.layout import (
-    cells_per_page,
-    pages_for_cells,
-    rtree_leaf_capacity,
-)
-from repro.storage.buffer import LRUBufferPool
-from repro.storage.paged_cube import PagedPreAggregatedArray
-from repro.storage.pages import PageAccessTracker, PagedArray
-from repro.storage.serialize import (
-    dumps_cube,
-    load_cube,
-    load_kernel,
-    loads_cube,
-    save_cube,
-    save_kernel,
-)
+from repro._exports import exports
 
-__all__ = [
-    "cells_per_page",
-    "pages_for_cells",
-    "rtree_leaf_capacity",
-    "LRUBufferPool",
-    "PageAccessTracker",
-    "PagedArray",
-    "PagedPreAggregatedArray",
-    "dumps_cube",
-    "load_cube",
-    "load_kernel",
-    "loads_cube",
-    "save_cube",
-    "save_kernel",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.storage.buffer": "LRUBufferPool",
+        "repro.storage.layout": "cells_per_page pages_for_cells rtree_leaf_capacity",
+        "repro.storage.paged_cube": "PagedPreAggregatedArray",
+        "repro.storage.pages": "PageAccessTracker PagedArray",
+        "repro.storage.serialize": "load_kernel save_kernel",
+    },
+)

@@ -7,17 +7,12 @@ PS/DDC flags, the cache with its timestamps, and the retirement boundary
 bit-for-bit equivalent (queries, lazy-copy progress and eCube conversion
 state all resume exactly where they were).
 
-Two entry points:
-
-* :func:`save_cube` / :func:`load_cube` -- the historical dense-only
-  API; handed a paged or sparse cube it raises a clear
-  :class:`~repro.core.errors.StorageError` instead of failing on a
-  missing attribute deep inside the archive writer.
-* :func:`save_kernel` / :func:`load_kernel` -- the backend-agnostic API:
-  the physical slice and cache representations are snapshot through the
-  :class:`~repro.ecube.stores.SliceStore` protocol, so dense, paged and
-  sparse cubes all round-trip.  The durability checkpoints
-  (:mod:`repro.durability.checkpoint`) build on this.
+One pair of entry points, :func:`save_kernel` / :func:`load_kernel`
+(each takes a path or an open binary file): the physical slice and cache
+representations are snapshot through the
+:class:`~repro.ecube.stores.SliceStore` protocol, so dense, paged and
+sparse cubes all round-trip.  The durability checkpoints
+(:mod:`repro.durability.checkpoint`) build on this.
 
 Archives carry an explicit ``format_version``.  Version 1 (dense-only)
 archives still load; archives written by a *newer* build than this one
@@ -26,7 +21,6 @@ are refused with an upgrade hint rather than misread.
 
 from __future__ import annotations
 
-import io
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +29,6 @@ from repro.core.errors import StorageError
 from repro.metrics import CostCounter
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily to avoid a cycle
-    from repro.ecube.ecube import EvolvingDataCube
     from repro.ecube.kernel import CubeKernel
 
 #: Version 2 adds the ``backend`` key plus paged/sparse representations;
@@ -63,9 +56,6 @@ def _archive_backend(archive) -> str:
     if "backend" in archive:
         return str(np.asarray(archive["backend"]).item())
     return "dense"  # version-1 archives predate multi-backend snapshots
-
-
-# -- backend-agnostic kernel persistence ----------------------------------------
 
 
 def kernel_state_arrays(cube) -> dict[str, np.ndarray]:
@@ -126,47 +116,3 @@ def load_kernel(path, counter: CostCounter | None = None) -> "CubeKernel":
     """Restore a cube persisted by :func:`save_kernel` (any backend)."""
     with np.load(path) as archive:
         return restore_kernel_from(archive, counter=counter)
-
-
-# -- the historical dense-only API ----------------------------------------------
-
-
-def save_cube(cube: "EvolvingDataCube", path) -> None:
-    """Persist a dense cube's full state as a compressed ``.npz`` archive.
-
-    Only the dense in-memory cube is accepted here; paged and sparse
-    cubes persist through :func:`save_kernel`.
-    """
-    kind = getattr(getattr(cube, "store", None), "kind", None)
-    if kind != "dense":
-        raise StorageError(
-            f"save_cube persists the dense EvolvingDataCube only (got a "
-            f"{kind or type(cube).__name__!r} cube); use "
-            "repro.storage.serialize.save_kernel for paged/sparse backends"
-        )
-    save_kernel(cube, path)
-
-
-def load_cube(path, counter: CostCounter | None = None) -> "EvolvingDataCube":
-    """Restore a cube persisted by :func:`save_cube`."""
-    with np.load(path) as archive:
-        _check_version(archive)
-        backend = _archive_backend(archive)
-        if backend != "dense":
-            raise StorageError(
-                f"archive holds a {backend!r} cube; load it with "
-                "repro.storage.serialize.load_kernel"
-            )
-        return restore_kernel_from(archive, counter=counter)
-
-
-def dumps_cube(cube: "EvolvingDataCube") -> bytes:
-    """In-memory variant of :func:`save_cube` (returns the archive bytes)."""
-    buffer = io.BytesIO()
-    save_cube(cube, buffer)
-    return buffer.getvalue()
-
-
-def loads_cube(data: bytes, counter: CostCounter | None = None) -> "EvolvingDataCube":
-    """In-memory variant of :func:`load_cube`."""
-    return load_cube(io.BytesIO(data), counter=counter)

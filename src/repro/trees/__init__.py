@@ -28,22 +28,18 @@ These are the "pool" of data structures the framework draws from
   the non-invertible MAX/MIN the framework deliberately excludes.
 """
 
-from repro.trees.bptree import BPlusTree
-from repro.trees.mratree import MRATree
-from repro.trees.mvbtree import MultiversionBTree
-from repro.trees.fat_node import FatNodeArray
-from repro.trees.persistent import PersistentAggregateTree
-from repro.trees.rtree import RTree
-from repro.trees.sbtree import TemporalAggregateTree
-from repro.trees.zorder import ZOrderSliceStructure
+from repro._exports import exports
 
-__all__ = [
-    "BPlusTree",
-    "FatNodeArray",
-    "MRATree",
-    "MultiversionBTree",
-    "PersistentAggregateTree",
-    "RTree",
-    "TemporalAggregateTree",
-    "ZOrderSliceStructure",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.trees.bptree": "BPlusTree",
+        "repro.trees.fat_node": "FatNodeArray",
+        "repro.trees.mratree": "MRATree",
+        "repro.trees.mvbtree": "MultiversionBTree",
+        "repro.trees.persistent": "PersistentAggregateTree",
+        "repro.trees.rtree": "RTree",
+        "repro.trees.sbtree": "TemporalAggregateTree",
+        "repro.trees.zorder": "ZOrderSliceStructure",
+    },
+)

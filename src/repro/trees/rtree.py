@@ -6,9 +6,11 @@ Role in the reproduction:
   are compared against the DDC array (the paper bulk-loads with Berchtold
   et al.'s method; we substitute Sort-Tile-Recursive packing, which equally
   yields a fully packed, query-optimized tree -- see DESIGN.md);
-* the general d-dimensional structure ``G_d`` buffering out-of-order
-  updates (Section 2.5) -- "G_d and R_{d-1} are drawn from the same pool of
-  data structures, well-known examples being R-tree and X-tree".
+* the metered reference of the general d-dimensional structure ``G_d``
+  buffering out-of-order updates (Section 2.5; built by the first metered
+  read, see :mod:`repro.core.out_of_order`) -- "G_d and R_{d-1} are drawn
+  from the same pool of data structures, well-known examples being R-tree
+  and X-tree".
 
 The insertion path uses R*-tree subtree choice (least enlargement, ties by
 area) and the R* split (choose the axis minimizing the margin sum, then the
@@ -321,18 +323,18 @@ class RTree:
             mbr = _union(mbr, child.mbr)
         return mbr
 
-    # -- incremental deletion (the out-of-order drain's splice) -------------------
+    # -- incremental deletion ------------------------------------------------------
 
     def delete(self, point: Sequence[int], value: int) -> bool:
         """Remove one exact ``(point, value)`` entry; returns success.
 
-        This is the drain's incremental splice: instead of rebuilding the
-        whole tree after removing drained entries, each entry is located
-        through the MBR hierarchy and cut out, ancestors recompute their
-        MBRs/aggregates and emptied nodes are condensed away.  Underfull
-        (but nonempty) nodes are tolerated -- a drain only ever shrinks
-        the tree, so packing quality degrades gracefully until the next
-        bulk load.  Every node touch is counted in :attr:`node_accesses`.
+        The entry is located through the MBR hierarchy and cut out,
+        ancestors recompute their MBRs/aggregates and emptied nodes are
+        condensed away.  Underfull (but nonempty) nodes are tolerated, so
+        packing quality degrades gracefully until the next bulk load.
+        Every node touch is counted in :attr:`node_accesses`.  (``G_d``
+        no longer calls this: its drain drops the reference tree and the
+        next metered read rebuilds it.)
         """
         coords = tuple(int(c) for c in point)
         if len(coords) != self.ndim:

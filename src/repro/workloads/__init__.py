@@ -6,34 +6,17 @@ clustered station structure follow Table 3 -- see DESIGN.md for the
 substitution rationale.  ``gauss3`` is generated exactly as described.
 """
 
-from repro.workloads.datasets import (
-    Dataset,
-    gauss3,
-    weather4,
-    weather6,
-    dataset_by_name,
-    uniform,
-)
-from repro.workloads.queries import QueryWorkload, skew_queries, uni_queries
-from repro.workloads.streams import (
-    SessionSegment,
-    interleave_out_of_order,
-    segment_arrays,
-    session_replay,
-)
+from repro._exports import exports
 
-__all__ = [
-    "Dataset",
-    "gauss3",
-    "weather4",
-    "weather6",
-    "dataset_by_name",
-    "uniform",
-    "QueryWorkload",
-    "skew_queries",
-    "uni_queries",
-    "interleave_out_of_order",
-    "SessionSegment",
-    "segment_arrays",
-    "session_replay",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.workloads.datasets": (
+            "Dataset dataset_by_name gauss3 uniform weather4 weather6"
+        ),
+        "repro.workloads.queries": "QueryWorkload skew_queries uni_queries",
+        "repro.workloads.streams": (
+            "SessionSegment interleave_out_of_order segment_arrays session_replay"
+        ),
+    },
+)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
+import subprocess
+import sys
+
 import numpy as np
 
 from repro.core.out_of_order import OutOfOrderBuffer
@@ -168,3 +172,109 @@ class TestDrainAccounting:
                 assert buffer.range_sum(box) == expected
                 fast = buffer.range_sum_many([box])
                 assert fast[0] == expected
+
+
+def fast_traffic(buffer, seed=78, steps=60):
+    """A seeded interleaving of every mutation with fast reads only,
+    checked against a list model; returns the model.  Self-contained: a
+    fresh interpreter runs this source verbatim."""
+    import numpy as np
+
+    from repro.core.types import Box
+
+    rng = np.random.default_rng(seed)
+    live: list[tuple[tuple[int, ...], int]] = []
+    for _ in range(steps):
+        op = int(rng.integers(0, 5))
+        if op == 0:
+            point = tuple(int(c) for c in rng.integers(0, 12, size=3))
+            buffer.add(point, 2)
+            live.append((point, 2))
+        elif op == 1:
+            points = rng.integers(0, 12, size=(9, 3))
+            buffer.add_many(points, np.arange(9))
+            live += [(tuple(p), d) for p, d in zip(points.tolist(), range(9))]
+        elif op == 2:
+            for entry in buffer.drain(limit=int(rng.integers(1, 6))):
+                live.remove(entry)
+        elif op == 3:
+            floor = int(rng.integers(0, 4))
+            buffer.prune_below(floor)
+            live = [(p, d) for p, d in live if p[0] >= floor]
+        lower = rng.integers(0, 6, size=3)
+        boxes = [Box(tuple(lower), tuple(lower + 5)), Box((0, 0, 0), (11, 11, 11))]
+        assert buffer.range_sum_many(boxes) == [
+            sum(d for p, d in live if box.contains(p)) for box in boxes
+        ]
+        assert buffer._tree is None and len(buffer) == len(live)
+    return live
+
+
+class TestReferenceOnDemand:
+    """``G_d`` is the columns; the metered R-tree exists once a metered
+    read asked for it, and not before."""
+
+    def test_fast_traffic_builds_no_tree_then_metered_agrees(self):
+        rng = np.random.default_rng(79)
+        buffer = OutOfOrderBuffer(3)
+        assert fast_traffic(buffer)
+        boxes = [random_box(rng, (12, 12, 12)) for _ in range(40)]
+        fast = buffer.range_sum_many(boxes)
+        assert buffer._tree is None
+        assert buffer.range_sum_many(boxes, mode="metered") == fast
+        assert [buffer.range_sum(box) for box in boxes] == fast
+        assert len(buffer._tree) == len(buffer)
+
+    def test_fast_traffic_never_imports_the_trees(self):
+        code = (
+            inspect.getsource(fast_traffic)
+            + "import sys\n"
+            + "from repro.core.out_of_order import OutOfOrderBuffer\n"
+            + "assert fast_traffic(OutOfOrderBuffer(3))\n"
+            + "print([m for m in sys.modules if m.startswith('repro.trees')])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_metered_loop_builds_the_tree_once(self):
+        buffer = OutOfOrderBuffer(2)
+        box = Box((0, 0), (63, 63))
+        buffer.add((0, 0), 1)
+        assert buffer.range_sum(box) == 1
+        tree = buffer._tree
+        for t in range(1, 64):
+            buffer.add((t, t % 5), 1)
+            assert buffer.range_sum(box) == t + 1
+            assert buffer._tree is tree
+        # kept current by insertion: it is the tree a late build makes
+        late = OutOfOrderBuffer(2)
+        late.add_many([(t, t % 5) for t in range(64)], [1] * 64)
+        probe = Box((10, 1), (40, 3))
+        costs = []
+        for each in (buffer, late):
+            before = each.node_accesses
+            assert each.range_sum(probe) == 18
+            costs.append(each.node_accesses - before)
+        assert costs[0] == costs[1] > 0
+        assert (late._tree.height, late._tree.leaf_count()) == (
+            tree.height,
+            tree.leaf_count(),
+        )
+
+    def test_drain_and_prune_drop_the_reference_and_carry_its_cost(self):
+        buffer = OutOfOrderBuffer(2)
+        buffer.add_many([(t, 0) for t in range(40)], [1] * 40)
+        assert buffer.range_sum(Box((0, 0), (39, 0))) == 40
+        seen = buffer.node_accesses
+        assert seen > 0
+        buffer.drain(limit=5)
+        assert buffer._tree is None and buffer._carried_node_accesses == seen
+        assert buffer.range_sum(Box((0, 0), (39, 0))) == 35  # rebuilt from the rest
+        assert buffer.node_accesses > seen
+        seen = buffer.node_accesses
+        assert buffer.prune_below(10) == 10
+        assert buffer._tree is None and buffer._carried_node_accesses == seen
+        assert buffer.prune_below(10) == 0

@@ -6,9 +6,8 @@ there), so a format or replay change that strands existing directories
 fails here.
 
 Also covers the serialize-layer companions: ``save_kernel`` /
-``load_kernel`` round-trip every backend, ``save_cube`` refuses
-non-dense cubes with a clear :class:`StorageError`, and archives written
-by a future format version are refused with an upgrade hint.
+``load_kernel`` round-trip every backend, and archives written by a
+future format version are refused with an upgrade hint.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from repro.durability.checkpoint import (
 from repro.durability.recovery import TILES_SUBDIR, build_front
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
-from repro.storage.serialize import (
-    dumps_cube,
-    load_cube,
-    load_kernel,
-    save_cube,
-    save_kernel,
-)
+from repro.storage.serialize import load_kernel, save_kernel
 
 from tests.conftest import brute_box_sum, random_box
 from tests.data import make_durable_fixtures as fixtures
@@ -306,31 +299,11 @@ class TestKernelSerialize:
             box = random_box(rng, SHAPE)
             assert restored.query(box) == brute_box_sum(dense, box)
 
-    @pytest.mark.parametrize("backend", ["paged", "sparse"])
-    def test_save_cube_refuses_non_dense(self, tmp_path, backend):
-        rng = np.random.default_rng(12)
-        cube, _ = self._build(backend, rng)
-        with pytest.raises(StorageError, match="save_kernel"):
-            save_cube(cube, tmp_path / "nope.npz")
-        with pytest.raises(StorageError, match="save_kernel"):
-            dumps_cube(cube)
-
-    @pytest.mark.parametrize("backend", ["paged", "sparse"])
-    def test_load_cube_points_at_load_kernel(self, tmp_path, backend):
-        rng = np.random.default_rng(13)
-        cube, _ = self._build(backend, rng)
-        path = tmp_path / "kernel.npz"
-        save_kernel(cube, path)
-        with pytest.raises(StorageError, match="load_kernel"):
-            load_cube(path)
-
     def test_future_archive_version_refused(self, tmp_path):
         path = tmp_path / "future.npz"
         np.savez_compressed(path, format_version=np.array([999]))
         with pytest.raises(StorageError, match="upgrade"):
             load_kernel(path)
-        with pytest.raises(StorageError, match="upgrade"):
-            load_cube(path)
 
     def test_version_one_dense_archive_still_loads(self, tmp_path):
         # v1 archives carry no ``backend`` key; simulate one by rewriting
@@ -343,6 +316,6 @@ class TestKernelSerialize:
         del arrays["backend"]
         arrays["format_version"] = np.array([1])
         np.savez_compressed(path, **arrays)
-        restored = load_cube(path)
+        restored = load_kernel(path)
         box = Box((0, 0, 0), (SHAPE[0] - 1, 7, 7))
         assert restored.query(box) == int(dense.sum())

@@ -145,6 +145,19 @@ class TestAblations:
         assert dirty[2] > clean[2]  # buffered updates make queries dearer
         assert dirty[3] == pytest.approx(clean[3], rel=0.05)  # drain restores
 
+    def test_out_of_order_rows_pinned(self):
+        # The G_d reference R-tree is built by the first metered read, in
+        # arrival order: these are the costs of the tree that eager
+        # per-update inserts built (recorded at cbd9a99).
+        from repro.experiments.ablation_out_of_order import run
+
+        assert run(shape=(64, 128), num_queries=80).rows == [
+            (0.0, 0, 22.0, 22.0),
+            (0.05, 37, 24.325, 22.0),
+            (0.2, 111, 25.7375, 22.0),
+            (0.5, 299, 27.3625, 22.0),
+        ]
+
     def test_adaptivity(self):
         from repro.experiments.ablation_adaptivity import run
 

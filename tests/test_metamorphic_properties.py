@@ -23,7 +23,7 @@ from repro.core.types import Box
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
-from repro.storage.serialize import dumps_cube, loads_cube
+from tests.test_storage_serialize import dumps_kernel, loads_kernel
 
 from tests.conftest import brute_box_sum, random_box
 from tests.test_ecube_cube import random_append_stream
@@ -124,9 +124,9 @@ class TestPersistenceFixedPoint:
         boxes = [random_box(rng, shape) for _ in range(10)]
         for box in boxes:  # drive conversion so state is non-trivial
             cube.query(box)
-        once = loads_cube(dumps_cube(cube))
-        twice = loads_cube(dumps_cube(once))
-        assert dumps_cube(once) == dumps_cube(twice)
+        once = loads_kernel(dumps_kernel(cube))
+        twice = loads_kernel(dumps_kernel(once))
+        assert dumps_kernel(once) == dumps_kernel(twice)
         for box in boxes:
             assert twice.query(box) == brute_box_sum(dense, box)
 

@@ -107,6 +107,17 @@ class TestRefusals:
         with pytest.raises(StorageError):
             decode_tile(bytes(data))
 
+    def test_foreign_codec_id_refused_before_the_payload(self):
+        data = bytearray(self._tile())
+        header_len = 12 + 4 * 2 + 16 + 8 * 4  # fixed, shape, lengths, times
+        data[5] = 2  # the codec byte: zlib (1) is the only codec
+        data[header_len : header_len + 4] = zlib.crc32(
+            bytes(data[:header_len])
+        ).to_bytes(4, "little")
+        data[-10] ^= 0xFF  # a payload it must not get as far as checking
+        with pytest.raises(StorageError, match="codec id 2"):
+            decode_tile(bytes(data))
+
     def test_empty_and_inverted_inputs_rejected(self):
         with pytest.raises(DomainError):
             encode_tile(np.empty((0, 2), dtype=np.int64), np.empty(0))
@@ -163,15 +174,3 @@ class TestTileStore:
         path.write_bytes(bytes(data))
         with pytest.raises(StorageError):
             TileStore(tmp_path).slice_at(10)
-
-    def test_zstd_codec_gated_on_missing_dependency(self, tmp_path):
-        import repro.retention.tiles as tiles
-
-        if tiles._zstd is None:
-            with pytest.raises(StorageError):
-                TileStore(tmp_path, codec="zstd")
-        else:  # pragma: no cover - zstandard present
-            stack, times = self._stack()
-            store = TileStore(tmp_path, codec="zstd")
-            store.write_tile(stack, times)
-            np.testing.assert_array_equal(store.slice_at(10), stack[0])

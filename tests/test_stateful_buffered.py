@@ -7,6 +7,11 @@ answer -- metered and fast -- against a dense numpy oracle after every
 step.  This pins the drain's convergence (buffered mass only moves into
 the cube, never disappears) and the fast/metered equivalence of the
 batched ``G_d`` post-processing on arbitrary interleavings.
+
+The metered reads are rules, so the first one lands at a random step:
+until it does -- and again after every drain -- ``G_d`` must have built
+no reference R-tree (the invariant below), and when it does land it must
+agree with the fast answer and the oracle on every box.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ class BufferedCubeMachine(RuleBasedStateMachine):
             (CELL_DOMAIN,), num_times=TIME_DOMAIN
         )
         self.dense = np.zeros((TIME_DOMAIN, CELL_DOMAIN), dtype=np.int64)
+        #: has a metered read reached a non-empty ``G_d`` since the last drain?
+        self.reference_built = False
+
+    def _metered_read(self):
+        self.reference_built |= self.cube.buffered_updates > 0
 
     def _draw_box(self, data):
         t_low = data.draw(st.integers(0, TIME_DOMAIN - 1))
@@ -101,10 +111,12 @@ class BufferedCubeMachine(RuleBasedStateMachine):
         # convergence: every drained correction lands (no data aging here)
         assert kept == 0
         assert self.cube.buffered_updates == before - applied
+        self.reference_built = False
 
     @rule(data=st.data())
     def query(self, data):
         box = self._draw_box(data)
+        self._metered_read()
         assert self.cube.query(box) == self._expected(box)
 
     @rule(data=st.data())
@@ -113,12 +125,18 @@ class BufferedCubeMachine(RuleBasedStateMachine):
             self._draw_box(data) for _ in range(data.draw(st.integers(1, 5)))
         ]
         fast = self.cube.query_many(boxes, mode="fast")
+        self._metered_read()
         assert fast == self.cube.query_many(boxes, mode="metered")
         assert fast == [self._expected(box) for box in boxes]
 
     @invariant()
     def total_matches(self):
-        assert self.cube.total() == int(self.dense.sum())
+        everything = Box((0, 0), (TIME_DOMAIN - 1, CELL_DOMAIN - 1))
+        assert self.cube.query_many([everything]) == [int(self.dense.sum())]
+
+    @invariant()
+    def reference_exists_only_after_a_metered_read(self):
+        assert (self.cube.buffer._tree is not None) == self.reference_built
 
 
 TestBufferedCubeMachine = BufferedCubeMachine.TestCase

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,20 @@ from repro.core.errors import AgedOutError, StorageError
 from repro.core.types import Box
 from repro.ecube.ecube import EvolvingDataCube
 from repro.metrics import CostCounter
-from repro.storage.serialize import dumps_cube, load_cube, loads_cube, save_cube
+from repro.storage.serialize import load_kernel, save_kernel
 
 from tests.conftest import brute_box_sum, random_box
 from tests.test_ecube_cube import random_append_stream
+
+
+def dumps_kernel(cube) -> bytes:
+    buffer = io.BytesIO()
+    save_kernel(cube, buffer)
+    return buffer.getvalue()
+
+
+def loads_kernel(blob: bytes):
+    return load_kernel(io.BytesIO(blob))
 
 
 def build_sample(seed=150, count=200, shape=(20, 8, 8)):
@@ -29,8 +41,8 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         cube, dense, rng, shape = build_sample()
         path = tmp_path / "cube.npz"
-        save_cube(cube, path)
-        restored = load_cube(path)
+        save_kernel(cube, path)
+        restored = load_kernel(path)
         for _ in range(25):
             box = random_box(rng, shape)
             assert restored.query(box) == brute_box_sum(dense, box)
@@ -39,8 +51,8 @@ class TestRoundTrip:
 
     def test_bytes_round_trip(self):
         cube, dense, rng, shape = build_sample(seed=151)
-        blob = dumps_cube(cube)
-        restored = loads_cube(blob)
+        blob = dumps_kernel(cube)
+        restored = loads_kernel(blob)
         for _ in range(15):
             box = random_box(rng, shape)
             assert restored.query(box) == brute_box_sum(dense, box)
@@ -51,7 +63,7 @@ class TestRoundTrip:
         boxes = [random_box(rng, shape) for _ in range(20)]
         for box in boxes:
             cube.query(box)
-        restored = loads_cube(dumps_cube(cube))
+        restored = loads_kernel(dumps_kernel(cube))
         counter = CostCounter()
         restored.counter = counter
         # restored flags make repeated queries cheap immediately
@@ -60,7 +72,7 @@ class TestRoundTrip:
 
     def test_updates_resume_after_restore(self):
         cube, dense, rng, shape = build_sample(seed=153)
-        restored = loads_cube(dumps_cube(cube))
+        restored = loads_kernel(dumps_kernel(cube))
         latest = restored.latest_time
         for t in range(latest, shape[0]):
             cell = (int(rng.integers(0, 8)), int(rng.integers(0, 8)))
@@ -75,8 +87,8 @@ class TestRoundTrip:
         boundary_time = int(cube.occurring_times()[len(cube.occurring_times()) // 2])
         cube.retire_before(boundary_time)
         path = tmp_path / "aged.npz"
-        save_cube(cube, path)
-        restored = load_cube(path)
+        save_kernel(cube, path)
+        restored = load_kernel(path)
         assert restored.retired_instances == cube.retired_instances
         full = Box((0, 0, 0), (shape[0] - 1, 7, 7))
         assert restored.query(full) == dense.sum()
@@ -88,15 +100,15 @@ class TestRoundTrip:
     def test_empty_cube_round_trip(self, tmp_path):
         cube = EvolvingDataCube((4, 4))
         path = tmp_path / "empty.npz"
-        save_cube(cube, path)
-        restored = load_cube(path)
+        save_kernel(cube, path)
+        restored = load_kernel(path)
         assert restored.query(Box((0, 0, 0), (5, 3, 3))) == 0
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez_compressed(path, format_version=np.array([99]))
         with pytest.raises(StorageError):
-            load_cube(path)
+            load_kernel(path)
 
     def test_incomplete_copy_state_survives(self):
         # a cube with pending lazy copies must restore them faithfully
@@ -108,7 +120,7 @@ class TestRoundTrip:
             cube.update((t,) + cell, 2)
             dense[(t,) + cell] += 2
         assert cube.incomplete_historic_instances() > 0
-        restored = loads_cube(dumps_cube(cube))
+        restored = loads_kernel(dumps_kernel(cube))
         assert (
             restored.incomplete_historic_instances()
             == cube.incomplete_historic_instances()
