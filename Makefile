@@ -60,7 +60,8 @@ loc:
 
 # A front is a declared stack (repro.core.front): nothing finds a layer
 # by probing, there is one kernel implementation, one tile codec, one shm
-# mapping path, one representation of G_d, and `serve` serves.
+# mapping path, one representation of G_d, one WAL layout written, and
+# `serve` serves.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -74,4 +75,5 @@ probes:
 	@! grep -rniE 'zstd|zstandard' src/repro
 	@! grep -nE '_stdlib|import shared_memory|SharedMemory' src/repro/sharding/shm.py
 	@! grep -n '^from repro.trees' src/repro/core/out_of_order.py
+	@! grep -n "WAL_FORMAT_VERSION = 1" src/repro/durability/wal.py
 	@echo "probes: none"

@@ -13,17 +13,42 @@ raw :class:`~repro.ecube.ecube.EvolvingDataCube` and into a
 the logged/raw wall-clock ratio stays under the 3x budget.  The
 recovery benchmark times a full-log replay against a post-checkpoint
 tail replay of the same history.  Rows land in ``BENCH_durability.json``.
+
+Since WAL format version 2 a batch body is packed columns, so two more
+costs are recorded (>= 5 repeats, median + IQR): what the codec spends
+per serving-benchmark-shaped record against what it saves in bytes, and
+the replay rate of a version-2 log against the same history logged in
+version 1 (this build reads both), on alternating rounds.  The rows
+carry the medians; the codec ceilings are asserted on the best round
+(what a shared host adds to a round is one-sided) and the replay floor
+on the median of the rounds' paired ratios (its drift cancels in a pair).
 """
 
 from __future__ import annotations
 
 import gc
+import shutil
+import statistics
+import struct
 import time
+import zlib
 
 import numpy as np
 
 from _record import BENCH_DURABILITY_FILE, record
 from repro.durability import DurableCube
+from repro.durability.recovery import WAL_SUBDIR
+from repro.durability.wal import (
+    _FRAME,
+    _HEADER,
+    _PREFIX,
+    SEGMENT_MAGIC,
+    UpdateBatchRecord,
+    WriteAheadLog,
+    decode_payload,
+    encode_record,
+    inspect_log,
+)
 from repro.ecube.ecube import EvolvingDataCube
 
 SLICE_SHAPE = (32, 32)
@@ -31,6 +56,11 @@ NUM_TIMES = 256
 NUM_BATCHES = 120
 BATCH_SIZE = 200
 OVERHEAD_CEILING = 3.0
+REPEATS = 7
+CODEC_CALLS = 200
+CODEC_CEILING_US = 60.0
+REPLAY_ROUNDS = 31  # recovery is ~0.2 s of kernel work: cheap to repeat, noisy
+REPLAY_FLOOR = 0.9  # version-2 replay rate / version-1 replay rate
 
 
 def _batches(seed=29):
@@ -137,15 +167,8 @@ def test_recovery_wallclock(tmp_path):
     assert tail_cube.recovery_info["replayed_records"] == 0
     tail_cube.close()
 
-    record(
-        "durable_recovery",
-        "full_log_replay",
-        full_replay_wall,
-        0,
-        path=BENCH_DURABILITY_FILE,
-        records=NUM_BATCHES,
-        updates=NUM_BATCHES * BATCH_SIZE,
-    )
+    # (``full_log_replay`` is recorded, with repeats, by
+    # ``test_replay_rate_of_a_packed_log``)
     record(
         "durable_recovery",
         "checkpoint_tail_replay",
@@ -158,3 +181,122 @@ def test_recovery_wallclock(tmp_path):
     # O(tail): an empty tail after a checkpoint must not cost more than
     # the full-history replay it replaces
     assert tail_replay_wall <= full_replay_wall
+
+
+def _median_iqr(values):
+    low, _, high = statistics.quantiles(values, n=4)
+    return statistics.median(values), high - low
+
+
+def _per_call_us(call):
+    """One call's microseconds in each of ``REPEATS`` rounds."""
+    rounds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(CODEC_CALLS):
+            call()
+        rounds.append((time.perf_counter() - start) / CODEC_CALLS * 1e6)
+    return rounds
+
+
+def test_packed_batch_codec(tmp_path):
+    """A shard's record of one preload frame of the serving benchmark:
+    512 updates, two occurring times, cells on 32 x 32 x 8, deltas 1..9."""
+    rng = np.random.default_rng(37)
+    n = 512
+    points = np.column_stack(
+        [np.repeat([40, 41], n // 2), *(rng.integers(0, s, n) for s in (32, 32, 8))]
+    )
+    batch = UpdateBatchRecord(points, rng.integers(1, 10, n), "fast")
+    frame = encode_record(batch, 1)
+    payload = frame[_FRAME.size :]
+    assert decode_payload(payload) == (1, batch)
+    with WriteAheadLog(tmp_path, fsync="off") as wal:
+        for _ in range(64):
+            wal.append(batch)
+    bytes_per_update = inspect_log(tmp_path)["bytes_per_update"]
+    common = {"path": BENCH_DURABILITY_FILE, "updates": n, "repeats": REPEATS}
+    record(
+        "wal_batch_codec", "wal_bytes_per_update", 0, 0, **common,
+        bytes_per_update=bytes_per_update,
+        note="version 1 (bca72f1): 40.047 B per update for the same record",
+    )
+    for mode, call, before in (
+        ("encode_record", lambda: encode_record(batch, 1), "11.5-15.0"),
+        ("decode_payload", lambda: decode_payload(payload), "13.4-17.7"),
+    ):
+        rounds = _per_call_us(call)
+        median, iqr = _median_iqr(rounds)
+        record(
+            "wal_batch_codec", mode, median / 1e6, 0, **common,
+            us_median=round(median, 2), us_iqr=round(iqr, 2),
+            us_best=round(min(rounds), 2),
+            note=f"version 1 (bca72f1), same host: {before} us (best of 7 x 200)",
+        )
+        assert min(rounds) <= CODEC_CEILING_US, (mode, rounds)
+    assert bytes_per_update <= 5.2
+
+
+def _as_version_1(wal_dir):
+    """Rewrite a log of ``update_batch`` records as an older build wrote it."""
+    (segment,) = sorted(wal_dir.iterdir())
+    frames = [_HEADER.pack(SEGMENT_MAGIC, 1, 1)]
+    with WriteAheadLog(wal_dir, fsync="off") as wal:
+        for lsn, batch in wal.replay():
+            payload = (
+                _PREFIX.pack(batch.type, lsn)
+                + struct.pack("<BIH", 0, *batch.points.shape)
+                + batch.points.tobytes()
+                + batch.deltas.tobytes()
+            )
+            frames.append(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
+    segment.write_bytes(b"".join(frames))
+
+
+def test_replay_rate_of_a_packed_log(tmp_path):
+    """Recovery reads an 8x smaller log through a slower decoder: the
+    rate must hold against the same history in the version-1 layout."""
+    batches = _batches(seed=41)
+    updates = NUM_BATCHES * BATCH_SIZE
+    with DurableCube(
+        SLICE_SHAPE, tmp_path / "v2", buffered=False, num_times=NUM_TIMES, fsync="off"
+    ) as cube:
+        for points, deltas in batches:
+            cube.update_many(points, deltas)
+        total = cube.total()
+    shutil.copytree(tmp_path / "v2", tmp_path / "v1")
+    _as_version_1(tmp_path / "v1" / WAL_SUBDIR)
+    sizes = {
+        name: inspect_log(tmp_path / name / WAL_SUBDIR)["bytes_per_update"]
+        for name in ("v1", "v2")
+    }
+    walls = {"v1": [], "v2": []}
+    for round_ in range(REPLAY_ROUNDS):
+        for name in ("v1", "v2") if round_ % 2 else ("v2", "v1"):
+            shutil.copytree(tmp_path / name, tmp_path / "run")
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                recovered = DurableCube.recover(tmp_path / "run")
+                walls[name].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+            assert recovered.total() == total
+            assert recovered.recovery_info["replayed_records"] == NUM_BATCHES
+            recovered.close()
+            shutil.rmtree(tmp_path / "run")
+    for name, mode in (("v1", "full_log_replay_version_1"), ("v2", "full_log_replay")):
+        wall, iqr = _median_iqr(walls[name])
+        record(
+            "durable_recovery", mode, wall, 0,
+            path=BENCH_DURABILITY_FILE, records=NUM_BATCHES, updates=updates,
+            repeats=REPLAY_ROUNDS, wall_iqr_s=round(iqr, 6),
+            wall_best_s=round(min(walls[name]), 6),
+            updates_per_s=round(updates / wall), wal_bytes_per_update=sizes[name],
+        )
+    assert sizes["v2"] < sizes["v1"] / 4
+    # (each round's pair ran back to back: the host's drift cancels in its ratio)
+    ratio = statistics.median(v1 / v2 for v1, v2 in zip(walls["v1"], walls["v2"]))
+    print(f"replay rate, version 2 / version 1 (median of paired rounds): {ratio:.3f}")
+    assert ratio >= REPLAY_FLOOR, walls

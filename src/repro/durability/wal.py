@@ -27,9 +27,18 @@ Physical format (all integers little-endian):
   for the checkpoint id; -1 stands for the drain limit ``None``), a
   *vector* record ``u16 n | leading i64s | n x i64 | trailing i64s``
   (``update``, ``out_of_order``, ``interval_insert``), or a *batch*
-  ``[u8 mode] | u32 n | u16 k | int64 columns`` (``update_batch``,
+  ``[u8 mode] | u32 n | u16 k | columns`` (``update_batch``,
   ``out_of_order_batch``, ``interval_batch``) -- and is exactly as long
-  as its own header implies.
+  as its own headers imply;
+* a batch's columns are laid out by the segment's format version.  In
+  version 2, which this build writes, each scalar column of the fields in
+  declared order (``points``: k, ``intervals``: 2, ``deltas`` / ``values``:
+  1) is a *packed column* ``i64 base | u8 width | n x u<width>`` holding
+  ``value - base``: base its minimum, width the narrowest of 1, 2, 4, 8
+  bytes that holds its span; 8 is the raw ``i64`` column over base 0, and
+  there is no width 0, so ``n`` stays bounded by the body's own length.
+  Version 1 (read only) has each array field row-major as raw ``i64``; a
+  segment holds one layout, so opening a version-1 tail repairs and rolls.
 
 Torn tails: a crash can leave the final record half-written (short
 frame, short payload, a CRC mismatch, or an LSN out of sequence where
@@ -49,11 +58,11 @@ itself once ``group_commit`` records have accumulated since the last
 sync, and on every :meth:`commit`, segment roll and :meth:`close`.  The
 durable front-ends do *not* commit per public operation -- they call
 :meth:`commit` only around a checkpoint and from their ``flush()`` --
-so a crash can lose up to ``group_commit - 1`` trailing acknowledged
-records (a whole ``update_many`` batch is one record), never corrupt
-one.  ``off`` never fsyncs (the OS flushes when it pleases).  Either
-way a crash loses only an unflushed suffix, which recovery handles
-like any other missing tail.
+so a machine crash can lose up to ``group_commit - 1`` trailing acknowledged
+records (a whole ``update_many`` batch is one record), never corrupt one;
+``off`` never fsyncs.  :meth:`append` always hands the frame to the OS before
+it returns, so a killed *process* loses no acknowledged record; a crash loses
+only an unsynced suffix, which recovery handles like any other missing tail.
 """
 
 from __future__ import annotations
@@ -66,7 +75,6 @@ import struct
 import zlib
 from collections import Counter, deque, namedtuple
 from dataclasses import MISSING, dataclass, field, make_dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,13 +85,16 @@ from repro.core.types import TimeInterval
 
 #: Magic bytes opening every segment file.
 SEGMENT_MAGIC = b"ECWL"
-#: Bump when the record codec changes incompatibly.
-WAL_FORMAT_VERSION = 1
+#: Bump when the record codec changes incompatibly.  (2: batch bodies
+#: are packed columns.)
+WAL_FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, base LSN
 _FRAME = struct.Struct("<II")  # payload length, CRC32(payload)
 _PREFIX = struct.Struct("<BQ")  # record type, LSN
-#: Sanity bound on a single record's payload (a batch of ~4M points).
+_COLUMN = struct.Struct("<qB")  # a packed column's base and bytes per value
+#: Bound on a single record's payload: ``append`` refuses a longer one,
+#: a scan takes a longer frame for a torn write.
 MAX_RECORD_BYTES = 1 << 28
 
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
@@ -95,7 +106,8 @@ FSYNC_POLICIES = ("always", "batch", "off")
 # A shape names its record's fields in constructor order, normalises a
 # caller's values into what the record holds (``None``: an empty batch,
 # nothing to log), packs them, and -- for ``_unpack`` -- declares its
-# header, how many bytes must follow a given header, and how to read them.
+# header, how many bytes must follow a given header, and how to read them
+# (a batch's columns carry headers of their own: its reader walks them).
 
 #: "buffer" is the sharded tier's escape hatch: the router classified
 #: these points as globally historic, so replay must re-buffer them
@@ -103,6 +115,10 @@ FSYNC_POLICIES = ("always", "batch", "off")
 _MODE_CODES = {"fast": 0, "metered": 1, "buffer": 2}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 _I64 = np.dtype("<i8")
+#: bytes per value of a packed column -> how the values are stored
+_WIDTHS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: _I64}
+#: bytes a column's span needs -> bytes per value the column spends
+_SPAN_WIDTH = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
 
 def _mode_code(mode) -> int:
@@ -183,12 +199,12 @@ class _Vector:
 
 
 class _Batch:
-    """``[B mode] | I n | H k | int64 columns``: a whole batch in one record.
+    """``[B mode] | I n | H k | columns``: a whole batch in one record.
 
     ``columns`` gives every array field its shape in terms of the
     header's ``n`` and ``k`` -- ``("n", "k")`` for exactly one of them,
     ``("n",)`` or ``("n", 2)`` for the others -- and the arrays follow
-    the header in that order, row-major.
+    the header in that order, column by column (version 1: row-major).
     """
 
     def __init__(self, mode: bool, **columns) -> None:
@@ -214,7 +230,7 @@ class _Batch:
 
     def pack(self, *values) -> bytes:
         count = len(self._columns)
-        arrays = [np.ascontiguousarray(a, dtype=_I64) for a in values[:count]]
+        arrays = [np.asarray(a, dtype=np.int64) for a in values[:count]]
         n = arrays[0].shape[0] if arrays[0].ndim else -1
         k = arrays[self._keyed].shape[-1] if arrays[self._keyed].ndim else -1
         if [a.shape for a in arrays] != self._shapes(n, k):
@@ -223,31 +239,73 @@ class _Batch:
                 for name, shape in self._columns.items()
             )
             raise DomainError(f"batch record needs {', '.join(needs)}")
-        head = self.head.pack(*map(_mode_code, values[count:]), n, k)
-        return head + b"".join(a.tobytes() for a in arrays)
+        parts = [self.head.pack(*map(_mode_code, values[count:]), n, k)]
+        # one column-major copy: a contiguous column reduces and slices
+        # ~3x faster than a strided one, and one min / max pass serves all
+        columns = np.ascontiguousarray(np.vstack([a.T for a in arrays]))
+        if not n:
+            return parts[0] + _COLUMN.pack(0, 1) * len(columns)
+        lows, highs = columns.min(axis=1).tolist(), columns.max(axis=1).tolist()
+        for column, low, high in zip(columns, lows, highs):
+            # (Python integers: the span of a full-range column cannot wrap)
+            width = _SPAN_WIDTH[((high - low).bit_length() + 7) // 8]
+            base = low if width < 8 else 0
+            parts.append(_COLUMN.pack(base, width))
+            parts.append((column - base).astype(_WIDTHS[width]).tobytes())
+        return b"".join(parts)
 
-    def extent(self, *head) -> int:
-        return 8 * sum(math.prod(shape) for shape in self._shapes(*head[-2:]))
-
-    def read(self, body: bytes, *head) -> tuple:
+    def read(self, body: bytes, version: int, *head) -> tuple:
+        # walk the columns, which must end exactly where the body ends (a
+        # column spends a byte per row or more: checking that they fit
+        # bounds ``n`` by the body's length before anything is allocated)
         *mode, n, k = head
         if mode and mode[0] not in _MODE_NAMES:
             raise StorageError(f"unknown batch mode code {mode[0]}")
-        shapes = self._shapes(n, k)
-        stops = list(accumulate(math.prod(shape) for shape in shapes))
-        flat = np.frombuffer(body, dtype=_I64, offset=self.head.size)
-        arrays = (
-            part.reshape(shape).astype(np.int64)
-            for part, shape in zip(np.split(flat, stops[:-1]), shapes)
-        )
+        offset, arrays = self.head.size, []
+        for shape in self._shapes(n, k):
+            count = math.prod(shape[1:])
+            if version == 1:  # the whole field, row-major and raw
+                start, offset = offset, _within(body, offset + 8 * n * count)
+                array = np.frombuffer(body, _I64, n * count, start).astype(np.int64)
+            else:
+                _within(body, offset + (n + _COLUMN.size) * count)
+                array = np.empty((n, count), dtype=np.int64)
+                for j in range(count):
+                    offset = _read_column(body, offset, array[:, j])
+            arrays.append(array.reshape(shape))
+        if offset != len(body):
+            raise StorageError(f"{len(body) - offset} bytes follow the last column")
         return (*arrays, *(_MODE_NAMES[code] for code in mode))
 
 
-def _unpack(layout, body: bytes) -> tuple:
-    """A body's field values.  The one length check of the codec: a body
-    is exactly as long as its own header says, or it is not read."""
+def _within(body: bytes, stop: int) -> int:
+    if stop > len(body):
+        raise StorageError("a batch column runs past its record body")
+    return stop
+
+
+def _read_column(body: bytes, offset: int, out: np.ndarray) -> int:
+    """Decode the packed column at ``offset`` into ``out``; returns its end."""
+    start = _within(body, offset + _COLUMN.size)
+    base, width = _COLUMN.unpack_from(body, offset)
+    if width not in _WIDTHS or (width == 8 and base):
+        raise StorageError(f"a packed column of width {width} over base {base}")
+    stop = _within(body, start + len(out) * width)
+    raw = np.frombuffer(body, _WIDTHS[width], len(out), start)
+    # (only a base this close to the top can carry an offset out of int64)
+    if base + 256**width > 1 << 63 and base + int(raw.max(initial=0)) >= 1 << 63:
+        raise StorageError(f"a packed column over base {base} leaves int64")
+    np.add(raw, base, out=out, dtype=np.int64)
+    return stop
+
+
+def _unpack(layout, body: bytes, version: int) -> tuple:
+    """A body's field values.  The one length rule of the codec: a body
+    is exactly as long as its own headers say, or it is not read."""
     if len(body) >= layout.head.size:
         head = layout.head.unpack_from(body)
+        if isinstance(layout, _Batch):  # walks its columns, as ``version`` lays them
+            return layout.read(body, version, *head)
         if len(body) == layout.head.size + layout.extent(*head):
             return layout.read(body, *head)
     raise StorageError(
@@ -434,17 +492,19 @@ def encode_record(record: WalRecord, lsn: int) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def decode_payload(payload: bytes) -> tuple[int, WalRecord]:
-    """Decode one record payload into ``(lsn, record)``; anything but a
-    known type over a body of exactly its shape is a
-    :class:`~repro.core.errors.StorageError`."""
+def decode_payload(
+    payload: bytes, version: int = WAL_FORMAT_VERSION
+) -> tuple[int, WalRecord]:
+    """Decode one record payload of a version-``version`` segment into
+    ``(lsn, record)``; anything but a known type over a body of exactly
+    its shape is a :class:`~repro.core.errors.StorageError`."""
     if len(payload) < _PREFIX.size:
         raise StorageError("record payload is too short to carry a type and an LSN")
     rtype, lsn = _PREFIX.unpack_from(payload)
     row = BY_TAG.get(rtype)
     if row is None:
         raise StorageError(f"unknown WAL record type {rtype}")
-    return lsn, row.cls(*_unpack(row.layout, payload[_PREFIX.size :]))
+    return lsn, row.cls(*_unpack(row.layout, payload[_PREFIX.size :], version))
 
 
 # -- segment scanning -----------------------------------------------------------
@@ -456,6 +516,7 @@ class _ScanResult:
     valid_bytes: int  # prefix length holding intact records (incl. header)
     torn: bool  # a partial/corrupt record follows the prefix
     base_lsn: int
+    version: int  # the layout every batch body of the segment has
 
 
 def _frame_at(data: bytes, offset: int, lsn: int) -> bytes | None:
@@ -491,11 +552,11 @@ def _scan_segment(path: Path, tolerant: bool = False) -> _ScanResult:
     magic, version, base_lsn = _HEADER.unpack_from(data, 0)
     if magic != SEGMENT_MAGIC:
         raise StorageError(f"{path.name}: not a WAL segment (bad magic)")
-    if version > WAL_FORMAT_VERSION:
+    if not 1 <= version <= WAL_FORMAT_VERSION:
         raise StorageError(
-            f"{path.name}: WAL format version {version} is newer than this "
-            f"build reads ({WAL_FORMAT_VERSION}); upgrade the library to "
-            "replay this log"
+            f"{path.name}: WAL format version {version} is not one this "
+            f"build reads (1..{WAL_FORMAT_VERSION}); upgrade the library to "
+            "replay a newer log"
         )
     records: list[tuple[int, WalRecord]] = []
     offset = _HEADER.size
@@ -505,7 +566,7 @@ def _scan_segment(path: Path, tolerant: bool = False) -> _ScanResult:
         if payload is None:
             break
         try:
-            _, record = decode_payload(payload)
+            _, record = decode_payload(payload, version)
         except StorageError as exc:
             if not tolerant:
                 raise StorageError(
@@ -520,7 +581,7 @@ def _scan_segment(path: Path, tolerant: bool = False) -> _ScanResult:
             )
         records.append((lsn, record))
         offset += _FRAME.size + len(payload)
-    return _ScanResult(records, offset, offset < len(data), base_lsn)
+    return _ScanResult(records, offset, offset < len(data), base_lsn, version)
 
 
 def _segments(directory: Path) -> list[Path]:
@@ -635,6 +696,10 @@ class WriteAheadLog:
         self._active_seq = int(_SEGMENT_RE.match(tail_path.name).group(1))
         self.next_lsn = scan.base_lsn + len(scan.records)
         self._handle = open(tail_path, "ab")
+        if scan.version < WAL_FORMAT_VERSION:
+            # a segment holds one layout: leave the older build's file
+            # as it is and append to a segment of this build's
+            self.roll_segment()
 
     def _start_segment(self) -> None:
         path = self._segment_path(self._active_seq)
@@ -663,12 +728,16 @@ class WriteAheadLog:
     def append(self, record: WalRecord) -> int:
         """Append one record; returns its LSN.
 
-        Durability on return depends on the fsync policy: ``always``
-        syncs here, ``batch`` defers to the next :meth:`commit`.
+        On return the frame is the OS's (it survives this process); the fsync
+        policy says when it is on disk: ``always`` here, ``batch`` at a commit.
         """
         if self._handle is None:
             raise StorageError("write-ahead log is closed")
         frame = encode_record(record, self.next_lsn)
+        if len(frame) - _FRAME.size > MAX_RECORD_BYTES:
+            # a scan would take the frame for a torn write and drop it
+            # together with every record after it
+            raise DomainError(f"a record is at most {MAX_RECORD_BYTES} bytes long")
         if (
             self._handle.tell() + len(frame) > self.segment_bytes
             and self._handle.tell() > _HEADER.size
@@ -676,6 +745,7 @@ class WriteAheadLog:
             self.roll_segment()
         lsn = self.next_lsn
         self._handle.write(frame)
+        self._handle.flush()  # an acknowledged record is the OS's, not this process's
         self.next_lsn += 1
         self.appends_since_sync += 1
         if self.fsync == "always" or (
@@ -685,10 +755,9 @@ class WriteAheadLog:
         return lsn
 
     def commit(self) -> None:
-        """Flush (and, unless ``fsync="off"``, fsync) appended records."""
+        """Fsync (unless ``fsync="off"``) what was appended (each write was flushed)."""
         if self._handle is None:
             return
-        self._handle.flush()
         self._fsync_handle(self._handle)
         self.appends_since_sync = 0
 
@@ -739,10 +808,9 @@ class WriteAheadLog:
         segments = _segments(self.directory)
         dropped: list[str] = []
         for path, next_path in zip(segments, segments[1:]):
-            next_scan_base = _HEADER.unpack_from(
-                next_path.read_bytes()[: _HEADER.size], 0
-            )[2]
-            if next_scan_base <= covered_lsn + 1:
+            with open(next_path, "rb") as handle:
+                next_base = _HEADER.unpack(handle.read(_HEADER.size))[2]
+            if next_base <= covered_lsn + 1:
                 path.unlink()
                 dropped.append(path.name)
             else:
@@ -768,28 +836,42 @@ class WriteAheadLog:
         )
 
 
+def _updates(record) -> int:
+    """The cube updates a record carries: a batch's ``n``, 1 for one point."""
+    layout = getattr(BY_CLASS.get(type(record)), "layout", None)
+    if isinstance(layout, _Batch):
+        return len(getattr(record, layout.fields[0]))
+    return int(isinstance(layout, _Vector))
+
+
 def inspect_log(directory) -> dict:
     """Read-only summary of a WAL directory (no tail repair, no locks)."""
     segments = []
     record_counts: Counter = Counter()  # (tag, log-info name) -> frames
+    updates = 0
     for path, scan in _scan_log(Path(directory), tolerant=True):
         records = scan.records if scan is not None else []
         record_counts.update((record.type, record.log_name) for _, record in records)
+        updates += sum(_updates(record) for _, record in records)
         segments.append(
             {
                 "file": path.name,
+                "format_version": scan.version if scan is not None else None,
                 "base_lsn": scan.base_lsn if scan is not None else None,
                 "records": len(records),
                 "bytes": path.stat().st_size,
                 "torn_tail": scan is None or scan.torn,
             }
         )
+    size = sum(segment["bytes"] for segment in segments)
     return {
-        "format_version": WAL_FORMAT_VERSION,
+        "format_version": WAL_FORMAT_VERSION,  # what this build writes
         "records": sum(segment["records"] for segment in segments),
         "record_counts": {
             name: count for (_, name), count in sorted(record_counts.items())
         },
+        "updates": updates,
+        "bytes_per_update": round(size / updates, 3) if updates else None,
         "segments": segments,
         "torn_tail": any(segment["torn_tail"] for segment in segments),
     }

@@ -5,10 +5,15 @@
 log tail behind it.  The committed copies were written by commit e4e8b7e
 (the last one with a second durable class for extent cubes), so
 ``tests/test_durability_checkpoint.py`` proves that directories from
-before the two classes were merged still recover.  The op lists below
-are what the test replays into a live replica.
+before the two classes were merged still recover.  Their log segments
+are WAL format version 1, which no later build writes: they are input,
+never regenerated.  ``durable_point_v2/`` and ``durable_extent_v2/``
+are the same two op lists as the first build that writes version 2
+(packed batch columns) left them.  The op lists below are what the test
+replays into a live replica.
 
-Regenerate (only when the on-disk format changes on purpose)::
+Regenerate the directories of the format this build writes (only when
+the on-disk format changes on purpose)::
 
     PYTHONPATH=src python tests/data/make_durable_fixtures.py
 """
@@ -128,7 +133,11 @@ def _point_cube(directory):
 FIXTURES = {
     "durable_point": (_point_cube, POINT_OPS),
     "durable_extent": (_extent_cube, EXTENT_OPS),
+    "durable_point_v2": (_point_cube, POINT_OPS),
+    "durable_extent_v2": (_extent_cube, EXTENT_OPS),
 }
+#: written by builds this one can read but no longer reproduce
+FROZEN = ("durable_point", "durable_extent")
 
 
 def write(name: str, directory) -> None:
@@ -141,6 +150,6 @@ def write(name: str, directory) -> None:
 
 
 if __name__ == "__main__":
-    for fixture in FIXTURES:
+    for fixture in sorted(set(FIXTURES) - set(FROZEN)):
         shutil.rmtree(HERE / fixture, ignore_errors=True)
         write(fixture, HERE / fixture)

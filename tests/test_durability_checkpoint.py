@@ -3,7 +3,9 @@
 ``TestDirectoriesWrittenByAnOlderCommit`` recovers the fixture
 directories under ``tests/data/`` (see ``make_durable_fixtures.py``
 there), so a format or replay change that strands existing directories
-fails here.
+fails here: the pair whose log segments are WAL format version 1, the
+pair in the version this build writes, and a version-1 directory this
+build has appended to.
 
 Also covers the serialize-layer companions: ``save_kernel`` /
 ``load_kernel`` round-trip every backend, and archives written by a
@@ -28,7 +30,8 @@ from repro.durability.checkpoint import (
     read_manifest,
     snapshot_arrays,
 )
-from repro.durability.recovery import TILES_SUBDIR, build_front
+from repro.durability.recovery import TILES_SUBDIR, WAL_SUBDIR, build_front
+from repro.durability.wal import WAL_FORMAT_VERSION, _scan_segment, inspect_log
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.storage.serialize import load_kernel, save_kernel
@@ -182,6 +185,90 @@ class TestCheckpointCycle:
             DurableCube((4, 4), tmp_path, fsync="off")
 
 
+def _assert_same_state(front, replica):
+    ours, theirs = snapshot_arrays(front), snapshot_arrays(replica)
+    assert sorted(ours) == sorted(theirs)
+    for key, value in theirs.items():
+        assert ours[key].dtype == value.dtype, key
+        np.testing.assert_array_equal(ours[key], value, err_msg=key)
+
+
+#: per version-1 fixture: batches this build appends behind its log, one
+#: record each (the last one is then cut mid-frame)
+APPENDED = {
+    "durable_point": [
+        ("update_many", *fixtures._batch([24, 25, 21, 26]), "fast"),  # one late
+        ("update_many", *fixtures._batch([27, 28]), "metered"),
+        ("update_many", *fixtures._batch([29, 30, 30]), "fast"),
+    ],
+    "durable_extent": [
+        (
+            "insert_many",
+            np.array([[23, 300], [24, 24], [20, 26]], dtype=np.int64),  # one late
+            np.array([[0, 1], [3, 3], [2, 0]], dtype=np.int64),
+            np.array([2, 70000, 1], dtype=np.int64),
+            "fast",
+        ),
+        (
+            "insert_many",
+            np.array([[25, 25]], dtype=np.int64),
+            np.array([[1, 1]], dtype=np.int64),
+            np.array([-4], dtype=np.int64),
+            "metered",
+        ),
+        (
+            "insert_many",
+            np.array([[26, 27], [26, 90]], dtype=np.int64),
+            np.array([[0, 0], [2, 2]], dtype=np.int64),
+            np.array([1, 1], dtype=np.int64),
+            "fast",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", fixtures.FROZEN)
+def test_a_version_1_directory_this_build_appends_to(tmp_path, capsys, name):
+    """The older build's segment stays as it was written; ours follows it."""
+    from repro.__main__ import main as repro_main
+
+    directory = tmp_path / name
+    shutil.copytree(fixtures.HERE / name, directory)
+    (old_segment,) = sorted((directory / WAL_SUBDIR).iterdir())
+    old_bytes = old_segment.read_bytes()
+    with DurableCube.recover(directory) as cube:
+        for op in APPENDED[name]:
+            fixtures.apply_op(cube, op)
+    _, tail = sorted((directory / WAL_SUBDIR).iterdir())
+    with open(tail, "r+b") as handle:  # the last batch did not reach the disk whole
+        handle.truncate(tail.stat().st_size - 5)
+    recovered = DurableCube.recover(directory)
+    ops = fixtures.FIXTURES[name][1]
+    assert recovered.recovery_info["last_lsn"] == len(ops) + len(APPENDED[name]) - 1
+    replica = build_front(recovered._config, None, tmp_path / "tiles")
+    for op in [*ops, *APPENDED[name][:-1]]:
+        if op != ("checkpoint",):
+            fixtures.apply_op(replica, op)
+    _assert_same_state(recovered.front, replica)
+    recovered.close()
+    assert old_segment.read_bytes() == old_bytes
+    assert repro_main(["log-info", str(directory)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert [segment["format_version"] for segment in info["segments"]] == [
+        1,
+        WAL_FORMAT_VERSION,
+    ]
+    assert info["format_version"] == WAL_FORMAT_VERSION
+    assert info["torn_tail"] is False
+    assert info["segments"][1]["base_lsn"] == len(ops) + 1
+    assert info["segments"][1]["records"] == len(APPENDED[name]) - 1
+    before = inspect_log(fixtures.HERE / name / WAL_SUBDIR)
+    assert info["updates"] == before["updates"] + sum(
+        len(op[1]) for op in APPENDED[name][:-1]
+    )
+    assert info["bytes_per_update"] < before["bytes_per_update"]
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 class TestDirectoriesWrittenByAnOlderCommit:
     def test_this_commit_writes_the_same_bytes(self, tmp_path, name):
@@ -205,7 +292,16 @@ class TestDirectoriesWrittenByAnOlderCommit:
                     for key in old.files:
                         assert mine[key].dtype == old[key].dtype, key
                         np.testing.assert_array_equal(mine[key], old[key], key)
-            else:  # WAL segments and tiles
+            elif file.parts[0] == WAL_SUBDIR:
+                # the same records under the same LSNs in the same segments;
+                # the same bytes where the segment is in the layout we write
+                mine, old = _scan_segment(ours / file), _scan_segment(theirs / file)
+                assert (mine.base_lsn, mine.records) == (old.base_lsn, old.records)
+                assert not mine.torn and not old.torn
+                assert (old.version == WAL_FORMAT_VERSION) == (name not in fixtures.FROZEN)
+                if old.version == WAL_FORMAT_VERSION:
+                    assert (ours / file).read_bytes() == (theirs / file).read_bytes()
+            else:  # tiles
                 assert (ours / file).read_bytes() == (theirs / file).read_bytes(), file
 
     def test_recovers_bit_identical_to_a_replayed_replica(self, tmp_path, name):
@@ -225,12 +321,7 @@ class TestDirectoriesWrittenByAnOlderCommit:
         for op in ops:
             if op != ("checkpoint",):
                 fixtures.apply_op(replica, op)
-        ours = snapshot_arrays(recovered.front)
-        theirs = snapshot_arrays(replica)
-        assert sorted(ours) == sorted(theirs)
-        for key, value in theirs.items():
-            assert ours[key].dtype == value.dtype, key
-            np.testing.assert_array_equal(ours[key], value, err_msg=key)
+        _assert_same_state(recovered.front, replica)
         if recovered.extent:
             queries = [(4, 40), (6, 12), (13, 22), (20, 60), (31, 31)]
             cells = [None, Box((1, 0), (3, 2)), None, Box((0, 0), (0, 3)), None]

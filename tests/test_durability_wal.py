@@ -2,15 +2,24 @@
 
 The codec properties are Hypothesis-driven: every record type with
 arbitrary (including negative) deltas and coordinates must survive
-``encode_record`` -> ``decode_payload`` bit-exactly, and a log truncated
-at *any* byte offset must replay exactly an intact prefix of what was
-written -- never garbage, never an error -- and accept appends again
-after the open-for-append repair.
+``encode_record`` -> ``decode_payload`` bit-exactly -- batch columns are
+drawn to land on every packed width, the full int64 range included --
+and a log truncated at *any* byte offset must replay exactly an intact
+prefix of what was written -- never garbage, never an error -- and
+accept appends again after the open-for-append repair.
+
+Bytes are pinned twice: ``GOLDEN_FRAMES`` are the frames a version-1
+segment holds (what older builds wrote: decoded, and for the scalar and
+vector rows still encoded, byte for byte), ``GOLDEN_PACKED_FRAMES`` the
+batch rows as this build writes them.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -19,12 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DomainError, StorageError
+from repro.durability import wal as wal_module
 from repro.durability.wal import (
+    _COLUMN,
     _FRAME,
     _HEADER,
     _PREFIX,
     RECORD_TYPES,
     SEGMENT_MAGIC,
+    WAL_FORMAT_VERSION,
     AdvanceRecord,
     CheckpointMarkerRecord,
     DemoteRecord,
@@ -37,6 +49,7 @@ from repro.durability.wal import (
     UpdateBatchRecord,
     UpdateRecord,
     WriteAheadLog,
+    _Batch,
     decode_payload,
     encode_record,
     inspect_log,
@@ -47,14 +60,31 @@ COORD = st.integers(-(2**62), 2**62)
 DELTA = st.integers(-(2**62), 2**62)
 
 
+I64 = np.iinfo(np.int64)
+#: ``max - min`` of a drawn batch column: both sides of every packed
+#: width's limit, and int64's minimum and maximum in one column
+SPANS = [0, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@st.composite
+def columns(draw, n, count):
+    """An ``(n, count)`` int64 array; a column of two or more rows spans
+    exactly one of ``SPANS``, wherever in int64 that fits."""
+    out = np.empty((n, count), dtype=np.int64)
+    for j in range(count):
+        span = draw(st.sampled_from(SPANS))
+        low = draw(st.integers(I64.min, I64.max - span))
+        inner = st.lists(
+            st.integers(low, low + span), min_size=max(n - 2, 0), max_size=max(n - 2, 0)
+        )
+        out[:, j] = draw(st.permutations([low, low + span, *draw(inner)]))[:n]
+    return out
+
+
 def _batch(draw, cls, **kwargs):
     n = draw(st.integers(1, 6))
-    ndim = draw(st.integers(1, 4))
-    points = np.array(
-        [[draw(COORD) for _ in range(ndim)] for _ in range(n)], dtype=np.int64
-    )
-    deltas = np.array([draw(DELTA) for _ in range(n)], dtype=np.int64)
-    return cls(points, deltas, **kwargs)
+    points = draw(columns(n, draw(st.integers(1, 4))))
+    return cls(points, draw(columns(n, 1))[:, 0].copy(), **kwargs)
 
 
 @st.composite
@@ -84,16 +114,11 @@ def interval_records(draw):
 @st.composite
 def interval_batch_records(draw):
     n = draw(st.integers(1, 6))
-    ndim = draw(st.integers(1, 4))
-    intervals = np.array(
-        [[draw(COORD), draw(COORD)] for _ in range(n)], dtype=np.int64
-    )
-    cells = np.array(
-        [[draw(COORD) for _ in range(ndim)] for _ in range(n)], dtype=np.int64
-    )
-    values = np.array([draw(DELTA) for _ in range(n)], dtype=np.int64)
     return IntervalBatchRecord(
-        intervals, cells, values, mode=draw(st.sampled_from(["fast", "metered"]))
+        draw(columns(n, 2)),
+        draw(columns(n, draw(st.integers(1, 4)))),
+        draw(columns(n, 1))[:, 0].copy(),
+        mode=draw(st.sampled_from(["fast", "metered"])),
     )
 
 
@@ -171,6 +196,33 @@ GOLDEN_FRAMES = [
     (AdvanceRecord(17), "1100000023cba2140a31000000000000001100000000000000"),
     (DemoteRecord(8), "11000000929e38d90b32000000000000000800000000000000"),
 ]
+#: The batch rows of ``GOLDEN_FRAMES`` (by position), and the frames a
+#: version-2 segment holds for the same records at the same LSNs, as
+#: the commit that introduced packed columns wrote them.  A new batch row
+#: needs a frame here too.
+BATCH_ROWS = (1, 3, 8)
+GOLDEN_PACKED_FRAMES = [
+    "3c000000605d9d3d022900000000000000020200000003000300000000"
+    "00000001000100000000000000000101000200000000000000010001fe"
+    "ffffffffffffff010700",
+    "3b000000a64bba5b042b00000000000000020000000300030000000000"
+    "000001000100000000000000000101000200000000000000010001feff"
+    "ffffffffffff010700",
+    "47000000d930cff6093000000000000000010200000002000000000000"
+    "0000000100020200000000000000010200000000000000000001010002"
+    "00000000000000010100ffffffffffffffff010600",
+]
+
+
+def _packed_body(n=2, mode=1, widths=(1, 1), bases=(5, I64.max - 1)) -> bytes:
+    """An ``update_batch`` body in the packed layout, written by hand:
+    ``n`` rows claimed, k = 1, so one ``points`` and one ``deltas`` column
+    of two stored values each (0 and 2, then 1 and 0)."""
+    dtypes = {0: "<u1", 1: "<u1", 2: "<u2", 3: "<u1", 4: "<u4", 8: "<i8"}
+    return struct.pack("<BIH", mode, n, 1) + b"".join(
+        _COLUMN.pack(base, width) + np.array(values, dtype=dtypes[width]).tobytes()
+        for base, width, values in zip(bases, widths, ([0, 2], [1, 0]))
+    )
 
 
 class TestCodec:
@@ -184,6 +236,20 @@ class TestCodec:
         got_lsn, got = decode_payload(payload)
         assert got_lsn == lsn
         assert got == record
+        for value in vars(got).values():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == np.int64 and value.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_the_shortest_batches_round_trip(self, n):
+        """No row at all (never logged by a cube, but a legal record), and
+        one row: every column's span is 0."""
+        record = IntervalBatchRecord(
+            np.full((n, 2), I64.max), np.full((n, 3), I64.min), np.zeros(n, np.int64)
+        )
+        frame = encode_record(record, 1)
+        assert len(frame) == _FRAME.size + _PREFIX.size + 7 + 6 * (_COLUMN.size + n)
+        assert decode_payload(frame[_FRAME.size :]) == (1, record)
 
     @given(record=RECORDS, lsn=st.integers(1, 2**32), flip=st.integers(0, 10**9))
     def test_any_payload_corruption_is_detected(self, record, lsn, flip):
@@ -197,14 +263,22 @@ class TestCodec:
         assert sorted(STRATEGIES) == sorted(row.name for row in RECORD_TYPES)
 
     def test_frames_are_byte_identical_to_the_recorded_ones(self):
-        """Bytes on disk, pinned -- and a row without a frame fails."""
+        """Bytes on disk, pinned -- and a row without a frame fails, in the
+        version-1 table and, if it is a batch row, in the packed one."""
         assert [type(r) for r, _ in GOLDEN_FRAMES] == [row.cls for row in RECORD_TYPES]
-        for offset, (record, frame) in enumerate(GOLDEN_FRAMES):
-            assert encode_record(record, 40 + offset).hex() == frame, record
-            assert decode_payload(bytes.fromhex(frame)[_FRAME.size :]) == (
-                40 + offset,
+        packed = dict(zip(BATCH_ROWS, GOLDEN_PACKED_FRAMES))
+        assert [row.cls for row in RECORD_TYPES if isinstance(row.layout, _Batch)] == [
+            type(GOLDEN_FRAMES[position][0]) for position in BATCH_ROWS
+        ]
+        for position, (record, frame) in enumerate(GOLDEN_FRAMES):
+            lsn = 40 + position
+            assert decode_payload(bytes.fromhex(frame)[_FRAME.size :], version=1) == (
+                lsn,
                 record,
             )
+            written = packed.get(position, frame)
+            assert encode_record(record, lsn).hex() == written, record
+            assert decode_payload(bytes.fromhex(written)[_FRAME.size :]) == (lsn, record)
 
     def test_unknown_type_rejected(self):
         payload = struct.pack("<BQ", 200, 1)
@@ -244,6 +318,68 @@ class TestCodec:
         with pytest.raises(StorageError, match="cannot decode"):
             WriteAheadLog(tmp_path, fsync="off")
 
+    @pytest.mark.parametrize(
+        "body, refusal",
+        [
+            (_packed_body(widths=(1, 3)), "width 3"),
+            (_packed_body(widths=(0, 1)), "width 0"),
+            (_packed_body(widths=(8, 1), bases=(1, 0)), "width 8 over base 1"),
+            (_packed_body()[:-1], "runs past"),  # a column cut short
+            (_packed_body()[: -_COLUMN.size - 2], "runs past"),  # a column missing
+            (_packed_body(n=2**32 - 1), "runs past"),  # rows the body cannot hold
+            (_packed_body() + b"\x00", "1 bytes follow"),
+            (_packed_body(bases=(I64.max - 1, 0)), "leaves int64"),
+            (_packed_body(mode=9), "mode code 9"),
+        ],
+    )
+    def test_a_malformed_packed_body_is_a_storage_error(self, tmp_path, body, refusal):
+        """Each refusal of the packed layout, over a frame whose CRC is
+        valid: committed history that cannot be read is never truncated
+        away as a torn tail."""
+        payload = _PREFIX.pack(2, 2) + body
+        with pytest.raises(StorageError, match=refusal):
+            decode_payload(payload)
+        segment = tmp_path / "wal-00000001.log"
+        segment.write_bytes(
+            _HEADER.pack(SEGMENT_MAGIC, WAL_FORMAT_VERSION, 1)
+            + encode_record(RetireRecord(1), 1)
+            + _FRAME.pack(len(payload), zlib.crc32(payload))
+            + payload
+            + encode_record(RetireRecord(3), 3)
+        )
+        size = segment.stat().st_size
+        info = inspect_log(tmp_path)
+        assert info["record_counts"] == {"retire": 2, "malformed_update_batch": 1}
+        assert info["torn_tail"] is False
+        with pytest.raises(StorageError, match="LSN 2 .* cannot decode"):
+            WriteAheadLog(tmp_path, fsync="off")
+        assert segment.stat().st_size == size
+
+    def test_the_well_formed_packed_body_decodes(self):
+        """(the body the malformed ones are one edit away from)"""
+        _, record = decode_payload(_PREFIX.pack(2, 2) + _packed_body())
+        assert record == UpdateBatchRecord([[5], [7]], [I64.max, I64.max - 1], "metered")
+
+    @pytest.mark.parametrize("n, ceiling", [(512, 5.2), (128, 5.6)])
+    def test_a_benchmark_shaped_batch_costs_its_values_width(self, n, ceiling):
+        """What a shard logs per preload frame of the serving benchmark:
+        two occurring times, cells on 32 x 32 x 8, deltas 1..9 -- five
+        one-byte columns, where version 1 spent 40 bytes per update."""
+        rng = np.random.default_rng(n)
+        points = np.column_stack(
+            [np.repeat([40, 41], n // 2), *(rng.integers(0, s, n) for s in (32, 32, 8))]
+        )
+        frame = encode_record(UpdateBatchRecord(points, rng.integers(1, 10, n)), 1)
+        assert len(frame) / n <= ceiling
+
+    def test_a_full_range_batch_costs_nine_bytes_a_column_over_version_1(self):
+        n, k = 16, 3
+        points = np.tile([[I64.min], [I64.max]], (n // 2, k))
+        record = OutOfOrderBatchRecord(points, np.resize([2**32, 0], n))
+        version_1 = _FRAME.size + _PREFIX.size + 6 + 8 * n * (k + 1)
+        assert len(encode_record(record, 1)) == version_1 + _COLUMN.size * (k + 1)
+        assert decode_payload(encode_record(record, 1)[_FRAME.size :]) == (1, record)
+
     def test_unknown_batch_mode_rejected(self):
         record = UpdateBatchRecord(
             np.zeros((1, 2), dtype=np.int64), np.ones(1, dtype=np.int64)
@@ -264,10 +400,10 @@ def _sample_records(count):
             out.append(UpdateRecord((i, int(rng.integers(0, 8))), int(rng.integers(-5, 9))))
         elif kind == 1:
             n = int(rng.integers(1, 5))
-            out.append(
+            out.append(  # columns one, two, four and eight bytes wide
                 UpdateBatchRecord(
-                    rng.integers(0, 16, size=(n, 3)).astype(np.int64),
-                    rng.integers(-4, 9, size=n).astype(np.int64),
+                    rng.integers(0, 16, size=(n, 3)) * [1, 300, 70_000],
+                    rng.integers(-4, 9, size=n) * 2**40,
                 )
             )
         elif kind == 2:
@@ -304,6 +440,11 @@ class TestTornTail:
                 wal.append(record)
         (path,) = [directory / name for name in sorted(p.name for p in directory.iterdir())]
         size = path.stat().st_size
+        # (the batch frames among them are packed: a cut can land inside a
+        # column header, between two columns, or in a column's values)
+        assert size == _HEADER.size + sum(
+            len(encode_record(record, 1)) for record in records
+        )
         keep = _HEADER.size + cut % (size - _HEADER.size + 1)
         with open(path, "r+b") as handle:
             handle.truncate(keep)
@@ -384,11 +525,20 @@ class TestTornTail:
             WriteAheadLog(tmp_path, fsync="off")
 
     def test_future_wal_version_refused(self, tmp_path):
-        (tmp_path / "wal-00000001.log").write_bytes(
-            _HEADER.pack(SEGMENT_MAGIC, 999, 1)
-        )
-        with pytest.raises(StorageError, match="upgrade"):
-            WriteAheadLog(tmp_path, fsync="off")
+        """A version this build does not read -- the next one, a far one,
+        or 0, which no build ever wrote -- is refused by name, not decoded
+        as the nearest layout."""
+        segment = tmp_path / "wal-00000001.log"
+        for version in (WAL_FORMAT_VERSION + 1, 999, 0):
+            segment.write_bytes(
+                _HEADER.pack(SEGMENT_MAGIC, version, 1)
+                + encode_record(RetireRecord(1), 1)
+            )
+            with pytest.raises(
+                StorageError, match=f"format version {version} is not .* upgrade"
+            ):
+                WriteAheadLog(tmp_path, fsync="off")
+            assert segment.stat().st_size == _HEADER.size + 25
 
     def test_damage_in_non_final_segment_is_an_error(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="off", segment_bytes=64) as wal:
@@ -441,6 +591,48 @@ class TestSegments:
             base = survivors[0] if survivors else 21
             assert all(lsn >= base for lsn in survivors)
 
+    def test_drop_covered_segments_reads_headers_only(self, tmp_path, monkeypatch):
+        with WriteAheadLog(tmp_path, fsync="off", segment_bytes=96) as wal:
+            for record in _sample_records(20):
+                wal.append(record)
+            wal.commit()
+            monkeypatch.setattr(
+                type(tmp_path), "read_bytes", lambda path: pytest.fail(f"read {path}")
+            )
+            names = wal.segments()
+            assert wal.drop_covered_segments(20) == names[:-1] != []
+
+    def test_a_version_1_tail_is_repaired_and_never_appended_to(self, tmp_path):
+        """A segment holds one layout: the first append after opening an
+        older build's log lands in a fresh segment."""
+        frames = [
+            bytes.fromhex(frame) for _, frame in GOLDEN_FRAMES
+        ]  # LSNs 40..50, as a version-1 segment holds them
+        old = tmp_path / "wal-00000007.log"
+        old.write_bytes(_HEADER.pack(SEGMENT_MAGIC, 1, 40) + b"".join(frames)[:-3])
+        intact = _HEADER.size + sum(map(len, frames[:-1]))
+        batch = GOLDEN_FRAMES[1][0]
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            assert old.stat().st_size == intact  # the torn demote@50 is gone
+            assert wal.segments() == ["wal-00000007.log", "wal-00000008.log"]
+            assert wal.append(batch) == 50
+        assert old.stat().st_size == intact
+        with WriteAheadLog(tmp_path, fsync="off") as wal:  # the tail is ours now
+            assert wal.segments() == ["wal-00000007.log", "wal-00000008.log"]
+            assert list(wal.replay()) == [
+                (40 + i, record) for i, (record, _) in enumerate(GOLDEN_FRAMES[:-1])
+            ] + [(50, batch)]
+        info = inspect_log(tmp_path)
+        assert [(s["format_version"], s["base_lsn"]) for s in info["segments"]] == [
+            (1, 40),
+            (WAL_FORMAT_VERSION, 50),
+        ]
+        # update, out_of_order, interval_insert: 1 each; four batches of 2
+        assert info["updates"] == 3 + 4 * 2
+        assert info["bytes_per_update"] == round(
+            sum(s["bytes"] for s in info["segments"]) / 11, 3
+        )
+
     def test_inspect_log_counts_types(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="off") as wal:
             wal.append(UpdateRecord((0, 1), 2))
@@ -478,6 +670,49 @@ class TestFsyncPolicy:
             assert wal.appends_since_sync == 0
         finally:
             wal.close()
+
+    @pytest.mark.parametrize("policy", ["batch", "off"])
+    def test_a_killed_process_loses_no_acknowledged_record(self, tmp_path, policy):
+        """``append`` hands the frame to the OS before it returns: records a
+        few bytes long (well inside the writer's buffer) that were never
+        committed survive a process that dies without closing its log."""
+        script = (
+            "import os, sys; from repro.durability.wal import *\n"
+            f"wal = WriteAheadLog(sys.argv[1], fsync={policy!r}, group_commit=10**6)\n"
+            "for i in range(7): wal.append(RetireRecord(i))\n"
+            "os._exit(0)  # no close, no commit, no interpreter shutdown\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            check=True,
+        )
+        assert inspect_log(tmp_path)["torn_tail"] is False
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            assert [r for _, r in wal.replay()] == [RetireRecord(i) for i in range(7)]
+
+    def test_an_oversize_record_is_refused_before_it_is_acknowledged(
+        self, tmp_path, monkeypatch
+    ):
+        """A scan takes a frame beyond ``MAX_RECORD_BYTES`` for a torn
+        write: had ``append`` written it, the next open would have dropped
+        it and every record after it."""
+        small = UpdateBatchRecord(np.zeros((4, 2), np.int64), np.ones(4, np.int64))
+        large = UpdateBatchRecord(np.zeros((200, 2), np.int64), np.ones(200, np.int64))
+        monkeypatch.setattr(wal_module, "MAX_RECORD_BYTES", 200)
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            assert wal.append(small) == 1
+            wal.commit()
+            (segment,) = tmp_path.iterdir()
+            size = segment.stat().st_size
+            with pytest.raises(DomainError, match="at most 200 bytes"):
+                wal.append(large)
+            wal.commit()
+            assert (wal.next_lsn, segment.stat().st_size) == (2, size)
+            assert wal.append(RetireRecord(3)) == 2
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            assert list(wal.replay()) == [(1, small), (2, RetireRecord(3))]
+            assert wal.next_lsn == 3
 
     def test_append_after_close_rejected(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="off")
