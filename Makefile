@@ -45,22 +45,26 @@ lint:
 	ruff check src tests benchmarks
 
 # Code lines (not blank, not a comment-only line) of src/repro, of the
-# serving path (src/repro minus the paper-reproduction packages), of
-# src/repro/sharding and of src/repro/durability.  ROADMAP tracks the
-# second number; nothing enforces a threshold.
+# serving path (src/repro minus the modules of the paper reproduction,
+# tests/test_import_fence.py's REPRODUCTION list), of src/repro/sharding
+# and of src/repro/durability.  ROADMAP tracks the second number; nothing
+# enforces a threshold.
+SERVING_FILES = PYTHONPATH=. $(PY) -c 'import pathlib; \
+	from tests.test_import_fence import reproduction_modules as fenced; \
+	module = lambda p: ".".join(p.with_suffix("").parts[1:]).removesuffix(".__init__"); \
+	print("\n".join(str(p) for p in sorted(pathlib.Path("src/repro").rglob("*.py")) if not fenced([module(p)])))'
+
 loc:
 	@count() { xargs grep -vcE '^[[:space:]]*(#|$$)' | awk -F: '{n += $$2} END {print n}'; }; \
 	echo "src/repro code lines: $$(find src/repro -name '*.py' | count)"; \
-	echo "serving-path code lines: $$(find src/repro -name '*.py' \
-		-not -path 'src/repro/trees/*' -not -path 'src/repro/rolap/*' \
-		-not -path 'src/repro/olap/*' -not -path 'src/repro/experiments/*' \
-		-not -path 'src/repro/storage/paged_cube.py' | count)"; \
+	echo "serving-path code lines: $$($(SERVING_FILES) | count)"; \
 	echo "src/repro/sharding code lines: $$(find src/repro/sharding -name '*.py' | count)"; \
 	echo "src/repro/durability code lines: $$(find src/repro/durability -name '*.py' | count)"
 
 # A front is a declared stack (repro.core.front): nothing finds a layer
 # by probing, there is one kernel implementation, one tile codec, one shm
-# mapping path, one representation of G_d, one WAL layout written, and
+# mapping path, one representation of G_d, one WAL layout written, one
+# store above the kernel (paged and sparse keep no serving hook), and
 # `serve` serves.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
@@ -76,4 +80,6 @@ probes:
 	@! grep -nE '_stdlib|import shared_memory|SharedMemory' src/repro/sharding/shm.py
 	@! grep -n '^from repro.trees' src/repro/core/out_of_order.py
 	@! grep -n "WAL_FORMAT_VERSION = 1" src/repro/durability/wal.py
+	@! grep -rnE 'build_kerne[l]|adopts_row[s]|"--backen[d]"' src/repro
+	@! grep -nE 'mut_versio[n]|freeze_slic[e]|snapshot_slic[e]' src/repro/ecube/disk.py src/repro/ecube/sparse.py
 	@echo "probes: none"

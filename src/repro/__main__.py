@@ -163,14 +163,13 @@ def _cmd_serve(args) -> int:
     ).exists()
     if recovered:
         # a restart of the command that created the directory: shape,
-        # shards, backend and tiers come from its manifest
+        # shards and tiers come from its manifest
         cube = ShardedCube.recover(args.durable_dir, processes=processes)
     else:
         cube = ShardedCube(
             tuple(int(n) for n in args.shape.split(",")),
             shards=args.shards,
             processes=processes,
-            backend=args.backend,
             num_times=args.num_times,
             durable_dir=args.durable_dir,
             tiers=json.loads(args.tiers) if args.tiers else None,
@@ -338,12 +337,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve = sub.add_parser("serve", help="serve a sharded cube over TCP")
     serve.add_argument(
-        "--backend",
-        choices=("dense", "paged", "sparse"),
-        default="dense",
-        help="slice-storage backend (default: dense)",
-    )
-    serve.add_argument(
         "--shards", type=int, default=2, help="shard worker processes (default: 2)"
     )
     serve.add_argument(
@@ -369,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "give every shard a WAL + checkpoint directory under this path; "
             "a directory that already holds a sharded cube is recovered "
-            "(its manifest then decides shape, shards, backend and tiers)"
+            "(its manifest then decides shape, shards and tiers)"
         ),
     )
     serve.add_argument(

@@ -1,4 +1,9 @@
-"""Snapshot-isolated concurrent reads over the cube kernel.
+"""Snapshot-isolated concurrent reads over the dense cube kernel.
+
+Only :class:`~repro.ecube.stores.DenseStore` has the hooks this module
+reads (``freeze_cache``, ``freeze_slice`` and the ``DenseSlice``
+seqlock); a snapshot over a paged or sparse kernel is refused when it is
+built (:func:`repro.core.front.layers`).
 
 The eCube is append-only: a published historic instance never changes its
 *answers* again -- later kernel work against it is either answer-neutral
@@ -330,14 +335,8 @@ class SnapshotView:
             _, payload = directory.at_index(slice_index)
             version = payload.mut_version
             if not version & 1:
-                frozen = None
-                try:
-                    frozen = store.freeze_slice(payload)
-                except RuntimeError:
-                    # a concurrent structural resize (sparse dict) tore
-                    # the iteration; the seqlock retry covers it
-                    frozen = None
-                if frozen is not None and payload.mut_version == version:
+                frozen = store.freeze_slice(payload)
+                if payload.mut_version == version:
                     arrays = epoch.overlays.get(slice_index)
                     if arrays is not None:
                         return arrays
@@ -363,7 +362,7 @@ def prepare_epoch(epoch: Epoch, cube: "SnapshotCube | None" = None) -> SnapshotV
 
 
 class SnapshotCube:
-    """Single-writer / many-reader front over any cube backend.
+    """Single-writer / many-reader front over a dense cube stack.
 
     Attaches to the kernel as its *epoch sink*: every mutating entry
     point publishes a fresh :class:`Epoch` on exit, and answer-changing
@@ -373,12 +372,13 @@ class SnapshotCube:
     thread.
 
     ``target`` is any point-object stack (:func:`repro.core.front.layers`):
-    a :class:`~repro.ecube.kernel.CubeKernel` on any backend, bare or
-    under a ``G_d`` buffer, retention tiers and a
-    :class:`~repro.durability.recovery.DurableCube`.  The forwarded
-    writes are :data:`FORWARDED`; one the stack lacks (``drain`` over a
-    bare kernel, ``checkpoint`` without a log) is refused with
-    :class:`~repro.core.errors.DomainError`.
+    a dense :class:`~repro.ecube.kernel.CubeKernel`, bare or under a
+    ``G_d`` buffer, retention tiers and a
+    :class:`~repro.durability.recovery.DurableCube` (a paged or sparse
+    kernel is refused: those are the paper's cost models, used bare).
+    The forwarded writes are :data:`FORWARDED`; one the stack lacks
+    (``drain`` over a bare kernel, ``checkpoint`` without a log) is
+    refused with :class:`~repro.core.errors.DomainError`.
     """
 
     #: the serving layer of a stack (:mod:`repro.core.front`)
@@ -387,8 +387,8 @@ class SnapshotCube:
 
     def __init__(self, target) -> None:
         self.target = target
-        #: the layers under this one, as they declare themselves
-        self.stack = layers(target)
+        #: this layer and those under it, as they declare themselves
+        self.stack = layers(self)
         require(self.stack, "point", "SnapshotCube", "target")
         self.kernel = self.stack["kernel"]
         self.buffer = (

@@ -31,14 +31,13 @@ from repro.core.errors import DomainError
 from repro.core.types import Box
 from repro.concurrent.snapshot import SnapshotCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.factory import build_kernel
+from repro.ecube.ecube import EvolvingDataCube
 
 
 @dataclass
 class StressResult:
     """Outcome of one :func:`run_stress` run."""
 
-    backend: str
     buffered: bool
     writes: int
     reads: int
@@ -53,11 +52,6 @@ class StressResult:
     @property
     def reads_per_second(self) -> float:
         return self.reads / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-
-def _build_target(backend: str, slice_shape, num_times: int, buffered: bool):
-    build = BufferedEvolvingDataCube if buffered else build_kernel
-    return build(slice_shape, num_times=num_times, backend=backend)
 
 
 def _write_script(rng, slice_shape, num_times: int, writes: int, buffered: bool):
@@ -143,7 +137,6 @@ def _random_box(rng, slice_shape, num_times: int) -> Box:
 
 
 def run_stress(
-    backend: str = "dense",
     buffered: bool = False,
     readers: int = 3,
     writes: int = 80,
@@ -161,8 +154,8 @@ def run_stress(
     """
     rng = np.random.default_rng(seed)
     slice_shape = tuple(int(n) for n in slice_shape)
-    target = _build_target(backend, slice_shape, num_times, buffered)
-    cube = SnapshotCube(target)
+    build = BufferedEvolvingDataCube if buffered else EvolvingDataCube
+    cube = SnapshotCube(build(slice_shape, num_times=num_times))
     script = _write_script(rng, slice_shape, num_times, writes, buffered)
 
     # sequence -> frozen oracle (raw per-time deltas); the initial epoch
@@ -322,7 +315,6 @@ def run_stress(
                         f"got {answer}, oracle {expected}"
                     )
     return StressResult(
-        backend=backend,
         buffered=buffered,
         writes=len(script),
         reads=reads,

@@ -1,7 +1,9 @@
 """A front is a declared stack: every layer carries a ``kind`` (one of
 :data:`KINDS`) and an ``inner`` (what it wraps; ``None`` at the bottom,
 which names its ``kernels``).  :func:`layers` walks the declaration when
-a stack is built or recovered; whatever needs a layer reads the mapping,
+a stack is built or recovered -- a layer that wraps what its caller
+hands it walks from itself, so a stack over a paged or sparse kernel is
+refused where it is built; whatever needs a layer reads the mapping,
 pass-through methods are installed by :func:`forward`, and an operation
 the stack lacks is refused by :func:`require`."""
 
@@ -33,14 +35,25 @@ FRONT_KINDS = {
 
 
 def layers(front) -> dict:
-    """``kind -> layer`` of the stack ``front`` tops, outermost first."""
+    """``kind -> layer`` of the stack ``front`` tops, outermost first.
+
+    Every layer above the kernel serves a dense store: a paged or sparse
+    kernel (the paper's cost models) is a stack only on its own.
+    """
     stack = {}
     while front is not None:
-        if getattr(front, "kind", None) not in KINDS:
+        kind = getattr(front, "kind", None)
+        if kind not in KINDS:
             raise DomainError(
                 f"{type(front).__name__} declares no layer kind ({', '.join(KINDS)})"
             )
-        stack[front.kind] = front
+        if kind == "kernel" and stack and front.store.kind != "dense":
+            raise DomainError(
+                f"a {list(stack)[-1]} layer cannot sit over a {front.store.kind} "
+                "kernel: the layers above the kernel serve dense stores only "
+                "(paged and sparse kernels are used bare)"
+            )
+        stack[kind] = front
         front = front.inner
     return stack
 

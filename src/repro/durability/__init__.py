@@ -12,12 +12,12 @@ checkpoint:
   log (binary codec with explicit versioning, configurable fsync policy,
   torn-tail detection);
 * :mod:`repro.durability.checkpoint` -- incremental checkpoints through
-  the :class:`~repro.ecube.stores.SliceStore` snapshot machinery (all
-  three backends), a manifest published by atomic rename, and segment
-  compaction once a checkpoint covers them;
+  the :class:`~repro.ecube.stores.DenseStore` snapshot machinery, a
+  manifest published by atomic rename, and segment compaction once a
+  checkpoint covers them;
 * :mod:`repro.durability.recovery` -- :class:`DurableCube`, the one
-  logging front-end: it wraps any front of the stack (a kernel, buffered
-  or not, tiered or not, or with ``extent=True`` the multi-family
+  logging front-end: it wraps any front of the stack (the dense kernel,
+  buffered or not, tiered or not, or with ``extent=True`` the multi-family
   :class:`~repro.ecube.extent.ExtentCube` and its interval insert,
   interval batch and clock-advance records), plus
   ``DurableCube.recover``: latest checkpoint + tail replay of whichever

@@ -4,9 +4,9 @@ A checkpoint is a complete snapshot of the durable cube's state: every
 layer of the declared stack (:func:`repro.core.front.layers`)
 contributes its own arrays through one method, ``state_arrays()``,
 bottom-up (:func:`snapshot_arrays`) -- kernel state through the
-:class:`~repro.ecube.stores.SliceStore` snapshot machinery
-(:func:`repro.storage.serialize.kernel_state_arrays`, so all three
-backends work), then the ``G_d`` buffer's, then the retention tiers' --
+:class:`~repro.ecube.stores.DenseStore` snapshot machinery
+(:func:`repro.storage.serialize.kernel_state_arrays`), then the ``G_d``
+buffer's, then the retention tiers' --
 written as one ``.npz`` archive and *published* by atomically renaming
 the manifest over the old one; recovery hands the archive back to each
 layer's ``restore_state()`` in the same order.  The manifest names:
@@ -15,9 +15,10 @@ layer's ``restore_state()`` in the same order.  The manifest names:
 * the covered LSN (every log record with LSN <= covered is reflected in
   the archive; recovery replays strictly after it),
 * the live WAL segments at publication time,
-* the front-end configuration (backend, buffering, fsync policy, page
-  geometry) so recovery can rebuild the exact cube without out-of-band
-  knowledge.
+* the front-end configuration (buffering, tiers, fsync policy; the
+  ``backend`` / ``page_size`` / ``cell_size`` keys are the constants
+  ``"dense"`` / ``null`` / ``null``) so recovery can rebuild the exact
+  cube without out-of-band knowledge.
 
 Publication order makes crashes harmless at every point: the archive is
 written and renamed into place first, the manifest second (``os.replace``

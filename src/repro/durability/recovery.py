@@ -1,8 +1,8 @@
 """``DurableCube``: the logging front-end, and crash recovery.
 
-``DurableCube`` wraps any front of the stack -- a dense, paged or sparse
-kernel, with or without the ``G_d`` out-of-order buffer, with or without
-retention tiers, or the two-family
+``DurableCube`` wraps any front of the stack -- the dense kernel, with
+or without the ``G_d`` out-of-order buffer, with or without retention
+tiers, or the two-family
 :class:`~repro.ecube.extent.ExtentCube` of Section 2.4 -- and appends
 one WAL record *before* applying each mutation (log-before-apply).
 Reads pass straight through; what the built stack
@@ -48,6 +48,7 @@ from repro.core.errors import DomainError, RecoveryError, ReproError, StorageErr
 from repro.core.front import FRONT_KINDS, forward, layers, require, unmet
 from repro.durability.checkpoint import (
     CheckpointManifest,
+    manifest_path,
     publish_manifest,
     read_manifest,
     write_checkpoint,
@@ -60,10 +61,11 @@ from repro.durability.wal import (
     log_record,
 )
 from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.extent import ExtentCube
-from repro.ecube.factory import build_kernel
 from repro.metrics import CostCounter
 from repro.storage.mmap_npz import open_checkpoint
+from repro.storage.serialize import require_dense
 
 WAL_SUBDIR = "wal"
 TILES_SUBDIR = "tiles"
@@ -79,12 +81,9 @@ def build_front(config: dict, counter: CostCounter | None, tile_dir=None):
     """
     slice_shape = tuple(int(n) for n in config["slice_shape"])
     kernel = {
-        "backend": config.get("backend", "dense"),
         "num_times": config.get("num_times"),
         "counter": counter,
         "copy_budget": config.get("copy_budget"),
-        "page_size": config.get("page_size"),
-        "cell_size": config.get("cell_size"),
     }
     if config.get("extent"):
         front = ExtentCube(
@@ -102,7 +101,7 @@ def build_front(config: dict, counter: CostCounter | None, tile_dir=None):
             slice_shape, drain_threshold=config.get("drain_threshold"), **kernel
         )
     else:
-        front = build_kernel(slice_shape, **kernel)
+        front = EvolvingDataCube(slice_shape, **kernel)
     if config.get("tiers") is not None:
         from repro.retention import TieredCube
 
@@ -176,8 +175,6 @@ class DurableCube:
         a point-object cube; the manifest records it, so :meth:`recover`
         needs no hint.  Extent cubes are always buffered and never
         tiered.
-    backend:
-        ``"dense"`` | ``"paged"`` (``"disk"``) | ``"sparse"`` slice storage.
     fsync:
         WAL fsync policy: ``"always"`` (fsync per record), ``"batch"``
         (group commit; at most ``group_commit`` trailing operations are
@@ -196,13 +193,10 @@ class DurableCube:
         *,
         buffered: bool = True,
         extent: bool = False,
-        backend: str = "dense",
         num_times: int | None = None,
         counter: CostCounter | None = None,
         copy_budget: int | None = None,
         drain_threshold: float | None = None,
-        page_size: int | None = None,
-        cell_size: int | None = None,
         fsync: str = "batch",
         segment_bytes: int = 4 << 20,
         group_commit: int = 256,
@@ -215,14 +209,16 @@ class DurableCube:
                 f"{directory} already holds a durable cube; open it "
                 "with DurableCube.recover"
             )
+        # "backend" / "page_size" / "cell_size" are constants, kept so the
+        # manifest's bytes (and every older reader of them) stay as they were
         config = {
             "slice_shape": [int(n) for n in slice_shape],
-            "backend": backend,
+            "backend": "dense",
             "num_times": num_times,
             "copy_budget": copy_budget,
             "drain_threshold": drain_threshold,
-            "page_size": page_size,
-            "cell_size": cell_size,
+            "page_size": None,
+            "cell_size": None,
             "fsync": fsync,
             "segment_bytes": int(segment_bytes),
             "group_commit": int(group_commit),
@@ -372,8 +368,7 @@ class DurableCube:
 
     def __repr__(self) -> str:
         return (
-            f"DurableCube({str(self.directory)!r}, "
-            f"backend={self._config['backend']!r}, extent={self.extent}, "
+            f"DurableCube({str(self.directory)!r}, extent={self.extent}, "
             f"buffered={self.buffered}, next_lsn={self.wal.next_lsn})"
         )
 
@@ -403,6 +398,7 @@ class DurableCube:
             raise RecoveryError(
                 f"{directory} holds no durable cube (missing manifest)"
             )
+        require_dense(manifest.config.get("backend"), str(manifest_path(directory)))
         self = cls.__new__(cls)
         self._attach(directory, manifest.config, counter)
         if manifest.checkpoint_file is not None:

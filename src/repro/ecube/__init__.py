@@ -11,11 +11,11 @@ The MOLAP instantiation of the append-only framework:
   aging, batch engine), written once over the
   :class:`repro.ecube.stores.SliceStore` protocol;
 * :class:`EvolvingDataCube` -- the kernel over dense in-memory slices
-  (Section 3.4);
+  (Section 3.4), the one every layer above the kernel is built on;
 * :class:`DiskEvolvingDataCube` -- the kernel over paged external-memory
-  slices with page-wise copying (Section 3.5);
+  slices with page-wise copying (Section 3.5), a bare cost model;
 * :class:`SparseEvolvingDataCube` -- the kernel over dict-of-touched-cells
-  slices (Section 7 follow-up);
+  slices (Section 7 follow-up), a bare cost model;
 * :class:`repro.ecube.families.SharedTimeAxis` /
   :class:`repro.ecube.families.FamilyDirectory` -- one time axis shared by
   several kernel instance families (Section 2.4);
@@ -30,13 +30,13 @@ __getattr__, __dir__, __all__ = exports(
     __name__,
     {
         "repro.ecube.buffered": "BufferedEvolvingDataCube",
-        "repro.ecube.disk": "DiskEvolvingDataCube",
+        "repro.ecube.disk": "DiskEvolvingDataCube PagedStore",
         "repro.ecube.ecube": "EvolvingDataCube",
         "repro.ecube.extent": "ExtentCube",
         "repro.ecube.families": "FamilyDirectory SharedTimeAxis",
         "repro.ecube.kernel": "CubeKernel",
         "repro.ecube.slices": "ECubeSliceEngine",
-        "repro.ecube.sparse": "SparseEvolvingDataCube",
-        "repro.ecube.stores": "DenseStore PagedStore SliceStore SparseStore",
+        "repro.ecube.sparse": "SparseEvolvingDataCube SparseStore",
+        "repro.ecube.stores": "DenseStore SliceStore",
     },
 )

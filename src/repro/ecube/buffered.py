@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.errors import AgedOutError, DomainError
 from repro.core.out_of_order import OutOfOrderBuffer
 from repro.core.types import Box
-from repro.ecube.factory import build_kernel
+from repro.ecube.ecube import EvolvingDataCube
 from repro.metrics import CostCounter
 
 
@@ -51,13 +51,6 @@ class BufferedEvolvingDataCube:
         update returns.  ``None`` (default) leaves draining entirely to
         the caller, keeping single-operation costs at the paper's
         metered reference.
-    backend:
-        Which slice-storage backend the wrapped kernel uses: ``"dense"``
-        (default, in-memory ndarrays), ``"paged"`` (external-memory,
-        page-granular costs; honours ``page_size``/``cell_size``) or
-        ``"sparse"`` (dict-of-touched-cells).  The ``G_d`` buffering,
-        draining and batch semantics are identical across backends
-        because they all run the same :class:`~repro.ecube.kernel.CubeKernel`.
     directory:
         A :class:`~repro.ecube.families.FamilyDirectory` for the wrapped
         kernel, which binds it to a shared time axis (the multi-family
@@ -76,20 +69,14 @@ class BufferedEvolvingDataCube:
         copy_budget: int | None = None,
         min_density: float = 0.005,
         drain_threshold: float | None = None,
-        backend: str = "dense",
-        page_size: int | None = None,
-        cell_size: int | None = None,
         directory=None,
     ) -> None:
-        self.cube = build_kernel(
+        self.cube = EvolvingDataCube(
             slice_shape,
-            backend,
             num_times=num_times,
             counter=counter,
             copy_budget=copy_budget,
             min_density=min_density,
-            page_size=page_size,
-            cell_size=cell_size,
             directory=directory,
         )
         self.buffer = OutOfOrderBuffer(self.cube.ndim)
@@ -108,11 +95,6 @@ class BufferedEvolvingDataCube:
     @property
     def ndim(self) -> int:
         return self.cube.ndim
-
-    @property
-    def backend(self) -> str:
-        """The wrapped kernel's slice-store kind (dense/paged/sparse)."""
-        return self.cube.store.kind
 
     # -- data aging (delegated) -------------------------------------------------
 

@@ -18,9 +18,10 @@ with lazy-copy writes tagged separately so Figures 12/13 can split the two.
 
 The algorithm itself lives in :class:`~repro.ecube.kernel.CubeKernel`;
 this class configures it with the dense ndarray backend
-(:class:`~repro.ecube.stores.DenseStore`).  The external-memory and
-sparse variants are the same kernel over different stores
-(:mod:`repro.ecube.disk`, :mod:`repro.ecube.sparse`).
+(:class:`~repro.ecube.stores.DenseStore`), the one store every layer
+above the kernel serves.  The external-memory and sparse variants are
+the same kernel over different stores (:mod:`repro.ecube.disk`,
+:mod:`repro.ecube.sparse`), the paper's cost models, used bare.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from repro.ecube.cache import SliceCache
 from repro.ecube.kernel import CubeKernel
 from repro.ecube.stores import DenseSlice, DenseStore
 from repro.metrics import CostCounter
-
-# historical import surface (serialization and tests build slices directly)
-_Slice = DenseSlice
 
 
 class EvolvingDataCube(CubeKernel):
@@ -135,7 +133,7 @@ class EvolvingDataCube(CubeKernel):
             cumulative = technique.aggregate(cumulative, axis=axis + 1)
         num_times = dense.shape[0]
         for time in range(num_times):
-            payload = _Slice(cube.slice_shape)
+            payload = DenseSlice(cube.slice_shape)
             payload.values = np.ascontiguousarray(cumulative[time])
             cube.directory.append(time, payload)
         cube.cache = SliceCache(cube.slice_shape, cube.counter)

@@ -233,9 +233,6 @@ class ExtentCube:
     ----------
     slice_shape:
         Domain sizes of the non-time dimensions ``N_2 .. N_d``.
-    backend:
-        Slice-storage backend for both family kernels: ``"dense"``,
-        ``"paged"``/``"disk"`` or ``"sparse"``.
     drain_threshold:
         Degradation bound forwarded to both ``G_d`` fronts.
     """
@@ -251,12 +248,9 @@ class ExtentCube:
         slice_shape: Sequence[int],
         num_times: int | None = None,
         counter: CostCounter | None = None,
-        backend: str = "dense",
         copy_budget: int | None = None,
         min_density: float = 0.005,
         drain_threshold: float | None = None,
-        page_size: int | None = None,
-        cell_size: int | None = None,
     ) -> None:
         self.counter = counter if counter is not None else CostCounter()
         self.axis = SharedTimeAxis()
@@ -268,9 +262,6 @@ class ExtentCube:
                 copy_budget=copy_budget,
                 min_density=min_density,
                 drain_threshold=drain_threshold,
-                backend=backend,
-                page_size=page_size,
-                cell_size=cell_size,
                 directory=FamilyDirectory(self.axis),
             )
             for _ in ("ended", "containing")
@@ -303,10 +294,6 @@ class ExtentCube:
     @property
     def ndim(self) -> int:
         return 1 + len(self.slice_shape)
-
-    @property
-    def backend(self) -> str:
-        return self.ended.backend
 
     @property
     def clock(self) -> int | None:
@@ -732,11 +719,11 @@ class ExtentCube:
     def restore_state(self, arrays) -> None:
         """Rebuild both families and the extent layer from :meth:`state_arrays`.
 
-        The cube must be freshly constructed with the same shape and
-        backend.  Each family restores independently under suspended
-        axis alignment (their occurring times are identical by the
-        alignment invariant, so the second family's appends land as
-        payload-only catch-ups), then the invariant is re-checked.
+        The cube must be freshly constructed with the same shape.  Each
+        family restores independently under suspended axis alignment
+        (their occurring times are identical by the alignment invariant,
+        so the second family's appends land as payload-only catch-ups),
+        then the invariant is re-checked.
         """
         if self.axis or self.objects_inserted:
             raise DomainError("restore_state requires an empty extent cube")

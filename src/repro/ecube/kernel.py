@@ -44,6 +44,7 @@ from repro.ecube.fastpath import (
 from repro.ecube.slices import ECubeSliceEngine
 from repro.ecube.stores import SliceStore
 from repro.metrics import CostCounter
+from repro.storage.serialize import require_dense
 
 
 class CubeKernel:
@@ -856,8 +857,9 @@ class CubeKernel:
         The quantity data aging reclaims: retired payloads count zero,
         the shared update cache is excluded (identical either way).  The
         tiered-retention benchmark compares this between a demoted and
-        an undemoted cube.
+        an undemoted (dense) cube.
         """
+        self._require_dense("resident_slice_bytes")
         total = 0
         for index in range(len(self.directory)):
             _, payload = self.directory.at_index(index)
@@ -866,15 +868,23 @@ class CubeKernel:
 
     # -- durability hooks (checkpoint snapshots and log replay) -------------------
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Snapshot the kernel's durable state as named arrays.
+    def _require_dense(self, name: str) -> None:
+        """Refuse a serving hook (persistence, the resident footprint
+        tiers report) on a paged or sparse kernel."""
+        if self.store.kind != "dense":
+            raise DomainError(
+                f"{name}() serves dense kernels only; a {self.store.kind} "
+                "kernel is one of the paper's cost models, used bare"
+            )
 
-        The physical slice and cache representations are store-mediated
-        (each backend contributes its own keys), so one checkpoint writer
-        covers all backends.  ``fast_hits`` finalization counters are
-        deliberately not part of durable state: they are a performance
-        heuristic, not an answer-affecting quantity.
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Snapshot the (dense) kernel's durable state as named arrays.
+
+        ``fast_hits`` finalization counters are deliberately not part of
+        durable state: they are a performance heuristic, not an
+        answer-affecting quantity.
         """
+        self._require_dense("state_arrays")
         arrays: dict[str, np.ndarray] = {
             "slice_shape": np.array(self.slice_shape, dtype=np.int64),
             "num_times": np.array(
@@ -884,7 +894,7 @@ class CubeKernel:
             "retired_below": np.array([self._retired_below]),
             "updates_applied": np.array([self.updates_applied]),
             "occurring_times": np.array(self.directory.times(), dtype=np.int64),
-            "backend": np.array(self.store.kind),
+            "backend": np.array("dense"),
         }
         for index in range(len(self.directory)):
             _, payload = self.directory.at_index(index)
@@ -895,12 +905,16 @@ class CubeKernel:
     def restore_state(self, arrays) -> None:
         """Rebuild directory, slices and cache from :meth:`state_arrays`.
 
-        The kernel must be freshly constructed with the same slice shape
-        and backend; counters are not restored (a recovered cube starts
-        cost accounting from zero).
+        The kernel must be freshly constructed with the same slice shape;
+        counters are not restored (a recovered cube starts cost
+        accounting from zero).  Arrays an older build wrote for a paged
+        or sparse kernel are refused (``serialize.require_dense``).
         """
+        self._require_dense("restore_state")
         if self.directory:
             raise DomainError("restore_state requires an empty cube")
+        if "backend" in arrays:
+            require_dense(str(np.asarray(arrays["backend"]).item()), "the archive")
         self.copy_budget = int(np.asarray(arrays["copy_budget"])[0])
         times = [int(t) for t in np.asarray(arrays["occurring_times"])]
         for index, time in enumerate(times):

@@ -1,7 +1,7 @@
 """The cross-tier query planner: :class:`TieredCube`.
 
 ``TieredCube`` -- the ``"tiered"`` layer of a declared stack
-(:mod:`repro.core.front`) -- fronts any kernel-backed cube (bare or
+(:mod:`repro.core.front`) -- fronts a dense kernel-backed cube (bare or
 ``G_d``-buffered) and replaces *deleting* aged history
 (``retire_before``) with *demoting* it
 (:meth:`TieredCube.demote_before`): converged PS slices below the
@@ -29,8 +29,7 @@ instance's cumulative PS slice:
 
 Because converged PS slices are immutable and tiles are lossless, the
 composed answer is *bit-identical* to an undemoted oracle everywhere --
-tier-aligned or not -- which the differential suite pins across all
-three backends.
+tier-aligned or not -- which the differential suite pins.
 
 A demotion drains the ``G_d`` buffer first (corrections aimed into the
 region being demoted can still cascade while it is live), preserves
@@ -104,7 +103,8 @@ class TieredCube:
     ----------
     front:
         A :class:`~repro.ecube.buffered.BufferedEvolvingDataCube` or a
-        bare kernel cube (``EvolvingDataCube`` and friends).
+        bare :class:`~repro.ecube.ecube.EvolvingDataCube` (a paged or
+        sparse kernel is refused: :func:`repro.core.front.layers`).
     policy:
         A :class:`~repro.retention.tiers.TierPolicy` (or its JSON form).
     tile_dir:
@@ -117,8 +117,8 @@ class TieredCube:
 
     def __init__(self, front, policy, tile_dir) -> None:
         self.front = front
-        #: the layers under this one, as they declare themselves
-        self.stack = layers(front)
+        #: this layer and those under it, as they declare themselves
+        self.stack = layers(self)
         require(self.stack, "point", "TieredCube", "front")
         #: the wrapped :class:`~repro.ecube.kernel.CubeKernel` cube
         self.cube = self.stack["kernel"]

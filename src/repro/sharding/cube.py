@@ -36,6 +36,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.core.errors import DomainError, ShardUnavailableError, StorageError
+from repro.storage.serialize import require_dense
 
 from repro.sharding.ops import BY_METHOD
 from repro.sharding.partition import GridPartitioner
@@ -71,13 +72,10 @@ class ShardedCube:
         shards: int = 2,
         partitioner: GridPartitioner | None = None,
         processes: bool = True,
-        backend: str = "dense",
         buffered: bool = True,
         num_times: int | None = None,
         durable_dir=None,
         drain_threshold: float | None = None,
-        page_size: int | None = None,
-        cell_size: int | None = None,
         fsync: str = "batch",
         timeout: float = 60.0,
         start_method: str | None = None,
@@ -96,7 +94,6 @@ class ShardedCube:
         self.partitioner = partitioner
         self.processes = bool(processes)
         self.buffered = bool(buffered)
-        self.backend = backend
         self.durable_dir = Path(durable_dir) if durable_dir is not None else None
         self._closed = False
         self._sweep_prefixes: list[str] = []
@@ -119,12 +116,9 @@ class ShardedCube:
             config = {
                 "shard_id": extent.shard_id,
                 "slice_shape": extent.shape,
-                "backend": backend,
                 "buffered": self.buffered,
                 "num_times": num_times,
                 "drain_threshold": drain_threshold,
-                "page_size": page_size,
-                "cell_size": cell_size,
                 "fsync": fsync,
                 "use_shm": self.processes,
                 "recover": _recover,
@@ -190,7 +184,7 @@ class ShardedCube:
                 "partitioner": self.partitioner.to_config(),
                 "slice_shape": list(self.slice_shape),
                 "shards": self.partitioner.num_shards,
-                "backend": self.backend,
+                "backend": "dense",  # a constant: the file's bytes stay as they were
                 "buffered": self.buffered,
                 "num_times": num_times,
                 "fsync": fsync,
@@ -218,11 +212,11 @@ class ShardedCube:
         if not path.exists():
             raise StorageError(f"{durable_dir} holds no sharded cube manifest")
         manifest = json.loads(path.read_text())
+        require_dense(manifest.get("backend"), str(path))
         cube = cls(
             manifest["slice_shape"],
             partitioner=GridPartitioner.from_config(manifest["partitioner"]),
             processes=processes,
-            backend=manifest.get("backend", "dense"),
             buffered=manifest.get("buffered", True),
             num_times=manifest.get("num_times"),
             durable_dir=durable_dir,

@@ -19,7 +19,7 @@ move its *representation*.  So the exporter publishes content, once:
   through the epoch's frozen cache and swept DDC -> PS by
   :func:`~repro.ecube.fastpath._prefix_sum_rows`, the sweep every reader
   of that epoch would run, so a reader gathers corners from the row in
-  place and never normalizes history.  A store of flat-array slices then
+  place and never normalizes history.  The (dense) store then
   *adopts* the row (:meth:`~repro.ecube.stores.DenseStore.adopt_row`):
   the slice becomes a read-only view of the block, its heap arrays go.
 * a row is replaced only when its content moves: an out-of-order
@@ -30,7 +30,7 @@ move its *representation*.  So the exporter publishes content, once:
   row*, a fresh block it writes in place, and the next export *seals*
   it (read-only, cited as it stands: no freeze, sweep or second block)
   or, its slice gone, unlinks it.  Anything else (a spliced-in clone, an
-  archive view, a paged or sparse slice) is swept into a new row.
+  archive view) is swept into a new row.
 * one *frontier block* per epoch, holding the occurring-time directory,
   the frozen cache values (the latest instance's DDC array) and the
   ``G_d`` columns.
@@ -355,10 +355,9 @@ class EpochExporter:
         missing = [i for i in range(first, stop) if i not in self._rows]
         self._seal_rows(missing)
         self._publish_rows([i for i in missing if i not in self._rows])
-        if self._store.adopts_rows:
-            # every historic slice is a finished row now: what the cache
-            # still owed them is void (nothing is copied; stamps advance)
-            self._store.sync_copies()
+        # every historic slice is a finished row now: what the cache still
+        # owed them is void (nothing is copied; stamps advance)
+        self._store.sync_copies()
         slices = [(index, *self._rows[index]) for index in range(first, stop)]
         cited = [name for _, name, _ in slices]
         for name in cited:
@@ -455,9 +454,8 @@ class EpochExporter:
     def normalised(self, index: int, ps_row: np.ndarray) -> None:
         name, metas, views = self.owner.create({"ps": ps_row})
         self._rows[index] = (name, metas)
-        if self._store.adopts_rows:
-            _, payload = self.snap.kernel.directory.at_index(index)
-            self._store.adopt_row(payload, views["ps"])
+        _, payload = self.snap.kernel.directory.at_index(index)
+        self._store.adopt_row(payload, views["ps"])
 
     # -- release ---------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Shard workers, and the reader state the router answers from.
 
-A *shard worker* owns one shard's cube (any backend, buffered or not,
+A *shard worker* owns one shard's cube (dense, buffered or not,
 optionally durable), ingests the writes routed to it and, after every
 mutation, publishes an epoch descriptor together with the shard's time
 state (first and last occurring time, demotion watermark).  The shard is
@@ -61,12 +61,9 @@ def _build_shard_front(config: dict, counter: CostCounter):
             config["slice_shape"],
             durable_dir,
             buffered=buffered,
-            backend=config.get("backend", "dense"),
             num_times=config.get("num_times"),
             counter=counter,
             drain_threshold=config.get("drain_threshold"),
-            page_size=config.get("page_size"),
-            cell_size=config.get("cell_size"),
             fsync=config.get("fsync", "batch"),
             global_order_buffer=buffered,
             tiers=config.get("tiers"),

@@ -72,12 +72,6 @@ def _contained(mbr: MBR, box: Box) -> bool:
     )
 
 
-def _covers_point(mbr: MBR, point: tuple[int, ...]) -> bool:
-    return all(
-        mbr[0][i] <= point[i] <= mbr[1][i] for i in range(len(point))
-    )
-
-
 def _overlap(a: MBR, b: MBR) -> int:
     result = 1
     for i in range(len(a[0])):
@@ -107,16 +101,12 @@ class _Node:
             else:
                 self.mbr = None
                 self.aggregate = 0
-        elif self.entries:
+        else:
             mbrs = [child.mbr for child in self.entries]
             self.mbr = mbrs[0]
             for m in mbrs[1:]:
                 self.mbr = _union(self.mbr, m)
             self.aggregate = sum(child.aggregate for child in self.entries)
-        else:
-            # condensation can empty an underfull internal node outright
-            self.mbr = None
-            self.aggregate = 0
 
 
 class RTree:
@@ -322,53 +312,6 @@ class RTree:
         for child in entries[1:]:
             mbr = _union(mbr, child.mbr)
         return mbr
-
-    # -- incremental deletion ------------------------------------------------------
-
-    def delete(self, point: Sequence[int], value: int) -> bool:
-        """Remove one exact ``(point, value)`` entry; returns success.
-
-        The entry is located through the MBR hierarchy and cut out,
-        ancestors recompute their MBRs/aggregates and emptied nodes are
-        condensed away.  Underfull (but nonempty) nodes are tolerated, so
-        packing quality degrades gracefully until the next bulk load.
-        Every node touch is counted in :attr:`node_accesses`.  (``G_d``
-        no longer calls this: its drain drops the reference tree and the
-        next metered read rebuilds it.)
-        """
-        coords = tuple(int(c) for c in point)
-        if len(coords) != self.ndim:
-            raise DomainError(f"point arity {len(coords)} != {self.ndim}")
-        if not self._delete(self._root, coords, int(value)):
-            return False
-        self._size -= 1
-        while not self._root.is_leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0]
-            self.height -= 1
-        if self._root.is_leaf and not self._root.entries:
-            self._root.recompute()
-            self.height = 1
-        return True
-
-    def _delete(self, node: _Node, point: tuple[int, ...], value: int) -> bool:
-        self.node_accesses += 1
-        if node.mbr is None or not _covers_point(node.mbr, point):
-            return False
-        if node.is_leaf:
-            for i, (p, v) in enumerate(node.entries):
-                if p == point and v == value:
-                    del node.entries[i]
-                    node.recompute()
-                    return True
-            return False
-        for child in node.entries:
-            if child.mbr is not None and _covers_point(child.mbr, point):
-                if self._delete(child, point, value):
-                    if not child.entries:
-                        node.entries.remove(child)
-                    node.recompute()
-                    return True
-        return False
 
     # -- queries -----------------------------------------------------------------
 

@@ -10,7 +10,8 @@ recursion depend only on the query history, never on where bytes live)
 tests pin that equivalence, plus the uniform availability of the batch
 engine, out-of-order corrections and data aging on every backend, and
 drive each backend through a Hypothesis stateful machine against a
-dense numpy model.
+dense numpy model.  Every backend here is a bare kernel: the layers
+above the kernel serve the dense store only.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from hypothesis.stateful import (
 
 from repro.core.errors import AgedOutError
 from repro.core.types import Box
-from repro.durability import DurableCube
+from repro.durability import DurableCube, read_manifest
 from repro.durability.recovery import build_front
-from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
@@ -172,30 +172,6 @@ class TestOutOfOrderOnAllBackends:
             assert [cube.query(b) for b in boxes] == expected
             assert cube.query_many(boxes, mode="fast") == expected
 
-    def test_buffered_wrapper_over_every_backend(self, rng):
-        shape = (8, 4, 4)
-        stream = random_append_stream(rng, shape, 50)
-        # scramble a middle segment so some arrivals are out of order
-        segment = stream[10:30]
-        rng.shuffle(segment)
-        stream[10:30] = segment
-        model = dense_model(shape, stream)
-        boxes = [random_box(rng, shape) for _ in range(15)]
-        expected = [brute_box_sum(model, box) for box in boxes]
-        for backend in BACKENDS:
-            cube = BufferedEvolvingDataCube(
-                shape[1:], num_times=shape[0], counter=CostCounter(),
-                backend=backend,
-            )
-            for point, delta in stream:
-                cube.update(point, delta)
-            assert cube.query_many(boxes, mode="fast") == expected
-            assert cube.query_many(boxes, mode="metered") == expected
-            applied, kept = cube.drain(None)
-            assert kept == 0
-            assert cube.buffered_updates == 0
-            assert cube.query_many(boxes, mode="fast") == expected
-
 
 class TestAgingOnAllBackends:
     def test_retire_before_behaves_identically(self, rng):
@@ -233,24 +209,22 @@ class TestAgingOnAllBackends:
 
 
 class TestBackendNamesOnEveryFront:
-    """One backend switch: every front takes the same names and aliases."""
+    """Every front builds its kernels over the one store a stack serves; a
+    manifest names it (``"backend": "dense"``), as manifests always did."""
 
     @pytest.mark.parametrize("durable", [False, True])
     @pytest.mark.parametrize("front", ["unbuffered", "buffered", "extent"])
-    @pytest.mark.parametrize(
-        "name, kind",
-        [("dense", "dense"), ("paged", "paged"), ("disk", "paged"), ("sparse", "sparse")],
-    )
+    @pytest.mark.parametrize("name, kind", [("dense", "dense")])
     def test_name_selects_the_store(self, tmp_path, name, kind, front, durable):
         if durable:
             with DurableCube(
                 (4,),
                 tmp_path,
-                backend=name,
                 buffered=front != "unbuffered",
                 extent=front == "extent",
             ) as cube:
                 built = cube.front
+            assert read_manifest(tmp_path).config["backend"] == name
         else:
             config = {
                 "slice_shape": [4],

@@ -6,9 +6,12 @@ attached from shared memory (``EpochExporter`` ->
 ``epoch_from_shared_memory`` -> ``prepare_epoch``).  The differential
 half drives all three over the *same* cube state -- mixed, fully-PS and
 latest slices in one batch, a slice whose DDC state is unrecoverable,
-``G_d`` contributions -- against the brute-force NumPy oracle, on every
-backend.  The counting half pins down the reuse contract of the frozen
-callers: a slice is normalized once per freeze, never once per batch.
+``G_d`` contributions -- against the brute-force NumPy oracle.  The live
+kernel runs on every backend; pinned and shared-memory epochs serve the
+dense store only, and a bare paged or sparse kernel takes its late
+arrivals through its own out-of-order path.  The counting half pins down
+the reuse contract of the frozen callers: a slice is normalized once per
+freeze, never once per batch.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from repro.core.errors import AgedOutError, DomainError
 from repro.core.types import Box
 from repro.ecube import compiled, fastpath
 from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.fastpath import FastSliceEngine
+from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.metrics import CostCounter
 from repro.sharding import BlockCache, EpochExporter, GridPartitioner
 from repro.sharding.shm import epoch_from_shared_memory, leaked_segments
@@ -34,6 +39,8 @@ from .conftest import brute_box_sum, random_box
 
 BACKENDS = ("dense", "paged", "sparse")
 CALLERS = ("kernel", "pinned", "shm")
+#: the bare kernels of the paper's other two cost models
+BARE = {"paged": DiskEvolvingDataCube, "sparse": SparseEvolvingDataCube}
 SHAPE = (6, 5)
 NUM_TIMES = 26
 #: the first occurring times are even, so an odd time floors onto its even
@@ -49,16 +56,20 @@ class Rig:
     """One cube state behind the evaluator's three callers."""
 
     def __init__(self, backend: str, buffered: bool, rng, counter=None) -> None:
-        front = BufferedEvolvingDataCube(
-            SHAPE, num_times=NUM_TIMES, backend=backend, counter=counter
-        )
-        self.kernel = front.cube
-        self.front = front if buffered else front.cube
         self.dense = np.zeros((NUM_TIMES,) + SHAPE, dtype=np.int64)
-        self.snap = SnapshotCube(self.front)
-        self.exporter = EpochExporter(self.snap)
-        self.cache = BlockCache()
-        self._remote = None
+        self.snap = self.exporter = self.cache = self._remote = None
+        if backend in BARE:
+            # a cost model is served bare: the live kernel is its one caller
+            self.kernel = self.front = self.writer = BARE[backend](
+                SHAPE, num_times=NUM_TIMES, counter=counter
+            )
+        else:
+            front = BufferedEvolvingDataCube(SHAPE, num_times=NUM_TIMES, counter=counter)
+            self.kernel = front.cube
+            self.front = front if buffered else front.cube
+            self.snap = self.writer = SnapshotCube(self.front)
+            self.exporter = EpochExporter(self.snap)
+            self.cache = BlockCache()
         for time in TIMES:
             self.append(time, rng, 12)
         # a metered read converts the cells it walks on a historic slice;
@@ -74,9 +85,12 @@ class Rig:
         if buffered:
             late = self._points(rng, rng.integers(0, TAIL[0], size=9))
             deltas = rng.integers(1, 7, size=9).astype(np.int64)
-            self.snap.update_many(late, deltas, mode="fast")
+            if self.snap is None:  # no G_d over a bare kernel: cascade them
+                self.kernel.apply_out_of_order_many(late, deltas)
+            else:
+                self.snap.update_many(late, deltas, mode="fast")
+                assert self.front.buffered_updates == 9
             np.add.at(self.dense, tuple(late.T), deltas)
-            assert self.front.buffered_updates == 9
 
     @staticmethod
     def _points(rng, times) -> np.ndarray:
@@ -88,7 +102,7 @@ class Rig:
     def append(self, time: int, rng, count: int) -> None:
         points = self._points(rng, np.full(count, time))
         deltas = rng.integers(-2, 9, size=count).astype(np.int64)
-        self.snap.update_many(points, deltas)
+        self.writer.update_many(points, deltas)
         np.add.at(self.dense, tuple(points.T), deltas)
 
     def boxes(self, rng, count: int = 40) -> list[Box]:
@@ -119,9 +133,10 @@ class Rig:
 
     def close(self) -> None:
         self._remote = None
-        self.cache.close_all()
-        self.exporter.close()
-        self.snap.close()
+        if self.snap is not None:
+            self.cache.close_all()
+            self.exporter.close()
+            self.snap.close()
 
 
 @pytest.fixture
@@ -154,9 +169,16 @@ def evaluations(monkeypatch):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("caller", CALLERS)
+    @pytest.mark.parametrize(
+        "caller, backend, buffered",
+        [
+            (caller, backend, buffered)
+            for caller in CALLERS
+            for backend in BACKENDS
+            for buffered in (False, True)
+            if caller == "kernel" or backend not in BARE
+        ],
+    )
     def test_matches_oracle(
         self, rig_factory, rng, evaluations, caller, backend, buffered
     ):
@@ -231,7 +253,7 @@ class TestDifferential:
         with pytest.raises(DomainError, match="arity"):
             rig.ask("pinned", [Box((0, 0), (1, 1))])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["dense"])  # the store epochs serve
     def test_frozen_callers_charge_and_mark_nothing(self, rig_factory, rng, backend):
         counter = CostCounter()
         rig = rig_factory(backend, buffered=True, counter=counter)
@@ -250,10 +272,8 @@ class TestDifferential:
             after = counter.snapshot()
             assert after.cell_accesses == golden.cell_accesses
             assert after.page_accesses == golden.page_accesses
-            if (caller, backend) != ("shm", "dense"):
+            if caller != "shm":
                 assert converted == conversion_state()
-        if backend != "dense":
-            return
         # publication hands a dense store its history back: every historic
         # slice *is* the row the descriptor cites, finished and immutable
         descriptor = rig.exporter.export()

@@ -5,8 +5,7 @@ recovery serves slice arrays directly off an ``mmap`` of the file
 (:mod:`repro.storage.mmap_npz`).  These tests pin the contract:
 
 * recovery through the mmap reader is bit-equivalent to the copy-based
-  ``np.load`` path on all three backends, including crash-injected
-  WAL tails;
+  ``np.load`` path, including crash-injected WAL tails;
 * restored arrays are genuinely read-only views of the file, and the
   file's bytes never change no matter what is done to the recovered
   cube (promote-on-write copies to the heap at the first mutation);
@@ -28,7 +27,8 @@ from repro.storage.serialize import kernel_state_arrays
 
 from tests.conftest import brute_box_sum, random_box
 
-BACKENDS = ["dense", "paged", "sparse"]
+#: the store a durable cube serves (paged and sparse kernels are used bare)
+BACKENDS = ["dense"]
 SHAPE = (24, 8, 8)
 
 
@@ -43,12 +43,10 @@ def _fill(target, rng, count=60, low=0, high=SHAPE[0]):
     return dense
 
 
-def _make_durable(tmp_path, backend, seed=11):
+def _make_durable(tmp_path, seed=11):
     """Checkpointed cube with a WAL tail; returns (directory, dense mirror)."""
     rng = np.random.default_rng(seed)
-    cube = DurableCube(
-        SHAPE[1:], tmp_path, backend=backend, num_times=SHAPE[0], fsync="off",
-    )
+    cube = DurableCube(SHAPE[1:], tmp_path, num_times=SHAPE[0], fsync="off")
     dense = _fill(cube, rng, count=50, high=12)
     cube.checkpoint()
     dense += _fill(cube, rng, count=25, low=12)
@@ -112,7 +110,7 @@ class TestMmapRecoveryEquivalence:
     def test_bit_equivalent_to_copy_based_load(
         self, tmp_path, backend, monkeypatch
     ):
-        dense = _make_durable(tmp_path / "origin", backend)
+        dense = _make_durable(tmp_path / "origin")
         copy_dir = tmp_path / "copy"
         shutil.copytree(tmp_path / "origin", copy_dir)
 
@@ -138,7 +136,7 @@ class TestMmapRecoveryEquivalence:
         via_load.close()
 
     def test_legacy_compressed_checkpoint_recovers(self, tmp_path):
-        dense = _make_durable(tmp_path, "dense")
+        dense = _make_durable(tmp_path)
         archive_path = _archive_path(tmp_path)
         with np.load(archive_path) as archive:
             arrays = {name: archive[name] for name in archive.files}
@@ -155,13 +153,10 @@ class TestMmapRecoveryEquivalence:
 
 
 class TestNeverWrittenThrough:
-    @pytest.mark.parametrize("backend", ["dense", "paged"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_restored_arrays_are_readonly_views(self, tmp_path, backend):
         rng = np.random.default_rng(5)
-        cube = DurableCube(
-            SHAPE[1:], tmp_path, backend=backend, num_times=SHAPE[0],
-            fsync="off",
-        )
+        cube = DurableCube(SHAPE[1:], tmp_path, num_times=SHAPE[0], fsync="off")
         _fill(cube, rng, count=40)
         cube.checkpoint()
         cube.close()
@@ -172,10 +167,7 @@ class TestNeverWrittenThrough:
         for _, payload in recovered.cube.directory.items():
             if payload.retired:
                 continue
-            values = (
-                payload.values if backend == "dense" else payload.store.cells
-            )
-            if not values.flags.writeable:
+            if not payload.values.flags.writeable:
                 readonly += 1
                 assert not payload.ps_flags.flags.writeable
         assert readonly > 0
@@ -183,7 +175,7 @@ class TestNeverWrittenThrough:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mutations_never_touch_the_archive_file(self, tmp_path, backend):
-        _make_durable(tmp_path, backend)
+        _make_durable(tmp_path)
         archive_path = _archive_path(tmp_path)
         before = _sha256(archive_path)
 

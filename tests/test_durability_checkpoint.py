@@ -1,4 +1,4 @@
-"""Checkpoints: manifest publication, compaction, multi-backend snapshots.
+"""Checkpoints: manifest publication, compaction, dense snapshots.
 
 ``TestDirectoriesWrittenByAnOlderCommit`` recovers the fixture
 directories under ``tests/data/`` (see ``make_durable_fixtures.py``
@@ -8,8 +8,10 @@ pair in the version this build writes, and a version-1 directory this
 build has appended to.
 
 Also covers the serialize-layer companions: ``save_kernel`` /
-``load_kernel`` round-trip every backend, and archives written by a
-future format version are refused with an upgrade hint.
+``load_kernel`` round-trip a dense kernel, archives written by a future
+format version are refused with an upgrade hint, and what an older build
+persisted for a paged or sparse cube -- a manifest, an archive, a
+``sharding.json`` -- is refused with nothing written or truncated.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.errors import RecoveryError, StorageError
+from repro.core.errors import DomainError, RecoveryError, StorageError
 from repro.core.types import Box
 from repro.durability import DurableCube
 from repro.durability.checkpoint import (
@@ -33,13 +35,17 @@ from repro.durability.checkpoint import (
 from repro.durability.recovery import TILES_SUBDIR, WAL_SUBDIR, build_front
 from repro.durability.wal import WAL_FORMAT_VERSION, _scan_segment, inspect_log
 from repro.ecube.disk import DiskEvolvingDataCube
+from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
+from repro.sharding import ShardedCube
+from repro.sharding.cube import MANIFEST_NAME as SHARDING_MANIFEST
 from repro.storage.serialize import load_kernel, save_kernel
 
 from tests.conftest import brute_box_sum, random_box
 from tests.data import make_durable_fixtures as fixtures
 
-BACKENDS = ["dense", "paged", "sparse"]
+#: the store a durable cube serves (paged and sparse kernels are used bare)
+BACKENDS = ["dense"]
 SHAPE = (24, 8, 8)
 
 
@@ -100,7 +106,6 @@ class TestCheckpointCycle:
         cube = DurableCube(
             SHAPE[1:],
             tmp_path,
-            backend=backend,
             buffered=buffered,
             num_times=SHAPE[0],
             fsync="off",
@@ -358,22 +363,15 @@ class TestDirectoriesWrittenByAnOlderCommit:
 
 
 class TestKernelSerialize:
-    def _build(self, backend, rng):
-        if backend == "paged":
-            cube = DiskEvolvingDataCube(SHAPE[1:], num_times=SHAPE[0])
-        elif backend == "sparse":
-            cube = SparseEvolvingDataCube(SHAPE[1:], num_times=SHAPE[0])
-        else:
-            from repro.ecube.ecube import EvolvingDataCube
-
-            cube = EvolvingDataCube(SHAPE[1:], num_times=SHAPE[0])
+    def _build(self, rng):
+        cube = EvolvingDataCube(SHAPE[1:], num_times=SHAPE[0])
         dense = _fill(cube, rng, count=60)
         return cube, dense
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_save_kernel_round_trip(self, tmp_path, backend):
         rng = np.random.default_rng(11)
-        cube, dense = self._build(backend, rng)
+        cube, dense = self._build(rng)
         # convert a few regions so lazy-copy progress is non-trivial
         for _ in range(8):
             cube.query(random_box(rng, SHAPE))
@@ -399,7 +397,7 @@ class TestKernelSerialize:
     def test_version_one_dense_archive_still_loads(self, tmp_path):
         # v1 archives carry no ``backend`` key; simulate one by rewriting
         rng = np.random.default_rng(14)
-        cube, dense = self._build("dense", rng)
+        cube, dense = self._build(rng)
         path = tmp_path / "v1.npz"
         save_kernel(cube, path)
         with np.load(path) as archive:
@@ -410,3 +408,69 @@ class TestKernelSerialize:
         restored = load_kernel(path)
         box = Box((0, 0, 0), (SHAPE[0] - 1, 7, 7))
         assert restored.query(box) == int(dense.sum())
+
+    @pytest.mark.parametrize("kernel", [DiskEvolvingDataCube, SparseEvolvingDataCube])
+    def test_a_paged_or_sparse_kernel_is_not_persisted(self, tmp_path, kernel):
+        cube = kernel(SHAPE[1:], num_times=SHAPE[0])
+        _fill(cube, np.random.default_rng(12), count=10)
+        with pytest.raises(DomainError, match=rf"state_arrays\(\) serves dense kernels only; a {cube.store.kind} kernel"):
+            save_kernel(cube, tmp_path / "kernel.npz")
+        assert not (tmp_path / "kernel.npz").exists()
+
+
+def _tree(directory) -> dict:
+    """Every file under ``directory`` and its bytes."""
+    return {
+        p.relative_to(directory): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _rewrite_archive_backend(path, backend: str) -> None:
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["backend"] = np.array(backend)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+class TestAnOlderBuildsPagedOrSparseState:
+    """Refused by name, with the last build that reads it, touching nothing."""
+
+    REFUSAL = r"holds a '{}' cube: .*commit 7666b56 is the last build that reads it"
+
+    def test_a_manifest_naming_paged(self, tmp_path):
+        directory = tmp_path / "cube"
+        shutil.copytree(fixtures.HERE / "durable_point_v2", directory)
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        manifest["config"]["backend"] = "paged"
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+        before = _tree(directory)
+        with pytest.raises(StorageError, match=self.REFUSAL.format("paged")):
+            DurableCube.recover(directory)
+        assert _tree(directory) == before
+
+    def test_an_archive_naming_sparse(self, tmp_path):
+        directory = tmp_path / "cube"
+        shutil.copytree(fixtures.HERE / "durable_point_v2", directory)
+        manifest = read_manifest(directory)
+        _rewrite_archive_backend(directory / manifest.checkpoint_file, "sparse")
+        before = _tree(directory)
+        with pytest.raises(StorageError, match=self.REFUSAL.format("sparse")):
+            DurableCube.recover(directory)
+        assert _tree(directory) == before
+        # ... and the same archive through the serialize layer
+        with pytest.raises(StorageError, match=self.REFUSAL.format("sparse")):
+            load_kernel(directory / manifest.checkpoint_file)
+
+    def test_a_sharding_manifest_naming_sparse(self, tmp_path):
+        directory = tmp_path / "fleet"
+        with ShardedCube((4, 4), shards=2, processes=False, durable_dir=directory) as cube:
+            cube.update_many([[0, 0, 0], [1, 3, 3]], [1, 2])
+        path = directory / SHARDING_MANIFEST
+        path.write_text(path.read_text().replace('"backend": "dense"', '"backend": "sparse"'))
+        before = _tree(directory)
+        with pytest.raises(StorageError, match=self.REFUSAL.format("sparse")):
+            ShardedCube.recover(directory, processes=False)
+        assert _tree(directory) == before

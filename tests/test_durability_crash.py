@@ -9,7 +9,7 @@ Recovery must produce exactly the state a *live replica* reaches by
 applying the surviving operation prefix through the same front-end: same
 answers, same occurring-time directory, same lazy-copy progress (the
 extent kind compares ``state_arrays`` bit for bit).  One crash matrix
-for the one durable class: every slice-store backend, over the kinds
+for the one durable class over its one store, dense, and the kinds
 ``"buffered"`` and ``"unbuffered"`` (point objects) and ``"extent"``
 (whose test ids live in ``tests/test_extent_durability.py``).
 
@@ -38,24 +38,16 @@ from repro.durability.wal import _HEADER, inspect_log
 
 SHAPE = (24, 8, 8)
 EXTENT_SHAPE = (4, 4)
-BACKENDS = ["dense", "paged", "sparse"]
+#: the store a durable cube serves (paged and sparse kernels are used bare)
+BACKENDS = ["dense"]
 
 
-def _create(kind, directory, backend, **wal_options):
+def _create(kind, directory, **wal_options):
     if kind == "extent":
-        paged = {"page_size": 4, "cell_size": 3} if backend == "paged" else {}
-        return DurableCube(
-            EXTENT_SHAPE,
-            directory,
-            extent=True,
-            backend=backend,
-            **paged,
-            **wal_options,
-        )
+        return DurableCube(EXTENT_SHAPE, directory, extent=True, **wal_options)
     return DurableCube(
         SHAPE[1:],
         directory,
-        backend=backend,
         buffered=kind == "buffered",
         num_times=SHAPE[0],
         **wal_options,
@@ -280,12 +272,11 @@ def _assert_parity(kind, recovered, replica, ops, rng):
 _SEEDS = {"unbuffered": 100, "buffered": 101, "extent": 31}
 
 
-def check_crash_offsets(tmp_path, kind, backend):
-    step = 1 if kind == "extent" else 2
-    rng = np.random.default_rng(_SEEDS[kind] + step * BACKENDS.index(backend))
+def check_crash_offsets(tmp_path, kind):
+    rng = np.random.default_rng(_SEEDS[kind])
     ops = _make_ops(rng, kind, count=40 if kind == "extent" else 45)
     origin = tmp_path / "origin"
-    cube = _create(kind, origin, backend, fsync="off", segment_bytes=2048)
+    cube = _create(kind, origin, fsync="off", segment_bytes=2048)
     config = dict(cube._config)
     for op in ops:
         _apply_op(cube, op)
@@ -328,10 +319,10 @@ def check_crash_offsets(tmp_path, kind, backend):
         reopened.close()
 
 
-def check_checkpoint_then_tail(tmp_path, kind, backend):
+def check_checkpoint_then_tail(tmp_path, kind):
     rng = np.random.default_rng(63 if kind == "extent" else 77)
     ops = _make_ops(rng, kind, count=30)
-    cube = _create(kind, tmp_path, backend, fsync="off")
+    cube = _create(kind, tmp_path, fsync="off")
     for op in ops[:20]:
         _apply_op(cube, op)
     assert cube.checkpoint().checkpoint_id == 1
@@ -355,14 +346,12 @@ def check_checkpoint_then_tail(tmp_path, kind, backend):
 def test_crash_at_random_offsets_recovers_surviving_prefix(
     tmp_path, backend, buffered
 ):
-    check_crash_offsets(
-        tmp_path, "buffered" if buffered else "unbuffered", backend
-    )
+    check_crash_offsets(tmp_path, "buffered" if buffered else "unbuffered")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_crash_after_checkpoint_replays_only_the_tail(tmp_path, backend):
-    check_checkpoint_then_tail(tmp_path, "buffered", backend)
+    check_checkpoint_then_tail(tmp_path, "buffered")
 
 
 class TestRetireResurrection:

@@ -380,16 +380,6 @@ class TestCodec:
         assert len(encode_record(record, 1)) == version_1 + _COLUMN.size * (k + 1)
         assert decode_payload(encode_record(record, 1)[_FRAME.size :]) == (1, record)
 
-    def test_unknown_batch_mode_rejected(self):
-        record = UpdateBatchRecord(
-            np.zeros((1, 2), dtype=np.int64), np.ones(1, dtype=np.int64)
-        )
-        frame = bytearray(encode_record(record, 1))
-        # the mode code is the first body byte after the (type, lsn) prefix
-        frame[_FRAME.size + 9] = 99
-        with pytest.raises(StorageError):
-            decode_payload(bytes(frame[_FRAME.size :]))
-
 
 def _sample_records(count):
     rng = np.random.default_rng(count)

@@ -6,7 +6,7 @@ Three contracts are pinned here:
   out-of-order arrival and batch inserts -- ``ExtentCube`` answers
   (COUNT and SUM; intersection, containment, alive-at) must be
   bit-identical to the tree-based :class:`repro.core.extent
-  .IntervalAggregator` oracle, on every backend.
+  .IntervalAggregator` oracle.
 * **Kernel-split neutrality**: injecting an explicit
   ``FamilyDirectory`` into a point-object cube must leave its metered
   golden costs and durable state byte-identical to the default path.
@@ -35,12 +35,9 @@ from repro.ecube import (
 )
 from repro.metrics import CostCounter
 
-BACKENDS = ("dense", "paged", "sparse")
+#: the store both families serve (paged and sparse kernels are used bare)
+BACKENDS = ("dense",)
 KEYS = 6  # 1-d cell space so the oracle's scalar key range applies
-
-
-def _backend_kwargs(backend):
-    return {"page_size": 4, "cell_size": 3} if backend == "paged" else {}
 
 
 @st.composite
@@ -76,11 +73,11 @@ def _oracle(objects):
 
 
 class TestDifferential:
-    @given(data=interval_streams(), backend=st.sampled_from(BACKENDS))
+    @given(data=interval_streams())
     @settings(max_examples=60, deadline=None)
-    def test_matches_oracle_shuffled_arrival(self, data, backend):
+    def test_matches_oracle_shuffled_arrival(self, data):
         objects, order, queries, key_ranges = data
-        cube = ExtentCube((KEYS,), backend=backend, **_backend_kwargs(backend))
+        cube = ExtentCube((KEYS,))
         for i in order:  # out-of-order arrival incl. late end events
             start, end, key, value = objects[i]
             cube.insert(TimeInterval(start, end), (key,), value)
@@ -98,18 +95,18 @@ class TestDifferential:
                 _oracle(objects).containment(TimeInterval(low, up))
             )
 
-    @given(data=interval_streams(), backend=st.sampled_from(BACKENDS))
+    @given(data=interval_streams())
     @settings(max_examples=40, deadline=None)
-    def test_batch_insert_matches_metered_replay(self, data, backend):
+    def test_batch_insert_matches_metered_replay(self, data):
         objects, order, queries, key_ranges = data
         intervals = np.array(
             [(objects[i][0], objects[i][1]) for i in order], dtype=np.int64
         )
         cells = np.array([[objects[i][2]] for i in order], dtype=np.int64)
         values = np.array([objects[i][3] for i in order], dtype=np.int64)
-        fast = ExtentCube((KEYS,), backend=backend, **_backend_kwargs(backend))
+        fast = ExtentCube((KEYS,))
         fast.insert_many(intervals, cells, values, mode="fast")
-        metered = ExtentCube((KEYS,), backend=backend, **_backend_kwargs(backend))
+        metered = ExtentCube((KEYS,))
         metered.insert_many(intervals, cells, values, mode="metered")
         tis = [TimeInterval(low, up) for low, up in queries]
         boxes = [Box((lo,), (up,)) for lo, up in key_ranges]
@@ -189,7 +186,7 @@ class TestKernelSplitNeutrality:
 class TestSharedAxisAlignment:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_families_stay_aligned(self, backend):
-        cube = ExtentCube((5,), backend=backend, **_backend_kwargs(backend))
+        cube = ExtentCube((5,))
         rng = np.random.default_rng(5)
         inserted = []
         t = 0
@@ -231,14 +228,14 @@ class TestSharedAxisAlignment:
             cube.insert_many(
                 np.array([[7, 3]]), np.array([[1]])
             )  # inverted interval
-        with pytest.raises(DomainError):
-            ExtentCube((4,), backend="nope")
+        with pytest.raises(TypeError):  # one store: there is none to name
+            ExtentCube((4,), backend="dense")
 
 
 class TestStateRoundTrip:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_identical_through_npz(self, backend):
-        cube = ExtentCube((4, 4), backend=backend, **_backend_kwargs(backend))
+        cube = ExtentCube((4, 4))
         rng = np.random.default_rng(9)
         t = 0
         for _ in range(30):
@@ -254,7 +251,7 @@ class TestStateRoundTrip:
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
         buffer.seek(0)
-        twin = ExtentCube((4, 4), backend=backend, **_backend_kwargs(backend))
+        twin = ExtentCube((4, 4))
         twin.restore_state(np.load(buffer))
         twin.axis.check_aligned()
         again = twin.state_arrays()

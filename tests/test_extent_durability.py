@@ -87,12 +87,12 @@ class TestCodec:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_crash_at_random_offsets_recovers_surviving_prefix(tmp_path, backend):
-    check_crash_offsets(tmp_path, "extent", backend)
+    check_crash_offsets(tmp_path, "extent")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_checkpoint_then_tail_replay_is_bit_identical(tmp_path, backend):
-    check_checkpoint_then_tail(tmp_path, "extent", backend)
+    check_checkpoint_then_tail(tmp_path, "extent")
 
 
 class TestDispatch:

@@ -14,9 +14,10 @@ order, every layer's ``state_arrays()`` survives checkpoint -> recover
 and every name of the vocabulary answers or is refused.
 
 Around them: the walk runs when a stack is built, never per operation;
-and re-checkpointing the fixture directories under ``tests/data/``
-writes the members the parent commit wrote, in its order, with its
-bytes.
+re-checkpointing the fixture directories under ``tests/data/`` writes
+the members the parent commit wrote, in its order, with its bytes; and a
+paged or sparse kernel -- one of the paper's cost models -- is a stack
+only bare: a layer over one is refused where it is built.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ from repro.durability import DurableCube
 from repro.durability.checkpoint import snapshot_arrays
 from repro.durability.recovery import WAL_SUBDIR, build_front
 from repro.durability.wal import LOGGED, DemoteRecord, WriteAheadLog
+from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
+from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.ranking import TopKEngine
+from repro.retention import TieredCube
 
 from tests.data import make_durable_fixtures as fixtures
 
@@ -141,19 +145,18 @@ WRITES = {
 }
 
 
-def _build(tmp_path, backend, bottom, tiers, durable, snapshot):
+def _build(tmp_path, bottom, tiers, durable, snapshot):
     """``(top, the front under any log / snapshot layer, its config)``."""
     config = {
         "slice_shape": list(SHAPE),
-        "backend": backend,
         "buffered": bottom == "buffered",
         "tiers": TIERS if tiers else None,
     }
     if bottom == "extent":
-        config = {"slice_shape": list(SHAPE), "backend": backend, "extent": True}
+        config = {"slice_shape": list(SHAPE), "extent": True}
     if durable:
         top = DurableCube(
-            SHAPE, tmp_path / "cube", fsync="off", backend=backend,
+            SHAPE, tmp_path / "cube", fsync="off",
             buffered=bottom != "unbuffered", extent=bottom == "extent",
             tiers=TIERS if tiers else None,
         )  # fmt: skip
@@ -193,13 +196,13 @@ def _assert_same_state(ours: dict, theirs: dict) -> None:
 @pytest.mark.parametrize("durable", [False, True], ids=["unlogged", "durable"])
 @pytest.mark.parametrize("tiers", [False, True], ids=["untiered", "tiers"])
 @pytest.mark.parametrize("bottom", ["unbuffered", "buffered", "extent"])
-@pytest.mark.parametrize("backend", ["dense", "paged", "sparse"])
+@pytest.mark.parametrize("backend", ["dense"])  # the one store a stack serves
 def test_every_stack_declares_round_trips_and_refuses(
     tmp_path, backend, bottom, tiers, durable, snapshot
 ):
     if bottom == "extent" and tiers:
         pytest.skip("an extent cube takes no retention tiers (DurableCube refuses)")
-    top, front, config = _build(tmp_path, backend, bottom, tiers, durable, snapshot)
+    top, front, config = _build(tmp_path, bottom, tiers, durable, snapshot)
     extent = bottom == "extent"
 
     # 1. the stack says what it is, outermost first
@@ -271,7 +274,8 @@ def test_the_walk_runs_when_a_stack_is_built_never_per_operation(tmp_path, monke
         if getattr(module, "layers", None) is layers and module is not sys.modules[__name__]:
             monkeypatch.setattr(module, "layers", counting)
     served = DurableCube(SHAPE, tmp_path, tiers=TIERS, fsync="off").serve()
-    assert sorted(calls) == ["BufferedEvolvingDataCube", "DurableCube", "TieredCube"]
+    # a layer handed its inner walks from itself; the log walks what it built
+    assert sorted(calls) == ["SnapshotCube", "TieredCube", "TieredCube"]
     del calls[:]
     for t in range(100):
         served.update_many([[t, t % 4, 1], [t, 3, t % 4]], [1, 2])
@@ -304,3 +308,20 @@ def test_a_fixture_directory_recheckpoints_to_the_parents_archive(tmp_path, name
 def test_an_object_that_declares_nothing_is_no_layer():
     with pytest.raises(DomainError, match="object declares no layer kind"):
         layers(object())
+
+
+@pytest.mark.parametrize("kernel", [DiskEvolvingDataCube, SparseEvolvingDataCube])
+def test_a_paged_or_sparse_kernel_is_a_stack_only_on_its_own(tmp_path, kernel):
+    bare = kernel(SHAPE)
+    bare.update_many(POINTS, DELTAS)
+    assert list(layers(bare)) == ["kernel"]
+    assert TopKEngine(bare, nonnegative=True).topk(0, 9, 3)[0] == ((0, 0), 6)
+    kind = bare.store.kind
+    with pytest.raises(DomainError, match=f"a snapshot layer cannot sit over a {kind} kernel"):
+        SnapshotCube(bare)
+    with pytest.raises(DomainError, match=f"a tiered layer cannot sit over a {kind} kernel"):
+        TieredCube(bare, TIERS, tmp_path / "tiles")
+    assert bare._epoch_sink is None  # refused before it attached
+    for name, args in (("state_arrays", ()), ("restore_state", ({},)), ("resident_slice_bytes", ())):
+        with pytest.raises(DomainError, match=rf"{name}\(\) serves dense kernels only"):
+            getattr(bare, name)(*args)

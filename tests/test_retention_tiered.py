@@ -2,8 +2,8 @@
 
 Everything here is pinned against an *undemoted oracle*: the same
 stream fed to a plain front must produce bit-identical answers from a
-:class:`~repro.retention.TieredCube` after arbitrary demotions, on all
-three storage backends, with and without the ``G_d`` buffer, in both
+:class:`~repro.retention.TieredCube` after arbitrary demotions, over the
+dense store tiers serve, with and without the ``G_d`` buffer, in both
 execution modes, and straight through a demote -> checkpoint -> crash ->
 recover cycle.  The aged-``weather4`` footprint floor (>= 4x resident
 reduction) guards the subsystem's reason to exist.
@@ -18,26 +18,17 @@ from repro.concurrent import SnapshotCube
 from repro.core.types import Box
 from repro.durability import DurableCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
-from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.retention import TieredCube, TierPolicy
 from repro.workloads import weather4
 
-BACKENDS = ("dense", "paged", "sparse")
+#: the store tiers serve (paged and sparse kernels are used bare)
+BACKENDS = ("dense",)
 SHAPE = (5, 4)
 TIERS = [
     {"name": "hour", "granularity": 8, "horizon": 32},
     {"name": "day", "granularity": 32, "horizon": None},
 ]
-
-
-def _bare_cube(backend, shape=SHAPE):
-    if backend == "dense":
-        return EvolvingDataCube(shape)
-    if backend == "paged":
-        return DiskEvolvingDataCube(shape)
-    return SparseEvolvingDataCube(shape)
 
 
 def _stream(seed, n, shape=SHAPE, late=0.12):
@@ -78,12 +69,8 @@ class TestDifferentialOracle:
         late = 0.12 if buffered else 0.0  # bare kernels are append-only
         points, deltas = _stream(3, 260, late=late)
         t_max = int(points[:, 0].max())
-        if buffered:
-            oracle = BufferedEvolvingDataCube(SHAPE, backend=backend)
-            front = BufferedEvolvingDataCube(SHAPE, backend=backend)
-        else:
-            oracle = _bare_cube(backend)
-            front = _bare_cube(backend)
+        cube = BufferedEvolvingDataCube if buffered else EvolvingDataCube
+        oracle, front = cube(SHAPE), cube(SHAPE)
         tiered = TieredCube(front, TIERS, tmp_path / "tiles")
         oracle.update_many(points, deltas)
         tiered.update_many(points, deltas)
@@ -210,8 +197,8 @@ class TestDurableRecovery:
     ):
         points, deltas = _stream(3, 200)
         t_max = int(points[:, 0].max())
-        oracle = BufferedEvolvingDataCube(SHAPE, backend=backend)
-        durable = DurableCube(SHAPE, tmp_path / "cube", backend=backend, tiers=TIERS)
+        oracle = BufferedEvolvingDataCube(SHAPE)
+        durable = DurableCube(SHAPE, tmp_path / "cube", tiers=TIERS)
         oracle.update_many(points, deltas)
         durable.update_many(points, deltas)
         durable.demote_before(t_max - 40)

@@ -223,7 +223,8 @@ def test_a_worker_declares_its_front_and_probing_would_agree(
             )
             if present
         ]  # fmt: skip
-        assert state.layers == stack  # the worker reads the same declaration
+        # the worker reads the same declaration, under its snapshot layer
+        assert state.layers == {"snapshot": state.snap, **stack}
         assert isinstance(stack.get("tiered"), TieredCube) == tiered
         assert isinstance(stack.get("buffered"), BufferedEvolvingDataCube) == buffered
     finally:

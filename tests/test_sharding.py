@@ -32,7 +32,8 @@ from repro.sharding.shm import descriptor_blocks, epoch_from_shared_memory
 
 from .conftest import random_box
 
-BACKENDS = ("dense", "paged", "sparse")
+#: the store a shard serves (paged and sparse kernels are used bare)
+BACKENDS = ("dense",)
 
 
 def _mixed_stream(rng, shape, updates, shuffle=0.1):
@@ -83,10 +84,8 @@ class TestInlineDifferential:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mixed_workload_matches_snapshot_oracle(self, rng, backend):
         shape = (16, 6, 7)
-        oracle = SnapshotCube(BufferedEvolvingDataCube(shape[1:], backend=backend))
-        cube = ShardedCube(
-            shape[1:], shards=3, processes=False, backend=backend
-        )
+        oracle = SnapshotCube(BufferedEvolvingDataCube(shape[1:]))
+        cube = ShardedCube(shape[1:], shards=3, processes=False)
         points, deltas = _mixed_stream(rng, shape, updates=160)
         _differential(oracle, cube, rng, shape, points, deltas)
         cube.close()
@@ -334,6 +333,17 @@ class TestProcessMode:
             main(["serve", "--readers", "2"])
         assert stop.value.code == 2
         assert "--readers" in capsys.readouterr().err
+
+    def test_serve_takes_no_backend(self, capsys):
+        """A shard serves the dense store; there is no option to ask for another."""
+        from repro.__main__ import main
+
+        with pytest.raises(TypeError):
+            ShardedCube((4, 4), shards=2, processes=False, backend="dense")
+        with pytest.raises(SystemExit) as stop:
+            main(["serve", "--backend", "dense"])
+        assert stop.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_crashed_worker_raises_instead_of_hanging(self, rng):
         cube = ShardedCube((6, 6), shards=2, processes=True, timeout=120.0)

@@ -48,7 +48,6 @@ class ConcurrentServingMachine(RuleBasedStateMachine):
             SHAPE,
             self.dir / "cube",
             buffered=True,
-            backend="dense",
             fsync="off",
             num_times=NUM_TIMES,
         )

@@ -18,8 +18,7 @@ what the shards' directories and tiered fronts hold.
 
 The op set is not one configuration's: a durable buffered shard refuses
 ``apply_out_of_order``, only a tiered one demotes.  Hypothesis draws the
-kind per example (dense); one scripted history per kind runs on the
-paged and sparse backends.
+kind per example; every shard serves the dense store.
 """
 
 from __future__ import annotations
@@ -61,17 +60,16 @@ KINDS = {
 class Model:
     """A process-sharded cube and its unsharded oracle, driven in step."""
 
-    def __init__(self, kind: str, backend: str = "dense", processes=True) -> None:
+    def __init__(self, kind: str, processes=True) -> None:
         self.durable, self.buffered, self.tiered = KINDS[kind]
         self.processes = processes
         self.root = Path(tempfile.mkdtemp(prefix="repro-stateful-sharded-"))
-        front = BufferedEvolvingDataCube(SHAPE, backend=backend)
+        front = BufferedEvolvingDataCube(SHAPE)
         self.oracle = SnapshotCube(front if self.buffered else front.cube)
         self.cube = ShardedCube(
             SHAPE,
             shards=2,
             processes=processes,
-            backend=backend,
             buffered=self.buffered,
             durable_dir=self.root / "fleet" if self.durable else None,
             tiers=TIERS if self.tiered else None,
@@ -264,39 +262,6 @@ TestInlineShardedHistoryMachine = InlineShardedHistoryMachine.TestCase
 TestInlineShardedHistoryMachine.settings = settings(
     max_examples=60, stateful_step_count=15, deadline=None
 )
-
-
-@pytest.mark.parametrize("kind", sorted(KINDS))
-@pytest.mark.parametrize("backend", ["paged", "sparse"])
-def test_a_scripted_history_on_the_other_backends(backend, kind):
-    model = Model(kind, backend)
-    durable, buffered, tiered = KINDS[kind]
-    rng = np.random.default_rng(3)
-
-    def cells(count):
-        return [tuple(int(rng.integers(0, n)) for n in SHAPE) for _ in range(count)]
-
-    try:
-        for step in range(14):
-            model.append(1 + step % 2, cells(4), [1, 2, 3, 4])
-            if buffered and step % 3 == 2:
-                # from step 2 on, some of it from before all history
-                times = rng.integers(model.boundary, model.latest, size=3)
-                model.late([(int(t), *c) for t, c in zip(times, cells(3))], [5, 6, 7])
-                model.check()
-            if not tiered and step % 4 == 3:
-                # an odd time never occurred here half the time: a splice
-                time = int(rng.integers(model.boundary, model.latest))
-                model.out_of_order((time, *cells(1)[0]), 9)
-            if buffered and step % 5 == 4:
-                model.drain()
-            if step == 8:
-                (model.demote if tiered else model.retire)(model.latest // 2)
-            if durable and step in (5, 8, 11):  # 8: straight after the retire
-                model.reopen(checkpoint=step == 5)
-            model.check()
-    finally:
-        model.close()
 
 
 def test_an_unrecoverable_mixed_instance_bootstraps_into_a_process_shard(tmp_path):

@@ -136,91 +136,3 @@ class TestAggregateVariant:
         for _ in range(20):
             box = random_box(rng, (64, 64, 64))
             assert plain.range_sum(box) == annotated.range_sum(box)
-
-
-class TestDelete:
-    def test_delete_exact_entry(self):
-        tree = RTree(2)
-        tree.insert((3, 4), 5)
-        tree.insert((7, 1), 2)
-        assert tree.delete((3, 4), 5)
-        assert len(tree) == 1
-        assert tree.range_sum(Box((0, 0), (9, 9))) == 2
-        assert tree.range_sum(Box((3, 4), (3, 4))) == 0
-
-    def test_delete_missing_returns_false(self):
-        tree = RTree(2)
-        tree.insert((3, 4), 5)
-        assert not tree.delete((3, 4), 6)  # value mismatch
-        assert not tree.delete((8, 8), 5)  # point mismatch
-        assert len(tree) == 1
-
-    def test_delete_one_of_duplicates(self):
-        tree = RTree(2)
-        tree.insert((3, 4), 5)
-        tree.insert((3, 4), 5)
-        assert tree.delete((3, 4), 5)
-        assert len(tree) == 1
-        assert tree.range_sum(Box((3, 4), (3, 4))) == 5
-
-    def test_delete_to_empty_and_reuse(self):
-        tree = RTree(2)
-        for t in range(20):
-            tree.insert((t, t), 1)
-        for t in range(20):
-            assert tree.delete((t, t), 1)
-        assert len(tree) == 0
-        assert tree.range_sum(Box((0, 0), (19, 19))) == 0
-        tree.insert((5, 5), 9)  # the emptied tree keeps working
-        assert tree.range_sum(Box((0, 0), (19, 19))) == 9
-
-    def test_delete_counts_node_accesses(self):
-        tree = RTree(2)
-        for t in range(50):
-            tree.insert((t, t % 7), 1)
-        before = tree.node_accesses
-        assert tree.delete((10, 3), 1)
-        assert tree.node_accesses > before
-
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_interleaved_inserts_and_deletes(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        tree = RTree(2, leaf_capacity=4, fanout=4)
-        live: list[tuple[tuple[int, int], int]] = []
-        for _ in range(data.draw(st.integers(20, 120))):
-            if live and data.draw(st.booleans()):
-                point, value = live.pop(
-                    data.draw(st.integers(0, len(live) - 1))
-                )
-                assert tree.delete(point, value)
-            else:
-                point = tuple(int(c) for c in rng.integers(0, 30, size=2))
-                value = int(rng.integers(-5, 6))
-                tree.insert(point, value)
-                live.append((point, value))
-            assert len(tree) == len(live)
-            box = random_box(rng, (30, 30))
-            assert tree.range_sum(box) == brute_sum(
-                [p for p, _ in live], [v for _, v in live], box
-            )
-
-    def test_delete_from_bulk_loaded_aggregate_tree(self):
-        rng = np.random.default_rng(5)
-        points = [
-            tuple(int(c) for c in rng.integers(0, 40, size=2))
-            for _ in range(300)
-        ]
-        values = [int(v) for v in rng.integers(1, 6, size=300)]
-        tree = RTree.bulk_load(
-            points, values, leaf_capacity=8, fanout=8, with_aggregates=True
-        )
-        removed = set()
-        for i in range(0, 300, 3):
-            assert tree.delete(points[i], values[i])
-            removed.add(i)
-        kept_points = [p for i, p in enumerate(points) if i not in removed]
-        kept_values = [v for i, v in enumerate(values) if i not in removed]
-        for _ in range(20):
-            box = random_box(rng, (40, 40))
-            assert tree.range_sum(box) == brute_sum(kept_points, kept_values, box)
