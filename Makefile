@@ -29,8 +29,10 @@ e2e-smoke:
 	timeout 300 env PYTHONPATH=src $(PY) -m pytest benchmarks/e2e -q
 
 # Where the served cube's memory is: PSS per server process and mapping
-# class, idle and loaded (`SLICES=32 make pss` is what CI runs).  Fails
-# when the shard workers hold their history a second time on the heap.
+# class, idle, loaded, and after `serve` is restarted on the same
+# directory and recovers it (`SLICES=32 make pss` is what CI runs).  Fails
+# when the loaded or the recovered shard workers hold their history a
+# second time on the heap.
 pss:
 	PYTHONPATH=src $(PY) benchmarks/pss_breakdown.py --slices $(or $(SLICES),128)
 

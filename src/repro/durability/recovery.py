@@ -23,6 +23,11 @@ Recovery = latest checkpoint + tail replay:
    refuses a committed one this build cannot decode);
 4. replay every record with LSN > the manifest's covered LSN.
 
+Steps 1-3 are :meth:`DurableCube.restore`, step 4 is
+:meth:`DurableCube.replay_tail`, one record at a time; a process shard
+runs the halves with its epoch exporter in between, so replayed history
+is published as it is rebuilt (:mod:`repro.sharding.worker`).
+
 Which mutations are logged, what each needs of the front and how each
 is replayed is the record table, :data:`repro.durability.wal.RECORD_TYPES`:
 the logged methods and :meth:`DurableCube._replay_record` are each
@@ -390,7 +395,29 @@ class DurableCube:
         for the reopened log (e.g. recover with ``"always"`` a log
         written with ``"batch"``).  The result continues logging where
         the survivor left off; :attr:`recovery_info` reports what
-        happened.
+        happened.  It is :meth:`restore` followed by :meth:`replay_tail`,
+        run to the end.
+        """
+        self = cls.restore(directory, counter, fsync)
+        for _ in self.replay_tail():
+            pass
+        return self
+
+    @classmethod
+    def restore(
+        cls,
+        directory,
+        counter: CostCounter | None = None,
+        fsync: str | None = None,
+    ) -> "DurableCube":
+        """The first half of :meth:`recover`: the manifest's front, restored
+        from its checkpoint, over the log opened for append (a torn tail
+        repaired, a committed record this build cannot decode refused).
+
+        The tail is not replayed yet: until :meth:`replay_tail` is
+        exhausted the cube holds the checkpoint's state and must take no
+        writes.  What runs between the halves (a snapshot front, an
+        exporter) sees every replayed record arrive as a live write would.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
@@ -418,6 +445,18 @@ class DurableCube:
         # opening for append repairs a torn tail before replay reads it
         self.wal = self._open_wal(fsync)
         self._manifest = manifest
+        self.recovery_info = None
+        return self
+
+    def replay_tail(self):
+        """The second half of :meth:`recover`: apply the records after the
+        checkpoint in LSN order, yielding each one's LSN once it is applied.
+
+        Exhausted, it sets :attr:`recovery_info`.  A record that cannot be
+        replayed closes the log and raises; a caller that drives the halves
+        itself publishes between records.
+        """
+        manifest = self._manifest
         replayed = skipped = 0
         last_lsn = manifest.covered_lsn
         try:
@@ -426,8 +465,9 @@ class DurableCube:
                 last_lsn = lsn
                 if not self._replay_record(record):
                     skipped += 1
+                yield lsn
         except BaseException:
-            self.wal.close()  # no cube is returned to close it
+            self.wal.close()  # no usable cube is left to close it
             raise
         self.recovery_info = {
             "checkpoint_id": manifest.checkpoint_id,
@@ -436,7 +476,6 @@ class DurableCube:
             "skipped_records": skipped,
             "last_lsn": last_lsn,
         }
-        return self
 
     def _replay_record(self, record) -> bool:
         """Apply one tail record; ``False`` = skipped.

@@ -512,7 +512,8 @@ def decode_payload(
 
 @dataclass
 class _ScanResult:
-    records: list[tuple[int, WalRecord]]
+    #: ``(lsn, record)``, or ``(lsn, payload bytes)`` from an undecoded scan
+    records: list[tuple[int, WalRecord | bytes]]
     valid_bytes: int  # prefix length holding intact records (incl. header)
     torn: bool  # a partial/corrupt record follows the prefix
     base_lsn: int
@@ -537,15 +538,38 @@ def _frame_at(data: bytes, offset: int, lsn: int) -> bytes | None:
     return payload
 
 
-def _scan_segment(path: Path, tolerant: bool = False) -> _ScanResult:
-    """Walk a segment up to its first torn frame.
+def _decode_committed(
+    path: Path, lsn: int, payload: bytes, version: int, tolerant: bool = False
+) -> WalRecord | UnknownRecord:
+    """The record an intact frame holds.
 
     An intact frame *was* committed: if this build cannot decode it,
     dropping it -- and everything after it -- would lose acknowledged
     mutations, so that is a :class:`~repro.core.errors.StorageError` and
-    nothing is truncated.  ``tolerant=True`` (diagnostics only) walks
-    past such frames, yielding :class:`UnknownRecord` placeholders.
+    nothing is truncated.  ``tolerant=True`` (diagnostics only) returns
+    an :class:`UnknownRecord` placeholder instead.
     """
+    try:
+        return decode_payload(payload, version)[1]
+    except StorageError as exc:
+        if not tolerant:
+            raise StorageError(
+                f"{path.name}: the record at LSN {lsn} checksums clean "
+                f"but this build cannot decode it ({exc}); refusing to "
+                "drop committed history"
+            ) from exc
+    known = BY_TAG.get(payload[0])
+    return UnknownRecord(
+        payload[0], f"malformed_{known.name}" if known else f"unknown_{payload[0]}"
+    )
+
+
+def _scan_segment(
+    path: Path, tolerant: bool = False, decode: bool = True
+) -> _ScanResult:
+    """Walk a segment up to its first torn frame, decoding each intact
+    one (:func:`_decode_committed`) unless ``decode=False``, which keeps
+    the payloads for the caller to decode one at a time."""
     data = path.read_bytes()
     if len(data) < _HEADER.size:
         raise StorageError(f"{path.name}: truncated segment header")
@@ -558,29 +582,17 @@ def _scan_segment(path: Path, tolerant: bool = False) -> _ScanResult:
             f"build reads (1..{WAL_FORMAT_VERSION}); upgrade the library to "
             "replay a newer log"
         )
-    records: list[tuple[int, WalRecord]] = []
+    records: list[tuple[int, WalRecord | bytes]] = []
     offset = _HEADER.size
     while offset < len(data):
         lsn = base_lsn + len(records)
         payload = _frame_at(data, offset, lsn)
         if payload is None:
             break
-        try:
-            _, record = decode_payload(payload, version)
-        except StorageError as exc:
-            if not tolerant:
-                raise StorageError(
-                    f"{path.name}: the record at LSN {lsn} checksums clean "
-                    f"but this build cannot decode it ({exc}); refusing to "
-                    "drop committed history"
-                ) from exc
-            known = BY_TAG.get(payload[0])
-            record = UnknownRecord(
-                payload[0],
-                f"malformed_{known.name}" if known else f"unknown_{payload[0]}",
-            )
-        records.append((lsn, record))
         offset += _FRAME.size + len(payload)
+        if decode:
+            payload = _decode_committed(path, lsn, payload, version, tolerant)
+        records.append((lsn, payload))
     return _ScanResult(records, offset, offset < len(data), base_lsn, version)
 
 
@@ -594,7 +606,7 @@ def _segments(directory: Path) -> list[Path]:
     )
 
 
-def _scan_log(directory: Path, tolerant: bool = False):
+def _scan_log(directory: Path, tolerant: bool = False, decode: bool = True):
     """Scan a log's segments in order, yielding ``(path, scan)``.
 
     A final file shorter than a segment header comes last with ``None``
@@ -612,7 +624,7 @@ def _scan_log(directory: Path, tolerant: bool = False):
     while headed > 1 and paths[headed - 1].stat().st_size < _HEADER.size:
         headed -= 1
     for position, path in enumerate(paths[:headed]):
-        scan = _scan_segment(path, tolerant=tolerant)
+        scan = _scan_segment(path, tolerant=tolerant, decode=decode)
         if scan.torn and not (position == headed - 1 or tolerant):
             raise StorageError(
                 f"{path.name}: damaged record in a non-final WAL "
@@ -788,12 +800,14 @@ class WriteAheadLog:
 
         Stops cleanly at a torn tail in the final segment; damage
         anywhere else raises :class:`~repro.core.errors.StorageError`.
+        Each record is decoded as it is yielded, so a replay holds one
+        decoded record at a time, not a segment's worth.
         """
-        for _, scan in _scan_log(self.directory):
+        for path, scan in _scan_log(self.directory, decode=False):
             # (a header-less final segment -- a crash during roll -- has none)
-            for lsn, record in scan.records if scan is not None else ():
+            for lsn, payload in scan.records if scan is not None else ():
                 if lsn > after_lsn:
-                    yield lsn, record
+                    yield lsn, _decode_committed(path, lsn, payload, scan.version)
 
     # -- compaction and introspection -------------------------------------------
 

@@ -35,7 +35,12 @@ import os
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.core.errors import DomainError, ShardUnavailableError, StorageError
+from repro.core.errors import (
+    DomainError,
+    ReproError,
+    ShardUnavailableError,
+    StorageError,
+)
 from repro.storage.serialize import require_dense
 
 from repro.sharding.ops import BY_METHOD
@@ -133,35 +138,52 @@ class ShardedCube:
                     tile_root / f"shard-{extent.shard_id:02d}" / "tiles"
                 )
             configs.append(config)
-        if not self.processes:
-            handles = [InlineHandle(c["shard_id"], c) for c in configs]
-        else:
-            ctx = _context(start_method)
-            handles = []
-            for config in configs:
-                shard_id = config["shard_id"]
-                parent, child = ctx.Pipe()
-                process = ctx.Process(
-                    target=worker_main,
-                    args=(child, config),
-                    name=f"shard {shard_id} worker",
-                    daemon=True,
-                )
-                process.start()
-                child.close()
-                handles.append(WorkerHandle(shard_id, process, parent, float(timeout)))
-            self._sweep_prefixes = [
-                f"{SHM_PREFIX}-s{h.shard_id}-{h.process.pid}-" for h in handles
-            ]
-            try:
-                for handle in handles:
-                    handle.recv()  # handshake: first epoch and time state
-            except ShardUnavailableError as exc:
-                raise StorageError(f"sharded cube failed to start: {exc}") from exc
+        handles = []
+        try:
+            if not self.processes:
+                for config in configs:
+                    handles.append(InlineHandle(config["shard_id"], config))
+            else:
+                self._start_workers(configs, handles, float(timeout), start_method)
+        except BaseException:
+            # a fleet that does not start leaves no worker and no block
+            for handle in handles:
+                handle.close()
+            for prefix in self._sweep_prefixes:
+                unlink_by_prefix(prefix)
+            raise
         self.router = ShardRouter(partitioner, handles, buffered=self.buffered)
         self.router.num_times = num_times
         if self.durable_dir is not None:
             self.router.on_boundary = self._record_boundary
+
+    def _start_workers(self, configs, handles: list, timeout, start_method) -> None:
+        """Start one worker process per config into ``handles``, then take
+        every handshake: each shard's first epoch and time state, or why it
+        could not start."""
+        ctx = _context(start_method)
+        for config in configs:
+            shard_id = config["shard_id"]
+            parent, child = ctx.Pipe()
+            process = ctx.Process(
+                target=worker_main,
+                args=(child, config),
+                name=f"shard {shard_id} worker",
+                daemon=True,
+            )
+            process.start()
+            child.close()
+            handles.append(WorkerHandle(shard_id, process, parent, timeout))
+            self._sweep_prefixes.append(f"{SHM_PREFIX}-s{shard_id}-{process.pid}-")
+        for handle in handles:
+            try:
+                handle.recv()
+            except ShardUnavailableError as exc:
+                raise StorageError(f"sharded cube failed to start: {exc}") from exc
+            except ReproError as exc:
+                raise StorageError(
+                    f"sharded cube failed to start: shard {handle.shard_id}: {exc}"
+                ) from exc
 
     # -- durability ------------------------------------------------------------
 

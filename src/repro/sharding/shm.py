@@ -15,7 +15,8 @@ move its *representation*.  So the exporter publishes content, once:
 
 * one *row block* per historic instance, holding its complete prefix-sum
   array.  The row is written when the instance becomes historic (or, for
-  a recovered cube, at the first export): live slice storage is read
+  a restored checkpoint, at the first export, which a recovering worker
+  runs before it replays its log tail): live slice storage is read
   through the epoch's frozen cache and swept DDC -> PS by
   :func:`~repro.ecube.fastpath._prefix_sum_rows`, the sweep every reader
   of that epoch would run, so a reader gathers corners from the row in

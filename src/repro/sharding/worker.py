@@ -31,6 +31,7 @@ locally:
 
 from __future__ import annotations
 
+import itertools
 import signal
 
 import numpy as np
@@ -50,13 +51,14 @@ from repro.sharding.shm import (
 
 
 def _build_shard_front(config: dict, counter: CostCounter):
-    """The shard-local cube front for a worker config."""
+    """The shard-local cube front for a worker config (a recovered one
+    restored from its checkpoint, its log tail not yet replayed)."""
     durable_dir = config.get("durable_dir")
     # a buffered shard obeys the router's global append order
     buffered = bool(config.get("buffered", False))
     if durable_dir is not None:
         if config.get("recover"):
-            return DurableCube.recover(durable_dir, counter=counter)
+            return DurableCube.restore(durable_dir, counter=counter)
         return DurableCube(
             config["slice_shape"],
             durable_dir,
@@ -91,8 +93,26 @@ class ShardWorkerState:
             kind in self.layers for kind in ("durable", "buffered", "tiered")
         )
         self.exporter = None
-        if config.get("use_shm"):
-            self.exporter = EpochExporter(self.snap, tag=f"s{self.shard_id}")
+        try:
+            if config.get("use_shm"):
+                self.exporter = EpochExporter(self.snap, tag=f"s{self.shard_id}")
+            if self.durable and config.get("recover"):
+                self._replay_tail()
+        except BaseException:
+            self.close()  # no caller gets this state: unlink what it exported
+            raise
+
+    def _replay_tail(self) -> None:
+        """Replay the log tail the way live writes arrive: the restored
+        checkpoint is published first, then the historic slices each record
+        made, and adopted, before the next record is applied; with no
+        reader attached yet the epochs a record superseded are released at
+        once.  So replayed history never piles up on the heap: beside the
+        latest instance, only what the current record made historic is off
+        shared memory."""
+        for _ in itertools.chain([None], self.front.replay_tail()):
+            if self.exporter is not None:
+                self.exporter.release_below(self.exporter.export()["sequence"])
 
     # -- helpers ---------------------------------------------------------------
 
@@ -265,7 +285,14 @@ def worker_main(conn, config: dict) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     stop = []
     signal.signal(signal.SIGTERM, lambda *_: stop.append(True))
-    state = ShardWorkerState(config)
+    try:
+        state = ShardWorkerState(config)
+    except ReproError as exc:
+        # the handshake says why this shard cannot start (a missing
+        # checkpoint, a log record that cannot be replayed)
+        conn.send(("error", exc, None))
+        conn.close()
+        return
     try:
         conn.send(("ok", None, state.publish()))
         while True:
