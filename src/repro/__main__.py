@@ -255,6 +255,7 @@ def _log_info(directory) -> dict:
             info["tiles"] = {
                 "count": len(tiles),
                 "disk_bytes": tiles.disk_bytes(),
+                "versions": tiles.versions(),
                 "spans": [
                     [int(a), int(b)] for a, b in tiles.spans()
                 ],

@@ -10,10 +10,15 @@ trade decode work for storage.
 
 Encoding pipeline (all vectorized; pure NumPy + :mod:`zlib`):
 
-1. **delta-of-PS** -- consecutive converged PS slices differ only by the
-   updates of one instance, so the stack is stored as its first slice
-   plus temporal differences (:func:`numpy.diff` along the time axis),
-   which concentrates the value distribution near zero;
+1. **difference along every axis** -- consecutive converged PS slices
+   differ only by the updates of one instance (§2), and differencing a
+   PS slice along each cell axis inverts its prefix sum, so the stack
+   is differenced in place along time and then along every cell axis
+   (the first hyperplane of each axis stays as it is).  What is stored
+   is the first slice's raw cell values plus each later instance's raw
+   updates: mostly zeros.  This is format version 2, the header's
+   version byte; version 1 tiles (differenced along time only) still
+   decode, and no build writes them any more;
 2. **zigzag** -- signed deltas map to small unsigned integers
    (``(v << 1) ^ (v >> 63)``), so magnitude, not sign, decides width;
 3. **width packing** -- the whole zigzag array is stored at the smallest
@@ -25,21 +30,23 @@ Encoding pipeline (all vectorized; pure NumPy + :mod:`zlib`):
    zlib is the one codec (header codec id 1); a tile naming any other
    id is refused before its payload is touched.
 
+The differences wrap modulo 2**64 like every int64 operation here, and
+so do the ``cumsum`` s that undo them: the round trip is exact over the
+whole int64 range.
+
 Every tile carries two CRC32 checksums (header and payload).  Decoding
 *refuses* rather than guesses: a torn tail, a corrupt checksum, a bad
 magic/version, or trailing garbage all raise
 :class:`~repro.core.errors.StorageError`.
 
 :class:`TileStore` owns a directory of tiles, writes them atomically
-(tmp + fsync + rename, like the checkpoint archive writer) and serves
-reads off a read-only :mod:`mmap` of the file (like
-:mod:`repro.storage.mmap_npz`), decoding lazily and caching the
+(tmp + fsync + rename, like the checkpoint archive writer), reads a
+tile's file whole on first use, decodes it, and caches the
 :data:`CACHE_TILES` most recently used stacks.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import re
 import struct
@@ -52,7 +59,10 @@ import numpy as np
 from repro.core.errors import DomainError, StorageError
 
 MAGIC = b"RPTL"
-VERSION = 1
+#: the tile format this build writes: 2 differences along every axis,
+#: 1 (still read) along time only
+VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 CODEC_ZLIB = 1
 #: fixed compression level: tile bytes must be a pure function of the
 #: demoted slices so WAL replay can atomically overwrite torn tiles
@@ -73,20 +83,32 @@ _TILE_NAME = re.compile(r"^tile-(-?\d+)-(-?\d+)\.tile$")
 # -- integer transforms --------------------------------------------------------
 
 
+# Both zigzag maps allocate their result and one boolean mask, nothing
+# else the size of the stack: a demotion runs, and a cold tile decodes,
+# inside a shard worker, whose allocator keeps the heap it has grown into.
+
+
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
-    """Map int64 onto uint64 so small magnitudes become small numbers."""
+    """Map int64 onto uint64 so small magnitudes become small numbers:
+    ``(v << 1) ^ (v >> 63)``, i.e. ``2v`` for ``v >= 0`` and ``~(2v)``
+    below zero."""
     v = np.asarray(values, dtype=np.int64)
-    return ((v.astype(np.uint64) << np.uint64(1)) ^ (v >> np.int64(63)).astype(
-        np.uint64
-    ))
+    out = v.astype(np.uint64)
+    np.left_shift(out, np.uint64(1), out=out)
+    np.invert(out, out=out, where=v < 0)
+    return out
 
 
 def zigzag_decode(values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag_encode`."""
-    v = np.asarray(values, dtype=np.uint64)
-    return ((v >> np.uint64(1)).astype(np.int64)) ^ -(
-        (v & np.uint64(1)).astype(np.int64)
-    )
+    """Inverse of :func:`zigzag_encode` for any unsigned integer array
+    (a packed width is widened on the fly): ``v >> 1``, inverted where
+    ``v`` is odd."""
+    v = np.asarray(values)
+    if v.dtype.kind != "u":
+        v = v.astype(np.uint64)
+    out = np.right_shift(v, v.dtype.type(1), dtype=np.uint64)
+    np.invert(out, out=out, where=(v & v.dtype.type(1)).astype(bool))
+    return out.view(np.int64)
 
 
 def _pack_width(zz: np.ndarray) -> tuple[int, bytes]:
@@ -106,7 +128,16 @@ def _unpack_width(width: int, raw: bytes, count: int) -> np.ndarray:
         raise StorageError(
             f"corrupt tile: packed length {len(raw)} != {count}x{width}"
         )
-    return np.frombuffer(raw, dtype=dtype).astype(np.uint64)
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _difference(work: np.ndarray, axis: int) -> None:
+    """First differences of ``work`` along ``axis``, in place; the inverse
+    of ``np.cumsum(work, axis=axis)``.  Plane by plane from the far end,
+    so no temporary the size of ``work`` is made."""
+    planes = np.moveaxis(work, axis, 0)
+    for i in range(planes.shape[0] - 1, 0, -1):
+        planes[i] -= planes[i - 1]
 
 
 # -- tile codec ----------------------------------------------------------------
@@ -116,9 +147,10 @@ def encode_tile(stack: np.ndarray, times: np.ndarray) -> bytes:
     """Serialize a ``(k, *shape)`` stack of PS slices and their times.
 
     ``times`` must be strictly increasing (occurring-time order); the
-    result is byte-deterministic for a given input.
+    result is byte-deterministic for a given input.  The tile is format
+    :data:`VERSION`.
     """
-    stack = np.ascontiguousarray(stack, dtype=np.int64)
+    stack = np.array(stack, dtype=np.int64, order="C")  # differenced in place
     times = np.ascontiguousarray(times, dtype=np.int64)
     if stack.ndim < 2:
         raise DomainError(f"tile stack must be (k, *shape); got {stack.shape}")
@@ -128,10 +160,9 @@ def encode_tile(stack: np.ndarray, times: np.ndarray) -> bytes:
         raise DomainError("refusing to encode an empty tile")
     if times.size > 1 and not bool(np.all(np.diff(times) > 0)):
         raise DomainError("tile times must be strictly increasing")
-    deltas = np.concatenate(
-        (stack[:1], np.diff(stack, axis=0)), axis=0
-    ).reshape(-1)
-    width, packed = _pack_width(zigzag_encode(deltas))
+    for axis in range(stack.ndim):
+        _difference(stack, axis)
+    width, packed = _pack_width(zigzag_encode(stack.reshape(-1)))
     payload = zlib.compress(packed, _ZLIB_LEVEL)
     ndim = stack.ndim - 1
     header = bytearray()
@@ -158,7 +189,7 @@ def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
     magic, version, codec_id, width, ndim, k = _FIXED.unpack_from(data, 0)
     if magic != MAGIC:
         raise StorageError("not a tile file (bad magic)")
-    if version != VERSION:
+    if version not in _READABLE_VERSIONS:
         raise StorageError(f"unsupported tile version {version}")
     header_len = _FIXED.size + 4 * ndim + 16 + 8 * k + 4
     if len(data) < header_len:
@@ -201,10 +232,14 @@ def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
     count = int(k)
     for n in shape:
         count *= int(n)
-    deltas = zigzag_decode(_unpack_width(width, packed, count)).reshape(
+    stack = zigzag_decode(_unpack_width(width, packed, count)).reshape(
         (k, *shape)
     )
-    return np.cumsum(deltas, axis=0, dtype=np.int64), times
+    # undo the differencing: the cell axes, then time (version 1
+    # differenced along time only)
+    for axis in (*range(1, stack.ndim), 0) if version >= 2 else (0,):
+        np.cumsum(stack, axis=axis, out=stack)
+    return stack, times
 
 
 # -- the tile directory --------------------------------------------------------
@@ -219,8 +254,8 @@ class TileStore:
     """A directory of immutable tiles, indexed by occurring time.
 
     Tiles never overlap: demotion writes strictly newer runs of slices.
-    Reads map the file read-only and decode lazily; the
-    :data:`CACHE_TILES` most recently decoded stacks stay resident.
+    A tile is read and decoded on first use; the :data:`CACHE_TILES`
+    most recently decoded stacks stay resident.
     """
 
     def __init__(self, directory) -> None:
@@ -267,6 +302,21 @@ class TileStore:
             (self.directory / name).stat().st_size
             for _, _, name in self._index
         )
+
+    def versions(self) -> dict[str, int]:
+        """Tile count per format version, read from each tile's fixed
+        header without decoding it (``"unreadable"`` counts a file too
+        short or with the wrong magic to say)."""
+        counts: dict[str, int] = {}
+        for _, _, name in self._index:
+            with open(self.directory / name, "rb") as handle:
+                head = handle.read(_FIXED.size)
+            if len(head) == _FIXED.size and head[:4] == MAGIC:
+                version = str(head[4])
+            else:
+                version = "unreadable"
+            counts[version] = counts.get(version, 0) + 1
+        return dict(sorted(counts.items()))
 
     def spans(self) -> np.ndarray:
         """``(m, 2)`` array of (first_time, last_time) per tile."""
@@ -320,14 +370,10 @@ class TileStore:
             return cached
         path = self.directory / name
         try:
-            with open(path, "rb") as handle:
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
+            data = path.read_bytes()
+        except OSError as exc:
             raise StorageError(f"unreadable tile {path}: {exc}") from exc
-        try:
-            stack, times = decode_tile(mapped)
-        finally:
-            mapped.close()
+        stack, times = decode_tile(data)
         self._cache[name] = (stack, times)
         while len(self._cache) > CACHE_TILES:
             self._cache.popitem(last=False)

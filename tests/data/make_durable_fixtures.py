@@ -9,10 +9,14 @@ before the two classes were merged still recover.  Their log segments
 are WAL format version 1, which no later build writes: they are input,
 never regenerated.  ``durable_point_v2/`` and ``durable_extent_v2/``
 are the same two op lists as the first build that writes version 2
-(packed batch columns) left them.  The op lists below are what the test
-replays into a live replica.
+(packed batch columns) left them.  The tiles of ``durable_point/`` and
+``durable_point_v2/`` are tile format version 1 (differenced along time
+only), which no later build writes either; ``durable_point_v3/`` is the
+point op list again, with WAL format 2 and tile format 2 (differenced
+along every axis).  The op lists below are what the test replays into a
+live replica.
 
-Regenerate the directories of the format this build writes (only when
+Regenerate the directories of the formats this build writes (only when
 the on-disk format changes on purpose)::
 
     PYTHONPATH=src python tests/data/make_durable_fixtures.py
@@ -135,9 +139,14 @@ FIXTURES = {
     "durable_extent": (_extent_cube, EXTENT_OPS),
     "durable_point_v2": (_point_cube, POINT_OPS),
     "durable_extent_v2": (_extent_cube, EXTENT_OPS),
+    "durable_point_v3": (_point_cube, POINT_OPS),
 }
-#: written by builds this one can read but no longer reproduce
+#: log segments in WAL format version 1, which this build reads but no
+#: longer writes
 FROZEN = ("durable_point", "durable_extent")
+#: every file in the formats this build writes; the only directories the
+#: script below regenerates
+CURRENT = ("durable_extent_v2", "durable_point_v3")
 
 
 def write(name: str, directory) -> None:
@@ -150,6 +159,6 @@ def write(name: str, directory) -> None:
 
 
 if __name__ == "__main__":
-    for fixture in sorted(set(FIXTURES) - set(FROZEN)):
+    for fixture in CURRENT:
         shutil.rmtree(HERE / fixture, ignore_errors=True)
         write(fixture, HERE / fixture)

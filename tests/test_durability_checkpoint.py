@@ -4,8 +4,10 @@
 directories under ``tests/data/`` (see ``make_durable_fixtures.py``
 there), so a format or replay change that strands existing directories
 fails here: the pair whose log segments are WAL format version 1, the
-pair in the version this build writes, and a version-1 directory this
-build has appended to.
+pair in WAL format 2 (whose point directory holds tile format 1 tiles),
+a point directory in the tile format this build writes, a version-1
+directory this build has appended to, and a tile directory recovery
+leaves holding both tile formats.
 
 Also covers the serialize-layer companions: ``save_kernel`` /
 ``load_kernel`` round-trip a dense kernel, archives written by a future
@@ -37,6 +39,8 @@ from repro.durability.wal import WAL_FORMAT_VERSION, _scan_segment, inspect_log
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
+from repro.retention.tiles import VERSION as TILE_VERSION
+from repro.retention.tiles import decode_tile
 from repro.sharding import ShardedCube
 from repro.sharding.cube import MANIFEST_NAME as SHARDING_MANIFEST
 from repro.storage.serialize import load_kernel, save_kernel
@@ -190,6 +194,18 @@ class TestCheckpointCycle:
             DurableCube((4, 4), tmp_path, fsync="off")
 
 
+def _assert_same_tile(ours, theirs) -> int:
+    """The tile file ``ours`` holds what ``theirs`` holds, byte for byte if
+    ``theirs`` is in the tile format this build writes; returns the
+    version of ``theirs``."""
+    mine, old = ours.read_bytes(), theirs.read_bytes()
+    for got, want in zip(decode_tile(mine), decode_tile(old)):
+        np.testing.assert_array_equal(got, want, err_msg=str(theirs))
+    if old[4] == TILE_VERSION:
+        assert mine == old, theirs
+    return old[4]
+
+
 def _assert_same_state(front, replica):
     ours, theirs = snapshot_arrays(front), snapshot_arrays(replica)
     assert sorted(ours) == sorted(theirs)
@@ -306,8 +322,11 @@ class TestDirectoriesWrittenByAnOlderCommit:
                 assert (old.version == WAL_FORMAT_VERSION) == (name not in fixtures.FROZEN)
                 if old.version == WAL_FORMAT_VERSION:
                     assert (ours / file).read_bytes() == (theirs / file).read_bytes()
-            else:  # tiles
-                assert (ours / file).read_bytes() == (theirs / file).read_bytes(), file
+            else:
+                # tiles: the same slices and times; the same bytes where the
+                # committed tile is in the format we write
+                old_version = _assert_same_tile(ours / file, theirs / file)
+                assert (old_version == TILE_VERSION) == (name in fixtures.CURRENT)
 
     def test_recovers_bit_identical_to_a_replayed_replica(self, tmp_path, name):
         ops = fixtures.FIXTURES[name][1]
@@ -341,13 +360,11 @@ class TestDirectoriesWrittenByAnOlderCommit:
             assert sum(recovered.containment_many(queries)) > 0
         else:
             # replaying the logged demote rewrote the tile the older
-            # commit had already written, byte for byte
+            # commit had already written: the same slices, and the same
+            # bytes where that tile is in the format we write
             for tile in sorted((fixtures.HERE / name / TILES_SUBDIR).iterdir()):
-                rewritten = directory / TILES_SUBDIR / tile.name
-                assert rewritten.read_bytes() == tile.read_bytes()
-                assert (tmp_path / "tiles" / tile.name).read_bytes() == (
-                    tile.read_bytes()
-                )
+                _assert_same_tile(directory / TILES_SUBDIR / tile.name, tile)
+                _assert_same_tile(tmp_path / "tiles" / tile.name, tile)
             boxes = [
                 Box((t_low, 0, c_low), (t_up, 3, 3))
                 for t_low in (0, 5, 13, 17)
@@ -360,6 +377,49 @@ class TestDirectoriesWrittenByAnOlderCommit:
                 )
             assert recovered.total() == replica.total() != 0
         recovered.close()
+
+
+def test_replay_rewrites_only_the_tile_it_demotes_again(tmp_path, capsys):
+    """``durable_point_v2``'s ``demote 14`` follows its checkpoint, so
+    recovery replays it and writes ``tile-6-12`` in the format this build
+    writes; ``tile-0-5`` (demoted before the checkpoint) keeps the older
+    build's bytes, and the mixed directory answers like a replayed replica."""
+    from repro.__main__ import main as repro_main
+
+    name = "durable_point_v2"
+    committed = fixtures.HERE / name / TILES_SUBDIR
+    directory = tmp_path / name
+    shutil.copytree(fixtures.HERE / name, directory)
+    recovered = DurableCube.recover(directory)
+    tiles = directory / TILES_SUBDIR
+    assert (committed / "tile-6-12.tile").read_bytes()[4] == 1
+    assert (tiles / "tile-6-12.tile").read_bytes()[4] == TILE_VERSION == 2
+    assert (tiles / "tile-0-5.tile").read_bytes() == (
+        committed / "tile-0-5.tile"
+    ).read_bytes()
+    replica = build_front(recovered._config, None, tmp_path / "tiles")
+    for op in fixtures.POINT_OPS:
+        if op != ("checkpoint",):
+            fixtures.apply_op(replica, op)
+    boxes = [
+        Box((t_low, c_low, 0), (t_up, 3, c_up))
+        for t_low in (0, 3, 6, 9, 13)
+        for t_up in (5, 12, 14, 23)
+        if t_low <= t_up
+        for c_low in (0, 1)
+        for c_up in (2, 3)
+    ]
+    for mode in ("fast", "metered"):
+        assert recovered.query_many(boxes, mode=mode) == replica.query_many(
+            boxes, mode=mode
+        )
+    assert recovered.total() == replica.total() != 0
+    _assert_same_state(recovered.front, replica)
+    recovered.close()
+    assert repro_main(["log-info", str(directory)]) == 0
+    tile_info = json.loads(capsys.readouterr().out)["tiles"]
+    assert tile_info["versions"] == {"1": 1, "2": 1}
+    assert tile_info["count"] == 2
 
 
 class TestKernelSerialize:

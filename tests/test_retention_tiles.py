@@ -4,7 +4,9 @@ The codec's contract is absolute: a tile either decodes to exactly the
 slices it was built from, or decoding raises -- no torn tail, flipped
 byte, or trailing garbage may ever yield a plausible-but-wrong stack.
 Round-tripping is checked property-style over arbitrary int64 stacks;
-the refusal paths are exercised byte by byte.
+the refusal paths are exercised byte by byte.  This build writes format
+version 2 (differenced along every axis) and still reads version 1
+(differenced along time only).
 """
 
 from __future__ import annotations
@@ -18,19 +20,55 @@ from hypothesis import strategies as st
 
 from repro.core.errors import DomainError, StorageError
 from repro.retention import TileStore, decode_tile, encode_tile, tile_name
-from repro.retention.tiles import zigzag_decode, zigzag_encode
+from repro.retention.tiles import (
+    _FIXED,
+    _U32,
+    _U64,
+    _ZLIB_LEVEL,
+    CODEC_ZLIB,
+    MAGIC,
+    VERSION,
+    _pack_width,
+    zigzag_decode,
+    zigzag_encode,
+)
+
+I64 = np.iinfo(np.int64)
+
+
+def _v1_tile(stack, times) -> bytes:
+    """A format-1 tile: the encoder of the builds before version 2, which
+    differenced along time only (``TestVersionOne`` pins it to bytes such
+    a build wrote)."""
+    stack = np.ascontiguousarray(stack, dtype=np.int64)
+    deltas = np.concatenate((stack[:1], np.diff(stack, axis=0)), axis=0)
+    width, packed = _pack_width(zigzag_encode(deltas.reshape(-1)))
+    payload = zlib.compress(packed, _ZLIB_LEVEL)
+    header = bytearray(
+        _FIXED.pack(MAGIC, 1, CODEC_ZLIB, width, stack.ndim - 1, stack.shape[0])
+    )
+    for n in stack.shape[1:]:
+        header += _U32.pack(n)
+    header += _U64.pack(len(packed)) + _U64.pack(len(payload))
+    header += np.asarray(times, dtype="<i8").tobytes()
+    header += _U32.pack(zlib.crc32(header))
+    return bytes(header) + payload + _U32.pack(zlib.crc32(payload))
 
 
 @st.composite
 def tile_inputs(draw):
     k = draw(st.integers(1, 5))
     shape = draw(
-        st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
+        st.lists(st.just(1) | st.integers(2, 5), min_size=1, max_size=3).map(tuple)
     )
     count = k * int(np.prod(shape))
+    # the full range: differences along the cell axes wrap modulo 2**64
     values = draw(
         st.lists(
-            st.integers(-(2**62), 2**62), min_size=count, max_size=count
+            st.sampled_from([I64.min, I64.max, -1, 0, 1])
+            | st.integers(I64.min, I64.max),
+            min_size=count,
+            max_size=count,
         )
     )
     stack = np.asarray(values, dtype=np.int64).reshape((k, *shape))
@@ -55,7 +93,37 @@ class TestRoundTrip:
     @given(tile_inputs())
     def test_encoding_is_byte_deterministic(self, inputs):
         stack, times = inputs
-        assert encode_tile(stack, times) == encode_tile(stack, times)
+        data = encode_tile(stack, times)
+        assert data == encode_tile(stack.copy(), times)
+        assert data[4] == VERSION == 2
+
+    def test_encoding_leaves_its_input_alone(self):
+        stack = np.arange(24, dtype=np.int64).reshape(2, 3, 4)
+        encode_tile(stack, np.array([1, 2]))
+        np.testing.assert_array_equal(stack, np.arange(24).reshape(2, 3, 4))
+
+    def test_wrapping_corners_round_trip(self):
+        corners = np.array([I64.min, I64.max], dtype=np.int64)
+        stack = corners[np.indices((3, 2, 1, 2)).sum(axis=0) % 2]
+        out_stack, _ = decode_tile(encode_tile(stack, np.array([0, 1, 2])))
+        np.testing.assert_array_equal(out_stack, stack)
+
+    def test_a_stack_of_sparse_updates_packs_to_a_quarter_of_version_1(self):
+        """Each instance's updates touch <= 5% of the cells; version 2
+        stores those updates, version 1 their prefix sums."""
+        rng = np.random.default_rng(28)
+        k, shape = 12, (16, 32, 8)
+        stack = np.zeros((k, *shape), dtype=np.int64)
+        cells = int(np.prod(shape))
+        for instance in stack.reshape(k, cells):
+            touched = rng.choice(cells, cells // 25, replace=False)
+            instance[touched] = rng.integers(1, 10, touched.size)
+        for axis in range(stack.ndim):
+            np.cumsum(stack, axis=axis, out=stack)
+        times = np.arange(k, dtype=np.int64) * 3
+        v2, v1 = encode_tile(stack, times), _v1_tile(stack, times)
+        np.testing.assert_array_equal(decode_tile(v2)[0], stack)
+        assert 4 * len(v2) <= len(v1)
 
     @settings(max_examples=60)
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
@@ -67,6 +135,37 @@ class TestRoundTrip:
         stack = np.array([[0, 2**55], [1, -(2**55)]], dtype=np.int64)
         times = np.array([3, 9], dtype=np.int64)
         out_stack, out_times = decode_tile(encode_tile(stack, times))
+        np.testing.assert_array_equal(out_stack, stack)
+        np.testing.assert_array_equal(out_times, times)
+
+
+#: a tile the version-1 encoder wrote (commit 350b6ab), and what it holds
+FROZEN_V1 = bytes.fromhex(
+    "5250544c0101080203000000020000000300000090000000000000003000000000000000"
+    "040000000000000009000000000000000a00000000000000d25d2c60789c636280002628"
+    "cd86c6e780d22c509a114ab3a289f3a0e9e76240024c0875d2509a1d4af343695e280d00"
+    "1c8e00835130d4c0"
+)
+FROZEN_V1_STACK = [
+    [[1, 1, 3], [1, 4, 2]],
+    [[0, -2, 5], [7, 7, 7]],
+    [[2**40, 0, -9], [3, -1, 0]],
+]
+FROZEN_V1_TIMES = [4, 9, 10]
+
+
+class TestVersionOne:
+    def test_a_tile_an_older_build_wrote_still_decodes(self):
+        stack, times = decode_tile(FROZEN_V1)
+        assert stack.tolist() == FROZEN_V1_STACK
+        assert times.tolist() == FROZEN_V1_TIMES
+        assert _v1_tile(FROZEN_V1_STACK, FROZEN_V1_TIMES) == FROZEN_V1
+
+    @settings(max_examples=30)
+    @given(tile_inputs())
+    def test_version_1_decodes_through_the_same_function(self, inputs):
+        stack, times = inputs
+        out_stack, out_times = decode_tile(_v1_tile(stack, times))
         np.testing.assert_array_equal(out_stack, stack)
         np.testing.assert_array_equal(out_times, times)
 
@@ -118,6 +217,18 @@ class TestRefusals:
         with pytest.raises(StorageError, match="codec id 2"):
             decode_tile(bytes(data))
 
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_version_refused_before_the_payload(self, version):
+        data = bytearray(self._tile())
+        header_len = 12 + 4 * 2 + 16 + 8 * 4
+        data[4] = version
+        data[header_len : header_len + 4] = zlib.crc32(
+            bytes(data[:header_len])
+        ).to_bytes(4, "little")
+        data[-10] ^= 0xFF  # a payload it must not get as far as checking
+        with pytest.raises(StorageError, match=f"tile version {version}"):
+            decode_tile(bytes(data))
+
     def test_empty_and_inverted_inputs_rejected(self):
         with pytest.raises(DomainError):
             encode_tile(np.empty((0, 2), dtype=np.int64), np.empty(0))
@@ -163,6 +274,15 @@ class TestTileStore:
         fresh = TileStore(tmp_path)
         assert fresh.tile_names() == [tile_name(10, 19)]
         np.testing.assert_array_equal(fresh.spans(), [[10, 19]])
+
+    def test_versions_read_the_fixed_header_only(self, tmp_path):
+        store = TileStore(tmp_path)
+        stack, times = self._stack()
+        store.write_tile(stack, times)
+        (tmp_path / tile_name(30, 31)).write_bytes(FROZEN_V1[:-1])  # torn
+        (tmp_path / tile_name(40, 41)).write_bytes(b"RPT")
+        store.rescan()
+        assert store.versions() == {"1": 1, "2": 1, "unreadable": 1}
 
     def test_corrupt_tile_on_disk_refused_not_misread(self, tmp_path):
         store = TileStore(tmp_path)
