@@ -18,7 +18,8 @@ replaces the current row and pushes the superseded result onto that
 row's ``runs`` history, so the trajectory is still fully preserved but
 "the latest number for mode X" is always ``rows``' single entry rather
 than whichever duplicate happened to be appended last.  Each result
-carries the commit and UTC timestamp it was measured at.
+carries the commit and UTC timestamp it was measured at; a commit
+stamped ``<hash>-dirty`` measured uncommitted changes on top of it.
 
 Legacy flat-array files (schema 1) are migrated transparently on the
 first write; a corrupt or missing file is replaced rather than crashing
@@ -59,18 +60,25 @@ BENCH_RETENTION_FILE = REPO_ROOT / "BENCH_retention.json"
 BENCH_RANKING_FILE = REPO_ROOT / "BENCH_ranking.json"
 
 
-def _commit() -> str:
+def _git(root: Path, *args: str) -> str:
+    out = subprocess.run(
+        ["git", *args], cwd=root, capture_output=True, text=True, timeout=10
+    )
+    return out.stdout.strip()
+
+
+def _commit(root: Path = REPO_ROOT) -> str:
+    """The tree a row measured: ``HEAD``'s short hash, ``-dirty`` when the
+    working tree differs from it.  The trail files themselves do not
+    count: recording one row must not mark the next as dirty."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        head = _git(root, "rev-parse", "--short", "HEAD")
+        changed = _git(root, "status", "--porcelain", "--", ".", ":!BENCH_*.json")
     except OSError:
         return "unknown"
-    return out.stdout.strip() or "unknown"
+    if not head:
+        return "unknown"
+    return f"{head}-dirty" if changed else head
 
 
 def _timestamp() -> str:

@@ -9,6 +9,10 @@ Two trails on the weather4 stream, recorded into ``BENCH_ranking.json``:
   dense ones before any row is recorded -- and the >=2x pruning-speedup
   floor from ISSUE 10 is enforced here (CI's guard step re-checks the
   recorded row).
+* ``weather4_tiered_topk``: the same ranking mix over a demoted
+  :class:`~repro.retention.TieredCube` on the ``TIERS`` ladder, whose
+  gathers cross rollup slices and tiles; exact against the undemoted
+  front before the row is recorded.
 * ``weather4_cold_tier``: the same aged tiered ladder as the retention
   benchmark, queried at non-boundary demoted prefixes so the exact path
   must decode historic tiles while ``query_many_approx`` answers from
@@ -112,6 +116,39 @@ def test_topk_pruning_vs_full_scan():
         ),
         speedup=round(speedup, 3),
         **extra,
+    )
+
+
+def test_topk_over_demoted_tiers(tmp_path):
+    data = weather4(scale=0.2)
+    t_max = int(data.coords[:, 0].max())
+    undemoted = BufferedEvolvingDataCube(data.slice_shape)
+    undemoted.update_many(data.coords, data.values)
+    tiered = TieredCube(
+        BufferedEvolvingDataCube(data.slice_shape), TIERS, tmp_path / "tiles"
+    )
+    tiered.update_many(data.coords, data.values)
+    assert tiered.demote_before(t_max - 2) >= 24
+    queries = _ranking_mix(t_max)
+
+    engine = TopKEngine(tiered, nonnegative=True)
+    ranked, wall = _best_of(REPEATS, lambda: engine.topk_many(queries))
+
+    # exact against the undemoted front before any row is recorded
+    assert ranked == TopKEngine(undemoted, nonnegative=True).topk_many(queries)
+    record(
+        "weather4_tiered_topk",
+        "prune",
+        wall,
+        0,
+        path=BENCH_RANKING_FILE,
+        dataset="weather4(scale=0.2)",
+        num_queries=len(queries),
+        cells=engine.last_stats[0].cells,
+        materialized=sum(s.materialized for s in engine.last_stats),
+        marginal_boxes=sum(s.marginal_boxes for s in engine.last_stats),
+        demoted_through=tiered.demoted_through,
+        tiles=len(tiered.tiles),
     )
 
 

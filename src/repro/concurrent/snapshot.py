@@ -54,7 +54,7 @@ import numpy as np
 from repro.core.errors import DomainError
 from repro.core.front import forward, layers, require
 from repro.core.out_of_order import columnar_range_sums
-from repro.core.types import Box
+from repro.core.types import Box, box_array
 from repro.durability.wal import LOGGED
 from repro.ecube.fastpath import (
     DDC,
@@ -206,24 +206,23 @@ class SnapshotView:
         """Range aggregate against the pinned epoch (lock-free)."""
         return self.query_many([box])[0]
 
-    def query_many(self, boxes: Sequence[Box]) -> list[int]:
+    def query_many(self, boxes: Sequence[Box] | np.ndarray) -> list[int]:
         """A batch of range aggregates against the pinned epoch.
 
-        The kernel's stacked batch read against the frozen state plus the
-        frozen ``G_d`` contribution; results are bit-identical to
-        ``query_many`` on a quiesced cube.
+        ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
+        corner array (:func:`~repro.core.types.box_array`).  The kernel's
+        stacked batch read against the frozen state plus the frozen
+        ``G_d`` contribution; results are bit-identical to ``query_many``
+        on a quiesced cube.
         """
         if self._released:
             raise DomainError("view was released")
-        boxes = list(boxes)
-        results = stacked_query_many(boxes, self)
+        corners = box_array(boxes, self.ndim)
+        results = stacked_query_many(corners, self)
         points = self.epoch.gd_points
-        if boxes and points is not None and points.shape[0]:
+        if corners.shape[0] and points is not None and points.shape[0]:
             results += columnar_range_sums(
-                points,
-                self.epoch.gd_deltas,
-                np.asarray([box.lower for box in boxes], dtype=np.int64),
-                np.asarray([box.upper for box in boxes], dtype=np.int64),
+                points, self.epoch.gd_deltas, corners[:, 0], corners[:, 1]
             )
         return [int(v) for v in results]
 
@@ -575,10 +574,13 @@ class SnapshotCube:
         with self.pin() as view:
             return view.query(box)
 
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+    def query_many(
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
+    ) -> list[int]:
         """``mode`` is accepted for the :class:`~repro.core.framework.
         BatchExecutor` protocol; every read runs the stacked batch read
-        over the pinned epoch and charges no counter."""
+        over the pinned epoch (a :class:`Box` sequence or a corner array,
+        :meth:`SnapshotView.query_many`) and charges no counter."""
         if mode not in ("fast", "metered"):
             raise DomainError(f"unknown execution mode {mode!r}")
         with self.pin() as view:

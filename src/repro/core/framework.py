@@ -31,10 +31,12 @@ from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.core.directory import TimeDirectory
 from repro.core.errors import AppendOrderError, DomainError
 from repro.core.out_of_order import OutOfOrderBuffer
-from repro.core.types import Box
+from repro.core.types import Box, as_boxes, box_array
 from repro.trees.persistent import PersistentAggregateTree, TreeVersion
 
 
@@ -61,7 +63,15 @@ class BatchExecutor(Protocol):
     """The batch execution protocol shared by every cube front-end.
 
     ``query_many`` answers a batch of d-dimensional range aggregates and
-    ``update_many`` applies a batch of append-ordered updates.  Batch
+    ``update_many`` applies a batch of append-ordered updates.  A query
+    batch is a :class:`~repro.core.types.Box` sequence or an ``(n, 2,
+    d)`` int64 corner array (row ``i`` is box ``i``'s lower and upper
+    corner); both are validated by one helper,
+    :func:`~repro.core.types.box_array`, with the same
+    :class:`~repro.core.errors.DomainError` messages.  The vectorized
+    fronts gather from the array directly, and the paths that walk boxes
+    one at a time (metered mode, the sharding router) take its rows as
+    :class:`~repro.core.types.Box` objects.  Batch
     entry points exist so implementations can amortize per-operation
     overhead -- directory lookups resolved once per batch, work sorted by
     slice, page touches shared -- while single-operation ``query`` /
@@ -79,7 +89,7 @@ class BatchExecutor(Protocol):
     """
 
     def query_many(
-        self, boxes: Sequence[Box], mode: str = "fast"
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
     ) -> list[int]: ...
 
     def update_many(self, points, deltas, mode: str = "fast") -> None: ...
@@ -290,7 +300,7 @@ class AppendOnlyAggregator:
         return result
 
     def query_many(
-        self, boxes: Sequence[Box], mode: str = "fast"
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
     ) -> list[int]:
         """Answer a batch of range aggregates with amortized lookups.
 
@@ -299,11 +309,10 @@ class AppendOnlyAggregator:
         fetched once; every box's two framework lookups are resolved
         against it with plain bisection, and the per-instance work is
         grouped so each snapshot is located a single time per batch.
+        A corner array (:func:`~repro.core.types.box_array`) is walked as
+        the :class:`Box` objects of its rows.
         """
-        boxes = list(boxes)
-        for box in boxes:
-            if box.ndim != self.ndim:
-                raise DomainError(f"box arity {box.ndim} != {self.ndim}")
+        boxes = as_boxes(box_array(boxes, self.ndim))
         if mode == "metered":
             return [self.query(box) for box in boxes]
         if mode != "fast":

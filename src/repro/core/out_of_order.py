@@ -42,7 +42,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.errors import DomainError
-from repro.core.types import Box
+from repro.core.types import Box, as_boxes, box_array
 
 #: Upper bound on the (boxes x points) containment matrix evaluated per
 #: chunk by :func:`columnar_range_sums` (element count).
@@ -198,25 +198,26 @@ class OutOfOrderBuffer:
             raise DomainError(f"unknown execution mode {mode!r}")
         return self.range_sum_many([box])[0]
 
-    def range_sum_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+    def range_sum_many(
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
+    ) -> list[int]:
         """Buffered contributions for a whole query batch in one pass
-        over the columnar store (:func:`columnar_range_sums`)."""
-        boxes = list(boxes)
-        for box in boxes:
-            if box.ndim != self.ndim:
-                raise DomainError(f"box arity {box.ndim} != buffer arity {self.ndim}")
+        over the columnar store (:func:`columnar_range_sums`).  ``boxes``
+        is a :class:`Box` sequence or an ``(n, 2, d)`` int64 corner array
+        (:func:`~repro.core.types.box_array`)."""
+        corners = box_array(boxes, self.ndim)
         if mode not in ("fast", "metered"):
             raise DomainError(f"unknown execution mode {mode!r}")
-        if not boxes or self._size == 0:
-            return [0] * len(boxes)
+        if not corners.shape[0] or self._size == 0:
+            return [0] * corners.shape[0]
         if mode == "metered":
             tree = self._reference()
-            return [tree.range_sum(box) for box in boxes]
+            return [tree.range_sum(box) for box in as_boxes(corners)]
         out = columnar_range_sums(
             self._points[: self._size],
             self._deltas[: self._size],
-            np.asarray([box.lower for box in boxes], dtype=np.int64),
-            np.asarray([box.upper for box in boxes], dtype=np.int64),
+            corners[:, 0],
+            corners[:, 1],
         )
         return [int(v) for v in out]
 

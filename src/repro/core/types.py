@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import DomainError
 
 Coordinate = tuple[int, ...]
@@ -116,6 +118,64 @@ class TimeInterval:
 
     def contained_in(self, other: "TimeInterval") -> bool:
         return other.start <= self.start and self.end <= other.end
+
+
+def box_array(boxes, ndim: int) -> np.ndarray:
+    """A box batch as one ``(n, 2, d)`` int64 corner array.
+
+    ``boxes[i, 0]`` is box ``i``'s lower corner, ``boxes[i, 1]`` its upper
+    one.  Accepts such an array (any integer dtype; an int64 one is
+    returned as is) or a sequence of :class:`Box` objects, converted
+    once.  Raises :class:`~repro.core.errors.DomainError` for a wrong
+    shape or dtype, an arity other than ``ndim`` and an inverted range,
+    with the messages of the :class:`Box` path.
+    """
+    if not isinstance(boxes, np.ndarray):
+        boxes = list(boxes)
+        for box in boxes:
+            if box.ndim != ndim:
+                raise DomainError(f"box arity {box.ndim} != cube arity {ndim}")
+        # one flat row per box: NumPy converts two nesting levels faster
+        # than three, and this is the wire's per-request path
+        return np.array(
+            [box.lower + box.upper for box in boxes], dtype=np.int64
+        ).reshape(len(boxes), 2, ndim)
+    if boxes.ndim != 3 or boxes.shape[1] != 2:
+        raise DomainError(f"a box array must be (n, 2, d); got {boxes.shape}")
+    if boxes.dtype.kind not in "iu":
+        raise DomainError(f"a box array must be integer; got {boxes.dtype}")
+    if boxes.shape[2] != ndim:
+        raise DomainError(f"box arity {boxes.shape[2]} != cube arity {ndim}")
+    boxes = boxes.astype(np.int64, copy=False)
+    inverted = boxes[:, 0] > boxes[:, 1]
+    if inverted.any():
+        row, axis = np.argwhere(inverted)[0]
+        raise DomainError(
+            f"inverted range [{boxes[row, 0, axis]}, {boxes[row, 1, axis]}]"
+        )
+    return boxes
+
+
+def as_boxes(corners: np.ndarray) -> list[Box]:
+    """The rows of a validated corner array (:func:`box_array`) as
+    :class:`Box` objects, for the paths that walk boxes one at a time."""
+    return [Box(tuple(lower), tuple(upper)) for lower, upper in corners.tolist()]
+
+
+def clip_cells(corners: np.ndarray, shape: Sequence[int]):
+    """The cell-axis corners of a box batch clamped to ``shape``.
+
+    Returns ``(lowers, uppers)``, both ``(n, d-1)``.  A box that selects
+    no cell after clamping raises the :class:`DomainError` a single
+    box's :meth:`Box.clip_to` raises, whichever tier answers it.
+    """
+    lowers = np.maximum(corners[:, 0, 1:], 0)
+    uppers = np.minimum(corners[:, 1, 1:], np.asarray(shape, dtype=np.int64) - 1)
+    empty = (lowers > uppers).any(axis=1)
+    if empty.any():
+        row = corners[int(empty.argmax())].tolist()
+        Box(tuple(row[0][1:]), tuple(row[1][1:])).clip_to(tuple(shape))
+    return lowers, uppers
 
 
 def as_point(coords: Sequence[int]) -> Coordinate:

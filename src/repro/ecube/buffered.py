@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.errors import AgedOutError, DomainError
 from repro.core.out_of_order import OutOfOrderBuffer
-from repro.core.types import Box
+from repro.core.types import Box, as_boxes, box_array
 from repro.ecube.ecube import EvolvingDataCube
 from repro.metrics import CostCounter
 
@@ -235,22 +235,26 @@ class BufferedEvolvingDataCube:
             result += self.buffer.range_sum(box)
         return result
 
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+    def query_many(
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
+    ) -> list[int]:
         """Answer a batch of range aggregates over cube plus buffer.
 
+        ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
+        corner array (:func:`~repro.core.types.box_array`).
         ``mode="metered"`` runs the per-query counted path (R-tree walk
         per box).  ``mode="fast"`` answers the cube part through the
         vectorized batch engine and folds in the entire batch's ``G_d``
         contribution with one columnar pass -- results are bit-identical.
         """
-        boxes = list(boxes)
+        corners = box_array(boxes, self.cube.ndim)
         if mode == "metered":
-            return [self.query(box) for box in boxes]
+            return [self.query(box) for box in as_boxes(corners)]
         if mode != "fast":
             raise DomainError(f"unknown execution mode {mode!r}")
-        results = self.cube.query_many(boxes, mode="fast")
+        results = self.cube.query_many(corners, mode="fast")
         if len(self.buffer):
-            contributions = self.buffer.range_sum_many(boxes)
+            contributions = self.buffer.range_sum_many(corners)
             results = [r + c for r, c in zip(results, contributions)]
         return results
 

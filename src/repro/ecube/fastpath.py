@@ -58,7 +58,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.errors import AgedOutError, DomainError
-from repro.core.types import Box
+from repro.core.types import Box, clip_cells
 from repro.ecube import compiled
 from repro.metrics import CostCounter
 from repro.preagg.ddc import DDCTechnique
@@ -232,37 +232,25 @@ class SliceSource(Protocol):
         """Per-cell range aggregate over a slice no array path can answer."""
 
 
-def _plan_jobs(boxes: list[Box], shape, times: np.ndarray, retired_below: int):
+def _plan_jobs(corners: np.ndarray, shape, times: np.ndarray, retired_below: int):
     """Clip a batch and resolve its prefixes to (instance, box, sign) jobs.
 
-    Returns ``(lowers, uppers, touched, bounds, job_boxes, job_signs)``:
-    the ``(n, d-1)`` clipped slice-box corners, the distinct touched
-    instance indices (ascending) and the jobs sorted by instance -- those
-    on ``touched[g]`` are ``bounds[g]:bounds[g + 1]``, each with its box
-    and its sign -- or ``None`` when no prefix reaches an instance (every
-    answer is 0).  Raises for a box of the wrong arity, a box that is
-    empty after clipping, and a prefix inside retired detail.
+    ``corners`` is the validated ``(n, 2, d)`` batch (:func:`~repro.core.
+    types.box_array`).  Returns ``(lowers, uppers, touched, bounds,
+    job_boxes, job_signs)``: the ``(n, d-1)`` clipped slice-box corners,
+    the distinct touched instance indices (ascending) and the jobs sorted
+    by instance -- those on ``touched[g]`` are ``bounds[g]:bounds[g + 1]``,
+    each with its box and its sign -- or ``None`` when no prefix reaches
+    an instance (every answer is 0).  Raises for a box that is empty
+    after clipping and a prefix inside retired detail.
     """
-    for box in boxes:
-        if box.ndim != 1 + len(shape):
-            raise DomainError(
-                f"box arity {box.ndim} != cube arity {1 + len(shape)}"
-            )
-    n = len(boxes)
+    n = corners.shape[0]
     if n == 0 or times.shape[0] == 0:
         return None
-    corner_lo = np.asarray([box.lower for box in boxes], dtype=np.int64)
-    corner_up = np.asarray([box.upper for box in boxes], dtype=np.int64)
-    lowers = np.maximum(corner_lo[:, 1:], 0)
-    uppers = np.minimum(corner_up[:, 1:], np.asarray(shape, dtype=np.int64) - 1)
-    empty = (lowers > uppers).any(axis=1)
-    if empty.any():
-        # an empty-after-clipping box is a domain error, raised through
-        # the scalar path so the message matches the metered engine
-        boxes[int(empty.argmax())].drop_first().clip_to(shape)
+    lowers, uppers = clip_cells(corners, shape)
     # one job per prefix of the time difference: + at the upper bound's
     # floor instance, - at the floor of the time before the lower bound
-    prefix_times = np.concatenate((corner_up[:, 0], corner_lo[:, 0] - 1))
+    prefix_times = np.concatenate((corners[:, 1, 0], corners[:, 0, 0] - 1))
     job_slices = np.searchsorted(times, prefix_times, side="right") - 1
     order = np.argsort(job_slices, kind="stable")
     job_slices = job_slices[order]
@@ -363,12 +351,14 @@ def _corner_terms(lowers: np.ndarray, uppers: np.ndarray, shape):
 
 
 def stacked_query_many(
-    boxes: Sequence[Box],
+    corners: np.ndarray,
     source: SliceSource,
     counter: CostCounter | None = None,
 ) -> np.ndarray:
     """Answer a batch of d-dimensional range aggregates; int64, input order.
 
+    ``corners`` is the batch as a validated ``(n, 2, d)`` int64 corner
+    array (:func:`~repro.core.types.box_array`; the callers convert).
     Each box is two (d-1)-dimensional prefix lookups on cumulative
     instances (Section 2.3), found with one vectorized directory search
     and grouped by instance.  Every touched instance is normalized to a
@@ -385,22 +375,20 @@ def stacked_query_many(
     converted block is a transient evaluation artifact, not a cost-model
     access.
     """
-    boxes = list(boxes)
-    results = np.zeros(len(boxes), dtype=np.int64)
-    plan = _plan_jobs(boxes, source.slice_shape, source.times, source.retired_below)
+    shape = source.slice_shape
+    results = np.zeros(corners.shape[0], dtype=np.int64)
+    plan = _plan_jobs(corners, shape, source.times, source.retired_below)
     if plan is None:
         return results
     lowers, uppers, touched, bounds, job_boxes, job_signs = plan
     states = [source.fetch(int(index)) for index in touched]
     rows = _prefix_sum_rows(source, touched, states)
-    offsets, signs = _corner_terms(
-        lowers[job_boxes], uppers[job_boxes], source.slice_shape
-    )
-    corners = np.zeros_like(offsets)
+    offsets, signs = _corner_terms(lowers[job_boxes], uppers[job_boxes], shape)
+    cells = np.zeros_like(offsets)
     for group, row in enumerate(rows):
         jobs = slice(bounds[group], bounds[group + 1])
         if row is not None:
-            corners[jobs] = row.reshape(-1)[offsets[jobs]]
+            cells[jobs] = row.reshape(-1)[offsets[jobs]]
             continue
         _, values, flags = states[group]
         for i, sign in zip(job_boxes[jobs], job_signs[jobs]):
@@ -410,7 +398,7 @@ def stacked_query_many(
             )  # fmt: skip
     # add.at, not fancy assignment: a box whose two prefixes land on the
     # same instance contributes twice (with cancelling signs)
-    np.add.at(results, job_boxes, job_signs * (corners * signs).sum(axis=1))
+    np.add.at(results, job_boxes, job_signs * (cells * signs).sum(axis=1))
     if counter is not None:
         # 0: charged box by box above, 1: read as PS, 2: converted first
         charge = np.repeat(
@@ -421,9 +409,14 @@ def stacked_query_many(
             np.diff(bounds),
         )
         on_ps, on_ddc = job_boxes[charge == 1], job_boxes[charge == 2]
+        # the closed forms cost a fixed dozen array ops even over no box
         counter.read_cells(
-            int(ps_gather_counts(lowers[on_ps]).sum())
-            + int(ddc_gather_counts(lowers[on_ddc], uppers[on_ddc]).sum())
+            (int(ps_gather_counts(lowers[on_ps]).sum()) if on_ps.size else 0)
+            + (
+                int(ddc_gather_counts(lowers[on_ddc], uppers[on_ddc]).sum())
+                if on_ddc.size
+                else 0
+            )
         )
     return results
 

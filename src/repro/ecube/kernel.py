@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.directory import TimeDirectory
 from repro.core.errors import AgedOutError, AppendOrderError, DomainError
-from repro.core.types import Box
+from repro.core.types import Box, as_boxes, box_array
 from repro.ecube.fastpath import (
     DDC,
     MIXED,
@@ -704,9 +704,13 @@ class CubeKernel:
         """:meth:`query` on the vectorized path (identical result)."""
         return self.query_many([box], mode="fast")[0]
 
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+    def query_many(
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
+    ) -> list[int]:
         """Answer a batch of d-dimensional range aggregates.
 
+        ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
+        corner array (:func:`~repro.core.types.box_array`).
         ``mode="metered"`` runs the per-cell counted path per box;
         ``mode="fast"`` is the stacked batch read
         (:func:`~repro.ecube.fastpath.stacked_query_many`) over the live
@@ -714,24 +718,20 @@ class CubeKernel:
         conversion-density threshold, bulk-finalized) once per batch
         instead of once per query.
         """
-        boxes = list(boxes)
-        for box in boxes:
-            if box.ndim != self.ndim:
-                raise DomainError(
-                    f"box arity {box.ndim} != cube arity {self.ndim}"
-                )
+        corners = box_array(boxes, self.ndim)
         if mode == "metered":
             with self._op():
-                return [self.query(box) for box in boxes]
+                return [self.query(box) for box in as_boxes(corners)]
         if mode != "fast":
             raise DomainError(f"unknown execution mode {mode!r}")
+        n = corners.shape[0]
         with self._op():
-            if not boxes:
+            if not n:
                 return []
             if not self.directory:
-                return [0] * len(boxes)
-            self.counter.record_fast_op(len(boxes))
-            results = stacked_query_many(boxes, _LiveSlices(self), self.counter)
+                return [0] * n
+            self.counter.record_fast_op(n)
+            results = stacked_query_many(corners, _LiveSlices(self), self.counter)
             return [int(v) for v in results]
 
     def bulk_finalize_slice(self, slice_index: int) -> bool:

@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.core.errors import DomainError
 from repro.core.front import layers
-from repro.core.types import Box
 
 #: cap on the number of single-cell boxes per batched gather: bounds the
 #: stacked-PS working set of the fast path, and is the granularity at
@@ -103,8 +102,11 @@ class TopKEngine:
     Parameters
     ----------
     front:
-        Anything with ``query_many(boxes, mode)`` -- the engine issues
-        only box aggregates, never touches storage directly.
+        Anything with ``query_many(boxes, mode)`` that takes an ``(n, 2,
+        d)`` int64 corner array (:func:`~repro.core.types.box_array`),
+        as every front here does -- the engine issues only box
+        aggregates, never touches storage directly, and builds no
+        :class:`~repro.core.types.Box` object.
     slice_shape:
         The cell-domain shape; defaults to the shape of the kernel at the
         bottom of the stack ``front`` declares
@@ -151,33 +153,45 @@ class TopKEngine:
     def _cells(self) -> int:
         return int(np.prod(self.slice_shape))
 
+    def _boxes(self, t1: int, t2: int, lowers, uppers) -> np.ndarray:
+        """The ``[t1, t2]`` boxes over ``(n, d-1)`` cell corners, as the
+        ``(n, 2, d)`` corner array every front's ``query_many`` takes."""
+        corners = np.empty((len(uppers), 2, 1 + len(self.slice_shape)), np.int64)
+        corners[:, :, 0] = t1, t2
+        corners[:, 0, 1:] = lowers
+        corners[:, 1, 1:] = uppers
+        return corners
+
+    def _ask(self, corners: np.ndarray, mode: str) -> np.ndarray:
+        return np.asarray(self.front.query_many(corners, mode=mode), dtype=np.int64)
+
     def _gather(self, t1: int, t2: int, flat_cells: np.ndarray, mode: str):
         """Exact interval values of the given flat cell indices."""
-        cells = np.stack(
-            np.unravel_index(flat_cells, self.slice_shape), axis=1
-        )
-        boxes = [
-            Box((t1, *map(int, cell)), (t2, *map(int, cell))) for cell in cells
+        cells = np.stack(np.unravel_index(flat_cells, self.slice_shape), axis=1)
+        boxes = self._boxes(t1, t2, cells, cells)
+        chunks = [
+            self._ask(boxes[start : start + GATHER_CHUNK], mode)
+            for start in range(0, len(boxes), GATHER_CHUNK)
         ]
-        values: list[int] = []
-        for start in range(0, len(boxes), GATHER_CHUNK):
-            values.extend(
-                self.front.query_many(boxes[start : start + GATHER_CHUNK], mode=mode)
-            )
-        return np.asarray(values, dtype=np.int64)
+        return np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+
+    def _prefix_uppers(self, axes, values) -> np.ndarray:
+        """Upper corners of all-zero-lower prefix boxes: the full domain
+        except ``values[:, j]`` on axis ``axes[j]``."""
+        uppers = np.tile(np.asarray(self.slice_shape, np.int64) - 1, (len(values), 1))
+        uppers[:, axes] = values
+        return uppers
 
     def _marginals(self, t1: int, t2: int, mode: str) -> list[np.ndarray]:
         """Per-axis interval marginals via all-zero-lower prefix boxes."""
-        boxes: list[Box] = []
-        for axis, size in enumerate(self.slice_shape):
-            for v in range(size):
-                upper = [n - 1 for n in self.slice_shape]
-                upper[axis] = v
-                boxes.append(
-                    Box((t1, *(0,) * len(self.slice_shape)), (t2, *upper))
-                )
-            # differencing the cumulative prefixes recovers the marginal
-        prefix = np.asarray(self.front.query_many(boxes, mode=mode), dtype=np.int64)
+        uppers = np.concatenate(
+            [
+                self._prefix_uppers([axis], np.arange(size)[:, None])
+                for axis, size in enumerate(self.slice_shape)
+            ]
+        )
+        # differencing the cumulative prefixes recovers the marginal
+        prefix = self._ask(self._boxes(t1, t2, 0, uppers), mode)
         marginals: list[np.ndarray] = []
         start = 0
         for size in self.slice_shape:
@@ -192,16 +206,9 @@ class TopKEngine:
         skipped value has an all-zero single-axis marginal, so its
         hyperplane contributes nothing to the prefix gap.
         """
-        ndim = len(self.slice_shape)
-        full = [n - 1 for n in self.slice_shape]
-        boxes: list[Box] = []
-        for va in support_a:
-            for vb in support_b:
-                upper = list(full)
-                upper[axis_a] = int(va)
-                upper[axis_b] = int(vb)
-                boxes.append(Box((t1, *(0,) * ndim), (t2, *upper)))
-        prefix = np.asarray(self.front.query_many(boxes, mode=mode), dtype=np.int64)
+        pairs = np.stack(np.meshgrid(support_a, support_b, indexing="ij"), axis=-1)
+        uppers = self._prefix_uppers([axis_a, axis_b], pairs.reshape(-1, 2))
+        prefix = self._ask(self._boxes(t1, t2, 0, uppers), mode)
         grid = prefix.reshape(support_a.size, support_b.size)
         grid = np.diff(grid, axis=0, prepend=0)
         return np.diff(grid, axis=1, prepend=0)

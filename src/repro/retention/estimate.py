@@ -100,17 +100,16 @@ def estimate_prefix(bracket_lo, bracket_hi, time: int, lower, upper) -> Estimate
     cumulative state floors the bracket); ``lower``/``upper`` are the
     box's cell-dimension corners.
     """
-    from repro.retention.planner import ps_box_sum
+    from repro.retention.planner import ps_box_sums
 
     time = int(time)
     if bracket_lo is not None and bracket_lo[0] == time:
-        return Estimate.of(ps_box_sum(bracket_lo[1], lower, upper))
-    t_lo, s_lo = (-1, 0) if bracket_lo is None else (
-        int(bracket_lo[0]),
-        int(ps_box_sum(bracket_lo[1], lower, upper)),
-    )
-    t_hi = int(bracket_hi[0])
-    s_hi = int(ps_box_sum(bracket_hi[1], lower, upper))
+        return Estimate.of(ps_box_sums([bracket_lo[1]], lower, upper)[0])
+    # both bracket terms in one corner gather
+    brackets = [b for b in (bracket_lo, bracket_hi) if b is not None]
+    sums = ps_box_sums([ps for _, ps in brackets], lower, upper)
+    t_lo, s_lo = (-1, 0) if bracket_lo is None else (int(bracket_lo[0]), sums[0])
+    t_hi, s_hi = int(bracket_hi[0]), sums[-1]
     # defensively order the bounds: for the declared non-negative
     # measures s_lo <= s_hi already holds
     lo, hi = (s_lo, s_hi) if s_lo <= s_hi else (s_hi, s_lo)

@@ -50,44 +50,37 @@ import numpy as np
 
 from repro.core.errors import AgedOutError, DomainError, StorageError
 from repro.core.front import forward, layers, require
-from repro.core.types import Box
+from repro.core.types import Box, as_boxes, box_array, clip_cells
 from repro.durability.wal import LOGGED
+from repro.ecube.fastpath import _corner_terms
 from repro.retention.tiers import TierPolicy, RollupTier
 from repro.retention.tiles import TileStore
 
 _NONE = np.iinfo(np.int64).min
 
 
-def ps_box_sum(ps: np.ndarray, lower: Sequence[int], upper: Sequence[int]) -> int:
-    """Inclusion-exclusion range sum over one cumulative PS slice.
+def ps_box_sums(slices, lower: Sequence[int], upper: Sequence[int]) -> list[int]:
+    """One cell box summed over each of several cumulative PS slices of
+    one shape.
 
-    The per-axis term set of the PS technique is ``{upper: +1,
-    lower-1: -1 if lower > 0}``; the product over axes is the standard
-    ``2^d`` corner gather.  Bounds are clamped to the slice domain.
+    The one-box call of the batch gather every read shares
+    (:func:`repro.ecube.fastpath._corner_terms`): the box's ``2^d``
+    corners are located once and read from every slice.  Bounds are
+    clamped to the slice domain; a box that selects no cell sums to 0.
     """
-    d = ps.ndim
-    hi = [min(int(u), ps.shape[axis] - 1) for axis, u in enumerate(upper)]
-    lo = [max(int(bound), 0) - 1 for bound in lower]
-    if any(h < x + 1 for h, x in zip(hi, lo)):
-        return 0
-    total = 0
-    for mask in range(1 << d):
-        index = []
-        sign = 1
-        skip = False
-        for axis in range(d):
-            if (mask >> axis) & 1:
-                if lo[axis] < 0:
-                    skip = True
-                    break
-                index.append(lo[axis])
-                sign = -sign
-            else:
-                index.append(hi[axis])
-        if skip:
-            continue
-        total += sign * int(ps[tuple(index)])
-    return total
+    shape = slices[0].shape
+    lo = [max(int(bound), 0) for bound in lower]
+    hi = [min(int(bound), n - 1) for bound, n in zip(upper, shape)]
+    if any(low > up for low, up in zip(lo, hi)):
+        return [0] * len(slices)
+    offsets, signs = _corner_terms(np.array([lo]), np.array([hi]), shape)
+    return [int(ps.reshape(-1)[offsets[0]] @ signs[0]) for ps in slices]
+
+
+def ps_box_sum(ps: np.ndarray, lower: Sequence[int], upper: Sequence[int]) -> int:
+    """Inclusion-exclusion range sum over one cumulative PS slice
+    (:func:`ps_box_sums` of one slice)."""
+    return ps_box_sums([ps], lower, upper)[0]
 
 
 class TieredCube:
@@ -253,37 +246,46 @@ class TieredCube:
     def query(self, box: Box) -> int:
         return self.query_many([box], mode="metered")[0]
 
-    def _prefix_terms(self, boxes: list[Box], mode: str, demoted, exact=int):
+    def _history_start(self) -> int:
+        """The oldest time any prefix can see: the first instance, or
+        older late data waiting in ``G_d`` (the directory is not empty)."""
+        low = int(self.cube.directory.at_index(0)[0])
+        if self.buffer is not None and len(self.buffer):
+            low = min(low, self.buffer.min_time())
+        return low
+
+    def _prefix_terms(self, corners: np.ndarray, mode: str, demoted, exact=int):
         """Yield the signed terms ``(box index, sign, term)`` that sum to
-        each box.
+        each box, box by box.
 
         The one cross-tier decomposition (module docstring): a box with
         no demoted floor passes to the front whole; any other splits
         into its two signed cumulative prefixes, each answered by the
         tier that holds its floor instance.  ``demoted(floor_time,
         lower, upper)`` answers a demoted floor's cell box -- that is
-        all :meth:`query_many` and :meth:`query_many_approx` differ in;
-        every other term is an exact integer passed through ``exact``:
-        live prefixes (the front adds their ``G_d`` share itself) and
-        the ``G_d`` share of a prefix the front never sees, which
-        includes one that floors below the first instance -- late data
-        from before all history is in no slice, only in the buffer.
+        all metered :meth:`query_many` and :meth:`query_many_approx`
+        differ in; every other term is an exact integer passed through
+        ``exact``: live prefixes (the front adds their ``G_d`` share
+        itself) and the ``G_d`` share of a prefix the front never sees,
+        which includes one that floors below the first instance -- late
+        data from before all history is in no slice, only in the buffer.
+        Fast-mode :meth:`query_many` is the same decomposition in array
+        operations (:meth:`_query_fast`).
         """
         kernel = self.cube
         directory = kernel.directory
         retired_below = kernel._retired_below
         if retired_below == 0 or not directory:
-            for i, value in enumerate(self.front.query_many(boxes, mode=mode)):
+            for i, value in enumerate(self.front.query_many(corners, mode=mode)):
                 yield i, 1, exact(value)
             return
-        low = int(directory.at_index(0)[0])
+        clip_cells(corners, kernel.slice_shape)
+        low = self._history_start()
         late = self.buffer if self.buffer is not None and len(self.buffer) else None
-        if late is not None:
-            low = min(low, late.min_time())
         late_mode = "fast" if mode == "fast" else "metered"
         live_boxes: list[Box] = []
         live_slots: list[tuple[int, int]] = []  # (box index, sign)
-        for i, box in enumerate(boxes):
+        for i, box in enumerate(as_boxes(corners)):
             prefixes = ((int(box.upper[0]), 1), (int(box.lower[0]) - 1, -1))
             floors = [directory.floor_index(p) for p, _ in prefixes]
             if all(f < 0 or f >= retired_below for f in floors):
@@ -309,27 +311,124 @@ class TieredCube:
             for (i, sign), value in zip(live_slots, values):
                 yield i, sign, exact(value)
 
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+    def query_many(
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
+    ) -> list[int]:
         """Batch range aggregates, bit-identical to an undemoted oracle.
 
-        A demoted floor is answered from its cumulative PS slice (rollup
-        tier or tile, :meth:`_demoted_slice`).
+        ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
+        corner array (:func:`~repro.core.types.box_array`).  A demoted
+        floor is answered from its cumulative PS slice (rollup tier or
+        tile, :meth:`_demoted_slice`): in fast mode one gather per
+        instance for the whole batch (:meth:`_query_fast`), in metered
+        mode box by box (:meth:`_prefix_terms`).
         """
-        boxes = list(boxes)
-        results = [0] * len(boxes)
+        corners = box_array(boxes, self.cube.ndim)
+        if mode == "fast":
+            return self._query_fast(corners)
+        if mode != "metered":
+            raise DomainError(f"unknown execution mode {mode!r}")
+        results = [0] * corners.shape[0]
 
         def demoted(floor_time: int, lower, upper) -> int:
             return ps_box_sum(self._demoted_slice(floor_time), lower, upper)
 
-        for i, sign, value in self._prefix_terms(boxes, mode, demoted):
+        for i, sign, value in self._prefix_terms(corners, mode, demoted):
             results[i] += sign * value
         return results
+
+    def _query_fast(self, corners: np.ndarray) -> list[int]:
+        """Fast-mode :meth:`query_many`: :meth:`_prefix_terms` in array
+        operations.
+
+        One ``searchsorted`` resolves both prefixes of every box against
+        the directory times.  Boxes with no demoted floor go to the front
+        in one batch, together with the live prefixes of split boxes.
+        The ``G_d`` share of every other prefix is one ``range_sum_many``
+        call.  Demoted prefixes are grouped by floor instance and visited
+        in time order, so a tile decodes at most once per batch: each
+        instance's PS slice is fetched once and the corners of all its
+        prefixes are gathered from it (:func:`~repro.ecube.fastpath.
+        _corner_terms`), summed with one signed ``np.add.at``.
+        """
+        kernel = self.cube
+        retired_below = kernel._retired_below
+        n = corners.shape[0]
+        if retired_below == 0 or not kernel.directory or not n:
+            return self.front.query_many(corners, mode="fast")
+        lowers, uppers = clip_cells(corners, kernel.slice_shape)
+        times = np.asarray(kernel.directory.times(), dtype=np.int64)
+        # per box: the + prefix at its upper bound, the - prefix before
+        # its lower bound, and the instance each floors on
+        prefixes = np.stack((corners[:, 1, 0], corners[:, 0, 0] - 1), axis=1)
+        floors = np.searchsorted(times, prefixes, side="right") - 1
+        split = ((floors >= 0) & (floors < retired_below)).any(axis=1)
+        whole = np.flatnonzero(~split)
+        # the prefixes of split boxes, flattened; one before all history
+        # (buffered late data included) contributes nothing
+        box_ids = np.repeat(np.flatnonzero(split), 2)
+        signs = np.tile(np.array([1, -1], dtype=np.int64), box_ids.size // 2)
+        prefixes, floors = prefixes[split].reshape(-1), floors[split].reshape(-1)
+        low = self._history_start()
+        seen = prefixes >= low
+        box_ids, signs = box_ids[seen], signs[seen]
+        prefixes, floors = prefixes[seen], floors[seen]
+        live = floors >= retired_below
+
+        def prefix_boxes(chosen) -> np.ndarray:
+            """``[low, prefix]`` over each chosen prefix's cell box."""
+            out = corners[box_ids[chosen]]
+            out[:, 0, 0] = low
+            out[:, 1, 0] = prefixes[chosen]
+            return out
+
+        results = np.zeros(n, dtype=np.int64)
+        front = np.concatenate((corners[whole], prefix_boxes(live)))
+        if front.shape[0]:
+            np.add.at(
+                results,
+                np.concatenate((whole, box_ids[live])),
+                np.concatenate((np.ones(whole.size, np.int64), signs[live]))
+                * np.asarray(self.front.query_many(front, mode="fast"), np.int64),
+            )
+        gone = ~live
+        if self.buffer is not None and len(self.buffer) and gone.any():
+            np.add.at(
+                results,
+                box_ids[gone],
+                signs[gone]
+                * np.asarray(self.buffer.range_sum_many(prefix_boxes(gone)), np.int64),
+            )
+        on_tiers = gone & (floors >= 0)
+        if on_tiers.any():
+            self._demoted_sums(
+                results, box_ids[on_tiers], signs[on_tiers], floors[on_tiers],
+                times, lowers, uppers,
+            )  # fmt: skip
+        return [int(v) for v in results]
+
+    def _demoted_sums(self, results, box_ids, signs, floors, times, lowers, uppers):
+        """Add each demoted prefix's cell-box sum to ``results``: one PS
+        slice fetch and one gather per floor instance, oldest first."""
+        order = np.argsort(floors, kind="stable")
+        box_ids, signs, floors = box_ids[order], signs[order], floors[order]
+        bounds = np.flatnonzero(np.diff(floors, prepend=-1, append=-1))
+        offsets, corner_signs = _corner_terms(
+            lowers[box_ids], uppers[box_ids], self.cube.slice_shape
+        )
+        cells = np.empty_like(offsets)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            ps = self._demoted_slice(int(times[floors[start]]))
+            cells[start:stop] = ps.reshape(-1)[offsets[start:stop]]
+        np.add.at(results, box_ids, signs * (cells * corner_signs).sum(axis=1))
 
     def query_approx(self, box: Box):
         """Approximate range aggregate with guaranteed-sound bounds."""
         return self.query_many_approx([box])[0]
 
-    def query_many_approx(self, boxes: Sequence[Box], mode: str = "fast"):
+    def query_many_approx(
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
+    ):
         """Batch :class:`~repro.retention.estimate.Estimate` aggregates.
 
         Same prefix decomposition as :meth:`query_many`, but a demoted
@@ -365,11 +464,11 @@ class TieredCube:
                 )
             return estimate_prefix(bracket_lo, bracket_hi, floor_time, lower, upper)
 
-        boxes = list(boxes)
-        est = [0.0] * len(boxes)
-        lo = [0] * len(boxes)
-        hi = [0] * len(boxes)
-        for i, sign, term in self._prefix_terms(boxes, mode, demoted, Estimate.of):
+        corners = box_array(boxes, self.cube.ndim)
+        est = [0.0] * corners.shape[0]
+        lo = [0] * corners.shape[0]
+        hi = [0] * corners.shape[0]
+        for i, sign, term in self._prefix_terms(corners, mode, demoted, Estimate.of):
             est[i] += sign * term.estimate
             if sign > 0:
                 lo[i] += term.lo

@@ -48,7 +48,7 @@ from repro.core.errors import (
     DomainError,
     ShardUnavailableError,
 )
-from repro.core.types import Box
+from repro.core.types import Box, as_boxes, box_array
 from repro.durability.wal import check_drain_limit
 
 from repro.sharding.partition import GridPartitioner
@@ -399,6 +399,15 @@ class ShardRouter:
 
     # -- reads -----------------------------------------------------------------
 
+    def _boxes(self, boxes) -> list[Box]:
+        """A batch as the :class:`Box` list the routing walks; a corner
+        array is validated and converted once (:func:`~repro.core.types.
+        box_array`)."""
+        if isinstance(boxes, np.ndarray):
+            ndim = 1 + len(self.partitioner.slice_shape)
+            return as_boxes(box_array(boxes, ndim))
+        return list(boxes)
+
     def _check_boxes(self, boxes: list[Box]) -> None:
         shape = self.partitioner.slice_shape
         ndim = 1 + len(shape)
@@ -447,15 +456,19 @@ class ShardRouter:
             descriptors[shard_id] = handle.descriptor
         return descriptors
 
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+    def query_many(
+        self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
+    ) -> list[int]:
         """Batch range aggregates, bit-identical to the unsharded cube.
 
-        ``mode`` is accepted for API compatibility; sharded serving
-        runs the stacked batch read over epochs, except that boxes needing
-        demoted prefixes go to the workers (tiles and rollup tiers live
-        there, not in the shared-memory epochs).
+        ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
+        corner array (:func:`~repro.core.types.box_array`).  ``mode`` is
+        accepted for API compatibility; sharded serving runs the stacked
+        batch read over epochs, except that boxes needing demoted
+        prefixes go to the workers (tiles and rollup tiers live there,
+        not in the shared-memory epochs).
         """
-        boxes = list(boxes)
+        boxes = self._boxes(boxes)
         if not boxes:
             return []
         self._check_boxes(boxes)
@@ -566,7 +579,7 @@ class ShardRouter:
         """
         from repro.retention.estimate import Estimate
 
-        boxes = list(boxes)
+        boxes = self._boxes(boxes)
         if not boxes:
             return []
         self._check_boxes(boxes)
