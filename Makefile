@@ -66,8 +66,9 @@ loc:
 # A front is a declared stack (repro.core.front): nothing finds a layer
 # by probing, there is one kernel implementation, one tile codec, one shm
 # mapping path, one representation of G_d, one WAL layout written, one
-# store above the kernel (paged and sparse keep no serving hook), and
-# `serve` serves.
+# store above the kernel (paged and sparse keep no serving hook), `serve`
+# serves, and the router routes corner arrays (no Box on its read path;
+# `local_box`, the per-box reference clip, is exempt).
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -84,4 +85,7 @@ probes:
 	@! grep -n "WAL_FORMAT_VERSION = 1" src/repro/durability/wal.py
 	@! grep -rnE 'build_kerne[l]|adopts_row[s]|"--backen[d]"' src/repro
 	@! grep -nE 'mut_versio[n]|freeze_slic[e]|snapshot_slic[e]' src/repro/ecube/disk.py src/repro/ecube/sparse.py
+	@! grep -nE 'as_boxes|Box\(' src/repro/sharding/router.py
+	@! awk '/def local_boxes\(/ {on = 1; next} on && /^    (def |# )/ {on = 0} on' \
+		src/repro/sharding/partition.py | grep -nE 'as_boxes|Box\('
 	@echo "probes: none"

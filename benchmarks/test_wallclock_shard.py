@@ -14,9 +14,12 @@ numbers mean.
 
 No floor is asserted.  The ``procs-2/4/8`` rows still in the file are
 the last measurements of the reader processes (``readers=N``): every
-one lost to ``procs-0``, which is why they were deleted.  What remains
-to earn here is ``procs-0`` against ``snapshot-1proc`` (ROADMAP: route
-box batches with array ops).
+one lost to ``procs-0``, which is why they were deleted.  Since the
+router routes one corner array (no ``Box`` per box and shard),
+``procs-0`` reads about 1.4x ``snapshot-1proc`` on 2 cores (10x
+before).  What remains to earn here is that fixed per-shard share: the
+clip, the epoch checks and one stacked evaluation for every shard a
+batch reaches.
 """
 
 from __future__ import annotations

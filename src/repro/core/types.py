@@ -170,10 +170,10 @@ def clip_cells(corners: np.ndarray, shape: Sequence[int]):
     box's :meth:`Box.clip_to` raises, whichever tier answers it.
     """
     lowers = np.maximum(corners[:, 0, 1:], 0)
-    uppers = np.minimum(corners[:, 1, 1:], np.asarray(shape, dtype=np.int64) - 1)
-    empty = (lowers > uppers).any(axis=1)
-    if empty.any():
-        row = corners[int(empty.argmax())].tolist()
+    uppers = np.minimum(corners[:, 1, 1:], np.subtract(shape, 1))
+    empty = lowers > uppers
+    if empty.any():  # one reduction on the answering path: point reads pay it
+        row = corners[int(empty.any(axis=1).argmax())].tolist()
         Box(tuple(row[0][1:]), tuple(row[1][1:])).clip_to(tuple(shape))
     return lowers, uppers
 

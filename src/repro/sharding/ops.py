@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.errors import ReproError
+from repro.core.errors import DomainError, ReproError
 from repro.core.types import Box
 
 
@@ -92,6 +92,37 @@ def _box_from_wire(spec) -> Box:
     return Box(_coords(spec["lower"]), _coords(spec["upper"]))
 
 
+def _boxes_to_wire(boxes) -> list[dict]:
+    # a Box sequence, (lower, upper) pairs, or an (n, 2, d) corner array
+    if isinstance(boxes, np.ndarray):
+        boxes = boxes.tolist()
+    return [_box_to_wire(box) for box in boxes]
+
+
+def _boxes_from_wire(specs) -> np.ndarray | list:
+    """A box batch as one ``(n, 2, d)`` int64 corner array (``[]`` when
+    empty: no arity).  A batch that fails the whole-batch check is read
+    again box by box, so its first faulty box raises what :data:`BOX`
+    raises for it; one that passes mixes arities.  Inverted ranges are
+    left to :func:`~repro.core.types.box_array`, which every front calls.
+    """
+    specs = _listed(specs)
+    if not specs:
+        return []
+    try:
+        pairs = [(spec["lower"], spec["upper"]) for spec in specs]
+        if set(map(type, chain.from_iterable(pairs))) == {list} and set(
+            map(type, chain.from_iterable(chain.from_iterable(pairs)))
+        ) <= _INT:
+            corners = np.array(pairs, dtype=np.int64)  # ragged: ValueError
+            if corners.ndim == 3 and (corners.size == 0 or corners.min() >= -_MAX):
+                return corners
+    except (LookupError, TypeError, ValueError, OverflowError):
+        pass
+    arities = {_box_from_wire(spec).ndim for spec in specs}
+    raise DomainError(f"one batch holds boxes of arities {sorted(arities)}")
+
+
 def _choice(kind: type, *allowed):
     def decode(value):
         if type(value) is not kind or value not in allowed:
@@ -106,10 +137,7 @@ POINT = Kind(list, _coords)
 POINTS = Kind(lambda points: [list(p) for p in points], _array(2))
 DELTAS = Kind(list, _array(1))
 BOX = Kind(_box_to_wire, _box_from_wire)
-BOXES = Kind(
-    lambda boxes: [_box_to_wire(box) for box in boxes],
-    lambda specs: [_box_from_wire(spec) for spec in _listed(specs)],
-)
+BOXES = Kind(_boxes_to_wire, _boxes_from_wire)
 QUERIES = Kind(lambda qs: [[int(t1), int(t2), int(k)] for t1, t2, k in qs], _triples)
 #: "buffer" is the router -> worker escape hatch; it stays off the wire
 MODE = Kind(_same, _choice(str, "fast", "metered"))

@@ -83,6 +83,16 @@ class GridPartitioner:
                 for axis, b in enumerate(blocks)
             )
             self.extents.append(ShardExtent(shard_id, origin, shape))
+        # per shard, what local_boxes clamps a corner array to (the lower
+        # corner up to the origin, the upper one down to the last cell) and
+        # the shift into local coordinates
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        self._clamps = [
+            np.array([[[low, *e.origin], [low] * (1 + len(e.shape))],
+                      [[high] * (1 + len(e.shape)), [high, *e.upper]],
+                      [[0, *e.origin]] * 2])
+            for e in self.extents
+        ]  # fmt: skip
 
     @classmethod
     def for_shards(
@@ -152,18 +162,15 @@ class GridPartitioner:
         return Box(tuple(lo), tuple(up))
 
     def local_boxes(
-        self, boxes: Sequence[Box], extent: ShardExtent
-    ) -> tuple[list[int], list[Box]]:
-        """The boxes that reach ``extent``: their positions in ``boxes``
-        and their :meth:`local_box` clips, in order."""
-        ids: list[int] = []
-        local: list[Box] = []
-        for i, box in enumerate(boxes):
-            sub = self.local_box(box, extent)
-            if sub is not None:
-                ids.append(i)
-                local.append(sub)
-        return ids, local
+        self, corners: np.ndarray, extent: ShardExtent
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The boxes of a corner array (:func:`~repro.core.types.box_array`)
+        that reach ``extent``: their positions in ``corners`` and their
+        :meth:`local_box` clips, as one ``(m, 2, d)`` corner array."""
+        lowest, highest, origin = self._clamps[extent.shard_id]
+        local = np.minimum(np.maximum(corners, lowest), highest)
+        positions = (local[:, 0] <= local[:, 1]).all(axis=1).nonzero()[0]
+        return positions, local[positions] - origin
 
     # -- durability ------------------------------------------------------------
 

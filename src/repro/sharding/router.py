@@ -48,7 +48,7 @@ from repro.core.errors import (
     DomainError,
     ShardUnavailableError,
 )
-from repro.core.types import Box, as_boxes, box_array
+from repro.core.types import Box, box_array, clip_cells
 from repro.durability.wal import check_drain_limit
 
 from repro.sharding.partition import GridPartitioner
@@ -59,6 +59,10 @@ _AGED_OUT_TEMPLATE = (
     "aging; only queries at or after the retirement boundary (or open "
     "prefixes from the beginning of time) remain answerable"
 )
+
+
+#: ``corners[:, ::-1, 0] - _PREFIX_SHIFT``: a box's two prefix times
+_PREFIX_SHIFT = np.array([0, 1])
 
 
 def _extreme(pick, values) -> int | None:
@@ -163,6 +167,8 @@ class WorkerHandle(_Handle):
             self.process.terminate()
             self.process.join(timeout)
         self.conn.close()
+        if not self.process.is_alive():  # its sentinel pipe closes now, not at gc
+            self.process.close()
 
 
 class ShardRouter:
@@ -399,52 +405,42 @@ class ShardRouter:
 
     # -- reads -----------------------------------------------------------------
 
-    def _boxes(self, boxes) -> list[Box]:
-        """A batch as the :class:`Box` list the routing walks; a corner
-        array is validated and converted once (:func:`~repro.core.types.
-        box_array`)."""
-        if isinstance(boxes, np.ndarray):
-            ndim = 1 + len(self.partitioner.slice_shape)
-            return as_boxes(box_array(boxes, ndim))
-        return list(boxes)
+    def _checked(self, boxes) -> tuple[np.ndarray, np.ndarray | None]:
+        """A batch as one validated corner array, and the mask of its boxes
+        a prefix of which floors into the demoted region (``None``: no box).
 
-    def _check_boxes(self, boxes: list[Box]) -> None:
+        Raises what the oracle raises for the first faulty box, before
+        any shard is consulted: :func:`~repro.core.types.box_array`'s
+        arity or inverted range, :func:`~repro.core.types.clip_cells`'
+        empty box, or an :class:`AgedOutError` for a retired prefix.
+        """
         shape = self.partitioner.slice_shape
-        ndim = 1 + len(shape)
-        first, boundary, demoted = (
-            self.min_time, self.boundary_time, self.demote_boundary
-        )
-        for box in boxes:
-            if box.ndim != ndim:
-                raise DomainError(f"box arity {box.ndim} != cube arity {ndim}")
-            for axis, size in enumerate(shape):
-                if max(box.lower[1 + axis], 0) > min(box.upper[1 + axis], size - 1):
-                    raise DomainError(
-                        f"box {box} is empty after clipping to {tuple(shape)}"
-                    )
-            if boundary is None or first is None:
-                continue
-            for prefix in (box.upper[0], box.lower[0] - 1):
-                if first <= prefix < boundary and (
-                    demoted is None or prefix >= demoted
-                ):
-                    # demoted prefixes stay answerable (worker reroute);
-                    # plainly retired ones are genuinely gone
-                    raise AgedOutError(_AGED_OUT_TEMPLATE.format(time=prefix))
-
-    def _tiered_ids(self, boxes: list[Box]) -> list[int]:
-        """The boxes a prefix of which floors into the demoted region."""
-        first, demoted = self.min_time, self.demote_boundary
-        if demoted is None or first is None:
-            return []
-        return [
-            i
-            for i, box in enumerate(boxes)
-            if any(
-                first <= prefix < demoted
-                for prefix in (box.upper[0], box.lower[0] - 1)
-            )
-        ]
+        corners = box_array(boxes, 1 + len(shape))
+        bad = len(corners)
+        tiered = None
+        first, boundary = self.min_time, self.boundary_time
+        demoted = self.demote_boundary
+        if first is not None and (demoted is not None or boundary is not None):
+            # each box's + prefix (its upper time) and - prefix (before its
+            # lower time), where they fall in the history the shards hold
+            prefixes = corners[:, ::-1, 0] - _PREFIX_SHIFT
+            held = prefixes >= first
+            if demoted is not None:
+                # demoted prefixes stay answerable (worker reroute); plainly
+                # retired ones are genuinely gone
+                mask = (held & (prefixes < demoted)).any(axis=1)
+                tiered = mask if mask.any() else None
+                held &= prefixes >= demoted
+            if boundary is not None:
+                gone = held & (prefixes < boundary)
+                aged = gone.any(axis=1)
+                bad = int(aged.argmax()) if aged.any() else bad
+        # a box is checked for emptiness before its prefixes, as box by box
+        clip_cells(corners[: bad + 1], shape)
+        if bad < len(corners):
+            prefix = int(prefixes[bad][gone[bad]][0])
+            raise AgedOutError(_AGED_OUT_TEMPLATE.format(time=prefix))
+        return corners, tiered
 
     def _descriptors(self) -> dict[int, object]:
         descriptors: dict[int, object] = {}
@@ -461,55 +457,39 @@ class ShardRouter:
     ) -> list[int]:
         """Batch range aggregates, bit-identical to the unsharded cube.
 
-        ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
-        corner array (:func:`~repro.core.types.box_array`).  ``mode`` is
+        ``boxes`` is an ``(n, 2, d)`` int64 corner array or a :class:`Box`
+        sequence (:func:`~repro.core.types.box_array`).  ``mode`` is
         accepted for API compatibility; sharded serving runs the stacked
         batch read over epochs, except that boxes needing demoted
         prefixes go to the workers (tiles and rollup tiers live there,
         not in the shared-memory epochs).
         """
-        boxes = self._boxes(boxes)
-        if not boxes:
-            return []
-        self._check_boxes(boxes)
-        tiered_ids = self._tiered_ids(boxes)
-        if not tiered_ids:
-            return self._query_epochs(boxes)
-        results = [0] * len(boxes)
-        tiered = set(tiered_ids)
-        live_ids = [i for i in range(len(boxes)) if i not in tiered]
-        if live_ids:
-            for i, value in zip(
-                live_ids, self._query_epochs([boxes[i] for i in live_ids])
-            ):
-                results[i] = value
-        for i, value in zip(
-            tiered_ids, self._query_workers([boxes[i] for i in tiered_ids], mode)
-        ):
-            results[i] = value
-        return results
+        corners, tiered = self._checked(boxes)
+        if tiered is None:
+            return self.reader_state.query_many(self._descriptors(), corners)
+        results = np.zeros(len(corners), dtype=np.int64)
+        if not tiered.all():
+            results[~tiered] = self.reader_state.query_many(
+                self._descriptors(), corners[~tiered]
+            )
+        rerouted = np.flatnonzero(tiered)
+        for positions, reply in self._scatter_boxes("query", corners[tiered], mode):
+            results[rerouted[positions]] += reply
+        return results.tolist()
 
-    def _scatter_boxes(self, op: str, boxes: list[Box], mode: str) -> list:
-        """Send every shard its clip of ``boxes``; ``(positions, reply)``
+    def _scatter_boxes(self, op: str, corners: np.ndarray, mode: str) -> list:
+        """Send every shard its clip of ``corners``; ``(positions, reply)``
         per shard that any box reaches."""
         targets = []
         payloads = []
-        slots: list[list[int]] = []
+        slots = []
         for handle, extent in zip(self.handles, self.partitioner.extents):
-            ids, local = self.partitioner.local_boxes(boxes, extent)
-            if local:
+            positions, local = self.partitioner.local_boxes(corners, extent)
+            if len(positions):
                 targets.append(handle)
                 payloads.append((local, mode))
-                slots.append(ids)
+                slots.append(positions)
         return list(zip(slots, self._scatter(targets, op, payloads)))
-
-    def _query_workers(self, boxes: list[Box], mode: str) -> list[int]:
-        """Answer boxes through the shard workers' tiered fronts (summed)."""
-        results = [0] * len(boxes)
-        for ids, reply in self._scatter_boxes("query", boxes, mode):
-            for i, value in zip(ids, reply):
-                results[i] += int(value)
-        return results
 
     def topk_many(
         self,
@@ -568,7 +548,7 @@ class ShardRouter:
         return self.topk_many([(t1, t2, k)], mode=mode,
                               nonnegative=nonnegative)[0]
 
-    def query_many_approx(self, boxes: Sequence[Box], mode: str = "fast"):
+    def query_many_approx(self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"):
         """Batch approximate aggregates with guaranteed-sound bounds.
 
         Mirrors :meth:`query_many`'s worker path, but each tiered shard
@@ -579,25 +559,16 @@ class ShardRouter:
         """
         from repro.retention.estimate import Estimate
 
-        boxes = self._boxes(boxes)
-        if not boxes:
-            return []
-        self._check_boxes(boxes)
-        est = [0.0] * len(boxes)
-        lo = [0] * len(boxes)
-        hi = [0] * len(boxes)
-        for ids, reply in self._scatter_boxes("approx", boxes, mode):
-            for i, (e, x, y) in zip(ids, reply):
-                est[i] += float(e)
-                lo[i] += int(x)
-                hi[i] += int(y)
-        return [Estimate(e, x, y) for e, x, y in zip(est, lo, hi)]
+        corners, _ = self._checked(boxes)
+        estimates = np.zeros(len(corners))
+        bounds = np.zeros((len(corners), 2), dtype=np.int64)
+        for positions, reply in self._scatter_boxes("approx", corners, mode):
+            estimates[positions] += [e for e, _, _ in reply]
+            bounds[positions] += [(lo, hi) for _, lo, hi in reply]
+        return list(map(Estimate, estimates.tolist(), *bounds.T.tolist()))
 
     def query_approx(self, box: Box):
         return self.query_many_approx([box])[0]
-
-    def _query_epochs(self, boxes: list[Box]) -> list[int]:
-        return self.reader_state.query_many(self._descriptors(), boxes)
 
     def query(self, box: Box) -> int:
         return self.query_many([box])[0]

@@ -37,6 +37,7 @@ import signal
 import numpy as np
 
 from repro.core.errors import DomainError, ReproError
+from repro.core.types import box_array
 from repro.durability.recovery import DurableCube, build_front
 from repro.metrics import CostCounter
 
@@ -233,7 +234,8 @@ class ShardWorkerState:
         "retire": (_retire, True),
         "demote": (_demote, True),
         # cross-tier answering happens in the worker (tiles and rollups live
-        # here, not in the shared-memory epochs)
+        # here, not in the shared-memory epochs); the payload is the batch's
+        # clip to this shard, a local corner array, and the mode
         "query": (lambda state, p: state.front.query_many(p[0], mode=p[1]), False),
         "topk": (_topk, False),
         "approx": (_approx, False),
@@ -340,13 +342,16 @@ class ReaderState:
         return view
 
     def query_many(self, descriptors: dict[int, object], boxes) -> list[int]:
-        results = np.zeros(len(boxes), dtype=np.int64)
+        """Answer a batch (:func:`~repro.core.types.box_array`'s forms)
+        from the shards' epochs: each shard's clip of it, summed."""
+        corners = box_array(boxes, 1 + len(self.partitioner.slice_shape))
+        results = np.zeros(len(corners), dtype=np.int64)
         attached = False
         for shard_id, descriptor in descriptors.items():
-            ids, local = self.partitioner.local_boxes(
-                boxes, self.partitioner.extents[shard_id]
+            positions, local = self.partitioner.local_boxes(
+                corners, self.partitioner.extents[shard_id]
             )
-            if not local:
+            if not len(positions):
                 continue
             sequence = (
                 descriptor[1].sequence
@@ -357,13 +362,13 @@ class ReaderState:
             if view is None or view.sequence != sequence:
                 view = self._attach(shard_id, descriptor)
                 attached = True
-            results[np.asarray(ids)] += view.query_many(local)
+            results[positions] += view.query_many(local)
         if attached:
             # mappings for blocks no longer cited by any held epoch can close
             self.cache.prune(
                 set().union(*map(descriptor_blocks, self._descriptors.values()))
             )
-        return [int(v) for v in results]
+        return results.tolist()
 
     def close(self) -> None:
         self._views.clear()

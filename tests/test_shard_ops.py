@@ -4,7 +4,7 @@ Wire side: every row round-trips its arguments and its result through
 JSON, names a method the cube and the router both have, and is the row
 the documents list.  Pipe side: one envelope decides what a shard
 replies -- exercised through an inline handle and a process handle --
-and one clip loop localises boxes.  The bytes themselves are pinned in
+and one array clip localises a box batch.  The bytes themselves are pinned in
 ``test_shard_server.py``.
 """
 
@@ -20,7 +20,7 @@ import pytest
 
 import repro.sharding.server
 from repro.core.errors import DomainError, ShardUnavailableError
-from repro.core.types import Box
+from repro.core.types import Box, as_boxes, box_array
 from repro.durability import DurableCube
 from repro.sharding import GridPartitioner, ShardedCube, ShardRouter, leaked_segments
 from repro.sharding.ops import (
@@ -70,7 +70,9 @@ def _wire(value):
 
 def _same(a, b) -> bool:
     if isinstance(a, np.ndarray):
-        return a.dtype == np.int64 and np.array_equal(a, np.asarray(b))
+        # a box batch decodes into one corner array
+        expected = box_array(b, a.shape[2]) if a.ndim == 3 else np.asarray(b)
+        return a.dtype == np.int64 and np.array_equal(a, expected)
     return a == b
 
 
@@ -308,13 +310,15 @@ def test_local_boxes_is_the_per_box_clip(rng):
             Box((0, 0, 0), (3, *(max(o - 1, 0) for o in origin))),
             Box((0, *(min(u + 1, n - 1) for u, n in zip(upper, shape[1:]))), (3, 6, 5)),
         ]
+    corners = box_array(boxes, 3)
     for extent in partitioner.extents:
         clips = [partitioner.local_box(box, extent) for box in boxes]
-        ids, local = partitioner.local_boxes(boxes, extent)
-        assert ids == [i for i, clip in enumerate(clips) if clip is not None]
-        assert local == [clip for clip in clips if clip is not None]
-        assert 0 < len(ids) < len(boxes)  # some reach the extent, some miss it
-    assert partitioner.local_boxes([], partitioner.extents[0]) == ([], [])
+        positions, local = partitioner.local_boxes(corners, extent)
+        assert positions.tolist() == [i for i, c in enumerate(clips) if c is not None]
+        assert as_boxes(local) == [clip for clip in clips if clip is not None]
+        assert 0 < len(positions) < len(boxes)  # some reach the extent, some miss it
+    positions, local = partitioner.local_boxes(corners[:0], partitioner.extents[0])
+    assert positions.size == 0 and local.shape == (0, 2, 3)
 
 
 # -- a library caller's bad mode / limit: refused before the log or a scatter -------
