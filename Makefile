@@ -65,7 +65,8 @@ loc:
 
 # A front is a declared stack (repro.core.front): nothing finds a layer
 # by probing, there is one kernel implementation, one tile codec, one shm
-# mapping path, one representation of G_d, one WAL layout written, one
+# mapping path, one representation of G_d, one WAL layout written (the
+# bit-width columns of format 3: no byte-width writer), one
 # store above the kernel (paged and sparse keep no serving hook), `serve`
 # serves, and the router routes corner arrays (no Box on its read path;
 # `local_box`, the per-box reference clip, is exempt).
@@ -82,7 +83,7 @@ probes:
 	@! grep -rniE 'zstd|zstandard' src/repro
 	@! grep -nE '_stdlib|import shared_memory|SharedMemory' src/repro/sharding/shm.py
 	@! grep -n '^from repro.trees' src/repro/core/out_of_order.py
-	@! grep -n "WAL_FORMAT_VERSION = 1" src/repro/durability/wal.py
+	@! grep -nE "WAL_FORMAT_VERSION = [12]([^0-9]|$$)|_SPAN_WIDT[H]" src/repro/durability/wal.py
 	@! grep -rnE 'build_kerne[l]|adopts_row[s]|"--backen[d]"' src/repro
 	@! grep -nE 'mut_versio[n]|freeze_slic[e]|snapshot_slic[e]' src/repro/ecube/disk.py src/repro/ecube/sparse.py
 	@! grep -nE 'as_boxes|Box\(' src/repro/sharding/router.py

@@ -10,7 +10,8 @@ checkpoint:
 
 * :mod:`repro.durability.wal` -- the segmented, CRC32-checksummed record
   log (binary codec with explicit versioning, configurable fsync policy,
-  torn-tail detection);
+  torn-tail detection), whose batch columns
+  :mod:`repro.durability.bit_columns` stores at bit width;
 * :mod:`repro.durability.checkpoint` -- incremental checkpoints through
   the :class:`~repro.ecube.stores.DenseStore` snapshot machinery, a
   manifest published by atomic rename, and segment compaction once a

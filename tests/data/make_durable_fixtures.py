@@ -13,8 +13,11 @@ are the same two op lists as the first build that writes version 2
 ``durable_point_v2/`` are tile format version 1 (differenced along time
 only), which no later build writes either; ``durable_point_v3/`` is the
 point op list again, with WAL format 2 and tile format 2 (differenced
-along every axis).  The op lists below are what the test replays into a
-live replica.
+along every axis).  ``durable_point_v4/`` and ``durable_extent_v3/`` are
+the two op lists in WAL format 3 (batch columns at bit width), which
+this build writes; every directory before them is input, never
+regenerated.  The op lists below are what the test replays into a live
+replica.
 
 Regenerate the directories of the formats this build writes (only when
 the on-disk format changes on purpose)::
@@ -140,13 +143,25 @@ FIXTURES = {
     "durable_point_v2": (_point_cube, POINT_OPS),
     "durable_extent_v2": (_extent_cube, EXTENT_OPS),
     "durable_point_v3": (_point_cube, POINT_OPS),
+    "durable_point_v4": (_point_cube, POINT_OPS),
+    "durable_extent_v3": (_extent_cube, EXTENT_OPS),
 }
-#: log segments in WAL format version 1, which this build reads but no
-#: longer writes
+#: per fixture, the WAL format version of its log segments and the tile
+#: format version of its tiles (``None``: it has none)
+FORMATS = {
+    "durable_point": (1, 1),
+    "durable_extent": (1, None),
+    "durable_point_v2": (2, 1),
+    "durable_extent_v2": (2, None),
+    "durable_point_v3": (2, 2),
+    "durable_point_v4": (3, 2),
+    "durable_extent_v3": (3, None),
+}
+#: log segments in WAL format version 1, the oldest this build reads
 FROZEN = ("durable_point", "durable_extent")
 #: every file in the formats this build writes; the only directories the
 #: script below regenerates
-CURRENT = ("durable_extent_v2", "durable_point_v3")
+CURRENT = ("durable_extent_v3", "durable_point_v4")
 
 
 def write(name: str, directory) -> None:

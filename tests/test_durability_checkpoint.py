@@ -5,7 +5,8 @@ directories under ``tests/data/`` (see ``make_durable_fixtures.py``
 there), so a format or replay change that strands existing directories
 fails here: the pair whose log segments are WAL format version 1, the
 pair in WAL format 2 (whose point directory holds tile format 1 tiles),
-a point directory in the tile format this build writes, a version-1
+a point directory in WAL format 2 and the tile format this build writes,
+the pair in the formats this build writes (WAL format 3), a version-1
 directory this build has appended to, and a tile directory recovery
 leaves holding both tile formats.
 
@@ -319,14 +320,14 @@ class TestDirectoriesWrittenByAnOlderCommit:
                 mine, old = _scan_segment(ours / file), _scan_segment(theirs / file)
                 assert (mine.base_lsn, mine.records) == (old.base_lsn, old.records)
                 assert not mine.torn and not old.torn
-                assert (old.version == WAL_FORMAT_VERSION) == (name not in fixtures.FROZEN)
+                assert old.version == fixtures.FORMATS[name][0]
                 if old.version == WAL_FORMAT_VERSION:
                     assert (ours / file).read_bytes() == (theirs / file).read_bytes()
             else:
                 # tiles: the same slices and times; the same bytes where the
                 # committed tile is in the format we write
                 old_version = _assert_same_tile(ours / file, theirs / file)
-                assert (old_version == TILE_VERSION) == (name in fixtures.CURRENT)
+                assert old_version == fixtures.FORMATS[name][1]
 
     def test_recovers_bit_identical_to_a_replayed_replica(self, tmp_path, name):
         ops = fixtures.FIXTURES[name][1]
