@@ -68,8 +68,9 @@ loc:
 # mapping path, one representation of G_d, one WAL layout written (the
 # bit-width columns of format 3: no byte-width writer), one
 # store above the kernel (paged and sparse keep no serving hook), `serve`
-# serves, and the router routes corner arrays (no Box on its read path;
-# `local_box`, the per-box reference clip, is exempt).
+# serves, the router routes corner arrays (no Box on its read path;
+# `local_box`, the per-box reference clip, is exempt), and the sharded
+# front runs one mode, fast: no "metered" in its router, worker or wire ops.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -89,4 +90,6 @@ probes:
 	@! grep -nE 'as_boxes|Box\(' src/repro/sharding/router.py
 	@! awk '/def local_boxes\(/ {on = 1; next} on && /^    (def |# )/ {on = 0} on' \
 		src/repro/sharding/partition.py | grep -nE 'as_boxes|Box\('
+	@! grep -n 'metere[d]' src/repro/sharding/router.py src/repro/sharding/worker.py \
+		src/repro/sharding/ops.py
 	@echo "probes: none"

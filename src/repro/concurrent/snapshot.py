@@ -360,6 +360,13 @@ def prepare_epoch(epoch: Epoch, cube: "SnapshotCube | None" = None) -> SnapshotV
     return SnapshotView(cube, epoch, owns_pin=False)
 
 
+def check_mode(mode: str) -> None:
+    """Refuse what is no :class:`~repro.core.framework.BatchExecutor` mode
+    on a front whose reads run one path whatever ``mode`` says."""
+    if mode not in ("fast", "metered"):
+        raise DomainError(f"unknown execution mode {mode!r}")
+
+
 class SnapshotCube:
     """Single-writer / many-reader front over a dense cube stack.
 
@@ -581,8 +588,7 @@ class SnapshotCube:
         BatchExecutor` protocol; every read runs the stacked batch read
         over the pinned epoch (a :class:`Box` sequence or a corner array,
         :meth:`SnapshotView.query_many`) and charges no counter."""
-        if mode not in ("fast", "metered"):
-            raise DomainError(f"unknown execution mode {mode!r}")
+        check_mode(mode)
         with self.pin() as view:
             return view.query_many(boxes)
 

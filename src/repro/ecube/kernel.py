@@ -365,25 +365,6 @@ class CubeKernel:
                 "AppendOnlyAggregator with an out-of-order buffer instead"
             )
 
-    def touch_time(self, time: int) -> bool:
-        """Make ``time`` occurring with no updates of its own.
-
-        Appending an empty instance is correct without any copying: the
-        cache stamps still point below it, so reads route through the
-        cache until updates or lazy copies land.  Returns ``True`` when a
-        new instance was appended, ``False`` when ``time`` is already the
-        latest occurring time.  Historic times raise
-        :class:`~repro.core.errors.AppendOrderError` like :meth:`update`.
-        """
-        time = int(time)
-        self._check_time(time)
-        with self._op():
-            if self.directory and time == self.directory.latest_time:
-                return False
-            self._note_mutation()
-            self._append_time(time)
-        return True
-
     # -- multi-family alignment hooks (driven by FamilyDirectory) -----------------
 
     def _family_catch_up_append(self, time: int) -> None:

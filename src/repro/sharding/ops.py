@@ -10,7 +10,7 @@ A *kind* carries one value across the wire in both directions.  Its
 decoder is the only check on input from outside the program, so it is
 strict: an integer is a JSON integer (not ``1.9``, ``true``, ``"3"``)
 that fits int64 with room for the ``t - 1`` of prefix arithmetic, a
-matrix is rectangular, a mode is one the wire may select.  Anything
+matrix is rectangular, a mode is ``"fast"`` (the only one served).  Anything
 else is a :class:`ProtocolError` naming op and field, raised before the
 cube is touched.
 """
@@ -139,8 +139,8 @@ DELTAS = Kind(list, _array(1))
 BOX = Kind(_box_to_wire, _box_from_wire)
 BOXES = Kind(_boxes_to_wire, _boxes_from_wire)
 QUERIES = Kind(lambda qs: [[int(t1), int(t2), int(k)] for t1, t2, k in qs], _triples)
-#: "buffer" is the router -> worker escape hatch; it stays off the wire
-MODE = Kind(_same, _choice(str, "fast", "metered"))
+#: a served front writes in one mode; the field keeps the frames' bytes
+MODE = Kind(_same, _choice(str, "fast"))
 FLAG = Kind(_same, _choice(bool, True, False))
 LIMIT = Kind(_same, lambda value: None if value is None else _int(value))
 

@@ -42,6 +42,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.concurrent.snapshot import check_mode
 from repro.core.errors import (
     AgedOutError,
     AppendOrderError,
@@ -270,21 +271,14 @@ class ShardRouter:
     # -- writes ----------------------------------------------------------------
 
     def update(self, point: Sequence[int], delta: int) -> None:
-        point = np.asarray([tuple(int(c) for c in point)], dtype=np.int64)
-        self._validate_points(point)
-        latest = self.latest_time
-        if latest is not None and int(point[0, 0]) < latest:
-            # late: a batch of one (refused unless buffered, then into G_d)
-            return self.update_many(point, [delta], mode="metered")
-        shard_id = int(self.partitioner.shard_of_cells(point[:, 1:])[0])
-        local = self._localize(point, shard_id)
-        self.handles[shard_id].request(
-            "update", (tuple(int(c) for c in local[0]), int(delta))
-        )
+        self.update_many([point], [delta])
 
     def update_many(self, points, deltas, mode: str = "fast") -> None:
-        if mode not in ("fast", "metered"):
-            raise DomainError(f"unknown execution mode {mode!r}")
+        """Route a batch to its shards, in fast mode: the one served."""
+        if mode != "fast":
+            raise DomainError(
+                f"a sharded front writes in fast mode only, not {mode!r}"
+            )
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
         # validate the whole batch before any shard sees a point: a bad
@@ -323,7 +317,6 @@ class ShardRouter:
                     self._localize(points[mask], int(shard_id)),
                     deltas[mask],
                     historic[mask],
-                    mode,
                 )
             )
         self._scatter(targets, "ingest", payloads)
@@ -459,11 +452,13 @@ class ShardRouter:
 
         ``boxes`` is an ``(n, 2, d)`` int64 corner array or a :class:`Box`
         sequence (:func:`~repro.core.types.box_array`).  ``mode`` is
-        accepted for API compatibility; sharded serving runs the stacked
-        batch read over epochs, except that boxes needing demoted
-        prefixes go to the workers (tiles and rollup tiers live there,
-        not in the shared-memory epochs).
+        checked as :meth:`SnapshotCube.query_many` checks it and goes no
+        further: every box runs the stacked batch read over epochs,
+        except that boxes needing demoted prefixes go to the workers
+        (tiles and rollup tiers live there, not in the shared-memory
+        epochs).
         """
+        check_mode(mode)
         corners, tiered = self._checked(boxes)
         if tiered is None:
             return self.reader_state.query_many(self._descriptors(), corners)
@@ -473,11 +468,11 @@ class ShardRouter:
                 self._descriptors(), corners[~tiered]
             )
         rerouted = np.flatnonzero(tiered)
-        for positions, reply in self._scatter_boxes("query", corners[tiered], mode):
+        for positions, reply in self._scatter_boxes("query", corners[tiered]):
             results[rerouted[positions]] += reply
         return results.tolist()
 
-    def _scatter_boxes(self, op: str, corners: np.ndarray, mode: str) -> list:
+    def _scatter_boxes(self, op: str, corners: np.ndarray) -> list:
         """Send every shard its clip of ``corners``; ``(positions, reply)``
         per shard that any box reaches."""
         targets = []
@@ -487,7 +482,7 @@ class ShardRouter:
             positions, local = self.partitioner.local_boxes(corners, extent)
             if len(positions):
                 targets.append(handle)
-                payloads.append((local, mode))
+                payloads.append(local)
                 slots.append(positions)
         return list(zip(slots, self._scatter(targets, op, payloads)))
 
@@ -506,13 +501,15 @@ class ShardRouter:
         shifts preserve lexicographic cell order, a cell in the global
         top-k is necessarily in its own shard's top-k -- the union of
         the per-shard lists is a complete candidate set and no second
-        probing round is needed.
+        probing round is needed.  ``mode`` is checked as
+        :meth:`query_many` checks it.
         """
+        check_mode(mode)
         queries = [(int(t1), int(t2), int(k)) for t1, t2, k in queries]
         if not queries:
             self.last_topk_stats = []
             return []
-        replies = self._scatter_all("topk", (queries, mode, nonnegative))
+        replies = self._scatter_all("topk", (queries, nonnegative))
         merged = []
         stats: list[dict] = [
             {"strategy": "prune", "cells": 0, "marginal_boxes": 0,
@@ -555,14 +552,15 @@ class ShardRouter:
         answers with an :class:`~repro.retention.estimate.Estimate`
         triple; disjoint-partition additivity sums the components, and
         summing sound per-shard intervals keeps the global interval
-        sound.
+        sound.  ``mode`` is checked as :meth:`query_many` checks it.
         """
         from repro.retention.estimate import Estimate
 
+        check_mode(mode)
         corners, _ = self._checked(boxes)
         estimates = np.zeros(len(corners))
         bounds = np.zeros((len(corners), 2), dtype=np.int64)
-        for positions, reply in self._scatter_boxes("approx", corners, mode):
+        for positions, reply in self._scatter_boxes("approx", corners):
             estimates[positions] += [e for e, _, _ in reply]
             bounds[positions] += [(lo, hi) for _, lo, hi in reply]
         return list(map(Estimate, estimates.tolist(), *bounds.T.tolist()))

@@ -429,11 +429,15 @@ class EpochExporter:
     def _walked_row(self, index: int, values, flags) -> np.ndarray:
         """One instance's prefix sums, cell by cell.
 
-        The slice holds a converted cell whose DDC value is lost (its
-        lazy-copy stamp advanced past the slice after a metered read
-        converted it), which no array sweep recovers; the per-cell walk
-        reads PS cells natively.  Paid once here instead of per box by
-        every reader.
+        The slice holds a converted cell whose DDC value is lost, which no
+        array sweep recovers; the per-cell walk reads PS cells natively.
+        Paid once here instead of per box by every reader.
+
+        A served fleet writes and reads in fast mode only and never makes
+        such a slice.  A directory on disk can hold one: an inline shard
+        whose kernel answered a counted ``query`` (converting cells whose
+        lazy copy had landed, so their stamp advanced past the slice) and
+        was then checkpointed, recovered by a process fleet.
         """
         view = prepare_epoch(self.snap._current, self.snap)
         origin = (0,) * len(self.slice_shape)

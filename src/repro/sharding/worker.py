@@ -22,7 +22,8 @@ the later times), so the shard front-ends must not re-derive orderedness
 locally:
 
 * buffered shards force globally-historic points into ``G_d`` even when
-  they look appendable locally (:meth:`ShardBufferedCube.buffer_historic`),
+  they look appendable locally
+  (:meth:`~repro.sharding.buffered.ShardBufferedCube.buffer_historic_many`),
   keeping the buffer contents bit-identical to an unsharded oracle's;
 * draining a shard may pop a correction that is *newer* than the shard's
   local latest time -- it is applied as a plain append, which for a shard
@@ -148,34 +149,21 @@ class ShardWorkerState:
     def _ingest(self, payload) -> None:
         # always through self.front, so that a durable wrapper WAL-logs the
         # router's global historic/in-order classification
-        points, deltas, historic, mode = payload
-        if not self.buffered:
-            self.front.update_many(points, deltas, mode=mode)
-        elif mode == "metered":
-            for point, delta, hist in zip(points, deltas, historic):
-                if hist:
-                    self.front.update_many(
-                        np.asarray([point]), [delta], mode="buffer"
-                    )
-                else:
-                    self.front.update(tuple(point), int(delta))
-        else:
-            in_order = ~historic
-            if bool(in_order.any()):
-                self.front.update_many(
-                    points[in_order], deltas[in_order], mode=mode
-                )
-            if bool(historic.any()):
-                self.front.update_many(
-                    points[historic], deltas[historic], mode="buffer"
-                )
+        points, deltas, historic = payload
+        if not self.buffered or not bool(historic.any()):
+            self.front.update_many(points, deltas)
+            return
+        in_order = ~historic
+        if bool(in_order.any()):
+            self.front.update_many(points[in_order], deltas[in_order])
+        self.front.update_many(points[historic], deltas[historic], mode="buffer")
 
     def _out_of_order(self, payload):
         point, delta = payload
         latest = self.kernel.directory.latest_time if self.kernel.directory else None
         if latest is None or point[0] >= latest:
             # globally historic but locally in-order: append
-            self.front.update(point, delta)
+            self.front.update_many([point], [delta])
         else:
             # through the log when there is one (which refuses it over a
             # G_d buffer), else at the kernel, past any buffer
@@ -197,7 +185,7 @@ class ShardWorkerState:
         # rank the shard's local cell domain; the router globalizes the
         # cells by the shard extent's origin and merges (the cell
         # partition is disjoint, so per-shard lists are exact)
-        queries, mode, nonnegative = payload
+        queries, nonnegative = payload
         from repro.ranking import TopKEngine
 
         engine = TopKEngine(
@@ -205,29 +193,24 @@ class ShardWorkerState:
             slice_shape=self.config["slice_shape"],
             nonnegative=nonnegative,
         )
-        results = engine.topk_many(queries, mode=mode)
+        results = engine.topk_many(queries)
         stats = [
             (s.strategy, s.cells, s.marginal_boxes, s.materialized)
             for s in engine.last_stats
         ]
         return results, stats
 
-    def _approx(self, payload):
-        boxes, mode = payload
+    def _approx(self, boxes):
         tiered = self.layers.get("tiered")
         if tiered is not None:
-            return [tuple(e) for e in tiered.query_many_approx(boxes, mode=mode)]
+            return [tuple(e) for e in tiered.query_many_approx(boxes)]
         # no tiers on this shard: every answer is exact
-        return [
-            (float(v), int(v), int(v))
-            for v in self.front.query_many(boxes, mode=mode)
-        ]
+        return [(float(v), int(v), int(v)) for v in self.front.query_many(boxes)]
 
     #: shard op -> (handler(state, payload) -> result, does it mutate the shard)
     ops = {
         "ping": (lambda state, _: None, False),
         "ingest": (_ingest, True),
-        "update": (lambda state, payload: state.front.update(*payload), True),
         "oob": (_out_of_order, True),
         # the router asks buffered fleets only
         "drain": (lambda state, limit: state.front.drain(limit), True),
@@ -235,8 +218,8 @@ class ShardWorkerState:
         "demote": (_demote, True),
         # cross-tier answering happens in the worker (tiles and rollups live
         # here, not in the shared-memory epochs); the payload is the batch's
-        # clip to this shard, a local corner array, and the mode
-        "query": (lambda state, p: state.front.query_many(p[0], mode=p[1]), False),
+        # clip to this shard, a local corner array
+        "query": (lambda state, boxes: state.front.query_many(boxes), False),
         "topk": (_topk, False),
         "approx": (_approx, False),
         "total": (

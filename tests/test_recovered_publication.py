@@ -36,7 +36,7 @@ from repro.sharding import EpochExporter, ShardedCube, leaked_segments
 from repro.sharding.worker import ShardWorkerState
 
 from .conftest import random_box
-from .test_sharding import MODES, TIERS, _outcome
+from .test_sharding import TIERS, _outcome
 
 SHAPE = (6, 6)
 
@@ -140,7 +140,7 @@ def _reads(rng, horizon: int):
     full = tuple(n - 1 for n in SHAPE)
     boxes = [random_box(rng, (horizon,) + SHAPE) for _ in range(30)]
     boxes += [Box((0, 0, 0), (t, *full)) for t in range(0, horizon, 5)]
-    reads = [("query_many", [box], mode) for box in boxes for mode in MODES]
+    reads = [("query_many", [box]) for box in boxes]
     reads += [("query_approx", box) for box in boxes[:15]]
     reads += [("topk_many", [(0, horizon - 1, 4), (10, 30, 3)]), ("total",)]
     return reads

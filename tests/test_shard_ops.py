@@ -22,6 +22,7 @@ import repro.sharding.server
 from repro.core.errors import DomainError, ShardUnavailableError
 from repro.core.types import Box, as_boxes, box_array
 from repro.durability import DurableCube
+from repro.durability.checkpoint import snapshot_arrays
 from repro.sharding import GridPartitioner, ShardedCube, ShardRouter, leaked_segments
 from repro.sharding.ops import (
     ESTIMATES,
@@ -36,7 +37,7 @@ from repro.sharding.ops import (
 )
 from repro.sharding.worker import MUTATING_OPS, ShardWorkerState, serve
 
-from .conftest import random_box
+from .conftest import brute_box_sum, random_box
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,7 +49,7 @@ ARGUMENTS = {
     "delta": -3,
     "points": np.asarray([[1, 0, 0], [2, 3, 3]]).tolist(),
     "deltas": [5, 7],
-    "mode": "metered",
+    "mode": "fast",
     "queries": [(0, 9, 3), (2, 2, 1)],
     "nonnegative": True,
     "limit": 4,
@@ -173,7 +174,7 @@ def test_mutating_ops_are_derived_from_the_handler_table():
     assert MUTATING_OPS == {
         op for op, (_, mutates) in ShardWorkerState.ops.items() if mutates
     }
-    assert MUTATING_OPS == {"ingest", "update", "oob", "drain", "retire", "demote"}
+    assert MUTATING_OPS == {"ingest", "oob", "drain", "retire", "demote"}
 
 
 @pytest.mark.parametrize(
@@ -270,10 +271,13 @@ def test_one_envelope_behind_inline_and_process_handles(processes):
                     handle.request(op, payload)
             return handle.descriptor is not held
 
-        assert delivered("update", ((0, 1, 1), 5))
+        def ingest(point, delta):
+            return np.asarray([point]), np.asarray([delta]), np.asarray([False])
+
+        assert delivered("ingest", ingest((0, 1, 1), 5))
         assert not delivered("total", None)
         # a failing mutating op may have partially applied: fresh epoch
-        assert delivered("update", ((1, 9, 9), 1), raises=DomainError)
+        assert delivered("ingest", ingest((1, 9, 9), 1), raises=DomainError)
         assert not delivered("checkpoint", None, raises=DomainError)
         assert not delivered("frobnicate", None, raises=DomainError)
         assert handle.request("total") == 5
@@ -361,3 +365,57 @@ def test_durable_cube_refuses_what_the_log_cannot_encode(tmp_path, extent):
                 hostile()
         assert cube.last_lsn == lsn
         assert answer() == before
+
+
+# -- one write mode: a point is a batch of one, a metered batch is refused ---------
+
+
+@pytest.mark.parametrize("processes", [False, True])
+def test_a_metered_batch_never_reaches_a_shard(processes):
+    with ShardedCube((8, 8), shards=2, processes=processes, timeout=120.0) as cube:
+        cube.update_many([[5, 1, 1], [5, 6, 6]], [2, 3])
+        before = [handle.request("total") for handle in cube.router.handles]
+        assert sorted(before) == [2, 3]
+        with pytest.raises(DomainError, match="fast mode only"):
+            cube.update_many([[6, 1, 1], [6, 6, 6]], [1, 1], mode="metered")
+        assert [handle.request("total") for handle in cube.router.handles] == before
+        assert cube.router.latest_time == 5
+    assert not leaked_segments()
+
+
+def test_one_point_writes_match_the_oracle_and_recover_bit_identically(rng, tmp_path):
+    shape = (10, 4, 4)
+    dense = np.zeros(shape, dtype=np.int64)
+    boxes = [random_box(rng, shape) for _ in range(40)]
+    boxes += [Box((0, 0, 0), (t, 3, 3)) for t in range(shape[0])]
+    fleet = tmp_path / "fleet"
+    with ShardedCube(
+        shape[1:], shards=2, processes=False, durable_dir=fleet, fsync="off"
+    ) as cube:
+        # in order, then late: locally late on its shard (rows 0-1 or
+        # 2-3), and locally in order on the shard that never saw time 7
+        for point, delta in [
+            ((2, 0, 0), 4), ((5, 3, 3), 1), ((7, 0, 1), 6),
+            ((3, 3, 2), 5), ((6, 0, 3), -2), ((6, 2, 2), 3),
+        ]:  # fmt: skip
+            cube.update(point, delta)
+            dense[point] += delta
+        expected = [brute_box_sum(dense, box) for box in boxes]
+        assert cube.query_many(boxes) == expected
+        assert cube.router.latest_time == 7
+        buffered = [h.state.layers["buffered"] for h in cube.router.handles]
+        assert [b.cube.directory.latest_time for b in buffered] == [7, 5]
+        assert [b.buffered_updates for b in buffered] == [1, 2]  # as the oracle
+        states = [snapshot_arrays(b) for b in buffered]
+    recovered = ShardedCube.recover(fleet, processes=False)
+    try:
+        for handle, state in zip(recovered.router.handles, states):
+            arrays = snapshot_arrays(handle.state.layers["buffered"])
+            assert sorted(arrays) == sorted(state)
+            for key, array in arrays.items():
+                assert array.tobytes() == state[key].tobytes(), key
+        assert recovered.query_many(boxes) == expected
+        assert recovered.drain() == (3, 0)
+        assert recovered.query_many(boxes) == expected
+    finally:
+        recovered.close()

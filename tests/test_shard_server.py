@@ -145,7 +145,10 @@ MALFORMED_FRAMES = [
     ({"op": "update_many", "points": [[2, 3, False]], "deltas": [1]},
      ("update_many", "points")),
     ({"op": "retire", "time": 1.0}, ("retire", "time")),
-    # "buffer" is the router -> worker escape hatch, not a wire mode
+    # a served front writes in fast mode only; "buffer" is the worker's own
+    # escape hatch
+    ({"op": "update_many", "points": [[5, 1, 1]], "deltas": [1], "mode": "metered"},
+     ("update_many", "mode")),
     ({"op": "update_many", "points": [[5, 1, 1]], "deltas": [1], "mode": "buffer"},
      ("update_many", "mode")),
     ({"op": "update_many", "points": [[5, 1, 1]], "deltas": [1], "mode": "bogus"},
@@ -395,7 +398,7 @@ _VALID = {
     "delta": 3,
     "points": [[8, 1, 1], [8, 5, 5]],
     "deltas": [1, 2],
-    "mode": "metered",
+    "mode": "fast",
     "queries": [[0, 9, 2]],
     "nonnegative": True,
     "limit": 2,

@@ -143,7 +143,7 @@ class TestInlineDifferential:
     def test_time_state_is_reported_by_the_shards_not_kept_by_the_router(self):
         from repro.sharding.worker import ShardWorkerState
 
-        assert len(ShardWorkerState.ops) == 13  # no probe ops
+        assert len(ShardWorkerState.ops) == 12  # no probe ops
         with ShardedCube((4, 4), shards=2, processes=False) as cube:
             router = cube.router
             assert (router.min_time, router.latest_time) == (None, None)
@@ -475,7 +475,6 @@ class TestServeStartupSweep:
 
 
 TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
-MODES = ("fast", "metered")
 
 
 def _outcome(call):
@@ -509,8 +508,8 @@ def _fds(pid: int) -> int:
 class TestHistoryLivesOnce:
     """A process shard's historic slices are the rows it published.
 
-    The fleet serves worker-routed reads (tiered, top-k, approximate,
-    metered) from those rows in place, checkpoints them as they stand,
+    The fleet serves worker-routed reads (tiered, top-k, approximate)
+    from those rows in place, checkpoints them as they stand,
     re-adopts them after recovery and unmaps the ones retirement drops.
     """
 
@@ -536,7 +535,7 @@ class TestHistoryLivesOnce:
             assert results[0] == results[1]
 
         def agree():
-            reads = [("query_many", [box], mode) for box in boxes for mode in MODES]
+            reads = [("query_many", [box]) for box in boxes]
             reads += [("query_approx", box) for box in boxes]
             reads += [("topk_many", [top]) for top in tops] + [("total",)]
             for method, *args in reads:

@@ -365,6 +365,63 @@ class TestExportCounts:
         boxes = _boxes(rig)
         assert rig.answers(descriptor, boxes) == rig.expected(boxes)
 
+    def test_a_checkpointed_converted_instance_is_walked_once_on_recovery(
+        self, tmp_path, monkeypatch
+    ):
+        """The input that reaches the walk when the fleet itself reads and
+        writes in fast mode only: a directory an inline shard checkpointed
+        after its kernel answered a counted ``query``, recovered by a
+        process fleet."""
+        rng = np.random.default_rng(11)
+        dense = np.zeros((NUM_TIMES,) + SHAPE, dtype=np.int64)
+
+        def write(cube, times):
+            points = np.column_stack(
+                [times] + [rng.integers(0, n, size=len(times)) for n in SHAPE]
+            ).astype(np.int64)
+            deltas = rng.integers(1, 9, size=len(times)).astype(np.int64)
+            cube.update_many(points, deltas)
+            np.add.at(dense, tuple(points.T), deltas)
+
+        fleet = tmp_path / "fleet"
+        with ShardedCube(
+            SHAPE, shards=1, processes=False, durable_dir=fleet, fsync="off",
+            num_times=NUM_TIMES,
+        ) as cube:  # fmt: skip
+            for time in range(6):
+                write(cube, [time] * 10)
+            kernel = cube.router.handles[0].state.kernel
+            kernel.query(Box((0, 1, 1), (3, 4, 3)))  # converts cells of 3
+            write(cube, [6] * 25)
+            assert not kernel.bulk_finalize_slice(3)
+            cube.checkpoint()
+        walked = tmp_path / "walked"
+        walk = EpochExporter._walked_row
+
+        def spying(exporter, index, values, flags):  # runs in the worker
+            with open(walked, "a") as log:
+                log.write(f"{index}\n")
+            return walk(exporter, index, values, flags)
+
+        monkeypatch.setattr(EpochExporter, "_walked_row", spying)
+        full = tuple(n - 1 for n in SHAPE)
+        boxes = [random_box(rng, dense.shape) for _ in range(40)]
+        boxes += [Box((0, 0, 0), (time, *full)) for time in range(8)]
+        recovered = ShardedCube.recover(
+            fleet, processes=True, start_method="fork", timeout=120.0
+        )
+        try:
+            expected = [brute_box_sum(dense, box) for box in boxes]
+            assert recovered.query_many(boxes) == expected
+            write(recovered, [7] * 5)
+            expected = [brute_box_sum(dense, box) for box in boxes]
+            assert recovered.query_many(boxes) == expected
+            assert recovered.total() == int(dense.sum())
+        finally:
+            recovered.close()
+        assert walked.read_text().split() == ["3"]  # once, then cited
+        assert not leaked_segments()
+
 
 # -- history lives once: the structural invariant, under any history ------------
 
