@@ -69,8 +69,10 @@ loc:
 # bit-width columns of format 3: no byte-width writer), one
 # store above the kernel (paged and sparse keep no serving hook), `serve`
 # serves, the router routes corner arrays (no Box on its read path;
-# `local_box`, the per-box reference clip, is exempt), and the sharded
-# front runs one mode, fast: no "metered" in its router, worker or wire ops.
+# `local_box`, the per-box reference clip, is exempt), no read of the
+# retention or sharding layers walks a batch as Box objects (no as_boxes
+# there: tiered reads are one array pass), and the sharded front runs one
+# mode, fast: no "metered" in its router, worker or wire ops.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -88,6 +90,7 @@ probes:
 	@! grep -rnE 'build_kerne[l]|adopts_row[s]|"--backen[d]"' src/repro
 	@! grep -nE 'mut_versio[n]|freeze_slic[e]|snapshot_slic[e]' src/repro/ecube/disk.py src/repro/ecube/sparse.py
 	@! grep -nE 'as_boxes|Box\(' src/repro/sharding/router.py
+	@! grep -rn 'as_boxes' src/repro/retention src/repro/sharding
 	@! awk '/def local_boxes\(/ {on = 1; next} on && /^    (def |# )/ {on = 0} on' \
 		src/repro/sharding/partition.py | grep -nE 'as_boxes|Box\('
 	@! grep -n 'metere[d]' src/repro/sharding/router.py src/repro/sharding/worker.py \

@@ -33,6 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.errors import AgedOutError
+
 
 class Estimate(NamedTuple):
     """An approximate aggregate with guaranteed-sound bounds.
@@ -92,29 +94,48 @@ def bracket_prefix(
     return best_lo, best_hi
 
 
-def estimate_prefix(bracket_lo, bracket_hi, time: int, lower, upper) -> Estimate:
-    """Estimate one cumulative prefix box sum from its bracket.
+def estimate_sums(bracket_lo, bracket_hi, time: int, box_sums):
+    """Estimate prefix box sums at ``time`` from their bracket: the
+    interpolate-and-clamp rule, over arrays.
 
     ``bracket_lo``/``bracket_hi`` are the ``(time, ps)`` pairs from
     :func:`bracket_prefix` (``bracket_lo`` may be ``None``: the zero
-    cumulative state floors the bracket); ``lower``/``upper`` are the
-    box's cell-dimension corners.
+    cumulative state floors the bracket); ``box_sums(ps)`` sums every
+    prefix's cell box over one PS slice.  Returns the ``(estimate, lo,
+    hi)`` arrays.  A ``time`` some tier retains is its own bracket:
+    exact; one with no retained slice above it cannot be bounded
+    (:class:`~repro.core.errors.AgedOutError`).
     """
-    from repro.retention.planner import ps_box_sums
-
     time = int(time)
     if bracket_lo is not None and bracket_lo[0] == time:
-        return Estimate.of(ps_box_sums([bracket_lo[1]], lower, upper)[0])
-    # both bracket terms in one corner gather
-    brackets = [b for b in (bracket_lo, bracket_hi) if b is not None]
-    sums = ps_box_sums([ps for _, ps in brackets], lower, upper)
-    t_lo, s_lo = (-1, 0) if bracket_lo is None else (int(bracket_lo[0]), sums[0])
-    t_hi, s_hi = int(bracket_hi[0]), sums[-1]
+        sums = box_sums(bracket_lo[1])
+        return sums.astype(np.float64), sums, sums
+    if bracket_hi is None:
+        raise AgedOutError(
+            f"no retained rollup boundary brackets t={time}; "
+            "the prefix cannot be bounded"
+        )
+    s_hi = box_sums(bracket_hi[1])
+    t_lo, s_lo = -1, np.zeros_like(s_hi)
+    if bracket_lo is not None:
+        t_lo, s_lo = int(bracket_lo[0]), box_sums(bracket_lo[1])
     # defensively order the bounds: for the declared non-negative
     # measures s_lo <= s_hi already holds
-    lo, hi = (s_lo, s_hi) if s_lo <= s_hi else (s_hi, s_lo)
+    lo, hi = np.minimum(s_lo, s_hi), np.maximum(s_lo, s_hi)
     # uniform spread of the bucket's mass across its time span, clamped
     # into the bounds (the min/max integrity constraint)
-    fraction = (time - t_lo) / (t_hi - t_lo)
+    fraction = (time - t_lo) / (int(bracket_hi[0]) - t_lo)
     estimate = s_lo + (s_hi - s_lo) * fraction
-    return Estimate(float(min(max(estimate, lo), hi)), lo, hi)
+    return np.minimum(np.maximum(estimate, lo), hi), lo, hi
+
+
+def estimate_prefix(bracket_lo, bracket_hi, time: int, lower, upper) -> Estimate:
+    """:func:`estimate_sums` of one prefix box, whose cell-dimension
+    corners are ``lower``/``upper``."""
+    from repro.retention.planner import ps_box_sum
+
+    def box_sums(ps: np.ndarray) -> np.ndarray:
+        return np.array([ps_box_sum(ps, lower, upper)])
+
+    estimate, lo, hi = estimate_sums(bracket_lo, bracket_hi, time, box_sums)
+    return Estimate(float(estimate[0]), int(lo[0]), int(hi[0]))

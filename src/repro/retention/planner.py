@@ -44,13 +44,12 @@ demotion as its horizon alone (the ``demote`` row of
 from __future__ import annotations
 
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.errors import AgedOutError, DomainError, StorageError
 from repro.core.front import forward, layers, require
-from repro.core.types import Box, as_boxes, box_array, clip_cells
+from repro.core.types import Box, box_array, clip_cells
 from repro.durability.wal import LOGGED
 from repro.ecube.fastpath import _corner_terms
 from repro.retention.tiers import TierPolicy, RollupTier
@@ -59,28 +58,18 @@ from repro.retention.tiles import TileStore
 _NONE = np.iinfo(np.int64).min
 
 
-def ps_box_sums(slices, lower: Sequence[int], upper: Sequence[int]) -> list[int]:
-    """One cell box summed over each of several cumulative PS slices of
-    one shape.
-
-    The one-box call of the batch gather every read shares
-    (:func:`repro.ecube.fastpath._corner_terms`): the box's ``2^d``
-    corners are located once and read from every slice.  Bounds are
-    clamped to the slice domain; a box that selects no cell sums to 0.
-    """
-    shape = slices[0].shape
-    lo = [max(int(bound), 0) for bound in lower]
-    hi = [min(int(bound), n - 1) for bound, n in zip(upper, shape)]
-    if any(low > up for low, up in zip(lo, hi)):
-        return [0] * len(slices)
-    offsets, signs = _corner_terms(np.array([lo]), np.array([hi]), shape)
-    return [int(ps.reshape(-1)[offsets[0]] @ signs[0]) for ps in slices]
-
-
 def ps_box_sum(ps: np.ndarray, lower: Sequence[int], upper: Sequence[int]) -> int:
-    """Inclusion-exclusion range sum over one cumulative PS slice
-    (:func:`ps_box_sums` of one slice)."""
-    return ps_box_sums([ps], lower, upper)[0]
+    """Inclusion-exclusion sum of one cell box over one cumulative PS
+    slice: the one-box call of the gather every read shares
+    (:func:`repro.ecube.fastpath._corner_terms`).  Bounds are clamped to
+    the slice domain; a box that selects no cell sums to 0.
+    """
+    lo = [max(int(bound), 0) for bound in lower]
+    hi = [min(int(bound), n - 1) for bound, n in zip(upper, ps.shape)]
+    if any(low > up for low, up in zip(lo, hi)):
+        return 0
+    offsets, signs = _corner_terms(np.array([lo]), np.array([hi]), ps.shape)
+    return int(ps.reshape(-1)[offsets[0]] @ signs[0])
 
 
 class TieredCube:
@@ -254,62 +243,90 @@ class TieredCube:
             low = min(low, self.buffer.min_time())
         return low
 
-    def _prefix_terms(self, corners: np.ndarray, mode: str, demoted, exact=int):
-        """Yield the signed terms ``(box index, sign, term)`` that sum to
-        each box, box by box.
+    def _decompose(self, corners: np.ndarray, mode: str):
+        """The one cross-tier decomposition (module docstring) of a batch.
 
-        The one cross-tier decomposition (module docstring): a box with
-        no demoted floor passes to the front whole; any other splits
-        into its two signed cumulative prefixes, each answered by the
-        tier that holds its floor instance.  ``demoted(floor_time,
-        lower, upper)`` answers a demoted floor's cell box -- that is
-        all metered :meth:`query_many` and :meth:`query_many_approx`
-        differ in; every other term is an exact integer passed through
-        ``exact``: live prefixes (the front adds their ``G_d`` share
-        itself) and the ``G_d`` share of a prefix the front never sees,
-        which includes one that floors below the first instance -- late
-        data from before all history is in no slice, only in the buffer.
-        Fast-mode :meth:`query_many` is the same decomposition in array
-        operations (:meth:`_query_fast`).
+        Returns ``(sums, demoted)``.  ``sums`` is each box's exact int64
+        share: the whole box when no prefix floors on a demoted instance,
+        else its live prefixes (the front adds their ``G_d`` share
+        itself) plus the ``G_d`` share of every other prefix, including
+        one that floors below the first instance -- late data from
+        before all history is in no slice, only in the buffer.
+        ``demoted`` is the prefixes that floor on a demoted instance,
+        ``(box ids, signs, floor times, cell lowers, cell uppers)``:
+        :meth:`query_many` adds their exact sums
+        (:meth:`_demoted_sums`), :meth:`query_many_approx` brackets them.
+
+        One ``searchsorted`` resolves both prefixes of every box against
+        the directory times.  The front answers its share in one batch,
+        box by box and a box's ``+`` prefix before its ``-`` one: metered
+        reads may convert cells as they walk them, so this order keeps
+        their charges those of a box-by-box plan.  The ``G_d`` share of
+        the other prefixes is one ``range_sum_many`` call.
         """
+        if mode not in ("fast", "metered"):
+            raise DomainError(f"unknown execution mode {mode!r}")
         kernel = self.cube
-        directory = kernel.directory
         retired_below = kernel._retired_below
-        if retired_below == 0 or not directory:
-            for i, value in enumerate(self.front.query_many(corners, mode=mode)):
-                yield i, 1, exact(value)
-            return
-        clip_cells(corners, kernel.slice_shape)
+        if not retired_below:  # nothing demoted: the front answers whole boxes
+            sums = np.asarray(self.front.query_many(corners, mode=mode), np.int64)
+            none, cells = corners[:0, 0, 0], corners[:0, 0, 1:]
+            return sums, (none, none, none, cells, cells)
+        lowers, uppers = clip_cells(corners, kernel.slice_shape)
+        times = np.asarray(kernel.directory.times(), dtype=np.int64)
+        # two terms per box: the + prefix at its upper bound and the -
+        # prefix before its lower bound, each with the instance it floors on
+        n = corners.shape[0]
+        box_ids = np.repeat(np.arange(n), 2)
+        signs = np.tile(np.array([1, -1], dtype=np.int64), n)
+        prefixes = np.stack((corners[:, 1, 0], corners[:, 0, 0] - 1), axis=1)
+        prefixes = prefixes.reshape(-1)
+        floors = np.searchsorted(times, prefixes, side="right") - 1
+        on_tier = (floors >= 0) & (floors < retired_below)
+        split = np.repeat(on_tier.reshape(n, 2).any(axis=1), 2)
+        # a split box is its prefixes [low, prefix]; one before all history
+        # (buffered late data included) contributes nothing
         low = self._history_start()
-        late = self.buffer if self.buffer is not None and len(self.buffer) else None
-        late_mode = "fast" if mode == "fast" else "metered"
-        live_boxes: list[Box] = []
-        live_slots: list[tuple[int, int]] = []  # (box index, sign)
-        for i, box in enumerate(as_boxes(corners)):
-            prefixes = ((int(box.upper[0]), 1), (int(box.lower[0]) - 1, -1))
-            floors = [directory.floor_index(p) for p, _ in prefixes]
-            if all(f < 0 or f >= retired_below for f in floors):
-                live_boxes.append(box)
-                live_slots.append((i, 1))
-                continue
-            lower, upper = tuple(box.lower[1:]), tuple(box.upper[1:])
-            for (prefix, sign), floor in zip(prefixes, floors):
-                if prefix < low:
-                    continue  # before all history, buffered included
-                prefix_box = Box((low,) + lower, (prefix,) + upper)
-                if floor >= retired_below:
-                    live_boxes.append(prefix_box)
-                    live_slots.append((i, sign))
-                    continue
-                if floor >= 0:
-                    floor_time = int(directory.at_index(floor)[0])
-                    yield i, sign, demoted(floor_time, lower, upper)
-                if late is not None:
-                    yield i, sign, exact(late.range_sum(prefix_box, mode=late_mode))
-        if live_boxes:
-            values = self.front.query_many(live_boxes, mode=mode)
-            for (i, sign), value in zip(live_slots, values):
-                yield i, sign, exact(value)
+        terms = np.repeat(corners, 2, axis=0)
+        terms[split, 0, 0] = low
+        terms[split, 1, 0] = prefixes[split]
+        seen = split & (prefixes >= low)
+        live = (~split & (signs > 0)) | (seen & (floors >= retired_below))
+        sums = np.zeros(n, dtype=np.int64)
+
+        def add(chosen, answer) -> None:
+            if chosen.any():
+                values = np.asarray(answer(terms[chosen], mode=mode), np.int64)
+                np.add.at(sums, box_ids[chosen], signs[chosen] * values)
+
+        add(live, self.front.query_many)
+        if self.buffer is not None and len(self.buffer):
+            add(seen & ~live, self.buffer.range_sum_many)
+        demoted = np.flatnonzero(seen & on_tier)
+        demoted = demoted[np.argsort(floors[demoted], kind="stable")]
+        ids, floor_times = box_ids[demoted], times[floors[demoted]]
+        return sums, (ids, signs[demoted], floor_times, lowers[ids], uppers[ids])
+
+    def _floor_groups(self, demoted):
+        """The demoted prefixes (:meth:`_decompose`) in runs that floor on
+        one instance, oldest first: yields ``(floor time, rows)``, where
+        ``rows`` slices the run.  In this order a tile decodes at most
+        once per batch."""
+        times = demoted[2]
+        instants, starts = np.unique(times, return_index=True)
+        stops = [*starts[1:].tolist(), times.size]
+        for time, start, stop in zip(instants.tolist(), starts.tolist(), stops):
+            yield time, slice(start, stop)
+
+    def _demoted_sums(self, demoted) -> np.ndarray:
+        """Each demoted prefix's exact cell-box sum: one PS slice fetch
+        (:meth:`_demoted_slice`) and one corner gather
+        (:func:`~repro.ecube.fastpath._corner_terms`) per instance."""
+        offsets, corner_signs = _corner_terms(*demoted[3:], self.cube.slice_shape)
+        cells = np.empty_like(offsets)
+        for time, rows in self._floor_groups(demoted):
+            cells[rows] = self._demoted_slice(time).reshape(-1)[offsets[rows]]
+        return (cells * corner_signs).sum(axis=1)
 
     def query_many(
         self, boxes: Sequence[Box] | np.ndarray, mode: str = "fast"
@@ -317,110 +334,15 @@ class TieredCube:
         """Batch range aggregates, bit-identical to an undemoted oracle.
 
         ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
-        corner array (:func:`~repro.core.types.box_array`).  A demoted
-        floor is answered from its cumulative PS slice (rollup tier or
-        tile, :meth:`_demoted_slice`): in fast mode one gather per
-        instance for the whole batch (:meth:`_query_fast`), in metered
-        mode box by box (:meth:`_prefix_terms`).
+        corner array (:func:`~repro.core.types.box_array`).  Both modes
+        run one array pass (:meth:`_decompose`); a demoted floor is
+        answered from its cumulative PS slice (rollup tier or tile), one
+        gather per instance for the whole batch (:meth:`_demoted_sums`).
         """
-        corners = box_array(boxes, self.cube.ndim)
-        if mode == "fast":
-            return self._query_fast(corners)
-        if mode != "metered":
-            raise DomainError(f"unknown execution mode {mode!r}")
-        results = [0] * corners.shape[0]
-
-        def demoted(floor_time: int, lower, upper) -> int:
-            return ps_box_sum(self._demoted_slice(floor_time), lower, upper)
-
-        for i, sign, value in self._prefix_terms(corners, mode, demoted):
-            results[i] += sign * value
-        return results
-
-    def _query_fast(self, corners: np.ndarray) -> list[int]:
-        """Fast-mode :meth:`query_many`: :meth:`_prefix_terms` in array
-        operations.
-
-        One ``searchsorted`` resolves both prefixes of every box against
-        the directory times.  Boxes with no demoted floor go to the front
-        in one batch, together with the live prefixes of split boxes.
-        The ``G_d`` share of every other prefix is one ``range_sum_many``
-        call.  Demoted prefixes are grouped by floor instance and visited
-        in time order, so a tile decodes at most once per batch: each
-        instance's PS slice is fetched once and the corners of all its
-        prefixes are gathered from it (:func:`~repro.ecube.fastpath.
-        _corner_terms`), summed with one signed ``np.add.at``.
-        """
-        kernel = self.cube
-        retired_below = kernel._retired_below
-        n = corners.shape[0]
-        if retired_below == 0 or not kernel.directory or not n:
-            return self.front.query_many(corners, mode="fast")
-        lowers, uppers = clip_cells(corners, kernel.slice_shape)
-        times = np.asarray(kernel.directory.times(), dtype=np.int64)
-        # per box: the + prefix at its upper bound, the - prefix before
-        # its lower bound, and the instance each floors on
-        prefixes = np.stack((corners[:, 1, 0], corners[:, 0, 0] - 1), axis=1)
-        floors = np.searchsorted(times, prefixes, side="right") - 1
-        split = ((floors >= 0) & (floors < retired_below)).any(axis=1)
-        whole = np.flatnonzero(~split)
-        # the prefixes of split boxes, flattened; one before all history
-        # (buffered late data included) contributes nothing
-        box_ids = np.repeat(np.flatnonzero(split), 2)
-        signs = np.tile(np.array([1, -1], dtype=np.int64), box_ids.size // 2)
-        prefixes, floors = prefixes[split].reshape(-1), floors[split].reshape(-1)
-        low = self._history_start()
-        seen = prefixes >= low
-        box_ids, signs = box_ids[seen], signs[seen]
-        prefixes, floors = prefixes[seen], floors[seen]
-        live = floors >= retired_below
-
-        def prefix_boxes(chosen) -> np.ndarray:
-            """``[low, prefix]`` over each chosen prefix's cell box."""
-            out = corners[box_ids[chosen]]
-            out[:, 0, 0] = low
-            out[:, 1, 0] = prefixes[chosen]
-            return out
-
-        results = np.zeros(n, dtype=np.int64)
-        front = np.concatenate((corners[whole], prefix_boxes(live)))
-        if front.shape[0]:
-            np.add.at(
-                results,
-                np.concatenate((whole, box_ids[live])),
-                np.concatenate((np.ones(whole.size, np.int64), signs[live]))
-                * np.asarray(self.front.query_many(front, mode="fast"), np.int64),
-            )
-        gone = ~live
-        if self.buffer is not None and len(self.buffer) and gone.any():
-            np.add.at(
-                results,
-                box_ids[gone],
-                signs[gone]
-                * np.asarray(self.buffer.range_sum_many(prefix_boxes(gone)), np.int64),
-            )
-        on_tiers = gone & (floors >= 0)
-        if on_tiers.any():
-            self._demoted_sums(
-                results, box_ids[on_tiers], signs[on_tiers], floors[on_tiers],
-                times, lowers, uppers,
-            )  # fmt: skip
-        return [int(v) for v in results]
-
-    def _demoted_sums(self, results, box_ids, signs, floors, times, lowers, uppers):
-        """Add each demoted prefix's cell-box sum to ``results``: one PS
-        slice fetch and one gather per floor instance, oldest first."""
-        order = np.argsort(floors, kind="stable")
-        box_ids, signs, floors = box_ids[order], signs[order], floors[order]
-        bounds = np.flatnonzero(np.diff(floors, prepend=-1, append=-1))
-        offsets, corner_signs = _corner_terms(
-            lowers[box_ids], uppers[box_ids], self.cube.slice_shape
-        )
-        cells = np.empty_like(offsets)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            ps = self._demoted_slice(int(times[floors[start]]))
-            cells[start:stop] = ps.reshape(-1)[offsets[start:stop]]
-        np.add.at(results, box_ids, signs * (cells * corner_signs).sum(axis=1))
+        sums, demoted = self._decompose(box_array(boxes, self.cube.ndim), mode)
+        box_ids, signs = demoted[:2]
+        np.add.at(sums, box_ids, signs * self._demoted_sums(demoted))
+        return sums.tolist()
 
     def query_approx(self, box: Box):
         """Approximate range aggregate with guaranteed-sound bounds."""
@@ -431,14 +353,15 @@ class TieredCube:
     ):
         """Batch :class:`~repro.retention.estimate.Estimate` aggregates.
 
-        Same prefix decomposition as :meth:`query_many`, but a demoted
-        prefix whose PS slice is *not* resident in a rollup tier is
-        bracketed between the tiers' retained boundary slices
-        (:mod:`repro.retention.estimate`) instead of decoded from its
-        tile -- no disk access, at the price of a bounded interval
-        rather than a point answer.  Prefixes that are live, or that
-        floor onto a retained rollup boundary, stay exact (``lo ==
-        hi``), bit-identical to :meth:`query_many`; the signed prefix
+        The same array pass as :meth:`query_many` (:meth:`_decompose`),
+        but a demoted prefix is bracketed between the tiers' retained
+        boundary slices (:mod:`repro.retention.estimate`) instead of
+        decoded from its tile -- no disk access, at the price of a
+        bounded interval rather than a point answer.  The prefixes that
+        floor on one instance share its bracket and one gather per
+        bracket slice.  Prefixes that are live, or that floor onto a
+        retained rollup boundary, stay exact (``lo == hi``),
+        bit-identical to :meth:`query_many`; the signed prefix
         combination ``F(t_up) - F(t_lo - 1)`` combines the per-prefix
         intervals by interval arithmetic, so every reported ``[lo, hi]``
         contains the exact answer (for non-negative measures -- see the
@@ -447,36 +370,40 @@ class TieredCube:
         from repro.retention.estimate import (
             Estimate,
             bracket_prefix,
-            estimate_prefix,
+            estimate_sums,
         )
 
-        def demoted(floor_time: int, lower, upper) -> Estimate:
-            # a floor some tier retains is its own bracket: exact
-            bracket_lo, bracket_hi = bracket_prefix(
-                self.tiers, floor_time, self._last_time, self._last_ps
-            )
-            if bracket_hi is None and (
-                bracket_lo is None or bracket_lo[0] != floor_time
-            ):
-                raise AgedOutError(
-                    f"no retained rollup boundary brackets "
-                    f"t={floor_time}; the prefix cannot be bounded"
-                )
-            return estimate_prefix(bracket_lo, bracket_hi, floor_time, lower, upper)
+        sums, demoted = self._decompose(box_array(boxes, self.cube.ndim), mode)
+        box_ids, signs = demoted[:2]
+        offsets, corner_signs = _corner_terms(*demoted[3:], self.cube.slice_shape)
+        estimate = np.zeros(box_ids.size)
+        lo = np.zeros(box_ids.size, dtype=np.int64)
+        hi = np.zeros(box_ids.size, dtype=np.int64)
+        for time, rows in self._floor_groups(demoted):
 
-        corners = box_array(boxes, self.cube.ndim)
-        est = [0.0] * corners.shape[0]
-        lo = [0] * corners.shape[0]
-        hi = [0] * corners.shape[0]
-        for i, sign, term in self._prefix_terms(corners, mode, demoted, Estimate.of):
-            est[i] += sign * term.estimate
-            if sign > 0:
-                lo[i] += term.lo
-                hi[i] += term.hi
-            else:
-                lo[i] -= term.hi
-                hi[i] -= term.lo
-        return [Estimate(e, x, y) for e, x, y in zip(est, lo, hi)]
+            def box_sums(ps: np.ndarray, rows=rows) -> np.ndarray:
+                cells = ps.reshape(-1)[offsets[rows]]
+                return (cells * corner_signs[rows]).sum(axis=1)
+
+            brackets = bracket_prefix(
+                self.tiers, time, self._last_time, self._last_ps
+            )
+            estimate[rows], lo[rows], hi[rows] = estimate_sums(
+                *brackets, time, box_sums
+            )
+        # interval arithmetic: a - prefix's hi bounds the box's lo; a box
+        # has at most two estimated terms, so their order cannot move the
+        # float sum (addition commutes)
+        plus = signs > 0
+        lows, highs, estimates = sums.copy(), sums.copy(), np.zeros(sums.size)
+        np.add.at(lows, box_ids, np.where(plus, lo, -hi))
+        np.add.at(highs, box_ids, np.where(plus, hi, -lo))
+        np.add.at(estimates, box_ids, signs * estimate)
+        estimates += sums
+        return [
+            Estimate(*row)
+            for row in zip(estimates.tolist(), lows.tolist(), highs.tolist())
+        ]
 
     def _demoted_slice(self, floor_time: int) -> np.ndarray:
         """The cumulative PS slice at a demoted occurring time.

@@ -509,6 +509,16 @@ class ShardRouter:
         if not queries:
             self.last_topk_stats = []
             return []
+        # a shard checks only its own retirement boundary, which is older
+        # than the router's when another shard kept the boundary instance:
+        # check every ranked window over the whole cell domain here
+        ranked = [(t1, t2) for t1, t2, k in queries if t1 <= t2 and k > 0]
+        if ranked:
+            shape = self.partitioner.slice_shape
+            windows = np.zeros((len(ranked), 2, 1 + len(shape)), dtype=np.int64)
+            windows[:, :, 0] = ranked
+            windows[:, 1, 1:] = np.subtract(shape, 1)
+            self._checked(windows)
         replies = self._scatter_all("topk", (queries, nonnegative))
         merged = []
         stats: list[dict] = [

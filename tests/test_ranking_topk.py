@@ -12,13 +12,16 @@ it replaces.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import DomainError
+from repro.core.errors import AgedOutError, DomainError
 from repro.core.types import Box
+from repro.concurrent import SnapshotCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
@@ -332,3 +335,52 @@ class TestPruningCharges:
             assert stats["materialized"] < stats["cells"]
         finally:
             cube.close()
+
+
+class TestShardedRetirement:
+    """A sharded top-k refuses what the unsharded oracle refuses.
+
+    Cell (1, 1) gets times 0-4, 6 and 7 and cell (6, 6) time 5, so after
+    ``retire_before(6)`` the instance at 5 is the cube's boundary: the
+    shard without it keeps 4 as its own, older boundary and could still
+    rank a window whose lower prefix needs 4.
+    """
+
+    @staticmethod
+    def _load(cube) -> None:
+        for time in range(8):
+            cube.update_many([(time, 6, 6) if time == 5 else (time, 1, 1)], [1])
+        cube.retire_before(6)
+
+    @staticmethod
+    def _outcome(rank):
+        try:
+            return rank()
+        except AgedOutError:
+            return AgedOutError
+
+    @pytest.mark.parametrize("processes", [False, True], ids=["inline", "processes"])
+    def test_a_window_before_the_boundary_is_refused_as_the_oracle_does(
+        self, processes
+    ):
+        oracle = SnapshotCube(BufferedEvolvingDataCube((8, 8)))
+        self._load(oracle)
+        with ShardedCube((8, 8), shards=2, processes=processes) as cube:
+            self._load(cube)
+            with pytest.raises(AgedOutError):
+                TopKEngine(oracle).topk_many([(5, 100, 2)])
+            with pytest.raises(AgedOutError):
+                cube.topk_many([(5, 100, 2)])
+            differ = []
+            for t1, t2, k, nonnegative in itertools.product(
+                range(-2, 10), range(-2, 10), (-1, 0, 1, 3), (True, False)
+            ):
+                query = [(t1, t2, k)]
+                engine = TopKEngine(oracle, nonnegative=nonnegative)
+                expected = self._outcome(lambda: engine.topk_many(query))
+                got = self._outcome(
+                    lambda: cube.topk_many(query, nonnegative=nonnegative)
+                )
+                if got != expected:
+                    differ.append((t1, t2, k, nonnegative))
+            assert differ == []

@@ -105,6 +105,42 @@ class TestSoundBounds:
                 boxes, mode="fast"
             ) == tiered.query_many_approx(boxes, mode="metered")
 
+    @settings(max_examples=30)
+    @given(workload=demoted_workloads())
+    def test_batch_matches_the_one_prefix_rule(self, workload):
+        """The batch pass against a box-by-box reference: each prefix
+        estimated alone (:func:`estimate_prefix`) or read exactly from
+        the oracle, combined by interval arithmetic.  Bounds are equal;
+        the estimate may differ in the last bits (another sum order)."""
+        updates, horizon, boxes = workload
+        with tempfile.TemporaryDirectory() as tmp:
+            oracle, tiered = _paired_cubes(Path(tmp), updates)
+            tiered.demote_before(horizon)
+            directory = tiered.cube.directory  # G_d drained by the demote
+            watermark = tiered.demoted_through
+
+            def term(prefix, lower, upper) -> Estimate:
+                floor = directory.floor_index(prefix)
+                if floor < 0:
+                    return Estimate.of(0)
+                time = int(directory.at_index(floor)[0])
+                if watermark is None or time >= watermark:
+                    box = Box((0, *lower), (prefix, *upper))
+                    return Estimate.of(oracle.query_many([box])[0])
+                brackets = bracket_prefix(
+                    tiered.tiers, time, tiered._last_time, tiered._last_ps
+                )
+                return estimate_prefix(*brackets, time, lower, upper)
+
+            for box, got in zip(boxes, tiered.query_many_approx(boxes)):
+                lower, upper = box.lower[1:], box.upper[1:]
+                plus = term(box.upper[0], lower, upper)
+                minus = term(box.lower[0] - 1, lower, upper)
+                assert (got.lo, got.hi) == (plus.lo - minus.hi, plus.hi - minus.lo)
+                assert got.estimate == pytest.approx(
+                    plus.estimate - minus.estimate, rel=1e-12, abs=1e-9
+                )
+
     def test_exact_when_prefix_floors_on_retained_boundary(self, tmp_path):
         # one update at every instant: occurring times are dense, so a
         # bucket boundary (granularity 4 -> times 3, 7, 11, ...) is

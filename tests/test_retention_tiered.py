@@ -19,6 +19,7 @@ from repro.core.types import Box
 from repro.durability import DurableCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
+from repro.metrics import CostCounter, CostSnapshot
 from repro.retention import TieredCube, TierPolicy
 from repro.workloads import weather4
 
@@ -157,6 +158,61 @@ class TestDifferentialOracle:
         tiered.update_many(points, deltas)
         tiered.demote_before(t_max - 3)
         assert tiered.resident_slice_bytes() < plain.resident_slice_bytes()
+
+
+class TestMeteredCharges:
+    """Metered tiered reads charge what a box-by-box plan charges.
+
+    The numbers were recorded from that plan: a box with no demoted
+    prefix goes to the front whole, any other is its two prefixes, and
+    the front sees them box by box, ``+`` before ``-``.
+    """
+
+    #: (t1, t2) per kind; instants 10..18 are demoted, 19..30 live, and
+    #: ``G_d`` holds late data at 5 (before all history), 14, 17 and 25
+    SPANS = [
+        (22, 28), (21, 30), (20, 20),  # whole boxes on live instants
+        (12, 26), (15, 24), (4, 19),  # split: a live + prefix (4: none below)
+        (6, 12), (5, 25),  # a - prefix seen only through G_d (5: none)
+        (11, 17), (13, 18),  # both prefixes demoted
+    ]  # fmt: skip
+
+    @staticmethod
+    def _fill(front) -> None:
+        rng = np.random.default_rng(5)
+        for time in range(10, 31):
+            cells = np.column_stack([rng.integers(0, n, 4) for n in (6, 5)])
+            points = [(time, *cell) for cell in cells.tolist()]
+            front.update_many(points, [1, 2, 3, 4], mode="metered")
+
+    def _boxes(self) -> list[Box]:
+        rng = np.random.default_rng(8)
+        boxes = []
+        for t1, t2 in self.SPANS:
+            for _ in range(4):
+                lower = [int(rng.integers(0, n)) for n in (6, 5)]
+                upper = [int(rng.integers(lo, n)) for lo, n in zip(lower, (6, 5))]
+                boxes.append(Box((t1, *lower), (t2, *upper)))
+        return boxes
+
+    def test_a_mixed_batch_charges_the_recorded_costs(self, tmp_path):
+        counter = CostCounter()
+        front = BufferedEvolvingDataCube((6, 5), counter=counter)
+        tiers = [{"name": "c", "granularity": 4, "horizon": None}]
+        tiered = TieredCube(front, tiers, tmp_path)
+        oracle = BufferedEvolvingDataCube((6, 5))
+        late = [(5, 0, 0), (14, 1, 2), (25, 3, 3), (17, 2, 1), (28, 5, 4)]
+        for cube in (tiered, oracle):
+            self._fill(cube)
+        tiered.demote_before(20)
+        for cube in (tiered, oracle):
+            cube.update_many(late, [7, 4, 2, 5, 1], mode="metered")
+        boxes = self._boxes()
+        node_accesses, before = front.buffer.node_accesses, counter.snapshot()
+        answers = tiered.query_many(boxes, mode="metered")
+        assert counter.snapshot() - before == CostSnapshot(cell_reads=271)
+        assert front.buffer.node_accesses - node_accesses == 60
+        assert answers == oracle.query_many(boxes) == tiered.query_many(boxes)
 
 
 class TestTierPolicy:

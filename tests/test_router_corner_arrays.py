@@ -25,7 +25,6 @@ from repro.core.types import Box, as_boxes
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.retention import TieredCube
 from repro.sharding import GridPartitioner, ShardClient, ShardedCube, leaked_segments
-from repro.sharding.router import WorkerHandle
 
 from .test_shard_server import _ServerThread
 
@@ -301,7 +300,8 @@ def box_count(monkeypatch):
 
 def test_no_box_is_built_serving_a_batch_over_the_wire(served, box_count):
     """Wire decode, checks, mask split and shard clip in this process; with
-    process shards the worker rows run elsewhere, inline ones here."""
+    process shards the worker rows run elsewhere, inline ones here --
+    the tiered exact and approximate reads among them."""
     fleet, _, dense = served
     corners = np.array(
         [[[0, -2, 0], [TIMES, 6, 5]], [[3, 1, 1], [DEMOTE - 2, 5, 4]],
@@ -314,11 +314,9 @@ def test_no_box_is_built_serving_a_batch_over_the_wire(served, box_count):
             assert box_count[0] == 0
             assert fleet.query_many(corners) == _brute(dense, corners)
             assert box_count[0] == 0
-            if isinstance(fleet.router.handles[0], WorkerHandle):
-                # TieredCube's approximate plan walks boxes, in the worker
-                client.query_many_approx(corners)
-                fleet.query_many_approx(corners)
-                assert box_count[0] == 0
+            client.query_many_approx(corners)
+            fleet.query_many_approx(corners)
+            assert box_count[0] == 0
             assert client.query(LIVE) == _brute(dense, np.array([LIVE]))[0]
             assert box_count[0] == 1  # the query op decodes its one Box
 

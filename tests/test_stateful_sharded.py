@@ -42,6 +42,8 @@ from repro.concurrent import SnapshotCube
 from repro.core.errors import AgedOutError
 from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ranking import TopKEngine
+from repro.retention import Estimate
 from repro.sharding import ShardedCube, leaked_segments
 
 from .conftest import random_box
@@ -141,9 +143,36 @@ class Model:
             else:
                 answerable.append(box)
         assert self.cube.query_many(answerable) == self.oracle.query_many(answerable)
+        # a box no prefix of which is demoted has an exact estimate
+        demoted = self.cube.router.demote_boundary
+        live = [
+            box
+            for box in answerable
+            if demoted is None or min(box.upper[0], box.lower[0] - 1) >= demoted
+        ]
+        assert self.cube.query_many_approx(live) == [
+            Estimate.of(value) for value in self.oracle.query_many(live)
+        ]
+        self.check_topk()
         assert self.cube.total() == self.oracle.total()
         if not self.processes:
             self.check_time_state()
+
+    def check_topk(self) -> None:
+        """Top-k over windows anywhere in time, retired ones included; the
+        drawn deltas can be negative, so nothing is declared non-negative."""
+        oracle = TopKEngine(self.oracle, nonnegative=False)
+        for _ in range(3):
+            t1 = int(self.rng.integers(-2, NUM_TIMES))
+            t2 = int(self.rng.integers(t1 - 1, NUM_TIMES + 2))
+            query = [(t1, t2, int(self.rng.integers(0, 5)))]
+            try:
+                expected = oracle.topk_many(query)
+            except AgedOutError:
+                with pytest.raises(AgedOutError):
+                    self.cube.topk_many(query, nonnegative=False)
+            else:
+                assert self.cube.topk_many(query, nonnegative=False) == expected
 
     def check_time_state(self) -> None:
         """The router's time state is what the shards hold, no more."""
