@@ -72,7 +72,9 @@ loc:
 # `local_box`, the per-box reference clip, is exempt), no read of the
 # retention or sharding layers walks a batch as Box objects (no as_boxes
 # there: tiered reads are one array pass), and the sharded front runs one
-# mode, fast: no "metered" in its router, worker or wire ops.
+# mode, fast: no "metered" in its router, worker or wire ops; and every
+# shm row block is made by the one helper that applies the width rule
+# (EpochExporter._row: int64 while writable, else its values' width).
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -95,4 +97,7 @@ probes:
 		src/repro/sharding/partition.py | grep -nE 'as_boxes|Box\('
 	@! grep -n 'metere[d]' src/repro/sharding/router.py src/repro/sharding/worker.py \
 		src/repro/sharding/ops.py
+	@! grep -rn 'create({"p[s]"' src/repro --exclude=shm.py
+	@! awk '/    def _row\(/ {on = 1; next} on && /^    (def |# )/ {on = 0} !on' \
+		src/repro/sharding/shm.py | grep -n 'create({"p[s]"'
 	@echo "probes: none"

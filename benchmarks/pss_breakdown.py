@@ -9,12 +9,16 @@ them a third time.  It prints the proportional set size per process and
 per mapping class (``[heap]``, anonymous, ``/dev/shm``, numpy, python,
 other libraries) for each phase.  ``server_pss_mb`` of the serving
 benchmark is the sum of these tables; this script says which class of
-which process a change moved.  Before each loaded and recovered reading
-a box corner lands on every row, as a long read workload would touch
-them.
+which process a change moved.  Beside each table it counts the history
+rows the workers publish, per width (a row is stored at the narrowest
+signed width that holds its values), with their ``/dev/shm`` bytes and
+what the same rows would take at int64.  Before each loaded and
+recovered reading a box corner lands on every row, as a long read
+workload would touch them.
 
 Exit status 1 when the workers' ``[heap]`` + anonymous growth over idle,
-loaded or recovered, exceeds half the bytes of the history loaded: a
+loaded or recovered, exceeds half the bytes of the history loaded (at
+int64, whatever width its rows are published at): a
 process shard holds its history once, in the shared-memory rows it
 publishes (:mod:`repro.sharding.shm`), not a second time on its heap --
 and a recovered shard publishes its log tail as it replays it.
@@ -33,7 +37,9 @@ import tempfile
 
 import numpy as np
 
-from repro.sharding import ShardClient
+from repro.sharding import ShardClient, leaked_segments
+from repro.sharding.partition import GridPartitioner
+from repro.sharding.shm import SHM_PREFIX
 
 SHAPE = (32, 32, 8)
 PER_SLICE = 320  # updates per occurring time
@@ -97,6 +103,46 @@ def _total(rows: dict[str, dict[str, int]]) -> int:
     return sum(sum(row.values()) for row in rows.values())
 
 
+def published_rows(workers: set[int]) -> dict[int, list[int]]:
+    """Per width in bytes, ``[rows, /dev/shm bytes]`` of the row blocks the
+    ``workers`` publish.  A block is named ``<prefix>-s<shard>-<pid>-<n>``;
+    a row block is one array of the shard's cells, so its size is the
+    cell count times the width (a frontier block holds more)."""
+    cells = {
+        f"s{extent.shard_id}": math.prod(extent.shape)
+        for extent in GridPartitioner.for_shards(SHAPE, 2).extents
+    }
+    widths: dict[int, list[int]] = {}
+    for name in leaked_segments():
+        tag, pid, _ = name[len(SHM_PREFIX) + 1 :].rsplit("-", 2)
+        if tag not in cells or int(pid) not in workers:
+            continue
+        try:
+            size = os.stat(f"/dev/shm/{name}").st_size
+        except FileNotFoundError:
+            continue  # unlinked while we looked
+        width, rest = divmod(size, cells[tag])
+        if not rest and width in (1, 2, 4, 8):
+            held = widths.setdefault(width, [0, 0])
+            held[0] += 1
+            held[1] += size
+    return widths
+
+
+def _rows_line(widths: dict[int, list[int]]) -> None:
+    rows = sum(count for count, _ in widths.values())
+    size = sum(size for _, size in widths.values())
+    at_int64 = sum(size * 8 // width for width, (_, size) in widths.items())
+    parts = ", ".join(
+        f"int{8 * width} {count} ({size / MIB:.2f} MiB)"
+        for width, (count, size) in sorted(widths.items())
+    )
+    print(
+        f"rows published: {parts or 'none'}; all {rows} rows {size / MIB:.2f} MiB "
+        f"in /dev/shm ({at_int64 / MIB:.2f} MiB at int64)"
+    )
+
+
 class Server:
     """``python -m repro serve`` on ``durable_dir``: its processes, its port."""
 
@@ -129,6 +175,8 @@ class Server:
     def measure(self, title: str) -> dict[str, dict[str, int]]:
         rows = {name: pss_by_class(pid) for name, pid in self.pids.items()}
         _table(title, rows)
+        workers = {pid for name, pid in self.pids.items() if name != "router"}
+        _rows_line(published_rows(workers))
         return rows
 
     def stop(self) -> None:

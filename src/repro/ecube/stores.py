@@ -43,9 +43,13 @@ def _adopt_array(raw, dtype) -> np.ndarray:
     :mod:`repro.storage.mmap_npz`) is adopted as-is -- the owning store
     promotes it to a heap copy on first write.  A writable input is
     copied, preserving the no-aliasing contract of dict-based
-    ``state_arrays``/``restore_state`` round trips.
+    ``state_arrays``/``restore_state`` round trips.  An input of another
+    dtype (a row a process shard published narrow,
+    :mod:`repro.sharding.shm`) is converted, in its one copy.
     """
-    array = np.asarray(raw, dtype=dtype)
+    array = np.asarray(raw)
+    if array.dtype != dtype:
+        return array.astype(dtype)
     return array if not array.flags.writeable else array.copy()
 
 
@@ -362,7 +366,12 @@ class DenseStore(ArrayCacheStore):
     def adopt_row(self, payload, row: np.ndarray) -> None:
         """The published prefix-sum ``row`` becomes the slice, read-only:
         complete and fully PS from here on -- historic content is final, so
-        no lazy copy or conversion finds a cell to write -- and off the heap."""
+        no lazy copy or conversion finds a cell to write -- and off the heap.
+
+        ``row`` may be narrower than int64 (a row is published at the width
+        of its values): a slice is narrow only while it is read-only, and
+        every path that makes it writable widens it to int64 once
+        (:meth:`_promote`, :meth:`clone_payload`, :meth:`restore_slice`)."""
         row.flags.writeable = False
         payload.mut_version += 1
         payload.values, payload.ps_flags = row, self._all_ps
@@ -384,8 +393,10 @@ class DenseStore(ArrayCacheStore):
         heap-copied, so the archive is never written through.  An adopted
         slice is a published row that epochs cite: a correction writes
         into its *successor* (:attr:`successor_row`), which the next
-        publication seals and cites with no further copy; the flags of a
-        fully PS slice are never written, so they stay the shared array.
+        publication seals and cites (or re-publishes narrow); the flags of
+        a fully PS slice are never written, so they stay the shared array.
+        Either way the writable copy is int64, whatever the width of the
+        row it was copied from: the copy is the one widening.
         """
         values = payload.values
         if values is None or values.flags.writeable:
@@ -393,7 +404,7 @@ class DenseStore(ArrayCacheStore):
         if self.successor_row is not None and payload.ps_flags is self._all_ps:
             payload.values = self.successor_row(values)
         else:
-            payload.values = values.copy()
+            payload.values = values.astype(np.int64)
             payload.ps_flags = payload.ps_flags.copy()
 
     def slice_peek(self, payload, cell) -> int:
@@ -425,7 +436,9 @@ class DenseStore(ArrayCacheStore):
         self._promote(payload)
         payload.mut_version += 1
         try:
-            payload.values[cell] = int(payload.values[cell]) + delta
+            # an array add: int64 wraps as a ring (the sum of a Python int
+            # would not fit back once the prefix sums wrapped)
+            np.add.at(payload.values, cell, delta)
         finally:
             payload.mut_version += 1
 
@@ -442,10 +455,12 @@ class DenseStore(ArrayCacheStore):
                 payload.mut_version += 1
 
     def clone_payload(self, floor_payload) -> DenseSlice:
+        """A writable copy of ``floor_payload`` (a splice's new instance):
+        int64, also when the floor is a narrow published row."""
         payload = self.new_slice()
         if floor_payload is not None:
             floor_values, floor_flags = floor_payload.data()
-            payload.values = floor_values.copy()
+            payload.values = floor_values.astype(np.int64)
             payload.ps_flags = floor_flags.copy()
             payload.ps_count = floor_payload.ps_count
         return payload
@@ -460,6 +475,8 @@ class DenseStore(ArrayCacheStore):
             arrays[f"slice_{index}_flags"] = payload.ps_flags
 
     def restore_slice(self, index: int, arrays) -> DenseSlice:
+        """A checkpointed slice: int64 values, read-only archive views
+        adopted as they are, a narrow published row widened in one copy."""
         payload = self.new_slice()
         if f"slice_{index}_retired" in arrays:
             payload.retire()

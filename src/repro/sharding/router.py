@@ -573,6 +573,9 @@ class ShardRouter:
         for positions, reply in self._scatter_boxes("approx", corners):
             estimates[positions] += [e for e, _, _ in reply]
             bounds[positions] += [(lo, hi) for _, lo, hi in reply]
+        # a float sum can round out of the exact integer interval (an exact
+        # answer near 2^62 summed from two shards): clamp it back in
+        estimates = np.clip(estimates, bounds[:, 0], bounds[:, 1])
         return list(map(Estimate, estimates.tolist(), *bounds.T.tolist()))
 
     def query_approx(self, box: Box):

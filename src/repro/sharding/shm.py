@@ -23,15 +23,26 @@ move its *representation*.  So the exporter publishes content, once:
   place and never normalizes history.  The (dense) store then
   *adopts* the row (:meth:`~repro.ecube.stores.DenseStore.adopt_row`):
   the slice becomes a read-only view of the block, its heap arrays go.
+* a row is stored at the narrowest signed width -- 1, 2, 4 or 8 bytes --
+  that holds its minimum and maximum (:func:`row_dtype`): history is
+  immutable, so nothing ever writes a value that does not fit.  The
+  block's meta carries the dtype; every reader widens to int64 where it
+  gathers (the batch evaluator's corner buffer is int64), never
+  computing on a narrow array.  Every slice a correction can write is
+  int64: the store widens a narrow row exactly once when it makes the
+  slice writable (:meth:`~repro.ecube.stores.DenseStore._promote`,
+  ``clone_payload``, ``restore_slice``).  :meth:`EpochExporter._row` is
+  the one place a row block is created, so every row obeys this rule.
 * a row is replaced only when its content moves: an out-of-order
   correction or splice reaching instance ``i`` (reported through
   :meth:`SnapshotCube.preserve_epochs`) replaces the rows at and above
   ``i``; retirement only drops rows.  An adopted row is replaced
   copy-on-write: the correction promotes the slice into a *successor
-  row*, a fresh block it writes in place, and the next export *seals*
-  it (read-only, cited as it stands: no freeze, sweep or second block)
-  or, its slice gone, unlinks it.  Anything else (a spliced-in clone, an
-  archive view) is swept into a new row.
+  row*, a fresh int64 block it writes in place, and the next export
+  *seals* it -- read-only, cited as it stands when its values still need
+  int64, else re-published at their width and re-adopted -- or, its
+  slice gone, unlinks it.  Anything else (a spliced-in clone, an archive
+  view) is swept into a new row.
 * one *frontier block* per epoch, holding the occurring-time directory,
   the frozen cache values (the latest instance's DDC array) and the
   ``G_d`` columns.
@@ -89,6 +100,19 @@ _BLOCK_NAME = re.compile(rf"^{SHM_PREFIX}-(?:.*-)?(?!\d*-)[^-]+-(\d+)-\d+$")
 #: Historic instances normalized per sweep when many are exported at once
 #: (a recovered cube's first epoch): bounds the transient stack.
 _ROWS_PER_SWEEP = 64
+
+#: The widths a published row may take, narrowest first.
+_ROW_DTYPES = tuple(np.dtype(f"i{width}") for width in (1, 2, 4, 8))
+
+
+def row_dtype(row: np.ndarray) -> np.dtype:
+    """The narrowest signed integer dtype holding every value of ``row``."""
+    low, high = (int(row.min()), int(row.max())) if row.size else (0, 0)
+    for dtype in _ROW_DTYPES[:-1]:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype
+    return _ROW_DTYPES[-1]
 
 
 class _Segment:
@@ -384,20 +408,33 @@ class EpochExporter:
         }
         return self._last
 
+    def _row(self, values: np.ndarray, dtype: np.dtype) -> tuple[str, list, np.ndarray]:
+        """A new row block holding ``values`` as ``dtype``: ``(name, metas,
+        row)``.  The only creator of row blocks: each is int64 while it is
+        writable and published at :func:`row_dtype`'s width otherwise."""
+        name, metas, views = self.owner.create({"ps": values.astype(dtype, copy=False)})
+        return name, metas, views["ps"]
+
     def _successor(self, values: np.ndarray) -> np.ndarray:
-        """The store's ``successor_row``: a writable copy in a block of its own."""
-        name, metas, views = self.owner.create({"ps": values})
-        self._unsealed[id(views["ps"])] = (name, metas, views["ps"])
-        return views["ps"]
+        """The store's ``successor_row``: a writable int64 copy in a block of
+        its own (a correction writes into it)."""
+        held = self._row(values, np.dtype(np.int64))
+        self._unsealed[id(held[2])] = held
+        return held[2]
 
     def _seal_rows(self, indices: list[int]) -> None:
-        """Cite, read-only, each successor row still in place; unlink the rest."""
+        """Cite, read-only, each successor row still in place -- re-published
+        at its values' width when that is narrower -- and unlink the rest."""
         unsealed, self._unsealed = self._unsealed, {}
         directory = self.snap.kernel.directory
         for index in indices if unsealed else ():
             _, payload = directory.at_index(index)
-            if id(payload.values) in unsealed and self._store.seal(payload):
-                self._rows[index] = unsealed.pop(id(payload.values))[:2]
+            row = payload.values
+            if id(row) in unsealed and self._store.seal(payload):
+                if row_dtype(row) == row.dtype:
+                    self._rows[index] = unsealed.pop(id(row))[:2]
+                else:  # re-adopted narrow; the successor is unlinked below
+                    self.normalised(index, row)
         for name, _, _ in unsealed.values():
             self.owner.decref(name)
 
@@ -457,10 +494,10 @@ class EpochExporter:
         return epoch.cache_values, epoch.cache_stamps
 
     def normalised(self, index: int, ps_row: np.ndarray) -> None:
-        name, metas, views = self.owner.create({"ps": ps_row})
+        name, metas, row = self._row(ps_row, row_dtype(ps_row))
         self._rows[index] = (name, metas)
         _, payload = self.snap.kernel.directory.at_index(index)
-        self._store.adopt_row(payload, views["ps"])
+        self._store.adopt_row(payload, row)
 
     # -- release ---------------------------------------------------------------
 
@@ -484,9 +521,11 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
     """Rebuild a detached :class:`Epoch` from an exported descriptor.
 
     The arrays are read-only views straight into the shared blocks -- no
-    copies; every historic instance arrives as a finished prefix-sum row,
-    so preparing and querying the epoch never touches a kernel and
-    normalizes nothing but the epoch-latest instance.
+    copies, each at the dtype its meta names (a row may be narrower than
+    int64; the evaluator widens as it gathers); every historic instance
+    arrives as a finished prefix-sum row, so preparing and querying the
+    epoch never touches a kernel and normalizes nothing but the
+    epoch-latest instance.
     """
     frontier = cache.arrays(*descriptor["frontier"])
     epoch = Epoch(

@@ -48,6 +48,7 @@ from repro.sharding.shm import (
     BlockOwner,
     descriptor_blocks,
     epoch_from_shared_memory,
+    row_dtype,
     unlink_orphaned,
 )
 from repro.storage.mmap_npz import open_checkpoint
@@ -216,11 +217,17 @@ class TestExportCounts:
         historic = len(times) - 1 + splice
         assert sorted(new) == list(range(historic))
         assert [new[i] for i in range(4)] == [old[i] for i in range(4)]
-        # successor rows are born in the cascade, a spliced clone's row at
-        # the export: which rows, not in which order
+        # int64 successor rows are born in the cascade, one per promoted
+        # instance; the export re-publishes each at its values' width (and
+        # unlinks it) and sweeps a spliced clone into a row: which rows,
+        # not in which order
         assert created[-1] == after["frontier"][0]
-        assert sorted(created[:-1]) == sorted(new[i] for i in range(4, historic))
+        successors, published = _split_created(created, historic - 4)
+        assert sorted(published) == sorted(new[i] for i in range(4, historic))
+        assert len(successors) == historic - 4 - splice
+        assert not set(successors) & set(leaked_segments())
         assert not set(created) & set(old.values())
+        _assert_history_is_the_published_rows(rig, after)
         boxes = _boxes(rig)
         assert rig.answers(after, boxes) == rig.expected(boxes)
 
@@ -239,9 +246,14 @@ class TestExportCounts:
         assert len(new) == len(old) + 2
         assert [new[i] for i in range(3)] == [old[i] for i in range(3)]
         # three cascades, newest first: a slice is promoted by the first one
-        # that reaches it and corrected in place by the others
+        # that reaches it and corrected in place by the others; the export
+        # publishes the rows from 3 up, each at its width, and unlinks the
+        # successors it re-published narrow
         assert created[-1] == after["frontier"][0]
-        assert sorted(created[:-1]) == sorted(new[i] for i in range(3, len(new)))
+        successors, published = _split_created(created, len(new) - 3)
+        assert sorted(published) == sorted(new[i] for i in range(3, len(new)))
+        assert successors and not set(successors) & set(leaked_segments())
+        _assert_history_is_the_published_rows(rig, after)
         boxes = _boxes(rig)
         assert rig.answers(after, boxes) == rig.expected(boxes)
 
@@ -259,11 +271,36 @@ class TestExportCounts:
         kept_row, lost_row = kept.values, lost.values
         descriptor, _ = rig.export()
         new = _rows(descriptor)
-        # the sealed successor is cited as it stands; the other is unlinked
-        # and its slice swept into (and adopted as) a row of its own
-        assert kept.values is kept_row and new[2] == successors[id(kept_row)]
+        # the sealed successor's values fit a narrower width: re-published
+        # at it and re-adopted, the int64 successor unlinked; the other is
+        # unlinked and its slice swept into (and adopted as) a row of its own
+        assert kept.values is not kept_row
+        assert np.array_equal(kept.values, kept_row)
+        assert kept.values.dtype.itemsize < 8 and new[2] != successors[id(kept_row)]
         assert lost.values is not lost_row and new[3] != successors[id(lost_row)]
-        assert successors[id(lost_row)] not in leaked_segments()
+        assert not {successors[id(kept_row)], successors[id(lost_row)]} & set(
+            leaked_segments()
+        )
+        _assert_history_is_the_published_rows(rig, descriptor)
+        boxes = _boxes(rig)
+        assert rig.answers(descriptor, boxes) == rig.expected(boxes)
+
+    def test_a_successor_that_needs_int64_is_cited_as_it_stands(self, rig_factory):
+        rig = rig_factory(buffered=False)
+        for time in range(6):
+            rig.write([time] * 5)
+        rig.export()
+        rig.snap.apply_out_of_order((2, 1, 1), 2**40)
+        rig.dense[2, 1, 1] += 2**40
+        kept = rig.kernel.directory.at_index(2)[1]
+        kept_row = kept.values
+        assert kept_row.dtype == np.int64 and kept_row.flags.writeable
+        descriptor, created = rig.export()
+        # sealed, not copied: each instance the correction reached (2 to
+        # 4) is cited as its own int64 successor, and no other row is made
+        assert kept.values is kept_row and not kept_row.flags.writeable
+        new = _rows(descriptor)
+        assert created == [new[2], new[3], new[4], descriptor["frontier"][0]]
         _assert_history_is_the_published_rows(rig, descriptor)
         boxes = _boxes(rig)
         assert rig.answers(descriptor, boxes) == rig.expected(boxes)
@@ -426,8 +463,16 @@ class TestExportCounts:
 # -- history lives once: the structural invariant, under any history ------------
 
 
+def _split_created(created: list[str], rows: int) -> tuple[list[str], list[str]]:
+    """``(successors, rows published)`` of one correction and its export:
+    the successors are born in the cascade, before the export creates its
+    ``rows`` rows and then the frontier block."""
+    return created[: -1 - rows], created[-1 - rows : -1]
+
+
 def _assert_history_is_the_published_rows(rig, descriptor) -> None:
-    """Every resident historic slice *is* the row the descriptor cites."""
+    """Every resident historic slice *is* the row the descriptor cites,
+    stored at the narrowest width that holds its values."""
     kernel, store = rig.kernel, rig.kernel.store
     first = kernel.retired_instances
     cited = _rows(descriptor)
@@ -435,6 +480,7 @@ def _assert_history_is_the_published_rows(rig, descriptor) -> None:
     for index, name in cited.items():
         _, payload = kernel.directory.at_index(index)
         assert not payload.values.flags.writeable
+        assert payload.values.dtype == row_dtype(payload.values)
         assert not payload.ps_flags.flags.writeable and payload.ps_flags.all()
         assert payload.ps_count == payload.values.size
         metas = descriptor["slices"][index - first][2]
