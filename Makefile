@@ -72,9 +72,12 @@ loc:
 # `local_box`, the per-box reference clip, is exempt), no read of the
 # retention or sharding layers walks a batch as Box objects (no as_boxes
 # there: tiered reads are one array pass), and the sharded front runs one
-# mode, fast: no "metered" in its router, worker or wire ops; and every
-# shm row block is made by the one helper that applies the width rule
-# (EpochExporter._row: int64 while writable, else its values' width).
+# mode, fast: no "metered" in its router, worker or wire ops; every
+# shm row block is made by the one helper, EpochExporter._row (the
+# store's row allocator while attached); and served history has one
+# representation, published rows nobody writes: no seqlock (mut_version),
+# no slice freeze (freeze_slice, _slice_arrays) anywhere, and no mixed
+# slice a snapshot epoch reads (MIXED in concurrent/snapshot.py).
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -90,7 +93,9 @@ probes:
 	@! grep -n '^from repro.trees' src/repro/core/out_of_order.py
 	@! grep -nE "WAL_FORMAT_VERSION = [12]([^0-9]|$$)|_SPAN_WIDT[H]" src/repro/durability/wal.py
 	@! grep -rnE 'build_kerne[l]|adopts_row[s]|"--backen[d]"' src/repro
-	@! grep -nE 'mut_versio[n]|freeze_slic[e]|snapshot_slic[e]' src/repro/ecube/disk.py src/repro/ecube/sparse.py
+	@! grep -nE 'snapshot_slic[e]' src/repro/ecube/disk.py src/repro/ecube/sparse.py
+	@! grep -rnE 'mut_versio[n]|freeze_slic[e]|_slice_array[s]' src/repro
+	@! grep -n 'MIXE[D]' src/repro/concurrent/snapshot.py
 	@! grep -nE 'as_boxes|Box\(' src/repro/sharding/router.py
 	@! grep -rn 'as_boxes' src/repro/retention src/repro/sharding
 	@! awk '/def local_boxes\(/ {on = 1; next} on && /^    (def |# )/ {on = 0} on' \

@@ -1,10 +1,10 @@
 """Snapshot-isolated concurrent query serving over the eCube kernel.
 
 The append-only structure of the paper's evolving data cube makes
-snapshot isolation cheap: published instances never change their
-answers, so an epoch only has to freeze the mutable frontier (cache,
-directory, ``G_d`` columns).  See :mod:`repro.concurrent.snapshot` for
-the design notes.
+snapshot isolation cheap: a historic instance never changes its answers,
+so publication finishes it into an immutable row once and an epoch only
+copies the mutable frontier (cache values, directory, ``G_d`` columns).
+See :mod:`repro.concurrent.snapshot` for the design notes.
 """
 
 from repro._exports import exports

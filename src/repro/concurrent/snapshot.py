@@ -1,52 +1,59 @@
 """Snapshot-isolated concurrent reads over the dense cube kernel.
 
 Only :class:`~repro.ecube.stores.DenseStore` has the hooks this module
-reads (``freeze_cache``, ``freeze_slice`` and the ``DenseSlice``
-seqlock); a snapshot over a paged or sparse kernel is refused when it is
-built (:func:`repro.core.front.layers`).
+uses (``freeze_cache``, ``adopt_row``, ``seal`` and ``new_row``); a
+snapshot over a paged or sparse kernel is refused when it is built
+(:func:`repro.core.front.layers`).
 
-The eCube is append-only: a published historic instance never changes its
-*answers* again -- later kernel work against it is either answer-neutral
-(lazy copies landing, DDC cells converting to PS, whole-slice finalize)
-or an explicitly out-of-order correction, which the paper routes through
-``G_d`` precisely so the instances stay immutable.  That makes snapshot
-isolation almost free:
+The eCube is append-only: a historic instance's *content* is final the
+moment a newer time occurs (Section 2) -- lazy copies landing and DDC
+cells converting to PS only move its representation, and the
+answer-changing exceptions (out-of-order corrections, splices) are routed
+through ``G_d`` or explicit cascades.  Serving takes the θ = 1 end of
+Sections 3.2-3.3 and finishes each instance once, when it becomes
+historic, so that nothing a reader holds is ever written:
 
 * The writer publishes an immutable :class:`Epoch` after every logical
   write (one per public kernel entry point; multi-step logical writes
   such as a drain defer publication with
   :meth:`~repro.ecube.kernel.CubeKernel.publish_barrier`).  Publication
-  freezes only the *mutable frontier*: the cache array with its per-cell
-  stamps, the occurring-time directory and the ``G_d`` columns --
-  O(cache) work, independent of history length.  A copy-on-publish
-  watermark (``CubeKernel.epoch_version``) skips even that when only the
-  buffer changed.
-* Readers :meth:`~SnapshotCube.pin` an epoch and answer range queries
-  without locks.  Historic slice content is read straight from live
-  storage under a per-slice seqlock (mutation counters around the few
-  answer-neutral in-place transforms); the frozen stamps route every
-  cell exactly as the kernel would have at publication time.
-* The rare answer-*changing* historic mutations (out-of-order
-  application, splicing a never-occurring time, data-aging retirement)
-  first call :meth:`SnapshotCube.preserve_epochs`, which materializes
-  every live epoch's historic slices into private overlays -- after
-  that the epochs are self-contained and the writer may rewrite
-  history freely.
+  first finishes history: each instance that became historic since the
+  last epoch is swept DDC -> PS
+  (:func:`~repro.ecube.fastpath._prefix_sum_rows`; a slice holding a
+  converted cell whose DDC value is lost is walked cell by cell), stored
+  as a read-only *row* at the narrowest width that holds its values
+  (:func:`~repro.ecube.stores.row_dtype`) and adopted by the store: the
+  slice *is* the row from then on, and what the cache still owed it is
+  void (``sync_copies``).  Then it copies the mutable frontier: the
+  cache values (the latest instance's DDC array), the occurring-time
+  directory and the ``G_d`` columns.  A copy-on-publish watermark
+  (``CubeKernel.epoch_version``) skips all of it when only the buffer
+  changed.
+* Rows come from the store's one allocator, ``DenseStore.new_row``:
+  heap arrays, or shared-memory blocks while an
+  :class:`~repro.sharding.shm.EpochExporter` is attached.
+* Readers :meth:`~SnapshotCube.pin` an epoch and answer without locks:
+  every historic instance is a row nobody writes, the latest one the
+  epoch's own copy of the cache.
+* A correction or splice never writes a row either: the store promotes
+  it copy-on-write into a *successor* (``new_row`` again), and the next
+  publication seals the successor (re-narrowed when its values fit a
+  narrower width) or sweeps its slice anew.  The kernel names the first
+  instance whose content moves (:meth:`SnapshotCube.note_rewrite`);
+  retirement only drops rows.
 
 Single-writer discipline: all mutating calls must come from one thread
 (the same discipline the WAL already imposes); the front forwards the
 record table's mutations and refuses those its stack lacks
-(:mod:`repro.core.front`).  Readers are pure -- they
-never charge the shared :class:`~repro.metrics.CostCounter`, never
-persist DDC->PS conversions and never touch the directory's metered
-lookup path, so metered golden costs are unchanged by concurrent
-serving.
+(:mod:`repro.core.front`).  Readers are pure -- they never charge the
+shared :class:`~repro.metrics.CostCounter` and never touch the
+directory's metered lookup path.  Publication is uncounted too, so
+metered golden costs are unchanged by concurrent serving.
 """
 
 from __future__ import annotations
 
 import threading
-import time as _time
 from collections.abc import Sequence
 
 import numpy as np
@@ -58,25 +65,32 @@ from repro.core.types import Box, box_array
 from repro.durability.wal import LOGGED
 from repro.ecube.fastpath import (
     DDC,
-    MIXED,
     PS,
-    FastSliceEngine,
+    _prefix_sum_rows,
+    slice_state,
     stacked_query_many,
 )
-from repro.ecube.slices import ECubeSliceEngine
+from repro.ecube.stores import row_dtype
 
-#: Seqlock spins between cooperative yields while a slice mutates.
-_SPINS_PER_YIELD = 64
+#: Historic instances normalized per sweep when many are published at
+#: once (a restored checkpoint's first epoch): bounds the transient stack.
+_ROWS_PER_SWEEP = 64
+
+
+def _frozen(array: np.ndarray | None) -> np.ndarray | None:
+    """``array``, read-only from here on (an epoch's own copy)."""
+    if array is not None:
+        array.flags.writeable = False
+    return array
 
 
 class Epoch:
     """One immutable published version of the cube's answerable state.
 
-    Everything answer-relevant that the writer may change in place is
-    frozen by value (cache values/stamps, occurring times, ``G_d``
-    columns); the bulk historic slice content stays shared with live
-    storage and is reached through :meth:`SnapshotView._slice_arrays`'s
-    seqlock, or through ``overlays`` once the epoch was preserved.
+    Nothing it cites is ever written: historic instances are published
+    rows, shared by every epoch that cites them; the cache values,
+    occurring times and ``G_d`` columns are the epoch's own read-only
+    copies.
     """
 
     __slots__ = (
@@ -88,12 +102,10 @@ class Epoch:
         "retired_below",
         "slice_shape",
         "cache_values",
-        "cache_stamps",
-        "overlays",
+        "rows",
         "gd_points",
         "gd_deltas",
         "pins",
-        "detached",
     )
 
     def __init__(
@@ -106,8 +118,7 @@ class Epoch:
         retired_below: int,
         slice_shape: tuple[int, ...],
         cache_values: np.ndarray | None,
-        cache_stamps: np.ndarray | None,
-        overlays: dict[int, tuple[np.ndarray, np.ndarray]],
+        rows: dict[int, np.ndarray],
         gd_points: np.ndarray | None,
         gd_deltas: np.ndarray | None,
     ) -> None:
@@ -118,28 +129,20 @@ class Epoch:
         self.times = times
         self.retired_below = retired_below
         self.slice_shape = slice_shape
+        #: the latest instance's DDC array
         self.cache_values = cache_values
-        self.cache_stamps = cache_stamps
-        #: slice index -> frozen ``(values, ps_flags)``, or ``(ps_row,
-        #: None)`` once a reader normalized the slice to prefix sums (the
-        #: epoch-latest index memoizes the converted cache the same way);
-        #: shared by the epoch family, filled lazily by readers and
-        #: eagerly by :meth:`SnapshotCube.preserve_epochs`.  An epoch
-        #: attached from shared memory arrives with every historic row
-        #: already in the second form
-        self.overlays = overlays
+        #: instance index -> its read-only prefix-sum row: every historic
+        #: instance's published row, and the epoch-latest instance's once a
+        #: reader swept it (memoized for the epochs of one kernel version,
+        #: which share the dict)
+        self.rows = rows
         self.gd_points = gd_points
         self.gd_deltas = gd_deltas
         #: live pin count (maintained under the SnapshotCube lock)
         self.pins = 0
-        #: True once every historic slice is materialized in overlays
-        self.detached = False
 
     def __repr__(self) -> str:
-        return (
-            f"Epoch(seq={self.sequence}, slices={self.num_slices}, "
-            f"pins={self.pins}, detached={self.detached})"
-        )
+        return f"Epoch(seq={self.sequence}, slices={self.num_slices}, pins={self.pins})"
 
 
 class SnapshotView:
@@ -150,12 +153,10 @@ class SnapshotView:
     the epoch was published, regardless of concurrent writer progress.
     Use as a context manager or call :meth:`release` when done.
 
-    The view is the batch evaluator's slice source over frozen state
-    (:class:`~repro.ecube.fastpath.SliceSource`): historic slices come
-    from the seqlock freeze or the epoch's overlays, the latest instance
-    and the read-through routing from the epoch's frozen cache columns.
-    A frozen reader cannot persist a conversion, so each normalized
-    slice is memoized in the overlays instead.
+    The view is the batch evaluator's slice source over the epoch
+    (:class:`~repro.ecube.fastpath.SliceSource`): a historic instance is
+    its row, the latest one the epoch's copy of the cache, swept once and
+    memoized in the epoch's rows.
     """
 
     def __init__(
@@ -165,9 +166,6 @@ class SnapshotView:
         self.epoch = epoch
         self._owns_pin = owns_pin
         self._released = False
-        # only the unrecoverable-mixed-slice fallback needs engines
-        self._fast: FastSliceEngine | None = None
-        self._metered: ECubeSliceEngine | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -211,9 +209,9 @@ class SnapshotView:
 
         ``boxes`` is a :class:`Box` sequence or an ``(n, 2, d)`` int64
         corner array (:func:`~repro.core.types.box_array`).  The kernel's
-        stacked batch read against the frozen state plus the frozen
-        ``G_d`` contribution; results are bit-identical to ``query_many``
-        on a quiesced cube.
+        stacked batch read against the epoch plus the frozen ``G_d``
+        contribution; results are bit-identical to ``query_many`` on a
+        quiesced cube.
         """
         if self._released:
             raise DomainError("view was released")
@@ -227,22 +225,21 @@ class SnapshotView:
         return [int(v) for v in results]
 
     def total(self) -> int:
-        """Sum of every update visible in this epoch."""
+        """Sum of every update visible in this epoch: the open prefix over
+        all of history and every cell, as ``CubeKernel.total`` answers it
+        (``G_d`` included; retired detail stays inside it)."""
         epoch = self.epoch
-        if epoch.num_slices == 0 and (
-            epoch.gd_points is None or epoch.gd_points.shape[0] == 0
-        ):
+        times = epoch.times
+        if epoch.gd_points is not None:
+            times = np.concatenate((times, epoch.gd_points[:, 0]))
+        if not times.size:
             return 0
-        upper_time = int(epoch.times[-1]) if epoch.num_slices else 0
-        if epoch.gd_points is not None and epoch.gd_points.shape[0]:
-            upper_time = max(upper_time, int(epoch.gd_points[:, 0].max()))
-        box = Box(
-            (0,) + (0,) * len(epoch.slice_shape),
-            (upper_time,) + tuple(n - 1 for n in epoch.slice_shape),
-        )
-        return self.query(box)
+        corners = np.zeros((1, 2, self.ndim), dtype=np.int64)
+        corners[0, :, 0] = times.min(), times.max()
+        corners[0, 1, 1:] = np.asarray(epoch.slice_shape) - 1
+        return self.query_many(corners)[0]
 
-    # -- the evaluator's slice source over frozen state ------------------------
+    # -- the evaluator's slice source over the epoch ---------------------------
 
     @property
     def slice_shape(self) -> tuple[int, ...]:
@@ -256,108 +253,30 @@ class SnapshotView:
     def retired_below(self) -> int:
         return self.epoch.retired_below
 
-    @property
-    def fast(self) -> FastSliceEngine:
-        if self._fast is None:
-            self._fast = FastSliceEngine(self.epoch.slice_shape)
-        return self._fast
-
-    def cache_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.epoch.cache_values, self.epoch.cache_stamps
-
     def fetch(self, index: int):
         epoch = self.epoch
-        if index >= epoch.num_slices - 1:
-            # the epoch-latest instance reads wholly from the frozen cache
-            memo = epoch.overlays.get(index)
-            if memo is not None:
-                return PS, memo[0], None
+        if index < epoch.num_slices - 1:
+            return PS, epoch.rows[index], None
+        memo = epoch.rows.get(index)
+        if memo is None:  # the latest instance reads wholly from the cache
             return DDC, epoch.cache_values, None
-        values, flags = self._slice_arrays(index)
-        if flags is None:
-            return PS, values, None
-        if bool(flags.all()):
-            epoch.overlays[index] = (values, None)
-            return PS, values, None
-        return MIXED, values, flags
+        return PS, memo, None
 
     def normalised(self, index: int, ps_row: np.ndarray) -> None:
-        # one atomic dict store: racing readers of the epoch family see
-        # either representation of the same instance, never a torn pair
-        self.epoch.overlays[index] = (ps_row.copy(), None)
-
-    def walk(
-        self, index: int, box: Box, values: np.ndarray, flags: np.ndarray
-    ) -> int:
-        """Per-cell fallback mirroring the kernel's metered routing, but
-        side-effect free: no counting, no conversion marking."""
-        stamps = self.epoch.cache_stamps
-        cache_values = self.epoch.cache_values
-
-        def read(cell: tuple[int, ...]) -> tuple[int, bool]:
-            if flags[cell]:
-                return int(values[cell]), True
-            if stamps[cell] > index:
-                return int(values[cell]), False
-            return int(cache_values[cell]), False
-
-        if self._metered is None:
-            self._metered = ECubeSliceEngine(self.epoch.slice_shape)
-        return self._metered.range_query(box, read, None)
-
-    def _slice_arrays(
-        self, slice_index: int
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Frozen (values, ps_flags) for one historic slice.
-
-        ``ps_flags`` is ``None`` once the slice is known to hold prefix
-        sums throughout.  Preserved epochs hit their overlay directly.
-        Otherwise the live payload is frozen under its seqlock: read the
-        mutation counter, retry while odd (a transform is mid-flight) or
-        if it changed across the copy.  The overlay dict doubles as a
-        shared memo so each slice is frozen at most once per epoch
-        family; the final overlay re-check closes the window where the
-        writer preserves *and then mutates* between our version reads.
-        """
-        epoch = self.epoch
-        arrays = epoch.overlays.get(slice_index)
-        if arrays is not None:
-            return arrays
-        kernel = self._cube.kernel
-        store = kernel.store
-        directory = kernel.directory
-        spins = 0
-        while True:
-            arrays = epoch.overlays.get(slice_index)
-            if arrays is not None:
-                return arrays
-            _, payload = directory.at_index(slice_index)
-            version = payload.mut_version
-            if not version & 1:
-                frozen = store.freeze_slice(payload)
-                if payload.mut_version == version:
-                    arrays = epoch.overlays.get(slice_index)
-                    if arrays is not None:
-                        return arrays
-                    epoch.overlays[slice_index] = frozen
-                    return frozen
-            spins += 1
-            if spins % _SPINS_PER_YIELD == 0:
-                _time.sleep(0.0002)
-            else:
-                _time.sleep(0)
+        # only the epoch-latest instance is ever swept here; one atomic dict
+        # store, so racing readers see either representation of it
+        self.epoch.rows[index] = _frozen(ps_row.copy())
 
 
-def prepare_epoch(epoch: Epoch, cube: "SnapshotCube | None" = None) -> SnapshotView:
+def prepare_epoch(epoch: Epoch) -> SnapshotView:
     """Bind ``epoch`` to the batch evaluator; O(1), no per-slice work.
 
-    ``cube`` (the owning :class:`SnapshotCube`) is only needed when the
-    epoch is not detached: live slices are then frozen through the
-    ordinary seqlock path.  Detached epochs -- in particular epochs
-    attached from shared memory -- are read without touching any kernel.
-    The view holds no pin; the caller keeps the epoch alive.
+    Every historic instance of an epoch is a finished row, whether the
+    epoch is a :class:`SnapshotCube`'s own or attached from shared
+    memory, so the view never touches a kernel.  The view holds no pin;
+    the caller keeps the epoch alive.
     """
-    return SnapshotView(cube, epoch, owns_pin=False)
+    return SnapshotView(None, epoch, owns_pin=False)
 
 
 def check_mode(mode: str) -> None:
@@ -371,11 +290,12 @@ class SnapshotCube:
     """Single-writer / many-reader front over a dense cube stack.
 
     Attaches to the kernel as its *epoch sink*: every mutating entry
-    point publishes a fresh :class:`Epoch` on exit, and answer-changing
-    historic mutations call :meth:`preserve_epochs` first.  Write calls
-    are forwarded to the wrapped target unchanged (and must stay on one
-    thread); reads go through pinned epochs and are safe from any
-    thread.
+    point publishes a fresh :class:`Epoch` on exit -- finishing the
+    instances that became historic into rows first -- and a correction
+    or splice notes the first instance it rewrites
+    (:meth:`note_rewrite`).  Write calls are forwarded to the wrapped
+    target unchanged (and must stay on one thread); reads go through
+    pinned epochs and are safe from any thread.
 
     ``target`` is any point-object stack (:func:`repro.core.front.layers`):
     a dense :class:`~repro.ecube.kernel.CubeKernel`, bare or under a
@@ -406,6 +326,9 @@ class SnapshotCube:
         self._sequence = 0
         self._current: Epoch | None = None
         self._pinned: set[Epoch] = set()
+        #: instance index -> the row it is published as, for every historic
+        #: instance the kernel holds detail of
+        self._rows: dict[int, np.ndarray] = {}
         self._rewritten_from: int | None = None
         self.kernel._epoch_sink = self
         self.publish()
@@ -428,11 +351,13 @@ class SnapshotCube:
     def publish(self) -> Epoch:
         """Publish the cube's current answerable state as a new epoch.
 
-        Cheap by design: when ``kernel.epoch_version`` is unchanged (a
-        buffer-only write) the frozen cache arrays and the overlay memo
-        are shared with the previous epoch; only the ``G_d`` columns are
-        re-frozen.  Otherwise the cache freeze is O(cache), independent
-        of the number of historic instances.
+        When ``kernel.epoch_version`` is unchanged (a buffer-only write)
+        history, the frozen cache and the rows are shared with the
+        previous epoch; only the ``G_d`` columns are copied.  Otherwise
+        the instances that became historic are finished into rows
+        (:meth:`_finish_history`) and the cache values are copied:
+        O(cache) plus one sweep per new historic instance, independent of
+        the length of history.
         """
         kernel = self.kernel
         kernel_version = kernel.epoch_version
@@ -442,21 +367,17 @@ class SnapshotCube:
             times = previous.times
             retired_below = previous.retired_below
             cache_values = previous.cache_values
-            cache_stamps = previous.cache_stamps
-            overlays = previous.overlays
-            detached = previous.detached
+            rows = previous.rows
         else:
+            self._finish_history()
             num_slices = kernel.num_slices
-            frozen = kernel.store.freeze_cache()
-            if frozen is None or num_slices == 0:
-                cache_values = cache_stamps = None
+            cache_values = kernel.store.freeze_cache()
+            if cache_values is None or num_slices == 0:
+                cache_values = None
                 num_slices = 0
-            else:
-                cache_values, cache_stamps = frozen
             times = np.asarray(kernel.directory.times(), dtype=np.int64)
             retired_below = kernel.retired_instances
-            overlays = {}
-            detached = False
+            rows = dict(self._rows)
         gd_points = gd_deltas = None
         if self.buffer is not None:
             gd_points, gd_deltas = self.buffer.snapshot_columns()
@@ -466,16 +387,14 @@ class SnapshotCube:
             kernel.external_version,
             self._sequence,
             num_slices,
-            times,
+            _frozen(times),
             retired_below,
             kernel.slice_shape,
-            cache_values,
-            cache_stamps,
-            overlays,
-            gd_points,
-            gd_deltas,
+            _frozen(cache_values),
+            rows,
+            _frozen(gd_points),
+            _frozen(gd_deltas),
         )
-        epoch.detached = detached
         with self._lock:
             old = self._current
             self._current = epoch
@@ -483,62 +402,118 @@ class SnapshotCube:
                 self._pinned.discard(old)
         return epoch
 
-    def preserve_epochs(self, rewritten_from: int | None = None) -> int:
-        """Materialize every live epoch before history is rewritten.
+    def note_rewrite(self, index: int) -> None:
+        """The content of instance ``index`` and every instance above it is
+        about to change (a correction or a splice; kernel writer thread):
+        the next publication re-publishes their rows."""
+        if self._rewritten_from is None or index < self._rewritten_from:
+            self._rewritten_from = index
 
-        Runs on the writer thread *before* the first answer-changing
-        historic mutation of an operation (out-of-order application,
-        splice, retirement): each pinned epoch -- plus the current one --
-        gets every not-yet-frozen historic slice copied into its private
-        overlays, after which its answers no longer depend on live slice
-        storage or directory indices.  Returns the number of slices
-        copied.
+    def move_rows(self) -> None:
+        """Re-create every published row through the store's current
+        allocator and publish an epoch that cites them (an allocator was
+        just attached: :class:`~repro.sharding.shm.EpochExporter`)."""
+        if self._rows:
+            for index, row in list(self._rows.items()):
+                self._adopt(index, row)
+            self.kernel.epoch_version += 1  # what the epoch cites moved
+            self.publish()
 
-        ``rewritten_from`` is the first instance index whose *content* is
-        about to change (``None`` when the mutation only drops instances);
-        whoever republishes history elsewhere collects the lowest one with
-        :meth:`take_rewritten_from`.
+    # -- finishing history -----------------------------------------------------
+
+    def _finish_history(self) -> None:
+        """Publish every historic instance that has no row yet.
+
+        On the writer thread between operations.  Rows below the
+        retirement boundary and rows whose content moved
+        (:meth:`note_rewrite`) are dropped first.  A promoted row still
+        fully PS -- a correction's successor -- is sealed and cited as it
+        stands, or re-published narrow when its values fit a narrower
+        width; every other instance (newly historic, spliced in, restored
+        from an archive) is swept into a row.  Then every historic slice
+        is its row, and what the cache still owed them is void: nothing
+        is copied, stamps advance.
         """
-        if rewritten_from is not None and (
-            self._rewritten_from is None or rewritten_from < self._rewritten_from
-        ):
-            self._rewritten_from = rewritten_from
-        with self._lock:
-            epochs = list(self._pinned)
-            current = self._current
-            if current is not None and current not in self._pinned:
-                epochs.append(current)
-        copied = 0
-        seen: set[int] = set()
-        for epoch in epochs:
-            if id(epoch.overlays) in seen:
-                # epoch families share one overlay dict; freeze once
-                epoch.detached = True
-                continue
-            seen.add(id(epoch.overlays))
-            copied += self._materialize(epoch)
-        return copied
-
-    def take_rewritten_from(self) -> int | None:
-        """The lowest instance index whose content was rewritten since the
-        last call, or ``None``; everything below it is as it was."""
-        index, self._rewritten_from = self._rewritten_from, None
-        return index
-
-    def _materialize(self, epoch: Epoch) -> int:
         kernel = self.kernel
         store = kernel.store
-        directory = kernel.directory
-        copied = 0
-        if not epoch.detached:
-            for index in range(epoch.retired_below, epoch.num_slices - 1):
-                if index in epoch.overlays:
-                    continue
-                _, payload = directory.at_index(index)
-                epoch.overlays[index] = store.freeze_slice(payload)
-                copied += 1
-        epoch.detached = True
-        return copied
+        first, stop = kernel.retired_instances, max(kernel.num_slices - 1, 0)
+        rewritten, self._rewritten_from = self._rewritten_from, None
+        keep_below = stop if rewritten is None else rewritten
+        self._rows = {i: row for i, row in self._rows.items() if first <= i < keep_below}
+        sweep = []
+        for index in range(first, stop):
+            if index in self._rows:
+                continue
+            _, payload = kernel.directory.at_index(index)
+            if not store.seal(payload):
+                sweep.append(index)
+            elif row_dtype(payload.values) == payload.values.dtype:
+                self._rows[index] = payload.values
+            else:
+                self._adopt(index, payload.values)
+        for start in range(0, len(sweep), _ROWS_PER_SWEEP):
+            chunk = np.asarray(sweep[start : start + _ROWS_PER_SWEEP])
+            states = [
+                slice_state(*kernel.directory.at_index(int(index))[1].data())
+                for index in chunk
+            ]
+            rows = _prefix_sum_rows(self, chunk, states)
+            for index, row, (_, values, flags) in zip(chunk.tolist(), rows, states):
+                if row is None:
+                    row = self._walked_row(index, values, flags)
+                if index not in self._rows:  # stored as PS, or just walked
+                    self._adopt(index, row)
+        store.sync_copies()
+
+    def _adopt(self, index: int, values: np.ndarray) -> None:
+        """Publish ``values`` as instance ``index``'s row: a new array from
+        the store's allocator at the width of its values, read-only, the
+        slice from now on."""
+        store = self.kernel.store
+        row = store.new_row(values, row_dtype(values))
+        store.adopt_row(self.kernel.directory.at_index(index)[1], row)
+        self._rows[index] = row
+
+    def _walked_row(self, index: int, values, flags) -> np.ndarray:
+        """One instance's prefix sums, cell by cell.
+
+        The slice holds a converted cell whose DDC value is lost, which no
+        array sweep recovers; the per-cell walk reads PS cells natively.
+        Paid once here instead of per box by every reader.
+
+        A kernel under a snapshot front never makes such a slice: its
+        historic instances are finished rows before anything converts a
+        cell.  A kernel that answered a counted ``query`` on its own can
+        (converting cells whose lazy copy had landed, so their stamp
+        advanced past the slice), and so can the checkpoint of one.
+        """
+        cache_values, stamps = self.kernel.store.cache_views()
+
+        def read(cell: tuple[int, ...]) -> tuple[int, bool]:
+            if flags[cell]:
+                return int(values[cell]), True
+            if stamps[cell] > index:
+                return int(values[cell]), False
+            return int(cache_values[cell]), False
+
+        shape = self.kernel.slice_shape
+        origin = (0,) * len(shape)
+        row = np.empty(shape, dtype=np.int64)
+        for cell in np.ndindex(*shape):
+            row[cell] = self.kernel.engine.range_query(Box(origin, cell), read, None)
+        return row
+
+    # -- the sweep's slice source: live state, between operations ---------------
+
+    @property
+    def slice_shape(self) -> tuple[int, ...]:
+        return self.kernel.slice_shape
+
+    def cache_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.kernel.store.cache_views()
+
+    def normalised(self, index: int, ps_row: np.ndarray) -> None:
+        self._adopt(index, ps_row)
 
     # -- pinning -------------------------------------------------------------
 

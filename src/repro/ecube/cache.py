@@ -176,19 +176,6 @@ class SliceCache:
         stamps[moved_cells] = new_index
         self._recount_pending()
 
-    def freeze(self) -> tuple[np.ndarray, np.ndarray]:
-        """Epoch-publication snapshot: copies of (values, stamps).
-
-        Called on the writer thread between operations, so the pair is
-        mutually consistent; the copies are immutable afterwards, which
-        is what makes the snapshot-isolation routing of
-        :mod:`repro.concurrent.snapshot` safe against later lazy-copy
-        progress (restamps only ever *advance*, and a frozen stamp keeps
-        routing the cell to the frozen cache value that was correct for
-        every slice at or past it).
-        """
-        return self.values.copy(), self.stamps.copy()
-
     def _recount_pending(self) -> None:
         while self._min_idx < self._last_idx and self._counts[self._min_idx] == 0:
             self._min_idx += 1

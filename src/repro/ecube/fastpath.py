@@ -14,7 +14,9 @@ sums and the ``2^(d-1)`` corners of the whole batch are located at once
 and read slice by slice.  Its callers -- the live kernel, a pinned
 :class:`~repro.concurrent.snapshot.SnapshotView` and the sharding reader's
 shared-memory epochs -- differ only in where the arrays come from
-(:class:`SliceSource`).  A touched slice arrives in one of three states:
+(:class:`SliceSource`).  A touched slice arrives in one of three states
+(an epoch's slices in the first two only: its history is published
+rows):
 
 ``ps``
     Fully converted (every flag set), or already normalized by an earlier
@@ -44,8 +46,10 @@ shared-memory epochs -- differ only in where the arrays come from
 
 Normalizing a slice costs a pass over all its cells, so it must be
 *reused*: the live kernel persists the conversion (bulk finalize, driven
-by its hit/density policy), frozen sources memoize the row
-(:meth:`SliceSource.normalised`).
+by its hit/density policy), an epoch memoizes its latest instance's row
+(:meth:`SliceSource.normalised`), and snapshot publication sweeps each
+historic instance once, into the row every later epoch cites
+(:func:`slice_state` classifies what it sweeps).
 """
 
 from __future__ import annotations
@@ -203,8 +207,18 @@ class FastSliceEngine:
 PS, DDC, MIXED = "ps", "ddc", "mixed"
 
 
+def slice_state(values: np.ndarray, flags: np.ndarray) -> tuple:
+    """A historic slice's ``(PS | MIXED, values, flags)``, as
+    :meth:`SliceSource.fetch` hands it over."""
+    return (PS if flags.all() else MIXED), values, flags
+
+
 class SliceSource(Protocol):
-    """Where :func:`stacked_query_many` gets a cube's arrays from."""
+    """Where :func:`stacked_query_many` gets a cube's arrays from.
+
+    ``fast``, :meth:`cache_arrays` and :meth:`walk` are read only for a
+    ``MIXED`` slice, which only the live kernel hands over.
+    """
 
     slice_shape: tuple[int, ...]
     #: ascending int64 occurring times, one per cumulative instance

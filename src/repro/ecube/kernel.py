@@ -130,8 +130,8 @@ class CubeKernel:
         # change answers without touching kernel state
         self.external_version = 0
         # the attached SnapshotCube (or None): receives publish() after
-        # every answer-changing operation and preserve_epochs() before
-        # every mutation that rewrites already-published history
+        # every answer-changing operation and note_rewrite() before every
+        # mutation that rewrites the content of a historic instance
         self._epoch_sink = None
         self._epoch_dirty = False
         self._publish_barrier_depth = 0
@@ -224,20 +224,18 @@ class CubeKernel:
                 if sink is not None:
                     sink.publish()
 
-    def _prepare_historic_mutation(self, rewritten_from: int | None) -> None:
-        """Preserve published epochs before rewriting historic content.
+    def _note_rewrite(self, index: int) -> None:
+        """Tell the snapshot front that historic content is about to change.
 
-        Out-of-order corrections, splices and retirement are the only
-        operations that change what already-published instances answer;
-        the snapshot front-end materializes every live epoch into
-        self-contained overlays *before* the first such rewrite.
-        ``rewritten_from`` is the first instance index whose content is
-        about to change -- corrections and splices reach it and every
-        instance above -- or ``None`` when instances are only dropped.
+        Out-of-order corrections and splices are the only operations that
+        change what historic instances answer; ``index`` is the first one
+        whose content changes -- they reach it and every instance above.
+        No published row is written (a correction promotes it into a
+        successor); the front re-publishes the rows from ``index`` on.
         """
         sink = self._epoch_sink
         if sink is not None:
-            sink.preserve_epochs(rewritten_from)
+            sink.note_rewrite(index)
 
     # -- introspection ---------------------------------------------------------
 
@@ -295,9 +293,6 @@ class CubeKernel:
         boundary = self.directory.floor_index(int(time) - 1)
         if boundary <= self._retired_below:
             return 0
-        # aging frees storage that published epochs may still be routing
-        # reads through: preserve them before the first payload is freed
-        self._prepare_historic_mutation(None)
         retired = 0
         for index in range(self._retired_below, boundary):
             _, payload = self.directory.at_index(index)
@@ -416,7 +411,7 @@ class CubeKernel:
         :meth:`_splice_instance`, charged as copying work.
         """
         with self._op():
-            self._prepare_historic_mutation(index)
+            self._note_rewrite(index)
             self._note_mutation()
             floor_payload = None
             if index > 0:
@@ -492,10 +487,9 @@ class CubeKernel:
                 if start_index >= 0
                 else (None, None)
             )
-            # corrections rewrite already-published instances: preserve
-            # every live epoch before the first slice cell changes (a
+            # corrections rewrite historic instances from here on (a
             # never-occurring time is spliced in right above its floor)
-            self._prepare_historic_mutation(
+            self._note_rewrite(
                 start_index if found_time == time else start_index + 1
             )
             self._note_mutation()

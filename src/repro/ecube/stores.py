@@ -14,7 +14,7 @@ conversion, out-of-order corrections and aging.
 a counted cell access -- is the store the served system runs: the only
 one a ``G_d`` buffer, a log, snapshot epochs, tiers or shards sit over
 (:func:`repro.core.front.layers`), and the only one with the serving
-hooks (checkpoint arrays, epoch freezes, adopting a published row).  The
+hooks (checkpoint arrays, the cache freeze, adopting a published row).  The
 paper's other two configurations are cost models used as bare kernels:
 ``PagedStore`` (:mod:`repro.ecube.disk`) and ``SparseStore``
 (:mod:`repro.ecube.sparse`).  The golden-cost suite pins the dense
@@ -53,6 +53,26 @@ def _adopt_array(raw, dtype) -> np.ndarray:
     return array if not array.flags.writeable else array.copy()
 
 
+#: The widths a published row may take, narrowest first.
+_ROW_DTYPES = tuple(np.dtype(f"i{width}") for width in (1, 2, 4, 8))
+
+
+def row_dtype(row: np.ndarray) -> np.dtype:
+    """The narrowest signed integer dtype holding every value of ``row``."""
+    low, high = (int(row.min()), int(row.max())) if row.size else (0, 0)
+    for dtype in _ROW_DTYPES[:-1]:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype
+    return _ROW_DTYPES[-1]
+
+
+def heap_row(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """A new heap array holding ``values`` as ``dtype`` (the default
+    :attr:`DenseStore.new_row`)."""
+    return values.astype(dtype)
+
+
 # -- slice payloads ------------------------------------------------------------
 
 
@@ -65,7 +85,7 @@ class DenseSlice:
     ``NoneType`` failure.
     """
 
-    __slots__ = ("values", "ps_flags", "ps_count", "fast_hits", "mut_version")
+    __slots__ = ("values", "ps_flags", "ps_count", "fast_hits")
 
     values: np.ndarray | None
     ps_flags: np.ndarray | None
@@ -79,9 +99,6 @@ class DenseSlice:
         self.ps_count = 0
         # fast-mode queries that touched this slice while still mixed
         self.fast_hits = 0
-        # seqlock generation for lock-free snapshot readers: odd while a
-        # value/flag pair is being rewritten (conversions, corrections)
-        self.mut_version = 0
 
     def retire(self) -> None:
         """Release the detail storage (moved to mass storage, Section 7)."""
@@ -117,8 +134,8 @@ class SliceStore(Protocol):
     external-memory one).  The kernel drives it exclusively through this
     interface; see :class:`BaseSliceStore` for the shared scaffolding and
     the three concrete backends for the semantics of each method.  What
-    only the served system asks of a store (checkpoint arrays, epoch
-    freezes) is :class:`DenseStore`'s alone.
+    only the served system asks of a store (checkpoint arrays, the cache
+    freeze, published rows) is :class:`DenseStore`'s alone.
     """
 
     kind: str
@@ -347,10 +364,11 @@ class DenseStore(ArrayCacheStore):
     """In-memory ndarray slices; every touch is a counted cell access."""
 
     kind = "dense"
-    #: set by whoever publishes the store's history (:class:`~repro.sharding.
-    #: shm.EpochExporter`): ``values -> a writable copy where the next
-    #: publication cites it``; ``None``: a promoted slice goes to the heap
-    successor_row = None
+    #: ``(values, dtype) -> a new array holding them``: where a published
+    #: row and the successor of a promoted one live -- on the heap, or in a
+    #: shared-memory block while an :class:`~repro.sharding.shm.
+    #: EpochExporter` is attached
+    new_row = staticmethod(heap_row)
 
     def bind(self, kernel: "CubeKernel") -> None:
         super().bind(kernel)
@@ -373,10 +391,8 @@ class DenseStore(ArrayCacheStore):
         every path that makes it writable widens it to int64 once
         (:meth:`_promote`, :meth:`clone_payload`, :meth:`restore_slice`)."""
         row.flags.writeable = False
-        payload.mut_version += 1
         payload.values, payload.ps_flags = row, self._all_ps
         payload.ps_count = self.kernel._num_slice_cells
-        payload.mut_version += 1
 
     def seal(self, payload) -> bool:
         """Make a promoted slice immutable again if it is still fully PS:
@@ -392,7 +408,7 @@ class DenseStore(ArrayCacheStore):
         A restored slice reads off mmap views of the checkpoint archive:
         heap-copied, so the archive is never written through.  An adopted
         slice is a published row that epochs cite: a correction writes
-        into its *successor* (:attr:`successor_row`), which the next
+        into its *successor* (:attr:`new_row`), which the next
         publication seals and cites (or re-publishes narrow); the flags of
         a fully PS slice are never written, so they stay the shared array.
         Either way the writable copy is int64, whatever the width of the
@@ -401,8 +417,8 @@ class DenseStore(ArrayCacheStore):
         values = payload.values
         if values is None or values.flags.writeable:
             return
-        if self.successor_row is not None and payload.ps_flags is self._all_ps:
-            payload.values = self.successor_row(values)
+        if payload.ps_flags is self._all_ps:
+            payload.values = self.new_row(values, np.dtype(np.int64))
         else:
             payload.values = values.astype(np.int64)
             payload.ps_flags = payload.ps_flags.copy()
@@ -411,36 +427,24 @@ class DenseStore(ArrayCacheStore):
         return int(payload.values[cell])
 
     def copy_write(self, payload, cell, value: int) -> None:
-        # Copy landings need no seqlock bump: every published epoch's
-        # frozen stamps still route the cell through the cache, so no
-        # reader uses the slice cell a landing may tear.
         self.counter.write_cells()
         self._promote(payload)
         payload.values[cell] = value
 
     def mark_ps(self, payload, cell, ps_value: int) -> None:
-        # Historic content is final: persist the conversion.  The seqlock
-        # bump keeps the value/flag pair consistent for snapshot readers.
+        # Historic content is final: persist the conversion.
         self._promote(payload)
-        payload.mut_version += 1
-        try:
-            payload.values[cell] = ps_value
-            if not payload.ps_flags[cell]:
-                payload.ps_count += 1
-            payload.ps_flags[cell] = True
-        finally:
-            payload.mut_version += 1
+        payload.values[cell] = ps_value
+        if not payload.ps_flags[cell]:
+            payload.ps_count += 1
+        payload.ps_flags[cell] = True
 
     def oob_slice_add(self, payload, cell, delta: int) -> None:
         self.counter.write_cells()
         self._promote(payload)
-        payload.mut_version += 1
-        try:
-            # an array add: int64 wraps as a ring (the sum of a Python int
-            # would not fit back once the prefix sums wrapped)
-            np.add.at(payload.values, cell, delta)
-        finally:
-            payload.mut_version += 1
+        # an array add: int64 wraps as a ring (the sum of a Python int
+        # would not fit back once the prefix sums wrapped)
+        np.add.at(payload.values, cell, delta)
 
     def dominating_ps_add(self, payload, cell, dominating, delta: int) -> None:
         mask = payload.ps_flags & dominating
@@ -448,11 +452,7 @@ class DenseStore(ArrayCacheStore):
         if touched:
             self.counter.write_cells(touched)
             self._promote(payload)
-            payload.mut_version += 1
-            try:
-                payload.values[mask] += delta
-            finally:
-                payload.mut_version += 1
+            payload.values[mask] += delta
 
     def clone_payload(self, floor_payload) -> DenseSlice:
         """A writable copy of ``floor_payload`` (a splice's new instance):
@@ -550,41 +550,19 @@ class DenseStore(ArrayCacheStore):
 
     # -- epoch publication (snapshot readers, uncounted) ------------------------
 
-    def freeze_cache(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Epoch-publication copies of (cache values, stamps); uncounted.
-
-        Runs on the writer thread between operations; the copies become
-        the immutable read-through target of a published
-        :class:`~repro.concurrent.snapshot.Epoch`.
-        """
+    def freeze_cache(self) -> np.ndarray | None:
+        """An epoch's copy of the cache values -- the latest instance's DDC
+        array; uncounted, on the writer thread between operations."""
         if self.cache is None:
             return None
-        return self.cache.freeze()
-
-    def freeze_slice(self, payload) -> tuple[np.ndarray, np.ndarray]:
-        """Uncounted (values, flags) for lock-free snapshot readers.
-
-        Readers bracket this call with :attr:`DenseSlice.mut_version`
-        checks (seqlock) so the pair is mutually consistent even while
-        the writer converts or corrects cells.  Writable arrays are
-        copied; a read-only pair (an adopted row, an archive view) is
-        returned as it is: a mutation replaces it (:meth:`_promote`).
-        """
-        values, flags = payload.data()
-        if not (values.flags.writeable or flags.flags.writeable):
-            return values, flags
-        return values.copy(), flags.copy()
+        return self.cache.values.copy()
 
     def finalize_commit(self, payload, ps: np.ndarray) -> None:
         self._promote(payload)
         values, flags = payload.data()
-        payload.mut_version += 1
-        try:
-            values[...] = ps
-            flags[...] = True
-            payload.ps_count = self.kernel._num_slice_cells
-        finally:
-            payload.mut_version += 1
+        values[...] = ps
+        flags[...] = True
+        payload.ps_count = self.kernel._num_slice_cells
 
     def _bulk_copy(self, payload, writable: np.ndarray, values: np.ndarray) -> None:
         self._promote(payload)

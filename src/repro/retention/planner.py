@@ -32,9 +32,9 @@ composed answer is *bit-identical* to an undemoted oracle everywhere --
 tier-aligned or not -- which the differential suite pins.
 
 A demotion drains the ``G_d`` buffer first (corrections aimed into the
-region being demoted can still cascade while it is live), preserves
-pinned snapshot epochs (the kernel's ``preserve_epochs`` discipline runs
-before the first payload is touched), and is deterministic: replaying
+region being demoted can still cascade while it is live), moves no
+content a pinned snapshot epoch reads (its rows are immutable, and only
+detail below the new horizon is dropped), and is deterministic: replaying
 the same ``demote_before`` against the same kernel state rewrites
 byte-identical tiles, which is what lets the durable layer log a
 demotion as its horizon alone (the ``demote`` row of
@@ -149,10 +149,6 @@ class TieredCube:
         boundary = kernel.directory.floor_index(time - 1)
         if boundary <= kernel._retired_below:
             return 0
-        # pinned snapshot epochs still route reads through live payloads;
-        # freeze them before finalization rewrites any representation
-        # (finalized slices are dropped below; no surviving content moves)
-        kernel._prepare_historic_mutation(None)
         times: list[int] = []
         slices: list[np.ndarray] = []
         for index in range(kernel._retired_below, boundary):

@@ -2,7 +2,7 @@
 
 A shard worker owns its cube and publishes every :class:`Epoch` into
 named shared-memory blocks; the router's process attaches the blocks and
-answers queries zero-copy.  The PR 5 epoch design makes this safe without
+answers queries zero-copy.  The epoch design makes this safe without
 cross-process synchronization: a published block is immutable, so the
 only coordination is the epoch-id handoff that rides the control pipe.
 
@@ -10,42 +10,31 @@ What is published
 -----------------
 
 A historic instance's *content* is final the moment a newer time occurs
-(Section 2); lazy copies landing and DDC cells converting to PS only
-move its *representation*.  So the exporter publishes content, once:
+(Section 2), and every :class:`~repro.concurrent.snapshot.SnapshotCube`
+publishes it once, as a finished prefix-sum *row*: swept when it becomes
+historic, stored at the narrowest signed width that holds its values
+(:func:`~repro.ecube.stores.row_dtype`), read-only, and adopted by the
+store as the slice itself.  An attached :class:`EpochExporter` only
+decides where rows live: it is the store's row allocator
+(``DenseStore.new_row``), so
 
-* one *row block* per historic instance, holding its complete prefix-sum
-  array.  The row is written when the instance becomes historic (or, for
-  a restored checkpoint, at the first export, which a recovering worker
-  runs before it replays its log tail): live slice storage is read
-  through the epoch's frozen cache and swept DDC -> PS by
-  :func:`~repro.ecube.fastpath._prefix_sum_rows`, the sweep every reader
-  of that epoch would run, so a reader gathers corners from the row in
-  place and never normalizes history.  The (dense) store then
-  *adopts* the row (:meth:`~repro.ecube.stores.DenseStore.adopt_row`):
-  the slice becomes a read-only view of the block, its heap arrays go.
-* a row is stored at the narrowest signed width -- 1, 2, 4 or 8 bytes --
-  that holds its minimum and maximum (:func:`row_dtype`): history is
-  immutable, so nothing ever writes a value that does not fit.  The
-  block's meta carries the dtype; every reader widens to int64 where it
-  gathers (the batch evaluator's corner buffer is int64), never
-  computing on a narrow array.  Every slice a correction can write is
-  int64: the store widens a narrow row exactly once when it makes the
-  slice writable (:meth:`~repro.ecube.stores.DenseStore._promote`,
-  ``clone_payload``, ``restore_slice``).  :meth:`EpochExporter._row` is
-  the one place a row block is created, so every row obeys this rule.
-* a row is replaced only when its content moves: an out-of-order
-  correction or splice reaching instance ``i`` (reported through
-  :meth:`SnapshotCube.preserve_epochs`) replaces the rows at and above
-  ``i``; retirement only drops rows.  An adopted row is replaced
-  copy-on-write: the correction promotes the slice into a *successor
-  row*, a fresh int64 block it writes in place, and the next export
-  *seals* it -- read-only, cited as it stands when its values still need
-  int64, else re-published at their width and re-adopted -- or, its
-  slice gone, unlinks it.  Anything else (a spliced-in clone, an archive
-  view) is swept into a new row.
-* one *frontier block* per epoch, holding the occurring-time directory,
-  the frozen cache values (the latest instance's DDC array) and the
-  ``G_d`` columns.
+* one *row block* holds each historic instance's row, and the cube's
+  slice is a read-only view of it -- the rows the cube published before
+  the exporter was attached are moved into blocks then.  The block's
+  meta carries the dtype; every reader widens to int64 where it gathers
+  (the batch evaluator's corner buffer is int64), never computing on a
+  narrow array.  :meth:`EpochExporter._row` is the one place a row block
+  is created.
+* a correction's *successor row* (an adopted row promoted copy-on-write,
+  int64 because it is written in place) is a block too; the next
+  publication seals it -- cited as it stands when its values still need
+  int64, else re-published at their width.  A row is replaced only when
+  its content moves: an out-of-order correction or splice reaching
+  instance ``i`` replaces the rows at and above ``i``; retirement only
+  drops rows.
+* one *frontier block* per epoch holds the occurring-time directory, the
+  frozen cache values (the latest instance's DDC array) and the ``G_d``
+  columns.
 
 Unlink discipline
 -----------------
@@ -54,20 +43,19 @@ Blocks are plain POSIX segments, opened with ``_posixshmem.shm_open``
 and mapped with :mod:`mmap` (:class:`_Segment`, the one mapping path: a
 host without POSIX shared memory cannot import this module); no
 :mod:`multiprocessing.resource_tracker` process ever hears of them.
-The owning worker reference-counts every block by
-the epochs that cite it (plus one self-reference for a row it still
-publishes) and unlinks on the drop to zero; :meth:`EpochExporter.close`
-unlinks everything unconditionally.  It keeps a block mapped while it
-owns it or an array aliases it (an adopted slice, a preserved epoch's
-overlay): one mapping -- before Python 3.13 one descriptor -- per
-resident row, as in the attaching process.  It is the writable mapping
-the block was filled through: the owner's rows are immutable by numpy's
-``writeable`` flag, set by the store alone (``adopt_row``, ``seal``),
-not by page protection.  Attaching processes never unlink -- they map
-read-only and unmap.  What a killed owner leaves behind is found by
-name: every block carries its owner's pid, :func:`unlink_orphaned`
-removes the blocks of dead owners and :meth:`ShardedCube.close` sweeps
-its workers' prefixes.
+The owning worker reference-counts every block by the epochs that cite
+it (plus one self-reference for a row block the cube still holds) and
+unlinks on the drop to zero; :meth:`EpochExporter.close` unlinks
+everything unconditionally.  It keeps a block mapped while it owns it or
+an array aliases it (an adopted slice, a pinned epoch's row): one
+mapping -- before Python 3.13 one descriptor -- per resident row, as in
+the attaching process.  It is the writable mapping the block was filled
+through: the owner's rows are immutable by numpy's ``writeable`` flag,
+set by the store alone (``adopt_row``, ``seal``), not by page
+protection.  Attaching processes never unlink -- they map read-only and
+unmap.  What a killed owner leaves behind is found by name: every block
+carries its owner's pid, :func:`unlink_orphaned` removes the blocks of
+dead owners and :meth:`ShardedCube.close` sweeps its workers' prefixes.
 """
 
 from __future__ import annotations
@@ -81,10 +69,9 @@ import _posixshmem
 
 import numpy as np
 
-from repro.concurrent.snapshot import Epoch, prepare_epoch
+from repro.concurrent.snapshot import Epoch
 from repro.core.errors import StorageError
-from repro.core.types import Box
-from repro.ecube.fastpath import MIXED, PS, _prefix_sum_rows
+from repro.ecube.stores import heap_row
 
 #: Every block name starts with this; tests sweep ``/dev/shm`` for it.
 SHM_PREFIX = "repro-ecube"
@@ -96,24 +83,6 @@ SHM_PREFIX = "repro-ecube"
 #: (``<pid>-<hex>-<sequence>``, the hex possibly all digits) outside the
 #: rule instead of reading their hex as a pid.
 _BLOCK_NAME = re.compile(rf"^{SHM_PREFIX}-(?:.*-)?(?!\d*-)[^-]+-(\d+)-\d+$")
-
-#: Historic instances normalized per sweep when many are exported at once
-#: (a recovered cube's first epoch): bounds the transient stack.
-_ROWS_PER_SWEEP = 64
-
-#: The widths a published row may take, narrowest first.
-_ROW_DTYPES = tuple(np.dtype(f"i{width}") for width in (1, 2, 4, 8))
-
-
-def row_dtype(row: np.ndarray) -> np.dtype:
-    """The narrowest signed integer dtype holding every value of ``row``."""
-    low, high = (int(row.min()), int(row.max())) if row.size else (0, 0)
-    for dtype in _ROW_DTYPES[:-1]:
-        info = np.iinfo(dtype)
-        if info.min <= low and high <= info.max:
-            return dtype
-    return _ROW_DTYPES[-1]
-
 
 class _Segment:
     """One named shared-memory mapping no resource tracker knows about.
@@ -340,52 +309,40 @@ class BlockCache:
 class EpochExporter:
     """Publishes a :class:`SnapshotCube`'s epochs into shared memory.
 
-    Lives on the worker's writer thread and exports between operations.
-    It is also the ``normalised`` sink of the batch evaluator's
-    normalization sweep: a finished prefix-sum row lands in its block.
+    Attached, it is where the cube's rows live (the store's ``new_row``),
+    and it moves the rows the cube already published into blocks.  Lives
+    on the worker's writer thread and exports between operations.
     """
 
     def __init__(self, snapshot_cube, tag: str = "") -> None:
         self.snap = snapshot_cube
         self.owner = BlockOwner(tag)
-        #: instance index -> (name, metas) of its published prefix-sum row
-        self._rows: dict[int, tuple[str, list[tuple]]] = {}
-        #: id(row) -> (name, metas, row) of the successor rows promotion
-        #: created since the last export: written in place, cited by nothing
-        self._unsealed: dict[int, tuple[str, list[tuple], np.ndarray]] = {}
+        #: id(row) -> (name, metas, row) of every row block the cube may
+        #: still cite: self-referenced until an export finds it uncited
+        self._held: dict[int, tuple[str, list[tuple], np.ndarray]] = {}
         self._store = snapshot_cube.kernel.store
-        self._store.successor_row = self._successor
+        self._store.new_row = self._row
         #: epoch id -> names of the blocks that epoch cites
         self._epoch_blocks: dict[int, list[str]] = {}
         self._last: dict | None = None
+        snapshot_cube.move_rows()
 
     # -- publication -----------------------------------------------------------
 
     def export(self) -> dict:
         """Describe the current epoch as shared-memory blocks (picklable)."""
-        snap = self.snap
-        epoch = snap._current
-        rewritten = snap.take_rewritten_from()
-        if (
-            rewritten is None
-            and self._last is not None
-            and self._last["sequence"] == epoch.sequence
-        ):
+        epoch = self.snap._current
+        if self._last is not None and self._last["sequence"] == epoch.sequence:
             return self._last
-        first, stop = epoch.retired_below, max(epoch.num_slices - 1, 0)
-        # rows that left the answerable range, and rows whose content moved
-        keep_below = stop if rewritten is None else rewritten
-        for index in [i for i in self._rows if not first <= i < keep_below]:
-            self.owner.decref(self._rows.pop(index)[0])
-        missing = [i for i in range(first, stop) if i not in self._rows]
-        self._seal_rows(missing)
-        self._publish_rows([i for i in missing if i not in self._rows])
-        # every historic slice is a finished row now: what the cache still
-        # owed them is void (nothing is copied; stamps advance)
-        self._store.sync_copies()
-        slices = [(index, *self._rows[index]) for index in range(first, stop)]
-        cited = [name for _, name, _ in slices]
-        for name in cited:
+        historic = range(epoch.retired_below, max(epoch.num_slices - 1, 0))
+        rows = [epoch.rows[index] for index in historic]
+        # rows that left the cube's history, and successors it re-published
+        cited = {id(row) for row in rows}
+        for key in [key for key in self._held if key not in cited]:
+            self.owner.decref(self._held.pop(key)[0])
+        slices = [(index, *self._held[id(row)][:2]) for index, row in zip(historic, rows)]
+        names = [name for _, name, _ in slices]
+        for name in names:
             self.owner.incref(name)
         frontier: dict[str, np.ndarray] = {"times": epoch.times}
         if epoch.cache_values is not None:
@@ -394,8 +351,8 @@ class EpochExporter:
             frontier["gd_points"] = epoch.gd_points
             frontier["gd_deltas"] = epoch.gd_deltas
         frontier_block = self.owner.create(frontier)[:2]
-        cited.append(frontier_block[0])
-        self._epoch_blocks[epoch.sequence] = cited
+        names.append(frontier_block[0])
+        self._epoch_blocks[epoch.sequence] = names
         self._last = {
             "sequence": epoch.sequence,
             "kernel_version": epoch.kernel_version,
@@ -408,96 +365,14 @@ class EpochExporter:
         }
         return self._last
 
-    def _row(self, values: np.ndarray, dtype: np.dtype) -> tuple[str, list, np.ndarray]:
-        """A new row block holding ``values`` as ``dtype``: ``(name, metas,
-        row)``.  The only creator of row blocks: each is int64 while it is
-        writable and published at :func:`row_dtype`'s width otherwise."""
+    def _row(self, values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The store's row allocator while attached: a new row block holding
+        ``values`` as ``dtype`` -- int64 for a successor the store writes,
+        else its values' width.  The only creator of row blocks."""
         name, metas, views = self.owner.create({"ps": values.astype(dtype, copy=False)})
-        return name, metas, views["ps"]
-
-    def _successor(self, values: np.ndarray) -> np.ndarray:
-        """The store's ``successor_row``: a writable int64 copy in a block of
-        its own (a correction writes into it)."""
-        held = self._row(values, np.dtype(np.int64))
-        self._unsealed[id(held[2])] = held
-        return held[2]
-
-    def _seal_rows(self, indices: list[int]) -> None:
-        """Cite, read-only, each successor row still in place -- re-published
-        at its values' width when that is narrower -- and unlink the rest."""
-        unsealed, self._unsealed = self._unsealed, {}
-        directory = self.snap.kernel.directory
-        for index in indices if unsealed else ():
-            _, payload = directory.at_index(index)
-            row = payload.values
-            if id(row) in unsealed and self._store.seal(payload):
-                if row_dtype(row) == row.dtype:
-                    self._rows[index] = unsealed.pop(id(row))[:2]
-                else:  # re-adopted narrow; the successor is unlinked below
-                    self.normalised(index, row)
-        for name, _, _ in unsealed.values():
-            self.owner.decref(name)
-
-    def _publish_rows(self, indices: list[int]) -> None:
-        """Export historic instances as finished prefix-sum rows.
-
-        Between operations on the writer thread, live slice storage read
-        through the current epoch's frozen cache is what any reader of
-        that epoch would resolve, whatever lazy copies or conversions
-        landed since -- so the evaluator's own sweep, run here once,
-        yields the row every later epoch can cite.  Uncounted, like
-        ``freeze_slice``.
-        """
-        kernel = self.snap.kernel
-        for start in range(0, len(indices), _ROWS_PER_SWEEP):
-            chunk = np.asarray(indices[start : start + _ROWS_PER_SWEEP])
-            states = []
-            for index in chunk:
-                _, payload = kernel.directory.at_index(int(index))
-                values, flags = kernel.store.freeze_slice(payload)
-                states.append((PS if flags.all() else MIXED, values, flags))
-            rows = _prefix_sum_rows(self, chunk, states)
-            for index, row, (_, values, flags) in zip(chunk.tolist(), rows, states):
-                if row is None:
-                    row = self._walked_row(index, values, flags)
-                if index not in self._rows:  # stored as PS, or just walked
-                    self.normalised(index, row)
-
-    def _walked_row(self, index: int, values, flags) -> np.ndarray:
-        """One instance's prefix sums, cell by cell.
-
-        The slice holds a converted cell whose DDC value is lost, which no
-        array sweep recovers; the per-cell walk reads PS cells natively.
-        Paid once here instead of per box by every reader.
-
-        A served fleet writes and reads in fast mode only and never makes
-        such a slice.  A directory on disk can hold one: an inline shard
-        whose kernel answered a counted ``query`` (converting cells whose
-        lazy copy had landed, so their stamp advanced past the slice) and
-        was then checkpointed, recovered by a process fleet.
-        """
-        view = prepare_epoch(self.snap._current, self.snap)
-        origin = (0,) * len(self.slice_shape)
-        row = np.empty(self.slice_shape, dtype=np.int64)
-        for cell in np.ndindex(*self.slice_shape):
-            row[cell] = view.walk(index, Box(origin, cell), values, flags)
+        row = views["ps"]
+        self._held[id(row)] = (name, metas, row)
         return row
-
-    # -- the normalization sweep's source of cache arrays, and its sink ----------
-
-    @property
-    def slice_shape(self) -> tuple[int, ...]:
-        return self.snap._current.slice_shape
-
-    def cache_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        epoch = self.snap._current
-        return epoch.cache_values, epoch.cache_stamps
-
-    def normalised(self, index: int, ps_row: np.ndarray) -> None:
-        name, metas, row = self._row(ps_row, row_dtype(ps_row))
-        self._rows[index] = (name, metas)
-        _, payload = self.snap.kernel.directory.at_index(index)
-        self._store.adopt_row(payload, row)
 
     # -- release ---------------------------------------------------------------
 
@@ -508,17 +383,17 @@ class EpochExporter:
                 self.owner.decref(name)
 
     def close(self) -> None:
-        """Unlink every block this exporter ever published."""
-        self._store.successor_row = None  # adopted slices stay mapped
+        """Unlink every block this exporter ever published; the cube's rows
+        stay mapped, and its next rows are heap arrays."""
+        self._store.new_row = heap_row
         self._epoch_blocks.clear()
-        self._rows.clear()
-        self._unsealed.clear()
+        self._held.clear()
         self._last = None
         self.owner.close_all()
 
 
 def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
-    """Rebuild a detached :class:`Epoch` from an exported descriptor.
+    """Rebuild an :class:`Epoch` from an exported descriptor.
 
     The arrays are read-only views straight into the shared blocks -- no
     copies, each at the dtype its meta names (a row may be narrower than
@@ -528,7 +403,7 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
     epoch-latest instance.
     """
     frontier = cache.arrays(*descriptor["frontier"])
-    epoch = Epoch(
+    return Epoch(
         descriptor["kernel_version"],
         descriptor["external_version"],
         descriptor["sequence"],
@@ -537,16 +412,13 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
         descriptor["retired_below"],
         tuple(descriptor["slice_shape"]),
         frontier.get("cache_values"),
-        None,  # nothing attached reads through the cache by stamp
         {
-            index: (cache.arrays(name, metas)["ps"], None)
+            index: cache.arrays(name, metas)["ps"]
             for index, name, metas in descriptor["slices"]
         },
         frontier.get("gd_points"),
         frontier.get("gd_deltas"),
     )
-    epoch.detached = True
-    return epoch
 
 
 def descriptor_blocks(descriptor: dict) -> set[str]:

@@ -42,7 +42,7 @@ from repro.core.types import box_array
 from repro.durability.recovery import DurableCube, build_front
 from repro.metrics import CostCounter
 
-from repro.concurrent.snapshot import SnapshotCube, SnapshotView, prepare_epoch
+from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView, prepare_epoch
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
     BlockCache,
@@ -124,13 +124,13 @@ class ShardWorkerState:
 
     def publish(self) -> tuple:
         """``(descriptor, time state)``: the current epoch (picklable shm
-        names, or the epoch itself in-process) and ``(first time, last
-        time, demotion watermark)``, O(1) from the shard's own directory
-        and tiered front."""
+        names, or the :class:`Epoch` itself in-process) and ``(first time,
+        last time, demotion watermark)``, O(1) from the shard's own
+        directory and tiered front."""
         if self.exporter is not None:
             descriptor = self.exporter.export()
         else:
-            descriptor = ("inline", self.snap._current, self.snap)
+            descriptor = self.snap._current
         directory = self.kernel.directory
         first = last = None
         if directory:
@@ -222,12 +222,7 @@ class ShardWorkerState:
         "query": (lambda state, boxes: state.front.query_many(boxes), False),
         "topk": (_topk, False),
         "approx": (_approx, False),
-        "total": (
-            lambda state, _: SnapshotView(
-                state.snap, state.snap._current, owns_pin=False
-            ).total(),
-            False,
-        ),
+        "total": (lambda state, _: state.snap.total(), False),
         "checkpoint": (lambda state, _: state._durable("checkpoint").checkpoint(), False),
         "log_info": (lambda state, _: state._durable("log_info").log_info(), False),
     }
@@ -316,12 +311,12 @@ class ReaderState:
 
     def _attach(self, shard_id: int, descriptor) -> SnapshotView:
         """Bind a shard's newly published epoch to the evaluator."""
-        if isinstance(descriptor, tuple):  # ("inline", epoch, snapshot cube)
-            _, epoch, snap = descriptor
+        if isinstance(descriptor, Epoch):  # an inline shard's own
+            epoch = descriptor
         else:
-            epoch, snap = epoch_from_shared_memory(descriptor, self.cache), None
+            epoch = epoch_from_shared_memory(descriptor, self.cache)
             self._descriptors[shard_id] = descriptor
-        view = self._views[shard_id] = prepare_epoch(epoch, snap)
+        view = self._views[shard_id] = prepare_epoch(epoch)
         return view
 
     def query_many(self, descriptors: dict[int, object], boxes) -> list[int]:
@@ -337,8 +332,8 @@ class ReaderState:
             if not len(positions):
                 continue
             sequence = (
-                descriptor[1].sequence
-                if isinstance(descriptor, tuple)
+                descriptor.sequence
+                if isinstance(descriptor, Epoch)
                 else descriptor["sequence"]
             )
             view = self._views.get(shard_id)

@@ -66,3 +66,38 @@ def apply_updates(dense_shape, updates):
     for point, delta in updates:
         dense[tuple(point)] += delta
     return dense
+
+
+def assert_history_published(snap) -> None:
+    """What a snapshot front holds between operations: every historic
+    instance is complete (no copy owed) and is its published row -- fully
+    PS, at the narrowest width of its values -- and every array the
+    current epoch cites (rows, cache values, directory, ``G_d`` columns)
+    is read-only.  Nothing a reader holds is ever written."""
+    from repro.ecube.stores import row_dtype
+
+    kernel, epoch = snap.kernel, snap._current
+    assert kernel.incomplete_historic_instances() == 0
+    historic = range(kernel.retired_instances, kernel.num_slices - 1)
+    for index in historic:
+        values, flags = kernel.directory.at_index(index)[1].data()
+        assert flags.all() and values.dtype == row_dtype(values)
+        assert epoch.rows[index] is values
+    cited = [epoch.rows[index] for index in historic] + [
+        epoch.cache_values, epoch.times, epoch.gd_points, epoch.gd_deltas,
+    ]  # fmt: skip
+    assert not any(array.flags.writeable for array in cited if array is not None)
+
+
+def assert_rows_published(descriptor, blocks) -> None:
+    """The same, as far as a process shard's published epoch shows it: a
+    read-only row per historic instance, each at its values' width."""
+    from repro.ecube.stores import row_dtype
+
+    cited = [index for index, _, _ in descriptor["slices"]]
+    assert cited == list(
+        range(descriptor["retired_below"], max(descriptor["num_slices"] - 1, 0))
+    )
+    for _, name, metas in descriptor["slices"]:
+        row = blocks.arrays(name, metas)["ps"]
+        assert not row.flags.writeable and row.dtype == row_dtype(row)

@@ -19,6 +19,15 @@ this build writes; every directory before them is input, never
 regenerated.  The op lists below are what the test replays into a live
 replica.
 
+``sharded_converted/`` is a two-shard ``serve``-style directory whose
+checkpoint holds, in each shard, a historic instance no array sweep can
+finish: its kernel answered a counted ``query`` (converting cells whose
+lazy copy had landed) and later appends advanced those cells' stamps past
+it, so their DDC values are gone from slice and cache alike.  Commit
+18508ee wrote it (:func:`write_converted`); no later build can, since a
+served kernel's history is finished rows before anything converts a
+cell.  It is input, never regenerated.
+
 Regenerate the directories of the formats this build writes (only when
 the on-disk format changes on purpose)::
 
@@ -162,6 +171,49 @@ FROZEN = ("durable_point", "durable_extent")
 #: every file in the formats this build writes; the only directories the
 #: script below regenerates
 CURRENT = ("durable_extent_v3", "durable_point_v4")
+
+
+#: ``sharded_converted/``: its slice shape, the instance each shard's
+#: counted query converted, and the append batches, one per time
+CONVERTED_SHAPE = (6, 6)
+CONVERTED_LOST = 3
+
+
+def _converted_batches() -> list[tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(9)
+    batches = []
+    for time, count in [(t, 14) for t in range(6)] + [(6, 40), (7, 40)]:
+        points = np.column_stack(
+            [np.full(count, time)]
+            + [rng.integers(0, n, size=count) for n in CONVERTED_SHAPE]
+        ).astype(np.int64)
+        batches.append((points, rng.integers(1, 9, size=count).astype(np.int64)))
+    return batches
+
+
+CONVERTED_BATCHES = _converted_batches()
+
+
+def write_converted(directory) -> None:
+    """Two inline shards; each kernel answers a counted prefix query over
+    instance :data:`CONVERTED_LOST`, two more times are appended, and the
+    fleet checkpoints."""
+    from repro.core.types import Box
+    from repro.sharding import ShardedCube
+
+    with ShardedCube(
+        CONVERTED_SHAPE, shards=2, processes=False, durable_dir=directory,
+        fsync="off",
+    ) as cube:  # fmt: skip
+        for points, deltas in CONVERTED_BATCHES[:6]:
+            cube.update_many(points, deltas)
+        for handle in cube.router.handles:
+            kernel = handle.state.kernel
+            full = tuple(n - 1 for n in kernel.slice_shape)
+            kernel.query(Box((0,) * kernel.ndim, (CONVERTED_LOST, *full)))
+        for points, deltas in CONVERTED_BATCHES[6:]:
+            cube.update_many(points, deltas)
+        cube.checkpoint()
 
 
 def write(name: str, directory) -> None:

@@ -9,9 +9,12 @@ latest slices in one batch, a slice whose DDC state is unrecoverable,
 ``G_d`` contributions -- against the brute-force NumPy oracle.  The live
 kernel runs on every backend; pinned and shared-memory epochs serve the
 dense store only, and a bare paged or sparse kernel takes its late
-arrivals through its own out-of-order path.  The counting half pins down
-the reuse contract of the frozen callers: a slice is normalized once per
-freeze, never once per batch.
+arrivals through its own out-of-order path.  The state is built on the
+bare front and served afterwards, as a snapshot front attached to a
+kernel with history finds it: its publication finishes every historic
+instance into a row, so an epoch -- pinned or attached -- gathers from
+rows and sweeps only its latest instance.  The counting half pins down
+that reuse contract: a slice is normalized once, never once per batch.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ FINAL = (1, 6)
 class Rig:
     """One cube state behind the evaluator's three callers."""
 
-    def __init__(self, backend: str, buffered: bool, rng, counter=None) -> None:
+    def __init__(
+        self, backend: str, buffered: bool, rng, counter=None, serve=True
+    ) -> None:
         self.dense = np.zeros((NUM_TIMES,) + SHAPE, dtype=np.int64)
         self.snap = self.exporter = self.cache = self._remote = None
         if backend in BARE:
@@ -66,10 +71,7 @@ class Rig:
         else:
             front = BufferedEvolvingDataCube(SHAPE, num_times=NUM_TIMES, counter=counter)
             self.kernel = front.cube
-            self.front = front if buffered else front.cube
-            self.snap = self.writer = SnapshotCube(self.front)
-            self.exporter = EpochExporter(self.snap)
-            self.cache = BlockCache()
+            self.front = self.writer = front if buffered else front.cube
         for time in TIMES:
             self.append(time, rng, 12)
         # a metered read converts the cells it walks on a historic slice;
@@ -85,12 +87,16 @@ class Rig:
         if buffered:
             late = self._points(rng, rng.integers(0, TAIL[0], size=9))
             deltas = rng.integers(1, 7, size=9).astype(np.int64)
-            if self.snap is None:  # no G_d over a bare kernel: cascade them
+            if backend in BARE:  # no G_d over a bare kernel: cascade them
                 self.kernel.apply_out_of_order_many(late, deltas)
             else:
-                self.snap.update_many(late, deltas, mode="fast")
+                self.front.update_many(late, deltas, mode="fast")
                 assert self.front.buffered_updates == 9
             np.add.at(self.dense, tuple(late.T), deltas)
+        if serve and backend not in BARE:
+            self.snap = self.writer = SnapshotCube(self.front)
+            self.exporter = EpochExporter(self.snap)
+            self.cache = BlockCache()
 
     @staticmethod
     def _points(rng, times) -> np.ndarray:
@@ -143,9 +149,9 @@ class Rig:
 def rig_factory():
     rigs: list[Rig] = []
 
-    def build(backend="dense", buffered=True, counter=None) -> Rig:
+    def build(backend="dense", buffered=True, counter=None, serve=True) -> Rig:
         # every rig replays the same seeded stream: two of them are twins
-        rigs.append(Rig(backend, buffered, np.random.default_rng(7), counter))
+        rigs.append(Rig(backend, buffered, np.random.default_rng(7), counter, serve))
         return rigs[-1]
 
     yield build
@@ -200,7 +206,8 @@ class TestDifferential:
     def test_unrecoverable_slice_takes_the_fallback(
         self, rig_factory, monkeypatch, caller
     ):
-        rig = rig_factory("dense", buffered=False)
+        # served, the lost instance was walked once into a row at attach
+        rig = rig_factory("dense", buffered=False, serve=caller != "kernel")
         blocks: list[bool] = []  # per fallback box: did the term block answer?
         mixed_range = FastSliceEngine.mixed_range
 
@@ -215,9 +222,9 @@ class TestDifferential:
         beside = Box((time, 5, 4), (time, 5, 4))  # ... and this one does not
         expected = [brute_box_sum(rig.dense, box) for box in (inside, beside)]
         assert rig.ask(caller, [inside, beside]) == expected
-        if caller == "shm":
-            # the exporter walked the instance once, into a finished row:
-            # an attached reader gathers from it like from any other
+        if caller != "kernel":
+            # publication walked the instance once, into a finished row: a
+            # pinned or attached reader gathers from it like from any other
             assert blocks == []
             return
         assert sorted(blocks) == [False, True]  # per-cell walk, block gather
@@ -353,21 +360,13 @@ class TestReuse:
         for rows in normalized.values():
             del rows[:]  # the rig's own bulk finalizes
         first = view.query_many(boxes)
-        if caller == "shm":
-            # history arrived as finished rows: only the latest is swept
-            assert normalized == {"effective_ddc": [], "fenwick": [1]}
-        else:
-            # 13 instances: two fully PS, one unrecoverable, nine mixed, the latest
-            assert normalized == {"effective_ddc": [10], "fenwick": [11]}
+        # history is finished rows: only the latest is swept, once
+        assert normalized == {"effective_ddc": [], "fenwick": [1]}
         for rows in normalized.values():
             del rows[:]
         assert view.query_many(boxes) == first
-        if caller == "shm":
-            assert normalized == {"effective_ddc": [], "fenwick": []}
-        else:
-            # the unrecoverable slice is retried (and fails) every batch; the
-            # nine good rows and the latest instance come from the memo
-            assert normalized == {"effective_ddc": [1], "fenwick": [1]}
+        assert normalized == {"effective_ddc": [], "fenwick": []}
+        if caller == "pinned":
             view.release()
 
     def test_a_new_epoch_normalizes_only_changed_freezes(
@@ -390,7 +389,7 @@ class TestReuse:
             assert [row for row in after["slices"] if row not in before["slices"]] == [
                 after["slices"][-1]
             ]
-            # the exporter swept that one instance ...
+            # publication swept that one instance ...
             assert normalized == {"effective_ddc": [1], "fenwick": [1]}
             assert reader.query_many({0: after}, boxes) == [
                 brute_box_sum(rig.dense, box) for box in boxes

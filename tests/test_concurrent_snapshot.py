@@ -162,7 +162,7 @@ class TestEpochSemantics:
                 epoch_b = view_b.epoch
                 assert epoch_b.sequence > epoch_a.sequence
                 assert epoch_b.cache_values is epoch_a.cache_values
-                assert epoch_b.overlays is epoch_a.overlays
+                assert epoch_b.rows is epoch_a.rows
                 # answers still differ through the frozen G_d columns
                 box = Box((0, 0, 0), (15, 3, 3))
                 assert view_b.query(box) == view_a.query(box) + 7

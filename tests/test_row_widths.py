@@ -2,7 +2,7 @@
 
 A process shard publishes each historic instance once, as a
 shared-memory row stored at the narrowest signed width that holds its
-values (:func:`repro.sharding.shm.row_dtype`); readers widen to int64
+values (:func:`repro.ecube.stores.row_dtype`); readers widen to int64
 where they gather, and every slice a correction can write is int64
 (:class:`repro.ecube.stores.DenseStore`).  The fleets here -- shards in
 this process with no shared memory, shards in this process that publish
@@ -29,12 +29,11 @@ from repro.concurrent import SnapshotCube
 from repro.core.errors import AgedOutError
 from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.stores import _adopt_array
+from repro.ecube.stores import _adopt_array, row_dtype
 from repro.ranking import TopKEngine
 from repro.retention import Estimate
 from repro.sharding import BlockCache, ShardedCube, leaked_segments
 from repro.sharding.router import InlineHandle
-from repro.sharding.shm import row_dtype
 from repro.storage.mmap_npz import open_checkpoint
 
 from .conftest import random_box
@@ -171,7 +170,6 @@ class Fleet:
                 if values.flags.writeable:
                     assert values.dtype == np.int64
                 else:  # an adopted row: what the shard published
-                    assert state.exporter is not None
                     assert values.dtype == row_dtype(values)
         self.blocks.prune(cited)
 
@@ -281,10 +279,12 @@ def test_a_checkpoint_of_narrow_rows_recovers_bit_identically(tmp_path):
             fleet_dir, processes=processes, timeout=120.0
         ) as recovered:
             assert recovered.query_many(boxes) == expected
+            # restored int64, then published narrow again; the latest stays
             for handle in recovered.router.handles if not processes else ():
                 kernel = handle.state.kernel
                 for index in range(kernel.num_slices):
-                    payload = kernel.directory.at_index(index)[1]
-                    assert payload.values.dtype == np.int64
+                    values = kernel.directory.at_index(index)[1].values
+                    historic = index < kernel.num_slices - 1
+                    assert values.dtype == (row_dtype(values) if historic else np.int64)
     oracle.close()
     assert not leaked_segments()

@@ -261,15 +261,24 @@ def test_one_envelope_behind_inline_and_process_handles(processes):
         if processes:
             handle.conn = _SpyConn(handle.conn)
 
+        published = []  # per reply: did it carry an epoch descriptor?
+        deliver = handle._deliver
+
+        def spying(reply):
+            published.append(reply[2] is not None)
+            return deliver(reply)
+
+        handle._deliver = spying
+
         def delivered(op, payload, raises=None):
-            """Did the reply carry a (fresh) epoch descriptor?"""
-            held = handle.descriptor
+            """Did the reply carry an epoch descriptor?  (An inline shard's
+            is its current epoch itself: the same object until it changes.)"""
             if raises is None:
                 handle.request(op, payload)
             else:
                 with pytest.raises(raises):
                     handle.request(op, payload)
-            return handle.descriptor is not held
+            return published[-1]
 
         def ingest(point, delta):
             return np.asarray([point]), np.asarray([delta]), np.asarray([False])

@@ -636,3 +636,26 @@ class TestHistoryLivesOnce:
             after = [_fds(os.getpid())] + [_fds(pid) for pid in workers]
             assert [b - a for b, a in zip(before, after)] == [12, 6, 6]
         assert not leaked_segments()
+
+
+@pytest.mark.parametrize("front", ["snapshot", "inline", "process"])
+def test_total_is_the_whole_history_open_prefix(front):
+    """``total`` (the wire's ``total``) counts every update, at negative
+    occurring times too (``num_times=None`` admits them) and in ``G_d``,
+    and keeps counting retired history -- as ``CubeKernel.total`` does.
+    Shard 0 of the two holds only negative times."""
+    if front == "snapshot":
+        cube = SnapshotCube(BufferedEvolvingDataCube((4, 4)))
+    else:
+        cube = ShardedCube((4, 4), shards=2, processes=front == "process", timeout=120.0)
+    try:
+        cube.update_many([(-5, 1, 1), (2, 3, 3)], [7, 2])
+        assert cube.total() == 9
+        cube.update_many([(-7, 0, 0)], [4])  # late: into G_d
+        assert cube.total() == 13
+        cube.drain()
+        cube.retire_before(2)
+        assert cube.total() == 13
+    finally:
+        cube.close()
+    assert not leaked_segments()

@@ -18,6 +18,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
+    invariant,
     precondition,
     rule,
 )
@@ -36,6 +38,7 @@ from repro.core.front import layers
 from repro.core.types import Box
 from repro.durability.checkpoint import snapshot_arrays
 from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ecube.stores import row_dtype
 from repro.retention import TieredCube
 from repro.sharding import (
     BlockCache,
@@ -48,50 +51,62 @@ from repro.sharding.shm import (
     BlockOwner,
     descriptor_blocks,
     epoch_from_shared_memory,
-    row_dtype,
     unlink_orphaned,
 )
 from repro.storage.mmap_npz import open_checkpoint
 
-from .conftest import brute_box_sum, random_box
+from tests.data import make_durable_fixtures as fixtures
+
+from .conftest import assert_history_published, brute_box_sum, random_box
 from .test_shard_server import _serve_cli, _stop_cli
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SHAPE = (6, 5)
 NUM_TIMES = 40
 TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
 
 
-class CountingOwner(BlockOwner):
-    """A :class:`BlockOwner` that remembers the names it created."""
+def _counting(owner: BlockOwner) -> BlockOwner:
+    """``owner``, remembering in ``owner.created`` the names it creates."""
+    owner.created = []
+    create = owner.create
 
-    def __init__(self, tag: str) -> None:
-        super().__init__(tag)
-        self.created: list[str] = []
-
-    def create(self, arrays):
-        block = super().create(arrays)
-        self.created.append(block[0])
+    def counted(arrays):
+        block = create(arrays)
+        owner.created.append(block[0])
         return block
+
+    owner.create = counted
+    return owner
 
 
 class Rig:
-    """A cube, its exporter with a counting owner, and a dense oracle."""
+    """A cube, its exporter with a counting owner, and a dense oracle.
 
-    def __init__(self, tmp_path=None, buffered=True, restore=None) -> None:
+    ``serve=False`` leaves the front bare until :meth:`serve` attaches the
+    snapshot front and the exporter."""
+
+    def __init__(self, tmp_path=None, buffered=True, restore=None, serve=True) -> None:
         front = BufferedEvolvingDataCube(SHAPE, num_times=NUM_TIMES)
         self.kernel = front.cube
-        front = front if buffered else front.cube
+        self.front = front if buffered else front.cube
         if tmp_path is not None:
-            front = TieredCube(front, TIERS, tmp_path)
+            self.front = TieredCube(self.front, TIERS, tmp_path)
         if restore is not None:  # a checkpoint archive: each layer its own
-            for layer in reversed(layers(front).values()):
+            for layer in reversed(layers(self.front).values()):
                 layer.restore_state(restore)
-        self.snap = SnapshotCube(front)
-        self.exporter = EpochExporter(self.snap, tag="pub")
-        self.owner = self.exporter.owner = CountingOwner("pub")
+        self.snap = self.exporter = None
         self.cache = BlockCache()
         self.dense = np.zeros((NUM_TIMES,) + SHAPE, dtype=np.int64)
         self.rng = np.random.default_rng(11)
+        if serve:
+            self.serve()
+
+    def serve(self) -> None:
+        self.snap = SnapshotCube(self.front)
+        self.exporter = EpochExporter(self.snap, tag="pub")
+        self.owner = _counting(self.exporter.owner)
 
     def write(self, times, apply=None) -> None:
         """Random updates at ``times`` through ``apply`` (default: the front)."""
@@ -101,7 +116,7 @@ class Rig:
         ).astype(np.int64)
         deltas = self.rng.integers(1, 9, size=len(times)).astype(np.int64)
         if apply is None:
-            self.snap.update_many(points, deltas)
+            (self.snap or self.front).update_many(points, deltas)
         else:
             for point, delta in zip(points, deltas):
                 apply(tuple(int(c) for c in point), int(delta))
@@ -125,8 +140,9 @@ class Rig:
 
     def close(self) -> None:
         self.cache.close_all()
-        self.exporter.close()
-        self.snap.close()
+        if self.snap is not None:
+            self.exporter.close()
+            self.snap.close()
 
 
 @pytest.fixture
@@ -262,13 +278,15 @@ class TestExportCounts:
         for time in range(6):
             rig.write([time] * 5)
         rig.export()
-        rig.write([2], apply=rig.snap.apply_out_of_order)
-        kept, lost = (rig.kernel.directory.at_index(i)[1] for i in (2, 3))
-        successors = {key: held[0] for key, held in rig.exporter._unsealed.items()}
-        assert kept.values.flags.writeable and lost.values.flags.writeable
-        lost.ps_flags = lost.ps_flags.copy()  # flags of its own: no longer "fully PS"
-        assert not rig.kernel.store.seal(lost) and lost.values.flags.writeable
-        kept_row, lost_row = kept.values, lost.values
+        # hold publication back, so the successors can be looked at first
+        with rig.kernel.publish_barrier():
+            rig.write([2], apply=rig.snap.apply_out_of_order)
+            kept, lost = (rig.kernel.directory.at_index(i)[1] for i in (2, 3))
+            successors = {id(held[2]): held[0] for held in rig.exporter._held.values()}
+            assert kept.values.flags.writeable and lost.values.flags.writeable
+            lost.ps_flags = lost.ps_flags.copy()  # flags of its own: not "fully PS"
+            assert not rig.kernel.store.seal(lost) and lost.values.flags.writeable
+            kept_row, lost_row = kept.values, lost.values
         descriptor, _ = rig.export()
         new = _rows(descriptor)
         # the sealed successor's values fit a narrower width: re-published
@@ -294,11 +312,12 @@ class TestExportCounts:
         rig.dense[2, 1, 1] += 2**40
         kept = rig.kernel.directory.at_index(2)[1]
         kept_row = kept.values
-        assert kept_row.dtype == np.int64 and kept_row.flags.writeable
+        # the correction's own publication sealed it
+        assert kept_row.dtype == np.int64 and not kept_row.flags.writeable
         descriptor, created = rig.export()
         # sealed, not copied: each instance the correction reached (2 to
         # 4) is cited as its own int64 successor, and no other row is made
-        assert kept.values is kept_row and not kept_row.flags.writeable
+        assert kept.values is kept_row
         new = _rows(descriptor)
         assert created == [new[2], new[3], new[4], descriptor["frontier"][0]]
         _assert_history_is_the_published_rows(rig, descriptor)
@@ -373,22 +392,24 @@ class TestExportCounts:
         assert len(set(leaked_segments())) == len(before) + 1
 
     def test_the_unrecoverable_instance_is_walked_once(self, rig_factory, monkeypatch):
-        rig = rig_factory()
+        rig = rig_factory(serve=False)
         for time in range(6):
             rig.write([time] * 10)
-        # a metered read converts cells of instance 3; where the lazy copy
-        # had landed, the conversion overwrote the cell's DDC value
+        # a metered read of the bare kernel converts cells of instance 3;
+        # where the lazy copy had landed, the conversion overwrote the
+        # cell's DDC value
         rig.kernel.query(Box((0, 1, 1), (3, 4, 3)))
         rig.write([6] * 25)
         assert not rig.kernel.bulk_finalize_slice(3)
         walked: list[int] = []
-        walk = EpochExporter._walked_row
+        walk = SnapshotCube._walked_row
 
-        def spying(exporter, index, values, flags):
+        def spying(snap, index, values, flags):
             walked.append(index)
-            return walk(exporter, index, values, flags)
+            return walk(snap, index, values, flags)
 
-        monkeypatch.setattr(EpochExporter, "_walked_row", spying)
+        monkeypatch.setattr(SnapshotCube, "_walked_row", spying)
+        rig.serve()  # the first publication finishes history, 3 walked
         descriptor, _ = rig.export()
         assert walked == [3]
         _, name, metas = descriptor["slices"][3]
@@ -405,58 +426,46 @@ class TestExportCounts:
     def test_a_checkpointed_converted_instance_is_walked_once_on_recovery(
         self, tmp_path, monkeypatch
     ):
-        """The input that reaches the walk when the fleet itself reads and
-        writes in fast mode only: a directory an inline shard checkpointed
-        after its kernel answered a counted ``query``, recovered by a
-        process fleet."""
+        """The input that still reaches the walk: a directory an inline
+        shard checkpointed after its kernel answered a counted ``query``
+        (written by an older build, ``tests/data/sharded_converted``: a
+        served kernel no longer holds such a slice), recovered by a
+        process fleet.  Each shard walks its lost instance once."""
+        shape, lost = fixtures.CONVERTED_SHAPE, fixtures.CONVERTED_LOST
         rng = np.random.default_rng(11)
-        dense = np.zeros((NUM_TIMES,) + SHAPE, dtype=np.int64)
-
-        def write(cube, times):
-            points = np.column_stack(
-                [times] + [rng.integers(0, n, size=len(times)) for n in SHAPE]
-            ).astype(np.int64)
-            deltas = rng.integers(1, 9, size=len(times)).astype(np.int64)
-            cube.update_many(points, deltas)
+        dense = np.zeros((10,) + shape, dtype=np.int64)
+        for points, deltas in fixtures.CONVERTED_BATCHES:
             np.add.at(dense, tuple(points.T), deltas)
-
         fleet = tmp_path / "fleet"
-        with ShardedCube(
-            SHAPE, shards=1, processes=False, durable_dir=fleet, fsync="off",
-            num_times=NUM_TIMES,
-        ) as cube:  # fmt: skip
-            for time in range(6):
-                write(cube, [time] * 10)
-            kernel = cube.router.handles[0].state.kernel
-            kernel.query(Box((0, 1, 1), (3, 4, 3)))  # converts cells of 3
-            write(cube, [6] * 25)
-            assert not kernel.bulk_finalize_slice(3)
-            cube.checkpoint()
+        shutil.copytree(DATA / "sharded_converted", fleet)
         walked = tmp_path / "walked"
-        walk = EpochExporter._walked_row
+        walk = SnapshotCube._walked_row
 
-        def spying(exporter, index, values, flags):  # runs in the worker
+        def spying(snap, index, values, flags):  # runs in the worker
             with open(walked, "a") as log:
                 log.write(f"{index}\n")
-            return walk(exporter, index, values, flags)
+            return walk(snap, index, values, flags)
 
-        monkeypatch.setattr(EpochExporter, "_walked_row", spying)
-        full = tuple(n - 1 for n in SHAPE)
+        monkeypatch.setattr(SnapshotCube, "_walked_row", spying)
+        full = tuple(n - 1 for n in shape)
         boxes = [random_box(rng, dense.shape) for _ in range(40)]
-        boxes += [Box((0, 0, 0), (time, *full)) for time in range(8)]
+        boxes += [Box((0, 0, 0), (time, *full)) for time in range(10)]
         recovered = ShardedCube.recover(
             fleet, processes=True, start_method="fork", timeout=120.0
         )
         try:
             expected = [brute_box_sum(dense, box) for box in boxes]
             assert recovered.query_many(boxes) == expected
-            write(recovered, [7] * 5)
+            points = [(8, x, y) for x in range(6) for y in (0, 5)]
+            recovered.update_many(points, [1] * len(points))
+            np.add.at(dense, tuple(np.array(points).T), 1)
             expected = [brute_box_sum(dense, box) for box in boxes]
             assert recovered.query_many(boxes) == expected
             assert recovered.total() == int(dense.sum())
         finally:
             recovered.close()
-        assert walked.read_text().split() == ["3"]  # once, then cited
+        # once per shard, then cited
+        assert walked.read_text().split() == [str(lost)] * 2
         assert not leaked_segments()
 
 
@@ -485,10 +494,10 @@ def _assert_history_is_the_published_rows(rig, descriptor) -> None:
         assert payload.ps_count == payload.values.size
         metas = descriptor["slices"][index - first][2]
         assert np.array_equal(payload.values, rig.cache.arrays(name, metas)["ps"])
-        # freezing an immutable slice takes references, not copies
-        frozen = store.freeze_slice(payload)
-        assert frozen[0] is payload.values and frozen[1] is payload.ps_flags
-    assert not rig.exporter._unsealed  # no successor row outlives an export
+        # the epoch cites the slice's own row, not a copy of it
+        assert rig.snap._current.rows[index] is payload.values
+    # no successor row outlives an export: the exporter holds what is cited
+    assert {name for name, _, _ in rig.exporter._held.values()} == set(cited.values())
     assert kernel.incomplete_historic_instances() == 0
 
 
@@ -500,7 +509,8 @@ class PublicationMachine(RuleBasedStateMachine):
 
     Held to: attached answers equal the dense oracle, pinned views and a
     held descriptor keep answering what they answered, every resident
-    historic slice is read-only and bit-equal to its cited row, and
+    historic slice is read-only and bit-equal to its cited row, nothing
+    the current epoch cites is writable (after every rule), and
     ``/dev/shm`` holds exactly the blocks the live descriptors cite.
     """
 
@@ -578,6 +588,11 @@ class PublicationMachine(RuleBasedStateMachine):
         self.descriptor = descriptor
 
     has_history = precondition(lambda self: self.latest > self.boundary)
+
+    @invariant()
+    def history_is_published_rows(self):
+        if hasattr(self, "rig"):
+            assert_history_published(self.rig.snap)
 
     # -- rules ---------------------------------------------------------------------
 
@@ -700,8 +715,10 @@ for time in range(8):
     snap.update_many([[time, time % 6, time % 5]], [1])
     exporter.release_below(exporter.export()["sequence"])
 before = set(leaked_segments())
-snap.apply_out_of_order((3, 2, 2), 5)  # promotes rows 3.. into successors
-assert len(set(leaked_segments()) - before) == 4 and len(exporter._unsealed) == 4
+# promotes rows 3.. into int64 successors, which publication re-publishes
+# narrow: the successors are unlinked by the next export
+snap.apply_out_of_order((3, 2, 2), 5)
+assert len(set(leaked_segments()) - before) == 8 and len(exporter._held) == 15
 print(os.getpid(), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -716,9 +733,10 @@ def test_a_kill_between_promotion_and_export_leaves_only_sweepable_blocks():
     assert result.returncode == -signal.SIGKILL, result.stderr
     pid = int(result.stdout)
     left = leaked_segments()
-    # 7 rows + a frontier, and the 4 successor rows nothing cites yet: every
-    # one carries the dead owner's pid, which is all the sweep needs
-    assert len(left) == 12
+    # 7 rows + a frontier, the 4 rows re-published narrow, and the 4
+    # successor rows nothing cites any more: every one carries the dead
+    # owner's pid, which is all the sweep needs
+    assert len(left) == 16
     assert all(name.startswith(f"repro-ecube-doomed-{pid}-") for name in left)
     assert sorted(unlink_orphaned()) == left
     assert not leaked_segments()

@@ -7,7 +7,10 @@ updates, buffer drains and durable checkpoints -- against one
 the snapshot-isolation contract itself: every query against a pinned
 view must equal the sequential replay of the write prefix that existed
 when the view was pinned (held as a dense array copy), no matter what
-the writer did afterwards; live queries must see every write.
+the writer did afterwards; live queries must see every write.  What
+buys that without a lock is checked after every step too: every
+historic instance is its published, read-only row, and nothing the
+current epoch cites is writable.
 
 The machine is single-threaded -- it explores the *logical*
 interleavings (which epoch a reader holds vs. where the writer is),
@@ -34,6 +37,8 @@ from hypothesis.stateful import (
 
 from repro.core.types import Box
 from repro.durability.recovery import DurableCube
+
+from .conftest import assert_history_published
 
 SHAPE = (5, 5)
 NUM_TIMES = 20
@@ -173,6 +178,11 @@ class ConcurrentServingMachine(RuleBasedStateMachine):
         if not hasattr(self, "snap"):
             return
         assert self.snap.total() == int(self.dense.sum())
+
+    @invariant()
+    def history_is_published_rows(self):
+        if hasattr(self, "snap"):
+            assert_history_published(self.snap)
 
     @invariant()
     def pinned_views_unchanged_by_later_writes(self):

@@ -6,7 +6,11 @@ that buys -- *sharded answers stay bit-identical to an unsharded
 ``SnapshotCube`` whatever the writer does to history* -- is checked here
 after every step of appends, late updates, drains, out-of-order
 corrections (with splices), retirement, tiered demotion and
-checkpoint / close / recover, with ``/dev/shm`` empty at teardown.
+checkpoint / close / recover, with ``/dev/shm`` empty at teardown.  So
+is the representation that buys it: every shard -- inline or a process --
+and the oracle publish each historic instance as a finished read-only
+row at the width of its values (a process shard as far as its epoch
+shows it), and nothing the current epoch cites is writable.
 Late data may predate all history, and a retirement may be followed by a
 reopening.
 
@@ -44,9 +48,11 @@ from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ranking import TopKEngine
 from repro.retention import Estimate
-from repro.sharding import ShardedCube, leaked_segments
+from repro.sharding import BlockCache, ShardedCube, leaked_segments
+from repro.sharding.shm import descriptor_blocks
+from tests.data import make_durable_fixtures as fixtures
 
-from .conftest import random_box
+from .conftest import assert_history_published, assert_rows_published, random_box
 
 SHAPE = (6, 4)
 NUM_TIMES = 48
@@ -82,6 +88,7 @@ class Model:
         #: first time whose detail both sides still hold
         self.boundary = 0
         self.rng = np.random.default_rng(5)
+        self.blocks = BlockCache()
 
     # -- writes -----------------------------------------------------------------
 
@@ -157,6 +164,19 @@ class Model:
         assert self.cube.total() == self.oracle.total()
         if not self.processes:
             self.check_time_state()
+        self.check_published()
+
+    def check_published(self) -> None:
+        """Every shard's history, and the oracle's, is published rows."""
+        assert_history_published(self.oracle)
+        cited = set()
+        for handle in self.cube.router.handles:
+            if isinstance(handle.descriptor, dict):  # a worker process
+                assert_rows_published(handle.descriptor, self.blocks)
+                cited |= descriptor_blocks(handle.descriptor)
+            else:
+                assert_history_published(handle.state.snap)
+        self.blocks.prune(cited)
 
     def check_topk(self) -> None:
         """Top-k over windows anywhere in time, retired ones included; the
@@ -189,6 +209,7 @@ class Model:
         assert router.demote_boundary == max(watermarks, default=None)
 
     def close(self) -> None:
+        self.blocks.close_all()
         self.cube.close()
         self.oracle.close()
         shutil.rmtree(self.root, ignore_errors=True)
@@ -294,39 +315,22 @@ TestInlineShardedHistoryMachine.settings = settings(
 
 
 def test_an_unrecoverable_mixed_instance_bootstraps_into_a_process_shard(tmp_path):
-    """Recovery hands the exporter a slice no array sweep can normalize.
+    """Recovery hands publication a slice no array sweep can normalize.
 
-    Metered reads convert cells of a historic instance; later appends
-    advance those cells' lazy-copy stamps past it, so their DDC values
-    are gone from slice and cache alike.  Checkpointed like that and
-    recovered into worker processes, the instance must still reach the
+    Metered reads converted cells of a historic instance; later appends
+    advanced those cells' lazy-copy stamps past it, so their DDC values
+    are gone from slice and cache alike.  A served kernel no longer holds
+    such a slice (its history is finished rows first); the directory an
+    older build checkpointed like that is ``tests/data/sharded_converted``.
+    Recovered into worker processes, the instance must still reach the
     router as a finished row: every prefix box over it equals the oracle.
     """
-    shape = (6, 6)
+    shape, lost = fixtures.CONVERTED_SHAPE, fixtures.CONVERTED_LOST
     rng = np.random.default_rng(9)
     dense = np.zeros((8,) + shape, dtype=np.int64)
-    lost = 3
-    with ShardedCube(
-        shape, shards=2, processes=False, durable_dir=tmp_path / "fleet", fsync="off"
-    ) as cube:
-
-        def append(time, count):
-            points = np.column_stack(
-                [np.full(count, time)] + [rng.integers(0, n, size=count) for n in shape]
-            )
-            deltas = rng.integers(1, 9, size=count)
-            cube.update_many(points, deltas)
-            np.add.at(dense, tuple(points.T), deltas)
-
-        for time in range(6):
-            append(time, 14)
-        kernels = [handle.state.kernel for handle in cube.router.handles]
-        for kernel in kernels:
-            kernel.query(Box((0, 0, 0), (lost, *(n - 1 for n in kernel.slice_shape))))
-        append(6, 40)
-        append(7, 40)
-        assert not any(kernel.bulk_finalize_slice(lost) for kernel in kernels)
-        cube.checkpoint()
+    for points, deltas in fixtures.CONVERTED_BATCHES:
+        np.add.at(dense, tuple(points.T), deltas)
+    shutil.copytree(Path(__file__).resolve().parent / "data" / "sharded_converted", tmp_path / "fleet")
     with ShardedCube.recover(tmp_path / "fleet", processes=True, timeout=120.0) as cube:
         boxes = [Box((0, 0, 0), (lost, x, y)) for x in range(6) for y in range(6)]
         boxes += [Box((lost, x, 0), (lost, 5, y)) for x in range(6) for y in range(6)]
