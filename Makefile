@@ -49,19 +49,10 @@ lint:
 # Code lines (not blank, not a comment-only line) of src/repro, of the
 # serving path (src/repro minus the modules of the paper reproduction,
 # tests/test_import_fence.py's REPRODUCTION list), of src/repro/sharding
-# and of src/repro/durability.  ROADMAP tracks the second number; nothing
-# enforces a threshold.
-SERVING_FILES = PYTHONPATH=. $(PY) -c 'import pathlib; \
-	from tests.test_import_fence import reproduction_modules as fenced; \
-	module = lambda p: ".".join(p.with_suffix("").parts[1:]).removesuffix(".__init__"); \
-	print("\n".join(str(p) for p in sorted(pathlib.Path("src/repro").rglob("*.py")) if not fenced([module(p)])))'
-
+# and of src/repro/durability, each also without docstring lines.
+# ROADMAP tracks the serving-path numbers; nothing enforces a threshold.
 loc:
-	@count() { xargs grep -vcE '^[[:space:]]*(#|$$)' | awk -F: '{n += $$2} END {print n}'; }; \
-	echo "src/repro code lines: $$(find src/repro -name '*.py' | count)"; \
-	echo "serving-path code lines: $$($(SERVING_FILES) | count)"; \
-	echo "src/repro/sharding code lines: $$(find src/repro/sharding -name '*.py' | count)"; \
-	echo "src/repro/durability code lines: $$(find src/repro/durability -name '*.py' | count)"
+	@PYTHONPATH=. $(PY) benchmarks/loc.py
 
 # A front is a declared stack (repro.core.front): nothing finds a layer
 # by probing, there is one kernel implementation, one tile codec, one shm
@@ -77,7 +68,9 @@ loc:
 # store's row allocator while attached); and served history has one
 # representation, published rows nobody writes: no seqlock (mut_version),
 # no slice freeze (freeze_slice, _slice_arrays) anywhere, and no mixed
-# slice a snapshot epoch reads (MIXED in concurrent/snapshot.py).
+# slice a snapshot epoch reads (MIXED in concurrent/snapshot.py); the
+# server runs on threads and loads nothing that initialises OpenSSL: no
+# asyncio, no secrets, no thread-pool executor in sharding/ or __main__.py.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -105,4 +98,6 @@ probes:
 	@! grep -rn 'create({"p[s]"' src/repro --exclude=shm.py
 	@! awk '/    def _row\(/ {on = 1; next} on && /^    (def |# )/ {on = 0} !on' \
 		src/repro/sharding/shm.py | grep -n 'create({"p[s]"'
+	@! grep -rnE 'import (asyncio|secrets)|from (asyncio|secrets) import|ThreadPoolExecutor' \
+		src/repro/sharding src/repro/__main__.py
 	@echo "probes: none"

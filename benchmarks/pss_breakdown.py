@@ -7,14 +7,14 @@ then stops the server with SIGTERM, restarts ``serve --durable-dir`` on
 the same directory (which recovers the cube from its log) and reads
 them a third time.  It prints the proportional set size per process and
 per mapping class (``[heap]``, anonymous, ``/dev/shm``, numpy, python,
-other libraries) for each phase.  ``server_pss_mb`` of the serving
-benchmark is the sum of these tables; this script says which class of
-which process a change moved.  Beside each table it counts the history
-rows the workers publish, per width (a row is stored at the narrowest
-signed width that holds its values), with their ``/dev/shm`` bytes and
-what the same rows would take at int64.  Before each loaded and
-recovered reading a box corner lands on every row, as a long read
-workload would touch them.
+OpenSSL's ``libcrypto`` / ``libssl``, other libraries) for each
+phase.  ``server_pss_mb`` of the serving benchmark is the sum of these
+tables; this script says which class of which process a change moved.
+Beside each table it counts the history rows the workers publish, per
+width (a row is stored at the narrowest signed width that holds its
+values), with their ``/dev/shm`` bytes and what the same rows would take
+at int64.  Before each loaded and recovered reading a box corner lands
+on every row, as a long read workload would touch them.
 
 Exit status 1 when the workers' ``[heap]`` + anonymous growth over idle,
 loaded or recovered, exceeds half the bytes of the history loaded (at
@@ -43,7 +43,7 @@ from repro.sharding.shm import SHM_PREFIX
 
 SHAPE = (32, 32, 8)
 PER_SLICE = 320  # updates per occurring time
-CLASSES = ("[heap]", "anon", "/dev/shm", "numpy", "python", "other libs")
+CLASSES = ("[heap]", "anon", "/dev/shm", "numpy", "python", "openssl", "other libs")
 MIB = 2**20
 
 
@@ -56,8 +56,11 @@ def _classify(path: str) -> str:
         return "/dev/shm"
     if "/numpy" in path:
         return "numpy"
-    if "python" in os.path.basename(path) or "/lib-dynload/" in path:
+    name = os.path.basename(path)
+    if "python" in name or "/lib-dynload/" in path:
         return "python"
+    if name.startswith(("libcrypto", "libssl")):
+        return "openssl"
     return "other libs"
 
 

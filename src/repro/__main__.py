@@ -145,7 +145,6 @@ def _cmd_serve(args) -> int:
     worker processes, attach their shared-memory epochs and answer
     length-prefixed JSON requests on ``--host``/``--port`` until SIGTERM
     drains the listener."""
-    import asyncio
     from pathlib import Path
 
     from repro.sharding import ShardServer, ShardedCube
@@ -176,9 +175,8 @@ def _cmd_serve(args) -> int:
             tile_root=args.tile_root,
         )
     server = ShardServer(cube, host=args.host, port=args.port)
-
-    async def run() -> None:
-        await server.start()
+    try:
+        server.listen()
         banner = {
             "listening": f"{server.host}:{server.port}",
             "shards": cube.partitioner.num_shards,
@@ -188,10 +186,7 @@ def _cmd_serve(args) -> int:
         if recovered:
             banner["recovered"] = True
         print(json.dumps(banner), flush=True)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(run())
+        server.serve()
     except KeyboardInterrupt:
         pass
     finally:

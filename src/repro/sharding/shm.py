@@ -63,7 +63,6 @@ from __future__ import annotations
 import mmap
 import os
 import re
-import secrets
 
 import _posixshmem
 
@@ -213,7 +212,7 @@ class BlockOwner:
     """Creates, reference-counts and unlinks this process's blocks."""
 
     def __init__(self, tag: str = "") -> None:
-        self._tag = tag or "b" + secrets.token_hex(3)
+        self._tag = tag or "b" + os.urandom(3).hex()
         self._sequence = 0
         self._blocks: dict[str, _Segment] = {}
         self._refs: dict[str, int] = {}

@@ -135,10 +135,16 @@ EXPORTS = {
     ),
 }
 
+#: what a served process never loads: an event loop, an executor, TLS and
+#: hashing (either of the last two initialises OpenSSL)
+UNUSED_STDLIB = "asyncio ssl _ssl hashlib _hashlib secrets concurrent.futures"
+
 #: run in a fresh interpreter: prints the ``repro.*`` modules loaded by the
-#: import alone, then by a served cube's whole life
+#: import alone, then by a served cube's whole life (writes, reads, a
+#: checkpoint and one ping over TCP), then which of ``UNUSED_STDLIB`` it
+#: loaded
 SERVED_SCRIPT = """
-import json, sys, tempfile
+import json, sys, tempfile, threading
 
 def loaded():
     return sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
@@ -147,7 +153,7 @@ import repro.sharding
 print(json.dumps(loaded()))
 
 from repro.core.types import Box
-from repro.sharding import ShardedCube
+from repro.sharding import ShardClient, ShardServer, ShardedCube
 
 with tempfile.TemporaryDirectory() as root, ShardedCube(
     (8, 8), shards=2, processes=False, buffered=True,
@@ -162,7 +168,16 @@ with tempfile.TemporaryDirectory() as root, ShardedCube(
     assert cube.query_many([everything]) == [38]
     assert cube.topk_many([(0, 23, 2)]) == [[((2, 2), 5), ((0, 4), 4)]]
     cube.checkpoint()
+    server = ShardServer(cube)
+    server.listen()
+    serving = threading.Thread(target=server.serve, kwargs={"install_sigterm": False})
+    serving.start()
+    with ShardClient("127.0.0.1", server.port) as client:
+        assert client.ping() == "pong"
+    server.shutdown()
+    serving.join()
 print(json.dumps(loaded()))
+print(json.dumps([m for m in sys.argv[1].split() if m in sys.modules]))
 """
 
 
@@ -175,15 +190,18 @@ def reproduction_modules(modules):
 
 def test_served_process_loads_no_reproduction_module():
     result = subprocess.run(
-        [sys.executable, "-W", "error", "-c", SERVED_SCRIPT],
+        [sys.executable, "-W", "error", "-c", SERVED_SCRIPT, UNUSED_STDLIB],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    after_import, after_serving = map(json.loads, result.stdout.splitlines())
+    after_import, after_serving, unused = map(json.loads, result.stdout.splitlines())
     assert "repro.sharding" in after_import and "repro.ecube.kernel" in after_serving
     for modules in (after_import, after_serving):
         assert reproduction_modules(modules) == []
-        assert len(modules) <= MODULE_CEILING
+    # the ceiling counts the cube's modules; the TCP front adds its own
+    assert len(after_import) <= MODULE_CEILING
+    assert len(set(after_serving) - {"repro.sharding.server"}) <= MODULE_CEILING
+    assert unused == []
 
 
 def test_import_repro_is_silent():

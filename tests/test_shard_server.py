@@ -1,8 +1,8 @@
 """The TCP front: wire protocol, error mapping, graceful drain.
 
-The server is hosted on a background thread running its own asyncio
-loop; the cube under it is an inline :class:`ShardedCube` (no worker
-processes), so the test exercises exactly the network layer.  The
+The server's accept loop runs on a background thread; the cube under
+it is an inline :class:`ShardedCube` (no worker processes), so the test
+exercises exactly the network layer.  The
 ``_serve_cli`` tests instead run the ``python -m repro serve`` command
 itself: restarted on one durable directory, fed hostile frames with
 worker processes behind it, and with ``--tiers``.
@@ -11,6 +11,7 @@ worker processes behind it, and with ``--tiers``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
@@ -19,6 +20,8 @@ import struct
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,39 +30,28 @@ from hypothesis import strategies as st
 
 from repro.core.types import Box
 from repro.sharding import ShardClient, ShardServer, ShardedCube
+from repro.sharding import server as server_module
 from repro.sharding.ops import OPS
 
 
 class _ServerThread:
-    """Run a ShardServer on its own event loop until stopped."""
+    """Run a ShardServer's accept loop on a background thread until stopped."""
 
     def __init__(self, cube) -> None:
         self.server = ShardServer(cube)
-        self._loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-
-        async def main() -> None:
-            await self.server.start()
-            self._started.set()
-            await self.server.serve_forever(install_sigterm=False)
-
-        self._loop.run_until_complete(main())
+        self._thread = threading.Thread(
+            target=self.server.serve, kwargs={"install_sigterm": False}, daemon=True
+        )
 
     def __enter__(self) -> ShardServer:
+        self.server.listen()
         self._thread.start()
-        assert self._started.wait(timeout=30)
         return self.server
 
     def __exit__(self, *exc) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.server.shutdown(), self._loop
-        ).result(timeout=30)
+        self.server.shutdown()
         self._thread.join(timeout=30)
-        self._loop.close()
+        assert not self._thread.is_alive()
 
 
 @pytest.fixture
@@ -187,6 +179,240 @@ def test_shutdown_drains_inflight_requests(cube, rng):
         socket.create_connection(("127.0.0.1", server.port), timeout=2)
 
 
+class _SlowTotal:
+    """The cube, with a ``total`` that takes ``seconds`` and says when it
+    started."""
+
+    def __init__(self, cube, seconds: float) -> None:
+        self.cube = cube
+        self.seconds = seconds
+        self.entered = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self.cube, name)
+
+    def total(self):
+        self.entered.set()
+        time.sleep(self.seconds)
+        return self.cube.total()
+
+
+def test_shutdown_finishes_the_request_in_flight(cube):
+    slow = _SlowTotal(cube, 0.5)
+    cube.update((0, 1, 1), 3)
+    runner = _ServerThread(slow)
+    server = runner.__enter__()
+    busy = ShardClient("127.0.0.1", server.port)
+    idle = ShardClient("127.0.0.1", server.port)
+    assert idle.ping()
+    replies = []
+    asker = threading.Thread(target=lambda: replies.append(busy.total()))
+    asker.start()
+    assert slow.entered.wait(timeout=30)
+    runner.__exit__(None, None, None)  # returns once drained
+    asker.join(timeout=30)
+    assert replies == [3]  # the request in flight was answered
+    for client in (busy, idle):
+        with pytest.raises(ConnectionError):
+            client.ping()  # and then every connection was closed
+        client.close()
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=2)
+
+
+def test_concurrent_connections_lose_no_update(cube):
+    """More client threads than cores, each on its own connection, with a
+    short switch interval: the cube lock must keep every write."""
+    clients, writes = 6, 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _ServerThread(cube) as server:
+
+            def write(seed: int) -> None:
+                with ShardClient("127.0.0.1", server.port) as client:
+                    for i in range(writes):
+                        client.update_many([[i, seed % 6, i % 6], [i, 5, 5]], [seed, 1])
+
+            threads = [
+                threading.Thread(target=write, args=(seed,)) for seed in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            with ShardClient("127.0.0.1", server.port) as client:
+                assert client.total() == writes * sum(range(clients)) + writes * clients
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _read_reply(sock) -> dict:
+    header = b""
+    while len(header) < 4:
+        chunk = sock.recv(4 - len(header))
+        assert chunk, "connection closed before a reply"
+        header += chunk
+    (length,) = struct.unpack(">I", header)
+    body = b""
+    while len(body) < length:
+        body += sock.recv(length - len(body))
+    return json.loads(body)
+
+
+@pytest.mark.parametrize("trickle", [False, True], ids=["stops", "trickles"])
+def test_a_body_late_after_its_header_is_refused(cube, monkeypatch, trickle):
+    """Once a header has arrived its whole body has ``BODY_DEADLINE``
+    seconds, so a byte every 0.1 s does not keep a 0.3 s body open; the
+    late connection gets a ``ProtocolError`` frame and is closed, every
+    other one is served, and time between frames is not limited."""
+    monkeypatch.setattr(server_module, "BODY_DEADLINE", 0.3)
+    with _ServerThread(cube) as server:
+        with ShardClient("127.0.0.1", server.port) as other, ShardClient(
+            "127.0.0.1", server.port
+        ) as idle:
+            assert other.ping()
+            late = socket.create_connection(("127.0.0.1", server.port), timeout=30)
+            refused = threading.Event()
+
+            def send_late() -> None:
+                with contextlib.suppress(OSError):  # the server hung up
+                    late.sendall(struct.pack(">I", 50) + b'{"op": ')
+                    while trickle and not refused.wait(0.1):
+                        late.sendall(b" ")
+
+            sender = threading.Thread(target=send_late)
+            try:
+                started = time.monotonic()
+                sender.start()
+                assert other.ping() and other.total() == 0
+                reply = _read_reply(late)
+                assert 0.3 <= time.monotonic() - started < 3.0
+                assert reply["error"] == "ProtocolError"
+                assert "not received within 0.3 s" in reply["message"]
+                refused.set()
+                with contextlib.suppress(ConnectionResetError):  # unread bytes
+                    assert late.recv(1) == b""  # closed after the refusal
+            finally:
+                refused.set()
+                sender.join(timeout=30)
+                late.close()
+            time.sleep(0.5)  # idle longer than the deadline, between frames
+            assert other.ping() and idle.ping()
+
+
+def test_an_announced_frame_is_not_allocated_before_it_arrives(cube, monkeypatch):
+    """A header announcing ``MAX_FRAME`` bytes, followed by a few, makes the
+    server hold what arrived, not what was announced."""
+    monkeypatch.setattr(server_module, "BODY_DEADLINE", 0.3)
+    with _ServerThread(cube) as server:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                sock.sendall(struct.pack(">I", server_module.MAX_FRAME) + b"{" * 10)
+                assert _read_reply(sock)["error"] == "ProtocolError"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < server_module.MAX_FRAME // 16, peak
+
+
+class _LargeTotal:
+    """The cube, with a ``total`` whose reply is a few MiB."""
+
+    def __init__(self, cube) -> None:
+        self.cube = cube
+
+    def __getattr__(self, name):
+        return getattr(self.cube, name)
+
+    def total(self):
+        return [0] * (1 << 20)
+
+
+def test_a_client_that_does_not_read_its_reply_cannot_stall_the_drain(
+    cube, monkeypatch
+):
+    """A reply larger than the socket buffers, to a client that never reads
+    it, is dropped after ``BODY_DEADLINE``, so ``shutdown()`` returns."""
+    monkeypatch.setattr(server_module, "BODY_DEADLINE", 0.3)
+    runner = _ServerThread(_LargeTotal(cube))
+    server = runner.__enter__()
+    stuck = socket.socket()
+    stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stuck.connect(("127.0.0.1", server.port))
+    try:
+        request = json.dumps({"op": "ping"}).encode()
+        stuck.sendall(struct.pack(">I", len(request)) + request)
+        assert _read_reply(stuck)["result"] == "pong"
+        (accepted,) = server._connections
+        accepted.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        request = json.dumps({"op": "total"}).encode()
+        stuck.sendall(struct.pack(">I", len(request)) + request)
+        time.sleep(0.1)  # the reply is being sent, and nobody reads it
+        stopper = threading.Thread(target=runner.__exit__, args=(None, None, None))
+        stopper.start()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive(), "shutdown() waited on a reply nobody reads"
+    finally:
+        stuck.close()
+
+
+def _has_ipv6_loopback() -> bool:
+    if not socket.has_ipv6:
+        return False
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        "127.0.0.1",
+        pytest.param(
+            "::1",
+            marks=pytest.mark.skipif(
+                not _has_ipv6_loopback(), reason="no IPv6 loopback on this host"
+            ),
+        ),
+    ],
+)
+def test_accepted_sockets_send_without_delay(cube, host):
+    runner = _ServerThread(cube)
+    runner.server.host = host
+    with runner as server:
+        with ShardClient(host, server.port) as client:
+            assert client.ping()
+            (accepted,) = server._connections
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_awaitable_start_and_serve_forever_run_the_sync_server(cube):
+    """The two awaitable names serve from inside a caller's event loop."""
+    server = ShardServer(cube)
+    listening = threading.Event()
+
+    async def main() -> None:
+        await server.start()
+        listening.set()
+        await server.serve_forever(install_sigterm=False)
+
+    loop = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+    loop.start()
+    assert listening.wait(timeout=30)
+    with ShardClient("127.0.0.1", server.port) as client:
+        assert client.ping()
+    server.shutdown()
+    loop.join(timeout=30)
+    assert not loop.is_alive()
+
+
 def _serve_cli(durable_dir, *flags, inline=True, shape="6,6"):
     """``python -m repro serve`` on ``durable_dir``; returns (process, banner)."""
     process = subprocess.Popen(
@@ -257,6 +483,29 @@ def test_hostile_frames_leave_every_worker_process_serving(tmp_path):
     finally:
         stderr = _stop_cli(process)
     assert "Unhandled exception" not in stderr and "Traceback" not in stderr
+
+
+def test_a_client_that_leaves_mid_frame_ends_only_its_connection(tmp_path):
+    """Closing mid-body, and resetting before the reply is read, used to
+    print ``Unhandled exception in client_connected_cb`` and a traceback."""
+    process, banner = _serve_cli(tmp_path)
+    try:
+        port = int(banner["listening"].rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(struct.pack(">I", 100) + b'{"op": "pi')
+        points = [[t // 40, t % 6, t % 5] for t in range(4000)]
+        request = json.dumps(
+            {"op": "update_many", "points": points, "deltas": [1] * 4000}
+        ).encode()
+        sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(struct.pack(">I", len(request)) + request)
+        sock.close()  # a reset, before the reply
+        with ShardClient("127.0.0.1", port) as client:
+            assert client.ping()
+    finally:
+        stderr = _stop_cli(process)
+    assert "Unhandled exception" not in stderr and "Traceback" not in stderr, stderr
 
 
 def test_tiers_flag_serves_demote_and_query_approx(tmp_path):
