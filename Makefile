@@ -70,7 +70,9 @@ loc:
 # no slice freeze (freeze_slice, _slice_arrays) anywhere, and no mixed
 # slice a snapshot epoch reads (MIXED in concurrent/snapshot.py); the
 # server runs on threads and loads nothing that initialises OpenSSL: no
-# asyncio, no secrets, no thread-pool executor in sharding/ or __main__.py.
+# asyncio, no secrets, no thread-pool executor in sharding/ or __main__.py;
+# and no np.unique outside the reproduction's experiments/ and workloads/
+# (its hash path imports numpy.ma; repro.ecube.compiled.sorted_unique does not).
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -100,4 +102,5 @@ probes:
 		src/repro/sharding/shm.py | grep -n 'create({"p[s]"'
 	@! grep -rnE 'import (asyncio|secrets)|from (asyncio|secrets) import|ThreadPoolExecutor' \
 		src/repro/sharding src/repro/__main__.py
+	@! grep -rn 'np\.uniqu[e](' src/repro --exclude-dir=experiments --exclude-dir=workloads
 	@echo "probes: none"

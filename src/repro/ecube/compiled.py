@@ -1,10 +1,11 @@
 """The hot inner loops of the fast execution engine.
 
-The fast path spends its time in three tight loops: the scatter-add
-that lands batched DDC updates in the cache, the stale-cell selection of
-the lazy-copy sweeps, and the per-cell reconstruction of a mixed slice's
-effective DDC array.  Each is one NumPy kernel here -- exact int64
-arithmetic, so the order of evaluation never changes a result --
+The fast path spends its time in four tight loops: the dedupe of a
+batch's DDC update sets (:func:`sorted_unique`), the scatter-add that
+lands them in the cache, the stale-cell selection of the lazy-copy
+sweeps, and the per-cell reconstruction of a mixed slice's effective DDC
+array.  Each is one NumPy kernel here -- exact int64 arithmetic, so the
+order of evaluation never changes a result --
 beside the log-step Fenwick-to-prefix-sum conversion
 (:func:`fenwick_to_ps_inplace`), which runs as ``O(log n)`` whole-array
 operations per axis.  The batch read's corner gather
@@ -20,6 +21,27 @@ benchmark's host fingerprint record it.
 from __future__ import annotations
 
 import numpy as np
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """The index where each run of equal values in sorted ``ordered`` begins."""
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """What ``np.unique`` returns for a 1-d integer array: each value once,
+    sorted.
+
+    A sort, then each value that differs from its predecessor: O(n log n)
+    in the array's size, no hash table.  NumPy 2.4's hash path of
+    ``np.unique`` imports ``numpy.ma`` on its first call; in a forked
+    server process that is a private copy of three modules per process.
+    """
+    ordered = np.sort(values)
+    return ordered[run_starts(ordered)]
 
 
 def scatter_add(

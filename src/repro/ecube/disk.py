@@ -38,6 +38,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.ecube import compiled
 from repro.ecube.kernel import CubeKernel
 from repro.ecube.stores import ArrayCacheStore
 from repro.metrics import CostCounter
@@ -149,7 +150,7 @@ class PagedStore(ArrayCacheStore):
             return
         store = payload.store
         store.cells.reshape(-1)[flat] += delta
-        for page in np.unique(flat // store.cells_per_page):
+        for page in compiled.sorted_unique(flat // store.cells_per_page):
             self.tracker.record_write(store.store_id, int(page))
 
     def clone_payload(self, floor_payload) -> PagedSlice:
@@ -255,7 +256,7 @@ class PagedStore(ArrayCacheStore):
     def _bulk_copy(self, payload, writable: np.ndarray, values: np.ndarray) -> None:
         store = payload.store
         store.cells.reshape(-1)[writable] = values
-        for page in np.unique(writable // store.cells_per_page):
+        for page in compiled.sorted_unique(writable // store.cells_per_page):
             self.tracker.record_write(store.store_id, int(page))
 
 

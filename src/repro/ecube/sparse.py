@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.ecube import compiled
 from repro.ecube.kernel import CubeKernel
 from repro.ecube.stores import BaseSliceStore
 from repro.metrics import CostCounter
@@ -263,7 +264,7 @@ class SparseStore(BaseSliceStore):
         shape = kernel.slice_shape
         all_flat, set_sizes = fast.ddc_tables.update_flat_sets(cells)
         all_deltas = np.repeat(deltas, set_sizes)
-        affected = np.unique(all_flat)
+        affected = compiled.sorted_unique(all_flat)
         counter.read_cells(int(affected.size))
         affected_cells = [
             tuple(int(c) for c in np.unravel_index(int(flat), shape))

@@ -298,7 +298,7 @@ class ArrayCacheStore(BaseSliceStore):
         last_index = cache.last_index
         all_flat, set_sizes = fast.ddc_tables.update_flat_sets(cells)
         all_deltas = np.repeat(deltas, set_sizes)
-        affected = np.unique(all_flat)
+        affected = compiled.sorted_unique(all_flat)
         self.counter.read_cells(int(affected.size))  # stamp/value inspection
         stamps_flat = cache.flat_stamps
         cache_flat = cache.flat_values

@@ -51,6 +51,7 @@ from repro.core.errors import AgedOutError, DomainError, StorageError
 from repro.core.front import forward, layers, require
 from repro.core.types import Box, box_array, clip_cells
 from repro.durability.wal import LOGGED
+from repro.ecube.compiled import run_starts
 from repro.ecube.fastpath import _corner_terms
 from repro.retention.tiers import TierPolicy, RollupTier
 from repro.retention.tiles import TileStore
@@ -309,9 +310,9 @@ class TieredCube:
         ``rows`` slices the run.  In this order a tile decodes at most
         once per batch."""
         times = demoted[2]
-        instants, starts = np.unique(times, return_index=True)
+        starts = run_starts(times)
         stops = [*starts[1:].tolist(), times.size]
-        for time, start, stop in zip(instants.tolist(), starts.tolist(), stops):
+        for time, start, stop in zip(times[starts].tolist(), starts.tolist(), stops):
             yield time, slice(start, stop)
 
     def _demoted_sums(self, demoted) -> np.ndarray:

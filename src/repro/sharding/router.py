@@ -309,7 +309,7 @@ class ShardRouter:
         shard_ids = self.partitioner.shard_of_cells(points[:, 1:])
         targets = []
         payloads = []
-        for shard_id in np.unique(shard_ids):
+        for shard_id in np.flatnonzero(np.bincount(shard_ids)):
             mask = shard_ids == shard_id
             targets.append(self.handles[int(shard_id)])
             payloads.append(

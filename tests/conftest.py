@@ -101,3 +101,28 @@ def assert_rows_published(descriptor, blocks) -> None:
     for _, name, metas in descriptor["slices"]:
         row = blocks.arrays(name, metas)["ps"]
         assert not row.flags.writeable and row.dtype == row_dtype(row)
+
+
+def fleet_owners(*fronts) -> set[int]:
+    """The pids that own the shared-memory blocks of ``fronts``: this
+    process (inline shards, exporters, block caches) and every worker
+    process of a sharded front.  Take them before ``close()``: a closed
+    worker has no pid."""
+    owners = {os.getpid()}
+    for front in fronts:
+        for handle in front.router.handles:
+            process = getattr(handle, "process", None)
+            if process is not None:
+                owners.add(process.pid)
+    return owners
+
+
+def fleet_leaks(owners=()) -> list[str]:
+    """The blocks on this host made by a process under test: the
+    :func:`~repro.sharding.leaked_segments` whose owner pid (the block
+    naming rule's) is this process or one of ``owners``.  The blocks of
+    a server another command started on the same host are not counted."""
+    from repro.sharding.shm import _owner_pid, leaked_segments
+
+    mine = {os.getpid(), *owners}
+    return [name for name in leaked_segments() if _owner_pid(name) in mine]

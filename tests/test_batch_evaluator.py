@@ -35,10 +35,10 @@ from repro.ecube.fastpath import FastSliceEngine
 from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.metrics import CostCounter
 from repro.sharding import BlockCache, EpochExporter, GridPartitioner
-from repro.sharding.shm import epoch_from_shared_memory, leaked_segments
+from repro.sharding.shm import epoch_from_shared_memory
 from repro.sharding.worker import ReaderState
 
-from .conftest import brute_box_sum, random_box
+from .conftest import brute_box_sum, fleet_leaks, random_box
 
 BACKENDS = ("dense", "paged", "sparse")
 CALLERS = ("kernel", "pinned", "shm")
@@ -157,7 +157,7 @@ def rig_factory():
     yield build
     for rig in rigs:
         rig.close()
-    assert not leaked_segments()
+    assert not fleet_leaks()
 
 
 @pytest.fixture

@@ -136,13 +136,17 @@ EXPORTS = {
 }
 
 #: what a served process never loads: an event loop, an executor, TLS and
-#: hashing (either of the last two initialises OpenSSL)
-UNUSED_STDLIB = "asyncio ssl _ssl hashlib _hashlib secrets concurrent.futures"
+#: hashing (either of the last two initialises OpenSSL), and ``numpy.ma``
+#: (the hash path of ``np.unique`` imports it; in ``serve`` that import
+#: would come after the fork, a private copy in every process)
+NEVER_LOADED = (
+    "asyncio ssl _ssl hashlib _hashlib secrets concurrent.futures numpy.ma"
+)
 
 #: run in a fresh interpreter: prints the ``repro.*`` modules loaded by the
 #: import alone, then by a served cube's whole life (writes, reads, a
-#: checkpoint and one ping over TCP), then which of ``UNUSED_STDLIB`` it
-#: loaded
+#: checkpoint and one ping over TCP), then by a tiered fleet's reads into
+#: demoted history, then which of ``NEVER_LOADED`` it loaded
 SERVED_SCRIPT = """
 import json, sys, tempfile, threading
 
@@ -177,6 +181,22 @@ with tempfile.TemporaryDirectory() as root, ShardedCube(
     server.shutdown()
     serving.join()
 print(json.dumps(loaded()))
+
+tiers = [
+    {"name": "hour", "granularity": 4, "horizon": 8},
+    {"name": "day", "granularity": 16, "horizon": None},
+]
+with tempfile.TemporaryDirectory() as root, ShardedCube(
+    (8, 8), shards=2, processes=False, tiers=tiers, tile_root=root,
+) as cube:
+    cube.update_many([[t, t % 8, 5 * t % 8] for t in range(32)], list(range(32)))
+    assert cube.demote_before(24) == 22  # instants on both shards
+    boxes = [Box((0, 0, 0), (31, 7, 7)), Box((2, 1, 1), (9, 6, 6))]
+    assert cube.query_many(boxes) == [496, 26]  # floors in demoted history
+    estimate = cube.query_approx(boxes[1])
+    assert estimate.lo <= 26 <= estimate.hi
+    assert cube.topk_many([(2, 9, 1)]) == [[((1, 5), 9)]]
+print(json.dumps(loaded()))
 print(json.dumps([m for m in sys.argv[1].split() if m in sys.modules]))
 """
 
@@ -190,13 +210,16 @@ def reproduction_modules(modules):
 
 def test_served_process_loads_no_reproduction_module():
     result = subprocess.run(
-        [sys.executable, "-W", "error", "-c", SERVED_SCRIPT, UNUSED_STDLIB],
+        [sys.executable, "-W", "error", "-c", SERVED_SCRIPT, NEVER_LOADED],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    after_import, after_serving, unused = map(json.loads, result.stdout.splitlines())
+    after_import, after_serving, after_tiered, unused = map(
+        json.loads, result.stdout.splitlines()
+    )
     assert "repro.sharding" in after_import and "repro.ecube.kernel" in after_serving
-    for modules in (after_import, after_serving):
+    assert "repro.retention.planner" in after_tiered
+    for modules in (after_import, after_serving, after_tiered):
         assert reproduction_modules(modules) == []
     # the ceiling counts the cube's modules; the TCP front adds its own
     assert len(after_import) <= MODULE_CEILING

@@ -35,7 +35,7 @@ from repro.durability.wal import (
 from repro.sharding import EpochExporter, ShardedCube, leaked_segments
 from repro.sharding.worker import ShardWorkerState
 
-from .conftest import random_box
+from .conftest import fleet_leaks, fleet_owners, random_box
 from .test_sharding import TIERS, _outcome
 
 SHAPE = (6, 6)
@@ -133,7 +133,7 @@ class TestReplayPublishesAsItGoes:
             )
         finally:
             state.close()
-        assert not leaked_segments()
+        assert not fleet_leaks()
 
 
 def _reads(rng, horizon: int):
@@ -176,6 +176,7 @@ class TestARecoveredFleetAnswersLikeItsReplica:
         shutil.copytree(fleet, tmp_path / "replica")
         recovered = ShardedCube.recover(fleet, processes=True, timeout=120.0)
         replica = ShardedCube.recover(tmp_path / "replica", processes=False)
+        owners = fleet_owners(recovered, replica)
 
         def agree(horizon):
             assert recovered.router.boundary_time == replica.router.boundary_time
@@ -198,7 +199,7 @@ class TestARecoveredFleetAnswersLikeItsReplica:
         finally:
             recovered.close()
             replica.close()
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
 
 def _shard_workers() -> list:

@@ -24,8 +24,9 @@ from repro.core.errors import AgedOutError, DomainError
 from repro.core.types import Box, as_boxes
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.retention import TieredCube
-from repro.sharding import GridPartitioner, ShardClient, ShardedCube, leaked_segments
+from repro.sharding import GridPartitioner, ShardClient, ShardedCube
 
+from .conftest import fleet_leaks, fleet_owners
 from .test_shard_server import _ServerThread
 
 SLICE = (7, 6)
@@ -92,6 +93,7 @@ def served(request, tmp_path_factory):
         SLICE, shards=4, processes=request.param, tiers=TIERS,
         tile_root=root / "tiles", timeout=120.0,
     )  # fmt: skip
+    owners = fleet_owners(fleet)
     try:
         _load(reference, stream)
         _load(fleet, stream)
@@ -99,7 +101,7 @@ def served(request, tmp_path_factory):
         yield fleet, reference, _oracle(stream)
     finally:
         fleet.close()
-    assert not leaked_segments()
+    assert not fleet_leaks(owners)
 
 
 @st.composite

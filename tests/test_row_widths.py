@@ -32,11 +32,11 @@ from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.stores import _adopt_array, row_dtype
 from repro.ranking import TopKEngine
 from repro.retention import Estimate
-from repro.sharding import BlockCache, ShardedCube, leaked_segments
+from repro.sharding import BlockCache, ShardedCube
 from repro.sharding.router import InlineHandle
 from repro.storage.mmap_npz import open_checkpoint
 
-from .conftest import random_box
+from .conftest import fleet_leaks, fleet_owners, random_box
 
 SHAPE = (6, 4)
 TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
@@ -80,6 +80,7 @@ class Fleet:
             tile_root=tmp_path if tiered else None,
             timeout=120.0,
         )
+        self.owners = fleet_owners(self.cube)
         self.origins = [extent.origin for extent in self.cube.partitioner.extents]
         #: what each origin cell holds, cumulated over every time so far
         self.held = [0] * len(self.origins)
@@ -177,7 +178,7 @@ class Fleet:
         self.blocks.close_all()
         self.cube.close()
         self.oracle.close()
-        assert not leaked_segments()
+        assert not fleet_leaks(self.owners)
 
 
 @pytest.fixture(params=["inline", "shm", "process"])
@@ -246,6 +247,7 @@ def test_a_checkpoint_of_narrow_rows_recovers_bit_identically(tmp_path):
         SHAPE, shards=2, processes=True, durable_dir=fleet_dir, fsync="off",
         timeout=120.0,
     ) as cube:  # fmt: skip
+        owners = fleet_owners(cube)
         for time, target in enumerate(TARGETS[:12]):
             points = [(time, 0, 0), (time, 3, 0), (time, 5, 3)]
             deltas = [target, -target, time]
@@ -278,6 +280,7 @@ def test_a_checkpoint_of_narrow_rows_recovers_bit_identically(tmp_path):
         with ShardedCube.recover(
             fleet_dir, processes=processes, timeout=120.0
         ) as recovered:
+            owners |= fleet_owners(recovered)
             assert recovered.query_many(boxes) == expected
             # restored int64, then published narrow again; the latest stays
             for handle in recovered.router.handles if not processes else ():
@@ -287,4 +290,4 @@ def test_a_checkpoint_of_narrow_rows_recovers_bit_identically(tmp_path):
                     historic = index < kernel.num_slices - 1
                     assert values.dtype == (row_dtype(values) if historic else np.int64)
     oracle.close()
-    assert not leaked_segments()
+    assert not fleet_leaks(owners)

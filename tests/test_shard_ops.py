@@ -23,7 +23,7 @@ from repro.core.errors import DomainError, ShardUnavailableError
 from repro.core.types import Box, as_boxes, box_array
 from repro.durability import DurableCube
 from repro.durability.checkpoint import snapshot_arrays
-from repro.sharding import GridPartitioner, ShardedCube, ShardRouter, leaked_segments
+from repro.sharding import GridPartitioner, ShardedCube, ShardRouter
 from repro.sharding.ops import (
     ESTIMATES,
     OPS,
@@ -37,7 +37,7 @@ from repro.sharding.ops import (
 )
 from repro.sharding.worker import MUTATING_OPS, ShardWorkerState, serve
 
-from .conftest import brute_box_sum, random_box
+from .conftest import brute_box_sum, fleet_leaks, fleet_owners, random_box
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -257,6 +257,7 @@ class _SpyConn:
 @pytest.mark.parametrize("processes", [False, True])
 def test_one_envelope_behind_inline_and_process_handles(processes):
     with ShardedCube((4, 4), shards=2, processes=processes, timeout=120.0) as cube:
+        owners = fleet_owners(cube)
         handle = cube.router.handles[0]
         if processes:
             handle.conn = _SpyConn(handle.conn)
@@ -307,7 +308,7 @@ def test_one_envelope_behind_inline_and_process_handles(processes):
             with pytest.raises(TypeError):
                 handle.recv()
             assert handle.request("total") == 5
-    assert not leaked_segments()
+    assert not fleet_leaks(owners)
 
 
 def test_local_boxes_is_the_per_box_clip(rng):
@@ -342,6 +343,7 @@ def test_bad_mode_and_limit_never_reach_a_shard(tmp_path):
         (8, 8), shards=2, processes=True, durable_dir=tmp_path / "fleet",
         fsync="off", timeout=120.0,
     ) as cube:
+        owners = fleet_owners(cube)
         cube.update_many([[5, 1, 1], [5, 6, 6]], [2, 3])
         logged = cube.log_info()
         for hostile in (
@@ -355,7 +357,7 @@ def test_bad_mode_and_limit_never_reach_a_shard(tmp_path):
             assert cube.total() == 5
         assert cube.log_info() == logged
         assert all(handle.is_alive() for handle in cube.router.handles)
-    assert not leaked_segments()
+    assert not fleet_leaks(owners)
 
 
 @pytest.mark.parametrize("extent", [False, True])
@@ -382,6 +384,7 @@ def test_durable_cube_refuses_what_the_log_cannot_encode(tmp_path, extent):
 @pytest.mark.parametrize("processes", [False, True])
 def test_a_metered_batch_never_reaches_a_shard(processes):
     with ShardedCube((8, 8), shards=2, processes=processes, timeout=120.0) as cube:
+        owners = fleet_owners(cube)
         cube.update_many([[5, 1, 1], [5, 6, 6]], [2, 3])
         before = [handle.request("total") for handle in cube.router.handles]
         assert sorted(before) == [2, 3]
@@ -389,7 +392,7 @@ def test_a_metered_batch_never_reaches_a_shard(processes):
             cube.update_many([[6, 1, 1], [6, 6, 6]], [1, 1], mode="metered")
         assert [handle.request("total") for handle in cube.router.handles] == before
         assert cube.router.latest_time == 5
-    assert not leaked_segments()
+    assert not fleet_leaks(owners)
 
 
 def test_one_point_writes_match_the_oracle_and_recover_bit_identically(rng, tmp_path):

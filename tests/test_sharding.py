@@ -30,7 +30,7 @@ from repro.sharding import (
 )
 from repro.sharding.shm import descriptor_blocks, epoch_from_shared_memory
 
-from .conftest import random_box
+from .conftest import fleet_leaks, fleet_owners, random_box
 
 #: the store a shard serves (paged and sparse kernels are used bare)
 BACKENDS = ("dense",)
@@ -285,7 +285,7 @@ class TestSharedMemoryEpochs:
             del remote
             cache.close_all()
             exporter.close()
-        assert not leaked_segments()
+        assert not fleet_leaks()
 
     def test_only_the_current_epoch_exports(self, rng):
         cube = BufferedEvolvingDataCube((4, 4))
@@ -303,7 +303,7 @@ class TestSharedMemoryEpochs:
             assert descriptor_blocks(descriptor)
         finally:
             exporter.close()
-        assert not leaked_segments()
+        assert not fleet_leaks()
 
 
 class TestProcessMode:
@@ -313,13 +313,14 @@ class TestProcessMode:
         shape = (12, 6, 6)
         oracle = SnapshotCube(BufferedEvolvingDataCube(shape[1:]))
         cube = ShardedCube(shape[1:], shards=2, processes=True, timeout=120.0)
+        owners = fleet_owners(cube)
         try:
             points, deltas = _mixed_stream(rng, shape, updates=120)
             _differential(oracle, cube, rng, shape, points, deltas, batches=3)
         finally:
             cube.close()
             oracle.close()
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
     def test_the_router_is_the_only_reader(self, capsys):
         """No reader processes, no option that asks for them."""
@@ -347,6 +348,7 @@ class TestProcessMode:
 
     def test_crashed_worker_raises_instead_of_hanging(self, rng):
         cube = ShardedCube((6, 6), shards=2, processes=True, timeout=120.0)
+        owners = fleet_owners(cube)
         try:
             points, deltas = _mixed_stream(rng, (8, 6, 6), updates=40, shuffle=0)
             cube.update_many(points, deltas)
@@ -362,7 +364,7 @@ class TestProcessMode:
         finally:
             cube.close()
         # the sweep reclaims segments orphaned by the killed worker
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
     def test_durable_shards_recover(self, rng, tmp_path):
         shape = (10, 6, 6)
@@ -376,6 +378,7 @@ class TestProcessMode:
             fsync="off",
             timeout=120.0,
         )
+        owners = fleet_owners(cube)
         try:
             cube.update_many(points, deltas)
             expected = cube.query_many(boxes)
@@ -385,6 +388,7 @@ class TestProcessMode:
         recovered = ShardedCube.recover(
             tmp_path / "fleet", processes=True, timeout=120.0
         )
+        owners |= fleet_owners(recovered)
         try:
             assert recovered.query_many(boxes) == expected
             assert recovered.total() == expected_total
@@ -399,16 +403,16 @@ class TestProcessMode:
             oracle.close()
         finally:
             recovered.close()
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
 
 class TestServeStartupSweep:
     @staticmethod
-    def _segment(owner_pid: int):
+    def _segment(owner_pid: int, tag: str = "s0"):
         """A block named by the rule, as ``owner_pid`` would have made it."""
         from repro.sharding.shm import SHM_PREFIX, _Segment
 
-        segment = _Segment(f"{SHM_PREFIX}-s0-{owner_pid}-1", size=64)
+        segment = _Segment(f"{SHM_PREFIX}-{tag}-{owner_pid}-1", size=64)
         segment.close()
         return segment
 
@@ -432,7 +436,7 @@ class TestServeStartupSweep:
             assert orphan.name in leaked_segments()
             swept = _sweep_leaked_shm()
             assert orphan.name in swept
-            assert not leaked_segments()
+            assert not fleet_leaks({self._dead_pid()})
             # idempotent: a clean start sweeps nothing
             assert _sweep_leaked_shm() == []
         finally:
@@ -449,11 +453,11 @@ class TestServeStartupSweep:
         orphan = self._segment(self._dead_pid())
         try:
             assert _sweep_leaked_shm() == [orphan.name]
-            assert leaked_segments() == [live.name]
+            assert fleet_leaks() == [live.name]
         finally:
             for segment in (live, orphan):
                 segment.unlink()
-        assert not leaked_segments()
+        assert not fleet_leaks()
 
     def test_every_block_name_carries_its_owner_pid(self):
         import os
@@ -468,10 +472,48 @@ class TestServeStartupSweep:
                 assert _owner_pid(name) == os.getpid()
             finally:
                 owner.close_all()
-        assert not leaked_segments()
+        assert not fleet_leaks()
         # the earlier layout had the pid first; its hex is no owner
         assert _owner_pid("repro-ecube-4242-123456-7") is None
         assert _owner_pid("repro-ecube-4242-00ab12-7") is None
+
+
+class TestLeakChecksScope:
+    """A leak check counts the blocks of the fleet under test only: a
+    ``serve`` another command started on the same host cannot fail it,
+    and a block the fleet leaves behind still does."""
+
+    def test_a_block_the_fleet_leaves_fails_the_check(self):
+        import os
+
+        cube = ShardedCube((4, 4), shards=2, processes=True, timeout=120.0)
+        owners = fleet_owners(cube)
+        worker = cube.router.handles[0].process.pid
+        assert owners == {os.getpid(), worker, cube.router.handles[1].process.pid}
+        # named as the worker would name it, outside the prefix close() sweeps
+        leaked = TestServeStartupSweep._segment(worker, tag="stray")
+        try:
+            cube.update_many([[0, 1, 1], [0, 3, 3]], [1, 2])
+            cube.close()
+            assert fleet_leaks(owners) == [leaked.name]
+        finally:
+            cube.close()
+            leaked.unlink()
+        assert not fleet_leaks(owners)
+
+    def test_a_live_block_of_a_foreign_pid_passes_the_check(self):
+        import os
+
+        with ShardedCube((4, 4), shards=2, processes=True, timeout=120.0) as cube:
+            owners = fleet_owners(cube)
+            # a live process this test did not start: another server's block
+            foreign = TestServeStartupSweep._segment(os.getppid(), tag="foreign")
+            cube.update_many([[0, 1, 1], [0, 3, 3]], [1, 2])
+        try:
+            assert foreign.name in leaked_segments()
+            assert not fleet_leaks(owners)
+        finally:
+            foreign.unlink()
 
 
 TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
@@ -526,6 +568,7 @@ class TestHistoryLivesOnce:
             )  # fmt: skip
 
         fleet, twin = build(True), build(False)
+        owners = fleet_owners(fleet, twin)
         boxes = [random_box(rng, shape) for _ in range(40)]
         boxes += [Box((0, 0, 0), (t, *full)) for t in range(0, shape[0], 3)]
         tops = [(0, 29, 4), (6, 17, 3), (12, 12, 50)]
@@ -572,7 +615,7 @@ class TestHistoryLivesOnce:
         finally:
             fleet.close()
             twin.close()
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
     def test_a_checkpoint_of_adopted_rows_recovers_and_is_adopted_again(
         self, rng, tmp_path
@@ -586,6 +629,7 @@ class TestHistoryLivesOnce:
             shape[1:], shards=2, processes=True, durable_dir=tmp_path / "fleet",
             fsync="off", timeout=120.0,
         )  # fmt: skip
+        owners = fleet_owners(cube)
         try:
             for time in range(shape[0]):  # both shards, every time
                 cube.update_many([(time, 1, time % 6), (time, 4, time % 5)], [2, 3])
@@ -598,10 +642,11 @@ class TestHistoryLivesOnce:
                 handle.process.join(timeout=30)
         finally:
             cube.close()
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
         with ShardedCube.recover(
             tmp_path / "fleet", processes=True, timeout=120.0
         ) as cube:
+            owners = fleet_owners(cube)
             assert cube.query_many(boxes) == expected and cube.total() == total
             # the first export adopted every historic row; the latest slice
             # still reads off the archive until a newer time makes it one
@@ -635,7 +680,7 @@ class TestHistoryLivesOnce:
                 assert not (names - kept) & set(leaked_segments())
             after = [_fds(os.getpid())] + [_fds(pid) for pid in workers]
             assert [b - a for b, a in zip(before, after)] == [12, 6, 6]
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
 
 @pytest.mark.parametrize("front", ["snapshot", "inline", "process"])
@@ -648,6 +693,7 @@ def test_total_is_the_whole_history_open_prefix(front):
         cube = SnapshotCube(BufferedEvolvingDataCube((4, 4)))
     else:
         cube = ShardedCube((4, 4), shards=2, processes=front == "process", timeout=120.0)
+    owners = fleet_owners(cube) if front != "snapshot" else ()
     try:
         cube.update_many([(-5, 1, 1), (2, 3, 3)], [7, 2])
         assert cube.total() == 9
@@ -658,4 +704,4 @@ def test_total_is_the_whole_history_open_prefix(front):
         assert cube.total() == 13
     finally:
         cube.close()
-    assert not leaked_segments()
+    assert not fleet_leaks(owners)

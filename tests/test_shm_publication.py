@@ -57,7 +57,13 @@ from repro.storage.mmap_npz import open_checkpoint
 
 from tests.data import make_durable_fixtures as fixtures
 
-from .conftest import assert_history_published, brute_box_sum, random_box
+from .conftest import (
+    assert_history_published,
+    brute_box_sum,
+    fleet_leaks,
+    fleet_owners,
+    random_box,
+)
 from .test_shard_server import _serve_cli, _stop_cli
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -156,7 +162,7 @@ def rig_factory():
     yield build
     for rig in rigs:
         rig.close()
-    assert not leaked_segments()
+    assert not fleet_leaks()
 
 
 def _rows(descriptor) -> dict[int, str]:
@@ -383,13 +389,13 @@ class TestExportCounts:
                 [[t, t % 6, t % 5] for t in range(start, start + 32)], [1] * 32
             )
             rig.export()
-        before = set(leaked_segments())
+        before = set(fleet_leaks())
         rig.snap.update_many([[256, 1, 1], [256, 2, 2]], [1, 1])
         descriptor, created = rig.export()
         assert len(descriptor["slices"]) == 256
         assert len(created) <= 3
         # superseded blocks are gone: the new row, and a frontier swapped
-        assert len(set(leaked_segments())) == len(before) + 1
+        assert len(set(fleet_leaks())) == len(before) + 1
 
     def test_the_unrecoverable_instance_is_walked_once(self, rig_factory, monkeypatch):
         rig = rig_factory(serve=False)
@@ -453,6 +459,7 @@ class TestExportCounts:
         recovered = ShardedCube.recover(
             fleet, processes=True, start_method="fork", timeout=120.0
         )
+        owners = fleet_owners(recovered)
         try:
             expected = [brute_box_sum(dense, box) for box in boxes]
             assert recovered.query_many(boxes) == expected
@@ -466,7 +473,7 @@ class TestExportCounts:
             recovered.close()
         # once per shard, then cited
         assert walked.read_text().split() == [str(lost)] * 2
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
 
 # -- history lives once: the structural invariant, under any history ------------
@@ -535,7 +542,7 @@ class PublicationMachine(RuleBasedStateMachine):
                 view.release()
             self.rig.close()
             shutil.rmtree(self.root, ignore_errors=True)
-            assert not leaked_segments()
+            assert not fleet_leaks()
 
     # -- helpers -------------------------------------------------------------------
 
@@ -582,7 +589,7 @@ class PublicationMachine(RuleBasedStateMachine):
             held, held_boxes, held_answers = self.held
             assert rig.answers(held, held_boxes) == held_answers
         # no leak, no early unlink
-        assert set(leaked_segments()) == set().union(
+        assert set(fleet_leaks()) == set().union(
             *map(descriptor_blocks, self.unreleased)
         )
         self.descriptor = descriptor
@@ -696,11 +703,11 @@ def test_a_block_that_fails_while_being_filled_does_not_leak():
     unfillable = {"fine": np.arange(8), "bad": np.array([{}], dtype=object)}
     with pytest.raises(ValueError):
         owner.create(unfillable)
-    assert not leaked_segments() and not len(owner)
+    assert not fleet_leaks() and not len(owner)
     name = owner.create({"fine": np.arange(8)})[0]
-    assert leaked_segments() == [name]
+    assert fleet_leaks() == [name]
     owner.close_all()
-    assert not leaked_segments()
+    assert not fleet_leaks()
 
 
 _KILLED_AFTER_A_PROMOTION = """
@@ -709,16 +716,19 @@ import numpy as np
 from repro.concurrent import SnapshotCube
 from repro.ecube import EvolvingDataCube
 from repro.sharding import EpochExporter, leaked_segments
+from repro.sharding.shm import _owner_pid
 snap = SnapshotCube(EvolvingDataCube((6, 5)))
 exporter = EpochExporter(snap, tag="doomed")
 for time in range(8):
     snap.update_many([[time, time % 6, time % 5]], [1])
     exporter.release_below(exporter.export()["sequence"])
-before = set(leaked_segments())
+def mine():
+    return {name for name in leaked_segments() if _owner_pid(name) == os.getpid()}
+before = mine()
 # promotes rows 3.. into int64 successors, which publication re-publishes
 # narrow: the successors are unlinked by the next export
 snap.apply_out_of_order((3, 2, 2), 5)
-assert len(set(leaked_segments()) - before) == 8 and len(exporter._held) == 15
+assert len(mine() - before) == 8 and len(exporter._held) == 15
 print(os.getpid(), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -732,25 +742,26 @@ def test_a_kill_between_promotion_and_export_leaves_only_sweepable_blocks():
     )  # fmt: skip
     assert result.returncode == -signal.SIGKILL, result.stderr
     pid = int(result.stdout)
-    left = leaked_segments()
+    left = fleet_leaks({pid})
     # 7 rows + a frontier, the 4 rows re-published narrow, and the 4
     # successor rows nothing cites any more: every one carries the dead
     # owner's pid, which is all the sweep needs
     assert len(left) == 16
     assert all(name.startswith(f"repro-ecube-doomed-{pid}-") for name in left)
     assert sorted(unlink_orphaned()) == left
-    assert not leaked_segments()
+    assert not fleet_leaks({pid})
 
 
 # -- no resource tracker: who cleans up, and what a reader sees -----------------
 
 _NO_TRACKER = """
-import sys
+import os, sys
 from repro.core.types import Box
 from repro.sharding import ShardedCube
 with ShardedCube((6, 6), shards=2, processes=True, timeout=120.0) as cube:
     cube.update_many([[t, t % 6, 5 - t % 6] for t in range(12)], [1] * 12)
     assert cube.query(Box((0, 0, 0), (11, 5, 5))) == 12
+    print(os.getpid(), *(handle.process.pid for handle in cube.router.handles))
 tracker = sys.modules.get("multiprocessing.resource_tracker")
 assert tracker is None or tracker._resource_tracker._pid is None, "tracker ran"
 """
@@ -788,11 +799,12 @@ class TestNoTracker:
         )  # fmt: skip
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
-        assert not leaked_segments()
+        assert not fleet_leaks(map(int, result.stdout.split()))
 
     def test_a_killed_workers_blocks_outlive_it_until_close(self, rng):
         shape = (10, 6, 6)
         cube = ShardedCube(shape[1:], shards=2, processes=True, timeout=120.0)
+        owners = fleet_owners(cube)
         try:
             dense = np.zeros(shape, dtype=np.int64)
             points = np.column_stack(
@@ -824,7 +836,7 @@ class TestNoTracker:
                 cube.total()
         finally:
             cube.close()
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)
 
     def test_serve_is_three_processes_and_stops_clean(self, tmp_path):
         process, banner = _serve_cli(tmp_path, inline=False, shape="8,8")
@@ -835,10 +847,11 @@ class TestNoTracker:
                     client.update_many([[time, 1, 1], [time, 6, 6]], [1, 1])
                 assert client.query(Box((0, 0, 0), (9, 7, 7))) == 20
             family = _descendants(process.pid)
+            owners = {process.pid, *family}
             assert len(family) == 2, family  # the router's two workers
             assert not any("resource_tracker" in cmd for cmd in family.values())
         finally:
             stderr = _stop_cli(process)
         assert "KeyError" not in stderr and "resource_tracker" not in stderr
         assert "Traceback" not in stderr
-        assert not leaked_segments()
+        assert not fleet_leaks(owners)

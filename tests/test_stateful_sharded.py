@@ -48,11 +48,17 @@ from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ranking import TopKEngine
 from repro.retention import Estimate
-from repro.sharding import BlockCache, ShardedCube, leaked_segments
+from repro.sharding import BlockCache, ShardedCube
 from repro.sharding.shm import descriptor_blocks
 from tests.data import make_durable_fixtures as fixtures
 
-from .conftest import assert_history_published, assert_rows_published, random_box
+from .conftest import (
+    assert_history_published,
+    assert_rows_published,
+    fleet_leaks,
+    fleet_owners,
+    random_box,
+)
 
 SHAPE = (6, 4)
 NUM_TIMES = 48
@@ -84,6 +90,8 @@ class Model:
             fsync="off",
             timeout=120.0,
         )
+        #: every process that made a block of this model's fleets
+        self.owners = fleet_owners(self.cube)
         self.latest = 0
         #: first time whose detail both sides still hold
         self.boundary = 0
@@ -134,6 +142,7 @@ class Model:
         self.cube = ShardedCube.recover(
             self.root / "fleet", processes=self.processes, timeout=120.0
         )
+        self.owners |= fleet_owners(self.cube)
 
     # -- the invariant ----------------------------------------------------------
 
@@ -213,7 +222,7 @@ class Model:
         self.cube.close()
         self.oracle.close()
         shutil.rmtree(self.root, ignore_errors=True)
-        assert not leaked_segments()
+        assert not fleet_leaks(self.owners)
 
 
 _cells = st.lists(
@@ -332,6 +341,7 @@ def test_an_unrecoverable_mixed_instance_bootstraps_into_a_process_shard(tmp_pat
         np.add.at(dense, tuple(points.T), deltas)
     shutil.copytree(Path(__file__).resolve().parent / "data" / "sharded_converted", tmp_path / "fleet")
     with ShardedCube.recover(tmp_path / "fleet", processes=True, timeout=120.0) as cube:
+        owners = fleet_owners(cube)
         boxes = [Box((0, 0, 0), (lost, x, y)) for x in range(6) for y in range(6)]
         boxes += [Box((lost, x, 0), (lost, 5, y)) for x in range(6) for y in range(6)]
         boxes += [random_box(rng, dense.shape) for _ in range(40)]
@@ -339,4 +349,4 @@ def test_an_unrecoverable_mixed_instance_bootstraps_into_a_process_shard(tmp_pat
             int(dense[tuple(slice(lo, up + 1) for lo, up in zip(b.lower, b.upper))].sum())
             for b in boxes
         ]
-    assert not leaked_segments()
+    assert not fleet_leaks(owners)
