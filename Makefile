@@ -30,9 +30,10 @@ e2e-smoke:
 
 # Where the served cube's memory is: PSS per server process and mapping
 # class, idle, loaded, and after `serve` is restarted on the same
-# directory and recovers it (`SLICES=32 make pss` is what CI runs).  Fails
-# when the loaded or the recovered shard workers hold their history a
-# second time on the heap.
+# directory and recovers it, for an untiered `serve` (shards in process)
+# and a tiered one (worker processes); CI runs the default 128 slices.
+# Fails when, in either layout, the loaded or the recovered server holds
+# its history a second time on the heap.
 pss:
 	PYTHONPATH=src $(PY) benchmarks/pss_breakdown.py --slices $(or $(SLICES),128)
 

@@ -1,12 +1,13 @@
 """What ``import repro.sharding`` costs a fresh interpreter: ``make fence``.
 
-Every server process (the router and each shard worker) pays this import
-before it can answer.  Prints, as the median of three fresh
-interpreters, the number of ``repro.*`` modules the import loads, its
-wall time and the PSS it adds over an interpreter that already holds the
-standard library and NumPy.  Exit status 1 when the import loads a
-module of the paper reproduction (``tests/test_import_fence.py`` holds
-the list and the same check for a served cube's whole life).
+Every server process (``serve`` itself, and for a tiered cube each
+shard worker too) pays this import before it can answer.  Prints, as
+the median of three fresh interpreters, the number of ``repro.*``
+modules the import loads, its wall time and the PSS it adds over an
+interpreter that already holds the standard library and NumPy.  Exit
+status 1 when the import loads a module of the paper reproduction
+(``tests/test_import_fence.py`` holds the list and the same check for a
+served cube's whole life).
 """
 
 from __future__ import annotations

@@ -141,10 +141,11 @@ def _sweep_leaked_shm() -> list[str]:
 
 
 def _cmd_serve(args) -> int:
-    """Serve a sharded cube over TCP: partition it across ``--shards``
-    worker processes, attach their shared-memory epochs and answer
-    length-prefixed JSON requests on ``--host``/``--port`` until SIGTERM
-    drains the listener."""
+    """Serve a sharded cube over TCP: partition it into ``--shards``
+    shards, kept in this process (or, for a tiered cube, one worker
+    process each, whose shared-memory epochs this process attaches), and
+    answer length-prefixed JSON requests on ``--host``/``--port`` until
+    SIGTERM drains the listener."""
     from pathlib import Path
 
     from repro.sharding import ShardServer, ShardedCube
@@ -156,11 +157,16 @@ def _cmd_serve(args) -> int:
             json.dumps({"swept_leaked_shm_segments": swept}),
             flush=True,
         )
-    processes = not args.inline
-    recovered = args.durable_dir is not None and (
-        Path(args.durable_dir) / MANIFEST_NAME
-    ).exists()
-    if recovered:
+    manifest = None
+    if args.durable_dir is not None:
+        path = Path(args.durable_dir) / MANIFEST_NAME
+        if path.exists():
+            manifest = json.loads(path.read_text())
+    # a read into demoted history is answered by each shard it reaches,
+    # which worker processes do side by side; every other read is served
+    # from published rows, where a worker only costs an interpreter
+    processes = bool(manifest.get("tiers") if manifest else args.tiers)
+    if manifest is not None:
         # a restart of the command that created the directory: shape,
         # shards and tiers come from its manifest
         cube = ShardedCube.recover(args.durable_dir, processes=processes)
@@ -183,7 +189,7 @@ def _cmd_serve(args) -> int:
             "processes": cube.processes,
             "slice_shape": list(cube.slice_shape),
         }
-        if recovered:
+        if manifest is not None:
             banner["recovered"] = True
         print(json.dumps(banner), flush=True)
         server.serve()
@@ -333,7 +339,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve = sub.add_parser("serve", help="serve a sharded cube over TCP")
     serve.add_argument(
-        "--shards", type=int, default=2, help="shard worker processes (default: 2)"
+        "--shards",
+        type=int,
+        default=2,
+        help="shards the cell domain is partitioned into (default: 2)",
     )
     serve.add_argument(
         "--shape",
@@ -342,11 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--num-times", type=int, default=None, help="TT capacity hint"
-    )
-    serve.add_argument(
-        "--inline",
-        action="store_true",
-        help="keep every shard in-process (no workers; for debugging)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -367,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "JSON tier ladder for tiered retention, e.g. "
             '\'[{"name": "hour", "granularity": 4, "horizon": 16}]\'; '
-            "enables the demote and query_approx wire ops"
+            "enables the demote and query_approx wire ops and runs each "
+            "shard in its own worker process"
         ),
     )
     serve.add_argument(

@@ -1,8 +1,9 @@
-"""The sharded, process-parallel cube front (:class:`ShardedCube`).
+"""The sharded cube front (:class:`ShardedCube`).
 
-Partitions the cell domain into rectangles (one shard each), runs one
-worker process per shard and answers queries in this process, from the
-workers' shared-memory epochs attached zero-copy.  The public surface
+Partitions the cell domain into rectangles (one shard each), keeps the
+shards in this process or runs one worker process per shard, and
+answers queries in this process, from the shards' published epochs
+(a worker's attached zero-copy from shared memory).  The public surface
 is the single-process fronts' -- the methods the rows of
 :data:`repro.sharding.ops.OPS` name (``update_many``, ``drain``,
 ``retire_before``, ``query_many``, ``topk_many``, ``total``, ...) --
@@ -13,10 +14,12 @@ stream (see :mod:`repro.sharding.router` for the contracts).
 Two execution modes:
 
 * ``processes=False`` -- every shard lives in this process (no pipes,
-  no shared memory).  Deterministic and cheap; what the property tests
-  use.
+  no shared memory, one interpreter).  What ``python -m repro serve``
+  runs for an untiered cube, and what the property tests use.
 * ``processes=True`` -- worker processes publish epochs into shared
-  memory; this process attaches them and evaluates queries.
+  memory; this process attaches them and evaluates queries.  The
+  library default, and what ``serve --tiers`` runs.  This module imports
+  :mod:`multiprocessing` only when it starts such a fleet.
 
 Durability: pass ``durable_dir`` to give every shard its own WAL +
 checkpoint directory (``shard-00/``, ``shard-01/``, ...) beside a
@@ -30,7 +33,6 @@ that moves it, written before any shard retires.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from collections.abc import Sequence
 from pathlib import Path
@@ -61,6 +63,8 @@ ROUTED = frozenset(BY_METHOD) | {"topk", "query_approx", "checkpoint", "log_info
 
 
 def _context(start_method: str | None):
+    import multiprocessing
+
     if start_method is not None:
         return multiprocessing.get_context(start_method)
     methods = multiprocessing.get_all_start_methods()
@@ -68,7 +72,8 @@ def _context(start_method: str | None):
 
 
 class ShardedCube:
-    """A cube partitioned across worker processes over shared-memory epochs."""
+    """A cube partitioned into shards, in this process or one worker
+    process each over shared-memory epochs."""
 
     def __init__(
         self,

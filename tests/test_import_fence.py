@@ -136,11 +136,15 @@ EXPORTS = {
 }
 
 #: what a served process never loads: an event loop, an executor, TLS and
-#: hashing (either of the last two initialises OpenSSL), and ``numpy.ma``
-#: (the hash path of ``np.unique`` imports it; in ``serve`` that import
-#: would come after the fork, a private copy in every process)
+#: hashing (either of the last two initialises OpenSSL), ``numpy.ma``
+#: (the hash path of ``np.unique`` imports it; in a tiered ``serve``
+#: that import would come after the fork, a private copy in every
+#: process), and, with its shards in process as an untiered ``serve``
+#: keeps them, ``multiprocessing``: only a fleet that starts workers
+#: imports it
 NEVER_LOADED = (
-    "asyncio ssl _ssl hashlib _hashlib secrets concurrent.futures numpy.ma"
+    "asyncio ssl _ssl hashlib _hashlib secrets concurrent.futures numpy.ma "
+    "multiprocessing"
 )
 
 #: run in a fresh interpreter: prints the ``repro.*`` modules loaded by the

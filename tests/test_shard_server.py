@@ -5,7 +5,8 @@ it is an inline :class:`ShardedCube` (no worker processes), so the test
 exercises exactly the network layer.  The
 ``_serve_cli`` tests instead run the ``python -m repro serve`` command
 itself: restarted on one durable directory, fed hostile frames with
-worker processes behind it, and with ``--tiers``.
+worker processes behind it (``--tiers`` runs them), and with
+``--tiers``.  Both process layouts also serve one stream of frames.
 """
 
 from __future__ import annotations
@@ -413,11 +414,18 @@ def test_awaitable_start_and_serve_forever_run_the_sync_server(cube):
     assert not loop.is_alive()
 
 
-def _serve_cli(durable_dir, *flags, inline=True, shape="6,6"):
+#: ``serve`` with a tier ladder, which runs its shards in worker processes
+TIERED = (
+    "--tiers",
+    json.dumps([{"name": "hour", "granularity": 4, "horizon": None}]),
+)
+
+
+def _serve_cli(durable_dir, *flags, shape="6,6"):
     """``python -m repro serve`` on ``durable_dir``; returns (process, banner)."""
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "serve", *(["--inline"] if inline else []),
+            sys.executable, "-m", "repro", "serve",
             "--shards", "2", "--shape", shape, "--durable-dir", str(durable_dir),
             *flags,
         ],
@@ -454,7 +462,7 @@ def test_durable_server_restarts_with_the_command_that_started_it(tmp_path):
         _stop_cli(process)
     process, banner = _serve_cli(tmp_path)
     try:
-        assert banner["recovered"] is True
+        assert banner["recovered"] is True and banner["processes"] is False
         assert banner["shards"] == 2 and banner["slice_shape"] == [6, 6]
         port = int(banner["listening"].rsplit(":", 1)[1])
         with ShardClient("127.0.0.1", port) as client:
@@ -463,11 +471,83 @@ def test_durable_server_restarts_with_the_command_that_started_it(tmp_path):
         _stop_cli(process)
 
 
+#: a stream that reaches both shards with in-order, late, single and
+#: drained updates and moves the retirement boundary
+STREAM = [
+    {"op": "update_many", "points": [[t, t % 8, 3 * t % 8] for t in range(12)],
+     "deltas": list(range(1, 13))},
+    {"op": "update_many", "points": [[3, 1, 1], [5, 7, 7], [9, 0, 4]],
+     "deltas": [2, 3, 4]},
+    {"op": "update", "point": [12, 6, 2], "delta": 5},
+    {"op": "drain", "limit": 1},
+    {"op": "retire", "time": 2},
+    {"op": "update_many", "points": [[13, 7, 0], [14, 0, 7], [10, 3, 3]],
+     "deltas": [6, 7, 8]},
+]  # fmt: skip
+
+READS = [
+    {"op": "total"},
+    {"op": "query_many", "boxes": [
+        {"lower": [2, 0, 0], "upper": [14, 7, 7]},
+        {"lower": [4, 0, 2], "upper": [11, 5, 7]},
+    ]},
+    {"op": "topk", "queries": [[2, 14, 3]]},
+]  # fmt: skip
+
+
+def _served(directory, frames, processes, recover=False) -> list:
+    """Replies of a durable ``ShardedCube`` on ``directory``, in one process
+    layout, served over TCP, to ``frames``."""
+    if recover:
+        cube = ShardedCube.recover(directory, processes=processes, timeout=120.0)
+    else:
+        cube = ShardedCube(
+            (8, 8), shards=2, processes=processes, durable_dir=directory,
+            timeout=120.0,
+        )  # fmt: skip
+    try:
+        with _ServerThread(cube) as server:
+            with ShardClient(server.host, server.port) as client:
+                replies = [client.request(frame) for frame in frames]
+    finally:
+        cube.close()
+    assert all(reply["ok"] for reply in replies), replies
+    return replies
+
+
+def _files(directory) -> dict:
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_both_process_layouts_write_the_same_bytes_and_read_each_other(tmp_path):
+    """The layout is not on disk: one stream leaves byte-identical
+    ``shard-NN/`` files and ``sharding.json`` in either layout, and a
+    directory written in one recovers in the other to the same answers."""
+    written = {}
+    for processes in (False, True):
+        directory = tmp_path / f"processes-{processes}"
+        replies = _served(directory, STREAM + READS, processes)
+        written[processes] = (directory, replies)
+    (inline_dir, inline_replies), (forked_dir, forked_replies) = written.values()
+    assert inline_replies == forked_replies
+    files = _files(inline_dir)
+    assert "sharding.json" in files and any(n.startswith("shard-01/") for n in files)
+    assert files == _files(forked_dir)
+    answers = inline_replies[len(STREAM) :]
+    # each directory recovers in the other layout
+    assert _served(inline_dir, READS, processes=True, recover=True) == answers
+    assert _served(forked_dir, READS, processes=False, recover=True) == answers
+
+
 def test_hostile_frames_leave_every_worker_process_serving(tmp_path):
     """One frame used to kill a shard worker for good (``mode`` reached the
     WAL codec, ``limit`` reached ``int()``): now each is a typed error and
     the server keeps answering with the oracle's total."""
-    process, banner = _serve_cli(tmp_path, inline=False, shape="8,8")
+    process, banner = _serve_cli(tmp_path, *TIERED, shape="8,8")
     try:
         port = int(banner["listening"].rsplit(":", 1)[1])
         with ShardClient("127.0.0.1", port) as client:
@@ -526,6 +606,7 @@ def test_tiers_flag_serves_demote_and_query_approx(tmp_path):
     ]
     process, banner = _serve_cli(tmp_path, "--tiers", json.dumps(tiers))
     try:
+        assert banner["processes"] is True
         port = int(banner["listening"].rsplit(":", 1)[1])
         with ShardClient("127.0.0.1", port) as client:
             client.update_many(points.tolist(), deltas.tolist())
@@ -533,6 +614,15 @@ def test_tiers_flag_serves_demote_and_query_approx(tmp_path):
             assert client.query_many(boxes) == oracle  # demoted prefixes, exact
             for (_, low, high), exact in zip(client.query_many_approx(boxes), oracle):
                 assert low <= exact <= high
+    finally:
+        _stop_cli(process)
+    # restarted on its directory, the manifest's tiers choose workers again
+    process, banner = _serve_cli(tmp_path)
+    try:
+        assert banner["recovered"] is True and banner["processes"] is True
+        port = int(banner["listening"].rsplit(":", 1)[1])
+        with ShardClient("127.0.0.1", port) as client:
+            assert client.query_many(boxes) == oracle
     finally:
         _stop_cli(process)
     # untiered, the op answers exactly as the library call does

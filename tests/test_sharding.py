@@ -346,6 +346,16 @@ class TestProcessMode:
         assert stop.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    def test_serve_takes_no_inline_flag(self, capsys):
+        """A tiered cube's shards run in worker processes, any other's in
+        the server's: there is no option to choose."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as stop:
+            main(["serve", "--inline"])
+        assert stop.value.code == 2
+        assert "--inline" in capsys.readouterr().err
+
     def test_crashed_worker_raises_instead_of_hanging(self, rng):
         cube = ShardedCube((6, 6), shards=2, processes=True, timeout=120.0)
         owners = fleet_owners(cube)

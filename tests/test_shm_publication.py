@@ -64,7 +64,7 @@ from .conftest import (
     fleet_owners,
     random_box,
 )
-from .test_shard_server import _serve_cli, _stop_cli
+from .test_shard_server import TIERED, _serve_cli, _stop_cli
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -838,8 +838,20 @@ class TestNoTracker:
             cube.close()
         assert not fleet_leaks(owners)
 
+    def test_untiered_serve_is_one_process(self, tmp_path):
+        process, banner = _serve_cli(tmp_path)
+        try:
+            assert banner["processes"] is False
+            port = int(banner["listening"].rsplit(":", 1)[1])
+            with ShardClient("127.0.0.1", port) as client:
+                client.update_many([[0, 1, 1], [0, 5, 5]], [1, 2])
+                assert client.total() == 3
+            assert _descendants(process.pid) == {}
+        finally:
+            _stop_cli(process)
+
     def test_serve_is_three_processes_and_stops_clean(self, tmp_path):
-        process, banner = _serve_cli(tmp_path, inline=False, shape="8,8")
+        process, banner = _serve_cli(tmp_path, *TIERED, shape="8,8")
         try:
             port = int(banner["listening"].rsplit(":", 1)[1])
             with ShardClient("127.0.0.1", port) as client:
