@@ -28,12 +28,11 @@ bench:
 e2e-smoke:
 	timeout 300 env PYTHONPATH=src $(PY) -m pytest benchmarks/e2e -q
 
-# Where the served cube's memory is: PSS per server process and mapping
-# class, idle, loaded, and after `serve` is restarted on the same
-# directory and recovers it, for an untiered `serve` (shards in process)
-# and a tiered one (worker processes); CI runs the default 128 slices.
-# Fails when, in either layout, the loaded or the recovered server holds
-# its history a second time on the heap.
+# Where the served cube's memory is: PSS per mapping class, idle, loaded,
+# and after `serve` is restarted on the same directory and recovers it,
+# for an untiered `serve` and a tiered one (both one process); CI runs
+# the default 128 slices.  Fails when, for either cube, the loaded or the
+# recovered server holds its history a second time on the heap.
 pss:
 	PYTHONPATH=src $(PY) benchmarks/pss_breakdown.py --slices $(or $(SLICES),128)
 
@@ -72,8 +71,9 @@ loc:
 # slice a snapshot epoch reads (MIXED in concurrent/snapshot.py); the
 # server runs on threads and loads nothing that initialises OpenSSL: no
 # asyncio, no secrets, no thread-pool executor in sharding/ or __main__.py;
-# and no np.unique outside the reproduction's experiments/ and workloads/
-# (its hash path imports numpy.ma; repro.ecube.compiled.sorted_unique does not).
+# no np.unique outside the reproduction's experiments/ and workloads/
+# (its hash path imports numpy.ma; repro.ecube.compiled.sorted_unique does not);
+# and no TopKEngine in sharding/: a shard ranks a top-k from two prefix slices.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -104,4 +104,5 @@ probes:
 	@! grep -rnE 'import (asyncio|secrets)|from (asyncio|secrets) import|ThreadPoolExecutor' \
 		src/repro/sharding src/repro/__main__.py
 	@! grep -rn 'np\.uniqu[e](' src/repro --exclude-dir=experiments --exclude-dir=workloads
+	@! grep -rn 'TopKEngin[e]' src/repro/sharding
 	@echo "probes: none"

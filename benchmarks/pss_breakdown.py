@@ -1,43 +1,37 @@
 """Where a served cube's memory is: ``make pss``.
 
 Runs ``python -m repro serve --shards 2 --shape 32,32,8 --durable-dir
-...`` in both process layouts ``serve`` chooses between: an untiered
-cube, every shard in the server's own interpreter, and a tiered cube
-(``--tiers``), one worker process per shard.  For each it reads every
-server process's ``/proc/<pid>/smaps`` three times: idle, in a server
+...`` for an untiered cube and a tiered one (``--tiers``); either keeps
+every shard in the server's own interpreter.  For each it reads the
+server's ``/proc/<pid>/smaps`` three times: idle, in a server
 that loaded two occurring times over the wire; loaded, in a second
 server that loaded ``--slices`` more; and recovered, after that server
 was stopped with SIGTERM and ``serve --durable-dir`` restarted on its
 directory (which recovers the cube from its log).  It prints the
-proportional set size per process and per mapping class (``[heap]``,
-anonymous, ``/dev/shm``, numpy, python, OpenSSL's ``libcrypto`` /
-``libssl``, other libraries) for each phase.  ``server_pss_mb`` of the
-serving benchmark is the sum of these tables; this script says which
-class of which process a change moved.  Beside each worker-process
-table it counts the history rows the workers publish, per width (a row
-is stored at the narrowest signed width that holds its values), with
-their ``/dev/shm`` bytes and what the same rows would take at int64.
-Before each reading a box corner lands on every row, as a long read
-workload would touch them.
+proportional set size per mapping class (``[heap]``, anonymous,
+``/dev/shm``, numpy, python, OpenSSL's ``libcrypto`` / ``libssl``,
+other libraries) for each phase.  ``server_pss_mb`` of the serving
+benchmark is the total of these tables; this script says which class a
+change moved.  Before each reading a box corner lands on every row, as
+a long read workload would touch them.
 
-Exit status 1 when, loaded or recovered, in either layout, the server
+Exit status 1 when, loaded or recovered, for either cube, the server
 holds its history a second time on its heap: when its ``[heap]`` +
-anonymous PSS, summed over its processes (a forked worker's pages shared
-with the router count once), passes the idle server's of the same
-layout by more than half the bytes of the ``--slices`` more loaded at
-int64, whatever width their rows are published at.  The idle server has
+anonymous PSS passes the idle server's of the same cube by more than
+half the bytes of the ``--slices`` more loaded at int64, whatever width
+their rows are published at.  The idle server has
 done everything the loaded one did once -- lazy tables built, log open,
 a connection thread served, history rows published and attached -- so
 what the gate reads is what scales with history.  It is a server of its
 own, not a reading of the measured one.  A shard holds its history
-once: a worker in the shared-memory rows it publishes
-(:mod:`repro.sharding.shm`), an in-process shard in the heap rows it
-publishes at width, and a recovered shard publishes its log tail as it
-replays it.  At the default 128 slices both layouts read about 0.3x of
-the history, and a second int64 copy of every row 1.1x to 1.3x, loaded
-and recovered.  Fewer slices cannot tell: at 32 the loaded tiered
-server reads 0.50x to 0.54x with no copy, because what it holds beyond
-the idle server and the rows does not shrink with the history.
+once, in the heap rows it publishes at width, and a recovered shard
+publishes its log tail as it replays it.  At the default 128 slices
+both cubes read about 0.1x to 0.3x of the history, loaded and
+recovered, and a second int64 copy of every row 1.1x to 1.3x (measured
+when the tiered server ran worker processes).  Fewer slices cannot
+tell: at 32 the loaded tiered server then read 0.50x to 0.54x with no
+copy, because what it holds beyond the idle server and the rows does
+not shrink with the history.
 """
 
 from __future__ import annotations
@@ -53,17 +47,15 @@ import tempfile
 
 import numpy as np
 
-from repro.sharding import ShardClient, leaked_segments
-from repro.sharding.partition import GridPartitioner
-from repro.sharding.shm import SHM_PREFIX
+from repro.sharding import ShardClient
 
 SHAPE = (32, 32, 8)
 PER_SLICE = 320  # updates per occurring time
-#: the process layouts ``make pss`` reads, by the ``serve`` flags that
-#: choose them (a tier ladder demotes nothing unless asked)
+#: the cubes ``make pss`` serves, by their ``serve`` flags (a tier ladder
+#: demotes nothing unless asked)
 LAYOUTS = {
-    "in process": (),
-    "processes": ("--tiers", '[{"name": "hour", "granularity": 4}]'),
+    "untiered": (),
+    "tiered": ("--tiers", '[{"name": "hour", "granularity": 4}]'),
 }
 CLASSES = ("[heap]", "anon", "/dev/shm", "numpy", "python", "openssl", "other libs")
 MIB = 2**20
@@ -101,20 +93,6 @@ def pss_by_class(pid: int) -> dict[str, int]:
     return totals
 
 
-def _children(pid: int) -> list[int]:
-    found = []
-    for entry in os.listdir("/proc"):
-        if entry.isdigit():
-            try:
-                with open(f"/proc/{entry}/stat") as stat:
-                    ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
-            except OSError:
-                continue  # exited while we looked
-            if ppid == pid:
-                found.append(int(entry))
-    return sorted(found)
-
-
 def _table(title: str, rows: dict[str, dict[str, int]]) -> None:
     print(f"\n{title} (PSS, MiB)")
     print(f"{'':10}" + "".join(f"{name:>12}" for name in CLASSES) + f"{'total':>12}")
@@ -128,48 +106,8 @@ def _total(rows: dict[str, dict[str, int]]) -> int:
     return sum(sum(row.values()) for row in rows.values())
 
 
-def published_rows(workers: set[int]) -> dict[int, list[int]]:
-    """Per width in bytes, ``[rows, /dev/shm bytes]`` of the row blocks the
-    ``workers`` publish.  A block is named ``<prefix>-s<shard>-<pid>-<n>``;
-    a row block is one array of the shard's cells, so its size is the
-    cell count times the width (a frontier block holds more)."""
-    cells = {
-        f"s{extent.shard_id}": math.prod(extent.shape)
-        for extent in GridPartitioner.for_shards(SHAPE, 2).extents
-    }
-    widths: dict[int, list[int]] = {}
-    for name in leaked_segments():
-        tag, pid, _ = name[len(SHM_PREFIX) + 1 :].rsplit("-", 2)
-        if tag not in cells or int(pid) not in workers:
-            continue
-        try:
-            size = os.stat(f"/dev/shm/{name}").st_size
-        except FileNotFoundError:
-            continue  # unlinked while we looked
-        width, rest = divmod(size, cells[tag])
-        if not rest and width in (1, 2, 4, 8):
-            held = widths.setdefault(width, [0, 0])
-            held[0] += 1
-            held[1] += size
-    return widths
-
-
-def _rows_line(widths: dict[int, list[int]]) -> None:
-    rows = sum(count for count, _ in widths.values())
-    size = sum(size for _, size in widths.values())
-    at_int64 = sum(size * 8 // width for width, (_, size) in widths.items())
-    parts = ", ".join(
-        f"int{8 * width} {count} ({size / MIB:.2f} MiB)"
-        for width, (count, size) in sorted(widths.items())
-    )
-    print(
-        f"rows published: {parts or 'none'}; all {rows} rows {size / MIB:.2f} MiB "
-        f"in /dev/shm ({at_int64 / MIB:.2f} MiB at int64)"
-    )
-
-
 class Server:
-    """``python -m repro serve`` on ``durable_dir``: its processes, its port."""
+    """``python -m repro serve`` on ``durable_dir``: its pid, its port."""
 
     def __init__(self, durable_dir: str, flags: tuple[str, ...]) -> None:
         self.process = subprocess.Popen(
@@ -192,16 +130,10 @@ class Server:
             self.stop()
             raise
         self.port = int(banner["listening"].rsplit(":", 1)[1])
-        workers = _children(self.process.pid)
-        self.pids = {"router" if workers else "server": self.process.pid}
-        self.pids.update((f"worker {i}", pid) for i, pid in enumerate(workers))
 
     def measure(self, title: str) -> dict[str, dict[str, int]]:
-        rows = {name: pss_by_class(pid) for name, pid in self.pids.items()}
+        rows = {"server": pss_by_class(self.process.pid)}
         _table(title, rows)
-        workers = {pid for name, pid in self.pids.items() if name.startswith("worker")}
-        if workers:
-            _rows_line(published_rows(workers))
         return rows
 
     def stop(self) -> None:
@@ -211,12 +143,11 @@ class Server:
 
 def _touch(client: ShardClient, last: int) -> None:
     """PSS counts the pages a process touched: like a long read workload,
-    put a box corner on every 4 KiB page of every row the router attached
+    put a box corner on every 4 KiB page of every row the server published
     (a row of x holds 256 cells).  One request per occurring time, as a
     read workload's batches do not grow with the history: a single batch
     of every box would leave its transient arrays in the allocator, which
-    the gate would read as history.  The request after the reads lets
-    every worker release the epochs it superseded."""
+    the gate would read as history."""
     top = [n - 1 for n in SHAPE]
     answers = []
     for time in range(last + 1):

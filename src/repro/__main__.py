@@ -142,10 +142,9 @@ def _sweep_leaked_shm() -> list[str]:
 
 def _cmd_serve(args) -> int:
     """Serve a sharded cube over TCP: partition it into ``--shards``
-    shards, kept in this process (or, for a tiered cube, one worker
-    process each, whose shared-memory epochs this process attaches), and
-    answer length-prefixed JSON requests on ``--host``/``--port`` until
-    SIGTERM drains the listener."""
+    shards, all kept in this process (tiered or not), and answer
+    length-prefixed JSON requests on ``--host``/``--port`` until SIGTERM
+    drains the listener."""
     from pathlib import Path
 
     from repro.sharding import ShardServer, ShardedCube
@@ -162,19 +161,14 @@ def _cmd_serve(args) -> int:
         path = Path(args.durable_dir) / MANIFEST_NAME
         if path.exists():
             manifest = json.loads(path.read_text())
-    # a read into demoted history is answered by each shard it reaches,
-    # which worker processes do side by side; every other read is served
-    # from published rows, where a worker only costs an interpreter
-    processes = bool(manifest.get("tiers") if manifest else args.tiers)
     if manifest is not None:
         # a restart of the command that created the directory: shape,
         # shards and tiers come from its manifest
-        cube = ShardedCube.recover(args.durable_dir, processes=processes)
+        cube = ShardedCube.recover(args.durable_dir)
     else:
         cube = ShardedCube(
             tuple(int(n) for n in args.shape.split(",")),
             shards=args.shards,
-            processes=processes,
             num_times=args.num_times,
             durable_dir=args.durable_dir,
             tiers=json.loads(args.tiers) if args.tiers else None,
@@ -371,8 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "JSON tier ladder for tiered retention, e.g. "
             '\'[{"name": "hour", "granularity": 4, "horizon": 16}]\'; '
-            "enables the demote and query_approx wire ops and runs each "
-            "shard in its own worker process"
+            "enables the demote and query_approx wire ops"
         ),
     )
     serve.add_argument(

@@ -87,7 +87,9 @@ def brute_topk(dense: np.ndarray, t1: int, t2: int, k: int):
     else:
         values = dense[lo : hi + 1].sum(axis=0)
     flat = values.reshape(-1)
-    order = np.argsort(-flat, kind="stable")  # stable: ties stay in lex order
+    # ascending ~v is descending v without -v's wrap at -2**63; stable:
+    # ties stay in lex order
+    order = np.argsort(~flat, kind="stable")
     take = order[: max(0, min(int(k), flat.size))]
     shape = values.shape
     return [
@@ -223,7 +225,7 @@ class TopKEngine:
         k = min(k, cells_total)
         if k <= 0:
             return []
-        order = np.lexsort((flat_cells, -values))
+        order = np.lexsort((flat_cells, ~values))  # value desc, no wrap
         chosen: list[tuple[int, int]] = []
         positives = 0
         for pos in order:

@@ -31,18 +31,26 @@ Encoding pipeline (all vectorized; pure NumPy + :mod:`zlib`):
    id is refused before its payload is touched.
 
 The differences wrap modulo 2**64 like every int64 operation here, and
-so do the ``cumsum`` s that undo them: the round trip is exact over the
-whole int64 range.
+so do the sums that undo them: the round trip is exact over the whole
+int64 range.
 
-Every tile carries two CRC32 checksums (header and payload).  Decoding
-*refuses* rather than guesses: a torn tail, a corrupt checksum, a bad
-magic/version, or trailing garbage all raise
-:class:`~repro.core.errors.StorageError`.
+Every tile carries two CRC32 checksums (header and payload).
+:func:`inflate_tile` *refuses* rather than guesses: a torn tail, a
+corrupt checksum, a bad magic/version, or trailing garbage all raise
+:class:`~repro.core.errors.StorageError`.  :func:`decode_tile` undoes
+the whole stack at once; it is the reference the store's per-slice
+reads are tested against.
 
 :class:`TileStore` owns a directory of tiles, writes them atomically
-(tmp + fsync + rename, like the checkpoint archive writer), reads a
-tile's file whole on first use, decodes it, and caches the
-:data:`CACHE_TILES` most recently used stacks.
+(tmp + fsync + rename, like the checkpoint archive writer) and reads a
+tile's file whole on first use, verifying and inflating it once.  A
+prefix needs one slice of a tile, so the store decodes only that slice:
+the time deltas of the planes up to it are summed, then a ``cumsum``
+along each cell axis integrates the sum (§2: the slice is the prefix sum
+of the updates up to its instance).  A decoded slice stays memoised
+beside its packed tile; the :data:`CACHE_TILES` most recently used tiles
+stay resident, each in at most the bytes of its whole decoded int64
+stack.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +76,8 @@ CODEC_ZLIB = 1
 #: fixed compression level: tile bytes must be a pure function of the
 #: demoted slices so WAL replay can atomically overwrite torn tiles
 _ZLIB_LEVEL = 6
-#: decoded tile stacks a :class:`TileStore` keeps resident
+#: tiles a :class:`TileStore` keeps resident, each in at most the bytes of
+#: its decoded int64 stack
 CACHE_TILES = 2
 
 #: magic, version, codec, width, ndim, k
@@ -176,12 +186,23 @@ def encode_tile(stack: np.ndarray, times: np.ndarray) -> bytes:
     return bytes(header) + payload + _U32.pack(zlib.crc32(payload))
 
 
-def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_tile`; returns ``(stack, times)``.
+class InflatedTile(NamedTuple):
+    """A verified tile, inflated but not decoded (:func:`inflate_tile`)."""
+
+    #: format version: 2 differenced along every axis, 1 along time only
+    version: int
+    #: strictly increasing occurring times, one per plane
+    times: np.ndarray
+    #: ``(k, *shape)`` zigzag planes at their packed width (read-only)
+    planes: np.ndarray
+
+
+def inflate_tile(data) -> InflatedTile:
+    """Verify a tile and inflate its payload, decoding no value.
 
     Raises :class:`~repro.core.errors.StorageError` on any torn tail,
     checksum mismatch, malformed header, or trailing garbage -- a tile
-    either decodes exactly or not at all.
+    either inflates whole or not at all.
     """
     data = bytes(data)
     if len(data) < _FIXED.size:
@@ -232,9 +253,19 @@ def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
     count = int(k)
     for n in shape:
         count *= int(n)
-    stack = zigzag_decode(_unpack_width(width, packed, count)).reshape(
-        (k, *shape)
-    )
+    planes = _unpack_width(width, packed, count).reshape((k, *shape))
+    return InflatedTile(int(version), times, planes)
+
+
+def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_tile`; returns ``(stack, times)``.
+
+    Raises :class:`~repro.core.errors.StorageError` where
+    :func:`inflate_tile` does -- a tile either decodes exactly or not at
+    all.
+    """
+    version, times, planes = inflate_tile(data)
+    stack = zigzag_decode(planes)
     # undo the differencing: the cell axes, then time (version 1
     # differenced along time only)
     for axis in (*range(1, stack.ndim), 0) if version >= 2 else (0,):
@@ -254,8 +285,11 @@ class TileStore:
     """A directory of immutable tiles, indexed by occurring time.
 
     Tiles never overlap: demotion writes strictly newer runs of slices.
-    A tile is read and decoded on first use; the :data:`CACHE_TILES`
-    most recently decoded stacks stay resident.
+    A tile is read, verified and inflated on first use, and a slice is
+    decoded when a read first asks for it (module docstring).  The
+    :data:`CACHE_TILES` most recently used tiles stay resident with the
+    slices decoded from them, each tile in at most the bytes of its
+    decoded int64 stack.
     """
 
     def __init__(self, directory) -> None:
@@ -263,9 +297,8 @@ class TileStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         #: (first_time, last_time, name), ascending and disjoint
         self._index: list[tuple[int, int, str]] = []
-        self._cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = (
-            OrderedDict()
-        )
+        #: name -> (inflated tile, position -> its decoded slice), LRU order
+        self._cache: OrderedDict[str, tuple[InflatedTile, dict]] = OrderedDict()
         self.rescan()
 
     # -- directory scan -------------------------------------------------------
@@ -287,8 +320,15 @@ class TileStore:
         self._index = index
 
     def drop_cache(self) -> None:
-        """Evict decoded tile stacks; subsequent reads decode cold."""
+        """Evict every resident tile; subsequent reads inflate cold."""
         self._cache.clear()
+
+    def resident_bytes(self) -> int:
+        """Bytes the resident tiles hold: packed planes plus decoded slices."""
+        return sum(
+            tile.planes.nbytes + sum(ps.nbytes for ps in slices.values())
+            for tile, slices in self._cache.values()
+        )
 
     def tile_names(self) -> list[str]:
         return [name for _, _, name in self._index]
@@ -363,7 +403,7 @@ class TileStore:
 
     # -- reading --------------------------------------------------------------
 
-    def _load(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def _load(self, name: str) -> tuple[InflatedTile, dict]:
         cached = self._cache.get(name)
         if cached is not None:
             self._cache.move_to_end(name)
@@ -373,11 +413,10 @@ class TileStore:
             data = path.read_bytes()
         except OSError as exc:
             raise StorageError(f"unreadable tile {path}: {exc}") from exc
-        stack, times = decode_tile(data)
-        self._cache[name] = (stack, times)
+        entry = self._cache[name] = (inflate_tile(data), {})
         while len(self._cache) > CACHE_TILES:
             self._cache.popitem(last=False)
-        return stack, times
+        return entry
 
     def covers(self, time: int) -> bool:
         """Whether some tile's span contains ``time``."""
@@ -390,7 +429,7 @@ class TileStore:
         return None
 
     def slice_at(self, time: int) -> np.ndarray | None:
-        """The PS slice at occurring time ``time``, or ``None``.
+        """The PS slice at occurring time ``time`` (read-only), or ``None``.
 
         Exact-match lookup: the planner resolves a query prefix to a
         *floor* occurring time first, so a hit here is always the
@@ -399,14 +438,49 @@ class TileStore:
         name = self._find(int(time))
         if name is None:
             return None
-        stack, times = self._load(name)
-        pos = int(np.searchsorted(times, int(time)))
-        if pos >= times.shape[0] or int(times[pos]) != int(time):
+        tile, slices = self._load(name)
+        pos = int(np.searchsorted(tile.times, int(time)))
+        if pos >= tile.times.shape[0] or int(tile.times[pos]) != int(time):
             return None
-        return stack[pos]
+        ps = slices.get(pos)
+        if ps is None:
+            ps = _decode_slice(tile, slices, pos)
+        return ps
 
     def verify(self) -> int:
-        """Decode every tile (checksum walk); returns the tile count."""
+        """Inflate every tile (checksum walk); returns the tile count."""
         for _, _, name in self._index:
             self._load(name)
         return len(self._index)
+
+
+def _decode_slice(tile: InflatedTile, slices: dict, pos: int) -> np.ndarray:
+    """Decode the slice at ``pos`` of an inflated tile and memoise it in
+    ``slices`` (read-only).
+
+    The slice is the newest memoised one below it plus the time deltas of
+    the planes after that one, integrated by a ``cumsum`` along each cell
+    axis (version 2; version 1 differenced along time only): prefix sums are
+    linear, so summing first and integrating once is the same integers
+    as :func:`decode_tile`'s whole-stack ``cumsum`` s, modulo 2**64 as
+    they are.  One plane is widened at a time.  Older memoised slices
+    make room when the tile would pass the bytes of its decoded stack;
+    one that cannot fit is not kept.
+    """
+    base = max((p for p in slices if p < pos), default=-1)
+    ps = np.zeros(tile.planes.shape[1:], dtype=np.int64)
+    for plane in tile.planes[base + 1 : pos + 1]:
+        ps += zigzag_decode(plane)
+    if tile.version >= 2:
+        for axis in range(ps.ndim):
+            np.cumsum(ps, axis=axis, out=ps)
+    if base >= 0:
+        ps += slices[base]
+    ps.flags.writeable = False
+    room = tile.planes.size * 8 - tile.planes.nbytes - ps.nbytes
+    used = sum(memo.nbytes for memo in slices.values())
+    while slices and used > room:
+        used -= slices.pop(next(iter(slices))).nbytes
+    if used <= room:
+        slices[pos] = ps
+    return ps

@@ -14,12 +14,15 @@ stream (see :mod:`repro.sharding.router` for the contracts).
 Two execution modes:
 
 * ``processes=False`` -- every shard lives in this process (no pipes,
-  no shared memory, one interpreter).  What ``python -m repro serve``
-  runs for an untiered cube, and what the property tests use.
+  no shared memory, one interpreter).  The default, and what
+  ``python -m repro serve`` runs for every cube, tiered or not: a shard
+  answers a read into demoted history from its tiles, decoding only the
+  slices the read's prefixes floor on, and ranks a top-k from two prefix
+  slices, so no read needs a worker of its own.
 * ``processes=True`` -- worker processes publish epochs into shared
-  memory; this process attaches them and evaluates queries.  The
-  library default, and what ``serve --tiers`` runs.  This module imports
-  :mod:`multiprocessing` only when it starts such a fleet.
+  memory; this process attaches them and evaluates queries.  An explicit
+  opt-in of the library; this module imports :mod:`multiprocessing`
+  only when it starts such a fleet.
 
 Durability: pass ``durable_dir`` to give every shard its own WAL +
 checkpoint directory (``shard-00/``, ``shard-01/``, ...) beside a
@@ -81,7 +84,7 @@ class ShardedCube:
         *,
         shards: int = 2,
         partitioner: GridPartitioner | None = None,
-        processes: bool = True,
+        processes: bool = False,
         buffered: bool = True,
         num_times: int | None = None,
         durable_dir=None,
@@ -229,7 +232,7 @@ class ShardedCube:
         cls,
         durable_dir,
         *,
-        processes: bool = True,
+        processes: bool = False,
         timeout: float = 60.0,
         start_method: str | None = None,
     ) -> "ShardedCube":

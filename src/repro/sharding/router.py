@@ -191,8 +191,6 @@ class ShardRouter:
         #: TT capacity update times are validated against (``None``:
         #: unbounded); the cube that knows it sets it
         self.num_times: int | None = None
-        #: per-query accounting of the most recent :meth:`topk_many`
-        self.last_topk_stats: list[dict] = []
 
     # -- the time axis, as the shards last reported it ---------------------------
 
@@ -492,22 +490,24 @@ class ShardRouter:
         mode: str = "fast",
         nonnegative: bool = False,
     ):
-        """Global temporal top-k, merged from per-shard candidate lists.
+        """Global temporal top-k, merged from per-shard ranked lists.
 
-        Every worker ranks its own (disjoint) share of the cell domain
-        with a shard-local :class:`~repro.ranking.topk.TopKEngine`; the
-        router shifts the winning cells by each shard extent's origin
-        and merge-sorts.  Because the partition is disjoint and origin
-        shifts preserve lexicographic cell order, a cell in the global
-        top-k is necessarily in its own shard's top-k -- the union of
-        the per-shard lists is a complete candidate set and no second
-        probing round is needed.  ``mode`` is checked as
-        :meth:`query_many` checks it.
+        Every shard ranks its own (disjoint) share of the cell domain
+        from two prefix slices, ``ps(t2) - ps(t1 - 1)``, and their
+        inverse prefix (:meth:`~repro.sharding.worker.ShardWorkerState.
+        _topk`); the router shifts the winning cells by each shard
+        extent's origin and merge-sorts.  Because the partition is
+        disjoint and origin shifts preserve lexicographic cell order, a
+        cell in the global top-k is necessarily in its own shard's top-k
+        -- the union of the per-shard lists is a complete candidate set
+        and no second round is needed.  Answers are exact for any sign
+        of delta; ``nonnegative`` is accepted for the wire's sake and
+        changes nothing.  ``mode`` is checked as :meth:`query_many`
+        checks it.
         """
         check_mode(mode)
         queries = [(int(t1), int(t2), int(k)) for t1, t2, k in queries]
         if not queries:
-            self.last_topk_stats = []
             return []
         # a shard checks only its own retirement boundary, which is older
         # than the router's when another shard kept the boundary instance:
@@ -519,35 +519,17 @@ class ShardRouter:
             windows[:, :, 0] = ranked
             windows[:, 1, 1:] = np.subtract(shape, 1)
             self._checked(windows)
-        replies = self._scatter_all("topk", (queries, nonnegative))
+        replies = self._scatter_all("topk", queries)
         merged = []
-        stats: list[dict] = [
-            {"strategy": "prune", "cells": 0, "marginal_boxes": 0,
-             "materialized": 0}
-            for _ in queries
-        ]
         for qi, (_, _, k) in enumerate(queries):
             combined: list[tuple[tuple[int, ...], int]] = []
-            for shard_id, (results, shard_stats) in enumerate(replies):
-                origin = self.partitioner.extents[shard_id].origin
+            for extent, results in zip(self.partitioner.extents, replies):
                 combined.extend(
-                    (
-                        tuple(int(c) + int(o) for c, o in zip(cell, origin)),
-                        int(value),
-                    )
+                    (tuple(c + o for c, o in zip(cell, extent.origin)), value)
                     for cell, value in results[qi]
                 )
-                strategy, cells, marginal_boxes, materialized = shard_stats[qi]
-                if strategy == "dense":
-                    stats[qi]["strategy"] = "dense"
-                stats[qi]["cells"] += cells
-                stats[qi]["marginal_boxes"] += marginal_boxes
-                stats[qi]["materialized"] += materialized
             combined.sort(key=lambda cv: (-cv[1], cv[0]))
             merged.append(combined[: max(0, k)])
-        #: per-query accounting summed across shards (strategy is
-        #: ``"dense"`` if any shard fell back)
-        self.last_topk_stats = stats
         return merged
 
     def topk(self, t1: int, t2: int, k: int, mode: str = "fast",

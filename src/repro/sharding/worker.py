@@ -43,6 +43,7 @@ from repro.durability.recovery import DurableCube, build_front
 from repro.metrics import CostCounter
 
 from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView, prepare_epoch
+from repro.ecube.fastpath import DDC, _prefix_sum_rows, retired_instance_error
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
     BlockCache,
@@ -181,24 +182,66 @@ class ShardWorkerState:
             raise DomainError("demote requires a tiered shard (tiers=...)")
         return self.front.demote_before(time)
 
-    def _topk(self, payload):
-        # rank the shard's local cell domain; the router globalizes the
-        # cells by the shard extent's origin and merges (the cell
-        # partition is disjoint, so per-shard lists are exact)
-        queries, nonnegative = payload
-        from repro.ranking import TopKEngine
+    def _topk(self, queries) -> list:
+        """Rank the shard's local cell domain for each ``(t1, t2, k)``.
 
-        engine = TopKEngine(
-            self.front,
-            slice_shape=self.config["slice_shape"],
-            nonnegative=nonnegative,
-        )
-        results = engine.topk_many(queries)
-        stats = [
-            (s.strategy, s.cells, s.marginal_boxes, s.materialized)
-            for s in engine.last_stats
-        ]
-        return results, stats
+        Every cell's score over ``[t1, t2]`` is the inverse prefix
+        (``np.diff`` along each cell axis) of ``ps(t2) - ps(t1 - 1)``
+        (§2's two lookups, for the whole slice at once), plus the
+        window's ``G_d`` points; ranked by value descending, then flat
+        cell index ascending.  Exact whatever the signs of the deltas.
+        The router globalizes the cells by the shard extent's origin and
+        merges (the cell partition is disjoint, so per-shard lists are
+        exact).
+        """
+        with self.snap.pin() as view:
+            return [self._ranked(view, *query) for query in queries]
+
+    def _ranked(self, view: SnapshotView, t1: int, t2: int, k: int) -> list:
+        if k <= 0:
+            return []
+        scores = np.zeros(view.slice_shape, dtype=np.int64)
+        if t1 <= t2:
+            for combine, time in ((np.add, t2), (np.subtract, t1 - 1)):
+                ps = self._prefix_slice(view, time)
+                if ps is not None:
+                    combine(scores, ps, out=scores)
+            for axis in range(scores.ndim):
+                scores = np.diff(scores, axis=axis, prepend=0)
+            epoch = view.epoch
+            if epoch.gd_points is not None and len(epoch.gd_points):
+                times = epoch.gd_points[:, 0]
+                window = (times >= t1) & (times <= t2)
+                cells = tuple(epoch.gd_points[window, 1:].T)
+                np.add.at(scores, cells, epoch.gd_deltas[window])
+        flat = scores.reshape(-1)
+        # ascending ~v is descending v, and ~ never wraps (-v does at -2**63)
+        key = ~flat
+        k = min(k, flat.size)
+        candidates = np.arange(flat.size)
+        if k < flat.size:
+            candidates = np.flatnonzero(key <= np.partition(key, k - 1)[k - 1])
+        chosen = candidates[np.argsort(key[candidates], kind="stable")[:k]]
+        cells = np.stack(np.unravel_index(chosen, scores.shape), axis=1)
+        return list(zip(map(tuple, cells.tolist()), flat[chosen].tolist()))
+
+    def _prefix_slice(self, view: SnapshotView, time: int) -> np.ndarray | None:
+        """The cumulative PS slice the prefix up to ``time`` floors on
+        (``None`` before the first instance): the epoch's row, the latest
+        instance's frontier swept once per epoch, or a demoted instance's
+        slice from the tiers."""
+        floor = int(np.searchsorted(view.times, time, side="right")) - 1
+        if floor < 0:
+            return None
+        if floor < view.retired_below:
+            occurring = int(view.times[floor])
+            if not self.tiered:
+                raise retired_instance_error(occurring)
+            return self.layers["tiered"]._demoted_slice(occurring)
+        kind, values, _ = view.fetch(floor)
+        if kind == DDC:
+            (values,) = _prefix_sum_rows(view, np.array([floor]), [(kind, values, None)])
+        return values
 
     def _approx(self, boxes):
         tiered = self.layers.get("tiered")

@@ -28,6 +28,7 @@ from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.metrics import CostCounter
 from repro.ranking import TopKEngine, TopKStats, brute_topk
+from repro.retention import TieredCube
 from repro.sharding import ShardedCube
 
 BACKENDS = ("dense", "paged", "sparse")
@@ -324,17 +325,109 @@ class TestPruningCharges:
         assert pruned_results == dense_results
         assert pruned_cost <= dense_cost
 
-    def test_sharded_stats_report_pruning(self):
-        cube = ShardedCube((8, 8), shards=2, processes=False, buffered=True)
+
+
+#: a two-rung ladder: some demoted floors are rollup boundaries, the rest
+#: come from tiles
+TIERS = [
+    {"name": "fine", "granularity": 4, "horizon": 8},
+    {"name": "coarse", "granularity": 8, "horizon": None},
+]
+
+#: in order from time 3, then late: before the first instance (1), inside
+#: the demoted history (6) and inside the live history (14); signed deltas
+IN_ORDER = sorted(
+    [((t, t % 8, 3 * t % 8), (-1) ** t * (t + 2)) for t in range(3, 20)]
+    + [((t, 7 - t % 8, t % 5), 3) for t in range(3, 20, 2)]
+)
+LATE = [((1, 2, 2), 9), ((6, 5, 1), -4), ((14, 0, 0), 11), ((6, 3, 7), 2)]
+
+
+class TestShardedTwoSliceRanking:
+    """A shard ranks ``ps(t2) - ps(t1 - 1)`` and its inverse prefix: the
+    same lists as the brute oracle and the unsharded front, on every
+    stack the shards run, in both process layouts."""
+
+    @staticmethod
+    def _stream(front, buffered: bool, tiered: bool) -> None:
+        for point, delta in IN_ORDER:
+            front.update(point, delta)
+        if tiered:
+            front.demote_before(10)
+        if buffered:  # G_d after the demotion, which drains it
+            for point, delta in LATE:
+                front.update(point, delta)
+        else:
+            # retires 3 and 4 of a live cube, a tiered one demoted them
+            # already (a buffered retire would prune G_d below it:
+            # TestShardedRetirement)
+            front.retire_before(6)
+
+    @staticmethod
+    def _outcome(rank):
         try:
-            cube.update((0, 1, 1), 50)
-            cube.update((0, 6, 6), 2)
-            cube.topk_many([(0, 0, 1)], nonnegative=True)
-            (stats,) = cube.router.last_topk_stats
-            assert stats["strategy"] == "prune"
-            assert stats["materialized"] < stats["cells"]
-        finally:
-            cube.close()
+            return rank()
+        except AgedOutError:
+            return AgedOutError
+
+    def _compare(self, tmp_path, buffered, tiered, processes, windows):
+        shape = (8, 8)
+        oracle = BufferedEvolvingDataCube(shape) if buffered else EvolvingDataCube(shape)
+        if tiered:
+            oracle = TieredCube(oracle, TIERS, tmp_path / "oracle")
+        self._stream(oracle, buffered, tiered)
+        updates = IN_ORDER + (LATE if buffered else [])
+        dense = _dense_oracle(shape, 24, updates)
+        engine = TopKEngine(oracle, nonnegative=False)
+        with ShardedCube(
+            shape, shards=2, processes=processes, buffered=buffered,
+            tiers=TIERS if tiered else None, tile_root=tmp_path / "shards",
+        ) as cube:  # fmt: skip
+            self._stream(cube, buffered, tiered)
+            if tiered:
+                assert cube.router.demote_boundary is not None
+            refused = answered = 0
+            for t1, t2, k in windows:
+                query = [(t1, t2, k)]
+                want = self._outcome(lambda: engine.topk_many(query))
+                got = self._outcome(lambda: cube.topk_many(query))
+                assert got == want, (t1, t2, k)
+                if want is AgedOutError:
+                    refused += 1
+                    continue
+                answered += 1
+                assert got == [brute_topk(dense, t1, t2, k)], (t1, t2, k)
+            return refused, answered
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["bare", "buffered"])
+    @pytest.mark.parametrize("tiered", [False, True], ids=["live", "tiered"])
+    def test_in_process_shards_rank_as_the_oracles(self, tmp_path, buffered, tiered):
+        # k past the 64 cells, inverted windows, windows from before the
+        # first instance and past the last
+        windows = itertools.product(range(-1, 23, 2), range(-2, 24, 3), (0, 3, 70))
+        refused, answered = self._compare(tmp_path, buffered, tiered, False, windows)
+        assert answered and bool(refused) == (not tiered and not buffered)
+
+    def test_worker_processes_rank_as_the_oracles(self, tmp_path):
+        windows = itertools.product((-1, 2, 4, 5, 9, 12), (5, 10, 15, 22), (1, 70))
+        refused, answered = self._compare(tmp_path, True, True, True, windows)
+        assert answered and not refused
+
+    def test_extreme_scores_rank_by_value_not_by_their_negation(self):
+        """A cell scoring -2**63 ranks last: negating it would wrap, and
+        the shard would hand it to the router in place of a real winner."""
+        low = np.iinfo(np.int64).min
+        # shard 0 holds cells 0-3, shard 1 cells 4-7
+        updates = [((0, 0), low), ((0, 1), 3), ((0, 2), 2), ((0, 7), -1)]
+        dense = _dense_oracle((8,), 1, updates)
+        with ShardedCube((8,), shards=2, processes=False, buffered=False) as cube:
+            cube.update_many([p for p, _ in updates], [d for _, d in updates])
+            assert cube.topk(0, 0, 2) == brute_topk(dense, 0, 0, 2) == [
+                ((1,), 3), ((2,), 2),
+            ]
+            ranked = cube.topk(0, 0, 8)
+            assert ranked == brute_topk(dense, 0, 0, 8)
+            assert ranked[-2:] == [((7,), -1), ((0,), low)]
 
 
 class TestShardedRetirement:

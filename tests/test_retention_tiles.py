@@ -11,7 +11,9 @@ version 2 (differenced along every axis) and still reads version 1
 
 from __future__ import annotations
 
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +296,73 @@ class TestTileStore:
         path.write_bytes(bytes(data))
         with pytest.raises(StorageError):
             TileStore(tmp_path).slice_at(10)
+
+
+def _served_slices(data, order) -> tuple[list, int]:
+    """``TileStore.slice_at`` of each position in ``order`` over the tile
+    ``data`` alone in a fresh directory, and the store's peak resident
+    bytes."""
+    times = decode_tile(data)[1]
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / tile_name(int(times[0]), int(times[-1]))
+        path.write_bytes(data)
+        store = TileStore(root)
+        served, peak = [], 0
+        for pos in order:
+            served.append(np.array(store.slice_at(int(times[pos]))))
+            peak = max(peak, store.resident_bytes())
+    return served, peak
+
+
+class TestSliceDecode:
+    """A store decodes one slice of a tile, not the stack: the time deltas
+    up to it, then one ``cumsum`` per cell axis.  ``decode_tile`` is the
+    reference."""
+
+    @settings(max_examples=60)
+    @given(tile_inputs(), st.booleans(), st.data())
+    def test_a_slice_is_its_row_of_the_decoded_stack(self, inputs, v1, data):
+        stack, times = inputs
+        tile = _v1_tile(stack, times) if v1 else encode_tile(stack, times)
+        order = data.draw(
+            st.lists(st.integers(0, len(times) - 1), min_size=1, max_size=8)
+        )
+        served, peak = _served_slices(tile, order)
+        decoded = decode_tile(tile)[0]
+        for pos, ps in zip(order, served):
+            np.testing.assert_array_equal(ps, decoded[pos])
+            np.testing.assert_array_equal(ps, stack[pos])
+        # never more than the one decoded int64 stack it replaces
+        assert peak <= stack.nbytes
+
+    def test_a_frozen_version_1_tile_serves_its_slices(self):
+        order = [2, 0, 1, 2, 0]
+        served, _ = _served_slices(FROZEN_V1, order)
+        assert [ps.tolist() for ps in served] == [FROZEN_V1_STACK[p] for p in order]
+
+    def test_wide_values_are_exact_when_nothing_can_be_memoised(self):
+        """At eight bytes a value the packed planes fill the budget: every
+        slice is decoded afresh, and exactly."""
+        stack = np.array([[I64.max, I64.min], [I64.min, 1], [-1, I64.max]])
+        tile = encode_tile(stack, np.array([0, 1, 2]))
+        served, peak = _served_slices(tile, [1, 2, 0, 1])
+        assert [ps.tolist() for ps in served] == [stack[p].tolist() for p in [1, 2, 0, 1]]
+        assert peak == stack.nbytes  # the planes alone
+
+    def test_a_tile_is_read_once_and_memoises_what_it_decoded(self, tmp_path):
+        store = TileStore(tmp_path)
+        stack = np.cumsum(np.arange(60).reshape(5, 3, 4), axis=0)
+        store.write_tile(stack, np.arange(10, 15))
+        first = store.slice_at(13)
+        assert store.slice_at(13) is first and not first.flags.writeable
+        (tmp_path / tile_name(10, 14)).unlink()  # resident: no second read
+        np.testing.assert_array_equal(store.slice_at(14), stack[4])
+
+    def test_a_torn_tile_is_refused_at_its_first_slice(self, tmp_path):
+        store = TileStore(tmp_path)
+        stack = np.arange(24).reshape(2, 3, 4)
+        name = store.write_tile(stack, np.array([3, 4]))
+        data = (tmp_path / name).read_bytes()
+        (tmp_path / name).write_bytes(data[:-7])
+        with pytest.raises(StorageError, match="torn tile"):
+            TileStore(tmp_path).slice_at(4)

@@ -414,7 +414,7 @@ def test_awaitable_start_and_serve_forever_run_the_sync_server(cube):
     assert not loop.is_alive()
 
 
-#: ``serve`` with a tier ladder, which runs its shards in worker processes
+#: ``serve`` with a tier ladder
 TIERED = (
     "--tiers",
     json.dumps([{"name": "hour", "granularity": 4, "horizon": None}]),
@@ -495,7 +495,21 @@ READS = [
 ]  # fmt: skip
 
 
-def _served(directory, frames, processes, recover=False) -> list:
+#: the tier ladder of the tiered layout test; ``DEMOTE`` reaches tiles and
+#: the rollup, and the reads after it floor in demoted history
+LADDER = [{"name": "hour", "granularity": 4, "horizon": None}]
+DEMOTE = [{"op": "demote", "time": 9}]
+DEMOTED_READS = READS + [
+    {"op": "query_many", "boxes": [
+        {"lower": [2, 0, 0], "upper": [5, 7, 7]},
+        {"lower": [4, 2, 0], "upper": [12, 7, 5]},
+    ]},
+    {"op": "topk", "queries": [[3, 7, 4], [0, 14, 2]]},
+    {"op": "query_approx", "boxes": [{"lower": [3, 0, 0], "upper": [6, 7, 7]}]},
+]  # fmt: skip
+
+
+def _served(directory, frames, processes, recover=False, tiers=None) -> list:
     """Replies of a durable ``ShardedCube`` on ``directory``, in one process
     layout, served over TCP, to ``frames``."""
     if recover:
@@ -503,7 +517,7 @@ def _served(directory, frames, processes, recover=False) -> list:
     else:
         cube = ShardedCube(
             (8, 8), shards=2, processes=processes, durable_dir=directory,
-            timeout=120.0,
+            timeout=120.0, tiers=tiers,
         )  # fmt: skip
     try:
         with _ServerThread(cube) as server:
@@ -523,45 +537,66 @@ def _files(directory) -> dict:
     }
 
 
-def test_both_process_layouts_write_the_same_bytes_and_read_each_other(tmp_path):
-    """The layout is not on disk: one stream leaves byte-identical
-    ``shard-NN/`` files and ``sharding.json`` in either layout, and a
-    directory written in one recovers in the other to the same answers."""
+def _cross_layout(tmp_path, stream, reads, tiers=None) -> dict:
+    """Serve ``stream + reads`` in both process layouts and recover each
+    directory in the other; the files the stream left."""
     written = {}
     for processes in (False, True):
         directory = tmp_path / f"processes-{processes}"
-        replies = _served(directory, STREAM + READS, processes)
+        replies = _served(directory, stream + reads, processes, tiers=tiers)
         written[processes] = (directory, replies)
     (inline_dir, inline_replies), (forked_dir, forked_replies) = written.values()
     assert inline_replies == forked_replies
     files = _files(inline_dir)
     assert "sharding.json" in files and any(n.startswith("shard-01/") for n in files)
     assert files == _files(forked_dir)
-    answers = inline_replies[len(STREAM) :]
+    answers = inline_replies[len(stream) :]
     # each directory recovers in the other layout
-    assert _served(inline_dir, READS, processes=True, recover=True) == answers
-    assert _served(forked_dir, READS, processes=False, recover=True) == answers
+    assert _served(inline_dir, reads, processes=True, recover=True) == answers
+    assert _served(forked_dir, reads, processes=False, recover=True) == answers
+    return files
 
 
-def test_hostile_frames_leave_every_worker_process_serving(tmp_path):
+def test_both_process_layouts_write_the_same_bytes_and_read_each_other(tmp_path):
+    """The layout is not on disk: one stream leaves byte-identical
+    ``shard-NN/`` files and ``sharding.json`` in either layout, and a
+    directory written in one recovers in the other to the same answers."""
+    _cross_layout(tmp_path, STREAM, READS)
+
+
+def test_both_process_layouts_write_the_same_tiles_and_read_each_other(tmp_path):
+    """The same for a tiered cube that demoted: tiles, logs and
+    ``sharding.json`` are byte-identical, and exact, approximate and
+    top-k reads into demoted history answer alike in either layout."""
+    files = _cross_layout(tmp_path, STREAM + DEMOTE, DEMOTED_READS, tiers=LADDER)
+    assert any(name.endswith(".tile") for name in files)
+
+
+def test_hostile_frames_leave_every_worker_process_serving(tmp_path, capfd):
     """One frame used to kill a shard worker for good (``mode`` reached the
     WAL codec, ``limit`` reached ``int()``): now each is a typed error and
-    the server keeps answering with the oracle's total."""
-    process, banner = _serve_cli(tmp_path, *TIERED, shape="8,8")
+    the server keeps answering with the oracle's total.  ``serve`` keeps
+    its shards in process, so the worker processes are the library's."""
+    cube = ShardedCube(
+        (8, 8), shards=2, processes=True, durable_dir=tmp_path, tiers=LADDER,
+        timeout=120.0,
+    )  # fmt: skip
     try:
-        port = int(banner["listening"].rsplit(":", 1)[1])
-        with ShardClient("127.0.0.1", port) as client:
-            client.update_many([[5, 1, 1], [5, 6, 6]], [2, 3])
-            for frame, _ in MALFORMED_FRAMES:
-                reply = client.request(frame)
-                assert (reply["ok"], reply["error"]) == (False, "ProtocolError")
-                assert client.ping()
-                assert client.total() == 5
-            client.update([6, 1, 1], 1)  # both shards still take writes
-            client.update([6, 6, 6], 1)
-            assert client.total() == 7
+        with _ServerThread(cube) as server:
+            with ShardClient("127.0.0.1", server.port) as client:
+                client.update_many([[5, 1, 1], [5, 6, 6]], [2, 3])
+                for frame, _ in MALFORMED_FRAMES:
+                    reply = client.request(frame)
+                    assert (reply["ok"], reply["error"]) == (False, "ProtocolError")
+                    assert client.ping()
+                    assert client.total() == 5
+                client.update([6, 1, 1], 1)  # both shards still take writes
+                client.update([6, 6, 6], 1)
+                assert client.total() == 7
+        assert all(handle.is_alive() for handle in cube.router.handles)
     finally:
-        stderr = _stop_cli(process)
+        cube.close()
+    stderr = capfd.readouterr().err
     assert "Unhandled exception" not in stderr and "Traceback" not in stderr
 
 
@@ -606,7 +641,7 @@ def test_tiers_flag_serves_demote_and_query_approx(tmp_path):
     ]
     process, banner = _serve_cli(tmp_path, "--tiers", json.dumps(tiers))
     try:
-        assert banner["processes"] is True
+        assert banner["processes"] is False  # tiered, in one process
         port = int(banner["listening"].rsplit(":", 1)[1])
         with ShardClient("127.0.0.1", port) as client:
             client.update_many(points.tolist(), deltas.tolist())
@@ -616,10 +651,10 @@ def test_tiers_flag_serves_demote_and_query_approx(tmp_path):
                 assert low <= exact <= high
     finally:
         _stop_cli(process)
-    # restarted on its directory, the manifest's tiers choose workers again
+    # restarted on its directory, the manifest's tiers come back
     process, banner = _serve_cli(tmp_path)
     try:
-        assert banner["recovered"] is True and banner["processes"] is True
+        assert banner["recovered"] is True and banner["processes"] is False
         port = int(banner["listening"].rsplit(":", 1)[1])
         with ShardClient("127.0.0.1", port) as client:
             assert client.query_many(boxes) == oracle

@@ -850,20 +850,20 @@ class TestNoTracker:
         finally:
             _stop_cli(process)
 
-    def test_serve_is_three_processes_and_stops_clean(self, tmp_path):
+    def test_tiered_serve_is_one_process_and_stops_clean(self, tmp_path):
         process, banner = _serve_cli(tmp_path, *TIERED, shape="8,8")
         try:
+            assert banner["processes"] is False
             port = int(banner["listening"].rsplit(":", 1)[1])
             with ShardClient("127.0.0.1", port) as client:
                 for time in range(10):
                     client.update_many([[time, 1, 1], [time, 6, 6]], [1, 1])
+                assert client.demote_before(6) > 0
                 assert client.query(Box((0, 0, 0), (9, 7, 7))) == 20
-            family = _descendants(process.pid)
-            owners = {process.pid, *family}
-            assert len(family) == 2, family  # the router's two workers
-            assert not any("resource_tracker" in cmd for cmd in family.values())
+                assert client.topk_many([(2, 4, 1)]) == [[((1, 1), 3)]]
+            assert _descendants(process.pid) == {}
         finally:
             stderr = _stop_cli(process)
         assert "KeyError" not in stderr and "resource_tracker" not in stderr
         assert "Traceback" not in stderr
-        assert not fleet_leaks(owners)
+        assert not fleet_leaks({process.pid})
