@@ -73,7 +73,9 @@ loc:
 # asyncio, no secrets, no thread-pool executor in sharding/ or __main__.py;
 # no np.unique outside the reproduction's experiments/ and workloads/
 # (its hash path imports numpy.ma; repro.ecube.compiled.sorted_unique does not);
-# and no TopKEngine in sharding/: a shard ranks a top-k from two prefix slices.
+# no TopKEngine in sharding/: a shard ranks a top-k from two prefix slices;
+# and the two families of an extent cube keep their own time axes: no
+# shared axis, no kernel catch-up hook, no suspended alignment.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -105,4 +107,5 @@ probes:
 		src/repro/sharding src/repro/__main__.py
 	@! grep -rn 'np\.uniqu[e](' src/repro --exclude-dir=experiments --exclude-dir=workloads
 	@! grep -rn 'TopKEngin[e]' src/repro/sharding
+	@! grep -rnE 'SharedTimeAxis|FamilyDirectory|_family_catch|suspend_alignment' src/repro
 	@echo "probes: none"

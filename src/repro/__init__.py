@@ -41,7 +41,6 @@ __getattr__, __dir__, __all__ = exports(
         "repro.ecube.disk": "DiskEvolvingDataCube",
         "repro.ecube.ecube": "EvolvingDataCube",
         "repro.ecube.extent": "ExtentCube",
-        "repro.ecube.families": "FamilyDirectory SharedTimeAxis",
         "repro.ecube.sparse": "SparseEvolvingDataCube",
         "repro.metrics.counters": "CostCounter",
         "repro.olap.hierarchy": "Dimension Hierarchy uniform_hierarchy",

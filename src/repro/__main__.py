@@ -84,7 +84,7 @@ def _cmd_recover(directory: str) -> int:
             # TT-extent cube: report the extent layer's bookkeeping
             front = cube.stack["extent"]
             info["extent"] = True
-            info["occurring_times"] = len(front.axis)
+            info["occurring_times"] = len(front.occurring_times())
             info["objects_inserted"] = front.objects_inserted
             info["pending_ends"] = front.pending_ends
             info["buffered_updates"] = front.buffered_updates

@@ -9,8 +9,8 @@ like a point cube, and a *pinned extent view* combines
 
 * a pinned epoch of the ``B`` (ended) family,
 * a pinned epoch of the ``C`` (containing) family,
-* the pending-end and containment columns (and the containment
-  aged-out cutoff) frozen at pin time.
+* the pending-end and containment columns, the retirement boundary and
+  the containment aged-out cutoff, frozen at pin time.
 
 Because the extent cube's queries are pure (the pending correction is
 applied analytically, never by advancing the clock), a view answers
@@ -51,6 +51,7 @@ class ExtentSnapshotView:
         pending: tuple[np.ndarray, ...],
         moved: tuple[np.ndarray, ...],
         min_time: int | None,
+        boundary: int | None,
         retired_below: int | None,
         slice_shape: tuple[int, ...],
     ) -> None:
@@ -59,6 +60,7 @@ class ExtentSnapshotView:
         self._pending = pending
         self._moved = moved
         self._min_time = min_time
+        self._boundary = boundary
         self._retired_below = retired_below
         self._slice_shape = slice_shape
         self._released = False
@@ -106,6 +108,7 @@ class ExtentSnapshotView:
             self._containing.query_many,
             self._pending,
             self._min_time,
+            self._boundary,
             self._slice_shape,
         )
 
@@ -192,6 +195,7 @@ class SnapshotExtentCube:
                 extent._pending_columns(),
                 extent._cont_columns(),
                 extent._min_time,
+                extent._boundary,
                 extent._cont_retired_below,
                 extent.slice_shape,
             )

@@ -176,7 +176,7 @@ class DurableCube:
         plus :meth:`apply_out_of_order`.
     extent:
         ``True`` logs an :class:`~repro.ecube.extent.ExtentCube`
-        (Section 2.4: two buffered families on one time axis) instead of
+        (Section 2.4: two buffered families, each on its own time axis) instead of
         a point-object cube; the manifest records it, so :meth:`recover`
         needs no hint.  Extent cubes are always buffered and never
         tiered.

@@ -16,12 +16,9 @@ The MOLAP instantiation of the append-only framework:
   slices with page-wise copying (Section 3.5), a bare cost model;
 * :class:`SparseEvolvingDataCube` -- the kernel over dict-of-touched-cells
   slices (Section 7 follow-up), a bare cost model;
-* :class:`repro.ecube.families.SharedTimeAxis` /
-  :class:`repro.ecube.families.FamilyDirectory` -- one time axis shared by
-  several kernel instance families (Section 2.4);
-* :class:`ExtentCube` -- objects with TT-extent as two point-object
-  families (B/C) over a shared axis, with intersection and containment
-  aggregates.
+* :class:`ExtentCube` -- objects with TT-extent as two buffered
+  point-object families (B/C, Section 2.4), each over its own time
+  directory, with intersection and containment aggregates.
 """
 
 from repro._exports import exports
@@ -33,7 +30,6 @@ __getattr__, __dir__, __all__ = exports(
         "repro.ecube.disk": "DiskEvolvingDataCube PagedStore",
         "repro.ecube.ecube": "EvolvingDataCube",
         "repro.ecube.extent": "ExtentCube",
-        "repro.ecube.families": "FamilyDirectory SharedTimeAxis",
         "repro.ecube.kernel": "CubeKernel",
         "repro.ecube.slices": "ECubeSliceEngine",
         "repro.ecube.sparse": "SparseEvolvingDataCube SparseStore",

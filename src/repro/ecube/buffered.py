@@ -51,10 +51,6 @@ class BufferedEvolvingDataCube:
         update returns.  ``None`` (default) leaves draining entirely to
         the caller, keeping single-operation costs at the paper's
         metered reference.
-    directory:
-        A :class:`~repro.ecube.families.FamilyDirectory` for the wrapped
-        kernel, which binds it to a shared time axis (the multi-family
-        :class:`~repro.ecube.extent.ExtentCube`); default: a private one.
     """
 
     #: the ``G_d`` layer of a stack (:mod:`repro.core.front`), over the kernel
@@ -69,7 +65,6 @@ class BufferedEvolvingDataCube:
         copy_budget: int | None = None,
         min_density: float = 0.005,
         drain_threshold: float | None = None,
-        directory=None,
     ) -> None:
         self.cube = EvolvingDataCube(
             slice_shape,
@@ -77,7 +72,6 @@ class BufferedEvolvingDataCube:
             counter=counter,
             copy_budget=copy_budget,
             min_density=min_density,
-            directory=directory,
         )
         self.buffer = OutOfOrderBuffer(self.cube.ndim)
         if drain_threshold is not None and not 0 < drain_threshold <= 1:

@@ -78,7 +78,6 @@ class EvolvingDataCube(CubeKernel):
         min_density: float = 0.005,
         finalize_threshold: float = 0.05,
         finalize_after: int = 3,
-        directory=None,
     ) -> None:
         super().__init__(
             slice_shape,
@@ -87,7 +86,6 @@ class EvolvingDataCube(CubeKernel):
             counter=counter,
             finalize_threshold=finalize_threshold,
             finalize_after=finalize_after,
-            directory=directory,
         )
         if copy_budget is None:
             if not 0 < min_density <= 1:

@@ -3,7 +3,7 @@
 Objects with *transaction-time extent* are valid during an interval
 ``[start, end]`` rather than at a single instant.  Section 2.4 reduces
 their two aggregate flavours to plain point-object queries over two
-derived families sharing one time axis:
+derived families:
 
 * family **B** holds (as of time ``t``) every interval that ended
   *strictly before* ``t``;
@@ -25,13 +25,14 @@ and ``b(t_low)`` removes those that ended before the query began.
 moved-over intervals plus the pending set.
 
 :class:`ExtentCube` runs both families as full production eCubes -- two
-:class:`~repro.ecube.kernel.CubeKernel` instances over one
-:class:`~repro.ecube.families.SharedTimeAxis` (so a time occurring in
-one family occurs in both and prefix queries align), each fronted by a
-:class:`~repro.ecube.buffered.BufferedEvolvingDataCube` so out-of-order
-segment arrivals (a late ``start``, or an ``end`` correction for an
-interval whose window already passed) flow through the ``G_d`` buffer
-exactly like late point updates.
+:class:`~repro.ecube.buffered.BufferedEvolvingDataCube` fronts, each over
+its own kernel and time directory -- so out-of-order segment arrivals (a
+late ``start``, or an ``end`` correction for an interval whose window
+already passed) flow through the ``G_d`` buffer exactly like late point
+updates.  The families share no clock: the combination reads both at the
+same *time*, and a floor lookup at ``t`` in a family where ``t`` never
+occurred returns that family's state at ``t``, because nothing changed
+there in between.
 
 Pending ends and pure queries
 -----------------------------
@@ -55,6 +56,17 @@ log alone, which is what lets
 :class:`~repro.durability.recovery.DurableCube` recover an extent
 directory to a bit-equivalent cube by replaying only mutation records.
 
+One retirement boundary
+-----------------------
+:meth:`ExtentCube.retire_before` records one boundary for both families:
+the newest time below the threshold that occurs in *either* of them.
+Each family retires its own instances below it, and an intersection
+prefix read below it raises :class:`~repro.core.errors.AgedOutError`,
+whichever family it reads.  A correction still buffered at or below the
+boundary is not dead: every prefix a read may still take includes it
+whole, so it moves into its family's kernel at the boundary time instead
+of being dropped.
+
 One read path
 -------------
 Both aggregates are written once, as :func:`intersection_aggregates` and
@@ -76,7 +88,6 @@ import numpy as np
 from repro.core.errors import AgedOutError, AppendOrderError, DomainError
 from repro.core.types import Box, TimeInterval
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.families import FamilyDirectory, SharedTimeAxis
 from repro.metrics import CostCounter
 
 _NONE = np.iinfo(np.int64).min  # sentinel for "no value yet" in meta arrays
@@ -127,6 +138,7 @@ def intersection_aggregates(
     containing: Callable[[list[Box]], list[int]],
     pending: tuple[np.ndarray, ...],
     min_time: int | None,
+    boundary: int | None,
     slice_shape: tuple[int, ...],
 ) -> list[int]:
     """Batch intersection aggregates: ``b(t_up) + c(t_up) - b(t_low)``.
@@ -135,7 +147,9 @@ def intersection_aggregates(
     family ``B`` and ``C``.  The three sub-queries of every batch entry
     are gathered into one call per family, then the correction for the
     ``pending`` ``(starts, effectives, cells, values)`` columns is
-    folded in columnar.
+    folded in columnar.  A prefix read below the retirement ``boundary``
+    raises :class:`~repro.core.errors.AgedOutError` before either family
+    is asked.
     """
     queries, boxes = _normalized(queries, cell_boxes, slice_shape)
     if min_time is None:
@@ -145,6 +159,11 @@ def intersection_aggregates(
     def prefix_box(time: int, box: Box) -> Box | None:
         if time < min_time:
             return None
+        if boundary is not None and time < boundary:
+            raise AgedOutError(
+                f"a prefix at time {time} reads history retired below the "
+                f"boundary {boundary}"
+            )
         return Box((min_time,) + box.lower, (time,) + box.upper)
 
     b_boxes: list[Box] = []
@@ -253,7 +272,6 @@ class ExtentCube:
         drain_threshold: float | None = None,
     ) -> None:
         self.counter = counter if counter is not None else CostCounter()
-        self.axis = SharedTimeAxis()
         fronts = [
             BufferedEvolvingDataCube(
                 slice_shape,
@@ -262,7 +280,6 @@ class ExtentCube:
                 copy_budget=copy_budget,
                 min_density=min_density,
                 drain_threshold=drain_threshold,
-                directory=FamilyDirectory(self.axis),
             )
             for _ in ("ended", "containing")
         ]
@@ -284,6 +301,8 @@ class ExtentCube:
         self._cont_cells: list[tuple[int, ...]] = []
         self._cont_values: list[int] = []
         self._cont_cache: tuple[np.ndarray, ...] | None = None
+        #: the retirement boundary time :meth:`retire_before` recorded
+        self._boundary: int | None = None
         #: containment aged-out cutoff installed by :meth:`prune_retired`
         self._cont_retired_below: int | None = None
         self._seq = 0
@@ -314,7 +333,13 @@ class ExtentCube:
         return self.ended.auto_drains + self.containing.auto_drains
 
     def occurring_times(self) -> tuple[int, ...]:
-        return self.axis.times()
+        """Every time either family holds an instance for, sorted."""
+        return tuple(
+            sorted(
+                set(self.ended.cube.occurring_times())
+                | set(self.containing.cube.occurring_times())
+            )
+        )
 
     def _check_cell(self, cell: tuple[int, ...]) -> None:
         if len(cell) != len(self.slice_shape):
@@ -532,38 +557,85 @@ class ExtentCube:
         return applied_b + applied_c, kept_b + kept_c
 
     def retire_before(self, time: int) -> int:
-        """Retire detail older than ``time`` in both families (lockstep).
+        """Retire detail older than ``time`` in both families at one boundary.
 
-        The containment index is an aggregate over moved-over intervals
-        (not slice detail), so containment queries stay exact across the
-        retirement boundary; intersection queries inherit the point
-        cubes' aged-out discipline.
+        The boundary is the newest time below ``time`` that occurs in
+        either family; nothing happens unless an older occurring time
+        lies below it, or when it does not pass the boundary already
+        recorded.  Each family retires its instances below the boundary
+        and moves its buffered corrections at or below it into its kernel
+        (:meth:`_fold_retired`).  Intersection reads below the boundary
+        raise :class:`~repro.core.errors.AgedOutError` from then on; the
+        containment index is an aggregate over moved-over intervals, not
+        slice detail, so containment stays exact until
+        :meth:`prune_retired`.  Returns the number of slices retired.
         """
-        return self.ended.retire_before(time) + self.containing.retire_before(
-            time
-        )
+        below = [t for t in self.occurring_times() if t < int(time)]
+        if len(below) < 2 or (
+            self._boundary is not None and below[-1] <= self._boundary
+        ):
+            return 0
+        self._boundary = below[-1]
+        retired = 0
+        for front in (self.ended, self.containing):
+            retired += front.cube.retire_before(self._boundary + 1)
+            self._fold_retired(front)
+        return retired
+
+    def _fold_retired(self, front: BufferedEvolvingDataCube) -> int:
+        """Move ``front``'s ``G_d`` corrections at or below the boundary
+        into its kernel; returns how many left the buffer.
+
+        Every prefix an intersection read may still take lies at or above
+        the boundary and includes such a correction whole, so the
+        corrections land in the kernel at the boundary time, summed per
+        cell.  Dropping them would lose them from every later answer.
+        """
+        boundary = self._boundary
+        points, deltas = front.buffer.snapshot_columns()
+        due = points[:, 0] <= boundary
+        if not bool(due.any()):
+            return 0
+        net: dict[tuple[int, ...], int] = {}
+        for cell, delta in zip(map(tuple, points[due, 1:].tolist()), deltas[due]):
+            net[cell] = net.get(cell, 0) + int(delta)
+        cells = [cell for cell in sorted(net) if net[cell]]
+        kernel = front.cube
+        # one logical write: no epoch between the prune and the landing
+        with kernel.publish_barrier():
+            removed = front.buffer.prune_below(boundary + 1)
+            if cells:
+                moved = np.asarray(
+                    [(boundary, *cell) for cell in cells], dtype=np.int64
+                )
+                sums = np.asarray([net[cell] for cell in cells], dtype=np.int64)
+                if boundary >= kernel.latest_time:
+                    kernel.update_many(moved, sums, mode="fast")
+                else:
+                    kernel.apply_out_of_order_many(moved, sums)
+            kernel.note_external_mutation()
+        return removed
 
     def prune_retired(self) -> int:
         """Shed extent state that the retirement boundary made dead.
 
-        Both families' ``G_d`` buffers drop corrections at or below the
-        boundary instance (their queries age out there), and the columnar
-        containment index drops moved-over intervals whose ``end``
-        precedes the boundary time: such an interval is only observable
-        by a containment query with ``t_low`` inside the retired region,
-        so those queries now raise
+        Both families' ``G_d`` buffers fold their corrections at or below
+        the boundary into their kernels (:meth:`_fold_retired`), and the
+        columnar containment index drops moved-over intervals whose
+        ``end`` precedes the boundary: such an interval is only
+        observable by a containment query with ``t_low`` inside the
+        retired region, so those queries now raise
         :class:`~repro.core.errors.AgedOutError` instead of silently
         under-counting.  Without this the index keeps every interval that
         ever moved over, forever.  Returns the number of entries removed
         across all three stores.
         """
-        removed = self.ended.prune_retired() + self.containing.prune_retired()
-        retired = self.ended.cube.retired_instances
-        if retired == 0:
-            return removed
-        horizon = int(self.ended.cube.occurring_times()[retired])
-        if self._cont_retired_below is not None:
-            horizon = max(horizon, self._cont_retired_below)
+        horizon = self._boundary
+        if horizon is None:
+            return 0
+        removed = self._fold_retired(self.ended) + self._fold_retired(
+            self.containing
+        )
         self._cont_retired_below = horizon
         if self._cont_ends and min(self._cont_ends) < horizon:
             kept = [
@@ -632,6 +704,7 @@ class ExtentCube:
             partial(self.containing.query_many, mode=mode),
             self._pending_columns(),
             self._min_time,
+            self._boundary,
             self.slice_shape,
         )
 
@@ -668,8 +741,9 @@ class ExtentCube:
         """Snapshot the cube's durable state as named arrays.
 
         Per-family kernel and ``G_d`` state is namespaced ``bfam_`` /
-        ``cfam_``; the extent layer contributes the pending heap, the
-        containment index and its scalar bookkeeping.
+        ``cfam_``, each family with its own occurring times; the extent
+        layer contributes the pending heap, the containment index and its
+        scalar bookkeeping, the retirement boundary among it.
         """
         arrays: dict[str, np.ndarray] = {}
         for prefix, front in (("bfam_", self.ended), ("cfam_", self.containing)):
@@ -709,6 +783,7 @@ class ExtentCube:
                         _NONE
                         if self._cont_retired_below is None
                         else self._cont_retired_below,
+                        _NONE if self._boundary is None else self._boundary,
                     ],
                     dtype=np.int64,
                 ),
@@ -720,30 +795,25 @@ class ExtentCube:
         """Rebuild both families and the extent layer from :meth:`state_arrays`.
 
         The cube must be freshly constructed with the same shape.  Each
-        family restores independently under suspended axis alignment
-        (their occurring times are identical by the alignment invariant,
-        so the second family's appends land as payload-only catch-ups),
-        then the invariant is re-checked.
+        family restores its own kernel and ``G_d``.  An archive written
+        while both families shared one time axis restores as it is: the
+        instances a family holds only to match the other's times are
+        copies of their floors, so they answer what the floors answer.
         """
-        if self.axis or self.objects_inserted:
+        if self.occurring_times() or self.objects_inserted:
             raise DomainError("restore_state requires an empty extent cube")
         keys = getattr(arrays, "files", None)
         if keys is None:
             keys = arrays.keys()
         keys = list(keys)
-        with self.axis.suspend_alignment():
-            for prefix, front in (
-                ("bfam_", self.ended),
-                ("cfam_", self.containing),
-            ):
-                state = {
-                    key[len(prefix):]: arrays[key]
-                    for key in keys
-                    if key.startswith(prefix)
-                }
-                front.cube.restore_state(state)
-                front.restore_state(state)
-        self.axis.check_aligned()
+        for prefix, front in (("bfam_", self.ended), ("cfam_", self.containing)):
+            state = {
+                key[len(prefix):]: arrays[key]
+                for key in keys
+                if key.startswith(prefix)
+            }
+            front.cube.restore_state(state)
+            front.restore_state(state)
         p_starts = np.asarray(arrays["ext_pending_starts"], dtype=np.int64)
         p_effs = np.asarray(arrays["ext_pending_effs"], dtype=np.int64)
         p_seqs = np.asarray(arrays["ext_pending_seqs"], dtype=np.int64)
@@ -783,10 +853,17 @@ class ExtentCube:
             if meta.shape[0] < 5 or int(meta[4]) == _NONE
             else int(meta[4])
         )
+        if meta.shape[0] > 5:
+            boundary = int(meta[5])
+        else:  # one shared axis: its boundary instance is both families'
+            kernel = self.ended.cube
+            retired = kernel.retired_instances
+            boundary = kernel.occurring_times()[retired] if retired else _NONE
+        self._boundary = None if boundary == _NONE else int(boundary)
 
     def __repr__(self) -> str:
         return (
             f"ExtentCube(slice_shape={self.slice_shape}, "
             f"objects={self.objects_inserted}, pending={self.pending_ends}, "
-            f"times={len(self.axis)})"
+            f"times={len(self.occurring_times())})"
         )

@@ -67,15 +67,6 @@ class CubeKernel:
     finalize_after:
         Fast mode: number of fast queries hitting a still-mixed historic
         slice before it is bulk-finalized.
-    directory:
-        Optional externally owned time directory.  The default (a private
-        :class:`~repro.core.directory.TimeDirectory`) is the single-family
-        point-object configuration with byte-identical costs; a
-        :class:`~repro.ecube.families.FamilyDirectory` makes this kernel a
-        member of a multi-family set over one shared time axis (Section
-        2.4) and is bound to the kernel so sibling catch-up callbacks
-        (:meth:`_family_catch_up_append`, :meth:`_family_catch_up_splice`)
-        can reach it.
     """
 
     #: the bottom of a point-object stack (:mod:`repro.core.front`)
@@ -91,7 +82,6 @@ class CubeKernel:
         counter: CostCounter | None = None,
         finalize_threshold: float = 0.05,
         finalize_after: int = 3,
-        directory=None,
     ) -> None:
         self.slice_shape = tuple(int(n) for n in slice_shape)
         if any(n <= 0 for n in self.slice_shape):
@@ -99,12 +89,7 @@ class CubeKernel:
         self.num_times = int(num_times) if num_times is not None else None
         self.counter = counter if counter is not None else CostCounter()
         self.engine = ECubeSliceEngine(self.slice_shape)
-        self.directory: TimeDirectory = (
-            directory if directory is not None else TimeDirectory()
-        )
-        bind = getattr(self.directory, "bind_kernel", None)
-        if bind is not None:
-            bind(self)
+        self.directory: TimeDirectory = TimeDirectory()
         self.updates_applied = 0
         # directory indices below this have had their detail retired
         self._retired_below = 0
@@ -359,69 +344,6 @@ class CubeKernel:
                 f"{self.directory.latest_time}; wrap the cube in an "
                 "AppendOnlyAggregator with an out-of-order buffer instead"
             )
-
-    # -- multi-family alignment hooks (driven by FamilyDirectory) -----------------
-
-    def _family_catch_up_append(self, time: int) -> None:
-        """A sibling family appended a brand-new time: append it here too.
-
-        Called synchronously from inside the sibling's append, after the
-        shared axis gained the time; this kernel's directory append lands
-        the payload against the already-registered axis entry.
-        """
-        with self._op():
-            self._note_mutation()
-            store = self.store
-            if not self.directory:
-                self.directory.append(time, store.new_slice())
-                store.start_cache()
-            else:
-                self.directory.append(time, store.new_slice())
-                store.notice_new_time()
-
-    def _family_can_splice(self, index: int) -> None:
-        """Raise when a sibling's splice at ``index`` cannot be mirrored.
-
-        Runs before the shared axis mutates so a refusal (retired floor
-        detail) leaves every family unchanged.  Families retire in
-        lockstep, so under the coordinator's discipline this mirrors the
-        initiator's own :meth:`_splice_instance` guards.
-        """
-        if index <= self._retired_below and self._retired_below > 0:
-            raise AgedOutError(
-                "a sibling family's correction precedes this family's "
-                "retirement boundary; the spliced instance cannot be "
-                "mirrored into freed detail"
-            )
-        if index > 0:
-            _, floor_payload = self.directory.at_index(index - 1)
-            if floor_payload.retired:
-                raise AgedOutError(
-                    "slice detail was retired by data aging; its storage is "
-                    "no longer accessible"
-                )
-
-    def _family_catch_up_splice(self, index: int) -> None:
-        """Mirror a sibling's historic splice: clone this family's floor.
-
-        The shared axis already holds the new time at ``index``; this
-        kernel clones its own floor payload (the cumulative point set is
-        unchanged between the two occurring times), lands it at the same
-        index and shifts its cache stamps -- identical semantics to
-        :meth:`_splice_instance`, charged as copying work.
-        """
-        with self._op():
-            self._note_rewrite(index)
-            self._note_mutation()
-            floor_payload = None
-            if index > 0:
-                _, floor_payload = self.directory.at_index(index - 1)
-            payload = self.store.clone_payload(floor_payload)
-            with self.counter.copying():
-                self.counter.read_cells(self._num_slice_cells)
-                self.counter.write_cells(self._num_slice_cells)
-            self.directory.insert_payload(index, payload)
-            self.store.notice_spliced_index(index)
 
     def _copy_cell(
         self,

@@ -14,10 +14,15 @@ are the same two op lists as the first build that writes version 2
 only), which no later build writes either; ``durable_point_v3/`` is the
 point op list again, with WAL format 2 and tile format 2 (differenced
 along every axis).  ``durable_point_v4/`` and ``durable_extent_v3/`` are
-the two op lists in WAL format 3 (batch columns at bit width), which
-this build writes; every directory before them is input, never
-regenerated.  The op lists below are what the test replays into a live
-replica.
+the two op lists in WAL format 3 (batch columns at bit width).  Every
+extent directory up to ``durable_extent_v3/`` checkpoints the *aligned*
+layout: both families on one shared time axis, so each holds an instance
+for every time either one saw.  No later build writes it;
+``durable_extent_v4/`` is the extent op list again, with each family's
+checkpoint holding its own times only.  ``durable_point_v4/`` and
+``durable_extent_v4/`` are what this build writes; every directory
+before them is input, never regenerated.  The op lists below are what
+the test replays into a live replica.
 
 ``sharded_converted/`` is a two-shard ``serve``-style directory whose
 checkpoint holds, in each shard, a historic instance no array sweep can
@@ -154,23 +159,30 @@ FIXTURES = {
     "durable_point_v3": (_point_cube, POINT_OPS),
     "durable_point_v4": (_point_cube, POINT_OPS),
     "durable_extent_v3": (_extent_cube, EXTENT_OPS),
+    "durable_extent_v4": (_extent_cube, EXTENT_OPS),
 }
-#: per fixture, the WAL format version of its log segments and the tile
-#: format version of its tiles (``None``: it has none)
+#: per fixture, the WAL format version of its log segments, the tile
+#: format version of its tiles (``None``: it has none) and the layout of
+#: its checkpoint archive: ``"point"``, or for an extent cube
+#: ``"aligned"`` (both families on one shared time axis) or
+#: ``"families"`` (each family on its own times)
 FORMATS = {
-    "durable_point": (1, 1),
-    "durable_extent": (1, None),
-    "durable_point_v2": (2, 1),
-    "durable_extent_v2": (2, None),
-    "durable_point_v3": (2, 2),
-    "durable_point_v4": (3, 2),
-    "durable_extent_v3": (3, None),
+    "durable_point": (1, 1, "point"),
+    "durable_extent": (1, None, "aligned"),
+    "durable_point_v2": (2, 1, "point"),
+    "durable_extent_v2": (2, None, "aligned"),
+    "durable_point_v3": (2, 2, "point"),
+    "durable_point_v4": (3, 2, "point"),
+    "durable_extent_v3": (3, None, "aligned"),
+    "durable_extent_v4": (3, None, "families"),
 }
+#: the checkpoint layouts this build writes
+LAYOUTS = ("point", "families")
 #: log segments in WAL format version 1, the oldest this build reads
 FROZEN = ("durable_point", "durable_extent")
 #: every file in the formats this build writes; the only directories the
 #: script below regenerates
-CURRENT = ("durable_extent_v3", "durable_point_v4")
+CURRENT = ("durable_extent_v4", "durable_point_v4")
 
 
 #: ``sharded_converted/``: its slice shape, the instance each shard's

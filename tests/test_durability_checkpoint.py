@@ -6,9 +6,14 @@ there), so a format or replay change that strands existing directories
 fails here: the pair whose log segments are WAL format version 1, the
 pair in WAL format 2 (whose point directory holds tile format 1 tiles),
 a point directory in WAL format 2 and the tile format this build writes,
-the pair in the formats this build writes (WAL format 3), a version-1
-directory this build has appended to, and a tile directory recovery
-leaves holding both tile formats.
+the pair in WAL format 3 whose extent checkpoint keeps both families on
+one shared time axis, the pair in the formats this build writes (WAL
+format 3, each extent family on its own times), a version-1 directory
+this build has appended to, and a tile directory recovery leaves
+holding both tile formats.  An extent directory in the shared-axis
+layout is compared with its replica by its extent columns and by every
+answer over a grid of windows and cell boxes, since its families hold
+more instances than a replica's.
 
 Also covers the serialize-layer companions: ``save_kernel`` /
 ``load_kernel`` round-trip a dense kernel, archives written by a future
@@ -25,8 +30,8 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.errors import DomainError, RecoveryError, StorageError
-from repro.core.types import Box
+from repro.core.errors import AgedOutError, DomainError, RecoveryError, StorageError
+from repro.core.types import Box, TimeInterval
 from repro.durability import DurableCube
 from repro.durability.checkpoint import (
     MANIFEST_NAME,
@@ -215,6 +220,58 @@ def _assert_same_state(front, replica):
         np.testing.assert_array_equal(ours[key], value, err_msg=key)
 
 
+def _refused(cube, window) -> bool:
+    try:
+        cube.intersecting(window)
+    except AgedOutError:
+        return True
+    return False
+
+
+def _assert_same_extent(front, replica):
+    """An aligned archive's families hold an instance for every time either
+    one saw, so their instance lists differ from a replica's: the same
+    extent columns, and the same answer or refusal for every window of
+    times up to past the clock, over every cell box."""
+    ours, theirs = snapshot_arrays(front), snapshot_arrays(replica)
+    extent_keys = sorted(key for key in theirs if key.startswith("ext_"))
+    assert extent_keys == sorted(key for key in ours if key.startswith("ext_"))
+    for key in extent_keys:
+        assert ours[key].dtype == theirs[key].dtype, key
+        np.testing.assert_array_equal(ours[key], theirs[key], err_msg=key)
+    assert front.clock == replica.clock
+    times = range(-1, replica.clock + 3)
+    windows = []
+    for t_low in times:
+        for t_up in times:
+            if t_low <= t_up:
+                window = TimeInterval(t_low, t_up)
+                refused = _refused(replica, window)
+                assert _refused(front, window) == refused, window
+                if not refused:
+                    windows.append(window)
+    spans = [(lo, up) for lo in range(4) for up in range(lo, 4)]
+    cells = [Box((x0, y0), (x1, y1)) for x0, x1 in spans for y0, y1 in spans]
+    queries = [window for window in windows for _ in cells]
+    boxes = cells * len(windows)
+    assert front.intersecting_many(queries, boxes) == (
+        replica.intersecting_many(queries, boxes)
+    )
+    assert front.containment_many(queries, boxes) == (
+        replica.containment_many(queries, boxes)
+    )
+
+
+def _assert_recovered(name, front, replica):
+    """``front``, recovered from fixture ``name``, holds what ``replica``
+    holds -- state for state where the fixture's checkpoint layout is the
+    one this build writes."""
+    if fixtures.FORMATS[name][2] == "aligned":
+        _assert_same_extent(front, replica)
+    else:
+        _assert_same_state(front, replica)
+
+
 #: per version-1 fixture: batches this build appends behind its log, one
 #: record each (the last one is then cut mid-frame)
 APPENDED = {
@@ -271,7 +328,7 @@ def test_a_version_1_directory_this_build_appends_to(tmp_path, capsys, name):
     for op in [*ops, *APPENDED[name][:-1]]:
         if op != ("checkpoint",):
             fixtures.apply_op(replica, op)
-    _assert_same_state(recovered.front, replica)
+    _assert_recovered(name, recovered.front, replica)
     recovered.close()
     assert old_segment.read_bytes() == old_bytes
     assert repro_main(["log-info", str(directory)]) == 0
@@ -308,7 +365,10 @@ class TestDirectoriesWrittenByAnOlderCommit:
                 )
             elif file.suffix == ".npz":
                 # same members, same dtypes, same values (the zip framing
-                # around them belongs to numpy)
+                # around them belongs to numpy) where the archive is in
+                # the layout we write
+                if fixtures.FORMATS[name][2] not in fixtures.LAYOUTS:
+                    continue
                 with np.load(ours / file) as mine, np.load(theirs / file) as old:
                     assert sorted(mine.files) == sorted(old.files)
                     for key in old.files:
@@ -346,7 +406,7 @@ class TestDirectoriesWrittenByAnOlderCommit:
         for op in ops:
             if op != ("checkpoint",):
                 fixtures.apply_op(replica, op)
-        _assert_same_state(recovered.front, replica)
+        _assert_recovered(name, recovered.front, replica)
         if recovered.extent:
             queries = [(4, 40), (6, 12), (13, 22), (20, 60), (31, 31)]
             cells = [None, Box((1, 0), (3, 2)), None, Box((0, 0), (0, 3)), None]

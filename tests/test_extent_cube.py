@@ -1,17 +1,15 @@
-"""TT-extent objects on the eCube (Section 2.4): the multi-family kernel.
+"""TT-extent objects on the eCube (Section 2.4): two point-object families.
 
-Three contracts are pinned here:
-
-* **Differential**: on random interval streams -- including shuffled,
-  out-of-order arrival and batch inserts -- ``ExtentCube`` answers
-  (COUNT and SUM; intersection, containment, alive-at) must be
+* **Differential**: on random interval streams -- shuffled, out-of-order
+  arrival and batch inserts, a clock advance, a drain, a retirement with
+  its prune, inserts after it and a state round trip -- ``ExtentCube``
+  answers (COUNT and SUM; intersection, containment, alive-at) must be
   bit-identical to the tree-based :class:`repro.core.extent
-  .IntervalAggregator` oracle.
-* **Kernel-split neutrality**: injecting an explicit
-  ``FamilyDirectory`` into a point-object cube must leave its metered
-  golden costs and durable state byte-identical to the default path.
-* **Shared-axis alignment**: both families always expose the same
-  occurring times, through appends, splices, restores and retirement.
+  .IntervalAggregator` oracle, and refuse with
+  :class:`~repro.core.errors.AgedOutError` exactly where a read reaches
+  below the one retirement boundary both families share.
+* **State round trip** and **snapshot serving** keep answering like the
+  cube they came from.
 """
 
 from __future__ import annotations
@@ -24,16 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrent import SnapshotExtentCube
-from repro.core.errors import AppendOrderError, DomainError
+from repro.core.errors import AgedOutError, AppendOrderError, DomainError
 from repro.core.extent import IntervalAggregator
 from repro.core.types import Box, TimeInterval
-from repro.ecube import (
-    EvolvingDataCube,
-    ExtentCube,
-    FamilyDirectory,
-    SharedTimeAxis,
-)
-from repro.metrics import CostCounter
+from repro.ecube import EvolvingDataCube, ExtentCube
 
 #: the store both families serve (paged and sparse kernels are used bare)
 BACKENDS = ("dense",)
@@ -42,7 +34,12 @@ KEYS = 6  # 1-d cell space so the oracle's scalar key range applies
 
 @st.composite
 def interval_streams(draw):
-    """A random interval stream plus queries, with a shuffled arrival order."""
+    """A random interval stream plus queries, with a shuffled arrival order,
+    and the maintenance steps that run between the inserts and the reads:
+    how many objects arrive before the retirement, how far the clock
+    advances past them, the retirement threshold (``None``: no
+    retirement), the drain limit, whether the drain runs before the
+    retirement, and whether the reads go to a restored twin."""
     n = draw(st.integers(1, 22))
     objects = [
         (
@@ -62,7 +59,15 @@ def interval_streams(draw):
         (lo := draw(st.integers(0, KEYS - 1)), draw(st.integers(lo, KEYS - 1)))
         for _ in queries
     ]
-    return objects, order, queries, key_ranges
+    steps = {
+        "before": draw(st.integers(1, n)),
+        "advance": draw(st.integers(0, 30)),
+        "retire": draw(st.none() | st.integers(0, 80)),
+        "drain": draw(st.none() | st.integers(1, 4)),
+        "drain_first": draw(st.booleans()),
+        "round_trip": draw(st.booleans()),
+    }
+    return objects, order, queries, key_ranges, steps
 
 
 def _oracle(objects):
@@ -72,33 +77,117 @@ def _oracle(objects):
     return oracle
 
 
+def _union_boundary(cube, threshold):
+    """The boundary a first ``retire_before(threshold)`` records: the newest
+    time below ``threshold`` that occurs in either family, if an older one
+    lies below it."""
+    times = set(cube.ended.cube.occurring_times())
+    times |= set(cube.containing.cube.occurring_times())
+    assert cube.occurring_times() == tuple(sorted(times))
+    below = sorted(t for t in times if t < threshold)
+    return below[-1] if len(below) > 1 else None
+
+
+def _refuses(read, *args, **kwargs) -> bool:
+    try:
+        read(*args, **kwargs)
+    except AgedOutError:
+        return True
+    return False
+
+
 class TestDifferential:
     @given(data=interval_streams())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_oracle_shuffled_arrival(self, data):
-        objects, order, queries, key_ranges = data
+        objects, order, queries, key_ranges, steps = data
         cube = ExtentCube((KEYS,))
-        for i in order:  # out-of-order arrival incl. late end events
-            start, end, key, value = objects[i]
-            cube.insert(TimeInterval(start, end), (key,), value)
+
+        def arrive(indices):  # out-of-order arrival incl. late end events
+            for i in indices:
+                start, end, key, value = objects[i]
+                cube.insert(TimeInterval(start, end), (key,), value)
+
+        arrive(order[: steps["before"]])
+        cube.advance(cube.clock + steps["advance"])
+        if steps["drain_first"]:
+            cube.drain(steps["drain"])
+        boundary = None
+        if steps["retire"] is not None:
+            boundary = _union_boundary(cube, steps["retire"])
+            cube.retire_before(steps["retire"])
+            cube.prune_retired()
+        arrive(order[steps["before"]:])
+        if not steps["drain_first"]:
+            cube.drain(steps["drain"])
+        if steps["round_trip"]:
+            twin = ExtentCube((KEYS,))
+            twin.restore_state(cube.state_arrays())
+            cube = twin
         oracle = _oracle(objects)
+        first = min(start for start, _, _, _ in objects)
+
+        def refused(*times):  # a prefix read below the boundary
+            return boundary is not None and any(
+                first <= t < boundary for t in times
+            )
+
         for (low, up), (k_lo, k_up) in zip(queries, key_ranges):
             query = TimeInterval(low, up)
             box = Box((k_lo,), (k_up,))
-            expected = oracle.intersecting(query, k_lo, k_up)
-            assert cube.intersecting(query, box) == expected
-            assert cube.intersecting(query, box, mode="metered") == expected
-            assert cube.alive_at(low, box) == oracle.alive_at(low, k_lo, k_up)
-        # containment: the oracle aggregates over the full key range
+            if refused(low, up):
+                for mode in ("fast", "metered"):
+                    assert _refuses(cube.intersecting, query, box, mode=mode)
+            else:
+                expected = oracle.intersecting(query, k_lo, k_up)
+                assert cube.intersecting(query, box) == expected
+                assert cube.intersecting(query, box, mode="metered") == expected
+            if refused(low):
+                assert _refuses(cube.alive_at, low, box)
+            else:
+                assert cube.alive_at(low, box) == oracle.alive_at(low, k_lo, k_up)
+        # containment: the oracle aggregates over the full key range; the
+        # prune forgets the intervals that ended below the boundary
         for low, up in queries:
-            assert cube.containment(TimeInterval(low, up)) == (
-                _oracle(objects).containment(TimeInterval(low, up))
-            )
+            query = TimeInterval(low, up)
+            if boundary is not None and low < boundary:
+                assert _refuses(cube.containment, query)
+            else:
+                assert cube.containment(query) == oracle.containment(query)
+
+    def test_the_boundary_is_a_time_only_one_family_saw(self):
+        """C's own boundary (4) lies below the shared one (7, a time only B
+        saw): a window between them is refused, though C alone would answer
+        it from an instance it kept, without the corrections it folded."""
+        cube = ExtentCube((KEYS,))
+        for start, end in [(1, 20), (4, 30), (10, 40)]:
+            cube.insert((start, end), (0,), 1)
+        cube.insert((2, 6), (1,), 1)  # late: its end lands at 7, in B only
+        cube.insert((3, 50), (2,), 1)  # late, its end still pending
+        assert cube.ended.cube.occurring_times() == (7,)
+        assert cube.containing.cube.occurring_times() == (1, 4, 10)
+        serve = SnapshotExtentCube(cube)
+        cube.retire_before(8)
+        assert cube.buffered_updates == 0
+        for front in (cube, serve):
+            for window in [(5, 5), (4, 6), (5, 9)]:
+                assert _refuses(front.intersecting, window)
+            assert _refuses(front.alive_at, 6)
+            assert front.alive_at(7) == 3
+            assert front.intersecting((7, 9)) == 3
+            # an open prefix: the folded corrections still count
+            assert front.intersecting((0, 12)) == 5
+            # containment keeps every interval until the prune
+            assert front.containment((0, 12)) == 1
+        cube.prune_retired()
+        assert _refuses(cube.containment, (0, 12))
+        assert cube.containment((7, 50)) == 1
+        serve.close()
 
     @given(data=interval_streams())
     @settings(max_examples=40, deadline=None)
     def test_batch_insert_matches_metered_replay(self, data):
-        objects, order, queries, key_ranges = data
+        objects, order, queries, key_ranges, _ = data
         intervals = np.array(
             [(objects[i][0], objects[i][1]) for i in order], dtype=np.int64
         )
@@ -134,89 +223,7 @@ class TestDifferential:
         assert cube.alive_at(4) == oracle.alive_at(4, 0, 3)
 
 
-class TestKernelSplitNeutrality:
-    """The family-directory refactor must not move point-object costs."""
-
-    def _run(self, directory):
-        counter = CostCounter()
-        cube = EvolvingDataCube(
-            (8, 8), num_times=8, counter=counter, directory=directory
-        )
-        rng = np.random.default_rng(11)
-        costs = []
-        for t in range(8):
-            for _ in range(12):
-                cube.update(
-                    (t, int(rng.integers(0, 8)), int(rng.integers(0, 8))),
-                    int(rng.integers(1, 5)),
-                )
-        for box in (
-            Box((0, 0, 0), (6, 7, 7)),
-            Box((2, 1, 1), (5, 6, 6)),
-            Box((0, 3, 3), (7, 4, 4)),
-        ):
-            counter.reset()
-            value = cube.query(box)
-            costs.append((value, counter.cell_reads, counter.cell_writes))
-        snap = counter.snapshot()
-        return cube, costs, snap
-
-    def test_metered_costs_and_state_byte_identical(self):
-        baseline_cube, baseline_costs, baseline_snap = self._run(None)
-        injected_cube, injected_costs, injected_snap = self._run(
-            FamilyDirectory(SharedTimeAxis())
-        )
-        assert injected_costs == baseline_costs
-        assert injected_snap == baseline_snap
-        base = baseline_cube.state_arrays()
-        other = injected_cube.state_arrays()
-        assert sorted(base) == sorted(other)
-        for key in base:
-            assert np.asarray(base[key]).tobytes() == np.asarray(
-                other[key]
-            ).tobytes(), key
-
-    def test_shared_axis_rejects_second_kernel_on_bound_directory(self):
-        directory = FamilyDirectory(SharedTimeAxis())
-        EvolvingDataCube((4,), directory=directory)
-        with pytest.raises(DomainError):
-            EvolvingDataCube((4,), directory=directory)
-
-
-class TestSharedAxisAlignment:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_families_stay_aligned(self, backend):
-        cube = ExtentCube((5,))
-        rng = np.random.default_rng(5)
-        inserted = []
-        t = 0
-        for _ in range(40):
-            t += int(rng.integers(0, 4))
-            inserted.append((t, t + int(rng.integers(0, 10))))
-            cube.insert(inserted[-1], (int(rng.integers(0, 5)),), 1)
-        # late arrivals behind the clock
-        for start in (1, 3, t // 2):
-            cube.insert((start, start + 2), (0,), 1)
-        cube.advance(t + 40)
-        cube.drain()
-        cube.axis.check_aligned()
-        b_times = cube.ended.cube.occurring_times()
-        c_times = cube.containing.cube.occurring_times()
-        assert b_times == c_times == cube.occurring_times()
-        assert cube.pending_ends == 0
-
-    def test_alignment_survives_retirement(self):
-        cube = ExtentCube((3,))
-        for start in range(0, 30, 3):
-            cube.insert((start, start + 5), (start % 3,), 2)
-        cube.advance(64)
-        before = cube.containment(TimeInterval(0, 64))
-        cube.retire_before(15)
-        cube.axis.check_aligned()
-        # containment is answered from the moved-over index: exact across
-        # the retirement boundary
-        assert cube.containment(TimeInterval(0, 64)) == before
-
+class TestValidation:
     def test_validation_errors(self):
         cube = ExtentCube((4,))
         cube.insert((5, 9), (1,), 1)
@@ -253,7 +260,6 @@ class TestStateRoundTrip:
         buffer.seek(0)
         twin = ExtentCube((4, 4))
         twin.restore_state(np.load(buffer))
-        twin.axis.check_aligned()
         again = twin.state_arrays()
         assert sorted(arrays) == sorted(again)
         for key in arrays:

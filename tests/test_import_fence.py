@@ -51,19 +51,21 @@ MODULE_CEILING = 45
 
 #: what every package exported at cbd9a99, minus ``repro.storage``'s four
 #: dense-only archive functions (``save_cube`` / ``load_cube`` /
-#: ``dumps_cube`` / ``loads_cube``), deleted with their second code path
+#: ``dumps_cube`` / ``loads_cube``), deleted with their second code path,
+#: and minus ``SharedTimeAxis`` / ``FamilyDirectory``, deleted when the
+#: two families of an extent cube got their own time axes
 EXPORTS = {
     "repro": (
         "AVERAGE AgedOutError AppendOnlyAggregator AppendOrderError BPlusTree "
         "BatchExecutor Box BufferedEvolvingDataCube COUNT CostCounter CubeView "
         "DDCTechnique Dimension DiskEvolvingDataCube DomainError DurableCube "
-        "Estimate EvolvingDataCube ExtentCube ExtentSnapshotView FamilyDirectory "
-        "FatNodeArray Hierarchy IdentityTechnique IntervalAggregator "
+        "Estimate EvolvingDataCube ExtentCube ExtentSnapshotView FatNodeArray "
+        "Hierarchy IdentityTechnique IntervalAggregator "
         "LocalPrefixSumTechnique MRATree MaterializedRollups MeasureCube "
         "MultiversionBTree Operator OperatorError OutOfOrderBuffer "
         "PersistentAggregateTree PreAggregatedArray PrefixSumTechnique RTree "
-        "RecoveryError RelativePrefixSumTechnique ReproError SUM SharedTimeAxis "
-        "SnapshotCube SnapshotExtentCube SnapshotView SparseEvolvingDataCube "
+        "RecoveryError RelativePrefixSumTechnique ReproError SUM SnapshotCube "
+        "SnapshotExtentCube SnapshotView SparseEvolvingDataCube "
         "StorageError SumCount TemporalAggregateTree TierPolicy TierSpec "
         "TieredCube TileStore TimeDirectory TimeInterval TopKEngine TopKStats "
         "WriteAheadLog ZOrderSliceStructure brute_topk get_operator "
@@ -78,8 +80,8 @@ EXPORTS = {
     ),
     "repro.ecube": (
         "BufferedEvolvingDataCube CubeKernel DenseStore DiskEvolvingDataCube "
-        "ECubeSliceEngine EvolvingDataCube ExtentCube FamilyDirectory PagedStore "
-        "SharedTimeAxis SliceStore SparseEvolvingDataCube SparseStore"
+        "ECubeSliceEngine EvolvingDataCube ExtentCube PagedStore SliceStore "
+        "SparseEvolvingDataCube SparseStore"
     ),
     "repro.storage": (
         "LRUBufferPool PageAccessTracker PagedArray PagedPreAggregatedArray "
