@@ -74,8 +74,13 @@ loc:
 # no np.unique outside the reproduction's experiments/ and workloads/
 # (its hash path imports numpy.ma; repro.ecube.compiled.sorted_unique does not);
 # no TopKEngine in sharding/: a shard ranks a top-k from two prefix slices;
-# and the two families of an extent cube keep their own time axes: no
-# shared axis, no kernel catch-up hook, no suspended alignment.
+# the two families of an extent cube keep their own time axes: no
+# shared axis, no kernel catch-up hook, no suspended alignment; and a G_d
+# correction lands by one rule, the buffered front's landing step: no
+# shard subclass of it (ShardBufferedCube), no private drain or fold
+# (_apply_drained, _fold_retired), no global_order_buffer but the
+# manifest's constant in durability/recovery.py, and no call that drops
+# G_d entries (.prune_below) outside ecube/buffered.py, which folds first.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -108,4 +113,8 @@ probes:
 	@! grep -rn 'np\.uniqu[e](' src/repro --exclude-dir=experiments --exclude-dir=workloads
 	@! grep -rn 'TopKEngin[e]' src/repro/sharding
 	@! grep -rnE 'SharedTimeAxis|FamilyDirectory|_family_catch|suspend_alignment' src/repro
+	@! grep -rnE 'ShardBufferedCub[e]|_fold_retire[d]|_apply_draine[d]' src
+	@! grep -rn 'global_order_buffe[r]' src | grep -v \
+		'^src/repro/durability/recovery\.py:[0-9]*: *config\["global_order_buffer"\] = False$$'
+	@! grep -rn '\.prune_belo[w](' src | grep -v '^src/repro/ecube/buffered\.py:'
 	@echo "probes: none"

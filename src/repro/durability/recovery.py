@@ -79,10 +79,10 @@ TILES_SUBDIR = "tiles"
 def build_front(config: dict, counter: CostCounter | None, tile_dir=None):
     """Construct the (empty) front a manifest or shard-worker config names.
 
-    Kernel first, then what rides on it: the ``G_d`` buffer (the shard
-    variant under ``global_order_buffer``), or the two buffered families
-    of an :class:`~repro.ecube.extent.ExtentCube` under ``extent``; then
-    the retention tiers, whose tiles live in ``tile_dir``.
+    Kernel first, then what rides on it: the ``G_d`` buffer, or the two
+    buffered families of an :class:`~repro.ecube.extent.ExtentCube`
+    under ``extent``; then the retention tiers, whose tiles live in
+    ``tile_dir``.
     """
     slice_shape = tuple(int(n) for n in config["slice_shape"])
     kernel = {
@@ -95,14 +95,7 @@ def build_front(config: dict, counter: CostCounter | None, tile_dir=None):
             slice_shape, drain_threshold=config.get("drain_threshold"), **kernel
         )
     elif config.get("buffered", True):
-        cube_cls = BufferedEvolvingDataCube
-        if config.get("global_order_buffer"):
-            # shard workers obey the router's *global* append-order
-            # classification (lazy import: sharding sits above durability)
-            from repro.sharding.buffered import ShardBufferedCube
-
-            cube_cls = ShardBufferedCube
-        front = cube_cls(
+        front = BufferedEvolvingDataCube(
             slice_shape, drain_threshold=config.get("drain_threshold"), **kernel
         )
     else:
@@ -205,7 +198,6 @@ class DurableCube:
         fsync: str = "batch",
         segment_bytes: int = 4 << 20,
         group_commit: int = 256,
-        global_order_buffer: bool = False,
         tiers=None,
     ) -> None:
         directory = Path(directory)
@@ -214,8 +206,9 @@ class DurableCube:
                 f"{directory} already holds a durable cube; open it "
                 "with DurableCube.recover"
             )
-        # "backend" / "page_size" / "cell_size" are constants, kept so the
-        # manifest's bytes (and every older reader of them) stay as they were
+        # "backend" / "page_size" / "cell_size" (and the global-order key
+        # below) are constants, kept so the manifest's bytes (and every
+        # older reader of them) stay as they were; recovery reads none
         config = {
             "slice_shape": [int(n) for n in slice_shape],
             "backend": "dense",
@@ -229,15 +222,15 @@ class DurableCube:
             "group_commit": int(group_commit),
         }
         if extent:
-            if not buffered or global_order_buffer or tiers is not None:
+            if not buffered or tiers is not None:
                 raise DomainError(
-                    "an extent cube is always buffered and takes neither "
-                    "a global-order buffer nor retention tiers"
+                    "an extent cube is always buffered and takes no "
+                    "retention tiers"
                 )
             config["extent"] = True
         else:
             config["buffered"] = bool(buffered)
-            config["global_order_buffer"] = bool(global_order_buffer)
+            config["global_order_buffer"] = False
             config["tiers"] = _tiers_config(tiers)
         directory.mkdir(parents=True, exist_ok=True)
         self._attach(directory, config, counter)

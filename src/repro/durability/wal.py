@@ -391,18 +391,6 @@ def _insert_many_record(intervals, cells, values=None, mode="fast"):
     return IntervalBatchRecord(intervals, cells, values, mode)
 
 
-def _replay_out_of_order_batch(durable, record) -> None:
-    # mirror apply_out_of_order_many's schedule (newest time first,
-    # stable) *and* its failure behaviour: the original loop stopped at
-    # the first raising correction, leaving the earlier ones applied.
-    # The aged-out case in particular must not resurrect retired detail
-    # during replay.
-    kernel = durable.cube
-    for i in np.argsort(record.points[:, 0], kind="stable")[::-1]:
-        point = tuple(int(c) for c in record.points[i])
-        kernel.apply_out_of_order(point, int(record.deltas[i]))
-
-
 _POINT_DELTA = _Vector("point", post=("delta",))
 _POINTS_DELTAS = {"points": ("n", "k"), "deltas": ("n",)}
 _TIME = _Scalar("time")
@@ -417,7 +405,9 @@ _TIME = _Scalar("time")
 #: state they run against (demotion's implied drain included; its tiles
 #: are rewritten byte-identically on replay).  An out-of-order record is
 #: replayed through ``replay_out_of_order``, which refuses -- instead of
-#: resurrecting -- a time that a later ``retire`` aged out.
+#: resurrecting -- a time that a later ``retire`` aged out; a batch of them
+#: replays through ``apply_out_of_order_many`` itself, so it stops where
+#: the logged call stopped.
 RECORD_TYPES = (
     _row(1, "update", "UpdateRecord", _POINT_DELTA, "update", "point",
          "One in-order (append-path) point update."),
@@ -431,8 +421,7 @@ RECORD_TYPES = (
     _row(4, "out_of_order_batch", "OutOfOrderBatchRecord",
          _Batch(False, **_POINTS_DELTAS),
          "apply_out_of_order_many", "unbuffered point",
-         "One ``apply_out_of_order_many`` batch.",
-         replay=_replay_out_of_order_batch, empty=0),
+         "One ``apply_out_of_order_many`` batch.", empty=0),
     _row(5, "retire", "RetireRecord", _TIME, "retire_before", "any",
          "A ``retire_before(time)`` data-aging call."),
     _row(6, "drain", "DrainRecord", _Scalar("limit", check=check_drain_limit),

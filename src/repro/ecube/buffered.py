@@ -17,7 +17,9 @@ Draining *converges*: corrections at never-occurring historic times are
 spliced into the cube as new instances
 (:meth:`EvolvingDataCube._splice_instance`), so ``drain(None)`` empties
 the buffer unless a correction falls into the data-aging retired region
--- only those stay in ``G_d``, kept exact by query post-processing.
+-- only those stay in ``G_d``, kept exact by query post-processing, until
+a retirement folds them into its boundary instance.  Drain and fold land
+an entry by one rule, :meth:`BufferedEvolvingDataCube._land`.
 
 A drain-scheduling policy hooks the paper's degradation argument into
 the update path: query cost grows with ``len(buffer) / total updates``
@@ -95,40 +97,71 @@ class BufferedEvolvingDataCube:
     def retire_before(self, time: int) -> int:
         """Retire detail slices older than ``time`` on the wrapped cube.
 
-        Buffered corrections aimed into the newly retired region are
-        pruned from ``G_d`` along with the detail: after the retire no
-        answerable query box reaches them (floors inside the retired
-        region raise :class:`~repro.core.errors.AgedOutError`) and a
-        drain would only hand them straight back, so keeping them would
-        pin buffer memory forever without ever changing an answer.
+        Buffered corrections below ``time`` land first (:meth:`_land`),
+        while their times can still be spliced in, so the kernel's
+        boundary is the newest time below ``time`` the stream has seen.
+        What cannot land -- it lies in the region an earlier retirement
+        froze -- is folded into the new boundary instance
+        (:meth:`prune_retired`).
 
         Tiered fronts (:class:`~repro.retention.TieredCube`) deliberately
         bypass this wrapper when they retire -- for them, corrections
         below the demotion watermark are live tier-correction state.
         """
+        time = int(time)
         # one logical write: a snapshot reader must never see the detail
-        # retired with the dead corrections still in G_d
+        # retired with corrections gone from G_d but not yet landed
         with self.cube.publish_barrier():
+            points, deltas = self.buffer.snapshot_columns()
+            if self.buffer.prune_below(time):
+                order = np.argsort(points[:, 0], kind="stable")[::-1]
+                self._land(
+                    (tuple(point), delta)
+                    for point, delta in zip(
+                        points[order].tolist(), deltas[order].tolist()
+                    )
+                    if point[0] < time
+                )
+                self.cube.note_external_mutation()
             retired = self.cube.retire_before(time)
             self.prune_retired()
         return retired
 
     def prune_retired(self) -> int:
-        """Drop buffered corrections that can never be observed again.
+        """Fold the buffered corrections the retirement boundary froze.
 
-        An entry at or below the retirement boundary instance is
-        unreachable: queries there raise
-        :class:`~repro.core.errors.AgedOutError` and drains keep handing
-        it back.  Returns the number of entries removed.
+        An entry at or below the boundary instance can no longer land at
+        its own time, yet every prefix a read may still take counts it
+        whole: such entries are summed per cell and land at the boundary
+        instance.  An entry before the first occurring time stays in
+        ``G_d``: the kernel reads a prefix before its first instance as
+        zero, and only ``G_d`` keeps a box that ends there exact.
+        Returns the number of entries folded.
         """
         retired = self.cube.retired_instances
         if retired == 0 or not len(self.buffer):
             return 0
-        boundary_time = self.cube.occurring_times()[retired]
-        removed = self.buffer.prune_below(int(boundary_time) + 1)
-        if removed:
+        times = self.cube.occurring_times()
+        first, boundary = int(times[0]), int(times[retired])
+        points, deltas = self.buffer.snapshot_columns()
+        due = (points[:, 0] >= first) & (points[:, 0] <= boundary)
+        if not bool(due.any()):
+            return 0
+        sums: dict[tuple[int, ...], int] = {}
+        for cell, delta in zip(points[due, 1:].tolist(), deltas[due].tolist()):
+            sums[tuple(cell)] = sums.get(tuple(cell), 0) + delta
+        with self.cube.publish_barrier():
+            self.buffer.prune_below(boundary + 1)
+            early = points[:, 0] < first
+            if bool(early.any()):
+                self.buffer.add_many(points[early], deltas[early])
+            self._land(
+                ((boundary, *cell), delta)
+                for cell, delta in sorted(sums.items())
+                if delta
+            )
             self.cube.note_external_mutation()
-        return removed
+        return int(due.sum())
 
     def resident_slice_bytes(self) -> int:
         """Resident payload bytes of the wrapped cube's live slices."""
@@ -175,6 +208,10 @@ class BufferedEvolvingDataCube:
         is exactly the arrival-order criterion of :meth:`update`.  The
         in-order subsequence -- non-decreasing by construction -- goes to
         the cube's batched group scatters; the remainder is bulk-buffered.
+        ``mode="buffer"`` bulk-buffers the whole batch, whatever its
+        times: a sharded router's verdict that the batch is globally
+        late, which a shard cannot re-derive from its own timeline (a
+        drain appends an entry at or after the kernel's latest time).
         """
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
@@ -191,7 +228,7 @@ class BufferedEvolvingDataCube:
                 for point, delta in zip(points, deltas):
                     self.update(tuple(int(c) for c in point), int(delta))
             return
-        if mode != "fast":
+        if mode not in ("fast", "buffer"):
             raise DomainError(f"unknown execution mode {mode!r}")
         times = points[:, 0]
         latest = self.cube.latest_time
@@ -199,7 +236,7 @@ class BufferedEvolvingDataCube:
         threshold = np.concatenate(
             ([floor], np.maximum(np.maximum.accumulate(times[:-1]), floor))
         )
-        in_order = times >= threshold
+        in_order = (times >= threshold) & (mode == "fast")
         with self.cube.publish_barrier():
             if bool(in_order.any()):
                 self.cube.update_many(
@@ -295,36 +332,47 @@ class BufferedEvolvingDataCube:
     # -- background drain ---------------------------------------------------------------
 
     def drain(self, limit: int | None = None) -> tuple[int, int]:
-        """Apply up to ``limit`` buffered corrections, newest time first.
+        """Land up to ``limit`` buffered corrections, newest time first.
 
-        Corrections at occurring times cascade into the cube; corrections
-        at never-occurring historic times splice a new instance into the
-        directory first, so repeated bounded drains strictly shrink the
-        buffer until it is empty.  Only corrections aimed into the
-        data-aging retired region are kept (they stay exact through query
-        post-processing).  Returns ``(applied, kept)``.
+        Each goes through the landing step (:meth:`_land`), so repeated
+        bounded drains strictly shrink the buffer until it is empty, but
+        for corrections aimed into the data-aging retired region: those
+        stay buffered (exact through query post-processing) until a
+        retirement folds them (:meth:`prune_retired`).  Returns
+        ``(applied, kept)``.
         """
         # the buffer empties up front and refills with corrections as they
         # land in the cube: none of the intermediate states answer
         # correctly, so publication is deferred to the end of the drain
         with self.cube.publish_barrier():
             drained = self.buffer.drain(limit)
-            applied = 0
-            kept: list[tuple[tuple[int, ...], int]] = []
-            for point, delta in drained:
-                try:
-                    self._apply_drained(point, delta)
-                    applied += 1
-                except AgedOutError:
-                    kept.append((point, delta))
-            if kept:
-                self.buffer.add_many(
-                    [point for point, _ in kept], [delta for _, delta in kept]
-                )
+            kept = self._land(drained)
             if drained:
                 self.cube.note_external_mutation()
-        return applied, len(kept)
+        return len(drained) - kept, kept
 
-    def _apply_drained(self, point: tuple[int, ...], delta: int) -> None:
-        """Land one drained correction in the cube (the shard front differs)."""
-        self.cube.apply_out_of_order(point, delta)
+    def _land(self, entries) -> int:
+        """The landing step of ``G_d`` entries, in the order given.
+
+        An entry at or after the kernel's latest time is an append
+        (:meth:`EvolvingDataCube.update`; only a batch buffered by
+        ``mode="buffer"`` holds one); an entry in the retired region goes
+        back into the buffer; every other entry cascades through
+        :meth:`EvolvingDataCube.apply_out_of_order`, which splices a
+        never-occurring time in first.  Returns how many went back.
+        """
+        kept = []
+        for point, delta in entries:
+            latest = self.cube.latest_time
+            try:
+                if latest is None or point[0] >= latest:
+                    self.cube.update(point, delta)
+                else:
+                    self.cube.apply_out_of_order(point, delta)
+            except AgedOutError:
+                kept.append((point, delta))
+        if kept:
+            self.buffer.add_many(
+                [point for point, _ in kept], [delta for _, delta in kept]
+            )
+        return len(kept)

@@ -64,8 +64,9 @@ Each family retires its own instances below it, and an intersection
 prefix read below it raises :class:`~repro.core.errors.AgedOutError`,
 whichever family it reads.  A correction still buffered at or below the
 boundary is not dead: every prefix a read may still take includes it
-whole, so it moves into its family's kernel at the boundary time instead
-of being dropped.
+whole, so its family's buffered front lands it in its kernel, at its own
+time or folded into the family's boundary instance, instead of dropping
+it -- the same rule as for a point-object front.
 
 One read path
 -------------
@@ -562,10 +563,11 @@ class ExtentCube:
         The boundary is the newest time below ``time`` that occurs in
         either family; nothing happens unless an older occurring time
         lies below it, or when it does not pass the boundary already
-        recorded.  Each family retires its instances below the boundary
-        and moves its buffered corrections at or below it into its kernel
-        (:meth:`_fold_retired`).  Intersection reads below the boundary
-        raise :class:`~repro.core.errors.AgedOutError` from then on; the
+        recorded.  Each family retires through its own buffered front
+        (:meth:`BufferedEvolvingDataCube.retire_before`), which lands or
+        folds its buffered corrections at or below the boundary into its
+        kernel.  Intersection reads below the boundary raise
+        :class:`~repro.core.errors.AgedOutError` from then on; the
         containment index is an aggregate over moved-over intervals, not
         slice detail, so containment stays exact until
         :meth:`prune_retired`.  Returns the number of slices retired.
@@ -576,51 +578,15 @@ class ExtentCube:
         ):
             return 0
         self._boundary = below[-1]
-        retired = 0
-        for front in (self.ended, self.containing):
-            retired += front.cube.retire_before(self._boundary + 1)
-            self._fold_retired(front)
-        return retired
-
-    def _fold_retired(self, front: BufferedEvolvingDataCube) -> int:
-        """Move ``front``'s ``G_d`` corrections at or below the boundary
-        into its kernel; returns how many left the buffer.
-
-        Every prefix an intersection read may still take lies at or above
-        the boundary and includes such a correction whole, so the
-        corrections land in the kernel at the boundary time, summed per
-        cell.  Dropping them would lose them from every later answer.
-        """
-        boundary = self._boundary
-        points, deltas = front.buffer.snapshot_columns()
-        due = points[:, 0] <= boundary
-        if not bool(due.any()):
-            return 0
-        net: dict[tuple[int, ...], int] = {}
-        for cell, delta in zip(map(tuple, points[due, 1:].tolist()), deltas[due]):
-            net[cell] = net.get(cell, 0) + int(delta)
-        cells = [cell for cell in sorted(net) if net[cell]]
-        kernel = front.cube
-        # one logical write: no epoch between the prune and the landing
-        with kernel.publish_barrier():
-            removed = front.buffer.prune_below(boundary + 1)
-            if cells:
-                moved = np.asarray(
-                    [(boundary, *cell) for cell in cells], dtype=np.int64
-                )
-                sums = np.asarray([net[cell] for cell in cells], dtype=np.int64)
-                if boundary >= kernel.latest_time:
-                    kernel.update_many(moved, sums, mode="fast")
-                else:
-                    kernel.apply_out_of_order_many(moved, sums)
-            kernel.note_external_mutation()
-        return removed
+        return self.ended.retire_before(
+            self._boundary + 1
+        ) + self.containing.retire_before(self._boundary + 1)
 
     def prune_retired(self) -> int:
         """Shed extent state that the retirement boundary made dead.
 
-        Both families' ``G_d`` buffers fold their corrections at or below
-        the boundary into their kernels (:meth:`_fold_retired`), and the
+        Both families fold the corrections their boundary instances froze
+        (:meth:`BufferedEvolvingDataCube.prune_retired`), and the
         columnar containment index drops moved-over intervals whose
         ``end`` precedes the boundary: such an interval is only
         observable by a containment query with ``t_low`` inside the
@@ -633,9 +599,7 @@ class ExtentCube:
         horizon = self._boundary
         if horizon is None:
             return 0
-        removed = self._fold_retired(self.ended) + self._fold_retired(
-            self.containing
-        )
+        removed = self.ended.prune_retired() + self.containing.prune_retired()
         self._cont_retired_below = horizon
         if self._cont_ends and min(self._cont_ends) < horizon:
             kept = [

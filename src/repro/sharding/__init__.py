@@ -22,7 +22,6 @@ from repro._exports import exports
 __getattr__, __dir__, __all__ = exports(
     __name__,
     {
-        "repro.sharding.buffered": "ShardBufferedCube",
         "repro.sharding.cube": "ShardedCube",
         "repro.sharding.partition": "GridPartitioner ShardExtent",
         "repro.sharding.router": "ShardRouter",

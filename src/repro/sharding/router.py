@@ -5,7 +5,7 @@ The router answers the questions about the update stream that need the
 
 * the transaction-time discipline -- "is this update historic?" -- is
   decided here against the globally newest occurring time, never by a
-  shard against its local directory (see :mod:`repro.sharding.buffered`);
+  shard against its local directory (see :mod:`repro.sharding.worker`);
 * the data-aging boundary after ``retire_before`` is the newest *global*
   occurring time below the threshold.  Individual shards retain locally
   deeper history (their own boundary can only be older), so the router
@@ -370,13 +370,18 @@ class ShardRouter:
             # the exact one is in the replies, so an upper bound on it goes
             # first -- a crash in between recovers a router that refuses
             # more than the oracle, never one that answers what it refuses
+            # (a shard may also splice late times below ``first`` from its
+            # G_d; a crash then leaves each shard refusing its own retired
+            # region, not the router's)
             self._move_boundary(
                 _extreme(max, (held, min(time - 1, self.latest_time)))
             )
         replies = self._scatter_all("retire", time)
         below = _extreme(max, (newest for _, newest in replies))
-        if below is not None:
-            self._move_boundary(_extreme(max, (held, below)))
+        # the newest time below ``time`` is a boundary only above an older one
+        if below is not None and self.min_time < below:
+            held = _extreme(max, (held, below))
+        self._move_boundary(held)
         return sum(retired for retired, _ in replies)
 
     def demote_before(self, time: int) -> int:

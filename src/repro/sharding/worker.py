@@ -22,11 +22,10 @@ the later times), so the shard front-ends must not re-derive orderedness
 locally:
 
 * buffered shards force globally-historic points into ``G_d`` even when
-  they look appendable locally
-  (:meth:`~repro.sharding.buffered.ShardBufferedCube.buffer_historic_many`),
-  keeping the buffer contents bit-identical to an unsharded oracle's;
+  they look appendable locally (``update_many(mode="buffer")``), keeping
+  the buffer contents bit-identical to an unsharded oracle's;
 * draining a shard may pop a correction that is *newer* than the shard's
-  local latest time -- it is applied as a plain append, which for a shard
+  local latest time -- the landing step appends it, which for a shard
   with no later instances is exactly the splice the oracle performs.
 """
 
@@ -57,7 +56,6 @@ def _build_shard_front(config: dict, counter: CostCounter):
     """The shard-local cube front for a worker config (a recovered one
     restored from its checkpoint, its log tail not yet replayed)."""
     durable_dir = config.get("durable_dir")
-    # a buffered shard obeys the router's global append order
     buffered = bool(config.get("buffered", False))
     if durable_dir is not None:
         if config.get("recover"):
@@ -70,13 +68,10 @@ def _build_shard_front(config: dict, counter: CostCounter):
             counter=counter,
             drain_threshold=config.get("drain_threshold"),
             fsync=config.get("fsync", "batch"),
-            global_order_buffer=buffered,
             tiers=config.get("tiers"),
         )
     return build_front(
-        {**config, "buffered": buffered, "global_order_buffer": buffered},
-        counter,
-        config.get("tile_dir"),
+        {**config, "buffered": buffered}, counter, config.get("tile_dir")
     )
 
 

@@ -213,10 +213,9 @@ def test_a_mode_the_log_cannot_encode_is_refused_before_logging(tmp_path, row):
 
 def test_buffer_mode_is_logged_and_replayed(tmp_path):
     """The shard worker's escape hatch: the router's *global* verdict that
-    a batch is historic travels through ``DurableCube.update_many``."""
-    with DurableCube(
-        SHAPE, tmp_path, fsync="off", num_times=32, global_order_buffer=True
-    ) as cube:
+    a batch is historic travels through ``DurableCube.update_many`` of a
+    plain buffered front."""
+    with DurableCube(SHAPE, tmp_path, fsync="off", num_times=32) as cube:
         cube.update_many([[4, 1, 1]], [3])
         # locally appendable, globally late: it must sit in G_d
         cube.update_many([[4, 2, 2]], [5], mode="buffer")

@@ -121,7 +121,7 @@ EXPORTS = {
     ),
     "repro.ranking": "TopKEngine TopKStats brute_topk",
     "repro.sharding": (
-        "BlockCache EpochExporter GridPartitioner ShardBufferedCube ShardClient "
+        "BlockCache EpochExporter GridPartitioner ShardClient "
         "ShardExtent ShardRouter ShardServer ShardedCube "
         "epoch_from_shared_memory leaked_segments"
     ),
