@@ -29,6 +29,7 @@ the benchmark run.
 from __future__ import annotations
 
 import json
+import statistics
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
@@ -113,6 +114,19 @@ def load_document(path: Path | None = None) -> dict[str, Any]:
         return {"schema": SCHEMA_VERSION, "rows": []}
     data["schema"] = SCHEMA_VERSION
     return data
+
+
+def median_quartiles(values) -> dict[str, Any]:
+    """A row's wall time as the median of repeated runs, with its quartiles
+    (``wall_s`` plus the fields that say so)."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {
+        "wall_s": statistics.median(values),
+        "repeats": len(values),
+        "wall_s_q1": round(q1, 6),
+        "wall_s_q3": round(q3, 6),
+        "wall_s_is": "median of repeats",
+    }
 
 
 def load_rows(path: Path | None = None) -> list[dict[str, Any]]:

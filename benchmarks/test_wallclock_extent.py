@@ -19,12 +19,11 @@ with its quartiles.  Rows land in ``BENCH_extent.json`` (schema 2).
 from __future__ import annotations
 
 import gc
-import statistics
 import time
 
 import numpy as np
 
-from _record import BENCH_EXTENT_FILE, record
+from _record import BENCH_EXTENT_FILE, median_quartiles, record
 from repro.core.extent import IntervalAggregator
 from repro.core.types import Box, TimeInterval
 from repro.ecube.extent import ExtentCube
@@ -71,17 +70,6 @@ def _build_gd_trees(cube) -> int:
     )
 
 
-def _median_quartiles(values) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {
-        "wall_s": statistics.median(values),
-        "repeats": len(values),
-        "wall_s_q1": round(q1, 6),
-        "wall_s_q3": round(q3, 6),
-        "wall_s_is": "median of repeats",
-    }
-
-
 def test_extent_batch_query_speedup():
     segments, queries, boxes, key_ranges = _workload()
 
@@ -123,8 +111,8 @@ def test_extent_batch_query_speedup():
         # bit-identical across build paths, query modes and the oracle
         assert fast_answers == metered_answers == expected
 
-    metered = _median_quartiles(metered_walls)
-    fast = _median_quartiles(fast_walls)
+    metered = median_quartiles(metered_walls)
+    fast = median_quartiles(fast_walls)
     speedup = metered["wall_s"] / max(fast["wall_s"], 1e-9)
     common = {
         "path": BENCH_EXTENT_FILE, "queries": NUM_QUERIES,

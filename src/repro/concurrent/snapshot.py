@@ -35,12 +35,14 @@ historic, so that nothing a reader holds is ever written:
 * Readers :meth:`~SnapshotCube.pin` an epoch and answer without locks:
   every historic instance is a row nobody writes, the latest one the
   epoch's own copy of the cache.
-* A correction or splice never writes a row either: the store promotes
-  it copy-on-write into a *successor* (``new_row`` again), and the next
-  publication seals the successor (re-narrowed when its values fit a
-  narrower width) or sweeps its slice anew.  The kernel names the first
-  instance whose content moves (:meth:`SnapshotCube.note_rewrite`);
-  retirement only drops rows.
+* A correction or splice never writes a row either.  A batch (a drain)
+  lands in one pass and gives each row it reaches one *successor* at the
+  width of its new values (``new_row`` again), adopted read-only; a single
+  correction's cascade promotes the row copy-on-write into an int64
+  successor.  The next publication seals the successor (a promoted one
+  re-narrowed when its values fit a narrower width) or sweeps its slice
+  anew.  The kernel names the first instance whose content moves
+  (:meth:`SnapshotCube.note_rewrite`); retirement only drops rows.
 
 Single-writer discipline: all mutating calls must come from one thread
 (the same discipline the WAL already imposes); the front forwards the
@@ -426,10 +428,11 @@ class SnapshotCube:
 
         On the writer thread between operations.  Rows below the
         retirement boundary and rows whose content moved
-        (:meth:`note_rewrite`) are dropped first.  A promoted row still
-        fully PS -- a correction's successor -- is sealed and cited as it
-        stands, or re-published narrow when its values fit a narrower
-        width; every other instance (newly historic, spliced in, restored
+        (:meth:`note_rewrite`) are dropped first.  A successor row still
+        fully PS -- a one-pass landing's, already at its width, or a
+        cascade's promoted int64 copy -- is sealed and cited as it stands,
+        or re-published narrow when its values fit a narrower width;
+        every other instance (newly historic, spliced in, restored
         from an archive) is swept into a row.  Then every historic slice
         is its row, and what the cache still owed them is void: nothing
         is copied, stamps advance.

@@ -246,18 +246,28 @@ class OutOfOrderBuffer:
         The caller (the framework's background process) re-applies the
         returned updates to the affected instances.
         """
-        if self._size == 0:
-            return []
+        positions, points, deltas = self.newest(limit)
+        self.remove(positions)
+        return _pairs(points, deltas)
+
+    def newest(
+        self, limit: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Up to ``limit`` buffered updates, newest time first (the ones
+        :meth:`drain` removes), as ``(positions, points, deltas)``.  The
+        buffer is unchanged; :meth:`remove` takes them out."""
         order = np.argsort(self._points[: self._size, 0], kind="stable")
-        if limit is None or limit >= self._size:
-            drained_idx = order[::-1]
-        else:
-            drained_idx = order[-limit:][::-1]
-        drained = _pairs(self._points[drained_idx], self._deltas[drained_idx])
-        keep = np.ones(self._size, dtype=bool)
-        keep[drained_idx] = False
-        self._keep(keep)
-        return drained
+        if limit is not None and limit < self._size:
+            order = order[-limit:]
+        positions = order[::-1]
+        return positions, self._points[positions], self._deltas[positions]
+
+    def remove(self, positions: np.ndarray) -> None:
+        """Take the buffered updates at ``positions`` out."""
+        if len(positions):
+            keep = np.ones(self._size, dtype=bool)
+            keep[positions] = False
+            self._keep(keep)
 
     def prune_below(self, time: int) -> int:
         """Drop buffered updates with a TT-coordinate below ``time``.

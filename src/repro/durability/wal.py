@@ -406,8 +406,8 @@ _TIME = _Scalar("time")
 #: are rewritten byte-identically on replay).  An out-of-order record is
 #: replayed through ``replay_out_of_order``, which refuses -- instead of
 #: resurrecting -- a time that a later ``retire`` aged out; a batch of them
-#: replays through ``apply_out_of_order_many`` itself, so it stops where
-#: the logged call stopped.
+#: replays through ``apply_out_of_order_many`` itself, so it applies what
+#: the logged call applied.
 RECORD_TYPES = (
     _row(1, "update", "UpdateRecord", _POINT_DELTA, "update", "point",
          "One in-order (append-path) point update."),

@@ -3,8 +3,10 @@
 Wraps an :class:`~repro.ecube.ecube.EvolvingDataCube` with the ``G_d``
 buffer: appends flow straight into the cube, late arrivals are buffered,
 queries post-process with a ``G_d`` range aggregate, and a background
-:meth:`drain` applies buffered corrections into the cube (newest first)
-via :meth:`EvolvingDataCube.apply_out_of_order`.
+:meth:`drain` lands buffered corrections in the cube (newest first)
+through :meth:`CubeKernel.land_historic`: in one pass over the
+instances where they are all fully PS, one cascade per correction
+otherwise.
 
 The wrapper speaks the full :class:`~repro.core.framework.BatchExecutor`
 protocol: :meth:`query_many` answers the cube part with the vectorized
@@ -34,7 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.errors import AgedOutError, DomainError
+from repro.core.errors import DomainError
 from repro.core.out_of_order import OutOfOrderBuffer
 from repro.core.types import Box, as_boxes, box_array
 from repro.ecube.ecube import EvolvingDataCube
@@ -113,15 +115,11 @@ class BufferedEvolvingDataCube:
         # retired with corrections gone from G_d but not yet landed
         with self.cube.publish_barrier():
             points, deltas = self.buffer.snapshot_columns()
-            if self.buffer.prune_below(time):
-                order = np.argsort(points[:, 0], kind="stable")[::-1]
-                self._land(
-                    (tuple(point), delta)
-                    for point, delta in zip(
-                        points[order].tolist(), deltas[order].tolist()
-                    )
-                    if point[0] < time
-                )
+            below = np.flatnonzero(points[:, 0] < time)
+            if below.size:
+                below = below[np.argsort(points[below, 0], kind="stable")[::-1]]
+                kept = self._land(points[below], deltas[below])
+                self.buffer.remove(below[~kept])
                 self.cube.note_external_mutation()
             retired = self.cube.retire_before(time)
             self.prune_retired()
@@ -147,19 +145,22 @@ class BufferedEvolvingDataCube:
         due = (points[:, 0] >= first) & (points[:, 0] <= boundary)
         if not bool(due.any()):
             return 0
-        sums: dict[tuple[int, ...], int] = {}
-        for cell, delta in zip(points[due, 1:].tolist(), deltas[due].tolist()):
-            sums[tuple(cell)] = sums.get(tuple(cell), 0) + delta
+        shape, folded = self.cube.slice_shape, points[due, 1:]
+        self.cube.check_cells(folded)
+        sums = np.zeros(int(np.prod(shape)), dtype=np.int64)
+        np.add.at(sums, np.ravel_multi_index(tuple(folded.T), shape), deltas[due])
+        cells = np.flatnonzero(sums)
         with self.cube.publish_barrier():
+            self._land(
+                np.column_stack(
+                    [np.full(cells.size, boundary), *np.unravel_index(cells, shape)]
+                ),
+                sums[cells],
+            )
             self.buffer.prune_below(boundary + 1)
             early = points[:, 0] < first
             if bool(early.any()):
                 self.buffer.add_many(points[early], deltas[early])
-            self._land(
-                ((boundary, *cell), delta)
-                for cell, delta in sorted(sums.items())
-                if delta
-            )
             self.cube.note_external_mutation()
         return int(due.sum())
 
@@ -183,11 +184,14 @@ class BufferedEvolvingDataCube:
         if len(point) != self.ndim:
             raise DomainError(f"point arity {len(point)} != {self.ndim}")
         latest = self.cube.latest_time
-        self.total_updates += 1
-        if latest is None or point[0] >= latest:
-            self.cube.update(point, delta)
-        else:
+        late = latest is not None and point[0] < latest
+        if late:
+            self.cube.check_cells([point[1:]])
             self.buffer.add(point, int(delta))
+        else:
+            self.cube.update(point, delta)
+        self.total_updates += 1
+        if late:
             # a buffered late arrival changes answers without touching
             # the kernel: publish it as a new epoch explicitly
             self.cube.note_external_mutation()
@@ -230,6 +234,8 @@ class BufferedEvolvingDataCube:
             return
         if mode not in ("fast", "buffer"):
             raise DomainError(f"unknown execution mode {mode!r}")
+        # a late point is buffered unchecked by the kernel: check them all first
+        self.cube.check_cells(points[:, 1:])
         times = points[:, 0]
         latest = self.cube.latest_time
         floor = np.int64(latest) if latest is not None else np.iinfo(np.int64).min
@@ -334,45 +340,51 @@ class BufferedEvolvingDataCube:
     def drain(self, limit: int | None = None) -> tuple[int, int]:
         """Land up to ``limit`` buffered corrections, newest time first.
 
-        Each goes through the landing step (:meth:`_land`), so repeated
-        bounded drains strictly shrink the buffer until it is empty, but
-        for corrections aimed into the data-aging retired region: those
-        stay buffered (exact through query post-processing) until a
-        retirement folds them (:meth:`prune_retired`).  Returns
+        They go through the landing step (:meth:`_land`) before ``G_d``
+        gives them up, so a batch it refuses leaves the buffer as it was.
+        Repeated bounded drains strictly shrink the buffer until it is
+        empty, but for corrections aimed into the data-aging retired
+        region: those stay buffered (exact through query post-processing)
+        until a retirement folds them (:meth:`prune_retired`).  Returns
         ``(applied, kept)``.
         """
-        # the buffer empties up front and refills with corrections as they
-        # land in the cube: none of the intermediate states answer
-        # correctly, so publication is deferred to the end of the drain
+        # the kernel moves before the buffer lets the corrections go: no
+        # intermediate state answers correctly, so publication is deferred
+        # to the end of the drain
         with self.cube.publish_barrier():
-            drained = self.buffer.drain(limit)
-            kept = self._land(drained)
-            if drained:
+            positions, points, deltas = self.buffer.newest(limit)
+            kept = self._land(points, deltas)
+            self.buffer.remove(positions[~kept])
+            if positions.size:
                 self.cube.note_external_mutation()
-        return len(drained) - kept, kept
+        return int(positions.size - kept.sum()), int(kept.sum())
 
-    def _land(self, entries) -> int:
-        """The landing step of ``G_d`` entries, in the order given.
+    def _land(self, points: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """The landing step of ``G_d`` entries, given newest time first.
 
-        An entry at or after the kernel's latest time is an append
-        (:meth:`EvolvingDataCube.update`; only a batch buffered by
-        ``mode="buffer"`` holds one); an entry in the retired region goes
-        back into the buffer; every other entry cascades through
-        :meth:`EvolvingDataCube.apply_out_of_order`, which splices a
-        never-occurring time in first.  Returns how many went back.
+        Every cell is checked before anything moves.  An entry at or after
+        the kernel's latest time is an append (:meth:`EvolvingDataCube.
+        update`; only a batch buffered by ``mode="buffer"`` holds one), and
+        being newest such entries lead the batch.  The rest land through
+        :meth:`CubeKernel.land_historic`, which splices each
+        never-occurring time in first and keeps back the entries aimed
+        into the retired region.  Returns the mask of the entries kept
+        back: the caller leaves those in the buffer.
         """
-        kept = []
-        for point, delta in entries:
-            latest = self.cube.latest_time
-            try:
-                if latest is None or point[0] >= latest:
-                    self.cube.update(point, delta)
-                else:
-                    self.cube.apply_out_of_order(point, delta)
-            except AgedOutError:
-                kept.append((point, delta))
-        if kept:
-            self.buffer.add_many(
-                [point for point, _ in kept], [delta for _, delta in kept]
+        self.cube.check_cells(points[:, 1:])
+        kept = np.zeros(deltas.shape, dtype=bool)
+        if not deltas.size:
+            return kept
+        latest, newest = self.cube.latest_time, int(points[0, 0])
+        appends = 0
+        if latest is None or newest >= latest:
+            appends = int(np.count_nonzero(points[:, 0] == newest))
+            for point, delta in zip(
+                points[:appends].tolist(), deltas[:appends].tolist()
+            ):
+                self.cube.update(point, delta)
+        if appends < deltas.size:
+            kept[appends:] = self.cube.land_historic(
+                points[appends:], deltas[appends:]
             )
-        return len(kept)
+        return kept

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.directory import TimeDirectory
 from repro.core.errors import AgedOutError, AppendOrderError, DomainError
 from repro.core.types import Box, as_boxes, box_array
+from repro.ecube import compiled
 from repro.ecube.fastpath import (
     DDC,
     MIXED,
@@ -215,8 +216,8 @@ class CubeKernel:
         Out-of-order corrections and splices are the only operations that
         change what historic instances answer; ``index`` is the first one
         whose content changes -- they reach it and every instance above.
-        No published row is written (a correction promotes it into a
-        successor); the front re-publishes the rows from ``index`` on.
+        No published row is written (a correction gives it a successor);
+        the front re-publishes the rows from ``index`` on.
         """
         sink = self._epoch_sink
         if sink is not None:
@@ -396,66 +397,65 @@ class CubeKernel:
         time, cell = point[0], point[1:]
         self._check_cell(cell)
         delta = int(delta)
+        self._check_historic(time)
+        with self._op():
+            self._cascade(time, cell, delta)
+
+    def _check_historic(self, time: int) -> None:
         if not self.directory:
             raise AppendOrderError("cube is empty; append normally instead")
         if time >= self.directory.latest_time:
             raise AppendOrderError(
                 f"time {time} is not historic; use update() for appends"
             )
-        with self._op():
-            start_index = self.directory.floor_index(time)
-            found_time, _ = (
-                self.directory.at_index(start_index)
-                if start_index >= 0
-                else (None, None)
-            )
-            # corrections rewrite historic instances from here on (a
-            # never-occurring time is spliced in right above its floor)
-            self._note_rewrite(
-                start_index if found_time == time else start_index + 1
-            )
-            self._note_mutation()
-            if found_time != time:
-                start_index = self._splice_instance(time)
-            elif start_index < self._retired_below:
-                raise AgedOutError(
-                    f"time {time} lies in the retired region; the correction "
-                    "cannot be applied to freed detail"
-                )
-            store = self.store
-            last_index = store.last_index
 
-            # DDC path: cache plus already-copied unconverted slice cells.
-            for affected in self.engine.update_cells(cell):
-                value, stamp = store.cache_read(affected)
-                if stamp < last_index:
-                    self._copy_cell(affected, value, stamp, last_index)
-                    store.cache_restamp(affected, last_index)
-                store.cache_apply_delta(affected, delta)
-                for index in range(
-                    max(start_index, self._retired_below), last_index
-                ):
-                    _, payload = self.directory.at_index(index)
-                    if payload.retired or store.is_ps(payload, affected):
-                        continue
-                    store.oob_slice_add(payload, affected, delta)
+    def _cascade(self, time: int, cell: tuple[int, ...], delta: int) -> None:
+        """One validated correction through every instance from ``time`` up."""
+        start_index = self.directory.floor_index(time)
+        found_time, _ = (
+            self.directory.at_index(start_index) if start_index >= 0 else (None, None)
+        )
+        # corrections rewrite historic instances from here on (a
+        # never-occurring time is spliced in right above its floor)
+        self._note_rewrite(start_index if found_time == time else start_index + 1)
+        self._note_mutation()
+        if found_time != time:
+            start_index = self._splice_instance(time)
+        elif start_index < self._retired_below:
+            raise AgedOutError(
+                f"time {time} lies in the retired region; the correction "
+                "cannot be applied to freed detail"
+            )
+        store = self.store
+        last_index = store.last_index
 
-            # PS path: every converted cell dominating the updated cell.
-            dominating = None
-            if store.wants_dominating_mask:
-                dominating = np.ones(self.slice_shape, dtype=bool)
-                for axis, coord in enumerate(cell):
-                    index_grid = np.arange(self.slice_shape[axis])
-                    shape = [1] * len(self.slice_shape)
-                    shape[axis] = self.slice_shape[axis]
-                    dominating &= (index_grid >= coord).reshape(shape)
-            for index in range(
-                max(start_index, self._retired_below), last_index
-            ):
+        # DDC path: cache plus already-copied unconverted slice cells.
+        for affected in self.engine.update_cells(cell):
+            value, stamp = store.cache_read(affected)
+            if stamp < last_index:
+                self._copy_cell(affected, value, stamp, last_index)
+                store.cache_restamp(affected, last_index)
+            store.cache_apply_delta(affected, delta)
+            for index in range(max(start_index, self._retired_below), last_index):
                 _, payload = self.directory.at_index(index)
-                if payload.retired:
+                if payload.retired or store.is_ps(payload, affected):
                     continue
-                store.dominating_ps_add(payload, cell, dominating, delta)
+                store.oob_slice_add(payload, affected, delta)
+
+        # PS path: every converted cell dominating the updated cell.
+        dominating = None
+        if store.wants_dominating_mask:
+            dominating = np.ones(self.slice_shape, dtype=bool)
+            for axis, coord in enumerate(cell):
+                index_grid = np.arange(self.slice_shape[axis])
+                shape = [1] * len(self.slice_shape)
+                shape[axis] = self.slice_shape[axis]
+                dominating &= (index_grid >= coord).reshape(shape)
+        for index in range(max(start_index, self._retired_below), last_index):
+            _, payload = self.directory.at_index(index)
+            if payload.retired:
+                continue
+            store.dominating_ps_add(payload, cell, dominating, delta)
 
     def _splice_instance(self, time: int) -> int:
         """Make a never-occurring historic ``time`` occurring; return its index.
@@ -497,15 +497,17 @@ class CubeKernel:
         points: Sequence[Sequence[int]] | np.ndarray,
         deltas: Sequence[int] | np.ndarray,
     ) -> int:
-        """Apply a batch of historic corrections, newest time first.
+        """Apply a batch of historic corrections; return how many.
 
-        This is the drain's batched entry point: the batch is validated
-        once, sorted by descending TT-coordinate ("beginning with the
-        latest instance", Section 2.5) and applied through
-        :meth:`apply_out_of_order`, so each never-occurring time in the
-        batch is spliced exactly once and the per-correction directory
-        lookups run against an already-sorted schedule.  Returns the
-        number of corrections applied.
+        The whole batch is checked before anything moves, sorted newest
+        time first ("beginning with the latest instance", Section 2.5) and
+        landed by :meth:`land_historic`: in one pass over the instances
+        where every instance it reaches is fully PS, otherwise the
+        :meth:`apply_out_of_order` cascade, once per correction.  A correction
+        aimed into the retired region is not applied; the rest are, and
+        then :class:`~repro.core.errors.AgedOutError` is raised -- the
+        state a cascade newest first stops in when it reaches the first of
+        them, so a logged batch replays to the same cube.
         """
         points = np.asarray(points, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
@@ -517,13 +519,127 @@ class CubeKernel:
             )
         if deltas.shape != (points.shape[0],):
             raise DomainError("need exactly one delta per point")
+        self._check_historic(int(points[:, 0].max()))
         order = np.argsort(points[:, 0], kind="stable")[::-1]
-        with self._op():
-            for i in order:
-                self.apply_out_of_order(
-                    tuple(int(c) for c in points[i]), int(deltas[i])
-                )
+        points, deltas = points[order], deltas[order]
+        kept = self.land_historic(points, deltas)
+        if kept.any():
+            raise AgedOutError(
+                f"time {int(points[kept][0, 0])} lies in the retired region; "
+                "the correction cannot be applied to freed detail"
+            )
         return int(points.shape[0])
+
+    def check_cells(self, cells: Sequence[Sequence[int]] | np.ndarray) -> None:
+        """Refuse a batch holding a cell outside the slice shape
+        (:class:`~repro.core.errors.DomainError`)."""
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.size and (
+            (cells < 0).any() or (cells >= np.asarray(self.slice_shape)).any()
+        ):
+            raise DomainError(
+                f"batch contains cells outside slice shape {self.slice_shape}"
+            )
+
+    def land_historic(self, points: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Land corrections at times before the latest, given newest first.
+
+        Every cell is checked before anything moves.  A correction aimed
+        into the retired region is kept back; the mask of those is
+        returned.  The rest land in one pass (:meth:`_land_in_one_pass`)
+        when every instance they reach is fully PS -- every historic
+        instance under a snapshot front is a published row -- and
+        otherwise by one :meth:`_cascade` each, newest first: the
+        reproduction kernel's mixed slices and its counted costs.
+        """
+        self.check_cells(points[:, 1:])
+        times = points[:, 0]
+        if self._retired_below:
+            kept = times < self.directory.at_index(self._retired_below)[0]
+        else:
+            kept = np.zeros(times.shape, dtype=bool)
+        live = ~kept
+        with self._op():
+            self._note_mutation()
+            if not live.any():
+                return kept
+            if self._reaches_only_ps(int(times[live].min())):
+                self._land_in_one_pass(points[live], deltas[live])
+            else:
+                for point, delta in zip(points[live].tolist(), deltas[live].tolist()):
+                    self._cascade(point[0], tuple(point[1:]), delta)
+        return kept
+
+    def _reaches_only_ps(self, time: int) -> bool:
+        """Whether every instance a correction at ``time`` or later writes
+        is fully PS: from the floor of ``time`` (a splice clones it), or
+        from the oldest instance a pending lazy copy still owes, up."""
+        store = self.store
+        if store.kind != "dense":
+            return False
+        low = self.directory.floor_index(time)
+        if store.cache.pending:
+            low = min(low, store.cache.min_stamp_index())
+        full = self._num_slice_cells
+        return all(
+            self.directory.at_index(index)[1].ps_count >= full
+            for index in range(max(low, self._retired_below), store.last_index)
+        )
+
+    def _land_in_one_pass(self, points: np.ndarray, deltas: np.ndarray) -> None:
+        """Land live corrections over fully PS instances in one pass.
+
+        Colley's delta summation: one running sum of the corrections,
+        added to every later state.  Each never-occurring time is spliced
+        in once and the rewrite is noted once, at the lowest target.  The
+        whole batch's DDC update sets reach the cache in one scatter; a
+        stale cell's forced copies would land only in PS cells, which take
+        none, so it is just restamped.  Then the instances are walked from
+        the lowest target up with the running delta array and its prefix
+        sums, each added to its instance once (``DenseStore.
+        add_prefix_sums``).  Charged in bulk: the cache's cells read and
+        written, and one write per cell of every instance the walk adds to.
+        """
+        directory, store, shape = self.directory, self.store, self.slice_shape
+        times = points[:, 0]
+        low = int(times.min())
+        floor = directory.floor_index(low)
+        found = floor >= 0 and directory.at_index(floor)[0] == low
+        self._note_rewrite(floor if found else floor + 1)
+        for time in sorted(set(times.tolist()) - set(directory.times()), reverse=True):
+            payload = directory.at_index(self._splice_instance(time))[1]
+            if not payload.ps_count:  # before the first instance: zeros, PS too
+                payload.ps_flags[...] = True
+                payload.ps_count = self._num_slice_cells
+        self.counter.record_fast_op(int(times.shape[0]))
+        cache, last = store.cache, store.last_index
+        flat, sizes = self.fast.ddc_tables.update_flat_sets(points[:, 1:])
+        affected = compiled.sorted_unique(flat)
+        self.counter.read_cells(int(affected.size))
+        cache.bulk_restamp(affected[cache.flat_stamps[affected] < last], last)
+        compiled.scatter_add(cache.flat_values, flat, np.repeat(deltas, sizes))
+        self.counter.write_cells(int(flat.size))
+
+        targets = np.searchsorted(np.asarray(directory.times()), times)
+        order = np.argsort(targets, kind="stable")
+        targets, deltas = targets[order], deltas[order]
+        cells = np.ravel_multi_index(tuple(points[order, 1:].T), shape)
+        first = int(targets[0])
+        stops = np.searchsorted(targets, np.arange(first, last), side="right")
+        running = np.zeros(shape, dtype=np.int64)
+        sums = np.empty_like(running)
+        start = 0
+        for index, stop in zip(range(first, last), stops.tolist()):
+            if stop > start:
+                compiled.scatter_add(
+                    running.reshape(-1), cells[start:stop], deltas[start:stop]
+                )
+                np.cumsum(running, axis=0, out=sums)
+                for axis in range(1, sums.ndim):
+                    np.cumsum(sums, axis=axis, out=sums)
+                start = stop
+            store.add_prefix_sums(directory.at_index(index)[1], sums)
+        self.counter.write_cells((last - first) * self._num_slice_cells)
 
     # -- queries (Figure 9) ---------------------------------------------------------
 
@@ -701,12 +817,7 @@ class CubeKernel:
             raise DomainError(f"unknown execution mode {mode!r}")
         times = points[:, 0]
         cells = points[:, 1:]
-        for axis, size in enumerate(self.slice_shape):
-            column = cells[:, axis]
-            if int(column.min()) < 0 or int(column.max()) >= size:
-                raise DomainError(
-                    f"batch contains cells outside slice shape {self.slice_shape}"
-                )
+        self.check_cells(cells)
         if self.num_times is not None and (
             int(times.min()) < 0 or int(times.max()) >= self.num_times
         ):

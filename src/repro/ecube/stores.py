@@ -365,7 +365,7 @@ class DenseStore(ArrayCacheStore):
 
     kind = "dense"
     #: ``(values, dtype) -> a new array holding them``: where a published
-    #: row and the successor of a promoted one live -- on the heap, or in a
+    #: row and its successors live -- on the heap, or in a
     #: shared-memory block while an :class:`~repro.sharding.shm.
     #: EpochExporter` is attached
     new_row = staticmethod(heap_row)
@@ -453,6 +453,23 @@ class DenseStore(ArrayCacheStore):
             self.counter.write_cells(touched)
             self._promote(payload)
             payload.values[mask] += delta
+
+    def add_prefix_sums(self, payload, sums: np.ndarray) -> None:
+        """Add a one-pass landing's running prefix sums to a fully PS slice.
+
+        A published row is never written: it gets one successor, at the
+        width of its new values, adopted read-only -- the next publication
+        cites it as it stands.  A writable slice (a splice's clone) takes
+        the sum in place.  Either way int64 wraps as a ring, as the
+        cascade's adds do.
+        """
+        values = payload.values
+        if payload.ps_flags is self._all_ps and not values.flags.writeable:
+            values = values + sums
+            self.adopt_row(payload, self.new_row(values, row_dtype(values)))
+        else:
+            self._promote(payload)
+            payload.values += sums
 
     def clone_payload(self, floor_payload) -> DenseSlice:
         """A writable copy of ``floor_payload`` (a splice's new instance):

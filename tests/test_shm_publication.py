@@ -233,21 +233,26 @@ class TestExportCounts:
         before, _ = rig.export()
         # an occurring time corrects instance 4 in place; a never-occurring
         # one is spliced in as a new instance 4, shifting everything above
-        rig.write([7 if splice else 8], apply=rig.snap.apply_out_of_order)
+        rig.write(
+            [7 if splice else 8],
+            apply=lambda point, delta: rig.snap.apply_out_of_order_many(
+                [point], [delta]
+            ),
+        )
         after, created = rig.export()
         old, new = _rows(before), _rows(after)
         historic = len(times) - 1 + splice
         assert sorted(new) == list(range(historic))
         assert [new[i] for i in range(4)] == [old[i] for i in range(4)]
-        # int64 successor rows are born in the cascade, one per promoted
-        # instance; the export re-publishes each at its values' width (and
-        # unlinks it) and sweeps a spliced clone into a row: which rows,
-        # not in which order
+        # the batch lands in one pass: each row it reaches gets one
+        # successor at its values' width, cited as it stands, and the
+        # export sweeps a spliced clone into a row -- every row from 4 up
+        # is made once, and no int64 successor is born to be unlinked
         assert created[-1] == after["frontier"][0]
         successors, published = _split_created(created, historic - 4)
+        assert successors == []
         assert sorted(published) == sorted(new[i] for i in range(4, historic))
-        assert len(successors) == historic - 4 - splice
-        assert not set(successors) & set(leaked_segments())
+        assert sorted(fleet_leaks()) == sorted([*new.values(), created[-1]])
         assert not set(created) & set(old.values())
         _assert_history_is_the_published_rows(rig, after)
         boxes = _boxes(rig)
@@ -267,14 +272,16 @@ class TestExportCounts:
         # 6 occurs (instance 3); 13 and 15 are spliced in above it
         assert len(new) == len(old) + 2
         assert [new[i] for i in range(3)] == [old[i] for i in range(3)]
-        # three cascades, newest first: a slice is promoted by the first one
-        # that reaches it and corrected in place by the others; the export
-        # publishes the rows from 3 up, each at its width, and unlinks the
-        # successors it re-published narrow
+        # one pass, from the oldest correction up: each row the drain
+        # reaches gets one successor at its values' width, cited as it
+        # stands, and the export sweeps the two spliced clones into rows --
+        # every row from 3 up is made once, no int64 successor is born, and
+        # the blocks left are the ones the epoch cites
         assert created[-1] == after["frontier"][0]
         successors, published = _split_created(created, len(new) - 3)
+        assert successors == []
         assert sorted(published) == sorted(new[i] for i in range(3, len(new)))
-        assert successors and not set(successors) & set(leaked_segments())
+        assert sorted(fleet_leaks()) == sorted([*new.values(), created[-1]])
         _assert_history_is_the_published_rows(rig, after)
         boxes = _boxes(rig)
         assert rig.answers(after, boxes) == rig.expected(boxes)
