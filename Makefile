@@ -80,7 +80,11 @@ loc:
 # shard subclass of it (ShardBufferedCube), no private drain or fold
 # (_apply_drained, _fold_retired), no global_order_buffer but the
 # manifest's constant in durability/recovery.py, and no call that drops
-# G_d entries (.prune_below) outside ecube/buffered.py, which folds first.
+# G_d entries (.prune_below) outside ecube/buffered.py, which folds first;
+# and an offset row is rebuilt in one place: no module but its home
+# (ecube/stores.py, concurrent/snapshot.py) and sharding/shm.py reads an
+# anchor's array or an offset array -- every other reader calls
+# stores.row_values (or row_difference).
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -117,4 +121,6 @@ probes:
 	@! grep -rn 'global_order_buffe[r]' src | grep -v \
 		'^src/repro/durability/recovery\.py:[0-9]*: *config\["global_order_buffer"\] = False$$'
 	@! grep -rn '\.prune_belo[w](' src | grep -v '^src/repro/ecube/buffered\.py:'
+	@! grep -rnE '\.(ancho[r]|offse[t])\b' src/repro --include=*.py \
+		--exclude=stores.py --exclude=snapshot.py --exclude=shm.py
 	@echo "probes: none"

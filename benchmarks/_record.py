@@ -129,6 +129,29 @@ def median_quartiles(values) -> dict[str, Any]:
     }
 
 
+def host_fingerprint() -> dict[str, Any]:
+    """What two rows must share before their wall times are compared: the
+    host's CPU and core count and the interpreter and NumPy versions."""
+    import os
+    import platform
+
+    import numpy
+
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as info:
+            models = (line.split(":", 1)[1] for line in info if "model name" in line)
+            cpu = next(models, cpu).strip()
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def load_rows(path: Path | None = None) -> list[dict[str, Any]]:
     """The current (deduped) rows of a trail file."""
     return load_document(path)["rows"]

@@ -21,11 +21,12 @@ in ``BENCH_concurrent.json``.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 import numpy as np
 
-from _record import BENCH_CONCURRENT_FILE, record
+from _record import BENCH_CONCURRENT_FILE, host_fingerprint, median_quartiles, record
 from repro.concurrent import SnapshotCube
 from repro.ecube import compiled
 from repro.ecube.ecube import EvolvingDataCube
@@ -38,6 +39,7 @@ REQUIRED_SPEEDUP = 2.5
 
 
 def _timed(fn):
+    """``(answers, the REPS wall times)``."""
     walls = []
     answers = None
     for _ in range(REPS):
@@ -49,7 +51,7 @@ def _timed(fn):
             walls.append(time.perf_counter() - start)
         finally:
             gc.enable()
-    return answers, min(walls)
+    return answers, walls
 
 
 def test_concurrent_serving_throughput(bench_weather4):
@@ -77,38 +79,43 @@ def test_concurrent_serving_throughput(bench_weather4):
     for box in boxes:
         cube.query(box)
 
-    rows = {}
-    expected, baseline_wall = _timed(
+    timings = {}
+    expected, timings["baseline"] = _timed(
         lambda: [cube.query(box) for box in boxes]
     )
-    rows["baseline"] = baseline_wall
 
     def _serve_per_request():
         with snap.pin() as view:
             return [view.query(box) for box in boxes]
 
-    answers, wall = _timed(_serve_per_request)
+    answers, timings["snapshot"] = _timed(_serve_per_request)
     assert answers == expected
-    rows["snapshot"] = wall
 
     def _serve_batch():
         with snap.pin() as view:
             return view.query_many(boxes)
 
-    answers, wall = _timed(_serve_batch)
+    answers, timings["batch"] = _timed(_serve_batch)
     assert answers == expected
-    rows["batch"] = wall
 
-    for mode, wall in rows.items():
+    # recorded: the median of the runs, with its quartiles; gated, as
+    # before: the best run of each mode
+    medians = {mode: median_quartiles(walls) for mode, walls in timings.items()}
+    host = host_fingerprint()
+    for mode, timing in medians.items():
+        wall = timing.pop("wall_s")
         record(
             "weather4_concurrent_serving", mode, wall, 0,
             path=BENCH_CONCURRENT_FILE, dataset=dataset.name,
             queries=NUM_QUERIES,
             queries_per_s=round(NUM_QUERIES / max(wall, 1e-9)),
-            speedup_vs_baseline=round(rows["baseline"] / max(wall, 1e-9), 2),
-            kernels=compiled.backend_name(),
+            speedup_vs_baseline=round(
+                statistics.median(timings["baseline"]) / max(wall, 1e-9), 2
+            ),
+            kernels=compiled.backend_name(), host=host, **timing,
         )
 
+    rows = {mode: min(walls) for mode, walls in timings.items()}
     speedup = rows["baseline"] / max(rows["batch"], 1e-9)
     assert speedup >= REQUIRED_SPEEDUP, (
         f"batch snapshot serving is only {speedup:.2f}x the metered "

@@ -26,11 +26,12 @@ import time
 
 import numpy as np
 
-from _record import BENCH_OOB_FILE, median_quartiles, record
+from _record import BENCH_OOB_FILE, host_fingerprint, median_quartiles, record
 from repro.concurrent import SnapshotCube
 from repro.core.out_of_order import OutOfOrderBuffer
 from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ecube.stores import OffsetRow
 from repro.metrics import CostCounter
 from repro.workloads.queries import uni_queries
 from repro.workloads.streams import interleave_out_of_order
@@ -198,10 +199,22 @@ def _served_cube(rng) -> SnapshotCube:
     return snap
 
 
+def _row_bytes(snap: SnapshotCube) -> int:
+    """Resident bytes of the published rows: every plain row, offset array
+    and anchor, each array counted once."""
+    arrays = {}
+    for row in snap._rows.values():
+        for array in (row.anchor, row.offset) if isinstance(row, OffsetRow) else (row,):
+            arrays[id(array)] = array.nbytes
+    return sum(arrays.values())
+
+
 def test_served_drain_lands_in_one_pass():
     """A drain on the served front: every historic instance is a
     published row, so the 1 000 corrections land in one pass over the
-    instances and each row they reach is re-published once."""
+    instances and each row they reach is re-published once, under the
+    anchor rule.  ``row_bytes`` is what the published rows hold after the
+    drain."""
     rng = np.random.default_rng(83)
     boxes = [
         Box((t, 0, 0), (SERVED_SLICES - 1, x, 31))
@@ -227,7 +240,8 @@ def test_served_drain_lands_in_one_pass():
         "served_drain", "fast", drain.pop("wall_s"), 0, path=BENCH_OOB_FILE,
         slices=SERVED_SLICES, slice_shape=list(SERVED_SHAPE),
         updates_per_slice=SERVED_PER_SLICE, corrections=SERVED_LATE,
-        ms_per_entry=round(per_entry * 1e3, 5), **drain,
+        ms_per_entry=round(per_entry * 1e3, 5), row_bytes=_row_bytes(snap),
+        host=host_fingerprint(), **drain,
     )
     assert per_entry <= SERVED_DRAIN_CEILING_S, (
         f"served drain: {per_entry * 1e3:.4f} ms per entry"

@@ -1,7 +1,7 @@
 """Snapshot-isolated concurrent reads over the dense cube kernel.
 
 Only :class:`~repro.ecube.stores.DenseStore` has the hooks this module
-uses (``freeze_cache``, ``adopt_row``, ``seal`` and ``new_row``); a
+uses (``freeze_cache``, ``adopt_row``, ``make_row`` and ``new_row``); a
 snapshot over a paged or sparse kernel is refused when it is built
 (:func:`repro.core.front.layers`).
 
@@ -21,10 +21,15 @@ historic, so that nothing a reader holds is ever written:
   last epoch is swept DDC -> PS
   (:func:`~repro.ecube.fastpath._prefix_sum_rows`; a slice holding a
   converted cell whose DDC value is lost is walked cell by cell), stored
-  as a read-only *row* at the narrowest width that holds its values
-  (:func:`~repro.ecube.stores.row_dtype`) and adopted by the store: the
-  slice *is* the row from then on, and what the cache still owed it is
-  void (``sync_copies``).  Then it copies the mutable frontier: the
+  as a read-only *row* and adopted by the store: the slice *is* the row
+  from then on, and what the cache still owed it is void
+  (``sync_copies``).  A row is an *offset row* -- a narrow offset plus
+  the newest anchor row below it, its values ``anchor + offset`` summed
+  in int64 (:class:`~repro.ecube.stores.OffsetRow`) -- where that offset
+  is narrower than the row's values, else a *plain* row, the next
+  anchor; every array at the narrowest width that holds it
+  (:func:`~repro.ecube.stores.row_dtype`, ``DenseStore.make_row``).
+  Then it copies the mutable frontier: the
   cache values (the latest instance's DDC array), the occurring-time
   directory and the ``G_d`` columns.  A copy-on-publish watermark
   (``CubeKernel.epoch_version``) skips all of it when only the buffer
@@ -35,14 +40,17 @@ historic, so that nothing a reader holds is ever written:
 * Readers :meth:`~SnapshotCube.pin` an epoch and answer without locks:
   every historic instance is a row nobody writes, the latest one the
   epoch's own copy of the cache.
-* A correction or splice never writes a row either.  A batch (a drain)
-  lands in one pass and gives each row it reaches one *successor* at the
-  width of its new values (``new_row`` again), adopted read-only; a single
-  correction's cascade promotes the row copy-on-write into an int64
-  successor.  The next publication seals the successor (a promoted one
-  re-narrowed when its values fit a narrower width) or sweeps its slice
-  anew.  The kernel names the first instance whose content moves
-  (:meth:`SnapshotCube.note_rewrite`); retirement only drops rows.
+* A correction or splice never writes a row either.  Corrections land
+  in one pass (a drain's batch, or a single one), which re-publishes
+  each row it reaches under the same rule (``DenseStore.landing``): an
+  anchor takes a new array, an offset row over it whose offset did not
+  move keeps its own; a spliced instance shares its floor's row until
+  then.  A cascade (a batch reaching an instance not yet published)
+  promotes rows copy-on-write into int64 heap copies, which the next
+  publication sweeps into rows anew.  The kernel names the first
+  instance whose content moves (:meth:`SnapshotCube.note_rewrite`);
+  retirement only drops rows (an anchor stays while a row over it
+  does).
 
 Single-writer discipline: all mutating calls must come from one thread
 (the same discipline the WAL already imposes); the front forwards the
@@ -72,7 +80,7 @@ from repro.ecube.fastpath import (
     slice_state,
     stacked_query_many,
 )
-from repro.ecube.stores import row_dtype
+from repro.ecube.stores import anchor_of, row_values
 
 #: Historic instances normalized per sweep when many are published at
 #: once (a restored checkpoint's first epoch): bounds the transient stack.
@@ -120,7 +128,7 @@ class Epoch:
         retired_below: int,
         slice_shape: tuple[int, ...],
         cache_values: np.ndarray | None,
-        rows: dict[int, np.ndarray],
+        rows: dict,
         gd_points: np.ndarray | None,
         gd_deltas: np.ndarray | None,
     ) -> None:
@@ -133,7 +141,8 @@ class Epoch:
         self.slice_shape = slice_shape
         #: the latest instance's DDC array
         self.cache_values = cache_values
-        #: instance index -> its read-only prefix-sum row: every historic
+        #: instance index -> its read-only prefix-sum row (plain, or an
+        #: :class:`~repro.ecube.stores.OffsetRow`): every historic
         #: instance's published row, and the epoch-latest instance's once a
         #: reader swept it (memoized for the epochs of one kernel version,
         #: which share the dict)
@@ -330,7 +339,7 @@ class SnapshotCube:
         self._pinned: set[Epoch] = set()
         #: instance index -> the row it is published as, for every historic
         #: instance the kernel holds detail of
-        self._rows: dict[int, np.ndarray] = {}
+        self._rows: dict = {}
         self._rewritten_from: int | None = None
         self.kernel._epoch_sink = self
         self.publish()
@@ -416,26 +425,26 @@ class SnapshotCube:
         allocator and publish an epoch that cites them (an allocator was
         just attached: :class:`~repro.sharding.shm.EpochExporter`)."""
         if self._rows:
-            for index, row in list(self._rows.items()):
-                self._adopt(index, row)
+            for index, row in sorted(self._rows.items()):
+                self._adopt(index, row_values(row))
             self.kernel.epoch_version += 1  # what the epoch cites moved
             self.publish()
 
     # -- finishing history -----------------------------------------------------
 
     def _finish_history(self) -> None:
-        """Publish every historic instance that has no row yet.
+        """Publish every historic instance that has no row yet, oldest first.
 
         On the writer thread between operations.  Rows below the
         retirement boundary and rows whose content moved
-        (:meth:`note_rewrite`) are dropped first.  A successor row still
-        fully PS -- a one-pass landing's, already at its width, or a
-        cascade's promoted int64 copy -- is sealed and cited as it stands,
-        or re-published narrow when its values fit a narrower width;
-        every other instance (newly historic, spliced in, restored
-        from an archive) is swept into a row.  Then every historic slice
-        is its row, and what the cache still owed them is void: nothing
-        is copied, stamps advance.
+        (:meth:`note_rewrite`) are dropped first.  A row a one-pass landing
+        published (``DenseStore.landing``) is cited as it stands; every
+        other instance -- newly historic, spliced in, restored from an
+        archive, or a cascade's promoted int64 copy -- is swept into its
+        prefix sums (a fully PS slice is its own) and published under the
+        anchor rule (:meth:`_adopt`).  Then every historic slice is its row,
+        and what the cache still owed them is void: nothing is copied,
+        stamps advance.
         """
         kernel = self.kernel
         store = kernel.store
@@ -443,37 +452,34 @@ class SnapshotCube:
         rewritten, self._rewritten_from = self._rewritten_from, None
         keep_below = stop if rewritten is None else rewritten
         self._rows = {i: row for i, row in self._rows.items() if first <= i < keep_below}
-        sweep = []
-        for index in range(first, stop):
-            if index in self._rows:
-                continue
-            _, payload = kernel.directory.at_index(index)
-            if not store.seal(payload):
-                sweep.append(index)
-            elif row_dtype(payload.values) == payload.values.dtype:
-                self._rows[index] = payload.values
-            else:
-                self._adopt(index, payload.values)
-        for start in range(0, len(sweep), _ROWS_PER_SWEEP):
-            chunk = np.asarray(sweep[start : start + _ROWS_PER_SWEEP])
+        pending = [index for index in range(first, stop) if index not in self._rows]
+        for start in range(0, len(pending), _ROWS_PER_SWEEP):
+            chunk = pending[start : start + _ROWS_PER_SWEEP]
+            payloads = [kernel.directory.at_index(index)[1] for index in chunk]
+            swept = [i for i, p in zip(chunk, payloads) if not store.published(p)]
             states = [
-                slice_state(*kernel.directory.at_index(int(index))[1].data())
-                for index in chunk
+                slice_state(*kernel.directory.at_index(i)[1].data()) for i in swept
             ]
-            rows = _prefix_sum_rows(self, chunk, states)
-            for index, row, (_, values, flags) in zip(chunk.tolist(), rows, states):
+            rows = _prefix_sum_rows(self, np.array(swept, dtype=np.int64), states)
+            swept_rows = dict(zip(swept, zip(rows, states)))
+            for index, payload in zip(chunk, payloads):
+                if index not in swept_rows:  # a landing's row, as it stands
+                    self._rows[index] = payload.values
+                    continue
+                row, (_, values, flags) = swept_rows[index]
                 if row is None:
                     row = self._walked_row(index, values, flags)
-                if index not in self._rows:  # stored as PS, or just walked
-                    self._adopt(index, row)
+                self._adopt(index, row)
         store.sync_copies()
 
     def _adopt(self, index: int, values: np.ndarray) -> None:
-        """Publish ``values`` as instance ``index``'s row: a new array from
-        the store's allocator at the width of its values, read-only, the
-        slice from now on."""
+        """Publish ``values`` as instance ``index``'s row, read-only, the
+        slice from now on: an offset from the newest anchor below it (the
+        row of ``index - 1``'s, if that row is published) where the offset
+        is narrower, else plain (``DenseStore.make_row``)."""
         store = self.kernel.store
-        row = store.new_row(values, row_dtype(values))
+        below = self._rows.get(index - 1)
+        row = store.make_row(values, None if below is None else anchor_of(below))
         store.adopt_row(self.kernel.directory.at_index(index)[1], row)
         self._rows[index] = row
 
@@ -516,7 +522,7 @@ class SnapshotCube:
         return self.kernel.store.cache_views()
 
     def normalised(self, index: int, ps_row: np.ndarray) -> None:
-        self._adopt(index, ps_row)
+        pass  # _finish_history publishes the swept rows, oldest first
 
     # -- pinning -------------------------------------------------------------
 

@@ -291,8 +291,13 @@ class BufferedEvolvingDataCube:
             raise DomainError(f"unknown execution mode {mode!r}")
         results = self.cube.query_many(corners, mode="fast")
         if len(self.buffer):
+            # in int64, a ring, as the kernel's and a pinned epoch's reads
+            # add: a Python sum would leave int64 once the two parts wrap
             contributions = self.buffer.range_sum_many(corners)
-            results = [r + c for r, c in zip(results, contributions)]
+            results = (
+                np.asarray(results, dtype=np.int64)
+                + np.asarray(contributions, dtype=np.int64)
+            ).tolist()
         return results
 
     def total(self) -> int:

@@ -64,6 +64,7 @@ import numpy as np
 from repro.core.errors import AgedOutError, DomainError
 from repro.core.types import Box, clip_cells
 from repro.ecube import compiled
+from repro.ecube.stores import gather_rows
 from repro.metrics import CostCounter
 from repro.preagg.ddc import DDCTechnique
 from repro.preagg.term_tables import (
@@ -379,8 +380,9 @@ def stacked_query_many(
     prefix-sum array (:func:`_prefix_sum_rows`); the ``2^(d-1)`` corner
     cells of all (instance, box, sign) jobs are located at once
     (:func:`_corner_terms`), read with one gather per touched instance
-    straight from where its array lives, and accumulated with one
-    signed ``np.add.at``.
+    straight from where its array lives (and one per anchor an offset row
+    shares with its neighbours: :func:`~repro.ecube.stores.gather_rows`),
+    and accumulated with one signed ``np.add.at``.
 
     With a ``counter``, reads are charged per box in closed form,
     identical to per-box term gathers: PS slices bill
@@ -399,11 +401,11 @@ def stacked_query_many(
     rows = _prefix_sum_rows(source, touched, states)
     offsets, signs = _corner_terms(lowers[job_boxes], uppers[job_boxes], shape)
     cells = np.zeros_like(offsets)
+    gather_rows(rows, offsets, bounds, cells)
     for group, row in enumerate(rows):
-        jobs = slice(bounds[group], bounds[group + 1])
         if row is not None:
-            cells[jobs] = row.reshape(-1)[offsets[jobs]]
             continue
+        jobs = slice(bounds[group], bounds[group + 1])
         _, values, flags = states[group]
         for i, sign in zip(job_boxes[jobs], job_signs[jobs]):
             results[i] += sign * _box_on_unrecoverable_slice(

@@ -216,8 +216,8 @@ class CubeKernel:
         Out-of-order corrections and splices are the only operations that
         change what historic instances answer; ``index`` is the first one
         whose content changes -- they reach it and every instance above.
-        No published row is written (a correction gives it a successor);
-        the front re-publishes the rows from ``index`` on.
+        No published row is written (a correction re-publishes it); the
+        front re-publishes the rows from ``index`` on.
         """
         sink = self._epoch_sink
         if sink is not None:
@@ -369,7 +369,10 @@ class CubeKernel:
     # -- out-of-order corrections (Section 2.5 drain target) ---------------------
 
     def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
-        """Apply a historic update directly, cascading through the slices.
+        """Apply a historic update directly: a one-row batch of
+        :meth:`land_historic`, which lands it in one pass where every
+        instance it reaches is fully PS and cascades it through the slices
+        otherwise (:meth:`_cascade`).
 
         This is the expensive operation the ``G_d`` buffer defers: a delta
         at TT-coordinate ``u`` must reach every cumulative instance with
@@ -396,10 +399,15 @@ class CubeKernel:
             raise DomainError(f"point arity {len(point)} != {self.ndim}")
         time, cell = point[0], point[1:]
         self._check_cell(cell)
-        delta = int(delta)
         self._check_historic(time)
-        with self._op():
-            self._cascade(time, cell, delta)
+        kept = self.land_historic(
+            np.array([point], dtype=np.int64), np.array([int(delta)], dtype=np.int64)
+        )
+        if kept[0]:
+            raise AgedOutError(
+                f"time {time} lies in the retired region; the correction "
+                "cannot be applied to freed detail"
+            )
 
     def _check_historic(self, time: int) -> None:
         if not self.directory:
@@ -596,9 +604,10 @@ class CubeKernel:
         stale cell's forced copies would land only in PS cells, which take
         none, so it is just restamped.  Then the instances are walked from
         the lowest target up with the running delta array and its prefix
-        sums, each added to its instance once (``DenseStore.
-        add_prefix_sums``).  Charged in bulk: the cache's cells read and
-        written, and one write per cell of every instance the walk adds to.
+        sums, each added to its instance once (``DenseStore.landing``: a
+        published row is re-published under the anchor rule).  Charged in
+        bulk: the cache's cells read and written, and one write per cell of
+        every instance the walk adds to.
         """
         directory, store, shape = self.directory, self.store, self.slice_shape
         times = points[:, 0]
@@ -609,8 +618,11 @@ class CubeKernel:
         for time in sorted(set(times.tolist()) - set(directory.times()), reverse=True):
             payload = directory.at_index(self._splice_instance(time))[1]
             if not payload.ps_count:  # before the first instance: zeros, PS too
-                payload.ps_flags[...] = True
-                payload.ps_count = self._num_slice_cells
+                if store.published(directory.at_index(1)[1]):  # a row, as above
+                    store.adopt_row(payload, store.make_row(payload.values, None))
+                else:
+                    payload.ps_flags[...] = True
+                    payload.ps_count = self._num_slice_cells
         self.counter.record_fast_op(int(times.shape[0]))
         cache, last = store.cache, store.last_index
         flat, sizes = self.fast.ddc_tables.update_flat_sets(points[:, 1:])
@@ -628,9 +640,13 @@ class CubeKernel:
         stops = np.searchsorted(targets, np.arange(first, last), side="right")
         running = np.zeros(shape, dtype=np.int64)
         sums = np.empty_like(running)
+        landing = store.landing(
+            directory.at_index(first - 1)[1] if first > self._retired_below else None
+        )
         start = 0
         for index, stop in zip(range(first, last), stops.tolist()):
-            if stop > start:
+            changed = stop > start
+            if changed:
                 compiled.scatter_add(
                     running.reshape(-1), cells[start:stop], deltas[start:stop]
                 )
@@ -638,7 +654,7 @@ class CubeKernel:
                 for axis in range(1, sums.ndim):
                     np.cumsum(sums, axis=axis, out=sums)
                 start = stop
-            store.add_prefix_sums(directory.at_index(index)[1], sums)
+            landing.add(directory.at_index(index)[1], sums, changed)
         self.counter.write_cells((last - first) * self._num_slice_cells)
 
     # -- queries (Figure 9) ---------------------------------------------------------

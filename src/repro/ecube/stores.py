@@ -14,7 +14,8 @@ conversion, out-of-order corrections and aging.
 a counted cell access -- is the store the served system runs: the only
 one a ``G_d`` buffer, a log, snapshot epochs, tiers or shards sit over
 (:func:`repro.core.front.layers`), and the only one with the serving
-hooks (checkpoint arrays, the cache freeze, adopting a published row).  The
+hooks (checkpoint arrays, the cache freeze, publishing and adopting
+rows: plain, or a narrow offset from an anchor row, :class:`OffsetRow`).  The
 paper's other two configurations are cost models used as bare kernels:
 ``PagedStore`` (:mod:`repro.ecube.disk`) and ``SparseStore``
 (:mod:`repro.ecube.sparse`).  The golden-cost suite pins the dense
@@ -71,6 +72,106 @@ def heap_row(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """A new heap array holding ``values`` as ``dtype`` (the default
     :attr:`DenseStore.new_row`)."""
     return values.astype(dtype)
+
+
+# -- published rows --------------------------------------------------------------
+
+
+class OffsetRow:
+    """A published row stored as a narrow offset from an anchor row.
+
+    Its values are ``anchor + offset``, summed in int64: a ring, so the
+    offset of a row whose prefix sums wrapped wraps too and the sum wraps
+    back.  ``anchor`` is a plain published row, shared by the offset rows
+    over it; ``offset`` is at the narrowest width holding it.  Two
+    consecutive cumulative instances differ by a few slices of updates, so
+    the offset is mostly far narrower than the row (:meth:`DenseStore.
+    make_row` says when a row is stored so).  Both arrays are read-only.
+    """
+
+    __slots__ = ("anchor", "offset")
+
+    def __init__(self, anchor: np.ndarray, offset: np.ndarray) -> None:
+        self.anchor = anchor
+        self.offset = offset
+
+    def __repr__(self) -> str:
+        return f"OffsetRow({self.anchor.dtype} anchor, {self.offset.dtype} offset)"
+
+
+def anchor_of(row) -> np.ndarray:
+    """The anchor a row published above ``row`` is an offset from: the
+    row itself when plain, else its own anchor."""
+    return row.anchor if isinstance(row, OffsetRow) else row
+
+
+def row_values(row, cells=None) -> np.ndarray:
+    """A published row's values: every cell, in the row's shape, or the
+    cells at the flat indices ``cells``.
+
+    With :func:`gather_rows` and :func:`row_difference`, the way a reader
+    outside the stores and the publication layers reads a row.  A plain
+    row reads at its own width (the caller widens, where it gathers); an
+    offset row is the int64 sum of two reads, its anchor's and its
+    offset's.
+    """
+    if not isinstance(row, OffsetRow):
+        return row if cells is None else row.reshape(-1)[cells]
+    anchor, offset = row.anchor, row.offset
+    if cells is not None:
+        anchor, offset = anchor.reshape(-1)[cells], offset.reshape(-1)[cells]
+    return np.add(anchor, offset, dtype=np.int64)
+
+
+def gather_rows(
+    rows: list, cells: np.ndarray, bounds: np.ndarray, out: np.ndarray
+) -> None:
+    """``out[bounds[g]:bounds[g + 1]]`` = the values of published row
+    ``rows[g]`` at the flat indices ``cells[bounds[g]:bounds[g + 1]]``, in
+    int64, for every ``rows[g]`` that is not ``None``.
+
+    One gather per row; a run of consecutive offset rows on one anchor
+    reads the anchor once for the whole run, so an anchored history costs
+    one more gather per anchor, not per row."""
+    run = None  # (anchor, first job) of the run the last row continued
+
+    def close(stop: int) -> None:
+        anchor, start = run
+        out[start:stop] += anchor.reshape(-1)[cells[start:stop]]
+
+    for group, row in enumerate(rows):
+        start, stop = int(bounds[group]), int(bounds[group + 1])
+        if run is not None and not (
+            isinstance(row, OffsetRow) and row.anchor is run[0]
+        ):
+            close(start)
+            run = None
+        if row is None:
+            continue
+        if isinstance(row, OffsetRow):
+            if run is None:
+                run = (row.anchor, start)
+            row = row.offset
+        out[start:stop] = row.reshape(-1)[cells[start:stop]]
+    if run is not None:
+        close(int(bounds[len(rows)]))
+
+
+def row_difference(upper, lower, out: np.ndarray) -> np.ndarray:
+    """``out`` = ``upper - lower`` of two published rows, in int64 (``None``
+    reads as zeros).  Two offset rows over one anchor differ by their
+    offsets alone: the anchor is never read."""
+    if (
+        isinstance(upper, OffsetRow)
+        and isinstance(lower, OffsetRow)
+        and upper.anchor is lower.anchor
+    ):
+        return np.subtract(upper.offset, lower.offset, out=out, dtype=np.int64)
+    out[...] = 0
+    for combine, row in ((np.add, upper), (np.subtract, lower)):
+        if row is not None:
+            combine(out, row_values(row), out=out)
+    return out
 
 
 # -- slice payloads ------------------------------------------------------------
@@ -364,8 +465,8 @@ class DenseStore(ArrayCacheStore):
     """In-memory ndarray slices; every touch is a counted cell access."""
 
     kind = "dense"
-    #: ``(values, dtype) -> a new array holding them``: where a published
-    #: row and its successors live -- on the heap, or in a
+    #: ``(values, dtype) -> a new array holding them``: where published
+    #: rows, offsets and anchors live -- on the heap, or in a
     #: shared-memory block while an :class:`~repro.sharding.shm.
     #: EpochExporter` is attached
     new_row = staticmethod(heap_row)
@@ -381,50 +482,77 @@ class DenseStore(ArrayCacheStore):
 
     # -- slice primitives ------------------------------------------------------
 
-    def adopt_row(self, payload, row: np.ndarray) -> None:
+    def published(self, payload) -> bool:
+        """Is the slice a published row (adopted read-only, fully PS)?"""
+        values = payload.values
+        return isinstance(values, OffsetRow) or (
+            values is not None
+            and not values.flags.writeable
+            and payload.ps_flags is self._all_ps
+        )
+
+    def adopt_row(self, payload, row) -> None:
         """The published prefix-sum ``row`` becomes the slice, read-only:
         complete and fully PS from here on -- historic content is final, so
         no lazy copy or conversion finds a cell to write -- and off the heap.
 
-        ``row`` may be narrower than int64 (a row is published at the width
-        of its values): a slice is narrow only while it is read-only, and
-        every path that makes it writable widens it to int64 once
-        (:meth:`_promote`, :meth:`clone_payload`, :meth:`restore_slice`)."""
-        row.flags.writeable = False
+        ``row`` is plain (at the width of its values) or an
+        :class:`OffsetRow`: a slice is narrow or anchored only while it is
+        read-only, and every path that makes it writable materializes it in
+        int64 once (:meth:`_promote`, :meth:`restore_slice`)."""
+        (row.offset if isinstance(row, OffsetRow) else row).flags.writeable = False
         payload.values, payload.ps_flags = row, self._all_ps
         payload.ps_count = self.kernel._num_slice_cells
 
-    def seal(self, payload) -> bool:
-        """Make a promoted slice immutable again if it is still fully PS:
-        its successor row is then what an adopted row is, citable as it is."""
-        if payload.ps_flags is not self._all_ps:
-            return False
-        payload.values.flags.writeable = False
-        return True
+    def make_row(self, values: np.ndarray, anchor, offset=None):
+        """The row publishing ``values``, under the anchor rule.
+
+        An :class:`OffsetRow` over ``anchor`` (the newest anchor below the
+        row) when the offset ``values - anchor`` is narrower than the
+        values themselves; else a plain row at the values' width, the
+        newest anchor from here up.  ``offset``, when given, is an offset
+        array already holding ``values - anchor``: it is reused, not
+        re-created.  Every new array comes from :attr:`new_row`.
+        """
+        own = row_dtype(values)
+        if anchor is not None:
+            if offset is None:
+                difference = np.subtract(values, anchor, dtype=np.int64)
+                width = row_dtype(difference)
+            else:
+                width = offset.dtype
+            if width.itemsize < own.itemsize:
+                if offset is None:
+                    offset = self.new_row(difference, width)
+                return OffsetRow(anchor, offset)
+        return self.new_row(values, own)
 
     def _promote(self, payload) -> None:
-        """Copy-on-write for a slice held in read-only memory.
+        """Copy-on-write for a slice held in read-only memory: one int64
+        heap copy, whatever the width or layout of what it was copied
+        from -- the copy is the one materialization.
 
-        A restored slice reads off mmap views of the checkpoint archive:
-        heap-copied, so the archive is never written through.  An adopted
-        slice is a published row that epochs cite: a correction writes
-        into its *successor* (:attr:`new_row`), which the next
-        publication seals and cites (or re-publishes narrow); the flags of
-        a fully PS slice are never written, so they stay the shared array.
-        Either way the writable copy is int64, whatever the width of the
-        row it was copied from: the copy is the one widening.
+        A restored slice reads off mmap views of the checkpoint archive, so
+        the archive is never written through.  An adopted slice is a
+        published row that epochs cite: a correction writes into the copy,
+        which the next publication publishes anew; the flags of a fully PS
+        slice are never written, so they stay the shared array.
         """
         values = payload.values
-        if values is None or values.flags.writeable:
+        if values is None or (
+            not isinstance(values, OffsetRow) and values.flags.writeable
+        ):
             return
-        if payload.ps_flags is self._all_ps:
-            payload.values = self.new_row(values, np.dtype(np.int64))
-        else:
-            payload.values = values.astype(np.int64)
+        payload.values = np.array(row_values(values), dtype=np.int64)
+        if payload.ps_flags is not self._all_ps:
             payload.ps_flags = payload.ps_flags.copy()
 
     def slice_peek(self, payload, cell) -> int:
-        return int(payload.values[cell])
+        values = payload.values
+        if isinstance(values, OffsetRow):
+            flat = np.ravel_multi_index(cell, values.offset.shape)
+            return int(row_values(values, [flat])[0])
+        return int(values[cell])
 
     def copy_write(self, payload, cell, value: int) -> None:
         self.counter.write_cells()
@@ -454,28 +582,22 @@ class DenseStore(ArrayCacheStore):
             self._promote(payload)
             payload.values[mask] += delta
 
-    def add_prefix_sums(self, payload, sums: np.ndarray) -> None:
-        """Add a one-pass landing's running prefix sums to a fully PS slice.
-
-        A published row is never written: it gets one successor, at the
-        width of its new values, adopted read-only -- the next publication
-        cites it as it stands.  A writable slice (a splice's clone) takes
-        the sum in place.  Either way int64 wraps as a ring, as the
-        cascade's adds do.
-        """
-        values = payload.values
-        if payload.ps_flags is self._all_ps and not values.flags.writeable:
-            values = values + sums
-            self.adopt_row(payload, self.new_row(values, row_dtype(values)))
-        else:
-            self._promote(payload)
-            payload.values += sums
+    def landing(self, below) -> "Landing":
+        """The walk of one one-pass landing over fully PS slices, oldest
+        first; ``below`` is the slice under the first one it reaches (or
+        ``None``)."""
+        return Landing(self, below)
 
     def clone_payload(self, floor_payload) -> DenseSlice:
-        """A writable copy of ``floor_payload`` (a splice's new instance):
-        int64, also when the floor is a narrow published row."""
+        """A copy of ``floor_payload`` (a splice's new instance, whose
+        content is its floor's).  A published floor row is shared as it
+        stands, anchor and all, until a write promotes the clone; any other
+        floor is copied, int64 and writable."""
         payload = self.new_slice()
         if floor_payload is not None:
+            if self.published(floor_payload):
+                self.adopt_row(payload, floor_payload.values)
+                return payload
             floor_values, floor_flags = floor_payload.data()
             payload.values = floor_values.astype(np.int64)
             payload.ps_flags = floor_flags.copy()
@@ -485,11 +607,18 @@ class DenseStore(ArrayCacheStore):
     # -- durable snapshots (checkpoint machinery) ------------------------------
 
     def snapshot_slice(self, payload, index: int, arrays: dict) -> None:
+        """A slice's arrays in a checkpoint: an offset row materialized at
+        the width of its values, as a plain row of the same values is
+        stored, so an archive does not depend on the layout."""
         if payload.retired:
             arrays[f"slice_{index}_retired"] = np.array([1])
-        else:
-            arrays[f"slice_{index}_values"] = payload.values
-            arrays[f"slice_{index}_flags"] = payload.ps_flags
+            return
+        values = payload.values
+        if isinstance(values, OffsetRow):
+            values = row_values(values)
+            values = values.astype(row_dtype(values), copy=False)
+        arrays[f"slice_{index}_values"] = values
+        arrays[f"slice_{index}_flags"] = payload.ps_flags
 
     def restore_slice(self, index: int, arrays) -> DenseSlice:
         """A checkpointed slice: int64 values, read-only archive views
@@ -558,7 +687,10 @@ class DenseStore(ArrayCacheStore):
         """Resident bytes of one slice payload (0 once retired)."""
         if payload.retired:
             return 0
-        return payload.values.nbytes + payload.ps_flags.nbytes
+        values = payload.values
+        if isinstance(values, OffsetRow):  # the anchor is its own slice's
+            values = values.offset
+        return values.nbytes + payload.ps_flags.nbytes
 
     # -- fast-engine views -----------------------------------------------------
 
@@ -585,3 +717,57 @@ class DenseStore(ArrayCacheStore):
         self._promote(payload)
         payload.values.reshape(-1)[writable] = values
         self.counter.write_cells(int(writable.size))
+
+
+class Landing:
+    """One one-pass landing's walk over fully PS slices, oldest first.
+
+    The kernel hands each slice the landing reaches the running prefix
+    sums of the corrections at or below it (Colley's delta summation);
+    :meth:`add` adds them.  A writable slice (a bare kernel's) takes them
+    in place.  A published row gets its new values published under the
+    anchor rule (:meth:`DenseStore.make_row`) against the newest anchor of
+    the new layout below it, so the rows a landing leaves are the rows a
+    publication of the same values would make.  An anchor takes
+    ``anchor + sums``; an offset row over it whose running sums have not
+    changed since the anchor's keeps its offset array, since ``(anchor +
+    s) + offset`` is its new value -- only rows whose offsets change get
+    a new array.
+    """
+
+    def __init__(self, store: DenseStore, below) -> None:
+        self.store = store
+        #: the newest anchor below the next row, in the new layout
+        self.anchor = (
+            anchor_of(below.values)
+            if below is not None and store.published(below)
+            else None
+        )
+        #: the old plain row ``anchor`` re-publishes, if it does
+        self.replaced = None
+        #: how many times the running sums changed, in all and by the anchor
+        self.changes = self.anchor_changes = 0
+
+    def add(self, payload, sums: np.ndarray, changed: bool) -> None:
+        """Add ``sums`` to one slice; ``changed`` says whether they moved
+        since the slice below."""
+        store = self.store
+        self.changes += changed
+        if not store.published(payload):
+            store._promote(payload)
+            payload.values += sums  # int64 wraps as a ring, as cascades do
+            return
+        row = payload.values
+        kept = None
+        if (
+            isinstance(row, OffsetRow)
+            and row.anchor is self.replaced
+            and self.changes == self.anchor_changes
+        ):
+            kept = row.offset
+        values = sums + row_values(row)
+        new = store.make_row(values, self.anchor, kept)
+        store.adopt_row(payload, new)
+        if not isinstance(new, OffsetRow):
+            self.anchor, self.anchor_changes = new, self.changes
+            self.replaced = None if isinstance(row, OffsetRow) else row

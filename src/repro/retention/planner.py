@@ -53,6 +53,7 @@ from repro.core.types import Box, box_array, clip_cells
 from repro.durability.wal import LOGGED
 from repro.ecube.compiled import run_starts
 from repro.ecube.fastpath import _corner_terms
+from repro.ecube.stores import row_values
 from repro.retention.tiers import TierPolicy, RollupTier
 from repro.retention.tiles import TileStore
 
@@ -159,7 +160,7 @@ class TieredCube:
             self._finalize_slice(kernel, index, int(occurring))
             values, _ = kernel.store.slice_views(payload)
             times.append(int(occurring))
-            slices.append(np.array(values, dtype=np.int64))
+            slices.append(np.array(row_values(values), dtype=np.int64))
         demoted_through = int(kernel.directory.at_index(boundary)[0])
         if times:
             stack = np.stack(slices)

@@ -12,26 +12,29 @@ What is published
 A historic instance's *content* is final the moment a newer time occurs
 (Section 2), and every :class:`~repro.concurrent.snapshot.SnapshotCube`
 publishes it once, as a finished prefix-sum *row*: swept when it becomes
-historic, stored at the narrowest signed width that holds its values
-(:func:`~repro.ecube.stores.row_dtype`), read-only, and adopted by the
-store as the slice itself.  An attached :class:`EpochExporter` only
-decides where rows live: it is the store's row allocator
-(``DenseStore.new_row``), so
+historic, read-only, and adopted by the store as the slice itself: a
+plain row, or an offset row -- a narrow offset from the newest anchor
+row below it, its values ``anchor + offset`` in int64 -- where that
+offset is narrower than the values (``DenseStore.make_row``); every
+array at the narrowest signed width that holds it
+(:func:`~repro.ecube.stores.row_dtype`).  An attached
+:class:`EpochExporter` only decides where rows live: it is the store's
+row allocator (``DenseStore.new_row``), so
 
-* one *row block* holds each historic instance's row, and the cube's
-  slice is a read-only view of it -- the rows the cube published before
-  the exporter was attached are moved into blocks then.  The block's
-  meta carries the dtype; every reader widens to int64 where it gathers
-  (the batch evaluator's corner buffer is int64), never computing on a
-  narrow array.  :meth:`EpochExporter._row` is the one place a row block
-  is created.
-* a correction's *successor row* (an adopted row promoted copy-on-write,
-  int64 because it is written in place) is a block too; the next
-  publication seals it -- cited as it stands when its values still need
-  int64, else re-published at their width.  A row is replaced only when
-  its content moves: an out-of-order correction or splice reaching
-  instance ``i`` replaces the rows at and above ``i``; retirement only
-  drops rows.
+* one *row block* holds each plain row and each offset array, and the
+  cube's slice is a read-only view of it -- the rows the cube published
+  before the exporter was attached are moved into blocks then.  The
+  block's meta carries the dtype; every reader widens to int64 where it
+  gathers (the batch evaluator's corner buffer is int64), never
+  computing on a narrow array.  :meth:`EpochExporter._row` is the one
+  place a row block is created.
+* an exported slice entry names its row's own block (the plain row, or
+  the offset), and the descriptor's ``anchors`` name the anchor block of
+  each offset row; an anchor block stays while a row over it is cited,
+  also when the anchor's own instance was retired.  A row is replaced
+  only when its content moves: a correction or splice reaching instance
+  ``i`` re-publishes the rows at and above ``i`` (an offset row whose
+  offset did not move keeps its block); retirement only drops rows.
 * one *frontier block* per epoch holds the occurring-time directory, the
   frozen cache values (the latest instance's DDC array) and the ``G_d``
   columns.
@@ -51,10 +54,10 @@ an array aliases it (an adopted slice, a pinned epoch's row): one
 mapping -- before Python 3.13 one descriptor -- per resident row, as in
 the attaching process.  It is the writable mapping the block was filled
 through: the owner's rows are immutable by numpy's ``writeable`` flag,
-set by the store alone (``adopt_row``, ``seal``), not by page
-protection.  Attaching processes never unlink -- they map read-only and
-unmap.  What a killed owner leaves behind is found by name: every block
-carries its owner's pid, :func:`unlink_orphaned` removes the blocks of
+set by the store alone (``adopt_row``), not by page protection.
+Attaching processes never unlink -- they map read-only and unmap.  What
+a killed owner leaves behind is found by name: every block carries its
+owner's pid, :func:`unlink_orphaned` removes the blocks of
 dead owners and :meth:`ShardedCube.close` sweeps its workers' prefixes.
 """
 
@@ -70,7 +73,7 @@ import numpy as np
 
 from repro.concurrent.snapshot import Epoch
 from repro.core.errors import StorageError
-from repro.ecube.stores import heap_row
+from repro.ecube.stores import OffsetRow, heap_row
 
 #: Every block name starts with this; tests sweep ``/dev/shm`` for it.
 SHM_PREFIX = "repro-ecube"
@@ -335,12 +338,22 @@ class EpochExporter:
             return self._last
         historic = range(epoch.retired_below, max(epoch.num_slices - 1, 0))
         rows = [epoch.rows[index] for index in historic]
-        # rows that left the cube's history, and successors it re-published
-        cited = {id(row) for row in rows}
+        # an offset row is its offset array plus its anchor's block
+        own = [row.offset if isinstance(row, OffsetRow) else row for row in rows]
+        anchored = [
+            (index, row.anchor)
+            for index, row in zip(historic, rows)
+            if isinstance(row, OffsetRow)
+        ]
+        # rows that left the cube's history, and rows it re-published
+        cited = {id(array) for array in own} | {id(anchor) for _, anchor in anchored}
         for key in [key for key in self._held if key not in cited]:
             self.owner.decref(self._held.pop(key)[0])
-        slices = [(index, *self._held[id(row)][:2]) for index, row in zip(historic, rows)]
-        names = [name for _, name, _ in slices]
+        slices = [
+            (index, *self._held[id(array)][:2]) for index, array in zip(historic, own)
+        ]
+        anchors = {index: self._held[id(anchor)][:2] for index, anchor in anchored}
+        names = [name for _, name, _ in slices] + [name for name, _ in anchors.values()]
         for name in names:
             self.owner.incref(name)
         frontier: dict[str, np.ndarray] = {"times": epoch.times}
@@ -361,13 +374,14 @@ class EpochExporter:
             "slice_shape": epoch.slice_shape,
             "frontier": frontier_block,
             "slices": slices,
+            "anchors": anchors,
         }
         return self._last
 
     def _row(self, values: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """The store's row allocator while attached: a new row block holding
-        ``values`` as ``dtype`` -- int64 for a successor the store writes,
-        else its values' width.  The only creator of row blocks."""
+        ``values`` as ``dtype`` (a plain row or an offset array, each at the
+        width of what it holds).  The only creator of row blocks."""
         name, metas, views = self.owner.create({"ps": values.astype(dtype, copy=False)})
         row = views["ps"]
         self._held[id(row)] = (name, metas, row)
@@ -397,11 +411,20 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
     The arrays are read-only views straight into the shared blocks -- no
     copies, each at the dtype its meta names (a row may be narrower than
     int64; the evaluator widens as it gathers); every historic instance
-    arrives as a finished prefix-sum row, so preparing and querying the
-    epoch never touches a kernel and normalizes nothing but the
+    arrives as a finished prefix-sum row -- an offset row is rebuilt over
+    its anchor block's array, one array per block, so the rows over one
+    anchor share it as they do in the owner -- and preparing and querying
+    the epoch never touches a kernel and normalizes nothing but the
     epoch-latest instance.
     """
     frontier = cache.arrays(*descriptor["frontier"])
+    anchors = descriptor["anchors"]
+    rows = {}
+    for index, name, metas in descriptor["slices"]:
+        row = cache.arrays(name, metas)["ps"]
+        if index in anchors:  # one array per block: rows share their anchor
+            row = OffsetRow(cache.arrays(*anchors[index])["ps"], row)
+        rows[index] = row
     return Epoch(
         descriptor["kernel_version"],
         descriptor["external_version"],
@@ -411,10 +434,7 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
         descriptor["retired_below"],
         tuple(descriptor["slice_shape"]),
         frontier.get("cache_values"),
-        {
-            index: cache.arrays(name, metas)["ps"]
-            for index, name, metas in descriptor["slices"]
-        },
+        rows,
         frontier.get("gd_points"),
         frontier.get("gd_deltas"),
     )
@@ -424,5 +444,7 @@ def descriptor_blocks(descriptor: dict) -> set[str]:
     """All block names a descriptor cites (for :meth:`BlockCache.prune`)."""
     names = {descriptor["frontier"][0]}
     for _, name, _ in descriptor["slices"]:
+        names.add(name)
+    for name, _ in descriptor["anchors"].values():
         names.add(name)
     return names

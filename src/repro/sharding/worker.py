@@ -43,6 +43,7 @@ from repro.metrics import CostCounter
 
 from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView, prepare_epoch
 from repro.ecube.fastpath import DDC, _prefix_sum_rows, retired_instance_error
+from repro.ecube.stores import row_difference
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
     BlockCache,
@@ -197,10 +198,8 @@ class ShardWorkerState:
             return []
         scores = np.zeros(view.slice_shape, dtype=np.int64)
         if t1 <= t2:
-            for combine, time in ((np.add, t2), (np.subtract, t1 - 1)):
-                ps = self._prefix_slice(view, time)
-                if ps is not None:
-                    combine(scores, ps, out=scores)
+            upper = self._prefix_slice(view, t2)
+            row_difference(upper, self._prefix_slice(view, t1 - 1), out=scores)
             for axis in range(scores.ndim):
                 scores = np.diff(scores, axis=axis, prepend=0)
             epoch = view.epoch

@@ -68,39 +68,75 @@ def apply_updates(dense_shape, updates):
     return dense
 
 
+def assert_row_layout(rows: dict, first: int) -> None:
+    """The anchored layout of published rows ``rows`` (index -> row, every
+    historic instance from ``first`` up; ``DenseStore.make_row``'s rule).
+
+    Every array a row stores -- a plain row, an offset, an anchor -- is
+    read-only at the narrowest width of what it holds.  A row over a
+    published row is an offset exactly where its offset from the newest
+    anchor below it (the row below's anchor) is narrower than its values,
+    and then an offset on that anchor: a row is plain only where an
+    offset would not be narrower.  The lowest row may still be an offset
+    on an anchor retirement freed, narrower than its values."""
+    from repro.ecube.stores import OffsetRow, anchor_of, row_dtype, row_values
+
+    assert sorted(rows) == list(range(first, first + len(rows)))
+    for index, row in rows.items():
+        arrays = (row.anchor, row.offset) if isinstance(row, OffsetRow) else (row,)
+        for array in arrays:
+            assert not array.flags.writeable and array.dtype == row_dtype(array)
+        values = row_values(row)
+        own = row_dtype(values).itemsize
+        if isinstance(row, OffsetRow):
+            assert row.offset.dtype.itemsize < own
+        if index == first:
+            continue
+        anchor = anchor_of(rows[index - 1])
+        if isinstance(row, OffsetRow):
+            assert row.anchor is anchor
+        else:
+            offset = np.subtract(values, anchor, dtype=np.int64)
+            assert row_dtype(offset).itemsize >= own
+
+
+def row_arrays(row) -> tuple:
+    """The arrays a published row stores (its anchor's included)."""
+    from repro.ecube.stores import OffsetRow
+
+    return (row.anchor, row.offset) if isinstance(row, OffsetRow) else (row,)
+
+
 def assert_history_published(snap) -> None:
     """What a snapshot front holds between operations: every historic
     instance is complete (no copy owed) and is its published row -- fully
-    PS, at the narrowest width of its values -- and every array the
-    current epoch cites (rows, cache values, directory, ``G_d`` columns)
-    is read-only.  Nothing a reader holds is ever written."""
-    from repro.ecube.stores import row_dtype
-
+    PS, laid out as :func:`assert_row_layout` says -- and every array the
+    current epoch cites (rows and their anchors, cache values, directory,
+    ``G_d`` columns) is read-only.  Nothing a reader holds is ever written."""
     kernel, epoch = snap.kernel, snap._current
     assert kernel.incomplete_historic_instances() == 0
     historic = range(kernel.retired_instances, kernel.num_slices - 1)
     for index in historic:
         values, flags = kernel.directory.at_index(index)[1].data()
-        assert flags.all() and values.dtype == row_dtype(values)
+        assert flags.all()
         assert epoch.rows[index] is values
-    cited = [epoch.rows[index] for index in historic] + [
-        epoch.cache_values, epoch.times, epoch.gd_points, epoch.gd_deltas,
-    ]  # fmt: skip
+    assert_row_layout({i: epoch.rows[i] for i in historic}, kernel.retired_instances)
+    cited = [array for index in historic for array in row_arrays(epoch.rows[index])]
+    cited += [epoch.cache_values, epoch.times, epoch.gd_points, epoch.gd_deltas]
     assert not any(array.flags.writeable for array in cited if array is not None)
 
 
 def assert_rows_published(descriptor, blocks) -> None:
     """The same, as far as a process shard's published epoch shows it: a
-    read-only row per historic instance, each at its values' width."""
-    from repro.ecube.stores import row_dtype
+    read-only row per historic instance, laid out as
+    :func:`assert_row_layout` says."""
+    from repro.sharding.shm import epoch_from_shared_memory
 
     cited = [index for index, _, _ in descriptor["slices"]]
-    assert cited == list(
-        range(descriptor["retired_below"], max(descriptor["num_slices"] - 1, 0))
-    )
-    for _, name, metas in descriptor["slices"]:
-        row = blocks.arrays(name, metas)["ps"]
-        assert not row.flags.writeable and row.dtype == row_dtype(row)
+    first = descriptor["retired_below"]
+    assert cited == list(range(first, max(descriptor["num_slices"] - 1, 0)))
+    rows = epoch_from_shared_memory(descriptor, blocks).rows
+    assert_row_layout({index: rows[index] for index in cited}, first)
 
 
 def fleet_owners(*fronts) -> set[int]:

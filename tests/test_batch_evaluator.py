@@ -32,6 +32,7 @@ from repro.ecube import compiled, fastpath
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.fastpath import FastSliceEngine
+from repro.ecube.stores import row_values
 from repro.ecube.sparse import SparseEvolvingDataCube
 from repro.metrics import CostCounter
 from repro.sharding import BlockCache, EpochExporter, GridPartitioner
@@ -287,12 +288,16 @@ class TestDifferential:
         assert [i for i, _, _ in descriptor["slices"]] == list(
             range(rig.kernel.num_slices - 1)
         )
-        for index, name, metas in descriptor["slices"]:
+        attached = epoch_from_shared_memory(descriptor, rig.cache).rows
+        for index, _, _ in descriptor["slices"]:
             _, payload = rig.kernel.directory.at_index(index)
-            assert not payload.values.flags.writeable
+            assert rig.kernel.store.published(payload)
             assert not payload.ps_flags.flags.writeable
-            assert payload.ps_flags.all() and payload.ps_count == payload.values.size
-            assert np.array_equal(payload.values, rig.cache.arrays(name, metas)["ps"])
+            assert payload.ps_flags.all()
+            assert payload.ps_count == payload.ps_flags.size
+            assert np.array_equal(
+                row_values(payload.values), row_values(attached[index])
+            )
 
     def test_reader_threads_share_one_epochs_rows(self, rig_factory, rng):
         rig = rig_factory("dense", buffered=True)

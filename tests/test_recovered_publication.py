@@ -53,8 +53,10 @@ def _heap_slices(kernel) -> int:
     """Non-retired slices that hold writable heap arrays."""
     count = 0
     for index in range(kernel.retired_instances, kernel.num_slices):
-        values = kernel.directory.at_index(index)[1].values
-        if values.flags.writeable and not _in_shared_memory(values):
+        payload = kernel.directory.at_index(index)[1]
+        if kernel.store.published(payload):
+            continue  # a row: its arrays are read-only, in shared memory
+        if payload.values.flags.writeable and not _in_shared_memory(payload.values):
             count += 1
     return count
 

@@ -1,10 +1,12 @@
-"""Published history rows at the width of their values, against an oracle.
+"""Published history rows at the width of what they hold, against an oracle.
 
 A process shard publishes each historic instance once, as a
-shared-memory row stored at the narrowest signed width that holds its
-values (:func:`repro.ecube.stores.row_dtype`); readers widen to int64
-where they gather, and every slice a correction can write is int64
-(:class:`repro.ecube.stores.DenseStore`).  The fleets here -- shards in
+shared-memory row: an offset from the newest anchor row below it where
+that offset is narrower than the row's values, else a plain row (the
+next anchor), every array at the narrowest signed width that holds it
+(:func:`repro.ecube.stores.row_dtype`, ``DenseStore.make_row``); readers
+widen to int64 where they gather, and every slice a correction can write
+is int64 (:class:`repro.ecube.stores.DenseStore`).  The fleets here -- shards in
 this process with no shared memory, shards in this process that publish
 into it exactly as a worker process does (so their stores can be
 inspected), and worker processes; each with and without tiers -- are
@@ -13,8 +15,9 @@ driven through writes whose rows sit on each side of +-2^7, +-2^15 and
 corrections that push a narrow row past its width, a splice that clones
 a narrow floor row, late data and drains, demotion and retirement.
 After every op: answers equal to an unsharded oracle (exact, top-k,
-approximate), every writable slice int64, every published row as narrow
-as its values allow.
+approximate), every writable slice int64, every published row laid out
+as the anchor rule says (``conftest.assert_row_layout``): a row is plain
+only where an offset would not be narrower.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ from repro.ranking import TopKEngine
 from repro.retention import Estimate
 from repro.sharding import BlockCache, ShardedCube
 from repro.sharding.router import InlineHandle
+from repro.sharding.shm import descriptor_blocks
 from repro.storage.mmap_npz import open_checkpoint
 
-from .conftest import fleet_leaks, fleet_owners, random_box
+from .conftest import (
+    assert_row_layout,
+    assert_rows_published,
+    fleet_leaks,
+    fleet_owners,
+    random_box,
+)
 
 SHAPE = (6, 4)
 TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
@@ -150,28 +160,28 @@ class Fleet:
         self.check_widths()
 
     def check_widths(self) -> None:
-        """Published rows are as narrow as their values allow; a slice is
-        narrow only while it is read-only."""
+        """Published rows are laid out as the anchor rule says, every array
+        at the narrowest width of what it holds; a slice is narrow or
+        anchored only while it is read-only."""
         cited = set()
         for handle in self.cube.router.handles:
             if isinstance(handle.descriptor, dict):  # published into shm
-                for _, name, metas in handle.descriptor["slices"]:
-                    row = self.blocks.arrays(name, metas)["ps"]
-                    assert row.dtype == row_dtype(row)
-                    cited.add(name)
+                assert_rows_published(handle.descriptor, self.blocks)
+                cited |= descriptor_blocks(handle.descriptor)
             state = getattr(handle, "state", None)
             if state is None:
                 continue  # a worker process: only what it published is visible
             kernel = state.kernel
+            rows = {}
             for index in range(kernel.retired_instances, kernel.num_slices):
                 payload = kernel.directory.at_index(index)[1]
                 if payload.retired:
                     continue
-                values = payload.values
-                if values.flags.writeable:
-                    assert values.dtype == np.int64
-                else:  # an adopted row: what the shard published
-                    assert values.dtype == row_dtype(values)
+                if kernel.store.published(payload):  # what the shard published
+                    rows[index] = payload.values
+                else:
+                    assert payload.values.dtype == np.int64
+            assert_row_layout(rows, kernel.retired_instances)
         self.blocks.prune(cited)
 
     def close(self) -> None:
@@ -282,12 +292,17 @@ def test_a_checkpoint_of_narrow_rows_recovers_bit_identically(tmp_path):
         ) as recovered:
             owners |= fleet_owners(recovered)
             assert recovered.query_many(boxes) == expected
-            # restored int64, then published narrow again; the latest stays
+            # restored int64, then published anchored again; the latest
+            # stays an int64 slice
             for handle in recovered.router.handles if not processes else ():
                 kernel = handle.state.kernel
-                for index in range(kernel.num_slices):
-                    values = kernel.directory.at_index(index)[1].values
-                    historic = index < kernel.num_slices - 1
-                    assert values.dtype == (row_dtype(values) if historic else np.int64)
+                *historic, latest = (
+                    kernel.directory.at_index(index)[1]
+                    for index in range(kernel.num_slices)
+                )
+                assert latest.values.dtype == np.int64
+                assert_row_layout(
+                    {index: payload.values for index, payload in enumerate(historic)}, 0
+                )
     oracle.close()
     assert not fleet_leaks(owners)

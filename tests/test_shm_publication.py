@@ -38,7 +38,7 @@ from repro.core.front import layers
 from repro.core.types import Box
 from repro.durability.checkpoint import snapshot_arrays
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.stores import row_dtype
+from repro.ecube.stores import row_values
 from repro.retention import TieredCube
 from repro.sharding import (
     BlockCache,
@@ -59,6 +59,7 @@ from tests.data import make_durable_fixtures as fixtures
 
 from .conftest import (
     assert_history_published,
+    assert_row_layout,
     brute_box_sum,
     fleet_leaks,
     fleet_owners,
@@ -130,8 +131,8 @@ class Rig:
 
     def export(self) -> tuple[dict, list[str]]:
         """``(descriptor, names created since the previous export)``; older
-        epochs released.  A successor row is born when a correction
-        promotes its slice, before the export that cites it."""
+        epochs released.  A correction's rows are born when it lands, before
+        the export that cites them."""
         descriptor = self.exporter.export()
         self.exporter.release_below(descriptor["sequence"])
         created, self.owner.created = self.owner.created, []
@@ -244,16 +245,11 @@ class TestExportCounts:
         historic = len(times) - 1 + splice
         assert sorted(new) == list(range(historic))
         assert [new[i] for i in range(4)] == [old[i] for i in range(4)]
-        # the batch lands in one pass: each row it reaches gets one
-        # successor at its values' width, cited as it stands, and the
-        # export sweeps a spliced clone into a row -- every row from 4 up
-        # is made once, and no int64 successor is born to be unlinked
-        assert created[-1] == after["frontier"][0]
-        successors, published = _split_created(created, historic - 4)
-        assert successors == []
-        assert sorted(published) == sorted(new[i] for i in range(4, historic))
-        assert sorted(fleet_leaks()) == sorted([*new.values(), created[-1]])
-        assert not set(created) & set(old.values())
+        # the batch lands in one pass, a spliced clone sharing its floor's
+        # row until then: each row from 4 up is re-published once, under the
+        # anchor rule, and no int64 copy is born to be unlinked
+        _assert_republished_from(rig, before, after, 4, created)
+        assert sorted(fleet_leaks()) == sorted(descriptor_blocks(after))
         _assert_history_is_the_published_rows(rig, after)
         boxes = _boxes(rig)
         assert rig.answers(after, boxes) == rig.expected(boxes)
@@ -273,69 +269,61 @@ class TestExportCounts:
         assert len(new) == len(old) + 2
         assert [new[i] for i in range(3)] == [old[i] for i in range(3)]
         # one pass, from the oldest correction up: each row the drain
-        # reaches gets one successor at its values' width, cited as it
-        # stands, and the export sweeps the two spliced clones into rows --
-        # every row from 3 up is made once, no int64 successor is born, and
-        # the blocks left are the ones the epoch cites
-        assert created[-1] == after["frontier"][0]
-        successors, published = _split_created(created, len(new) - 3)
-        assert successors == []
-        assert sorted(published) == sorted(new[i] for i in range(3, len(new)))
-        assert sorted(fleet_leaks()) == sorted([*new.values(), created[-1]])
+        # reaches is re-published once, under the anchor rule, no int64 copy
+        # is born, and the blocks left are the ones the epoch cites
+        _assert_republished_from(rig, before, after, 3, created)
+        assert sorted(fleet_leaks()) == sorted(descriptor_blocks(after))
         _assert_history_is_the_published_rows(rig, after)
         boxes = _boxes(rig)
         assert rig.answers(after, boxes) == rig.expected(boxes)
 
-    def test_only_a_fully_ps_successor_is_sealed(self, rig_factory):
+    def test_a_cascade_publishes_its_int64_copies_anew(self, rig_factory):
         rig = rig_factory(buffered=False)
         for time in range(6):
             rig.write([time] * 5)
-        rig.export()
-        # hold publication back, so the successors can be looked at first
+        before, _ = rig.export()
+        # hold publication back: a new time makes instance 5 historic but
+        # not yet published, so a correction reaching it cascades
         with rig.kernel.publish_barrier():
-            rig.write([2], apply=rig.snap.apply_out_of_order)
-            kept, lost = (rig.kernel.directory.at_index(i)[1] for i in (2, 3))
-            successors = {id(held[2]): held[0] for held in rig.exporter._held.values()}
-            assert kept.values.flags.writeable and lost.values.flags.writeable
-            lost.ps_flags = lost.ps_flags.copy()  # flags of its own: not "fully PS"
-            assert not rig.kernel.store.seal(lost) and lost.values.flags.writeable
-            kept_row, lost_row = kept.values, lost.values
-        descriptor, _ = rig.export()
-        new = _rows(descriptor)
-        # the sealed successor's values fit a narrower width: re-published
-        # at it and re-adopted, the int64 successor unlinked; the other is
-        # unlinked and its slice swept into (and adopted as) a row of its own
-        assert kept.values is not kept_row
-        assert np.array_equal(kept.values, kept_row)
-        assert kept.values.dtype.itemsize < 8 and new[2] != successors[id(kept_row)]
-        assert lost.values is not lost_row and new[3] != successors[id(lost_row)]
-        assert not {successors[id(kept_row)], successors[id(lost_row)]} & set(
-            leaked_segments()
-        )
-        _assert_history_is_the_published_rows(rig, descriptor)
+            rig.write([6] * 5)
+            rig.write([2], apply=rig.snap.kernel.apply_out_of_order)
+            reached = [rig.kernel.directory.at_index(i)[1] for i in range(2, 5)]
+            copies = [payload.values for payload in reached]
+            # each reached row promoted into an int64 heap copy, no block
+            assert all(c.dtype == np.int64 and c.flags.writeable for c in copies)
+            assert rig.owner.created == []
+        after, created = rig.export()
+        # the copies are swept as the fully PS slices they are and published
+        # under the anchor rule, oldest first, with instance 5: one block
+        # each at most
+        for payload, copy in zip(reached, copies):
+            assert payload.values is not copy
+            assert np.array_equal(row_values(payload.values), copy)
+        _assert_republished_from(rig, before, after, 2, created)
         boxes = _boxes(rig)
-        assert rig.answers(descriptor, boxes) == rig.expected(boxes)
+        assert rig.answers(after, boxes) == rig.expected(boxes)
 
-    def test_a_successor_that_needs_int64_is_cited_as_it_stands(self, rig_factory):
+    def test_a_correction_that_needs_int64_makes_one_int64_anchor(self, rig_factory):
         rig = rig_factory(buffered=False)
         for time in range(6):
             rig.write([time] * 5)
-        rig.export()
+        before, _ = rig.export()
         rig.snap.apply_out_of_order((2, 1, 1), 2**40)
         rig.dense[2, 1, 1] += 2**40
-        kept = rig.kernel.directory.at_index(2)[1]
-        kept_row = kept.values
-        # the correction's own publication sealed it
-        assert kept_row.dtype == np.int64 and not kept_row.flags.writeable
-        descriptor, created = rig.export()
-        # sealed, not copied: each instance the correction reached (2 to
-        # 4) is cited as its own int64 successor, and no other row is made
-        assert kept.values is kept_row
-        new = _rows(descriptor)
-        assert created == [new[2], new[3], new[4], descriptor["frontier"][0]]
-        _assert_history_is_the_published_rows(rig, descriptor)
+        after, created = rig.export()
+        # instance 2 needs int64 and no offset from the anchor below it is
+        # narrower: a plain int64 row; 3 and 4 differ from it by a few
+        # slices of updates, so they are narrow offsets on it
+        rows = rig.snap._current.rows
+        assert rows[2].dtype == np.int64
+        for index in (3, 4):
+            assert rows[index].anchor is rows[2]
+            assert rows[index].offset.dtype.itemsize < 8
+        new = _rows(after)
+        assert created == [new[2], new[3], new[4], after["frontier"][0]]
+        _assert_republished_from(rig, before, after, 2, created)
         boxes = _boxes(rig)
-        assert rig.answers(descriptor, boxes) == rig.expected(boxes)
+        assert rig.answers(after, boxes) == rig.expected(boxes)
 
     @pytest.mark.parametrize("demote", [False, True])
     def test_retirement_creates_nothing_and_unlinks_dropped_rows(
@@ -351,7 +339,11 @@ class TestExportCounts:
         assert created == [after["frontier"][0]]
         old, new = _rows(before), _rows(after)
         assert new == {i: old[i] for i in range(5, 11)}
-        assert not {old[i] for i in range(5)} & set(leaked_segments())
+        # a dropped row's block outlives it only as the anchor of a kept row
+        anchors = {name for name, _ in after["anchors"].values()}
+        assert {old[i] for i in range(5)} & descriptor_blocks(after) <= anchors
+        dropped = descriptor_blocks(before) - descriptor_blocks(after)
+        assert not dropped & set(leaked_segments())
         boxes = [box for box in _boxes(rig) if box.lower[0] == 0 and box.upper[0] >= 5]
         assert rig.answers(after, boxes) == rig.expected(boxes)
 
@@ -425,9 +417,8 @@ class TestExportCounts:
         rig.serve()  # the first publication finishes history, 3 walked
         descriptor, _ = rig.export()
         assert walked == [3]
-        _, name, metas = descriptor["slices"][3]
         assert np.array_equal(
-            rig.cache.arrays(name, metas)["ps"],
+            row_values(epoch_from_shared_memory(descriptor, rig.cache).rows[3]),
             rig.dense[:4].sum(axis=0).cumsum(axis=0).cumsum(axis=1),
         )
         rig.write([7] * 5)
@@ -486,32 +477,47 @@ class TestExportCounts:
 # -- history lives once: the structural invariant, under any history ------------
 
 
-def _split_created(created: list[str], rows: int) -> tuple[list[str], list[str]]:
-    """``(successors, rows published)`` of one correction and its export:
-    the successors are born in the cascade, before the export creates its
-    ``rows`` rows and then the frontier block."""
-    return created[: -1 - rows], created[-1 - rows : -1]
+def _assert_republished_from(rig, before, after, first, created) -> None:
+    """Between descriptors ``before`` and ``after``, the rows from ``first``
+    up were re-published (and nothing below), and ``created`` is what the
+    export made: each re-published row cites a new block but for an offset
+    row that kept its offset block over its anchor's new one (its offset did
+    not move), every block made is cited, and the frontier comes last."""
+    old, new = _rows(before), _rows(after)
+    assert [new[i] for i in range(first)] == [old[i] for i in range(first)]
+    assert created[-1] == after["frontier"][0]
+    fresh = descriptor_blocks(after) - descriptor_blocks(before)
+    assert sorted(created) == sorted(fresh)
+    anchors = after["anchors"]
+    for index in range(first, len(new)):
+        if new[index] not in fresh:
+            assert anchors[index][0] in fresh
+    _assert_history_is_the_published_rows(rig, after)
 
 
 def _assert_history_is_the_published_rows(rig, descriptor) -> None:
     """Every resident historic slice *is* the row the descriptor cites,
-    stored at the narrowest width that holds its values."""
+    laid out by the anchor rule (``conftest.assert_row_layout``)."""
     kernel, store = rig.kernel, rig.kernel.store
     first = kernel.retired_instances
     cited = _rows(descriptor)
     assert sorted(cited) == list(range(first, max(kernel.num_slices - 1, first)))
-    for index, name in cited.items():
+    attached = epoch_from_shared_memory(descriptor, rig.cache).rows
+    rows = rig.snap._current.rows
+    for index in cited:
         _, payload = kernel.directory.at_index(index)
-        assert not payload.values.flags.writeable
-        assert payload.values.dtype == row_dtype(payload.values)
+        assert store.published(payload)
         assert not payload.ps_flags.flags.writeable and payload.ps_flags.all()
-        assert payload.ps_count == payload.values.size
-        metas = descriptor["slices"][index - first][2]
-        assert np.array_equal(payload.values, rig.cache.arrays(name, metas)["ps"])
+        assert payload.ps_count == payload.ps_flags.size
+        assert np.array_equal(row_values(payload.values), row_values(attached[index]))
         # the epoch cites the slice's own row, not a copy of it
-        assert rig.snap._current.rows[index] is payload.values
-    # no successor row outlives an export: the exporter holds what is cited
-    assert {name for name, _, _ in rig.exporter._held.values()} == set(cited.values())
+        assert rows[index] is payload.values
+    assert_row_layout({index: rows[index] for index in cited}, first)
+    assert_row_layout({index: attached[index] for index in cited}, first)
+    # no row outlives an export: the exporter holds what is cited
+    assert {name for name, _, _ in rig.exporter._held.values()} == (
+        descriptor_blocks(descriptor) - {descriptor["frontier"][0]}
+    )
     assert kernel.incomplete_historic_instances() == 0
 
 
@@ -717,7 +723,7 @@ def test_a_block_that_fails_while_being_filled_does_not_leak():
     assert not fleet_leaks()
 
 
-_KILLED_AFTER_A_PROMOTION = """
+_KILLED_AFTER_A_CORRECTION = """
 import os, signal
 import numpy as np
 from repro.concurrent import SnapshotCube
@@ -732,10 +738,10 @@ for time in range(8):
 def mine():
     return {name for name in leaked_segments() if _owner_pid(name) == os.getpid()}
 before = mine()
-# promotes rows 3.. into int64 successors, which publication re-publishes
-# narrow: the successors are unlinked by the next export
+# re-publishes rows 3 to 6 into new blocks; the old ones are unlinked by
+# the next export
 snap.apply_out_of_order((3, 2, 2), 5)
-assert len(mine() - before) == 8 and len(exporter._held) == 15
+assert len(mine() - before) == 4 and len(exporter._held) == 11
 print(os.getpid(), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -743,17 +749,16 @@ os.kill(os.getpid(), signal.SIGKILL)
 
 def test_a_kill_between_promotion_and_export_leaves_only_sweepable_blocks():
     result = subprocess.run(
-        [sys.executable, "-c", _KILLED_AFTER_A_PROMOTION],
+        [sys.executable, "-c", _KILLED_AFTER_A_CORRECTION],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         capture_output=True, text=True, timeout=120,
     )  # fmt: skip
     assert result.returncode == -signal.SIGKILL, result.stderr
     pid = int(result.stdout)
     left = fleet_leaks({pid})
-    # 7 rows + a frontier, the 4 rows re-published narrow, and the 4
-    # successor rows nothing cites any more: every one carries the dead
-    # owner's pid, which is all the sweep needs
-    assert len(left) == 16
+    # 7 rows + a frontier and the 4 rows re-published: every one carries
+    # the dead owner's pid, which is all the sweep needs
+    assert len(left) == 12
     assert all(name.startswith(f"repro-ecube-doomed-{pid}-") for name in left)
     assert sorted(unlink_orphaned()) == left
     assert not fleet_leaks({pid})
