@@ -183,6 +183,12 @@ def as_point(coords: Sequence[int]) -> Coordinate:
     return tuple(int(c) for c in coords)
 
 
+def int64_sum(a: int, b: int) -> int:
+    """``a + b`` in int64, a ring, as every array sum adds (a Python sum
+    leaves int64 once its terms wrap)."""
+    return (a + b + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
 def full_box(shape: Sequence[int]) -> Box:
     """The box covering an entire array of the given shape."""
     return Box(tuple(0 for _ in shape), tuple(int(n) - 1 for n in shape))

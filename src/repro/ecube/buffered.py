@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.errors import DomainError
 from repro.core.out_of_order import OutOfOrderBuffer
-from repro.core.types import Box, as_boxes, box_array
+from repro.core.types import Box, as_boxes, box_array, int64_sum
 from repro.ecube.ecube import EvolvingDataCube
 from repro.metrics import CostCounter
 
@@ -266,10 +266,11 @@ class BufferedEvolvingDataCube:
     # -- queries --------------------------------------------------------------------
 
     def query(self, box: Box) -> int:
-        """Cube result plus the buffered ``G_d`` contribution (metered)."""
+        """Cube result plus the buffered ``G_d`` contribution (metered),
+        added in int64 like the fast read's two parts."""
         result = self.cube.query(box)
         if len(self.buffer):
-            result += self.buffer.range_sum(box)
+            result = int64_sum(result, self.buffer.range_sum(box))
         return result
 
     def query_many(

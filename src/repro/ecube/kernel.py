@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.directory import TimeDirectory
 from repro.core.errors import AgedOutError, AppendOrderError, DomainError
-from repro.core.types import Box, as_boxes, box_array
+from repro.core.types import Box, as_boxes, box_array, int64_sum
 from repro.ecube import compiled
 from repro.ecube.fastpath import (
     DDC,
@@ -672,7 +672,7 @@ class CubeKernel:
             slice_box = box.drop_first().clip_to(self.slice_shape)
             upper = self._prefix_time_query(slice_box, time_up)
             lower = self._prefix_time_query(slice_box, time_low - 1)
-        return upper - lower
+        return int64_sum(upper, -lower)  # in int64, as the fast read subtracts
 
     def _prefix_time_query(self, slice_box: Box, time: int) -> int:
         """eCubeQuery of Figure 9: slice query at the cumulative instance

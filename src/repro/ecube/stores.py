@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.types import int64_sum
 from repro.ecube import compiled
 from repro.ecube.cache import SliceCache
 
@@ -54,18 +55,29 @@ def _adopt_array(raw, dtype) -> np.ndarray:
     return array if not array.flags.writeable else array.copy()
 
 
-#: The widths a published row may take, narrowest first.
-_ROW_DTYPES = tuple(np.dtype(f"i{width}") for width in (1, 2, 4, 8))
+#: The widths a published row may take, narrowest first, with their ranges.
+_ROW_DTYPES = tuple(
+    (dtype, int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    for dtype in (np.dtype(f"i{width}") for width in (1, 2, 4, 8))
+)
+
+
+def _bounds(row: np.ndarray) -> tuple[int, int]:
+    """``(min, max)`` of ``row``'s values; ``(0, 0)`` when it has none."""
+    return (int(row.min()), int(row.max())) if row.size else (0, 0)
 
 
 def row_dtype(row: np.ndarray) -> np.dtype:
     """The narrowest signed integer dtype holding every value of ``row``."""
-    low, high = (int(row.min()), int(row.max())) if row.size else (0, 0)
-    for dtype in _ROW_DTYPES[:-1]:
-        info = np.iinfo(dtype)
-        if info.min <= low and high <= info.max:
+    return _width(*_bounds(row))
+
+
+def _width(low: int, high: int) -> np.dtype:
+    """The narrowest signed integer dtype holding ``low`` .. ``high``."""
+    for dtype, least, most in _ROW_DTYPES:
+        if least <= low and high <= most:
             return dtype
-    return _ROW_DTYPES[-1]
+    return _ROW_DTYPES[-1][0]
 
 
 def heap_row(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -729,10 +741,13 @@ class Landing:
     anchor rule (:meth:`DenseStore.make_row`) against the newest anchor of
     the new layout below it, so the rows a landing leaves are the rows a
     publication of the same values would make.  An anchor takes
-    ``anchor + sums``; an offset row over it whose running sums have not
-    changed since the anchor's keeps its offset array, since ``(anchor +
-    s) + offset`` is its new value -- only rows whose offsets change get
-    a new array.
+    ``anchor + sums``.  An offset row over that anchor's old array needs
+    no full row: its new offset is ``offset + (sums - the anchor's
+    sums)`` -- the offset array itself when the sums did not change since
+    the anchor's, since ``(anchor + s) + offset`` is its new value -- and
+    its layout is decided from the bounds of the offset and of the anchor
+    (:meth:`_wider`).  Only where the bounds cannot decide are its values
+    materialized.
     """
 
     def __init__(self, store: DenseStore, below) -> None:
@@ -743,8 +758,10 @@ class Landing:
             if below is not None and store.published(below)
             else None
         )
-        #: the old plain row ``anchor`` re-publishes, if it does
-        self.replaced = None
+        #: the array offset rows over ``anchor`` cite until re-published
+        #: (``anchor`` itself, or the old plain row it re-publishes), the
+        #: sums ``anchor`` took (``None``: none) and its bounds, once read
+        self.cited, self.sums, self.bounds = self.anchor, None, None
         #: how many times the running sums changed, in all and by the anchor
         self.changes = self.anchor_changes = 0
 
@@ -758,16 +775,48 @@ class Landing:
             payload.values += sums  # int64 wraps as a ring, as cascades do
             return
         row = payload.values
-        kept = None
-        if (
-            isinstance(row, OffsetRow)
-            and row.anchor is self.replaced
-            and self.changes == self.anchor_changes
-        ):
-            kept = row.offset
-        values = sums + row_values(row)
-        new = store.make_row(values, self.anchor, kept)
+        if isinstance(row, OffsetRow) and row.anchor is self.cited is not None:
+            new = self._moved(row, sums)
+        else:
+            new = store.make_row(sums + row_values(row), self.anchor)
         store.adopt_row(payload, new)
         if not isinstance(new, OffsetRow):
-            self.anchor, self.anchor_changes = new, self.changes
-            self.replaced = None if isinstance(row, OffsetRow) else row
+            self.anchor, self.bounds = new, None
+            self.cited = None if isinstance(row, OffsetRow) else row
+            self.sums, self.anchor_changes = sums.copy(), self.changes
+
+    def _moved(self, row: OffsetRow, sums: np.ndarray):
+        """The new row of offset row ``row`` over ``cited``: its offset
+        moved by ``sums`` less the anchor's, over ``anchor``."""
+        kept = self.changes == self.anchor_changes
+        offset = row.offset
+        if not kept:
+            moved = sums if self.sums is None else sums - self.sums
+            offset = np.add(offset, moved, dtype=np.int64)
+        low, high = _bounds(offset)
+        width = row.offset.dtype if kept else _width(low, high)
+        if not self._wider(offset, low, high, width):  # materialize
+            values = np.add(self.anchor, offset, dtype=np.int64)
+            return self.store.make_row(values, self.anchor, row.offset if kept else None)
+        return OffsetRow(
+            self.anchor, row.offset if kept else self.store.new_row(offset, width)
+        )
+
+    def _wider(self, offset: np.ndarray, low: int, high: int, width) -> bool:
+        """Do bounds alone show that the values ``anchor + offset`` do not
+        fit ``width``, the offset's (so the row is that offset)?  ``low``
+        .. ``high`` bound the offset.  The last cell (a prefix-sum row's
+        total) is read exactly; past that, some cell holds at least the
+        anchor's maximum plus the offset's minimum, and some at most its
+        minimum plus the offset's maximum, unless a sum could wrap."""
+        info = np.iinfo(width)
+        last = int64_sum(int(self.anchor.reshape(-1)[-1]), int(offset.reshape(-1)[-1]))
+        if not info.min <= last <= info.max:
+            return True
+        if self.bounds is None:
+            self.bounds = _bounds(self.anchor)
+        anchor_low, anchor_high = self.bounds
+        least, most = _ROW_DTYPES[-1][1:]
+        if anchor_low + low < least or anchor_high + high > most:
+            return False
+        return anchor_high + low > info.max or anchor_low + high < info.min

@@ -1,10 +1,12 @@
 """The sharded front's operation vocabulary, spelled once (:data:`OPS`).
 
 One row per wire op: its wire name, the cube method it calls (on
-``ShardedCube`` and ``ShardRouter`` alike), its fields and its result
-kind.  ``ShardServer`` decodes a request and encodes the reply with the
-row, ``ShardClient`` does the reverse, ``ShardedCube`` forwards the
-row's method to its router -- a new op is a row plus a router method.
+``ShardedCube`` and ``ShardRouter`` alike), its fields, its result kind
+and whether it mutates the cube (a mutating row's method is a logged
+one, :data:`repro.durability.wal.LOGGED`).  ``ShardServer`` decodes a
+request and encodes the reply with the row, ``ShardClient`` does the
+reverse, ``ShardedCube`` forwards the row's method to its router -- a
+new op is a row plus a router method.
 
 A *kind* carries one value across the wire in both directions.  Its
 decoder is the only check on input from outside the program, so it is
@@ -165,7 +167,7 @@ class Field(NamedTuple):
     default: object = REQUIRED
 
 
-Op = namedtuple("Op", "name method result fields")
+Op = namedtuple("Op", "name method result fields mutates", defaults=(False,))
 
 _POINT_DELTA = (Field("point", POINT), Field("delta", INT))
 _TIME = (Field("time", INT),)
@@ -183,14 +185,14 @@ OPS: dict[str, Op] = {
         Op("total", "total", RAW, ()),
         Op("query", "query", RAW, (Field("box", BOX),)),
         Op("query_many", "query_many", RAW, (Field("boxes", BOXES),)),
-        Op("update", "update", RAW, _POINT_DELTA),
-        Op("update_many", "update_many", RAW, _BATCH),
+        Op("update", "update", RAW, _POINT_DELTA, mutates=True),
+        Op("update_many", "update_many", RAW, _BATCH, mutates=True),
         Op("topk", "topk_many", RANKED, _TOPK),
         Op("query_approx", "query_many_approx", ESTIMATES, (Field("boxes", BOXES),)),
-        Op("drain", "drain", PAIR, (Field("limit", LIMIT, None),)),
-        Op("retire", "retire_before", RAW, _TIME),
-        Op("demote", "demote_before", RAW, _TIME),
-        Op("apply_out_of_order", "apply_out_of_order", RAW, _POINT_DELTA),
+        Op("drain", "drain", PAIR, (Field("limit", LIMIT, None),), mutates=True),
+        Op("retire", "retire_before", RAW, _TIME, mutates=True),
+        Op("demote", "demote_before", RAW, _TIME, mutates=True),
+        Op("apply_out_of_order", "apply_out_of_order", RAW, _POINT_DELTA, mutates=True),
     )
 }
 

@@ -31,6 +31,15 @@ sets ``TCP_NODELAY`` and every reply leaves in one ``sendall``.  The
 server loads no event loop, no executor and no TLS: a served process
 never initialises OpenSSL.
 
+Memory: :meth:`ShardServer.listen` caps the process at one malloc arena
+before any connection thread starts -- under the GIL more arenas buy no
+parallelism, and each keeps its own high-water heap -- and hands back to
+the OS what building or recovering the cube freed.  A connection that
+ran an operation whose row mutates the cube hands back what was freed
+once it pauses for :data:`RELEASE_IDLE` or closes; reads never do, and
+back-to-back writes reuse what the one before freed
+(:func:`release_memory`).
+
 Graceful drain: SIGTERM (or :meth:`ShardServer.shutdown`) stops the
 listener, lets every in-flight request finish and send its reply, then
 closes the connections.  The cube itself is left open -- the caller owns
@@ -40,6 +49,7 @@ its lifecycle.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import json
 import select
@@ -65,6 +75,44 @@ MAX_FRAME = 64 << 20
 #: reply to leave
 BODY_DEADLINE = 30.0
 _CHUNK = 1 << 20  # the most one recv asks for
+#: seconds a connection waits for its next frame before it returns what
+#: its mutations freed: back-to-back writes reuse each other's freed
+#: memory, so a release between them would only fault it back in
+RELEASE_IDLE = 0.01
+#: ``mallopt``'s parameter number for the arena cap (glibc's malloc.h)
+_M_ARENA_MAX = -8
+
+
+@functools.cache
+def _libc() -> ctypes.CDLL | None:
+    """The C library the process runs on; ``None`` where ctypes cannot
+    open it."""
+    try:
+        return ctypes.CDLL(None)
+    except OSError:
+        return None
+
+
+def release_memory(arenas: int | None = None) -> None:
+    """Return the free pages malloc holds, at the top and in the middle of
+    its heaps, to the OS (``malloc_trim(0)``); with ``arenas``, first cap
+    the process at that many malloc arenas (``mallopt(M_ARENA_MAX,
+    arenas)``).  A step whose function the C library lacks does nothing.
+    """
+    libc = _libc()
+    mallopt = getattr(libc, "mallopt", None)
+    if arenas is not None and mallopt is not None:
+        mallopt(_M_ARENA_MAX, arenas)
+    malloc_trim = getattr(libc, "malloc_trim", None)
+    if malloc_trim is not None:
+        malloc_trim(0)
+
+
+def _idle(sock: socket.socket, seconds: float) -> bool:
+    """Does ``sock`` stay unreadable (no frame, no close) for ``seconds``?"""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return not poller.poll(seconds * 1000)
 
 
 def _encode(message: dict) -> bytes:
@@ -158,7 +206,12 @@ class ShardServer:
     # -- lifecycle -------------------------------------------------------------
 
     def listen(self) -> None:
-        """Bind and listen on ``host:port``; a host with a colon is IPv6."""
+        """Bind and listen on ``host:port``; a host with a colon is IPv6.
+
+        Also caps the process at one malloc arena and returns what the
+        cube's building freed (:func:`release_memory`): no connection
+        thread has started yet."""
+        release_memory(arenas=1)
         family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
         self._listener = socket.create_server((self.host, self.port), family=family)
         self.port = self._listener.getsockname()[1]
@@ -238,8 +291,12 @@ class ShardServer:
     # -- one connection --------------------------------------------------------
 
     def _serve_connection(self, sock: socket.socket) -> None:
+        owed = False  # a mutation freed memory that no release returned yet
         try:
             while True:
+                if owed and _idle(sock, RELEASE_IDLE):
+                    release_memory()
+                    owed = False
                 try:
                     payload = _read_frame(sock)
                 except ProtocolError as refusal:
@@ -255,9 +312,10 @@ class ShardServer:
                         return
                     self._inflight += 1
                 try:
-                    reply = _encode(self._apply(payload))
+                    reply, mutated = self._apply(payload)
+                    owed |= mutated
                     try:
-                        _send(sock, reply)
+                        _send(sock, _encode(reply))
                     except OSError:  # includes the send's timeout
                         return  # the peer left, or did not read its reply in time
                 finally:
@@ -265,24 +323,30 @@ class ShardServer:
                         self._inflight -= 1
                         self._state.notify_all()
         finally:
+            if owed:
+                release_memory()
             with self._state:
                 self._connections.discard(sock)
                 self._state.notify_all()
             sock.close()
 
-    def _apply(self, payload: bytes) -> dict:
-        """Decode with the op's row, call its cube method, encode the result."""
+    def _apply(self, payload: bytes) -> tuple[dict, bool]:
+        """Decode with the op's row, call its cube method, encode the
+        result; the reply, and whether the row mutates the cube."""
         try:
             request = json.loads(payload)
         except ValueError:
-            return _failure(ProtocolError("request is not valid JSON"))
+            return _failure(ProtocolError("request is not valid JSON")), False
         try:
             row, arguments = decode_request(request)
+        except ReproError as exc:  # ProtocolError included
+            return _failure(exc), False
+        try:
             with self._cube_lock:
                 result = getattr(self.cube, row.method)(**arguments)
-            return {"ok": True, "result": row.result.encode(result)}
-        except ReproError as exc:  # ProtocolError included
-            return _failure(exc)
+            return {"ok": True, "result": row.result.encode(result)}, row.mutates
+        except ReproError as exc:  # a failed mutation may have applied in part
+            return _failure(exc), row.mutates
 
 
 class ShardClient:

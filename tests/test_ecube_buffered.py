@@ -301,6 +301,31 @@ class TestBufferedBatchExecution:
         assert fast == cube.query_many(boxes, mode="metered")
         assert fast == [brute_box_sum(dense, box) for box in boxes]
 
+    def test_metered_reads_wrap_like_fast_reads(self):
+        # the kernel's part and G_d's part of the box to time 1 are 2^62
+        # each: every read answers their int64 sum, -2^63
+        cube = BufferedEvolvingDataCube((2, 2))
+        for point, delta in (((1, 0, 0), 1 << 62), ((2, 0, 0), 1), ((3, 1, 1), 1)):
+            cube.update(point, delta)
+        cube.update((1, 1, 1), 1 << 62)  # late: buffered in G_d
+        assert cube.buffered_updates == 1
+        box, whole = Box((0, 0, 0), (1, 1, 1)), Box((0, 0, 0), (3, 1, 1))
+        wrapped = -(1 << 63)
+        assert cube.query(box) == wrapped
+        assert cube.query_many([box], mode="metered") == [wrapped]
+        assert cube.query_many([box], mode="fast") == [wrapped]
+        assert cube.total() == cube.query_many([whole])[0] == wrapped + 2
+
+    def test_a_metered_kernel_read_subtracts_in_int64(self):
+        # the prefix to time 2 wraps to -2^63; the box of time 2 alone is 2^62
+        cube = EvolvingDataCube((2,))
+        for point in ((1, 0), (2, 0)):
+            cube.update(point, 1 << 62)
+        cube.update((3, 1), 1)
+        box = Box((2, 0), (2, 1))
+        assert cube.query(box) == cube.query_many([box])[0] == 1 << 62
+        assert cube.query_many([box], mode="metered") == [1 << 62]
+
     def test_update_many_rejects_bad_shapes(self):
         cube = BufferedEvolvingDataCube((4,))
         with pytest.raises(Exception):

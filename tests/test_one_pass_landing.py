@@ -34,10 +34,10 @@ from repro.durability.recovery import DurableCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.kernel import CubeKernel
-from repro.ecube.stores import DenseStore, row_values
+from repro.ecube.stores import DenseStore, Landing, OffsetRow, row_values
 from repro.sharding import ShardedCube
 
-from .conftest import assert_row_layout
+from .conftest import assert_history_published, assert_row_layout
 
 SHAPE = (4, 3)
 HORIZON = 14
@@ -128,6 +128,60 @@ def test_a_snapshot_drain_lands_in_one_pass_with_no_int64_successor(monkeypatch)
     assert len(made) == snap.kernel.num_slices - 1 - lowest
     assert np.dtype(np.int64) not in made
     assert snap.total() == expected
+
+
+#: deltas that move rows across every width boundary and wrap int64
+_LANDING_DELTAS = st.sampled_from([1, -1, 100, -100, 200, -200, 40_000, -40_000, BIG, -BIG])
+_CELL_DELTAS = st.tuples(st.integers(0, 2), _LANDING_DELTAS)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    history=st.lists(st.lists(_CELL_DELTAS, min_size=1, max_size=3), min_size=3, max_size=8),
+    late=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 2), _LANDING_DELTAS),
+        min_size=1, max_size=4,
+    ),
+)
+@example(  # undecided by bounds, and an offset row all the same
+    history=[[(1, 100), (2, -100)], [(1, 100), (2, -100)], [(0, 1)]],
+    late=[(0, 0, 1)],
+)
+def test_a_moved_offset_row_is_laid_out_without_its_values(history, late):
+    """An offset row a landing reaches over its anchor's old array gets
+    its layout from bounds, or from its values where they cannot decide:
+    either way the rows are the rule's, and answer as the oracle does."""
+    decided = []
+    wider = Landing._wider
+
+    def spy(self, *args):
+        decided.append(wider(self, *args))
+        return decided[-1]
+
+    snap = SnapshotCube(BufferedEvolvingDataCube((3,)))
+    dense = np.zeros((len(history), 3), dtype=np.int64)
+    for time, updates in enumerate(history):
+        for cell, delta in updates:
+            snap.update((time, cell), delta)
+            dense[time, cell] += delta
+    latest = len(history) - 1
+    for time, cell, delta in late:
+        if time < latest:
+            snap.update((time, cell), delta)
+            dense[time, cell] += delta
+    saved, Landing._wider = Landing._wider, spy
+    try:
+        snap.drain()
+    finally:
+        Landing._wider = saved
+    event(f"bounds decided {sum(decided)} of {len(decided)}")
+    assert_history_published(snap)
+    sums = np.cumsum(np.cumsum(dense, axis=0), axis=1)
+    for index in range(snap.kernel.num_slices - 1):
+        time = snap.kernel.directory.at_index(index)[0]
+        assert np.array_equal(row_values(snap._rows[index]), sums[time])
+    if history == [[(1, 100), (2, -100)], [(1, 100), (2, -100)], [(0, 1)]]:
+        assert decided == [False] and isinstance(snap._rows[1], OffsetRow)
 
 
 def test_a_batch_into_the_retired_region_applies_the_rest_then_refuses():

@@ -23,6 +23,7 @@ from repro.core.errors import DomainError, ShardUnavailableError
 from repro.core.types import Box, as_boxes, box_array
 from repro.durability import DurableCube
 from repro.durability.checkpoint import snapshot_arrays
+from repro.durability.wal import LOGGED
 from repro.sharding import GridPartitioner, ShardedCube, ShardRouter
 from repro.sharding.ops import (
     ESTIMATES,
@@ -106,6 +107,12 @@ def test_row_round_trips_and_names_a_real_method(op, inline_cube):
     parameters = inspect.signature(getattr(ShardRouter, row.method)).parameters
     assert set(arguments) <= set(parameters)
     assert callable(getattr(inline_cube, row.method))
+
+
+def test_a_row_mutates_exactly_when_its_method_is_logged():
+    mutating = {row.method for row in OPS.values() if row.mutates}
+    assert mutating and mutating <= set(LOGGED)
+    assert not {row.method for row in OPS.values() if not row.mutates} & set(LOGGED)
 
 
 def test_misuse_of_the_client_side_is_a_type_error():
