@@ -84,7 +84,10 @@ loc:
 # and an offset row is rebuilt in one place: no module but its home
 # (ecube/stores.py, concurrent/snapshot.py) and sharding/shm.py reads an
 # anchor's array or an offset array -- every other reader calls
-# stores.row_values (or row_difference).
+# stores.row_values (or row_difference); and an epoch is published at
+# one point, by the snapshot front (and the shard worker writing past
+# it): no publish barrier, no sink the kernel notifies, no
+# external-mutation notice and no external version anywhere in src/.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -123,4 +126,5 @@ probes:
 	@! grep -rn '\.prune_belo[w](' src | grep -v '^src/repro/ecube/buffered\.py:'
 	@! grep -rnE '\.(ancho[r]|offse[t])\b' src/repro --include=*.py \
 		--exclude=stores.py --exclude=snapshot.py --exclude=shm.py
+	@! grep -rnE 'publish_barrie[r]|_notify_sin[k]|note_external_mutatio[n]|external_versio[n]' src
 	@echo "probes: none"

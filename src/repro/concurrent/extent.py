@@ -3,9 +3,9 @@
 :class:`SnapshotExtentCube` fronts an
 :class:`~repro.ecube.extent.ExtentCube` (or a durable one,
 ``DurableCube(..., extent=True)``) with one
-:class:`~repro.concurrent.snapshot.SnapshotCube` per family: each family
-kernel publishes epochs after every answer-changing operation exactly
-like a point cube, and a *pinned extent view* combines
+:class:`~repro.concurrent.snapshot.SnapshotCube` per family: after every
+write it forwards, both families publish an epoch, inside the write lock,
+and a *pinned extent view* combines
 
 * a pinned epoch of the ``B`` (ended) family,
 * a pinned epoch of the ``C`` (containing) family,
@@ -27,10 +27,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.concurrent.snapshot import FORWARDED, SnapshotCube, SnapshotView
+from repro.concurrent.snapshot import SnapshotCube, SnapshotView
 from repro.core.errors import DomainError
 from repro.core.front import forward, layers, require
 from repro.core.types import Box, TimeInterval
+from repro.durability.wal import LOGGED
 from repro.ecube.extent import containment_aggregates, intersection_aggregates
 
 
@@ -141,8 +142,8 @@ class SnapshotExtentCube:
     views from any thread for lock-free reads.  Accepts a bare
     :class:`~repro.ecube.extent.ExtentCube` or a durable one
     (``DurableCube(..., extent=True)``, whose mutations stay logged:
-    the forwarded writes, :data:`~repro.concurrent.snapshot.FORWARDED`,
-    go through the durable wrapper, each under the write lock).
+    the forwarded writes, ``wal.LOGGED``'s, go through the durable
+    wrapper, each under the write lock).
     """
 
     #: the serving layer of a TT-extent stack (:mod:`repro.core.front`)
@@ -162,9 +163,25 @@ class SnapshotExtentCube:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Detach both family sinks (pinned views stay readable)."""
+        """Let both family kernels serve another front (pinned views stay
+        readable)."""
         self._b.close()
         self._c.close()
+
+    # -- publication and checkpoints (writer thread) --------------------------
+
+    def publish(self) -> None:
+        """Publish both families' current state, after every forwarded
+        write, inside its write lock."""
+        self._b.publish()
+        self._c.publish()
+
+    def checkpoint(self):
+        """``target.checkpoint()`` (a durable stack) under the write lock:
+        it pins both families' epochs while it writes; publishes nothing."""
+        require(self.stack, "durable", "checkpoint")
+        with self._write_lock:
+            return self.target.checkpoint()
 
     def __enter__(self) -> "SnapshotExtentCube":
         return self
@@ -240,5 +257,5 @@ class SnapshotExtentCube:
 
 
 # the same forwarded writes as the point front's, each under the write
-# lock (a durable wrapper's checkpoint pins both families' epochs)
-forward(SnapshotExtentCube, FORWARDED, "target", lock="_write_lock")
+# lock and followed by one publication of both families
+forward(SnapshotExtentCube, LOGGED, "target", lock="_write_lock")

@@ -13,11 +13,13 @@ through ``G_d`` or explicit cascades.  Serving takes the θ = 1 end of
 Sections 3.2-3.3 and finishes each instance once, when it becomes
 historic, so that nothing a reader holds is ever written:
 
-* The writer publishes an immutable :class:`Epoch` after every logical
-  write (one per public kernel entry point; multi-step logical writes
-  such as a drain defer publication with
-  :meth:`~repro.ecube.kernel.CubeKernel.publish_barrier`).  Publication
-  first finishes history: each instance that became historic since the
+* The front publishes an immutable :class:`Epoch` once after every
+  write it forwards, in a ``finally`` (:func:`repro.core.front.forward`):
+  a reader only ever sees the state at the end of a write, never a step
+  inside one (a drain, a retirement's landing and fold).  This front and
+  the shard worker, which writes past it, are the only publishers; the
+  kernel only keeps the versions publication reads.  Publication first
+  finishes history: each instance that became historic since the
   last epoch is swept DDC -> PS
   (:func:`~repro.ecube.fastpath._prefix_sum_rows`; a slice holding a
   converted cell whose DDC value is lost is walked cell by cell), stored
@@ -47,8 +49,9 @@ historic, so that nothing a reader holds is ever written:
   move keeps its own; a spliced instance shares its floor's row until
   then.  A cascade (a batch reaching an instance not yet published)
   promotes rows copy-on-write into int64 heap copies, which the next
-  publication sweeps into rows anew.  The kernel names the first
-  instance whose content moves (:meth:`SnapshotCube.note_rewrite`);
+  publication sweeps into rows anew.  The kernel lowers a low-water mark
+  to the first instance whose content moves
+  (``CubeKernel.rewritten_from``), which publication reads and resets;
   retirement only drops rows (an anchor stays while a row over it
   does).
 
@@ -105,7 +108,6 @@ class Epoch:
 
     __slots__ = (
         "kernel_version",
-        "external_version",
         "sequence",
         "num_slices",
         "times",
@@ -121,7 +123,6 @@ class Epoch:
     def __init__(
         self,
         kernel_version: int,
-        external_version: int,
         sequence: int,
         num_slices: int,
         times: np.ndarray,
@@ -133,7 +134,6 @@ class Epoch:
         gd_deltas: np.ndarray | None,
     ) -> None:
         self.kernel_version = kernel_version
-        self.external_version = external_version
         self.sequence = sequence
         self.num_slices = num_slices
         self.times = times
@@ -300,20 +300,19 @@ def check_mode(mode: str) -> None:
 class SnapshotCube:
     """Single-writer / many-reader front over a dense cube stack.
 
-    Attaches to the kernel as its *epoch sink*: every mutating entry
-    point publishes a fresh :class:`Epoch` on exit -- finishing the
-    instances that became historic into rows first -- and a correction
-    or splice notes the first instance it rewrites
-    (:meth:`note_rewrite`).  Write calls are forwarded to the wrapped
-    target unchanged (and must stay on one thread); reads go through
-    pinned epochs and are safe from any thread.
+    Every write it forwards to the wrapped target (on one thread)
+    publishes one fresh :class:`Epoch` when it returns or raises --
+    finishing the instances that became historic into rows first, and
+    re-publishing the rows from the first one a correction or splice
+    rewrote.  Reads go through pinned epochs and are safe from any
+    thread.  A kernel serves one front at a time.
 
     ``target`` is any point-object stack (:func:`repro.core.front.layers`):
     a dense :class:`~repro.ecube.kernel.CubeKernel`, bare or under a
     ``G_d`` buffer, retention tiers and a
     :class:`~repro.durability.recovery.DurableCube` (a paged or sparse
     kernel is refused: those are the paper's cost models, used bare).
-    The forwarded writes are :data:`FORWARDED`; one the stack lacks
+    The forwarded writes are ``wal.LOGGED``'s; one the stack lacks
     (``drain`` over a bare kernel, ``checkpoint`` without a log) is
     refused with :class:`~repro.core.errors.DomainError`.
     """
@@ -331,7 +330,7 @@ class SnapshotCube:
         self.buffer = (
             self.stack["buffered"].buffer if "buffered" in self.stack else None
         )
-        if self.kernel._epoch_sink is not None:
+        if self.kernel.snapshot_front is not None:
             raise DomainError("the cube already has a snapshot front attached")
         self._lock = threading.Lock()
         self._sequence = 0
@@ -340,16 +339,15 @@ class SnapshotCube:
         #: instance index -> the row it is published as, for every historic
         #: instance the kernel holds detail of
         self._rows: dict = {}
-        self._rewritten_from: int | None = None
-        self.kernel._epoch_sink = self
+        self.kernel.snapshot_front = self
         self.publish()
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the kernel (pinned views stay readable)."""
-        if self.kernel._epoch_sink is self:
-            self.kernel._epoch_sink = None
+        """Let the kernel serve another front (pinned views stay readable)."""
+        if self.kernel.snapshot_front is self:
+            self.kernel.snapshot_front = None
 
     def __enter__(self) -> "SnapshotCube":
         return self
@@ -357,10 +355,12 @@ class SnapshotCube:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- the epoch-sink protocol (called by the kernel, writer thread) -------
+    # -- publication (writer thread) -----------------------------------------
 
     def publish(self) -> Epoch:
-        """Publish the cube's current answerable state as a new epoch.
+        """Publish the cube's current answerable state as a new epoch:
+        after every forwarded write, and by a writer that wrote past this
+        front (the shard worker).
 
         When ``kernel.epoch_version`` is unchanged (a buffer-only write)
         history, the frozen cache and the rows are shared with the
@@ -395,7 +395,6 @@ class SnapshotCube:
         self._sequence += 1
         epoch = Epoch(
             kernel_version,
-            kernel.external_version,
             self._sequence,
             num_slices,
             _frozen(times),
@@ -413,13 +412,6 @@ class SnapshotCube:
                 self._pinned.discard(old)
         return epoch
 
-    def note_rewrite(self, index: int) -> None:
-        """The content of instance ``index`` and every instance above it is
-        about to change (a correction or a splice; kernel writer thread):
-        the next publication re-publishes their rows."""
-        if self._rewritten_from is None or index < self._rewritten_from:
-            self._rewritten_from = index
-
     def move_rows(self) -> None:
         """Re-create every published row through the store's current
         allocator and publish an epoch that cites them (an allocator was
@@ -436,8 +428,9 @@ class SnapshotCube:
         """Publish every historic instance that has no row yet, oldest first.
 
         On the writer thread between operations.  Rows below the
-        retirement boundary and rows whose content moved
-        (:meth:`note_rewrite`) are dropped first.  A row a one-pass landing
+        retirement boundary and rows whose content moved (from the
+        kernel's ``rewritten_from`` up, which this resets) are dropped
+        first.  A row a one-pass landing
         published (``DenseStore.landing``) is cited as it stands; every
         other instance -- newly historic, spliced in, restored from an
         archive, or a cascade's promoted int64 copy -- is swept into its
@@ -449,7 +442,7 @@ class SnapshotCube:
         kernel = self.kernel
         store = kernel.store
         first, stop = kernel.retired_instances, max(kernel.num_slices - 1, 0)
-        rewritten, self._rewritten_from = self._rewritten_from, None
+        rewritten, kernel.rewritten_from = kernel.rewritten_from, None
         keep_below = stop if rewritten is None else rewritten
         self._rows = {i: row for i, row in self._rows.items() if first <= i < keep_below}
         pending = [index for index in range(first, stop) if index not in self._rows]
@@ -524,6 +517,12 @@ class SnapshotCube:
     def normalised(self, index: int, ps_row: np.ndarray) -> None:
         pass  # _finish_history publishes the swept rows, oldest first
 
+    def checkpoint(self):
+        """``target.checkpoint()`` (a durable stack): archives the current
+        epoch, pinned while it is written; publishes nothing."""
+        require(self.stack, "durable", "checkpoint")
+        return self.target.checkpoint()
+
     # -- pinning -------------------------------------------------------------
 
     def pin(self) -> SnapshotView:
@@ -589,7 +588,6 @@ class SnapshotCube:
         )
 
 
-#: the forwarded writes (single writer thread): every logged mutation of
-#: the record table, and ``checkpoint``
-FORWARDED = {**LOGGED, "checkpoint": "durable"}
-forward(SnapshotCube, FORWARDED, "target")
+# the forwarded writes (single writer thread): every logged mutation of
+# the record table, each followed by one publication
+forward(SnapshotCube, LOGGED, "target")

@@ -170,10 +170,8 @@ def run_stress(
         if current > last_recorded:
             frozen = oracle.copy()
             for seq in range(last_recorded + 1, current + 1):
-                # every epoch published inside one logical write answers
-                # with the post-write data state (intermediate publishes
-                # only occur for buffer-add + auto-drain pairs, and a
-                # drain never changes answers)
+                # the front publishes one epoch per write, answering with
+                # the post-write data state
                 oracle_states[seq] = frozen
             last_recorded = current
 

@@ -75,13 +75,20 @@ def require(stack, needs: str, name: str, noun: str = "cube") -> None:
 def forward(cls, vocabulary: dict, to: str, noun: str = "cube", lock=None) -> None:
     """Install ``cls.<name>`` per ``name: needs`` of ``vocabulary``: gate
     on ``self.stack`` (:func:`require`), then call the same name on
-    ``self.<to>`` -- under ``self.<lock>`` when one is named."""
+    ``self.<to>`` -- under ``self.<lock>`` when one is named.  A class
+    that publishes (a snapshot front's ``publish``) does so once after
+    each call, returned or raised, under the same lock."""
+    publish = getattr(cls, "publish", None)
 
     def install(name: str, needs: str) -> None:
         def method(self, *args, **kwargs):
             require(self.stack, needs, name, noun)
             with getattr(self, lock) if lock else nullcontext():
-                return getattr(getattr(self, to), name)(*args, **kwargs)
+                try:
+                    return getattr(getattr(self, to), name)(*args, **kwargs)
+                finally:
+                    if publish is not None:
+                        publish(self)
 
         method.__name__ = name
         method.__doc__ = f"``self.{to}.{name}(...)``; needs {needs!r} of the stack."

@@ -316,8 +316,8 @@ class DurableCube:
         pins = []
         try:
             for kernel in self.cube.kernels:
-                if kernel._epoch_sink is not None:
-                    pins.append(kernel._epoch_sink.pin())
+                if kernel.snapshot_front is not None:
+                    pins.append(kernel.snapshot_front.pin())
             self._manifest = write_checkpoint(
                 self.directory,
                 self.front,

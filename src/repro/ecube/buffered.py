@@ -3,10 +3,11 @@
 Wraps an :class:`~repro.ecube.ecube.EvolvingDataCube` with the ``G_d``
 buffer: appends flow straight into the cube, late arrivals are buffered,
 queries post-process with a ``G_d`` range aggregate, and a background
-:meth:`drain` lands buffered corrections in the cube (newest first)
+:meth:`drain` lands the newest buffered corrections in the cube
 through :meth:`CubeKernel.land_historic`: in one pass over the
 instances where they are all fully PS, one cascade per correction
-otherwise.
+otherwise (an entry a shard's global verdict buffered at or after the
+latest time is appended once the rest landed).
 
 The wrapper speaks the full :class:`~repro.core.framework.BatchExecutor`
 protocol: :meth:`query_many` answers the cube part with the vectorized
@@ -111,18 +112,14 @@ class BufferedEvolvingDataCube:
         below the demotion watermark are live tier-correction state.
         """
         time = int(time)
-        # one logical write: a snapshot reader must never see the detail
-        # retired with corrections gone from G_d but not yet landed
-        with self.cube.publish_barrier():
-            points, deltas = self.buffer.snapshot_columns()
-            below = np.flatnonzero(points[:, 0] < time)
-            if below.size:
-                below = below[np.argsort(points[below, 0], kind="stable")[::-1]]
-                kept = self._land(points[below], deltas[below])
-                self.buffer.remove(below[~kept])
-                self.cube.note_external_mutation()
-            retired = self.cube.retire_before(time)
-            self.prune_retired()
+        points, deltas = self.buffer.snapshot_columns()
+        below = np.flatnonzero(points[:, 0] < time)
+        if below.size:
+            below = below[np.argsort(points[below, 0], kind="stable")[::-1]]
+            kept = self._land(points[below], deltas[below])
+            self.buffer.remove(below[~kept])
+        retired = self.cube.retire_before(time)
+        self.prune_retired()
         return retired
 
     def prune_retired(self) -> int:
@@ -150,18 +147,16 @@ class BufferedEvolvingDataCube:
         sums = np.zeros(int(np.prod(shape)), dtype=np.int64)
         np.add.at(sums, np.ravel_multi_index(tuple(folded.T), shape), deltas[due])
         cells = np.flatnonzero(sums)
-        with self.cube.publish_barrier():
-            self._land(
-                np.column_stack(
-                    [np.full(cells.size, boundary), *np.unravel_index(cells, shape)]
-                ),
-                sums[cells],
-            )
-            self.buffer.prune_below(boundary + 1)
-            early = points[:, 0] < first
-            if bool(early.any()):
-                self.buffer.add_many(points[early], deltas[early])
-            self.cube.note_external_mutation()
+        self._land(
+            np.column_stack(
+                [np.full(cells.size, boundary), *np.unravel_index(cells, shape)]
+            ),
+            sums[cells],
+        )
+        self.buffer.prune_below(boundary + 1)
+        early = points[:, 0] < first
+        if bool(early.any()):
+            self.buffer.add_many(points[early], deltas[early])
         return int(due.sum())
 
     def resident_slice_bytes(self) -> int:
@@ -192,9 +187,6 @@ class BufferedEvolvingDataCube:
             self.cube.update(point, delta)
         self.total_updates += 1
         if late:
-            # a buffered late arrival changes answers without touching
-            # the kernel: publish it as a new epoch explicitly
-            self.cube.note_external_mutation()
             self._maybe_drain()
 
     def update_many(
@@ -226,11 +218,8 @@ class BufferedEvolvingDataCube:
         if points.shape[0] == 0:
             return
         if mode == "metered":
-            # one logical write: snapshot readers must not observe the
-            # intermediate per-update states of the replay
-            with self.cube.publish_barrier():
-                for point, delta in zip(points, deltas):
-                    self.update(tuple(int(c) for c in point), int(delta))
+            for point, delta in zip(points, deltas):
+                self.update(tuple(int(c) for c in point), int(delta))
             return
         if mode not in ("fast", "buffer"):
             raise DomainError(f"unknown execution mode {mode!r}")
@@ -243,16 +232,12 @@ class BufferedEvolvingDataCube:
             ([floor], np.maximum(np.maximum.accumulate(times[:-1]), floor))
         )
         in_order = (times >= threshold) & (mode == "fast")
-        with self.cube.publish_barrier():
-            if bool(in_order.any()):
-                self.cube.update_many(
-                    points[in_order], deltas[in_order], mode="fast"
-                )
-            if not bool(in_order.all()):
-                self.buffer.add_many(points[~in_order], deltas[~in_order])
-                self.cube.note_external_mutation()
-            self.total_updates += int(points.shape[0])
-            self._maybe_drain()
+        if bool(in_order.any()):
+            self.cube.update_many(points[in_order], deltas[in_order], mode="fast")
+        if not bool(in_order.all()):
+            self.buffer.add_many(points[~in_order], deltas[~in_order])
+        self.total_updates += int(points.shape[0])
+        self._maybe_drain()
 
     def _maybe_drain(self) -> None:
         if (
@@ -344,7 +329,7 @@ class BufferedEvolvingDataCube:
     # -- background drain ---------------------------------------------------------------
 
     def drain(self, limit: int | None = None) -> tuple[int, int]:
-        """Land up to ``limit`` buffered corrections, newest time first.
+        """Land the ``limit`` newest buffered corrections (all: ``None``).
 
         They go through the landing step (:meth:`_land`) before ``G_d``
         gives them up, so a batch it refuses leaves the buffer as it was.
@@ -354,43 +339,36 @@ class BufferedEvolvingDataCube:
         until a retirement folds them (:meth:`prune_retired`).  Returns
         ``(applied, kept)``.
         """
-        # the kernel moves before the buffer lets the corrections go: no
-        # intermediate state answers correctly, so publication is deferred
-        # to the end of the drain
-        with self.cube.publish_barrier():
-            positions, points, deltas = self.buffer.newest(limit)
-            kept = self._land(points, deltas)
-            self.buffer.remove(positions[~kept])
-            if positions.size:
-                self.cube.note_external_mutation()
+        positions, points, deltas = self.buffer.newest(limit)
+        kept = self._land(points, deltas)
+        self.buffer.remove(positions[~kept])
         return int(positions.size - kept.sum()), int(kept.sum())
 
     def _land(self, points: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """The landing step of ``G_d`` entries, given newest time first.
 
-        Every cell is checked before anything moves.  An entry at or after
-        the kernel's latest time is an append (:meth:`EvolvingDataCube.
-        update`; only a batch buffered by ``mode="buffer"`` holds one), and
-        being newest such entries lead the batch.  The rest land through
+        Every cell is checked before anything moves.  The entries before
+        the kernel's latest time land first, in one call of
         :meth:`CubeKernel.land_historic`, which splices each
-        never-occurring time in first and keeps back the entries aimed
-        into the retired region.  Returns the mask of the entries kept
-        back: the caller leaves those in the buffer.
+        never-occurring time in and keeps back the entries aimed into the
+        retired region; no instance has become historic since the last
+        publication, so over published rows they take the one pass.  The
+        rest -- at or after the latest time; only a batch buffered by
+        ``mode="buffer"`` holds one -- are then appended oldest first
+        (:meth:`EvolvingDataCube.update`).  Returns the mask of the
+        entries kept back: the caller leaves those in the buffer.
         """
         self.cube.check_cells(points[:, 1:])
+        latest = self.cube.latest_time
+        historic = np.zeros(deltas.shape, dtype=bool)
+        if latest is not None:
+            historic = points[:, 0] < latest
         kept = np.zeros(deltas.shape, dtype=bool)
-        if not deltas.size:
-            return kept
-        latest, newest = self.cube.latest_time, int(points[0, 0])
-        appends = 0
-        if latest is None or newest >= latest:
-            appends = int(np.count_nonzero(points[:, 0] == newest))
-            for point, delta in zip(
-                points[:appends].tolist(), deltas[:appends].tolist()
-            ):
-                self.cube.update(point, delta)
-        if appends < deltas.size:
-            kept[appends:] = self.cube.land_historic(
-                points[appends:], deltas[appends:]
+        if bool(historic.any()):
+            kept[historic] = self.cube.land_historic(
+                points[historic], deltas[historic]
             )
+        appends = np.flatnonzero(~historic)[::-1]  # oldest first
+        for point, delta in zip(points[appends].tolist(), deltas[appends].tolist()):
+            self.cube.update(point, delta)
         return kept

@@ -61,12 +61,6 @@ class EvolvingDataCube(CubeKernel):
         The paper's theta_min: the smallest density the array is expected
         to have ("arrays are only efficient if the underlying data set is
         not too sparse").  Only used to size the default copy budget.
-    finalize_threshold:
-        Fast mode: conversion-flag density at which a historic slice is
-        bulk-finalized to PS instead of evaluated cell-mixed.
-    finalize_after:
-        Fast mode: number of fast queries hitting a still-mixed historic
-        slice before it is bulk-finalized.
     """
 
     def __init__(
@@ -76,16 +70,9 @@ class EvolvingDataCube(CubeKernel):
         counter: CostCounter | None = None,
         copy_budget: int | None = None,
         min_density: float = 0.005,
-        finalize_threshold: float = 0.05,
-        finalize_after: int = 3,
     ) -> None:
         super().__init__(
-            slice_shape,
-            DenseStore(),
-            num_times=num_times,
-            counter=counter,
-            finalize_threshold=finalize_threshold,
-            finalize_after=finalize_after,
+            slice_shape, DenseStore(), num_times=num_times, counter=counter
         )
         if copy_budget is None:
             if not 0 < min_density <= 1:

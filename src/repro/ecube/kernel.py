@@ -48,6 +48,14 @@ from repro.metrics import CostCounter
 from repro.storage.serialize import require_dense
 
 
+#: Fast mode: conversion-flag density at which a historic slice is
+#: bulk-finalized to PS instead of evaluated cell-mixed.
+FINALIZE_THRESHOLD = 0.05
+#: Fast mode: number of fast queries hitting a still-mixed historic slice
+#: before it is bulk-finalized.
+FINALIZE_AFTER = 3
+
+
 class CubeKernel:
     """Append-only MOLAP cube algorithm over an abstract slice store.
 
@@ -62,12 +70,6 @@ class CubeKernel:
         the structure grows one *occurring* time at a time regardless).
     counter:
         Cost counter; a private one is created when omitted.
-    finalize_threshold:
-        Fast mode: conversion-flag density at which a historic slice is
-        bulk-finalized to PS instead of evaluated cell-mixed.
-    finalize_after:
-        Fast mode: number of fast queries hitting a still-mixed historic
-        slice before it is bulk-finalized.
     """
 
     #: the bottom of a point-object stack (:mod:`repro.core.front`)
@@ -81,8 +83,6 @@ class CubeKernel:
         store: SliceStore,
         num_times: int | None = None,
         counter: CostCounter | None = None,
-        finalize_threshold: float = 0.05,
-        finalize_after: int = 3,
     ) -> None:
         self.slice_shape = tuple(int(n) for n in slice_shape)
         if any(n <= 0 for n in self.slice_shape):
@@ -100,8 +100,6 @@ class CubeKernel:
         # instead and never reads it)
         self.copy_budget = 0
         # fast-mode machinery (term tables) is built on first use
-        self.finalize_threshold = float(finalize_threshold)
-        self.finalize_after = int(finalize_after)
         self._fast: FastSliceEngine | None = None
         self._num_slice_cells = int(np.prod(self.slice_shape))
         # per-operation page-access total of the most recent entry point
@@ -112,16 +110,14 @@ class CubeKernel:
         # front-end (repro.concurrent.SnapshotCube) uses it as the
         # copy-on-publish watermark for the frozen cache arrays
         self.epoch_version = 0
-        # bumped by wrapper components (the G_d buffer) whose mutations
-        # change answers without touching kernel state
-        self.external_version = 0
-        # the attached SnapshotCube (or None): receives publish() after
-        # every answer-changing operation and note_rewrite() before every
-        # mutation that rewrites the content of a historic instance
-        self._epoch_sink = None
         self._epoch_dirty = False
-        self._publish_barrier_depth = 0
-        self._publish_pending = False
+        #: the lowest instance index a correction or splice rewrote since
+        #: the snapshot front last published (``None``: none); the front
+        #: reads and resets it
+        self.rewritten_from: int | None = None
+        #: the snapshot front serving this kernel (``None``: none); one at
+        #: most, held here but never called
+        self.snapshot_front = None
         self.store = store
         store.bind(self)
 
@@ -147,11 +143,10 @@ class CubeKernel:
     def _op(self):
         """Bracket one public entry point for per-operation cost scoping.
 
-        The bracket is also the epoch-publication point: when the
-        outermost operation of an entry point mutated answer-affecting
-        state (:meth:`_note_mutation`), the epoch version advances once
-        and the attached snapshot front-end republishes -- nested entry
-        points (batch replays) publish exactly one epoch.
+        When the outermost operation of an entry point mutated
+        answer-affecting state (:meth:`_note_mutation`), the epoch version
+        advances once -- nested entry points (batch replays) advance it
+        once too.
         """
         opened = self.store.begin_op()
         try:
@@ -163,7 +158,6 @@ class CubeKernel:
             if opened and self._epoch_dirty:
                 self._epoch_dirty = False
                 self.epoch_version += 1
-                self._notify_sink()
 
     # -- epoch publication (snapshot-isolated concurrent reads) -------------------
 
@@ -171,57 +165,12 @@ class CubeKernel:
         """Mark the current operation as answer-changing (epoch advance)."""
         self._epoch_dirty = True
 
-    def _notify_sink(self) -> None:
-        sink = self._epoch_sink
-        if sink is None:
-            return
-        if self._publish_barrier_depth > 0:
-            self._publish_pending = True
-        else:
-            sink.publish()
-
-    def note_external_mutation(self) -> None:
-        """A wrapper component (e.g. the ``G_d`` buffer) changed answers.
-
-        Advances the external epoch version and republishes, so snapshot
-        readers see buffer-only writes (a historic update landing in
-        ``G_d`` without any kernel operation) as a new epoch too.
-        """
-        self.external_version += 1
-        self._notify_sink()
-
-    @contextmanager
-    def publish_barrier(self):
-        """Defer epoch publication until a multi-step operation completes.
-
-        A logical write that mutates in several kernel steps (a buffered
-        ``update_many`` split, a drain loop) must not expose its
-        intermediate states: inside the barrier, version bumps still
-        happen but the sink is notified only once, at barrier exit.
-        """
-        self._publish_barrier_depth += 1
-        try:
-            yield
-        finally:
-            self._publish_barrier_depth -= 1
-            if self._publish_barrier_depth == 0 and self._publish_pending:
-                self._publish_pending = False
-                sink = self._epoch_sink
-                if sink is not None:
-                    sink.publish()
-
     def _note_rewrite(self, index: int) -> None:
-        """Tell the snapshot front that historic content is about to change.
-
-        Out-of-order corrections and splices are the only operations that
-        change what historic instances answer; ``index`` is the first one
-        whose content changes -- they reach it and every instance above.
-        No published row is written (a correction re-publishes it); the
-        front re-publishes the rows from ``index`` on.
-        """
-        sink = self._epoch_sink
-        if sink is not None:
-            sink.note_rewrite(index)
+        """Instance ``index`` and every instance above it are about to
+        change content (a correction or a splice): lower the low-water
+        mark the snapshot front re-publishes rows from."""
+        if self.rewritten_from is None or index < self.rewritten_from:
+            self.rewritten_from = index
 
     # -- introspection ---------------------------------------------------------
 
@@ -287,7 +236,6 @@ class CubeKernel:
                 retired += 1
         self._retired_below = boundary
         self.epoch_version += 1
-        self._notify_sink()
         return retired
 
     # -- updates (Figure 8) -------------------------------------------------------
@@ -947,7 +895,6 @@ class CubeKernel:
         self.updates_applied = int(np.asarray(arrays["updates_applied"])[0])
         self.store.restore_cache(arrays, len(times))
         self.epoch_version += 1
-        self._notify_sink()
 
     def replay_out_of_order(self, point: Sequence[int], delta: int) -> bool:
         """:meth:`apply_out_of_order` for log replay; guards data aging.
@@ -1022,8 +969,8 @@ class _LiveSlices:
             payload.fast_hits += 1
             density = payload.ps_count / kernel._num_slice_cells
             if (
-                payload.fast_hits >= kernel.finalize_after
-                or density >= kernel.finalize_threshold
+                payload.fast_hits >= FINALIZE_AFTER
+                or density >= FINALIZE_THRESHOLD
             ):
                 fully_ps = kernel.bulk_finalize_slice(index)
         values, flags = store.slice_views(payload)

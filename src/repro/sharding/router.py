@@ -99,7 +99,7 @@ class InlineHandle(_Handle):
     def __init__(self, shard_id: int, config: dict) -> None:
         self.shard_id = shard_id
         self.state = ShardWorkerState(config)
-        self.descriptor, self.times = self.state.publish()
+        self.descriptor, self.times = self.state.published()
 
     def is_alive(self) -> bool:
         return True

@@ -368,7 +368,6 @@ class EpochExporter:
         self._last = {
             "sequence": epoch.sequence,
             "kernel_version": epoch.kernel_version,
-            "external_version": epoch.external_version,
             "num_slices": epoch.num_slices,
             "retired_below": epoch.retired_below,
             "slice_shape": epoch.slice_shape,
@@ -427,7 +426,6 @@ def epoch_from_shared_memory(descriptor: dict, cache: BlockCache) -> Epoch:
         rows[index] = row
     return Epoch(
         descriptor["kernel_version"],
-        descriptor["external_version"],
         descriptor["sequence"],
         descriptor["num_slices"],
         frontier["times"],

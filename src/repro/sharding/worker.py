@@ -1,8 +1,9 @@
 """Shard workers, and the reader state the router answers from.
 
 A *shard worker* owns one shard's cube (dense, buffered or not,
-optionally durable), ingests the writes routed to it and, after every
-mutation, publishes an epoch descriptor together with the shard's time
+optionally durable), ingests the writes routed to it past its snapshot
+front and, once after every op that mutates, publishes an epoch and
+hands back its descriptor together with the shard's time
 state (first and last occurring time, demotion watermark).  The shard is
 the only owner of that state; the router derives the global view from
 what the shards last reported.  A worker process runs a tiny synchronous
@@ -103,13 +104,15 @@ class ShardWorkerState:
 
     def _replay_tail(self) -> None:
         """Replay the log tail the way live writes arrive: the restored
-        checkpoint is published first, then the historic slices each record
-        made, and adopted, before the next record is applied; with no
-        reader attached yet the epochs a record superseded are released at
-        once.  So replayed history never piles up on the heap: beside the
-        latest instance, only what the current record made historic is off
-        shared memory."""
-        for _ in itertools.chain([None], self.front.replay_tail()):
+        checkpoint is published first, then one epoch after each record,
+        which finishes the historic slices the record made into rows
+        before the next record is applied; with no reader attached yet the
+        epochs a record superseded are released at once.  So replayed
+        history never piles up on the heap: beside the latest instance,
+        only what the current record made historic is off shared memory."""
+        for lsn in itertools.chain([None], self.front.replay_tail()):
+            if lsn is not None:
+                self.snap.publish()
             if self.exporter is not None:
                 self.exporter.release_below(self.exporter.export()["sequence"])
 
@@ -119,7 +122,7 @@ class ShardWorkerState:
     def kernel(self):
         return self.snap.kernel
 
-    def publish(self) -> tuple:
+    def published(self) -> tuple:
         """``(descriptor, time state)``: the current epoch (picklable shm
         names, or the :class:`Epoch` itself in-process) and ``(first time,
         last time, demotion watermark)``, O(1) from the shard's own
@@ -281,11 +284,11 @@ def serve(state: ShardWorkerState, op: str, payload) -> tuple:
     """Run one op against a shard: the reply frame ``(status, result,
     published)``.
 
-    A mutating op answers with what the shard now publishes (its fresh
-    epoch and time state) even when it failed: it may have partially
-    applied (the kernel publishes in its ``finally``).  Every exception
-    is carried in the frame; what to do with one that is no
-    :class:`ReproError` is the caller's policy.
+    A mutating op publishes one epoch and answers with what the shard now
+    publishes (that epoch and its time state) even when it failed: it may
+    have partially applied.  Every exception is carried in the frame;
+    what to do with one that is no :class:`ReproError` is the caller's
+    policy.
     """
     if op not in state.ops:
         return "error", DomainError(f"unknown shard op {op!r}"), None
@@ -294,7 +297,10 @@ def serve(state: ShardWorkerState, op: str, payload) -> tuple:
         status, result = "ok", handler(state, payload)
     except Exception as exc:
         status, result = "error", exc
-    return status, result, (state.publish() if mutates else None)
+    if not mutates:
+        return status, result, None
+    state.snap.publish()
+    return status, result, state.published()
 
 
 def worker_main(conn, config: dict) -> None:
@@ -311,7 +317,7 @@ def worker_main(conn, config: dict) -> None:
         conn.close()
         return
     try:
-        conn.send(("ok", None, state.publish()))
+        conn.send(("ok", None, state.published()))
         while True:
             if not conn.poll(0.1):
                 if stop:

@@ -121,7 +121,10 @@ class _Front:
             return cube.drain(op[1])
         if name == "correct":  # one correction landed alone
             if self.kind in ("snapshot", "tiered"):  # at the kernel, past G_d
-                return cube.kernel.apply_out_of_order((op[1], *op[2]), op[3])
+                try:
+                    return cube.kernel.apply_out_of_order((op[1], *op[2]), op[3])
+                finally:
+                    cube.publish()  # written past the front, which publishes
             # a logged front refuses that over G_d: buffered, then drained
             cube.update((op[1], *op[2]), op[3])
             return cube.drain()

@@ -327,7 +327,7 @@ def test_a_paged_or_sparse_kernel_is_a_stack_only_on_its_own(tmp_path, kernel):
         SnapshotCube(bare)
     with pytest.raises(DomainError, match=f"a tiered layer cannot sit over a {kind} kernel"):
         TieredCube(bare, TIERS, tmp_path / "tiles")
-    assert bare._epoch_sink is None  # refused before it attached
+    assert bare.snapshot_front is None  # refused before it attached
     for name, args in (("state_arrays", ()), ("restore_state", ({},)), ("resident_slice_bytes", ())):
         with pytest.raises(DomainError, match=rf"{name}\(\) serves dense kernels only"):
             getattr(bare, name)(*args)

@@ -130,6 +130,47 @@ def test_a_snapshot_drain_lands_in_one_pass_with_no_int64_successor(monkeypatch)
     assert snap.total() == expected
 
 
+def test_a_drain_holding_an_append_lands_its_history_first(monkeypatch):
+    """A drained entry past the latest time (a shard's globally late point)
+    is appended after the historic entries land: the instance it would
+    make historic is not one yet, so those take the one pass over
+    published rows and no row is promoted into an int64 copy."""
+    promoted = []
+    promote = DenseStore._promote
+
+    def counted(store, payload):
+        held = payload.values
+        promote(store, payload)
+        if payload.values is not held:  # a read-only row became a heap copy
+            promoted.append(payload)
+
+    monkeypatch.setattr(DenseStore, "_promote", counted)
+    snap = SnapshotCube(BufferedEvolvingDataCube((8, 8)))
+    plain = BufferedEvolvingDataCube((8, 8))
+    for front in (snap, plain):
+        for time in range(10):
+            front.update((time, time % 8, 1), time + 1)
+        front.update_many([[3, 2, 2], [5, 4, 4], [12, 6, 6]], [7, 8, 9], mode="buffer")
+    boxes = [Box((t, 0, 0), (12, 7, 7)) for t in range(13)]
+    boxes += [Box((0, 2, 2), (t, 7, 7)) for t in range(13)]
+    before = snap.query_many(boxes)
+    assert before == plain.query_many(boxes)
+    cascades = []
+    cascade = CubeKernel._cascade
+    monkeypatch.setattr(
+        CubeKernel, "_cascade", lambda k, *a: (cascades.append(a), cascade(k, *a))
+    )
+    promoted.clear()
+    with _one_passes() as passes:
+        assert snap.drain() == (3, 0)
+    assert passes == [2] and cascades == [] and promoted == []
+    assert snap.kernel.latest_time == 12
+    assert_history_published(snap)
+    assert snap.query_many(boxes) == before
+    assert plain.drain() == (3, 0)
+    assert plain.query_many(boxes) == before
+
+
 #: deltas that move rows across every width boundary and wrap int64
 _LANDING_DELTAS = st.sampled_from([1, -1, 100, -100, 200, -200, 40_000, -40_000, BIG, -BIG])
 _CELL_DELTAS = st.tuples(st.integers(0, 2), _LANDING_DELTAS)

@@ -129,7 +129,7 @@ class TestReplayPublishesAsItGoes:
             assert max(seen) <= 2
             # published: every historic slice is a row in shared memory
             assert _heap_slices(state.kernel) <= 1
-            descriptor = state.publish()[0]
+            descriptor = state.published()[0]
             assert len(descriptor["slices"]) == (
                 state.kernel.num_slices - 1 - state.kernel.retired_instances
             )

@@ -120,6 +120,7 @@ class Fleet:
     def out_of_order(self, time: int, delta: int) -> None:
         point = (time, *self.origins[0])
         self.oracle.kernel.apply_out_of_order(point, delta)
+        self.oracle.publish()  # written past the front, which publishes
         self.cube.apply_out_of_order(point, delta)
         self.held[0] = _ring(self.held[0] + delta)
 

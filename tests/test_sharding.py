@@ -104,6 +104,7 @@ class TestInlineDifferential:
         # kernel, past G_d; a snapshot front over a buffered cube refuses
         # the call, so the oracle does the same thing by name
         oracle.kernel.apply_out_of_order(correction, 5)
+        oracle.publish()  # written past the front, which publishes
         cube.apply_out_of_order(correction, 5)
         boxes = [random_box(rng, shape) for _ in range(30)]
         assert cube.query_many(boxes) == oracle.query_many(boxes)

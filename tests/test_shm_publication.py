@@ -282,16 +282,17 @@ class TestExportCounts:
         for time in range(6):
             rig.write([time] * 5)
         before, _ = rig.export()
-        # hold publication back: a new time makes instance 5 historic but
-        # not yet published, so a correction reaching it cascades
-        with rig.kernel.publish_barrier():
-            rig.write([6] * 5)
-            rig.write([2], apply=rig.snap.kernel.apply_out_of_order)
-            reached = [rig.kernel.directory.at_index(i)[1] for i in range(2, 5)]
-            copies = [payload.values for payload in reached]
-            # each reached row promoted into an int64 heap copy, no block
-            assert all(c.dtype == np.int64 and c.flags.writeable for c in copies)
-            assert rig.owner.created == []
+        # two writes past the front, no publication between them: a new
+        # time makes instance 5 historic but not yet published, so a
+        # correction reaching it cascades
+        rig.write([6] * 5, apply=rig.kernel.update)
+        rig.write([2], apply=rig.kernel.apply_out_of_order)
+        reached = [rig.kernel.directory.at_index(i)[1] for i in range(2, 5)]
+        copies = [payload.values for payload in reached]
+        # each reached row promoted into an int64 heap copy, no block
+        assert all(c.dtype == np.int64 and c.flags.writeable for c in copies)
+        assert rig.owner.created == []
+        rig.snap.publish()
         after, created = rig.export()
         # the copies are swept as the fully PS slices they are and published
         # under the anchor rule, oldest first, with instance 5: one block
@@ -333,7 +334,7 @@ class TestExportCounts:
         for time in range(12):
             rig.write([time] * 5)
         before, _ = rig.export()
-        dropped = (rig.snap.target.demote_before if demote else rig.snap.retire_before)(6)
+        dropped = (rig.snap.demote_before if demote else rig.snap.retire_before)(6)
         assert dropped == 5  # instance 5 stays as the cumulative boundary
         after, created = rig.export()
         assert created == [after["frontier"][0]]
@@ -645,18 +646,19 @@ class PublicationMachine(RuleBasedStateMachine):
     @rule(number=_times, occurring=st.booleans())
     def out_of_order(self, number, occurring):
         # at the kernel, past any G_d (the snapshot front of a buffered
-        # cube refuses the call by name)
+        # cube refuses the call by name), so published by hand
         self.rig.write(
             [self._historic(number, occurring)],
             apply=self.rig.kernel.apply_out_of_order,
         )
+        self.rig.snap.publish()
         self.publish()
 
     @rule(number=_times)
     def retire_or_demote(self, number):
         rig, time = self.rig, number % (self.latest + 1)
         if self.tiered:
-            rig.snap.target.demote_before(time)
+            rig.snap.demote_before(time)
         else:
             if self.buffered:
                 rig.snap.drain()  # a retire prunes what G_d holds below it

@@ -123,6 +123,7 @@ class Model:
         # a forced correction lands at the kernel, past any G_d (a
         # snapshot front over a buffered cube refuses the call by name)
         self.oracle.kernel.apply_out_of_order(tuple(point), delta)
+        self.oracle.publish()  # written past the front, which publishes
         self.cube.apply_out_of_order(tuple(point), delta)
 
     def retire(self, time: int) -> None:
