@@ -74,6 +74,9 @@ loc:
 # no np.unique outside the reproduction's experiments/ and workloads/
 # (its hash path imports numpy.ma; repro.ecube.compiled.sorted_unique does not);
 # no TopKEngine in sharding/: a shard ranks a top-k from two prefix slices;
+# one top-k algorithm: no threshold engine (marginals, pairwise marginals,
+# pruned queries, gather chunks) anywhere in src/repro, and no
+# np.partition outside ranking/, so that there is one ranker;
 # the two families of an extent cube keep their own time axes: no
 # shared axis, no kernel catch-up hook, no suspended alignment; and a G_d
 # correction lands by one rule, the buffered front's landing step: no
@@ -119,6 +122,8 @@ probes:
 		src/repro/sharding src/repro/__main__.py
 	@! grep -rn 'np\.uniqu[e](' src/repro --exclude-dir=experiments --exclude-dir=workloads
 	@! grep -rn 'TopKEngin[e]' src/repro/sharding
+	@! grep -rnE '_pair_margina[l]|_marginal[s]\(|GATHER_CHUN[K]|_pruned_quer[y]' src/repro
+	@! grep -rn 'np\.partitio[n]' src/repro --exclude-dir=ranking
 	@! grep -rnE 'SharedTimeAxis|FamilyDirectory|_family_catch|suspend_alignment' src/repro
 	@! grep -rnE 'ShardBufferedCub[e]|_fold_retire[d]|_apply_draine[d]' src
 	@! grep -rn 'global_order_buffe[r]' src | grep -v \

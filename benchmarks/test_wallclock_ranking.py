@@ -1,18 +1,20 @@
-"""Top-k threshold pruning and tier-backed estimation wall-clock.
+"""Top-k ranking and tier-backed estimation wall-clock.
 
-Two trails on the weather4 stream, recorded into ``BENCH_ranking.json``:
+Three trails on the weather4 stream, recorded into ``BENCH_ranking.json``:
 
 * ``weather4_topk``: a paper-style ranking mix (small ``k`` over full,
-  recent and narrow TT windows) answered by the pruning engine vs the
-  exact dense full scan over the same front.  The differential is part
-  of the benchmark -- the pruned answers must be bit-identical to the
-  dense ones before any row is recorded -- and the >=2x pruning-speedup
-  floor from ISSUE 10 is enforced here (CI's guard step re-checks the
-  recorded row).
+  recent and narrow TT windows) answered by the engine (two prefix
+  slices and a difference) vs an exact full scan of the same front --
+  ``query_many`` over every single-cell box, ranked in the oracle's
+  order.  The differential is part of the benchmark -- the engine's
+  answers must be bit-identical to the scan's before any row is
+  recorded -- and the >=2x speedup floor is enforced here on the median
+  of alternating repeats (CI's guard step re-checks the recorded
+  ``slices`` row).
 * ``weather4_tiered_topk``: the same ranking mix over a demoted
   :class:`~repro.retention.TieredCube` on the ``TIERS`` ladder, whose
-  gathers cross rollup slices and tiles; exact against the undemoted
-  front before the row is recorded.
+  prefixes come from rollup slices and tiles; exact against the
+  undemoted front before the row is recorded.
 * ``weather4_cold_tier``: the same aged tiered ladder as the retention
   benchmark, queried at non-boundary demoted prefixes so the exact path
   must decode historic tiles while ``query_many_approx`` answers from
@@ -24,6 +26,7 @@ Two trails on the weather4 stream, recorded into ``BENCH_ranking.json``:
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 from _record import BENCH_RANKING_FILE, record
 from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ranking import TopKEngine
+from repro.ranking import TopKEngine, brute_topk
 from repro.retention import TieredCube
 from repro.workloads.datasets import weather4
 
@@ -42,6 +45,8 @@ TIERS = [
 SPEEDUP_FLOOR = 2.0
 COLD_TIER_CEILING = 0.5
 REPEATS = 3
+#: alternating repeats per side of a timed top-k comparison (medians)
+TOPK_REPEATS = 7
 NUM_APPROX_QUERIES = 120
 
 
@@ -67,6 +72,33 @@ def _best_of(repeats, run):
     return result, best
 
 
+def _median_of(repeats, *runs):
+    """Each run's median wall-clock over ``repeats`` alternating rounds
+    (after one warm call each), and each run's last result."""
+    results = [run() for run in runs]
+    walls = [[] for _ in runs]
+    for _ in range(repeats):
+        for i, run in enumerate(runs):
+            start = time.perf_counter()
+            results[i] = run()
+            walls[i].append(time.perf_counter() - start)
+    return results, [statistics.median(w) for w in walls]
+
+
+def _full_scan(front, shape, queries):
+    """Every single-cell box of each window through ``query_many``,
+    ranked as :func:`~repro.ranking.brute_topk` ranks."""
+    cells = np.stack(np.unravel_index(np.arange(np.prod(shape)), shape), axis=1)
+    ranked = []
+    for t1, t2, k in queries:
+        boxes = np.empty((len(cells), 2, 1 + len(shape)), dtype=np.int64)
+        boxes[:, :, 0] = t1, t2
+        boxes[:, 0, 1:] = boxes[:, 1, 1:] = cells
+        values = np.asarray(front.query_many(boxes), dtype=np.int64)
+        ranked.append(brute_topk(values.reshape(1, *shape), 0, 0, k))
+    return ranked
+
+
 def test_topk_pruning_vs_full_scan():
     data = weather4(scale=0.2)
     t_max = int(data.coords[:, 0].max())
@@ -74,49 +106,43 @@ def test_topk_pruning_vs_full_scan():
     front.update_many(data.coords, data.values)
     queries = _ranking_mix(t_max)
 
-    pruned_engine = TopKEngine(front, nonnegative=True)
-    dense_engine = TopKEngine(front, nonnegative=False)
-    pruned, pruned_wall = _best_of(
-        REPEATS, lambda: pruned_engine.topk_many(queries)
-    )
-    dense, dense_wall = _best_of(
-        REPEATS, lambda: dense_engine.topk_many(queries)
+    engine = TopKEngine(front)
+    (ranked, scanned), (engine_wall, scan_wall) = _median_of(
+        TOPK_REPEATS,
+        lambda: engine.topk_many(queries),
+        lambda: _full_scan(front, data.slice_shape, queries),
     )
 
     # exactness gates the numbers: a fast-but-wrong row is worthless
-    assert pruned == dense
-    assert all(s.strategy == "prune" for s in pruned_engine.last_stats)
-    speedup = dense_wall / pruned_wall
+    assert ranked == scanned
+    speedup = scan_wall / engine_wall
     assert speedup >= SPEEDUP_FLOOR, (
-        f"top-k pruning speedup {speedup:.2f}x (< {SPEEDUP_FLOOR}x floor): "
-        f"prune {pruned_wall:.4f}s vs dense {dense_wall:.4f}s"
+        f"top-k speedup over the full scan {speedup:.2f}x (< {SPEEDUP_FLOOR}x "
+        f"floor): engine {engine_wall:.4f}s vs scan {scan_wall:.4f}s"
     )
 
-    cells = pruned_engine.last_stats[0].cells
+    cells = engine.last_stats[0].cells
     extra = {
         "dataset": "weather4(scale=0.2)",
         "num_queries": len(queries),
         "cells": cells,
+        "repeats": TOPK_REPEATS,
+        "statistic": "median",
     }
     record(
         "weather4_topk",
-        "dense",
-        dense_wall,
+        "full_scan",
+        scan_wall,
         0,
         path=BENCH_RANKING_FILE,
-        materialized=cells * len(queries),
         **extra,
     )
     record(
         "weather4_topk",
-        "prune",
-        pruned_wall,
+        "slices",
+        engine_wall,
         0,
         path=BENCH_RANKING_FILE,
-        materialized=sum(s.materialized for s in pruned_engine.last_stats),
-        marginal_boxes=sum(
-            s.marginal_boxes for s in pruned_engine.last_stats
-        ),
         speedup=round(speedup, 3),
         **extra,
     )
@@ -134,22 +160,22 @@ def test_topk_over_demoted_tiers(tmp_path):
     assert tiered.demote_before(t_max - 2) >= 24
     queries = _ranking_mix(t_max)
 
-    engine = TopKEngine(tiered, nonnegative=True)
-    ranked, wall = _best_of(REPEATS, lambda: engine.topk_many(queries))
+    engine = TopKEngine(tiered)
+    (ranked,), (wall,) = _median_of(TOPK_REPEATS, lambda: engine.topk_many(queries))
 
     # exact against the undemoted front before any row is recorded
-    assert ranked == TopKEngine(undemoted, nonnegative=True).topk_many(queries)
+    assert ranked == TopKEngine(undemoted).topk_many(queries)
     record(
         "weather4_tiered_topk",
-        "prune",
+        "slices",
         wall,
         0,
         path=BENCH_RANKING_FILE,
         dataset="weather4(scale=0.2)",
         num_queries=len(queries),
         cells=engine.last_stats[0].cells,
-        materialized=sum(s.materialized for s in engine.last_stats),
-        marginal_boxes=sum(s.marginal_boxes for s in engine.last_stats),
+        repeats=TOPK_REPEATS,
+        statistic="median",
         demoted_through=tiered.demoted_through,
         tiles=len(tiered.tiles),
     )

@@ -1,13 +1,14 @@
 """Temporal top-k ranking over the eCube (Jestes et al., arXiv:1208.0222).
 
 The last query class of the seed roadmap: "which cells scored highest
-over the interval ``[t1, t2]``?"  :class:`~repro.ranking.topk.TopKEngine`
-answers it exactly on *any* front implementing the
-:class:`~repro.core.framework.BatchExecutor` protocol -- bare kernels,
-``G_d``-buffered fronts, tiered-retention fronts and sharded cubes --
-by threshold-style pruning over per-dimension prefix-sum marginals so
-that only candidate cells are ever materialized through the batch
-gather.
+over the interval ``[t1, t2]``?"  Every front answers it with one
+function, :func:`~repro.ranking.topk.topk_from_slices`: each cell's
+score is the inverse prefix of ``ps(t2) - ps(t1 - 1)`` plus the
+window's ``G_d`` points, exact for any sign of delta.  A shard worker
+calls it with its pinned epoch; :class:`~repro.ranking.topk.TopKEngine`
+picks its inputs from a front's declared stack -- bare kernels of every
+store, ``G_d``-buffered, tiered, durable and snapshot fronts.
+:func:`~repro.ranking.topk.brute_topk` is the oracle.
 """
 
 from repro._exports import exports

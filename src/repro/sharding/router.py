@@ -499,10 +499,10 @@ class ShardRouter:
 
         Every shard ranks its own (disjoint) share of the cell domain
         from two prefix slices, ``ps(t2) - ps(t1 - 1)``, and their
-        inverse prefix (:meth:`~repro.sharding.worker.ShardWorkerState.
-        _topk`); the router shifts the winning cells by each shard
-        extent's origin and merge-sorts.  Because the partition is
-        disjoint and origin shifts preserve lexicographic cell order, a
+        inverse prefix (:func:`~repro.ranking.topk.topk_pinned`); the
+        router shifts the winning cells by each shard extent's origin
+        and merge-sorts.  Because the partition is disjoint and origin
+        shifts preserve lexicographic cell order, a
         cell in the global top-k is necessarily in its own shard's top-k
         -- the union of the per-shard lists is a complete candidate set
         and no second round is needed.  Answers are exact for any sign

@@ -43,8 +43,8 @@ from repro.durability.recovery import DurableCube, build_front
 from repro.metrics import CostCounter
 
 from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView, prepare_epoch
-from repro.ecube.fastpath import DDC, _prefix_sum_rows, retired_instance_error
-from repro.ecube.stores import row_difference
+from repro.ranking.topk import topk_pinned
+from repro.sharding.ops import OPS
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
     BlockCache,
@@ -181,65 +181,6 @@ class ShardWorkerState:
             raise DomainError("demote requires a tiered shard (tiers=...)")
         return self.front.demote_before(time)
 
-    def _topk(self, queries) -> list:
-        """Rank the shard's local cell domain for each ``(t1, t2, k)``.
-
-        Every cell's score over ``[t1, t2]`` is the inverse prefix
-        (``np.diff`` along each cell axis) of ``ps(t2) - ps(t1 - 1)``
-        (§2's two lookups, for the whole slice at once), plus the
-        window's ``G_d`` points; ranked by value descending, then flat
-        cell index ascending.  Exact whatever the signs of the deltas.
-        The router globalizes the cells by the shard extent's origin and
-        merges (the cell partition is disjoint, so per-shard lists are
-        exact).
-        """
-        with self.snap.pin() as view:
-            return [self._ranked(view, *query) for query in queries]
-
-    def _ranked(self, view: SnapshotView, t1: int, t2: int, k: int) -> list:
-        if k <= 0:
-            return []
-        scores = np.zeros(view.slice_shape, dtype=np.int64)
-        if t1 <= t2:
-            upper = self._prefix_slice(view, t2)
-            row_difference(upper, self._prefix_slice(view, t1 - 1), out=scores)
-            for axis in range(scores.ndim):
-                scores = np.diff(scores, axis=axis, prepend=0)
-            epoch = view.epoch
-            if epoch.gd_points is not None and len(epoch.gd_points):
-                times = epoch.gd_points[:, 0]
-                window = (times >= t1) & (times <= t2)
-                cells = tuple(epoch.gd_points[window, 1:].T)
-                np.add.at(scores, cells, epoch.gd_deltas[window])
-        flat = scores.reshape(-1)
-        # ascending ~v is descending v, and ~ never wraps (-v does at -2**63)
-        key = ~flat
-        k = min(k, flat.size)
-        candidates = np.arange(flat.size)
-        if k < flat.size:
-            candidates = np.flatnonzero(key <= np.partition(key, k - 1)[k - 1])
-        chosen = candidates[np.argsort(key[candidates], kind="stable")[:k]]
-        cells = np.stack(np.unravel_index(chosen, scores.shape), axis=1)
-        return list(zip(map(tuple, cells.tolist()), flat[chosen].tolist()))
-
-    def _prefix_slice(self, view: SnapshotView, time: int) -> np.ndarray | None:
-        """The cumulative PS slice the prefix up to ``time`` floors on
-        (``None`` before the first instance): the epoch's row, the latest
-        instance's frontier swept once per epoch, or a demoted instance's
-        slice from the tiers."""
-        floor = int(np.searchsorted(view.times, time, side="right")) - 1
-        if floor < 0:
-            return None
-        if floor < view.retired_below:
-            occurring = int(view.times[floor])
-            if not self.tiered:
-                raise retired_instance_error(occurring)
-            return self.layers["tiered"]._demoted_slice(occurring)
-        kind, values, _ = view.fetch(floor)
-        if kind == DDC:
-            (values,) = _prefix_sum_rows(view, np.array([floor]), [(kind, values, None)])
-        return values
-
     def _approx(self, boxes):
         tiered = self.layers.get("tiered")
         if tiered is not None:
@@ -247,24 +188,34 @@ class ShardWorkerState:
         # no tiers on this shard: every answer is exact
         return [(float(v), int(v), int(v)) for v in self.front.query_many(boxes)]
 
-    #: shard op -> (handler(state, payload) -> result, does it mutate the shard)
+    #: shard op -> (handler(state, payload) -> result, the name of the
+    #: :data:`~repro.sharding.ops.OPS` row it serves, whose ``mutates``
+    #: says whether it mutates the shard; ``None``: the row of no wire op)
     ops = {
-        "ping": (lambda state, _: None, False),
-        "ingest": (_ingest, True),
-        "oob": (_out_of_order, True),
+        "ping": (lambda state, _: None, "ping"),
+        "ingest": (_ingest, "update_many"),
+        "oob": (_out_of_order, "apply_out_of_order"),
         # the router asks buffered fleets only
-        "drain": (lambda state, limit: state.front.drain(limit), True),
-        "retire": (_retire, True),
-        "demote": (_demote, True),
+        "drain": (lambda state, limit: state.front.drain(limit), "drain"),
+        "retire": (_retire, "retire"),
+        "demote": (_demote, "demote"),
         # cross-tier answering happens in the worker (tiles and rollups live
         # here, not in the shared-memory epochs); the payload is the batch's
         # clip to this shard, a local corner array
-        "query": (lambda state, boxes: state.front.query_many(boxes), False),
-        "topk": (_topk, False),
-        "approx": (_approx, False),
-        "total": (lambda state, _: state.snap.total(), False),
-        "checkpoint": (lambda state, _: state._durable("checkpoint").checkpoint(), False),
-        "log_info": (lambda state, _: state._durable("log_info").log_info(), False),
+        "query": (lambda state, boxes: state.front.query_many(boxes), "query_many"),
+        # each shard ranks its own cells from its pinned epoch; the router
+        # shifts them by the shard's origin and merges (the partition is
+        # disjoint, so per-shard lists are exact)
+        "topk": (
+            lambda state, queries: topk_pinned(
+                state.snap, queries, state.layers.get("tiered")
+            ),
+            "topk",
+        ),
+        "approx": (_approx, "query_approx"),
+        "total": (lambda state, _: state.snap.total(), "total"),
+        "checkpoint": (lambda state, _: state._durable("checkpoint").checkpoint(), None),
+        "log_info": (lambda state, _: state._durable("log_info").log_info(), None),
     }
 
     def close(self) -> None:
@@ -273,11 +224,6 @@ class ShardWorkerState:
             self.exporter = None
         if self.durable:
             self.front.close()
-
-
-MUTATING_OPS = frozenset(
-    op for op, (_, mutates) in ShardWorkerState.ops.items() if mutates
-)
 
 
 def serve(state: ShardWorkerState, op: str, payload) -> tuple:
@@ -292,7 +238,8 @@ def serve(state: ShardWorkerState, op: str, payload) -> tuple:
     """
     if op not in state.ops:
         return "error", DomainError(f"unknown shard op {op!r}"), None
-    handler, mutates = state.ops[op]
+    handler, served = state.ops[op]
+    mutates = served is not None and OPS[served].mutates
     try:
         status, result = "ok", handler(state, payload)
     except Exception as exc:

@@ -293,9 +293,9 @@ class TestStructuralGuards:
 
     def _rank(self, kind, shape, tile_root, boxes_built):
         """Boxes built by two top-k queries, and what else the kind pins:
-        the cells the engine materialized, or the tiered shards' lists
-        (each shard ranks its whole slice from two prefix slices, so
-        there is no gather to count)."""
+        the cells the engine scored, or the tiered shards' lists (both
+        rank the whole slice from two prefix slices, so there is no
+        gather to count)."""
         queries = [(2, 20, 5), (0, 23, 3)]
         if kind == "dense kernel":
             front = EvolvingDataCube(shape)
@@ -325,11 +325,10 @@ class TestStructuralGuards:
             self._rank(kind, shape, tmp_path / str(shape[0]), boxes_built)
             for shape in ((8, 8), (32, 64))
         )
-        if kind == "dense kernel":
-            assert many > 10 * few
-            assert small == large <= 2
-        else:  # two slices and a difference: no box at all
-            assert small == large == 0
+        # two slices and a difference: no box at all
+        assert small == large == 0
+        if kind == "dense kernel":  # every cell scored, once per query
+            assert (few, many) == (2 * 8 * 8, 2 * 32 * 64)
 
     def test_an_exact_tiered_batch_decodes_each_tile_once(self, tmp_path, monkeypatch):
         shape = (3, 3)

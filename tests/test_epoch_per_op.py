@@ -1,8 +1,9 @@
 """One epoch per mutating op, on every shard it reaches, none for a read.
 
-A shard publishes once after each pipe op its handler table marks as
-mutating (``ShardWorkerState.ops``), and the router sends a pipe op for
-each row of the wire table (:data:`repro.sharding.ops.OPS`).  Driving
+A shard publishes once after each pipe op whose wire row (its handler
+table, ``ShardWorkerState.ops``, names the row it serves) mutates, and
+the router sends a pipe op for each row of the wire table
+(:data:`repro.sharding.ops.OPS`).  Driving
 every row through an in-process durable :class:`ShardedCube` and reading
 each shard's epoch sequence before and after ties the two tables
 together: a row with ``mutates=True`` advances each shard it reaches by
@@ -93,7 +94,8 @@ def test_a_mutating_row_publishes_one_epoch_per_shard_it_reaches(tmp_path, sent)
                 moved = [h.state.snap.current_sequence() - b for h, b in zip(handles, before)]
                 reached = {shard for shard, _ in sent}
                 # the pipe rows the wire row sent say what the wire row says
-                assert {ShardWorkerState.ops[op][1] for _, op in sent} <= {row.mutates}
+                served = {OPS[ShardWorkerState.ops[op][1]] for _, op in sent}
+                assert {pipe_row.mutates for pipe_row in served} <= {row.mutates}
                 expected = [int(row.mutates and h.shard_id in reached) for h in handles]
                 assert moved == expected, (kind, name, args)
                 if row.mutates:

@@ -225,8 +225,8 @@ def test_served_process_loads_no_reproduction_module():
     )
     assert "repro.sharding" in after_import and "repro.ecube.kernel" in after_serving
     assert "repro.retention.planner" in after_tiered
-    # a shard ranks a top-k from two prefix slices: no engine is loaded
-    assert "repro.ranking.topk" not in after_tiered
+    # a shard ranks a top-k from two prefix slices, by the one function
+    assert "repro.ranking.topk" in after_serving
     for modules in (after_import, after_serving, after_tiered):
         assert reproduction_modules(modules) == []
     # the ceiling counts the cube's modules; the TCP front adds its own

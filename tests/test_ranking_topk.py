@@ -2,12 +2,11 @@
 
 ``topk_many`` must be *bit-identical* to the brute-force NumPy oracle --
 same cells, same values, same order -- on every front (bare kernels of
-all three storage backends, ``G_d``-buffered, and the sharded cube), including
-ties, ``k`` larger than the live cell count, degenerate intervals and
-out-of-order updates arriving mid-stream.  A separate deterministic
-suite pins the pruning economics: on skewed workloads the threshold
-path must never charge more metered cell accesses than the dense gather
-it replaces.
+all three storage backends, ``G_d``-buffered, tiered, durable and
+snapshot stacks, and the sharded cube), including ties, signed deltas,
+``k`` larger than the live cell count, degenerate intervals and
+out-of-order updates arriving mid-stream; a window whose prefix lies in
+retired detail is refused exactly as ``query_many`` refuses its box.
 """
 
 from __future__ import annotations
@@ -19,14 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import AgedOutError, DomainError
+from repro.core.errors import AgedOutError, DomainError, ReproError
 from repro.core.types import Box
 from repro.concurrent import SnapshotCube
+from repro.durability import DurableCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
+from repro.ecube.extent import ExtentCube
+from repro.ecube.kernel import _LiveSlices
 from repro.ecube.sparse import SparseEvolvingDataCube
-from repro.metrics import CostCounter
 from repro.ranking import TopKEngine, TopKStats, brute_topk
 from repro.retention import TieredCube
 from repro.sharding import ShardedCube
@@ -34,12 +35,12 @@ from repro.sharding import ShardedCube
 BACKENDS = ("dense", "paged", "sparse")
 
 
-def _bare_cube(backend, shape, counter=None):
+def _bare_cube(backend, shape):
     if backend == "dense":
-        return EvolvingDataCube(shape, counter=counter)
+        return EvolvingDataCube(shape)
     if backend == "paged":
-        return DiskEvolvingDataCube(shape, counter=counter)
-    return SparseEvolvingDataCube(shape, counter=counter)
+        return DiskEvolvingDataCube(shape)
+    return SparseEvolvingDataCube(shape)
 
 
 def _dense_oracle(shape, num_times, updates):
@@ -137,18 +138,16 @@ class TestDifferentialOracle:
     @settings(max_examples=20)
     @given(workload=topk_workloads(signed=True))
     def test_signed_workloads_run_exact_dense(self, workload):
-        """Without the non-negativity declaration the engine must stay
-        exact on signed deltas (negative cells rank below zeros)."""
+        """Signed deltas rank exactly (negative cells rank below zeros),
+        with or without the ignored non-negativity declaration."""
         shape, num_times, updates, queries = workload
         front = BufferedEvolvingDataCube(shape)
         for point, delta in updates:
             front.update(point, delta)
         dense = _dense_oracle(shape, num_times, updates)
-        engine = TopKEngine(front)  # nonnegative not declared
-        assert engine.topk_many(queries) == [
-            brute_topk(dense, t1, t2, k) for t1, t2, k in queries
-        ]
-        assert all(s.strategy == "dense" for s in engine.last_stats)
+        want = [brute_topk(dense, t1, t2, k) for t1, t2, k in queries]
+        assert TopKEngine(front).topk_many(queries) == want
+        assert TopKEngine(front, nonnegative=True).topk_many(queries) == want
 
 
 class TestEdgeSemantics:
@@ -194,18 +193,6 @@ class TestEdgeSemantics:
         engine = TopKEngine(front, nonnegative=True)
         assert engine.topk(0, 0, 0) == []
 
-    def test_negative_marginal_falls_back_to_dense(self):
-        """A caller wrongly declaring non-negativity still gets exact
-        answers when a marginal disproves the declaration."""
-        front = BufferedEvolvingDataCube((2, 2))
-        front.update((0, 0, 0), 5)
-        front.update((0, 0, 1), -9)  # makes marginal axis-0 row 0 negative
-        front.drain(None)
-        dense = _dense_oracle((2, 2), 1, [((0, 0, 0), 5), ((0, 0, 1), -9)])
-        engine = TopKEngine(front, nonnegative=True)
-        assert engine.topk(0, 0, 4) == brute_topk(dense, 0, 0, 4)
-        assert engine.last_stats[0].strategy == "dense"
-
     def test_shape_inference_and_validation(self):
         front = BufferedEvolvingDataCube((2, 2))
         front.update((0, 1, 1), 3)
@@ -214,118 +201,19 @@ class TestEdgeSemantics:
             def __init__(self, inner):
                 self.query_many = inner.query_many
 
-        # a declared stack says its own shape ...
-        assert TopKEngine(front, nonnegative=True).slice_shape == (2, 2)
-        # ... anything else passes it
-        with pytest.raises(DomainError, match="declares no layer kind"):
-            TopKEngine(Wrapped(front), nonnegative=True)
-        engine = TopKEngine(Wrapped(front), slice_shape=(2, 2), nonnegative=True)
+        # a declared stack says its own shape, and a passed one must agree
+        engine = TopKEngine(front, slice_shape=(2, 2), nonnegative=True)
+        assert engine.slice_shape == (2, 2)
         assert engine.topk(0, 0, 1) == [((1, 1), 3)]
-        with pytest.raises(DomainError):
-            TopKEngine(front, slice_shape=())
-
-    def test_pairwise_bound_is_exact_on_three_dim_domains(self):
-        """ndim >= 3 engages the pairwise marginal tightening; results
-        must stay bit-identical to the oracle."""
-        rng = np.random.default_rng(7)
-        shape = (6, 6, 3)
-        num_times = 8
-        updates = []
-        for t in range(num_times):
-            for _ in range(12):
-                cell = (
-                    int(rng.integers(0, 6)),
-                    int(rng.integers(0, 6)),
-                    int(rng.integers(0, 3)),
-                )
-                updates.append(((t, *cell), int(rng.integers(1, 9))))
-        front = BufferedEvolvingDataCube(shape)
-        for point, delta in updates:
-            front.update(point, delta)
-        dense = _dense_oracle(shape, num_times, updates)
-        engine = TopKEngine(front, nonnegative=True)
-        queries = [(0, num_times - 1, 3), (2, 5, 1)]
-        assert engine.topk_many(queries) == [
-            brute_topk(dense, *q) for q in queries
-        ]
-        for stats in engine.last_stats:
-            assert stats.strategy == "prune"
-            # more prefix boxes than the per-axis marginals alone: the
-            # pairwise bound was engaged
-            assert stats.marginal_boxes > sum(shape)
-
-    def test_negative_pair_marginal_falls_back_to_dense(self):
-        """A signed workload whose per-axis marginals are all
-        non-negative can still be disproven by the pairwise marginal."""
-        shape = (2, 2, 3)
-        updates = [
-            ((0, 0, 0, 0), -3),
-            ((0, 0, 0, 1), 1),
-            ((0, 0, 1, 0), 4),
-            ((0, 1, 0, 0), 5),
-            ((0, 1, 1, 2), 2),
-        ]
-        front = BufferedEvolvingDataCube(shape)
-        for point, delta in updates:
-            front.update(point, delta)
-        front.drain(None)
-        dense = _dense_oracle(shape, 1, updates)
-        engine = TopKEngine(front, nonnegative=True)
-        assert engine.topk(0, 0, 12) == brute_topk(dense, 0, 0, 12)
-        (stats,) = engine.last_stats
-        assert stats.strategy == "dense"
-        assert stats.marginal_boxes > sum(shape)
-
-    def test_stats_expose_pruning(self):
-        front = BufferedEvolvingDataCube((6, 6))
-        front.update((0, 2, 3), 100)
-        front.update((0, 4, 1), 1)
-        engine = TopKEngine(front, nonnegative=True)
-        engine.topk(0, 0, 1)
-        (stats,) = engine.last_stats
-        assert isinstance(stats, TopKStats)
-        assert stats.strategy == "prune"
-        assert stats.materialized < stats.cells
-        assert stats.pruned_cells == stats.cells - stats.materialized
-
-
-class TestPruningCharges:
-    """Threshold pruning must not cost more than the dense gather."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_prune_charges_at_most_dense(self, seed, backend):
-        rng = np.random.default_rng(seed)
-        shape = (8, 8)
-        num_times = 24
-        hot = [
-            tuple(int(c) for c in rng.integers(0, 8, size=2))
-            for _ in range(4)
-        ]
-        updates = []
-        for t in range(num_times):
-            for _ in range(6):
-                cell = hot[int(rng.integers(0, len(hot)))]
-                updates.append(((t, *cell), int(rng.integers(1, 9))))
-
-        def charges(nonnegative):
-            counter = CostCounter()
-            front = _bare_cube(backend, shape, counter)
-            for point, delta in updates:  # in time order: a bare kernel takes them
-                front.update(point, delta)
-            engine = TopKEngine(front, nonnegative=nonnegative)
-            before = counter.snapshot()
-            results = engine.topk_many(
-                [(0, num_times - 1, 3), (4, 12, 5)], mode="metered"
-            )
-            return results, (counter.snapshot() - before).cell_accesses
-
-        pruned_results, pruned_cost = charges(nonnegative=True)
-        dense_results, dense_cost = charges(nonnegative=False)
-        assert pruned_results == dense_results
-        assert pruned_cost <= dense_cost
-
-
+        assert engine.last_stats == [TopKStats("slices", 4, 0, 4)]
+        for shape in ((), (4,), (2, 3)):
+            with pytest.raises(DomainError, match="is not the front's"):
+                TopKEngine(front, slice_shape=shape)
+        # the engine reads the stack: a bare query_many is not enough
+        with pytest.raises(DomainError, match="declares no layer kind"):
+            TopKEngine(Wrapped(front), slice_shape=(2, 2))
+        with pytest.raises(DomainError, match="requires a point-object"):
+            TopKEngine(ExtentCube((2, 2)))
 
 #: a two-rung ladder: some demoted floors are rollup boundaries, the rest
 #: come from tiles
@@ -477,3 +365,116 @@ class TestShardedRetirement:
                 if got != expected:
                     differ.append((t1, t2, k, nonnegative))
             assert differ == []
+
+
+def _refusal(run):
+    """What ``run`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except ReproError as exc:
+        return type(exc), str(exc)
+
+
+class TestEveryFront:
+    """One differential over every stack :class:`TopKEngine` reads: the
+    bare kernels of the three stores, buffered (late points inside the
+    windows), tiered (demoted), durable and snapshot stacks, on signed
+    deltas.  A window is refused exactly when ``query_many`` refuses its
+    full-domain box, with the same error; every other window ranks as the
+    oracle.  Three cell axes: the inverse prefix runs along each."""
+
+    SHAPE = (3, 4, 2)
+    KINDS = (*BACKENDS, "buffered", "tiered", "durable", "snapshot")
+
+    def _load(self, kind, tmp_path):
+        if kind in BACKENDS:
+            front = _bare_cube(kind, self.SHAPE)
+        elif kind == "tiered":
+            front = TieredCube(
+                BufferedEvolvingDataCube(self.SHAPE), TIERS, tmp_path / "tiles"
+            )
+        elif kind == "durable":
+            front = DurableCube(self.SHAPE, tmp_path / "durable")
+        else:
+            front = BufferedEvolvingDataCube(self.SHAPE)
+            if kind == "snapshot":
+                front = SnapshotCube(front)
+        rng = np.random.default_rng(len(kind))
+        updates = []
+
+        def write(times):
+            points = np.column_stack(
+                [times] + [rng.integers(0, n, len(times)) for n in self.SHAPE]
+            )
+            deltas = rng.integers(-6, 7, len(times))
+            front.update_many(points, deltas)
+            updates.extend(zip(map(tuple, points.tolist()), deltas.tolist()))
+
+        for time in range(2, 16):
+            write(np.full(3, time))
+        if kind == "tiered":
+            front.demote_before(7)
+        if kind not in BACKENDS:  # late points: G_d, inside most windows
+            write(np.array([1, 3, 6, 9, 9, 12]))
+        if kind != "tiered":
+            front.retire_before(6)
+        return front, _dense_oracle(self.SHAPE, 16, updates)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_front_ranks_as_the_oracle(self, tmp_path, kind):
+        front, dense = self._load(kind, tmp_path)
+        engine = TopKEngine(front, nonnegative=True)
+        upper = [n - 1 for n in self.SHAPE]
+        refused = answered = 0
+        try:
+            for t1, t2, k in itertools.product(
+                range(-1, 18, 2), range(-1, 18, 3), (0, 1, 4, 25)
+            ):
+                got = _refusal(lambda: engine.topk_many([(t1, t2, k)]))
+                if t1 <= t2 and k > 0:
+                    box = np.array([[[t1, *[0] * len(upper)], [t2, *upper]]])
+                    asked = _refusal(lambda: front.query_many(box))
+                    if isinstance(asked, tuple):
+                        assert got == asked, (t1, t2, k)
+                        refused += 1
+                        continue
+                assert got == [brute_topk(dense, t1, t2, k)], (t1, t2, k)
+                answered += 1
+        finally:
+            if kind == "durable":
+                front.close()
+        assert answered and bool(refused) == (kind != "tiered")
+
+    def test_a_lost_ddc_value_is_walked(self, monkeypatch):
+        """A live slice holding a converted cell whose DDC value is lost
+        (a metered read converted it after its lazy copy landed) cannot be
+        swept: its prefixes are walked, as ``query_many`` walks a box
+        there, and the ranking stays exact."""
+        shape = (6, 5)
+        kernel = EvolvingDataCube(shape)
+        rng = np.random.default_rng(5)
+        updates = []
+        for time in range(0, 24, 2):
+            points = np.column_stack(
+                [np.full(12, time)] + [rng.integers(0, n, 12) for n in shape]
+            )
+            deltas = rng.integers(-2, 9, 12)
+            kernel.update_many(points, deltas)
+            updates.extend(zip(map(tuple, points.tolist()), deltas.tolist()))
+            if time == 20:
+                kernel.query(Box((0, 1, 1), (6, 4, 3)))
+        walked = []
+        walk = _LiveSlices.walk
+
+        def spying(source, index, *args):
+            walked.append(index)
+            return walk(source, index, *args)
+
+        monkeypatch.setattr(_LiveSlices, "walk", spying)
+        dense = _dense_oracle(shape, 24, updates)
+        windows = [(7, 22, 30), (2, 6, 4), (0, 6, 30), (7, 9, 3)]
+        assert TopKEngine(kernel).topk_many(windows) == [
+            brute_topk(dense, *window) for window in windows
+        ]
+        assert set(walked) == {3}
+

@@ -36,7 +36,7 @@ from repro.sharding.ops import (
     decode_request,
     encode_request,
 )
-from repro.sharding.worker import MUTATING_OPS, ShardWorkerState, serve
+from repro.sharding.worker import ShardWorkerState, serve
 
 from .conftest import brute_box_sum, fleet_leaks, fleet_owners, random_box
 
@@ -178,10 +178,13 @@ def test_server_docstring_and_cli_help_name_only_table_ops(capsys):
 
 
 def test_mutating_ops_are_derived_from_the_handler_table():
-    assert MUTATING_OPS == {
-        op for op, (_, mutates) in ShardWorkerState.ops.items() if mutates
-    }
-    assert MUTATING_OPS == {"ingest", "oob", "drain", "retire", "demote"}
+    """A pipe op mutates as the wire row it serves says, and only the
+    durable maintenance ops serve none."""
+    served = {op: row for op, (_, row) in ShardWorkerState.ops.items()}
+    assert {op for op, row in served.items() if row is None} == {"checkpoint", "log_info"}
+    assert set(served.values()) - {None} <= set(OPS)
+    mutating = {op for op, row in served.items() if row is not None and OPS[row].mutates}
+    assert mutating == {"ingest", "oob", "drain", "retire", "demote"}
 
 
 @pytest.mark.parametrize(
