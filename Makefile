@@ -37,8 +37,10 @@ pss:
 	PYTHONPATH=src $(PY) benchmarks/pss_breakdown.py --slices $(or $(SLICES),128)
 
 # What every server process pays before it can answer: the repro.*
-# modules `import repro.sharding` loads in a fresh interpreter, its wall
-# time and the PSS it adds.  Fails when one of them is a module of the
+# modules `import repro.sharding` loads in a fresh interpreter and the PSS
+# it adds -- those two are the check -- plus its wall time as a median and
+# IQR over nine interpreters, which is informational only (it swings more
+# than a module costs).  Fails when one of the modules is a module of the
 # paper reproduction (the list is tests/test_import_fence.py's).
 fence:
 	PYTHONPATH=src:. $(PY) benchmarks/import_fence.py

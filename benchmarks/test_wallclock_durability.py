@@ -23,6 +23,12 @@ in version 1 (this build reads both), on alternating rounds.  The rows
 carry the medians; the codec ceilings are asserted on the best round
 (what a shared host adds to a round is one-sided) and the replay floor
 on the median of the rounds' paired ratios (its drift cancels in a pair).
+
+One row is a byte count, deterministic per seed, not a time: the WAL
+bytes per update a durable two-shard in-process
+:class:`~repro.sharding.ShardedCube` logs for a seeded append mix (64
+updates an append, 6 of them late, a drain every 32 appends).  It gates
+on no more than its recorded value, :data:`SHARDED_APPEND_BYTES`.
 """
 
 from __future__ import annotations
@@ -62,6 +68,12 @@ CODEC_CALLS = 200
 CODEC_CEILING_US = 60.0
 REPLAY_ROUNDS = 31  # recovery is ~0.2 s of kernel work: cheap to repeat, noisy
 REPLAY_FLOOR = 0.9  # packed-log replay rate / version-1 replay rate
+#: WAL bytes per update of the sharded append mix, as one log per cube
+#: writes it (one record an append); the gate
+SHARDED_APPEND_BYTES = 2.7378
+#: the same mix when every shard kept its own WAL and logged a late
+#: append as two batch records (commit 9f27cb2)
+PER_SHARD_WAL_BYTES = 3.8128
 
 
 def _batches(seed=29):
@@ -307,3 +319,42 @@ def test_replay_rate_of_a_packed_log(tmp_path):
     ratio = statistics.median(v1 / new for v1, new in zip(walls["v1"], walls["packed"]))
     print(f"replay rate, packed / version 1 (median of paired rounds): {ratio:.3f}")
     assert ratio >= REPLAY_FLOOR, walls
+
+
+def _sharded_appends(seed=7, count=256, per=64, late=6, shape=SLICE_SHAPE):
+    """``count`` appends of ``per`` updates on a new time each, the last
+    ``late`` of them into the 12 times before it."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        time = 16 + i
+        times = np.concatenate(
+            [np.full(per - late, time), rng.integers(time - 12, time, late)]
+        )
+        cells = rng.integers(0, shape, (per, len(shape)))
+        yield np.column_stack([times, cells]), rng.integers(1, 10, per)
+
+
+def test_sharded_append_log_bytes(tmp_path):
+    from repro.sharding import ShardedCube
+
+    directory, updates = tmp_path / "sharded", 0
+    start = time.perf_counter()
+    with ShardedCube(SLICE_SHAPE, shards=2, durable_dir=directory) as cube:
+        for i, (points, deltas) in enumerate(_sharded_appends()):
+            cube.update_many(points, deltas)
+            updates += len(points)
+            if i % 32 == 31:
+                cube.drain()
+    wall = time.perf_counter() - start
+    wal = sum(path.stat().st_size for path in directory.rglob("wal-*.log"))
+    per_update = round(wal / updates, 4)
+    record(
+        "sharded_append", "one_log", wall, 0,
+        path=BENCH_DURABILITY_FILE, updates=updates, wal_bytes=wal,
+        wal_bytes_per_update=per_update,
+        note=(
+            f"deterministic per seed; {PER_SHARD_WAL_BYTES} B/update with a "
+            "WAL per shard (9f27cb2); wall_s is one run, informational"
+        ),
+    )  # fmt: skip
+    assert per_update <= SHARDED_APPEND_BYTES

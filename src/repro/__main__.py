@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 import repro
 
@@ -212,16 +213,13 @@ def _checkpoint_demoted_through(directory, manifest) -> int | None:
     return None if value == np.iinfo(np.int64).min else value
 
 
-def _shard_directories(directory) -> list | None:
-    """The per-shard durable directories of a directory that
-    ``serve --durable-dir`` wrote; ``None`` for any other directory."""
+def _sharded(directory) -> bool:
+    """Did ``serve --durable-dir`` write ``directory``?"""
     from pathlib import Path
 
     from repro.sharding.cube import MANIFEST_NAME
 
-    if not (Path(directory) / MANIFEST_NAME).exists():
-        return None
-    return sorted(p for p in Path(directory).glob("shard-*") if p.is_dir())
+    return (Path(directory) / MANIFEST_NAME).exists()
 
 
 def _log_info(directory) -> dict:
@@ -265,16 +263,23 @@ def _log_info(directory) -> dict:
 
 
 def _cmd_log_info(directory: str) -> int:
-    shards = _shard_directories(directory)
-    if shards is None:
-        info = _log_info(directory)
-    else:
-        per_shard = {path.name: _log_info(path) for path in shards}
-        info = {
-            "records": sum(shard["records"] for shard in per_shard.values()),
-            "torn_tail": any(shard["torn_tail"] for shard in per_shard.values()),
-            "shards": per_shard,
-        }
+    """The durable cube's log; a sharded cube's one log and its shards."""
+    info = _log_info(directory)
+    if _sharded(directory):
+        from pathlib import Path
+
+        from repro.sharding.cube import MANIFEST_NAME
+
+        if "covered_lsn" not in info:
+            print(
+                f"{directory} keeps a log per shard (an older build's layout): "
+                "open it once with `python -m repro serve --durable-dir` to "
+                "rewrite it with one log",
+                file=sys.stderr,
+            )
+            return 2
+        sharding = json.loads((Path(directory) / MANIFEST_NAME).read_text())
+        info.update({key: sharding.get(key) for key in ("backend", "buffered", "shards")})
     print(json.dumps(info, indent=2))
     return 0
 
@@ -354,9 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         "--durable-dir",
         default=None,
         help=(
-            "give every shard a WAL + checkpoint directory under this path; "
-            "a directory that already holds a sharded cube is recovered "
-            "(its manifest then decides shape, shards and tiers)"
+            "keep the cube's one WAL, its checkpoints and the shards' tiles "
+            "under this path; a directory that already holds a sharded cube "
+            "is recovered (its manifest then decides shape, shards and tiers)"
         ),
     )
     serve.add_argument(
@@ -374,14 +379,13 @@ def main(argv: list[str] | None = None) -> int:
         help="tile directory root for tiered non-durable shards",
     )
     args = parser.parse_args(argv)
-    if args.command in ("checkpoint", "recover", "demote") and (
-        _shard_directories(args.directory) is not None
+    if args.command in ("checkpoint", "recover", "demote") and _sharded(
+        args.directory
     ):
         parser.error(
-            f"{args.directory} holds a sharded cube (sharding.json beside "
-            f"shard-NN/ directories) and `{args.command}` works on one durable "
-            "cube: run it on a shard-NN/ subdirectory, or reopen the whole "
-            "cube with `python -m repro serve --durable-dir`"
+            f"{args.directory} holds a sharded cube (sharding.json beside its "
+            f"one log) and `{args.command}` works on one durable cube: reopen "
+            "the sharded cube with `python -m repro serve --durable-dir`"
         )
     if args.command == "demo":
         return _demo()

@@ -21,10 +21,10 @@ checkpoint:
   buffered or not, tiered or not, or with ``extent=True`` the multi-family
   :class:`~repro.ecube.extent.ExtentCube` and its interval insert,
   interval batch and clock-advance records), plus
-  ``DurableCube.recover``: latest checkpoint (``restore``) + tail replay
-  (``replay_tail``) of whichever kind the manifest records, and
-  ``build_front``, which turns a manifest
-  or shard-worker config into that front.
+  ``DurableCube.recover``: latest checkpoint + tail replay of whichever
+  kind the manifest records, and ``build_front``, which turns a manifest
+  or shard-worker config into that front (``restore_front`` hands it a
+  checkpoint archive).
 """
 
 from repro._exports import exports

@@ -68,12 +68,19 @@ def pack(columns: np.ndarray) -> bytes:
     return _headers(lows, bits) + _stream(columns, bases, bits)
 
 
-def read(body: bytes, offset: int, n: int, counts: list[int]) -> list[np.ndarray]:
+def read(
+    body: bytes, offset: int, n: int, counts: list[int], decode: bool = True
+) -> tuple[list[np.ndarray] | None, int]:
     """The ``(n, count)`` int64 fields of the columns at ``offset`` (the
-    fields' column counts, in order), which must end the body.  Every
-    refusal but one comes before anything sized by the header's claims
-    is allocated; an offset carrying its column out of int64 is found
-    after the rows are decoded (see the module docstring)."""
+    fields' column counts, in order) and the offset where they end.
+    Every refusal but one comes before anything sized by the header's
+    claims is allocated; an offset carrying its column out of int64 is
+    found after the rows are decoded (see the module docstring).
+
+    ``decode=False`` checks the columns' shape -- headers, widths, the
+    stream's length and padding -- and returns ``None`` for the fields
+    without decoding the stream, unless a base lies close enough to the
+    top of int64 that only the decoded rows can tell."""
     if n > 8 * len(body):
         raise StorageError(f"{n} batch rows cannot fit a {len(body)}-byte body")
     within(body, offset + 2 * sum(counts))  # a header is two bytes or more
@@ -84,7 +91,7 @@ def read(body: bytes, offset: int, n: int, counts: list[int]) -> list[np.ndarray
     else:
         bases, bits = [], []
         for _ in range(sum(counts)):
-            base, offset = _read_base(body, offset)
+            base, offset = read_varint(body, offset)
             bases.append(base)
             bits.append(body[within(body, offset + 1) - 1])
             offset += 1
@@ -93,12 +100,18 @@ def read(body: bytes, offset: int, n: int, counts: list[int]) -> list[np.ndarray
         raise StorageError(f"a bit column of width {width}")
     row = sum(bits)
     stop = within(body, offset + (n * row + 7) // 8)
-    if stop != len(body):
-        raise StorageError(f"{len(body) - stop} bytes follow the last column")
     if n * row % 8 and body[stop - 1] >> n * row % 8:
         raise StorageError("the padding after the last batch row is not zero")
-    if not n:
-        return [np.empty((0, count), dtype=np.int64) for count in counts]
+    top = 1 << 63  # (only a base this close to the top can carry an offset out)
+    if not n or not decode and max(bases) + (1 << max(bits)) <= top:
+        empty = [np.empty((0, count), dtype=np.int64) for count in counts]
+        return (empty if decode else None), stop
+    return _decode(body, offset, stop, n, counts, bases, bits, decode), stop
+
+
+def _decode(body, offset, stop, n, counts, bases, bits, keep) -> list | None:
+    """The fields of a checked stream (``None`` unless ``keep``)."""
+    row, top = sum(bits), 1 << 63
     layout = _bit_layout(tuple(bits))
     groups = -(-n // 8)
     stream = np.frombuffer(
@@ -117,11 +130,12 @@ def read(body: bytes, offset: int, n: int, counts: list[int]) -> list[np.ndarray
     codes = codes.reshape(len(codes), -1)[:, :n]
     values = (codes if len(codes) == 1 else codes[layout.word]) >> layout.down
     values &= layout.masks
-    top = 1 << 63  # (only a base this close to the top can carry an offset out)
     if max(bases) + (1 << max(bits)) > top:
         for column, (base, width) in enumerate(zip(bases, bits)):
             if base + (1 << width) > top and base + int(values[column].max()) >= top:
                 raise StorageError(f"a bit column over base {base} leaves int64")
+    if not keep:
+        return None
     values += np.array(bases, dtype=np.int64).view(_U64)[:, None]
     values = values.view(np.int64)
     fields = itertools.pairwise(itertools.accumulate(counts, initial=0))
@@ -129,18 +143,21 @@ def read(body: bytes, offset: int, n: int, counts: list[int]) -> list[np.ndarray
 
 
 def _headers(bases: list[int], bits: list[int]) -> bytes:
-    out = bytearray()
-    for base, width in zip(bases, bits):
-        value = (base << 1) ^ (base >> 63)
-        while value > 0x7F:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        out += bytes((value, width))
+    return b"".join(varint(base) + bytes((width,)) for base, width in zip(bases, bits))
+
+
+def varint(value: int) -> bytes:
+    """An int64 as zigzag LEB128 (what a column base is stored as)."""
+    value, out = (value << 1) ^ (value >> 63), bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
     return bytes(out)
 
 
-def _read_base(body: bytes, offset: int) -> tuple[int, int]:
-    """The zigzag-LEB128 base at ``offset`` and where it ends."""
+def read_varint(body: bytes, offset: int) -> tuple[int, int]:
+    """The zigzag-LEB128 int64 at ``offset`` and where it ends."""
     value = 0
     for position in range(offset, min(offset + 10, len(body))):
         value |= (body[position] & 0x7F) << 7 * (position - offset)

@@ -137,6 +137,26 @@ def snapshot_arrays(front) -> dict[str, np.ndarray]:
     return arrays
 
 
+def write_archive(directory, front, checkpoint_id: int) -> str:
+    """Snapshot ``front`` into ``directory``'s archive for
+    ``checkpoint_id``, durably; returns the archive's file name."""
+    directory = Path(directory)
+    directory.mkdir(exist_ok=True)
+    name = checkpoint_file_name(checkpoint_id)
+    temp = directory / (name + ".tmp")
+    arrays = snapshot_arrays(front)
+    with open(temp, "wb") as handle:
+        # uncompressed (ZIP_STORED) so recovery can mmap the members and
+        # serve straight off the file (repro.storage.mmap_npz); legacy
+        # compressed archives still load through the np.load fallback
+        np.savez(handle, **arrays)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temp, directory / name)
+    _fsync_directory(directory)
+    return name
+
+
 def write_checkpoint(
     directory,
     front,
@@ -152,33 +172,31 @@ def write_checkpoint(
     segment truncation after publication; without it only the archive
     and manifest are written.
     """
-    directory = Path(directory)
-    name = checkpoint_file_name(checkpoint_id)
-    temp = directory / (name + ".tmp")
-    arrays = snapshot_arrays(front)
-    with open(temp, "wb") as handle:
-        # uncompressed (ZIP_STORED) so recovery can mmap the members and
-        # serve straight off the file (repro.storage.mmap_npz); legacy
-        # compressed archives still load through the np.load fallback
-        np.savez(handle, **arrays)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, directory / name)
-    _fsync_directory(directory)
     manifest = CheckpointManifest(
         checkpoint_id=checkpoint_id,
         covered_lsn=covered_lsn,
-        checkpoint_file=name,
-        live_segments=wal.segments() if wal is not None else [],
+        checkpoint_file=write_archive(directory, front, checkpoint_id),
         config=dict(config),
         covered_epoch=covered_epoch,
     )
+    return publish_checkpoint(directory, manifest, wal)
+
+
+def publish_checkpoint(
+    directory, manifest: CheckpointManifest, wal=None, archive_dirs=None
+) -> CheckpointManifest:
+    """Publish ``manifest``, whose archives (one in ``directory``, or one
+    in each of ``archive_dirs``) are durable; then compact: drop the log
+    segments it covers and every other archive."""
+    directory = Path(directory)
+    manifest.live_segments = wal.segments() if wal is not None else []
     publish_manifest(directory, manifest)
     # Only after the new manifest is durable may covered history go away.
-    if wal is not None and wal.drop_covered_segments(covered_lsn):
+    if wal is not None and wal.drop_covered_segments(manifest.covered_lsn):
         manifest.live_segments = wal.segments()
         publish_manifest(directory, manifest)
-    for stale in directory.glob("checkpoint-*.npz"):
-        if stale.name != name:
-            stale.unlink()
+    for folder in archive_dirs or [directory]:
+        for stale in Path(folder).glob("checkpoint-*.npz"):
+            if stale.name != manifest.checkpoint_file:
+                stale.unlink()
     return manifest

@@ -20,13 +20,13 @@ Recovery = latest checkpoint + tail replay:
    checkpoint archive exists, hand it to each layer's ``restore_state``,
    bottom-up;
 3. open the log for append, which truncates a torn final record (and
-   refuses a committed one this build cannot decode);
-4. replay every record with LSN > the manifest's covered LSN.
+   refuses a committed one this build cannot decode: every committed
+   frame is checked, none decoded);
+4. replay every record with LSN > the manifest's covered LSN, decoding
+   each once, as it is applied.
 
-Steps 1-3 are :meth:`DurableCube.restore`, step 4 is
-:meth:`DurableCube.replay_tail`, one record at a time; a process shard
-runs the halves with its epoch exporter in between, so replayed history
-is published as it is rebuilt (:mod:`repro.sharding.worker`).
+A sharded cube's router runs the same steps over its one log and its
+shards' archives (:mod:`repro.sharding.cube`).
 
 Which mutations are logged, what each needs of the front and how each
 is replayed is the record table, :data:`repro.durability.wal.RECORD_TYPES`:
@@ -105,6 +105,45 @@ def build_front(config: dict, counter: CostCounter | None, tile_dir=None):
 
         front = TieredCube(front, config["tiers"], tile_dir)
     return front
+
+
+def restore_front(front, archive_path: Path) -> None:
+    """Hand a checkpoint archive to each layer of ``front``'s stack,
+    bottom-up.  Mmap-backed when the archive is uncompressed: slice
+    arrays are adopted as read-only views and the front serves straight
+    off the file (stores promote a slice to heap copies on first write)."""
+    if not archive_path.exists():
+        raise RecoveryError(f"manifest names missing checkpoint {archive_path.name}")
+    with open_checkpoint(archive_path) as archive:
+        for layer in reversed(layers(front).values()):
+            layer.restore_state(archive)
+
+
+def replay_log(wal: WriteAheadLog, manifest: CheckpointManifest, apply) -> dict:
+    """``apply`` each record after ``manifest``'s covered LSN, in LSN
+    order (``False``: skipped); what was replayed, a ``recovery_info``."""
+    replayed = skipped = 0
+    last_lsn = manifest.covered_lsn
+    for last_lsn, record in wal.replay(after_lsn=manifest.covered_lsn):
+        replayed += 1
+        skipped += not apply(record)
+    return {
+        "checkpoint_id": manifest.checkpoint_id,
+        "covered_lsn": manifest.covered_lsn,
+        "replayed_records": replayed,
+        "skipped_records": skipped,
+        "last_lsn": last_lsn,
+    }
+
+
+def log_info(wal: WriteAheadLog, manifest: CheckpointManifest) -> dict:
+    """A log's summary and the checkpoint it continues from."""
+    return {
+        **wal.log_info(),
+        "checkpoint_id": manifest.checkpoint_id,
+        "covered_lsn": manifest.covered_lsn,
+        "checkpoint_file": manifest.checkpoint_file,
+    }
 
 
 def _tiers_config(tiers) -> list[dict] | None:
@@ -286,11 +325,7 @@ class DurableCube:
         return self.wal.next_lsn - 1
 
     def log_info(self) -> dict:
-        info = self.wal.log_info()
-        info["checkpoint_id"] = self._manifest.checkpoint_id
-        info["covered_lsn"] = self._manifest.covered_lsn
-        info["checkpoint_file"] = self._manifest.checkpoint_file
-        return info
+        return log_info(self.wal, self._manifest)
 
     # -- checkpoints --------------------------------------------------------------
 
@@ -388,29 +423,7 @@ class DurableCube:
         for the reopened log (e.g. recover with ``"always"`` a log
         written with ``"batch"``).  The result continues logging where
         the survivor left off; :attr:`recovery_info` reports what
-        happened.  It is :meth:`restore` followed by :meth:`replay_tail`,
-        run to the end.
-        """
-        self = cls.restore(directory, counter, fsync)
-        for _ in self.replay_tail():
-            pass
-        return self
-
-    @classmethod
-    def restore(
-        cls,
-        directory,
-        counter: CostCounter | None = None,
-        fsync: str | None = None,
-    ) -> "DurableCube":
-        """The first half of :meth:`recover`: the manifest's front, restored
-        from its checkpoint, over the log opened for append (a torn tail
-        repaired, a committed record this build cannot decode refused).
-
-        The tail is not replayed yet: until :meth:`replay_tail` is
-        exhausted the cube holds the checkpoint's state and must take no
-        writes.  What runs between the halves (a snapshot front, an
-        exporter) sees every replayed record arrive as a live write would.
+        happened.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
@@ -422,53 +435,16 @@ class DurableCube:
         self = cls.__new__(cls)
         self._attach(directory, manifest.config, counter)
         if manifest.checkpoint_file is not None:
-            archive_path = directory / manifest.checkpoint_file
-            if not archive_path.exists():
-                raise RecoveryError(
-                    f"manifest names missing checkpoint {manifest.checkpoint_file}"
-                )
-            # mmap-backed when the archive is uncompressed: slice arrays
-            # are adopted as read-only views and the recovered cube
-            # serves queries straight off the checkpoint file (stores
-            # promote a slice to heap copies on first write)
-            with open_checkpoint(archive_path) as archive:
-                # each layer its own arrays, bottom-up
-                for layer in reversed(self.stack.values()):
-                    layer.restore_state(archive)
+            restore_front(self.front, directory / manifest.checkpoint_file)
         # opening for append repairs a torn tail before replay reads it
         self.wal = self._open_wal(fsync)
         self._manifest = manifest
-        self.recovery_info = None
-        return self
-
-    def replay_tail(self):
-        """The second half of :meth:`recover`: apply the records after the
-        checkpoint in LSN order, yielding each one's LSN once it is applied.
-
-        Exhausted, it sets :attr:`recovery_info`.  A record that cannot be
-        replayed closes the log and raises; a caller that drives the halves
-        itself publishes between records.
-        """
-        manifest = self._manifest
-        replayed = skipped = 0
-        last_lsn = manifest.covered_lsn
         try:
-            for lsn, record in self.wal.replay(after_lsn=manifest.covered_lsn):
-                replayed += 1
-                last_lsn = lsn
-                if not self._replay_record(record):
-                    skipped += 1
-                yield lsn
+            self.recovery_info = replay_log(self.wal, manifest, self._replay_record)
         except BaseException:
             self.wal.close()  # no usable cube is left to close it
             raise
-        self.recovery_info = {
-            "checkpoint_id": manifest.checkpoint_id,
-            "covered_lsn": manifest.covered_lsn,
-            "replayed_records": replayed,
-            "skipped_records": skipped,
-            "last_lsn": last_lsn,
-        }
+        return self
 
     def _replay_record(self, record) -> bool:
         """Apply one tail record; ``False`` = skipped.
@@ -480,7 +456,7 @@ class DurableCube:
         """
         row = BY_CLASS[type(record)]
         lacking = unmet(self.stack, row.needs)
-        if "extent" in lacking:
+        if "extent" in lacking or row.replay is None:
             raise RecoveryError(
                 f"cannot replay {type(record).__name__} into "
                 f"{'an extent' if self.extent else 'a point-object'} cube"

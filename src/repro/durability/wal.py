@@ -23,13 +23,19 @@ Physical format (all integers little-endian):
   payload``; the payload is ``u8 record type | u64 LSN | body``;
 * LSNs are assigned densely (1, 2, 3, ...) across segments; a segment's
   base LSN is the LSN its first record will carry;
-* a body has one of three shapes -- a *scalar* (one ``i64``, or ``u64``
+* a body has one of four shapes -- a *scalar* (one ``i64``, or ``u64``
   for the checkpoint id; -1 stands for the drain limit ``None``), a
   *vector* record ``u16 n | leading i64s | n x i64 | trailing i64s``
-  (``update``, ``out_of_order``, ``interval_insert``), or a *batch*
+  (``update``, ``out_of_order``, ``interval_insert``), a *batch*
   ``[u8 mode] | u32 n | u16 k | columns`` (``update_batch``,
-  ``out_of_order_batch``, ``interval_batch``) -- and is exactly as long
-  as its own headers imply;
+  ``out_of_order_batch``, ``interval_batch``), or *sections*
+  ``u16 s | u16 k | s x (shard | in-order rows | buffered rows) | runs``
+  (``sharded_batch``: one sharded ``update_many`` as its router logs
+  it, the three numbers of a section zigzag LEB128, then per section
+  its in-order run and its buffered run, each the ``k`` point columns
+  and the delta column in the shard's local coordinates, laid out as a
+  version-3 batch's columns with headers of their own, an empty run
+  taking no bytes) -- and is exactly as long as its own headers imply;
 * a batch's columns are laid out by the segment's format version.  In
   version 3, which this build writes, every scalar column of the fields
   in declared order (``points``: k, ``intervals``: 2, ``deltas`` /
@@ -58,7 +64,10 @@ instead of silently dropping committed records.  A frame that checksums
 clean and carries the expected LSN is not torn, wherever it sits: if
 this build cannot decode it (a newer build's record type, a body that
 is not its type's shape) opening and replaying raise ``StorageError``
-and truncate nothing.
+and truncate nothing.  Opening checks that every committed frame decodes
+-- tag, headers, every column header and the exact length -- without
+decoding a bit stream (``decode_payload(..., decode=False)``); replay
+decodes each record once, as it yields it.
 
 Fsync policy (``"always" | "batch" | "off"``): ``always`` fsyncs after
 every appended record.  ``batch`` is a group commit: the log fsyncs by
@@ -119,9 +128,9 @@ FSYNC_POLICIES = ("always", "batch", "off")
 # header, how many bytes must follow a given header, and how to read them
 # (a batch's columns carry headers of their own: its reader walks them).
 
-#: "buffer" is the sharded tier's escape hatch: the router classified
-#: these points as globally historic, so replay must re-buffer them
-#: rather than re-deriving orderedness from the shard-local timeline
+#: "buffer": an older build's shard logged points its router classified
+#: as globally historic, which replay re-buffers rather than re-deriving
+#: orderedness from the shard-local timeline (now a buffered run)
 _MODE_CODES = {"fast": 0, "metered": 1, "buffer": 2}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 _I64 = np.dtype("<i8")
@@ -260,7 +269,7 @@ class _Batch:
             at += width
         return head + bit_columns.pack(columns)
 
-    def read(self, body: bytes, version: int, *head) -> tuple:
+    def read(self, body: bytes, version: int, *head, decode: bool = True) -> tuple:
         # walk the columns, which must end exactly where the body ends (a
         # column spends a bit per row or more: checking that they fit
         # bounds ``n`` by the body's length before anything is allocated)
@@ -270,13 +279,64 @@ class _Batch:
         shapes = self._shapes(n, k)
         counts = [math.prod(shape[1:]) for shape in shapes]
         if version == 3:
-            arrays = bit_columns.read(body, self.head.size, n, counts)
+            arrays, stop = bit_columns.read(body, self.head.size, n, counts, decode)
+            _ends(body, stop)
+            if arrays is None:
+                return None
         else:
             arrays = _read_byte_columns(body, self.head.size, n, counts, version)
         return (
             *(array.reshape(shape) for array, shape in zip(arrays, shapes)),
             *(_MODE_NAMES[code] for code in mode),
         )
+
+
+class _Sections:
+    """``H s | H k | s x (shard | in-order rows | buffered rows) | runs``:
+    one sharded ``update_many`` (see the module docstring)."""
+
+    head = struct.Struct("<HH")
+    fields = ("shards", "runs", "points", "deltas")
+    defaults = {}
+
+    def pack(self, shards, runs, points, deltas) -> bytes:
+        runs, points = np.asarray(runs), np.asarray(points, dtype=np.int64)
+        if int(runs.sum()) != len(points) or len(deltas) != len(points):
+            raise DomainError("a sharded batch's runs must add up to its points")
+        heads = np.column_stack([shards, runs]).ravel().tolist()
+        out = [self.head.pack(len(runs), points.shape[1]), *map(bit_columns.varint, heads)]
+        columns, at = np.vstack([points.T, deltas]).astype(np.int64), 0
+        for count in filter(None, runs.ravel().tolist()):
+            out.append(bit_columns.pack(columns[:, at : at + count].copy()))
+            at += count
+        return b"".join(out)
+
+    def read(self, body: bytes, version: int, count: int, k: int, decode=True):
+        offset, heads = self.head.size, []
+        for _ in range(3 * count):
+            value, offset = bit_columns.read_varint(body, offset)
+            heads.append(value)
+        heads = np.array(heads, dtype=np.int64).reshape(count, 3)
+        if count and int(heads.min()) < 0:
+            raise StorageError("a sharded batch section holds a negative number")
+        runs = []
+        for n in filter(None, heads[:, 1:].ravel().tolist()):
+            fields, offset = bit_columns.read(body, offset, n, [k, 1], decode)
+            runs.append(fields)
+        _ends(body, offset)
+        if not decode:
+            return None
+        points = [points for points, _ in runs] or [np.empty((0, k), np.int64)]
+        deltas = [deltas[:, 0] for _, deltas in runs] or [np.empty(0, np.int64)]
+        return (
+            heads[:, 0].copy(), heads[:, 1:].copy(),
+            np.concatenate(points), np.concatenate(deltas),
+        )  # fmt: skip
+
+
+def _ends(body: bytes, stop: int) -> None:
+    if stop != len(body):
+        raise StorageError(f"{len(body) - stop} bytes follow the last column")
 
 
 def _read_byte_columns(
@@ -295,8 +355,7 @@ def _read_byte_columns(
             for j in range(count):
                 offset = _read_column(body, offset, array[:, j])
         arrays.append(array.reshape(n, count))
-    if offset != len(body):
-        raise StorageError(f"{len(body) - offset} bytes follow the last column")
+    _ends(body, offset)
     return arrays
 
 
@@ -315,13 +374,15 @@ def _read_column(body: bytes, offset: int, out: np.ndarray) -> int:
     return stop
 
 
-def _unpack(layout, body: bytes, version: int) -> tuple:
+def _unpack(layout, body: bytes, version: int, decode: bool = True) -> tuple | None:
     """A body's field values.  The one length rule of the codec: a body
-    is exactly as long as its own headers say, or it is not read."""
+    is exactly as long as its own headers say, or it is not read.  With
+    ``decode=False`` a body of bit columns is checked, not decoded
+    (``None``)."""
     if len(body) >= layout.head.size:
         head = layout.head.unpack_from(body)
-        if isinstance(layout, _Batch):  # walks its columns, as ``version`` lays them
-            return layout.read(body, version, *head)
+        if isinstance(layout, (_Batch, _Sections)):  # walks its columns
+            return layout.read(body, version, *head, decode=decode)
         if len(body) == layout.head.size + layout.extent(*head):
             return layout.read(body, *head)
     raise StorageError(
@@ -368,7 +429,7 @@ def _row(
     cls = make_dataclass(cls_name, fields, bases=(WalRecord,), frozen=True, eq=False)
     cls.__doc__, cls.__module__ = doc, __name__
     cls.type, cls.log_name = tag, name
-    if apply is None:  # the front's method of the same name, fields in order
+    if apply is None and method is not None:  # the front's own method, fields in order
 
         def apply(durable, record):
             return getattr(durable.front, method)(*vars(record).values())
@@ -396,7 +457,10 @@ _POINTS_DELTAS = {"points": ("n", "k"), "deltas": ("n",)}
 _TIME = _Scalar("time")
 
 #: The log's vocabulary.  A new logged operation is one row here plus one
-#: golden frame in ``tests/test_durability_wal.py``.
+#: golden frame in ``tests/test_durability_wal.py``.  The sharded router
+#: (:mod:`repro.sharding.router`) logs ``sharded_batch`` for an
+#: ``update_many`` and the single-cube rows for its other mutations; no
+#: ``DurableCube`` method logs ``sharded_batch``, and none replays it.
 #:
 #: A batch record carries its ``mode`` because the fast and metered paths
 #: reach identical answers but different lazy-copy progress, and recovery
@@ -445,6 +509,10 @@ RECORD_TYPES = (
          "An explicit ``ExtentCube.advance(time)`` clock movement."),
     _row(11, "demote", "DemoteRecord", _TIME, "demote_before", "tiered",
          "A ``demote_before(time)`` tiered-retention call."),
+    _row(12, "sharded_batch", "ShardedBatchRecord", _Sections(), None, "point",
+         "One sharded ``update_many``, logged once by the router: per shard "
+         "it reaches, its in-order then its buffered points, in local "
+         "coordinates (no single cube replays it)."),
 )
 (
     UpdateRecord,
@@ -458,6 +526,7 @@ RECORD_TYPES = (
     IntervalBatchRecord,
     AdvanceRecord,
     DemoteRecord,
+    ShardedBatchRecord,
 ) = (row.cls for row in RECORD_TYPES)
 
 BY_TAG = {row.tag: row for row in RECORD_TYPES}
@@ -498,18 +567,21 @@ def encode_record(record: WalRecord, lsn: int) -> bytes:
 
 
 def decode_payload(
-    payload: bytes, version: int = WAL_FORMAT_VERSION
-) -> tuple[int, WalRecord]:
+    payload: bytes, version: int = WAL_FORMAT_VERSION, decode: bool = True
+) -> tuple[int, WalRecord | None]:
     """Decode one record payload of a version-``version`` segment into
     ``(lsn, record)``; anything but a known type over a body of exactly
-    its shape is a :class:`~repro.core.errors.StorageError`."""
+    its shape is a :class:`~repro.core.errors.StorageError`.
+    ``decode=False`` checks a batch's shape without decoding its bit
+    stream (the record is then ``None``)."""
     if len(payload) < _PREFIX.size:
         raise StorageError("record payload is too short to carry a type and an LSN")
     rtype, lsn = _PREFIX.unpack_from(payload)
     row = BY_TAG.get(rtype)
     if row is None:
         raise StorageError(f"unknown WAL record type {rtype}")
-    return lsn, row.cls(*_unpack(row.layout, payload[_PREFIX.size :], version))
+    values = _unpack(row.layout, payload[_PREFIX.size :], version, decode)
+    return lsn, None if values is None else row.cls(*values)
 
 
 # -- segment scanning -----------------------------------------------------------
@@ -544,9 +616,11 @@ def _frame_at(data: bytes, offset: int, lsn: int) -> bytes | None:
 
 
 def _decode_committed(
-    path: Path, lsn: int, payload: bytes, version: int, tolerant: bool = False
-) -> WalRecord | UnknownRecord:
-    """The record an intact frame holds.
+    path: Path, lsn: int, payload: bytes, version: int, tolerant: bool = False,
+    decode: bool = True,
+) -> WalRecord | UnknownRecord | None:
+    """The record an intact frame holds (``None`` when ``decode=False``
+    only checked that it decodes).
 
     An intact frame *was* committed: if this build cannot decode it,
     dropping it -- and everything after it -- would lose acknowledged
@@ -555,7 +629,7 @@ def _decode_committed(
     an :class:`UnknownRecord` placeholder instead.
     """
     try:
-        return decode_payload(payload, version)[1]
+        return decode_payload(payload, version, decode)[1]
     except StorageError as exc:
         if not tolerant:
             raise StorageError(
@@ -570,11 +644,12 @@ def _decode_committed(
 
 
 def _scan_segment(
-    path: Path, tolerant: bool = False, decode: bool = True
+    path: Path, tolerant: bool = False, decode: str = "decode"
 ) -> _ScanResult:
     """Walk a segment up to its first torn frame, decoding each intact
-    one (:func:`_decode_committed`) unless ``decode=False``, which keeps
-    the payloads for the caller to decode one at a time."""
+    one (:func:`_decode_committed`).  ``decode="check"`` checks that each
+    one decodes without decoding a bit stream, ``"raw"`` not even that;
+    both keep the payloads for the caller to decode one at a time."""
     data = path.read_bytes()
     if len(data) < _HEADER.size:
         raise StorageError(f"{path.name}: truncated segment header")
@@ -595,7 +670,9 @@ def _scan_segment(
         if payload is None:
             break
         offset += _FRAME.size + len(payload)
-        if decode:
+        if decode == "check":
+            _decode_committed(path, lsn, payload, version, decode=False)
+        elif decode == "decode":
             payload = _decode_committed(path, lsn, payload, version, tolerant)
         records.append((lsn, payload))
     return _ScanResult(records, offset, offset < len(data), base_lsn, version)
@@ -611,7 +688,7 @@ def _segments(directory: Path) -> list[Path]:
     )
 
 
-def _scan_log(directory: Path, tolerant: bool = False, decode: bool = True):
+def _scan_log(directory: Path, tolerant: bool = False, decode: str = "decode"):
     """Scan a log's segments in order, yielding ``(path, scan)``.
 
     A final file shorter than a segment header comes last with ``None``
@@ -689,8 +766,10 @@ class WriteAheadLog:
 
     def _open_tail(self) -> None:
         """Open the last segment for append, repairing a torn tail."""
-        # every earlier segment must scan intact; the last one is the tail
-        tail = deque(_scan_log(self.directory), maxlen=1)
+        # every earlier segment must scan intact, every committed frame
+        # decode (checked, not decoded: replay decodes each record once);
+        # the last segment is the tail
+        tail = deque(_scan_log(self.directory, decode="check"), maxlen=1)
         if not tail:
             self._active_seq = 1
             self.next_lsn = 1
@@ -808,7 +887,7 @@ class WriteAheadLog:
         Each record is decoded as it is yielded, so a replay holds one
         decoded record at a time, not a segment's worth.
         """
-        for path, scan in _scan_log(self.directory, decode=False):
+        for path, scan in _scan_log(self.directory, decode="raw"):
             # (a header-less final segment -- a crash during roll -- has none)
             for lsn, payload in scan.records if scan is not None else ():
                 if lsn > after_lsn:
@@ -860,6 +939,8 @@ def _updates(record) -> int:
     layout = getattr(BY_CLASS.get(type(record)), "layout", None)
     if isinstance(layout, _Batch):
         return len(getattr(record, layout.fields[0]))
+    if isinstance(layout, _Sections):
+        return len(record.points)
     return int(isinstance(layout, _Vector))
 
 

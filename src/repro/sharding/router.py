@@ -20,9 +20,16 @@ op (and the handshake) carries the shard's time state beside its fresh
 epoch descriptor, and ``latest_time``, ``min_time`` and
 ``demote_boundary`` are read-only max / min / max over what the handles
 last heard.  ``boundary_time`` is the one value no shard can report, so
-it is the router's own and a durable cube persists it.  The router is
-also the only reader: it attaches the workers' epochs
+it is the router's own: the scatter of a retire sets it from the
+replies, and a checkpoint records it.  The router is also the only
+reader: it attaches the workers' epochs
 (:class:`~repro.sharding.worker.ReaderState`) and evaluates the batch.
+
+A mutation is checked on every shard's terms, appended to the cube's
+one log as one record (:attr:`ShardRouter.log`; an ``update_many`` is a
+:class:`~repro.durability.wal.ShardedBatchRecord`), then scattered.  A
+scatter that fails after the append leaves the router refusing writes;
+recovery replays the record whole, through the same scatter.
 
 The worker protocol is synchronous and single-outstanding per pipe:
 ``(op, payload, release_below)`` down, ``(status, result, published)``
@@ -47,10 +54,20 @@ from repro.core.errors import (
     AgedOutError,
     AppendOrderError,
     DomainError,
+    RecoveryError,
+    ReproError,
     ShardUnavailableError,
 )
 from repro.core.types import Box, box_array, clip_cells
-from repro.durability.wal import check_drain_limit
+from repro.durability.wal import (
+    CheckpointMarkerRecord,
+    DemoteRecord,
+    DrainRecord,
+    OutOfOrderRecord,
+    RetireRecord,
+    ShardedBatchRecord,
+    check_drain_limit,
+)
 
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.worker import ReaderState, ShardWorkerState, serve
@@ -176,21 +193,32 @@ class ShardRouter:
     """Decompose the cube API across shard workers and sum the answers."""
 
     def __init__(
-        self, partitioner: GridPartitioner, handles: Sequence, buffered: bool = True
+        self,
+        partitioner: GridPartitioner,
+        handles: Sequence,
+        buffered: bool = True,
+        tiered: bool = False,
+        log=None,
     ) -> None:
         self.partitioner = partitioner
         self.handles = list(handles)
-        self.buffered = buffered
+        self.buffered, self.tiered = buffered, tiered
+        #: the cube's write-ahead log (``None``: not durable): one record
+        #: per mutation, appended before any shard sees it
+        self.log = log
+        #: the error of a mutation that failed after it was logged; set,
+        #: the router takes no more writes
+        self.failed: BaseException | None = None
         #: the one read path over epochs: this process attaches and answers
         self.reader_state = ReaderState(partitioner)
         #: global data-aging boundary (newest global time < threshold)
         self.boundary_time: int | None = None
-        #: called with every new :attr:`boundary_time` before a shard acts
-        #: on it (a durable cube persists it here)
-        self.on_boundary = lambda boundary: None
         #: TT capacity update times are validated against (``None``:
         #: unbounded); the cube that knows it sets it
         self.num_times: int | None = None
+        self._origins = np.array(
+            [extent.origin for extent in partitioner.extents], dtype=np.int64
+        )
 
     # -- the time axis, as the shards last reported it ---------------------------
 
@@ -260,11 +288,41 @@ class ShardRouter:
                 f"batch contains times outside [0, {self.num_times - 1}]"
             )
 
-    def _localize(self, points: np.ndarray, shard_id: int) -> np.ndarray:
-        origin = self.partitioner.extents[shard_id].origin
-        local = points.copy()
-        local[:, 1:] -= np.asarray(origin, dtype=np.int64)
-        return local
+    def _writable(self, handles: Sequence) -> None:
+        """Refuse a write the router cannot both log and scatter whole."""
+        if self.failed is not None:
+            raise ShardUnavailableError(
+                f"a write failed after it was logged ({self.failed!r}); this "
+                "cube takes no more writes: recover it from its directory"
+            )
+        for handle in handles:
+            if not handle.is_alive():
+                raise ShardUnavailableError(f"shard {handle.shard_id} worker died")
+
+    def _commit(self, record, handles: Sequence):
+        """Log ``record``, then apply it: the one way a write happens."""
+        self._writable(handles)
+        if self.log is not None:
+            self.log.append(record)
+        try:
+            return self._APPLY[type(record)](self, record)
+        except BaseException as exc:
+            self.failed = exc
+            raise
+
+    def replay(self, record) -> bool:
+        """Apply one logged record as :meth:`_commit` did; ``False`` when a
+        shard refuses it again (the live call raised too)."""
+        shards = getattr(record, "shards", ())
+        if type(record) not in self._APPLY or max(shards, default=0) >= len(self.handles):
+            raise RecoveryError(f"cannot replay {type(record).__name__} into this cube")
+        try:
+            self._APPLY[type(record)](self, record)
+        except ShardUnavailableError:
+            raise
+        except ReproError:
+            return False
+        return True
 
     # -- writes ----------------------------------------------------------------
 
@@ -304,19 +362,28 @@ class ShardRouter:
                 "discipline; use a buffered sharded cube for out-of-order "
                 "streams"
             )
+        # one section per shard reached, in shard order: its in-order
+        # rows, then its buffered ones, each run in stream order
         shard_ids = self.partitioner.shard_of_cells(points[:, 1:])
-        targets = []
-        payloads = []
-        for shard_id in np.flatnonzero(np.bincount(shard_ids)):
-            mask = shard_ids == shard_id
-            targets.append(self.handles[int(shard_id)])
-            payloads.append(
-                (
-                    self._localize(points[mask], int(shard_id)),
-                    deltas[mask],
-                    historic[mask],
-                )
-            )
+        order = np.lexsort((historic, shard_ids))
+        runs = np.bincount(
+            2 * shard_ids + historic, minlength=2 * len(self.handles)
+        ).reshape(-1, 2)
+        shards = np.flatnonzero(runs.any(axis=1))
+        local = points[order]
+        local[:, 1:] -= self._origins[shard_ids[order]]
+        self._commit(
+            ShardedBatchRecord(shards, runs[shards], local, deltas[order]),
+            [self.handles[shard] for shard in shards.tolist()],
+        )
+
+    def _apply_batch(self, record) -> None:
+        targets, payloads, at = [], [], 0
+        for shard, (fast, late) in zip(record.shards.tolist(), record.runs.tolist()):
+            rows = slice(at, at + fast + late)
+            targets.append(self.handles[shard])
+            payloads.append((record.points[rows], record.deltas[rows], late))
+            at = rows.stop
         self._scatter(targets, "ingest", payloads)
 
     def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
@@ -333,27 +400,35 @@ class ShardRouter:
                 f"time {time} is not historic (latest occurring time is "
                 f"{latest}); use update for in-order points"
             )
-        if self.boundary_time is not None and time < self.boundary_time:
+        shard_id = int(self.partitioner.shard_of_cells(point[:, 1:])[0])
+        # the shard's kernel refuses detail its demotion retired, too
+        floor = _extreme(max, (self.boundary_time, self.handles[shard_id].times[2]))
+        if floor is not None and time < floor:
             raise AgedOutError(
                 f"the correction at time {time} targets detail that was "
                 "retired by data aging"
             )
-        shard_id = int(self.partitioner.shard_of_cells(point[:, 1:])[0])
-        local = self._localize(point, shard_id)
-        self.handles[shard_id].request(
-            "oob", (tuple(int(c) for c in local[0]), int(delta))
+        self._commit(
+            OutOfOrderRecord(tuple(point[0].tolist()), int(delta)),
+            [self.handles[shard_id]],
         )
+
+    def _apply_out_of_order(self, record) -> None:
+        point = np.asarray(record.point, dtype=np.int64)
+        shard_id = int(self.partitioner.shard_of_cells(point[None, 1:])[0])
+        point[1:] -= self._origins[shard_id]
+        self.handles[shard_id].request("oob", (tuple(point.tolist()), record.delta))
 
     def drain(self, limit: int | None = None) -> tuple[int, int]:
         """Drain every shard's ``G_d`` buffer (``limit`` applies per shard)."""
         check_drain_limit(limit)
-        replies = self._scatter_all("drain", limit) if self.buffered else []
-        return sum(a for a, _ in replies), sum(k for _, k in replies)
+        if not self.buffered:
+            return 0, 0
+        return self._commit(DrainRecord(limit), self.handles)
 
-    def _move_boundary(self, boundary: int) -> None:
-        if boundary != self.boundary_time:
-            self.on_boundary(boundary)
-            self.boundary_time = boundary
+    def _apply_drain(self, record) -> tuple[int, int]:
+        replies = self._scatter_all("drain", record.limit)
+        return sum(a for a, _ in replies), sum(k for _, k in replies)
 
     def retire_before(self, time: int) -> int:
         """Retire detail below ``time``; boundary is the *global* newest
@@ -363,25 +438,14 @@ class ShardRouter:
         in several shards is counted once per shard), so the return value
         can exceed the unsharded count; answers are unaffected.
         """
-        time = int(time)
-        held, first = self.boundary_time, self.min_time
-        if first is not None and first < time:
-            # no shard retires under a boundary that is not recorded yet:
-            # the exact one is in the replies, so an upper bound on it goes
-            # first -- a crash in between recovers a router that refuses
-            # more than the oracle, never one that answers what it refuses
-            # (a shard may also splice late times below ``first`` from its
-            # G_d; a crash then leaves each shard refusing its own retired
-            # region, not the router's)
-            self._move_boundary(
-                _extreme(max, (held, min(time - 1, self.latest_time)))
-            )
-        replies = self._scatter_all("retire", time)
+        return self._commit(RetireRecord(int(time)), self.handles)
+
+    def _apply_retire(self, record) -> int:
+        replies = self._scatter_all("retire", record.time)
         below = _extreme(max, (newest for _, newest in replies))
         # the newest time below ``time`` is a boundary only above an older one
         if below is not None and self.min_time < below:
-            held = _extreme(max, (held, below))
-        self._move_boundary(held)
+            self.boundary_time = _extreme(max, (self.boundary_time, below))
         return sum(retired for retired, _ in replies)
 
     def demote_before(self, time: int) -> int:
@@ -397,7 +461,19 @@ class ShardRouter:
         carries the shard's watermark *after* the demote and its implied
         drain), not the hard aged-out :attr:`boundary_time`.
         """
-        return sum(self._scatter_all("demote", int(time)))
+        if not self.tiered:
+            raise DomainError("demote requires a tiered shard (tiers=...)")
+        return self._commit(DemoteRecord(int(time)), self.handles)
+
+    #: record type -> how the router applies it (live, then on replay)
+    _APPLY = {
+        ShardedBatchRecord: _apply_batch,
+        OutOfOrderRecord: _apply_out_of_order,
+        DrainRecord: _apply_drain,
+        RetireRecord: _apply_retire,
+        DemoteRecord: lambda self, record: sum(self._scatter_all("demote", record.time)),
+        CheckpointMarkerRecord: lambda self, record: None,
+    }
 
     # -- reads -----------------------------------------------------------------
 
@@ -578,18 +654,11 @@ class ShardRouter:
         """Liveness of the front itself; no shard is asked."""
         return "pong"
 
-    # -- durability ------------------------------------------------------------
-
-    def checkpoint(self) -> list:
-        """Checkpoint every durable shard; returns the manifests."""
-        return self._scatter_all("checkpoint", None)
-
-    def log_info(self) -> list[dict]:
-        return self._scatter_all("log_info", None)
-
     # -- shutdown --------------------------------------------------------------
 
     def close(self) -> None:
         for handle in self.handles:
             handle.close()
         self.reader_state.close()
+        if self.log is not None:
+            self.log.close()

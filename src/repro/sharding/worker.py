@@ -1,8 +1,11 @@
 """Shard workers, and the reader state the router answers from.
 
-A *shard worker* owns one shard's cube (dense, buffered or not,
-optionally durable), ingests the writes routed to it past its snapshot
-front and, once after every op that mutates, publishes an epoch and
+A *shard worker* owns one shard's cube (dense, buffered or not, tiered
+or not; never durable: the router logs every write once, for the whole
+cube, before any shard sees it, and a recovered shard starts from its
+checkpoint archive while the router replays the log into it), ingests
+the writes routed to it past its snapshot front and, once after every
+op that mutates, publishes an epoch and
 hands back its descriptor together with the shard's time
 state (first and last occurring time, demotion watermark).  The shard is
 the only owner of that state; the router derives the global view from
@@ -32,14 +35,15 @@ locally:
 
 from __future__ import annotations
 
-import itertools
 import signal
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.errors import DomainError, ReproError
 from repro.core.types import box_array
-from repro.durability.recovery import DurableCube, build_front
+from repro.durability.checkpoint import write_archive
+from repro.durability.recovery import build_front, restore_front
 from repro.metrics import CostCounter
 
 from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView, prepare_epoch
@@ -55,26 +59,16 @@ from repro.sharding.shm import (
 
 
 def _build_shard_front(config: dict, counter: CostCounter):
-    """The shard-local cube front for a worker config (a recovered one
-    restored from its checkpoint, its log tail not yet replayed)."""
-    durable_dir = config.get("durable_dir")
-    buffered = bool(config.get("buffered", False))
-    if durable_dir is not None:
-        if config.get("recover"):
-            return DurableCube.restore(durable_dir, counter=counter)
-        return DurableCube(
-            config["slice_shape"],
-            durable_dir,
-            buffered=buffered,
-            num_times=config.get("num_times"),
-            counter=counter,
-            drain_threshold=config.get("drain_threshold"),
-            fsync=config.get("fsync", "batch"),
-            tiers=config.get("tiers"),
-        )
-    return build_front(
-        {**config, "buffered": buffered}, counter, config.get("tile_dir")
+    """The shard-local cube front for a worker config, restored from the
+    config's ``checkpoint`` archive when it names one."""
+    front = build_front(
+        {**config, "buffered": bool(config.get("buffered", False))},
+        counter,
+        config.get("tile_dir"),
     )
+    if config.get("checkpoint") is not None:
+        restore_front(front, Path(config["checkpoint"]))
+    return front
 
 
 class ShardWorkerState:
@@ -86,35 +80,14 @@ class ShardWorkerState:
         self.counter = CostCounter()
         self.front = _build_shard_front(config, self.counter)
         self.snap = SnapshotCube(self.front)
-        #: what the shard's stack is, as built and declared (on recovery
-        #: the manifest decided, not this worker's config)
+        #: what the shard's stack is, as built and declared
         self.layers = self.snap.stack
-        self.durable, self.buffered, self.tiered = (
-            kind in self.layers for kind in ("durable", "buffered", "tiered")
+        self.buffered, self.tiered = (
+            kind in self.layers for kind in ("buffered", "tiered")
         )
         self.exporter = None
-        try:
-            if config.get("use_shm"):
-                self.exporter = EpochExporter(self.snap, tag=f"s{self.shard_id}")
-            if self.durable and config.get("recover"):
-                self._replay_tail()
-        except BaseException:
-            self.close()  # no caller gets this state: unlink what it exported
-            raise
-
-    def _replay_tail(self) -> None:
-        """Replay the log tail the way live writes arrive: the restored
-        checkpoint is published first, then one epoch after each record,
-        which finishes the historic slices the record made into rows
-        before the next record is applied; with no reader attached yet the
-        epochs a record superseded are released at once.  So replayed
-        history never piles up on the heap: beside the latest instance,
-        only what the current record made historic is off shared memory."""
-        for lsn in itertools.chain([None], self.front.replay_tail()):
-            if lsn is not None:
-                self.snap.publish()
-            if self.exporter is not None:
-                self.exporter.release_below(self.exporter.export()["sequence"])
+        if config.get("use_shm"):
+            self.exporter = EpochExporter(self.snap, tag=f"s{self.shard_id}")
 
     # -- helpers ---------------------------------------------------------------
 
@@ -139,24 +112,17 @@ class ShardWorkerState:
         watermark = None if tiered is None else tiered.demoted_through
         return descriptor, (first, last, watermark)
 
-    def _durable(self, op: str) -> DurableCube:
-        if not self.durable:
-            raise DomainError(f"{op} requires a durable shard")
-        return self.front
-
     # -- the shard ops (payload in, result out) ---------------------------------
 
     def _ingest(self, payload) -> None:
-        # always through self.front, so that a durable wrapper WAL-logs the
-        # router's global historic/in-order classification
-        points, deltas, historic = payload
-        if not self.buffered or not bool(historic.any()):
-            self.front.update_many(points, deltas)
-            return
-        in_order = ~historic
-        if bool(in_order.any()):
-            self.front.update_many(points[in_order], deltas[in_order])
-        self.front.update_many(points[historic], deltas[historic], mode="buffer")
+        # a section of the router's record: its in-order rows, then the
+        # ``late`` rows the router classified as globally historic
+        points, deltas, late = payload
+        split = len(points) - late
+        if split:
+            self.front.update_many(points[:split], deltas[:split])
+        if late:
+            self.front.update_many(points[split:], deltas[split:], mode="buffer")
 
     def _out_of_order(self, payload):
         point, delta = payload
@@ -164,11 +130,8 @@ class ShardWorkerState:
         if latest is None or point[0] >= latest:
             # globally historic but locally in-order: append
             self.front.update_many([point], [delta])
-        else:
-            # through the log when there is one (which refuses it over a
-            # G_d buffer), else at the kernel, past any buffer
-            target = self.front if self.durable else self.kernel
-            target.apply_out_of_order(point, delta)
+        else:  # at the kernel, past any buffer
+            self.kernel.apply_out_of_order(point, delta)
 
     def _retire(self, time):
         """``(retired, newest local occurring time below ``time``)``."""
@@ -214,16 +177,15 @@ class ShardWorkerState:
         ),
         "approx": (_approx, "query_approx"),
         "total": (lambda state, _: state.snap.total(), "total"),
-        "checkpoint": (lambda state, _: state._durable("checkpoint").checkpoint(), None),
-        "log_info": (lambda state, _: state._durable("log_info").log_info(), None),
+        # the shard's archive of a checkpoint: ``(directory, checkpoint
+        # id)`` in, the archive's file name out
+        "checkpoint": (lambda state, at: write_archive(at[0], state.front, at[1]), None),
     }
 
     def close(self) -> None:
         if self.exporter is not None:
             self.exporter.close()
             self.exporter = None
-        if self.durable:
-            self.front.close()
 
 
 def serve(state: ShardWorkerState, op: str, payload) -> tuple:

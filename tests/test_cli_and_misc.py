@@ -46,8 +46,8 @@ class TestCLI:
             repro_main(["frobnicate"])
 
     def test_durable_commands_on_a_sharded_directory(self, tmp_path, capsys):
-        """What ``serve --durable-dir`` writes: ``sharding.json`` beside
-        one durable cube per ``shard-NN/``."""
+        """What ``serve --durable-dir`` writes: ``sharding.json`` beside the
+        cube's one log, one record per client op."""
         from repro.sharding import ShardedCube
 
         with ShardedCube(
@@ -55,23 +55,35 @@ class TestCLI:
         ) as cube:
             cube.update_many([[0, 0, 0], [1, 3, 3], [2, 3, 0]], [1, 2, 3])
             cube.retire_before(1)
+            cube.checkpoint()
+            cube.update_many([[3, 0, 0], [1, 3, 3]], [1, 1])
         assert repro_main(["log-info", str(tmp_path)]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert sorted(info["shards"]) == ["shard-00", "shard-01"]
-        counts = [shard["record_counts"] for shard in info["shards"].values()]
-        assert all(shard["retire"] == 1 for shard in counts)
-        assert sum(shard["update_batch"] for shard in counts) >= 2
-        assert info["records"] == sum(s["records"] for s in info["shards"].values())
-        assert info["records"] >= 4 and info["torn_tail"] is False
+        assert "per_shard" not in info and info["shards"] == 2
+        # the checkpoint's marker rolled the segment that held both ops
+        assert info["record_counts"] == {"sharded_batch": 1}
+        assert info["records"] == 1 and info["torn_tail"] is False
+        assert info["updates"] == 2 and info["covered_lsn"] == 3
+        assert info["bytes_per_update"] == round(
+            sum(s["bytes"] for s in info["segments"]) / 2, 3
+        )
         for command in (["recover"], ["checkpoint"], ["demote", "--before", "1"]):
             with pytest.raises(SystemExit) as refusal:
                 repro_main([*command, str(tmp_path)])
             assert refusal.value.code == 2
             message = capsys.readouterr().err
             assert "sharded cube" in message and "missing manifest" not in message
-        # one shard of it is an ordinary durable cube
-        assert repro_main(["recover", str(tmp_path / "shard-00")]) == 0
-        assert json.loads(capsys.readouterr().out)["replayed_records"] >= 2
+
+    def test_log_info_on_a_log_per_shard_directory_says_how_to_convert_it(
+        self, tmp_path, capsys
+    ):
+        import shutil
+        from pathlib import Path
+
+        data = Path(__file__).resolve().parent / "data" / "sharded_converted"
+        shutil.copytree(data, tmp_path / "fleet")
+        assert repro_main(["log-info", str(tmp_path / "fleet")]) == 2
+        assert "serve --durable-dir" in capsys.readouterr().err
 
     def test_log_info_reports_a_malformed_record_instead_of_a_traceback(
         self, tmp_path, capsys

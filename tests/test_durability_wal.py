@@ -53,6 +53,7 @@ from repro.durability.wal import (
     OutOfOrderBatchRecord,
     OutOfOrderRecord,
     RetireRecord,
+    ShardedBatchRecord,
     UpdateBatchRecord,
     UpdateRecord,
     WriteAheadLog,
@@ -130,6 +131,19 @@ def interval_batch_records(draw):
     )
 
 
+@st.composite
+def sharded_batch_records(draw):
+    """Up to three sections over increasing shards, each run of 0 to 6
+    rows (a section may be empty)."""
+    shards = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=3)))
+    runs = np.array(
+        [[draw(st.integers(0, 6)), draw(st.integers(0, 6))] for _ in shards]
+    )
+    n = int(runs.sum())
+    points = draw(columns(n, draw(st.integers(1, 4))))
+    return ShardedBatchRecord(shards, runs, points, draw(columns(n, 1))[:, 0].copy())
+
+
 #: log-info name of a row -> arbitrary records of its type
 STRATEGIES = {
     "update": point_records(UpdateRecord),
@@ -145,6 +159,7 @@ STRATEGIES = {
     "interval_batch": interval_batch_records(),
     "advance": st.builds(AdvanceRecord, time=COORD),
     "demote": st.builds(DemoteRecord, time=COORD),
+    "sharded_batch": sharded_batch_records(),
 }
 RECORDS = st.one_of(*STRATEGIES.values())
 
@@ -203,6 +218,16 @@ GOLDEN_FRAMES = [
     ),
     (AdvanceRecord(17), "1100000023cba2140a31000000000000001100000000000000"),
     (DemoteRecord(8), "11000000929e38d90b32000000000000000800000000000000"),
+    (
+        ShardedBatchRecord(
+            [0, 1],
+            [[2, 1], [1, 0]],
+            [[3, 1, 2], [3, 0, 0], [2, 1, 1], [3, 0, 3]],
+            [5, -2, 1, 7],
+        ),
+        "2f000000795a3ba60c3300000000000000020003000004020202000601"
+        "0001000203037a000401020102010201000601000106010e0100",
+    ),
 ]
 #: The batch rows of ``GOLDEN_FRAMES`` (by position), and the frames a
 #: version-2 segment holds for the same records at the same LSNs, as
@@ -543,6 +568,26 @@ class TestCodec:
         except StorageError:
             pass
 
+    @given(
+        record=st.one_of(*(STRATEGIES[name] for name in ("sharded_batch", *BATCH_NAMES))),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_shape_check_refuses_exactly_what_decoding_refuses(self, record, data):
+        """What opening a log checks without decoding a bit stream: an
+        edited body passes the check exactly when it decodes."""
+        payload = bytearray(encode_record(record, 1)[_FRAME.size :])
+        for _ in range(data.draw(st.integers(0, 3))):
+            position = data.draw(st.integers(_PREFIX.size, len(payload) - 1))
+            payload[position] = data.draw(st.integers(0, 255))
+        outcomes = []
+        for decode in (True, False):
+            try:
+                outcomes.append(decode_payload(bytes(payload), decode=decode)[1] is None)
+            except StorageError:
+                outcomes.append("refused")
+        assert outcomes in ([False, True], ["refused", "refused"])
+
     @pytest.mark.parametrize("n, ceiling", [(512, 2.5), (128, 3.0)])
     def test_a_benchmark_shaped_batch_costs_its_values_width(self, n, ceiling):
         """What a shard logs per preload frame of the serving benchmark:
@@ -783,8 +828,8 @@ class TestSegments:
         """A segment holds one layout: the first append after opening an
         older build's log lands in a fresh segment."""
         frames = [
-            bytes.fromhex(frame) for _, frame in GOLDEN_FRAMES
-        ]  # LSNs 40..50, as a version-1 segment holds them
+            bytes.fromhex(frame) for _, frame in GOLDEN_FRAMES[:11]
+        ]  # LSNs 40..50, as a version-1 segment holds them (the rows it knew)
         old = tmp_path / "wal-00000007.log"
         old.write_bytes(_HEADER.pack(SEGMENT_MAGIC, 1, 40) + b"".join(frames)[:-3])
         intact = _HEADER.size + sum(map(len, frames[:-1]))
@@ -797,7 +842,7 @@ class TestSegments:
         with WriteAheadLog(tmp_path, fsync="off") as wal:  # the tail is ours now
             assert wal.segments() == ["wal-00000007.log", "wal-00000008.log"]
             assert list(wal.replay()) == [
-                (40 + i, record) for i, (record, _) in enumerate(GOLDEN_FRAMES[:-1])
+                (40 + i, record) for i, (record, _) in enumerate(GOLDEN_FRAMES[:10])
             ] + [(50, batch)]
         info = inspect_log(tmp_path)
         assert [(s["format_version"], s["base_lsn"]) for s in info["segments"]] == [
@@ -817,8 +862,8 @@ class TestSegments:
         packed = dict(zip(BATCH_ROWS, GOLDEN_PACKED_FRAMES))
         frames = [
             bytes.fromhex(packed.get(position, frame))
-            for position, (_, frame) in enumerate(GOLDEN_FRAMES)
-        ]  # LSNs 40..50, as a version-2 segment holds them
+            for position, (_, frame) in enumerate(GOLDEN_FRAMES[:11])
+        ]  # LSNs 40..50, as a version-2 segment holds them (the rows it knew)
         old = tmp_path / "wal-00000007.log"
         old.write_bytes(_HEADER.pack(SEGMENT_MAGIC, 2, 40) + b"".join(frames)[:-3])
         intact = _HEADER.size + sum(map(len, frames[:-1]))
@@ -831,7 +876,7 @@ class TestSegments:
         with WriteAheadLog(tmp_path, fsync="off") as wal:  # the tail is ours now
             assert wal.segments() == ["wal-00000007.log", "wal-00000008.log"]
             assert list(wal.replay()) == [
-                (40 + i, record) for i, (record, _) in enumerate(GOLDEN_FRAMES[:-1])
+                (40 + i, record) for i, (record, _) in enumerate(GOLDEN_FRAMES[:10])
             ] + [(50, batch)]
         new = tmp_path / "wal-00000008.log"
         assert new.read_bytes() == _HEADER.pack(

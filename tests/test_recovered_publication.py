@@ -1,13 +1,15 @@
-"""A recovered process shard publishes its log tail as it replays it.
+"""A recovered sharded cube publishes its log tail as it replays it.
 
-The rule under test (:meth:`ShardWorkerState._replay_tail`): a process
-shard restores its checkpoint, attaches its snapshot front and exporter,
-and only then replays the log, exporting after every record and
-releasing the epochs that record superseded.  So replayed history lands
-in shared-memory rows as it is rebuilt, exactly as live writes do, and
-never piles up on the worker's heap.  The recovered fleet answers what a
-replica replayed in process answers, and a fleet that cannot start says
-why and leaves no worker and no block behind.
+The rule under test: every shard restores its checkpoint archive and
+attaches its snapshot front (and, publishing into shared memory, its
+exporter); only then does the router replay the cube's one log, each
+record scattered to the shards it reaches exactly as a live write is,
+and each shard publishing one epoch after it and releasing the epochs
+that record superseded.  So replayed history lands in published rows as
+it is rebuilt, exactly as live writes do, and never piles up on a
+shard's heap.  The recovered fleet answers what a replica replayed in
+process answers, and a fleet that cannot start says why and leaves no
+worker and no block behind.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from repro.durability.wal import (
     encode_record,
 )
 from repro.sharding import EpochExporter, ShardedCube, leaked_segments
-from repro.sharding.worker import ShardWorkerState
+from repro.sharding import cube as cube_module
 
 from .conftest import fleet_leaks, fleet_owners, random_box
+from .test_row_widths import ShmInlineHandle
 from .test_sharding import TIERS, _outcome
 
 SHAPE = (6, 6)
@@ -110,17 +113,14 @@ class TestReplayPublishesAsItGoes:
             return export(exporter)
 
         monkeypatch.setattr(EpochExporter, "export", counting_export)
-        state = ShardWorkerState(
-            {
-                "shard_id": 0,
-                "slice_shape": SHAPE,
-                "durable_dir": str(tmp_path / "fleet" / "shard-00"),
-                "recover": True,
-                "use_shm": True,
-            }
-        )
+        # shards in this process that publish into shared memory as a
+        # worker process does
+        monkeypatch.setattr(cube_module, "InlineHandle", ShmInlineHandle)
+        cube = ShardedCube.recover(tmp_path / "fleet", processes=False)
         try:
-            replayed = state.front.recovery_info["replayed_records"]
+            (handle,) = cube.router.handles
+            state = handle.state
+            replayed = cube.recovery_info["replayed_records"]
             assert replayed >= 64
             # the restored checkpoint's export, then one per record, each
             # after the record was applied: the latest instance and the
@@ -134,7 +134,7 @@ class TestReplayPublishesAsItGoes:
                 state.kernel.num_slices - 1 - state.kernel.retired_instances
             )
         finally:
-            state.close()
+            cube.close()
         assert not fleet_leaks()
 
 
@@ -245,27 +245,28 @@ class TestAFleetThatCannotStart:
 
     def test_a_missing_checkpoint(self, rng, tmp_path):
         fleet = self._fleet(tmp_path, rng)
-        shard = fleet / "shard-01"
-        (shard / read_manifest(shard).checkpoint_file).unlink()
+        (fleet / "shard-01" / read_manifest(fleet).checkpoint_file).unlink()
         self._refused(fleet, "shard 1:", "manifest names missing checkpoint")
 
     def test_a_committed_frame_this_build_cannot_decode(self, rng, tmp_path):
         fleet = self._fleet(tmp_path, rng)
-        with WriteAheadLog(fleet / "shard-01" / WAL_SUBDIR, fsync="off") as wal:
+        with WriteAheadLog(fleet / WAL_SUBDIR, fsync="off") as wal:
             lsn = wal.next_lsn
-        segment = sorted((fleet / "shard-01" / WAL_SUBDIR).iterdir())[-1]
+        segment = sorted((fleet / WAL_SUBDIR).iterdir())[-1]
         foreign = _PREFIX.pack(99, lsn) + b"\xab" * 4
         with open(segment, "ab") as handle:  # mid-log: a valid record follows
             handle.write(_FRAME.pack(len(foreign), zlib.crc32(foreign)) + foreign)
             handle.write(encode_record(RetireRecord(0), lsn + 1))
-        self._refused(fleet, "shard 1:", f"LSN {lsn}", "cannot decode")
+        size = segment.stat().st_size
+        self._refused(fleet, f"LSN {lsn}", "cannot decode")
+        assert segment.stat().st_size == size  # nothing truncated
 
     def test_a_record_that_cannot_be_replayed_after_rows_were_published(
         self, rng, tmp_path
     ):
-        """The worker exported rows for the records before it: they are
-        unlinked with it."""
+        """The workers exported rows for the records before it: they are
+        unlinked with them."""
         fleet = self._fleet(tmp_path, rng)
-        with WriteAheadLog(fleet / "shard-00" / WAL_SUBDIR, fsync="off") as wal:
+        with WriteAheadLog(fleet / WAL_SUBDIR, fsync="off") as wal:
             wal.append(AdvanceRecord(30))  # an extent record in a point log
-        self._refused(fleet, "shard 0:", "cannot replay AdvanceRecord")
+        self._refused(fleet, "cannot replay AdvanceRecord")

@@ -128,9 +128,11 @@ def test_cube_forwards_the_vocabulary_instead_of_mirroring_it(inline_cube):
     mirrored = {
         "update", "update_many", "apply_out_of_order", "drain", "retire_before",
         "query", "query_many", "topk", "topk_many", "query_approx",
-        "query_many_approx", "total", "checkpoint", "log_info",
+        "query_many_approx", "total",
     }
     assert not mirrored & set(vars(ShardedCube))
+    # the cube's own: it keeps the log's directory and checkpoint manifest
+    assert {"checkpoint", "log_info"} <= set(vars(ShardedCube))
     for name in mirrored:
         assert getattr(inline_cube, name) == getattr(inline_cube.router, name)
     with pytest.raises(AttributeError):
@@ -179,9 +181,9 @@ def test_server_docstring_and_cli_help_name_only_table_ops(capsys):
 
 def test_mutating_ops_are_derived_from_the_handler_table():
     """A pipe op mutates as the wire row it serves says, and only the
-    durable maintenance ops serve none."""
+    durable maintenance op (a shard's checkpoint archive) serves none."""
     served = {op: row for op, (_, row) in ShardWorkerState.ops.items()}
-    assert {op for op, row in served.items() if row is None} == {"checkpoint", "log_info"}
+    assert {op for op, row in served.items() if row is None} == {"checkpoint"}
     assert set(served.values()) - {None} <= set(OPS)
     mutating = {op for op, row in served.items() if row is not None and OPS[row].mutates}
     assert mutating == {"ingest", "oob", "drain", "retire", "demote"}
@@ -195,9 +197,10 @@ def test_mutating_ops_are_derived_from_the_handler_table():
 def test_a_worker_declares_its_front_and_probing_would_agree(
     tmp_path, buffered, tiered, durable, recover
 ):
-    """``durable`` / ``buffered`` / ``tiered`` are what the built stack
-    declares (on recovery the manifest decided), on every front a worker
-    can build."""
+    """``buffered`` / ``tiered`` are what the built stack declares, on every
+    front a worker can build: fresh, a durable cube's shard (which holds
+    no log: the cube's router logs for it, and the shard writes its
+    checkpoint archive), and that shard restarted from its archive."""
     from repro.core.front import layers
     from repro.ecube.buffered import BufferedEvolvingDataCube
     from repro.retention import TieredCube
@@ -209,21 +212,23 @@ def test_a_worker_declares_its_front_and_probing_would_agree(
         "tiers": [{"name": "coarse", "granularity": 4, "horizon": None}]
         if tiered
         else None,
-        ("durable_dir" if durable else "tile_dir"): str(tmp_path / "shard"),
-        "fsync": "off",
+        "tile_dir": str(tmp_path / "shard" / "tiles"),
     }
     state = ShardWorkerState(config)
+    if durable:
+        (tmp_path / "shard").mkdir(exist_ok=True)
+        serve(state, "ingest", (np.array([[0, 1, 1], [1, 2, 2]]), np.array([1, 2]), 0))
+        status, name, _ = serve(state, "checkpoint", (str(tmp_path / "shard"), 1))
+        assert (status, name) == ("ok", "checkpoint-00000001.npz")
     if recover:
         state.close()
         state.snap.close()
-        # the manifest decides, not the restarted worker's config
-        state = ShardWorkerState({**config, "recover": True, "buffered": not buffered})
+        state = ShardWorkerState({**config, "checkpoint": str(tmp_path / "shard" / name)})
     try:
-        assert (state.durable, state.buffered, state.tiered) == (
-            durable, buffered, tiered,
-        )
+        assert (state.buffered, state.tiered) == (buffered, tiered)
+        assert state.snap.total() == (3 if durable else 0)
         front = state.front
-        assert isinstance(front, DurableCube) == durable
+        assert not isinstance(front, DurableCube)
         # every front answers the names the record rows log under ...
         assert hasattr(front, "update_many") and hasattr(front, "retire_before")
         # ... and the stack says what it is made of, outermost first
@@ -231,8 +236,7 @@ def test_a_worker_declares_its_front_and_probing_would_agree(
         assert list(stack) == [
             kind
             for kind, present in (
-                ("durable", durable), ("tiered", tiered),
-                ("buffered", buffered), ("kernel", True),
+                ("tiered", tiered), ("buffered", buffered), ("kernel", True),
             )
             if present
         ]  # fmt: skip
@@ -292,13 +296,13 @@ def test_one_envelope_behind_inline_and_process_handles(processes):
             return published[-1]
 
         def ingest(point, delta):
-            return np.asarray([point]), np.asarray([delta]), np.asarray([False])
+            return np.asarray([point]), np.asarray([delta]), 0
 
         assert delivered("ingest", ingest((0, 1, 1), 5))
         assert not delivered("total", None)
         # a failing mutating op may have partially applied: fresh epoch
         assert delivered("ingest", ingest((1, 9, 9), 1), raises=DomainError)
-        assert not delivered("checkpoint", None, raises=DomainError)
+        assert not delivered("query", np.zeros((1, 2, 2), np.int64), raises=DomainError)
         assert not delivered("frobnicate", None, raises=DomainError)
         assert handle.request("total") == 5
         if processes:

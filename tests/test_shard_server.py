@@ -548,7 +548,9 @@ def _cross_layout(tmp_path, stream, reads, tiers=None) -> dict:
     (inline_dir, inline_replies), (forked_dir, forked_replies) = written.values()
     assert inline_replies == forked_replies
     files = _files(inline_dir)
-    assert "sharding.json" in files and any(n.startswith("shard-01/") for n in files)
+    # one log for the cube (no shard keeps one) and, when tiered, its tiles
+    assert "sharding.json" in files and "wal/wal-00000001.log" in files
+    assert not any(n.startswith("shard-") for n in files) or tiers is not None
     assert files == _files(forked_dir)
     answers = inline_replies[len(stream) :]
     # each directory recovers in the other layout
@@ -558,9 +560,9 @@ def _cross_layout(tmp_path, stream, reads, tiers=None) -> dict:
 
 
 def test_both_process_layouts_write_the_same_bytes_and_read_each_other(tmp_path):
-    """The layout is not on disk: one stream leaves byte-identical
-    ``shard-NN/`` files and ``sharding.json`` in either layout, and a
-    directory written in one recovers in the other to the same answers."""
+    """The layout is not on disk: one stream leaves a byte-identical log
+    and ``sharding.json`` in either layout, and a directory written in
+    one recovers in the other to the same answers."""
     _cross_layout(tmp_path, STREAM, READS)
 
 

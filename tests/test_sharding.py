@@ -144,7 +144,7 @@ class TestInlineDifferential:
     def test_time_state_is_reported_by_the_shards_not_kept_by_the_router(self):
         from repro.sharding.worker import ShardWorkerState
 
-        assert len(ShardWorkerState.ops) == 12  # no probe ops
+        assert len(ShardWorkerState.ops) == 11  # no probe ops
         with ShardedCube((4, 4), shards=2, processes=False) as cube:
             router = cube.router
             assert (router.min_time, router.latest_time) == (None, None)
@@ -164,9 +164,10 @@ class TestInlineDifferential:
     def test_the_global_retire_boundary_survives_recover(self, tmp_path, checkpoint):
         """Shard 1 keeps time 5 as its own boundary instance and shard 0
         retires down to 3: that the *global* boundary is 5 is something
-        only the router ever knew, so the manifest has to carry it."""
-        import json
-
+        only the router ever knew.  Recovery rebuilds it by replaying the
+        retire record, or reads it from the checkpoint that covers the
+        record; ``sharding.json`` never changes."""
+        from repro.durability.checkpoint import read_manifest
         from repro.sharding.cube import MANIFEST_NAME
 
         manifest = tmp_path / "fleet" / MANIFEST_NAME
@@ -181,42 +182,60 @@ class TestInlineDifferential:
                                  (7, here), (8, there)]:
                 cube.update((time, *origin), 1)
             created = manifest.read_bytes()
-            assert cube.retire_before(0) == 0  # nothing below: nothing written
-            assert manifest.read_bytes() == created
+            assert cube.retire_before(0) == 0  # nothing below: nothing moves
+            assert cube.router.boundary_time is None
             cube.retire_before(6)
             assert cube.router.boundary_time == 5
-            assert json.loads(manifest.read_text())["boundary_time"] == 5
             with pytest.raises(AgedOutError):
                 cube.query(refused)
             expected = cube.query_many(kept)
             if checkpoint:
                 cube.checkpoint()
+                assert read_manifest(tmp_path / "fleet").config == {"boundary_time": 5}
+        assert manifest.read_bytes() == created
         with ShardedCube.recover(tmp_path / "fleet", processes=False) as recovered:
+            assert recovered.recovery_info["replayed_records"] == (0 if checkpoint else 8)
             assert recovered.router.boundary_time == 5
             with pytest.raises(AgedOutError):
                 recovered.query(refused)
             with pytest.raises(AgedOutError):
                 recovered.apply_out_of_order((4, 0, 0), 1)
             assert recovered.query_many(kept) == expected == [4, 2]
-        # a directory from before the key existed opens, and answers
-        stripped = json.loads(manifest.read_text())
-        del stripped["boundary_time"]
-        manifest.write_text(json.dumps(stripped, indent=2))
-        assert manifest.read_bytes() == created
-        with ShardedCube.recover(tmp_path / "fleet", processes=False) as legacy:
-            assert legacy.router.boundary_time is None
-            assert legacy.query_many(kept) == expected
-            with pytest.raises(AgedOutError):  # shard 0 refuses what it retired
-                legacy.query(Box((0, 0, 0), (2, 3, 3)))
+
+    def test_an_older_directorys_boundary_key_is_read_once(self, tmp_path):
+        """A directory whose shards kept a WAL each kept the boundary in
+        ``sharding.json``: its conversion reads the key into the checkpoint
+        that rewrites the directory, where the next recovery finds it."""
+        import json
+        import shutil
+        from pathlib import Path
+
+        from repro.sharding.cube import MANIFEST_NAME
+
+        fleet = tmp_path / "fleet"
+        shutil.copytree(Path(__file__).parent / "data" / "sharded_converted", fleet)
+        manifest = json.loads((fleet / MANIFEST_NAME).read_text())
+        (fleet / MANIFEST_NAME).write_text(json.dumps({**manifest, "boundary_time": 3}))
+        for _ in range(2):
+            with ShardedCube.recover(fleet, processes=False) as recovered:
+                assert recovered.router.boundary_time == 3
+                with pytest.raises(AgedOutError):
+                    recovered.query(Box((0, 0, 0), (2, 5, 5)))
+                assert recovered.query(Box((0, 0, 0), (3, 5, 5))) > 0
+        assert not (fleet / "shard-00" / "MANIFEST.json").exists()
 
     def test_a_crash_before_the_retire_scatter_only_refuses_more(self, tmp_path):
-        """The boundary is on disk before any shard retires."""
+        """The retire is logged before any shard retires, so a crash in its
+        scatter recovers it whole: the recovered router refuses exactly
+        what the oracle refuses, and the live one takes no more writes."""
+        oracle = BufferedEvolvingDataCube((4, 4))
         cube = ShardedCube(
             (4, 4), shards=2, processes=False, durable_dir=tmp_path / "fleet"
         )
         with cube:
             for time in (1, 2, 3, 7):
-                cube.update_many([(time, 0, 0), (time, 3, 3)], [1, 1])
+                for target in (oracle, cube):
+                    target.update_many([(time, 0, 0), (time, 3, 3)], [1, 1])
             handle = cube.router.handles[1]
 
             def crash(op, payload=None):
@@ -226,14 +245,16 @@ class TestInlineDifferential:
             with pytest.raises(ShardUnavailableError):
                 cube.retire_before(6)
             del handle.send
+            with pytest.raises(ShardUnavailableError, match="no more writes"):
+                cube.update((8, 0, 0), 1)
+        oracle.retire_before(6)
         with ShardedCube.recover(tmp_path / "fleet", processes=False) as recovered:
-            # the exact boundary (3) was in the replies that never came;
-            # what went to disk first bounds it from above
-            assert recovered.router.boundary_time == 5
-            for prefix in (2, 4):
-                with pytest.raises(AgedOutError):
-                    recovered.query(Box((0, 0, 0), (prefix, 3, 3)))
-            assert recovered.query(Box((6, 0, 0), (7, 3, 3))) == 2
+            assert recovered.router.boundary_time == 3
+            for prefix in range(8):
+                box = Box((0, 0, 0), (prefix, 3, 3))
+                assert _outcome(lambda: recovered.query(box)) == _outcome(
+                    lambda: oracle.query(box)
+                ), prefix
 
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
