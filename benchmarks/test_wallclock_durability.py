@@ -28,7 +28,12 @@ One row is a byte count, deterministic per seed, not a time: the WAL
 bytes per update a durable two-shard in-process
 :class:`~repro.sharding.ShardedCube` logs for a seeded append mix (64
 updates an append, 6 of them late, a drain every 32 appends).  It gates
-on no more than its recorded value, :data:`SHARDED_APPEND_BYTES`.
+on no more than its recorded value, :data:`SHARDED_APPEND_BYTES`.  Since
+version 4 a sharded batch keeps its in-order runs as sorted sets, so one
+more row times that codec on the record one preload frame of the
+serving benchmark makes (median and IQR of 7 rounds, the version-3
+layout timed in alternation in its note); it is informational, with no
+ceiling.
 """
 
 from __future__ import annotations
@@ -43,13 +48,14 @@ import zlib
 import numpy as np
 
 from _record import BENCH_DURABILITY_FILE, record
-from repro.durability import DurableCube
+from repro.durability import DurableCube, bit_columns
 from repro.durability.recovery import WAL_SUBDIR
 from repro.durability.wal import (
     _FRAME,
     _HEADER,
     _PREFIX,
     SEGMENT_MAGIC,
+    ShardedBatchRecord,
     UpdateBatchRecord,
     WriteAheadLog,
     decode_payload,
@@ -69,11 +75,13 @@ CODEC_CEILING_US = 60.0
 REPLAY_ROUNDS = 31  # recovery is ~0.2 s of kernel work: cheap to repeat, noisy
 REPLAY_FLOOR = 0.9  # packed-log replay rate / version-1 replay rate
 #: WAL bytes per update of the sharded append mix, as one log per cube
-#: writes it (one record an append); the gate
-SHARDED_APPEND_BYTES = 2.7378
-#: the same mix when every shard kept its own WAL and logged a late
-#: append as two batch records (commit 9f27cb2)
-PER_SHARD_WAL_BYTES = 3.8128
+#: writes it in version 4 (one record an append, in-order runs as sorted
+#: sets); the gate
+SHARDED_APPEND_BYTES = 2.3742
+#: the same mix in version 3 (one record an append, commit 715f1ef) and
+#: when every shard kept its own WAL and logged a late append as two
+#: batch records (commit 9f27cb2)
+VERSION_3_BYTES, PER_SHARD_WAL_BYTES = 2.7377, 3.8128
 
 
 def _batches(seed=29):
@@ -353,8 +361,84 @@ def test_sharded_append_log_bytes(tmp_path):
         path=BENCH_DURABILITY_FILE, updates=updates, wal_bytes=wal,
         wal_bytes_per_update=per_update,
         note=(
-            f"deterministic per seed; {PER_SHARD_WAL_BYTES} B/update with a "
-            "WAL per shard (9f27cb2); wall_s is one run, informational"
+            f"deterministic per seed; {VERSION_3_BYTES} B/update in WAL "
+            f"format 3 (715f1ef), {PER_SHARD_WAL_BYTES} with a WAL per shard "
+            "(9f27cb2); wall_s is one run, informational"
         ),
     )  # fmt: skip
     assert per_update <= SHARDED_APPEND_BYTES
+
+
+def _preload_frame_record(directory) -> ShardedBatchRecord:
+    """What a durable two-shard cube logs for one preload frame of the
+    serving benchmark's ``steady_read``: two occurring times of 320
+    updates on 32 x 32 x 8, three fifths in the tenant's [0, 8)^3, a
+    fifth in each shard's other cells, deltas 1..9."""
+    from repro.sharding import ShardedCube
+
+    rng = np.random.default_rng(7)
+    parts = []
+    for time_ in (40, 41):
+        cells = np.concatenate([
+            rng.integers(0, 8, (192, 3)),
+            np.column_stack([rng.integers(0, 16, 64), rng.integers(8, 32, 64),
+                             rng.integers(0, 8, 64)]),
+            np.column_stack([rng.integers(16, 32, 64), rng.integers(0, 32, 64),
+                             rng.integers(0, 8, 64)]),
+        ])  # fmt: skip
+        parts.append(np.column_stack([np.full(320, time_), rng.permutation(cells)]))
+    with ShardedCube((32, 32, 8), shards=2, durable_dir=directory, fsync="off") as cube:
+        cube.update_many(np.concatenate(parts), rng.integers(1, 10, 640))
+        ((_, logged),) = cube.router.log.replay()
+    return logged
+
+
+def _version_3_body(record: ShardedBatchRecord) -> bytes:
+    """``record``'s body as a version-3 segment holds it: every run as
+    bit columns."""
+    heads = np.column_stack([record.shards, record.runs]).ravel().tolist()
+    out = [struct.pack("<HH", len(record.runs), record.points.shape[1])]
+    out += map(bit_columns.varint, heads)
+    columns, at = np.vstack([record.points.T, record.deltas]), 0
+    for count in filter(None, record.runs.ravel().tolist()):
+        out.append(bit_columns.pack(columns[:, at : at + count].copy()))
+        at += count
+    return b"".join(out)
+
+
+def test_sharded_batch_codec(tmp_path):
+    logged = _preload_frame_record(tmp_path / "frame")
+    payload = encode_record(logged, 1)[_FRAME.size :]
+    old = _PREFIX.pack(logged.type, 1) + _version_3_body(logged)
+    assert decode_payload(payload) == (1, logged)
+    assert decode_payload(old, version=3) == (1, logged)
+    calls = {
+        ("version 4", "encode_record"): lambda: encode_record(logged, 1),
+        ("version 3", "encode_record"): lambda: _version_3_body(logged),
+        ("version 4", "decode_payload"): lambda: decode_payload(payload),
+        ("version 3", "decode_payload"): lambda: decode_payload(old, version=3),
+    }
+    rounds = {key: [] for key in calls}
+    for round_ in range(REPEATS):  # the layouts alternate, round by round
+        for key in sorted(calls, reverse=bool(round_ % 2)):
+            gc.collect()
+            start = time.perf_counter()
+            for _ in range(CODEC_CALLS):
+                calls[key]()
+            rounds[key].append((time.perf_counter() - start) / CODEC_CALLS * 1e6)
+    updates = len(logged.points)
+    for mode in ("encode_record", "decode_payload"):
+        median, iqr = _median_iqr(rounds["version 4", mode])
+        then, then_iqr = _median_iqr(rounds["version 3", mode])
+        record(
+            "sharded_batch_codec", mode, median / 1e6, 0,
+            path=BENCH_DURABILITY_FILE, updates=updates, repeats=REPEATS,
+            us_median=round(median, 2), us_iqr=round(iqr, 2),
+            payload_bytes=len(payload),
+            note=(
+                f"one preload frame's record, {updates} updates; version 3 "
+                f"layout ({len(old)} B), timed in alternation: "
+                f"{then:.2f} us median, {then_iqr:.2f} IQR; informational"
+            ),
+        )  # fmt: skip
+    assert len(payload) < len(old)

@@ -1,4 +1,4 @@
-"""Batch columns at bit width: the body layout of WAL format version 3.
+"""Batch columns at bit width (WAL format version 3) and sorted runs (4).
 
 A batch record's scalar columns (``repro.durability.wal``'s ``_Batch``
 lays its fields out as a ``(C, n)`` column-major array) are stored as
@@ -30,6 +30,34 @@ The reader uses that eight rows take ``row`` bytes: a word of row
 ``8g + r`` is one unaligned 8-byte load at a byte and a bit fixed by
 ``r`` (a second load for a word wider than 57 bits).  The tables behind
 both are cached per tuple of widths.
+
+A *sorted run* (:func:`pack_sorted`, version 4: a sharded batch's
+in-order points, ``k`` point columns and the delta, in lexicographic
+order of point) is stored as a set of keys.  A point's key is its
+columns' offsets side by side at their widths, the first column on top,
+so key order is point order; a run is
+
+* the ``k`` point columns' headers, as above;
+* ``u8 rice k``, then the unary stream's length in bytes (zigzag LEB128)
+  and the stream: per key, in order, the quotient ``gap >> rice`` as
+  that many 0 bits and a terminating 1, LSB-first, zero-padded to a
+  byte (a gap is a key less the one before it, the first key's is
+  itself);
+* the remainders ``gap & (2**rice - 1)`` and the deltas, as two columns
+  of the layout above.
+
+Decoding is ``unpackbits -> flatnonzero``: the ``i``-th 1 sits at the
+quotients' sum up to ``i`` plus ``i``, so each key is that sum shifted
+up ``rice`` bits plus the remainders' running sum, and the keys split
+back into their columns with one shift and mask a column.  A run whose
+widths sum past :data:`KEY_BITS` is stored as columns instead: ``rice
+k`` is :data:`WIDE`, and the delta's header and the rows of all ``k +
+1`` columns follow it.  The unary stream holds a 1 a row, so it bounds
+``n`` by the body's length too; every check -- its count of 1s, its
+padding, a key past its widths, the bytes after the run -- comes before
+anything sized by a claim is allocated.  Checking a run without decoding
+it finds a key past its widths only where the quotients alone put it
+there; one that the remainders carry over is found on decoding.
 """
 
 from __future__ import annotations
@@ -41,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.errors import StorageError
+from repro.core.errors import DomainError, StorageError
 
 _U64 = np.dtype("<u8")
 
@@ -53,19 +81,23 @@ def within(body: bytes, stop: int) -> int:
     return stop
 
 
+def _spans(columns: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each of ``(C, n)`` columns' base (its minimum) and ``bits``."""
+    lows = columns.min(axis=1).tolist()
+    # (Python integers: the span of a full-range column cannot wrap)
+    return lows, [
+        max(1, (high - low).bit_length())
+        for low, high in zip(lows, columns.max(axis=1).tolist())
+    ]
+
+
 def pack(columns: np.ndarray) -> bytes:
     """The headers and the bit stream of a batch's ``(C, n)`` int64
     columns (overwritten: they are the caller's own working copy)."""
     if not columns.shape[1]:
         return b"\x00\x01" * len(columns)  # base 0, one bit, no rows
-    bases = columns.min(axis=1)
-    lows = bases.tolist()
-    # (Python integers: the span of a full-range column cannot wrap)
-    bits = [
-        max(1, (high - low).bit_length())
-        for low, high in zip(lows, columns.max(axis=1).tolist())
-    ]
-    return _headers(lows, bits) + _stream(columns, bases, bits)
+    lows, bits = _spans(columns)
+    return _headers(lows, bits) + _stream(columns, lows, bits)
 
 
 def read(
@@ -83,14 +115,21 @@ def read(
     top of int64 that only the decoded rows can tell."""
     if n > 8 * len(body):
         raise StorageError(f"{n} batch rows cannot fit a {len(body)}-byte body")
-    within(body, offset + 2 * sum(counts))  # a header is two bytes or more
-    heads = body[offset : offset + 2 * sum(counts)]
+    bases, bits, offset = _read_headers(body, offset, sum(counts))
+    return _read_rows(body, offset, n, counts, bases, bits, decode)
+
+
+def _read_headers(body: bytes, offset: int, count: int) -> tuple[list, list, int]:
+    """The bases and ``bits`` of the ``count`` column headers at
+    ``offset``, and where they end."""
+    within(body, offset + 2 * count)  # a header is two bytes or more
+    heads = body[offset : offset + 2 * count]
     if max(heads[::2]) < 0x80:  # every base is one byte: the usual case
         bases = [(byte >> 1) ^ -(byte & 1) for byte in heads[::2]]
         bits, offset = list(heads[1::2]), offset + len(heads)
     else:
         bases, bits = [], []
-        for _ in range(sum(counts)):
+        for _ in range(count):
             base, offset = read_varint(body, offset)
             bases.append(base)
             bits.append(body[within(body, offset + 1) - 1])
@@ -98,6 +137,13 @@ def read(
     if min(bits) < 1 or max(bits) > 64:
         width = min(bits) if min(bits) < 1 else max(bits)
         raise StorageError(f"a bit column of width {width}")
+    return bases, bits, offset
+
+
+def _read_rows(
+    body: bytes, offset: int, n: int, counts: list[int], bases, bits, decode=True
+) -> tuple[list[np.ndarray] | None, int]:
+    """:func:`read` past the headers: the rows at ``offset``."""
     row = sum(bits)
     stop = within(body, offset + (n * row + 7) // 8)
     if n * row % 8 and body[stop - 1] >> n * row % 8:
@@ -168,6 +214,121 @@ def read_varint(body: bytes, offset: int) -> tuple[int, int]:
     if offset + 10 <= len(body):
         raise StorageError("a column base runs longer than 10 bytes")
     raise StorageError("a batch column runs past its record body")
+
+
+# -- sorted runs (WAL format 4) ------------------------------------------------------
+
+#: ``rice k`` of a sorted run stored as plain columns: its keys would be
+#: wider than :data:`KEY_BITS`
+WIDE = 255
+#: the widest key a sorted run is coded by (a wider run is stored as
+#: columns): every key and gap is then a non-negative int64
+KEY_BITS = 62
+
+
+def pack_sorted(columns: np.ndarray) -> bytes:
+    """A run of ``(k + 1, n)`` int64 columns, ``k`` point columns and
+    the delta, whose points are in lexicographic order, as a sorted set
+    (see the module docstring; the columns may be overwritten, as
+    :func:`pack`'s are).  An unsorted run is a
+    :class:`~repro.core.errors.DomainError`."""
+    points, n = columns[:-1], columns.shape[1]
+    lows, bits = _spans(points)
+    width = sum(bits)
+    if width > KEY_BITS:
+        if (np.lexsort(points[::-1]) != np.arange(n)).any():
+            raise DomainError("a sorted run's points are not in order")
+        low, wide = _spans(columns[-1:])
+        return (
+            _headers(lows, bits) + bytes((WIDE,)) + _headers(low, wide)
+            + _stream(columns, lows + low, bits + wide)
+        )  # fmt: skip
+    # one key a point, its offsets side by side, the first column's on
+    # top (int64 arithmetic wraps, so the weighted sum is each key exactly)
+    weights = np.array([1 << shift for shift in _key_shifts(bits)], dtype=np.int64)
+    keys = weights @ points
+    keys -= weights @ np.array(lows, dtype=np.int64)
+    gaps = np.empty_like(keys)
+    gaps[0] = keys[0]
+    np.subtract(keys[1:], keys[:-1], out=gaps[1:])
+    if n > 1 and gaps[1:].min() < 0:
+        raise DomainError("a sorted run's points are not in order")
+    # the Rice parameter: of the two just below the mean gap, the one
+    # whose quotients and remainders take fewer bits
+    rice = max((int(keys[-1]) // n).bit_length() - 2, 0)
+    quotients = gaps >> rice
+    halves = quotients >> 1
+    if int(halves.sum()) + n * (rice > 0) < int(quotients.sum()):
+        rice, quotients = rice + 1, halves
+    quotients += 1
+    ends = np.cumsum(quotients, out=quotients)  # one past each terminating 1
+    unary = np.zeros(int(ends[-1]) + 1, dtype=np.uint8)
+    unary[ends] = 1
+    unary = np.packbits(unary[1:], bitorder="little").tobytes()
+    gaps &= (1 << rice) - 1  # the remainders
+    return (
+        _headers(lows, bits) + bytes((rice,)) + varint(len(unary)) + unary
+        + pack(np.vstack([gaps, columns[-1]]))
+    )  # fmt: skip
+
+
+def read_sorted(
+    body: bytes, offset: int, n: int, counts: list[int], decode: bool = True
+) -> tuple[list[np.ndarray] | None, int]:
+    """:func:`read` for a sorted run of ``n >= 1`` rows, whose fields
+    are its points and its deltas (``counts`` is ``[k, 1]``).  Every
+    refusal comes before anything sized by the body's claims is
+    allocated.  ``decode=False`` checks the run's shape without decoding
+    its remainders, so a key that only they carry past its widths is
+    refused when the run is decoded."""
+    bases, bits, offset = _read_headers(body, offset, counts[0])
+    rice = body[within(body, offset + 1) - 1]
+    if rice == WIDE:
+        low, wide, offset = _read_headers(body, offset + 1, 1)
+        return _read_rows(body, offset, n, counts, bases + low, bits + wide, decode)
+    width = sum(bits)
+    if rice > KEY_BITS or width > KEY_BITS:
+        raise StorageError(f"a sorted run of {width}-bit keys over rice k {rice}")
+    size, offset = read_varint(body, offset + 1)
+    if size < 1:
+        raise StorageError(f"a unary stream of {size} bytes for {n} rows")
+    stop = within(body, offset + size)
+    unary = np.unpackbits(np.frombuffer(body, np.uint8, size, offset), bitorder="little")
+    ones = np.flatnonzero(unary)
+    if len(ones) < n or int(ones[n - 1]) >> 3 != size - 1:
+        raise StorageError(
+            f"a unary stream of {len(ones)} quotients in {size} bytes for {n} rows"
+        )
+    if len(ones) > n:
+        raise StorageError("the padding after the last quotient is not zero")
+    low, wide, offset = _read_headers(body, stop, 2)
+    if low[0] < 0:
+        raise StorageError("a sorted run's remainders are negative")
+    top, least = 1 << width, (int(ones[-1]) + 1 - n) << rice  # the quotients' part
+    if least + n * low[0] >= top:
+        raise StorageError(f"a sorted run's key leaves its {width} bits")
+    rest, stop = _read_rows(body, offset, n, [1, 1], low, wide, decode)
+    if rest is None:
+        return None, stop
+    # (a remainder is below 2**63: a running sum that wraps goes negative)
+    keys = np.cumsum(rest[0][:, 0])
+    if int(keys.min()) < 0 or least + int(keys[-1]) >= top:
+        raise StorageError(f"a sorted run's key leaves its {width} bits")
+    ones -= np.arange(n)  # each key's quotients, summed
+    ones <<= rice
+    keys += ones
+    points = keys >> np.array(_key_shifts(bits))[:, None]
+    points &= np.array([(1 << b) - 1 for b in bits])[:, None]
+    for base, b, column in zip(bases, bits, points):
+        if base + (1 << b) > 1 << 63 and base + int(column.max()) >= 1 << 63:
+            raise StorageError(f"a bit column over base {base} leaves int64")
+    points += np.array(bases, dtype=np.int64)[:, None]
+    return [np.ascontiguousarray(points.T), rest[1]], stop
+
+
+def _key_shifts(bits: list[int]) -> list[int]:
+    """Where each column's offset sits in a key, the first on top."""
+    return [sum(bits) - end for end in itertools.accumulate(bits)]
 
 
 def _cached(build):
@@ -263,14 +424,14 @@ def _stream_words(widths: tuple[int, ...]) -> _StreamWords:
     return _StreamWords(period, pick, lift, drop)
 
 
-def _stream(columns: np.ndarray, bases: np.ndarray, bits: list[int]) -> bytes:
+def _stream(columns: np.ndarray, bases: list[int], bits: list[int]) -> bytes:
     """The rows of ``(C, n)`` columns over their minima ``bases``."""
     layout = _bit_layout(tuple(bits))
     period, pick, lift, drop = _stream_words(layout.widths)
     n, groups = columns.shape[1], -(-columns.shape[1] // period)
     # (int64 arithmetic wraps: read unsigned, each offset is exact, and
     # offsets shifted apart never carry into each other)
-    columns -= bases[:, None]
+    columns -= np.array(bases, dtype=np.int64)[:, None]
     offsets = columns.view(_U64)
     offsets <<= layout.down
     codes = np.zeros((groups * period, len(layout.widths)), dtype=_U64)

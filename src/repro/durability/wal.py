@@ -33,11 +33,18 @@ Physical format (all integers little-endian):
   (``sharded_batch``: one sharded ``update_many`` as its router logs
   it, the three numbers of a section zigzag LEB128, then per section
   its in-order run and its buffered run, each the ``k`` point columns
-  and the delta column in the shard's local coordinates, laid out as a
-  version-3 batch's columns with headers of their own, an empty run
-  taking no bytes) -- and is exactly as long as its own headers imply;
+  and the delta column in the shard's local coordinates with headers of
+  their own, an empty run taking no bytes) -- and is exactly as long as
+  its own headers imply;
 * a batch's columns are laid out by the segment's format version.  In
-  version 3, which this build writes, every scalar column of the fields
+  version 4, which this build writes, a ``sharded_batch``'s in-order
+  run is a sorted set: its rows in lexicographic order of point (the
+  router sorts them, and applies them in that order), stored as one key
+  a point with the keys' gaps Rice-coded (:func:`~repro.durability.
+  bit_columns.pack_sorted`).  Its buffered run keeps arrival order, and
+  every other batch is laid out as in version 3, which version 4 reads
+  too (an in-order run there is in arrival order).  In version 3 every
+  scalar column of the fields
   in declared order (``points``: k, ``intervals``: 2, ``deltas`` /
   ``values``: 1) has a header ``zigzag-LEB128 base (<= 10 bytes) | u8
   bits``, all headers first: ``base`` is the column's minimum and
@@ -66,8 +73,10 @@ this build cannot decode it (a newer build's record type, a body that
 is not its type's shape) opening and replaying raise ``StorageError``
 and truncate nothing.  Opening checks that every committed frame decodes
 -- tag, headers, every column header and the exact length -- without
-decoding a bit stream (``decode_payload(..., decode=False)``); replay
-decodes each record once, as it yields it.
+decoding a bit stream (``decode_payload(..., decode=False)``; a sorted
+run's key that only its remainders carry past its widths is refused
+when the run is decoded); replay decodes each record once, as it yields
+it.
 
 Fsync policy (``"always" | "batch" | "off"``): ``always`` fsyncs after
 every appended record.  ``batch`` is a group commit: the log fsyncs by
@@ -105,8 +114,10 @@ from repro.durability.bit_columns import within
 #: Magic bytes opening every segment file.
 SEGMENT_MAGIC = b"ECWL"
 #: Bump when the record codec changes incompatibly.  (2: batch bodies
-#: are packed columns; 3: packed at bit width, as one bit stream.)
-WAL_FORMAT_VERSION = 3
+#: are packed columns; 3: packed at bit width, as one bit stream; 4: a
+#: sharded batch's in-order runs are sorted sets, Rice-coded gaps of
+#: one key per point.)
+WAL_FORMAT_VERSION = 4
 
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, base LSN
 _FRAME = struct.Struct("<II")  # payload length, CRC32(payload)
@@ -278,7 +289,7 @@ class _Batch:
             raise StorageError(f"unknown batch mode code {mode[0]}")
         shapes = self._shapes(n, k)
         counts = [math.prod(shape[1:]) for shape in shapes]
-        if version == 3:
+        if version >= 3:
             arrays, stop = bit_columns.read(body, self.head.size, n, counts, decode)
             _ends(body, stop)
             if arrays is None:
@@ -306,9 +317,11 @@ class _Sections:
         heads = np.column_stack([shards, runs]).ravel().tolist()
         out = [self.head.pack(len(runs), points.shape[1]), *map(bit_columns.varint, heads)]
         columns, at = np.vstack([points.T, deltas]).astype(np.int64), 0
-        for count in filter(None, runs.ravel().tolist()):
-            out.append(bit_columns.pack(columns[:, at : at + count].copy()))
-            at += count
+        for count, late in zip(runs.ravel().tolist(), [False, True] * len(runs)):
+            if count:
+                pack = bit_columns.pack if late else bit_columns.pack_sorted
+                out.append(pack(columns[:, at : at + count].copy()))
+                at += count
         return b"".join(out)
 
     def read(self, body: bytes, version: int, count: int, k: int, decode=True):
@@ -320,9 +333,11 @@ class _Sections:
         if count and int(heads.min()) < 0:
             raise StorageError("a sharded batch section holds a negative number")
         runs = []
-        for n in filter(None, heads[:, 1:].ravel().tolist()):
-            fields, offset = bit_columns.read(body, offset, n, [k, 1], decode)
-            runs.append(fields)
+        for n, late in zip(heads[:, 1:].ravel().tolist(), [False, True] * count):
+            if n:
+                read = bit_columns.read if late or version < 4 else bit_columns.read_sorted
+                fields, offset = read(body, offset, n, [k, 1], decode)
+                runs.append(fields)
         _ends(body, offset)
         if not decode:
             return None
@@ -511,8 +526,9 @@ RECORD_TYPES = (
          "A ``demote_before(time)`` tiered-retention call."),
     _row(12, "sharded_batch", "ShardedBatchRecord", _Sections(), None, "point",
          "One sharded ``update_many``, logged once by the router: per shard "
-         "it reaches, its in-order then its buffered points, in local "
-         "coordinates (no single cube replays it)."),
+         "it reaches, its in-order points sorted by point, then its buffered "
+         "points in arrival order, in local coordinates (no single cube "
+         "replays it)."),
 )
 (
     UpdateRecord,
@@ -595,6 +611,7 @@ class _ScanResult:
     torn: bool  # a partial/corrupt record follows the prefix
     base_lsn: int
     version: int  # the layout every batch body of the segment has
+    frame_bytes: list[int]  # per record, its whole frame's
 
 
 def _frame_at(data: bytes, offset: int, lsn: int) -> bytes | None:
@@ -663,19 +680,20 @@ def _scan_segment(
             "replay a newer log"
         )
     records: list[tuple[int, WalRecord | bytes]] = []
-    offset = _HEADER.size
+    sizes, offset = [], _HEADER.size
     while offset < len(data):
         lsn = base_lsn + len(records)
         payload = _frame_at(data, offset, lsn)
         if payload is None:
             break
-        offset += _FRAME.size + len(payload)
+        sizes.append(_FRAME.size + len(payload))
+        offset += sizes[-1]
         if decode == "check":
             _decode_committed(path, lsn, payload, version, decode=False)
         elif decode == "decode":
             payload = _decode_committed(path, lsn, payload, version, tolerant)
         records.append((lsn, payload))
-    return _ScanResult(records, offset, offset < len(data), base_lsn, version)
+    return _ScanResult(records, offset, offset < len(data), base_lsn, version, sizes)
 
 
 def _segments(directory: Path) -> list[Path]:
@@ -948,10 +966,14 @@ def inspect_log(directory) -> dict:
     """Read-only summary of a WAL directory (no tail repair, no locks)."""
     segments = []
     record_counts: Counter = Counter()  # (tag, log-info name) -> frames
+    record_bytes: Counter = Counter()  # (tag, log-info name) -> their bytes
     updates = 0
     for path, scan in _scan_log(Path(directory), tolerant=True):
-        records = scan.records if scan is not None else []
-        record_counts.update((record.type, record.log_name) for _, record in records)
+        # (a header-less final segment -- a crash during roll -- has none)
+        records, sizes = ([], []) if scan is None else (scan.records, scan.frame_bytes)
+        for (_, record), size in zip(records, sizes):
+            record_counts[record.type, record.log_name] += 1
+            record_bytes[record.type, record.log_name] += size
         updates += sum(_updates(record) for _, record in records)
         segments.append(
             {
@@ -969,6 +991,9 @@ def inspect_log(directory) -> dict:
         "records": sum(segment["records"] for segment in segments),
         "record_counts": {
             name: count for (_, name), count in sorted(record_counts.items())
+        },
+        "record_bytes": {
+            name: size for (_, name), size in sorted(record_bytes.items())
         },
         "updates": updates,
         "bytes_per_update": round(size / updates, 3) if updates else None,

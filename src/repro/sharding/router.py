@@ -362,10 +362,13 @@ class ShardRouter:
                 "discipline; use a buffered sharded cube for out-of-order "
                 "streams"
             )
-        # one section per shard reached, in shard order: its in-order
-        # rows, then its buffered ones, each run in stream order
+        # one section per shard reached, in shard order: its in-order rows
+        # sorted by point (the log stores them as a sorted set, and the
+        # order of an in-order run changes no answer), then its buffered
+        # ones in stream order (``drain(limit)`` breaks time ties by it)
         shard_ids = self.partitioner.shard_of_cells(points[:, 1:])
-        order = np.lexsort((historic, shard_ids))
+        keys = np.where(historic[:, None], 0, points)
+        order = np.lexsort((*keys.T[::-1], historic, shard_ids))
         runs = np.bincount(
             2 * shard_ids + historic, minlength=2 * len(self.handles)
         ).reshape(-1, 2)

@@ -20,9 +20,20 @@ layout: both families on one shared time axis, so each holds an instance
 for every time either one saw.  No later build writes it;
 ``durable_extent_v4/`` is the extent op list again, with each family's
 checkpoint holding its own times only.  ``durable_point_v4/`` and
-``durable_extent_v4/`` are what this build writes; every directory
-before them is input, never regenerated.  The op lists below are what
-the test replays into a live replica.
+``durable_extent_v4/`` hold WAL format 3, which this build reads but no
+longer writes (format 4 changes only the sharded batch, so a single
+cube's records are the same bytes under a new segment header): like
+every directory before them they are input, never regenerated.  The op
+lists below are what the test replays into a live replica.
+
+``sharded_v3/`` is a two-shard buffered ``serve``-style directory with
+no checkpoint, so its one log holds the whole of :data:`SHARDED_OPS`
+(appends with late points, a drain, a retire) as the last build that
+wrote WAL format 3 logged it (commit 715f1ef,
+:func:`write_sharded_v3`): each ``sharded_batch``'s in-order run in
+arrival order, as bit columns.  ``tests/test_one_log.py`` recovers a
+copy against an unsharded oracle and rolls its tail to format 4.  It is
+input, never regenerated.
 
 ``sharded_converted/`` is a two-shard ``serve``-style directory whose
 checkpoint holds, in each shard, a historic instance no array sweep can
@@ -33,8 +44,9 @@ it, so their DDC values are gone from slice and cache alike.  Commit
 served kernel's history is finished rows before anything converts a
 cell.  It is input, never regenerated.
 
-Regenerate the directories of the formats this build writes (only when
-the on-disk format changes on purpose)::
+No directory is in the formats this build writes, so the script below
+regenerates none (:data:`CURRENT` is empty); a format change that wants
+a fixture of its own adds it there::
 
     PYTHONPATH=src python tests/data/make_durable_fixtures.py
 """
@@ -182,7 +194,7 @@ LAYOUTS = ("point", "families")
 FROZEN = ("durable_point", "durable_extent")
 #: every file in the formats this build writes; the only directories the
 #: script below regenerates
-CURRENT = ("durable_extent_v4", "durable_point_v4")
+CURRENT = ()
 
 
 #: ``sharded_converted/``: its slice shape, the instance each shard's
@@ -226,6 +238,53 @@ def write_converted(directory) -> None:
         for points, deltas in CONVERTED_BATCHES[6:]:
             cube.update_many(points, deltas)
         cube.checkpoint()
+
+
+#: ``sharded_v3/``: its slice shape (shard 0 holds x < 2, shard 1 x >= 2)
+#: and the op list, applied alike to the sharded cube and to an unsharded
+#: ``BufferedEvolvingDataCube`` oracle
+SHARDED_SHAPE = (4, 4)
+
+
+def _rows(rows):
+    points = np.array([row[:3] for row in rows], dtype=np.int64)
+    return points, np.array([row[3] for row in rows], dtype=np.int64)
+
+
+SHARDED_OPS = (
+    [
+        # several points per shard and time, in no particular cell order
+        ("update_many", *_rows([(t, 1, (t + 3) % 4, t + 1), (t, 3, t % 4, 2),
+                                (t, 0, t % 4, 3), (t, 2, 1, -1), (t, 0, 3, 4),
+                                (t, 3, (t + 2) % 4, 5)]), "fast")
+        for t in range(0, 12, 2)
+    ]
+    + [
+        ("update_many", *_rows([(12, 1, 3, 6), (5, 2, 2, 7), (12, 0, 1, 8),
+                                (3, 0, 0, 9), (13, 3, 0, 1), (13, 2, 2, 2),
+                                (9, 3, 1, 3), (13, 0, 0, 4)]), "fast"),  # three late
+        ("drain", 1),
+        ("update_many", *_rows([(14, 2, 3, 5), (7, 1, 1, 6), (14, 1, 0, 7),
+                                (14, 3, 3, 8), (2, 2, 0, 9)]), "fast"),  # two late
+        ("retire", 4),
+        ("update_many", *_rows([(16, 0, 2, 1), (15, 3, 1, 2), (16, 2, 0, 3),
+                                (11, 0, 3, 4), (16, 0, 2, 5), (9, 2, 3, 6)]),
+         "fast"),  # three late: they stay in G_d
+    ]
+)  # fmt: skip
+
+
+def write_sharded_v3(directory) -> None:
+    """Two inline buffered shards, durable, no checkpoint: the whole op
+    list is in the one log."""
+    from repro.sharding import ShardedCube
+
+    with ShardedCube(
+        SHARDED_SHAPE, shards=2, processes=False, durable_dir=directory,
+        fsync="off",
+    ) as cube:  # fmt: skip
+        for op in SHARDED_OPS:
+            apply_op(cube, op)
 
 
 def write(name: str, directory) -> None:

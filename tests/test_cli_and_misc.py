@@ -74,6 +74,27 @@ class TestCLI:
             message = capsys.readouterr().err
             assert "sharded cube" in message and "missing manifest" not in message
 
+    def test_log_info_says_where_the_bytes_go(self, tmp_path, capsys):
+        """``record_bytes``: per record name, its frames' bytes, which add
+        up to the segments' bytes less their 14-byte headers."""
+        from repro.sharding import ShardedCube
+
+        with ShardedCube(
+            (4, 4), shards=2, processes=False, durable_dir=tmp_path, fsync="off"
+        ) as cube:
+            for time in range(4):
+                cube.update_many([[time, 0, time], [time, 3, 1], [0, 2, 2]], [1, 2, 3])
+            cube.drain(1)
+            cube.drain()
+        assert repro_main(["log-info", str(tmp_path)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["record_counts"] == {"drain": 2, "sharded_batch": 4}
+        assert info["record_bytes"]["drain"] == 2 * (8 + 9 + 8)  # frame, prefix, i64
+        assert sum(info["record_bytes"].values()) == sum(
+            segment["bytes"] - 14 for segment in info["segments"]
+        )
+        assert list(info["record_bytes"]) == list(info["record_counts"])
+
     def test_log_info_on_a_log_per_shard_directory_says_how_to_convert_it(
         self, tmp_path, capsys
     ):

@@ -24,7 +24,7 @@ from repro.durability.recovery import FRONT_KINDS, WAL_SUBDIR
 from repro.durability.wal import RECORD_TYPES, WriteAheadLog
 from repro.sharding.ops import OPS
 
-from tests.test_durability_wal import GOLDEN_FRAMES
+from tests.test_durability_wal import GOLDEN_FRAMES, GOLDEN_SORTED_FRAME
 
 REPO = Path(__file__).resolve().parent.parent
 SHAPE = (4, 4)
@@ -181,7 +181,10 @@ def test_every_other_front_refuses_before_anything_is_logged(tmp_path, row):
 def test_replay_is_fatal_for_the_other_object_kind_and_skips_a_missing_capability(
     tmp_path, row
 ):
-    (record,) = (r for r, _ in GOLDEN_FRAMES if type(r) is row.cls)
+    # (the tag-12 golden record of version 3 holds an unsorted in-order
+    # run, which version 4 does not write)
+    written = [*GOLDEN_FRAMES[:-1], GOLDEN_SORTED_FRAME]
+    (record,) = (r for r, _ in written if type(r) is row.cls)
     # (no single cube replays the sharded router's record)
     accepted = ACCEPTS[row.needs][0] if row.replay is not None else set()
     for front in sorted(set(FRONTS) - accepted):

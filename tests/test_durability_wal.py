@@ -11,12 +11,14 @@ anything the size of its claims is allocated, and a log truncated at
 written -- never garbage, never an error -- and accept appends again
 after the open-for-append repair.
 
-Bytes are pinned three times: ``GOLDEN_FRAMES`` are the frames a
+Bytes are pinned four times: ``GOLDEN_FRAMES`` are the frames a
 version-1 segment holds (what older builds wrote: decoded, and for the
 scalar and vector rows still encoded, byte for byte),
 ``GOLDEN_PACKED_FRAMES`` the batch rows a version-2 segment holds
-(decoded, never written) and ``GOLDEN_BIT_FRAMES`` the batch rows as
-this build writes them.
+(decoded, never written), ``GOLDEN_BIT_FRAMES`` the batch rows as
+version 3 laid them out and this build still writes them, and
+``GOLDEN_SORTED_FRAME`` a sharded batch as version 4 writes it, its
+in-order runs sorted sets.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DomainError, StorageError
+from repro.durability import bit_columns
 from repro.durability import wal as wal_module
 from repro.durability.wal import (
     _COLUMN,
@@ -132,15 +135,33 @@ def interval_batch_records(draw):
 
 
 @st.composite
+def narrow_columns(draw, n, count):
+    """An ``(n, count)`` int64 array whose columns span at most 40 (one
+    occurring time, duplicate points), anywhere in int64."""
+    out = np.empty((n, count), dtype=np.int64)
+    for j in range(count):
+        span = draw(st.sampled_from([0, 1, 3, 40]))
+        low = draw(st.integers(I64.min, I64.max - span))
+        out[:, j] = draw(st.lists(st.integers(low, low + span), min_size=n, max_size=n))
+    return out
+
+
+@st.composite
 def sharded_batch_records(draw):
     """Up to three sections over increasing shards, each run of 0 to 6
-    rows (a section may be empty)."""
+    rows (a section may be empty).  An in-order run is sorted by point:
+    narrow ones are stored as keys, runs whose widths sum past 62 bits
+    as columns."""
     shards = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=3)))
     runs = np.array(
         [[draw(st.integers(0, 6)), draw(st.integers(0, 6))] for _ in shards]
     )
-    n = int(runs.sum())
-    points = draw(columns(n, draw(st.integers(1, 4))))
+    k, parts = draw(st.integers(1, 4)), []
+    for fast, late in runs.tolist():
+        run = draw(st.one_of(columns(fast, k), narrow_columns(fast, k)))
+        parts += [run[np.lexsort(run.T[::-1])], draw(columns(late, k))]
+    points = np.concatenate(parts)
+    n = len(points)
     return ShardedBatchRecord(shards, runs, points, draw(columns(n, 1))[:, 0].copy())
 
 
@@ -245,8 +266,22 @@ GOLDEN_PACKED_FRAMES = [
     "0000000100020200000000000000010200000000000000000001010002"
     "00000000000000010100ffffffffffffffff010600",
 ]
+#: The tag-12 record of ``GOLDEN_FRAMES`` with its in-order run sorted,
+#: and its frame at the same LSN as a version-4 segment holds it (what
+#: this build writes; the frame in ``GOLDEN_FRAMES`` is what commit
+#: 715f1ef wrote to a version-3 segment, decoded, never written)
+GOLDEN_SORTED_FRAME = (
+    ShardedBatchRecord(
+        [0, 1],
+        [[2, 1], [1, 0]],
+        [[3, 0, 0], [3, 1, 2], [2, 1, 1], [3, 0, 3]],
+        [-2, 5, 1, 7],
+    ),
+    "38000000c06d89020c33000000000000000200030000040202020006010001000201"
+    "021100010303e004010201020102010006010001060100020100010e0100",
+)
 #: The same batch rows as a version-3 segment holds them (what this build
-#: writes).  A new batch row needs a frame here too.
+#: writes, in version 4 too).  A new batch row needs a frame here too.
 GOLDEN_BIT_FRAMES = [
     "1a000000276bcd0f022900000000000000020200000003000601000104"
     "0103037a01",
@@ -338,6 +373,51 @@ def hostile_bit_bodies(draw):
     return edit, bytes((BY_CLASS[type(record)].tag,)) + bytes(body)
 
 
+#: the body of ``GOLDEN_SORTED_FRAME``: its in-order run of two rows,
+#: 4-bit keys (0 and 6), sits at byte 10 -- three column headers, then
+#: rice k (1) at 16, the unary stream's length (1 byte) at 17, the stream
+#: (0x11: quotients 0 and 3) at 18 and the remainders' header at 19
+_SORTED_BODY = bytes.fromhex(GOLDEN_SORTED_FRAME[1])[_FRAME.size + _PREFIX.size :]
+
+
+def _sorted_edit(at: int, new: bytes, cut: int | None = None) -> bytes:
+    """``_SORTED_BODY`` with ``new`` over its bytes from ``at`` (to ``cut``)."""
+    return _SORTED_BODY[:at] + new + _SORTED_BODY[at + len(new) if cut is None else cut :]
+
+
+@st.composite
+def hostile_sorted_bodies(draw):
+    """One hostile edit of a one-section ``sharded_batch`` whose in-order
+    run is coded as keys, each always refused: a row count the unary
+    stream does not hold, a stream length past its quotients, a flipped
+    bit of the stream, a rice k above 62, bytes after the run; and the
+    edited payload."""
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    points = draw(narrow_columns(n, k))
+    record = ShardedBatchRecord(
+        [0], [[n, 0]], points[np.lexsort(points.T[::-1])],
+        draw(narrow_columns(n, 1))[:, 0].copy(),
+    )  # fmt: skip
+    body = bytearray(encode_record(record, 1)[_FRAME.size + _PREFIX.size :])
+    heads = 4 + 2 + len(_varint(n))  # the batch head, then the section's
+    _, _, rice_at = bit_columns._read_headers(bytes(body), heads, k)
+    size, unary_at = bit_columns.read_varint(bytes(body), rice_at + 1)
+    edit = draw(st.sampled_from(["rows", "size", "unary", "rice", "trailing"]))
+    if edit == "rows":
+        rows = draw(st.one_of(st.integers(n + 1, n + 9), st.integers(2**20, 2**40)))
+        body[4:heads] = b"\x00" + _varint(rows) + b"\x00"
+    elif edit == "size":
+        body[rice_at + 1 : unary_at] = _varint(draw(st.integers(size + 1, 2**40)))
+    elif edit == "unary":
+        bit = draw(st.integers(0, 8 * size - 1))
+        body[unary_at + bit // 8] ^= 1 << bit % 8
+    elif edit == "rice":
+        body[rice_at] = draw(st.integers(63, 254))
+    else:
+        body += draw(st.binary(min_size=1, max_size=16))
+    return edit, _PREFIX.pack(12, 1) + bytes(body)
+
+
 class TestCodec:
     @given(record=RECORDS, lsn=st.integers(1, 2**62))
     def test_round_trip(self, record, lsn):
@@ -391,20 +471,25 @@ class TestCodec:
     def test_frames_are_byte_identical_to_the_recorded_ones(self):
         """Bytes on disk, pinned -- and a row without a frame fails, in the
         version-1 table and, if it is a batch row, in the version-2 and
-        version-3 ones.  Versions 1 and 2 are decoded, version 3 is also
-        what this build writes."""
+        version-3 ones.  Versions 1 and 2 are decoded; the version-3
+        frames of every row but ``sharded_batch`` are also what this build
+        writes in version 4, which lays that row's in-order runs out as
+        sorted sets (``GOLDEN_SORTED_FRAME``)."""
         assert [type(r) for r, _ in GOLDEN_FRAMES] == [row.cls for row in RECORD_TYPES]
         packed = dict(zip(BATCH_ROWS, GOLDEN_PACKED_FRAMES))
         bit = dict(zip(BATCH_ROWS, GOLDEN_BIT_FRAMES))
         assert [row.cls for row in RECORD_TYPES if isinstance(row.layout, _Batch)] == [
             type(GOLDEN_FRAMES[position][0]) for position in BATCH_ROWS
         ]
+        assert WAL_FORMAT_VERSION == 4
         for position, (record, frame) in enumerate(GOLDEN_FRAMES):
             lsn = 40 + position
             for version, table in ((1, {}), (2, packed), (3, bit)):
                 old = bytes.fromhex(table.get(position, frame))
                 assert decode_payload(old[_FRAME.size :], version=version) == (lsn, record)
             written = bit.get(position, frame)
+            if isinstance(record, ShardedBatchRecord):
+                record, written = GOLDEN_SORTED_FRAME
             assert encode_record(record, lsn).hex() == written, record
             assert decode_payload(bytes.fromhex(written)[_FRAME.size :]) == (lsn, record)
 
@@ -600,6 +685,108 @@ class TestCodec:
         )
         frame = encode_record(UpdateBatchRecord(points, rng.integers(1, 10, n)), 1)
         assert len(frame) / n <= ceiling
+
+    def test_an_unsorted_in_order_run_is_refused_at_pack(self):
+        """The version-3 golden record keeps its in-order run as the
+        stream had it, which version 4 does not store; nor does it store
+        an unsorted run of keys wider than 62 bits."""
+        with pytest.raises(DomainError, match="not in order"):
+            encode_record(GOLDEN_FRAMES[-1][0], 1)
+        wide = np.array([[I64.max, 0], [I64.min, 1]], dtype=np.int64)
+        with pytest.raises(DomainError, match="not in order"):
+            encode_record(ShardedBatchRecord([0], [[2, 0]], wide, [1, 2]), 1)
+        encode_record(ShardedBatchRecord([0], [[2, 0]], wide[::-1], [1, 2]), 1)
+
+    @pytest.mark.parametrize(
+        "body, refusal",
+        [
+            (_sorted_edit(18, b"\x01"), "1 quotients in 1 bytes for 2 rows"),
+            (_sorted_edit(17, b"\x04\x11\x01", 19), "3 quotients in 2 bytes"),
+            (_sorted_edit(18, b"\x91"), "padding after the last quotient"),
+            (_sorted_edit(16, b"\x03"), "key leaves its 4 bits"),  # 3 << 3 = 24
+            (_sorted_edit(16, b"\x3f"), "rice k 63"),
+            (_sorted_edit(17, b"\x7e"), "runs past"),  # a 63-byte stream
+            (_sorted_edit(19, b"\x01"), "remainders are negative"),
+            (_SORTED_BODY + b"\x00", "1 bytes follow"),
+        ],
+    )
+    def test_a_malformed_sorted_run_is_a_storage_error(self, tmp_path, body, refusal):
+        """Each refusal of the version-4 in-order run, over a frame whose
+        CRC is valid, whether the body is decoded or only checked."""
+        payload = _PREFIX.pack(12, 2) + body
+        for decode in (True, False):
+            with pytest.raises(StorageError, match=refusal):
+                decode_payload(payload, decode=decode)
+        segment = tmp_path / "wal-00000001.log"
+        segment.write_bytes(
+            _HEADER.pack(SEGMENT_MAGIC, WAL_FORMAT_VERSION, 1)
+            + encode_record(RetireRecord(1), 1)
+            + _FRAME.pack(len(payload), zlib.crc32(payload))
+            + payload
+            + encode_record(RetireRecord(3), 3)
+        )
+        size = segment.stat().st_size
+        info = inspect_log(tmp_path)
+        assert info["record_counts"] == {"retire": 2, "malformed_sharded_batch": 1}
+        with pytest.raises(StorageError, match="LSN 2 .* cannot decode"):
+            WriteAheadLog(tmp_path, fsync="off")
+        assert segment.stat().st_size == size
+
+    def test_a_key_its_remainders_carry_past_its_widths_is_refused_on_decoding(self):
+        """Checking a frame decodes no remainder: over quotients 0 and 3
+        (rice k 1, so 6), remainders based at 4 pass the check (6 + 2 x 4
+        < 16), and only the decoded ones, 5 and 5, put the second key at
+        16, past its 4 bits."""
+        # the remainders' base (zigzag 4) at 19, both their offsets 1 at 23
+        body = _sorted_edit(23, b"\xf1")
+        payload = _PREFIX.pack(12, 2) + body[:19] + b"\x08" + body[20:]
+        assert decode_payload(payload, decode=False) == (2, None)
+        with pytest.raises(StorageError, match="key leaves its 4 bits"):
+            decode_payload(payload)
+
+    def test_the_well_formed_sorted_run_decodes_in_either_version(self):
+        """(the body the malformed ones are one edit away from); a
+        version-3 segment reads the same bytes as columns, so they are
+        not the same record there"""
+        payload = _PREFIX.pack(12, 51) + _SORTED_BODY
+        assert decode_payload(payload) == (51, GOLDEN_SORTED_FRAME[0])
+        with pytest.raises(StorageError):
+            decode_payload(payload, version=3)
+
+    @given(edited=hostile_sorted_bodies())
+    @settings(max_examples=300, deadline=None)
+    def test_a_hostile_sorted_run_is_a_storage_error(self, edited):
+        """Refused -- checked or decoded -- before anything sized by the
+        body's claims is allocated: the unary stream is unpacked from the
+        body, at most 72 bytes a body byte (a bit a byte, then each 1's
+        eight-byte position)."""
+        edit, payload = edited
+        for decode in (True, False):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                with pytest.raises(StorageError):
+                    decode_payload(payload, decode=decode)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 72 * len(payload) + (64 << 10), edit
+
+    @pytest.mark.parametrize("n", [1, 2, 512])
+    def test_a_served_in_order_run_costs_under_1_4_bytes_a_point(self, n):
+        """A preload frame's in-order run of the serving benchmark, as one
+        shard's section: two occurring times, cells on 16 x 32 x 8,
+        deltas 1..9.  Version 3 spent 18 bits a row on it."""
+        rng = np.random.default_rng(n)
+        points = np.column_stack(
+            [np.repeat([40, 41], -(-n // 2))[:n], *(rng.integers(0, s, n) for s in (16, 32, 8))]
+        )
+        points = points[np.lexsort(points.T[::-1])]
+        record = ShardedBatchRecord([0], [[n, 0]], points, rng.integers(1, 10, n))
+        frame = encode_record(record, 1)
+        assert decode_payload(frame[_FRAME.size :]) == (1, record)
+        if n == 512:
+            assert len(frame) / n <= 1.4
 
     def test_full_range_columns_cost_64_bits_a_row_and_11_header_bytes(self):
         n, k = 16, 3
@@ -858,7 +1045,8 @@ class TestSegments:
     def test_a_version_2_tail_is_repaired_and_never_appended_to(self, tmp_path):
         """The same for a log the packed-column builds wrote: its batch
         frames are version-2 bodies, read by the segment's version, and the
-        first append after the open lands in a fresh version-3 segment."""
+        first append after the open lands in a fresh segment of this
+        build's version."""
         packed = dict(zip(BATCH_ROWS, GOLDEN_PACKED_FRAMES))
         frames = [
             bytes.fromhex(packed.get(position, frame))
@@ -885,10 +1073,41 @@ class TestSegments:
         info = inspect_log(tmp_path)
         assert [(s["format_version"], s["base_lsn"]) for s in info["segments"]] == [
             (2, 40),
-            (3, 50),
+            (WAL_FORMAT_VERSION, 50),
         ]
-        assert info["format_version"] == WAL_FORMAT_VERSION == 3
+        assert info["format_version"] == WAL_FORMAT_VERSION == 4
         assert info["updates"] == 3 + 4 * 2
+
+    def test_a_version_3_tail_of_sharded_batches_is_rolled(self, tmp_path):
+        """A log the one-log build wrote, every row's frame in it: its
+        ``sharded_batch`` keeps its in-order run in stream order, as
+        version 3 laid it out, and the next record lands in a version-4
+        segment, in-order run sorted."""
+        bit = dict(zip(BATCH_ROWS, GOLDEN_BIT_FRAMES))
+        frames = [
+            bytes.fromhex(bit.get(position, frame))
+            for position, (_, frame) in enumerate(GOLDEN_FRAMES)
+        ]  # LSNs 40..51
+        old = tmp_path / "wal-00000003.log"
+        old.write_bytes(_HEADER.pack(SEGMENT_MAGIC, 3, 40) + b"".join(frames))
+        size = old.stat().st_size
+        record = GOLDEN_SORTED_FRAME[0]
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            assert wal.append(record) == 52
+        assert old.stat().st_size == size
+        new = tmp_path / "wal-00000004.log"
+        assert new.read_bytes() == _HEADER.pack(SEGMENT_MAGIC, 4, 52) + encode_record(
+            record, 52
+        )
+        with WriteAheadLog(tmp_path, fsync="off") as wal:
+            assert list(wal.replay()) == [
+                (40 + i, record) for i, (record, _) in enumerate(GOLDEN_FRAMES)
+            ] + [(52, record)]
+        info = inspect_log(tmp_path)
+        assert [(s["format_version"], s["base_lsn"]) for s in info["segments"]] == [
+            (3, 40),
+            (4, 52),
+        ]
 
     def test_inspect_log_counts_types(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="off") as wal:

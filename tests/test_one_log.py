@@ -7,12 +7,19 @@ leaves the live router refusing writes, and recovery replays the op
 whole; a record the crash left torn is dropped, and the op is not
 applied at all.  Never in part.  Replay decodes each record's bit
 streams once: opening the log only checks that they decode.
+
+The log keeps an op's in-order points as a sorted set and its buffered
+points in arrival order; the live cube applies the record it logged, so a
+recovered cube holds what the live one held, ``G_d`` order included, and
+a log in the previous format (``tests/data/sharded_v3``) recovers too.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.core.errors import (
@@ -27,6 +34,7 @@ from repro.durability.recovery import WAL_SUBDIR
 from repro.durability.wal import WriteAheadLog
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.sharding import ShardedCube
+from tests.data import make_durable_fixtures as fixtures
 
 SHAPE = (4, 4)  # shard 0 holds x < 2, shard 1 x >= 2
 TIERS = [{"name": "coarse", "granularity": 4, "horizon": None}]
@@ -219,3 +227,107 @@ def test_recovery_decodes_each_record_once(tmp_path, monkeypatch):
     # eight batches reach both shards in order; the last one both shards
     # in order and late: 8 * 2 + 4 runs
     assert len(calls) == 20
+
+
+def test_opening_a_log_of_sorted_runs_decodes_no_remainder(tmp_path, monkeypatch):
+    """Served-shape in-order runs, 100 points a shard and time, whose
+    keys fill their widths: opening checks their quotients and decodes
+    none of their remainders; replay decodes each run once."""
+    rng = np.random.default_rng(5)
+    with ShardedCube(
+        SHAPE, shards=2, processes=False, durable_dir=tmp_path, fsync="off"
+    ) as cube:
+        for time in range(0, 16, 4):
+            times = np.repeat([time, time + 1], 100)
+            cells = rng.integers(0, 4, (200, 2))
+            cube.update_many(np.column_stack([times, cells]), rng.integers(1, 10, 200))
+        answers = _answers(cube)
+    calls = _counting_decodes(monkeypatch)
+    WriteAheadLog(tmp_path / WAL_SUBDIR, fsync="off").close()
+    assert calls == []
+    with ShardedCube.recover(tmp_path) as recovered:
+        assert _answers(recovered) == answers
+    assert len(calls) == 8  # four batches, each in order on both shards
+
+
+def _buffers(cube) -> list:
+    """Every shard's ``G_d``: its points and deltas, in buffer order."""
+    return [
+        [column.tolist() for column in layers["buffered"].buffer.snapshot_columns()]
+        for layers in (handle.state.layers for handle in cube.router.handles)
+    ]
+
+
+def _oracle(ops) -> BufferedEvolvingDataCube:
+    oracle = BufferedEvolvingDataCube(fixtures.SHARDED_SHAPE)
+    for op in ops:
+        fixtures.apply_op(oracle, op)
+    return oracle
+
+
+def test_a_recovered_cube_holds_what_the_live_one_held(tmp_path):
+    """In-order runs sorted, buffered runs in arrival order: answers and
+    every shard's ``G_d``, in buffer order, are the live cube's, and the
+    answers the unsharded oracle's."""
+    with ShardedCube(
+        fixtures.SHARDED_SHAPE, shards=2, durable_dir=tmp_path / "live", fsync="off"
+    ) as live:
+        for op in fixtures.SHARDED_OPS:
+            fixtures.apply_op(live, op)
+        answers, buffers = _answers(live), _buffers(live)
+    assert answers == _answers(_oracle(fixtures.SHARDED_OPS))
+    assert any(points for points, _ in buffers)  # the last op's late points
+    with ShardedCube.recover(tmp_path / "live") as recovered:
+        assert _answers(recovered) == answers
+        assert _buffers(recovered) == buffers
+        assert [s["format_version"] for s in recovered.log_info()["segments"]] == [4]
+
+
+def test_a_version_3_log_recovers_and_rolls_to_version_4(tmp_path):
+    """``sharded_v3/`` is the op list as the build before version 4
+    logged it, in-order runs in arrival order and no checkpoint: it
+    recovers to the oracle's answers, and the next write lands in a
+    version-4 segment the segment after it recovers from."""
+    shutil.copytree(fixtures.HERE / "sharded_v3", tmp_path / "fleet")
+    (old,) = (tmp_path / "fleet" / WAL_SUBDIR).iterdir()
+    written = old.read_bytes()
+    late = ("update_many", *fixtures._rows([(17, 3, 2, 4), (10, 1, 1, 5)]), "fast")
+    oracle = _oracle(fixtures.SHARDED_OPS)
+    with ShardedCube.recover(tmp_path / "fleet") as recovered:
+        assert recovered.recovery_info["replayed_records"] == len(fixtures.SHARDED_OPS)
+        assert _answers(recovered) == _answers(oracle)
+        fixtures.apply_op(recovered, late)
+        info = recovered.log_info()
+        buffers = _buffers(recovered)
+    fixtures.apply_op(oracle, late)
+    assert old.read_bytes() == written
+    assert [(s["format_version"], s["records"]) for s in info["segments"]] == [
+        (3, len(fixtures.SHARDED_OPS)),
+        (4, 1),
+    ]
+    with ShardedCube.recover(tmp_path / "fleet") as again:
+        assert _answers(again) == _answers(oracle)
+        assert _buffers(again) == buffers
+
+
+@pytest.mark.parametrize("fsync", ["batch", "always"])
+def test_the_crash_window_is_at_most_group_commit_minus_one_ops(
+    tmp_path, monkeypatch, fsync
+):
+    """Each ``os.fsync`` recorded with the LSN it covers (the log's last):
+    once a client op is acknowledged, under ``"batch"`` at most
+    ``group_commit - 1`` acknowledged ops are unsynced, under ``"always"``
+    none.  A machine crash loses at most that window."""
+    with ShardedCube(SHAPE, shards=2, durable_dir=tmp_path / "f", fsync=fsync) as cube:
+        log, synced = cube.router.log, [0]
+        log.group_commit = 5
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(log.next_lsn - 1))
+        unsynced = []
+        for time in range(24):
+            late = max(time - 3, 0)
+            cube.update_many([(time, 0, time % 4), (time, 3, 1), (late, 2, 2)], [1, 2, 3])
+            unsynced.append(log.next_lsn - 1 - max(synced))
+            if time % 7 == 6:
+                cube.drain(1)
+                unsynced.append(log.next_lsn - 1 - max(synced))
+    assert max(unsynced) == (log.group_commit - 1 if fsync == "batch" else 0)
