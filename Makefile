@@ -92,7 +92,12 @@ loc:
 # stores.row_values (or row_difference); and an epoch is published at
 # one point, by the snapshot front (and the shard worker writing past
 # it): no publish barrier, no sink the kernel notifies, no
-# external-mutation notice and no external version anywhere in src/.
+# external-mutation notice and no external version anywhere in src/;
+# and an op is named once, by its ops.OPS row: a shard answers the
+# methods the rows name (plus checkpoint), so no retired pipe name
+# (ingest, oob, approx) is a string in sharding/router.py, worker.py or
+# cube.py, and no op table on the shard (ShardWorkerState.ops, state.ops)
+# is anywhere in src/.
 # Every grep below must print nothing.  (The bracketed letter keeps this
 # file from matching the pattern that scans it.)
 probes:
@@ -134,4 +139,7 @@ probes:
 	@! grep -rnE '\.(ancho[r]|offse[t])\b' src/repro --include=*.py \
 		--exclude=stores.py --exclude=snapshot.py --exclude=shm.py
 	@! grep -rnE 'publish_barrie[r]|_notify_sin[k]|note_external_mutatio[n]|external_versio[n]' src
+	@! grep -nE '"(ingest|oob|approx)"' src/repro/sharding/router.py \
+		src/repro/sharding/worker.py src/repro/sharding/cube.py
+	@! grep -rnE '(ShardWorkerState|state)\.ops\b' src
 	@echo "probes: none"

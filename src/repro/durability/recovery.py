@@ -67,7 +67,6 @@ from repro.durability.wal import (
 )
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
-from repro.ecube.extent import ExtentCube
 from repro.metrics import CostCounter
 from repro.storage.mmap_npz import open_checkpoint
 from repro.storage.serialize import require_dense
@@ -91,6 +90,8 @@ def build_front(config: dict, counter: CostCounter | None, tile_dir=None):
         "copy_budget": config.get("copy_budget"),
     }
     if config.get("extent"):
+        from repro.ecube.extent import ExtentCube
+
         front = ExtentCube(
             slice_shape, drain_threshold=config.get("drain_threshold"), **kernel
         )

@@ -32,11 +32,13 @@ scatter that fails after the append leaves the router refusing writes;
 recovery replays the record whole, through the same scatter.
 
 The worker protocol is synchronous and single-outstanding per pipe:
-``(op, payload, release_below)`` down, ``(status, result, published)``
-up, where ``published`` is ``(descriptor, time state)`` after a mutating
-op and ``None`` otherwise; ``release_below`` piggybacks the
-garbage-collection horizon for older shared-memory epochs on the next
-request, so the steady state holds exactly one live epoch per shard.
+``(method, payload, release_below)`` down, where ``method`` names an
+:data:`~repro.sharding.ops.OPS` row (or is ``checkpoint``), and
+``(status, result, published)`` up, where ``published`` is
+``(descriptor, time state)`` after a mutating op and ``None`` otherwise;
+``release_below`` piggybacks the garbage-collection horizon for older
+shared-memory epochs on the next request, so the steady state holds
+exactly one live epoch per shard.
 
 A dead worker never hangs the router: requests poll the pipe with the
 process's liveness and a deadline, surfacing
@@ -97,8 +99,8 @@ class _Handle:
     #: reported it beside that epoch
     times = (None, None, None)
 
-    def request(self, op: str, payload=None):
-        self.send(op, payload)
+    def request(self, method: str, payload=None):
+        self.send(method, payload)
         return self.recv()
 
     def _deliver(self, reply):
@@ -121,8 +123,8 @@ class InlineHandle(_Handle):
     def is_alive(self) -> bool:
         return True
 
-    def send(self, op: str, payload=None) -> None:
-        self._pending = serve(self.state, op, payload)
+    def send(self, method: str, payload=None) -> None:
+        self._pending = serve(self.state, method, payload)
 
     def recv(self):
         return self._deliver(self._pending)
@@ -146,16 +148,16 @@ class WorkerHandle(_Handle):
     def _dead(self, why: str) -> ShardUnavailableError:
         return ShardUnavailableError(f"{self.process.name} is unavailable ({why})")
 
-    def _frame(self, op: str, payload=None) -> tuple:
+    def _frame(self, method: str, payload=None) -> tuple:
         # epochs older than the one we hold are released on the next request
         held = self.descriptor
-        return op, payload, None if held is None else held["sequence"]
+        return method, payload, None if held is None else held["sequence"]
 
-    def send(self, op: str, payload=None) -> None:
+    def send(self, method: str, payload=None) -> None:
         if not self.is_alive():
             raise self._dead("process died")
         try:
-            self.conn.send(self._frame(op, payload))
+            self.conn.send(self._frame(method, payload))
         except (BrokenPipeError, OSError) as exc:
             raise self._dead(f"pipe broken: {exc}") from exc
 
@@ -240,7 +242,7 @@ class ShardRouter:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _scatter(self, targets: Sequence, op: str, payloads) -> list:
+    def _scatter(self, targets: Sequence, method: str, payloads) -> list:
         """Send to every target, then gather every reply (in order).
 
         Every reply is drained even when one raises (the protocol is
@@ -248,7 +250,7 @@ class ShardRouter:
         the next exchange) -- the first error is re-raised afterwards.
         """
         for handle, payload in zip(targets, payloads):
-            handle.send(op, payload)
+            handle.send(method, payload)
         results: list = []
         error: BaseException | None = None
         for handle in targets:
@@ -262,8 +264,8 @@ class ShardRouter:
             raise error
         return results
 
-    def _scatter_all(self, op: str, payload) -> list:
-        return self._scatter(self.handles, op, [payload] * len(self.handles))
+    def _scatter_all(self, method: str, payload) -> list:
+        return self._scatter(self.handles, method, [payload] * len(self.handles))
 
     def _validate_points(self, points: np.ndarray) -> None:
         shape = self.partitioner.slice_shape
@@ -367,8 +369,9 @@ class ShardRouter:
         # order of an in-order run changes no answer), then its buffered
         # ones in stream order (``drain(limit)`` breaks time ties by it)
         shard_ids = self.partitioner.shard_of_cells(points[:, 1:])
-        keys = np.where(historic[:, None], 0, points)
-        order = np.lexsort((*keys.T[::-1], historic, shard_ids))
+        cells = np.ravel_multi_index(tuple(points.T[1:]), self.partitioner.slice_shape)
+        keys = np.where(historic, 0, [cells, times])
+        order = np.lexsort((*keys, historic, shard_ids))
         runs = np.bincount(
             2 * shard_ids + historic, minlength=2 * len(self.handles)
         ).reshape(-1, 2)
@@ -387,7 +390,7 @@ class ShardRouter:
             targets.append(self.handles[shard])
             payloads.append((record.points[rows], record.deltas[rows], late))
             at = rows.stop
-        self._scatter(targets, "ingest", payloads)
+        self._scatter(targets, "update_many", payloads)
 
     def apply_out_of_order(self, point: Sequence[int], delta: int) -> None:
         point = np.asarray([tuple(int(c) for c in point)], dtype=np.int64)
@@ -420,7 +423,8 @@ class ShardRouter:
         point = np.asarray(record.point, dtype=np.int64)
         shard_id = int(self.partitioner.shard_of_cells(point[None, 1:])[0])
         point[1:] -= self._origins[shard_id]
-        self.handles[shard_id].request("oob", (tuple(point.tolist()), record.delta))
+        correction = tuple(point.tolist()), record.delta
+        self.handles[shard_id].request("apply_out_of_order", correction)
 
     def drain(self, limit: int | None = None) -> tuple[int, int]:
         """Drain every shard's ``G_d`` buffer (``limit`` applies per shard)."""
@@ -444,7 +448,7 @@ class ShardRouter:
         return self._commit(RetireRecord(int(time)), self.handles)
 
     def _apply_retire(self, record) -> int:
-        replies = self._scatter_all("retire", record.time)
+        replies = self._scatter_all("retire_before", record.time)
         below = _extreme(max, (newest for _, newest in replies))
         # the newest time below ``time`` is a boundary only above an older one
         if below is not None and self.min_time < below:
@@ -474,7 +478,7 @@ class ShardRouter:
         OutOfOrderRecord: _apply_out_of_order,
         DrainRecord: _apply_drain,
         RetireRecord: _apply_retire,
-        DemoteRecord: lambda self, record: sum(self._scatter_all("demote", record.time)),
+        DemoteRecord: lambda self, r: sum(self._scatter_all("demote_before", r.time)),
         CheckpointMarkerRecord: lambda self, record: None,
     }
 
@@ -550,11 +554,11 @@ class ShardRouter:
                 self._descriptors(), corners[~tiered]
             )
         rerouted = np.flatnonzero(tiered)
-        for positions, reply in self._scatter_boxes("query", corners[tiered]):
+        for positions, reply in self._scatter_boxes("query_many", corners[tiered]):
             results[rerouted[positions]] += reply
         return results.tolist()
 
-    def _scatter_boxes(self, op: str, corners: np.ndarray) -> list:
+    def _scatter_boxes(self, method: str, corners: np.ndarray) -> list:
         """Send every shard its clip of ``corners``; ``(positions, reply)``
         per shard that any box reaches."""
         targets = []
@@ -566,7 +570,7 @@ class ShardRouter:
                 targets.append(handle)
                 payloads.append(local)
                 slots.append(positions)
-        return list(zip(slots, self._scatter(targets, op, payloads)))
+        return list(zip(slots, self._scatter(targets, method, payloads)))
 
     def topk_many(
         self,
@@ -603,7 +607,7 @@ class ShardRouter:
             windows[:, :, 0] = ranked
             windows[:, 1, 1:] = np.subtract(shape, 1)
             self._checked(windows)
-        replies = self._scatter_all("topk", queries)
+        replies = self._scatter_all("topk_many", queries)
         merged = []
         for qi, (_, _, k) in enumerate(queries):
             combined: list[tuple[tuple[int, ...], int]] = []
@@ -636,7 +640,7 @@ class ShardRouter:
         corners, _ = self._checked(boxes)
         estimates = np.zeros(len(corners))
         bounds = np.zeros((len(corners), 2), dtype=np.int64)
-        for positions, reply in self._scatter_boxes("approx", corners):
+        for positions, reply in self._scatter_boxes("query_many_approx", corners):
             estimates[positions] += [e for e, _, _ in reply]
             bounds[positions] += [(lo, hi) for _, lo, hi in reply]
         # a float sum can round out of the exact integer interval (an exact

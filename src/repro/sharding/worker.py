@@ -48,7 +48,7 @@ from repro.metrics import CostCounter
 
 from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView, prepare_epoch
 from repro.ranking.topk import topk_pinned
-from repro.sharding.ops import OPS
+from repro.sharding.ops import BY_METHOD
 from repro.sharding.partition import GridPartitioner
 from repro.sharding.shm import (
     BlockCache,
@@ -112,20 +112,23 @@ class ShardWorkerState:
         watermark = None if tiered is None else tiered.demoted_through
         return descriptor, (first, last, watermark)
 
-    # -- the shard ops (payload in, result out) ---------------------------------
+    # -- the shard's ops: a method per wire row it serves, payload in ------------
 
-    def _ingest(self, payload) -> None:
+    def ping(self, _) -> None:
+        return None
+
+    def update_many(self, section) -> None:
         # a section of the router's record: its in-order rows, then the
         # ``late`` rows the router classified as globally historic
-        points, deltas, late = payload
+        points, deltas, late = section
         split = len(points) - late
         if split:
             self.front.update_many(points[:split], deltas[:split])
         if late:
             self.front.update_many(points[split:], deltas[split:], mode="buffer")
 
-    def _out_of_order(self, payload):
-        point, delta = payload
+    def apply_out_of_order(self, correction) -> None:
+        point, delta = correction
         latest = self.kernel.directory.latest_time if self.kernel.directory else None
         if latest is None or point[0] >= latest:
             # globally historic but locally in-order: append
@@ -133,54 +136,48 @@ class ShardWorkerState:
         else:  # at the kernel, past any buffer
             self.kernel.apply_out_of_order(point, delta)
 
-    def _retire(self, time):
+    def drain(self, limit):
+        # the router asks buffered fleets only
+        return self.front.drain(limit)
+
+    def retire_before(self, time) -> tuple:
         """``(retired, newest local occurring time below ``time``)``."""
         retired = self.front.retire_before(time)
         below = self.kernel.directory.strictly_before(time)
         return retired, None if below is None else int(below[0])
 
-    def _demote(self, time) -> int:
+    def demote_before(self, time) -> int:
         if not self.tiered:
             raise DomainError("demote requires a tiered shard (tiers=...)")
         return self.front.demote_before(time)
 
-    def _approx(self, boxes):
+    # cross-tier answering happens here (tiles and rollups live in the
+    # shard, not in the shared-memory epochs); a box batch is its clip to
+    # this shard, a local corner array
+
+    def query_many(self, boxes):
+        return self.front.query_many(boxes)
+
+    def query_many_approx(self, boxes) -> list:
         tiered = self.layers.get("tiered")
         if tiered is not None:
             return [tuple(e) for e in tiered.query_many_approx(boxes)]
         # no tiers on this shard: every answer is exact
         return [(float(v), int(v), int(v)) for v in self.front.query_many(boxes)]
 
-    #: shard op -> (handler(state, payload) -> result, the name of the
-    #: :data:`~repro.sharding.ops.OPS` row it serves, whose ``mutates``
-    #: says whether it mutates the shard; ``None``: the row of no wire op)
-    ops = {
-        "ping": (lambda state, _: None, "ping"),
-        "ingest": (_ingest, "update_many"),
-        "oob": (_out_of_order, "apply_out_of_order"),
-        # the router asks buffered fleets only
-        "drain": (lambda state, limit: state.front.drain(limit), "drain"),
-        "retire": (_retire, "retire"),
-        "demote": (_demote, "demote"),
-        # cross-tier answering happens in the worker (tiles and rollups live
-        # here, not in the shared-memory epochs); the payload is the batch's
-        # clip to this shard, a local corner array
-        "query": (lambda state, boxes: state.front.query_many(boxes), "query_many"),
+    def topk_many(self, queries):
         # each shard ranks its own cells from its pinned epoch; the router
         # shifts them by the shard's origin and merges (the partition is
         # disjoint, so per-shard lists are exact)
-        "topk": (
-            lambda state, queries: topk_pinned(
-                state.snap, queries, state.layers.get("tiered")
-            ),
-            "topk",
-        ),
-        "approx": (_approx, "query_approx"),
-        "total": (lambda state, _: state.snap.total(), "total"),
+        return topk_pinned(self.snap, queries, self.layers.get("tiered"))
+
+    def total(self, _) -> int:
+        return self.snap.total()
+
+    def checkpoint(self, at) -> str:
         # the shard's archive of a checkpoint: ``(directory, checkpoint
         # id)`` in, the archive's file name out
-        "checkpoint": (lambda state, at: write_archive(at[0], state.front, at[1]), None),
-    }
+        return write_archive(at[0], self.front, at[1])
 
     def close(self) -> None:
         if self.exporter is not None:
@@ -188,25 +185,26 @@ class ShardWorkerState:
             self.exporter = None
 
 
-def serve(state: ShardWorkerState, op: str, payload) -> tuple:
+def serve(state: ShardWorkerState, method: str, payload) -> tuple:
     """Run one op against a shard: the reply frame ``(status, result,
     published)``.
 
-    A mutating op publishes one epoch and answers with what the shard now
-    publishes (that epoch and its time state) even when it failed: it may
-    have partially applied.  Every exception is carried in the frame;
-    what to do with one that is no :class:`ReproError` is the caller's
-    policy.
+    ``method`` names a row of :data:`~repro.sharding.ops.OPS`, or is
+    ``checkpoint``; any other name is refused.  A row that ``mutates``
+    publishes one epoch and answers with it and the shard's time state
+    even when it failed: it may have partially applied.  Every exception
+    is carried in the frame; one that is no :class:`ReproError` is the
+    caller's to handle.
     """
-    if op not in state.ops:
-        return "error", DomainError(f"unknown shard op {op!r}"), None
-    handler, served = state.ops[op]
-    mutates = served is not None and OPS[served].mutates
+    row = BY_METHOD.get(method)
+    handler = getattr(type(state), method, None)
+    if handler is None or (row is None and method != "checkpoint"):
+        return "error", DomainError(f"unknown shard op {method!r}"), None
     try:
         status, result = "ok", handler(state, payload)
     except Exception as exc:
         status, result = "error", exc
-    if not mutates:
+    if row is None or not row.mutates:
         return status, result, None
     state.snap.publish()
     return status, result, state.published()
@@ -233,15 +231,15 @@ def worker_main(conn, config: dict) -> None:
                     break
                 continue
             try:
-                op, payload, release_below = conn.recv()
+                method, payload, release_below = conn.recv()
             except EOFError:
                 break
             if release_below is not None:
                 state.exporter.release_below(release_below)
-            if op == "close":
+            if method == "close":
                 conn.send(("ok", None, None))
                 break
-            reply = serve(state, op, payload)
+            reply = serve(state, method, payload)
             if reply[0] == "error" and not isinstance(reply[1], ReproError):
                 raise reply[1]  # fail stop: the router sees a dead process
             conn.send(reply)

@@ -1,32 +1,34 @@
 """One epoch per mutating op, on every shard it reaches, none for a read.
 
-A shard publishes once after each pipe op whose wire row (its handler
-table, ``ShardWorkerState.ops``, names the row it serves) mutates, and
-the router sends a pipe op for each row of the wire table
-(:data:`repro.sharding.ops.OPS`).  Driving
-every row through an in-process durable :class:`ShardedCube` and reading
-each shard's epoch sequence before and after ties the two tables
-together: a row with ``mutates=True`` advances each shard it reaches by
-exactly one sequence -- an ingest holding both in-order and late points
-included -- and a read row advances none.
+The wire rows (:data:`repro.sharding.ops.OPS`) are the one vocabulary:
+the router sends a shard the method a row names (or ``checkpoint``, the
+shard's archive, which no row names), and the shard publishes exactly
+when that row ``mutates``.  Driving every row through an in-process
+durable :class:`ShardedCube` and reading each shard's epoch sequence
+before and after holds that: every name a handle sends is such a
+method, a row with ``mutates=True`` advances each shard it reaches by
+exactly one sequence -- an ``update_many`` section holding both in-order
+and late points included -- and a read (or a checkpoint) advances none.
+Any other name is refused and leaves the shard as it was.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import DomainError
 from repro.core.types import Box
 from repro.sharding import ShardedCube
-from repro.sharding.ops import OPS
+from repro.sharding.ops import BY_METHOD, OPS
 from repro.sharding.router import InlineHandle
-from repro.sharding.worker import ShardWorkerState
+from repro.sharding.worker import serve
 
 SHAPE = (4, 4)
 TIERS = [{"name": "c", "granularity": 2, "horizon": None}]
 FULL = Box((0, 0, 0), (17, 3, 3))
 
 #: reads, asked before and after a demotion (after it, exact and
-#: approximate reads into demoted history reach the shards' pipe rows)
+#: approximate reads into demoted history reach the shards themselves)
 READS = [
     ("ping", ()),
     ("total", ()),
@@ -36,12 +38,13 @@ READS = [
     ("query_approx", ([FULL],)),
 ]
 
-#: per cube kind, the rows it runs in order (a read list is spliced in)
+#: per cube kind, the rows it runs in order (a read list is spliced in),
+#: and the cube's checkpoint, which no row names
 SCRIPTS = {
     "buffered": [
         *READS,
         ("update", ((16, 1, 1), 2)),
-        # in-order and late points on both shards: one ingest each
+        # in-order and late points on both shards: one section each
         ("update_many", ([[17, 0, 0], [3, 0, 0], [17, 3, 3], [5, 3, 3]], [1, 2, 3, 4])),
         ("drain", (None,)),
         ("update_many", ([[2, 1, 1], [7, 2, 3]], [5, 6])),
@@ -50,6 +53,7 @@ SCRIPTS = {
         *READS,
         ("retire", (9,)),
         *READS,
+        ("checkpoint", ()),
     ],
     "unbuffered": [
         ("update", ((16, 1, 1), 2)),
@@ -62,15 +66,19 @@ SCRIPTS = {
 }
 
 
+#: what a shard answers: the methods the wire rows name, and its archive
+SHARD_METHODS = set(BY_METHOD) | {"checkpoint"}
+
+
 @pytest.fixture
 def sent(monkeypatch):
-    """``(shard id, pipe op)`` of every request an inline handle sends."""
+    """``(shard id, method)`` of every request an inline handle sends."""
     requests: list[tuple[int, str]] = []
     send = InlineHandle.send
 
-    def recorded(self, op, payload=None):
-        requests.append((self.shard_id, op))
-        return send(self, op, payload)
+    def recorded(self, method, payload=None):
+        requests.append((self.shard_id, method))
+        return send(self, method, payload)
 
     monkeypatch.setattr(InlineHandle, "send", recorded)
     return requests
@@ -87,20 +95,42 @@ def test_a_mutating_row_publishes_one_epoch_per_shard_it_reaches(tmp_path, sent)
             cube.update_many([[t, t % 4, 3 * t % 4] for t in range(0, 16, 2)], [1] * 8)
             handles = cube.router.handles
             for name, args in script:
-                row = OPS[name]
+                row = OPS.get(name)
+                method = name if row is None else row.method
+                mutates = row is not None and row.mutates
                 before = [h.state.snap.current_sequence() for h in handles]
                 sent.clear()
-                getattr(cube, row.method)(*args)
-                moved = [h.state.snap.current_sequence() - b for h, b in zip(handles, before)]
+                getattr(cube, method)(*args)
+                after = [h.state.snap.current_sequence() for h in handles]
+                moved = [a - b for a, b in zip(after, before)]
                 reached = {shard for shard, _ in sent}
-                # the pipe rows the wire row sent say what the wire row says
-                served = {OPS[ShardWorkerState.ops[op][1]] for _, op in sent}
-                assert {pipe_row.mutates for pipe_row in served} <= {row.mutates}
-                expected = [int(row.mutates and h.shard_id in reached) for h in handles]
+                # every name sent is a shard method of the one vocabulary,
+                # and the op that sent it mutates as its own row says
+                assert {m for _, m in sent} <= SHARD_METHODS, (kind, name)
+                sent_rows = {BY_METHOD[m] for _, m in sent if m in BY_METHOD}
+                assert {r.mutates for r in sent_rows} <= {mutates}, (kind, name)
+                expected = [int(mutates and h.shard_id in reached) for h in handles]
                 assert moved == expected, (kind, name, args)
-                if row.mutates:
+                if mutates:
                     assert reached, (kind, name)  # the script reaches a shard
                 ran.add(name)
         finally:
             cube.close()
-    assert ran == set(OPS)
+    assert ran == set(OPS) | {"checkpoint"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["query", "update", "close", "published", "kernel", "__init__", "ingest", "oob"],
+)
+def test_a_name_outside_the_vocabulary_is_refused_and_changes_nothing(name):
+    with ShardedCube(SHAPE, shards=1, processes=False) as cube:
+        cube.update_many([[1, 1, 1], [3, 2, 2]], [4, 5])
+        state = cube.router.handles[0].state
+        sequence, total = state.snap.current_sequence(), state.snap.total()
+        status, error, published = serve(state, name, ((4, 0, 0), 1))
+        assert (status, type(error), published) == ("error", DomainError, None)
+        assert f"unknown shard op {name!r}" in str(error)
+        assert state.snap.current_sequence() == sequence
+        assert state.snap.total() == total
+        assert cube.total() == 9

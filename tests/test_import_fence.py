@@ -45,9 +45,10 @@ REPRODUCTION = [
 ]
 
 #: ``import repro.sharding`` loaded 82 ``repro.*`` modules at cbd9a99, 47 at
-#: 7666b56 and 42 once the served system stopped loading the paged and
-#: sparse stores
-MODULE_CEILING = 45
+#: 7666b56, 42 once the served system stopped loading the paged and
+#: sparse stores, 44 with the two ``repro.ranking`` modules, and 43 once
+#: a point cube's front stopped loading the extent cube
+MODULE_CEILING = 44
 
 #: what every package exported at cbd9a99, minus ``repro.storage``'s four
 #: dense-only archive functions (``save_cube`` / ``load_cube`` /
@@ -143,10 +144,10 @@ EXPORTS = {
 #: that import would come after the fork, a private copy in every
 #: process), and, with its shards in process as an untiered ``serve``
 #: keeps them, ``multiprocessing``: only a fleet that starts workers
-#: imports it
+#: imports it; nor the extent cube, which only an extent config builds
 NEVER_LOADED = (
     "asyncio ssl _ssl hashlib _hashlib secrets concurrent.futures numpy.ma "
-    "multiprocessing"
+    "multiprocessing repro.ecube.extent"
 )
 
 #: run in a fresh interpreter: prints the ``repro.*`` modules loaded by the

@@ -283,6 +283,43 @@ def test_a_recovered_cube_holds_what_the_live_one_held(tmp_path):
         assert [s["format_version"] for s in recovered.log_info()["segments"]] == [4]
 
 
+@pytest.mark.parametrize("shape", [(9,), (6, 5), (4, 3, 5)])
+def test_a_batch_is_logged_in_the_order_of_a_sort_over_every_coordinate(
+    shape, rng, monkeypatch
+):
+    """The router sorts a batch on four keys -- shard, lateness, time, and
+    the cell ravelled in the slice shape -- which orders it as a sort over
+    every coordinate did: the late rows keep their arrival order."""
+    with ShardedCube(shape, shards=2) as cube:
+        logged = []
+        commit = cube.router._commit
+
+        def spy(record, handles):
+            logged.append(record)
+            return commit(record, handles)
+
+        monkeypatch.setattr(cube.router, "_commit", spy)
+        for _ in range(40):
+            latest = cube.router.latest_time or 0
+            times = latest + rng.integers(0, 3, 30)
+            late = rng.random(30) < 0.1
+            times[late] = rng.integers(0, latest + 1, late.sum())
+            points = np.column_stack([times, rng.integers(0, shape, (30, len(shape)))])
+            cube.update_many(points, np.arange(1, 31))  # a delta names its row
+            record = logged[-1]
+            order = record.deltas - 1
+            # the rows each section's late run holds, by shard
+            historic = np.zeros(30, dtype=bool)
+            ends = np.cumsum(record.runs.sum(axis=1))
+            for end, (_, buffered) in zip(ends, record.runs):
+                historic[order[end - buffered : end]] = True
+            shard_ids = cube.partitioner.shard_of_cells(points[:, 1:])
+            keys = np.where(historic[:, None], 0, points)
+            expected = np.lexsort((*keys.T[::-1], historic, shard_ids))
+            assert order.tolist() == expected.tolist()
+        assert any(buffered for record in logged for _, buffered in record.runs)
+
+
 def test_a_version_3_log_recovers_and_rolls_to_version_4(tmp_path):
     """``sharded_v3/`` is the op list as the build before version 4
     logged it, in-order runs in arrival order and no checkpoint: it

@@ -26,6 +26,7 @@ from repro.durability.checkpoint import snapshot_arrays
 from repro.durability.wal import LOGGED
 from repro.sharding import GridPartitioner, ShardedCube, ShardRouter
 from repro.sharding.ops import (
+    BY_METHOD,
     ESTIMATES,
     OPS,
     PAIR,
@@ -179,14 +180,16 @@ def test_server_docstring_and_cli_help_name_only_table_ops(capsys):
 # -- pipe side: one envelope, one clip loop ---------------------------------------
 
 
-def test_mutating_ops_are_derived_from_the_handler_table():
-    """A pipe op mutates as the wire row it serves says, and only the
-    durable maintenance op (a shard's checkpoint archive) serves none."""
-    served = {op: row for op, (_, row) in ShardWorkerState.ops.items()}
-    assert {op for op, row in served.items() if row is None} == {"checkpoint"}
-    assert set(served.values()) - {None} <= set(OPS)
-    mutating = {op for op, row in served.items() if row is not None and OPS[row].mutates}
-    assert mutating == {"ingest", "oob", "drain", "retire", "demote"}
+def test_a_shard_method_mutates_as_the_row_naming_it_says():
+    """A shard answers the methods the wire rows name, and one more: the
+    durable maintenance op (its checkpoint archive), which no row names."""
+    served = {name for name in dir(ShardWorkerState) if name in BY_METHOD}
+    assert callable(ShardWorkerState.checkpoint) and "checkpoint" not in BY_METHOD
+    assert not hasattr(ShardWorkerState, "ops")  # no names of its own
+    mutating = {name for name in served if BY_METHOD[name].mutates}
+    assert mutating == {
+        "update_many", "apply_out_of_order", "drain", "retire_before", "demote_before",
+    }  # fmt: skip
 
 
 @pytest.mark.parametrize(
@@ -217,7 +220,8 @@ def test_a_worker_declares_its_front_and_probing_would_agree(
     state = ShardWorkerState(config)
     if durable:
         (tmp_path / "shard").mkdir(exist_ok=True)
-        serve(state, "ingest", (np.array([[0, 1, 1], [1, 2, 2]]), np.array([1, 2]), 0))
+        section = np.array([[0, 1, 1], [1, 2, 2]]), np.array([1, 2]), 0
+        serve(state, "update_many", section)
         status, name, _ = serve(state, "checkpoint", (str(tmp_path / "shard"), 1))
         assert (status, name) == ("ok", "checkpoint-00000001.npz")
     if recover:
@@ -295,14 +299,15 @@ def test_one_envelope_behind_inline_and_process_handles(processes):
                     handle.request(op, payload)
             return published[-1]
 
-        def ingest(point, delta):
+        def section(point, delta):
             return np.asarray([point]), np.asarray([delta]), 0
 
-        assert delivered("ingest", ingest((0, 1, 1), 5))
+        assert delivered("update_many", section((0, 1, 1), 5))
         assert not delivered("total", None)
         # a failing mutating op may have partially applied: fresh epoch
-        assert delivered("ingest", ingest((1, 9, 9), 1), raises=DomainError)
-        assert not delivered("query", np.zeros((1, 2, 2), np.int64), raises=DomainError)
+        assert delivered("update_many", section((1, 9, 9), 1), raises=DomainError)
+        boxes = np.zeros((1, 2, 2), np.int64)
+        assert not delivered("query_many", boxes, raises=DomainError)
         assert not delivered("frobnicate", None, raises=DomainError)
         assert handle.request("total") == 5
         if processes:
@@ -313,12 +318,12 @@ def test_one_envelope_behind_inline_and_process_handles(processes):
             ]
             # what is no ReproError is not answered: the worker fails stop
             with pytest.raises(ShardUnavailableError):
-                handle.request("ingest", None)
+                handle.request("update_many", None)
             handle.process.join(timeout=30)
             assert not handle.is_alive()
         else:
             assert len(serve(handle.state, "total", None)) == 3
-            handle.send("ingest", None)  # the inline handle re-raises at recv
+            handle.send("update_many", None)  # the inline handle re-raises at recv
             with pytest.raises(TypeError):
                 handle.recv()
             assert handle.request("total") == 5
